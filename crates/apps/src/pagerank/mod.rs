@@ -28,10 +28,7 @@ use asyncmr_graph::NodeId;
 
 pub use eager::run_eager;
 pub use general::run_general;
-pub use session::{
-    run_async, run_async_with_driver, run_async_with_failures, run_async_with_node_failures,
-    PageRankAsyncOutcome,
-};
+pub use session::{run_async, run_async_with_driver, PageRankAsyncOutcome};
 
 /// Configuration shared by all PageRank variants.
 #[derive(Debug, Clone, Copy)]

@@ -287,96 +287,26 @@ pub fn run_async(
     cfg: &PageRankConfig,
     max_lag: usize,
 ) -> PageRankAsyncOutcome {
-    run_async_with_failures(pool, graph, parts, cfg, max_lag, SessionFailurePlan::none())
-}
-
-/// [`run_async`] under injected transient gmap failures.
-///
-/// Failed attempts deliver nothing and are re-executed on the same
-/// partition state (deterministic replay), so the converged ranks —
-/// and, at `max_lag = 0`, the iteration count — are byte-identical to
-/// the failure-free run; only wall-clock and the wasted-attempt
-/// accounting in the report change. Pinned by `tests/chaos_session.rs`.
-pub fn run_async_with_failures(
-    pool: &ThreadPool,
-    graph: &CsrGraph,
-    parts: &Partitioning,
-    cfg: &PageRankConfig,
-    max_lag: usize,
-    failures: SessionFailurePlan,
-) -> PageRankAsyncOutcome {
-    run_async_with_driver(
-        pool,
-        graph,
-        parts,
-        cfg,
-        AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_max_lag(max_lag)
-            .with_failures(failures),
-    )
-}
-
-/// [`run_async`] with the straggler-adaptive staleness controller:
-/// each partition's effective lag tracks its observed
-/// dependency-arrival slack within `[cfg.floor, cfg.cap]` instead of
-/// sitting on one fixed `max_lag`.
-///
-/// At `cap = 0` the ranks and iteration count are byte-identical to
-/// [`run_async`] at `max_lag = 0` (and so to the barrier driver); any
-/// cap keeps [`SessionReport::peak_effective_lag`] ≤ the cap.
-pub fn run_async_adaptive(
-    pool: &ThreadPool,
-    graph: &CsrGraph,
-    parts: &Partitioning,
-    cfg: &PageRankConfig,
-    adaptive: AdaptiveLagConfig,
-) -> PageRankAsyncOutcome {
-    run_async_with_driver(
-        pool,
-        graph,
-        parts,
-        cfg,
-        AsyncFixedPointDriver::new(cfg.max_iterations).with_adaptive_lag(adaptive),
-    )
-}
-
-/// [`run_async`] under injected correlated *node* failures with
-/// checkpoint/rollback recovery: a dying virtual node takes its
-/// partitions' in-flight attempts and delivered contributions past the
-/// last checkpoint with it, and the session rolls the contaminated
-/// partitions back to the checkpoint and re-executes.
-///
-/// Because gmaps are pure and the checkpoint cut is coordinated, the
-/// converged ranks — and, at `max_lag = 0`, the iteration count — are
-/// byte-identical to the failure-free run (and to the barrier driver);
-/// only wall-clock and the rollback/checkpoint accounting in the
-/// report change. Pinned by `tests/chaos_session.rs`.
-pub fn run_async_with_node_failures(
-    pool: &ThreadPool,
-    graph: &CsrGraph,
-    parts: &Partitioning,
-    cfg: &PageRankConfig,
-    max_lag: usize,
-    checkpoints: CheckpointPolicy,
-    node_failures: NodeFailurePlan,
-) -> PageRankAsyncOutcome {
-    run_async_with_driver(
-        pool,
-        graph,
-        parts,
-        cfg,
-        AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_max_lag(max_lag)
-            .with_checkpoints(checkpoints)
-            .with_node_failures(node_failures),
-    )
+    let driver = AsyncFixedPointDriver::new(cfg.max_iterations).with_max_lag(max_lag);
+    run_async_with_driver(pool, graph, parts, cfg, driver)
 }
 
 /// [`run_async`] under an arbitrary pre-built
-/// [`AsyncFixedPointDriver`] — the escape hatch the convenience
-/// wrappers above are built on. Use it to combine knobs they don't
-/// cover, e.g. `AsyncFixedPointDriver::new(n).with_trace()` for a
-/// per-attempt span trace in [`SessionReport::trace`].
+/// [`AsyncFixedPointDriver`]: every session knob — injected transient
+/// failures (`with_failures`), correlated node deaths with
+/// checkpoint/rollback (`with_checkpoints` + `with_node_failures`), the
+/// straggler-adaptive staleness controller (`with_adaptive_lag`), a
+/// per-attempt span trace in [`SessionReport::trace`] (`with_trace`) —
+/// is a builder method on the driver, so there is one entry point for
+/// all of them.
+///
+/// Failure injection never changes results: failed attempts re-execute
+/// on the same partition state and rollbacks restore a coordinated
+/// checkpoint cut, so the converged ranks — and, at `max_lag = 0`, the
+/// iteration count — are byte-identical to the failure-free run
+/// (pinned by `tests/chaos_session.rs`). An adaptive cap of 0 is
+/// byte-identical to `max_lag = 0`, and any cap bounds
+/// [`SessionReport::peak_effective_lag`].
 ///
 /// The driver's `max_iterations` is taken as given; callers usually
 /// seed it from [`PageRankConfig::max_iterations`].
@@ -468,7 +398,9 @@ mod tests {
         let pool = ThreadPool::new(4);
         let cfg = PageRankConfig::default();
         let fixed = run_async(&pool, &g, &parts, &cfg, 0);
-        let adaptive = run_async_adaptive(&pool, &g, &parts, &cfg, AdaptiveLagConfig::new(0));
+        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_adaptive_lag(AdaptiveLagConfig::new(0));
+        let adaptive = run_async_with_driver(&pool, &g, &parts, &cfg, driver);
         assert_eq!(fixed.report.global_iterations, adaptive.report.global_iterations);
         assert_eq!(adaptive.report.peak_effective_lag, 0);
         for (v, (a, b)) in fixed.ranks.iter().zip(&adaptive.ranks).enumerate() {
@@ -482,8 +414,9 @@ mod tests {
         let pool = ThreadPool::new(4);
         let cfg = PageRankConfig { tolerance: 1e-9, ..Default::default() };
         let exact = run_async(&pool, &g, &parts, &cfg, 0);
-        let adaptive =
-            run_async_adaptive(&pool, &g, &parts, &cfg, AdaptiveLagConfig::new(3).with_alpha(0.5));
+        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_adaptive_lag(AdaptiveLagConfig::new(3).with_alpha(0.5));
+        let adaptive = run_async_with_driver(&pool, &g, &parts, &cfg, driver);
         assert!(adaptive.report.converged);
         assert_eq!(adaptive.report.max_lag, 3);
         assert!(adaptive.report.peak_effective_lag <= 3, "effective lag past the cap");
@@ -500,14 +433,9 @@ mod tests {
         let pool = ThreadPool::new(4);
         let cfg = PageRankConfig::default();
         let clean = run_async(&pool, &g, &parts, &cfg, 0);
-        let faulty = run_async_with_failures(
-            &pool,
-            &g,
-            &parts,
-            &cfg,
-            0,
-            SessionFailurePlan::transient(0.2, 99),
-        );
+        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_failures(SessionFailurePlan::transient(0.2, 99));
+        let faulty = run_async_with_driver(&pool, &g, &parts, &cfg, driver);
         assert!(faulty.report.failed_attempts > 0, "0.2/attempt must fire");
         assert_eq!(clean.report.global_iterations, faulty.report.global_iterations);
         for (v, (a, b)) in clean.ranks.iter().zip(&faulty.ranks).enumerate() {
@@ -521,15 +449,10 @@ mod tests {
         let pool = ThreadPool::new(4);
         let cfg = PageRankConfig::default();
         let clean = run_async(&pool, &g, &parts, &cfg, 0);
-        let faulty = run_async_with_node_failures(
-            &pool,
-            &g,
-            &parts,
-            &cfg,
-            0,
-            CheckpointPolicy::EveryK(2),
-            NodeFailurePlan::correlated(0.2, 3, 71),
-        );
+        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_checkpoints(CheckpointPolicy::EveryK(2))
+            .with_node_failures(NodeFailurePlan::correlated(0.2, 3, 71));
+        let faulty = run_async_with_driver(&pool, &g, &parts, &cfg, driver);
         assert!(faulty.report.rollbacks > 0, "0.2/(node, epoch) must fire");
         assert!(faulty.report.checkpoint_bytes > 0, "checkpoints must be metered");
         assert_eq!(clean.report.global_iterations, faulty.report.global_iterations);

@@ -21,9 +21,7 @@ use asyncmr_graph::NodeId;
 
 pub use eager::run_eager;
 pub use general::run_general;
-pub use session::{
-    run_async, run_async_with_failures, run_async_with_node_failures, SsspAsyncOutcome,
-};
+pub use session::{run_async, run_async_with_driver, SsspAsyncOutcome};
 
 /// Configuration for both SSSP variants.
 #[derive(Debug, Clone, Copy)]

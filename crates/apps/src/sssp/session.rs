@@ -213,86 +213,20 @@ pub fn run_async(
     cfg: &SsspConfig,
     max_lag: usize,
 ) -> SsspAsyncOutcome {
-    run_async_with_failures(pool, graph, parts, cfg, max_lag, SessionFailurePlan::none())
+    let driver = AsyncFixedPointDriver::new(cfg.max_iterations).with_max_lag(max_lag);
+    run_async_with_driver(pool, graph, parts, cfg, driver)
 }
 
-/// [`run_async`] under injected transient gmap failures.
+/// [`run_async`] under an arbitrary pre-built
+/// [`AsyncFixedPointDriver`] (failure injection, checkpoints, adaptive
+/// lag, tracing — see `crate::pagerank::session::run_async_with_driver`,
+/// same knobs, same contracts).
 ///
-/// Deterministic re-execution makes recovery invisible in the result:
-/// distances (exact, min-monotone) are bitwise identical to the
-/// failure-free run, and at `max_lag = 0` so is the iteration count.
-/// Pinned by `tests/chaos_session.rs`.
-pub fn run_async_with_failures(
-    pool: &ThreadPool,
-    graph: &WeightedGraph,
-    parts: &Partitioning,
-    cfg: &SsspConfig,
-    max_lag: usize,
-    failures: SessionFailurePlan,
-) -> SsspAsyncOutcome {
-    run_async_driver(
-        pool,
-        graph,
-        parts,
-        cfg,
-        AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_max_lag(max_lag)
-            .with_failures(failures),
-    )
-}
-
-/// [`run_async`] with the straggler-adaptive staleness controller
-/// (see [`AdaptiveLagConfig`]): each partition's effective lag tracks
-/// its observed dependency-arrival slack within `[floor, cap]`.
-///
-/// SSSP is min-monotone and exact, so the distances are bitwise
-/// identical to [`run_async`] at *any* cap; at `cap = 0` the iteration
-/// count matches the barrier driver too, and
-/// [`SessionReport::peak_effective_lag`] never exceeds the cap.
-pub fn run_async_adaptive(
-    pool: &ThreadPool,
-    graph: &WeightedGraph,
-    parts: &Partitioning,
-    cfg: &SsspConfig,
-    adaptive: AdaptiveLagConfig,
-) -> SsspAsyncOutcome {
-    run_async_driver(
-        pool,
-        graph,
-        parts,
-        cfg,
-        AsyncFixedPointDriver::new(cfg.max_iterations).with_adaptive_lag(adaptive),
-    )
-}
-
-/// [`run_async`] under injected correlated *node* failures with
-/// checkpoint/rollback recovery (see
-/// `crate::pagerank::session::run_async_with_node_failures` — same
-/// regime, same byte-identity contract; min is exact, so distances are
-/// bitwise stable at any staleness bound that converges). Pinned by
-/// `tests/chaos_session.rs`.
-pub fn run_async_with_node_failures(
-    pool: &ThreadPool,
-    graph: &WeightedGraph,
-    parts: &Partitioning,
-    cfg: &SsspConfig,
-    max_lag: usize,
-    checkpoints: CheckpointPolicy,
-    node_failures: NodeFailurePlan,
-) -> SsspAsyncOutcome {
-    run_async_driver(
-        pool,
-        graph,
-        parts,
-        cfg,
-        AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_max_lag(max_lag)
-            .with_checkpoints(checkpoints)
-            .with_node_failures(node_failures),
-    )
-}
-
-fn run_async_driver(
+/// SSSP is min-monotone and exact, so distances are bitwise identical
+/// to [`run_async`] under any failure plan and at *any* staleness bound
+/// that converges; at lag/cap 0 the iteration count matches the barrier
+/// driver too. Pinned by `tests/chaos_session.rs`.
+pub fn run_async_with_driver(
     pool: &ThreadPool,
     graph: &WeightedGraph,
     parts: &Partitioning,
@@ -374,13 +308,10 @@ mod tests {
         let wg = weighted(400, 9);
         let parts = MultilevelKWay::default().partition(wg.graph(), 6);
         let pool = ThreadPool::new(4);
-        let out = run_async_adaptive(
-            &pool,
-            &wg,
-            &parts,
-            &SsspConfig::default(),
-            AdaptiveLagConfig::new(3).with_alpha(0.5),
-        );
+        let cfg = SsspConfig::default();
+        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_adaptive_lag(AdaptiveLagConfig::new(3).with_alpha(0.5));
+        let out = run_async_with_driver(&pool, &wg, &parts, &cfg, driver);
         assert!(out.report.peak_effective_lag <= 3, "effective lag past the cap");
         assert_eq!(out.report.max_lag, 3);
         let expected = dijkstra(&wg, 0);
@@ -396,14 +327,9 @@ mod tests {
         let pool = ThreadPool::new(4);
         let cfg = SsspConfig::default();
         let clean = run_async(&pool, &wg, &parts, &cfg, 0);
-        let faulty = run_async_with_failures(
-            &pool,
-            &wg,
-            &parts,
-            &cfg,
-            0,
-            SessionFailurePlan::transient(0.2, 5),
-        );
+        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_failures(SessionFailurePlan::transient(0.2, 5));
+        let faulty = run_async_with_driver(&pool, &wg, &parts, &cfg, driver);
         assert!(faulty.report.failed_attempts > 0, "0.2/attempt must fire");
         assert_eq!(clean.report.global_iterations, faulty.report.global_iterations);
         for (v, (a, b)) in clean.distances.iter().zip(&faulty.distances).enumerate() {
@@ -421,15 +347,10 @@ mod tests {
         let pool = ThreadPool::new(4);
         let cfg = SsspConfig::default();
         let clean = run_async(&pool, &wg, &parts, &cfg, 0);
-        let faulty = run_async_with_node_failures(
-            &pool,
-            &wg,
-            &parts,
-            &cfg,
-            0,
-            CheckpointPolicy::EveryK(1),
-            NodeFailurePlan::correlated(0.25, 3, 3),
-        );
+        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_checkpoints(CheckpointPolicy::EveryK(1))
+            .with_node_failures(NodeFailurePlan::correlated(0.25, 3, 3));
+        let faulty = run_async_with_driver(&pool, &wg, &parts, &cfg, driver);
         assert!(faulty.report.rollbacks > 0, "0.25/(node, epoch) must fire");
         assert_eq!(clean.report.global_iterations, faulty.report.global_iterations);
         for (v, (a, b)) in clean.distances.iter().zip(&faulty.distances).enumerate() {

@@ -4,7 +4,7 @@
 //! repro [OPTIONS] <ARTIFACT>...
 //!
 //! Artifacts: table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-//!            faults ablation scalability all
+//!            faults ablation scalability sched all
 //!
 //! Options:
 //!   --scale <f64>    input scale vs the paper (default 0.1)
@@ -20,13 +20,13 @@ use std::process::ExitCode;
 
 use asyncmr_bench::{
     fault_tolerance, kmeans_figures, pagerank_figures, partitioner_ablation, scalability,
-    sssp_figures, table1, table2, Figure, GraphChoice, ReproConfig,
+    scheduler_sweep, sssp_figures, table1, table2, Figure, GraphChoice, ReproConfig,
 };
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--scale f] [--seed n] [--threads n] [--reducers n] [--out dir] [--no-save] \
-         <table1|table2|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|faults|ablation|scalability|all>..."
+         <table1|table2|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|faults|ablation|scalability|sched|all>..."
     );
     std::process::exit(2);
 }
@@ -74,6 +74,7 @@ fn main() -> ExitCode {
             "faults",
             "ablation",
             "scalability",
+            "sched",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -148,6 +149,7 @@ fn main() -> ExitCode {
             "faults" => emit(&fault_tolerance(&cfg), &cfg),
             "ablation" => emit(&partitioner_ablation(&cfg), &cfg),
             "scalability" => emit(&scalability(&cfg), &cfg),
+            "sched" => emit(&scheduler_sweep(&cfg), &cfg),
             other => {
                 eprintln!("unknown artifact: {other}");
                 return ExitCode::from(2);

@@ -13,7 +13,7 @@
 //! simtrace fixtures      [--dir PATH]
 //! ```
 //!
-//! The first three subcommands replay the BENCH_sched.json headline
+//! The first three subcommands replay the `repro sched` headline
 //! workload — the 8×8 ring exchange on the straggler cluster (half the
 //! nodes at quarter speed, seed 7) — under the chosen scheduler
 //! (`list` | `heft` | `lookahead` | `portfolio`) and network model
@@ -22,13 +22,17 @@
 //! workload (defaults: `--a list --b heft`) and names the
 //! critical-path component responsible for the makespan gap.
 //!
-//! `report` renders the same headline run through the unified
-//! renderer (`asyncmr_simcluster::trace::report`) into a self-contained
+//! `report` renders two runs through the unified renderer
+//! (`asyncmr_simcluster::trace::report`), each into a self-contained
 //! HTML timeline report and a Chrome-trace/Perfetto JSON
-//! (`chrome://tracing` / <https://ui.perfetto.dev>), written under
-//! `--dir` — the same two artifacts `iterate_bench --trace` emits for a
-//! *live* session, so a simulated and a real run of one workload can be
-//! compared side by side.
+//! (`chrome://tracing` / <https://ui.perfetto.dev>) under `--dir`: the
+//! same simulated headline run (`sim_report.html`, `sim_trace.json`)
+//! and a *live* traced PageRank session (`live_report.html`,
+//! `live_trace.json`), so a simulated and a real run decompose
+//! like-for-like. The live session's contracts (traced output bitwise
+//! = untraced, spans sum to the meters) are pinned by
+//! `tests/obs_trace.rs`; its recording overhead is the ledger's
+//! `bench.trace_overhead_pct`.
 //!
 //! `fixtures` is the CI entry point: it re-verifies every row of the
 //! golden-trace fixture file the replay-fidelity suite archives
@@ -38,6 +42,11 @@
 //! itself is empty, and writes per-app `trace_analysis_<app>.json`
 //! artifacts next to the fixture file.
 
+use asyncmr_apps::pagerank::{self, PageRankConfig};
+use asyncmr_core::{AsyncFixedPointDriver, GroupingStrategy};
+use asyncmr_graph::generators;
+use asyncmr_partition::{apply_locality_order, Partitioner, RangePartitioner};
+use asyncmr_runtime::ThreadPool;
 use asyncmr_simcluster::workloads::{
     async_schedule, barrier_jobs, ring_exchange, APPS, ASYNC_SEED,
 };
@@ -59,7 +68,7 @@ fn sched_spec(name: &str) -> SchedulerSpec {
     }
 }
 
-/// The BENCH_sched.json headline cluster: ec2_2010 with half the nodes
+/// The `repro sched` headline cluster: ec2_2010 with half the nodes
 /// at quarter speed, under the chosen network model, seed 7.
 fn straggler_sim(model: &str, sched: &str) -> Simulation {
     let spec = ClusterSpec::ec2_2010().with_slow_nodes(4, 0.25);
@@ -72,6 +81,37 @@ fn straggler_sim(model: &str, sched: &str) -> Simulation {
         "topology" => sim.with_network(TopologyAware::uniform(n, bw, lat)),
         other => panic!("unknown model {other} (default|constant|shared|topology)"),
     }
+}
+
+/// The live half of `report`: a traced lag-0 PageRank session on the
+/// ledger's flagship shape (crawl-locality streamed graph, range
+/// partitions + locality reorder, radix grouping), rendered by the same
+/// [`ReportModel`] as the simulated run.
+fn live_report(dir: &str) {
+    const NODES: usize = 60_000;
+    const PARTS: usize = 4;
+    let g = generators::preferential_attachment_streamed(NODES, 5, 0.95, 1024, 42);
+    let parts = RangePartitioner.partition(&g, PARTS);
+    let (g, parts, _perm) = apply_locality_order(&g, &parts);
+    let cfg = PageRankConfig { grouping: GroupingStrategy::Radix, ..PageRankConfig::default() };
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).max(4);
+    let pool = ThreadPool::new(threads);
+    let driver = AsyncFixedPointDriver::new(cfg.max_iterations).with_trace();
+    let out = pagerank::run_async_with_driver(&pool, &g, &parts, &cfg, driver);
+    let trace = out.report.trace.as_ref().expect("traced run records a trace");
+    let title =
+        format!("live pagerank session ({NODES} vertices, {PARTS} partitions, {threads} threads)");
+    let report = ReportModel::from_session(trace, &out.report.schedule, &title);
+    let html = format!("{dir}/live_report.html");
+    let json = format!("{dir}/live_trace.json");
+    std::fs::write(&html, report.html()).expect("write HTML report");
+    std::fs::write(&json, report.chrome_trace_json()).expect("write Chrome trace");
+    println!(
+        "live session {:?} over {} iterations, critical path {} hops; wrote {html} and {json}",
+        out.report.wall_time,
+        out.report.global_iterations,
+        report.critical_path.hops.len()
+    );
 }
 
 /// Verifies one fixture row by re-running its recorded workload.
@@ -230,6 +270,7 @@ fn main() {
                 stats.duration,
                 report.critical_path.hops.len()
             );
+            live_report(&dir);
         }
         "fixtures" => fixtures(&opt("--dir", "target/golden_traces")),
         _ => {

@@ -129,7 +129,7 @@ impl Figure {
     }
 
     /// Renders the figure as pretty-printed JSON (hand-rolled: the
-    /// offline build stubs serde, see `vendor/serde`).
+    /// offline build has no serde).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"id\": {},\n", json::string(&self.id)));

@@ -60,7 +60,7 @@ pub enum CheckpointPolicy {
     Off,
     /// Snapshot every `k` completed global iterations (`k ≥ 1`).
     /// Smaller `k` bounds rollback tighter but writes more checkpoint
-    /// bytes — the sweep axis in `iterate_bench`.
+    /// bytes — the `ckpt k` axis of `repro faults`.
     EveryK(usize),
     /// Snapshot whenever the state bytes delivered since the last
     /// checkpoint reach the budget (`≥ 1`). Adapts the interval to the

@@ -10,8 +10,8 @@
 //! lane's buffer, so the per-lane mutexes are uncontended by
 //! construction: they exist to satisfy `Sync`, not to arbitrate.
 //! The per-span cost is one monotonic clock read at the start, one at
-//! the end, and one uncontended lock/push — the ≤5% overhead contract
-//! `iterate_bench --trace` measures.
+//! the end, and one uncontended lock/push — the ≤5% overhead target
+//! the ledger reports as `bench.trace_overhead_pct`.
 //!
 //! Times are nanoseconds from the recorder's **epoch**, a single
 //! [`Instant`] taken at construction; the drained

@@ -920,7 +920,7 @@ pub mod reference {
     ///
     /// Output pairs are byte-identical to the staged path by
     /// construction; the staged path must prove it (see the
-    /// `stage_equivalence` integration tests and `shuffle_bench`).
+    /// `stage_equivalence` integration tests).
     pub fn execute<M, R>(
         pool: &ThreadPool,
         inputs: &[M::Input],

@@ -46,7 +46,9 @@ impl Counters {
 pub struct PoolMetrics {
     /// Number of worker threads in the pool.
     pub threads: usize,
-    /// Total tasks executed so far.
+    /// Total tasks handed to a thread for execution so far (counted as
+    /// each task starts, so the count is exact the moment a
+    /// [`crate::ThreadPool::scope`] returns).
     pub executed: usize,
     /// Tasks that panicked; their payloads were captured by the
     /// submitting scope (or counted, for detached tasks).

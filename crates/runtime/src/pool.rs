@@ -223,12 +223,16 @@ impl Shared {
 
     /// Runs a job, capturing panics so a worker thread never dies.
     pub(crate) fn run_job(&self, job: Job) {
+        // Counted *before* the job runs: a job's last act is usually a
+        // completion signal (`ScopeState::complete_one`, a channel
+        // send), and whoever observes that signal must also observe
+        // this increment.
+        self.counters.executed.fetch_add(1, Ordering::Relaxed);
         // The panic (if any) is surfaced through the owning `Scope`; for
         // detached `execute` jobs it is counted and dropped.
         if panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
             self.counters.panicked.fetch_add(1, Ordering::Relaxed);
         }
-        self.counters.executed.fetch_add(1, Ordering::Relaxed);
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 

@@ -69,3 +69,23 @@ proptest! {
         prop_assert_eq!(pool.metrics().panicked, 0);
     }
 }
+
+/// Regression for the pool-metrics race: `executed` must be exact the
+/// moment each `scope()` returns, not eventually. (It used to be bumped
+/// after the task's completion signal, so the scope owner could read
+/// the counter one short.)
+#[test]
+fn executed_is_exact_when_each_scope_returns() {
+    let pool = ThreadPool::new(4);
+    let mut spawned = 0;
+    for round in 0..8000 {
+        let tasks = 1 + round % 8;
+        pool.scope(|s| {
+            for _ in 0..tasks {
+                s.spawn(|| {});
+            }
+        });
+        spawned += tasks;
+        assert_eq!(pool.metrics().executed, spawned, "scope {round} returned before its count");
+    }
+}

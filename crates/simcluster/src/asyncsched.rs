@@ -90,8 +90,8 @@
 //! delays. The replay remains a pure function of
 //! `(ClusterSpec, FailurePlan, NodeFailurePlan, NetworkModel, seed,
 //! tasks)` — identical inputs produce byte-identical schedules *and*
-//! event traces, which is what lets `iterate_bench` sweep checkpoint
-//! interval × node-failure probability reproducibly.
+//! event traces, which is what lets `repro faults` price checkpoint
+//! intervals under node death reproducibly.
 
 use rand::RngExt;
 

@@ -6,14 +6,12 @@
 //! second job setup at the JobTracker, ~1 s JVM launch per task, a
 //! shared gigabit NIC per node, and HDFS 3-way replicated writes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::costmodel::CostModel;
 use crate::dfs::DfsModel;
 use crate::time::SimTime;
 
 /// One machine in the simulated cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Concurrent map tasks this node can run (Hadoop map slots).
     pub map_slots: u32,
@@ -30,7 +28,7 @@ impl Default for NodeSpec {
 }
 
 /// Full description of the simulated cluster and its cost constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Human-readable label (appears in traces and repro output).
     pub name: String,

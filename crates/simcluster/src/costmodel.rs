@@ -7,12 +7,10 @@
 //! 1.6: interpreted-ish record processing with per-record
 //! (de)serialization overhead dwarfing raw ALU cost.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// CPU/record cost constants of the simulated platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Abstract application operations per second on a speed-1 node.
     /// (Graph edge updates, distance relaxations, point-dim ops.)

@@ -15,13 +15,11 @@
 //! Block placement is deterministic from the task index, emulating
 //! HDFS's round-robin-with-local-first placement.
 
-use serde::{Deserialize, Serialize};
-
 use crate::network::NetworkModel;
 use crate::time::SimTime;
 
 /// DFS behaviour constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DfsModel {
     /// Copies of each block (HDFS default: 3).
     pub replication: u32,

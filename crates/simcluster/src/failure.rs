@@ -20,8 +20,6 @@
 //!   [`crate::Simulation::run_async_schedule`]; see
 //!   [`crate::asyncsched`] for the rollback model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// One round of splitmix64's output mixing.
@@ -57,7 +55,7 @@ pub fn verdict_unit(seed: u64, words: &[u64]) -> f64 {
 }
 
 /// Failure-injection configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailurePlan {
     /// Probability that any single task attempt fails.
     pub attempt_failure_prob: f64,
@@ -134,7 +132,7 @@ impl Default for FailurePlan {
 /// validates the fields once at injection time (mirroring
 /// [`FailurePlan::validate`]); honored by
 /// [`crate::Simulation::run_async_schedule`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeFailurePlan {
     /// Probability that a given node dies at a given epoch, in
     /// `[0, 1)`.

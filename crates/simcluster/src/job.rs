@@ -5,12 +5,10 @@
 //! input bytes, abstract operation count, and output bytes. The
 //! simulator replays the job's schedule on the modeled cluster.
 
-use serde::{Deserialize, Serialize};
-
 /// Metered profile of a single map task (a paper `gmap` invocation —
 /// which may internally contain many local map/reduce iterations, all
 /// folded into `ops`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MapTaskSpec {
     /// Bytes read from the DFS (the task's input split).
     pub input_bytes: u64,
@@ -37,7 +35,7 @@ impl MapTaskSpec {
 }
 
 /// Metered profile of a single reduce task.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReduceTaskSpec {
     /// Abstract operations performed by the reduce function.
     pub ops: u64,
@@ -53,7 +51,7 @@ impl ReduceTaskSpec {
 }
 
 /// A complete MapReduce job profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobSpec {
     /// Label for traces (e.g. `pagerank-eager-iter-3`).
     pub name: String,

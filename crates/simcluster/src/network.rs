@@ -27,8 +27,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// How the simulated cluster prices point-to-point byte movement.
@@ -100,7 +98,7 @@ pub trait NetworkModel: fmt::Debug + Send {
 /// pre-refactor async replay priced message edges, which is why the
 /// replay-fidelity goldens for `run_async_schedule` are pinned under
 /// this model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constant {
     nodes: usize,
     bandwidth: f64,
@@ -160,7 +158,7 @@ impl NetworkModel for Constant {
 /// NICs, so a *global* synchronization costs far more than the
 /// partition-local work it punctuates, and grows with the number of
 /// communicating tasks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkState {
     /// Bytes/second per NIC direction.
     bandwidth: f64,

@@ -1,11 +1,9 @@
 //! Per-job result statistics returned by the simulator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Where a job's simulated time went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseBreakdown {
     /// Job submission/setup overhead.
     pub setup: SimTime,
@@ -29,7 +27,7 @@ pub struct PhaseBreakdown {
 /// violation (and fatal in debug builds); late commits are the expected
 /// contention overruns, metered so the greedy-admission gap is visible
 /// per run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommitAccounting {
     /// Commits that landed later than their estimate (contention).
     pub overruns: usize,
@@ -48,7 +46,7 @@ pub struct CommitAccounting {
 }
 
 /// Result of simulating one job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobStats {
     /// Job label (from [`crate::JobSpec::name`]).
     pub name: String,
@@ -91,7 +89,7 @@ impl JobStats {
 
 /// Aggregates several job runs (e.g. all global iterations of an
 /// iterative algorithm) into one line of accounting.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTotals {
     /// Number of jobs aggregated.
     pub jobs: usize,

@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 thread_local! {
     /// Underflow observations of the bare `-` operator on this thread
     /// (a simulation runs on one thread, so per-run deltas are exact).
@@ -36,9 +34,7 @@ pub fn underflow_count() -> u64 {
 /// `SimTime` is used for both instants and durations; the simulator
 /// never needs a distinct duration type and the paper's figures are in
 /// plain seconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

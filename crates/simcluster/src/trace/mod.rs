@@ -1,7 +1,7 @@
 //! Post-hoc analysis of recorded event traces — where a schedule's
 //! simulated time actually went.
 //!
-//! BENCH_sched.json shows *that* finish-aware schedulers beat the
+//! `repro sched` shows *that* finish-aware schedulers beat the
 //! greedy list placement on straggler clusters; this module shows
 //! *where*. It never re-runs the network model: everything is derived
 //! from the artifacts a completed [`crate::Simulation::run_async_schedule`]
@@ -221,7 +221,7 @@ impl CriticalPath {
 }
 
 /// The full analysis of one run — what [`TraceReader::analyze`]
-/// returns and `simtrace`/`iterate_bench --sched` render.
+/// returns and `simtrace` renders.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceAnalysis {
     /// Name of the scheduler that placed the run.

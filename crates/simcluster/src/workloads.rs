@@ -225,7 +225,7 @@ pub fn async_schedule(app: &str) -> Vec<AsyncTaskSpec> {
     tasks
 }
 
-/// The scheduler-sweep ring workload (`iterate_bench --sched` and the
+/// The scheduler-sweep ring workload (`repro sched` and the
 /// `simtrace` default): `parts` partitions × `iters` iterations,
 /// 16 MiB splits, 64 KB of messages per task, each task feeding its
 /// own next iteration plus both ring neighbours. Sized so the critical

@@ -239,3 +239,33 @@ fn queue_depths_are_sane_on_the_ring() {
         last_epoch = q.epoch;
     }
 }
+
+/// The diff must *name* the gap it reports: on the straggler ring (half
+/// the nodes at quarter speed) one critical-path component, along the
+/// slower run's task chain, accounts for at least half of the
+/// list-vs-HEFT makespan delta.
+#[test]
+fn one_component_explains_most_of_the_list_vs_heft_gap_on_the_straggler_ring() {
+    let tasks = ring_exchange(8, 8, 40_000_000);
+    let run = |sched: SchedulerSpec| {
+        let mut sim = Simulation::new(ClusterSpec::ec2_2010().with_slow_nodes(4, 0.25), 7)
+            .with_scheduler(sched);
+        let stats = sim.run_async_schedule(&tasks);
+        (sim, stats)
+    };
+    let (list_sim, list_stats) = run(SchedulerSpec::List);
+    let (heft_sim, heft_stats) = run(SchedulerSpec::Heft);
+    let nodes = list_sim.spec().num_nodes();
+    let rec_list =
+        RunRecord { tasks: &tasks, stats: &list_stats, trace: list_sim.last_trace(), nodes };
+    let rec_heft =
+        RunRecord { tasks: &tasks, stats: &heft_stats, trace: heft_sim.last_trace(), nodes };
+    let diff = diff_runs(&rec_list, &rec_heft);
+    assert!(
+        diff.dominant_share >= 0.5 && !diff.slower_chain.is_empty(),
+        "the trace diff must name a component and chain covering >= 50% of the \
+         list-vs-heft gap (got {} at {:.0}%)",
+        diff.dominant,
+        diff.dominant_share * 100.0,
+    );
+}

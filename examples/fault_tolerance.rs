@@ -16,7 +16,9 @@
 //! ```
 
 use asyncmr::apps::pagerank::{self, PageRankConfig};
-use asyncmr::core::{CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan};
+use asyncmr::core::{
+    AsyncFixedPointDriver, CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan,
+};
 use asyncmr::graph::presets;
 use asyncmr::partition::{MultilevelKWay, Partitioner};
 use asyncmr::runtime::ThreadPool;
@@ -85,7 +87,13 @@ fn main() {
         } else {
             SessionFailurePlan::transient(prob, 2026)
         };
-        let out = pagerank::run_async_with_failures(&pool, &graph, &parts, &cfg, 0, session_plan);
+        let out = pagerank::run_async_with_driver(
+            &pool,
+            &graph,
+            &parts,
+            &cfg,
+            AsyncFixedPointDriver::new(cfg.max_iterations).with_failures(session_plan),
+        );
         let sim_plan = if prob == 0.0 { FailurePlan::none() } else { FailurePlan::transient(prob) };
         let replay = Simulation::new(ClusterSpec::ec2_2010(), 11)
             .with_failures(sim_plan)
@@ -131,14 +139,14 @@ fn main() {
         "\nvariant  ckpt k  rollbacks  rb iters  ckpt KiB  peak KiB  sim rollback (s)  identical ranks"
     );
     for k in [1usize, 4] {
-        let out = pagerank::run_async_with_node_failures(
+        let out = pagerank::run_async_with_driver(
             &pool,
             &graph,
             &parts,
             &cfg,
-            0,
-            CheckpointPolicy::EveryK(k),
-            NodeFailurePlan::correlated(0.1, 8, 2026),
+            AsyncFixedPointDriver::new(cfg.max_iterations)
+                .with_checkpoints(CheckpointPolicy::EveryK(k))
+                .with_node_failures(NodeFailurePlan::correlated(0.1, 8, 2026)),
         );
         let replay = Simulation::new(ClusterSpec::ec2_2010(), 11)
             .with_node_failures(SimNodeFailurePlan::correlated(0.1, k, 2026))

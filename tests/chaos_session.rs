@@ -23,7 +23,9 @@
 
 use asyncmr::apps::pagerank::{self, PageRankConfig};
 use asyncmr::apps::sssp::{self, SsspConfig};
-use asyncmr::core::{CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan};
+use asyncmr::core::{
+    AsyncFixedPointDriver, CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan,
+};
 use asyncmr::graph::{generators, CsrGraph, WeightedGraph};
 use asyncmr::partition::{MultilevelKWay, Partitioner};
 use asyncmr::runtime::ThreadPool;
@@ -61,13 +63,13 @@ fn pagerank_chaos_lag0_matches_the_failure_free_barrier_driver_bitwise() {
 
     for prob in CHAOS_PROBS {
         for seed in CHAOS_SEEDS {
-            let faulty = pagerank::run_async_with_failures(
+            let faulty = pagerank::run_async_with_driver(
                 &pool,
                 &g,
                 &parts,
                 &cfg,
-                0,
-                SessionFailurePlan::transient(prob, seed),
+                AsyncFixedPointDriver::new(cfg.max_iterations)
+                    .with_failures(SessionFailurePlan::transient(prob, seed)),
             );
             assert!(
                 faulty.report.failed_attempts > 0,
@@ -105,13 +107,13 @@ fn sssp_chaos_lag0_matches_the_failure_free_barrier_driver_bitwise() {
 
     for prob in CHAOS_PROBS {
         for seed in CHAOS_SEEDS {
-            let faulty = sssp::run_async_with_failures(
+            let faulty = sssp::run_async_with_driver(
                 &pool,
                 &wg,
                 &parts,
                 &cfg,
-                0,
-                SessionFailurePlan::transient(prob, seed),
+                AsyncFixedPointDriver::new(cfg.max_iterations)
+                    .with_failures(SessionFailurePlan::transient(prob, seed)),
             );
             assert!(faulty.report.failed_attempts > 0, "p = {prob}, seed {seed}: must fire");
             assert_eq!(faulty.report.global_iterations, barrier.report.global_iterations);
@@ -133,13 +135,14 @@ fn chaos_under_staleness_still_reaches_the_fixed_point() {
     let cfg = PageRankConfig { tolerance: 1e-9, ..Default::default() };
     let exact = pagerank::run_async(&pool, &g, &parts, &cfg, 0);
     for lag in [1usize, 3] {
-        let faulty = pagerank::run_async_with_failures(
+        let faulty = pagerank::run_async_with_driver(
             &pool,
             &g,
             &parts,
             &cfg,
-            lag,
-            SessionFailurePlan::transient(0.2, 17),
+            AsyncFixedPointDriver::new(cfg.max_iterations)
+                .with_max_lag(lag)
+                .with_failures(SessionFailurePlan::transient(0.2, 17)),
         );
         assert!(faulty.report.converged, "lag {lag} under failures must still converge");
         let diff = pagerank::inf_norm_diff(&exact.ranks, &faulty.ranks);
@@ -157,13 +160,13 @@ fn failed_and_speculative_work_are_accounted_as_waste() {
     assert_eq!(clean.report.failed_attempts, 0);
     assert_eq!(clean.report.failed_attempt_time, std::time::Duration::ZERO);
 
-    let faulty = pagerank::run_async_with_failures(
+    let faulty = pagerank::run_async_with_driver(
         &pool,
         &g,
         &parts,
         &cfg,
-        0,
-        SessionFailurePlan::transient(0.2, 42),
+        AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_failures(SessionFailurePlan::transient(0.2, 42)),
     );
     assert!(faulty.report.failed_attempts > 0);
     assert!(
@@ -236,14 +239,14 @@ fn pagerank_node_failure_rollback_matches_the_failure_free_barrier_driver_bitwis
     for k in CHAOS_CKPT_INTERVALS {
         for prob in CHAOS_PROBS {
             for seed in CHAOS_SEEDS {
-                let faulty = pagerank::run_async_with_node_failures(
+                let faulty = pagerank::run_async_with_driver(
                     &pool,
                     &g,
                     &parts,
                     &cfg,
-                    0,
-                    CheckpointPolicy::EveryK(k),
-                    NodeFailurePlan::correlated(prob, 3, seed),
+                    AsyncFixedPointDriver::new(cfg.max_iterations)
+                        .with_checkpoints(CheckpointPolicy::EveryK(k))
+                        .with_node_failures(NodeFailurePlan::correlated(prob, 3, seed)),
                 );
                 assert!(
                     faulty.report.rollbacks > 0,
@@ -286,14 +289,14 @@ fn sssp_node_failure_rollback_matches_the_failure_free_barrier_driver_bitwise() 
 
     for k in CHAOS_CKPT_INTERVALS {
         for prob in CHAOS_PROBS {
-            let faulty = sssp::run_async_with_node_failures(
+            let faulty = sssp::run_async_with_driver(
                 &pool,
                 &wg,
                 &parts,
                 &cfg,
-                0,
-                CheckpointPolicy::EveryK(k),
-                NodeFailurePlan::correlated(prob, 3, 42),
+                AsyncFixedPointDriver::new(cfg.max_iterations)
+                    .with_checkpoints(CheckpointPolicy::EveryK(k))
+                    .with_node_failures(NodeFailurePlan::correlated(prob, 3, 42)),
             );
             assert!(faulty.report.rollbacks > 0, "k = {k}, p = {prob}: must fire");
             assert_eq!(faulty.report.global_iterations, barrier.report.global_iterations);
@@ -315,14 +318,15 @@ fn node_failure_rollback_under_staleness_still_reaches_the_fixed_point() {
     let cfg = PageRankConfig { tolerance: 1e-9, ..Default::default() };
     let exact = pagerank::run_async(&pool, &g, &parts, &cfg, 0);
     for lag in [1usize, 3] {
-        let faulty = pagerank::run_async_with_node_failures(
+        let faulty = pagerank::run_async_with_driver(
             &pool,
             &g,
             &parts,
             &cfg,
-            lag,
-            CheckpointPolicy::EveryK(2),
-            NodeFailurePlan::correlated(0.15, 3, 17),
+            AsyncFixedPointDriver::new(cfg.max_iterations)
+                .with_max_lag(lag)
+                .with_checkpoints(CheckpointPolicy::EveryK(2))
+                .with_node_failures(NodeFailurePlan::correlated(0.15, 3, 17)),
         );
         assert!(faulty.report.converged, "lag {lag} under node failures must still converge");
         let diff = pagerank::inf_norm_diff(&exact.ranks, &faulty.ranks);
@@ -342,14 +346,14 @@ fn byte_budget_checkpoints_recover_like_interval_checkpoints() {
     let clean = pagerank::run_async(&pool, &g, &parts, &cfg, 0);
     // ~800 vertices × 16 bytes/vertex ≈ 12.8 KB per iteration: a 40 KB
     // budget declares roughly every 3rd iteration.
-    let faulty = pagerank::run_async_with_node_failures(
+    let faulty = pagerank::run_async_with_driver(
         &pool,
         &g,
         &parts,
         &cfg,
-        0,
-        CheckpointPolicy::ByteBudget(40 << 10),
-        NodeFailurePlan::correlated(0.2, 3, 1007),
+        AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_checkpoints(CheckpointPolicy::ByteBudget(40 << 10))
+            .with_node_failures(NodeFailurePlan::correlated(0.2, 3, 1007)),
     );
     assert!(faulty.report.rollbacks > 0, "node deaths must fire");
     assert!(faulty.report.checkpoint_bytes > 0, "the budget must declare checkpoints");

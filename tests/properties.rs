@@ -7,7 +7,9 @@ use proptest::prelude::*;
 use asyncmr::apps::kmeans;
 use asyncmr::apps::pagerank::{self, PageRankConfig};
 use asyncmr::apps::sssp::{self, SsspConfig};
-use asyncmr::core::{CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan};
+use asyncmr::core::{
+    AsyncFixedPointDriver, CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan,
+};
 use asyncmr::graph::{CsrGraph, WeightedGraph};
 use asyncmr::partition::{
     BfsPartitioner, HashPartitioner, MultilevelKWay, Partitioner, RangePartitioner,
@@ -163,10 +165,10 @@ proptest! {
         let pool = ThreadPool::new(2);
         let cfg = PageRankConfig { tolerance: 1e-8, ..Default::default() };
         let clean = pagerank::run_async(&pool, &g, &parts, &cfg, max_lag);
-        let faulty = pagerank::run_async_with_failures(
-            &pool, &g, &parts, &cfg, max_lag,
-            SessionFailurePlan::transient(0.25, fseed),
-        );
+        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_max_lag(max_lag)
+            .with_failures(SessionFailurePlan::transient(0.25, fseed));
+        let faulty = pagerank::run_async_with_driver(&pool, &g, &parts, &cfg, driver);
         prop_assert!(clean.report.converged && faulty.report.converged);
         if max_lag == 0 {
             prop_assert_eq!(faulty.report.global_iterations, clean.report.global_iterations);
@@ -196,10 +198,10 @@ proptest! {
         let truth = sssp::reference::dijkstra(&wg, 0);
         let pool = ThreadPool::new(2);
         let cfg = SsspConfig::default();
-        let faulty = sssp::run_async_with_failures(
-            &pool, &wg, &parts, &cfg, max_lag,
-            SessionFailurePlan::transient(0.25, fseed ^ 0xC0FFEE),
-        );
+        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_max_lag(max_lag)
+            .with_failures(SessionFailurePlan::transient(0.25, fseed ^ 0xC0FFEE));
+        let faulty = sssp::run_async_with_driver(&pool, &wg, &parts, &cfg, driver);
         prop_assert!(faulty.report.converged);
         for (v, (&d, &t)) in faulty.distances.iter().zip(&truth).enumerate() {
             prop_assert!((d - t).abs() < 1e-9 || (d.is_infinite() && t.is_infinite()),
@@ -228,11 +230,11 @@ proptest! {
         let pool = ThreadPool::new(2);
         let cfg = PageRankConfig { tolerance: 1e-8, ..Default::default() };
         let clean = pagerank::run_async(&pool, &g, &parts, &cfg, max_lag);
-        let faulty = pagerank::run_async_with_node_failures(
-            &pool, &g, &parts, &cfg, max_lag,
-            CheckpointPolicy::EveryK(ckpt_k),
-            NodeFailurePlan::correlated(0.25, 1 + (fseed as usize % 4), fseed),
-        );
+        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_max_lag(max_lag)
+            .with_checkpoints(CheckpointPolicy::EveryK(ckpt_k))
+            .with_node_failures(NodeFailurePlan::correlated(0.25, 1 + (fseed as usize % 4), fseed));
+        let faulty = pagerank::run_async_with_driver(&pool, &g, &parts, &cfg, driver);
         prop_assert!(clean.report.converged && faulty.report.converged);
         if max_lag == 0 {
             // The barrier driver is the oracle: recovery must leave the
@@ -268,11 +270,11 @@ proptest! {
         let truth = sssp::reference::dijkstra(&wg, 0);
         let pool = ThreadPool::new(2);
         let cfg = SsspConfig::default();
-        let faulty = sssp::run_async_with_node_failures(
-            &pool, &wg, &parts, &cfg, max_lag,
-            CheckpointPolicy::EveryK(ckpt_k),
-            NodeFailurePlan::correlated(0.25, 1 + (fseed as usize % 3), fseed ^ 0xBEEF),
-        );
+        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
+            .with_max_lag(max_lag)
+            .with_checkpoints(CheckpointPolicy::EveryK(ckpt_k))
+            .with_node_failures(NodeFailurePlan::correlated(0.25, 1 + (fseed as usize % 3), fseed ^ 0xBEEF));
+        let faulty = sssp::run_async_with_driver(&pool, &wg, &parts, &cfg, driver);
         prop_assert!(faulty.report.converged);
         for (v, (&d, &t)) in faulty.distances.iter().zip(&truth).enumerate() {
             prop_assert!((d - t).abs() < 1e-9 || (d.is_infinite() && t.is_infinite()),

@@ -69,9 +69,13 @@ fn sssp_both_modes_identical_across_paths() {
     let (a, b, c) = all_strategies(&pool, |e| sssp::run_general(e, &wg, &parts, &cfg));
     assert_eq!(a.distances, b.distances, "general distances diverge");
     assert_eq!(a.distances, c.distances, "general distances diverge under pipelined execution");
+    assert_eq!(a.report.global_iterations, b.report.global_iterations);
+    assert_eq!(a.report.global_iterations, c.report.global_iterations);
     let (a, b, c) = all_strategies(&pool, |e| sssp::run_eager(e, &wg, &parts, &cfg));
     assert_eq!(a.distances, b.distances, "eager distances diverge");
     assert_eq!(a.distances, c.distances, "eager distances diverge under pipelined execution");
+    assert_eq!(a.report.global_iterations, b.report.global_iterations);
+    assert_eq!(a.report.global_iterations, c.report.global_iterations);
 }
 
 #[test]
@@ -89,6 +93,8 @@ fn kmeans_both_modes_identical_across_paths() {
     assert_eq!(a.centroids, c.centroids, "general centroids diverge under pipelined execution");
     assert_eq!(a.sse, b.sse);
     assert_eq!(a.sse, c.sse);
+    assert_eq!(a.report.global_iterations, b.report.global_iterations);
+    assert_eq!(a.report.global_iterations, c.report.global_iterations);
 
     let (a, b, c) = all_strategies(&pool, |e| {
         kmeans::eager::run_eager_from(e, &points, 8, &cfg, Some(initial.clone()))
@@ -97,6 +103,8 @@ fn kmeans_both_modes_identical_across_paths() {
     assert_eq!(a.centroids, c.centroids, "eager centroids diverge under pipelined execution");
     assert_eq!(a.sse, b.sse);
     assert_eq!(a.sse, c.sse);
+    assert_eq!(a.report.global_iterations, b.report.global_iterations);
+    assert_eq!(a.report.global_iterations, c.report.global_iterations);
 }
 
 #[test]
@@ -109,9 +117,13 @@ fn cc_both_modes_identical_across_paths() {
     let (a, b, c) = all_strategies(&pool, |e| cc::run_general(e, &g, &parts, &cfg));
     assert_eq!(a.labels, b.labels, "general labels diverge");
     assert_eq!(a.labels, c.labels, "general labels diverge under pipelined execution");
+    assert_eq!(a.report.global_iterations, b.report.global_iterations);
+    assert_eq!(a.report.global_iterations, c.report.global_iterations);
     let (a, b, c) = all_strategies(&pool, |e| cc::run_eager(e, &g, &parts, &cfg));
     assert_eq!(a.labels, b.labels, "eager labels diverge");
     assert_eq!(a.labels, c.labels, "eager labels diverge under pipelined execution");
+    assert_eq!(a.report.global_iterations, b.report.global_iterations);
+    assert_eq!(a.report.global_iterations, c.report.global_iterations);
 }
 
 #[test]
@@ -127,12 +139,16 @@ fn jacobi_both_modes_identical_across_paths() {
     assert_eq!(a.x, c.x, "general solutions diverge under pipelined execution");
     assert_eq!(a.residual, b.residual);
     assert_eq!(a.residual, c.residual);
+    assert_eq!(a.report.global_iterations, b.report.global_iterations);
+    assert_eq!(a.report.global_iterations, c.report.global_iterations);
 
     let (a, b, c) = all_strategies(&pool, |e| jacobi::run_eager(e, &g, &b_vec, &parts, &cfg));
     assert_eq!(a.x, b.x, "eager solutions diverge");
     assert_eq!(a.x, c.x, "eager solutions diverge under pipelined execution");
     assert_eq!(a.residual, b.residual);
     assert_eq!(a.residual, c.residual);
+    assert_eq!(a.report.global_iterations, b.report.global_iterations);
+    assert_eq!(a.report.global_iterations, c.report.global_iterations);
 }
 
 #[test]
