@@ -14,9 +14,10 @@
 //! in turn bounds the state and mailbox bytes the session must retain
 //! (the ASYNC observation, arXiv:1907.08526).
 //!
-//! This module holds the policy and injection types; the rollback
-//! engine itself lives in [`crate::session`] (it needs the scheduler's
-//! internals):
+//! This module holds the policy and injection types and the session's
+//! `Recovery` component (the death budget, verdict epoch, rollback
+//! generations and the contamination closure); the scheduler in
+//! [`crate::session`] applies the rewind set it computes:
 //!
 //! * [`CheckpointPolicy`] — when to snapshot. Checkpoints are
 //!   **coordinated**: an iteration becomes a checkpoint the moment the
@@ -265,6 +266,172 @@ impl CheckpointTracker {
     }
 }
 
+/// The session's recovery component: everything that decides *when* a
+/// node dies and *which* partitions a death rewinds.
+///
+/// **Invariant:** a partition's generation counts the rollbacks that
+/// rewound it, so a gmap completion carrying an older generation ran on
+/// a state that no longer exists; and each virtual node dies at most
+/// [`NodeFailurePlan::max_node_failures`] times, so a session under
+/// injection terminates.
+#[derive(Debug)]
+pub(crate) struct Recovery {
+    tracker: CheckpointTracker,
+    plan: NodeFailurePlan,
+    /// Deaths fired per virtual node (the termination budget).
+    deaths: Vec<u32>,
+    /// Frontier-advance counter — the node-failure verdict epoch.
+    /// Counts *advances*, not iteration values, so re-advancing over
+    /// rolled-back ground draws fresh verdicts instead of looping on
+    /// the same fatal one.
+    epoch: u64,
+    /// Per partition: rollbacks that rewound it.
+    generations: Vec<u64>,
+}
+
+impl Recovery {
+    /// Recovery state for `partitions` partitions under already
+    /// validated `policy` and `plan`.
+    pub(crate) fn new(policy: CheckpointPolicy, plan: NodeFailurePlan, partitions: usize) -> Self {
+        Recovery {
+            tracker: CheckpointTracker::new(policy),
+            plan,
+            deaths: vec![0; plan.num_nodes.max(1)],
+            epoch: 0,
+            generations: vec![0; partitions],
+        }
+    }
+
+    /// Partition `p`'s rollback generation (stamped on every launch).
+    pub(crate) fn generation(&self, p: usize) -> u64 {
+        self.generations[p]
+    }
+
+    /// The last declared checkpoint — the rollback target.
+    pub(crate) fn checkpoint(&self) -> usize {
+        self.tracker.last_checkpoint()
+    }
+
+    /// Total bytes a durable checkpoint store would have written.
+    pub(crate) fn checkpoint_bytes(&self) -> u64 {
+        self.tracker.checkpoint_bytes()
+    }
+
+    /// State-retention floor at `frontier`. States below it can never
+    /// become the final answer (convergence candidates are ≥ the
+    /// frontier), feed a gmap, or be a rollback target — with
+    /// checkpoints enabled the floor is the last declared checkpoint,
+    /// not the frontier (that retained tail IS the snapshot).
+    pub(crate) fn state_floor(&self, frontier: usize) -> usize {
+        if self.tracker.enabled() {
+            self.checkpoint()
+        } else {
+            frontier
+        }
+    }
+
+    /// Mailbox-retention floor for a partition about to absorb `next`
+    /// under staleness cap `lag_cap`: that absorb selects source
+    /// iterations ≥ `next − lag_cap`, but with node failures enabled a
+    /// rollback may rewind the partition to the last checkpoint `C` and
+    /// re-absorb from there — which needs surviving producers' batches
+    /// back to `C − lag_cap`, so those outlive the ordinary pruning.
+    pub(crate) fn batch_floor(&self, next: usize, lag_cap: usize) -> usize {
+        let oldest_absorb = if self.plan.enabled() { next.min(self.checkpoint()) } else { next };
+        oldest_absorb.saturating_sub(lag_cap)
+    }
+
+    /// The frontier advanced to `frontier`, so every state entering it
+    /// exists (`snapshot_bytes` sums them — only asked with checkpoints
+    /// on). Returns the snapshot's bytes when this advance declares a
+    /// coordinated checkpoint at `frontier`.
+    pub(crate) fn on_frontier_advance(
+        &mut self,
+        frontier: usize,
+        snapshot_bytes: impl FnOnce() -> u64,
+    ) -> Option<u64> {
+        let bytes = self.tracker.enabled().then(snapshot_bytes)?;
+        self.tracker.on_frontier_advance(frontier, bytes).then_some(bytes)
+    }
+
+    /// One node-failure epoch: draws this advance's deterministic
+    /// verdict for every node still within its death budget and
+    /// returns the nodes that died (none, ever, with the plan disabled).
+    pub(crate) fn draw_deaths(&mut self) -> Vec<usize> {
+        if !self.plan.enabled() {
+            return Vec::new();
+        }
+        let epoch = self.epoch;
+        self.epoch += 1;
+        let mut fired = Vec::new();
+        for n in 0..self.plan.num_nodes {
+            if self.deaths[n] < self.plan.max_node_failures && self.plan.node_fails(n, epoch) {
+                self.deaths[n] += 1;
+                fired.push(n);
+            }
+        }
+        fired
+    }
+
+    /// The partitions the death of nodes `fired` rewinds to the last
+    /// checkpoint, ascending: the nodes' residents plus everything they
+    /// [`contaminated`]. Bumps their generations (orphaning anything in
+    /// flight) and restarts the checkpoint byte accumulator at the
+    /// checkpoint the frontier rewinds to.
+    pub(crate) fn rewind_set(
+        &mut self,
+        consumers: &[Vec<(usize, usize)>],
+        fired: &[usize],
+        consumed: &[&[Vec<usize>]],
+    ) -> Vec<usize> {
+        self.tracker.on_rollback();
+        let residents =
+            (0..consumers.len()).filter(|&p| fired.contains(&self.plan.node_of(p))).collect();
+        let rewound = contaminated(consumers, residents, self.checkpoint(), consumed);
+        for &p in &rewound {
+            self.generations[p] += 1;
+        }
+        rewound
+    }
+}
+
+/// The contamination closure, a pure function of the topology and the
+/// consumption log: `seeds` lost everything they produced at source
+/// iterations `≥ c`, and any partition that *absorbed* such a batch
+/// from an affected producer holds state derived from data that no
+/// longer exists, so it is affected too — transitively. Returns the
+/// affected partitions, ascending.
+///
+/// `consumers[p]` lists `(consumer, slot)` for every partition that
+/// declared `p` a dependency, `slot` being `p`'s index in that
+/// consumer's dependency list; `consumed[q]` is `q`'s consumption log:
+/// per absorbed iteration, the source iteration it selected for each
+/// dependency slot.
+pub(crate) fn contaminated(
+    consumers: &[Vec<(usize, usize)>],
+    seeds: Vec<usize>,
+    c: usize,
+    consumed: &[&[Vec<usize>]],
+) -> Vec<usize> {
+    let mut affected = vec![false; consumers.len()];
+    for &p in &seeds {
+        affected[p] = true;
+    }
+    let mut queue = seeds;
+    while let Some(x) = queue.pop() {
+        for &(q, slot) in &consumers[x] {
+            let log = consumed[q];
+            // Absorbs below `c` selected sources `< c`: only the tail
+            // can have touched a revoked batch.
+            if !affected[q] && log[c.min(log.len())..].iter().any(|sel| sel[slot] >= c) {
+                affected[q] = true;
+                queue.push(q);
+            }
+        }
+    }
+    (0..affected.len()).filter(|&p| affected[p]).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,6 +573,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The chain 0 → 1 → 2 → 3 (each partition consumes its
+    /// predecessor in its only slot), one virtual node per partition.
+    fn chain() -> (Vec<Vec<(usize, usize)>>, Recovery) {
+        let consumers = vec![vec![(1, 0)], vec![(2, 0)], vec![(3, 0)], vec![]];
+        let plan = NodeFailurePlan::correlated(0.5, 4, 0);
+        let mut recovery = Recovery::new(CheckpointPolicy::EveryK(2), plan, 4);
+        assert_eq!(recovery.on_frontier_advance(1, || 40), None);
+        assert_eq!(recovery.on_frontier_advance(2, || 40), Some(40), "checkpoint C = 2");
+        (consumers, recovery)
+    }
+
+    fn slices(log: &[Vec<Vec<usize>>]) -> Vec<&[Vec<usize>]> {
+        log.iter().map(Vec::as_slice).collect()
+    }
+
+    #[test]
+    fn only_consumers_of_a_revoked_batch_are_rewound() {
+        let (consumers, mut recovery) = chain();
+        // Every partition absorbed iterations 0..=2. Partition 2 ran
+        // stale: its absorb of iteration 2 consumed partition 1's
+        // iteration-1 batch, which predates the checkpoint.
+        let log: Vec<Vec<Vec<usize>>> = vec![
+            vec![vec![], vec![], vec![]],
+            vec![vec![0], vec![1], vec![2]],
+            vec![vec![0], vec![1], vec![1]],
+            vec![vec![0], vec![1], vec![2]],
+        ];
+        let consumed = slices(&log);
+        // Node 0 dies: 1 absorbed 0's revoked iteration-2 batch and is
+        // rewound; 2 only ever absorbed pre-checkpoint batches of 1 and
+        // is not — which also shields 3, whatever it consumed from 2.
+        assert_eq!(contaminated(&consumers, vec![0], 2, &consumed), [0, 1]);
+        assert_eq!(recovery.rewind_set(&consumers, &[0], &consumed), [0, 1]);
+        let generations: Vec<u64> = (0..4).map(|p| recovery.generation(p)).collect();
+        assert_eq!(generations, [1, 1, 0, 0], "exactly the rewound partitions are orphaned");
+
+        // Had 2 absorbed 1's iteration-2 batch, the closure runs down
+        // the whole chain.
+        let mut fresh = log.clone();
+        fresh[2][2] = vec![2];
+        assert_eq!(contaminated(&consumers, vec![0], 2, &slices(&fresh)), [0, 1, 2, 3]);
+        // A death downstream never travels upstream.
+        assert_eq!(contaminated(&consumers, vec![3], 2, &slices(&fresh)), [3]);
+    }
+
+    #[test]
+    fn retention_floors_follow_the_checkpoint() {
+        let (_, recovery) = chain();
+        assert_eq!(recovery.checkpoint(), 2);
+        assert_eq!(recovery.checkpoint_bytes(), 40);
+        assert_eq!(recovery.state_floor(7), 2, "states are kept back to the rollback target");
+        // Absorbing 8 at cap 1 needs sources ≥ 7, but a rewind to C = 2
+        // re-absorbs from there and needs sources ≥ C − cap = 1.
+        assert_eq!(recovery.batch_floor(8, 1), 1);
+        let off = Recovery::new(CheckpointPolicy::Off, NodeFailurePlan::none(), 4);
+        assert_eq!((off.state_floor(7), off.batch_floor(8, 1)), (7, 7));
+    }
+
+    #[test]
+    fn deaths_respect_the_per_node_budget() {
+        let plan =
+            NodeFailurePlan { node_failure_prob: 0.9, num_nodes: 2, max_node_failures: 3, seed: 4 };
+        let mut recovery = Recovery::new(CheckpointPolicy::EveryK(1), plan, 2);
+        let mut deaths = [0u32; 2];
+        for _ in 0..200 {
+            for n in recovery.draw_deaths() {
+                deaths[n] += 1;
+            }
+        }
+        assert_eq!(deaths, [3, 3], "0.9 per epoch exhausts both budgets and then stops");
+        let mut off = Recovery::new(CheckpointPolicy::Off, NodeFailurePlan::none(), 2);
+        assert!(off.draw_deaths().is_empty());
     }
 
     #[test]

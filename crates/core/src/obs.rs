@@ -26,11 +26,11 @@
 //! must accept live and simulated runs alike.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use asyncmr_runtime::{current_worker, ParkObserver};
-use asyncmr_simcluster::{Mark, SessionTrace, Span, SpanKind, Stall};
+use asyncmr_simcluster::{Mark, MarkKind, SessionTrace, Span, SpanKind, Stall};
 
 /// Lock-light per-lane span recorder for one traced session run.
 ///
@@ -139,70 +139,95 @@ impl ParkObserver for SpanRecorder {
     }
 }
 
-/// The session-side half of a traced run: the shared recorder plus the
-/// scheduler-thread-only event logs (marks, stalls, per-task timings)
-/// that need no synchronization at all.
-#[derive(Debug)]
+/// The session-side half of a run's observation: the shared recorder
+/// plus the scheduler-thread-only event logs (marks, stalls, per-task
+/// timings) that need no synchronization at all.
+///
+/// Every method is a **no-op on an untraced run** (`SessionObs::default()`,
+/// no recorder: one `Option` test, no clock read, nothing logged), so
+/// the scheduler calls them unconditionally.
+#[derive(Debug, Default)]
 pub(crate) struct SessionObs {
     /// The shared recorder (also installed as the pool's park
-    /// observer for the run's duration).
-    pub recorder: std::sync::Arc<SpanRecorder>,
+    /// observer for the run's duration); `None` = untraced.
+    recorder: Option<Arc<SpanRecorder>>,
     /// Instant events, in emission order (scheduler thread only).
-    pub marks: Vec<Mark>,
+    marks: Vec<Mark>,
     /// Closed blocked-wait intervals.
-    pub stalls: Vec<Stall>,
+    stalls: Vec<Stall>,
     /// Per partition: the open blocked-wait, as `(iteration,
     /// start_ns)`, if its parked absorb is currently blocked.
-    pub stall_open: Vec<Option<(usize, u64)>>,
+    stall_open: Vec<Option<(usize, u64)>>,
     /// Per partition: the last effective-lag window a mark reported
     /// (`u64::MAX` = none yet, so the first admission test always
     /// emits the starting point of the trajectory).
-    pub last_window: Vec<u64>,
-    /// `(start_ns, finish_ns)` of the surviving attempt of each
-    /// recorded schedule entry, aligned index-for-index with the
-    /// session's `schedule` (dead entries are filtered by the same
-    /// remap at finish).
-    pub task_times: Vec<(u64, u64)>,
+    last_window: Vec<u64>,
+    /// `(start_ns, finish_ns)` of each recorded schedule entry, aligned
+    /// index-for-index with the session's recorded schedule (dropped
+    /// entries are filtered by the same remap at finish).
+    task_times: Vec<(u64, u64)>,
 }
 
 impl SessionObs {
-    pub(crate) fn new(recorder: std::sync::Arc<SpanRecorder>, partitions: usize) -> Self {
+    /// The observation state of a traced run over `partitions`
+    /// partitions.
+    pub(crate) fn new(recorder: Arc<SpanRecorder>, partitions: usize) -> Self {
         SessionObs {
-            recorder,
-            marks: Vec::new(),
-            stalls: Vec::new(),
+            recorder: Some(recorder),
             stall_open: vec![None; partitions],
             last_window: vec![u64::MAX; partitions],
-            task_times: Vec::new(),
+            ..SessionObs::default()
+        }
+    }
+
+    /// The recorder clock, `None` on an untraced run. Pair with
+    /// [`SessionObs::span`] to time a scheduler-lane step.
+    pub(crate) fn clock(&self) -> Option<u64> {
+        self.recorder.as_ref().map(|rec| rec.now_ns())
+    }
+
+    /// Records the scheduler-lane span that began at `t0` (a
+    /// [`SessionObs::clock`] reading) and ends now.
+    pub(crate) fn span(&self, kind: SpanKind, p: usize, i: usize, attempt: u32, t0: Option<u64>) {
+        if let (Some(rec), Some(t0)) = (&self.recorder, t0) {
+            // The recorder clock is monotonic: `now − t0` is exact.
+            rec.record(kind, p, i, attempt, t0, Duration::from_nanos(rec.now_ns() - t0));
         }
     }
 
     /// Records an instant event at *now* (scheduler thread).
-    pub(crate) fn mark(
-        &mut self,
-        kind: asyncmr_simcluster::MarkKind,
-        p: usize,
-        i: usize,
-        value: u64,
-    ) {
-        let at_ns = self.recorder.now_ns();
-        self.marks.push(Mark { kind, partition: p as u32, iteration: i as u32, at_ns, value });
+    pub(crate) fn mark(&mut self, kind: MarkKind, p: usize, i: usize, value: u64) {
+        if let Some(at_ns) = self.clock() {
+            self.marks.push(Mark { kind, partition: p as u32, iteration: i as u32, at_ns, value });
+        }
+    }
+
+    /// The effective-lag trajectory: one [`MarkKind::LagWindow`] mark
+    /// per change of partition `p`'s window (the first admission test
+    /// always emits the starting window).
+    pub(crate) fn window(&mut self, p: usize, i: usize, window: usize) {
+        if self.recorder.is_some() && self.last_window[p] != window as u64 {
+            self.last_window[p] = window as u64;
+            self.mark(MarkKind::LagWindow, p, i, window as u64);
+        }
     }
 
     /// Opens partition `p`'s blocked-wait at iteration `i` (no-op if
     /// one is already open — a stall persists across repeated failed
     /// admission tests).
     pub(crate) fn open_stall(&mut self, p: usize, i: usize) {
+        let Some(rec) = &self.recorder else { return };
         if self.stall_open[p].is_none() {
-            self.stall_open[p] = Some((i, self.recorder.now_ns()));
+            self.stall_open[p] = Some((i, rec.now_ns()));
         }
     }
 
     /// Closes partition `p`'s blocked-wait, if open, recording the
     /// interval.
     pub(crate) fn close_stall(&mut self, p: usize) {
+        let Some(rec) = &self.recorder else { return };
         if let Some((iter, start_ns)) = self.stall_open[p].take() {
-            let dur_ns = self.recorder.now_ns().saturating_sub(start_ns);
+            let dur_ns = rec.now_ns() - start_ns;
             self.stalls.push(Stall {
                 partition: p as u32,
                 iteration: iter as u32,
@@ -210,6 +235,36 @@ impl SessionObs {
                 dur_ns,
             });
         }
+    }
+
+    /// Logs the timing of the gmap just appended to the recorded
+    /// schedule (`elapsed` is the measurement the meters billed).
+    pub(crate) fn task(&mut self, start_ns: u64, elapsed: Duration) {
+        if self.recorder.is_some() {
+            self.task_times.push((start_ns, start_ns + elapsed.as_nanos() as u64));
+        }
+    }
+
+    /// Drains the run into its [`SessionTrace`] (`None` if untraced),
+    /// filling in what only the session knows: marks, stalls
+    /// (still-open ones close at the drain instant), the timings of the
+    /// schedule entries `remap` kept (`usize::MAX` = dropped), and the
+    /// metered gmap nanoseconds the span sum must equal exactly.
+    pub(crate) fn finish(mut self, remap: &[usize], metered_gmap_ns: u64) -> Option<SessionTrace> {
+        let recorder = self.recorder.clone()?;
+        for p in 0..self.stall_open.len() {
+            self.close_stall(p);
+        }
+        let kept = self.task_times.iter().zip(remap).filter(|(_, &to)| to != usize::MAX);
+        let (task_start_ns, task_finish_ns) = kept.map(|(&times, _)| times).unzip();
+        Some(SessionTrace {
+            marks: self.marks,
+            stalls: self.stalls,
+            task_start_ns,
+            task_finish_ns,
+            metered_gmap_ns,
+            ..recorder.drain()
+        })
     }
 }
 

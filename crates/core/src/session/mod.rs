@@ -45,6 +45,37 @@
 //! shows the win in *simulated* cluster time too, not just host
 //! wall-clock.
 //!
+//! ## Components
+//!
+//! One scheduler loop — **launch → complete → deliver → absorb →
+//! advance**, on the multiwave caller thread, no locks — runs over five
+//! components plus the tracing front. Each keeps exactly one invariant
+//! behind its type; the loop (`sched::Session`) owns only per-partition
+//! progress (absorbed / launched / parked update / consumption log),
+//! the frontier, and the stop verdict.
+//!
+//! | Component | Invariant it owns | May borrow | Public knob feeding it |
+//! |---|---|---|---|
+//! | `topology::Topology` | `consumers` is the inverse of `deps`, each entry carrying the producer's mailbox *slot* — delivery and rollback never search | nothing (immutable, built once, shared by `&`) | [`AsyncIterative::dependencies`] |
+//! | `store::Store` | held bytes = Σ retained states + Σ mailbox batches, with its high-water mark; the only code that moves a state, a batch, or a pooled buffer | `&Topology` | [`AsyncFixedPointDriver::runahead_byte_budget`] |
+//! | `admission::Admission` | every staleness window ∈ `[floor, cap]`; `peak` = widest handed out | nothing | [`AsyncFixedPointDriver::max_lag`], [`AsyncFixedPointDriver::adaptive_lag`] |
+//! | `checkpoint::Recovery` | per-node death budget, verdict epoch, per-partition rollback generations; the contamination closure is a pure function of the consumers table + consumption log | the consumers table and the consumption log, as plain slices (read-only; `checkpoint` imports nothing from `session`) | [`AsyncFixedPointDriver::checkpoints`], [`AsyncFixedPointDriver::node_failures`] |
+//! | `meter::SessionMeter` | each per-iteration record = Σ of the per-partition records logged for it; rollback unwinds exactly (checked, never clamped) | nothing | — (feeds [`SessionReport`]) |
+//! | `obs::SessionObs` | every call is a no-op on an untraced run; one definition of the scheduler-lane span | nothing | [`AsyncFixedPointDriver::trace`] |
+//!
+//! The absorb *computation* for partition `p` reads `p`'s own store
+//! slot and the shared topology and nothing else (its result is then
+//! committed through the store's ledger) — the property that makes
+//! absorbs independent tasks by construction.
+//!
+//! **Fixed lag is the `floor = cap` case of the one admission
+//! controller.** There is no separate fixed-staleness path: a partition's
+//! window is always `ceil(ewma).clamp(floor, cap)`, and
+//! `max_lag = L` installs `floor = cap = L`, where
+//! `ceil(ewma).clamp(L, L) = L` whatever the EWMA does — so results,
+//! trace marks and [`SessionReport::peak_effective_lag`] (= `L`) are
+//! those of a fixed window.
+//!
 //! ## Fault tolerance (deterministic replay)
 //!
 //! The paper's §VI argument is that MapReduce's deterministic-replay
@@ -118,16 +149,23 @@
 //! [`SessionReport::peak_state_bytes`] meters the high-water mark of
 //! everything held.
 
-use std::collections::{BTreeMap, VecDeque};
+mod admission;
+mod meter;
+mod sched;
+mod store;
+mod topology;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use asyncmr_runtime::{PoolMetrics, ThreadPool, Wave};
-use asyncmr_simcluster::{AsyncTaskSpec, MarkKind, SessionTrace, SpanKind};
+use asyncmr_runtime::{PoolMetrics, ThreadPool};
+use asyncmr_simcluster::{AsyncTaskSpec, SessionTrace};
 
-use crate::checkpoint::{CheckpointPolicy, CheckpointTracker, NodeFailurePlan};
+use crate::checkpoint::{CheckpointPolicy, NodeFailurePlan};
 use crate::hash::verdict_unit;
-use crate::obs::{SessionObs, SpanRecorder};
+use crate::obs::SpanRecorder;
+use sched::{run_attempt, Session};
+use topology::Topology;
 
 /// Transient-failure injection for in-process sessions, mirroring
 /// `asyncmr_simcluster::FailurePlan` for the simulated cluster: each
@@ -463,7 +501,8 @@ pub struct SessionReport {
     pub max_lag: usize,
     /// High-water mark of the per-partition *effective* staleness
     /// window the run actually used. With the adaptive controller off
-    /// this is exactly `max_lag`; with it on, it is the widest window
+    /// this is exactly `max_lag` (the controller is pinned at
+    /// `floor = cap = max_lag`); with it on, it is the widest window
     /// the EWMA reached — never above [`AdaptiveLagConfig::cap`].
     pub peak_effective_lag: usize,
     /// Real time of the whole session (the driver-level wall).
@@ -503,13 +542,15 @@ pub struct SessionOutcome<S> {
 /// Partitions fed by prompt producers keep a narrow window (fresh
 /// reads, fast convergence); partitions starved by a straggler widen
 /// toward `cap` and keep absorbing instead of stalling. The knob only
-/// moves the admission test of `try_absorb`; mailbox retention,
-/// convergence windows, and runahead are all sized for `cap`, so every
-/// batch an effective window may admit is still retained.
+/// moves the absorb admission test; mailbox retention, convergence
+/// windows, and runahead are all sized for `cap`, so every batch an
+/// effective window may admit is still retained.
 ///
 /// `cap = 0` forces the effective window to 0 everywhere, so results
-/// stay **byte-identical to the barrier driver** — the same headline
-/// contract as fixed `max_lag = 0`.
+/// stay **byte-identical to the barrier driver** — it *is* fixed
+/// `max_lag = 0`, which runs as this controller at `floor = cap = 0`
+/// (a fixed `max_lag = L` is `floor = cap = L`; see the
+/// [module docs](self#components)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveLagConfig {
     /// Hard upper bound on any partition's effective window. This is
@@ -600,7 +641,8 @@ pub struct AsyncFixedPointDriver {
     /// *removes* speculation, never admits staler messages).
     pub runahead_byte_budget: Option<u64>,
     /// Straggler-adaptive staleness (defaults to `None` = the fixed
-    /// `max_lag` above). When installed, it *supersedes* `max_lag`:
+    /// `max_lag` above, i.e. the same controller pinned at
+    /// `floor = cap = max_lag`). When installed, it *supersedes* `max_lag`:
     /// the session is sized for [`AdaptiveLagConfig::cap`] and each
     /// partition's admission window adapts within
     /// `[floor, cap]`. Validated once at the start of
@@ -614,13 +656,6 @@ pub struct AsyncFixedPointDriver {
     /// driver — recording never touches scheduling decisions.
     pub trace: bool,
 }
-
-/// How many iterations past the globally-complete frontier a partition
-/// may speculate (on top of `max_lag`). Bounds state/mailbox history
-/// per partition without throttling the overlap that pays for the
-/// schedule: a straggler's *neighbors* are gated by messages, not by
-/// this constant.
-const RUNAHEAD_SLACK: usize = 8;
 
 impl Default for AsyncFixedPointDriver {
     fn default() -> Self {
@@ -731,132 +766,23 @@ impl AsyncFixedPointDriver {
             !self.node_failures.enabled() || self.checkpoints.enabled(),
             "node-failure injection requires a checkpoint policy (nothing to roll back to)"
         );
-        // The staleness bound everything conservative is sized by:
-        // the adaptive controller's cap when installed, else the fixed
-        // knob. Adaptation only ever *narrows* admission below this.
-        let lag_cap = self.adaptive_lag.map_or(self.max_lag, |cfg| cfg.cap);
-        let k = algo.partitions();
-        if k == 0 {
-            return SessionOutcome {
-                states: Vec::new(),
-                report: SessionReport {
-                    global_iterations: 0,
-                    converged: true,
-                    local_syncs: 0,
-                    total_ops: 0,
-                    gmap_tasks: 0,
-                    speculative_tasks: 0,
-                    speculative_time: Duration::ZERO,
-                    failed_attempts: 0,
-                    failed_attempt_time: Duration::ZERO,
-                    rollbacks: 0,
-                    rolled_back_iterations: 0,
-                    checkpoint_bytes: 0,
-                    peak_state_bytes: 0,
-                    deferred_launches: 0,
-                    max_lag: lag_cap,
-                    peak_effective_lag: 0,
-                    wall_time: started.elapsed(),
-                    pool: pool.metrics().since(&pool_before),
-                    trace: None,
-                    schedule: Vec::new(),
-                },
-            };
-        }
-
-        let failures = self.failures;
+        let topo = Topology::of(algo);
         // The recorder exists only on traced runs: untraced runs take
-        // no per-attempt branches beyond one `Option` test.
-        let recorder = self.trace.then(|| Arc::new(SpanRecorder::new(pool.num_threads())));
+        // no per-attempt branches beyond one `Option` test. An empty
+        // run has nothing to trace.
+        let traced = self.trace && topo.partitions() > 0;
+        let recorder = traced.then(|| Arc::new(SpanRecorder::new(pool.num_threads())));
         if let Some(rec) = &recorder {
             pool.set_park_observer(Some(rec.clone()));
         }
-        let mut sess = Session::new(
-            algo,
-            self.max_iterations.max(1),
-            lag_cap,
-            self.adaptive_lag,
-            self.checkpoints,
-            self.node_failures,
-            self.runahead_byte_budget,
-            recorder.clone().map(|rec| SessionObs::new(rec, k)),
-        );
-        let mut initial = Vec::new();
-        for p in 0..k {
-            if let Some(launch) = sess.make_launch(p) {
-                initial.push((p, launch));
-            }
-        }
+        let mut sess = Session::new(self, algo, &topo, recorder.clone());
+        let initial =
+            (0..topo.partitions()).filter_map(|p| Some((p, sess.make_launch(p)?))).collect();
         pool.par_multiwave(
             initial,
-            |_id, mut launch: Launch<A::State, A::Msg>| {
-                // A doomed attempt still runs: the task process does
-                // real work before dying, and that work — billed to
-                // `failed_attempt_time` — is exactly the wasted
-                // gmap-seconds the accounting reports. Its output is
-                // discarded (never delivered), which is the whole
-                // fault model: deterministic replay re-executes the
-                // pure gmap on the same state and reproduces it. The
-                // pooled outbox it filled travels back either way and
-                // is recycled by the scheduler.
-                let start_ns = recorder.as_ref().map_or(0, |rec| rec.now_ns());
-                let t0 = Instant::now();
-                let out = algo.gmap(launch.p, launch.iter, &launch.state, &mut launch.outbox);
-                let died = failures.attempt_fails(launch.p, launch.iter, launch.attempt);
-                // One measurement feeds both the span and the meters:
-                // the trace report's conservation law (Σ gmap span
-                // durations == metered gmap time, exactly) depends on
-                // this identity.
-                let elapsed = t0.elapsed();
-                if let Some(rec) = recorder.as_ref() {
-                    rec.record(
-                        SpanKind::Gmap,
-                        launch.p,
-                        launch.iter,
-                        launch.attempt,
-                        start_ns,
-                        elapsed,
-                    );
-                }
-                AttemptDone {
-                    p: launch.p,
-                    iter: launch.iter,
-                    attempt: launch.attempt,
-                    generation: launch.generation,
-                    start_ns,
-                    elapsed,
-                    outbox: launch.outbox,
-                    output: (!died).then_some(out),
-                }
-            },
-            |_id, done: AttemptDone<A::Update, A::Msg>, wave| {
-                if done.generation != sess.parts[done.p].generation {
-                    // An attempt orphaned by a node-failure rollback:
-                    // its input state was rewound, so its output — even
-                    // a successful one — describes a version of the
-                    // computation that no longer exists. Bill the
-                    // wasted time and drop it; the rollback already
-                    // relaunched the partition from the checkpoint.
-                    sess.recycle_outbox(done.outbox);
-                    sess.on_orphaned(done.elapsed);
-                } else {
-                    match done.output {
-                        Some(out) => sess.on_gmap_done(
-                            algo,
-                            done.p,
-                            done.iter,
-                            out,
-                            done.outbox,
-                            done.start_ns,
-                            done.elapsed,
-                            wave,
-                        ),
-                        None => {
-                            sess.recycle_outbox(done.outbox);
-                            sess.on_gmap_failed(done.p, done.iter, done.attempt, done.elapsed, wave)
-                        }
-                    }
-                }
+            |_id, launch| run_attempt(algo, &self.failures, recorder.as_deref(), launch),
+            |_id, done, wave| {
+                sess.complete(done, wave);
                 Vec::new()
             },
         );
@@ -865,1034 +791,7 @@ impl AsyncFixedPointDriver {
         if recorder.is_some() {
             pool.set_park_observer(None);
         }
-        sess.finish(lag_cap, started.elapsed(), pool.metrics().since(&pool_before))
-    }
-}
-
-/// One pool task: attempt `attempt` of partition `p`'s gmap at `iter`,
-/// on the state its previous absorb produced.
-struct Launch<S, M> {
-    p: usize,
-    iter: usize,
-    attempt: u32,
-    /// The partition's rollback generation at launch time: a completion
-    /// whose generation is stale was orphaned by a node-failure
-    /// rollback and is discarded (billed as a failed attempt).
-    generation: u64,
-    state: Arc<S>,
-    /// A pooled (empty, capacity-retaining) outbox for the gmap to fill;
-    /// it returns with the completion for delivery and recycling.
-    outbox: Outbox<M>,
-}
-
-/// What one pool attempt reported back to the scheduler.
-struct AttemptDone<U, M> {
-    p: usize,
-    iter: usize,
-    attempt: u32,
-    generation: u64,
-    /// Recorder-clock start of the attempt (0 on untraced runs).
-    start_ns: u64,
-    elapsed: Duration,
-    /// The filled outbox (recycled into the pool after delivery — or
-    /// without delivery, if the attempt died or was orphaned).
-    outbox: Outbox<M>,
-    /// `None` = the injected failure killed this attempt before it
-    /// could deliver; the scheduler re-executes it.
-    output: Option<GmapOutput<U>>,
-}
-
-/// Meters of one recorded gmap, kept per iteration so a rollback can
-/// subtract exactly what it undoes (the re-execution re-adds it).
-struct GmapRec {
-    ops: u64,
-    syncs: u64,
-    elapsed: Duration,
-}
-
-/// What one absorb consumed and contributed, kept per iteration: the
-/// selected source iteration per dependency (the rollback engine's
-/// consumption log — how transitive invalidation decides whether a
-/// partition touched revoked data) and the absorb's op count.
-struct AbsorbRec {
-    selected: Vec<usize>,
-    ops: u64,
-}
-
-/// Per-partition scheduler state.
-struct Part<S, U, M> {
-    /// Declared dependency sources, ascending.
-    deps: Vec<usize>,
-    /// Partitions that declared *this* partition as a dependency,
-    /// ascending — the destinations every gmap must deliver to (empty
-    /// batches included).
-    out_deps: Vec<usize>,
-    /// States for iterations `[hist_base ..]`; pruned as the globally
-    /// complete frontier advances — or, with checkpoints enabled, only
-    /// up to the last declared checkpoint (the rollback target).
-    history: VecDeque<Arc<S>>,
-    /// `state_bytes` of each retained state, aligned with `history`
-    /// (held-bytes accounting).
-    hist_bytes: VecDeque<u64>,
-    hist_base: usize,
-    /// Iterations absorbed (state index `absorbed` is available).
-    absorbed: usize,
-    /// Gmap iterations launched (∈ {absorbed, absorbed + 1}).
-    launched: usize,
-    /// Bumped by every rollback of this partition; completions carrying
-    /// an older generation are orphaned.
-    generation: u64,
-    /// Own gmap output awaiting dependency messages.
-    parked: Option<(usize, U)>,
-    /// Per dependency (aligned with `deps`): iteration → message batch.
-    mailbox: Vec<BTreeMap<usize, Vec<M>>>,
-    /// Schedule indices the *next* gmap of this partition depends on
-    /// (set by the absorb that enabled it).
-    next_dep_tasks: Vec<usize>,
-    /// Schedule index of each completed gmap, by iteration (truncated
-    /// and re-filled across rollbacks).
-    sched_of_iter: Vec<usize>,
-    /// Meters of each completed gmap, aligned with `sched_of_iter`.
-    gmap_log: Vec<GmapRec>,
-    /// Consumption/op log of each absorbed iteration
-    /// (`absorb_log.len() == absorbed`).
-    absorb_log: Vec<AbsorbRec>,
-}
-
-/// Scheduler state for one session run (lives on the multiwave caller
-/// thread; no locks anywhere).
-struct Session<S, U, M> {
-    parts: Vec<Part<S, U, M>>,
-    k: usize,
-    max_iterations: usize,
-    /// The staleness *cap*: the fixed `max_lag`, or
-    /// [`AdaptiveLagConfig::cap`] with the controller installed.
-    /// Retention, convergence windows, and runahead all use this;
-    /// only `try_absorb`'s admission test uses the effective window.
-    max_lag: usize,
-    /// The adaptive-staleness controller, if installed.
-    adaptive: Option<AdaptiveLagConfig>,
-    /// Per-partition EWMA of observed dependency-arrival slack
-    /// (iterations behind) — the adaptive controller's state.
-    lag_ewma: Vec<f64>,
-    /// Widest effective window any admission test used.
-    peak_effective_lag: usize,
-    /// Per-iteration: partitions that absorbed it.
-    absorbed_count: Vec<usize>,
-    /// Per-iteration: max absorb delta so far.
-    max_delta: Vec<f64>,
-    iter_ops: Vec<u64>,
-    iter_syncs: Vec<u64>,
-    /// Iterations absorbed by *every* partition.
-    frontier: usize,
-    /// No further launches (converged or capped); in-flight tasks drain.
-    stopped: bool,
-    converged_at: Option<usize>,
-    schedule: Vec<AsyncTaskSpec>,
-    /// Successful gmap completions observed (including post-stop
-    /// stragglers; injected failures are counted separately).
-    executed: usize,
-    /// Injected attempts that died before delivering.
-    failed_attempts: usize,
-    /// Wall-clock burned by failed attempts.
-    failed_time: Duration,
-    /// Wall-clock of every *successful* gmap (contributing or not).
-    total_gmap_time: Duration,
-    /// Per-iteration successful gmap wall-clock (contributing slice
-    /// subtracted from the total yields the speculative waste).
-    iter_gmap_time: Vec<Duration>,
-    /// Checkpoint bookkeeping (last declared checkpoint = rollback
-    /// target and retention floor; snapshot byte metering).
-    ckpt: CheckpointTracker,
-    /// Correlated node-failure injection.
-    node_plan: NodeFailurePlan,
-    /// Deaths fired per virtual node (the termination budget).
-    node_deaths: Vec<u32>,
-    /// Frontier-advance counter — the node-failure verdict epoch.
-    /// Counts *advances*, not iteration values, so re-advancing over
-    /// rolled-back ground draws fresh verdicts instead of looping on
-    /// the same one.
-    epoch: u64,
-    /// Node-failure events fired.
-    rollbacks: usize,
-    /// Absorbed iterations undone across all rollbacks.
-    rolled_back_iterations: usize,
-    /// Dead entries of `schedule` (rolled back; superseded by a
-    /// re-execution), filtered out of the report.
-    dead: Vec<bool>,
-    /// Currently held state-history bytes, all partitions.
-    held_state_bytes: u64,
-    /// Currently held mailbox bytes, all partitions (shallow message
-    /// sizes).
-    held_msg_bytes: u64,
-    /// High-water mark of `held_state_bytes + held_msg_bytes`.
-    peak_state_bytes: u64,
-    /// Cost-aware runahead budget (see
-    /// [`AsyncFixedPointDriver::runahead_byte_budget`]).
-    byte_budget: Option<u64>,
-    /// Speculative launches the byte budget deferred.
-    deferred_launches: usize,
-    /// Recycled outboxes awaiting the next launch (all pool traffic is
-    /// on the scheduler thread; no locks).
-    outbox_pool: Vec<Outbox<M>>,
-    /// Recycled message-batch `Vec`s: pruned/revoked mailbox batches
-    /// come back here and re-enter outbox slots at delivery time.
-    batch_pool: Vec<Vec<M>>,
-    /// Span/mark/stall recording for this run (`None` = untraced:
-    /// every instrumentation site is a single `Option` test).
-    obs: Option<SessionObs>,
-}
-
-impl<S: Send + Sync, U: Send, M: Send> Session<S, U, M> {
-    #[allow(clippy::too_many_arguments)]
-    fn new<A>(
-        algo: &A,
-        max_iterations: usize,
-        max_lag: usize,
-        adaptive: Option<AdaptiveLagConfig>,
-        checkpoints: CheckpointPolicy,
-        node_plan: NodeFailurePlan,
-        byte_budget: Option<u64>,
-        obs: Option<SessionObs>,
-    ) -> Self
-    where
-        A: AsyncIterative<State = S, Update = U, Msg = M>,
-    {
-        let k = algo.partitions();
-        let deps: Vec<Vec<usize>> = (0..k)
-            .map(|p| match algo.dependencies(p) {
-                Dependence::Full => (0..k).filter(|&q| q != p).collect(),
-                Dependence::Sparse(mut v) => {
-                    v.retain(|&q| q != p);
-                    v.sort_unstable();
-                    v.dedup();
-                    assert!(v.iter().all(|&q| q < k), "dependency out of range");
-                    v
-                }
-            })
-            .collect();
-        let mut out_deps: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (p, ds) in deps.iter().enumerate() {
-            for &q in ds {
-                out_deps[q].push(p); // ascending p by construction
-            }
-        }
-        let mut held_state_bytes = 0u64;
-        let parts: Vec<Part<S, U, M>> = deps
-            .into_iter()
-            .zip(out_deps)
-            .enumerate()
-            .map(|(p, (deps, out_deps))| {
-                let init = algo.init_state(p);
-                let bytes = algo.state_bytes(&init);
-                held_state_bytes += bytes;
-                Part {
-                    mailbox: (0..deps.len()).map(|_| BTreeMap::new()).collect(),
-                    deps,
-                    out_deps,
-                    history: VecDeque::from([Arc::new(init)]),
-                    hist_bytes: VecDeque::from([bytes]),
-                    hist_base: 0,
-                    absorbed: 0,
-                    launched: 0,
-                    generation: 0,
-                    parked: None,
-                    next_dep_tasks: Vec::new(),
-                    sched_of_iter: Vec::new(),
-                    gmap_log: Vec::new(),
-                    absorb_log: Vec::new(),
-                }
-            })
-            .collect();
-        let node_deaths = vec![0u32; node_plan.num_nodes.max(1)];
-        Session {
-            parts,
-            k,
-            max_iterations,
-            max_lag,
-            adaptive,
-            lag_ewma: vec![adaptive.map_or(0.0, |cfg| cfg.floor as f64); k],
-            peak_effective_lag: 0,
-            absorbed_count: Vec::new(),
-            max_delta: Vec::new(),
-            iter_ops: Vec::new(),
-            iter_syncs: Vec::new(),
-            frontier: 0,
-            stopped: false,
-            converged_at: None,
-            schedule: Vec::new(),
-            executed: 0,
-            failed_attempts: 0,
-            failed_time: Duration::ZERO,
-            total_gmap_time: Duration::ZERO,
-            iter_gmap_time: Vec::new(),
-            ckpt: CheckpointTracker::new(checkpoints),
-            node_plan,
-            node_deaths,
-            epoch: 0,
-            rollbacks: 0,
-            rolled_back_iterations: 0,
-            dead: Vec::new(),
-            peak_state_bytes: held_state_bytes,
-            held_state_bytes,
-            held_msg_bytes: 0,
-            byte_budget,
-            deferred_launches: 0,
-            outbox_pool: Vec::new(),
-            batch_pool: Vec::new(),
-            obs,
-        }
-    }
-
-    /// Returns a filled outbox to the pool (clearing only its touched
-    /// slots, keeping all allocations).
-    fn recycle_outbox(&mut self, mut outbox: Outbox<M>) {
-        outbox.recycle();
-        self.outbox_pool.push(outbox);
-    }
-
-    /// A pooled empty outbox for the next launch.
-    fn take_outbox(&mut self) -> Outbox<M> {
-        self.outbox_pool.pop().unwrap_or_else(|| Outbox::new(self.k))
-    }
-
-    /// The partition's current staleness window: the adaptive
-    /// controller's EWMA rounded up and clamped to `[floor, cap]`, or
-    /// the fixed `max_lag` with the controller off. `cap = 0` pins
-    /// this to 0 everywhere — the barrier-identical contract.
-    fn effective_lag(&self, p: usize) -> usize {
-        match self.adaptive {
-            Some(cfg) => (self.lag_ewma[p].ceil() as usize).clamp(cfg.floor, cfg.cap),
-            None => self.max_lag,
-        }
-    }
-
-    /// Feeds one observed dependency-arrival slack (iterations behind)
-    /// into the partition's EWMA. No-op with the controller off.
-    fn observe_lag(&mut self, p: usize, slack: usize) {
-        if let Some(cfg) = self.adaptive {
-            let e = &mut self.lag_ewma[p];
-            *e += cfg.alpha * (slack as f64 - *e);
-        }
-    }
-
-    /// Updates the held-bytes high-water mark.
-    fn note_peak(&mut self) {
-        self.peak_state_bytes =
-            self.peak_state_bytes.max(self.held_state_bytes + self.held_msg_bytes);
-    }
-
-    /// Bills an attempt orphaned by a rollback (its completion carries
-    /// a stale generation): the work is wasted exactly like a
-    /// transiently failed attempt, and the partition was already
-    /// relaunched from the checkpoint.
-    fn on_orphaned(&mut self, elapsed: Duration) {
-        self.failed_attempts += 1;
-        self.failed_time += elapsed;
-    }
-
-    fn ensure_iter(&mut self, iter: usize) {
-        if iter >= self.absorbed_count.len() {
-            self.absorbed_count.resize(iter + 1, 0);
-            self.max_delta.resize(iter + 1, 0.0);
-            self.iter_ops.resize(iter + 1, 0);
-            self.iter_syncs.resize(iter + 1, 0);
-            self.iter_gmap_time.resize(iter + 1, Duration::ZERO);
-        }
-    }
-
-    /// Launches the partition's next gmap if its state is ready and the
-    /// caps (iteration budget, runahead slack, byte budget) allow it.
-    fn make_launch(&mut self, p: usize) -> Option<Launch<S, M>> {
-        if self.stopped {
-            return None;
-        }
-        let runahead_cap = self.frontier + self.max_lag + RUNAHEAD_SLACK;
-        let part = &self.parts[p];
-        if part.launched != part.absorbed
-            || part.launched >= self.max_iterations
-            || part.launched > runahead_cap
-        {
-            return None;
-        }
-        // Cost-aware runahead: defer a *speculative* launch (one past
-        // the globally-complete frontier) while held bytes are at the
-        // budget. Frontier-level launches always go — they are what
-        // advances the frontier, whose `push_launch` sweep retries
-        // every deferred partition — so the session cannot stall:
-        // a tight budget degrades toward barrier pacing, never below.
-        if part.launched > self.frontier {
-            if let Some(budget) = self.byte_budget {
-                if self.held_state_bytes + self.held_msg_bytes >= budget {
-                    let iter = part.launched;
-                    let held = self.held_state_bytes + self.held_msg_bytes;
-                    self.deferred_launches += 1;
-                    if let Some(obs) = self.obs.as_mut() {
-                        obs.mark(MarkKind::RunaheadDeferral, p, iter, held);
-                    }
-                    return None;
-                }
-            }
-        }
-        let outbox = self.take_outbox();
-        let part = &mut self.parts[p];
-        let iter = part.launched;
-        let state = Arc::clone(&part.history[iter - part.hist_base]);
-        let generation = part.generation;
-        part.launched += 1;
-        if let Some(obs) = self.obs.as_mut() {
-            obs.mark(MarkKind::Launch, p, iter, 0);
-        }
-        Some(Launch { p, iter, attempt: 0, generation, state, outbox })
-    }
-
-    /// The attempt-tracking layer's failure path: meter the wasted
-    /// attempt and re-execute the task on the same input state.
-    ///
-    /// Nothing else needs rolling back: the dead attempt delivered no
-    /// messages and no update, so every downstream consumer still sees
-    /// exactly the last *delivered* version per source (see the module
-    /// docs). The partition itself simply stays un-absorbed at `iter`
-    /// until a retry delivers, which also keeps the staleness and
-    /// runahead bookkeeping untouched.
-    fn on_gmap_failed(
-        &mut self,
-        p: usize,
-        iter: usize,
-        attempt: u32,
-        elapsed: Duration,
-        wave: &mut Wave<Launch<S, M>>,
-    ) {
-        self.failed_attempts += 1;
-        self.failed_time += elapsed;
-        if self.stopped {
-            // A doomed straggler dying after convergence/cap: the
-            // result no longer needs its retry.
-            return;
-        }
-        if let Some(obs) = self.obs.as_mut() {
-            // A retry launch: `value` carries the attempt number.
-            obs.mark(MarkKind::Launch, p, iter, u64::from(attempt) + 1);
-        }
-        let outbox = self.take_outbox();
-        let part = &self.parts[p];
-        debug_assert_eq!(part.absorbed, iter, "a failed gmap cannot have been absorbed");
-        let state = Arc::clone(&part.history[iter - part.hist_base]);
-        wave.push(
-            p,
-            Launch { p, iter, attempt: attempt + 1, generation: part.generation, state, outbox },
-        );
-    }
-
-    fn push_launch(&mut self, p: usize, wave: &mut Wave<Launch<S, M>>) {
-        if let Some(launch) = self.make_launch(p) {
-            wave.push(p, launch);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn on_gmap_done<A>(
-        &mut self,
-        algo: &A,
-        p: usize,
-        iter: usize,
-        out: GmapOutput<U>,
-        mut outbox: Outbox<M>,
-        start_ns: u64,
-        elapsed: Duration,
-        wave: &mut Wave<Launch<S, M>>,
-    ) where
-        A: AsyncIterative<State = S, Update = U, Msg = M>,
-    {
-        self.executed += 1;
-        self.total_gmap_time += elapsed;
-        if self.stopped {
-            // A straggler finishing after convergence/cap: its output
-            // can no longer influence the result. (Its wall-clock is in
-            // the total but not in any contributing iteration, so it is
-            // billed as speculative waste.)
-            self.recycle_outbox(outbox);
-            return;
-        }
-        self.ensure_iter(iter);
-        self.iter_ops[iter] += out.ops;
-        self.iter_syncs[iter] += out.local_syncs;
-        self.iter_gmap_time[iter] += elapsed;
-
-        // Record the task for simulated replay; its dependency edges
-        // were fixed by the absorb that launched it.
-        let sched_idx = self.schedule.len();
-        let deps = std::mem::take(&mut self.parts[p].next_dep_tasks);
-        debug_assert_eq!(self.parts[p].sched_of_iter.len(), iter);
-        self.parts[p].sched_of_iter.push(sched_idx);
-        self.parts[p].gmap_log.push(GmapRec { ops: out.ops, syncs: out.local_syncs, elapsed });
-        self.dead.push(false);
-        self.schedule.push(AsyncTaskSpec {
-            partition: p,
-            iteration: iter,
-            input_bytes: out.input_bytes,
-            ops: out.ops,
-            output_records: out.msg_records,
-            output_bytes: out.msg_bytes,
-            deps,
-        });
-        if let Some(obs) = self.obs.as_mut() {
-            // Aligned index-for-index with `schedule`/`dead`, so the
-            // same remap `finish` applies to the schedule keeps the
-            // trace's task timings in lockstep.
-            obs.task_times.push((start_ns, start_ns + elapsed.as_nanos() as u64));
-        }
-
-        // Deliver one batch to every declared consumer — empty if this
-        // gmap emitted nothing for it — so consumers never wait on a
-        // message that will never come. Non-empty slots are swapped out
-        // against recycled batch `Vec`s, so steady-state delivery moves
-        // capacity between the outbox pool and the mailboxes without
-        // allocating.
-        let deliver_t0 = self.obs.as_ref().map(|obs| obs.recorder.now_ns());
-        let msg_size = std::mem::size_of::<M>() as u64;
-        let out_deps = std::mem::take(&mut self.parts[p].out_deps);
-        for &dest in &out_deps {
-            let slot = &mut outbox.per_dest[dest];
-            let msgs = if slot.is_empty() {
-                Vec::new()
-            } else {
-                std::mem::replace(slot, self.batch_pool.pop().unwrap_or_default())
-            };
-            let dest_part = &mut self.parts[dest];
-            let pos = dest_part.deps.binary_search(&p).expect("out_deps is the inverse of deps");
-            self.held_msg_bytes += msgs.len() as u64 * msg_size;
-            if let Some(mut old) = dest_part.mailbox[pos].insert(iter, msgs) {
-                // A rollback re-delivery replacing a surviving batch
-                // of identical content.
-                self.held_msg_bytes -= old.len() as u64 * msg_size;
-                old.clear();
-                self.batch_pool.push(old);
-            }
-        }
-        self.note_peak();
-        // Hard assert (touched slots are few, this is once per gmap):
-        // silently dropping a batch for an undeclared consumer would
-        // converge to a *wrong* fixed point, not fail. Declared slots
-        // were just emptied by the swap, so any survivor is undeclared.
-        for &t in &outbox.touched {
-            assert!(
-                outbox.per_dest[t as usize].is_empty() || out_deps.contains(&(t as usize)),
-                "gmap of partition {p} emitted to a partition that does not declare it as a \
-                 dependency"
-            );
-        }
-        self.parts[p].out_deps = out_deps;
-        self.recycle_outbox(outbox);
-        if let Some(t0) = deliver_t0 {
-            let obs = self.obs.as_ref().expect("deliver_t0 implies obs");
-            let now = obs.recorder.now_ns();
-            obs.recorder.record(
-                SpanKind::Deliver,
-                p,
-                iter,
-                0,
-                t0,
-                Duration::from_nanos(now.saturating_sub(t0)),
-            );
-        }
-
-        debug_assert!(self.parts[p].parked.is_none(), "one gmap in flight per partition");
-        self.parts[p].parked = Some((iter, out.update));
-
-        self.try_absorb(algo, p, wave);
-        // Index-based fan-out, NOT a take/restore of `out_deps`: an
-        // absorb can advance the frontier and fire a node-failure
-        // rollback, whose contamination scan and revocation walk every
-        // partition's `out_deps` — a temporarily emptied list would
-        // silently exempt this partition from the rollback.
-        let mut idx = 0;
-        while let Some(&dest) = self.parts[p].out_deps.get(idx) {
-            self.try_absorb(algo, dest, wave);
-            idx += 1;
-        }
-    }
-
-    /// Absorbs the partition's parked iteration if every dependency has
-    /// delivered a fresh-enough batch.
-    fn try_absorb<A>(&mut self, algo: &A, p: usize, wave: &mut Wave<Launch<S, M>>)
-    where
-        A: AsyncIterative<State = S, Update = U, Msg = M>,
-    {
-        if self.stopped {
-            return;
-        }
-        let Some(i) = self.parts[p].parked.as_ref().map(|&(i, _)| i) else {
-            return;
-        };
-        debug_assert_eq!(i, self.parts[p].absorbed, "absorbs are strictly in iteration order");
-
-        // Staleness bound: per dependency, use the freshest batch of
-        // iteration ≤ i, requiring it be ≥ i − the partition's
-        // *effective* window (= max_lag with the adaptive controller
-        // off, never above its cap with it on).
-        let eff = self.effective_lag(p);
-        self.peak_effective_lag = self.peak_effective_lag.max(eff);
-        if let Some(obs) = self.obs.as_mut() {
-            // The effective-lag trajectory: one mark per change (the
-            // first admission test always emits the starting window).
-            if obs.last_window[p] != eff as u64 {
-                obs.last_window[p] = eff as u64;
-                obs.mark(MarkKind::LagWindow, p, i, eff as u64);
-            }
-        }
-        let min_fresh = i.saturating_sub(eff);
-        let mut selected = Vec::with_capacity(self.parts[p].deps.len());
-        let mut slack = 0usize;
-        let mut too_stale = None;
-        for mb in &self.parts[p].mailbox {
-            let Some((&key, _)) = mb.range(..=i).next_back() else {
-                // Not delivered yet: the parked absorb is blocked.
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.open_stall(p, i);
-                }
-                return;
-            };
-            if key < min_fresh {
-                too_stale = Some(i - key);
-                break;
-            }
-            slack = slack.max(i - key);
-            selected.push(key);
-        }
-        if let Some(needed) = too_stale {
-            // Blocked on staleness: feed the slack this absorb *would*
-            // have needed into the EWMA, widening the window toward it
-            // (up to the cap) so a persistent straggler stops stalling
-            // its consumers.
-            self.observe_lag(p, needed);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.open_stall(p, i);
-            }
-            return;
-        }
-        // Admitted: the realized slack narrows the window back down
-        // when dependencies run fresh.
-        self.observe_lag(p, slack);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.close_stall(p);
-        }
-
-        let absorb_t0 = self.obs.as_ref().map(|obs| obs.recorder.now_ns());
-        let absorbed = {
-            let part = &mut self.parts[p];
-            let (_, update) = part.parked.take().expect("checked above");
-            let inbox: Vec<(usize, &[M])> = part
-                .deps
-                .iter()
-                .zip(part.mailbox.iter().zip(&selected))
-                .map(|(&q, (mb, sel))| (q, mb[sel].as_slice()))
-                .collect();
-            let state = &part.history[i - part.hist_base];
-            algo.absorb(p, i, state, update, &inbox)
-        };
-        if let Some(t0) = absorb_t0 {
-            let obs = self.obs.as_ref().expect("absorb_t0 implies obs");
-            let now = obs.recorder.now_ns();
-            obs.recorder.record(
-                SpanKind::Absorb,
-                p,
-                i,
-                0,
-                t0,
-                Duration::from_nanos(now.saturating_sub(t0)),
-            );
-        }
-
-        // Dependency edges of the gmap this absorb enables: the own
-        // task plus the producers whose batches were consumed.
-        let mut dep_tasks = vec![self.parts[p].sched_of_iter[i]];
-        for (j, &sel) in selected.iter().enumerate() {
-            let q = self.parts[p].deps[j];
-            dep_tasks.push(self.parts[q].sched_of_iter[sel]);
-        }
-        dep_tasks.sort_unstable();
-        dep_tasks.dedup();
-
-        // Mailbox retention floor: absorb(i+1) selects keys ≥
-        // i+1 − max_lag, but with node failures enabled a rollback may
-        // rewind this partition to the last checkpoint C and re-absorb
-        // from there — which needs surviving producers' batches back to
-        // C − max_lag, so those must outlive the ordinary pruning.
-        let mut keep_from = (i + 1).saturating_sub(self.max_lag);
-        if self.node_plan.enabled() {
-            keep_from = keep_from.min(self.ckpt.last_checkpoint().saturating_sub(self.max_lag));
-        }
-        let state_bytes = algo.state_bytes(&absorbed.state);
-        let msg_size = std::mem::size_of::<M>() as u64;
-        {
-            let part = &mut self.parts[p];
-            part.next_dep_tasks = dep_tasks;
-            part.history.push_back(Arc::new(absorbed.state));
-            part.hist_bytes.push_back(state_bytes);
-            part.absorbed = i + 1;
-            part.absorb_log.push(AbsorbRec { selected, ops: absorbed.ops });
-            debug_assert_eq!(part.absorb_log.len(), part.absorbed);
-            for mb in &mut part.mailbox {
-                while let Some((&key, _)) = mb.first_key_value() {
-                    if key >= keep_from {
-                        break;
-                    }
-                    let mut batch = mb.remove(&key).expect("first key exists");
-                    self.held_msg_bytes -= batch.len() as u64 * msg_size;
-                    batch.clear();
-                    self.batch_pool.push(batch);
-                }
-            }
-        }
-        self.held_state_bytes += state_bytes;
-        self.note_peak();
-
-        self.ensure_iter(i);
-        self.iter_ops[i] += absorbed.ops;
-        self.max_delta[i] = self.max_delta[i].max(absorbed.delta);
-        self.absorbed_count[i] += 1;
-        self.advance_frontier(algo, wave);
-        self.push_launch(p, wave);
-    }
-
-    /// Advances the globally-complete frontier, declaring checkpoints,
-    /// evaluating convergence and node-failure epochs, and releasing
-    /// runahead-capped partitions as it moves.
-    fn advance_frontier<A>(&mut self, algo: &A, wave: &mut Wave<Launch<S, M>>)
-    where
-        A: AsyncIterative<State = S, Update = U, Msg = M>,
-    {
-        while self.absorbed_count.get(self.frontier).is_some_and(|&done| done == self.k) {
-            let f = self.frontier;
-            self.frontier += 1;
-
-            // Coordinated checkpoint declaration: every partition has
-            // absorbed iteration f, so every state entering
-            // `self.frontier` exists — the policy decides whether this
-            // iteration becomes the new rollback target.
-            if self.ckpt.enabled() {
-                let snapshot: u64 = self
-                    .parts
-                    .iter()
-                    .map(|part| part.hist_bytes[self.frontier - part.hist_base])
-                    .sum();
-                let declared = self.ckpt.on_frontier_advance(self.frontier, snapshot);
-                if declared {
-                    if let Some(obs) = self.obs.as_mut() {
-                        obs.mark(MarkKind::CheckpointCommit, 0, self.frontier, snapshot);
-                    }
-                }
-            }
-
-            // States below the retention floor can never become the
-            // final answer (convergence candidates are ≥ the frontier
-            // and yield state index candidate + 1), feed a gmap, or be
-            // a rollback target — with checkpoints enabled the floor is
-            // the last declared checkpoint, not the frontier (that
-            // retained tail IS the snapshot).
-            let retain =
-                if self.ckpt.enabled() { self.ckpt.last_checkpoint() } else { self.frontier };
-            for part in &mut self.parts {
-                while part.hist_base < retain && part.history.len() > 1 {
-                    part.history.pop_front();
-                    self.held_state_bytes -= part.hist_bytes.pop_front().expect("aligned");
-                    part.hist_base += 1;
-                }
-            }
-
-            // Barrier-equivalent convergence: max_lag + 1 consecutive
-            // fully-absorbed iterations must pass the test (for
-            // max_lag = 0 this is exactly the barrier rule).
-            let window = self.max_lag + 1;
-            if f + 1 >= window && ((f + 1 - window)..=f).all(|j| algo.converged(self.max_delta[j]))
-            {
-                self.converged_at = Some(f);
-                self.stopped = true;
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.mark(MarkKind::Converged, 0, f, 0);
-                }
-                return;
-            }
-            if self.frontier >= self.max_iterations {
-                self.stopped = true;
-                return;
-            }
-
-            // Node-failure epoch: one deterministic verdict per node
-            // per frontier advance (the epoch counts advances, so a
-            // re-advance over rolled-back ground draws fresh verdicts
-            // and the session cannot livelock on one fatal epoch).
-            if self.node_plan.enabled() {
-                let epoch = self.epoch;
-                self.epoch += 1;
-                let fired: Vec<usize> = (0..self.node_plan.num_nodes)
-                    .filter(|&n| {
-                        self.node_deaths[n] < self.node_plan.max_node_failures
-                            && self.node_plan.node_fails(n, epoch)
-                    })
-                    .collect();
-                if !fired.is_empty() {
-                    for &n in &fired {
-                        self.node_deaths[n] += 1;
-                    }
-                    self.rollbacks += fired.len();
-                    self.rollback(&fired, wave);
-                    return;
-                }
-            }
-
-            // The frontier moved: runahead-capped partitions may go.
-            for p in 0..self.k {
-                self.push_launch(p, wave);
-            }
-        }
-    }
-
-    /// The rollback engine: rewinds everything a set of dying virtual
-    /// nodes contaminated back to the last declared checkpoint `C` and
-    /// relaunches it from the checkpointed states.
-    ///
-    /// The affected set starts with the dead nodes' resident partitions
-    /// and closes transitively over the dependency topology: a
-    /// partition that *absorbed* a batch whose producer is affected and
-    /// whose source iteration is ≥ `C` (per its consumption log) holds
-    /// contaminated state and is rewound too. Affected partitions'
-    /// delivered batches ≥ `C` are revoked from consumer mailboxes
-    /// (re-execution re-delivers byte-identical ones); their recorded
-    /// schedule entries ≥ `C` are marked dead and their meter
-    /// contributions subtracted (re-execution re-records them); their
-    /// in-flight attempts are orphaned by a generation bump. Stale
-    /// `max_delta` maxima are deliberately left in place: at
-    /// `max_lag = 0` re-absorption reproduces them bitwise, and at
-    /// `max_lag > 0` a stale maximum can only delay convergence, never
-    /// fake it.
-    fn rollback(&mut self, fired: &[usize], wave: &mut Wave<Launch<S, M>>) {
-        let rollback_t0 = self.obs.as_ref().map(|obs| obs.recorder.now_ns());
-        let c = self.ckpt.last_checkpoint();
-        debug_assert!(c <= self.frontier, "checkpoints are declared at frontier advances");
-        // Delivered-bytes accounting restarts at the checkpoint the
-        // frontier rewinds to (byte-budget policies would otherwise
-        // double-count the re-advanced ground).
-        self.ckpt.on_rollback();
-
-        // Seed: partitions resident on a dead node.
-        let mut affected = vec![false; self.k];
-        let mut queue: Vec<usize> = Vec::new();
-        for (p, hit) in affected.iter_mut().enumerate() {
-            if fired.contains(&self.node_plan.node_of(p)) {
-                *hit = true;
-                queue.push(p);
-            }
-        }
-        // Transitive closure over consumed-revoked-batch edges.
-        while let Some(x) = queue.pop() {
-            let out = std::mem::take(&mut self.parts[x].out_deps);
-            for &q in &out {
-                if affected[q] {
-                    continue;
-                }
-                let pos =
-                    self.parts[q].deps.binary_search(&x).expect("out_deps is the inverse of deps");
-                let part = &self.parts[q];
-                let contaminated = part.absorb_log[c.min(part.absorbed)..]
-                    .iter()
-                    .any(|rec| rec.selected[pos] >= c);
-                if contaminated {
-                    affected[q] = true;
-                    queue.push(q);
-                }
-            }
-            self.parts[x].out_deps = out;
-        }
-
-        let rewound: Vec<usize> = (0..self.k).filter(|&x| affected[x]).collect();
-
-        // Revoke affected producers' delivered batches ≥ C from every
-        // consumer (the dead node's stored outputs are gone; rewound
-        // survivors will re-deliver identical ones anyway).
-        let msg_size = std::mem::size_of::<M>() as u64;
-        for &x in &rewound {
-            let out = std::mem::take(&mut self.parts[x].out_deps);
-            for &q in &out {
-                let pos =
-                    self.parts[q].deps.binary_search(&x).expect("out_deps is the inverse of deps");
-                let mb = &mut self.parts[q].mailbox[pos];
-                while let Some((&key, _)) = mb.last_key_value() {
-                    if key < c {
-                        break;
-                    }
-                    let mut batch = mb.remove(&key).expect("last key exists");
-                    self.held_msg_bytes -= batch.len() as u64 * msg_size;
-                    batch.clear();
-                    self.batch_pool.push(batch);
-                }
-            }
-            self.parts[x].out_deps = out;
-        }
-
-        // Rewind each affected partition to the checkpoint state,
-        // unwinding its meter contributions so re-execution re-adds
-        // them exactly once.
-        for &x in &rewound {
-            let part = &mut self.parts[x];
-            if part.absorbed > c {
-                self.rolled_back_iterations += part.absorbed - c;
-            }
-            for i in c..part.absorbed {
-                self.absorbed_count[i] -= 1;
-                self.iter_ops[i] -= part.absorb_log[i].ops;
-            }
-            for i in c..part.sched_of_iter.len() {
-                let rec = &part.gmap_log[i];
-                self.iter_ops[i] -= rec.ops;
-                self.iter_syncs[i] -= rec.syncs;
-                self.iter_gmap_time[i] = self.iter_gmap_time[i].saturating_sub(rec.elapsed);
-                self.dead[part.sched_of_iter[i]] = true;
-            }
-            part.sched_of_iter.truncate(c);
-            part.gmap_log.truncate(c);
-            part.absorb_log.truncate(c);
-            debug_assert!(part.hist_base <= c, "retention keeps the checkpoint state");
-            while part.hist_base + part.history.len() > c + 1 {
-                part.history.pop_back();
-                self.held_state_bytes -= part.hist_bytes.pop_back().expect("aligned");
-            }
-            part.parked = None;
-            part.generation += 1; // orphan anything still in flight
-            part.absorbed = c;
-            part.launched = c;
-        }
-
-        // Rebuild the re-executed gmap's dependency edges (normally set
-        // by the absorb that enabled it; that absorb is below the
-        // checkpoint and its consumption log survived). Needs
-        // cross-partition reads, hence the second pass.
-        for &x in &rewound {
-            let dep_tasks = if c == 0 {
-                Vec::new()
-            } else {
-                let selected = &self.parts[x].absorb_log[c - 1];
-                let mut d = vec![self.parts[x].sched_of_iter[c - 1]];
-                for (j, &sel) in selected.selected.iter().enumerate() {
-                    let q = self.parts[x].deps[j];
-                    d.push(self.parts[q].sched_of_iter[sel]);
-                }
-                d.sort_unstable();
-                d.dedup();
-                d
-            };
-            self.parts[x].next_dep_tasks = dep_tasks;
-        }
-
-        // Rewind the frontier to the checkpoint and relaunch the
-        // affected partitions from it; unaffected partitions keep
-        // their in-flight work and re-drive the frontier as deliveries
-        // resume.
-        self.frontier = self.frontier.min(c);
-        for &x in &rewound {
-            self.push_launch(x, wave);
-        }
-        if let Some(t0) = rollback_t0 {
-            let obs = self.obs.as_ref().expect("rollback_t0 implies obs");
-            let now = obs.recorder.now_ns();
-            // One span per rollback event, on the scheduler lane:
-            // `partition` = lowest rewound partition, `iteration` = the
-            // checkpoint rewound to, `attempt` = rewound partition count.
-            obs.recorder.record(
-                SpanKind::Rollback,
-                rewound.first().copied().unwrap_or(0),
-                c,
-                rewound.len() as u32,
-                t0,
-                Duration::from_nanos(now.saturating_sub(t0)),
-            );
-        }
-    }
-
-    /// Builds the outcome: final states at the result iteration, meters
-    /// over contributing iterations only, and the contributing slice of
-    /// the schedule (speculative tasks filtered out, indices remapped).
-    fn finish(
-        mut self,
-        max_lag: usize,
-        wall_time: Duration,
-        pool: PoolMetrics,
-    ) -> SessionOutcome<S> {
-        let (iterations, converged) = match self.converged_at {
-            Some(f) => (f + 1, true),
-            None => (self.frontier, false),
-        };
-        let states: Vec<Arc<S>> = self
-            .parts
-            .iter()
-            .map(|part| Arc::clone(&part.history[iterations - part.hist_base]))
-            .collect();
-
-        let mut remap = vec![usize::MAX; self.schedule.len()];
-        let mut kept = Vec::with_capacity(iterations * self.k);
-        let mut kept_times = Vec::new();
-        for (idx, mut spec) in std::mem::take(&mut self.schedule).into_iter().enumerate() {
-            // Dead entries were rolled back past a checkpoint; their
-            // surviving re-execution is recorded further down the list.
-            if spec.iteration < iterations && !self.dead[idx] {
-                remap[idx] = kept.len();
-                for d in &mut spec.deps {
-                    debug_assert_ne!(remap[*d], usize::MAX, "deps precede their consumers");
-                    *d = remap[*d];
-                }
-                if let Some(obs) = self.obs.as_ref() {
-                    kept_times.push(obs.task_times[idx]);
-                }
-                kept.push(spec);
-            }
-        }
-
-        // Drain the recorder into the report's trace: the session fills
-        // in what only it knows — marks, stalls (still-open ones close
-        // at the drain instant), the kept schedule's timings, and the
-        // metered gmap nanoseconds the span sum must equal exactly.
-        let trace = self.obs.take().map(|mut obs| {
-            for p in 0..self.k {
-                obs.close_stall(p);
-            }
-            let mut t = obs.recorder.drain();
-            t.marks = obs.marks;
-            t.stalls = obs.stalls;
-            t.task_start_ns = kept_times.iter().map(|&(s, _)| s).collect();
-            t.task_finish_ns = kept_times.iter().map(|&(_, f)| f).collect();
-            t.metered_gmap_ns = (self.total_gmap_time + self.failed_time).as_nanos() as u64;
-            t
-        });
-
-        let contributing_time: Duration = self.iter_gmap_time[..iterations].iter().sum();
-        let report = SessionReport {
-            global_iterations: iterations,
-            converged,
-            local_syncs: self.iter_syncs[..iterations].iter().sum(),
-            total_ops: self.iter_ops[..iterations].iter().sum(),
-            gmap_tasks: kept.len(),
-            speculative_tasks: self.executed - kept.len(),
-            speculative_time: self.total_gmap_time.saturating_sub(contributing_time),
-            failed_attempts: self.failed_attempts,
-            failed_attempt_time: self.failed_time,
-            rollbacks: self.rollbacks,
-            rolled_back_iterations: self.rolled_back_iterations,
-            checkpoint_bytes: self.ckpt.checkpoint_bytes(),
-            peak_state_bytes: self.peak_state_bytes,
-            deferred_launches: self.deferred_launches,
-            max_lag,
-            peak_effective_lag: if self.adaptive.is_some() {
-                self.peak_effective_lag
-            } else {
-                max_lag
-            },
-            wall_time,
-            pool,
-            trace,
-            schedule: kept,
-        };
-        SessionOutcome { states, report }
+        sess.finish(started.elapsed(), pool.metrics().since(&pool_before))
     }
 }
 
@@ -2264,6 +1163,14 @@ mod tests {
     }
 
     #[test]
+    fn traced_empty_run_carries_no_trace() {
+        let out =
+            AsyncFixedPointDriver::new(10).with_trace().run(&pool(), &Ring::new(0, 1e-9, true));
+        assert!(out.report.trace.is_none(), "no partitions, nothing observed");
+        assert_eq!((out.report.max_lag, out.report.peak_effective_lag), (0, 0));
+    }
+
+    #[test]
     fn injected_transient_failures_leave_the_fixpoint_bitwise_identical() {
         let algo = Ring::new(8, 1e-10, true);
         let p = pool();
@@ -2381,6 +1288,13 @@ mod tests {
         assert!(
             ckpt.report.peak_state_bytes >= plain.report.peak_state_bytes,
             "checkpoint retention cannot hold less than frontier pruning"
+        );
+        // Schedule-independent floor: when the last partition absorbs the
+        // iteration that declares checkpoint C + 2, every partition still
+        // holds its states entering C, C + 1 and C + 2.
+        assert!(
+            ckpt.report.peak_state_bytes >= 3 * 8 * 8,
+            "checkpoint retention holds history back to the last checkpoint"
         );
     }
 
@@ -2580,6 +1494,19 @@ mod tests {
         for (x, y) in clean.states.iter().zip(&chaotic.states) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    #[test]
+    fn fixed_lag_reports_its_window_as_cap_and_peak() {
+        // The documented `SessionReport` contract for the fixed knob:
+        // it is the floor = cap case of the admission controller, so
+        // the bound and the widest window used are both exactly it.
+        let algo = Ring::new(6, 1e-10, true);
+        let report = AsyncFixedPointDriver::new(1_000).with_max_lag(2).run(&pool(), &algo).report;
+        assert!(report.converged);
+        assert_eq!((report.max_lag, report.peak_effective_lag), (2, 2));
+        let exact = AsyncFixedPointDriver::new(1_000).run(&pool(), &algo).report;
+        assert_eq!((exact.max_lag, exact.peak_effective_lag), (0, 0));
     }
 
     #[test]

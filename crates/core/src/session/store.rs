@@ -1,0 +1,361 @@
+//! What a session holds: per-partition state history and mailboxes, and
+//! the byte ledger over them.
+//!
+//! **Invariant:** `held()` equals, at every method boundary, the summed
+//! [`AsyncIterative::state_bytes`](super::AsyncIterative::state_bytes)
+//! of every retained state plus the shallow size of every message in
+//! every mailbox; `peak()` is its high-water mark. No code outside this
+//! module can move a state or a batch, so none can break the ledger —
+//! which is what the driver's `runahead_byte_budget` and
+//! [`SessionReport::peak_state_bytes`](super::SessionReport::peak_state_bytes)
+//! rest on.
+//!
+//! The store also owns the two buffer pools (outboxes and message-batch
+//! `Vec`s): every batch leaving a mailbox is recycled, and re-enters an
+//! outbox slot at the next delivery, so steady-state delivery moves
+//! capacity around without allocating. All traffic is on the scheduler
+//! thread; no locks.
+//!
+//! The absorb computation for partition `p` reads only `p`'s own slot
+//! (its state and its mailbox) plus the shared [`Topology`]; delivery
+//! and revocation are the only cross-partition writes.
+
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
+
+use super::topology::Topology;
+use super::Outbox;
+
+/// One partition's retained states and undelivered-to-absorb batches.
+#[derive(Debug)]
+struct Slot<S, M> {
+    /// `(state, state_bytes)` for iterations `[base ..]`, never empty.
+    history: VecDeque<(Arc<S>, u64)>,
+    base: usize,
+    /// Per dependency slot: source iteration → message batch.
+    mailbox: Vec<BTreeMap<usize, Vec<M>>>,
+}
+
+/// Mailbox byte ledger plus the recycled batch `Vec`s.
+#[derive(Debug)]
+struct Batches<M> {
+    held_bytes: u64,
+    free: Vec<Vec<M>>,
+}
+
+impl<M> Batches<M> {
+    fn bytes(batch: &[M]) -> u64 {
+        std::mem::size_of_val(batch) as u64
+    }
+
+    /// Takes a batch that just left a mailbox off the ledger and keeps
+    /// its capacity for a later delivery.
+    fn recycle(&mut self, mut batch: Vec<M>) {
+        self.held_bytes -= Self::bytes(&batch);
+        batch.clear();
+        self.free.push(batch);
+    }
+}
+
+/// Histories, mailboxes, ledger and pools of one session run (see the
+/// [module docs](self)).
+#[derive(Debug)]
+pub(crate) struct Store<S, M> {
+    slots: Vec<Slot<S, M>>,
+    held_state_bytes: u64,
+    batches: Batches<M>,
+    peak: u64,
+    /// The driver's `runahead_byte_budget`.
+    budget: Option<u64>,
+    outboxes: Vec<Outbox<M>>,
+}
+
+impl<S, M> Store<S, M> {
+    /// A store holding each partition's initial state (`init(p)` returns
+    /// it with its `state_bytes`) and empty mailboxes shaped by `topo`.
+    pub(crate) fn new(
+        topo: &Topology,
+        budget: Option<u64>,
+        mut init: impl FnMut(usize) -> (S, u64),
+    ) -> Self {
+        let mut held_state_bytes = 0;
+        let slots = (0..topo.partitions())
+            .map(|p| {
+                let (state, bytes) = init(p);
+                held_state_bytes += bytes;
+                Slot {
+                    history: VecDeque::from([(Arc::new(state), bytes)]),
+                    base: 0,
+                    mailbox: topo.deps(p).iter().map(|_| BTreeMap::new()).collect(),
+                }
+            })
+            .collect();
+        Store {
+            slots,
+            held_state_bytes,
+            batches: Batches { held_bytes: 0, free: Vec::new() },
+            peak: held_state_bytes,
+            budget,
+            outboxes: Vec::new(),
+        }
+    }
+
+    /// Bytes currently held: state history plus mailbox batches.
+    pub(crate) fn held(&self) -> u64 {
+        self.held_state_bytes + self.batches.held_bytes
+    }
+
+    /// High-water mark of [`Store::held`].
+    pub(crate) fn peak(&self) -> u64 {
+        self.peak
+    }
+
+    /// `Some(held)` when a runahead budget is set and held bytes have
+    /// reached it — speculative launches must defer.
+    pub(crate) fn over_budget(&self) -> Option<u64> {
+        let held = self.held();
+        (self.budget? <= held).then_some(held)
+    }
+
+    fn note_peak(&mut self) {
+        self.peak = self.peak.max(self.held());
+    }
+
+    /// Partition `p`'s state entering `iter` (must be retained).
+    pub(crate) fn state(&self, p: usize, iter: usize) -> &Arc<S> {
+        let slot = &self.slots[p];
+        &slot.history[iter - slot.base].0
+    }
+
+    /// Summed `state_bytes` of every partition's state entering `iter`
+    /// — what a checkpoint at `iter` would write.
+    pub(crate) fn snapshot_bytes(&self, iter: usize) -> u64 {
+        self.slots.iter().map(|slot| slot.history[iter - slot.base].1).sum()
+    }
+
+    /// A pooled empty outbox for the next launch.
+    pub(crate) fn take_outbox(&mut self) -> Outbox<M> {
+        self.outboxes.pop().unwrap_or_else(|| Outbox::new(self.slots.len()))
+    }
+
+    /// Returns an outbox to the pool (clearing only its touched slots,
+    /// keeping all allocations).
+    pub(crate) fn recycle_outbox(&mut self, mut outbox: Outbox<M>) {
+        outbox.recycle();
+        self.outboxes.push(outbox);
+    }
+
+    /// Delivers (and recycles) `p`'s iteration-`iter` outbox: one batch to every
+    /// declared consumer — empty if the gmap emitted nothing for it —
+    /// so consumers never wait on a message that will never come.
+    /// Non-empty slots are swapped out against recycled batch `Vec`s.
+    /// A rollback re-delivery replaces the surviving batch of identical
+    /// content.
+    pub(crate) fn deliver(
+        &mut self,
+        topo: &Topology,
+        p: usize,
+        iter: usize,
+        mut outbox: Outbox<M>,
+    ) {
+        for &(dest, slot) in topo.consumers(p) {
+            let staged = &mut outbox.per_dest[dest];
+            let msgs = if staged.is_empty() {
+                Vec::new()
+            } else {
+                std::mem::replace(staged, self.batches.free.pop().unwrap_or_default())
+            };
+            self.batches.held_bytes += Batches::bytes(&msgs);
+            if let Some(old) = self.slots[dest].mailbox[slot].insert(iter, msgs) {
+                self.batches.recycle(old);
+            }
+        }
+        self.note_peak();
+        // Hard assert (touched slots are few, this is once per gmap):
+        // silently dropping a batch for an undeclared consumer would
+        // converge to a *wrong* fixed point, not fail. Declared slots
+        // were just emptied by the swap, so any survivor is undeclared.
+        for &t in &outbox.touched {
+            assert!(
+                outbox.per_dest[t as usize].is_empty(),
+                "gmap of partition {p} emitted to a partition that does not declare it as a \
+                 dependency"
+            );
+        }
+        self.recycle_outbox(outbox);
+    }
+
+    /// Per dependency slot of `p`: the freshest delivered source
+    /// iteration `≤ iter`, or `None` if nothing that old has arrived.
+    pub(crate) fn freshest(
+        &self,
+        p: usize,
+        iter: usize,
+    ) -> impl Iterator<Item = Option<usize>> + '_ {
+        self.slots[p]
+            .mailbox
+            .iter()
+            .map(move |mb| mb.range(..=iter).next_back().map(|(&key, _)| key))
+    }
+
+    /// The absorb inbox of `p`: per dependency (ascending source
+    /// order), the batch of the `selected` source iteration.
+    pub(crate) fn inbox<'a>(
+        &'a self,
+        p: usize,
+        deps: &[usize],
+        selected: &[usize],
+    ) -> Vec<(usize, &'a [M])> {
+        let mailbox = &self.slots[p].mailbox;
+        deps.iter()
+            .zip(mailbox.iter().zip(selected))
+            .map(|(&q, (mb, sel))| (q, mb[sel].as_slice()))
+            .collect()
+    }
+
+    /// Commits `p`'s absorb: retains the new state and prunes `p`'s
+    /// mailbox batches older than `keep_from`.
+    pub(crate) fn commit(&mut self, p: usize, state: S, bytes: u64, keep_from: usize) {
+        let slot = &mut self.slots[p];
+        slot.history.push_back((Arc::new(state), bytes));
+        for mb in &mut slot.mailbox {
+            while mb.first_key_value().is_some_and(|(&key, _)| key < keep_from) {
+                self.batches.recycle(mb.pop_first().expect("checked non-empty").1);
+            }
+        }
+        self.held_state_bytes += bytes;
+        self.note_peak();
+    }
+
+    /// Drops `p`'s retained states outside iterations `[lo, hi]`
+    /// (always keeping the newest when pruning from the front).
+    fn retain_states(&mut self, p: usize, lo: usize, hi: usize) {
+        let Slot { history, base, .. } = &mut self.slots[p];
+        while *base < lo && history.len() > 1 {
+            self.held_state_bytes -= history.pop_front().expect("len > 1").1;
+            *base += 1;
+        }
+        while *base + history.len() - 1 > hi {
+            self.held_state_bytes -= history.pop_back().expect("checked non-empty").1;
+        }
+    }
+
+    /// Drops every partition's states below iteration `floor` (always
+    /// keeping the newest).
+    pub(crate) fn prune_states(&mut self, floor: usize) {
+        for p in 0..self.slots.len() {
+            self.retain_states(p, floor, usize::MAX);
+        }
+    }
+
+    /// Rewinds `p` to checkpoint `c`: revokes its delivered batches with
+    /// source iteration `≥ c` from every consumer (the dead node's
+    /// stored outputs are gone; a rewound survivor re-delivers identical
+    /// ones anyway) and drops its states past the one entering `c`.
+    pub(crate) fn rewind(&mut self, topo: &Topology, p: usize, c: usize) {
+        for &(dest, slot) in topo.consumers(p) {
+            let mb = &mut self.slots[dest].mailbox[slot];
+            while mb.last_key_value().is_some_and(|(&key, _)| key >= c) {
+                self.batches.recycle(mb.pop_last().expect("checked non-empty").1);
+            }
+        }
+        debug_assert!(self.slots[p].base <= c, "retention keeps the checkpoint state");
+        self.retain_states(p, 0, c);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    impl<S, M> Store<S, M> {
+        /// The ledger recomputed from scratch.
+        fn recomputed(&self) -> u64 {
+            let states: u64 = self.slots.iter().flat_map(|s| &s.history).map(|(_, b)| b).sum();
+            let msgs: usize = self
+                .slots
+                .iter()
+                .flat_map(|s| &s.mailbox)
+                .flat_map(|mb| mb.values())
+                .map(Vec::len)
+                .sum();
+            states + (msgs * std::mem::size_of::<M>()) as u64
+        }
+    }
+
+    /// Partition p's state is `p` and "weighs" `10 + p` bytes.
+    fn chain_store() -> (Topology, Store<usize, u32>) {
+        // 0 → 1 → 2, plus 0 → 2.
+        let topo = Topology::from_deps(vec![vec![], vec![0], vec![0, 1]]);
+        let store = Store::new(&topo, Some(64), |p| (p, 10 + p as u64));
+        (topo, store)
+    }
+
+    fn deliver(store: &mut Store<usize, u32>, topo: &Topology, p: usize, iter: usize, n: u32) {
+        let mut outbox = store.take_outbox();
+        for &(dest, _) in topo.consumers(p) {
+            for m in 0..n {
+                outbox.push(dest, m);
+            }
+        }
+        store.deliver(topo, p, iter, outbox);
+    }
+
+    #[test]
+    fn held_bytes_track_every_insert_replace_prune_and_revoke() {
+        let (topo, mut store) = chain_store();
+        let initial = 10 + 11 + 12;
+        assert_eq!((store.held(), store.peak()), (initial, initial));
+        assert_eq!(store.over_budget(), None);
+
+        // Inserts: 0 delivers 3 msgs to each of {1, 2}; 1 delivers 2 to {2}.
+        for (p, iter, n) in [(0, 0, 3), (1, 0, 2), (0, 1, 3), (1, 1, 0)] {
+            deliver(&mut store, &topo, p, iter, n);
+            assert_eq!(store.held(), store.recomputed(), "after deliver({p}, {iter})");
+        }
+        assert_eq!(store.held(), initial + (3 + 3 + 2 + 3 + 3) * 4);
+        assert_eq!(store.over_budget(), Some(store.held()), "89 held ≥ 64 budget");
+        assert_eq!(store.freshest(2, 5).collect::<Vec<_>>(), [Some(1), Some(1)]);
+        assert_eq!(store.inbox(2, topo.deps(2), &[0, 0]), [(0, &[0, 1, 2][..]), (1, &[0, 1][..])]);
+
+        // A rollback re-delivery replaces the surviving batch in place.
+        let before = store.held();
+        deliver(&mut store, &topo, 0, 1, 3);
+        assert_eq!(store.held(), before, "replacement is byte-neutral");
+        assert_eq!(store.held(), store.recomputed());
+
+        // Commit an absorb of partition 2 (state +7 bytes), pruning its
+        // iteration-0 batches (3 from source 0, 2 from source 1).
+        store.commit(2, 99, 7, 1);
+        assert_eq!(store.held(), before + 7 - 5 * 4);
+        assert_eq!(store.held(), store.recomputed());
+        assert_eq!(**store.state(2, 1), 99);
+        assert_eq!(store.snapshot_bytes(0), initial);
+        let peak = store.peak();
+        assert!(peak >= before, "peak is a high-water mark");
+
+        // Revoke: rewinding producer 0 to checkpoint 1 pulls its
+        // iteration-1 batches out of both consumers.
+        store.rewind(&topo, 0, 1);
+        assert_eq!(store.held(), before + 7 - 5 * 4 - 6 * 4);
+        assert_eq!(store.held(), store.recomputed());
+        assert_eq!(store.freshest(2, 5).collect::<Vec<_>>(), [None, Some(1)]);
+
+        // Empty it: rewinding every partition to 0 revokes every batch
+        // and drops every state but the initial ones.
+        for p in 0..3 {
+            store.rewind(&topo, p, 0);
+        }
+        assert_eq!(store.batches.held_bytes, 0, "every mailbox is empty again");
+        assert_eq!(store.held(), initial, "one state per partition, back at the initial bytes");
+        assert_eq!(store.held(), store.recomputed());
+        assert_eq!(store.peak(), peak, "the peak never comes down");
+
+        // Frontier pruning drops states below the floor but always
+        // keeps a partition's newest.
+        store.commit(2, 99, 7, 0);
+        store.prune_states(1);
+        assert_eq!(store.held(), initial + 7 - 12);
+        assert_eq!(store.held(), store.recomputed());
+    }
+}
