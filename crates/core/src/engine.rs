@@ -2,41 +2,45 @@
 //! simulated distributed timing.
 //!
 //! One [`Engine::run`] call is one MapReduce *job* — one **global
-//! synchronization** in the paper's cost accounting. Execution is a
-//! composition of the named stage types in [`crate::plan`]:
+//! synchronization** in the paper's cost accounting. The job's work is
+//! written once, as the task bodies of [`crate::plan`]:
 //!
-//! 1. [`plan::MapStage`] runs every map task in parallel on the
-//!    work-stealing pool,
-//! 2. [`plan::CombineStage`] applies the optional combiner per task,
-//! 3. [`plan::ShuffleStage`] routes deterministically (stable key hash
-//!    → reduce partition) and transfers each partition's buckets to its
-//!    reduce task *by move* — no clone, and partitions that received no
+//! 1. map: every input split runs the user's map function,
+//! 2. combine: the optional combiner folds each task's output,
+//! 3. shuffle: pairs are routed deterministically (stable key hash →
+//!    reduce partition) and each partition's buckets reach its reduce
+//!    task *by move* — no clone, and partitions that received no
 //!    records are skipped,
-//! 4. [`plan::ReduceStage`] runs every reduce task in parallel, fusing
-//!    move-based concatenation with sort-based
-//!    [`crate::shuffle::GroupView`] grouping (key-sorted groups,
-//!    map-task-ordered values) over buffers recycled across jobs,
+//! 4. reduce: every reduce task fuses move-based concatenation with
+//!    sort-based [`crate::shuffle::GroupView`] grouping (key-sorted
+//!    groups, map-task-ordered values) over buffers recycled across
+//!    jobs,
 //! 5. the engine meters everything, and — when a [`Simulation`] is
 //!    attached — replays the metered job on the simulated cluster,
 //!    appending the resulting [`JobStats`] to the engine's history.
 //!
+//! An engine runs that one body under one of two *schedules*: **staged**
+//! ([`Engine::in_process`], the default: steps 1–4 are four barriers on
+//! the work-stealing pool) or **pipelined**
+//! ([`Engine::with_pipelined_shuffle`]: steps 1–3 fuse into one task
+//! per split and reduce tasks are spawned from its completions, with no
+//! intra-job barrier). The schedules share every line of the body, so
+//! pairs and [`JobMeter`]s are identical by construction; only
+//! wall-clock and [`StageTimings`] attribution differ. A third path,
+//! the **oracle** ([`Engine::with_reference_shuffle`]), deliberately
+//! shares nothing with them and exists so the `stage_equivalence` and
+//! `pipeline_equivalence` suites have something independent to compare
+//! against.
+//!
 //! The returned pairs are *identical* whether or not simulation is
-//! enabled; simulation only produces timing. They are also identical
-//! across all three execution strategies — staged (the default
-//! composition above), pipelined ([`Engine::with_pipelined_shuffle`]:
-//! the same work with no intra-job stage barriers, reduce tasks
-//! scheduled eagerly via [`plan::pipelined`]), and the kept-for-test
-//! reference ([`plan::reference::execute`]) — asserted by the
-//! `stage_equivalence` integration tests.
+//! enabled; simulation only produces timing.
 
 use std::time::{Duration, Instant};
 
 use asyncmr_runtime::ThreadPool;
 use asyncmr_simcluster::{JobSpec, JobStats, SimTime, Simulation};
 
-use crate::plan::{
-    self, CombineStage, MapStage, ReduceStage, ScratchArena, ShuffleStage, StageTimings,
-};
+use crate::plan::{self, ScratchArena, StageTimings};
 use crate::shuffle::GroupingStrategy;
 use crate::traits::{Combiner, Mapper, Reducer};
 
@@ -55,8 +59,8 @@ pub struct JobOptions<'c, K, V> {
     /// metering thirteen empty ones.
     ///
     /// A value of `0` (constructible through this public field) is
-    /// clamped to `1` once at the top of [`Engine::run`]; the stage
-    /// types in [`crate::plan`] themselves require ≥ 1.
+    /// clamped to `1` once at the top of [`Engine::run`]; the task
+    /// bodies in [`crate::plan`] themselves require ≥ 1.
     pub num_reducers: usize,
     /// Optional map-side combiner.
     pub combiner: Option<&'c dyn Combiner<Key = K, Value = V>>,
@@ -151,13 +155,14 @@ pub struct JobResult<K, O> {
     pub meter: JobMeter,
     /// Simulated timing, when the engine has a cluster attached.
     pub sim: Option<JobStats>,
-    /// Real in-process execution time of this job.
+    /// Real in-process execution time of this job (the simulated
+    /// replay, when attached, is not part of it).
     pub wall: Duration,
-    /// Per-stage breakdown. Staged path: wall-clock per barrier
-    /// (sums to ≤ `wall`). Pipelined path
+    /// Per-stage breakdown. Staged schedule: wall-clock per barrier
+    /// (sums to ≤ `wall`). Pipelined schedule
     /// ([`Engine::with_pipelined_shuffle`]): per-stage *busy time*
     /// with [`StageTimings::overlapped`] set — stages overlap, so the
-    /// total may exceed `wall`. All-zero on the reference path
+    /// total may exceed `wall`. All-zero on the oracle
     /// ([`Engine::with_reference_shuffle`]), which executes
     /// monolithically and is not stage-instrumented.
     pub stages: StageTimings,
@@ -172,23 +177,23 @@ pub struct JobRecord {
     pub meter: JobMeter,
     /// Simulated timing, when enabled.
     pub sim: Option<JobStats>,
-    /// Real in-process execution time.
+    /// Real in-process execution time (excludes the simulated replay).
     pub wall: Duration,
-    /// Per-stage wall-clock breakdown.
+    /// Per-stage breakdown, as in [`JobResult::stages`]: wall-clock per
+    /// barrier on staged rows, summed busy time on pipelined rows
+    /// ([`StageTimings::overlapped`] tells them apart).
     pub stages: StageTimings,
 }
 
-/// Which execution strategy [`Engine::run`] uses.
+/// How [`Engine::run`] executes a job (see [`crate::plan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ShufflePath {
-    /// The staged pipeline (barrier path).
+    /// The job body as four barriers.
     Staged,
-    /// Eager reduce scheduling with no intra-job stage barriers
-    /// ([`plan::pipelined::execute`]).
+    /// The job body with no intra-job barriers.
     Pipelined,
-    /// The original clone + `BTreeMap` strategy
-    /// ([`plan::reference::execute`]) — for equivalence tests and the
-    /// before/after benchmark only.
+    /// The oracle: the original clone + `BTreeMap` strategy — for
+    /// equivalence tests only.
     Reference,
 }
 
@@ -224,9 +229,9 @@ impl<'p> Engine<'p> {
     /// An engine that additionally replays every job on a simulated
     /// cluster.
     ///
-    /// Starts on the staged (barrier) strategy; compose with
+    /// Starts on the staged (barrier) schedule; compose with
     /// [`Engine::pipelined`] to simulate *and* execute under the
-    /// pipelined strategy:
+    /// pipelined schedule:
     ///
     /// ```
     /// use asyncmr_core::Engine;
@@ -242,27 +247,26 @@ impl<'p> Engine<'p> {
         Engine::new(pool, Some(sim), ShufflePath::Staged)
     }
 
-    /// Switches this engine to the **pipelined** execution strategy,
-    /// keeping everything else (attached simulation, history, scratch)
-    /// intact. Execution strategy and simulated replay are orthogonal:
-    /// the strategies produce byte-identical pairs and meters, so the
-    /// [`JobSpec`]s handed to the simulator — and therefore the
-    /// simulated timings — are identical too.
+    /// Switches this engine to the **pipelined** schedule, keeping
+    /// everything else (attached simulation, history, scratch) intact.
+    /// Schedule and simulated replay are orthogonal: both schedules
+    /// produce identical pairs and meters, so the [`JobSpec`]s handed
+    /// to the simulator — and therefore the simulated timings — are
+    /// identical too.
     pub fn pipelined(mut self) -> Self {
         self.path = ShufflePath::Pipelined;
         self
     }
 
     /// An in-process engine that executes jobs under the **pipelined**
-    /// strategy: map/combine/route fused into one task per split,
-    /// routed buckets streamed into a [`crate::BucketBoard`], and each
-    /// reduce task scheduled the moment its input buckets are complete
-    /// — no whole-stage barriers inside the job (see
-    /// [`plan::pipelined`]).
+    /// schedule: map/combine/route fused into one task per split, whose
+    /// completion carries its routed buckets to the scheduler, and each
+    /// reduce task spawned the moment its input buckets are complete —
+    /// no whole-stage barriers inside the job (see [`crate::plan`]).
     ///
-    /// Output pairs and [`JobMeter`]s are byte-identical to the staged
-    /// engine (asserted by the `stage_equivalence` and
-    /// `pipeline_equivalence` integration tests); only scheduling,
+    /// Output pairs and [`JobMeter`]s are identical to the staged
+    /// engine (same task bodies; asserted by the `stage_equivalence`
+    /// and `pipeline_equivalence` integration tests); only scheduling,
     /// wall-clock, and [`StageTimings`] attribution differ —
     /// [`JobResult::stages`] reports per-stage *busy time* with
     /// [`StageTimings::overlapped`] set.
@@ -271,11 +275,11 @@ impl<'p> Engine<'p> {
     }
 
     /// An in-process engine running jobs through the kept-for-test
-    /// reference strategy (sequential concat, per-reducer input clone,
-    /// `BTreeMap` grouping). Results must be byte-identical to the
-    /// staged path; use only to assert that or to benchmark against it
-    /// (compare whole-job [`JobResult::wall`] — the reference path is
-    /// monolithic, so its [`JobResult::stages`] stays all-zero).
+    /// oracle (sequential concat, per-reducer input clone, `BTreeMap`
+    /// grouping). Results must be byte-identical to the two schedules;
+    /// use only to assert that or to benchmark against it (compare
+    /// whole-job [`JobResult::wall`] — the oracle is monolithic, so its
+    /// [`JobResult::stages`] stays all-zero).
     pub fn with_reference_shuffle(pool: &'p ThreadPool) -> Self {
         Engine::new(pool, None, ShufflePath::Reference)
     }
@@ -328,119 +332,36 @@ impl<'p> Engine<'p> {
     {
         let started = Instant::now();
         // Normalize once: `num_reducers: 0` is constructible through the
-        // public fields (only `with_reducers` clamps), and every
-        // downstream stage assumes ≥ 1 partition. This is the single
-        // clamp point for all three strategies.
+        // public fields (only `with_reducers` clamps), and every task
+        // body assumes ≥ 1 partition. This is the single clamp point.
         let opts = &JobOptions {
             num_reducers: opts.num_reducers.max(1),
             combiner: opts.combiner,
             grouping: opts.grouping,
         };
-        let (pairs, meter, map_specs, reduce_specs, stages) = match self.path {
-            ShufflePath::Staged => self.run_staged(inputs, mapper, reducer, opts),
-            ShufflePath::Pipelined => {
-                let run = plan::pipelined::execute(
-                    self.pool,
-                    inputs,
-                    mapper,
-                    reducer,
-                    opts,
-                    &self.scratch,
-                );
-                (run.pairs, run.meter, run.map_specs, run.reduce_specs, run.stages)
-            }
-            ShufflePath::Reference => {
-                let run = plan::reference::execute(self.pool, inputs, mapper, reducer, opts);
-                (run.pairs, run.meter, run.map_specs, run.reduce_specs, StageTimings::default())
-            }
+        let (pool, arena) = (self.pool, &self.scratch);
+        let plan::Executed { pairs, meter, stages, specs } = match self.path {
+            ShufflePath::Staged => plan::staged(pool, inputs, mapper, reducer, opts, arena),
+            ShufflePath::Pipelined => plan::pipelined(pool, inputs, mapper, reducer, opts, arena),
+            ShufflePath::Reference => plan::reference(pool, inputs, mapper, reducer, opts),
         };
+        // Read before the replay: the simulator's host time is not this
+        // job's execution time.
+        let wall = started.elapsed();
 
-        // ---- Optional simulated replay ----
-        let sim_stats = self.sim.as_mut().map(|sim| {
-            let job = JobSpec::named(name).with_maps(map_specs).with_reduces(reduce_specs);
-            sim.run_job(&job)
+        let sim = self.sim.as_mut().map(|sim| {
+            let (maps, reduces) = specs.expect("no constructor pairs the oracle with a simulation");
+            sim.run_job(&JobSpec::named(name).with_maps(maps).with_reduces(reduces))
         });
 
-        let wall = started.elapsed();
         self.records.push(JobRecord {
             name: name.to_string(),
             meter,
-            sim: sim_stats.clone(),
+            sim: sim.clone(),
             wall,
             stages,
         });
-        JobResult { pairs, meter, sim: sim_stats, wall, stages }
-    }
-
-    /// The production path: compose the four named stages.
-    #[allow(clippy::type_complexity)]
-    fn run_staged<I, M, R>(
-        &mut self,
-        inputs: &[I],
-        mapper: &M,
-        reducer: &R,
-        opts: &JobOptions<'_, M::Key, M::Value>,
-    ) -> (
-        Vec<(R::Key, R::Out)>,
-        JobMeter,
-        Vec<asyncmr_simcluster::MapTaskSpec>,
-        Vec<asyncmr_simcluster::ReduceTaskSpec>,
-        StageTimings,
-    )
-    where
-        I: Send + Sync,
-        M: Mapper<Input = I>,
-        R: Reducer<Key = M::Key, ValueIn = M::Value>,
-    {
-        let mut stages = StageTimings::default();
-
-        let t = Instant::now();
-        let map_out = MapStage { mapper }.run(self.pool, inputs);
-        stages.map = t.elapsed();
-
-        let t = Instant::now();
-        let combined = CombineStage { combiner: opts.combiner }.run(self.pool, map_out);
-        stages.combine = t.elapsed();
-
-        let t = Instant::now();
-        let (profiles, shuffled) =
-            ShuffleStage { num_reducers: opts.num_reducers }.run(self.pool, combined);
-        stages.shuffle = t.elapsed();
-
-        let t = Instant::now();
-        let reduced = ReduceStage { reducer, grouping: opts.grouping }.run(
-            self.pool,
-            shuffled,
-            &self.scratch,
-        );
-        stages.reduce = t.elapsed();
-
-        let mut meter = JobMeter {
-            map_tasks: inputs.len(),
-            reduce_tasks: reduced.len(),
-            ..JobMeter::default()
-        };
-        for p in &profiles {
-            meter.map_ops += p.ops;
-            meter.local_syncs += p.local_syncs;
-            meter.input_bytes += p.input_bytes;
-            meter.shuffle_records += p.records;
-            meter.shuffle_bytes += p.bytes;
-            meter.precombine_records += p.precombine_records;
-            meter.precombine_bytes += p.precombine_bytes;
-        }
-        for r in &reduced {
-            meter.reduce_ops += r.ops;
-            meter.output_records += r.out_records;
-            meter.output_bytes += r.out_bytes;
-        }
-        let (map_specs, reduce_specs) = plan::task_specs(&profiles, &reduced);
-
-        let mut pairs = Vec::new();
-        for r in reduced {
-            pairs.extend(r.pairs);
-        }
-        (pairs, meter, map_specs, reduce_specs, stages)
+        JobResult { pairs, meter, sim, wall, stages }
     }
 }
 
@@ -717,6 +638,37 @@ mod tests {
         assert_eq!(stats.map_tasks, 8);
         assert_eq!(sim_engine.history().len(), 1);
         assert_eq!(sim_engine.sim_now(), Some(stats.finished_at));
+    }
+
+    #[test]
+    fn wall_excludes_the_simulated_replay() {
+        // 20 000 one-record map tasks are an event storm to replay:
+        // milliseconds of simulator host time, which the caller's clock
+        // sees and `wall` — this job's execution time — must not. (Read
+        // after the replay, `wall` trails the caller's clock by about a
+        // microsecond.)
+        struct One;
+        impl Mapper for One {
+            type Input = u32;
+            type Key = u32;
+            type Value = u64;
+            fn map(&self, _t: usize, _input: &u32, ctx: &mut MapContext<u32, u64>) {
+                ctx.emit_intermediate(0, 1);
+            }
+        }
+        let pool = ThreadPool::new(2);
+        let inputs: Vec<u32> = (0..20_000).collect();
+        let sim = Simulation::new(ClusterSpec::ec2_2010(), 7);
+        let mut engine = Engine::with_simulation(&pool, sim);
+        let t = Instant::now();
+        let out = engine.run("many", &inputs, &One, &SumReducer, &JobOptions::with_reducers(1));
+        let with_replay = t.elapsed();
+        assert_eq!(engine.history()[0].wall, out.wall);
+        assert!(
+            with_replay - out.wall >= Duration::from_micros(100),
+            "wall {:?} bills the replay (caller saw {with_replay:?})",
+            out.wall
+        );
     }
 
     #[test]

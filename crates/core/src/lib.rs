@@ -31,13 +31,13 @@
 //!
 //! [`Engine`] always executes the real computation in-process on the
 //! work-stealing [`asyncmr_runtime::ThreadPool`] (map tasks and reduce
-//! tasks in parallel), under one of three strategies — **staged**
-//! (explicit stage barriers, the default), **pipelined**
-//! ([`Engine::with_pipelined_shuffle`]: no intra-job barriers, reduce
-//! tasks scheduled eagerly through a [`BucketBoard`]), and the
-//! kept-for-test **reference** ([`Engine::with_reference_shuffle`]) —
-//! all three byte-identical in output. Optionally the engine *also*
-//! meters every task (bytes, records, abstract ops) and replays the
+//! tasks in parallel). The job body is written once ([`plan`]) and run
+//! under one of two schedules — **staged** (four barriers, the
+//! default) or **pipelined** ([`Engine::with_pipelined_shuffle`]: no
+//! intra-job barriers, reduce tasks spawned from map completions) —
+//! with a kept-for-test **oracle** ([`Engine::with_reference_shuffle`])
+//! beside them; all three byte-identical in output. Optionally the
+//! engine *also* meters every task (bytes, records, abstract ops) and replays the
 //! job on the [`asyncmr_simcluster::Simulation`] of the paper's 8-node
 //! EC2/Hadoop testbed, yielding the simulated wall-clock each figure
 //! reports. Algorithmic results are identical under both backends by
@@ -81,7 +81,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bucket_board;
 pub mod checkpoint;
 pub mod driver;
 pub mod emitter;
@@ -95,7 +94,6 @@ pub mod session;
 pub mod shuffle;
 pub mod traits;
 
-pub use bucket_board::BucketBoard;
 pub use checkpoint::{CheckpointPolicy, NodeFailurePlan};
 pub use driver::{FixedPointDriver, IterationReport, StepStatus};
 pub use emitter::{Emitter, MapContext, ReduceContext, TaskMeter};
@@ -103,7 +101,7 @@ pub use engine::{Engine, JobMeter, JobOptions, JobResult};
 pub use kv::{Key, Meterable, Value};
 pub use local::{EagerMapper, LocalAlgorithm, LocalMapContext, LocalReduceContext, LocalState};
 pub use obs::SpanRecorder;
-pub use plan::{CombineStage, MapStage, ReduceStage, ScratchArena, ShuffleStage, StageTimings};
+pub use plan::{ScratchArena, StageTimings};
 pub use session::{
     Absorbed, AdaptiveLagConfig, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput,
     Outbox, SessionFailurePlan, SessionOutcome, SessionReport,

@@ -1,57 +1,68 @@
-//! The staged execution plan: explicit `MapStage → CombineStage →
-//! ShuffleStage → ReduceStage` types that [`crate::Engine::run`]
-//! composes.
+//! One job body, two schedules — and the oracle.
 //!
-//! The paper's argument is that global synchronization barriers
-//! dominate iterative MapReduce cost; the ASYNC line of work isolates
-//! the communication/aggregation stage behind an engine-internal
-//! abstraction so it can be optimized independently of user code. This
-//! module is that abstraction: each stage is a named type with a `run`
-//! method, so metering, simulated replay, and future async/pipelined
-//! scheduling hang off stage *boundaries* instead of one monolithic
-//! function.
+//! The paper's argument is about *when* work is synchronised, not *what*
+//! the work is, so this module writes the work of a MapReduce job
+//! exactly once, as private task bodies:
 //!
-//! The shuffle/reduce half is the hot path and is built around
-//! ownership transfer:
+//! * `map_task` — the user's map over one split, plus its meters
+//!   (including the [`crate::Mapper::input_size_hint`] fallback);
+//! * `combine_task` — the optional map-side combiner over one task's
+//!   pairs, re-metering what heads into the shuffle;
+//! * [`shuffle::route`] — stable key hash → one bucket per reduce
+//!   partition;
+//! * `ReduceInputs` — the single-owner accumulator that transposes
+//!   bucket *handles* (no element is copied or cloned): each map task's
+//!   routed buckets are delivered once; a partition's input is its
+//!   non-empty buckets in map-task order, whatever order they arrived
+//!   in. Partitions that received no records are **skipped** — not
+//!   executed, not metered, not replayed in simulation (see
+//!   [`crate::JobOptions::num_reducers`]);
+//! * `reduce_task` — move-concatenation of one partition's buckets,
+//!   grouping into contiguous [`crate::shuffle::GroupView`] slices, and
+//!   the user's reduce calls, over buffers recycled through a
+//!   [`ScratchArena`] across the hundreds of jobs a
+//!   [`crate::FixedPointDriver`] run issues;
+//! * `assemble` — the [`crate::JobMeter`] fold, the simulator task
+//!   specs, and the ascending-partition concatenation of output pairs.
 //!
-//! * [`ShuffleStage`] routes every map task's output in parallel, then
-//!   *transposes bucket handles* — per-reducer ownership transfer, no
-//!   element is copied or cloned;
-//! * reduce partitions that received no records are **skipped** (not
-//!   executed, not metered, not replayed in simulation) — see
-//!   [`crate::JobOptions::num_reducers`];
-//! * [`ReduceStage`] fuses, per reduce task: move-concatenation of that
-//!   reducer's buckets, sort-based grouping into contiguous
-//!   [`crate::shuffle::GroupView`] slices, and the user's reduce calls —
-//!   with all working buffers recycled through a [`ScratchArena`]
-//!   across the hundreds of jobs a [`crate::FixedPointDriver`] run
-//!   issues.
+//! [`crate::Engine::run`] picks one of two **schedules** over those
+//! bodies:
 //!
-//! Three execution strategies share these building blocks:
+//! * **staged** ([`crate::Engine::in_process`]) — four barriers
+//!   (map ∥, combine ∥, route ∥ + accumulate, reduce ∥), each timed as
+//!   wall-clock;
+//! * **pipelined** ([`crate::Engine::with_pipelined_shuffle`]) — map →
+//!   combine → route fuse into one pool task per split (data stays
+//!   cache-hot, no inter-stage pool round-trips) whose completion
+//!   carries its routed buckets to the scheduler closure of
+//!   [`asyncmr_runtime::ThreadPool::par_pipeline`]. That closure runs
+//!   on the one calling thread, so it owns the accumulator outright —
+//!   nothing is shared, nothing is locked — and spawns the reduce
+//!   follow-ups the moment the last delivery completes the partitions.
+//!   Timed as per-stage busy time.
 //!
-//! * **staged** ([`crate::Engine::in_process`]) — the four stages run
-//!   as explicit barriers, composed by the engine;
-//! * **pipelined** ([`pipelined`], [`crate::Engine::with_pipelined_shuffle`])
-//!   — no whole-stage barriers: map/combine/route fuse into one task
-//!   per split, buckets stream into a [`crate::BucketBoard`], and each
-//!   reduce task is scheduled the moment its buckets are complete;
-//! * **reference** ([`mod@reference`]) — the original strategy (sequential
-//!   bucket concatenation, per-reducer `input.clone()`, `BTreeMap`
-//!   grouping), kept for equivalence tests and before/after benchmarks.
+//! Because both schedules run the same bodies and the same `assemble`,
+//! their output pairs and [`crate::JobMeter`]s are identical by
+//! construction; they differ only in scheduling and therefore in
+//! wall-clock and [`StageTimings`] attribution.
 //!
-//! All three produce byte-identical output pairs and identical
-//! [`crate::JobMeter`]s; they differ only in scheduling and therefore
-//! in wall-clock and [`StageTimings`] attribution.
+//! The **oracle** ([`crate::Engine::with_reference_shuffle`]) is the
+//! exception on purpose: it is the original strategy (sequential bucket
+//! concatenation, per-reducer `input.clone()`, `BTreeMap` grouping) and
+//! shares *no* body with the schedules, which is what makes the
+//! equivalence suites that compare against it mean something.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use asyncmr_runtime::ThreadPool;
+use asyncmr_runtime::{FollowUp, ThreadPool};
 use asyncmr_simcluster::{MapTaskSpec, ReduceTaskSpec};
 
 use crate::emitter::{MapContext, ReduceContext};
+use crate::engine::{JobMeter, JobOptions};
 use crate::kv::{Key, Meterable, Value};
 use crate::shuffle::{self, Grouped, GroupingStrategy, ShuffleScratch};
 use crate::traits::{Combiner, Mapper, Reducer};
@@ -61,11 +72,11 @@ use crate::traits::{Combiner, Mapper, Reducer};
 ///
 /// Two attribution modes exist, flagged by [`StageTimings::overlapped`]:
 ///
-/// * **Barrier mode** (`overlapped == false`, the staged strategy):
+/// * **Barrier mode** (`overlapped == false`, the staged schedule):
 ///   each field is the *wall-clock* span of that stage's barrier, so
 ///   [`StageTimings::total`] ≤ the job's wall time.
 /// * **Overlapped mode** (`overlapped == true`, the pipelined
-///   strategy): stages have no wall-clock extent of their own — a map
+///   schedule): stages have no wall-clock extent of their own — a map
 ///   task can still be mapping while a reduce task runs. Each field is
 ///   instead the summed *busy time* of that stage's work across all
 ///   tasks and workers, so [`StageTimings::total`] routinely *exceeds*
@@ -93,7 +104,8 @@ pub struct StageTimings {
     /// Combine stage (zero when no combiner is attached).
     pub combine: Duration,
     /// Shuffle stage (routing + bucket transposition; under the
-    /// pipelined strategy, routing + [`crate::BucketBoard`] deposits).
+    /// pipelined schedule, routing only — the scheduler's bucket-handle
+    /// moves are not timed).
     pub shuffle: Duration,
     /// Reduce stage (fused concat/group/reduce, parallel).
     pub reduce: Duration,
@@ -110,373 +122,6 @@ impl StageTimings {
     pub fn total(&self) -> Duration {
         self.map + self.combine + self.shuffle + self.reduce
     }
-}
-
-/// Everything one map task reports besides its pairs.
-///
-/// # Example
-///
-/// ```
-/// use asyncmr_core::plan::MapTaskProfile;
-///
-/// let p = MapTaskProfile { ops: 100, records: 40, bytes: 480, ..Default::default() };
-/// assert_eq!(p.records, 40);
-/// assert_eq!(p.local_syncs, 0, "only eager gmap tasks perform partial syncs");
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MapTaskProfile {
-    /// Abstract ops metered by the task.
-    pub ops: u64,
-    /// Partial synchronizations performed (eager gmap tasks).
-    pub local_syncs: u64,
-    /// Input split size.
-    pub input_bytes: u64,
-    /// Records headed into the shuffle (post-combine).
-    pub records: u64,
-    /// Bytes headed into the shuffle (post-combine).
-    pub bytes: u64,
-    /// Records emitted before combining.
-    pub precombine_records: u64,
-    /// Bytes emitted before combining.
-    pub precombine_bytes: u64,
-}
-
-/// One map task's output: its intermediate pairs plus meters.
-///
-/// # Example
-///
-/// ```
-/// use asyncmr_core::plan::{MapTaskOutput, MapTaskProfile};
-///
-/// let out = MapTaskOutput { pairs: vec![(1u32, 2u64)], profile: MapTaskProfile::default() };
-/// assert_eq!(out.pairs.len(), 1);
-/// ```
-#[derive(Debug)]
-pub struct MapTaskOutput<K, V> {
-    /// Emitted pairs, in emission order.
-    pub pairs: Vec<(K, V)>,
-    /// The task's meters.
-    pub profile: MapTaskProfile,
-}
-
-/// Stage 1: runs every map task in parallel on the pool.
-///
-/// # Example
-///
-/// ```
-/// use asyncmr_core::plan::MapStage;
-/// use asyncmr_core::prelude::*;
-/// use asyncmr_runtime::ThreadPool;
-///
-/// struct Double;
-/// impl Mapper for Double {
-///     type Input = u32;
-///     type Key = u32;
-///     type Value = u64;
-///     fn map(&self, _t: usize, x: &u32, ctx: &mut MapContext<u32, u64>) {
-///         ctx.emit_intermediate(*x, u64::from(*x) * 2);
-///     }
-/// }
-///
-/// let pool = ThreadPool::new(2);
-/// let out = MapStage { mapper: &Double }.run(&pool, &[1u32, 2, 3]);
-/// assert_eq!(out.len(), 3, "one output per input split");
-/// assert_eq!(out[2].pairs, vec![(3, 6)]);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct MapStage<'a, M> {
-    /// The user's map function.
-    pub mapper: &'a M,
-}
-
-impl<M: Mapper> MapStage<'_, M> {
-    /// Executes one map task per input split (order-preserving).
-    pub fn run(
-        &self,
-        pool: &ThreadPool,
-        inputs: &[M::Input],
-    ) -> Vec<MapTaskOutput<M::Key, M::Value>> {
-        let mapper = self.mapper;
-        pool.par_map_indexed(inputs, |task, input| {
-            let mut ctx: MapContext<M::Key, M::Value> = MapContext::default();
-            mapper.map(task, input, &mut ctx);
-            let (pairs, meter, records, bytes) = ctx.finish();
-            let input_bytes = if meter.input_bytes() > 0 {
-                meter.input_bytes()
-            } else {
-                mapper.input_size_hint(input)
-            };
-            MapTaskOutput {
-                pairs,
-                profile: MapTaskProfile {
-                    ops: meter.ops(),
-                    local_syncs: meter.local_syncs(),
-                    input_bytes,
-                    records,
-                    bytes,
-                    precombine_records: records,
-                    precombine_bytes: bytes,
-                },
-            }
-        })
-    }
-}
-
-/// Stage 2: optional map-side combining, applied per task in parallel.
-///
-/// With no combiner attached this stage is a free pass-through (no
-/// pool round-trip, no data movement).
-///
-/// # Example
-///
-/// ```
-/// use asyncmr_core::plan::{CombineStage, MapTaskOutput, MapTaskProfile};
-/// use asyncmr_runtime::ThreadPool;
-///
-/// let pool = ThreadPool::new(2);
-/// let task = MapTaskOutput { pairs: vec![(1u32, 1u64)], profile: MapTaskProfile::default() };
-/// // No combiner: a free pass-through.
-/// let out = CombineStage { combiner: None }.run(&pool, vec![task]);
-/// assert_eq!(out[0].pairs, vec![(1, 1)]);
-/// ```
-#[derive(Clone, Copy)]
-pub struct CombineStage<'a, K, V> {
-    /// The user's combiner, if any.
-    pub combiner: Option<&'a dyn Combiner<Key = K, Value = V>>,
-}
-
-impl<K, V> std::fmt::Debug for CombineStage<'_, K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CombineStage").field("combiner", &self.combiner.is_some()).finish()
-    }
-}
-
-impl<K: Key, V: Value> CombineStage<'_, K, V> {
-    /// Combines each task's output independently, updating the
-    /// post-combine record/byte meters.
-    pub fn run(
-        &self,
-        pool: &ThreadPool,
-        tasks: Vec<MapTaskOutput<K, V>>,
-    ) -> Vec<MapTaskOutput<K, V>> {
-        let Some(combiner) = self.combiner else {
-            return tasks;
-        };
-        pool.par_map_vec(tasks, |_task, mut out| {
-            out.pairs = shuffle::combine_local(out.pairs, |k, vs| combiner.combine(k, vs));
-            let (mut records, mut bytes) = (0u64, 0u64);
-            for (k, v) in &out.pairs {
-                records += 1;
-                bytes += k.approx_bytes() + v.approx_bytes();
-            }
-            out.profile.records = records;
-            out.profile.bytes = bytes;
-            out
-        })
-    }
-}
-
-/// One reduce task's input: that reducer's buckets, owned, in map-task
-/// order.
-///
-/// # Example
-///
-/// ```
-/// use asyncmr_core::plan::ReduceTaskInput;
-///
-/// let input = ReduceTaskInput {
-///     partition: 3,
-///     buckets: vec![vec![(7u32, 1u64)], vec![(7, 2)]], // two map tasks emitted
-///     records: 2,
-/// };
-/// assert_eq!(input.buckets.len(), 2);
-/// ```
-#[derive(Debug, PartialEq, Eq)]
-pub struct ReduceTaskInput<K, V> {
-    /// The reduce partition index this task serves (`0..num_reducers`;
-    /// gaps are partitions that received no records).
-    pub partition: usize,
-    /// Non-empty buckets routed to this partition, in map-task order.
-    pub buckets: Vec<Vec<(K, V)>>,
-    /// Total records across the buckets.
-    pub records: u64,
-}
-
-/// Stage 3: the shuffle — parallel routing plus per-reducer ownership
-/// transfer of the routed buckets. No element is copied.
-///
-/// # Example
-///
-/// ```
-/// use asyncmr_core::plan::{MapTaskOutput, MapTaskProfile, ShuffleStage};
-/// use asyncmr_runtime::ThreadPool;
-///
-/// let pool = ThreadPool::new(2);
-/// let task = MapTaskOutput {
-///     pairs: vec![(1u32, 10u64), (2, 20)],
-///     profile: MapTaskProfile::default(),
-/// };
-/// let (profiles, inputs) = ShuffleStage { num_reducers: 4 }.run(&pool, vec![task]);
-/// assert_eq!(profiles.len(), 1);
-/// // Only partitions that received records survive.
-/// assert_eq!(inputs.iter().map(|i| i.records).sum::<u64>(), 2);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct ShuffleStage {
-    /// The shuffle's partition count (see
-    /// [`crate::JobOptions::num_reducers`]). Must be ≥ 1 —
-    /// [`crate::Engine::run`] clamps zero before composing stages;
-    /// direct stage users must do the same.
-    pub num_reducers: usize,
-}
-
-impl ShuffleStage {
-    /// Routes every task's pairs (in parallel), then transposes bucket
-    /// handles into per-reducer inputs. Partitions with no records are
-    /// dropped here — they would execute nothing and would distort
-    /// task-count meters and simulated replay.
-    ///
-    /// Returns the map task profiles (the pairs are consumed) and the
-    /// reduce task inputs in ascending partition order.
-    pub fn run<K: Key, V: Value>(
-        &self,
-        pool: &ThreadPool,
-        tasks: Vec<MapTaskOutput<K, V>>,
-    ) -> (Vec<MapTaskProfile>, Vec<ReduceTaskInput<K, V>>) {
-        /// One task's routed output: its profile plus per-reducer buckets.
-        type Routed<K, V> = (MapTaskProfile, Vec<Vec<(K, V)>>);
-        debug_assert!(self.num_reducers >= 1, "ShuffleStage requires ≥ 1 partition");
-        let reducers = self.num_reducers;
-        let num_tasks = tasks.len();
-        let routed: Vec<Routed<K, V>> = pool
-            .par_map_vec(tasks, |_task, out| (out.profile, shuffle::route(out.pairs, reducers)));
-
-        let mut profiles = Vec::with_capacity(num_tasks);
-        let mut inputs: Vec<ReduceTaskInput<K, V>> = (0..reducers)
-            .map(|partition| ReduceTaskInput { partition, buckets: Vec::new(), records: 0 })
-            .collect();
-        for (profile, buckets) in routed {
-            profiles.push(profile);
-            for (r, bucket) in buckets.into_iter().enumerate() {
-                if !bucket.is_empty() {
-                    inputs[r].records += bucket.len() as u64;
-                    inputs[r].buckets.push(bucket);
-                }
-            }
-        }
-        inputs.retain(|input| input.records > 0);
-        (profiles, inputs)
-    }
-}
-
-/// One reduce task's result.
-///
-/// # Example
-///
-/// ```
-/// use asyncmr_core::plan::ReduceTaskOutput;
-///
-/// let out = ReduceTaskOutput {
-///     pairs: vec![(1u32, 30u64)],
-///     ops: 2,
-///     in_records: 2,
-///     out_records: 1,
-///     out_bytes: 12,
-/// };
-/// assert!(out.out_records <= out.in_records, "reduce aggregates");
-/// ```
-#[derive(Debug)]
-pub struct ReduceTaskOutput<K, O> {
-    /// Output pairs, in emission order.
-    pub pairs: Vec<(K, O)>,
-    /// Abstract ops metered by the reduce calls.
-    pub ops: u64,
-    /// Records this task consumed.
-    pub in_records: u64,
-    /// Records emitted.
-    pub out_records: u64,
-    /// Bytes emitted.
-    pub out_bytes: u64,
-}
-
-/// Stage 4: runs the reduce tasks in parallel, each fusing move-based
-/// concatenation, sort-based grouping, and the user's reduce calls.
-///
-/// # Example
-///
-/// ```
-/// use asyncmr_core::plan::{ReduceStage, ReduceTaskInput, ScratchArena};
-/// use asyncmr_core::prelude::*;
-/// use asyncmr_runtime::ThreadPool;
-///
-/// struct Sum;
-/// impl Reducer for Sum {
-///     type Key = u32;
-///     type ValueIn = u64;
-///     type Out = u64;
-///     fn reduce(&self, k: &u32, vs: &[u64], ctx: &mut ReduceContext<u32, u64>) {
-///         ctx.emit(*k, vs.iter().sum());
-///     }
-/// }
-///
-/// let pool = ThreadPool::new(2);
-/// let arena = ScratchArena::new();
-/// let input = ReduceTaskInput { partition: 0, buckets: vec![vec![(1, 2), (1, 3)]], records: 2 };
-/// let stage = ReduceStage { reducer: &Sum, grouping: Default::default() };
-/// let out = stage.run(&pool, vec![input], &arena);
-/// assert_eq!(out[0].pairs, vec![(1, 5)]);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct ReduceStage<'a, R> {
-    /// The user's reduce function.
-    pub reducer: &'a R,
-    /// How each task's input is grouped (sort or radix — byte-identical
-    /// output; see [`GroupingStrategy`]).
-    pub grouping: GroupingStrategy,
-}
-
-impl<R: Reducer> ReduceStage<'_, R> {
-    /// Executes the reduce tasks (order-preserving: output pair order
-    /// is ascending partition, then ascending key, then deterministic
-    /// value order).
-    pub fn run(
-        &self,
-        pool: &ThreadPool,
-        inputs: Vec<ReduceTaskInput<R::Key, R::ValueIn>>,
-        arena: &ScratchArena,
-    ) -> Vec<ReduceTaskOutput<R::Key, R::Out>> {
-        let reducer = self.reducer;
-        let grouping = self.grouping;
-        pool.par_map_vec(inputs, |_i, task| {
-            let mut scratch: ShuffleScratch<R::Key, R::ValueIn> = arena.take();
-            let pairs = shuffle::concat_buckets(task.buckets, &mut scratch);
-            let in_records = pairs.len() as u64;
-            let grouped = Grouped::from_pairs_using(grouping, pairs, &mut scratch);
-            let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::default();
-            grouped.for_each(|g| reducer.reduce(g.key, g.values, &mut ctx));
-            grouped.recycle_into(&mut scratch);
-            arena.put(scratch);
-            let (pairs, meter, out_records, out_bytes) = ctx.finish();
-            ReduceTaskOutput { pairs, ops: meter.ops(), in_records, out_records, out_bytes }
-        })
-    }
-}
-
-/// Builds the simulator task specs from stage outputs.
-pub(crate) fn task_specs<K: Key, O: Value>(
-    profiles: &[MapTaskProfile],
-    reduced: &[ReduceTaskOutput<K, O>],
-) -> (Vec<MapTaskSpec>, Vec<ReduceTaskSpec>) {
-    let map_specs = profiles
-        .iter()
-        .map(|p| MapTaskSpec::new(p.input_bytes, p.ops, p.bytes).with_records(p.records))
-        .collect();
-    let reduce_specs = reduced
-        .iter()
-        // Record-handling framework work folds into reduce ops.
-        .map(|r| ReduceTaskSpec::new(r.ops + r.in_records, r.out_bytes))
-        .collect();
-    (map_specs, reduce_specs)
 }
 
 /// A typed shelf of reusable scratch buffers, shared by the parallel
@@ -572,458 +217,480 @@ impl ScratchArena {
     }
 }
 
-/// The pipelined execution strategy: no whole-stage barriers inside a
-/// job.
+/// One map task's routed output: `buckets[r]` goes to reduce partition
+/// `r`. Also one reduce task's input: that partition's non-empty
+/// buckets, in map-task order.
+type Buckets<K, V> = Vec<Vec<(K, V)>>;
+
+/// Everything one map task reports besides its pairs.
+#[derive(Debug, Clone, Copy, Default)]
+struct MapProfile {
+    ops: u64,
+    /// Partial synchronizations performed (eager gmap tasks).
+    local_syncs: u64,
+    input_bytes: u64,
+    /// Records / bytes headed into the shuffle (post-combine).
+    records: u64,
+    bytes: u64,
+    precombine_records: u64,
+    precombine_bytes: u64,
+}
+
+/// One map task's output: its intermediate pairs, in emission order,
+/// plus its meters.
+struct MapOut<K, V> {
+    pairs: Vec<(K, V)>,
+    profile: MapProfile,
+}
+
+/// One reduce task's result.
+struct ReduceOut<K, O> {
+    /// Output pairs, in emission order.
+    pairs: Vec<(K, O)>,
+    ops: u64,
+    in_records: u64,
+    out_records: u64,
+    out_bytes: u64,
+}
+
+/// What a job execution hands back to [`crate::Engine::run`].
+pub(crate) struct Executed<K, O> {
+    /// Output pairs, in (reduce partition, key) order.
+    pub(crate) pairs: Vec<(K, O)>,
+    pub(crate) meter: JobMeter,
+    pub(crate) stages: StageTimings,
+    /// The metered tasks as simulator specs. `None` from the oracle,
+    /// which no constructor can pair with a `Simulation`.
+    pub(crate) specs: Option<(Vec<MapTaskSpec>, Vec<ReduceTaskSpec>)>,
+}
+
+/// Runs the user's map function over one input split.
+fn map_task<M: Mapper>(mapper: &M, task: usize, input: &M::Input) -> MapOut<M::Key, M::Value> {
+    let mut ctx: MapContext<M::Key, M::Value> = MapContext::default();
+    mapper.map(task, input, &mut ctx);
+    let (pairs, meter, records, bytes) = ctx.finish();
+    let input_bytes =
+        if meter.input_bytes() > 0 { meter.input_bytes() } else { mapper.input_size_hint(input) };
+    let profile = MapProfile {
+        ops: meter.ops(),
+        local_syncs: meter.local_syncs(),
+        input_bytes,
+        records,
+        bytes,
+        precombine_records: records,
+        precombine_bytes: bytes,
+    };
+    MapOut { pairs, profile }
+}
+
+/// Applies the map-side combiner to one task's pairs and re-meters what
+/// now heads into the shuffle.
+fn combine_task<K: Key, V: Value>(
+    combiner: &dyn Combiner<Key = K, Value = V>,
+    mut out: MapOut<K, V>,
+) -> MapOut<K, V> {
+    out.pairs = shuffle::combine_local(out.pairs, |k, vs| combiner.combine(k, vs));
+    out.profile.records = out.pairs.len() as u64;
+    out.profile.bytes = out.pairs.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum();
+    out
+}
+
+/// The reduce-input accumulator: collects every map task's routed
+/// buckets and hands each reduce partition its input.
 ///
-/// Each map task runs **map → combine → route → deposit** as one fused
-/// pool task (data stays cache-hot, no inter-stage pool round-trips),
-/// streaming its routed buckets into a [`crate::BucketBoard`] as it
-/// finishes. The completion-driven scheduler
-/// ([`asyncmr_runtime::ThreadPool::par_pipeline`]) spawns each reduce
-/// task the moment its partition's buckets are complete — the last map
-/// task to deliver releases the reduces, not a pool-wide barrier. The
-/// per-reduce-task work (move concat, sort-based grouping, scratch
-/// recycling) is identical to [`ReduceStage`], so output pairs and
-/// [`crate::JobMeter`] are byte-identical to the staged and reference
-/// strategies; only [`StageTimings`] switches to overlapped
-/// attribution.
-pub mod pipelined {
-    use std::sync::Mutex as SlotMutex;
-    use std::time::Instant;
+/// Single-owner (`&mut self` throughout): the staged schedule fills it
+/// between two barriers, the pipelined schedule from its scheduler
+/// closure — both on the thread that called [`crate::Engine::run`].
+struct ReduceInputs<K, V> {
+    /// `routed[task]`: that map task's buckets, one per partition;
+    /// `None` until delivered.
+    routed: Vec<Option<Buckets<K, V>>>,
+    reducers: usize,
+    delivered: usize,
+}
 
-    use asyncmr_runtime::FollowUp;
-
-    use super::*;
-    use crate::bucket_board::BucketBoard;
-    use crate::engine::{JobMeter, JobOptions};
-
-    /// What a pipelined execution produces: the same pairs, meters, and
-    /// simulator specs as the other strategies, plus overlapped
-    /// [`StageTimings`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use asyncmr_core::plan::{pipelined, ScratchArena};
-    /// use asyncmr_core::prelude::*;
-    /// use asyncmr_runtime::ThreadPool;
-    ///
-    /// struct Echo;
-    /// impl Mapper for Echo {
-    ///     type Input = u32;
-    ///     type Key = u32;
-    ///     type Value = u64;
-    ///     fn map(&self, _t: usize, x: &u32, ctx: &mut MapContext<u32, u64>) {
-    ///         ctx.emit_intermediate(*x % 2, u64::from(*x));
-    ///     }
-    /// }
-    /// struct Sum;
-    /// impl Reducer for Sum {
-    ///     type Key = u32;
-    ///     type ValueIn = u64;
-    ///     type Out = u64;
-    ///     fn reduce(&self, k: &u32, vs: &[u64], ctx: &mut ReduceContext<u32, u64>) {
-    ///         ctx.emit(*k, vs.iter().sum());
-    ///     }
-    /// }
-    ///
-    /// let pool = ThreadPool::new(2);
-    /// let arena = ScratchArena::new();
-    /// let opts = JobOptions::with_reducers(2);
-    /// let run = pipelined::execute(&pool, &[1u32, 2, 3, 4], &Echo, &Sum, &opts, &arena);
-    /// let total: u64 = run.pairs.iter().map(|(_, v)| v).sum();
-    /// assert_eq!(total, 10);
-    /// assert!(run.stages.overlapped, "pipelined timings are busy-time attributed");
-    /// ```
-    #[derive(Debug)]
-    pub struct PipelinedRun<K, O> {
-        /// Output pairs, in (reduce partition, key) order — identical
-        /// to the staged path by construction and by test.
-        pub pairs: Vec<(K, O)>,
-        /// Aggregate meters (identical to the staged path).
-        pub meter: JobMeter,
-        /// Overlapped-attribution stage timings (see
-        /// [`StageTimings::overlapped`]).
-        pub stages: StageTimings,
-        pub(crate) map_specs: Vec<MapTaskSpec>,
-        pub(crate) reduce_specs: Vec<ReduceTaskSpec>,
+impl<K, V> ReduceInputs<K, V> {
+    /// An accumulator for `reducers` partitions fed by `num_tasks` map
+    /// tasks.
+    fn new(reducers: usize, num_tasks: usize) -> Self {
+        ReduceInputs { routed: (0..num_tasks).map(|_| None).collect(), reducers, delivered: 0 }
     }
 
-    /// Ready partitions carrying fewer records than this are batched
-    /// into a single reduce follow-up: below it, the injector
-    /// round-trip and wakeup for a dedicated pool task cost more than
-    /// the reduce work itself. Large partitions still get their own
-    /// task, so parallel reduce capacity is unaffected where it
-    /// matters.
-    const MIN_RECORDS_PER_REDUCE_SPAWN: u64 = 1024;
-
-    /// Everything one fused map task reports to the scheduler.
-    struct MapDone {
-        profile: MapTaskProfile,
-        /// Partitions whose buckets became complete with this deposit.
-        completed: Vec<usize>,
-        map_busy: Duration,
-        combine_busy: Duration,
-        route_busy: Duration,
+    /// Takes ownership of map task `task`'s routed buckets and returns
+    /// the partitions this delivery *completed*, ascending. Every
+    /// delivery feeds every partition, so that is all of them on the
+    /// last delivery and none before — each partition is reported
+    /// exactly once per job.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` is out of range or delivers twice, or if the
+    /// bucket count is not the partition count — scheduler bugs, not
+    /// data conditions.
+    fn deliver(&mut self, task: usize, buckets: Buckets<K, V>) -> Range<usize> {
+        assert_eq!(buckets.len(), self.reducers, "one bucket per reduce partition");
+        assert!(self.routed[task].is_none(), "map task {task} deposited twice");
+        self.routed[task] = Some(buckets);
+        self.delivered += 1;
+        if self.delivered == self.routed.len() {
+            0..self.reducers
+        } else {
+            0..0
+        }
     }
 
-    /// One reduce output slot, indexed by partition.
-    type Slot<K, O> = SlotMutex<Option<(ReduceTaskOutput<K, O>, Duration)>>;
-
-    /// Builds the follow-up task that reduces `group` (one or more
-    /// completed partitions) and parks each result in its partition's
-    /// slot. Per-partition semantics are identical to [`ReduceStage`].
-    fn reduce_group<'a, R: Reducer>(
-        group: Vec<ReduceTaskInput<R::Key, R::ValueIn>>,
-        reducer: &'a R,
-        grouping: GroupingStrategy,
-        arena: &'a ScratchArena,
-        reduce_slots: &'a [Slot<R::Key, R::Out>],
-    ) -> FollowUp<'a> {
-        Box::new(move || {
-            for task_input in group {
-                let t = Instant::now();
-                let mut scratch: ShuffleScratch<R::Key, R::ValueIn> = arena.take();
-                let partition = task_input.partition;
-                let pairs = shuffle::concat_buckets(task_input.buckets, &mut scratch);
-                let in_records = pairs.len() as u64;
-                let grouped = Grouped::from_pairs_using(grouping, pairs, &mut scratch);
-                let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::default();
-                grouped.for_each(|g| reducer.reduce(g.key, g.values, &mut ctx));
-                grouped.recycle_into(&mut scratch);
-                arena.put(scratch);
-                let (pairs, meter, out_records, out_bytes) = ctx.finish();
-                let out = ReduceTaskOutput {
-                    pairs,
-                    ops: meter.ops(),
-                    in_records,
-                    out_records,
-                    out_bytes,
-                };
-                let mut slot = reduce_slots[partition].lock().unwrap_or_else(|e| e.into_inner());
-                *slot = Some((out, t.elapsed()));
-            }
-        })
-    }
-
-    /// Executes one job with eager reduce scheduling (see the [module
-    /// docs](self)).
-    pub fn execute<M, R>(
-        pool: &ThreadPool,
-        inputs: &[M::Input],
-        mapper: &M,
-        reducer: &R,
-        opts: &JobOptions<'_, M::Key, M::Value>,
-        arena: &ScratchArena,
-    ) -> PipelinedRun<R::Key, R::Out>
-    where
-        M: Mapper,
-        R: Reducer<Key = M::Key, ValueIn = M::Value>,
-    {
-        debug_assert!(opts.num_reducers >= 1, "Engine::run clamps num_reducers before this");
-        let reducers = opts.num_reducers;
-        let num_tasks = inputs.len();
-        let combiner = opts.combiner;
-        let grouping = opts.grouping;
-        let board: BucketBoard<M::Key, M::Value> = BucketBoard::new(reducers, num_tasks);
-        let board = &board;
-        // Reduce outputs land here indexed by partition, so the final
-        // concatenation is in ascending-partition order no matter when
-        // each reduce task ran.
-        let reduce_slots: Vec<Slot<R::Key, R::Out>> =
-            (0..reducers).map(|_| SlotMutex::new(None)).collect();
-        let reduce_slots: &[Slot<R::Key, R::Out>] = &reduce_slots;
-
-        let mut profiles: Vec<MapTaskProfile> = vec![MapTaskProfile::default(); num_tasks];
-        let mut stages = StageTimings { overlapped: true, ..StageTimings::default() };
-
-        pool.par_pipeline(
-            inputs.iter().collect::<Vec<&M::Input>>(),
-            // Phase 1, on the pool: one fused map→combine→route→deposit
-            // task per split.
-            move |task, input| {
-                let t = Instant::now();
-                let mut ctx: MapContext<M::Key, M::Value> = MapContext::default();
-                mapper.map(task, input, &mut ctx);
-                let (mut pairs, meter, precombine_records, precombine_bytes) = ctx.finish();
-                let map_busy = t.elapsed();
-
-                let t = Instant::now();
-                let (records, bytes) = if let Some(combiner) = combiner {
-                    pairs = shuffle::combine_local(pairs, |k, vs| combiner.combine(k, vs));
-                    let (mut records, mut bytes) = (0u64, 0u64);
-                    for (k, v) in &pairs {
-                        records += 1;
-                        bytes += k.approx_bytes() + v.approx_bytes();
-                    }
-                    (records, bytes)
-                } else {
-                    (precombine_records, precombine_bytes)
-                };
-                let combine_busy = t.elapsed();
-
-                let t = Instant::now();
-                let completed = board.deposit(task, shuffle::route(pairs, reducers));
-                let route_busy = t.elapsed();
-
-                let input_bytes = if meter.input_bytes() > 0 {
-                    meter.input_bytes()
-                } else {
-                    mapper.input_size_hint(input)
-                };
-                MapDone {
-                    profile: MapTaskProfile {
-                        ops: meter.ops(),
-                        local_syncs: meter.local_syncs(),
-                        input_bytes,
-                        records,
-                        bytes,
-                        precombine_records,
-                        precombine_bytes,
-                    },
-                    completed,
-                    map_busy,
-                    combine_busy,
-                    route_busy,
-                }
-            },
-            // Scheduler, on the calling thread: record the profile and
-            // spawn reduce work for every partition this completion
-            // released. Partitions with few records are *batched* into
-            // one follow-up — the scheduler knows each partition's
-            // record count at spawn time, so it can keep per-task
-            // scheduling overhead below the work it carries (a
-            // cost-aware choice the barrier path cannot make: its
-            // reduce stage chunks blindly by task count).
-            |task, done| {
-                profiles[task] = done.profile;
-                stages.map += done.map_busy;
-                stages.combine += done.combine_busy;
-                stages.shuffle += done.route_busy;
-                let mut follow_ups: Vec<FollowUp<'_>> = Vec::new();
-                let mut batch: Vec<ReduceTaskInput<R::Key, R::ValueIn>> = Vec::new();
-                let mut batch_records = 0u64;
-                for partition in done.completed {
-                    let Some(task_input) = board.take_ready(partition) else {
-                        continue; // zero-record partition: skipped
-                    };
-                    batch_records += task_input.records;
-                    batch.push(task_input);
-                    if batch_records >= MIN_RECORDS_PER_REDUCE_SPAWN {
-                        follow_ups.push(reduce_group(
-                            std::mem::take(&mut batch),
-                            reducer,
-                            grouping,
-                            arena,
-                            reduce_slots,
-                        ));
-                        batch_records = 0;
-                    }
-                }
-                if !batch.is_empty() {
-                    follow_ups.push(reduce_group(batch, reducer, grouping, arena, reduce_slots));
-                }
-                follow_ups
-            },
+    /// Takes a completed partition's reduce input: its non-empty
+    /// buckets in map-task order, whatever order they were delivered
+    /// in. `None` for a partition that received no records — such
+    /// partitions are skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some map task has not delivered yet.
+    fn take(&mut self, partition: usize) -> Option<Buckets<K, V>> {
+        assert_eq!(
+            self.delivered,
+            self.routed.len(),
+            "partition {partition} taken before all map tasks delivered"
         );
-
-        // Assembly (caller thread, pipeline drained): identical meter
-        // and ordering semantics to the staged path.
-        let mut meter = JobMeter { map_tasks: num_tasks, ..JobMeter::default() };
-        for p in &profiles {
-            meter.map_ops += p.ops;
-            meter.local_syncs += p.local_syncs;
-            meter.input_bytes += p.input_bytes;
-            meter.shuffle_records += p.records;
-            meter.shuffle_bytes += p.bytes;
-            meter.precombine_records += p.precombine_records;
-            meter.precombine_bytes += p.precombine_bytes;
-        }
-        let mut reduced = Vec::new();
-        for slot in reduce_slots {
-            let taken = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
-            if let Some((out, busy)) = taken {
-                stages.reduce += busy;
-                reduced.push(out);
-            }
-        }
-        meter.reduce_tasks = reduced.len();
-        for r in &reduced {
-            meter.reduce_ops += r.ops;
-            meter.output_records += r.out_records;
-            meter.output_bytes += r.out_bytes;
-        }
-        let (map_specs, reduce_specs) = task_specs(&profiles, &reduced);
-        let mut pairs = Vec::new();
-        for r in reduced {
-            pairs.extend(r.pairs);
-        }
-        PipelinedRun { pairs, meter, stages, map_specs, reduce_specs }
+        let buckets: Buckets<K, V> = self
+            .routed
+            .iter_mut()
+            .flatten()
+            .map(|task_buckets| std::mem::take(&mut task_buckets[partition]))
+            .filter(|bucket| !bucket.is_empty())
+            .collect();
+        (!buckets.is_empty()).then_some(buckets)
     }
 }
 
-/// The original execution strategy, kept for tests and benchmarks.
-pub mod reference {
-    use super::*;
-    use crate::engine::{JobMeter, JobOptions};
+/// Runs one reduce task: move-concatenates the partition's buckets,
+/// groups them, and applies the user's reduce function per key, over
+/// scratch buffers checked out of (and returned to) `arena`.
+fn reduce_task<R: Reducer>(
+    reducer: &R,
+    grouping: GroupingStrategy,
+    buckets: Buckets<R::Key, R::ValueIn>,
+    arena: &ScratchArena,
+) -> ReduceOut<R::Key, R::Out> {
+    let mut scratch: ShuffleScratch<R::Key, R::ValueIn> = arena.take();
+    let pairs = shuffle::concat_buckets(buckets, &mut scratch);
+    let in_records = pairs.len() as u64;
+    let grouped = Grouped::from_pairs_using(grouping, pairs, &mut scratch);
+    let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::default();
+    grouped.for_each(|g| reducer.reduce(g.key, g.values, &mut ctx));
+    grouped.recycle_into(&mut scratch);
+    arena.put(scratch);
+    let (pairs, meter, out_records, out_bytes) = ctx.finish();
+    ReduceOut { pairs, ops: meter.ops(), in_records, out_records, out_bytes }
+}
 
-    /// What a reference execution produces (pairs plus the same meters
-    /// and simulator specs the staged path reports).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use asyncmr_core::plan::reference;
-    /// use asyncmr_core::prelude::*;
-    /// use asyncmr_runtime::ThreadPool;
-    ///
-    /// struct Echo;
-    /// impl Mapper for Echo {
-    ///     type Input = u32;
-    ///     type Key = u32;
-    ///     type Value = u64;
-    ///     fn map(&self, _t: usize, x: &u32, ctx: &mut MapContext<u32, u64>) {
-    ///         ctx.emit_intermediate(*x % 2, u64::from(*x));
-    ///     }
-    /// }
-    /// struct Sum;
-    /// impl Reducer for Sum {
-    ///     type Key = u32;
-    ///     type ValueIn = u64;
-    ///     type Out = u64;
-    ///     fn reduce(&self, k: &u32, vs: &[u64], ctx: &mut ReduceContext<u32, u64>) {
-    ///         ctx.emit(*k, vs.iter().sum());
-    ///     }
-    /// }
-    ///
-    /// let pool = ThreadPool::new(2);
-    /// let opts = JobOptions::with_reducers(2);
-    /// let run = reference::execute(&pool, &[1u32, 2, 3, 4], &Echo, &Sum, &opts);
-    /// let total: u64 = run.pairs.iter().map(|(_, v)| v).sum();
-    /// assert_eq!(total, 10);
-    /// ```
-    #[derive(Debug)]
-    pub struct ReferenceRun<K, O> {
-        /// Output pairs, in (reducer index, key) order.
-        pub pairs: Vec<(K, O)>,
-        /// Aggregate meters (old semantics: every reduce partition
-        /// counts as a task, empty or not).
-        pub meter: JobMeter,
-        pub(crate) map_specs: Vec<MapTaskSpec>,
-        pub(crate) reduce_specs: Vec<ReduceTaskSpec>,
+/// Folds the per-task reports into the job's result. `reduced` must be
+/// in ascending partition order: that order is the output order.
+fn assemble<K, O>(
+    profiles: &[MapProfile],
+    reduced: Vec<ReduceOut<K, O>>,
+    stages: StageTimings,
+) -> Executed<K, O> {
+    let mut meter =
+        JobMeter { map_tasks: profiles.len(), reduce_tasks: reduced.len(), ..JobMeter::default() };
+    let mut map_specs = Vec::with_capacity(profiles.len());
+    for p in profiles {
+        meter.map_ops += p.ops;
+        meter.local_syncs += p.local_syncs;
+        meter.input_bytes += p.input_bytes;
+        meter.shuffle_records += p.records;
+        meter.shuffle_bytes += p.bytes;
+        meter.precombine_records += p.precombine_records;
+        meter.precombine_bytes += p.precombine_bytes;
+        map_specs.push(MapTaskSpec::new(p.input_bytes, p.ops, p.bytes).with_records(p.records));
     }
+    let mut reduce_specs = Vec::with_capacity(reduced.len());
+    let mut pairs = Vec::new();
+    for r in reduced {
+        meter.reduce_ops += r.ops;
+        meter.output_records += r.out_records;
+        meter.output_bytes += r.out_bytes;
+        // Record-handling framework work folds into reduce ops.
+        reduce_specs.push(ReduceTaskSpec::new(r.ops + r.in_records, r.out_bytes));
+        pairs.extend(r.pairs);
+    }
+    Executed { pairs, meter, stages, specs: Some((map_specs, reduce_specs)) }
+}
 
-    /// Executes one job the way the pre-staged engine did: parallel
-    /// map + combine + route, **sequential** bucket concatenation, and
-    /// a parallel reduce phase in which every reduce task `clone()`s
-    /// its input and groups it through a `BTreeMap`.
-    ///
-    /// Output pairs are byte-identical to the staged path by
-    /// construction; the staged path must prove it (see the
-    /// `stage_equivalence` integration tests).
-    pub fn execute<M, R>(
-        pool: &ThreadPool,
-        inputs: &[M::Input],
-        mapper: &M,
-        reducer: &R,
-        opts: &JobOptions<'_, M::Key, M::Value>,
-    ) -> ReferenceRun<R::Key, R::Out>
-    where
-        M: Mapper,
-        R: Reducer<Key = M::Key, ValueIn = M::Value>,
-    {
-        debug_assert!(opts.num_reducers >= 1, "Engine::run clamps num_reducers before this");
-        let reducers = opts.num_reducers;
+/// The staged schedule: the job body as four barriers, each timed as
+/// the wall-clock span of that barrier.
+pub(crate) fn staged<M, R>(
+    pool: &ThreadPool,
+    inputs: &[M::Input],
+    mapper: &M,
+    reducer: &R,
+    opts: &JobOptions<'_, M::Key, M::Value>,
+    arena: &ScratchArena,
+) -> Executed<R::Key, R::Out>
+where
+    M: Mapper,
+    R: Reducer<Key = M::Key, ValueIn = M::Value>,
+{
+    let reducers = opts.num_reducers;
+    let mut stages = StageTimings::default();
 
-        struct MapOut<K, V> {
-            buckets: Vec<Vec<(K, V)>>,
-            profile: MapTaskProfile,
+    let t = Instant::now();
+    let mapped = pool.par_map_indexed(inputs, |task, input| map_task(mapper, task, input));
+    stages.map = t.elapsed();
+
+    // With no combiner attached this barrier is a free pass-through (no
+    // pool round-trip, no data movement).
+    let t = Instant::now();
+    let combined = match opts.combiner {
+        Some(combiner) => pool.par_map_vec(mapped, |_task, out| combine_task(combiner, out)),
+        None => mapped,
+    };
+    stages.combine = t.elapsed();
+
+    let t = Instant::now();
+    let routed =
+        pool.par_map_vec(combined, |_task, out| (out.profile, shuffle::route(out.pairs, reducers)));
+    let mut ready = ReduceInputs::new(reducers, inputs.len());
+    let mut profiles = Vec::with_capacity(inputs.len());
+    for (task, (profile, buckets)) in routed.into_iter().enumerate() {
+        profiles.push(profile);
+        ready.deliver(task, buckets);
+    }
+    let reduce_inputs: Vec<_> = (0..reducers).filter_map(|p| ready.take(p)).collect();
+    stages.shuffle = t.elapsed();
+
+    let t = Instant::now();
+    let reduced = pool.par_map_vec(reduce_inputs, |_i, buckets| {
+        reduce_task(reducer, opts.grouping, buckets, arena)
+    });
+    stages.reduce = t.elapsed();
+
+    assemble(&profiles, reduced, stages)
+}
+
+/// Ready partitions carrying fewer records than this are batched into a
+/// single reduce follow-up: below it, the injector round-trip and
+/// wakeup for a dedicated pool task cost more than the reduce work
+/// itself. Large partitions still get their own task, so parallel
+/// reduce capacity is unaffected where it matters.
+const MIN_RECORDS_PER_REDUCE_SPAWN: u64 = 1024;
+
+/// Everything one fused map → combine → route task reports to the
+/// pipelined scheduler.
+struct MapDone<K, V> {
+    profile: MapProfile,
+    buckets: Buckets<K, V>,
+    map_busy: Duration,
+    combine_busy: Duration,
+    route_busy: Duration,
+}
+
+/// One reduce output slot, indexed by partition.
+type Slot<K, O> = Mutex<Option<(ReduceOut<K, O>, Duration)>>;
+
+/// The completed partitions — `(partition, its reduce input)` — that
+/// one reduce follow-up works through.
+type Batch<K, V> = Vec<(usize, Buckets<K, V>)>;
+
+/// Builds the follow-up task that reduces `batch` (one or more
+/// completed partitions) and parks each result in its partition's slot.
+fn reduce_batch<'a, R: Reducer>(
+    batch: Batch<R::Key, R::ValueIn>,
+    reducer: &'a R,
+    grouping: GroupingStrategy,
+    arena: &'a ScratchArena,
+    slots: &'a [Slot<R::Key, R::Out>],
+) -> FollowUp<'a> {
+    Box::new(move || {
+        for (partition, buckets) in batch {
+            let t = Instant::now();
+            let out = reduce_task(reducer, grouping, buckets, arena);
+            let mut slot = slots[partition].lock().unwrap_or_else(|e| e.into_inner());
+            *slot = Some((out, t.elapsed()));
         }
-        let map_outs: Vec<MapOut<M::Key, M::Value>> =
-            pool.par_map_indexed(inputs, |task, input| {
-                let mut ctx: MapContext<M::Key, M::Value> = MapContext::default();
-                mapper.map(task, input, &mut ctx);
-                let (mut pairs, meter, precombine_records, precombine_bytes) = ctx.finish();
-                if let Some(combiner) = opts.combiner {
-                    pairs = shuffle::combine_local(pairs, |k, vs| combiner.combine(k, vs));
-                }
-                let (mut records, mut bytes) = (0u64, 0u64);
-                for (k, v) in &pairs {
-                    records += 1;
-                    bytes += k.approx_bytes() + v.approx_bytes();
-                }
-                let input_bytes = if meter.input_bytes() > 0 {
-                    meter.input_bytes()
-                } else {
-                    mapper.input_size_hint(input)
+    })
+}
+
+/// The pipelined schedule: no whole-stage barriers inside the job (see
+/// the [module docs](self)), each stage timed as summed busy time.
+pub(crate) fn pipelined<M, R>(
+    pool: &ThreadPool,
+    inputs: &[M::Input],
+    mapper: &M,
+    reducer: &R,
+    opts: &JobOptions<'_, M::Key, M::Value>,
+    arena: &ScratchArena,
+) -> Executed<R::Key, R::Out>
+where
+    M: Mapper,
+    R: Reducer<Key = M::Key, ValueIn = M::Value>,
+{
+    let reducers = opts.num_reducers;
+    let combiner = opts.combiner;
+    let grouping = opts.grouping;
+    let mut ready = ReduceInputs::new(reducers, inputs.len());
+    // Reduce outputs land here indexed by partition, so `assemble` sees
+    // ascending-partition order no matter when each reduce task ran.
+    let slots: Vec<Slot<R::Key, R::Out>> = (0..reducers).map(|_| Mutex::new(None)).collect();
+    let slots: &[Slot<R::Key, R::Out>] = &slots;
+    let mut profiles = vec![MapProfile::default(); inputs.len()];
+    let mut stages = StageTimings { overlapped: true, ..StageTimings::default() };
+
+    pool.par_pipeline(
+        inputs.iter().collect::<Vec<&M::Input>>(),
+        // Phase 1, on the pool: one fused map → combine → route task
+        // per split.
+        move |task, input| {
+            let t = Instant::now();
+            let mut out = map_task(mapper, task, input);
+            let map_busy = t.elapsed();
+
+            let t = Instant::now();
+            if let Some(combiner) = combiner {
+                out = combine_task(combiner, out);
+            }
+            let combine_busy = t.elapsed();
+
+            let t = Instant::now();
+            let buckets = shuffle::route(out.pairs, reducers);
+            let route_busy = t.elapsed();
+            MapDone { profile: out.profile, buckets, map_busy, combine_busy, route_busy }
+        },
+        // Scheduler, on the calling thread: record the profile, hand
+        // the buckets to the accumulator, and spawn reduce work for
+        // every partition this completion released. Partitions with
+        // few records are *batched* into one follow-up — the scheduler
+        // knows each partition's record count at spawn time, so it can
+        // keep per-task scheduling overhead below the work it carries
+        // (a cost-aware choice the staged schedule cannot make: its
+        // reduce barrier chunks blindly by task count).
+        |task, done| {
+            profiles[task] = done.profile;
+            stages.map += done.map_busy;
+            stages.combine += done.combine_busy;
+            stages.shuffle += done.route_busy;
+            let mut follow_ups: Vec<FollowUp<'_>> = Vec::new();
+            let mut batch = Vec::new();
+            let mut batch_records = 0u64;
+            for partition in ready.deliver(task, done.buckets) {
+                let Some(buckets) = ready.take(partition) else {
+                    continue; // zero-record partition: skipped
                 };
-                MapOut {
-                    buckets: shuffle::route(pairs, reducers),
-                    profile: MapTaskProfile {
-                        ops: meter.ops(),
-                        local_syncs: meter.local_syncs(),
-                        input_bytes,
-                        records,
-                        bytes,
-                        precombine_records,
-                        precombine_bytes,
-                    },
+                batch_records += buckets.iter().map(|b| b.len() as u64).sum::<u64>();
+                batch.push((partition, buckets));
+                if batch_records >= MIN_RECORDS_PER_REDUCE_SPAWN {
+                    let batch = std::mem::take(&mut batch);
+                    follow_ups.push(reduce_batch(batch, reducer, grouping, arena, slots));
+                    batch_records = 0;
                 }
-            });
-
-        // Sequential, single-threaded concatenation (the old barrier).
-        let mut reduce_inputs: Vec<Vec<(M::Key, M::Value)>> =
-            (0..reducers).map(|_| Vec::new()).collect();
-        let mut meter =
-            JobMeter { map_tasks: inputs.len(), reduce_tasks: reducers, ..JobMeter::default() };
-        let mut map_specs = Vec::with_capacity(map_outs.len());
-        for mut out in map_outs {
-            let p = out.profile;
-            meter.map_ops += p.ops;
-            meter.local_syncs += p.local_syncs;
-            meter.input_bytes += p.input_bytes;
-            meter.shuffle_records += p.records;
-            meter.shuffle_bytes += p.bytes;
-            meter.precombine_records += p.precombine_records;
-            meter.precombine_bytes += p.precombine_bytes;
-            map_specs.push(MapTaskSpec::new(p.input_bytes, p.ops, p.bytes).with_records(p.records));
-            for (r, bucket) in out.buckets.drain(..).enumerate() {
-                reduce_inputs[r].extend(bucket);
             }
-        }
-
-        struct ReduceOut<K, O> {
-            pairs: Vec<(K, O)>,
-            ops: u64,
-            in_records: u64,
-            out_bytes: u64,
-            out_records: u64,
-        }
-        let reduce_outs: Vec<ReduceOut<R::Key, R::Out>> = pool.par_map(&reduce_inputs, |input| {
-            let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::default();
-            let in_records = input.len() as u64;
-            // The allocation-heavy path under benchmark: full input
-            // clone, then per-key Vec<V> groups via BTreeMap.
-            let grouped = shuffle::group(input.clone());
-            for (k, values) in &grouped {
-                reducer.reduce(k, values, &mut ctx);
+            if !batch.is_empty() {
+                follow_ups.push(reduce_batch(batch, reducer, grouping, arena, slots));
             }
-            let (pairs, rmeter, out_records, out_bytes) = ctx.finish();
-            ReduceOut { pairs, ops: rmeter.ops(), in_records, out_records, out_bytes }
-        });
+            follow_ups
+        },
+    );
 
-        let mut pairs = Vec::new();
-        let mut reduce_specs = Vec::with_capacity(reduce_outs.len());
-        for out in reduce_outs {
-            meter.reduce_ops += out.ops;
-            meter.output_records += out.out_records;
-            meter.output_bytes += out.out_bytes;
-            reduce_specs.push(ReduceTaskSpec::new(out.ops + out.in_records, out.out_bytes));
-            pairs.extend(out.pairs);
+    let mut reduced = Vec::new();
+    for slot in slots {
+        if let Some((out, busy)) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
+            stages.reduce += busy;
+            reduced.push(out);
         }
-
-        ReferenceRun { pairs, meter, map_specs, reduce_specs }
     }
+    assemble(&profiles, reduced, stages)
+}
+
+/// The oracle: executes one job the way the pre-staged engine did —
+/// parallel map + combine + route, **sequential** bucket concatenation,
+/// and a parallel reduce phase in which every reduce task `clone()`s
+/// its input and groups it through a `BTreeMap`.
+///
+/// Deliberately shares no body with the schedules above: their output
+/// pairs must *prove* byte-identical to this one's (the
+/// `stage_equivalence` and `pipeline_equivalence` integration tests).
+/// Keeps the old meter semantics — every reduce partition counts as a
+/// task, empty or not — and is not stage-instrumented.
+pub(crate) fn reference<M, R>(
+    pool: &ThreadPool,
+    inputs: &[M::Input],
+    mapper: &M,
+    reducer: &R,
+    opts: &JobOptions<'_, M::Key, M::Value>,
+) -> Executed<R::Key, R::Out>
+where
+    M: Mapper,
+    R: Reducer<Key = M::Key, ValueIn = M::Value>,
+{
+    let reducers = opts.num_reducers;
+
+    let map_outs = pool.par_map_indexed(inputs, |task, input| {
+        let mut ctx: MapContext<M::Key, M::Value> = MapContext::default();
+        mapper.map(task, input, &mut ctx);
+        let (mut pairs, meter, precombine_records, precombine_bytes) = ctx.finish();
+        if let Some(combiner) = opts.combiner {
+            pairs = shuffle::combine_local(pairs, |k, vs| combiner.combine(k, vs));
+        }
+        let (mut records, mut bytes) = (0u64, 0u64);
+        for (k, v) in &pairs {
+            records += 1;
+            bytes += k.approx_bytes() + v.approx_bytes();
+        }
+        let input_bytes = if meter.input_bytes() > 0 {
+            meter.input_bytes()
+        } else {
+            mapper.input_size_hint(input)
+        };
+        let profile = MapProfile {
+            ops: meter.ops(),
+            local_syncs: meter.local_syncs(),
+            input_bytes,
+            records,
+            bytes,
+            precombine_records,
+            precombine_bytes,
+        };
+        (shuffle::route(pairs, reducers), profile)
+    });
+
+    // Sequential, single-threaded concatenation (the old barrier).
+    let mut reduce_inputs: Vec<Vec<(M::Key, M::Value)>> =
+        (0..reducers).map(|_| Vec::new()).collect();
+    let mut meter =
+        JobMeter { map_tasks: inputs.len(), reduce_tasks: reducers, ..JobMeter::default() };
+    for (buckets, p) in map_outs {
+        meter.map_ops += p.ops;
+        meter.local_syncs += p.local_syncs;
+        meter.input_bytes += p.input_bytes;
+        meter.shuffle_records += p.records;
+        meter.shuffle_bytes += p.bytes;
+        meter.precombine_records += p.precombine_records;
+        meter.precombine_bytes += p.precombine_bytes;
+        for (r, bucket) in buckets.into_iter().enumerate() {
+            reduce_inputs[r].extend(bucket);
+        }
+    }
+
+    let reduce_outs = pool.par_map(&reduce_inputs, |input| {
+        let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::default();
+        // The allocation-heavy path the schedules replaced: full input
+        // clone, then per-key Vec<V> groups via BTreeMap.
+        let grouped = shuffle::group(input.clone());
+        for (k, values) in &grouped {
+            reducer.reduce(k, values, &mut ctx);
+        }
+        ctx.finish()
+    });
+
+    let mut pairs = Vec::new();
+    for (out_pairs, task_meter, out_records, out_bytes) in reduce_outs {
+        meter.reduce_ops += task_meter.ops();
+        meter.output_records += out_records;
+        meter.output_bytes += out_bytes;
+        pairs.extend(out_pairs);
+    }
+    Executed { pairs, meter, stages: StageTimings::default(), specs: None }
 }
 
 #[cfg(test)]
@@ -1057,27 +724,45 @@ mod tests {
         (0..4).map(|s| ((s * 50)..(s * 50 + 50)).collect()).collect()
     }
 
+    /// Map → route → accumulate, one task after another on this thread:
+    /// the job body with no schedule at all.
+    fn shuffled<M: Mapper<Key = K, Value = V>, K: Key, V: Value>(
+        mapper: &M,
+        inputs: &[M::Input],
+        reducers: usize,
+    ) -> (Vec<MapProfile>, Vec<Buckets<K, V>>) {
+        let mut ready = ReduceInputs::new(reducers, inputs.len());
+        let mut profiles = Vec::new();
+        for (task, input) in inputs.iter().enumerate() {
+            let out = map_task(mapper, task, input);
+            profiles.push(out.profile);
+            ready.deliver(task, shuffle::route(out.pairs, reducers));
+        }
+        (profiles, (0..reducers).filter_map(|p| ready.take(p)).collect())
+    }
+
     #[test]
     fn stages_compose_to_a_correct_job() {
-        let pool = ThreadPool::new(4);
-        let inputs = splits();
         let arena = ScratchArena::new();
-        let map_out = MapStage { mapper: &ModMapper }.run(&pool, &inputs);
-        assert_eq!(map_out.len(), 4);
-        let combined = CombineStage { combiner: None }.run(&pool, map_out);
-        let (profiles, shuffled) = ShuffleStage { num_reducers: 3 }.run(&pool, combined);
+        let (profiles, reduce_inputs) = shuffled(&ModMapper, &splits(), 3);
         assert_eq!(profiles.len(), 4);
-        assert!(shuffled.len() <= 3);
-        let stage = ReduceStage { reducer: &SumReducer, grouping: GroupingStrategy::Sort };
-        let reduced = stage.run(&pool, shuffled, &arena);
-        let total: u64 = reduced.iter().flat_map(|r| r.pairs.iter().map(|(_, v)| v)).sum();
+        assert!(profiles.iter().all(|p| p.records == 50 && p.precombine_records == 50));
+        assert!(reduce_inputs.len() <= 3);
+        let reduced: Vec<ReduceOut<u32, u64>> = reduce_inputs
+            .into_iter()
+            .map(|buckets| reduce_task(&SumReducer, GroupingStrategy::Sort, buckets, &arena))
+            .collect();
+        assert_eq!(reduced.iter().map(|r| r.in_records).sum::<u64>(), 200);
+        let job = assemble(&profiles, reduced, StageTimings::default());
+        let total: u64 = job.pairs.iter().map(|(_, v)| v).sum();
         let expected: u64 = (0..200u64).sum();
         assert_eq!(total, expected);
+        assert_eq!(job.meter.shuffle_records, 200);
+        assert_eq!(job.meter.output_records, 8);
     }
 
     #[test]
     fn shuffle_stage_skips_empty_partitions() {
-        let pool = ThreadPool::new(2);
         // One key only: at most one of the 16 partitions has records.
         struct OneKey;
         impl Mapper for OneKey {
@@ -1088,12 +773,63 @@ mod tests {
                 ctx.emit_intermediate(7, *input);
             }
         }
-        let inputs = vec![1u32, 2, 3];
-        let map_out = MapStage { mapper: &OneKey }.run(&pool, &inputs);
-        let (_, shuffled) = ShuffleStage { num_reducers: 16 }.run(&pool, map_out);
-        assert_eq!(shuffled.len(), 1, "only the populated partition survives");
-        assert_eq!(shuffled[0].records, 3);
-        assert_eq!(shuffled[0].buckets.len(), 3, "one bucket per emitting map task");
+        let (_, reduce_inputs) = shuffled(&OneKey, &[1u32, 2, 3], 16);
+        assert_eq!(reduce_inputs.len(), 1, "only the populated partition survives");
+        assert_eq!(reduce_inputs[0].len(), 3, "one bucket per emitting map task");
+        assert_eq!(reduce_inputs[0].iter().map(Vec::len).sum::<usize>(), 3);
+    }
+
+    #[test]
+    fn completion_fires_exactly_when_last_task_delivers() {
+        let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(3, 3);
+        assert!(ready.deliver(1, vec![vec![(0, 0)], vec![], vec![]]).is_empty());
+        assert!(ready.deliver(0, vec![vec![(0, 1)], vec![], vec![]]).is_empty());
+        assert_eq!(ready.deliver(2, vec![vec![], vec![(1, 2)], vec![]]), 0..3);
+    }
+
+    #[test]
+    fn buckets_come_back_in_map_task_order_despite_arrival_order() {
+        let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(1, 3);
+        // Arrival order 2, 0, 1 — take must still see 0, 1, 2.
+        ready.deliver(2, vec![vec![(0, 22)]]);
+        ready.deliver(0, vec![vec![(0, 0)]]);
+        ready.deliver(1, vec![vec![(0, 11)]]);
+        let buckets = ready.take(0).unwrap();
+        assert_eq!(buckets, vec![vec![(0, 0)], vec![(0, 11)], vec![(0, 22)]]);
+    }
+
+    #[test]
+    fn empty_partitions_are_skipped_like_the_staged_shuffle() {
+        let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(2, 1);
+        assert_eq!(ready.deliver(0, vec![vec![(0, 1)], vec![]]), 0..2);
+        assert!(ready.take(0).is_some());
+        assert!(ready.take(1).is_none(), "zero-record partition must be skipped");
+    }
+
+    #[test]
+    fn empty_buckets_leave_no_hole_in_task_order() {
+        let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(1, 3);
+        ready.deliver(0, vec![vec![(0, 1)]]);
+        ready.deliver(1, vec![vec![]]); // task 1 emitted nothing for p0
+        ready.deliver(2, vec![vec![(0, 3)]]);
+        // Only non-empty buckets survive, still in task order.
+        assert_eq!(ready.take(0).unwrap(), vec![vec![(0, 1)], vec![(0, 3)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "taken before all map tasks delivered")]
+    fn taking_an_incomplete_partition_panics() {
+        let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(1, 2);
+        ready.deliver(0, vec![vec![(0, 1)]]);
+        let _ = ready.take(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "deposited twice")]
+    fn double_deposit_panics() {
+        let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(1, 2);
+        ready.deliver(0, vec![vec![(0, 1)]]);
+        ready.deliver(0, vec![vec![(0, 2)]]);
     }
 
     #[test]
@@ -1146,11 +882,11 @@ mod tests {
     fn pipelined_matches_reference_pairs_and_meter() {
         let pool = ThreadPool::new(3);
         let inputs = splits();
-        let opts = crate::engine::JobOptions::with_reducers(5);
-        let reference = reference::execute(&pool, &inputs, &ModMapper, &SumReducer, &opts);
+        let opts = JobOptions::with_reducers(5);
+        let reference = reference(&pool, &inputs, &ModMapper, &SumReducer, &opts);
 
         let arena = ScratchArena::new();
-        let run = pipelined::execute(&pool, &inputs, &ModMapper, &SumReducer, &opts, &arena);
+        let run = pipelined(&pool, &inputs, &ModMapper, &SumReducer, &opts, &arena);
         assert_eq!(run.pairs, reference.pairs, "pipelined must match the reference byte-for-byte");
         assert!(run.stages.overlapped);
         assert!(run.stages.map > Duration::ZERO);
@@ -1167,8 +903,8 @@ mod tests {
         let inputs = splits();
         let arena = ScratchArena::new();
         // 64 partitions over 8 distinct keys: most partitions are empty.
-        let opts = crate::engine::JobOptions::with_reducers(64);
-        let run = pipelined::execute(&pool, &inputs, &ModMapper, &SumReducer, &opts, &arena);
+        let opts = JobOptions::with_reducers(64);
+        let run = pipelined(&pool, &inputs, &ModMapper, &SumReducer, &opts, &arena);
         assert!(run.meter.reduce_tasks <= 8, "empty partitions must be skipped");
         assert!(arena.shelved() > 0, "reduce scratch must be shelved for the next job");
     }
@@ -1177,16 +913,15 @@ mod tests {
     fn reference_and_stages_agree() {
         let pool = ThreadPool::new(3);
         let inputs = splits();
-        let opts = crate::engine::JobOptions::with_reducers(5);
-        let reference = reference::execute(&pool, &inputs, &ModMapper, &SumReducer, &opts);
+        let opts = JobOptions::with_reducers(5);
+        let reference = reference(&pool, &inputs, &ModMapper, &SumReducer, &opts);
 
         let arena = ScratchArena::new();
-        let map_out = MapStage { mapper: &ModMapper }.run(&pool, &inputs);
-        let combined = CombineStage { combiner: None }.run(&pool, map_out);
-        let (_, shuffled) = ShuffleStage { num_reducers: 5 }.run(&pool, combined);
-        let stage = ReduceStage { reducer: &SumReducer, grouping: GroupingStrategy::Radix };
-        let reduced = stage.run(&pool, shuffled, &arena);
-        let staged: Vec<(u32, u64)> = reduced.into_iter().flat_map(|r| r.pairs).collect();
+        let (_, reduce_inputs) = shuffled(&ModMapper, &inputs, 5);
+        let staged: Vec<(u32, u64)> = reduce_inputs
+            .into_iter()
+            .flat_map(|b| reduce_task(&SumReducer, GroupingStrategy::Radix, b, &arena).pairs)
+            .collect();
         assert_eq!(staged, reference.pairs, "stage composition must match the reference");
     }
 }

@@ -483,7 +483,7 @@ mod tests {
     fn worker_index_is_set_on_workers_and_absent_elsewhere() {
         assert_eq!(current_worker(), None, "test thread is not a pool worker");
         let pool = ThreadPool::new(2);
-        let (tx, rx) = crossbeam_channel::bounded(16);
+        let (tx, rx) = std::sync::mpsc::sync_channel(16);
         for _ in 0..16 {
             let tx = tx.clone();
             pool.execute(move || {
@@ -526,7 +526,7 @@ mod tests {
     #[test]
     fn builder_names_threads() {
         let pool = ThreadPoolBuilder::new().num_threads(1).thread_name("custom").build();
-        let (tx, rx) = crossbeam_channel::bounded(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         pool.execute(move || {
             tx.send(std::thread::current().name().map(str::to_owned)).unwrap();
         });
