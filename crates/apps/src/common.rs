@@ -14,12 +14,10 @@ use asyncmr_core::hash::StableHashMap;
 use asyncmr_graph::{CsrGraph, NodeId, WeightedGraph};
 use asyncmr_partition::Partitioning;
 
-/// Local-iteration cap for the flat session kernels — must equal
-/// [`asyncmr_core::local::LocalAlgorithm::max_local_iterations`]'s
-/// default (which the eager formulations use) for the session drivers
-/// to stay byte-identical to the barrier path. Pinned by the
-/// `session_equivalence` integration tests.
-pub(crate) const MAX_LOCAL_PASSES: usize = 10_000;
+/// Local-iteration cap for the flat session kernels: the eager
+/// formulations' own default, so the session drivers stop where the
+/// barrier path stops.
+pub(crate) use asyncmr_core::local::DEFAULT_MAX_LOCAL_ITERATIONS as MAX_LOCAL_PASSES;
 
 /// One partition's view of the graph.
 #[derive(Debug, Clone)]

@@ -118,7 +118,9 @@ impl LocalAlgorithm for KmLocalAlgorithm {
         // Empty clusters keep their previous position, with count 0 so
         // `finalize` won't weight them into the global mean.
         for (cid, (centroid, _)) in old {
-            new.entry(*cid).or_insert_with(|| (centroid.clone(), 0));
+            if new.get(cid).is_none() {
+                new.insert(*cid, (centroid.clone(), 0));
+            }
         }
     }
 
@@ -342,5 +344,64 @@ mod tests {
         let a = partition_indices(50, 4, Some(1));
         let b = partition_indices(50, 4, Some(2));
         assert_ne!(a, b);
+    }
+
+    /// K-Means is the workload whose `lmap` keys (the assigned cluster
+    /// ids) change from one local pass to the next and only freeze as
+    /// a gmap converges, so the local sync's grouping plan misses, then
+    /// hits. Both must be invisible: every number below was captured
+    /// from the commit before plan reuse and the flat `LocalState`
+    /// (full sort + `BTreeMap` on every pass). The reference engine
+    /// shares `EagerMapper`, so only constants can pin this.
+    #[test]
+    fn key_churn_across_local_passes_matches_golden_run() {
+        const CENTROID_BITS: [[u64; 6]; 4] = [
+            [
+                0x3ff26c9b26c9b26d,
+                0x401345d1745d1746,
+                0x3fe64d9364d9364e,
+                0x3fe64d9364d9364e,
+                0x4010000000000000,
+                0x40162e8ba2e8ba2f,
+            ],
+            [
+                0x3ff5a8cdb1bf295d,
+                0x3fd07d348a9ebe0b,
+                0x3fe7324e40d6a337,
+                0x3fe9927206b519b6,
+                0x40101ad466d8df95,
+                0x401acb756141f4d2,
+            ],
+            [
+                0x3ff23ee08fb823ee,
+                0x401698b3a62ce98b,
+                0x3fe79435e50d7943,
+                0x3fe9d31674c59d31,
+                0x4011c11f7047dc12,
+                0x3fd5555555555555,
+            ],
+            [
+                0x3ff29161f9add3c1,
+                0x3fe2f684bda12f68,
+                0x3fe3c0ca4587e6b7,
+                0x3fe5ba781948b0fd,
+                0x40103f35ba781949,
+                0x3ff684bda12f684c,
+            ],
+        ];
+        let data = census_like(400, 6, 4, 5);
+        let points = Arc::new(data.points);
+        let initial = crate::kmeans::initial_centroids(&points, 4, 3);
+        let cfg = KMeansConfig { k: 4, threshold: 0.001, ..Default::default() };
+        let pool = ThreadPool::new(2);
+        let mut engine = Engine::in_process(&pool);
+        let out = run_eager_from(&mut engine, &points, 3, &cfg, Some(initial));
+        let bits: Vec<Vec<u64>> =
+            out.centroids.iter().map(|c| c.iter().map(|v| v.to_bits()).collect()).collect();
+        assert_eq!(bits, CENTROID_BITS);
+        assert!(out.report.converged);
+        assert_eq!(out.report.global_iterations, 3);
+        assert_eq!(out.report.local_syncs, 35);
+        assert_eq!(out.report.total_ops, 145_016);
     }
 }

@@ -106,7 +106,7 @@ pub use session::{
     Absorbed, AdaptiveLagConfig, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput,
     Outbox, SessionFailurePlan, SessionOutcome, SessionReport,
 };
-pub use shuffle::{GroupView, Grouped, GroupingStrategy, ShuffleScratch};
+pub use shuffle::{GroupPlan, GroupView, Grouped, GroupingStrategy, ShuffleScratch};
 pub use traits::{Combiner, Mapper, Reducer};
 
 /// Glob import for application code.

@@ -33,16 +33,147 @@
 //! each `lreduce` pass is one *partial synchronization*, counted in
 //! [`crate::TaskMeter::local_syncs`].
 
-use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Index;
 
 use crate::emitter::MapContext;
 use crate::kv::{Key, Meterable, Value};
-use crate::shuffle::{Grouped, ShuffleScratch};
+use crate::shuffle::{GroupPlan, Grouped, ShuffleScratch};
 use crate::traits::Mapper;
 
-/// The local-state "hashtable" of paper Figure 1 (a `BTreeMap` here, so
-/// every traversal order is deterministic).
-pub type LocalState<K, V> = BTreeMap<K, V>;
+/// Default for [`LocalAlgorithm::max_local_iterations`] — the one
+/// definition of the local-iteration cap, shared by the flat session
+/// kernels so they stop where the eager formulations stop.
+pub const DEFAULT_MAX_LOCAL_ITERATIONS: usize = 10_000;
+
+/// The local-state "hashtable" of paper Figure 1 ("a hashtable is used
+/// to store the intermediate and final results of the local MapReduce",
+/// §V-A), kept as one key-ascending `Vec<(K, V)>`.
+///
+/// It has a map's interface — [`get`](LocalState::get) by binary
+/// search, [`insert`](LocalState::insert), `state[&key]`, iteration —
+/// but a local sync never uses it as a general map: `lreduce` sees its
+/// groups key-ascending, so [`LocalReduceContext::emit_local`] just
+/// *appends*; a pass's state is built once, read many times and retired
+/// whole, so its buffer is handed to the next pass instead of being
+/// freed node by node. Every traversal is in ascending key order —
+/// the determinism the bitwise contracts need and a hashed table would
+/// not give.
+#[derive(Clone, PartialEq)]
+pub struct LocalState<K, V> {
+    /// Keys strictly ascending.
+    entries: Vec<(K, V)>,
+}
+
+/// `(&K, &V)` view of one entry, for [`LocalState::iter`].
+fn entry_refs<K, V>(entry: &(K, V)) -> (&K, &V) {
+    (&entry.0, &entry.1)
+}
+
+impl<K, V> LocalState<K, V> {
+    /// An empty state.
+    pub fn new() -> Self {
+        LocalState { entries: Vec::new() }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the state has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The entries as `(&key, &value)`, keys ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.into_iter()
+    }
+
+    /// The backing buffer, emptied, for the next pass to fill.
+    fn into_buffer(mut self) -> Vec<(K, V)> {
+        self.entries.clear();
+        self.entries
+    }
+}
+
+impl<K: Ord, V> LocalState<K, V> {
+    /// The value stored under `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        let at = self.entries.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+        Some(&self.entries[at].1)
+    }
+
+    /// Stores `value` under `key`, returning the value it replaces.
+    /// `O(len)` for a new key — bulk writes go through
+    /// [`LocalReduceContext::emit_local`] or `collect()`.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.entries.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, value)),
+            Err(at) => {
+                self.entries.insert(at, (key, value));
+                None
+            }
+        }
+    }
+
+    /// Builds the state from entries written in any order: a later
+    /// write to a key replaces an earlier one (what inserting them one
+    /// by one would do). Already-ascending input — every `lreduce` that
+    /// emits its own key — costs one scan.
+    fn from_writes(mut entries: Vec<(K, V)>) -> Self {
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            // The sort is stable, so each key's writes are adjacent in
+            // write order; fold every later one into the kept first.
+            entries.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(&mut later.1, &mut kept.1);
+                }
+                same
+            });
+        }
+        LocalState { entries }
+    }
+}
+
+impl<K, V> Default for LocalState<K, V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for LocalState<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<K: Ord, V> Index<&K> for LocalState<K, V> {
+    type Output = V;
+
+    /// Panics if `key` is absent.
+    fn index(&self, key: &K) -> &V {
+        self.get(key).expect("no entry found for key")
+    }
+}
+
+impl<K: Ord, V> FromIterator<(K, V)> for LocalState<K, V> {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
+        Self::from_writes(iter.into_iter().collect())
+    }
+}
+
+impl<'a, K, V> IntoIterator for &'a LocalState<K, V> {
+    type Item = (&'a K, &'a V);
+    type IntoIter = std::iter::Map<std::slice::Iter<'a, (K, V)>, fn(&'a (K, V)) -> Self::Item>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.iter().map(entry_refs)
+    }
+}
 
 /// Context for [`LocalAlgorithm::lmap`] — the paper's
 /// `EmitLocalIntermediate` plus op metering.
@@ -77,21 +208,25 @@ impl<K: Key, V: Value> LocalMapContext<K, V> {
 /// plus op metering.
 #[derive(Debug)]
 pub struct LocalReduceContext<K, V> {
-    state: LocalState<K, V>,
+    /// The next state's entries in emission order.
+    emitted: Vec<(K, V)>,
     ops: u64,
 }
 
 impl<K: Key, V: Value> LocalReduceContext<K, V> {
-    fn new() -> Self {
-        LocalReduceContext { state: LocalState::new(), ops: 0 }
+    /// A context emitting into a recycled (cleared) buffer.
+    fn reusing(buffer: Vec<(K, V)>) -> Self {
+        debug_assert!(buffer.is_empty());
+        LocalReduceContext { emitted: buffer, ops: 0 }
     }
 
     /// The paper's `EmitLocal(key, value)`: writes an entry of the new
-    /// local state. At local convergence this state becomes the gmap's
-    /// global emissions; otherwise the next `lmap` pass reads it.
+    /// local state; writing a key again replaces its value. At local
+    /// convergence this state becomes the gmap's global emissions;
+    /// otherwise the next `lmap` pass reads it.
     #[inline]
     pub fn emit_local(&mut self, key: K, value: V) {
-        self.state.insert(key, value);
+        self.emitted.push((key, value));
     }
 
     /// Meters `n` abstract operations.
@@ -166,9 +301,10 @@ pub trait LocalAlgorithm: Send + Sync {
         new: &LocalState<Self::Key, Self::Value>,
     ) -> bool;
 
-    /// Safety valve on local iterations (default 10 000).
+    /// Safety valve on local iterations (default
+    /// [`DEFAULT_MAX_LOCAL_ITERATIONS`]).
     fn max_local_iterations(&self) -> usize {
-        10_000
+        DEFAULT_MAX_LOCAL_ITERATIONS
     }
 
     /// Size of this partition's input split in bytes, for the
@@ -234,10 +370,13 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
         let items = self.algo.items(input);
 
         // One scratch set serves every local iteration of this task:
-        // after the first pass the intermediate buffer and the group
-        // arrays stop allocating (same hot-path machinery as the
-        // engine's reduce stage, see `crate::shuffle::Grouped`).
+        // the intermediate buffer, the group arrays and the state
+        // buffers stop allocating after the first pass, and `plan`
+        // turns every grouping after the first into a verified scatter
+        // (see `crate::shuffle::GroupPlan`).
         let mut scratch: ShuffleScratch<L::Key, L::Value> = ShuffleScratch::default();
+        let mut plan: GroupPlan<L::Key> = GroupPlan::default();
+        let mut retired: Vec<(L::Key, L::Value)> = Vec::new();
         for _ in 0..self.algo.max_local_iterations() {
             // Local map phase over every element of xs.
             let mut lctx = LocalMapContext::reusing(scratch.take_pairs());
@@ -249,18 +388,17 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
             // already running their next local iteration (eager
             // scheduling).
             let record_work = lctx.intermediate.len() as u64;
-            let grouped =
-                Grouped::from_pairs_reusing(std::mem::take(&mut lctx.intermediate), &mut scratch);
-            let mut rctx = LocalReduceContext::new();
+            let grouped = Grouped::from_pairs_planned(lctx.intermediate, &mut plan, &mut scratch);
+            let mut rctx = LocalReduceContext::reusing(retired);
             grouped.for_each(|g| self.algo.lreduce(task, input, g.key, g.values, &mut rctx));
             grouped.recycle_into(&mut scratch);
-            let mut new_state = std::mem::take(&mut rctx.state);
+            let mut new_state = LocalState::from_writes(rctx.emitted);
             self.algo.post_lreduce(task, input, &state, &mut new_state);
             ctx.meter.add_ops(lctx.ops + rctx.ops + record_work);
             ctx.meter.add_local_sync();
 
             let done = self.algo.locally_converged(&state, &new_state);
-            state = new_state;
+            retired = std::mem::replace(&mut state, new_state).into_buffer();
             if done {
                 break;
             }
@@ -491,7 +629,9 @@ mod tests {
             new: &mut LocalState<u32, u64>,
         ) {
             for (k, v) in old {
-                new.entry(*k).or_insert(*v);
+                if new.get(k).is_none() {
+                    new.insert(*k, *v);
+                }
             }
         }
         fn locally_converged(

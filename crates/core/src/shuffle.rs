@@ -9,15 +9,20 @@
 //!
 //! Two grouping implementations exist:
 //!
-//! * [`Grouped`] — the **hot path**: a stable sort by key over the
-//!   moved-in pairs, split into parallel `keys`/`values` arrays, with
-//!   run detection yielding contiguous [`GroupView`] slices. No per-key
-//!   `Vec` allocations, no clones, and all three backing buffers are
+//! * [`Grouped`] — the **hot path**: the moved-in pairs are permuted
+//!   into parallel `keys`/`values` arrays (keys ascending), with run
+//!   detection yielding contiguous [`GroupView`] slices. No per-key
+//!   `Vec` allocations, no value clones, and all backing buffers are
 //!   recyclable through [`ShuffleScratch`] across the hundreds of jobs
-//!   an iterative driver issues.
+//!   an iterative driver issues. Its constructors differ only in how
+//!   the permutation is found — a stable sort or a radix scatter per
+//!   call ([`GroupingStrategy`], the engine's reduce tasks), or a
+//!   remembered, re-verified [`GroupPlan`] (the local sync of
+//!   [`crate::local::EagerMapper`], whose key sequence repeats pass
+//!   after pass) — and produce byte-identical arrays.
 //! * [`group`] — the original `BTreeMap` formulation, **kept as the
-//!   behavioral reference** for property tests and the before/after
-//!   shuffle benchmark. Both produce byte-identical group order.
+//!   behavioral reference** for property tests. Both produce
+//!   byte-identical group order.
 
 use std::collections::BTreeMap;
 
@@ -90,8 +95,9 @@ pub struct ShuffleScratch<K, V> {
     pub(crate) pairs: Vec<(K, V)>,
     pub(crate) keys: Vec<K>,
     pub(crate) values: Vec<V>,
-    /// Per-pair group-id buffer for the radix path (untyped in K/V, so
-    /// it recycles across jobs of any shape).
+    /// Per-pair index buffer: group ids on the radix path, the sort
+    /// order while a [`GroupPlan`] is rebuilt (untyped in K/V, so it
+    /// recycles across jobs of any shape).
     pub(crate) slots: Vec<u32>,
 }
 
@@ -139,6 +145,71 @@ pub fn concat_buckets<K, V>(
         out.append(&mut bucket);
     }
     out
+}
+
+/// What one grouping learned about its input, kept so the next
+/// grouping of the *same key sequence* is a scatter instead of a sort.
+///
+/// An iterative task emits the same keys in the same order pass after
+/// pass (a graph partition's edges do not move); only the values
+/// change. The plan remembers the key sequence it was built for, where
+/// each input index lands in the grouped output, and the grouped key
+/// array. [`Grouped::from_pairs_planned`] **verifies** the remembered
+/// sequence against every new input — an `O(n)` equality scan, never
+/// skipped — and rebuilds the plan when it differs, so a task whose
+/// keys churn (K-Means reassignments) is only slower, never wrong.
+///
+/// Sized to one task's records (two `K` arrays and one `u32` array)
+/// and owned by that task.
+#[derive(Debug)]
+pub struct GroupPlan<K> {
+    /// The key sequence the plan was built for, in emission order.
+    input_keys: Vec<K>,
+    /// `slots[i]` is the output index of input pair `i`: a permutation
+    /// of `0..input_keys.len()` (the scatter's safety rests on this, so
+    /// only [`GroupPlan::rebuild`] writes it).
+    slots: Vec<u32>,
+    /// `input_keys` in grouped order: ascending, duplicates adjacent.
+    sorted_keys: Vec<K>,
+}
+
+impl<K> Default for GroupPlan<K> {
+    fn default() -> Self {
+        GroupPlan { input_keys: Vec::new(), slots: Vec::new(), sorted_keys: Vec::new() }
+    }
+}
+
+impl<K: Key> GroupPlan<K> {
+    /// Whether `pairs` carries exactly the key sequence this plan was
+    /// built for.
+    fn matches<V>(&self, pairs: &[(K, V)]) -> bool {
+        pairs.len() == self.input_keys.len()
+            && pairs.iter().zip(&self.input_keys).all(|((k, _), planned)| k == planned)
+    }
+
+    /// Rebuilds the plan for `pairs`' key sequence with one index sort
+    /// (`order` is a recycled temporary). Ties break by input index, so
+    /// values keep emission order within a key — the permutation a
+    /// stable sort of the pairs themselves would apply.
+    fn rebuild<V>(&mut self, pairs: &[(K, V)], order: &mut Vec<u32>) {
+        let n = pairs.len();
+        assert!(u32::try_from(n).is_ok(), "a grouping plan indexes records with u32, got {n}");
+        self.input_keys.clear();
+        self.input_keys.extend(pairs.iter().map(|(k, _)| k.clone()));
+        let keys = &self.input_keys;
+        order.clear();
+        order.extend(0..n as u32);
+        order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]).then(a.cmp(&b)));
+        self.slots.clear();
+        self.slots.resize(n, 0);
+        self.sorted_keys.clear();
+        self.sorted_keys.reserve(n);
+        for (slot, &i) in order.iter().enumerate() {
+            self.slots[i as usize] = slot as u32;
+            self.sorted_keys.push(keys[i as usize].clone());
+        }
+        order.clear();
+    }
 }
 
 /// One key group: the key plus its values as a contiguous slice.
@@ -284,6 +355,48 @@ impl<K: Key, V: Value> Grouped<K, V> {
         scratch.offer_pairs(pairs);
         gids.clear();
         scratch.slots = gids;
+        Grouped { keys, values }
+    }
+
+    /// Groups `pairs` through `plan`, recycling buffers from `scratch`.
+    ///
+    /// If `pairs` carries the key sequence `plan` was built for (checked
+    /// on every call, in every build) the values scatter straight to
+    /// their remembered slots and the keys are the plan's grouped
+    /// array: `O(n)` moves, no comparison sort. Otherwise the plan is
+    /// rebuilt first (`O(n log n)`, once per new key sequence). Either
+    /// way the output is byte-identical to
+    /// [`Grouped::from_pairs_reusing`].
+    pub fn from_pairs_planned(
+        mut pairs: Vec<(K, V)>,
+        plan: &mut GroupPlan<K>,
+        scratch: &mut ShuffleScratch<K, V>,
+    ) -> Self {
+        if !plan.matches(&pairs) {
+            plan.rebuild(&pairs, &mut scratch.slots);
+        }
+        let n = pairs.len();
+        let mut keys = std::mem::take(&mut scratch.keys);
+        let mut values = std::mem::take(&mut scratch.values);
+        keys.clear();
+        values.clear();
+        keys.extend_from_slice(&plan.sorted_keys);
+        values.reserve(n);
+        {
+            let value_slots = values.spare_capacity_mut();
+            for ((_, v), &slot) in pairs.drain(..).zip(&plan.slots) {
+                value_slots[slot as usize].write(v);
+            }
+        }
+        // SAFETY: `plan` matches `pairs` (verified or just rebuilt), so
+        // `plan.slots` has length n and is a permutation of 0..n
+        // (`GroupPlan::rebuild` assigns each sorted position to exactly
+        // one input index): every slot below n was initialized exactly
+        // once. Nothing between the writes and here can panic.
+        unsafe {
+            values.set_len(n);
+        }
+        scratch.offer_pairs(pairs);
         Grouped { keys, values }
     }
 

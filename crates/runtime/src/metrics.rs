@@ -77,16 +77,35 @@ impl PoolMetrics {
 
     /// Counter deltas since an earlier snapshot of the same pool — what
     /// one bounded stretch of work (a session run, a bench rep) cost.
-    /// Saturates at zero per field, so a stale `before` never wraps.
+    ///
+    /// # Panics
+    ///
+    /// The counters only grow, so `before` exceeding `self` in any
+    /// field means the snapshots were passed in the wrong order (or
+    /// come from different pools): that is a caller bug, reported by
+    /// panicking with the field's name rather than clamped to zero.
     pub fn since(&self, before: &PoolMetrics) -> PoolMetrics {
+        macro_rules! delta {
+            ($field:ident) => {
+                self.$field.checked_sub(before.$field).unwrap_or_else(|| {
+                    panic!(
+                        "PoolMetrics::since: `{}` went backwards ({} -> {}); \
+                         pass the earlier snapshot as `before`",
+                        stringify!($field),
+                        before.$field,
+                        self.$field
+                    )
+                })
+            };
+        }
         PoolMetrics {
             threads: self.threads,
-            executed: self.executed.saturating_sub(before.executed),
-            panicked: self.panicked.saturating_sub(before.panicked),
-            steals: self.steals.saturating_sub(before.steals),
-            injector_pops: self.injector_pops.saturating_sub(before.injector_pops),
-            parks: self.parks.saturating_sub(before.parks),
-            park_nanos: self.park_nanos.saturating_sub(before.park_nanos),
+            executed: delta!(executed),
+            panicked: delta!(panicked),
+            steals: delta!(steals),
+            injector_pops: delta!(injector_pops),
+            parks: delta!(parks),
+            park_nanos: delta!(park_nanos),
         }
     }
 }
@@ -127,25 +146,33 @@ mod tests {
         assert!((m2.steal_ratio() - 0.25).abs() < 1e-12);
     }
 
+    const ZERO: PoolMetrics = PoolMetrics {
+        threads: 2,
+        executed: 0,
+        panicked: 0,
+        steals: 0,
+        injector_pops: 0,
+        parks: 0,
+        park_nanos: 0,
+    };
+
+    const BEFORE: PoolMetrics = PoolMetrics { executed: 5, steals: 1, park_nanos: 100, ..ZERO };
+    const AFTER: PoolMetrics =
+        PoolMetrics { executed: 9, steals: 4, parks: 2, park_nanos: 350, ..ZERO };
+
     #[test]
-    fn since_is_a_saturating_fieldwise_delta() {
-        let zero = PoolMetrics {
-            threads: 2,
-            executed: 0,
-            panicked: 0,
-            steals: 0,
-            injector_pops: 0,
-            parks: 0,
-            park_nanos: 0,
-        };
-        let before = PoolMetrics { executed: 5, steals: 1, park_nanos: 100, ..zero };
-        let after = PoolMetrics { executed: 9, steals: 4, parks: 2, park_nanos: 350, ..zero };
-        let d = after.since(&before);
+    fn since_is_a_fieldwise_delta() {
+        let d = AFTER.since(&BEFORE);
         assert_eq!(d.executed, 4);
         assert_eq!(d.steals, 3);
         assert_eq!(d.parks, 2);
         assert_eq!(d.park_nanos, 250);
-        // Stale "before" saturates instead of wrapping.
-        assert_eq!(before.since(&after).executed, 0);
+        assert_eq!(AFTER.since(&AFTER), ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "`executed` went backwards (9 -> 5)")]
+    fn since_panics_on_reversed_snapshots() {
+        let _ = BEFORE.since(&AFTER);
     }
 }

@@ -17,7 +17,7 @@ use asyncmr::apps::kmeans::{self, KMeansConfig};
 use asyncmr::apps::pagerank::{self, PageRankConfig};
 use asyncmr::apps::sssp::{self, SsspConfig};
 use asyncmr::apps::{cc, cc::CcConfig};
-use asyncmr::core::Engine;
+use asyncmr::core::{Engine, IterationReport};
 use asyncmr::graph::{generators, CsrGraph, WeightedGraph};
 use asyncmr::partition::{MultilevelKWay, Partitioner};
 use asyncmr::runtime::ThreadPool;
@@ -38,6 +38,15 @@ fn all_strategies<T>(pool: &ThreadPool, mut f: impl FnMut(&mut Engine<'_>) -> T)
     (a, b, c)
 }
 
+/// The strategies must also agree on how they got there: global
+/// iterations and (for the eager formulations) partial synchronizations.
+fn assert_same_counts(reports: &[&IterationReport]) {
+    for r in &reports[1..] {
+        assert_eq!(r.global_iterations, reports[0].global_iterations);
+        assert_eq!(r.local_syncs, reports[0].local_syncs);
+    }
+}
+
 #[test]
 fn pagerank_both_modes_identical_across_paths() {
     let g = crawl_graph(400, 11);
@@ -48,14 +57,12 @@ fn pagerank_both_modes_identical_across_paths() {
     let (a, b, c) = all_strategies(&pool, |e| pagerank::run_general(e, &g, &parts, &cfg));
     assert_eq!(a.ranks, b.ranks, "general ranks diverge between shuffle paths");
     assert_eq!(a.ranks, c.ranks, "general ranks diverge under pipelined execution");
-    assert_eq!(a.report.global_iterations, b.report.global_iterations);
-    assert_eq!(a.report.global_iterations, c.report.global_iterations);
+    assert_same_counts(&[&a.report, &b.report, &c.report]);
 
     let (a, b, c) = all_strategies(&pool, |e| pagerank::run_eager(e, &g, &parts, &cfg));
     assert_eq!(a.ranks, b.ranks, "eager ranks diverge between shuffle paths");
     assert_eq!(a.ranks, c.ranks, "eager ranks diverge under pipelined execution");
-    assert_eq!(a.report.global_iterations, b.report.global_iterations);
-    assert_eq!(a.report.global_iterations, c.report.global_iterations);
+    assert_same_counts(&[&a.report, &b.report, &c.report]);
 }
 
 #[test]
@@ -69,13 +76,11 @@ fn sssp_both_modes_identical_across_paths() {
     let (a, b, c) = all_strategies(&pool, |e| sssp::run_general(e, &wg, &parts, &cfg));
     assert_eq!(a.distances, b.distances, "general distances diverge");
     assert_eq!(a.distances, c.distances, "general distances diverge under pipelined execution");
-    assert_eq!(a.report.global_iterations, b.report.global_iterations);
-    assert_eq!(a.report.global_iterations, c.report.global_iterations);
+    assert_same_counts(&[&a.report, &b.report, &c.report]);
     let (a, b, c) = all_strategies(&pool, |e| sssp::run_eager(e, &wg, &parts, &cfg));
     assert_eq!(a.distances, b.distances, "eager distances diverge");
     assert_eq!(a.distances, c.distances, "eager distances diverge under pipelined execution");
-    assert_eq!(a.report.global_iterations, b.report.global_iterations);
-    assert_eq!(a.report.global_iterations, c.report.global_iterations);
+    assert_same_counts(&[&a.report, &b.report, &c.report]);
 }
 
 #[test]
@@ -93,8 +98,7 @@ fn kmeans_both_modes_identical_across_paths() {
     assert_eq!(a.centroids, c.centroids, "general centroids diverge under pipelined execution");
     assert_eq!(a.sse, b.sse);
     assert_eq!(a.sse, c.sse);
-    assert_eq!(a.report.global_iterations, b.report.global_iterations);
-    assert_eq!(a.report.global_iterations, c.report.global_iterations);
+    assert_same_counts(&[&a.report, &b.report, &c.report]);
 
     let (a, b, c) = all_strategies(&pool, |e| {
         kmeans::eager::run_eager_from(e, &points, 8, &cfg, Some(initial.clone()))
@@ -103,8 +107,7 @@ fn kmeans_both_modes_identical_across_paths() {
     assert_eq!(a.centroids, c.centroids, "eager centroids diverge under pipelined execution");
     assert_eq!(a.sse, b.sse);
     assert_eq!(a.sse, c.sse);
-    assert_eq!(a.report.global_iterations, b.report.global_iterations);
-    assert_eq!(a.report.global_iterations, c.report.global_iterations);
+    assert_same_counts(&[&a.report, &b.report, &c.report]);
 }
 
 #[test]
@@ -117,13 +120,11 @@ fn cc_both_modes_identical_across_paths() {
     let (a, b, c) = all_strategies(&pool, |e| cc::run_general(e, &g, &parts, &cfg));
     assert_eq!(a.labels, b.labels, "general labels diverge");
     assert_eq!(a.labels, c.labels, "general labels diverge under pipelined execution");
-    assert_eq!(a.report.global_iterations, b.report.global_iterations);
-    assert_eq!(a.report.global_iterations, c.report.global_iterations);
+    assert_same_counts(&[&a.report, &b.report, &c.report]);
     let (a, b, c) = all_strategies(&pool, |e| cc::run_eager(e, &g, &parts, &cfg));
     assert_eq!(a.labels, b.labels, "eager labels diverge");
     assert_eq!(a.labels, c.labels, "eager labels diverge under pipelined execution");
-    assert_eq!(a.report.global_iterations, b.report.global_iterations);
-    assert_eq!(a.report.global_iterations, c.report.global_iterations);
+    assert_same_counts(&[&a.report, &b.report, &c.report]);
 }
 
 #[test]
@@ -139,16 +140,14 @@ fn jacobi_both_modes_identical_across_paths() {
     assert_eq!(a.x, c.x, "general solutions diverge under pipelined execution");
     assert_eq!(a.residual, b.residual);
     assert_eq!(a.residual, c.residual);
-    assert_eq!(a.report.global_iterations, b.report.global_iterations);
-    assert_eq!(a.report.global_iterations, c.report.global_iterations);
+    assert_same_counts(&[&a.report, &b.report, &c.report]);
 
     let (a, b, c) = all_strategies(&pool, |e| jacobi::run_eager(e, &g, &b_vec, &parts, &cfg));
     assert_eq!(a.x, b.x, "eager solutions diverge");
     assert_eq!(a.x, c.x, "eager solutions diverge under pipelined execution");
     assert_eq!(a.residual, b.residual);
     assert_eq!(a.residual, c.residual);
-    assert_eq!(a.report.global_iterations, b.report.global_iterations);
-    assert_eq!(a.report.global_iterations, c.report.global_iterations);
+    assert_same_counts(&[&a.report, &b.report, &c.report]);
 }
 
 #[test]
