@@ -248,4 +248,140 @@ mod tests {
             last = out.report.global_iterations;
         }
     }
+
+    /// K-Means is the workload whose shuffle keys (the assigned cluster
+    /// ids) change from one job to the next, so the engine's remembered
+    /// route and group plans are recorded, go stale, are dropped and
+    /// back off to the unplanned shuffle — and none of it may show. Every number below was captured at the
+    /// commit before the engine remembered anything. The first run is
+    /// the application as shipped (combiner on: post-combine keys
+    /// barely move); the second drives the same mapper and reducer
+    /// without the combiner, one emitted key per point, so the key
+    /// sequences churn job after job.
+    #[test]
+    fn key_churn_across_jobs_matches_golden_run() {
+        const APP_BITS: [[u64; 5]; 6] = [
+            [
+                0x3fdc46231188c462,
+                0x3fd73b9dcee773ba,
+                0x3fd0e070381c0e07,
+                0x40207abd5eaf57ac,
+                0x3fe150a8542a150b,
+            ],
+            [
+                0x3fe2d2d2d2d2d2d3,
+                0x3fe0000000000000,
+                0x40125a5a5a5a5a5a,
+                0x40065a5a5a5a5a5a,
+                0x3ff52d2d2d2d2d2d,
+            ],
+            [0, 0, 0x3fcdac37dac37dac, 0x40206d61bed61bed, 0],
+            [
+                0x3fd75d75d75d75d7,
+                0x3fd1451451451451,
+                0x3fe2cb2cb2cb2cb3,
+                0x3ffb2cb2cb2cb2cb,
+                0x3febefbefbefbefc,
+            ],
+            [
+                0x3fd8b4fc6d8b4fc7,
+                0x3fd0ab75e10ab75e,
+                0x3fd0f7aa450f7aa4,
+                0x401ab29aca6b29ad,
+                0x3fd7d05f417d05f4,
+            ],
+            [
+                0x3fd79435e50d7943,
+                0x3fd435e50d79435e,
+                0x4011435e50d79436,
+                0x401e79435e50d794,
+                0x3fe1435e50d79436,
+            ],
+        ];
+        const RAW_BITS: [[u64; 5]; 6] = [
+            [
+                0x3fdc46231188c462,
+                0x3fd73b9dcee773ba,
+                0x3fd0e070381c0e07,
+                0x40207abd5eaf57ac,
+                0x3fe150a8542a150b,
+            ],
+            [
+                0x3fe2492492492492,
+                0x3fe0750750750750,
+                0x4011249249249249,
+                0x4015075075075075,
+                0x3fef15f15f15f15f,
+            ],
+            [0, 0, 0x3fcdac37dac37dac, 0x40206d61bed61bed, 0],
+            [
+                0x3fd9ec8e951033d9,
+                0x3fd1d2a2067b23a5,
+                0x3ff6e2d5df984dc6,
+                0x3ff9b8b577e61371,
+                0x3ff0000000000000,
+            ],
+            [
+                0x3fd8d28ac42fd9b8,
+                0x3fd0bf66e0e5aea7,
+                0x3fce81323e34a2b1,
+                0x401aa2b10bf66e0e,
+                0x3fd6ba9de81323e3,
+            ],
+            [
+                0x3fd4444444444444,
+                0x3fd3333333333333,
+                0x401199999999999a,
+                0x4020000000000000,
+                0x3fe1111111111111,
+            ],
+        ];
+        let bits = |centroids: &[Point]| -> Vec<Vec<u64>> {
+            centroids.iter().map(|c| c.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        let data = census_like(900, 5, 6, 13);
+        let points = Arc::new(data.points);
+        let initial = crate::kmeans::initial_centroids(&points, 6, 4);
+        let cfg = KMeansConfig { k: 6, threshold: 1e-9, ..Default::default() };
+        let pool = ThreadPool::new(2);
+
+        let mut engine = Engine::in_process(&pool);
+        let out = run_general_from(&mut engine, &points, 3, &cfg, Some(initial.clone()));
+        assert_eq!(bits(&out.centroids), APP_BITS);
+        assert!(out.report.converged);
+        assert_eq!(out.report.global_iterations, 17);
+        assert_eq!(out.report.total_ops, 460_515);
+
+        for mut engine in [Engine::in_process(&pool), Engine::with_pipelined_shuffle(&pool)] {
+            let mut centroids = initial.clone();
+            let opts = JobOptions::with_reducers(4);
+            let (mut map_ops, mut reduce_ops, mut records, mut reduce_tasks) = (0, 0, 0, 0);
+            let mut churned_jobs = 0;
+            for iter in 0..10 {
+                let shared = Arc::new(centroids.clone());
+                let inputs: Vec<KmGeneralInput> = [(0, 300), (300, 600), (600, 900)]
+                    .into_iter()
+                    .map(|(start, end)| KmGeneralInput {
+                        points: Arc::clone(&points),
+                        start,
+                        end,
+                        centroids: Arc::clone(&shared),
+                    })
+                    .collect();
+                let name = format!("kmeans-raw-iter{iter}");
+                let out = engine.run(&name, &inputs, &KmGeneralMapper, &KmMeanReducer, &opts);
+                map_ops += out.meter.map_ops;
+                reduce_ops += out.meter.reduce_ops;
+                records += out.meter.shuffle_records;
+                reduce_tasks += out.meter.reduce_tasks;
+                churned_jobs += usize::from(iter > 0 && out.reuse.route.misses > 0);
+                for (cid, mean) in out.pairs {
+                    centroids[cid as usize] = mean;
+                }
+            }
+            assert_eq!(bits(&centroids), RAW_BITS);
+            assert_eq!((map_ops, reduce_ops, records, reduce_tasks), (270_000, 45_000, 9_000, 39));
+            assert!(churned_jobs >= 5, "the keys must actually churn: {churned_jobs} of 9 jobs");
+        }
+    }
 }

@@ -120,6 +120,15 @@ impl<K: Key, V: Value> Default for MapContext<K, V> {
 }
 
 impl<K: Key, V: Value> MapContext<K, V> {
+    /// A context whose pair buffer starts with room for `records`
+    /// emissions (the engine passes what the same map task emitted
+    /// last job, so the buffer is allocated once instead of regrown by
+    /// doubling).
+    pub(crate) fn with_capacity(records: usize) -> Self {
+        let emitter = Emitter { pairs: Vec::with_capacity(records), bytes: 0 };
+        MapContext { emitter, meter: TaskMeter::default() }
+    }
+
     /// The paper's `EmitIntermediate(key, value)`.
     #[inline]
     pub fn emit_intermediate(&mut self, key: K, value: V) {

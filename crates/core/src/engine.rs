@@ -11,10 +11,9 @@
 //!    reduce partition) and each partition's buckets reach its reduce
 //!    task *by move* — no clone, and partitions that received no
 //!    records are skipped,
-//! 4. reduce: every reduce task fuses move-based concatenation with
-//!    sort-based [`crate::shuffle::GroupView`] grouping (key-sorted
-//!    groups, map-task-ordered values) over buffers recycled across
-//!    jobs,
+//! 4. reduce: every reduce task groups its buckets into key-sorted
+//!    [`crate::shuffle::GroupView`]s (map-task-ordered values) over
+//!    buffers recycled across jobs, and reduces them,
 //! 5. the engine meters everything, and — when a [`Simulation`] is
 //!    attached — replays the metered job on the simulated cluster,
 //!    appending the resulting [`JobStats`] to the engine's history.
@@ -32,6 +31,17 @@
 //! `pipeline_equivalence` suites have something independent to compare
 //! against.
 //!
+//! The engine **remembers** across jobs: steps 3 and 4 keep, per map
+//! task and per reduce partition, the key sequence they last saw and
+//! where every record went ([`crate::shuffle`]'s plans, in the engine's
+//! [`crate::plan::PlanStore`]). A job whose tasks see the same keys
+//! again — every iteration of a graph algorithm — verifies that, key by
+//! key, and then moves records instead of hashing and sorting them; a
+//! job that does not runs the unplanned shuffle, and pays for a new
+//! plan only when one looks worth recording.
+//! [`JobResult::reuse`] says which it was. Dropping the engine releases
+//! the plans and the scratch buffers.
+//!
 //! The returned pairs are *identical* whether or not simulation is
 //! enabled; simulation only produces timing.
 
@@ -40,8 +50,8 @@ use std::time::{Duration, Instant};
 use asyncmr_runtime::ThreadPool;
 use asyncmr_simcluster::{JobSpec, JobStats, SimTime, Simulation};
 
-use crate::plan::{self, ScratchArena, StageTimings};
-use crate::shuffle::GroupingStrategy;
+use crate::plan::{self, PlanStore, ScratchArena, StageTimings};
+use crate::shuffle::{GroupingStrategy, PlanOutcome};
 use crate::traits::{Combiner, Mapper, Reducer};
 
 /// Per-job knobs.
@@ -64,9 +74,11 @@ pub struct JobOptions<'c, K, V> {
     pub num_reducers: usize,
     /// Optional map-side combiner.
     pub combiner: Option<&'c dyn Combiner<Key = K, Value = V>>,
-    /// Which grouping implementation the reduce tasks use — sort-based
-    /// (default) or radix/hash-based. Both are byte-identical in
-    /// grouped output; see [`crate::shuffle::GroupingStrategy`].
+    /// How the reduce tasks find a grouping when they have to compute
+    /// one (a reduce input that repeats last job's key sequence reuses
+    /// the remembered one) — sort-based (default) or radix/hash-based.
+    /// Both are byte-identical in grouped output; see
+    /// [`crate::shuffle::GroupingStrategy`].
     pub grouping: GroupingStrategy,
 }
 
@@ -146,6 +158,48 @@ pub struct JobMeter {
     pub input_bytes: u64,
 }
 
+/// What became of one kind of remembered shuffle plan in one job (see
+/// [`crate::shuffle::PlanOutcome`]): one count per task that consulted
+/// a plan.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanUse {
+    /// Tasks whose input repeated the remembered key sequence.
+    pub hits: u64,
+    /// Tasks whose input did not (first sight, or the keys changed).
+    pub misses: u64,
+    /// The misses that recorded a new plan — one key clone per record;
+    /// the others ran the unplanned shuffle and cloned nothing.
+    pub recorded: u64,
+}
+
+impl PlanUse {
+    pub(crate) fn count(&mut self, planned: PlanOutcome) {
+        self.hits += u64::from(planned == PlanOutcome::Hit);
+        self.misses += u64::from(planned != PlanOutcome::Hit);
+        self.recorded += u64::from(planned == PlanOutcome::Recorded);
+    }
+}
+
+/// What one job reused from the jobs its engine ran before it.
+///
+/// Reported *beside* [`JobMeter`], never inside it: the meter describes
+/// the job and is identical under every schedule, grouping strategy and
+/// the oracle; these counts describe the engine's memory and are not
+/// (the oracle reuses nothing and reports all zeros). In the steady
+/// state of an iterative driver — from its third job of a shape on —
+/// `arena_mints` and both `misses` are 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JobReuse {
+    /// Reduce tasks that found no shelved scratch in the
+    /// [`ScratchArena`] and minted a fresh one.
+    pub arena_mints: u64,
+    /// Map tasks' [`crate::shuffle::RoutePlan`]s (none are consulted
+    /// when the job has a single partition).
+    pub route: PlanUse,
+    /// Reduce tasks' [`crate::shuffle::GroupPlan`]s.
+    pub group: PlanUse,
+}
+
 /// Everything one job produced.
 #[derive(Debug)]
 pub struct JobResult<K, O> {
@@ -166,6 +220,8 @@ pub struct JobResult<K, O> {
     /// ([`Engine::with_reference_shuffle`]), which executes
     /// monolithically and is not stage-instrumented.
     pub stages: StageTimings,
+    /// What the job reused from earlier jobs on this engine.
+    pub reuse: JobReuse,
 }
 
 /// A row of the engine's job history.
@@ -183,6 +239,8 @@ pub struct JobRecord {
     /// barrier on staged rows, summed busy time on pipelined rows
     /// ([`StageTimings::overlapped`] tells them apart).
     pub stages: StageTimings,
+    /// What the job reused from earlier jobs, as in [`JobResult::reuse`].
+    pub reuse: JobReuse,
 }
 
 /// How [`Engine::run`] executes a job (see [`crate::plan`]).
@@ -203,6 +261,7 @@ pub struct Engine<'p> {
     sim: Option<Simulation>,
     records: Vec<JobRecord>,
     scratch: ScratchArena,
+    plans: PlanStore,
     path: ShufflePath,
 }
 
@@ -218,7 +277,8 @@ impl std::fmt::Debug for Engine<'_> {
 
 impl<'p> Engine<'p> {
     fn new(pool: &'p ThreadPool, sim: Option<Simulation>, path: ShufflePath) -> Self {
-        Engine { pool, sim, records: Vec::new(), scratch: ScratchArena::new(), path }
+        let (scratch, plans) = (ScratchArena::new(), PlanStore::new());
+        Engine { pool, sim, records: Vec::new(), scratch, plans, path }
     }
 
     /// An engine that only executes in-process (no simulated timing).
@@ -339,10 +399,12 @@ impl<'p> Engine<'p> {
             combiner: opts.combiner,
             grouping: opts.grouping,
         };
-        let (pool, arena) = (self.pool, &self.scratch);
-        let plan::Executed { pairs, meter, stages, specs } = match self.path {
-            ShufflePath::Staged => plan::staged(pool, inputs, mapper, reducer, opts, arena),
-            ShufflePath::Pipelined => plan::pipelined(pool, inputs, mapper, reducer, opts, arena),
+        let (pool, arena, plans) = (self.pool, &self.scratch, &self.plans);
+        let plan::Executed { pairs, meter, stages, reuse, specs } = match self.path {
+            ShufflePath::Staged => plan::staged(pool, inputs, mapper, reducer, opts, arena, plans),
+            ShufflePath::Pipelined => {
+                plan::pipelined(pool, inputs, mapper, reducer, opts, arena, plans)
+            }
             ShufflePath::Reference => plan::reference(pool, inputs, mapper, reducer, opts),
         };
         // Read before the replay: the simulator's host time is not this
@@ -360,8 +422,9 @@ impl<'p> Engine<'p> {
             sim: sim.clone(),
             wall,
             stages,
+            reuse,
         });
-        JobResult { pairs, meter, sim, wall, stages }
+        JobResult { pairs, meter, sim, wall, stages, reuse }
     }
 }
 
@@ -612,6 +675,59 @@ mod tests {
             engine.scratch_arena().shelved() > 0,
             "reduce-task scratch buffers must be shelved for reuse"
         );
+    }
+
+    #[test]
+    fn steady_state_reuses_everything_and_history_carries_the_counts() {
+        let pool = ThreadPool::new(2);
+        let inputs = splits();
+        let opts = JobOptions::with_reducers(4);
+        let populated = populated_partitions(4) as u64;
+        for mut engine in [Engine::in_process(&pool), Engine::with_pipelined_shuffle(&pool)] {
+            let jobs: Vec<JobReuse> = (0..5)
+                .map(|_| engine.run("same", &inputs, &SquareMapper, &SumReducer, &opts).reuse)
+                .collect();
+            // First sight runs unplanned, the second records, then hits.
+            let missed = |n, recorded| PlanUse { hits: 0, misses: n, recorded };
+            assert_eq!((jobs[0].route, jobs[0].group), (missed(8, 0), missed(populated, 0)));
+            assert_eq!(
+                (jobs[1].route, jobs[1].group),
+                (missed(8, 8), missed(populated, populated))
+            );
+            assert!(jobs[0].arena_mints >= 1, "a fresh arena has nothing shelved");
+            for job in &jobs[2..] {
+                let hit = |hits| PlanUse { hits, ..PlanUse::default() };
+                assert_eq!((job.route, job.group), (hit(8), hit(populated)));
+            }
+            // A scratch is minted only while every existing one is
+            // checked out, so never more of them than lanes.
+            let lanes = pool.num_threads() as u64 + 1;
+            assert!(jobs.iter().map(|j| j.arena_mints).sum::<u64>() <= lanes, "{jobs:?}");
+            let recorded: Vec<JobReuse> = engine.history().iter().map(|r| r.reuse).collect();
+            assert_eq!(recorded, jobs);
+        }
+    }
+
+    #[test]
+    fn one_reduce_task_per_job_mints_exactly_once() {
+        // One partition, one reduce task at a time: which job mints is
+        // not up to the scheduler. A single partition consults no route
+        // plan; the oracle reuses nothing at all.
+        let pool = ThreadPool::new(2);
+        let inputs = splits();
+        let opts = JobOptions::with_reducers(1);
+        for mut engine in [Engine::in_process(&pool), Engine::with_pipelined_shuffle(&pool)] {
+            for job in 0..4 {
+                let reuse = engine.run("one", &inputs, &SquareMapper, &SumReducer, &opts).reuse;
+                assert_eq!(reuse.arena_mints, u64::from(job == 0), "job {job}");
+                assert_eq!(reuse.route, PlanUse::default());
+                assert_eq!(reuse.group.hits, u64::from(job > 1));
+                assert_eq!(reuse.group.recorded, u64::from(job == 1));
+            }
+        }
+        let mut oracle = Engine::with_reference_shuffle(&pool);
+        let out = oracle.run("o", &inputs, &SquareMapper, &SumReducer, &JobOptions::default());
+        assert_eq!(out.reuse, JobReuse::default());
     }
 
     #[test]

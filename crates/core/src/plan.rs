@@ -8,8 +8,13 @@
 //!   (including the [`crate::Mapper::input_size_hint`] fallback);
 //! * `combine_task` — the optional map-side combiner over one task's
 //!   pairs, re-metering what heads into the shuffle;
-//! * [`shuffle::route`] — stable key hash → one bucket per reduce
-//!   partition;
+//! * `route_task` — stable key hash → one bucket per reduce partition,
+//!   through the map task's remembered [`RoutePlan`]: when the task
+//!   emits the key sequence it emitted last job (verified key by key,
+//!   every job), pairs move to their remembered partitions into
+//!   exactly-sized buckets without being hashed; otherwise
+//!   [`shuffle::route`] hashes them as ever, and a new plan is recorded
+//!   only when one looks worth its key clones (see [`crate::shuffle`]);
 //! * `ReduceInputs` — the single-owner accumulator that transposes
 //!   bucket *handles* (no element is copied or cloned): each map task's
 //!   routed buckets are delivered once; a partition's input is its
@@ -17,11 +22,16 @@
 //!   in. Partitions that received no records are **skipped** — not
 //!   executed, not metered, not replayed in simulation (see
 //!   [`crate::JobOptions::num_reducers`]);
-//! * `reduce_task` — move-concatenation of one partition's buckets,
-//!   grouping into contiguous [`crate::shuffle::GroupView`] slices, and
-//!   the user's reduce calls, over buffers recycled through a
-//!   [`ScratchArena`] across the hundreds of jobs a
-//!   [`crate::FixedPointDriver`] run issues;
+//! * `reduce_task` — grouping of one partition's buckets into
+//!   contiguous [`crate::shuffle::GroupView`] slices through the
+//!   partition's remembered [`GroupPlan`] (verified the same way; on a
+//!   hit keys and values scatter from the buckets straight to their
+//!   slots — no concatenation, no hash map, no sort, no clone; on a
+//!   miss the job's [`GroupingStrategy`] groups them unplanned, or
+//!   records a new plan, under the same backoff), and the user's
+//!   reduce calls, over buffers recycled through a [`ScratchArena`]
+//!   across the hundreds of jobs a [`crate::FixedPointDriver`] run
+//!   issues. The plans live in the engine's [`PlanStore`];
 //! * `assemble` — the [`crate::JobMeter`] fold, the simulator task
 //!   specs, and the ascending-partition concatenation of output pairs.
 //!
@@ -42,14 +52,15 @@
 //!   Timed as per-stage busy time.
 //!
 //! Because both schedules run the same bodies and the same `assemble`,
-//! their output pairs and [`crate::JobMeter`]s are identical by
-//! construction; they differ only in scheduling and therefore in
+//! their output pairs, [`crate::JobMeter`]s and plan hits are identical
+//! by construction; they differ only in scheduling and therefore in
 //! wall-clock and [`StageTimings`] attribution.
 //!
 //! The **oracle** ([`crate::Engine::with_reference_shuffle`]) is the
-//! exception on purpose: it is the original strategy (sequential bucket
-//! concatenation, per-reducer `input.clone()`, `BTreeMap` grouping) and
-//! shares *no* body with the schedules, which is what makes the
+//! exception on purpose: it is the original strategy (hash every key,
+//! sequential bucket concatenation, per-reducer `input.clone()`,
+//! `BTreeMap` grouping), remembers nothing from job to job, and shares
+//! *no* body with the schedules, which is what makes the
 //! equivalence suites that compare against it mean something.
 
 use std::any::{Any, TypeId};
@@ -62,9 +73,11 @@ use asyncmr_runtime::{FollowUp, ThreadPool};
 use asyncmr_simcluster::{MapTaskSpec, ReduceTaskSpec};
 
 use crate::emitter::{MapContext, ReduceContext};
-use crate::engine::{JobMeter, JobOptions};
+use crate::engine::{JobMeter, JobOptions, JobReuse};
 use crate::kv::{Key, Meterable, Value};
-use crate::shuffle::{self, Grouped, GroupingStrategy, ShuffleScratch};
+use crate::shuffle::{
+    self, GroupPlan, Grouped, GroupingStrategy, PlanOutcome, RoutePlan, ShuffleScratch,
+};
 use crate::traits::{Combiner, Mapper, Reducer};
 
 /// Time spent in each stage of one job (in-process execution, not
@@ -140,8 +153,9 @@ impl StageTimings {
 /// job of each shape warms the arena — but it means a caller that
 /// requests the wrong type gets no reuse and no error, while the
 /// differently-typed shelf sits untouched. When reuse must be
-/// observable (tests, capacity accounting), use
-/// [`ScratchArena::try_take`], which returns `None` instead of minting.
+/// observable, use [`ScratchArena::try_take`], which returns `None`
+/// instead of minting — the engine's reduce tasks do, and every job
+/// reports its mints as [`crate::JobReuse::arena_mints`].
 /// Mismatched requests never consume or corrupt another type's shelf.
 ///
 /// # Example
@@ -217,6 +231,60 @@ impl ScratchArena {
     }
 }
 
+/// What the engine's shuffle remembers from job to job: one
+/// [`RoutePlan`] per map task and one [`GroupPlan`] per reduce
+/// partition.
+///
+/// **Slot-addressed**, unlike the [`ScratchArena`] beside it: a plan is
+/// only worth something to the task that will see the same key sequence
+/// again, so it is filed under (plan type — which names the key type —,
+/// map task or *real* partition index; a skipped empty partition does
+/// not shift its neighbours' slots). Two job types that share a key
+/// type share slots and evict each other's plans: every plan is
+/// verified against its input on every use
+/// ([`shuffle::route_planned`], [`Grouped::from_buckets_planned`]), so
+/// that costs recordings — fewer and fewer, the slots back off to the
+/// unplanned shuffle — never results.
+///
+/// A slot holds its task's recorded key sequence (one key and one
+/// `u32` a record: ≈ 8 B for `u32` keys, route and group plan alike)
+/// until it fails a verification, which frees it; dropping the engine
+/// releases everything.
+#[derive(Debug, Default)]
+pub struct PlanStore {
+    slots: Mutex<HashMap<(TypeId, usize), Box<dyn Any + Send>>>,
+}
+
+impl PlanStore {
+    /// A fresh, empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Runs `f` on the plan of type `P` filed under `slot` — a fresh
+    /// `P::default()` the first time — and files it back. The plan is
+    /// checked out while `f` runs (no lock is held); within a job each
+    /// slot belongs to exactly one task.
+    pub fn with<P: Any + Send + Default, T>(&self, slot: usize, f: impl FnOnce(&mut P) -> T) -> T {
+        let key = (TypeId::of::<P>(), slot);
+        let filed = self.slots.lock().unwrap_or_else(|e| e.into_inner()).remove(&key);
+        let mut plan: Box<P> = match filed {
+            Some(plan) => plan.downcast().expect("slots are keyed by TypeId"),
+            None => Box::default(),
+        };
+        let out = f(&mut plan);
+        self.slots.lock().unwrap_or_else(|e| e.into_inner()).insert(key, plan);
+        out
+    }
+
+    /// Reads the plan of type `P` filed under `slot`, if there is one;
+    /// never files anything.
+    pub fn peek<P: Any + Send, T>(&self, slot: usize, f: impl FnOnce(&P) -> T) -> Option<T> {
+        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        slots.get(&(TypeId::of::<P>(), slot)).and_then(|plan| plan.downcast_ref()).map(f)
+    }
+}
+
 /// One map task's routed output: `buckets[r]` goes to reduce partition
 /// `r`. Also one reduce task's input: that partition's non-empty
 /// buckets, in map-task order.
@@ -251,6 +319,10 @@ struct ReduceOut<K, O> {
     in_records: u64,
     out_records: u64,
     out_bytes: u64,
+    /// Whether the arena had no shelved scratch for this task.
+    minted: bool,
+    /// What became of the partition's [`GroupPlan`].
+    planned: PlanOutcome,
 }
 
 /// What a job execution hands back to [`crate::Engine::run`].
@@ -259,14 +331,22 @@ pub(crate) struct Executed<K, O> {
     pub(crate) pairs: Vec<(K, O)>,
     pub(crate) meter: JobMeter,
     pub(crate) stages: StageTimings,
+    pub(crate) reuse: JobReuse,
     /// The metered tasks as simulator specs. `None` from the oracle,
     /// which no constructor can pair with a `Simulation`.
     pub(crate) specs: Option<(Vec<MapTaskSpec>, Vec<ReduceTaskSpec>)>,
 }
 
-/// Runs the user's map function over one input split.
-fn map_task<M: Mapper>(mapper: &M, task: usize, input: &M::Input) -> MapOut<M::Key, M::Value> {
-    let mut ctx: MapContext<M::Key, M::Value> = MapContext::default();
+/// Runs the user's map function over one input split, into a pair
+/// buffer sized to what the same task routed last job.
+fn map_task<M: Mapper>(
+    mapper: &M,
+    task: usize,
+    input: &M::Input,
+    plans: &PlanStore,
+) -> MapOut<M::Key, M::Value> {
+    let expected = plans.peek(task, RoutePlan::<M::Key>::records).unwrap_or(0);
+    let mut ctx: MapContext<M::Key, M::Value> = MapContext::with_capacity(expected);
     mapper.map(task, input, &mut ctx);
     let (pairs, meter, records, bytes) = ctx.finish();
     let input_bytes =
@@ -293,6 +373,24 @@ fn combine_task<K: Key, V: Value>(
     out.profile.records = out.pairs.len() as u64;
     out.profile.bytes = out.pairs.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum();
     out
+}
+
+/// Routes one map task's pairs through the task's remembered
+/// [`RoutePlan`]; also reports what became of the plan. A
+/// single-partition job routes by ownership transfer and consults no
+/// plan (`None`).
+fn route_task<K: Key, V: Value>(
+    task: usize,
+    pairs: Vec<(K, V)>,
+    reducers: usize,
+    plans: &PlanStore,
+) -> (Buckets<K, V>, Option<PlanOutcome>) {
+    if reducers == 1 {
+        return (vec![pairs], None);
+    }
+    let (buckets, planned) =
+        plans.with(task, |plan: &mut RoutePlan<K>| shuffle::route_planned(pairs, reducers, plan));
+    (buckets, Some(planned))
 }
 
 /// The reduce-input accumulator: collects every map task's routed
@@ -364,33 +462,41 @@ impl<K, V> ReduceInputs<K, V> {
     }
 }
 
-/// Runs one reduce task: move-concatenates the partition's buckets,
-/// groups them, and applies the user's reduce function per key, over
-/// scratch buffers checked out of (and returned to) `arena`.
+/// Runs one reduce task: groups the partition's buckets through the
+/// partition's remembered [`GroupPlan`] and applies the user's reduce
+/// function per key, over scratch buffers checked out of (and returned
+/// to) `arena`.
 fn reduce_task<R: Reducer>(
     reducer: &R,
     grouping: GroupingStrategy,
+    partition: usize,
     buckets: Buckets<R::Key, R::ValueIn>,
     arena: &ScratchArena,
+    plans: &PlanStore,
 ) -> ReduceOut<R::Key, R::Out> {
-    let mut scratch: ShuffleScratch<R::Key, R::ValueIn> = arena.take();
-    let pairs = shuffle::concat_buckets(buckets, &mut scratch);
-    let in_records = pairs.len() as u64;
-    let grouped = Grouped::from_pairs_using(grouping, pairs, &mut scratch);
+    let in_records = buckets.iter().map(|b| b.len() as u64).sum();
+    let shelved: Option<ShuffleScratch<R::Key, R::ValueIn>> = arena.try_take();
+    let minted = shelved.is_none();
+    let mut scratch = shelved.unwrap_or_default();
+    let (grouped, planned) = plans.with(partition, |plan: &mut GroupPlan<R::Key>| {
+        Grouped::from_buckets_planned(buckets, grouping, plan, &mut scratch)
+    });
     let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::default();
     grouped.for_each(|g| reducer.reduce(g.key, g.values, &mut ctx));
     grouped.recycle_into(&mut scratch);
     arena.put(scratch);
     let (pairs, meter, out_records, out_bytes) = ctx.finish();
-    ReduceOut { pairs, ops: meter.ops(), in_records, out_records, out_bytes }
+    ReduceOut { pairs, ops: meter.ops(), in_records, out_records, out_bytes, minted, planned }
 }
 
 /// Folds the per-task reports into the job's result. `reduced` must be
 /// in ascending partition order: that order is the output order.
+/// `reuse` arrives with the map side's route-plan counts.
 fn assemble<K, O>(
     profiles: &[MapProfile],
     reduced: Vec<ReduceOut<K, O>>,
     stages: StageTimings,
+    mut reuse: JobReuse,
 ) -> Executed<K, O> {
     let mut meter =
         JobMeter { map_tasks: profiles.len(), reduce_tasks: reduced.len(), ..JobMeter::default() };
@@ -411,11 +517,13 @@ fn assemble<K, O>(
         meter.reduce_ops += r.ops;
         meter.output_records += r.out_records;
         meter.output_bytes += r.out_bytes;
+        reuse.arena_mints += u64::from(r.minted);
+        reuse.group.count(r.planned);
         // Record-handling framework work folds into reduce ops.
         reduce_specs.push(ReduceTaskSpec::new(r.ops + r.in_records, r.out_bytes));
         pairs.extend(r.pairs);
     }
-    Executed { pairs, meter, stages, specs: Some((map_specs, reduce_specs)) }
+    Executed { pairs, meter, stages, reuse, specs: Some((map_specs, reduce_specs)) }
 }
 
 /// The staged schedule: the job body as four barriers, each timed as
@@ -427,6 +535,7 @@ pub(crate) fn staged<M, R>(
     reducer: &R,
     opts: &JobOptions<'_, M::Key, M::Value>,
     arena: &ScratchArena,
+    plans: &PlanStore,
 ) -> Executed<R::Key, R::Out>
 where
     M: Mapper,
@@ -434,9 +543,10 @@ where
 {
     let reducers = opts.num_reducers;
     let mut stages = StageTimings::default();
+    let mut reuse = JobReuse::default();
 
     let t = Instant::now();
-    let mapped = pool.par_map_indexed(inputs, |task, input| map_task(mapper, task, input));
+    let mapped = pool.par_map_indexed(inputs, |task, input| map_task(mapper, task, input, plans));
     stages.map = t.elapsed();
 
     // With no combiner attached this barrier is a free pass-through (no
@@ -449,24 +559,29 @@ where
     stages.combine = t.elapsed();
 
     let t = Instant::now();
-    let routed =
-        pool.par_map_vec(combined, |_task, out| (out.profile, shuffle::route(out.pairs, reducers)));
+    let routed = pool.par_map_vec(combined, |task, out| {
+        (out.profile, route_task(task, out.pairs, reducers, plans))
+    });
     let mut ready = ReduceInputs::new(reducers, inputs.len());
     let mut profiles = Vec::with_capacity(inputs.len());
-    for (task, (profile, buckets)) in routed.into_iter().enumerate() {
+    for (task, (profile, (buckets, planned))) in routed.into_iter().enumerate() {
         profiles.push(profile);
+        if let Some(planned) = planned {
+            reuse.route.count(planned);
+        }
         ready.deliver(task, buckets);
     }
-    let reduce_inputs: Vec<_> = (0..reducers).filter_map(|p| ready.take(p)).collect();
+    let reduce_inputs: Vec<_> =
+        (0..reducers).filter_map(|p| ready.take(p).map(|buckets| (p, buckets))).collect();
     stages.shuffle = t.elapsed();
 
     let t = Instant::now();
-    let reduced = pool.par_map_vec(reduce_inputs, |_i, buckets| {
-        reduce_task(reducer, opts.grouping, buckets, arena)
+    let reduced = pool.par_map_vec(reduce_inputs, |_i, (partition, buckets)| {
+        reduce_task(reducer, opts.grouping, partition, buckets, arena, plans)
     });
     stages.reduce = t.elapsed();
 
-    assemble(&profiles, reduced, stages)
+    assemble(&profiles, reduced, stages, reuse)
 }
 
 /// Ready partitions carrying fewer records than this are batched into a
@@ -481,6 +596,7 @@ const MIN_RECORDS_PER_REDUCE_SPAWN: u64 = 1024;
 struct MapDone<K, V> {
     profile: MapProfile,
     buckets: Buckets<K, V>,
+    planned: Option<PlanOutcome>,
     map_busy: Duration,
     combine_busy: Duration,
     route_busy: Duration,
@@ -500,12 +616,13 @@ fn reduce_batch<'a, R: Reducer>(
     reducer: &'a R,
     grouping: GroupingStrategy,
     arena: &'a ScratchArena,
+    plans: &'a PlanStore,
     slots: &'a [Slot<R::Key, R::Out>],
 ) -> FollowUp<'a> {
     Box::new(move || {
         for (partition, buckets) in batch {
             let t = Instant::now();
-            let out = reduce_task(reducer, grouping, buckets, arena);
+            let out = reduce_task(reducer, grouping, partition, buckets, arena, plans);
             let mut slot = slots[partition].lock().unwrap_or_else(|e| e.into_inner());
             *slot = Some((out, t.elapsed()));
         }
@@ -521,6 +638,7 @@ pub(crate) fn pipelined<M, R>(
     reducer: &R,
     opts: &JobOptions<'_, M::Key, M::Value>,
     arena: &ScratchArena,
+    plans: &PlanStore,
 ) -> Executed<R::Key, R::Out>
 where
     M: Mapper,
@@ -536,6 +654,7 @@ where
     let slots: &[Slot<R::Key, R::Out>] = &slots;
     let mut profiles = vec![MapProfile::default(); inputs.len()];
     let mut stages = StageTimings { overlapped: true, ..StageTimings::default() };
+    let mut reuse = JobReuse::default();
 
     pool.par_pipeline(
         inputs.iter().collect::<Vec<&M::Input>>(),
@@ -543,7 +662,7 @@ where
         // per split.
         move |task, input| {
             let t = Instant::now();
-            let mut out = map_task(mapper, task, input);
+            let mut out = map_task(mapper, task, input, plans);
             let map_busy = t.elapsed();
 
             let t = Instant::now();
@@ -553,9 +672,9 @@ where
             let combine_busy = t.elapsed();
 
             let t = Instant::now();
-            let buckets = shuffle::route(out.pairs, reducers);
+            let (buckets, planned) = route_task(task, out.pairs, reducers, plans);
             let route_busy = t.elapsed();
-            MapDone { profile: out.profile, buckets, map_busy, combine_busy, route_busy }
+            MapDone { profile: out.profile, buckets, planned, map_busy, combine_busy, route_busy }
         },
         // Scheduler, on the calling thread: record the profile, hand
         // the buckets to the accumulator, and spawn reduce work for
@@ -570,6 +689,9 @@ where
             stages.map += done.map_busy;
             stages.combine += done.combine_busy;
             stages.shuffle += done.route_busy;
+            if let Some(planned) = done.planned {
+                reuse.route.count(planned);
+            }
             let mut follow_ups: Vec<FollowUp<'_>> = Vec::new();
             let mut batch = Vec::new();
             let mut batch_records = 0u64;
@@ -581,12 +703,12 @@ where
                 batch.push((partition, buckets));
                 if batch_records >= MIN_RECORDS_PER_REDUCE_SPAWN {
                     let batch = std::mem::take(&mut batch);
-                    follow_ups.push(reduce_batch(batch, reducer, grouping, arena, slots));
+                    follow_ups.push(reduce_batch(batch, reducer, grouping, arena, plans, slots));
                     batch_records = 0;
                 }
             }
             if !batch.is_empty() {
-                follow_ups.push(reduce_batch(batch, reducer, grouping, arena, slots));
+                follow_ups.push(reduce_batch(batch, reducer, grouping, arena, plans, slots));
             }
             follow_ups
         },
@@ -599,7 +721,7 @@ where
             reduced.push(out);
         }
     }
-    assemble(&profiles, reduced, stages)
+    assemble(&profiles, reduced, stages, reuse)
 }
 
 /// The oracle: executes one job the way the pre-staged engine did —
@@ -690,7 +812,8 @@ where
         meter.output_bytes += out_bytes;
         pairs.extend(out_pairs);
     }
-    Executed { pairs, meter, stages: StageTimings::default(), specs: None }
+    let (stages, reuse) = (StageTimings::default(), JobReuse::default());
+    Executed { pairs, meter, stages, reuse, specs: None }
 }
 
 #[cfg(test)]
@@ -725,35 +848,37 @@ mod tests {
     }
 
     /// Map → route → accumulate, one task after another on this thread:
-    /// the job body with no schedule at all.
+    /// the job body with no schedule at all. Returns each populated
+    /// partition with its reduce input.
     fn shuffled<M: Mapper<Key = K, Value = V>, K: Key, V: Value>(
         mapper: &M,
         inputs: &[M::Input],
         reducers: usize,
-    ) -> (Vec<MapProfile>, Vec<Buckets<K, V>>) {
+        plans: &PlanStore,
+    ) -> (Vec<MapProfile>, Batch<K, V>) {
         let mut ready = ReduceInputs::new(reducers, inputs.len());
         let mut profiles = Vec::new();
         for (task, input) in inputs.iter().enumerate() {
-            let out = map_task(mapper, task, input);
+            let out = map_task(mapper, task, input, plans);
             profiles.push(out.profile);
-            ready.deliver(task, shuffle::route(out.pairs, reducers));
+            ready.deliver(task, route_task(task, out.pairs, reducers, plans).0);
         }
-        (profiles, (0..reducers).filter_map(|p| ready.take(p)).collect())
+        (profiles, (0..reducers).filter_map(|p| Some((p, ready.take(p)?))).collect())
     }
 
     #[test]
     fn stages_compose_to_a_correct_job() {
-        let arena = ScratchArena::new();
-        let (profiles, reduce_inputs) = shuffled(&ModMapper, &splits(), 3);
+        let (arena, plans) = (ScratchArena::new(), PlanStore::new());
+        let (profiles, reduce_inputs) = shuffled(&ModMapper, &splits(), 3, &plans);
         assert_eq!(profiles.len(), 4);
         assert!(profiles.iter().all(|p| p.records == 50 && p.precombine_records == 50));
         assert!(reduce_inputs.len() <= 3);
         let reduced: Vec<ReduceOut<u32, u64>> = reduce_inputs
             .into_iter()
-            .map(|buckets| reduce_task(&SumReducer, GroupingStrategy::Sort, buckets, &arena))
+            .map(|(p, b)| reduce_task(&SumReducer, GroupingStrategy::Sort, p, b, &arena, &plans))
             .collect();
         assert_eq!(reduced.iter().map(|r| r.in_records).sum::<u64>(), 200);
-        let job = assemble(&profiles, reduced, StageTimings::default());
+        let job = assemble(&profiles, reduced, StageTimings::default(), JobReuse::default());
         let total: u64 = job.pairs.iter().map(|(_, v)| v).sum();
         let expected: u64 = (0..200u64).sum();
         assert_eq!(total, expected);
@@ -773,10 +898,12 @@ mod tests {
                 ctx.emit_intermediate(7, *input);
             }
         }
-        let (_, reduce_inputs) = shuffled(&OneKey, &[1u32, 2, 3], 16);
+        let (_, reduce_inputs) = shuffled(&OneKey, &[1u32, 2, 3], 16, &PlanStore::new());
         assert_eq!(reduce_inputs.len(), 1, "only the populated partition survives");
-        assert_eq!(reduce_inputs[0].len(), 3, "one bucket per emitting map task");
-        assert_eq!(reduce_inputs[0].iter().map(Vec::len).sum::<usize>(), 3);
+        let (partition, buckets) = &reduce_inputs[0];
+        assert_eq!(*partition, crate::hash::reducer_for(&7u32, 16), "under its real index");
+        assert_eq!(buckets.len(), 3, "one bucket per emitting map task");
+        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 3);
     }
 
     #[test]
@@ -870,6 +997,26 @@ mod tests {
     }
 
     #[test]
+    fn plan_store_files_by_type_and_slot() {
+        let store = PlanStore::new();
+        assert_eq!(store.peek(3, RoutePlan::<u32>::records), None);
+        let route = |slot, pairs: Vec<(u32, u8)>| {
+            store.with(slot, |plan: &mut RoutePlan<u32>| shuffle::route_planned(pairs, 2, plan).1)
+        };
+        assert_eq!(store.peek(3, RoutePlan::<u32>::records), None, "peek files nothing");
+        for want in [PlanOutcome::Unplanned, PlanOutcome::Recorded, PlanOutcome::Hit] {
+            assert_eq!(route(3, vec![(1, 9), (2, 9)]), want, "slot 3 remembers");
+        }
+        assert_eq!(route(4, vec![(1, 0)]), PlanOutcome::Unplanned, "slot 4 is another task's");
+        assert_eq!(store.peek(3, RoutePlan::<u32>::records), Some(2));
+        assert_eq!(store.peek(4, RoutePlan::<u32>::records), Some(1));
+        // Same slot number, other plan types: separate files.
+        assert_eq!(store.peek(3, RoutePlan::<u64>::records), None);
+        assert_eq!(store.with(3, |plan: &mut GroupPlan<u32>| plan.records()), 0);
+        assert_eq!(route(3, vec![(1, 7), (2, 7)]), PlanOutcome::Hit, "and do not evict each other");
+    }
+
+    #[test]
     fn scratch_arena_is_bounded() {
         let arena = ScratchArena::new();
         for _ in 0..(SCRATCH_SHELF_CAP + 10) {
@@ -885,8 +1032,8 @@ mod tests {
         let opts = JobOptions::with_reducers(5);
         let reference = reference(&pool, &inputs, &ModMapper, &SumReducer, &opts);
 
-        let arena = ScratchArena::new();
-        let run = pipelined(&pool, &inputs, &ModMapper, &SumReducer, &opts, &arena);
+        let (arena, plans) = (ScratchArena::new(), PlanStore::new());
+        let run = pipelined(&pool, &inputs, &ModMapper, &SumReducer, &opts, &arena, &plans);
         assert_eq!(run.pairs, reference.pairs, "pipelined must match the reference byte-for-byte");
         assert!(run.stages.overlapped);
         assert!(run.stages.map > Duration::ZERO);
@@ -901,10 +1048,10 @@ mod tests {
     fn pipelined_recycles_scratch_and_skips_empty_partitions() {
         let pool = ThreadPool::new(2);
         let inputs = splits();
-        let arena = ScratchArena::new();
+        let (arena, plans) = (ScratchArena::new(), PlanStore::new());
         // 64 partitions over 8 distinct keys: most partitions are empty.
         let opts = JobOptions::with_reducers(64);
-        let run = pipelined(&pool, &inputs, &ModMapper, &SumReducer, &opts, &arena);
+        let run = pipelined(&pool, &inputs, &ModMapper, &SumReducer, &opts, &arena, &plans);
         assert!(run.meter.reduce_tasks <= 8, "empty partitions must be skipped");
         assert!(arena.shelved() > 0, "reduce scratch must be shelved for the next job");
     }
@@ -916,12 +1063,11 @@ mod tests {
         let opts = JobOptions::with_reducers(5);
         let reference = reference(&pool, &inputs, &ModMapper, &SumReducer, &opts);
 
-        let arena = ScratchArena::new();
-        let (_, reduce_inputs) = shuffled(&ModMapper, &inputs, 5);
-        let staged: Vec<(u32, u64)> = reduce_inputs
-            .into_iter()
-            .flat_map(|b| reduce_task(&SumReducer, GroupingStrategy::Radix, b, &arena).pairs)
-            .collect();
+        let (arena, plans) = (ScratchArena::new(), PlanStore::new());
+        let (_, reduce_inputs) = shuffled(&ModMapper, &inputs, 5, &plans);
+        let reduce =
+            |(p, b)| reduce_task(&SumReducer, GroupingStrategy::Radix, p, b, &arena, &plans).pairs;
+        let staged: Vec<(u32, u64)> = reduce_inputs.into_iter().flat_map(reduce).collect();
         assert_eq!(staged, reference.pairs, "stage composition must match the reference");
     }
 }

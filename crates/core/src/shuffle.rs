@@ -7,19 +7,46 @@
 //! with values ordered by (map task, emission index) — fully
 //! deterministic.
 //!
-//! Two grouping implementations exist:
+//! Both halves **remember**. An iterative driver issues the same job
+//! hundreds of times, and a graph partition's edges do not move: map
+//! task *t* emits, and reduce partition *r* receives, the same key
+//! sequence job after job — only the values change. A [`RoutePlan`]
+//! keeps one map task's key sequence with each key's target partition
+//! and the exact bucket sizes; a [`GroupPlan`] keeps one reduce input's
+//! key sequence with each record's slot in the grouped output.
+//! [`route_planned`] and [`Grouped::from_buckets_planned`] **verify**
+//! the remembered sequence against every new input — an `O(n)`
+//! key-equality scan, in every build, never skipped — and on a hit move
+//! every record (key and value) straight to its remembered place: no
+//! hash, no sort, no concatenation copy, no clone.
 //!
-//! * [`Grouped`] — the **hot path**: the moved-in pairs are permuted
-//!   into parallel `keys`/`values` arrays (keys ascending), with run
-//!   detection yielding contiguous [`GroupView`] slices. No per-key
-//!   `Vec` allocations, no value clones, and all backing buffers are
-//!   recyclable through [`ShuffleScratch`] across the hundreds of jobs
-//!   an iterative driver issues. Its constructors differ only in how
-//!   the permutation is found — a stable sort or a radix scatter per
-//!   call ([`GroupingStrategy`], the engine's reduce tasks), or a
-//!   remembered, re-verified [`GroupPlan`] (the local sync of
-//!   [`crate::local::EagerMapper`], whose key sequence repeats pass
-//!   after pass) — and produce byte-identical arrays.
+//! Remembering costs one key clone per record, which a heap-keyed job
+//! that never repeats would pay for nothing, so *recording* is earned
+//! (see `Backoff`): a plan sits out the first input it sees and records
+//! the second, and a recorded plan that fails its next verification is
+//! dropped and sits out 1, 2, 4 … 64 inputs before recording again. An
+//! input that is sat out runs exactly the unplanned code — [`route`],
+//! or [`concat_buckets`] + [`Grouped::from_pairs_using`] with the job's
+//! [`GroupingStrategy`] — so a one-shot job clones nothing, a job whose
+//! keys churn forever (K-Means reassignments) records in at most one
+//! job of 65, and neither is ever wrong. [`PlanOutcome`] says which of
+//! the three happened. The engine keeps the plans per map task and per
+//! reduce partition in its [`crate::plan::PlanStore`];
+//! [`crate::local::EagerMapper`] owns one [`GroupPlan`] per task for
+//! its local syncs (it loops, so it records at once).
+//!
+//! Grouping implementations:
+//!
+//! * [`Grouped`] — the **hot path**: parallel `keys`/`values` arrays
+//!   (keys ascending), with run detection yielding contiguous
+//!   [`GroupView`] slices. No per-key `Vec` allocations, no value
+//!   clones, and all backing buffers are recyclable through
+//!   [`ShuffleScratch`] across the hundreds of jobs an iterative driver
+//!   issues. Its constructors differ only in how the permutation is
+//!   found — a stable sort or a radix scatter per call
+//!   ([`Grouped::from_pairs_using`], the unplanned path), or a
+//!   remembered, re-verified [`GroupPlan`] — and produce byte-identical
+//!   arrays.
 //! * [`group`] — the original `BTreeMap` formulation, **kept as the
 //!   behavioral reference** for property tests. Both produce
 //!   byte-identical group order.
@@ -29,21 +56,26 @@ use std::collections::BTreeMap;
 use crate::hash::{reducer_for, StableHashMap};
 use crate::kv::{Key, Value};
 
-/// Which grouping implementation a job's reduce tasks use.
+/// How a grouping permutation is *found* when it has to be computed:
+/// per call by [`Grouped::from_pairs_using`], and by a job's reduce
+/// tasks only when their [`GroupPlan`] does not match (they then group
+/// unplanned, or record a new plan, this way) — a reduce input whose
+/// key sequence repeats is scattered through its remembered plan
+/// whichever member the job names.
 ///
 /// Both strategies produce **byte-identical** [`Grouped`] arrays (keys
 /// ascending, values in concatenation order within each key) — pinned
 /// by the radix/sort equivalence tests. They differ only in how the
 /// permutation is computed:
 ///
-/// * [`GroupingStrategy::Sort`] — stable comparison sort over all `n`
-///   pairs: `O(n log n)` comparisons, the right default when keys are
-///   mostly distinct.
+/// * [`GroupingStrategy::Sort`] — comparison sort over all `n` keys:
+///   `O(n log n)` comparisons, the right default when keys are mostly
+///   distinct.
 /// * [`GroupingStrategy::Radix`] — hash-grouping: assign each pair a
 ///   first-seen group id (one stable-hash lookup per pair), sort only
-///   the `g` *distinct* keys, then counting-scatter every pair straight
-///   to its final slot: `O(n + g log g)`. Wins when duplicate keys
-///   dominate (`g ≪ n`), which is exactly the shape of iterative graph
+///   the `g` *distinct* keys, then count every pair straight to its
+///   final slot: `O(n + g log g)`. Wins when duplicate keys dominate
+///   (`g ≪ n`), which is exactly the shape of iterative graph
 ///   workloads where many edges target the same vertex.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum GroupingStrategy {
@@ -83,6 +115,181 @@ pub fn route<K: Key, V: Value>(pairs: Vec<(K, V)>, reducers: usize) -> Vec<Vec<(
     buckets
 }
 
+/// Narrows a record count, record index or partition index to the
+/// `u32` plans and group ids store it as.
+///
+/// # Panics
+///
+/// Panics when `n` does not fit — never truncates.
+fn index_u32(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| panic!("the shuffle indexes with u32, got {n}"))
+}
+
+/// What a planned routing or grouping did with its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanOutcome {
+    /// The input repeated the remembered key sequence: records moved to
+    /// their remembered places.
+    Hit,
+    /// No match, and a new plan was recorded from this input (one key
+    /// clone per record).
+    Recorded,
+    /// No match, and the plan is sitting this input out: the unplanned
+    /// code ran and nothing was cloned.
+    Unplanned,
+}
+
+/// When a plan that does not match its input is worth recording again.
+///
+/// Recording clones every key. A fresh plan therefore sits out its
+/// first input — a one-shot job records nothing — and a recorded plan
+/// that fails its next verification sits out 1, then 2, 4 … up to
+/// [`Backoff::MAX`] inputs before the next recording, so keys that
+/// churn forever cost a recording in at most one job of `MAX + 1`. A
+/// hit resets the series.
+#[derive(Debug)]
+struct Backoff {
+    /// Inputs still to sit out before the next recording.
+    sit_out: u32,
+    /// What `sit_out` becomes when the plan next goes stale.
+    penalty: u32,
+}
+
+impl Default for Backoff {
+    fn default() -> Self {
+        Backoff { sit_out: 1, penalty: 1 }
+    }
+}
+
+impl Backoff {
+    const MAX: u32 = 64;
+
+    fn hit(&mut self) {
+        self.penalty = 1;
+    }
+
+    /// The plan does not match the input (`stale`: a recorded plan was
+    /// just dropped for it). Whether to record a plan from this input;
+    /// otherwise it is sat out.
+    fn record_now(&mut self, stale: bool) -> bool {
+        if stale {
+            self.sit_out = self.penalty;
+            self.penalty = (2 * self.penalty).min(Self::MAX);
+        }
+        let due = self.sit_out == 0;
+        self.sit_out = self.sit_out.saturating_sub(1);
+        due
+    }
+}
+
+/// What one routing learned about a map task's output, kept so the next
+/// routing of the *same key sequence* into the same number of
+/// partitions moves pairs instead of hashing them.
+///
+/// Remembers the key sequence it was built for, each key's target
+/// partition and the exact bucket sizes — one `K` and one `u32` per
+/// record. [`route_planned`] **verifies** the sequence against every
+/// new input (an `O(n)` equality scan, never skipped); a plan that
+/// fails is dropped, and re-recorded when its `Backoff` allows.
+#[derive(Debug)]
+pub struct RoutePlan<K> {
+    /// The key sequence the plan was built for, in emission order.
+    keys: Vec<K>,
+    /// `targets[i]` is the partition of `keys[i]`.
+    targets: Vec<u32>,
+    /// Records per partition; its length is the partition count the
+    /// plan was built for (empty while nothing is recorded).
+    counts: Vec<usize>,
+    backoff: Backoff,
+    /// Records in the last input routed, recorded or not.
+    last_records: usize,
+}
+
+impl<K> Default for RoutePlan<K> {
+    fn default() -> Self {
+        RoutePlan {
+            keys: Vec::new(),
+            targets: Vec::new(),
+            counts: Vec::new(),
+            backoff: Backoff::default(),
+            last_records: 0,
+        }
+    }
+}
+
+impl<K: Key> RoutePlan<K> {
+    /// Records in the last input routed through this plan (0 before the
+    /// first): what the same map task is expected to emit next.
+    pub fn records(&self) -> usize {
+        self.last_records
+    }
+
+    /// Whether `pairs` carries exactly the key sequence, and `reducers`
+    /// is the partition count, this plan was built for.
+    fn matches<V>(&self, pairs: &[(K, V)], reducers: usize) -> bool {
+        self.counts.len() == reducers
+            && pairs.len() == self.keys.len()
+            && pairs.iter().zip(&self.keys).all(|((k, _), planned)| k == planned)
+    }
+
+    /// Drops what was recorded (and its memory); the backoff stays.
+    fn forget(&mut self) {
+        (self.keys, self.targets, self.counts) = (Vec::new(), Vec::new(), Vec::new());
+    }
+
+    /// Records, into a forgotten plan, `pairs`' key sequence: one
+    /// stable hash per key, exactly what [`route`] computes, and one
+    /// clone.
+    fn record<V>(&mut self, pairs: &[(K, V)], reducers: usize) {
+        self.counts.resize(reducers, 0);
+        self.keys.reserve_exact(pairs.len());
+        self.targets.reserve_exact(pairs.len());
+        for (k, _) in pairs {
+            let r = reducer_for(k, reducers);
+            self.keys.push(k.clone());
+            self.targets.push(index_u32(r));
+            self.counts[r] += 1;
+        }
+    }
+}
+
+/// [`route`] through a remembered plan: byte-identical buckets, plus
+/// what became of the plan.
+///
+/// If `pairs` carries the key sequence `plan` was built for and
+/// `reducers` is unchanged (checked on every call, in every build),
+/// every pair moves to its remembered partition into a bucket of its
+/// remembered size — no hashing. Otherwise the plan is dropped and the
+/// input is either routed by [`route`] itself or, when the plan's
+/// `Backoff` says it is time, recorded (one hash and one clone per key)
+/// and moved the same way.
+pub fn route_planned<K: Key, V: Value>(
+    pairs: Vec<(K, V)>,
+    reducers: usize,
+    plan: &mut RoutePlan<K>,
+) -> (Vec<Vec<(K, V)>>, PlanOutcome) {
+    assert!(reducers > 0, "need at least one reducer");
+    plan.last_records = pairs.len();
+    let outcome = if plan.matches(&pairs, reducers) {
+        plan.backoff.hit();
+        PlanOutcome::Hit
+    } else {
+        let stale = !plan.counts.is_empty();
+        plan.forget();
+        if !plan.backoff.record_now(stale) {
+            return (route(pairs, reducers), PlanOutcome::Unplanned);
+        }
+        plan.record(&pairs, reducers);
+        PlanOutcome::Recorded
+    };
+    let mut buckets: Vec<Vec<(K, V)>> =
+        plan.counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+    for (pair, &r) in pairs.into_iter().zip(&plan.targets) {
+        buckets[r as usize].push(pair);
+    }
+    (buckets, outcome)
+}
+
 /// Reusable backing buffers for [`concat_buckets`] and
 /// [`Grouped::from_pairs_reusing`].
 ///
@@ -95,9 +302,9 @@ pub struct ShuffleScratch<K, V> {
     pub(crate) pairs: Vec<(K, V)>,
     pub(crate) keys: Vec<K>,
     pub(crate) values: Vec<V>,
-    /// Per-pair index buffer: group ids on the radix path, the sort
-    /// order while a [`GroupPlan`] is rebuilt (untyped in K/V, so it
-    /// recycles across jobs of any shape).
+    /// Per-pair index buffer: the group ids of a radix grouping, or
+    /// the temporary of a [`GroupPlan`] recording (untyped in K/V, so
+    /// it recycles across jobs of any shape).
     pub(crate) slots: Vec<u32>,
 }
 
@@ -152,64 +359,151 @@ pub fn concat_buckets<K, V>(
 ///
 /// An iterative task emits the same keys in the same order pass after
 /// pass (a graph partition's edges do not move); only the values
-/// change. The plan remembers the key sequence it was built for, where
-/// each input index lands in the grouped output, and the grouped key
-/// array. [`Grouped::from_pairs_planned`] **verifies** the remembered
-/// sequence against every new input — an `O(n)` equality scan, never
-/// skipped — and rebuilds the plan when it differs, so a task whose
-/// keys churn (K-Means reassignments) is only slower, never wrong.
+/// change. The plan remembers the key sequence it was built for and
+/// where each input index lands in the grouped output.
+/// [`Grouped::from_pairs_planned`] and
+/// [`Grouped::from_buckets_planned`] **verify** the remembered sequence
+/// against every new input — an `O(n)` equality scan, never skipped —
+/// so an input whose keys churn (K-Means reassignments) is never wrong;
+/// what it costs is bounded by the plan's `Backoff`.
 ///
-/// Sized to one task's records (two `K` arrays and one `u32` array)
-/// and owned by that task.
+/// Sized to one input's records (one `K` and one `u32` each) and owned
+/// by whoever groups that input again: an [`crate::local::EagerMapper`]
+/// task, or the engine's [`crate::plan::PlanStore`] slot of one reduce
+/// partition.
 #[derive(Debug)]
 pub struct GroupPlan<K> {
-    /// The key sequence the plan was built for, in emission order.
+    /// The key sequence the plan was built for, in input order.
     input_keys: Vec<K>,
     /// `slots[i]` is the output index of input pair `i`: a permutation
     /// of `0..input_keys.len()` (the scatter's safety rests on this, so
-    /// only [`GroupPlan::rebuild`] writes it).
+    /// only the two `record*` methods write it).
     slots: Vec<u32>,
-    /// `input_keys` in grouped order: ascending, duplicates adjacent.
-    sorted_keys: Vec<K>,
+    backoff: Backoff,
 }
 
 impl<K> Default for GroupPlan<K> {
     fn default() -> Self {
-        GroupPlan { input_keys: Vec::new(), slots: Vec::new(), sorted_keys: Vec::new() }
+        GroupPlan { input_keys: Vec::new(), slots: Vec::new(), backoff: Backoff::default() }
     }
 }
 
+/// The input of a planned grouping: one reduce partition's buckets in
+/// map-task order (or a single vector), read as their concatenation
+/// without being concatenated.
+type Chunks<K, V> = [Vec<(K, V)>];
+
 impl<K: Key> GroupPlan<K> {
-    /// Whether `pairs` carries exactly the key sequence this plan was
-    /// built for.
-    fn matches<V>(&self, pairs: &[(K, V)]) -> bool {
-        pairs.len() == self.input_keys.len()
-            && pairs.iter().zip(&self.input_keys).all(|((k, _), planned)| k == planned)
+    /// Records in the key sequence the plan was built for.
+    pub fn records(&self) -> usize {
+        self.input_keys.len()
     }
 
-    /// Rebuilds the plan for `pairs`' key sequence with one index sort
-    /// (`order` is a recycled temporary). Ties break by input index, so
-    /// values keep emission order within a key — the permutation a
-    /// stable sort of the pairs themselves would apply.
-    fn rebuild<V>(&mut self, pairs: &[(K, V)], order: &mut Vec<u32>) {
-        let n = pairs.len();
-        assert!(u32::try_from(n).is_ok(), "a grouping plan indexes records with u32, got {n}");
+    /// Whether `chunks`, concatenated, carry exactly the key sequence
+    /// this plan was built for.
+    fn matches<V>(&self, chunks: &Chunks<K, V>) -> bool {
+        let mut planned = self.input_keys.as_slice();
+        chunks.iter().map(Vec::len).sum::<usize>() == planned.len()
+            && chunks.iter().all(|chunk| {
+                let (head, rest) = planned.split_at(chunk.len());
+                planned = rest;
+                chunk.iter().zip(head).all(|((k, _), planned)| k == planned)
+            })
+    }
+
+    /// Drops what was recorded (and its memory); the backoff stays.
+    fn forget(&mut self) {
+        (self.input_keys, self.slots) = (Vec::new(), Vec::new());
+    }
+
+    /// Starts a recording: remembers `chunks`' key sequence (the one
+    /// clone per record a plan costs) and returns its length, which
+    /// must fit the `u32` slots.
+    fn remember<V>(&mut self, chunks: &Chunks<K, V>) -> usize {
         self.input_keys.clear();
-        self.input_keys.extend(pairs.iter().map(|(k, _)| k.clone()));
+        self.input_keys.reserve_exact(chunks.iter().map(Vec::len).sum());
+        for chunk in chunks {
+            self.input_keys.extend(chunk.iter().map(|(k, _)| k.clone()));
+        }
+        index_u32(self.input_keys.len()) as usize
+    }
+
+    /// Records the plan for `chunks`' key sequence with one index sort
+    /// (`order` is a recycled temporary). Ties break by input index, so
+    /// values keep input order within a key — the permutation a stable
+    /// sort of the pairs themselves would apply.
+    fn record<V>(&mut self, chunks: &Chunks<K, V>, order: &mut Vec<u32>) {
+        let n = self.remember(chunks);
         let keys = &self.input_keys;
         order.clear();
         order.extend(0..n as u32);
         order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]).then(a.cmp(&b)));
         self.slots.clear();
         self.slots.resize(n, 0);
-        self.sorted_keys.clear();
-        self.sorted_keys.reserve(n);
         for (slot, &i) in order.iter().enumerate() {
             self.slots[i as usize] = slot as u32;
-            self.sorted_keys.push(keys[i as usize].clone());
         }
         order.clear();
     }
+
+    /// Records the plan for `chunks`' key sequence the radix way (see
+    /// [`GroupingStrategy::Radix`]; `gids` is a recycled temporary):
+    /// the same permutation as [`GroupPlan::record`], found without
+    /// comparing all `n` keys.
+    fn record_radix<V>(&mut self, chunks: &Chunks<K, V>, gids: &mut Vec<u32>) {
+        self.remember(chunks);
+        let mut next = radix_cursors(self.input_keys.iter(), gids);
+        self.slots.clear();
+        self.slots.extend(gids.iter().map(|&g| {
+            let cursor = &mut next[g as usize];
+            *cursor += 1;
+            *cursor - 1
+        }));
+        gids.clear();
+    }
+}
+
+/// The radix grouping of a key sequence: writes each key's first-seen
+/// group id to `gids` and returns, per group id, the first output slot
+/// of that group when groups are laid out in ascending key order. Input
+/// `i` then belongs at the slot its group's cursor shows, the cursor
+/// advancing once per member — slots `0..n`, each exactly once.
+fn radix_cursors<'k, K: Key>(
+    keys: impl ExactSizeIterator<Item = &'k K>,
+    gids: &mut Vec<u32>,
+) -> Vec<u32> {
+    // Group ids, per-group counts and cursors are all bounded by n.
+    index_u32(keys.len());
+    let mut id_of: StableHashMap<K, u32> = StableHashMap::default();
+    let mut distinct: Vec<K> = Vec::new();
+    let mut counts: Vec<u32> = Vec::new();
+    gids.clear();
+    gids.reserve(keys.len());
+    for k in keys {
+        let g = match id_of.get(k) {
+            Some(&g) => g,
+            None => {
+                let g = distinct.len() as u32;
+                id_of.insert(k.clone(), g);
+                distinct.push(k.clone());
+                counts.push(0);
+                g
+            }
+        };
+        counts[g as usize] += 1;
+        gids.push(g);
+    }
+    // Sort only the distinct keys; each group id learns its output
+    // range's start slot from the sorted order's prefix sums.
+    let mut order: Vec<u32> = (0..distinct.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| distinct[a as usize].cmp(&distinct[b as usize]));
+    let mut next = vec![0u32; distinct.len()];
+    let mut cursor = 0u32;
+    for &gid in &order {
+        next[gid as usize] = cursor;
+        cursor += counts[gid as usize];
+    }
+    next
 }
 
 /// One key group: the key plus its values as a contiguous slice.
@@ -294,38 +588,8 @@ impl<K: Key, V: Value> Grouped<K, V> {
         scratch: &mut ShuffleScratch<K, V>,
     ) -> Self {
         let n = pairs.len();
-        // Pass 1: first-seen group ids + per-group counts.
-        let mut id_of: StableHashMap<K, u32> = StableHashMap::default();
-        let mut distinct: Vec<K> = Vec::new();
-        let mut counts: Vec<u32> = Vec::new();
         let mut gids = std::mem::take(&mut scratch.slots);
-        gids.clear();
-        gids.reserve(n);
-        for (k, _) in &pairs {
-            let g = match id_of.get(k) {
-                Some(&g) => g,
-                None => {
-                    let g = distinct.len() as u32;
-                    id_of.insert(k.clone(), g);
-                    distinct.push(k.clone());
-                    counts.push(0);
-                    g
-                }
-            };
-            counts[g as usize] += 1;
-            gids.push(g);
-        }
-        // Sort only the distinct keys; each group id learns its output
-        // range's start slot from the sorted order's prefix sums.
-        let g = distinct.len();
-        let mut order: Vec<u32> = (0..g as u32).collect();
-        order.sort_unstable_by(|&a, &b| distinct[a as usize].cmp(&distinct[b as usize]));
-        let mut next = vec![0u32; g]; // group id → next free output slot
-        let mut cursor = 0u32;
-        for &gid in &order {
-            next[gid as usize] = cursor;
-            cursor += counts[gid as usize];
-        }
+        let mut next = radix_cursors(pairs.iter().map(|(k, _)| k), &mut gids);
         // Scatter into recycled buffers.
         let mut keys = std::mem::take(&mut scratch.keys);
         let mut values = std::mem::take(&mut scratch.values);
@@ -361,42 +625,105 @@ impl<K: Key, V: Value> Grouped<K, V> {
     /// Groups `pairs` through `plan`, recycling buffers from `scratch`.
     ///
     /// If `pairs` carries the key sequence `plan` was built for (checked
-    /// on every call, in every build) the values scatter straight to
-    /// their remembered slots and the keys are the plan's grouped
-    /// array: `O(n)` moves, no comparison sort. Otherwise the plan is
-    /// rebuilt first (`O(n log n)`, once per new key sequence). Either
-    /// way the output is byte-identical to
-    /// [`Grouped::from_pairs_reusing`].
+    /// on every call, in every build) keys and values scatter straight
+    /// to their remembered slots: `O(n)` moves, no comparison sort.
+    /// Otherwise the plan is recorded anew first (`O(n log n)` and one
+    /// clone per key, once per new key sequence) — at once, with no
+    /// backoff: this is for a caller that is about to group the same
+    /// keys again, like a local-sync loop. Either way the output is
+    /// byte-identical to [`Grouped::from_pairs_reusing`].
     pub fn from_pairs_planned(
         mut pairs: Vec<(K, V)>,
         plan: &mut GroupPlan<K>,
         scratch: &mut ShuffleScratch<K, V>,
     ) -> Self {
-        if !plan.matches(&pairs) {
-            plan.rebuild(&pairs, &mut scratch.slots);
+        let chunk = std::slice::from_mut(&mut pairs);
+        if !plan.matches(chunk) {
+            plan.record(chunk, &mut scratch.slots);
         }
-        let n = pairs.len();
+        let grouped = Self::scatter_planned(chunk, plan, scratch);
+        scratch.offer_pairs(pairs);
+        grouped
+    }
+
+    /// Groups one reduce partition's `buckets` (in map-task order)
+    /// through `plan`; also returns what became of the plan.
+    ///
+    /// The buckets' concatenation is verified against the key sequence
+    /// `plan` was built for exactly as in
+    /// [`Grouped::from_pairs_planned`], and on a hit scattered without
+    /// being concatenated. Otherwise the plan is dropped and the input
+    /// is either grouped unplanned — [`concat_buckets`] then
+    /// [`Grouped::from_pairs_using`] — or, when the plan's `Backoff`
+    /// says it is time, recorded the way `strategy` names and scattered.
+    /// The output is byte-identical in all three cases, for either
+    /// strategy.
+    pub fn from_buckets_planned(
+        mut buckets: Vec<Vec<(K, V)>>,
+        strategy: GroupingStrategy,
+        plan: &mut GroupPlan<K>,
+        scratch: &mut ShuffleScratch<K, V>,
+    ) -> (Self, PlanOutcome) {
+        let outcome = if plan.matches(&buckets) {
+            plan.backoff.hit();
+            PlanOutcome::Hit
+        } else {
+            let stale = plan.records() > 0;
+            plan.forget();
+            if !plan.backoff.record_now(stale) {
+                let pairs = concat_buckets(buckets, scratch);
+                return (Self::from_pairs_using(strategy, pairs, scratch), PlanOutcome::Unplanned);
+            }
+            match strategy {
+                GroupingStrategy::Sort => plan.record(&buckets, &mut scratch.slots),
+                GroupingStrategy::Radix => plan.record_radix(&buckets, &mut scratch.slots),
+            }
+            PlanOutcome::Recorded
+        };
+        (Self::scatter_planned(&mut buckets, plan, scratch), outcome)
+    }
+
+    /// Drains `chunks`, moving every key and value to its slot in
+    /// `plan`, which the caller has just verified against (or recorded
+    /// from) `chunks`.
+    fn scatter_planned(
+        chunks: &mut Chunks<K, V>,
+        plan: &GroupPlan<K>,
+        scratch: &mut ShuffleScratch<K, V>,
+    ) -> Self {
+        let n = plan.slots.len();
         let mut keys = std::mem::take(&mut scratch.keys);
         let mut values = std::mem::take(&mut scratch.values);
         keys.clear();
         values.clear();
-        keys.extend_from_slice(&plan.sorted_keys);
+        keys.reserve(n);
         values.reserve(n);
+        let mut done = 0;
         {
+            let key_slots = keys.spare_capacity_mut();
             let value_slots = values.spare_capacity_mut();
-            for ((_, v), &slot) in pairs.drain(..).zip(&plan.slots) {
-                value_slots[slot as usize].write(v);
+            for chunk in chunks {
+                let slots = &plan.slots[done..done + chunk.len()];
+                done += chunk.len();
+                for ((k, v), &slot) in chunk.drain(..).zip(slots) {
+                    key_slots[slot as usize].write(k);
+                    value_slots[slot as usize].write(v);
+                }
             }
         }
-        // SAFETY: `plan` matches `pairs` (verified or just rebuilt), so
-        // `plan.slots` has length n and is a permutation of 0..n
-        // (`GroupPlan::rebuild` assigns each sorted position to exactly
-        // one input index): every slot below n was initialized exactly
-        // once. Nothing between the writes and here can panic.
+        assert_eq!(done, n, "a grouping plan must cover its input exactly");
+        // SAFETY: `plan` matches `chunks` (verified or just recorded by
+        // the caller, re-checked by the assert): the chunks held n
+        // pairs, pair i was written to `plan.slots[i]`, and
+        // `plan.slots` is a permutation of 0..n (both `record*`
+        // methods assign each output position to exactly one input
+        // index), so every slot below n of both arrays was initialized
+        // exactly once. A panic above leaves both empty, which only
+        // leaks.
         unsafe {
+            keys.set_len(n);
             values.set_len(n);
         }
-        scratch.offer_pairs(pairs);
         Grouped { keys, values }
     }
 
@@ -611,6 +938,139 @@ mod tests {
         let buckets = vec![vec![(1u32, 'a'), (2, 'b')], Vec::new(), vec![(1, 'c')], vec![(3, 'd')]];
         let pairs = concat_buckets(buckets, &mut scratch);
         assert_eq!(pairs, vec![(1, 'a'), (2, 'b'), (1, 'c'), (3, 'd')]);
+    }
+
+    #[test]
+    fn index_u32_holds_at_the_boundary() {
+        assert_eq!(index_u32(0), 0);
+        assert_eq!(index_u32(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "indexes with u32, got 4294967296")]
+    fn index_u32_panics_one_past_the_boundary() {
+        index_u32(u32::MAX as usize + 1);
+    }
+
+    use PlanOutcome::{Hit, Recorded, Unplanned};
+
+    #[test]
+    fn backoff_sits_out_the_first_input_and_doubles_while_plans_go_stale() {
+        let mut backoff = Backoff::default();
+        assert!(!backoff.record_now(false), "a one-shot input records nothing");
+        assert!(backoff.record_now(false), "the second sighting records");
+        // Every recording goes stale at once: 1, 2, 4 … inputs sat out.
+        for sat_out in [1, 2, 4, 8, 16, 32, 64, 64] {
+            assert!(!backoff.record_now(true));
+            for _ in 1..sat_out {
+                assert!(!backoff.record_now(false));
+            }
+            assert!(backoff.record_now(false), "after sitting out {sat_out}");
+        }
+        backoff.hit();
+        assert!(!backoff.record_now(true), "a hit resets the series to one input");
+        assert!(backoff.record_now(false));
+    }
+
+    #[test]
+    fn route_plan_hits_only_on_the_same_keys_and_partition_count() {
+        let pairs: Vec<(u32, char)> = vec![(5, 'a'), (9, 'b'), (5, 'c'), (2, 'd')];
+        let mut plan = RoutePlan::default();
+        assert_eq!(plan.records(), 0);
+        for (input, reducers, want) in [
+            (pairs.clone(), 3, Unplanned), // first sight
+            (pairs.clone(), 3, Recorded),
+            (pairs.clone(), 3, Hit),
+            (vec![(5, 'x'), (9, 'y'), (5, 'z'), (2, 'w')], 3, Hit), // values are free
+            (vec![(5, 'a'), (9, 'b'), (6, 'c'), (2, 'd')], 3, Unplanned), // one key, same length
+            (pairs.clone(), 3, Recorded),
+            (pairs.clone(), 4, Unplanned), // same keys, other partition count
+            (pairs.clone(), 4, Unplanned), // second stale recording in a row: sits out two
+            (pairs[..3].to_vec(), 4, Recorded),
+        ] {
+            let (buckets, outcome) = route_planned(input.clone(), reducers, &mut plan);
+            assert_eq!(buckets, route(input.clone(), reducers));
+            assert_eq!(outcome, want, "{input:?} into {reducers}");
+            assert_eq!(plan.records(), input.len());
+        }
+    }
+
+    #[test]
+    fn planned_buckets_match_concat_then_group_for_both_strategies() {
+        let buckets = vec![vec![(3u32, 'a'), (1, 'b')], vec![(3, 'c')], vec![(2, 'd'), (1, 'e')]];
+        let want = group(buckets.concat());
+        for strategy in [GroupingStrategy::Sort, GroupingStrategy::Radix] {
+            let (mut plan, mut scratch) = (GroupPlan::default(), ShuffleScratch::default());
+            for want_outcome in [Unplanned, Recorded, Hit, Hit] {
+                let (grouped, outcome) = Grouped::from_buckets_planned(
+                    buckets.clone(),
+                    strategy,
+                    &mut plan,
+                    &mut scratch,
+                );
+                assert_eq!(collect(&grouped), want);
+                assert_eq!(outcome, want_outcome);
+                grouped.recycle_into(&mut scratch);
+            }
+            assert_eq!(plan.records(), 5);
+            // Bucket boundaries are not part of the key sequence.
+            let rebucketed = vec![buckets.concat()];
+            let (grouped, outcome) =
+                Grouped::from_buckets_planned(rebucketed, strategy, &mut plan, &mut scratch);
+            assert_eq!(outcome, Hit);
+            assert_eq!(collect(&grouped), want);
+        }
+    }
+
+    /// A heap-ish key that counts its clones: what a plan costs a job
+    /// whose keys are not `Copy`.
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Counted(u32);
+
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    impl crate::kv::Meterable for Counted {
+        fn approx_bytes(&self) -> u64 {
+            4
+        }
+    }
+
+    #[test]
+    fn only_a_recording_clones_keys_and_it_clones_each_once() {
+        let input = || -> Vec<(Counted, u8)> { (0..40).map(|i| (Counted(i % 7), 0)).collect() };
+        let clones = |f: &mut dyn FnMut() -> PlanOutcome| {
+            let before = CLONES.with(std::cell::Cell::get);
+            let outcome = f();
+            (outcome, CLONES.with(std::cell::Cell::get) - before)
+        };
+        let mut plan = RoutePlan::default();
+        let mut route_once = || route_planned(input(), 3, &mut plan).1;
+        assert_eq!(clones(&mut route_once), (Unplanned, 0));
+        assert_eq!(clones(&mut route_once), (Recorded, 40));
+        assert_eq!(clones(&mut route_once), (Hit, 0));
+
+        let (mut plan, mut scratch) = (GroupPlan::default(), ShuffleScratch::default());
+        let mut group_once = || {
+            let buckets = vec![input(), input()];
+            let strategy = GroupingStrategy::Sort;
+            let (grouped, outcome) =
+                Grouped::from_buckets_planned(buckets, strategy, &mut plan, &mut scratch);
+            grouped.recycle_into(&mut scratch);
+            outcome
+        };
+        assert_eq!(clones(&mut group_once), (Unplanned, 0));
+        assert_eq!(clones(&mut group_once), (Recorded, 80));
+        assert_eq!(clones(&mut group_once), (Hit, 0));
     }
 
     #[test]

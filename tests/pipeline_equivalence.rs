@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use asyncmr::core::prelude::*;
-use asyncmr::core::Engine;
+use asyncmr::core::{Engine, JobReuse};
 use asyncmr::runtime::ThreadPool;
 
 /// Scatters each input number across a small key space.
@@ -54,29 +54,46 @@ impl Combiner for SumCombiner {
 
 type Run = (Vec<(u32, u64)>, asyncmr::core::JobMeter);
 
+/// Runs `script` — one job after another, on one engine per strategy,
+/// so every job after the first meets whatever the engine remembered —
+/// returning each job's (pairs, meter) as (staged, reference,
+/// pipelined), plus the staged engine's reuse counts.
+fn run_sequence(
+    script: &[&[Vec<u32>]],
+    key_space: u32,
+    reducers: usize,
+    combine: bool,
+) -> Vec<(Run, Run, Run, JobReuse)> {
+    let pool = ThreadPool::new(3);
+    let mapper = ScatterMapper { key_space };
+    let mut engines = [
+        Engine::in_process(&pool),
+        Engine::with_reference_shuffle(&pool),
+        Engine::with_pipelined_shuffle(&pool),
+    ];
+    let mut jobs = Vec::with_capacity(script.len());
+    for splits in script {
+        let [staged, reference, pipelined] = engines.each_mut().map(|engine| {
+            let opts = JobOptions::with_reducers(reducers);
+            if combine {
+                engine.run("job", splits, &mapper, &SumReducer, &opts.with_combiner(&SumCombiner))
+            } else {
+                engine.run("job", splits, &mapper, &SumReducer, &opts)
+            }
+        });
+        let reuse = staged.reuse;
+        assert_eq!((reuse.route, reuse.group), (pipelined.reuse.route, pipelined.reuse.group));
+        let run = |out: JobResult<u32, u64>| (out.pairs, out.meter);
+        jobs.push((run(staged), run(reference), run(pipelined), reuse));
+    }
+    jobs
+}
+
 /// Runs one job under all three strategies, returning each strategy's
 /// (pairs, meter).
 fn run_all(splits: &[Vec<u32>], key_space: u32, reducers: usize, combine: bool) -> (Run, Run, Run) {
-    let pool = ThreadPool::new(3);
-    let mapper = ScatterMapper { key_space };
-    let mut out = Vec::with_capacity(3);
-    for strategy in 0..3 {
-        let mut engine = match strategy {
-            0 => Engine::in_process(&pool),
-            1 => Engine::with_reference_shuffle(&pool),
-            _ => Engine::with_pipelined_shuffle(&pool),
-        };
-        let opts = JobOptions::with_reducers(reducers);
-        let result = if combine {
-            engine.run("job", splits, &mapper, &SumReducer, &opts.with_combiner(&SumCombiner))
-        } else {
-            engine.run("job", splits, &mapper, &SumReducer, &opts)
-        };
-        out.push((result.pairs, result.meter));
-    }
-    let pipelined = out.pop().unwrap();
-    let reference = out.pop().unwrap();
-    let staged = out.pop().unwrap();
+    let (staged, reference, pipelined, _) =
+        run_sequence(&[splits], key_space, reducers, combine).pop().expect("one job");
     (staged, reference, pipelined)
 }
 
@@ -99,6 +116,45 @@ proptest! {
         // The reference keeps the old every-partition-is-a-task meter
         // semantics; staged and pipelined meters must be fully equal.
         prop_assert_eq!(staged.1, pipelined.1, "staged vs pipelined meter");
+    }
+
+    /// Sequences of jobs on one engine: the same splits four times —
+    /// first sight is shuffled unplanned, the second records every
+    /// plan, and the third and fourth are shuffled entirely through
+    /// remembered plans, so *that* is what is compared against the
+    /// oracle — then splits whose keys churn, then the first again.
+    #[test]
+    fn job_sequences_on_one_engine_agree_on_the_hit_path(
+        splits in proptest::collection::vec(
+            proptest::collection::vec(0u32..10_000, 1..40), 1..8),
+        key_space in 2u32..64,
+        reducers in 2usize..12,
+        combine in any::<bool>(),
+    ) {
+        let churned: Vec<Vec<u32>> =
+            splits.iter().map(|split| split.iter().map(|x| x + 1).collect()).collect();
+        let same = &splits[..];
+        let script = [same, same, same, same, &churned[..], same];
+        let jobs = run_sequence(&script, key_space, reducers, combine);
+        for (job, (staged, reference, pipelined, reuse)) in jobs.iter().enumerate() {
+            prop_assert_eq!(&staged.0, &reference.0, "job {}: staged vs reference pairs", job);
+            prop_assert_eq!(&staged.0, &pipelined.0, "job {}: staged vs pipelined pairs", job);
+            prop_assert_eq!(staged.1, pipelined.1, "job {}: staged vs pipelined meter", job);
+            let tasks = (splits.len() as u64, staged.1.reduce_tasks as u64);
+            let consulted =
+                (reuse.route.hits + reuse.route.misses, reuse.group.hits + reuse.group.misses);
+            prop_assert_eq!(consulted, tasks, "job {}: one plan per task", job);
+            let recorded = (reuse.route.recorded, reuse.group.recorded);
+            match job {
+                0 => prop_assert_eq!(recorded, (0, 0), "first sight records nothing"),
+                1 => prop_assert_eq!(recorded, tasks, "the second sight records every plan"),
+                2 | 3 => {
+                    prop_assert_eq!((reuse.route.hits, reuse.group.hits), tasks, "all hits")
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(&jobs[0].0, &jobs[5].0, "the first job again, after the churn");
     }
 
     /// Empty-input jobs: zero map tasks means no deposit ever completes

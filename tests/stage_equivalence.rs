@@ -150,13 +150,12 @@ fn jacobi_both_modes_identical_across_paths() {
     assert_same_counts(&[&a.report, &b.report, &c.report]);
 }
 
-#[test]
-fn job_level_pairs_are_byte_identical_with_combiner() {
-    // A raw engine-level check with a combiner in play, on string keys
-    // (exercises the non-Copy key path).
-    use asyncmr::core::prelude::*;
+/// Word count over `String` keys (the non-`Copy` key path), with a
+/// combiner to attach.
+mod wordcount {
+    pub use asyncmr::core::prelude::*;
 
-    struct Tokenize;
+    pub struct Tokenize;
     impl Mapper for Tokenize {
         type Input = String;
         type Key = String;
@@ -167,7 +166,7 @@ fn job_level_pairs_are_byte_identical_with_combiner() {
             }
         }
     }
-    struct Count;
+    pub struct Count;
     impl Reducer for Count {
         type Key = String;
         type ValueIn = u64;
@@ -176,7 +175,7 @@ fn job_level_pairs_are_byte_identical_with_combiner() {
             ctx.emit(k.clone(), vs.iter().sum());
         }
     }
-    struct Add;
+    pub struct Add;
     impl Combiner for Add {
         type Key = String;
         type Value = u64;
@@ -185,11 +184,21 @@ fn job_level_pairs_are_byte_identical_with_combiner() {
         }
     }
 
-    let docs: Vec<String> = (0..12)
-        .map(|i| {
-            (0..40).map(|j| format!("w{}", (i * 7 + j * 13) % 23)).collect::<Vec<_>>().join(" ")
-        })
-        .collect();
+    /// Twelve documents of forty words from a 23-word vocabulary whose
+    /// words all start with `initial`.
+    pub fn docs(initial: char) -> Vec<String> {
+        let word = |i: usize, j: usize| format!("{initial}{}", (i * 7 + j * 13) % 23);
+        (0..12).map(|i| (0..40).map(|j| word(i, j)).collect::<Vec<_>>().join(" ")).collect()
+    }
+}
+
+#[test]
+fn job_level_pairs_are_byte_identical_with_combiner() {
+    // A raw engine-level check with a combiner in play, on string keys
+    // (exercises the non-Copy key path).
+    use wordcount::*;
+
+    let docs = docs('w');
     let pool = ThreadPool::new(4);
     let opts = JobOptions::with_reducers(6).with_combiner(&Add);
 
@@ -205,4 +214,49 @@ fn job_level_pairs_are_byte_identical_with_combiner() {
     assert_eq!(a.meter.shuffle_records, b.meter.shuffle_records);
     assert_eq!(a.meter.shuffle_bytes, b.meter.shuffle_bytes);
     assert_eq!(a.meter, c.meter, "staged and pipelined meters are fully identical");
+}
+
+#[test]
+fn job_sequence_on_one_engine_is_byte_identical_on_the_hit_path() {
+    // The same job four times on one engine — first sight is shuffled
+    // unplanned, the second records every plan, the third and fourth are
+    // shuffled entirely through remembered plans, and that is what the
+    // oracle is held against — then documents in other words (the plans
+    // are dropped and sit that job out), then the first again (recorded
+    // anew). String keys, with and without the combiner, both grouping
+    // strategies.
+    use asyncmr::core::GroupingStrategy;
+    use wordcount::*;
+
+    let (same, churned) = (docs('w'), docs('x'));
+    let script = [&same, &same, &same, &same, &churned, &same];
+    let pool = ThreadPool::new(4);
+    for grouping in [GroupingStrategy::Sort, GroupingStrategy::Radix] {
+        for combine in [false, true] {
+            let plain = JobOptions::with_reducers(6).with_grouping(grouping);
+            let opts = if combine { plain.with_combiner(&Add) } else { plain };
+            let mut staged = Engine::in_process(&pool);
+            let mut pipelined = Engine::with_pipelined_shuffle(&pool);
+            let mut reference = Engine::with_reference_shuffle(&pool);
+            for (job, docs) in script.into_iter().enumerate() {
+                let a = staged.run("wc", docs, &Tokenize, &Count, &opts);
+                let b = reference.run("wc", docs, &Tokenize, &Count, &opts);
+                let c = pipelined.run("wc", docs, &Tokenize, &Count, &opts);
+                assert_eq!(a.pairs, b.pairs, "job {job}: staged vs oracle");
+                assert_eq!(c.pairs, b.pairs, "job {job}: pipelined vs oracle");
+                assert_eq!(a.meter, c.meter, "job {job}: meters");
+                for reuse in [a.reuse, c.reuse] {
+                    let tasks = (docs.len() as u64, a.meter.reduce_tasks as u64);
+                    let misses = (reuse.route.misses, reuse.group.misses);
+                    let recorded = (reuse.route.recorded, reuse.group.recorded);
+                    match job {
+                        2 | 3 => assert_eq!(misses, (0, 0), "job {job} runs on remembered plans"),
+                        _ => assert_eq!(misses, tasks, "job {job} meets no plan of its own"),
+                    }
+                    let want = if job == 1 || job == 5 { tasks } else { (0, 0) };
+                    assert_eq!(recorded, want, "job {job} clones keys only to record a plan");
+                }
+            }
+        }
+    }
 }
