@@ -104,7 +104,7 @@ pub fn run_eager(
     cfg: &CcConfig,
 ) -> CcOutcome {
     let undirected = graph.to_undirected();
-    let partitions = GraphPartition::build(&undirected, parts);
+    let partitions = GraphPartition::build_on(engine.pool(), &undirected, parts);
     let n = undirected.num_nodes();
     let mut labels: Vec<NodeId> = (0..n as NodeId).collect();
     let gmap = EagerMapper::new(CcLocalAlgorithm);

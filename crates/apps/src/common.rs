@@ -7,12 +7,17 @@
 //! must wait for the global synchronization). Building these views is
 //! the "locality-enhancing partition on the computation" of the paper's
 //! abstract, materialized.
+//!
+//! The partitioning never changes during a fixed point, so neither does
+//! the cut: the session formulations resolve every cross edge to its
+//! `(destination partition, destination-local vertex)` **once**, as a
+//! [`CutPlan`], and their `gmap`/`absorb` stream against it.
 
 use std::sync::Arc;
 
-use asyncmr_core::hash::StableHashMap;
 use asyncmr_graph::{CsrGraph, NodeId, WeightedGraph};
-use asyncmr_partition::Partitioning;
+use asyncmr_partition::{PartId, Partitioning};
+use asyncmr_runtime::ThreadPool;
 
 /// Local-iteration cap for the flat session kernels: the eager
 /// formulations' own default, so the session drivers stop where the
@@ -20,7 +25,7 @@ use asyncmr_partition::Partitioning;
 pub(crate) use asyncmr_core::local::DEFAULT_MAX_LOCAL_ITERATIONS as MAX_LOCAL_PASSES;
 
 /// One partition's view of the graph.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphPartition {
     /// The partition id (== map task index).
     pub part: u32,
@@ -28,51 +33,99 @@ pub struct GraphPartition {
     pub nodes: Vec<NodeId>,
     /// Local indices `0..nodes.len()` (convenience for `items()`).
     pub local_ids: Vec<u32>,
-    /// Global id → local index for owned vertices.
-    pub local_index: StableHashMap<NodeId, u32>,
     /// CSR offsets into `internal_targets`/`internal_weights`, one
     /// entry per local node plus a trailing end.
     pub internal_offsets: Vec<u32>,
     /// Out-neighbors *inside* this partition, as local indices.
     pub internal_targets: Vec<u32>,
-    /// Weights aligned with `internal_targets` (1.0 when unweighted).
+    /// Weights aligned with `internal_targets`; empty for an unweighted
+    /// build, where every edge weighs 1.0.
     pub internal_weights: Vec<f64>,
     /// CSR offsets into `cross_targets`/`cross_weights`.
     pub cross_offsets: Vec<u32>,
     /// Out-neighbors *outside* this partition, as global ids.
     pub cross_targets: Vec<NodeId>,
-    /// Weights aligned with `cross_targets`.
+    /// Weights aligned with `cross_targets`; empty for an unweighted
+    /// build.
     pub cross_weights: Vec<f64>,
     /// Total out-degree (internal + cross) per local node — PageRank
     /// contributions divide by the *global* out-degree.
     pub out_degree: Vec<u32>,
 }
 
+/// Narrows a partition-local index or CSR offset: the views store both
+/// as `u32`.
+fn index_u32(n: usize, what: &str) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| panic!("partition has more than u32::MAX {what}"))
+}
+
+/// Each vertex's index within its owning group (`groups` partition the
+/// vertices `0..n`).
+fn local_indices<'a>(n: usize, groups: impl Iterator<Item = &'a [NodeId]>) -> Vec<u32> {
+    let mut local = vec![0u32; n];
+    for nodes in groups {
+        for (li, &v) in nodes.iter().enumerate() {
+            local[v as usize] = index_u32(li, "vertices");
+        }
+    }
+    local
+}
+
+/// `(target, weight)` over the CSR window `lo..hi`; an unweighted
+/// build's empty weight array reads as 1.0 per edge.
+fn window<'a>(
+    targets: &'a [u32],
+    weights: &'a [f64],
+    lo: usize,
+    hi: usize,
+) -> impl Iterator<Item = (u32, f64)> + 'a {
+    let mut weights = weights.get(lo..hi).unwrap_or_default().iter();
+    targets[lo..hi].iter().map(move |&t| (t, weights.next().copied().unwrap_or(1.0)))
+}
+
 impl GraphPartition {
     /// Splits `g` according to `parts`, with unit edge weights.
     pub fn build(g: &CsrGraph, parts: &Partitioning) -> Vec<Arc<GraphPartition>> {
-        Self::build_inner(g, None, parts)
+        Self::build_inner(None, g, None, parts)
     }
 
     /// Splits a weighted graph according to `parts`.
     pub fn build_weighted(wg: &WeightedGraph, parts: &Partitioning) -> Vec<Arc<GraphPartition>> {
-        Self::build_inner(wg.graph(), Some(wg.weights()), parts)
+        Self::build_inner(None, wg.graph(), Some(wg.weights()), parts)
+    }
+
+    /// [`GraphPartition::build`] as one `pool` task per partition.
+    pub fn build_on(
+        pool: &ThreadPool,
+        g: &CsrGraph,
+        parts: &Partitioning,
+    ) -> Vec<Arc<GraphPartition>> {
+        Self::build_inner(Some(pool), g, None, parts)
+    }
+
+    /// [`GraphPartition::build_weighted`] as one `pool` task per
+    /// partition.
+    pub fn build_weighted_on(
+        pool: &ThreadPool,
+        wg: &WeightedGraph,
+        parts: &Partitioning,
+    ) -> Vec<Arc<GraphPartition>> {
+        Self::build_inner(Some(pool), wg.graph(), Some(wg.weights()), parts)
     }
 
     fn build_inner(
+        pool: Option<&ThreadPool>,
         g: &CsrGraph,
         weights: Option<&[f64]>,
         parts: &Partitioning,
     ) -> Vec<Arc<GraphPartition>> {
         assert_eq!(g.num_nodes(), parts.num_nodes(), "graph/partitioning mismatch");
-        let k = parts.num_parts();
         let members = parts.members();
-        let mut out = Vec::with_capacity(k);
-        for (p, nodes) in members.into_iter().enumerate() {
-            let mut local_index = StableHashMap::default();
-            for (li, &v) in nodes.iter().enumerate() {
-                local_index.insert(v, li as u32);
-            }
+        let local = local_indices(g.num_nodes(), members.iter().map(Vec::as_slice));
+        // Partition `p`'s view: an out-edge of an owned vertex is internal
+        // iff `parts` gives its target to `p` too.
+        let view = |p: usize, nodes: Vec<NodeId>| {
+            let part = p as PartId;
             let n_local = nodes.len();
             let mut internal_offsets = Vec::with_capacity(n_local + 1);
             let mut internal_targets = Vec::new();
@@ -86,27 +139,24 @@ impl GraphPartition {
             for &v in &nodes {
                 let range = g.edge_range(v);
                 for (idx, &t) in g.out_neighbors(v).iter().enumerate() {
-                    let w = weights.map_or(1.0, |ws| ws[range.start + idx]);
-                    match local_index.get(&t) {
-                        Some(&lt) => {
-                            internal_targets.push(lt);
-                            internal_weights.push(w);
-                        }
-                        None => {
-                            cross_targets.push(t);
-                            cross_weights.push(w);
-                        }
+                    let (targets, ws, id) = if parts.part_of(t) == part {
+                        (&mut internal_targets, &mut internal_weights, local[t as usize])
+                    } else {
+                        (&mut cross_targets, &mut cross_weights, t)
+                    };
+                    targets.push(id);
+                    if let Some(weights) = weights {
+                        ws.push(weights[range.start + idx]);
                     }
                 }
-                internal_offsets.push(internal_targets.len() as u32);
-                cross_offsets.push(cross_targets.len() as u32);
+                internal_offsets.push(index_u32(internal_targets.len(), "internal edges"));
+                cross_offsets.push(index_u32(cross_targets.len(), "cross edges"));
                 out_degree.push(g.out_degree(v));
             }
-            out.push(Arc::new(GraphPartition {
-                part: p as u32,
-                local_ids: (0..n_local as u32).collect(),
+            Arc::new(GraphPartition {
+                part,
+                local_ids: (0..index_u32(n_local, "vertices")).collect(),
                 nodes,
-                local_index,
                 internal_offsets,
                 internal_targets,
                 internal_weights,
@@ -114,9 +164,12 @@ impl GraphPartition {
                 cross_targets,
                 cross_weights,
                 out_degree,
-            }));
+            })
+        };
+        match pool {
+            Some(pool) => pool.par_map_vec(members, view),
+            None => members.into_iter().enumerate().map(|(p, nodes)| view(p, nodes)).collect(),
         }
-        out
     }
 
     /// Number of owned vertices.
@@ -134,10 +187,7 @@ impl GraphPartition {
     pub fn internal_edges(&self, li: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
         let lo = self.internal_offsets[li as usize] as usize;
         let hi = self.internal_offsets[li as usize + 1] as usize;
-        self.internal_targets[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.internal_weights[lo..hi].iter().copied())
+        window(&self.internal_targets, &self.internal_weights, lo, hi)
     }
 
     /// Cross out-edges of local node `li` as `(global_target, weight)`.
@@ -145,7 +195,7 @@ impl GraphPartition {
     pub fn cross_edges(&self, li: u32) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         let lo = self.cross_offsets[li as usize] as usize;
         let hi = self.cross_offsets[li as usize + 1] as usize;
-        self.cross_targets[lo..hi].iter().copied().zip(self.cross_weights[lo..hi].iter().copied())
+        window(&self.cross_targets, &self.cross_weights, lo, hi)
     }
 
     /// Count of internal out-edges of `li`.
@@ -162,51 +212,112 @@ impl GraphPartition {
     }
 }
 
-/// The cross-partition dependency structure of a partitioned graph —
-/// who owns each vertex, and which partitions' messages each partition
-/// must wait for per global iteration.
+/// One producer's cut edges into one destination partition, in the
+/// producer's emission order `(source-local id, cross-CSR position)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CutRun {
+    /// The destination partition (never the producer: an edge inside a
+    /// partition is internal).
+    pub dest: u32,
+    /// The producer's dependency slot at `dest` — its index in
+    /// `in_deps[dest]`, hence in `dest`'s absorb inbox and in
+    /// `in_index[dest]`.
+    pub slot: u32,
+    /// Source-local vertex per cut edge.
+    pub src: Vec<u32>,
+    /// Weight per cut edge; empty for an unweighted build.
+    pub weights: Vec<f64>,
+}
+
+/// The cut of a partitioned graph, resolved once: every cross edge's
+/// destination partition and destination-local vertex, grouped the way
+/// the session moves them — one [`CutRun`] per `(producer, consumer)`
+/// pair, which is one outbox batch and one inbox entry per iteration.
 ///
-/// Derived once from [`GraphPartition::cross_targets`]: partition *q*
-/// sends to the owners of its cross targets every iteration, so the
-/// dependency set of partition *p* is exactly the set of partitions
-/// with at least one cross edge into *p*. This is what the graph apps
+/// Partition *q* sends to the owners of its cross targets every
+/// iteration, so the dependency set of partition *p* is exactly the
+/// partitions with a run into *p*: `in_deps` is what the graph apps
 /// hand to [`asyncmr_core::session::AsyncIterative::dependencies`].
-#[derive(Debug, Clone)]
-pub struct PartitionTopology {
-    /// Owning partition per vertex.
-    pub owner: Vec<u32>,
-    /// Local index of each vertex within its owning partition.
-    pub local: Vec<u32>,
+/// A batch that carries one value per cut edge of its run, in run
+/// order, needs no per-record address: the consumer folds
+/// `batch[j]` into vertex `in_index[p][slot][j]`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CutPlan {
+    /// Per producer: its runs, ascending by destination.
+    pub runs: Vec<Vec<CutRun>>,
+    /// Per consumer, per dependency slot: the destination-local vertex
+    /// of each cut edge of the matching run, in run order.
+    pub in_index: Vec<Vec<Vec<u32>>>,
     /// Per partition: source partitions with cross edges into it,
     /// ascending, self excluded.
     pub in_deps: Vec<Vec<usize>>,
 }
 
-impl PartitionTopology {
-    /// Builds the topology for `partitions` over `num_nodes` vertices.
-    pub fn build(partitions: &[Arc<GraphPartition>], num_nodes: usize) -> Self {
-        let mut owner = vec![0u32; num_nodes];
-        let mut local = vec![0u32; num_nodes];
-        for part in partitions {
-            for (li, &v) in part.nodes.iter().enumerate() {
-                owner[v as usize] = part.part;
-                local[v as usize] = li as u32;
-            }
-        }
-        let mut in_deps: Vec<Vec<usize>> = vec![Vec::new(); partitions.len()];
-        for (q, part) in partitions.iter().enumerate() {
-            for &t in &part.cross_targets {
-                let dest = owner[t as usize] as usize;
-                if dest != q {
-                    in_deps[dest].push(q);
+impl CutPlan {
+    /// The destination-local vertex of each cut edge of `run`, in run
+    /// order — where the consumer folds the run's batch.
+    pub fn landing(&self, run: &CutRun) -> &[u32] {
+        &self.in_index[run.dest as usize][run.slot as usize]
+    }
+
+    /// Resolves the cut of `partitions` (built from `parts`), one
+    /// `pool` task per producer when a pool is given.
+    pub fn build(
+        pool: Option<&ThreadPool>,
+        partitions: &[Arc<GraphPartition>],
+        parts: &Partitioning,
+    ) -> Self {
+        let k = partitions.len();
+        assert_eq!(k, parts.num_parts(), "views/partitioning mismatch");
+        let local = local_indices(parts.num_nodes(), partitions.iter().map(|p| &p.nodes[..]));
+        // One producer's runs (slot not yet assigned), each with its
+        // destination-local index list, ascending by destination.
+        let resolve = |part: &Arc<GraphPartition>| {
+            let weighted = !part.cross_weights.is_empty();
+            let mut run_of = vec![usize::MAX; parts.num_parts()];
+            let mut runs: Vec<(CutRun, Vec<u32>)> = Vec::new();
+            for (li, span) in part.cross_offsets.windows(2).enumerate() {
+                for e in span[0] as usize..span[1] as usize {
+                    let t = part.cross_targets[e];
+                    let dest = parts.part_of(t);
+                    let known = &mut run_of[dest as usize];
+                    if *known == usize::MAX {
+                        *known = runs.len();
+                        let run = CutRun { dest, slot: 0, src: Vec::new(), weights: Vec::new() };
+                        runs.push((run, Vec::new()));
+                    }
+                    let (run, dst) = &mut runs[*known];
+                    run.src.push(index_u32(li, "vertices"));
+                    dst.push(local[t as usize]);
+                    if weighted {
+                        run.weights.push(part.cross_weights[e]);
+                    }
                 }
             }
+            runs.sort_unstable_by_key(|(run, _)| run.dest);
+            runs
+        };
+        let resolved: Vec<_> = match pool {
+            Some(pool) => pool.par_map(partitions, resolve),
+            None => partitions.iter().map(resolve).collect(),
+        };
+        // Producers ascending, so a consumer's slots fill in `in_deps`
+        // order.
+        let mut in_index: Vec<Vec<Vec<u32>>> = vec![Vec::new(); k];
+        let mut in_deps: Vec<Vec<usize>> = vec![Vec::new(); k];
+        let mut runs = Vec::with_capacity(k);
+        for (q, producer) in resolved.into_iter().enumerate() {
+            let mut out = Vec::with_capacity(producer.len());
+            for (mut run, dst) in producer {
+                let dest = run.dest as usize;
+                run.slot = index_u32(in_deps[dest].len(), "producers");
+                in_deps[dest].push(q);
+                in_index[dest].push(dst);
+                out.push(run);
+            }
+            runs.push(out);
         }
-        for deps in &mut in_deps {
-            deps.sort_unstable();
-            deps.dedup();
-        }
-        PartitionTopology { owner, local, in_deps }
+        CutPlan { runs, in_index, in_deps }
     }
 }
 
@@ -285,11 +396,15 @@ mod tests {
         let g = generators::cycle(6); // 0→1→2→3→4→5→0
         let parts = RangePartitioner.partition(&g, 3); // {0,1} {2,3} {4,5}
         let views = GraphPartition::build(&g, &parts);
-        let topo = PartitionTopology::build(&views, g.num_nodes());
-        assert_eq!(topo.owner, vec![0, 0, 1, 1, 2, 2]);
-        assert_eq!(topo.local, vec![0, 1, 0, 1, 0, 1]);
-        // Directed cycle: partition p receives only from p−1.
-        assert_eq!(topo.in_deps, vec![vec![2], vec![0], vec![1]]);
+        let plan = CutPlan::build(None, &views, &parts);
+        // Directed cycle: partition p receives only from p−1 — its
+        // second vertex's one cross edge, into the next part's first.
+        assert_eq!(plan.in_deps, vec![vec![2], vec![0], vec![1]]);
+        for q in 0..3u32 {
+            let run = CutRun { dest: (q + 1) % 3, slot: 0, src: vec![1], weights: vec![] };
+            assert_eq!(plan.runs[q as usize], [run]);
+        }
+        assert_eq!(plan.in_index, vec![vec![vec![0]]; 3]);
     }
 
     #[test]
@@ -297,16 +412,16 @@ mod tests {
         let g = generators::preferential_attachment(200, 3, 1, 1, 5);
         let parts = RangePartitioner.partition(&g, 4);
         let views = GraphPartition::build(&g, &parts);
-        let topo = PartitionTopology::build(&views, g.num_nodes());
-        for (p, deps) in topo.in_deps.iter().enumerate() {
+        let plan = CutPlan::build(None, &views, &parts);
+        for (p, deps) in plan.in_deps.iter().enumerate() {
             assert!(!deps.contains(&p), "self-dependency must be excluded");
             assert!(deps.windows(2).all(|w| w[0] < w[1]), "deps must be ascending");
         }
         // Every cross target's owner really lists the sender.
         for (q, view) in views.iter().enumerate() {
             for &t in &view.cross_targets {
-                let dest = topo.owner[t as usize] as usize;
-                assert!(topo.in_deps[dest].contains(&q));
+                let dest = parts.part_of(t) as usize;
+                assert!(plan.in_deps[dest].contains(&q));
             }
         }
     }

@@ -65,15 +65,15 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         values: &[JMsg],
         ctx: &mut LocalReduceContext<NodeId, JMsg>,
     ) {
-        let li = input.part.local_index[key];
-        let mut sum = input.remote_in[li as usize];
+        let li = input.part.nodes.binary_search(key).expect("lreduce key is an owned vertex");
+        let mut sum = input.remote_in[li];
         for msg in values {
             if let JMsg::Contrib(c) = msg {
                 sum += c;
             }
         }
         ctx.add_ops(values.len() as u64);
-        let next = (input.b[li as usize] + sum) / input.diag[li as usize];
+        let next = (input.b[li] + sum) / input.diag[li];
         ctx.emit_local(*key, JMsg::Contrib(next));
     }
 
@@ -134,7 +134,7 @@ pub fn run_eager(
     cfg: &JacobiConfig,
 ) -> JacobiOutcome {
     let undirected = graph.to_undirected();
-    let partitions = GraphPartition::build(&undirected, parts);
+    let partitions = GraphPartition::build_on(engine.pool(), &undirected, parts);
     let n = undirected.num_nodes();
     assert_eq!(b.len(), n, "rhs length mismatch");
     let diag = diagonal(&undirected);

@@ -122,7 +122,7 @@ pub fn run_general(
     cfg: &JacobiConfig,
 ) -> JacobiOutcome {
     let undirected = graph.to_undirected();
-    let partitions = GraphPartition::build(&undirected, parts);
+    let partitions = GraphPartition::build_on(engine.pool(), &undirected, parts);
     let n = undirected.num_nodes();
     assert_eq!(b.len(), n, "rhs length mismatch");
     let diag = diagonal(&undirected);

@@ -207,7 +207,7 @@ pub fn run_eager(
     parts: &Partitioning,
     cfg: &PageRankConfig,
 ) -> PageRankOutcome {
-    let partitions = GraphPartition::build(graph, parts);
+    let partitions = GraphPartition::build_on(engine.pool(), graph, parts);
     let n = graph.num_nodes();
     let init = vec![1.0f64; n];
     let mut remote_in = Arc::new(initial_remote_in(&partitions, &init, n));

@@ -100,7 +100,7 @@ pub fn run_general(
     parts: &Partitioning,
     cfg: &PageRankConfig,
 ) -> PageRankOutcome {
-    let partitions = GraphPartition::build(graph, parts);
+    let partitions = GraphPartition::build_on(engine.pool(), graph, parts);
     let n = graph.num_nodes();
     let mut ranks = vec![1.0f64; n];
     let reducer = PrGeneralReducer { damping: cfg.damping };

@@ -9,7 +9,7 @@
 //! [`AsyncIterative`] so the [`AsyncFixedPointDriver`] can start a
 //! partition's next iteration the moment the boundary contributions it
 //! actually depends on (the partitions with cross edges into it, per
-//! [`PartitionTopology`]) have arrived.
+//! the [`CutPlan`]) have arrived.
 //!
 //! At `max_lag = 0` the computed ranks, the per-iteration deltas, and
 //! therefore the iteration count are **byte-identical** to
@@ -17,7 +17,9 @@
 //! `session_equivalence` integration test): the absorb replays the
 //! engine's `greduce` reduction with message batches consumed in
 //! ascending source-partition order, exactly the shuffle's
-//! map-task-ordered value semantics.
+//! map-task-ordered value semantics. The cut is static, so a batch is
+//! one bare `f64` per cut edge of its [`CutPlan`] run: where each lands
+//! was resolved when the session was built.
 
 use std::sync::Arc;
 
@@ -27,8 +29,8 @@ use asyncmr_graph::CsrGraph;
 use asyncmr_partition::Partitioning;
 use asyncmr_runtime::ThreadPool;
 
-use super::{initial_remote_in, PageRankConfig, PrMsg};
-use crate::common::{GraphPartition, PartitionTopology, MAX_LOCAL_PASSES};
+use super::{PageRankConfig, PrMsg};
+use crate::common::{CutPlan, GraphPartition, MAX_LOCAL_PASSES};
 
 /// Per-partition session state: owned ranks plus the frozen remote
 /// contribution sum per owned vertex (what the barrier formulation
@@ -41,9 +43,10 @@ pub struct PrPartitionState {
     pub remote_in: Vec<f64>,
 }
 
-/// One cross-partition boundary contribution:
-/// `(destination-local vertex index, PR(s)/outdeg(s))`.
-pub type PrAsyncMsg = (u32, f64);
+/// One cross-partition boundary contribution `PR(s)/outdeg(s)`; the
+/// vertex it lands on is its position in the batch, via the
+/// [`CutPlan`].
+pub type PrAsyncMsg = f64;
 
 /// PageRank expressed for cross-iteration eager scheduling.
 ///
@@ -56,7 +59,7 @@ pub type PrAsyncMsg = (u32, f64);
 /// contract with [`super::run_eager`] intact.
 pub struct PrAsync {
     partitions: Vec<Arc<GraphPartition>>,
-    topology: PartitionTopology,
+    cut: CutPlan,
     damping: f64,
     tolerance: f64,
     local_tolerance: f64,
@@ -69,20 +72,46 @@ impl PrAsync {
     /// contributions).
     pub fn new(graph: &CsrGraph, parts: &Partitioning, cfg: &PageRankConfig) -> Self {
         let partitions = GraphPartition::build(graph, parts);
-        let topology = PartitionTopology::build(&partitions, graph.num_nodes());
-        let n = graph.num_nodes();
-        let ranks = vec![1.0f64; n];
-        let remote = initial_remote_in(&partitions, &ranks, n);
-        let init = partitions
+        Self::from_views(None, partitions, parts, cfg)
+    }
+
+    /// [`PrAsync::new`] with the partition views and the cut plan built
+    /// on `pool`.
+    pub fn new_on(
+        pool: &ThreadPool,
+        graph: &CsrGraph,
+        parts: &Partitioning,
+        cfg: &PageRankConfig,
+    ) -> Self {
+        let partitions = GraphPartition::build_on(pool, graph, parts);
+        Self::from_views(Some(pool), partitions, parts, cfg)
+    }
+
+    fn from_views(
+        pool: Option<&ThreadPool>,
+        partitions: Vec<Arc<GraphPartition>>,
+        parts: &Partitioning,
+        cfg: &PageRankConfig,
+    ) -> Self {
+        let cut = CutPlan::build(pool, &partitions, parts);
+        let mut init: Vec<PrPartitionState> = partitions
             .iter()
-            .map(|p| PrPartitionState {
-                ranks: p.nodes.iter().map(|&v| ranks[v as usize]).collect(),
-                remote_in: p.nodes.iter().map(|&v| remote[v as usize]).collect(),
-            })
+            .map(|p| PrPartitionState { ranks: vec![1.0; p.len()], remote_in: vec![0.0; p.len()] })
             .collect();
+        // `initial_remote_in` under all-ones ranks, folded per consumer:
+        // producers ascending and each run in emission order is the
+        // order that global sweep adds a vertex's contributions in.
+        for (part, runs) in partitions.iter().zip(&cut.runs) {
+            for run in runs {
+                let remote = &mut init[run.dest as usize].remote_in;
+                for (&li, &t) in run.src.iter().zip(cut.landing(run)) {
+                    remote[t as usize] += 1.0 / part.out_degree[li as usize] as f64;
+                }
+            }
+        }
         PrAsync {
             partitions,
-            topology,
+            cut,
             damping: cfg.damping,
             tolerance: cfg.tolerance,
             // Same inner tolerance derivation as `run_eager` — required
@@ -109,7 +138,7 @@ impl AsyncIterative for PrAsync {
     }
 
     fn dependencies(&self, p: usize) -> Dependence {
-        Dependence::Sparse(self.topology.in_deps[p].clone())
+        Dependence::Sparse(self.cut.in_deps[p].clone())
     }
 
     fn init_state(&self, p: usize) -> PrPartitionState {
@@ -183,35 +212,30 @@ impl AsyncIterative for PrAsync {
             }
         }
         // Finalize: recover each vertex's converged local contribution
-        // sum from Eq. 1 and push one boundary contribution per cross
-        // edge, in (local id, cross-CSR) order.
+        // sum from Eq. 1, and its boundary contribution — one division
+        // per vertex, in the pass buffer no longer needed.
         let mut update = Vec::with_capacity(n);
-        let mut msg_records = 0u64;
-        let mut msg_bytes = 0u64;
+        let contrib = &mut next;
         for li in 0..n {
             let rank = cur[li];
-            let s_local = (rank - (1.0 - self.damping)) / self.damping - state.remote_in[li];
-            update.push(s_local);
-            let deg = part.out_degree[li];
-            ops += 1 + (deg - part.internal_degree(li as u32)) as u64;
-            if deg == 0 {
-                continue;
-            }
-            let c = rank / deg as f64;
-            for (t, _) in part.cross_edges(li as u32) {
-                let dest = self.topology.owner[t as usize] as usize;
-                outbox.push(dest, (self.topology.local[t as usize], c));
-                msg_records += 1;
-                msg_bytes += PrMsg::Contrib(c).approx_bytes();
-            }
+            update.push((rank - (1.0 - self.damping)) / self.damping - state.remote_in[li]);
+            // A sink has no cross edge to gather this.
+            contrib[li] = rank / part.out_degree[li] as f64;
         }
+        // One contribution per cross edge: each destination's batch in
+        // (local id, cross-CSR) order, which is the plan's run order.
+        for run in &self.cut.runs[p] {
+            outbox.extend(run.dest as usize, run.src.iter().map(|&li| contrib[li as usize]));
+        }
+        let msg_records = part.cross_targets.len() as u64;
         GmapOutput {
             update,
-            ops,
+            // One op per vertex plus one per boundary contribution.
+            ops: ops + n as u64 + msg_records,
             local_syncs: passes,
             input_bytes: part.approx_bytes(),
             msg_records,
-            msg_bytes,
+            msg_bytes: msg_records * PrMsg::Contrib(0.0).approx_bytes(),
         }
     }
 
@@ -231,11 +255,24 @@ impl AsyncIterative for PrAsync {
         let n = self.partitions[p].len();
         let mut remote = vec![0.0f64; n];
         let mut msg_count = 0u64;
-        for (_src, msgs) in inbox {
-            for &(li, c) in *msgs {
+        let runs = &self.cut.in_index[p];
+        assert_eq!(inbox.len(), runs.len(), "partition {p}: one inbox entry per dependency");
+        for (&(src, batch), dst) in inbox.iter().zip(runs) {
+            // Hard assert, once per batch: a batch misaligned with its
+            // run would fold into the wrong vertices and converge to a
+            // *wrong* fixed point, not fail.
+            assert_eq!(
+                batch.len(),
+                dst.len(),
+                "partition {p} got a batch of {} contributions from partition {src}, whose run \
+                 into it has {} cut edges",
+                batch.len(),
+                dst.len()
+            );
+            for (&li, &c) in dst.iter().zip(batch) {
                 remote[li as usize] += c;
-                msg_count += 1;
             }
+            msg_count += batch.len() as u64;
         }
         let mut ranks = Vec::with_capacity(n);
         let mut delta = 0.0f64;
@@ -317,7 +354,7 @@ pub fn run_async_with_driver(
     cfg: &PageRankConfig,
     driver: AsyncFixedPointDriver,
 ) -> PageRankAsyncOutcome {
-    let algo = PrAsync::new(graph, parts, cfg);
+    let algo = PrAsync::new_on(pool, graph, parts, cfg);
     let outcome = driver.run(pool, &algo);
     let mut ranks = vec![0.0f64; graph.num_nodes()];
     for (part, state) in algo.partitions().iter().zip(&outcome.states) {
@@ -460,6 +497,20 @@ mod tests {
         for (v, (a, b)) in clean.ranks.iter().zip(&faulty.ranks).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "vertex {v} diverged under node failures");
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "partition 1 got a batch of 2 contributions from partition 0, whose run into it \
+                    has 1 cut edges"
+    )]
+    fn absorb_rejects_a_batch_misaligned_with_its_run() {
+        // 0→1→2→3→0 over {0,1} {2,3}: the one cut edge into part 1 is 1→2.
+        let g = generators::cycle(4);
+        let parts = asyncmr_partition::RangePartitioner.partition(&g, 2);
+        let algo = PrAsync::new(&g, &parts, &PageRankConfig::default());
+        let state = algo.init_state(1);
+        algo.absorb(1, 0, &state, vec![0.0; 2], &[(0, &[0.5, 0.5])]);
     }
 
     #[test]

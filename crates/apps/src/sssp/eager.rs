@@ -137,7 +137,7 @@ pub fn run_eager(
     parts: &Partitioning,
     cfg: &SsspConfig,
 ) -> SsspOutcome {
-    let partitions = GraphPartition::build_weighted(graph, parts);
+    let partitions = GraphPartition::build_weighted_on(engine.pool(), graph, parts);
     let n = graph.num_nodes();
     let mut init = vec![f64::INFINITY; n];
     if n > 0 {

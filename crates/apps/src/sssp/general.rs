@@ -85,7 +85,7 @@ pub fn run_general(
     parts: &Partitioning,
     cfg: &SsspConfig,
 ) -> SsspOutcome {
-    let partitions = GraphPartition::build_weighted(graph, parts);
+    let partitions = GraphPartition::build_weighted_on(engine.pool(), graph, parts);
     let n = graph.num_nodes();
     let mut dists = vec![f64::INFINITY; n];
     if n > 0 {

@@ -20,7 +20,7 @@ use asyncmr_partition::Partitioning;
 use asyncmr_runtime::ThreadPool;
 
 use super::{distances_equal, SsspConfig};
-use crate::common::{GraphPartition, PartitionTopology, MAX_LOCAL_PASSES};
+use crate::common::{CutPlan, GraphPartition, MAX_LOCAL_PASSES};
 
 /// One cross-partition relaxation:
 /// `(destination-local vertex index, proposed distance)`.
@@ -29,7 +29,7 @@ pub type SpAsyncMsg = (u32, f64);
 /// SSSP expressed for cross-iteration eager scheduling.
 pub struct SpAsync {
     partitions: Vec<Arc<GraphPartition>>,
-    topology: PartitionTopology,
+    cut: CutPlan,
     init: Vec<Vec<f64>>,
 }
 
@@ -38,8 +38,29 @@ impl SpAsync {
     /// else unreachable — same as [`super::run_eager`]).
     pub fn new(graph: &WeightedGraph, parts: &Partitioning, cfg: &SsspConfig) -> Self {
         let partitions = GraphPartition::build_weighted(graph, parts);
-        let topology = PartitionTopology::build(&partitions, graph.num_nodes());
-        let n = graph.num_nodes();
+        Self::from_views(None, partitions, parts, cfg)
+    }
+
+    /// [`SpAsync::new`] with the partition views and the cut plan built
+    /// on `pool`.
+    pub fn new_on(
+        pool: &ThreadPool,
+        graph: &WeightedGraph,
+        parts: &Partitioning,
+        cfg: &SsspConfig,
+    ) -> Self {
+        let partitions = GraphPartition::build_weighted_on(pool, graph, parts);
+        Self::from_views(Some(pool), partitions, parts, cfg)
+    }
+
+    fn from_views(
+        pool: Option<&ThreadPool>,
+        partitions: Vec<Arc<GraphPartition>>,
+        parts: &Partitioning,
+        cfg: &SsspConfig,
+    ) -> Self {
+        let cut = CutPlan::build(pool, &partitions, parts);
+        let n = parts.num_nodes();
         let mut dists = vec![f64::INFINITY; n];
         if n > 0 {
             dists[cfg.source as usize] = 0.0;
@@ -48,7 +69,7 @@ impl SpAsync {
             .iter()
             .map(|p| p.nodes.iter().map(|&v| dists[v as usize]).collect())
             .collect();
-        SpAsync { partitions, topology, init }
+        SpAsync { partitions, cut, init }
     }
 
     /// The partition views (for scattering final states back).
@@ -67,7 +88,7 @@ impl AsyncIterative for SpAsync {
     }
 
     fn dependencies(&self, p: usize) -> Dependence {
-        Dependence::Sparse(self.topology.in_deps[p].clone())
+        Dependence::Sparse(self.cut.in_deps[p].clone())
     }
 
     fn init_state(&self, p: usize) -> Vec<f64> {
@@ -134,27 +155,25 @@ impl AsyncIterative for SpAsync {
                 break;
             }
         }
-        // Finalize: owned distances in local order, plus one relaxation
-        // per cross edge of each reachable vertex.
-        let mut update = Vec::with_capacity(n);
+        // Finalize: one relaxation per cross edge of each reachable
+        // vertex — each destination's batch in (local id, cross-CSR)
+        // order, which is the plan's run order — and the owned
+        // distances as the update.
         let mut msg_records = 0u64;
-        for li in 0..n {
-            let d = cur[li];
-            update.push(d);
-            ops += 1;
-            if !d.is_finite() {
-                continue;
-            }
-            for (t, w) in part.cross_edges(li as u32) {
-                let dest = self.topology.owner[t as usize] as usize;
-                outbox.push(dest, (self.topology.local[t as usize], d + w));
-                msg_records += 1;
-                ops += 1;
+        for run in &self.cut.runs[p] {
+            let dst = self.cut.landing(run);
+            for ((&li, &t), &w) in run.src.iter().zip(dst).zip(&run.weights) {
+                let d = cur[li as usize];
+                if d.is_finite() {
+                    outbox.push(run.dest as usize, (t, d + w));
+                    msg_records += 1;
+                }
             }
         }
         GmapOutput {
-            update,
-            ops,
+            update: cur,
+            // One op per vertex plus one per relaxation.
+            ops: ops + n as u64 + msg_records,
             local_syncs: passes,
             input_bytes: part.approx_bytes(),
             msg_records,
@@ -233,7 +252,7 @@ pub fn run_async_with_driver(
     cfg: &SsspConfig,
     driver: AsyncFixedPointDriver,
 ) -> SsspAsyncOutcome {
-    let algo = SpAsync::new(graph, parts, cfg);
+    let algo = SpAsync::new_on(pool, graph, parts, cfg);
     let outcome = driver.run(pool, &algo);
     let mut distances = vec![f64::INFINITY; graph.num_nodes()];
     for (part, state) in algo.partitions().iter().zip(&outcome.states) {

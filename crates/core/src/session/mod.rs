@@ -130,8 +130,8 @@
 //! 3. **Transitive invalidation**: any partition that *absorbed* a
 //!    revoked batch holds contaminated state and rewinds to `C` too —
 //!    a closure over the declared dependency topology (the
-//!    [`Dependence`] graph the apps derive from
-//!    `PartitionTopology`), using the per-iteration consumption log.
+//!    [`Dependence`] graph the apps derive from their
+//!    `CutPlan`), using the per-iteration consumption log.
 //!    Rewound partitions discard parked work, orphan their in-flight
 //!    attempts (stale-generation completions are dropped and billed as
 //!    failed attempts), and relaunch from the checkpoint state.
@@ -284,11 +284,22 @@ impl<M> Outbox<M> {
 
     /// Stages one message for partition `dest`.
     pub fn push(&mut self, dest: usize, msg: M) {
-        let slot = &mut self.per_dest[dest];
-        if slot.is_empty() {
+        self.extend(dest, std::iter::once(msg));
+    }
+
+    /// Stages a run of messages for partition `dest`, in iteration
+    /// order — the same batch repeated [`Outbox::push`] builds, with the
+    /// destination resolved once per run instead of once per record.
+    pub fn extend(&mut self, dest: usize, msgs: impl IntoIterator<Item = M>) {
+        let slots = self.per_dest.len();
+        let Some(slot) = self.per_dest.get_mut(dest) else {
+            panic!("destination {dest} out of {slots} partitions");
+        };
+        let was_empty = slot.is_empty();
+        slot.extend(msgs);
+        if was_empty && !slot.is_empty() {
             self.touched.push(dest as u32);
         }
-        slot.push(msg);
     }
 
     /// The batch currently staged for `dest` (empty if untouched).
@@ -1525,5 +1536,25 @@ mod tests {
         // Reuse after recycling records fresh touches.
         outbox.push(0, 1);
         assert_eq!(outbox.batch(0), &[1]);
+    }
+
+    #[test]
+    fn outbox_extend_is_repeated_push() {
+        let runs: [(usize, &[u32]); 4] = [(2, &[20, 21]), (0, &[]), (2, &[22]), (1, &[10])];
+        let mut pushed: Outbox<u32> = Outbox::new(3);
+        let mut extended: Outbox<u32> = Outbox::new(3);
+        for (dest, msgs) in runs {
+            msgs.iter().for_each(|&m| pushed.push(dest, m));
+            extended.extend(dest, msgs.iter().copied());
+        }
+        assert_eq!(extended.per_dest, pushed.per_dest);
+        assert_eq!(extended.touched, pushed.touched, "an empty run touches nothing");
+        assert_eq!(extended.touched, [2, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "destination 4 out of 4 partitions")]
+    fn outbox_names_an_out_of_range_destination() {
+        Outbox::new(4).push(4, 0u32);
     }
 }
