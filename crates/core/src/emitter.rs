@@ -5,7 +5,9 @@
 //! the engine can hand the simulator an exact profile of what the task
 //! actually produced.
 
+use crate::engine::PlanUse;
 use crate::kv::{Key, Value};
+use crate::local::LocalPlan;
 
 /// A metered sink of `(key, value)` pairs.
 #[derive(Debug)]
@@ -111,11 +113,19 @@ pub struct MapContext<K, V> {
     emitter: Emitter<K, V>,
     /// Work/volume counters for this map task.
     pub meter: TaskMeter,
+    /// The local-sync plan a [`crate::EagerMapper`] task starts from
+    /// and leaves behind. The engine checks it out of its plan store
+    /// around the map call, so it outlives the job; anywhere else it
+    /// starts empty and goes with the context.
+    pub(crate) local_plan: LocalPlan<K>,
+    /// What the task's local syncs did with that plan — reported beside
+    /// the meter (as [`crate::JobReuse::local`]), never in it.
+    pub(crate) local_use: PlanUse,
 }
 
 impl<K: Key, V: Value> Default for MapContext<K, V> {
     fn default() -> Self {
-        MapContext { emitter: Emitter::default(), meter: TaskMeter::default() }
+        Self::with_capacity(0)
     }
 }
 
@@ -125,8 +135,12 @@ impl<K: Key, V: Value> MapContext<K, V> {
     /// last job, so the buffer is allocated once instead of regrown by
     /// doubling).
     pub(crate) fn with_capacity(records: usize) -> Self {
-        let emitter = Emitter { pairs: Vec::with_capacity(records), bytes: 0 };
-        MapContext { emitter, meter: TaskMeter::default() }
+        MapContext {
+            emitter: Emitter { pairs: Vec::with_capacity(records), bytes: 0 },
+            meter: TaskMeter::default(),
+            local_plan: LocalPlan::default(),
+            local_use: PlanUse::default(),
+        }
     }
 
     /// The paper's `EmitIntermediate(key, value)`.

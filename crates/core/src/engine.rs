@@ -38,7 +38,9 @@
 //! again — every iteration of a graph algorithm — verifies that, key by
 //! key, and then moves records instead of hashing and sorting them; a
 //! job that does not runs the unplanned shuffle, and pays for a new
-//! plan only when one looks worth recording.
+//! plan only when one looks worth recording. Step 1 keeps, the same
+//! way, what the local syncs of a [`crate::EagerMapper`] task learned
+//! (see [`crate::local`]), so only a task's first job sorts anything.
 //! [`JobResult::reuse`] says which it was. Dropping the engine releases
 //! the plans and the scratch buffers.
 //!
@@ -158,9 +160,9 @@ pub struct JobMeter {
     pub input_bytes: u64,
 }
 
-/// What became of one kind of remembered shuffle plan in one job (see
+/// What became of one kind of remembered plan in one job (see
 /// [`crate::shuffle::PlanOutcome`]): one count per task that consulted
-/// a plan.
+/// a shuffle plan, or — [`JobReuse::local`] — per local sync.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanUse {
     /// Tasks whose input repeated the remembered key sequence.
@@ -178,6 +180,12 @@ impl PlanUse {
         self.misses += u64::from(planned != PlanOutcome::Hit);
         self.recorded += u64::from(planned == PlanOutcome::Recorded);
     }
+
+    pub(crate) fn add(&mut self, other: PlanUse) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.recorded += other.recorded;
+    }
 }
 
 /// What one job reused from the jobs its engine ran before it.
@@ -187,7 +195,8 @@ impl PlanUse {
 /// the oracle; these counts describe the engine's memory and are not
 /// (the oracle reuses nothing and reports all zeros). In the steady
 /// state of an iterative driver — from its third job of a shape on —
-/// `arena_mints` and both `misses` are 0.
+/// `arena_mints` and both shuffle `misses` are 0, and from the second
+/// on so are `local.misses` when the tasks' keys repeat.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobReuse {
     /// Reduce tasks that found no shelved scratch in the
@@ -198,6 +207,12 @@ pub struct JobReuse {
     pub route: PlanUse,
     /// Reduce tasks' [`crate::shuffle::GroupPlan`]s.
     pub group: PlanUse,
+    /// Local syncs of [`crate::EagerMapper`] tasks, summed over the map
+    /// tasks: passes that ran on the task's remembered plan (`hits`)
+    /// and passes that fell off it or had none, each of which records
+    /// its own (`misses` = `recorded`). The plan outlives the job, so a
+    /// task whose keys repeat records in its first job only.
+    pub local: PlanUse,
 }
 
 /// Everything one job produced.
@@ -433,6 +448,8 @@ mod tests {
     use super::*;
     use crate::emitter::{MapContext, ReduceContext};
     use crate::hash::reducer_for;
+    use crate::local::tests::Decay;
+    use crate::local::EagerMapper;
     use asyncmr_simcluster::ClusterSpec;
 
     struct SquareMapper;
@@ -473,6 +490,26 @@ mod tests {
 
     fn splits() -> Vec<Vec<u32>> {
         (0..8).map(|s| ((s * 100)..(s * 100 + 100)).collect()).collect()
+    }
+
+    /// An eager job: four `gmap` tasks of `local::tests::Decay`, which
+    /// runs some 35 local syncs a task.
+    fn eager() -> EagerMapper<Decay> {
+        EagerMapper::new(Decay)
+    }
+
+    fn targets() -> Vec<Vec<(u32, f64)>> {
+        (0..4u32).map(|t| (0..6).map(|k| (k * 4 + t, f64::from(k + t))).collect()).collect()
+    }
+
+    struct First;
+    impl Reducer for First {
+        type Key = u32;
+        type ValueIn = f64;
+        type Out = f64;
+        fn reduce(&self, key: &u32, values: &[f64], ctx: &mut ReduceContext<u32, f64>) {
+            ctx.emit(*key, values[0]);
+        }
     }
 
     fn expected() -> Vec<(u32, u64)> {
@@ -682,6 +719,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         let inputs = splits();
         let opts = JobOptions::with_reducers(4);
+        let eager_opts = JobOptions::with_reducers(4);
         let populated = populated_partitions(4) as u64;
         for mut engine in [Engine::in_process(&pool), Engine::with_pipelined_shuffle(&pool)] {
             let jobs: Vec<JobReuse> = (0..5)
@@ -705,7 +743,25 @@ mod tests {
             assert!(jobs.iter().map(|j| j.arena_mints).sum::<u64>() <= lanes, "{jobs:?}");
             let recorded: Vec<JobReuse> = engine.history().iter().map(|r| r.reuse).collect();
             assert_eq!(recorded, jobs);
+            assert!(jobs.iter().all(|job| job.local == PlanUse::default()), "no local syncs");
+
+            // An eager job: each task's local syncs record a plan in
+            // their first pass of the first job, and every pass after
+            // it — in that job and the next ones — runs on it.
+            let local: Vec<PlanUse> = (0..3)
+                .map(|_| engine.run("eager", &targets(), &eager(), &First, &eager_opts).reuse.local)
+                .collect();
+            assert_eq!((local[0].misses, local[0].recorded), (4, 4), "one recording per task");
+            assert!(local[0].hits > 4 * 20, "{local:?}");
+            for job in &local[1..] {
+                assert_eq!((job.misses, job.recorded), (0, 0), "{local:?}");
+                assert_eq!(job.hits, local[0].hits + 4, "the first passes are hits now");
+            }
+            assert_eq!(engine.history().last().expect("jobs ran").reuse.local, local[2]);
         }
+        let mut oracle = Engine::with_reference_shuffle(&pool);
+        let out = oracle.run("eager", &targets(), &eager(), &First, &eager_opts);
+        assert_eq!(out.reuse, JobReuse::default(), "the oracle reports no reuse");
     }
 
     #[test]

@@ -32,13 +32,26 @@
 //! reduce. That absence of a barrier is the paper's eager scheduling;
 //! each `lreduce` pass is one *partial synchronization*, counted in
 //! [`crate::TaskMeter::local_syncs`].
+//!
+//! A task's passes emit the same keys in the same order again and again
+//! (its partition does not change), so a steady-state pass buffers,
+//! sorts and groups nothing: `EmitLocalIntermediate` checks each key
+//! against the sequence the task last emitted — every key, every pass —
+//! and writes the value straight to its place among the grouped values,
+//! `lreduce` walks the group boundaries recorded with that sequence,
+//! and `EmitLocal` appends to the next state. The remembered sequence
+//! outlives the job when an [`crate::Engine`] runs the task. A pass
+//! whose keys differ is buffered, sorted and remembered in turn: only
+//! slower, never different (`docs/ARCHITECTURE.md`, "What one partial
+//! synchronization costs").
 
 use std::fmt;
 use std::ops::Index;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::emitter::MapContext;
 use crate::kv::{Key, Meterable, Value};
-use crate::shuffle::{GroupPlan, Grouped, ShuffleScratch};
+use crate::shuffle::{self, PlanOutcome, ShuffleScratch, SlotWriter};
 use crate::traits::Mapper;
 
 /// Default for [`LocalAlgorithm::max_local_iterations`] — the one
@@ -50,19 +63,29 @@ pub const DEFAULT_MAX_LOCAL_ITERATIONS: usize = 10_000;
 /// to store the intermediate and final results of the local MapReduce",
 /// §V-A), kept as one key-ascending `Vec<(K, V)>`.
 ///
-/// It has a map's interface — [`get`](LocalState::get) by binary
-/// search, [`insert`](LocalState::insert), `state[&key]`, iteration —
-/// but a local sync never uses it as a general map: `lreduce` sees its
-/// groups key-ascending, so [`LocalReduceContext::emit_local`] just
-/// *appends*; a pass's state is built once, read many times and retired
-/// whole, so its buffer is handed to the next pass instead of being
-/// freed node by node. Every traversal is in ascending key order —
-/// the determinism the bitwise contracts need and a hashed table would
-/// not give.
-#[derive(Clone, PartialEq)]
+/// It has a map's interface — [`get`](LocalState::get),
+/// [`insert`](LocalState::insert), `state[&key]`, iteration — but a
+/// local sync never uses it as a general map: `lreduce` sees its groups
+/// key-ascending, so [`LocalReduceContext::emit_local`] just *appends*;
+/// a pass's state is built once, read many times and retired whole, so
+/// its buffer is handed to the next pass instead of being freed node by
+/// node; and `lmap`, `finalize` and `locally_converged` look keys up in
+/// the order they were stored, so `get` keeps a **search finger** — the
+/// position of the last key found — and tries the entry after it, then
+/// the entry itself, before it falls back to a binary search. The
+/// finger is only ever a proposal: key equality decides every lookup,
+/// so writes between lookups and lookups in any order (or from several
+/// threads — the finger is a relaxed atomic) cost a binary search, never
+/// a wrong answer. Every traversal is in ascending key order — the
+/// determinism the bitwise contracts need and a hashed table would not
+/// give.
 pub struct LocalState<K, V> {
     /// Keys strictly ascending.
     entries: Vec<(K, V)>,
+    /// Where [`LocalState::get`] last found a key (`usize::MAX` before
+    /// the first hit, so the entry "after" it is the first). Publishes
+    /// nothing: a stale or torn-looking value is just a bad guess.
+    finger: AtomicUsize,
 }
 
 /// `(&K, &V)` view of one entry, for [`LocalState::iter`].
@@ -73,7 +96,12 @@ fn entry_refs<K, V>(entry: &(K, V)) -> (&K, &V) {
 impl<K, V> LocalState<K, V> {
     /// An empty state.
     pub fn new() -> Self {
-        LocalState { entries: Vec::new() }
+        Self::from_sorted(Vec::new())
+    }
+
+    /// A state over `entries`, whose keys strictly ascend.
+    fn from_sorted(entries: Vec<(K, V)>) -> Self {
+        LocalState { entries, finger: AtomicUsize::new(usize::MAX) }
     }
 
     /// Number of entries.
@@ -99,9 +127,20 @@ impl<K, V> LocalState<K, V> {
 }
 
 impl<K: Ord, V> LocalState<K, V> {
-    /// The value stored under `key`.
+    /// The value stored under `key`: `O(1)` when `key` is the one after
+    /// (or the same as) the last key found, a binary search otherwise.
+    #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
-        let at = self.entries.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+        let finger = self.finger.load(Ordering::Relaxed);
+        let holds = |at: usize| self.entries.get(at).is_some_and(|(k, _)| k == key);
+        let at = if holds(finger.wrapping_add(1)) {
+            finger.wrapping_add(1)
+        } else if holds(finger) {
+            finger
+        } else {
+            self.entries.binary_search_by(|(k, _)| k.cmp(key)).ok()?
+        };
+        self.finger.store(at, Ordering::Relaxed);
         Some(&self.entries[at].1)
     }
 
@@ -135,7 +174,20 @@ impl<K: Ord, V> LocalState<K, V> {
                 same
             });
         }
-        LocalState { entries }
+        Self::from_sorted(entries)
+    }
+}
+
+impl<K: Clone, V: Clone> Clone for LocalState<K, V> {
+    fn clone(&self) -> Self {
+        Self::from_sorted(self.entries.clone())
+    }
+}
+
+/// States are equal when their entries are; the finger is not state.
+impl<K: PartialEq, V: PartialEq> PartialEq for LocalState<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
     }
 }
 
@@ -175,25 +227,134 @@ impl<'a, K, V> IntoIterator for &'a LocalState<K, V> {
     }
 }
 
+/// What a task's local syncs remember from one pass to the next — and,
+/// filed in the engine's [`crate::plan::PlanStore`] between jobs, from
+/// one job to the next: the key sequence a pass emitted, where each
+/// emission lands in the grouped values, and where the groups end.
+///
+/// An iterative task emits the same keys in the same order pass after
+/// pass (a graph partition's edges do not move); only the values
+/// change. [`LocalMapContext::emit_local_intermediate`] **verifies**
+/// every emitted key against the remembered sequence — one equality
+/// test per record, in every build, never skipped — so a pass whose
+/// keys churn (K-Means reassignments) is never wrong, only slower.
+///
+/// One `K` and one `u32` a record plus two `u32` a group, held until
+/// the plan fails a verification (which frees it; the pass records its
+/// successor) or the task — outside an engine — or the engine is
+/// dropped.
+#[derive(Debug)]
+pub(crate) struct LocalPlan<K> {
+    /// The key sequence the plan was built for, in emission order.
+    input_keys: Vec<K>,
+    /// `slots[i]` is where emission `i`'s value lands in the grouped
+    /// values: a permutation of `0..input_keys.len()` (the slot writes'
+    /// safety rests on this, so only [`LocalPlan::record`] writes it).
+    slots: Vec<u32>,
+    /// One `(head, end)` per group, keys ascending: the group's key is
+    /// `input_keys[head]` (its first emission) and its values end at
+    /// `end` in the grouped values, where the next group's begin.
+    groups: Vec<(u32, u32)>,
+}
+
+impl<K> Default for LocalPlan<K> {
+    fn default() -> Self {
+        LocalPlan { input_keys: Vec::new(), slots: Vec::new(), groups: Vec::new() }
+    }
+}
+
+impl<K: Key> LocalPlan<K> {
+    /// Records in the key sequence the plan was built for.
+    fn records(&self) -> usize {
+        self.input_keys.len()
+    }
+
+    /// The plan of `pairs`' key sequence: the keys — the one clone per
+    /// record a plan costs — their stable-sort permutation and the
+    /// groups' boundaries (`order` is a recycled temporary).
+    fn record<V>(pairs: &[(K, V)], order: &mut Vec<u32>) -> Self {
+        let mut plan = LocalPlan::default();
+        plan.input_keys.extend(pairs.iter().map(|(k, _)| k.clone()));
+        shuffle::sort_slots(&plan.input_keys, order, &mut plan.slots);
+        let keys = &plan.input_keys;
+        for (slot, &i) in order.iter().enumerate() {
+            let end = slot as u32 + 1;
+            match plan.groups.last_mut() {
+                Some(group) if keys[group.0 as usize] == keys[i as usize] => group.1 = end,
+                _ => plan.groups.push((i, end)),
+            }
+        }
+        plan.groups.shrink_to_fit();
+        order.clear();
+        plan
+    }
+
+    /// Calls `f` once per key group of `values` — a pass's emissions
+    /// placed through this plan — keys ascending.
+    fn for_each_group<V>(&self, values: &[V], mut f: impl FnMut(&K, &[V])) {
+        let mut lo = 0;
+        for &(head, end) in &self.groups {
+            f(&self.input_keys[head as usize], &values[lo..end as usize]);
+            lo = end as usize;
+        }
+    }
+}
+
 /// Context for [`LocalAlgorithm::lmap`] — the paper's
 /// `EmitLocalIntermediate` plus op metering.
+///
+/// A pass starts **on plan** when its task holds a (non-empty) plan —
+/// the key sequence its last pass emitted: each emission is checked
+/// against the plan's next key and its value written straight to its
+/// slot in the grouped values. The first emission that differs — or the
+/// end of a pass that stopped short of the plan — takes the pass off
+/// plan: the verified prefix comes back out as pairs, the rest of the
+/// pass is buffered, and the end of the pass records a fresh plan.
+/// Either way the grouped values are what a stable sort of the emitted
+/// pairs gives.
 #[derive(Debug)]
 pub struct LocalMapContext<K, V> {
+    /// The task's plan, checked out for the pass.
+    plan: LocalPlan<K>,
+    /// On plan: emissions `..cursor` matched `plan.input_keys[..cursor]`
+    /// and their values sit at `plan.slots[..cursor]` of `placed`.
+    on_plan: bool,
+    cursor: usize,
+    placed: SlotWriter<V>,
+    /// Off plan: the pass's emissions so far, in order.
     intermediate: Vec<(K, V)>,
     ops: u64,
 }
 
 impl<K: Key, V: Value> LocalMapContext<K, V> {
-    /// A context emitting into a recycled (cleared) buffer.
-    fn reusing(buffer: Vec<(K, V)>) -> Self {
-        debug_assert!(buffer.is_empty());
-        LocalMapContext { intermediate: buffer, ops: 0 }
+    /// A context for one pass of the task that holds `plan`, over
+    /// buffers recycled from `scratch`. On plan the pair buffer is not
+    /// needed and is released.
+    fn following(plan: LocalPlan<K>, scratch: &mut ShuffleScratch<K, V>) -> Self {
+        let on_plan = plan.records() > 0;
+        let pairs = scratch.take_pairs();
+        LocalMapContext {
+            placed: SlotWriter::new(std::mem::take(&mut scratch.values), plan.records()),
+            plan,
+            on_plan,
+            cursor: 0,
+            intermediate: if on_plan { Vec::new() } else { pairs },
+            ops: 0,
+        }
     }
 
     /// The paper's `EmitLocalIntermediate(key, value)`: feeds the next
     /// `lreduce` *within this partition only*.
     #[inline]
     pub fn emit_local_intermediate(&mut self, key: K, value: V) {
+        if self.on_plan {
+            if self.plan.input_keys.get(self.cursor) == Some(&key) {
+                self.placed.write(self.plan.slots[self.cursor], value);
+                self.cursor += 1;
+                return;
+            }
+            self.fall_back();
+        }
         self.intermediate.push((key, value));
     }
 
@@ -201,6 +362,53 @@ impl<K: Key, V: Value> LocalMapContext<K, V> {
     #[inline]
     pub fn add_ops(&mut self, n: u64) {
         self.ops += n;
+    }
+
+    /// Takes the pass off plan: the plan failed its verification and is
+    /// dropped, and the emissions it did match become buffered pairs —
+    /// its own keys, moved, with the values taken back out of their
+    /// slots.
+    #[cold]
+    fn fall_back(&mut self) {
+        self.on_plan = false;
+        let plan = std::mem::take(&mut self.plan);
+        self.intermediate.reserve(self.cursor + 1);
+        for (key, &slot) in plan.input_keys.into_iter().zip(&plan.slots).take(self.cursor) {
+            // SAFETY: on plan, emission `i < cursor` wrote `slots[i]`
+            // and nothing else did (`slots` is a permutation); this
+            // loop visits each `i < cursor` once and `on_plan` is now
+            // false, so each of those values is taken exactly once.
+            let value = unsafe { self.placed.take(slot) };
+            self.intermediate.push((key, value));
+        }
+    }
+
+    /// Ends the pass: the emitted values grouped for
+    /// [`LocalPlan::for_each_group`] over the returned plan, and
+    /// whether the pass stayed on plan ([`PlanOutcome::Hit`]) or
+    /// recorded a new one.
+    fn finish(mut self, scratch: &mut ShuffleScratch<K, V>) -> (Vec<V>, LocalPlan<K>, PlanOutcome) {
+        if self.on_plan && self.cursor < self.plan.records() {
+            self.fall_back(); // a strict prefix of the plan is a miss
+        }
+        if self.on_plan {
+            // SAFETY: every emission matched and the pass covered the
+            // plan: emission `i` wrote `slots[i]` for each `i` below
+            // `records()`, and `slots` is a permutation of that range,
+            // so every slot was written exactly once.
+            return (unsafe { self.placed.finish() }, self.plan, PlanOutcome::Hit);
+        }
+        let mut pairs = self.intermediate;
+        let plan = LocalPlan::record(&pairs, &mut scratch.slots);
+        let mut placed = SlotWriter::new(self.placed.into_buffer(), pairs.len());
+        for ((_, value), &slot) in pairs.drain(..).zip(&plan.slots) {
+            placed.write(slot, value);
+        }
+        scratch.offer_pairs(pairs);
+        // SAFETY: `plan` was just recorded from `pairs`: pair `i` wrote
+        // `slots[i]`, a permutation of `0..pairs.len()`, so every slot
+        // was written exactly once.
+        (unsafe { placed.finish() }, plan, PlanOutcome::Recorded)
     }
 }
 
@@ -369,32 +577,37 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
         ctx.meter.set_input_bytes(input_bytes);
         let items = self.algo.items(input);
 
-        // One scratch set serves every local iteration of this task:
-        // the intermediate buffer, the group arrays and the state
-        // buffers stop allocating after the first pass, and `plan`
-        // turns every grouping after the first into a verified scatter
-        // (see `crate::shuffle::GroupPlan`).
+        // One scratch set serves every local iteration of this task —
+        // the grouped values, the state buffers and (off plan) the pair
+        // buffer stop allocating after the first pass — and `plan`,
+        // which the task keeps from its last job on this engine, turns
+        // every pass whose keys repeat into verified slot writes.
         let mut scratch: ShuffleScratch<L::Key, L::Value> = ShuffleScratch::default();
-        let mut plan: GroupPlan<L::Key> = GroupPlan::default();
+        let mut plan = std::mem::take(&mut ctx.local_plan);
         let mut retired: Vec<(L::Key, L::Value)> = Vec::new();
         for _ in 0..self.algo.max_local_iterations() {
             // Local map phase over every element of xs.
-            let mut lctx = LocalMapContext::reusing(scratch.take_pairs());
+            let mut lctx = LocalMapContext::following(plan, &mut scratch);
             for item in items {
                 self.algo.lmap(task, input, item, &state, &mut lctx);
             }
+            let lmap_ops = lctx.ops;
             // Partial synchronization: group and locally reduce. This
             // barrier is *within* the task — other partitions are
             // already running their next local iteration (eager
             // scheduling).
-            let record_work = lctx.intermediate.len() as u64;
-            let grouped = Grouped::from_pairs_planned(lctx.intermediate, &mut plan, &mut scratch);
+            let (values, outcome);
+            (values, plan, outcome) = lctx.finish(&mut scratch);
+            ctx.local_use.count(outcome);
+            let record_work = values.len() as u64;
             let mut rctx = LocalReduceContext::reusing(retired);
-            grouped.for_each(|g| self.algo.lreduce(task, input, g.key, g.values, &mut rctx));
-            grouped.recycle_into(&mut scratch);
+            plan.for_each_group(&values, |key, group| {
+                self.algo.lreduce(task, input, key, group, &mut rctx)
+            });
+            scratch.values = values;
             let mut new_state = LocalState::from_writes(rctx.emitted);
             self.algo.post_lreduce(task, input, &state, &mut new_state);
-            ctx.meter.add_ops(lctx.ops + rctx.ops + record_work);
+            ctx.meter.add_ops(lmap_ops + rctx.ops + record_work);
             ctx.meter.add_local_sync();
 
             let done = self.algo.locally_converged(&state, &new_state);
@@ -403,18 +616,20 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
                 break;
             }
         }
+        ctx.local_plan = plan;
         self.algo.finalize(task, input, &state, ctx);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::engine::PlanUse;
 
     /// Toy fixpoint: every key's value decays toward a per-key target;
     /// lmap emits the next value, lreduce stores it. Converges when the
     /// max delta is below 1e-9.
-    struct Decay;
+    pub(crate) struct Decay;
 
     impl LocalAlgorithm for Decay {
         type Input = Vec<(u32, f64)>; // (key, target) — xs is the pairs
@@ -586,6 +801,105 @@ mod tests {
         let (pairs, meter, _, _) = ctx.finish();
         assert_eq!(meter.local_syncs(), 17);
         assert_eq!(pairs, vec![(0, 17)]);
+    }
+
+    /// Pass `p` emits `self.0[p]` records — keys `0, 1, 2 …`, each with
+    /// the value `p + 1` — so a pass can stop short of the plan the one
+    /// before it recorded, or run past it. The pass counter lives in
+    /// the state under [`Stretch::CLOCK`].
+    struct Stretch(Vec<u32>);
+
+    impl Stretch {
+        const CLOCK: u32 = u32::MAX;
+
+        /// Runs the passes: the emitted pairs and what the local syncs
+        /// did with the task's plan.
+        fn run(lens: &[u32]) -> (Vec<(u32, u64)>, PlanUse) {
+            let mut ctx = MapContext::default();
+            EagerMapper::new(Stretch(lens.to_vec())).map(0, &(), &mut ctx);
+            let local_use = ctx.local_use;
+            (ctx.finish().0, local_use)
+        }
+    }
+
+    impl LocalAlgorithm for Stretch {
+        type Input = ();
+        type Item = ();
+        type Key = u32;
+        type Value = u64;
+        fn items<'a>(&self, input: &'a ()) -> &'a [()] {
+            std::slice::from_ref(input)
+        }
+        fn init_state(&self, _t: usize, _i: &()) -> Vec<(u32, u64)> {
+            vec![(Self::CLOCK, 0)]
+        }
+        fn lmap(
+            &self,
+            _t: usize,
+            _i: &(),
+            _item: &(),
+            state: &LocalState<u32, u64>,
+            ctx: &mut LocalMapContext<u32, u64>,
+        ) {
+            let pass = state[&Self::CLOCK];
+            for key in 0..self.0[pass as usize] {
+                ctx.emit_local_intermediate(key, pass + 1);
+            }
+        }
+        fn lreduce(
+            &self,
+            _t: usize,
+            _i: &(),
+            key: &u32,
+            values: &[u64],
+            ctx: &mut LocalReduceContext<u32, u64>,
+        ) {
+            ctx.emit_local(*key, values.iter().sum());
+        }
+        fn post_lreduce(
+            &self,
+            _t: usize,
+            _i: &(),
+            old: &LocalState<u32, u64>,
+            new: &mut LocalState<u32, u64>,
+        ) {
+            new.insert(Self::CLOCK, old[&Self::CLOCK] + 1);
+        }
+        fn locally_converged(
+            &self,
+            _old: &LocalState<u32, u64>,
+            _new: &LocalState<u32, u64>,
+        ) -> bool {
+            false
+        }
+        fn max_local_iterations(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    #[test]
+    fn a_pass_that_stops_short_of_the_plan_is_a_miss() {
+        // Recorded, hit, a strict prefix of the plan (caught at the end
+        // of the pass, before any slot is read), hit on the new plan.
+        let (pairs, local) = Stretch::run(&[3, 3, 2, 2]);
+        assert_eq!(pairs, vec![(0, 4), (1, 4), (Stretch::CLOCK, 4)]);
+        assert_eq!(local, PlanUse { hits: 2, misses: 2, recorded: 2 });
+    }
+
+    #[test]
+    fn a_pass_that_runs_past_the_plan_falls_back_at_the_first_excess_record() {
+        let (pairs, local) = Stretch::run(&[2, 3, 3]);
+        assert_eq!(pairs, vec![(0, 3), (1, 3), (2, 3), (Stretch::CLOCK, 3)]);
+        assert_eq!(local, PlanUse { hits: 1, misses: 2, recorded: 2 });
+    }
+
+    #[test]
+    fn a_zero_record_plan_is_never_on_plan() {
+        // The second empty pass repeats the first's (empty) key
+        // sequence and is still not a hit: there is no plan to be on.
+        let (pairs, local) = Stretch::run(&[0, 0, 2, 2]);
+        assert_eq!(pairs, vec![(0, 4), (1, 4), (Stretch::CLOCK, 4)]);
+        assert_eq!(local, PlanUse { hits: 1, misses: 3, recorded: 3 });
     }
 
     /// post_lreduce carries forward entries lreduce never saw.

@@ -5,7 +5,10 @@
 //! exactly once, as private task bodies:
 //!
 //! * `map_task` — the user's map over one split, plus its meters
-//!   (including the [`crate::Mapper::input_size_hint`] fallback);
+//!   (including the [`crate::Mapper::input_size_hint`] fallback). The
+//!   task's [`MapContext`] carries its local-sync plan out of the
+//!   [`PlanStore`] and back, so a [`crate::EagerMapper`] task starts on
+//!   the key sequence its local syncs verified last job;
 //! * `combine_task` — the optional map-side combiner over one task's
 //!   pairs, re-metering what heads into the shuffle;
 //! * `route_task` — stable key hash → one bucket per reduce partition,
@@ -73,8 +76,9 @@ use asyncmr_runtime::{FollowUp, ThreadPool};
 use asyncmr_simcluster::{MapTaskSpec, ReduceTaskSpec};
 
 use crate::emitter::{MapContext, ReduceContext};
-use crate::engine::{JobMeter, JobOptions, JobReuse};
+use crate::engine::{JobMeter, JobOptions, JobReuse, PlanUse};
 use crate::kv::{Key, Meterable, Value};
+use crate::local::LocalPlan;
 use crate::shuffle::{
     self, GroupPlan, Grouped, GroupingStrategy, PlanOutcome, RoutePlan, ShuffleScratch,
 };
@@ -231,25 +235,29 @@ impl ScratchArena {
     }
 }
 
-/// What the engine's shuffle remembers from job to job: one
-/// [`RoutePlan`] per map task and one [`GroupPlan`] per reduce
-/// partition.
+/// What the engine remembers from job to job: one [`RoutePlan`] and
+/// one local-sync plan (`crate::local`'s; empty unless the mapper is a
+/// [`crate::EagerMapper`]) per map task, and one [`GroupPlan`] per
+/// reduce partition.
 ///
 /// **Slot-addressed**, unlike the [`ScratchArena`] beside it: a plan is
 /// only worth something to the task that will see the same key sequence
-/// again, so it is filed under (plan type — which names the key type —,
-/// map task or *real* partition index; a skipped empty partition does
-/// not shift its neighbours' slots). Two job types that share a key
-/// type share slots and evict each other's plans: every plan is
-/// verified against its input on every use
-/// ([`shuffle::route_planned`], [`Grouped::from_buckets_planned`]), so
-/// that costs recordings — fewer and fewer, the slots back off to the
-/// unplanned shuffle — never results.
+/// again, so it is filed under (plan type — which names the key type,
+/// and keeps a map task's plans and partition `t`'s group plan apart
+/// under one number —, map task or *real* partition index; a skipped
+/// empty partition does not shift its neighbours' slots). Two job types
+/// that share a key type share slots and evict each other's plans:
+/// every plan is verified against its input on every use
+/// ([`shuffle::route_planned`], [`Grouped::from_buckets_planned`],
+/// [`crate::LocalMapContext::emit_local_intermediate`]), so that costs
+/// recordings — fewer and fewer for the shuffle's plans, whose slots
+/// back off to the unplanned shuffle — never results.
 ///
 /// A slot holds its task's recorded key sequence (one key and one
-/// `u32` a record: ≈ 8 B for `u32` keys, route and group plan alike)
-/// until it fails a verification, which frees it; dropping the engine
-/// releases everything.
+/// `u32` a record: ≈ 8 B for `u32` keys, all three plans alike; the
+/// local-sync plan adds two `u32` a key group) until it fails a
+/// verification, which frees it; dropping the engine releases
+/// everything.
 #[derive(Debug, Default)]
 pub struct PlanStore {
     slots: Mutex<HashMap<(TypeId, usize), Box<dyn Any + Send>>>,
@@ -302,6 +310,9 @@ struct MapProfile {
     bytes: u64,
     precombine_records: u64,
     precombine_bytes: u64,
+    /// What the task's local syncs did with their plan (beside the
+    /// meters, never in them).
+    local: PlanUse,
 }
 
 /// One map task's output: its intermediate pairs, in emission order,
@@ -338,7 +349,10 @@ pub(crate) struct Executed<K, O> {
 }
 
 /// Runs the user's map function over one input split, into a pair
-/// buffer sized to what the same task routed last job.
+/// buffer sized to what the same task routed last job. The context
+/// carries the task's local-sync plan out of `plans` and back, so an
+/// [`crate::EagerMapper`] task starts on what it learned last job (any
+/// other mapper leaves the empty plan untouched).
 fn map_task<M: Mapper>(
     mapper: &M,
     task: usize,
@@ -347,7 +361,12 @@ fn map_task<M: Mapper>(
 ) -> MapOut<M::Key, M::Value> {
     let expected = plans.peek(task, RoutePlan::<M::Key>::records).unwrap_or(0);
     let mut ctx: MapContext<M::Key, M::Value> = MapContext::with_capacity(expected);
-    mapper.map(task, input, &mut ctx);
+    plans.with(task, |kept: &mut LocalPlan<M::Key>| {
+        ctx.local_plan = std::mem::take(kept);
+        mapper.map(task, input, &mut ctx);
+        *kept = std::mem::take(&mut ctx.local_plan);
+    });
+    let local = ctx.local_use;
     let (pairs, meter, records, bytes) = ctx.finish();
     let input_bytes =
         if meter.input_bytes() > 0 { meter.input_bytes() } else { mapper.input_size_hint(input) };
@@ -359,6 +378,7 @@ fn map_task<M: Mapper>(
         bytes,
         precombine_records: records,
         precombine_bytes: bytes,
+        local,
     };
     MapOut { pairs, profile }
 }
@@ -509,6 +529,7 @@ fn assemble<K, O>(
         meter.shuffle_bytes += p.bytes;
         meter.precombine_records += p.precombine_records;
         meter.precombine_bytes += p.precombine_bytes;
+        reuse.local.add(p.local);
         map_specs.push(MapTaskSpec::new(p.input_bytes, p.ops, p.bytes).with_records(p.records));
     }
     let mut reduce_specs = Vec::with_capacity(reduced.len());
@@ -772,6 +793,7 @@ where
             bytes,
             precombine_records,
             precombine_bytes,
+            local: PlanUse::default(), // the oracle remembers nothing
         };
         (shuffle::route(pairs, reducers), profile)
     });

@@ -31,9 +31,12 @@
 //! keys churn forever (K-Means reassignments) records in at most one
 //! job of 65, and neither is ever wrong. [`PlanOutcome`] says which of
 //! the three happened. The engine keeps the plans per map task and per
-//! reduce partition in its [`crate::plan::PlanStore`];
-//! [`crate::local::EagerMapper`] owns one [`GroupPlan`] per task for
-//! its local syncs (it loops, so it records at once).
+//! reduce partition in its [`crate::plan::PlanStore`]. The local syncs
+//! of a [`crate::local::EagerMapper`] task remember the same way but
+//! earn nothing — a task that loops is about to see its keys again, so
+//! its plan (of a type of its own, in [`crate::local`]: it also keeps
+//! the group boundaries, and verifies at emission) records at once —
+//! and the engine files that plan in the same store between jobs.
 //!
 //! Grouping implementations:
 //!
@@ -361,16 +364,14 @@ pub fn concat_buckets<K, V>(
 /// pass (a graph partition's edges do not move); only the values
 /// change. The plan remembers the key sequence it was built for and
 /// where each input index lands in the grouped output.
-/// [`Grouped::from_pairs_planned`] and
-/// [`Grouped::from_buckets_planned`] **verify** the remembered sequence
-/// against every new input — an `O(n)` equality scan, never skipped —
-/// so an input whose keys churn (K-Means reassignments) is never wrong;
-/// what it costs is bounded by the plan's `Backoff`.
+/// [`Grouped::from_buckets_planned`] **verifies** the remembered
+/// sequence against every new input — an `O(n)` equality scan, never
+/// skipped — so an input whose keys churn (K-Means reassignments) is
+/// never wrong; what it costs is bounded by the plan's `Backoff`.
 ///
-/// Sized to one input's records (one `K` and one `u32` each) and owned
-/// by whoever groups that input again: an [`crate::local::EagerMapper`]
-/// task, or the engine's [`crate::plan::PlanStore`] slot of one reduce
-/// partition.
+/// Sized to one input's records (one `K` and one `u32` each) and kept
+/// in the engine's [`crate::plan::PlanStore`] slot of the reduce
+/// partition that groups that input again.
 #[derive(Debug)]
 pub struct GroupPlan<K> {
     /// The key sequence the plan was built for, in input order.
@@ -417,32 +418,21 @@ impl<K: Key> GroupPlan<K> {
     }
 
     /// Starts a recording: remembers `chunks`' key sequence (the one
-    /// clone per record a plan costs) and returns its length, which
-    /// must fit the `u32` slots.
-    fn remember<V>(&mut self, chunks: &Chunks<K, V>) -> usize {
+    /// clone per record a plan costs). Both ways of finishing it check
+    /// that its length fits the `u32` slots.
+    fn remember<V>(&mut self, chunks: &Chunks<K, V>) {
         self.input_keys.clear();
         self.input_keys.reserve_exact(chunks.iter().map(Vec::len).sum());
         for chunk in chunks {
             self.input_keys.extend(chunk.iter().map(|(k, _)| k.clone()));
         }
-        index_u32(self.input_keys.len()) as usize
     }
 
     /// Records the plan for `chunks`' key sequence with one index sort
-    /// (`order` is a recycled temporary). Ties break by input index, so
-    /// values keep input order within a key — the permutation a stable
-    /// sort of the pairs themselves would apply.
+    /// (`order` is a recycled temporary).
     fn record<V>(&mut self, chunks: &Chunks<K, V>, order: &mut Vec<u32>) {
-        let n = self.remember(chunks);
-        let keys = &self.input_keys;
-        order.clear();
-        order.extend(0..n as u32);
-        order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]).then(a.cmp(&b)));
-        self.slots.clear();
-        self.slots.resize(n, 0);
-        for (slot, &i) in order.iter().enumerate() {
-            self.slots[i as usize] = slot as u32;
-        }
+        self.remember(chunks);
+        sort_slots(&self.input_keys, order, &mut self.slots);
         order.clear();
     }
 
@@ -460,6 +450,97 @@ impl<K: Key> GroupPlan<K> {
             *cursor - 1
         }));
         gids.clear();
+    }
+}
+
+/// The permutation a stable sort of `keys` applies, found with one index
+/// sort: leaves in `order` the input indices in output order (keys
+/// ascending, ties by input index — so values keep input order within a
+/// key) and in `slots` its inverse, `slots[i]` the output index of
+/// input `i`. `slots` is a permutation of `0..keys.len()` by
+/// construction: `order` is `0..n` rearranged, and each of its
+/// positions is assigned to exactly one input index.
+pub(crate) fn sort_slots<K: Ord>(keys: &[K], order: &mut Vec<u32>, slots: &mut Vec<u32>) {
+    let n = index_u32(keys.len());
+    order.clear();
+    order.extend(0..n);
+    order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]).then(a.cmp(&b)));
+    slots.clear();
+    slots.resize(n as usize, 0);
+    for (slot, &i) in order.iter().enumerate() {
+        slots[i as usize] = slot as u32;
+    }
+}
+
+/// A recycled buffer being filled out of order: `n` values, each written
+/// straight to its final slot, then handed over as a `Vec` of length
+/// `n` — the one place the planned scatters (here and in
+/// [`crate::local`]) touch uninitialised memory.
+///
+/// The buffer's length stays 0 until [`SlotWriter::finish`], so a panic
+/// while it fills — or abandoning it through
+/// [`SlotWriter::into_buffer`] — leaks the values written so far and
+/// drops nothing twice.
+#[derive(Debug)]
+pub(crate) struct SlotWriter<T> {
+    /// Empty, with capacity for at least `n`.
+    buf: Vec<T>,
+    n: usize,
+}
+
+impl<T> SlotWriter<T> {
+    /// A writer of `n` values into `buf`'s allocation (cleared, grown
+    /// if it must be).
+    pub(crate) fn new(mut buf: Vec<T>, n: usize) -> Self {
+        buf.clear();
+        buf.reserve(n);
+        SlotWriter { buf, n }
+    }
+
+    /// Writes `value` to `slot`, which is below `n`. Writing a slot
+    /// twice leaks the first value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is beyond the buffer's capacity — the one check
+    /// memory safety needs, and the only one a release build makes: a
+    /// second, against `n`, costs the local sync's emission loop a
+    /// third of its time (ledger, `pr-eager-engine`). A slot between
+    /// `n` and the capacity is written and never read.
+    #[inline]
+    pub(crate) fn write(&mut self, slot: u32, value: T) {
+        debug_assert!((slot as usize) < self.n, "slot {slot} of {}", self.n);
+        self.buf.spare_capacity_mut()[slot as usize].write(value);
+    }
+
+    /// Moves the value written to `slot` back out.
+    ///
+    /// # Safety
+    ///
+    /// `slot` has been written since this writer was made, and the
+    /// value written last has not been taken before.
+    pub(crate) unsafe fn take(&mut self, slot: u32) -> T {
+        // SAFETY: the caller guarantees the slot holds an initialised
+        // value that nothing else will read or drop.
+        unsafe { self.buf.spare_capacity_mut()[slot as usize].assume_init_read() }
+    }
+
+    /// The filled buffer, as a vector of length `n`.
+    ///
+    /// # Safety
+    ///
+    /// Every slot below `n` has been written exactly once and not taken.
+    pub(crate) unsafe fn finish(mut self) -> Vec<T> {
+        // SAFETY: `new` reserved capacity for `n`, and the caller
+        // guarantees the first `n` elements are initialised.
+        unsafe { self.buf.set_len(self.n) };
+        self.buf
+    }
+
+    /// Abandons the fill: the allocation, empty. Values written and not
+    /// taken leak.
+    pub(crate) fn into_buffer(self) -> Vec<T> {
+        self.buf
     }
 }
 
@@ -591,68 +672,32 @@ impl<K: Key, V: Value> Grouped<K, V> {
         let mut gids = std::mem::take(&mut scratch.slots);
         let mut next = radix_cursors(pairs.iter().map(|(k, _)| k), &mut gids);
         // Scatter into recycled buffers.
-        let mut keys = std::mem::take(&mut scratch.keys);
-        let mut values = std::mem::take(&mut scratch.values);
-        keys.clear();
-        values.clear();
-        keys.reserve(n);
-        values.reserve(n);
-        {
-            let key_slots = keys.spare_capacity_mut();
-            let value_slots = values.spare_capacity_mut();
-            for (i, (k, v)) in pairs.drain(..).enumerate() {
-                let slot = &mut next[gids[i] as usize];
-                let d = *slot as usize;
-                *slot += 1;
-                key_slots[d].write(k);
-                value_slots[d].write(v);
-            }
+        let mut keys = SlotWriter::new(std::mem::take(&mut scratch.keys), n);
+        let mut values = SlotWriter::new(std::mem::take(&mut scratch.values), n);
+        for (i, (k, v)) in pairs.drain(..).enumerate() {
+            let slot = &mut next[gids[i] as usize];
+            keys.write(*slot, k);
+            values.write(*slot, v);
+            *slot += 1;
         }
         // SAFETY: the groups' output ranges partition 0..n and each
         // group's cursor advanced once per member, so every slot below
-        // n was initialized exactly once; nothing between the writes
-        // and here can panic.
-        unsafe {
-            keys.set_len(n);
-            values.set_len(n);
-        }
+        // n of both arrays was written exactly once.
+        let (keys, values) = unsafe { (keys.finish(), values.finish()) };
         scratch.offer_pairs(pairs);
         gids.clear();
         scratch.slots = gids;
         Grouped { keys, values }
     }
 
-    /// Groups `pairs` through `plan`, recycling buffers from `scratch`.
-    ///
-    /// If `pairs` carries the key sequence `plan` was built for (checked
-    /// on every call, in every build) keys and values scatter straight
-    /// to their remembered slots: `O(n)` moves, no comparison sort.
-    /// Otherwise the plan is recorded anew first (`O(n log n)` and one
-    /// clone per key, once per new key sequence) — at once, with no
-    /// backoff: this is for a caller that is about to group the same
-    /// keys again, like a local-sync loop. Either way the output is
-    /// byte-identical to [`Grouped::from_pairs_reusing`].
-    pub fn from_pairs_planned(
-        mut pairs: Vec<(K, V)>,
-        plan: &mut GroupPlan<K>,
-        scratch: &mut ShuffleScratch<K, V>,
-    ) -> Self {
-        let chunk = std::slice::from_mut(&mut pairs);
-        if !plan.matches(chunk) {
-            plan.record(chunk, &mut scratch.slots);
-        }
-        let grouped = Self::scatter_planned(chunk, plan, scratch);
-        scratch.offer_pairs(pairs);
-        grouped
-    }
-
     /// Groups one reduce partition's `buckets` (in map-task order)
     /// through `plan`; also returns what became of the plan.
     ///
     /// The buckets' concatenation is verified against the key sequence
-    /// `plan` was built for exactly as in
-    /// [`Grouped::from_pairs_planned`], and on a hit scattered without
-    /// being concatenated. Otherwise the plan is dropped and the input
+    /// `plan` was built for (checked on every call, in every build),
+    /// and on a hit keys and values scatter from the buckets straight to
+    /// their remembered slots — `O(n)` moves, no concatenation, no
+    /// comparison sort. Otherwise the plan is dropped and the input
     /// is either grouped unplanned — [`concat_buckets`] then
     /// [`Grouped::from_pairs_using`] — or, when the plan's `Backoff`
     /// says it is time, recorded the way `strategy` names and scattered.
@@ -692,23 +737,15 @@ impl<K: Key, V: Value> Grouped<K, V> {
         scratch: &mut ShuffleScratch<K, V>,
     ) -> Self {
         let n = plan.slots.len();
-        let mut keys = std::mem::take(&mut scratch.keys);
-        let mut values = std::mem::take(&mut scratch.values);
-        keys.clear();
-        values.clear();
-        keys.reserve(n);
-        values.reserve(n);
+        let mut keys = SlotWriter::new(std::mem::take(&mut scratch.keys), n);
+        let mut values = SlotWriter::new(std::mem::take(&mut scratch.values), n);
         let mut done = 0;
-        {
-            let key_slots = keys.spare_capacity_mut();
-            let value_slots = values.spare_capacity_mut();
-            for chunk in chunks {
-                let slots = &plan.slots[done..done + chunk.len()];
-                done += chunk.len();
-                for ((k, v), &slot) in chunk.drain(..).zip(slots) {
-                    key_slots[slot as usize].write(k);
-                    value_slots[slot as usize].write(v);
-                }
+        for chunk in chunks {
+            let slots = &plan.slots[done..done + chunk.len()];
+            done += chunk.len();
+            for ((k, v), &slot) in chunk.drain(..).zip(slots) {
+                keys.write(slot, k);
+                values.write(slot, v);
             }
         }
         assert_eq!(done, n, "a grouping plan must cover its input exactly");
@@ -717,13 +754,9 @@ impl<K: Key, V: Value> Grouped<K, V> {
         // pairs, pair i was written to `plan.slots[i]`, and
         // `plan.slots` is a permutation of 0..n (both `record*`
         // methods assign each output position to exactly one input
-        // index), so every slot below n of both arrays was initialized
-        // exactly once. A panic above leaves both empty, which only
-        // leaks.
-        unsafe {
-            keys.set_len(n);
-            values.set_len(n);
-        }
+        // index), so every slot below n of both arrays was written
+        // exactly once.
+        let (keys, values) = unsafe { (keys.finish(), values.finish()) };
         Grouped { keys, values }
     }
 

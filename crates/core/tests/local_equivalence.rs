@@ -1,24 +1,31 @@
 //! Property tests pinning the local sync's fast structures to their
 //! slow references:
 //!
-//! * [`LocalState`] (one sorted `Vec`) behaves like the `BTreeMap` it
-//!   replaced — `insert` / `get` / traversal / `collect` / `==`, and
-//!   `emit_local` streams in any order (last write wins, result
-//!   key-ascending);
-//! * [`Grouped::from_pairs_planned`] equals the `BTreeMap` reference
-//!   [`shuffle::group`] over *sequences* of calls on one [`GroupPlan`]
-//!   — a hit, every kind of miss, and a return to an earlier sequence;
+//! * [`LocalState`] (one sorted `Vec` and a search finger) behaves like
+//!   the `BTreeMap` it replaced — `insert` / `get` in any order /
+//!   traversal / `collect` / `==`, and `emit_local` streams in any
+//!   order (last write wins, result key-ascending);
+//! * the groups `lreduce` is handed equal the `BTreeMap` reference
+//!   [`shuffle::group`] over *sequences* of passes on one task's plan —
+//!   a hit, every kind of miss, and a return to an earlier sequence;
 //! * [`EagerMapper`] equals [`oracle_gmap`], the loop it ran before the
 //!   plan and the flat state existed (`BTreeMap` state, full stable
 //!   sort every pass), kept here as the reference the way
 //!   `shuffle::group` is: emitted pairs, ops, local syncs and input
-//!   bytes, including on an algorithm whose keys churn.
+//!   bytes — on algorithms whose keys churn, and on scripted passes
+//!   that leave the plan at every prefix length, stop short of it or
+//!   run past it, with `String` keys, and with values that count their
+//!   drops (a value emitted on plan is written through a raw slot).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use asyncmr_core::prelude::*;
-use asyncmr_core::shuffle::{self, GroupPlan, Grouped, ShuffleScratch};
+use asyncmr_core::shuffle;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------- (a)
@@ -27,15 +34,25 @@ use proptest::prelude::*;
 enum Op {
     Insert(u32, u32),
     Get(u32),
+    /// Look every key of the key space up: ascending (what `lmap` does,
+    /// the finger's fast path), descending, or each key twice.
+    Sweep(Order),
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    Ascending,
+    Descending,
+    Repeated,
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    let op = (any::<bool>(), 0u32..40, any::<u32>()).prop_map(|(insert, k, v)| {
-        if insert {
-            Op::Insert(k, v)
-        } else {
-            Op::Get(k)
-        }
+    let op = (0u32..5, 0u32..40, any::<u32>()).prop_map(|(kind, k, v)| match kind {
+        0 => Op::Insert(k, v),
+        1 => Op::Get(k),
+        2 => Op::Sweep(Order::Ascending),
+        3 => Op::Sweep(Order::Descending),
+        _ => Op::Sweep(Order::Repeated),
     });
     proptest::collection::vec(op, 0..80)
 }
@@ -122,6 +139,16 @@ proptest! {
             match op {
                 Op::Insert(k, v) => prop_assert_eq!(state.insert(k, v), model.insert(k, v)),
                 Op::Get(k) => prop_assert_eq!(state.get(&k), model.get(&k)),
+                Op::Sweep(order) => {
+                    let keys: Vec<u32> = match order {
+                        Order::Ascending => (0..42).collect(),
+                        Order::Descending => (0..42).rev().collect(),
+                        Order::Repeated => (0..42).flat_map(|k| [k, k]).collect(),
+                    };
+                    for k in keys {
+                        prop_assert_eq!(state.get(&k), model.get(&k));
+                    }
+                }
             }
             assert_same_map(&state, &model);
         }
@@ -146,17 +173,91 @@ proptest! {
 
 // ---------------------------------------------------------------- (b)
 
-fn collect(grouped: &Grouped<u32, u32>) -> Vec<(u32, Vec<u32>)> {
-    let mut out = Vec::new();
-    grouped.for_each(|g| out.push((*g.key, g.values.to_vec())));
-    out
+/// One pass's groups, as [`shuffle::group`] shapes them.
+type Groups = Vec<(u32, Vec<u32>)>;
+
+/// Pass `i` emits `script[i]` and `lreduce` logs every group it is
+/// handed, so the log is what the task's plan made of each pass.
+struct Logged {
+    script: Vec<Vec<(u32, u32)>>,
+    pass: AtomicUsize,
+    log: Mutex<Vec<Groups>>,
+}
+
+impl LocalAlgorithm for Logged {
+    type Input = ();
+    type Item = ();
+    type Key = u32;
+    type Value = u32;
+
+    fn items<'a>(&self, input: &'a ()) -> &'a [()] {
+        std::slice::from_ref(input)
+    }
+    fn init_state(&self, _t: usize, _input: &()) -> Vec<(u32, u32)> {
+        Vec::new()
+    }
+    fn lmap(
+        &self,
+        _t: usize,
+        _input: &(),
+        _item: &(),
+        _state: &LocalState<u32, u32>,
+        ctx: &mut LocalMapContext<u32, u32>,
+    ) {
+        for &(k, v) in &self.script[self.pass.load(Ordering::Relaxed)] {
+            ctx.emit_local_intermediate(k, v);
+        }
+    }
+    fn lreduce(
+        &self,
+        _t: usize,
+        _input: &(),
+        key: &u32,
+        values: &[u32],
+        _ctx: &mut LocalReduceContext<u32, u32>,
+    ) {
+        let mut log = self.log.lock().unwrap();
+        let pass = self.pass.load(Ordering::Relaxed);
+        log[pass].push((*key, values.to_vec()));
+    }
+    fn post_lreduce(
+        &self,
+        _t: usize,
+        _input: &(),
+        _old: &LocalState<u32, u32>,
+        _new: &mut LocalState<u32, u32>,
+    ) {
+        self.pass.fetch_add(1, Ordering::Relaxed);
+    }
+    fn locally_converged(&self, _old: &LocalState<u32, u32>, _new: &LocalState<u32, u32>) -> bool {
+        false
+    }
+    fn max_local_iterations(&self) -> usize {
+        self.script.len()
+    }
+}
+
+/// Runs `script` as the passes of one gmap task and checks every pass's
+/// groups against the reference.
+fn assert_groups_equal_reference(script: Vec<Vec<(u32, u32)>>) {
+    let passes = script.len();
+    let log = Mutex::new(vec![Vec::new(); passes]);
+    let mapper = EagerMapper::new(Logged { script, pass: AtomicUsize::new(0), log });
+    let mut ctx = MapContext::default();
+    mapper.map(0, &(), &mut ctx);
+    assert_eq!(ctx.meter.local_syncs(), passes as u64);
+    let algo = mapper.algorithm();
+    let log = algo.log.lock().unwrap();
+    for (pass, (pairs, groups)) in algo.script.iter().zip(log.iter()).enumerate() {
+        assert_eq!(*groups, shuffle::group(pairs.clone()), "pass {pass}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// One plan, one scratch, a scripted sequence of inputs: whatever
-    /// the plan remembered, the groups are the reference's.
+    /// One task, one plan, a scripted sequence of passes: whatever the
+    /// plan remembered, the groups are the reference's.
     #[test]
     fn planned_grouping_equals_reference_across_hits_and_misses(
         first in proptest::collection::vec((0u32..30, any::<u32>()), 1..200),
@@ -169,80 +270,68 @@ proptest! {
         one_key_changed[at].0 += 31; // a key the sequence never held
         let mut longer = first.clone();
         longer.push(extra);
-        let script = [
+        assert_groups_equal_reference(vec![
             first.clone(),                 // empty plan: miss
             new_values,                    // same keys, new values: hit
             one_key_changed,               // same length, one key differs: miss
-            longer,                        // length differs: miss
-            first[..first.len() - 1].to_vec(), // shorter: miss
-            first.clone(),                 // back to the first sequence: miss …
+            first.clone(),                 // back: miss at the same record
+            longer,                        // runs past the plan: miss
+            first[..first.len() - 1].to_vec(), // stops short of it: miss
+            first.clone(),                 // runs past it again: miss …
             first,                         // … then hit
-            Vec::new(),                    // empty input: miss
-        ];
-        let mut plan = GroupPlan::default();
-        let mut scratch = ShuffleScratch::default();
-        for pairs in script {
-            let reference = shuffle::group(pairs.clone());
-            let grouped = Grouped::from_pairs_planned(pairs, &mut plan, &mut scratch);
-            prop_assert_eq!(collect(&grouped), reference);
-            grouped.recycle_into(&mut scratch);
-        }
+            Vec::new(),                    // empty pass: miss
+            vec![extra],                   // an empty plan is no plan: miss
+            vec![extra],                   // hit
+        ]);
     }
 
-    /// Unscripted: arbitrary inputs, each grouped twice in a row (the
-    /// second call is a hit by construction), on one plan.
+    /// Unscripted: arbitrary passes, each run twice in a row (the
+    /// second is a hit by construction), on one plan.
     #[test]
     fn planned_grouping_equals_reference_on_arbitrary_sequences(
         inputs in proptest::collection::vec(
             proptest::collection::vec((0u32..12, any::<u32>()), 0..120), 1..6),
     ) {
-        let mut plan = GroupPlan::default();
-        let mut scratch = ShuffleScratch::default();
-        for pairs in inputs {
-            let reference = shuffle::group(pairs.clone());
-            for _ in 0..2 {
-                let grouped = Grouped::from_pairs_planned(pairs.clone(), &mut plan, &mut scratch);
-                prop_assert_eq!(collect(&grouped), reference.clone());
-                grouped.recycle_into(&mut scratch);
-            }
-        }
+        assert_groups_equal_reference(inputs.into_iter().flat_map(|pairs| [pairs.clone(), pairs]).collect());
     }
 }
 
 // ---------------------------------------------------------------- (c)
 
 /// An algorithm stated once over plain closures, so both the framework
-/// ([`Framework`] → `EagerMapper`) and the oracle can run it. Keys are
-/// `u32`; states are passed to `converged` as key-ascending slices.
+/// ([`Framework`] → `EagerMapper`) and the oracle can run it. States
+/// are passed to `converged` as key-ascending slices.
 trait Spec: Send + Sync {
     type Item: Send + Sync;
+    type Key: Key + Debug;
     type Value: Value + PartialEq + Debug;
     /// Whether `post_lreduce` carries old entries nothing rewrote.
     const CARRY_FORWARD: bool;
 
-    fn init(&self, xs: &[Self::Item]) -> Vec<(u32, Self::Value)>;
+    fn init(&self, xs: &[Self::Item]) -> Vec<(Self::Key, Self::Value)>;
     /// `lmap` over one item; returns the ops it meters.
     fn lmap(
         &self,
         x: &Self::Item,
-        get: &dyn Fn(u32) -> Option<Self::Value>,
-        emit: &mut dyn FnMut(u32, Self::Value),
+        get: &dyn Fn(&Self::Key) -> Option<Self::Value>,
+        emit: &mut dyn FnMut(Self::Key, Self::Value),
     ) -> u64;
     /// `lreduce` over one group; returns the ops it meters.
     fn lreduce(
         &self,
-        key: u32,
+        key: &Self::Key,
         values: &[Self::Value],
-        emit: &mut dyn FnMut(u32, Self::Value),
+        emit: &mut dyn FnMut(Self::Key, Self::Value),
     ) -> u64;
-    fn converged(&self, old: &[(u32, Self::Value)], new: &[(u32, Self::Value)]) -> bool;
+    fn converged(&self, old: &[(Self::Key, Self::Value)], new: &[(Self::Key, Self::Value)])
+        -> bool;
     fn max_passes(&self) -> usize;
 }
 
 /// What a gmap produced and what it metered.
 #[derive(Debug, PartialEq)]
-struct Outcome<V> {
-    pairs: Vec<(u32, V)>,
+struct Outcome<K, V> {
+    pairs: Vec<(K, V)>,
     ops: u64,
     local_syncs: u64,
     input_bytes: u64,
@@ -252,33 +341,33 @@ struct Outcome<V> {
 /// state: a `BTreeMap` per pass, a full stable sort of every pass's
 /// emissions, `BTreeMap::insert` for `EmitLocal`, `entry().or_insert`
 /// for the carry-forward hook.
-fn oracle_gmap<S: Spec>(spec: &S, xs: &[S::Item]) -> Outcome<S::Value> {
-    let flat = |m: &BTreeMap<u32, S::Value>| -> Vec<(u32, S::Value)> {
-        m.iter().map(|(k, v)| (*k, v.clone())).collect()
+fn oracle_gmap<S: Spec>(spec: &S, xs: &[S::Item]) -> Outcome<S::Key, S::Value> {
+    let flat = |m: &BTreeMap<S::Key, S::Value>| -> Vec<(S::Key, S::Value)> {
+        m.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     };
-    let mut state: BTreeMap<u32, S::Value> = spec.init(xs).into_iter().collect();
+    let mut state: BTreeMap<S::Key, S::Value> = spec.init(xs).into_iter().collect();
     let input_bytes = state.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum();
     let (mut ops, mut local_syncs) = (0u64, 0u64);
     for _ in 0..spec.max_passes() {
-        let mut pairs: Vec<(u32, S::Value)> = Vec::new();
+        let mut pairs: Vec<(S::Key, S::Value)> = Vec::new();
         for x in xs {
-            ops += spec.lmap(x, &|k| state.get(&k).cloned(), &mut |k, v| pairs.push((k, v)));
+            ops += spec.lmap(x, &|k| state.get(k).cloned(), &mut |k, v| pairs.push((k, v)));
         }
         ops += pairs.len() as u64;
-        pairs.sort_by_key(|p| p.0);
-        let mut new_state: BTreeMap<u32, S::Value> = BTreeMap::new();
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut new_state: BTreeMap<S::Key, S::Value> = BTreeMap::new();
         let mut lo = 0;
         while lo < pairs.len() {
             let hi = lo + pairs[lo..].iter().take_while(|p| p.0 == pairs[lo].0).count();
             let values: Vec<S::Value> = pairs[lo..hi].iter().map(|p| p.1.clone()).collect();
-            ops += spec.lreduce(pairs[lo].0, &values, &mut |k, v| {
+            ops += spec.lreduce(&pairs[lo].0, &values, &mut |k, v| {
                 new_state.insert(k, v);
             });
             lo = hi;
         }
         if S::CARRY_FORWARD {
             for (k, v) in &state {
-                new_state.entry(*k).or_insert_with(|| v.clone());
+                new_state.entry(k.clone()).or_insert_with(|| v.clone());
             }
         }
         local_syncs += 1;
@@ -297,13 +386,13 @@ struct Framework<S>(S);
 impl<S: Spec> LocalAlgorithm for Framework<S> {
     type Input = Vec<S::Item>;
     type Item = S::Item;
-    type Key = u32;
+    type Key = S::Key;
     type Value = S::Value;
 
     fn items<'a>(&self, input: &'a Self::Input) -> &'a [S::Item] {
         input
     }
-    fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(u32, S::Value)> {
+    fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(S::Key, S::Value)> {
         self.0.init(input)
     }
     fn lmap(
@@ -311,47 +400,47 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
         _t: usize,
         _input: &Self::Input,
         item: &S::Item,
-        state: &LocalState<u32, S::Value>,
-        ctx: &mut LocalMapContext<u32, S::Value>,
+        state: &LocalState<S::Key, S::Value>,
+        ctx: &mut LocalMapContext<S::Key, S::Value>,
     ) {
         let ops = self
             .0
-            .lmap(item, &|k| state.get(&k).cloned(), &mut |k, v| ctx.emit_local_intermediate(k, v));
+            .lmap(item, &|k| state.get(k).cloned(), &mut |k, v| ctx.emit_local_intermediate(k, v));
         ctx.add_ops(ops);
     }
     fn lreduce(
         &self,
         _t: usize,
         _input: &Self::Input,
-        key: &u32,
+        key: &S::Key,
         values: &[S::Value],
-        ctx: &mut LocalReduceContext<u32, S::Value>,
+        ctx: &mut LocalReduceContext<S::Key, S::Value>,
     ) {
-        let ops = self.0.lreduce(*key, values, &mut |k, v| ctx.emit_local(k, v));
+        let ops = self.0.lreduce(key, values, &mut |k, v| ctx.emit_local(k, v));
         ctx.add_ops(ops);
     }
     fn post_lreduce(
         &self,
         _t: usize,
         _input: &Self::Input,
-        old: &LocalState<u32, S::Value>,
-        new: &mut LocalState<u32, S::Value>,
+        old: &LocalState<S::Key, S::Value>,
+        new: &mut LocalState<S::Key, S::Value>,
     ) {
         if S::CARRY_FORWARD {
             for (k, v) in old {
                 if new.get(k).is_none() {
-                    new.insert(*k, v.clone());
+                    new.insert(k.clone(), v.clone());
                 }
             }
         }
     }
     fn locally_converged(
         &self,
-        old: &LocalState<u32, S::Value>,
-        new: &LocalState<u32, S::Value>,
+        old: &LocalState<S::Key, S::Value>,
+        new: &LocalState<S::Key, S::Value>,
     ) -> bool {
-        let flat = |s: &LocalState<u32, S::Value>| -> Vec<(u32, S::Value)> {
-            s.iter().map(|(k, v)| (*k, v.clone())).collect()
+        let flat = |s: &LocalState<S::Key, S::Value>| -> Vec<(S::Key, S::Value)> {
+            s.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
         };
         self.0.converged(&flat(old), &flat(new))
     }
@@ -360,7 +449,7 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
     }
 }
 
-fn framework_gmap<S: Spec>(spec: S, xs: Vec<S::Item>) -> Outcome<S::Value> {
+fn framework_gmap<S: Spec>(spec: S, xs: Vec<S::Item>) -> Outcome<S::Key, S::Value> {
     let mut ctx = MapContext::default();
     EagerMapper::new(Framework(spec)).map(0, &xs, &mut ctx);
     let (pairs, meter, _, _) = ctx.finish();
@@ -379,6 +468,7 @@ struct Decay;
 
 impl Spec for Decay {
     type Item = (u32, f64); // (key, target)
+    type Key = u32;
     type Value = f64;
     const CARRY_FORWARD: bool = false;
 
@@ -388,15 +478,15 @@ impl Spec for Decay {
     fn lmap(
         &self,
         &(key, target): &(u32, f64),
-        get: &dyn Fn(u32) -> Option<f64>,
+        get: &dyn Fn(&u32) -> Option<f64>,
         emit: &mut dyn FnMut(u32, f64),
     ) -> u64 {
-        let current = get(key).expect("every key is in the state");
+        let current = get(&key).expect("every key is in the state");
         emit(key, current + 0.5 * (target - current));
         1
     }
-    fn lreduce(&self, key: u32, values: &[f64], emit: &mut dyn FnMut(u32, f64)) -> u64 {
-        emit(key, values[0]);
+    fn lreduce(&self, key: &u32, values: &[f64], emit: &mut dyn FnMut(u32, f64)) -> u64 {
+        emit(*key, values[0]);
         0
     }
     fn converged(&self, old: &[(u32, f64)], new: &[(u32, f64)]) -> bool {
@@ -413,6 +503,7 @@ struct CarryForward;
 
 impl Spec for CarryForward {
     type Item = u32;
+    type Key = u32;
     type Value = u64;
     const CARRY_FORWARD: bool = true;
 
@@ -422,14 +513,14 @@ impl Spec for CarryForward {
     fn lmap(
         &self,
         x: &u32,
-        get: &dyn Fn(u32) -> Option<u64>,
+        get: &dyn Fn(&u32) -> Option<u64>,
         emit: &mut dyn FnMut(u32, u64),
     ) -> u64 {
-        emit(0, get(0).expect("key 0 is always rewritten") + u64::from(*x));
+        emit(0, get(&0).expect("key 0 is always rewritten") + u64::from(*x));
         0
     }
-    fn lreduce(&self, key: u32, values: &[u64], emit: &mut dyn FnMut(u32, u64)) -> u64 {
-        emit(key, *values.iter().max().expect("groups are non-empty"));
+    fn lreduce(&self, key: &u32, values: &[u64], emit: &mut dyn FnMut(u32, u64)) -> u64 {
+        emit(*key, *values.iter().max().expect("groups are non-empty"));
         0
     }
     fn converged(&self, old: &[(u32, u64)], new: &[(u32, u64)]) -> bool {
@@ -456,6 +547,7 @@ impl Churn {
 
 impl Spec for Churn {
     type Item = u32;
+    type Key = u32;
     type Value = u64;
     const CARRY_FORWARD: bool = true;
 
@@ -465,20 +557,20 @@ impl Spec for Churn {
     fn lmap(
         &self,
         x: &u32,
-        get: &dyn Fn(u32) -> Option<u64>,
+        get: &dyn Fn(&u32) -> Option<u64>,
         emit: &mut dyn FnMut(u32, u64),
     ) -> u64 {
-        let phase = get(Self::CLOCK).expect("the clock is carried forward").min(self.churn);
+        let phase = get(&Self::CLOCK).expect("the clock is carried forward").min(self.churn);
         emit(Self::CLOCK, phase + 1);
         emit((x * (phase as u32 + 1) + phase as u32) % self.key_space, u64::from(*x) + phase);
         2
     }
-    fn lreduce(&self, key: u32, values: &[u64], emit: &mut dyn FnMut(u32, u64)) -> u64 {
-        if key == Self::CLOCK {
-            emit(key, values[0].min(self.churn));
+    fn lreduce(&self, key: &u32, values: &[u64], emit: &mut dyn FnMut(u32, u64)) -> u64 {
+        if *key == Self::CLOCK {
+            emit(*key, values[0].min(self.churn));
         } else {
             let sum: u64 = values.iter().sum();
-            emit(key, sum);
+            emit(*key, sum);
             emit(self.key_space - 1 - key, sum + 1);
         }
         values.len() as u64
@@ -489,6 +581,249 @@ impl Spec for Churn {
     fn max_passes(&self) -> usize {
         self.churn as usize + 4
     }
+}
+
+/// The key and value types a [`Script`] runs over.
+trait Flavor: Send + Sync {
+    type K: Key + Debug;
+    type V: Value + PartialEq + Debug;
+    fn key(id: u32) -> Self::K;
+    fn value(x: u64) -> Self::V;
+    fn raw(v: &Self::V) -> u64;
+}
+
+/// `u32` keys, `u64` values: what the graph apps run.
+struct Plain;
+impl Flavor for Plain {
+    type K = u32;
+    type V = u64;
+    fn key(id: u32) -> u32 {
+        id
+    }
+    fn value(x: u64) -> u64 {
+        x
+    }
+    fn raw(v: &u64) -> u64 {
+        *v
+    }
+}
+
+/// Heap keys: a fallback moves them out of the plan, a recording clones
+/// them.
+struct Worded;
+impl Flavor for Worded {
+    type K = String;
+    type V = u64;
+    fn key(id: u32) -> String {
+        format!("k{id:04}")
+    }
+    fn value(x: u64) -> u64 {
+        x
+    }
+    fn raw(v: &u64) -> u64 {
+        *v
+    }
+}
+
+thread_local! {
+    /// How often each [`Tracked`] value made on this thread was
+    /// dropped, by id. A gmap runs on the thread that calls it.
+    static DROPS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A value that counts its drops: emitted on plan it is written through
+/// a raw slot, so "dropped exactly once" is worth checking.
+#[derive(Debug)]
+struct Tracked {
+    id: usize,
+    x: u64,
+}
+
+impl Tracked {
+    fn new(x: u64) -> Self {
+        let id = DROPS.with_borrow_mut(|drops| {
+            drops.push(0);
+            drops.len() - 1
+        });
+        Tracked { id, x }
+    }
+}
+
+impl Clone for Tracked {
+    fn clone(&self) -> Self {
+        Tracked::new(self.x)
+    }
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        DROPS.with_borrow_mut(|drops| drops[self.id] += 1);
+    }
+}
+
+impl PartialEq for Tracked {
+    fn eq(&self, other: &Self) -> bool {
+        self.x == other.x
+    }
+}
+
+impl Meterable for Tracked {
+    fn approx_bytes(&self) -> u64 {
+        8
+    }
+}
+
+impl Flavor for Tracked {
+    type K = u32;
+    type V = Tracked;
+    fn key(id: u32) -> u32 {
+        id
+    }
+    fn value(x: u64) -> Tracked {
+        Tracked::new(x)
+    }
+    fn raw(v: &Tracked) -> u64 {
+        v.x
+    }
+}
+
+/// Scripted passes: pass `p` emits `passes[p]` record by record (item
+/// `j` emits record `j`), plus the pass counter kept in the state under
+/// [`Script::CLOCK`] — before the records or after them, so a pass can
+/// leave its plan at the very first emission or be a strict prefix of
+/// it. `lreduce` folds each group in value order and also rewrites key
+/// 0 (a duplicate, out-of-order `emit_local`); entries nothing rewrote
+/// are carried forward by `post_lreduce` inserts.
+struct Script<F> {
+    passes: Vec<Vec<(u32, u64)>>,
+    clock_first: bool,
+    /// `lmap` panics at this `(pass, item)`.
+    panic_at: Option<(u64, usize)>,
+    flavor: std::marker::PhantomData<F>,
+}
+
+impl<F: Flavor> Script<F> {
+    const CLOCK: u32 = 5_000;
+
+    fn new(passes: &[Vec<(u32, u64)>], clock_first: bool) -> Self {
+        let flavor = std::marker::PhantomData;
+        Script { passes: passes.to_vec(), clock_first, panic_at: None, flavor }
+    }
+
+    /// Records in the longest pass.
+    fn longest(&self) -> usize {
+        self.passes.iter().map(Vec::len).max().unwrap_or(0)
+    }
+
+    /// One item per record of the longest pass, and one for the clock.
+    fn items(&self) -> Vec<usize> {
+        (0..=self.longest()).collect()
+    }
+
+    fn clock(state: &[(F::K, F::V)]) -> u64 {
+        let clock = F::key(Self::CLOCK);
+        F::raw(&state.iter().find(|(k, _)| *k == clock).expect("the clock is always rewritten").1)
+    }
+}
+
+impl<F: Flavor> Spec for Script<F> {
+    type Item = usize;
+    type Key = F::K;
+    type Value = F::V;
+    const CARRY_FORWARD: bool = true;
+
+    fn init(&self, _xs: &[usize]) -> Vec<(F::K, F::V)> {
+        vec![(F::key(Self::CLOCK), F::value(0))]
+    }
+    fn lmap(
+        &self,
+        &j: &usize,
+        get: &dyn Fn(&F::K) -> Option<F::V>,
+        emit: &mut dyn FnMut(F::K, F::V),
+    ) -> u64 {
+        let pass = F::raw(&get(&F::key(Self::CLOCK)).expect("the clock is always rewritten"));
+        assert!(self.panic_at != Some((pass, j)), "scripted lmap panic");
+        // The clock's item is the first or the last of the pass.
+        let last = self.longest();
+        let record = match (self.clock_first, j) {
+            (true, 0) => None,
+            (true, j) => Some(j - 1),
+            (false, j) if j == last => None,
+            (false, j) => Some(j),
+        };
+        match record {
+            None => emit(F::key(Self::CLOCK), F::value(pass + 1)),
+            Some(r) => {
+                if let Some(&(k, x)) = self.passes[pass as usize].get(r) {
+                    emit(F::key(k), F::value(x));
+                }
+            }
+        }
+        1
+    }
+    fn lreduce(&self, key: &F::K, values: &[F::V], emit: &mut dyn FnMut(F::K, F::V)) -> u64 {
+        if *key == F::key(Self::CLOCK) {
+            emit(key.clone(), values[0].clone());
+        } else {
+            let fold = values.iter().fold(7u64, |h, v| h.wrapping_mul(31).wrapping_add(F::raw(v)));
+            emit(key.clone(), F::value(fold));
+            emit(F::key(0), F::value(fold ^ 1));
+        }
+        values.len() as u64
+    }
+    fn converged(&self, _old: &[(F::K, F::V)], new: &[(F::K, F::V)]) -> bool {
+        Self::clock(new) as usize == self.passes.len()
+    }
+    fn max_passes(&self) -> usize {
+        self.passes.len()
+    }
+}
+
+/// Runs `passes` through the oracle and the framework, with the clock
+/// emitted first and last, and holds the one against the other.
+fn assert_script_equals_oracle<F: Flavor>(passes: &[Vec<(u32, u64)>]) {
+    for clock_first in [true, false] {
+        let spec = Script::<F>::new(passes, clock_first);
+        let xs = spec.items();
+        let oracle = oracle_gmap(&spec, &xs);
+        assert_eq!(oracle.local_syncs, passes.len() as u64, "the script ran to its end");
+        assert_eq!(framework_gmap(spec, xs), oracle, "clock first: {clock_first}");
+    }
+}
+
+/// `base` with new values (a hit after `base`).
+fn revalued(base: &[(u32, u64)]) -> Vec<(u32, u64)> {
+    base.iter().map(|&(k, x)| (k, x ^ 0x5A5A)).collect()
+}
+
+/// `base` with the key of record `k` changed to one no pass holds.
+fn churned_at(base: &[(u32, u64)], k: usize) -> Vec<(u32, u64)> {
+    let mut pass = revalued(base);
+    pass[k].0 += 100;
+    pass
+}
+
+/// Every way a pass can leave the plan `base` recorded, each followed
+/// by the way back: a changed key at each prefix length `k` (the first
+/// record, inside and at the edge of key groups, the last record), a
+/// pass that stops after `k` records, and one that runs past the plan.
+fn leave_the_plan_everywhere(base: &[(u32, u64)]) -> Vec<Vec<Vec<(u32, u64)>>> {
+    let mut scripts: Vec<Vec<Vec<(u32, u64)>>> = Vec::new();
+    for k in 0..base.len() {
+        let (hit, churned) = (revalued(base), churned_at(base, k));
+        scripts.push(vec![base.to_vec(), hit.clone(), churned.clone(), churned, hit]);
+        let short = base[..k].to_vec();
+        scripts.push(vec![base.to_vec(), short.clone(), short, base.to_vec(), revalued(base)]);
+    }
+    let mut long = base.to_vec();
+    long.extend([(3, 33), (base[0].0, 34)]);
+    scripts.push(vec![base.to_vec(), long.clone(), long, base.to_vec(), revalued(base)]);
+    scripts
+}
+
+/// A short pass with repeated keys in scrambled order.
+fn base_pass() -> impl Strategy<Value = Vec<(u32, u64)>> {
+    proptest::collection::vec((0u32..8, 0u64..1_000), 1..14)
 }
 
 proptest! {
@@ -525,5 +860,56 @@ proptest! {
         // Not cut off by the cap: the keys froze and the state settled.
         prop_assert!(oracle.local_syncs < churn + 4);
         prop_assert_eq!(framework_gmap(Churn { key_space, churn }, xs), oracle);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn eager_mapper_equals_oracle_leaving_the_plan_at_every_prefix_length(base in base_pass()) {
+        for script in leave_the_plan_everywhere(&base) {
+            assert_script_equals_oracle::<Plain>(&script);
+        }
+    }
+
+    #[test]
+    fn eager_mapper_equals_oracle_on_string_keys(base in base_pass()) {
+        for script in leave_the_plan_everywhere(&base) {
+            assert_script_equals_oracle::<Worded>(&script);
+        }
+    }
+
+    /// On a hit and on a fallback at every prefix length, each value
+    /// ever made — emitted, cloned into the state, handed out — is
+    /// dropped exactly once.
+    #[test]
+    fn every_emitted_value_is_dropped_exactly_once(base in base_pass()) {
+        for script in leave_the_plan_everywhere(&base) {
+            DROPS.with_borrow_mut(Vec::clear);
+            assert_script_equals_oracle::<Tracked>(&script);
+            let drops = DROPS.with_borrow(Vec::clone);
+            prop_assert!(!drops.is_empty());
+            prop_assert!(drops.iter().all(|&d| d == 1), "{:?}", drops);
+        }
+    }
+
+    /// `lmap` panics in the middle of an on-plan pass, after `at`
+    /// values went to their slots: they may leak, nothing may be
+    /// dropped twice.
+    #[test]
+    fn a_panic_in_the_middle_of_an_on_plan_pass_drops_nothing_twice(
+        base in base_pass(),
+        at in any::<u32>(),
+        clock_first in any::<bool>(),
+    ) {
+        DROPS.with_borrow_mut(Vec::clear);
+        let mut spec = Script::<Tracked>::new(&[base.clone(), revalued(&base)], clock_first);
+        spec.panic_at = Some((1, at as usize % spec.items().len()));
+        let xs = spec.items();
+        let unwound = catch_unwind(AssertUnwindSafe(|| framework_gmap(spec, xs)));
+        prop_assert!(unwound.is_err(), "the second pass panics");
+        let drops = DROPS.with_borrow(Vec::clone);
+        prop_assert!(drops.iter().all(|&d| d <= 1), "{:?}", drops);
     }
 }

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use asyncmr::core::prelude::*;
-use asyncmr::core::{Engine, JobReuse};
+use asyncmr::core::{EagerMapper, Engine, JobReuse};
 use asyncmr::runtime::ThreadPool;
 
 /// Scatters each input number across a small key space.
@@ -189,6 +189,111 @@ proptest! {
         prop_assert_eq!(&staged.0, &pipelined.0);
         prop_assert_eq!(staged.1, pipelined.1);
         prop_assert!(pipelined.1.reduce_tasks <= 1);
+    }
+}
+
+/// An eager mapper over the same splits: every number `x` feeds its
+/// key `x % key_space` and passes that key's running maximum on to the
+/// next key, round and round to a local fixpoint — several local syncs
+/// a task, their key sequence a function of the split alone.
+struct RingMax {
+    key_space: u32,
+}
+
+impl LocalAlgorithm for RingMax {
+    type Input = Vec<u32>;
+    type Item = u32;
+    type Key = u32;
+    type Value = u64;
+
+    fn items<'a>(&self, split: &'a Vec<u32>) -> &'a [u32] {
+        split
+    }
+    fn init_state(&self, _t: usize, _split: &Vec<u32>) -> Vec<(u32, u64)> {
+        (0..self.key_space).map(|k| (k, 0)).collect()
+    }
+    fn lmap(
+        &self,
+        _t: usize,
+        _split: &Vec<u32>,
+        &x: &u32,
+        state: &LocalState<u32, u64>,
+        ctx: &mut LocalMapContext<u32, u64>,
+    ) {
+        let key = x % self.key_space;
+        ctx.emit_local_intermediate(key, u64::from(x));
+        ctx.emit_local_intermediate((key + 1) % self.key_space, state[&key]);
+        ctx.add_ops(2);
+    }
+    fn lreduce(
+        &self,
+        _t: usize,
+        _split: &Vec<u32>,
+        key: &u32,
+        values: &[u64],
+        ctx: &mut LocalReduceContext<u32, u64>,
+    ) {
+        ctx.emit_local(*key, *values.iter().max().expect("groups are non-empty"));
+    }
+    fn post_lreduce(
+        &self,
+        _t: usize,
+        _split: &Vec<u32>,
+        old: &LocalState<u32, u64>,
+        new: &mut LocalState<u32, u64>,
+    ) {
+        for (k, v) in old {
+            if new.get(k).is_none() {
+                new.insert(*k, *v);
+            }
+        }
+    }
+    fn locally_converged(&self, old: &LocalState<u32, u64>, new: &LocalState<u32, u64>) -> bool {
+        old == new
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Sequences of *eager* jobs on one engine: a task's local-sync
+    /// plan outlives the job, so the second job of a shape starts on it
+    /// (no recording), a job whose splits changed falls off it once a
+    /// task, and none of it shows in pairs or meters.
+    #[test]
+    fn eager_job_sequences_on_one_engine_agree_and_keep_their_local_plans(
+        splits in proptest::collection::vec(
+            proptest::collection::vec(0u32..10_000, 1..30), 1..6),
+        key_space in 2u32..16,
+        reducers in 1usize..6,
+    ) {
+        let churned: Vec<Vec<u32>> =
+            splits.iter().map(|split| split.iter().map(|x| x + 1).collect()).collect();
+        let pool = ThreadPool::new(3);
+        let gmap = EagerMapper::new(RingMax { key_space });
+        let opts = JobOptions::with_reducers(reducers);
+        let mut engines = [
+            Engine::in_process(&pool),
+            Engine::with_reference_shuffle(&pool),
+            Engine::with_pipelined_shuffle(&pool),
+        ];
+        let tasks = splits.len() as u64;
+        for (job, splits) in [&splits, &splits, &churned, &splits].into_iter().enumerate() {
+            let [staged, reference, pipelined] =
+                engines.each_mut().map(|engine| engine.run("ring", splits, &gmap, &SumReducer, &opts));
+            prop_assert_eq!(&staged.pairs, &reference.pairs, "job {}: staged vs reference", job);
+            prop_assert_eq!(&staged.pairs, &pipelined.pairs, "job {}: staged vs pipelined", job);
+            prop_assert_eq!(staged.meter, pipelined.meter, "job {}: meters", job);
+            prop_assert_eq!(staged.meter.local_syncs, reference.meter.local_syncs);
+            prop_assert_eq!(staged.meter.map_ops, reference.meter.map_ops);
+            prop_assert_eq!(reference.reuse, JobReuse::default());
+            let local = staged.reuse.local;
+            prop_assert_eq!(local, pipelined.reuse.local, "job {}: local plan use", job);
+            prop_assert_eq!(local.hits + local.misses, staged.meter.local_syncs);
+            // Job 1 repeats job 0's keys; jobs 2 and 3 each meet the
+            // plan of other splits in every task's first pass.
+            prop_assert_eq!(local.recorded, if job == 1 { 0 } else { tasks }, "job {}", job);
+        }
     }
 }
 

@@ -260,3 +260,214 @@ fn job_sequence_on_one_engine_is_byte_identical_on_the_hit_path() {
         }
     }
 }
+
+/// Eager jobs handed to the engine one by one: a `gmap` task's
+/// local-sync plan is filed in the engine's plan store between jobs, so
+/// what a job starts from depends on what the engine ran before it —
+/// and its output must not.
+mod eager_jobs {
+    pub use asyncmr::apps::cc::eager::CcLocalAlgorithm;
+    pub use asyncmr::apps::cc::general::{CcGeneralInput, CcMinReducer};
+    pub use asyncmr::apps::pagerank::eager::{PrEagerInput, PrEagerReducer, PrLocalAlgorithm};
+    pub use asyncmr::apps::GraphPartition;
+    pub use asyncmr::core::{EagerMapper, JobOptions, JobResult, PlanUse};
+    use asyncmr::graph::NodeId;
+
+    use super::*;
+
+    pub type Schedule = for<'p> fn(&'p ThreadPool) -> Engine<'p>;
+    pub const SCHEDULES: [Schedule; 2] =
+        [|pool| Engine::in_process(pool), |pool| Engine::with_pipelined_shuffle(pool)];
+
+    /// Label-flooding inputs: task `t` gets partition `t + rotate`, and
+    /// the labels — values, not keys — depend on `job`.
+    pub fn cc_inputs(
+        partitions: &[Arc<GraphPartition>],
+        job: u32,
+        rotate: usize,
+    ) -> Vec<CcGeneralInput> {
+        (0..partitions.len())
+            .map(|t| {
+                let part = Arc::clone(&partitions[(t + rotate) % partitions.len()]);
+                let labels = part.nodes.iter().map(|&v| v / (job + 1)).collect();
+                CcGeneralInput { part, labels }
+            })
+            .collect()
+    }
+
+    pub fn pr_inputs(partitions: &[Arc<GraphPartition>], n: usize, job: u32) -> Vec<PrEagerInput> {
+        let ranks = Arc::new((0..n).map(|v| 1.0 + f64::from(job) / (v + 1) as f64).collect());
+        let remote_in = Arc::new(vec![0.25; n]);
+        let input = |part: &Arc<GraphPartition>| PrEagerInput {
+            part: Arc::clone(part),
+            ranks: Arc::clone(&ranks),
+            remote_in: Arc::clone(&remote_in),
+        };
+        partitions.iter().map(input).collect()
+    }
+
+    pub fn cc_job(engine: &mut Engine<'_>, inputs: &[CcGeneralInput]) -> JobResult<NodeId, NodeId> {
+        let gmap = EagerMapper::new(CcLocalAlgorithm);
+        engine.run("cc", inputs, &gmap, &CcMinReducer, &JobOptions::with_reducers(5))
+    }
+
+    pub fn pr_job(
+        engine: &mut Engine<'_>,
+        inputs: &[PrEagerInput],
+    ) -> JobResult<NodeId, (f64, f64)> {
+        let gmap = EagerMapper::new(PrLocalAlgorithm { damping: 0.85, local_tolerance: 1e-7 });
+        let greduce = PrEagerReducer { damping: 0.85 };
+        engine.run("pr", inputs, &gmap, &greduce, &JobOptions::with_reducers(5))
+    }
+
+    /// `kept` ran on an engine with a history, `fresh` on a new one and
+    /// `oracle` on the reference shuffle: same pairs, same meters, and
+    /// one plan outcome per local sync.
+    pub fn assert_same_job<K, O>(
+        kept: &JobResult<K, O>,
+        fresh: &JobResult<K, O>,
+        oracle: &JobResult<K, O>,
+    ) where
+        K: PartialEq + std::fmt::Debug,
+        O: PartialEq + std::fmt::Debug,
+    {
+        assert_eq!(kept.pairs, fresh.pairs, "a kept plan changed the output");
+        assert_eq!(kept.pairs, oracle.pairs, "kept engine vs oracle");
+        assert_eq!(kept.meter, fresh.meter, "a kept plan changed the meters");
+        assert_eq!(kept.meter.map_ops, oracle.meter.map_ops);
+        assert_eq!(kept.meter.local_syncs, oracle.meter.local_syncs);
+        for job in [kept, fresh] {
+            let local = job.reuse.local;
+            assert_eq!(local.hits + local.misses, job.meter.local_syncs);
+            assert_eq!(local.misses, local.recorded, "a local sync off its plan records one");
+        }
+        assert_eq!(oracle.reuse.local, PlanUse::default(), "the oracle reports no reuse");
+    }
+}
+
+#[test]
+fn consecutive_eager_jobs_on_one_engine_equal_fresh_engines_and_the_oracle() {
+    use eager_jobs::*;
+
+    let g = crawl_graph(400, 29).to_undirected();
+    let parts = MultilevelKWay::default().partition(&g, 4);
+    let partitions = GraphPartition::build(&g, &parts);
+    let tasks = partitions.len() as u64;
+    let pool = ThreadPool::new(3);
+    for schedule in SCHEDULES {
+        let mut engine = schedule(&pool);
+        let mut oracle = Engine::with_reference_shuffle(&pool);
+        let mut hits_of_job_0 = 0;
+        for job in 0..3 {
+            let inputs = cc_inputs(&partitions, job, 0);
+            let kept = cc_job(&mut engine, &inputs);
+            let fresh = cc_job(&mut schedule(&pool), &inputs);
+            assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
+            assert_eq!(fresh.reuse.local.recorded, tasks, "a fresh engine records once a task");
+            if job == 0 {
+                assert_eq!(kept.reuse.local, fresh.reuse.local);
+                hits_of_job_0 = kept.reuse.local.hits;
+            } else {
+                assert_eq!(kept.reuse.local.misses, 0, "job {job} starts on job 0's plans");
+            }
+        }
+        assert!(hits_of_job_0 > 0, "label flooding takes more than one pass");
+
+        // Task t now gets another partition than it had last job: same
+        // key type, same slot, other keys — a verified miss in the
+        // task's first pass, and the same output.
+        let inputs = cc_inputs(&partitions, 3, 1);
+        let kept = cc_job(&mut engine, &inputs);
+        let fresh = cc_job(&mut schedule(&pool), &inputs);
+        assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
+        assert_eq!(kept.reuse.local, fresh.reuse.local, "one fallback a task, then hits");
+        assert_eq!(kept.reuse.local.recorded, tasks);
+    }
+}
+
+#[test]
+fn two_eager_mappers_sharing_a_key_type_evict_each_other_and_stay_correct() {
+    use eager_jobs::*;
+
+    // Label flooding over the symmetrized graph and PageRank over the
+    // directed one: both keyed by `NodeId`, so task t of either finds
+    // the other's plan in its slot, falls off it, and records its own.
+    let directed = crawl_graph(300, 31);
+    let undirected = directed.to_undirected();
+    let parts = MultilevelKWay::default().partition(&undirected, 3);
+    let cc_parts = GraphPartition::build(&undirected, &parts);
+    let pr_parts = GraphPartition::build(&directed, &parts);
+    let (n, tasks) = (directed.num_nodes(), cc_parts.len() as u64);
+    let pool = ThreadPool::new(3);
+    for schedule in SCHEDULES {
+        let mut engine = schedule(&pool);
+        let mut oracle = Engine::with_reference_shuffle(&pool);
+        for job in 0..3 {
+            let inputs = cc_inputs(&cc_parts, job, 0);
+            let kept = cc_job(&mut engine, &inputs);
+            let fresh = cc_job(&mut schedule(&pool), &inputs);
+            assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
+            assert_eq!(kept.reuse.local, fresh.reuse.local, "job {job}: evicted, as good as new");
+
+            let inputs = pr_inputs(&pr_parts, n, job);
+            let kept = pr_job(&mut engine, &inputs);
+            let fresh = pr_job(&mut schedule(&pool), &inputs);
+            assert_same_job(&kept, &fresh, &pr_job(&mut oracle, &inputs));
+            assert_eq!(kept.reuse.local, fresh.reuse.local, "job {job}: evicted, as good as new");
+            assert_eq!(kept.reuse.local.recorded, tasks);
+        }
+    }
+}
+
+#[test]
+fn local_plans_and_shuffle_plans_share_slot_numbers_without_colliding() {
+    use eager_jobs::*;
+
+    // Two map tasks, five reduce partitions, `u32` keys everywhere:
+    // slots 0 and 1 of the engine's plan store hold a route plan, a
+    // local-sync plan *and* a reduce partition's group plan each. From
+    // the third job on every one of them is a hit.
+    let g = crawl_graph(300, 37).to_undirected();
+    let parts = MultilevelKWay::default().partition(&g, 2);
+    let partitions = GraphPartition::build(&g, &parts);
+    let pool = ThreadPool::new(3);
+    for schedule in SCHEDULES {
+        let mut engine = schedule(&pool);
+        let mut oracle = Engine::with_reference_shuffle(&pool);
+        for job in 0..4 {
+            // The labels stay put, so the global emissions repeat too.
+            let inputs = cc_inputs(&partitions, 0, 0);
+            let kept = cc_job(&mut engine, &inputs);
+            let fresh = cc_job(&mut schedule(&pool), &inputs);
+            assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
+            assert!(kept.meter.reduce_tasks > 2, "more reduce partitions than map tasks");
+            let reuse = kept.reuse;
+            assert_eq!(reuse.local.recorded, if job == 0 { 2 } else { 0 }, "job {job}");
+            if job >= 2 {
+                let hits = (reuse.route.hits, reuse.group.hits);
+                assert_eq!(hits, (2, kept.meter.reduce_tasks as u64), "job {job}");
+                assert_eq!((reuse.route.misses, reuse.group.misses, reuse.local.misses), (0, 0, 0));
+            }
+        }
+    }
+}
+
+#[test]
+fn run_eager_records_its_local_plans_in_the_first_job_only() {
+    // The driver's whole run on one engine: every gmap task sorts its
+    // key sequence once, in the first pass of job 1, and every local
+    // sync after it — in that job and in all later ones — is a hit.
+    let g = crawl_graph(400, 11);
+    let parts = MultilevelKWay::default().partition(&g, 4);
+    let pool = ThreadPool::new(3);
+    for schedule in eager_jobs::SCHEDULES {
+        let mut engine = schedule(&pool);
+        let out = pagerank::run_eager(&mut engine, &g, &parts, &PageRankConfig::default());
+        let local: Vec<_> = engine.history().iter().map(|job| job.reuse.local).collect();
+        assert!(local.len() > 1, "more than one global iteration");
+        assert_eq!((local[0].misses, local[0].recorded), (4, 4));
+        assert!(local[1..].iter().all(|job| job.misses == 0), "{local:?}");
+        let syncs: u64 = local.iter().map(|job| job.hits + job.misses).sum();
+        assert_eq!(syncs, out.report.local_syncs);
+    }
+}
