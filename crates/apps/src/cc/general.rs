@@ -1,6 +1,7 @@
 //! General (fully synchronous) connected components: one label
 //! propagation round per global MapReduce iteration.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use asyncmr_core::prelude::*;
@@ -80,22 +81,22 @@ pub fn run_general(
     let mut labels: Vec<NodeId> = (0..n as NodeId).collect();
     let opts = JobOptions::with_reducers(cfg.num_reducers);
 
+    // Built once; every iteration overwrites the label slices in place.
+    let mut inputs: Vec<CcGeneralInput> = partitions
+        .iter()
+        .map(|p| CcGeneralInput { part: Arc::clone(p), labels: Vec::new() })
+        .collect();
+    let mut name = String::new();
+
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
-        let inputs: Vec<CcGeneralInput> = partitions
-            .iter()
-            .map(|p| CcGeneralInput {
-                part: Arc::clone(p),
-                labels: p.nodes.iter().map(|&v| labels[v as usize]).collect(),
-            })
-            .collect();
-        let out = engine.run(
-            &format!("cc-general-iter{iter}"),
-            &inputs,
-            &CcGeneralMapper,
-            &CcMinReducer,
-            &opts,
-        );
+        for input in &mut inputs {
+            input.labels.clear();
+            input.labels.extend(input.part.nodes.iter().map(|&v| labels[v as usize]));
+        }
+        name.clear();
+        write!(name, "cc-general-iter{iter}").expect("writing to a String");
+        let out = engine.run(&name, &inputs, &CcGeneralMapper, &CcMinReducer, &opts);
         let mut changed = false;
         for (v, label) in out.pairs {
             if labels[v as usize] != label {

@@ -2,6 +2,7 @@
 //! sweep per global MapReduce iteration — the asynchronous mat-vec of
 //! paper §VI in its fully synchronous form.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use asyncmr_core::prelude::*;
@@ -129,25 +130,29 @@ pub fn run_general(
     let mut x = vec![0.0f64; n];
     let opts = JobOptions::with_reducers(cfg.num_reducers);
 
+    // Built once (`b` and the diagonal do not change); every iteration
+    // overwrites the iterate's slices in place.
+    let mut inputs: Vec<JacobiInput> = partitions
+        .iter()
+        .map(|p| JacobiInput {
+            part: Arc::clone(p),
+            x: Vec::new(),
+            b: p.nodes.iter().map(|&v| b[v as usize]).collect(),
+            diag: p.nodes.iter().map(|&v| diag[v as usize]).collect(),
+            remote_in: Vec::new(), // unused by the general mapper
+        })
+        .collect();
+    let mut name = String::new();
+
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
-        let inputs: Vec<JacobiInput> = partitions
-            .iter()
-            .map(|p| JacobiInput {
-                part: Arc::clone(p),
-                x: p.nodes.iter().map(|&v| x[v as usize]).collect(),
-                b: p.nodes.iter().map(|&v| b[v as usize]).collect(),
-                diag: p.nodes.iter().map(|&v| diag[v as usize]).collect(),
-                remote_in: Vec::new(), // unused by the general mapper
-            })
-            .collect();
-        let out = engine.run(
-            &format!("jacobi-general-iter{iter}"),
-            &inputs,
-            &JacobiGeneralMapper,
-            &JacobiReducer,
-            &opts,
-        );
+        for input in &mut inputs {
+            input.x.clear();
+            input.x.extend(input.part.nodes.iter().map(|&v| x[v as usize]));
+        }
+        name.clear();
+        write!(name, "jacobi-general-iter{iter}").expect("writing to a String");
+        let out = engine.run(&name, &inputs, &JacobiGeneralMapper, &JacobiReducer, &opts);
         let mut next = x.clone();
         for (v, value) in out.pairs {
             next[v as usize] = value;

@@ -13,13 +13,14 @@
 //! iteration is exactly one power-method step) — the flat "General"
 //! series of paper Figs. 2 and 3.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use asyncmr_core::prelude::*;
 use asyncmr_graph::{CsrGraph, NodeId};
 use asyncmr_partition::Partitioning;
 
-use super::{slice_by_partition, PageRankConfig, PageRankOutcome, PrMsg};
+use super::{PageRankConfig, PageRankOutcome, PrMsg};
 use crate::common::GraphPartition;
 use asyncmr_core::driver::StepStatus;
 
@@ -106,21 +107,22 @@ pub fn run_general(
     let reducer = PrGeneralReducer { damping: cfg.damping };
     let opts = JobOptions::with_reducers(cfg.num_reducers).with_grouping(cfg.grouping);
 
+    // Built once; every iteration overwrites the rank slices in place.
+    let mut inputs: Vec<PrGeneralInput> = partitions
+        .iter()
+        .map(|part| PrGeneralInput { part: Arc::clone(part), ranks: Vec::new() })
+        .collect();
+    let mut name = String::new();
+
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
-        let rank_slices = slice_by_partition(&ranks, &partitions);
-        let inputs: Vec<PrGeneralInput> = partitions
-            .iter()
-            .zip(rank_slices)
-            .map(|(part, slice)| PrGeneralInput { part: Arc::clone(part), ranks: slice })
-            .collect();
-        let out = engine.run(
-            &format!("pagerank-general-iter{iter}"),
-            &inputs,
-            &PrGeneralMapper,
-            &reducer,
-            &opts,
-        );
+        for input in &mut inputs {
+            input.ranks.clear();
+            input.ranks.extend(input.part.nodes.iter().map(|&v| ranks[v as usize]));
+        }
+        name.clear();
+        write!(name, "pagerank-general-iter{iter}").expect("writing to a String");
+        let out = engine.run(&name, &inputs, &PrGeneralMapper, &reducer, &opts);
         let mut diff = 0.0f64;
         for (v, r) in out.pairs {
             diff = diff.max((r - ranks[v as usize]).abs());

@@ -89,15 +89,6 @@ pub fn inf_norm_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).fold(0.0f64, |acc, (x, y)| acc.max((x - y).abs()))
 }
 
-/// Scatters a global per-vertex vector into per-partition slices
-/// aligned with each partition's `nodes` order.
-pub(crate) fn slice_by_partition(
-    global: &[f64],
-    partitions: &[std::sync::Arc<crate::common::GraphPartition>],
-) -> Vec<Vec<f64>> {
-    partitions.iter().map(|p| p.nodes.iter().map(|&v| global[v as usize]).collect()).collect()
-}
-
 /// Initial frozen remote contributions: for every cross edge `u → v`,
 /// `remote_in[v] += PR(u)/outdeg(u)` under the initial all-ones ranks.
 pub(crate) fn initial_remote_in(

@@ -8,6 +8,7 @@
 //! as input instead of a single node's adjacency list, without any
 //! loss in performance").
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use asyncmr_core::prelude::*;
@@ -93,22 +94,22 @@ pub fn run_general(
     }
     let opts = JobOptions::with_reducers(cfg.num_reducers).with_grouping(cfg.grouping);
 
+    // Built once; every iteration overwrites the distance slices in place.
+    let mut inputs: Vec<SpGeneralInput> = partitions
+        .iter()
+        .map(|p| SpGeneralInput { part: Arc::clone(p), dists: Vec::new() })
+        .collect();
+    let mut name = String::new();
+
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
-        let inputs: Vec<SpGeneralInput> = partitions
-            .iter()
-            .map(|p| SpGeneralInput {
-                part: Arc::clone(p),
-                dists: p.nodes.iter().map(|&v| dists[v as usize]).collect(),
-            })
-            .collect();
-        let out = engine.run(
-            &format!("sssp-general-iter{iter}"),
-            &inputs,
-            &SpGeneralMapper,
-            &SpMinReducer,
-            &opts,
-        );
+        for input in &mut inputs {
+            input.dists.clear();
+            input.dists.extend(input.part.nodes.iter().map(|&v| dists[v as usize]));
+        }
+        name.clear();
+        write!(name, "sssp-general-iter{iter}").expect("writing to a String");
+        let out = engine.run(&name, &inputs, &SpGeneralMapper, &SpMinReducer, &opts);
         let mut new_dists = dists.clone();
         for (v, d) in out.pairs {
             new_dists[v as usize] = d;

@@ -8,6 +8,7 @@
 use crate::engine::PlanUse;
 use crate::kv::{Key, Value};
 use crate::local::LocalPlan;
+use crate::shuffle::{Bucket, PlanOutcome, RoutePlan, RouteSink};
 
 /// A metered sink of `(key, value)` pairs.
 #[derive(Debug)]
@@ -108,9 +109,17 @@ impl TaskMeter {
 
 /// Context handed to [`crate::Mapper::map`] — wraps the paper's
 /// `EmitIntermediate` plus metering.
+///
+/// Emissions go to a [`RouteSink`]: inside an engine job it follows the
+/// map task's remembered [`RoutePlan`], so an emission whose key the
+/// plan expects lands in its reduce bucket at once, as a bare value;
+/// anywhere else (`MapContext::default()`) it buffers pairs for
+/// [`MapContext::finish`].
 #[derive(Debug)]
 pub struct MapContext<K, V> {
-    emitter: Emitter<K, V>,
+    sink: RouteSink<K, V>,
+    /// Approximate serialized bytes emitted.
+    bytes: u64,
     /// Work/volume counters for this map task.
     pub meter: TaskMeter,
     /// The local-sync plan a [`crate::EagerMapper`] task starts from
@@ -125,18 +134,33 @@ pub struct MapContext<K, V> {
 
 impl<K: Key, V: Value> Default for MapContext<K, V> {
     fn default() -> Self {
-        Self::with_capacity(0)
+        Self::routing(RoutePlan::default(), 1)
     }
 }
 
+/// What a routing [`MapContext`] leaves behind: the task's emissions
+/// in their reduce buckets, and its meters.
+pub(crate) struct Routed<K, V> {
+    pub(crate) buckets: Vec<Bucket<K, V>>,
+    /// What became of the task's plan (`None`: a single partition
+    /// consults none).
+    pub(crate) planned: Option<PlanOutcome>,
+    pub(crate) meter: TaskMeter,
+    pub(crate) records: u64,
+    pub(crate) bytes: u64,
+    pub(crate) local: PlanUse,
+}
+
 impl<K: Key, V: Value> MapContext<K, V> {
-    /// A context whose pair buffer starts with room for `records`
-    /// emissions (the engine passes what the same map task emitted
-    /// last job, so the buffer is allocated once instead of regrown by
-    /// doubling).
-    pub(crate) fn with_capacity(records: usize) -> Self {
+    /// A context whose emissions are routed into `reducers` partitions
+    /// as they arrive, following `plan` — the engine passes the one the
+    /// same map task left behind last job (which also sizes the pair
+    /// buffer of a task that runs off plan, so it is allocated once
+    /// instead of regrown by doubling).
+    pub(crate) fn routing(plan: RoutePlan<K>, reducers: usize) -> Self {
         MapContext {
-            emitter: Emitter { pairs: Vec::with_capacity(records), bytes: 0 },
+            sink: RouteSink::following(plan, reducers),
+            bytes: 0,
             meter: TaskMeter::default(),
             local_plan: LocalPlan::default(),
             local_use: PlanUse::default(),
@@ -146,7 +170,8 @@ impl<K: Key, V: Value> MapContext<K, V> {
     /// The paper's `EmitIntermediate(key, value)`.
     #[inline]
     pub fn emit_intermediate(&mut self, key: K, value: V) {
-        self.emitter.emit(key, value);
+        self.bytes += key.approx_bytes() + value.approx_bytes();
+        self.sink.emit(key, value);
     }
 
     /// Shorthand for `self.meter.add_ops(n)`.
@@ -157,19 +182,33 @@ impl<K: Key, V: Value> MapContext<K, V> {
 
     /// Records emitted so far.
     pub fn records(&self) -> u64 {
-        self.emitter.records()
+        self.sink.records() as u64
+    }
+
+    /// Room in the pair buffer a task off plan emits into.
+    #[cfg(test)]
+    pub(crate) fn buffer_capacity(&self) -> usize {
+        self.sink.buffer_capacity()
     }
 
     /// Consumes the context: `(pairs, meter, records, bytes)`.
     ///
-    /// The engine calls this after every map task; it is public so
-    /// alternative drivers (e.g. [`crate::session`]) can run a
-    /// [`crate::Mapper`] such as [`crate::EagerMapper`] outside an
+    /// Public so alternative drivers (e.g. [`crate::session`]) can run
+    /// a [`crate::Mapper`] such as [`crate::EagerMapper`] outside an
     /// [`crate::Engine`] and still harvest the metered emissions.
     pub fn finish(self) -> (Vec<(K, V)>, TaskMeter, u64, u64) {
-        let records = self.emitter.records();
-        let bytes = self.emitter.bytes();
-        (self.emitter.into_pairs(), self.meter, records, bytes)
+        let records = self.records();
+        (self.sink.into_pairs(), self.meter, records, self.bytes)
+    }
+
+    /// Consumes the context the way the engine does after every map
+    /// task: the emissions stay where the sink routed them. Also
+    /// returns the plan to file for the task's next job.
+    pub(crate) fn finish_routed(self) -> (Routed<K, V>, RoutePlan<K>) {
+        let (records, bytes, meter, local) =
+            (self.records(), self.bytes, self.meter, self.local_use);
+        let (buckets, plan, planned) = self.sink.finish();
+        (Routed { buckets, planned, meter, records, bytes, local }, plan)
     }
 }
 
@@ -184,11 +223,19 @@ pub struct ReduceContext<K, O> {
 
 impl<K: Key, O: Value> Default for ReduceContext<K, O> {
     fn default() -> Self {
-        ReduceContext { emitter: Emitter::default(), meter: TaskMeter::default() }
+        Self::with_capacity(0)
     }
 }
 
 impl<K: Key, O: Value> ReduceContext<K, O> {
+    /// A context whose output buffer starts with room for `records`
+    /// emissions (the engine passes the partition's remembered group
+    /// count — what a reducer that emits once per key will fill).
+    pub(crate) fn with_capacity(records: usize) -> Self {
+        let emitter = Emitter { pairs: Vec::with_capacity(records), bytes: 0 };
+        ReduceContext { emitter, meter: TaskMeter::default() }
+    }
+
     /// The paper's `Emit(key, value)` — final job output.
     #[inline]
     pub fn emit(&mut self, key: K, value: O) {

@@ -7,10 +7,10 @@
 //!
 //! 1. map: every input split runs the user's map function,
 //! 2. combine: the optional combiner folds each task's output,
-//! 3. shuffle: pairs are routed deterministically (stable key hash →
-//!    reduce partition) and each partition's buckets reach its reduce
-//!    task *by move* — no clone, and partitions that received no
-//!    records are skipped,
+//! 3. shuffle: records are routed deterministically (stable key hash →
+//!    reduce partition) *as they are emitted* in steps 1–2, and each
+//!    partition's buckets reach its reduce task *by move* — no clone,
+//!    and partitions that received no records are skipped,
 //! 4. reduce: every reduce task groups its buckets into key-sorted
 //!    [`crate::shuffle::GroupView`]s (map-task-ordered values) over
 //!    buffers recycled across jobs, and reduces them,
@@ -19,9 +19,10 @@
 //!    appending the resulting [`JobStats`] to the engine's history.
 //!
 //! An engine runs that one body under one of two *schedules*: **staged**
-//! ([`Engine::in_process`], the default: steps 1–4 are four barriers on
-//! the work-stealing pool) or **pipelined**
-//! ([`Engine::with_pipelined_shuffle`]: steps 1–3 fuse into one task
+//! ([`Engine::in_process`], the default: steps 1, 2 and 4 are barriers
+//! on the work-stealing pool, step 3 a hand-over of bucket handles
+//! between them) or **pipelined**
+//! ([`Engine::with_pipelined_shuffle`]: steps 1–2 fuse into one task
 //! per split and reduce tasks are spawned from its completions, with no
 //! intra-job barrier). The schedules share every line of the body, so
 //! pairs and [`JobMeter`]s are identical by construction; only
@@ -31,14 +32,15 @@
 //! `pipeline_equivalence` suites have something independent to compare
 //! against.
 //!
-//! The engine **remembers** across jobs: steps 3 and 4 keep, per map
-//! task and per reduce partition, the key sequence they last saw and
-//! where every record went ([`crate::shuffle`]'s plans, in the engine's
+//! The engine **remembers** across jobs: it keeps, per map task and per
+//! reduce partition, the key sequence they last saw and where every
+//! record went ([`crate::shuffle`]'s plans, in the engine's
 //! [`crate::plan::PlanStore`]). A job whose tasks see the same keys
 //! again — every iteration of a graph algorithm — verifies that, key by
-//! key, and then moves records instead of hashing and sorting them; a
-//! job that does not runs the unplanned shuffle, and pays for a new
-//! plan only when one looks worth recording. Step 1 keeps, the same
+//! key as the keys are emitted, and then places each value once on the
+//! map side and once on the reduce side instead of hashing, moving and
+//! sorting pairs; a job that does not runs the unplanned shuffle, and
+//! pays for a new plan only when one looks worth recording. Step 1 keeps, the same
 //! way, what the local syncs of a [`crate::EagerMapper`] task learned
 //! (see [`crate::local`]), so only a task's first job sorts anything.
 //! [`JobResult::reuse`] says which it was. Dropping the engine releases
@@ -207,6 +209,11 @@ pub struct JobReuse {
     pub route: PlanUse,
     /// Reduce tasks' [`crate::shuffle::GroupPlan`]s.
     pub group: PlanUse,
+    /// The `group.hits` that recognised their whole input by identity —
+    /// every bucket carried the very key handle the plan holds, its
+    /// keys verified where they were emitted — rather than by comparing
+    /// keys; the other hits compared at least one bucket key by key.
+    pub group_by_identity: u64,
     /// Local syncs of [`crate::EagerMapper`] tasks, summed over the map
     /// tasks: passes that ran on the task's remembered plan (`hits`)
     /// and passes that fell off it or had none, each of which records
@@ -261,7 +268,7 @@ pub struct JobRecord {
 /// How [`Engine::run`] executes a job (see [`crate::plan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ShufflePath {
-    /// The job body as four barriers.
+    /// The job body as barriers.
     Staged,
     /// The job body with no intra-job barriers.
     Pipelined,
@@ -737,6 +744,11 @@ mod tests {
                 let hit = |hits| PlanUse { hits, ..PlanUse::default() };
                 assert_eq!((job.route, job.group), (hit(8), hit(populated)));
             }
+            // From the third job on every reduce partition knows its
+            // input by the key handles it carries; before that there is
+            // nothing to recognise.
+            let by_identity: Vec<u64> = jobs.iter().map(|job| job.group_by_identity).collect();
+            assert_eq!(by_identity, [0, 0, populated, populated, populated]);
             // A scratch is minted only while every existing one is
             // checked out, so never more of them than lanes.
             let lanes = pool.num_threads() as u64 + 1;
@@ -784,6 +796,34 @@ mod tests {
         let mut oracle = Engine::with_reference_shuffle(&pool);
         let out = oracle.run("o", &inputs, &SquareMapper, &SumReducer, &JobOptions::default());
         assert_eq!(out.reuse, JobReuse::default());
+    }
+
+    #[test]
+    fn a_one_partition_job_learns_its_size_too() {
+        // A single partition consults no route plan, but the plan is
+        // still where a map task's last emission count is kept: from
+        // the second job on the pair buffer is allocated once, at size.
+        struct Sized(std::sync::Mutex<Vec<usize>>);
+        impl Mapper for Sized {
+            type Input = Vec<u32>;
+            type Key = u32;
+            type Value = u64;
+            fn map(&self, _t: usize, input: &Vec<u32>, ctx: &mut MapContext<u32, u64>) {
+                self.0.lock().unwrap().push(ctx.buffer_capacity());
+                input.iter().for_each(|&x| ctx.emit_intermediate(x, 1));
+            }
+        }
+        let pool = ThreadPool::new(2);
+        let inputs = vec![(0..100).collect::<Vec<u32>>()];
+        for mut engine in [Engine::in_process(&pool), Engine::with_pipelined_shuffle(&pool)] {
+            let mapper = Sized(std::sync::Mutex::new(Vec::new()));
+            for _ in 0..3 {
+                engine.run("one", &inputs, &mapper, &SumReducer, &JobOptions::with_reducers(1));
+            }
+            let capacities = mapper.0.into_inner().unwrap();
+            assert_eq!(capacities[0], 0, "nothing is known before the first job");
+            assert!(capacities[1..].iter().all(|&c| c >= 100), "{capacities:?}");
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! [`Engine`] always executes the real computation in-process on the
 //! work-stealing [`asyncmr_runtime::ThreadPool`] (map tasks and reduce
 //! tasks in parallel). The job body is written once ([`plan`]) and run
-//! under one of two schedules — **staged** (four barriers, the
+//! under one of two schedules — **staged** (a barrier per stage, the
 //! default) or **pipelined** ([`Engine::with_pipelined_shuffle`]: no
 //! intra-job barriers, reduce tasks spawned from map completions) —
 //! with a kept-for-test **oracle** ([`Engine::with_reference_shuffle`])

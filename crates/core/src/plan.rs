@@ -6,18 +6,21 @@
 //!
 //! * `map_task` — the user's map over one split, plus its meters
 //!   (including the [`crate::Mapper::input_size_hint`] fallback). The
-//!   task's [`MapContext`] carries its local-sync plan out of the
-//!   [`PlanStore`] and back, so a [`crate::EagerMapper`] task starts on
-//!   the key sequence its local syncs verified last job;
+//!   task's [`MapContext`] **routes as it is emitted into**: it carries
+//!   the task's remembered [`RoutePlan`] out of the [`PlanStore`] and
+//!   back, and while the task emits the key sequence it emitted last
+//!   job (verified key by key at the point of emission, every job)
+//!   each value goes straight onto its reduce bucket, bare — no pair
+//!   is buffered, nothing is hashed; a task that leaves its plan is
+//!   buffered and routed by [`shuffle::route`] as ever, and a new plan
+//!   is recorded only when one looks worth it (see [`crate::shuffle`]).
+//!   The context carries the task's local-sync plan the same way, so a
+//!   [`crate::EagerMapper`] task starts on the key sequence its local
+//!   syncs verified last job;
 //! * `combine_task` — the optional map-side combiner over one task's
-//!   pairs, re-metering what heads into the shuffle;
-//! * `route_task` — stable key hash → one bucket per reduce partition,
-//!   through the map task's remembered [`RoutePlan`]: when the task
-//!   emits the key sequence it emitted last job (verified key by key,
-//!   every job), pairs move to their remembered partitions into
-//!   exactly-sized buckets without being hashed; otherwise
-//!   [`shuffle::route`] hashes them as ever, and a new plan is recorded
-//!   only when one looks worth its key clones (see [`crate::shuffle`]);
+//!   pairs (which then wait in one bucket instead of being routed by
+//!   the map), its combined pairs fed through the same routing sink
+//!   and re-metered as what heads into the shuffle;
 //! * `ReduceInputs` — the single-owner accumulator that transposes
 //!   bucket *handles* (no element is copied or cloned): each map task's
 //!   routed buckets are delivered once; a partition's input is its
@@ -27,10 +30,13 @@
 //!   [`crate::JobOptions::num_reducers`]);
 //! * `reduce_task` — grouping of one partition's buckets into
 //!   contiguous [`crate::shuffle::GroupView`] slices through the
-//!   partition's remembered [`GroupPlan`] (verified the same way; on a
-//!   hit keys and values scatter from the buckets straight to their
-//!   slots — no concatenation, no hash map, no sort, no clone; on a
-//!   miss the job's [`GroupingStrategy`] groups them unplanned, or
+//!   partition's remembered [`GroupPlan`], which recognises buckets
+//!   that arrive on plan by the key handles they carry (`O(map tasks)`;
+//!   the map side verified every key) and compares any other key by
+//!   key; on a hit the values scatter from the buckets straight to
+//!   their slots and the reducer walks the recorded group boundaries —
+//!   no concatenation, no hash map, no sort, no key moved or compared;
+//!   on a miss the job's [`GroupingStrategy`] groups them unplanned, or
 //!   records a new plan, under the same backoff), and the user's
 //!   reduce calls, over buffers recycled through a [`ScratchArena`]
 //!   across the hundreds of jobs a [`crate::FixedPointDriver`] run
@@ -41,12 +47,14 @@
 //! [`crate::Engine::run`] picks one of two **schedules** over those
 //! bodies:
 //!
-//! * **staged** ([`crate::Engine::in_process`]) — four barriers
-//!   (map ∥, combine ∥, route ∥ + accumulate, reduce ∥), each timed as
-//!   wall-clock;
+//! * **staged** ([`crate::Engine::in_process`]) — three barriers
+//!   (map ∥, combine ∥, reduce ∥) and, between the last two, the
+//!   transposition of bucket handles on the calling thread, each timed
+//!   as wall-clock. There is no route barrier: every record is in its
+//!   bucket when the task that emitted it ends;
 //! * **pipelined** ([`crate::Engine::with_pipelined_shuffle`]) — map →
-//!   combine → route fuse into one pool task per split (data stays
-//!   cache-hot, no inter-stage pool round-trips) whose completion
+//!   combine fuse into one pool task per split (data stays cache-hot,
+//!   no inter-stage pool round-trips) whose completion
 //!   carries its routed buckets to the scheduler closure of
 //!   [`asyncmr_runtime::ThreadPool::par_pipeline`]. That closure runs
 //!   on the one calling thread, so it owns the accumulator outright —
@@ -75,12 +83,12 @@ use std::time::{Duration, Instant};
 use asyncmr_runtime::{FollowUp, ThreadPool};
 use asyncmr_simcluster::{MapTaskSpec, ReduceTaskSpec};
 
-use crate::emitter::{MapContext, ReduceContext};
+use crate::emitter::{MapContext, ReduceContext, Routed};
 use crate::engine::{JobMeter, JobOptions, JobReuse, PlanUse};
 use crate::kv::{Key, Meterable, Value};
 use crate::local::LocalPlan;
 use crate::shuffle::{
-    self, GroupPlan, Grouped, GroupingStrategy, PlanOutcome, RoutePlan, ShuffleScratch,
+    self, Bucket, GroupPlan, GroupView, GroupingStrategy, PlanOutcome, RoutePlan, ShuffleScratch,
 };
 use crate::traits::{Combiner, Mapper, Reducer};
 
@@ -120,9 +128,11 @@ pub struct StageTimings {
     pub map: Duration,
     /// Combine stage (zero when no combiner is attached).
     pub combine: Duration,
-    /// Shuffle stage (routing + bucket transposition; under the
-    /// pipelined schedule, routing only — the scheduler's bucket-handle
-    /// moves are not timed).
+    /// Shuffle stage: the transposition of bucket handles from map
+    /// tasks to reduce partitions, on the calling thread (under the
+    /// pipelined schedule, with the spawning of the reduce follow-ups).
+    /// Routing is not in it: records are routed as they are emitted,
+    /// inside the map (or combine) stage.
     pub shuffle: Duration,
     /// Reduce stage (fused concat/group/reduce, parallel).
     pub reduce: Duration,
@@ -248,16 +258,18 @@ impl ScratchArena {
 /// empty partition does not shift its neighbours' slots). Two job types
 /// that share a key type share slots and evict each other's plans:
 /// every plan is verified against its input on every use
-/// ([`shuffle::route_planned`], [`Grouped::from_buckets_planned`],
+/// ([`shuffle::RouteSink::emit`], [`shuffle::group_planned`],
 /// [`crate::LocalMapContext::emit_local_intermediate`]), so that costs
 /// recordings — fewer and fewer for the shuffle's plans, whose slots
 /// back off to the unplanned shuffle — never results.
 ///
-/// A slot holds its task's recorded key sequence (one key and one
-/// `u32` a record: ≈ 8 B for `u32` keys, all three plans alike; the
-/// local-sync plan adds two `u32` a key group) until it fails a
-/// verification, which frees it; dropping the engine releases
-/// everything.
+/// A slot holds what its task recorded — a map task's key sequence
+/// with one `u32` a record (≈ 8 B a record for `u32` keys; the
+/// local-sync plan alike, plus two `u32` a key group), a reduce
+/// partition's one `u32` a record and three a key group beside
+/// *handles* on the map tasks' keys, which it shares — until it fails a
+/// verification, which frees it (a key sequence goes when the last
+/// plan sharing it does); dropping the engine releases everything.
 #[derive(Debug, Default)]
 pub struct PlanStore {
     slots: Mutex<HashMap<(TypeId, usize), Box<dyn Any + Send>>>,
@@ -296,7 +308,7 @@ impl PlanStore {
 /// One map task's routed output: `buckets[r]` goes to reduce partition
 /// `r`. Also one reduce task's input: that partition's non-empty
 /// buckets, in map-task order.
-type Buckets<K, V> = Vec<Vec<(K, V)>>;
+type Buckets<K, V> = Vec<Bucket<K, V>>;
 
 /// Everything one map task reports besides its pairs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -315,10 +327,15 @@ struct MapProfile {
     local: PlanUse,
 }
 
-/// One map task's output: its intermediate pairs, in emission order,
-/// plus its meters.
+/// One map task's output, routed, plus its meters.
 struct MapOut<K, V> {
-    pairs: Vec<(K, V)>,
+    /// `buckets[r]` goes to reduce partition `r` — or, while a combiner
+    /// is still to fold the task's output, the one bucket of everything
+    /// it emitted.
+    buckets: Buckets<K, V>,
+    /// What became of the task's [`RoutePlan`] (`None`: one bucket,
+    /// which consults none).
+    planned: Option<PlanOutcome>,
     profile: MapProfile,
 }
 
@@ -332,8 +349,9 @@ struct ReduceOut<K, O> {
     out_bytes: u64,
     /// Whether the arena had no shelved scratch for this task.
     minted: bool,
-    /// What became of the partition's [`GroupPlan`].
-    planned: PlanOutcome,
+    /// What became of the partition's [`GroupPlan`], and whether a hit
+    /// was recognised by identity alone.
+    planned: (PlanOutcome, bool),
 }
 
 /// What a job execution hands back to [`crate::Engine::run`].
@@ -348,8 +366,28 @@ pub(crate) struct Executed<K, O> {
     pub(crate) specs: Option<(Vec<MapTaskSpec>, Vec<ReduceTaskSpec>)>,
 }
 
-/// Runs the user's map function over one input split, into a pair
-/// buffer sized to what the same task routed last job. The context
+/// Runs `emit` against a context that routes what it is handed into
+/// `reducers` partitions as it arrives, following map task `task`'s
+/// [`RoutePlan`] — checked out of `plans` meanwhile, filed back after:
+/// the one routing mechanism, which the map and the combiner both feed.
+fn routing<K: Key, V: Value>(
+    task: usize,
+    reducers: usize,
+    plans: &PlanStore,
+    emit: impl FnOnce(&mut MapContext<K, V>),
+) -> Routed<K, V> {
+    plans.with(task, |kept: &mut RoutePlan<K>| {
+        let mut ctx = MapContext::routing(std::mem::take(kept), reducers);
+        emit(&mut ctx);
+        let (routed, plan) = ctx.finish_routed();
+        *kept = plan;
+        routed
+    })
+}
+
+/// Runs the user's map function over one input split, its emissions
+/// routed into `reducers` buckets as they are made (one bucket while a
+/// combiner is still to run: an ownership transfer). The context also
 /// carries the task's local-sync plan out of `plans` and back, so an
 /// [`crate::EagerMapper`] task starts on what it learned last job (any
 /// other mapper leaves the empty plan untouched).
@@ -357,17 +395,17 @@ fn map_task<M: Mapper>(
     mapper: &M,
     task: usize,
     input: &M::Input,
+    reducers: usize,
     plans: &PlanStore,
 ) -> MapOut<M::Key, M::Value> {
-    let expected = plans.peek(task, RoutePlan::<M::Key>::records).unwrap_or(0);
-    let mut ctx: MapContext<M::Key, M::Value> = MapContext::with_capacity(expected);
-    plans.with(task, |kept: &mut LocalPlan<M::Key>| {
-        ctx.local_plan = std::mem::take(kept);
-        mapper.map(task, input, &mut ctx);
-        *kept = std::mem::take(&mut ctx.local_plan);
-    });
-    let local = ctx.local_use;
-    let (pairs, meter, records, bytes) = ctx.finish();
+    let Routed { buckets, planned, meter, records, bytes, local } =
+        routing(task, reducers, plans, |ctx| {
+            plans.with(task, |kept: &mut LocalPlan<M::Key>| {
+                ctx.local_plan = std::mem::take(kept);
+                mapper.map(task, input, ctx);
+                *kept = std::mem::take(&mut ctx.local_plan);
+            })
+        });
     let input_bytes =
         if meter.input_bytes() > 0 { meter.input_bytes() } else { mapper.input_size_hint(input) };
     let profile = MapProfile {
@@ -380,37 +418,27 @@ fn map_task<M: Mapper>(
         precombine_bytes: bytes,
         local,
     };
-    MapOut { pairs, profile }
+    MapOut { buckets, planned, profile }
 }
 
-/// Applies the map-side combiner to one task's pairs and re-meters what
-/// now heads into the shuffle.
+/// Applies the map-side combiner to one task's pairs, feeds the
+/// combined pairs through the routing sink and re-meters what now heads
+/// into the shuffle.
 fn combine_task<K: Key, V: Value>(
     combiner: &dyn Combiner<Key = K, Value = V>,
-    mut out: MapOut<K, V>,
-) -> MapOut<K, V> {
-    out.pairs = shuffle::combine_local(out.pairs, |k, vs| combiner.combine(k, vs));
-    out.profile.records = out.pairs.len() as u64;
-    out.profile.bytes = out.pairs.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum();
-    out
-}
-
-/// Routes one map task's pairs through the task's remembered
-/// [`RoutePlan`]; also reports what became of the plan. A
-/// single-partition job routes by ownership transfer and consults no
-/// plan (`None`).
-fn route_task<K: Key, V: Value>(
     task: usize,
-    pairs: Vec<(K, V)>,
+    mut out: MapOut<K, V>,
     reducers: usize,
     plans: &PlanStore,
-) -> (Buckets<K, V>, Option<PlanOutcome>) {
-    if reducers == 1 {
-        return (vec![pairs], None);
-    }
-    let (buckets, planned) =
-        plans.with(task, |plan: &mut RoutePlan<K>| shuffle::route_planned(pairs, reducers, plan));
-    (buckets, Some(planned))
+) -> MapOut<K, V> {
+    let pairs = out.buckets.pop().expect("a task that awaits its combiner holds one bucket");
+    let combined = shuffle::combine_local(pairs.into_pairs(), |k, vs| combiner.combine(k, vs));
+    let routed = routing(task, reducers, plans, |ctx| {
+        combined.into_iter().for_each(|(k, v)| ctx.emit_intermediate(k, v));
+    });
+    (out.profile.records, out.profile.bytes) = (routed.records, routed.bytes);
+    (out.buckets, out.planned) = (routed.buckets, routed.planned);
+    out
 }
 
 /// The reduce-input accumulator: collects every map task's routed
@@ -498,12 +526,12 @@ fn reduce_task<R: Reducer>(
     let shelved: Option<ShuffleScratch<R::Key, R::ValueIn>> = arena.try_take();
     let minted = shelved.is_none();
     let mut scratch = shelved.unwrap_or_default();
-    let (grouped, planned) = plans.with(partition, |plan: &mut GroupPlan<R::Key>| {
-        Grouped::from_buckets_planned(buckets, grouping, plan, &mut scratch)
+    let groups = plans.peek(partition, GroupPlan::<R::Key>::groups).unwrap_or(0);
+    let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::with_capacity(groups);
+    let planned = plans.with(partition, |plan: &mut GroupPlan<R::Key>| {
+        let reduce = |g: GroupView<'_, _, _>| reducer.reduce(g.key, g.values, &mut ctx);
+        shuffle::group_planned(buckets, grouping, plan, &mut scratch, reduce)
     });
-    let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::default();
-    grouped.for_each(|g| reducer.reduce(g.key, g.values, &mut ctx));
-    grouped.recycle_into(&mut scratch);
     arena.put(scratch);
     let (pairs, meter, out_records, out_bytes) = ctx.finish();
     ReduceOut { pairs, ops: meter.ops(), in_records, out_records, out_bytes, minted, planned }
@@ -533,13 +561,14 @@ fn assemble<K, O>(
         map_specs.push(MapTaskSpec::new(p.input_bytes, p.ops, p.bytes).with_records(p.records));
     }
     let mut reduce_specs = Vec::with_capacity(reduced.len());
-    let mut pairs = Vec::new();
+    let mut pairs = Vec::with_capacity(reduced.iter().map(|r| r.pairs.len()).sum());
     for r in reduced {
         meter.reduce_ops += r.ops;
         meter.output_records += r.out_records;
         meter.output_bytes += r.out_bytes;
         reuse.arena_mints += u64::from(r.minted);
-        reuse.group.count(r.planned);
+        reuse.group.count(r.planned.0);
+        reuse.group_by_identity += u64::from(r.planned.1);
         // Record-handling framework work folds into reduce ops.
         reduce_specs.push(ReduceTaskSpec::new(r.ops + r.in_records, r.out_bytes));
         pairs.extend(r.pairs);
@@ -547,8 +576,8 @@ fn assemble<K, O>(
     Executed { pairs, meter, stages, reuse, specs: Some((map_specs, reduce_specs)) }
 }
 
-/// The staged schedule: the job body as four barriers, each timed as
-/// the wall-clock span of that barrier.
+/// The staged schedule: the job body as three barriers and a
+/// transposition, each timed as its wall-clock span.
 pub(crate) fn staged<M, R>(
     pool: &ThreadPool,
     inputs: &[M::Input],
@@ -566,31 +595,36 @@ where
     let mut stages = StageTimings::default();
     let mut reuse = JobReuse::default();
 
+    // A map task routes as it emits — unless a combiner is still to fold
+    // its output, which then waits in one bucket.
+    let map_into = if opts.combiner.is_some() { 1 } else { reducers };
     let t = Instant::now();
-    let mapped = pool.par_map_indexed(inputs, |task, input| map_task(mapper, task, input, plans));
+    let mapped =
+        pool.par_map_indexed(inputs, |task, input| map_task(mapper, task, input, map_into, plans));
     stages.map = t.elapsed();
 
     // With no combiner attached this barrier is a free pass-through (no
     // pool round-trip, no data movement).
     let t = Instant::now();
     let combined = match opts.combiner {
-        Some(combiner) => pool.par_map_vec(mapped, |_task, out| combine_task(combiner, out)),
+        Some(combiner) => {
+            pool.par_map_vec(mapped, |task, out| combine_task(combiner, task, out, reducers, plans))
+        }
         None => mapped,
     };
     stages.combine = t.elapsed();
 
+    // Every record sits in its bucket already: what is left of the
+    // shuffle is handing bucket handles over, on this thread.
     let t = Instant::now();
-    let routed = pool.par_map_vec(combined, |task, out| {
-        (out.profile, route_task(task, out.pairs, reducers, plans))
-    });
     let mut ready = ReduceInputs::new(reducers, inputs.len());
     let mut profiles = Vec::with_capacity(inputs.len());
-    for (task, (profile, (buckets, planned))) in routed.into_iter().enumerate() {
-        profiles.push(profile);
-        if let Some(planned) = planned {
+    for (task, out) in combined.into_iter().enumerate() {
+        profiles.push(out.profile);
+        if let Some(planned) = out.planned {
             reuse.route.count(planned);
         }
-        ready.deliver(task, buckets);
+        ready.deliver(task, out.buckets);
     }
     let reduce_inputs: Vec<_> =
         (0..reducers).filter_map(|p| ready.take(p).map(|buckets| (p, buckets))).collect();
@@ -611,17 +645,6 @@ where
 /// itself. Large partitions still get their own task, so parallel
 /// reduce capacity is unaffected where it matters.
 const MIN_RECORDS_PER_REDUCE_SPAWN: u64 = 1024;
-
-/// Everything one fused map → combine → route task reports to the
-/// pipelined scheduler.
-struct MapDone<K, V> {
-    profile: MapProfile,
-    buckets: Buckets<K, V>,
-    planned: Option<PlanOutcome>,
-    map_busy: Duration,
-    combine_busy: Duration,
-    route_busy: Duration,
-}
 
 /// One reduce output slot, indexed by partition.
 type Slot<K, O> = Mutex<Option<(ReduceOut<K, O>, Duration)>>;
@@ -677,25 +700,21 @@ where
     let mut stages = StageTimings { overlapped: true, ..StageTimings::default() };
     let mut reuse = JobReuse::default();
 
+    let map_into = if combiner.is_some() { 1 } else { reducers };
     pool.par_pipeline(
         inputs.iter().collect::<Vec<&M::Input>>(),
-        // Phase 1, on the pool: one fused map → combine → route task
-        // per split.
+        // Phase 1, on the pool: one fused map → combine task per split,
+        // routing as it emits.
         move |task, input| {
             let t = Instant::now();
-            let mut out = map_task(mapper, task, input, plans);
+            let mut out = map_task(mapper, task, input, map_into, plans);
             let map_busy = t.elapsed();
 
             let t = Instant::now();
             if let Some(combiner) = combiner {
-                out = combine_task(combiner, out);
+                out = combine_task(combiner, task, out, reducers, plans);
             }
-            let combine_busy = t.elapsed();
-
-            let t = Instant::now();
-            let (buckets, planned) = route_task(task, out.pairs, reducers, plans);
-            let route_busy = t.elapsed();
-            MapDone { profile: out.profile, buckets, planned, map_busy, combine_busy, route_busy }
+            (out, map_busy, t.elapsed())
         },
         // Scheduler, on the calling thread: record the profile, hand
         // the buckets to the accumulator, and spawn reduce work for
@@ -705,18 +724,18 @@ where
         // keep per-task scheduling overhead below the work it carries
         // (a cost-aware choice the staged schedule cannot make: its
         // reduce barrier chunks blindly by task count).
-        |task, done| {
-            profiles[task] = done.profile;
-            stages.map += done.map_busy;
-            stages.combine += done.combine_busy;
-            stages.shuffle += done.route_busy;
-            if let Some(planned) = done.planned {
+        |task, (out, map_busy, combine_busy)| {
+            let t = Instant::now();
+            profiles[task] = out.profile;
+            stages.map += map_busy;
+            stages.combine += combine_busy;
+            if let Some(planned) = out.planned {
                 reuse.route.count(planned);
             }
             let mut follow_ups: Vec<FollowUp<'_>> = Vec::new();
             let mut batch = Vec::new();
             let mut batch_records = 0u64;
-            for partition in ready.deliver(task, done.buckets) {
+            for partition in ready.deliver(task, out.buckets) {
                 let Some(buckets) = ready.take(partition) else {
                     continue; // zero-record partition: skipped
                 };
@@ -731,6 +750,7 @@ where
             if !batch.is_empty() {
                 follow_ups.push(reduce_batch(batch, reducer, grouping, arena, plans, slots));
             }
+            stages.shuffle += t.elapsed();
             follow_ups
         },
     );
@@ -869,7 +889,12 @@ mod tests {
         (0..4).map(|s| ((s * 50)..(s * 50 + 50)).collect()).collect()
     }
 
-    /// Map → route → accumulate, one task after another on this thread:
+    /// Owned-pair buckets, as a map task that runs off plan routes them.
+    fn owned(buckets: Vec<Vec<(u32, u32)>>) -> Buckets<u32, u32> {
+        buckets.into_iter().map(Bucket::from).collect()
+    }
+
+    /// Map (routing as it emits) → accumulate, one task after another on this thread:
     /// the job body with no schedule at all. Returns each populated
     /// partition with its reduce input.
     fn shuffled<M: Mapper<Key = K, Value = V>, K: Key, V: Value>(
@@ -881,9 +906,9 @@ mod tests {
         let mut ready = ReduceInputs::new(reducers, inputs.len());
         let mut profiles = Vec::new();
         for (task, input) in inputs.iter().enumerate() {
-            let out = map_task(mapper, task, input, plans);
+            let out = map_task(mapper, task, input, reducers, plans);
             profiles.push(out.profile);
-            ready.deliver(task, route_task(task, out.pairs, reducers, plans).0);
+            ready.deliver(task, out.buckets);
         }
         (profiles, (0..reducers).filter_map(|p| Some((p, ready.take(p)?))).collect())
     }
@@ -925,32 +950,32 @@ mod tests {
         let (partition, buckets) = &reduce_inputs[0];
         assert_eq!(*partition, crate::hash::reducer_for(&7u32, 16), "under its real index");
         assert_eq!(buckets.len(), 3, "one bucket per emitting map task");
-        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 3);
+        assert_eq!(buckets.iter().map(Bucket::len).sum::<usize>(), 3);
     }
 
     #[test]
     fn completion_fires_exactly_when_last_task_delivers() {
         let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(3, 3);
-        assert!(ready.deliver(1, vec![vec![(0, 0)], vec![], vec![]]).is_empty());
-        assert!(ready.deliver(0, vec![vec![(0, 1)], vec![], vec![]]).is_empty());
-        assert_eq!(ready.deliver(2, vec![vec![], vec![(1, 2)], vec![]]), 0..3);
+        assert!(ready.deliver(1, owned(vec![vec![(0, 0)], vec![], vec![]])).is_empty());
+        assert!(ready.deliver(0, owned(vec![vec![(0, 1)], vec![], vec![]])).is_empty());
+        assert_eq!(ready.deliver(2, owned(vec![vec![], vec![(1, 2)], vec![]])), 0..3);
     }
 
     #[test]
     fn buckets_come_back_in_map_task_order_despite_arrival_order() {
         let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(1, 3);
         // Arrival order 2, 0, 1 — take must still see 0, 1, 2.
-        ready.deliver(2, vec![vec![(0, 22)]]);
-        ready.deliver(0, vec![vec![(0, 0)]]);
-        ready.deliver(1, vec![vec![(0, 11)]]);
+        ready.deliver(2, owned(vec![vec![(0, 22)]]));
+        ready.deliver(0, owned(vec![vec![(0, 0)]]));
+        ready.deliver(1, owned(vec![vec![(0, 11)]]));
         let buckets = ready.take(0).unwrap();
-        assert_eq!(buckets, vec![vec![(0, 0)], vec![(0, 11)], vec![(0, 22)]]);
+        assert_eq!(buckets, owned(vec![vec![(0, 0)], vec![(0, 11)], vec![(0, 22)]]));
     }
 
     #[test]
     fn empty_partitions_are_skipped_like_the_staged_shuffle() {
         let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(2, 1);
-        assert_eq!(ready.deliver(0, vec![vec![(0, 1)], vec![]]), 0..2);
+        assert_eq!(ready.deliver(0, owned(vec![vec![(0, 1)], vec![]])), 0..2);
         assert!(ready.take(0).is_some());
         assert!(ready.take(1).is_none(), "zero-record partition must be skipped");
     }
@@ -958,18 +983,18 @@ mod tests {
     #[test]
     fn empty_buckets_leave_no_hole_in_task_order() {
         let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(1, 3);
-        ready.deliver(0, vec![vec![(0, 1)]]);
-        ready.deliver(1, vec![vec![]]); // task 1 emitted nothing for p0
-        ready.deliver(2, vec![vec![(0, 3)]]);
+        ready.deliver(0, owned(vec![vec![(0, 1)]]));
+        ready.deliver(1, owned(vec![vec![]])); // task 1 emitted nothing for p0
+        ready.deliver(2, owned(vec![vec![(0, 3)]]));
         // Only non-empty buckets survive, still in task order.
-        assert_eq!(ready.take(0).unwrap(), vec![vec![(0, 1)], vec![(0, 3)]]);
+        assert_eq!(ready.take(0).unwrap(), owned(vec![vec![(0, 1)], vec![(0, 3)]]));
     }
 
     #[test]
     #[should_panic(expected = "taken before all map tasks delivered")]
     fn taking_an_incomplete_partition_panics() {
         let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(1, 2);
-        ready.deliver(0, vec![vec![(0, 1)]]);
+        ready.deliver(0, owned(vec![vec![(0, 1)]]));
         let _ = ready.take(0);
     }
 
@@ -977,8 +1002,8 @@ mod tests {
     #[should_panic(expected = "deposited twice")]
     fn double_deposit_panics() {
         let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(1, 2);
-        ready.deliver(0, vec![vec![(0, 1)]]);
-        ready.deliver(0, vec![vec![(0, 2)]]);
+        ready.deliver(0, owned(vec![vec![(0, 1)]]));
+        ready.deliver(0, owned(vec![vec![(0, 2)]]));
     }
 
     #[test]
@@ -1023,7 +1048,13 @@ mod tests {
         let store = PlanStore::new();
         assert_eq!(store.peek(3, RoutePlan::<u32>::records), None);
         let route = |slot, pairs: Vec<(u32, u8)>| {
-            store.with(slot, |plan: &mut RoutePlan<u32>| shuffle::route_planned(pairs, 2, plan).1)
+            store.with(slot, |plan: &mut RoutePlan<u32>| {
+                let mut sink = shuffle::RouteSink::following(std::mem::take(plan), 2);
+                pairs.into_iter().for_each(|(k, v)| sink.emit(k, v));
+                let (_, kept, planned) = sink.finish();
+                *plan = kept;
+                planned.expect("two partitions consult the plan")
+            })
         };
         assert_eq!(store.peek(3, RoutePlan::<u32>::records), None, "peek files nothing");
         for want in [PlanOutcome::Unplanned, PlanOutcome::Recorded, PlanOutcome::Hit] {

@@ -10,51 +10,76 @@
 //! Both halves **remember**. An iterative driver issues the same job
 //! hundreds of times, and a graph partition's edges do not move: map
 //! task *t* emits, and reduce partition *r* receives, the same key
-//! sequence job after job — only the values change. A [`RoutePlan`]
-//! keeps one map task's key sequence with each key's target partition
-//! and the exact bucket sizes; a [`GroupPlan`] keeps one reduce input's
-//! key sequence with each record's slot in the grouped output.
-//! [`route_planned`] and [`Grouped::from_buckets_planned`] **verify**
-//! the remembered sequence against every new input — an `O(n)`
-//! key-equality scan, in every build, never skipped — and on a hit move
-//! every record (key and value) straight to its remembered place: no
-//! hash, no sort, no concatenation copy, no clone.
+//! sequence job after job — only the values change. So a record is
+//! touched **once** on each side, and its key is verified once a job:
 //!
-//! Remembering costs one key clone per record, which a heap-keyed job
-//! that never repeats would pay for nothing, so *recording* is earned
-//! (see `Backoff`): a plan sits out the first input it sees and records
-//! the second, and a recorded plan that fails its next verification is
-//! dropped and sits out 1, 2, 4 … 64 inputs before recording again. An
-//! input that is sat out runs exactly the unplanned code — [`route`],
-//! or [`concat_buckets`] + [`Grouped::from_pairs_using`] with the job's
-//! [`GroupingStrategy`] — so a one-shot job clones nothing, a job whose
-//! keys churn forever (K-Means reassignments) records in at most one
-//! job of 65, and neither is ever wrong. [`PlanOutcome`] says which of
-//! the three happened. The engine keeps the plans per map task and per
-//! reduce partition in its [`crate::plan::PlanStore`]. The local syncs
-//! of a [`crate::local::EagerMapper`] task remember the same way but
-//! earn nothing — a task that loops is about to see its keys again, so
-//! its plan (of a type of its own, in [`crate::local`]: it also keeps
-//! the group boundaries, and verifies at emission) records at once —
-//! and the engine files that plan in the same store between jobs.
+//! * A [`RoutePlan`] keeps one map task's key sequence — split by
+//!   target partition, as shared immutable handles — with each
+//!   emission's partition. The task's [`RouteSink`] **verifies at the
+//!   point of emission**: one equality test per record against the
+//!   plan's next key, in every build, never skipped, sampled or
+//!   digested; on equality the *bare value* is pushed onto its
+//!   partition's exactly-sized bucket and the emitted key is dropped.
+//!   No pair is buffered, nothing is hashed, no key moves.
+//! * A [`Bucket`] therefore reaches the reduce side either as owned
+//!   pairs (the task ran off plan) or as values beside the handle on
+//!   the key sequence they were verified against.
+//! * A [`GroupPlan`] keeps one reduce input's key sequence — as those
+//!   very handles — with each record's slot in the grouped values and
+//!   the group boundaries. [`group_planned`] **recognises** its input
+//!   bucket by bucket: a bucket that carries the handle the plan holds
+//!   *is* the remembered sequence (the allocation cannot hold other
+//!   keys while the plan keeps it alive, and the map side compared
+//!   every key against it this job), any other bucket is compared
+//!   element by element. On a hit the values scatter to their slots and
+//!   the reducer walks the recorded boundaries over the plan's keys:
+//!   no hash, no sort, no concatenation, no key compared, moved or
+//!   cloned.
+//!
+//! A miss is only slower, never different: a sink whose task emits a key
+//! the plan does not expect, runs past the plan or stops short of it
+//! hands the verified prefix back as pairs (the plan's keys, cloned;
+//! the values walked back out of their buckets) and routes the task
+//! with [`route`]; a reduce input the plan does not recognise goes
+//! through [`concat_buckets`] and [`Grouped::from_pairs_using`] with the
+//! job's [`GroupingStrategy`] — exactly the code a job with no memory
+//! runs, and the code the engine's oracle shares.
+//!
+//! Remembering has a price — a route plan takes the keys it records, a
+//! group plan clones those it cannot share, and a dropped plan is a
+//! fall-back next job — which a job that never repeats would pay for
+//! nothing, so *recording* is earned (see `Backoff`): a plan sits out
+//! the first input it sees and records the second, and a recorded plan
+//! that fails its next verification is dropped and sits out 1, 2, 4 …
+//! 64 inputs before recording again. So a one-shot job clones nothing,
+//! a job whose keys churn forever (K-Means reassignments) records in at
+//! most one job of 65, and neither is ever wrong. [`PlanOutcome`] says
+//! which of the three happened. The engine keeps the plans per map task
+//! and per reduce partition in its [`crate::plan::PlanStore`]. The
+//! local syncs of a [`crate::local::EagerMapper`] task remember the
+//! same way but earn nothing — a task that loops is about to see its
+//! keys again, so its plan (of a type of its own, in [`crate::local`])
+//! records at once — and the engine files that plan in the same store
+//! between jobs.
 //!
 //! Grouping implementations:
 //!
-//! * [`Grouped`] — the **hot path**: parallel `keys`/`values` arrays
-//!   (keys ascending), with run detection yielding contiguous
+//! * [`Grouped`] — the **unplanned path**: parallel `keys`/`values`
+//!   arrays (keys ascending), with run detection yielding contiguous
 //!   [`GroupView`] slices. No per-key `Vec` allocations, no value
 //!   clones, and all backing buffers are recyclable through
 //!   [`ShuffleScratch`] across the hundreds of jobs an iterative driver
 //!   issues. Its constructors differ only in how the permutation is
-//!   found — a stable sort or a radix scatter per call
-//!   ([`Grouped::from_pairs_using`], the unplanned path), or a
-//!   remembered, re-verified [`GroupPlan`] — and produce byte-identical
-//!   arrays.
+//!   found — a stable sort or a radix scatter
+//!   ([`Grouped::from_pairs_using`]) — and produce byte-identical
+//!   arrays; [`group_planned`] hands its reducer the same groups from a
+//!   remembered permutation.
 //! * [`group`] — the original `BTreeMap` formulation, **kept as the
 //!   behavioral reference** for property tests. Both produce
 //!   byte-identical group order.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::hash::{reducer_for, StableHashMap};
 use crate::kv::{Key, Value};
@@ -185,35 +210,108 @@ impl Backoff {
     }
 }
 
-/// What one routing learned about a map task's output, kept so the next
-/// routing of the *same key sequence* into the same number of
-/// partitions moves pairs instead of hashing them.
+/// One map task's records for one reduce partition, in emission order:
+/// what the map side hands the reduce side.
 ///
-/// Remembers the key sequence it was built for, each key's target
-/// partition and the exact bucket sizes — one `K` and one `u32` per
-/// record. [`route_planned`] **verifies** the sequence against every
-/// new input (an `O(n)` equality scan, never skipped); a plan that
-/// fails is dropped, and re-recorded when its `Backoff` allows.
+/// Either owned pairs — the task ran off plan — or, when every key the
+/// task emitted was verified against its [`RoutePlan`], the **bare
+/// values** beside a shared, immutable handle on the bucket's key
+/// sequence, which the plan holds too. The handle is what lets a reduce
+/// partition recognise its input by identity ([`group_planned`]): the
+/// same allocation cannot come to hold other keys while a plan keeps it
+/// alive.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Bucket<K, V>(Records<K, V>);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Records<K, V> {
+    Pairs(Vec<(K, V)>),
+    /// `values[i]` belongs to `keys[i]`; the lengths are equal.
+    Planned {
+        keys: Arc<[K]>,
+        values: Vec<V>,
+    },
+}
+
+impl<K, V> Default for Bucket<K, V> {
+    fn default() -> Self {
+        Bucket(Records::Pairs(Vec::new()))
+    }
+}
+
+impl<K, V> From<Vec<(K, V)>> for Bucket<K, V> {
+    fn from(pairs: Vec<(K, V)>) -> Self {
+        Bucket(Records::Pairs(pairs))
+    }
+}
+
+impl<K, V> Bucket<K, V> {
+    /// Records in the bucket.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Records::Pairs(pairs) => pairs.len(),
+            Records::Planned { values, .. } => values.len(),
+        }
+    }
+
+    /// Whether the bucket holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<K: Clone, V> Bucket<K, V> {
+    /// The bucket as owned pairs. A bucket that carries a key handle
+    /// clones its keys out of it — they are shared.
+    pub fn into_pairs(self) -> Vec<(K, V)> {
+        match self.0 {
+            Records::Pairs(pairs) => pairs,
+            Records::Planned { keys, values } => keys.iter().cloned().zip(values).collect(),
+        }
+    }
+
+    /// A handle on the bucket's key sequence: the one it carries, or a
+    /// copy of its keys (one clone each).
+    fn key_handle(&self) -> Arc<[K]> {
+        match &self.0 {
+            Records::Pairs(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect(),
+            Records::Planned { keys, .. } => Arc::clone(keys),
+        }
+    }
+}
+
+/// What one routing learned about a map task's output, kept so the next
+/// job's emissions of the *same key sequence* into the same number of
+/// partitions go straight to their buckets, as bare values.
+///
+/// Remembers the key sequence it was built for twice over: in emission
+/// order beside each emission's target partition — what a [`RouteSink`]
+/// **verifies** every emission against, one equality test per record,
+/// never skipped — and split by partition, as the shared handles
+/// (`Arc`) the routed [`Bucket`]s carry to the reduce side and the
+/// [`GroupPlan`]s recorded from them keep. Two `K` and one `u32` per
+/// record. A plan that fails a verification is dropped, and re-recorded
+/// when its `Backoff` allows; a dropped plan's per-partition keys live
+/// until the last group plan sharing them lets go.
 #[derive(Debug)]
 pub struct RoutePlan<K> {
-    /// The key sequence the plan was built for, in emission order.
-    keys: Vec<K>,
-    /// `targets[i]` is the partition of `keys[i]`.
-    targets: Vec<u32>,
-    /// Records per partition; its length is the partition count the
-    /// plan was built for (empty while nothing is recorded).
-    counts: Vec<usize>,
+    /// The key sequence the plan was built for, in emission order, each
+    /// key with its partition.
+    emitted: Vec<(K, u32)>,
+    /// `keys[r]`: the keys routed to partition `r`, in emission order;
+    /// its length is the partition count the plan was built for (empty
+    /// while nothing is recorded).
+    keys: Vec<Arc<[K]>>,
     backoff: Backoff,
-    /// Records in the last input routed, recorded or not.
+    /// Records in the last task routed, recorded or not.
     last_records: usize,
 }
 
 impl<K> Default for RoutePlan<K> {
     fn default() -> Self {
         RoutePlan {
+            emitted: Vec::new(),
             keys: Vec::new(),
-            targets: Vec::new(),
-            counts: Vec::new(),
             backoff: Backoff::default(),
             last_records: 0,
         }
@@ -221,76 +319,183 @@ impl<K> Default for RoutePlan<K> {
 }
 
 impl<K: Key> RoutePlan<K> {
-    /// Records in the last input routed through this plan (0 before the
-    /// first): what the same map task is expected to emit next.
+    /// Records the task this plan belongs to emitted last job (0 before
+    /// the first), planned or not, into any number of partitions: what
+    /// it is expected to emit next.
     pub fn records(&self) -> usize {
         self.last_records
     }
 
-    /// Whether `pairs` carries exactly the key sequence, and `reducers`
-    /// is the partition count, this plan was built for.
-    fn matches<V>(&self, pairs: &[(K, V)], reducers: usize) -> bool {
-        self.counts.len() == reducers
-            && pairs.len() == self.keys.len()
-            && pairs.iter().zip(&self.keys).all(|((k, _), planned)| k == planned)
-    }
-
-    /// Drops what was recorded (and its memory); the backoff stays.
+    /// Drops what was recorded (and its share of the memory); the
+    /// backoff stays.
     fn forget(&mut self) {
-        (self.keys, self.targets, self.counts) = (Vec::new(), Vec::new(), Vec::new());
+        (self.emitted, self.keys) = (Vec::new(), Vec::new());
     }
 
-    /// Records, into a forgotten plan, `pairs`' key sequence: one
+    /// Records, into a forgotten plan, `pairs`' key sequence — one
     /// stable hash per key, exactly what [`route`] computes, and one
-    /// clone.
-    fn record<V>(&mut self, pairs: &[(K, V)], reducers: usize) {
-        self.counts.resize(reducers, 0);
-        self.keys.reserve_exact(pairs.len());
-        self.targets.reserve_exact(pairs.len());
-        for (k, _) in pairs {
+    /// clone — and routes them through it: the values go into the
+    /// buckets, which share the plan's per-partition keys.
+    fn record<V>(&mut self, pairs: Vec<(K, V)>, reducers: usize) -> Vec<Bucket<K, V>> {
+        let mut counts = vec![0usize; reducers];
+        self.emitted.reserve_exact(pairs.len());
+        for (k, _) in &pairs {
             let r = reducer_for(k, reducers);
-            self.keys.push(k.clone());
-            self.targets.push(index_u32(r));
-            self.counts[r] += 1;
+            self.emitted.push((k.clone(), index_u32(r)));
+            counts[r] += 1;
         }
+        let mut keys: Vec<Vec<K>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        let mut values: Vec<Vec<V>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        for ((k, v), &(_, r)) in pairs.into_iter().zip(&self.emitted) {
+            keys[r as usize].push(k);
+            values[r as usize].push(v);
+        }
+        self.keys = keys.into_iter().map(Arc::from).collect();
+        self.buckets(values)
+    }
+
+    /// `values[r]` — verified against, or just recorded with, `keys[r]`
+    /// — as the bucket for partition `r`.
+    fn buckets<V>(&self, values: Vec<Vec<V>>) -> Vec<Bucket<K, V>> {
+        let planned = |(keys, values)| Bucket(Records::Planned { keys: Arc::clone(keys), values });
+        self.keys.iter().zip(values).map(planned).collect()
     }
 }
 
-/// [`route`] through a remembered plan: byte-identical buckets, plus
-/// what became of the plan.
+/// Where a map task's emissions go: the one routing mechanism of a
+/// job, fed by [`crate::MapContext::emit_intermediate`] (and, behind a
+/// combiner, by the combined pairs).
 ///
-/// If `pairs` carries the key sequence `plan` was built for and
-/// `reducers` is unchanged (checked on every call, in every build),
-/// every pair moves to its remembered partition into a bucket of its
-/// remembered size — no hashing. Otherwise the plan is dropped and the
-/// input is either routed by [`route`] itself or, when the plan's
-/// `Backoff` says it is time, recorded (one hash and one clone per key)
-/// and moved the same way.
-pub fn route_planned<K: Key, V: Value>(
-    pairs: Vec<(K, V)>,
+/// A sink that follows a [`RoutePlan`] recorded for its partition count
+/// starts **on plan**: [`RouteSink::emit`] compares each key with the
+/// plan's next remembered key — one equality test per record, in every
+/// build — and pushes the bare value onto its remembered partition's
+/// exactly-sized bucket: no pair is buffered, nothing is hashed, no key
+/// moves. The first key that differs, a task that runs past the plan or
+/// one that ends short of it takes the sink **off plan**: the verified
+/// prefix comes back out as pairs in emission order (the plan's own
+/// keys, moved, and the values walked back out of their buckets), the
+/// rest of the task is buffered, and [`RouteSink::finish`] routes the
+/// pairs with [`route`] or, when the plan's `Backoff` says it is time,
+/// records a new plan from them. A miss is only slower, never
+/// different.
+#[derive(Debug)]
+pub struct RouteSink<K, V> {
+    /// The task's plan, checked out for the job.
+    plan: RoutePlan<K>,
     reducers: usize,
-    plan: &mut RoutePlan<K>,
-) -> (Vec<Vec<(K, V)>>, PlanOutcome) {
-    assert!(reducers > 0, "need at least one reducer");
-    plan.last_records = pairs.len();
-    let outcome = if plan.matches(&pairs, reducers) {
-        plan.backoff.hit();
-        PlanOutcome::Hit
-    } else {
-        let stale = !plan.counts.is_empty();
-        plan.forget();
-        if !plan.backoff.record_now(stale) {
-            return (route(pairs, reducers), PlanOutcome::Unplanned);
+    /// On plan: emissions `..cursor` matched `plan.emitted[..cursor]`
+    /// and their values sit in `placed`.
+    on_plan: bool,
+    cursor: usize,
+    /// On plan: per partition, the values verified so far — a bucket in
+    /// the making, allocated at its final size.
+    placed: Vec<Vec<V>>,
+    /// A recorded plan was found wanting this job (it is forgotten).
+    stale: bool,
+    /// Off plan: the task's emissions so far, in order.
+    pairs: Vec<(K, V)>,
+}
+
+impl<K: Key, V: Value> RouteSink<K, V> {
+    /// A sink for the task that holds `plan`, routing into `reducers`
+    /// partitions: on plan iff `plan` was recorded for that partition
+    /// count. A single partition consults no plan.
+    pub fn following(mut plan: RoutePlan<K>, reducers: usize) -> Self {
+        assert!(reducers > 0, "need at least one reducer");
+        let on_plan = reducers > 1 && plan.keys.len() == reducers;
+        let stale = reducers > 1 && !on_plan && !plan.keys.is_empty();
+        if stale {
+            plan.forget();
         }
-        plan.record(&pairs, reducers);
-        PlanOutcome::Recorded
-    };
-    let mut buckets: Vec<Vec<(K, V)>> =
-        plan.counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for (pair, &r) in pairs.into_iter().zip(&plan.targets) {
-        buckets[r as usize].push(pair);
+        // On plan every bucket is allocated once, at its final size,
+        // and no pair buffer at all; off plan it is the other way round.
+        let (placed, pairs) = if on_plan {
+            (plan.keys.iter().map(|keys| Vec::with_capacity(keys.len())).collect(), Vec::new())
+        } else {
+            (Vec::new(), Vec::with_capacity(plan.last_records))
+        };
+        RouteSink { placed, pairs, plan, reducers, on_plan, cursor: 0, stale }
     }
-    (buckets, outcome)
+
+    /// Takes one emission.
+    #[inline]
+    pub fn emit(&mut self, key: K, value: V) {
+        if self.on_plan {
+            if let Some((planned, target)) = self.plan.emitted.get(self.cursor) {
+                if *planned == key {
+                    self.placed[*target as usize].push(value);
+                    self.cursor += 1;
+                    return;
+                }
+            }
+            self.fall_back();
+        }
+        self.pairs.push((key, value));
+    }
+
+    /// Room in the pair buffer a task off plan emits into.
+    #[cfg(test)]
+    pub(crate) fn buffer_capacity(&self) -> usize {
+        self.pairs.capacity()
+    }
+
+    /// Emissions taken so far.
+    #[inline]
+    pub fn records(&self) -> usize {
+        if self.on_plan {
+            self.cursor
+        } else {
+            self.pairs.len()
+        }
+    }
+
+    /// Takes the sink off plan: the plan failed its verification and is
+    /// dropped, and the emissions it did match become buffered pairs.
+    #[cold]
+    fn fall_back(&mut self) {
+        (self.on_plan, self.stale) = (false, true);
+        let emitted = std::mem::take(&mut self.plan.emitted);
+        self.plan.forget();
+        let mut placed: Vec<_> = self.placed.drain(..).map(Vec::into_iter).collect();
+        self.pairs.reserve(self.plan.last_records.max(self.cursor + 1));
+        for (key, target) in emitted.into_iter().take(self.cursor) {
+            let value = placed[target as usize].next();
+            self.pairs.push((key, value.expect("a verified emission sits in its bucket")));
+        }
+    }
+
+    /// Ends the task off plan whatever it was on: everything emitted,
+    /// as pairs in emission order.
+    pub fn into_pairs(mut self) -> Vec<(K, V)> {
+        if self.on_plan {
+            self.fall_back();
+        }
+        self.pairs
+    }
+
+    /// Ends the task: its emissions as one [`Bucket`] per partition —
+    /// byte for byte the pairs [`route`] would put there —, the plan to
+    /// file for the task's next job, and what became of it (`None` for
+    /// a single partition, which is an ownership transfer).
+    pub fn finish(mut self) -> (Vec<Bucket<K, V>>, RoutePlan<K>, Option<PlanOutcome>) {
+        if self.on_plan && self.cursor < self.plan.emitted.len() {
+            self.fall_back(); // a strict prefix of the plan is a miss
+        }
+        self.plan.last_records = self.records();
+        let (buckets, outcome) = if self.on_plan {
+            self.plan.backoff.hit();
+            (self.plan.buckets(self.placed), Some(PlanOutcome::Hit))
+        } else if self.reducers == 1 {
+            (vec![self.pairs.into()], None)
+        } else if self.plan.backoff.record_now(self.stale) {
+            (self.plan.record(self.pairs, self.reducers), Some(PlanOutcome::Recorded))
+        } else {
+            let routed = route(self.pairs, self.reducers);
+            (routed.into_iter().map(Bucket::from).collect(), Some(PlanOutcome::Unplanned))
+        };
+        (buckets, self.plan, outcome)
+    }
 }
 
 /// Reusable backing buffers for [`concat_buckets`] and
@@ -357,100 +562,250 @@ pub fn concat_buckets<K, V>(
     out
 }
 
-/// What one grouping learned about its input, kept so the next
-/// grouping of the *same key sequence* is a scatter instead of a sort.
+/// What one grouping learned about a reduce partition's input, kept so
+/// the next grouping of the *same key sequence* is a scatter of values
+/// instead of a sort.
 ///
-/// An iterative task emits the same keys in the same order pass after
-/// pass (a graph partition's edges do not move); only the values
-/// change. The plan remembers the key sequence it was built for and
-/// where each input index lands in the grouped output.
-/// [`Grouped::from_buckets_planned`] **verifies** the remembered
-/// sequence against every new input — an `O(n)` equality scan, never
-/// skipped — so an input whose keys churn (K-Means reassignments) is
-/// never wrong; what it costs is bounded by the plan's `Backoff`.
+/// An iterative job's map tasks send a partition the same keys in the
+/// same order job after job (a graph partition's edges do not move);
+/// only the values change. The plan remembers that key sequence — as
+/// handles on the [`Bucket`]s' own key sequences where the buckets
+/// carried them, so it shares the [`RoutePlan`]s' keys instead of
+/// copying them — with each record's slot in the grouped values and the
+/// groups' boundaries. [`group_planned`] **recognises** an input bucket
+/// by bucket: one that carries the very handle the plan holds was
+/// verified key by key where it was emitted, against those same keys;
+/// any other is compared element by element, here. An input whose keys
+/// churn (K-Means reassignments) is therefore never wrong; what it
+/// costs is bounded by the plan's `Backoff`.
 ///
-/// Sized to one input's records (one `K` and one `u32` each) and kept
-/// in the engine's [`crate::plan::PlanStore`] slot of the reduce
-/// partition that groups that input again.
+/// One `u32` a record and three a group, plus one `K` a record only
+/// where a bucket carried no handle; kept in the engine's
+/// [`crate::plan::PlanStore`] slot of the reduce partition until it
+/// fails to recognise an input, which frees it.
 #[derive(Debug)]
 pub struct GroupPlan<K> {
-    /// The key sequence the plan was built for, in input order.
-    input_keys: Vec<K>,
-    /// `slots[i]` is the output index of input pair `i`: a permutation
-    /// of `0..input_keys.len()` (the scatter's safety rests on this, so
-    /// only the two `record*` methods write it).
+    /// The key sequence the plan was built for, one chunk per input
+    /// bucket.
+    chunks: Vec<Arc<[K]>>,
+    /// `slots[i]` is the output index of record `i` of the chunks'
+    /// concatenation: a permutation of `0..slots.len()` (the scatter's
+    /// safety rests on this, so only [`GroupPlan::record`] writes it).
     slots: Vec<u32>,
+    /// One per key group, keys ascending.
+    groups: Vec<GroupSpan>,
     backoff: Backoff,
+}
+
+/// One key group of a [`GroupPlan`]: its key is `chunks[chunk][at]`
+/// (its first record) and its values end at `end` in the grouped
+/// values, where the next group's begin.
+#[derive(Debug, Clone, Copy)]
+struct GroupSpan {
+    chunk: u32,
+    at: u32,
+    end: u32,
 }
 
 impl<K> Default for GroupPlan<K> {
     fn default() -> Self {
-        GroupPlan { input_keys: Vec::new(), slots: Vec::new(), backoff: Backoff::default() }
+        GroupPlan {
+            chunks: Vec::new(),
+            slots: Vec::new(),
+            groups: Vec::new(),
+            backoff: Backoff::default(),
+        }
     }
 }
-
-/// The input of a planned grouping: one reduce partition's buckets in
-/// map-task order (or a single vector), read as their concatenation
-/// without being concatenated.
-type Chunks<K, V> = [Vec<(K, V)>];
 
 impl<K: Key> GroupPlan<K> {
     /// Records in the key sequence the plan was built for.
     pub fn records(&self) -> usize {
-        self.input_keys.len()
+        self.slots.len()
     }
 
-    /// Whether `chunks`, concatenated, carry exactly the key sequence
-    /// this plan was built for.
-    fn matches<V>(&self, chunks: &Chunks<K, V>) -> bool {
-        let mut planned = self.input_keys.as_slice();
-        chunks.iter().map(Vec::len).sum::<usize>() == planned.len()
-            && chunks.iter().all(|chunk| {
-                let (head, rest) = planned.split_at(chunk.len());
-                planned = rest;
-                chunk.iter().zip(head).all(|((k, _), planned)| k == planned)
-            })
+    /// Key groups in the key sequence the plan was built for.
+    pub fn groups(&self) -> usize {
+        self.groups.len()
     }
 
-    /// Drops what was recorded (and its memory); the backoff stays.
-    fn forget(&mut self) {
-        (self.input_keys, self.slots) = (Vec::new(), Vec::new());
-    }
-
-    /// Starts a recording: remembers `chunks`' key sequence (the one
-    /// clone per record a plan costs). Both ways of finishing it check
-    /// that its length fits the `u32` slots.
-    fn remember<V>(&mut self, chunks: &Chunks<K, V>) {
-        self.input_keys.clear();
-        self.input_keys.reserve_exact(chunks.iter().map(Vec::len).sum());
-        for chunk in chunks {
-            self.input_keys.extend(chunk.iter().map(|(k, _)| k.clone()));
+    /// Whether `buckets` carry, bucket for bucket, the key sequence
+    /// this plan was built for — `Some(true)` when every bucket said so
+    /// by identity. A bucket that matched element by element leaves its
+    /// handle (if it has one) in the plan, for the next job to
+    /// recognise.
+    fn recognises<V>(&mut self, buckets: &[Bucket<K, V>]) -> Option<bool> {
+        if buckets.len() != self.chunks.len() {
+            return None;
         }
+        let mut by_identity = true;
+        for (bucket, chunk) in buckets.iter().zip(&mut self.chunks) {
+            let same = match &bucket.0 {
+                Records::Planned { keys, .. } if Arc::ptr_eq(keys, chunk) => continue,
+                Records::Planned { keys, .. } => keys == chunk,
+                Records::Pairs(pairs) => {
+                    let keys = pairs.iter().map(|(k, _)| k);
+                    pairs.len() == chunk.len() && keys.eq(chunk.iter())
+                }
+            };
+            if !same {
+                return None;
+            }
+            if let Records::Planned { keys, .. } = &bucket.0 {
+                *chunk = Arc::clone(keys);
+            }
+            by_identity = false;
+        }
+        Some(by_identity)
     }
 
-    /// Records the plan for `chunks`' key sequence with one index sort
-    /// (`order` is a recycled temporary).
-    fn record<V>(&mut self, chunks: &Chunks<K, V>, order: &mut Vec<u32>) {
-        self.remember(chunks);
-        sort_slots(&self.input_keys, order, &mut self.slots);
+    /// Drops what was recorded (and its share of the memory); the
+    /// backoff stays.
+    fn forget(&mut self) {
+        (self.chunks, self.slots, self.groups) = (Vec::new(), Vec::new(), Vec::new());
+    }
+
+    /// Records, into a forgotten plan, the plan for `buckets`' key
+    /// sequence: the permutation a stable sort applies — found the way
+    /// `strategy` names, see [`GroupingStrategy`] — and the groups it
+    /// leaves (`order` is a recycled temporary). Costs one key clone
+    /// per record of a bucket that carries no handle, none otherwise.
+    fn record<V>(
+        &mut self,
+        buckets: &[Bucket<K, V>],
+        strategy: GroupingStrategy,
+        order: &mut Vec<u32>,
+    ) {
+        self.chunks = buckets.iter().map(Bucket::key_handle).collect();
+        let keys: Vec<&K> = self.chunks.iter().flat_map(|chunk| chunk.iter()).collect();
+        match strategy {
+            GroupingStrategy::Sort => sort_slots(&keys, order, &mut self.slots),
+            GroupingStrategy::Radix => {
+                // `order` holds the group ids, then the inverse of the
+                // permutation the cursors deal out.
+                let mut next = radix_cursors(keys.iter().copied(), order);
+                self.slots.clear();
+                self.slots.extend(order.iter().map(|&g| {
+                    let cursor = &mut next[g as usize];
+                    *cursor += 1;
+                    *cursor - 1
+                }));
+                for (i, &slot) in self.slots.iter().enumerate() {
+                    order[slot as usize] = i as u32;
+                }
+            }
+        }
+        // `order[slot]` is the input index that lands at `slot`: walk
+        // the output, opening a group wherever the key changes.
+        let mut starts = Vec::with_capacity(self.chunks.len());
+        let mut start = 0;
+        for chunk in &self.chunks {
+            starts.push(start);
+            start += chunk.len();
+        }
+        let mut head = None;
+        for (slot, &i) in order.iter().enumerate() {
+            let i = i as usize;
+            if head.is_none_or(|head: usize| keys[head] != keys[i]) {
+                head = Some(i);
+                let chunk = starts.partition_point(|&start| start <= i) - 1;
+                let at = (i - starts[chunk]) as u32;
+                self.groups.push(GroupSpan { chunk: chunk as u32, at, end: 0 });
+            }
+            self.groups.last_mut().expect("a group is open").end = slot as u32 + 1;
+        }
+        self.groups.shrink_to_fit();
         order.clear();
     }
 
-    /// Records the plan for `chunks`' key sequence the radix way (see
-    /// [`GroupingStrategy::Radix`]; `gids` is a recycled temporary):
-    /// the same permutation as [`GroupPlan::record`], found without
-    /// comparing all `n` keys.
-    fn record_radix<V>(&mut self, chunks: &Chunks<K, V>, gids: &mut Vec<u32>) {
-        self.remember(chunks);
-        let mut next = radix_cursors(self.input_keys.iter(), gids);
-        self.slots.clear();
-        self.slots.extend(gids.iter().map(|&g| {
-            let cursor = &mut next[g as usize];
-            *cursor += 1;
-            *cursor - 1
-        }));
-        gids.clear();
+    /// Moves every value of `buckets` — which the plan has just
+    /// recognised, or been recorded from — to its slot in the grouped
+    /// values, over `buffer`'s allocation. Keys that came along as
+    /// owned pairs are dropped: the groups' keys are the plan's.
+    fn scatter<V>(&self, buckets: Vec<Bucket<K, V>>, buffer: Vec<V>) -> Vec<V> {
+        let n = self.slots.len();
+        let mut placed = SlotWriter::new(buffer, n);
+        let mut done = 0;
+        for bucket in buckets {
+            let slots = &self.slots[done..done + bucket.len()];
+            done += slots.len();
+            match bucket.0 {
+                Records::Planned { values, .. } => {
+                    values.into_iter().zip(slots).for_each(|(v, &slot)| placed.write(slot, v));
+                }
+                Records::Pairs(pairs) => {
+                    pairs.into_iter().zip(slots).for_each(|((_, v), &slot)| placed.write(slot, v));
+                }
+            }
+        }
+        assert_eq!(done, n, "a grouping plan must cover its input exactly");
+        // SAFETY: the buckets held n values (each bucket's slice of
+        // `slots` was as long as the bucket, and the slices add up to n
+        // — the assert), value i was written to `slots[i]`, and `slots`
+        // is a permutation of 0..n (`record` assigns each output
+        // position to exactly one input index), so every slot below n
+        // was written exactly once.
+        unsafe { placed.finish() }
     }
+
+    /// Calls `f` once per key group of `values` — an input's values
+    /// placed by [`GroupPlan::scatter`] — keys ascending.
+    fn for_each_group<V>(&self, values: &[V], mut f: impl FnMut(GroupView<'_, K, V>)) {
+        let mut lo = 0;
+        for group in &self.groups {
+            let key = &self.chunks[group.chunk as usize][group.at as usize];
+            f(GroupView { key, values: &values[lo..group.end as usize] });
+            lo = group.end as usize;
+        }
+    }
+}
+
+/// Groups one reduce partition's `buckets` (in map-task order) through
+/// `plan` and calls `f` once per key group, keys ascending, values in
+/// (map task, emission) order — the groups of [`group`] over the
+/// buckets' concatenation. Returns what became of the plan, and whether
+/// a hit was recognised by identity alone.
+///
+/// If the plan recognises the input (see [`GroupPlan`]; checked on
+/// every call, in every build), the **values** scatter from the buckets
+/// straight to their remembered slots and `f` walks the remembered
+/// group boundaries over the plan's own keys: `O(n)` moves, no key is
+/// moved, compared or cloned. Otherwise the plan is dropped and the
+/// input is either grouped unplanned — [`concat_buckets`], then
+/// [`Grouped::from_pairs_using`]: exactly the code a job with no memory
+/// runs — or, when the plan's `Backoff` says it is time, recorded the
+/// way `strategy` names and scattered. A bucket sequence that differs
+/// from the recorded one only in where the buckets are cut is a miss:
+/// slower, never different.
+pub fn group_planned<K: Key, V: Value>(
+    buckets: Vec<Bucket<K, V>>,
+    strategy: GroupingStrategy,
+    plan: &mut GroupPlan<K>,
+    scratch: &mut ShuffleScratch<K, V>,
+    mut f: impl FnMut(GroupView<'_, K, V>),
+) -> (PlanOutcome, bool) {
+    let recognised = plan.recognises(&buckets);
+    let outcome = if recognised.is_some() {
+        plan.backoff.hit();
+        PlanOutcome::Hit
+    } else {
+        let stale = plan.records() > 0;
+        plan.forget();
+        if !plan.backoff.record_now(stale) {
+            let pairs = concat_buckets(buckets.into_iter().map(Bucket::into_pairs), scratch);
+            let grouped = Grouped::from_pairs_using(strategy, pairs, scratch);
+            grouped.for_each(f);
+            grouped.recycle_into(scratch);
+            return (PlanOutcome::Unplanned, false);
+        }
+        plan.record(&buckets, strategy, &mut scratch.slots);
+        PlanOutcome::Recorded
+    };
+    let mut values = plan.scatter(buckets, std::mem::take(&mut scratch.values));
+    plan.for_each_group(&values, &mut f);
+    values.clear();
+    scratch.values = values;
+    (outcome, recognised == Some(true))
 }
 
 /// The permutation a stable sort of `keys` applies, found with one index
@@ -687,76 +1042,6 @@ impl<K: Key, V: Value> Grouped<K, V> {
         scratch.offer_pairs(pairs);
         gids.clear();
         scratch.slots = gids;
-        Grouped { keys, values }
-    }
-
-    /// Groups one reduce partition's `buckets` (in map-task order)
-    /// through `plan`; also returns what became of the plan.
-    ///
-    /// The buckets' concatenation is verified against the key sequence
-    /// `plan` was built for (checked on every call, in every build),
-    /// and on a hit keys and values scatter from the buckets straight to
-    /// their remembered slots — `O(n)` moves, no concatenation, no
-    /// comparison sort. Otherwise the plan is dropped and the input
-    /// is either grouped unplanned — [`concat_buckets`] then
-    /// [`Grouped::from_pairs_using`] — or, when the plan's `Backoff`
-    /// says it is time, recorded the way `strategy` names and scattered.
-    /// The output is byte-identical in all three cases, for either
-    /// strategy.
-    pub fn from_buckets_planned(
-        mut buckets: Vec<Vec<(K, V)>>,
-        strategy: GroupingStrategy,
-        plan: &mut GroupPlan<K>,
-        scratch: &mut ShuffleScratch<K, V>,
-    ) -> (Self, PlanOutcome) {
-        let outcome = if plan.matches(&buckets) {
-            plan.backoff.hit();
-            PlanOutcome::Hit
-        } else {
-            let stale = plan.records() > 0;
-            plan.forget();
-            if !plan.backoff.record_now(stale) {
-                let pairs = concat_buckets(buckets, scratch);
-                return (Self::from_pairs_using(strategy, pairs, scratch), PlanOutcome::Unplanned);
-            }
-            match strategy {
-                GroupingStrategy::Sort => plan.record(&buckets, &mut scratch.slots),
-                GroupingStrategy::Radix => plan.record_radix(&buckets, &mut scratch.slots),
-            }
-            PlanOutcome::Recorded
-        };
-        (Self::scatter_planned(&mut buckets, plan, scratch), outcome)
-    }
-
-    /// Drains `chunks`, moving every key and value to its slot in
-    /// `plan`, which the caller has just verified against (or recorded
-    /// from) `chunks`.
-    fn scatter_planned(
-        chunks: &mut Chunks<K, V>,
-        plan: &GroupPlan<K>,
-        scratch: &mut ShuffleScratch<K, V>,
-    ) -> Self {
-        let n = plan.slots.len();
-        let mut keys = SlotWriter::new(std::mem::take(&mut scratch.keys), n);
-        let mut values = SlotWriter::new(std::mem::take(&mut scratch.values), n);
-        let mut done = 0;
-        for chunk in chunks {
-            let slots = &plan.slots[done..done + chunk.len()];
-            done += chunk.len();
-            for ((k, v), &slot) in chunk.drain(..).zip(slots) {
-                keys.write(slot, k);
-                values.write(slot, v);
-            }
-        }
-        assert_eq!(done, n, "a grouping plan must cover its input exactly");
-        // SAFETY: `plan` matches `chunks` (verified or just recorded by
-        // the caller, re-checked by the assert): the chunks held n
-        // pairs, pair i was written to `plan.slots[i]`, and
-        // `plan.slots` is a permutation of 0..n (both `record*`
-        // methods assign each output position to exactly one input
-        // index), so every slot below n of both arrays was written
-        // exactly once.
-        let (keys, values) = unsafe { (keys.finish(), values.finish()) };
         Grouped { keys, values }
     }
 
@@ -1006,6 +1291,43 @@ mod tests {
         assert!(backoff.record_now(false));
     }
 
+    /// Routes `pairs` the way a map task does: each through a sink
+    /// that follows `plan`, which is filed back.
+    fn route_through<K: Key, V: Value>(
+        plan: &mut RoutePlan<K>,
+        pairs: Vec<(K, V)>,
+        reducers: usize,
+    ) -> (Vec<Bucket<K, V>>, Option<PlanOutcome>) {
+        let mut sink = RouteSink::following(std::mem::take(plan), reducers);
+        for (i, (k, v)) in pairs.into_iter().enumerate() {
+            assert_eq!(sink.records(), i);
+            sink.emit(k, v);
+        }
+        let (buckets, kept, outcome) = sink.finish();
+        *plan = kept;
+        (buckets, outcome)
+    }
+
+    fn into_pairs<K: Key, V: Value>(buckets: Vec<Bucket<K, V>>) -> Vec<Vec<(K, V)>> {
+        buckets.into_iter().map(Bucket::into_pairs).collect()
+    }
+
+    /// The groups of a grouping, in the reference's shape.
+    type Groups<K, V> = Vec<(K, Vec<V>)>;
+
+    /// [`group_planned`]'s groups, plus what it returned.
+    fn grouped<K: Key, V: Value>(
+        buckets: Vec<Bucket<K, V>>,
+        strategy: GroupingStrategy,
+        plan: &mut GroupPlan<K>,
+        scratch: &mut ShuffleScratch<K, V>,
+    ) -> (Groups<K, V>, (PlanOutcome, bool)) {
+        let mut out = Vec::new();
+        let collect = |g: GroupView<'_, K, V>| out.push((g.key.clone(), g.values.to_vec()));
+        let planned = group_planned(buckets, strategy, plan, scratch, collect);
+        (out, planned)
+    }
+
     #[test]
     fn route_plan_hits_only_on_the_same_keys_and_partition_count() {
         let pairs: Vec<(u32, char)> = vec![(5, 'a'), (9, 'b'), (5, 'c'), (2, 'd')];
@@ -1022,53 +1344,166 @@ mod tests {
             (pairs.clone(), 4, Unplanned), // second stale recording in a row: sits out two
             (pairs[..3].to_vec(), 4, Recorded),
         ] {
-            let (buckets, outcome) = route_planned(input.clone(), reducers, &mut plan);
-            assert_eq!(buckets, route(input.clone(), reducers));
-            assert_eq!(outcome, want, "{input:?} into {reducers}");
+            let (buckets, outcome) = route_through(&mut plan, input.clone(), reducers);
+            assert_eq!(into_pairs(buckets), route(input.clone(), reducers));
+            assert_eq!(outcome, Some(want), "{input:?} into {reducers}");
             assert_eq!(plan.records(), input.len());
         }
     }
 
     #[test]
-    fn planned_buckets_match_concat_then_group_for_both_strategies() {
-        let buckets = vec![vec![(3u32, 'a'), (1, 'b')], vec![(3, 'c')], vec![(2, 'd'), (1, 'e')]];
-        let want = group(buckets.concat());
-        for strategy in [GroupingStrategy::Sort, GroupingStrategy::Radix] {
-            let (mut plan, mut scratch) = (GroupPlan::default(), ShuffleScratch::default());
-            for want_outcome in [Unplanned, Recorded, Hit, Hit] {
-                let (grouped, outcome) = Grouped::from_buckets_planned(
-                    buckets.clone(),
-                    strategy,
-                    &mut plan,
-                    &mut scratch,
-                );
-                assert_eq!(collect(&grouped), want);
-                assert_eq!(outcome, want_outcome);
-                grouped.recycle_into(&mut scratch);
+    fn a_sink_that_leaves_its_plan_at_any_prefix_routes_what_route_routes() {
+        let keys: Vec<u32> = (0..23).map(|i| i * 7 % 10).collect();
+        let planned: Vec<(u32, usize)> = keys.iter().copied().zip(0..).collect();
+        let recorded = || {
+            let mut plan = RoutePlan::default();
+            assert_eq!(route_through(&mut plan, planned.clone(), 4).1, Some(Unplanned));
+            assert_eq!(route_through(&mut plan, planned.clone(), 4).1, Some(Recorded));
+            plan
+        };
+        for at in 0..=keys.len() {
+            // A key the plan does not expect at `at` (past its end when
+            // `at` is its length), and a task that stops at `at`.
+            let mut churned = planned.clone();
+            churned.truncate(at + 1);
+            churned.resize(at + 1, (0, 0));
+            churned[at].0 = 77;
+            churned.extend(planned.iter().skip(at + 1));
+            for input in [churned, planned[..at].to_vec()] {
+                let mut plan = recorded();
+                let (buckets, outcome) = route_through(&mut plan, input.clone(), 4);
+                let hit = input == planned;
+                assert_eq!(outcome, Some(if hit { Hit } else { Unplanned }), "left at {at}");
+                assert_eq!(into_pairs(buckets), route(input.clone(), 4), "left at {at}");
+                assert_eq!(plan.records(), input.len());
+                // A stale plan sits one task out, then records.
+                let again = route_through(&mut plan, input.clone(), 4).1;
+                assert_eq!(again, Some(if hit { Hit } else { Recorded }));
             }
-            assert_eq!(plan.records(), 5);
-            // Bucket boundaries are not part of the key sequence.
-            let rebucketed = vec![buckets.concat()];
-            let (grouped, outcome) =
-                Grouped::from_buckets_planned(rebucketed, strategy, &mut plan, &mut scratch);
-            assert_eq!(outcome, Hit);
-            assert_eq!(collect(&grouped), want);
         }
     }
 
-    /// A heap-ish key that counts its clones: what a plan costs a job
-    /// whose keys are not `Copy`.
-    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    #[test]
+    fn a_task_that_emits_nothing_hits_its_empty_plan_and_one_partition_consults_none() {
+        let mut plan: RoutePlan<u32> = RoutePlan::default();
+        for want in [Unplanned, Recorded, Hit, Hit] {
+            let (buckets, outcome) = route_through(&mut plan, Vec::<(u32, u8)>::new(), 3);
+            assert_eq!((buckets.len(), outcome), (3, Some(want)));
+            assert!(buckets.iter().all(Bucket::is_empty));
+        }
+        let (buckets, outcome) = route_through(&mut plan, vec![(1, 1u8), (2, 2)], 3);
+        assert_eq!(
+            (into_pairs(buckets), outcome),
+            (route(vec![(1, 1), (2, 2)], 3), Some(Unplanned))
+        );
+        // One partition: an ownership transfer that still learns the
+        // task's size, and leaves the backoff alone.
+        let (buckets, outcome) = route_through(&mut plan, vec![(4, 4u8), (5, 5), (6, 6)], 1);
+        assert_eq!((into_pairs(buckets), outcome), (vec![vec![(4, 4), (5, 5), (6, 6)]], None));
+        assert_eq!(plan.records(), 3);
+        assert_eq!(route_through(&mut plan, vec![(1, 1u8), (2, 2)], 3).1, Some(Recorded));
+        // Outside a job: a default sink buffers and hands pairs back.
+        let mut sink = RouteSink::following(RoutePlan::default(), 1);
+        sink.emit(7u32, 'x');
+        assert_eq!(sink.into_pairs(), vec![(7, 'x')]);
+    }
+
+    #[test]
+    fn planned_buckets_match_concat_then_group_for_both_strategies() {
+        let pairs = vec![vec![(3u32, 'a'), (1, 'b')], vec![(3, 'c')], vec![(2, 'd'), (1, 'e')]];
+        let owned = |pairs: &[Vec<(u32, char)>]| pairs.iter().cloned().map(Bucket::from).collect();
+        let want = group(pairs.concat());
+        for strategy in [GroupingStrategy::Sort, GroupingStrategy::Radix] {
+            let (mut plan, mut scratch) = (GroupPlan::default(), ShuffleScratch::default());
+            // Owned pairs carry no handle: every hit compares keys.
+            for want_outcome in [Unplanned, Recorded, Hit, Hit] {
+                let (got, planned) = grouped(owned(&pairs), strategy, &mut plan, &mut scratch);
+                assert_eq!((got, planned), (want.clone(), (want_outcome, false)));
+            }
+            assert_eq!(plan.records(), 5);
+            // Where the buckets are cut is part of what a plan
+            // recognises: the same keys in one bucket are a miss (and
+            // the same groups).
+            let (got, planned) =
+                grouped(owned(&[pairs.concat()]), strategy, &mut plan, &mut scratch);
+            assert_eq!((got, planned), (want.clone(), (Unplanned, false)));
+        }
+    }
+
+    #[test]
+    fn a_reduce_input_is_recognised_by_identity_only_while_its_handles_are_the_plans() {
+        // Two map tasks whose key sequences are reorderings of one
+        // another — every bucket of one is as long as the other's — and
+        // the reduce input of partition `P` of two.
+        const P: usize = 0;
+        let tasks = |salt: u32| -> Vec<Vec<(u32, u32)>> {
+            let ascending = (0..12).map(|i| (i % 6, i ^ salt));
+            let descending = (0..12).map(|i| (5 - i % 6, i + salt));
+            vec![ascending.collect(), descending.collect()]
+        };
+        let mut routes = [RoutePlan::default(), RoutePlan::default()];
+        let (mut plan, mut scratch) = (GroupPlan::default(), ShuffleScratch::default());
+        let mut job = |routes: &mut [RoutePlan<u32>; 2], input: Vec<Vec<(u32, u32)>>| {
+            let reference = input.iter().flat_map(|task| route(task.clone(), 2).swap_remove(P));
+            let want = group(reference.collect());
+            let routed = input.into_iter().zip(routes.iter_mut());
+            let buckets = routed.map(|(task, plan)| route_through(plan, task, 2).0.swap_remove(P));
+            let strategy = GroupingStrategy::Sort;
+            let (got, planned) = grouped(buckets.collect(), strategy, &mut plan, &mut scratch);
+            assert_eq!(got, want);
+            planned
+        };
+        assert_eq!(job(&mut routes, tasks(1)), (Unplanned, false));
+        assert_eq!(job(&mut routes, tasks(2)), (Recorded, false));
+        assert_eq!(job(&mut routes, tasks(3)), (Hit, true));
+        // Task 0 loses its plan and re-records an *equal* key sequence:
+        // owned pairs, then a new handle with equal contents, are
+        // compared key by key and hit; the new handle is the one the
+        // plan holds from then on.
+        routes[0] = RoutePlan::default();
+        assert_eq!(job(&mut routes, tasks(4)), (Hit, false), "owned pairs, equal keys");
+        assert_eq!(job(&mut routes, tasks(5)), (Hit, false), "a new handle, equal keys");
+        assert_eq!(job(&mut routes, tasks(6)), (Hit, true));
+        // The tasks swap sequences, plans and all: every bucket carries
+        // a handle the plan holds — for the *other* chunk, of the same
+        // length. Identity is per bucket, so this is a miss.
+        routes.swap(0, 1);
+        let mut swapped = tasks(7);
+        swapped.swap(0, 1);
+        assert_eq!(job(&mut routes, swapped.clone()), (Unplanned, false));
+        assert_eq!(job(&mut routes, swapped.clone()), (Recorded, false));
+        assert_eq!(job(&mut routes, swapped), (Hit, true));
+    }
+
+    /// A heap-ish key that counts its clones and its `==` calls: what
+    /// a plan costs a job whose keys are not `Copy`.
+    #[derive(Debug, PartialOrd, Ord)]
     struct Counted(u32);
 
     thread_local! {
         static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        static EQS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
     impl Clone for Counted {
         fn clone(&self) -> Self {
             CLONES.with(|c| c.set(c.get() + 1));
             Counted(self.0)
+        }
+    }
+
+    impl PartialEq for Counted {
+        fn eq(&self, other: &Self) -> bool {
+            EQS.with(|c| c.set(c.get() + 1));
+            self.0 == other.0
+        }
+    }
+
+    impl Eq for Counted {}
+
+    impl std::hash::Hash for Counted {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            self.0.hash(state);
         }
     }
 
@@ -1081,29 +1516,59 @@ mod tests {
     #[test]
     fn only_a_recording_clones_keys_and_it_clones_each_once() {
         let input = || -> Vec<(Counted, u8)> { (0..40).map(|i| (Counted(i % 7), 0)).collect() };
-        let clones = |f: &mut dyn FnMut() -> PlanOutcome| {
-            let before = CLONES.with(std::cell::Cell::get);
-            let outcome = f();
-            (outcome, CLONES.with(std::cell::Cell::get) - before)
-        };
-        let mut plan = RoutePlan::default();
-        let mut route_once = || route_planned(input(), 3, &mut plan).1;
-        assert_eq!(clones(&mut route_once), (Unplanned, 0));
-        assert_eq!(clones(&mut route_once), (Recorded, 40));
-        assert_eq!(clones(&mut route_once), (Hit, 0));
+        // (clones, `==` calls) `f` made.
+        fn counting<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+            let before = (CLONES.with(std::cell::Cell::get), EQS.with(std::cell::Cell::get));
+            let out = f();
+            let (clones, eqs) = (CLONES.with(std::cell::Cell::get), EQS.with(std::cell::Cell::get));
+            (out, clones - before.0, eqs - before.1)
+        }
+        let strategy = GroupingStrategy::Sort;
 
+        // A whole job: two map tasks route 40 records each into three
+        // partitions, which group what they are sent.
+        let mut routes = [RoutePlan::default(), RoutePlan::default()];
+        let mut groups = [GroupPlan::default(), GroupPlan::default(), GroupPlan::default()];
+        let mut scratch = ShuffleScratch::default();
+        let mut job = || {
+            let mut routed: Vec<_> =
+                routes.iter_mut().map(|plan| route_through(plan, input(), 3)).collect();
+            let mut outcomes: Vec<_> = routed.iter().map(|(_, outcome)| outcome.unwrap()).collect();
+            for (p, plan) in groups.iter_mut().enumerate().rev() {
+                let buckets = routed.iter_mut().map(|(b, _)| b.swap_remove(p)).collect();
+                let (outcome, by_identity) =
+                    group_planned(buckets, strategy, plan, &mut scratch, |_| {});
+                assert_eq!(by_identity, outcome == Hit);
+                outcomes.push(outcome);
+            }
+            outcomes
+        };
+        // First sight hashes and sorts; nothing is kept, nothing cloned.
+        let (outcomes, clones, _) = counting(&mut job);
+        assert_eq!((outcomes, clones), (vec![Unplanned; 5], 0));
+        // A route plan keeps each key twice — in emission order and in
+        // its partition's handle — so recording one clones each key
+        // once; the group plans share the handles and clone nothing.
+        let (outcomes, clones, _) = counting(&mut job);
+        assert_eq!((outcomes, clones), (vec![Recorded; 5], 80));
+        // Steady state: each record's key is compared exactly once —
+        // where it is emitted — and the reduce side knows its input by
+        // identity.
+        assert_eq!(counting(&mut job), (vec![Hit; 5], 0, 80));
+
+        // A plan that has to keep its own copy of the keys — its input
+        // arrived as owned pairs — clones each once when it records,
+        // and compares each once when it hits.
         let (mut plan, mut scratch) = (GroupPlan::default(), ShuffleScratch::default());
         let mut group_once = || {
-            let buckets = vec![input(), input()];
-            let strategy = GroupingStrategy::Sort;
-            let (grouped, outcome) =
-                Grouped::from_buckets_planned(buckets, strategy, &mut plan, &mut scratch);
-            grouped.recycle_into(&mut scratch);
-            outcome
+            let buckets = vec![input().into(), input().into()];
+            group_planned(buckets, strategy, &mut plan, &mut scratch, |_| {}).0
         };
-        assert_eq!(clones(&mut group_once), (Unplanned, 0));
-        assert_eq!(clones(&mut group_once), (Recorded, 80));
-        assert_eq!(clones(&mut group_once), (Hit, 0));
+        let (outcome, clones, _) = counting(&mut group_once);
+        assert_eq!((outcome, clones), (Unplanned, 0));
+        let (outcome, clones, _) = counting(&mut group_once);
+        assert_eq!((outcome, clones), (Recorded, 80));
+        assert_eq!(counting(&mut group_once), (Hit, 0, 80));
     }
 
     #[test]
