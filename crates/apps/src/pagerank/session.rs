@@ -331,8 +331,7 @@ pub fn run_async(
 /// [`run_async`] under an arbitrary pre-built
 /// [`AsyncFixedPointDriver`]: every session knob — injected transient
 /// failures (`with_failures`), correlated node deaths with
-/// checkpoint/rollback (`with_checkpoints` + `with_node_failures`), the
-/// straggler-adaptive staleness controller (`with_adaptive_lag`), a
+/// checkpoint/rollback (`with_checkpoints` + `with_node_failures`), a
 /// per-attempt span trace in [`SessionReport::trace`] (`with_trace`) —
 /// is a builder method on the driver, so there is one entry point for
 /// all of them.
@@ -341,9 +340,7 @@ pub fn run_async(
 /// on the same partition state and rollbacks restore a coordinated
 /// checkpoint cut, so the converged ranks — and, at `max_lag = 0`, the
 /// iteration count — are byte-identical to the failure-free run
-/// (pinned by `tests/chaos_session.rs`). An adaptive cap of 0 is
-/// byte-identical to `max_lag = 0`, and any cap bounds
-/// [`SessionReport::peak_effective_lag`].
+/// (pinned by `tests/chaos_session.rs`).
 ///
 /// The driver's `max_iterations` is taken as given; callers usually
 /// seed it from [`PageRankConfig::max_iterations`].
@@ -426,41 +423,6 @@ mod tests {
             inf_norm_diff(&exact.ranks, &stale.ranks) < 1e-6,
             "staleness drifted the fixpoint: {}",
             inf_norm_diff(&exact.ranks, &stale.ranks)
-        );
-    }
-
-    #[test]
-    fn adaptive_lag_cap_zero_matches_lag_zero_bitwise() {
-        let (g, parts) = setup(400, 4, 11);
-        let pool = ThreadPool::new(4);
-        let cfg = PageRankConfig::default();
-        let fixed = run_async(&pool, &g, &parts, &cfg, 0);
-        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_adaptive_lag(AdaptiveLagConfig::new(0));
-        let adaptive = run_async_with_driver(&pool, &g, &parts, &cfg, driver);
-        assert_eq!(fixed.report.global_iterations, adaptive.report.global_iterations);
-        assert_eq!(adaptive.report.peak_effective_lag, 0);
-        for (v, (a, b)) in fixed.ranks.iter().zip(&adaptive.ranks).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}: cap 0 must stay barrier-identical");
-        }
-    }
-
-    #[test]
-    fn adaptive_lag_stays_under_its_cap_and_converges() {
-        let (g, parts) = setup(500, 5, 23);
-        let pool = ThreadPool::new(4);
-        let cfg = PageRankConfig { tolerance: 1e-9, ..Default::default() };
-        let exact = run_async(&pool, &g, &parts, &cfg, 0);
-        let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_adaptive_lag(AdaptiveLagConfig::new(3).with_alpha(0.5));
-        let adaptive = run_async_with_driver(&pool, &g, &parts, &cfg, driver);
-        assert!(adaptive.report.converged);
-        assert_eq!(adaptive.report.max_lag, 3);
-        assert!(adaptive.report.peak_effective_lag <= 3, "effective lag past the cap");
-        assert!(
-            inf_norm_diff(&exact.ranks, &adaptive.ranks) < 1e-6,
-            "adaptive staleness drifted the fixpoint: {}",
-            inf_norm_diff(&exact.ranks, &adaptive.ranks)
         );
     }
 

@@ -22,6 +22,7 @@ use asyncmr_bench::{
     fault_tolerance, kmeans_figures, pagerank_figures, partitioner_ablation, scalability,
     scheduler_sweep, sssp_figures, table1, table2, Figure, GraphChoice, ReproConfig,
 };
+use asyncmr_simcluster::underflow_count;
 
 fn usage() -> ! {
     eprintln!(
@@ -103,6 +104,9 @@ fn main() -> ExitCode {
     };
 
     for artifact in &artifacts {
+        // Every simulation below (barrier `run_job` inside the engine,
+        // async replays in the figures) runs on this thread.
+        let underflows_before = underflow_count();
         match artifact.as_str() {
             "table1" => emit(&table1(&cfg), &cfg),
             "table2" => emit(&table2(&cfg), &cfg),
@@ -154,6 +158,13 @@ fn main() -> ExitCode {
                 eprintln!("unknown artifact: {other}");
                 return ExitCode::from(2);
             }
+        }
+        // `SimTime`'s `-` clamps in release builds and counts: a figure
+        // built on a clamped span is wrong, not slow.
+        let underflows = underflow_count() - underflows_before;
+        if underflows > 0 {
+            eprintln!("{artifact}: {underflows} SimTime subtraction(s) underflowed in its replays");
+            return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS

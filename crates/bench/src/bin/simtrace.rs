@@ -51,8 +51,8 @@ use asyncmr_simcluster::workloads::{
     async_schedule, barrier_jobs, ring_exchange, APPS, ASYNC_SEED,
 };
 use asyncmr_simcluster::{
-    diff_runs, ClusterSpec, Constant, ReportModel, RunRecord, SchedulerSpec, SharedBandwidth,
-    Simulation, TopologyAware,
+    diff_runs, underflow_count, ClusterSpec, Constant, ReportModel, RunRecord, SchedulerSpec,
+    SharedBandwidth, Simulation, TopologyAware,
 };
 
 const USAGE: &str = "usage: simtrace <timeline|critical-path|diff|report|fixtures> \
@@ -114,8 +114,17 @@ fn live_report(dir: &str) {
     );
 }
 
+/// `SimTime`'s `-` clamps in release builds and counts: a replay that
+/// moved the counter (on this thread, where every simulation here runs)
+/// produced a trace built on a clamped span.
+fn assert_no_underflow(before: u64, what: &str) {
+    let underflows = underflow_count() - before;
+    assert_eq!(underflows, 0, "{what}: {underflows} SimTime subtraction(s) underflowed");
+}
+
 /// Verifies one fixture row by re-running its recorded workload.
 fn verify_fixture_row(app: &str, path: &str, seed: u64, events: usize, digest: u64) {
+    let underflows_before = underflow_count();
     let (len, dig) = match path {
         "barrier" => {
             let mut sim = Simulation::new(ClusterSpec::ec2_2010(), seed);
@@ -138,6 +147,7 @@ fn verify_fixture_row(app: &str, path: &str, seed: u64, events: usize, digest: u
         (events, format!("0x{digest:016x}")),
         "{app}/{path} fixture at seed {seed} does not replay to the archived trace"
     );
+    assert_no_underflow(underflows_before, &format!("{app}/{path} fixture at seed {seed}"));
 }
 
 /// The `fixtures` subcommand: verify the archived golden-trace fixture
@@ -169,7 +179,9 @@ fn fixtures(dir: &str) {
         let spec = ClusterSpec::ec2_2010();
         let model = Constant::new(spec.num_nodes(), spec.nic_bandwidth, spec.net_latency);
         let mut sim = Simulation::new(spec, ASYNC_SEED).with_network(model);
+        let underflows_before = underflow_count();
         let stats = sim.run_async_schedule(&tasks);
+        assert_no_underflow(underflows_before, &format!("{app} async run at seed {ASYNC_SEED}"));
         let rec = RunRecord {
             tasks: &tasks,
             stats: &stats,

@@ -331,14 +331,14 @@ impl Recovery {
     }
 
     /// Mailbox-retention floor for a partition about to absorb `next`
-    /// under staleness cap `lag_cap`: that absorb selects source
-    /// iterations ≥ `next − lag_cap`, but with node failures enabled a
+    /// under staleness bound `max_lag`: that absorb selects source
+    /// iterations ≥ `next − max_lag`, but with node failures enabled a
     /// rollback may rewind the partition to the last checkpoint `C` and
     /// re-absorb from there — which needs surviving producers' batches
-    /// back to `C − lag_cap`, so those outlive the ordinary pruning.
-    pub(crate) fn batch_floor(&self, next: usize, lag_cap: usize) -> usize {
+    /// back to `C − max_lag`, so those outlive the ordinary pruning.
+    pub(crate) fn batch_floor(&self, next: usize, max_lag: usize) -> usize {
         let oldest_absorb = if self.plan.enabled() { next.min(self.checkpoint()) } else { next };
-        oldest_absorb.saturating_sub(lag_cap)
+        oldest_absorb.saturating_sub(max_lag)
     }
 
     /// The frontier advanced to `frontier`, so every state entering it

@@ -103,8 +103,8 @@ pub use local::{EagerMapper, LocalAlgorithm, LocalMapContext, LocalReduceContext
 pub use obs::SpanRecorder;
 pub use plan::{ScratchArena, StageTimings};
 pub use session::{
-    Absorbed, AdaptiveLagConfig, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput,
-    Outbox, SessionFailurePlan, SessionOutcome, SessionReport,
+    Absorbed, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput, Outbox,
+    SessionFailurePlan, SessionOutcome, SessionReport,
 };
 pub use shuffle::{GroupPlan, GroupView, Grouped, GroupingStrategy, ShuffleScratch};
 pub use traits::{Combiner, Mapper, Reducer};
@@ -120,8 +120,8 @@ pub mod prelude {
         EagerMapper, LocalAlgorithm, LocalMapContext, LocalReduceContext, LocalState,
     };
     pub use crate::session::{
-        Absorbed, AdaptiveLagConfig, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput,
-        Outbox, SessionFailurePlan, SessionOutcome, SessionReport,
+        Absorbed, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput, Outbox,
+        SessionFailurePlan, SessionOutcome, SessionReport,
     };
     pub use crate::shuffle::GroupingStrategy;
     pub use crate::traits::{Combiner, Mapper, Reducer};

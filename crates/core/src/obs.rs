@@ -158,10 +158,6 @@ pub(crate) struct SessionObs {
     /// Per partition: the open blocked-wait, as `(iteration,
     /// start_ns)`, if its parked absorb is currently blocked.
     stall_open: Vec<Option<(usize, u64)>>,
-    /// Per partition: the last effective-lag window a mark reported
-    /// (`u64::MAX` = none yet, so the first admission test always
-    /// emits the starting point of the trajectory).
-    last_window: Vec<u64>,
     /// `(start_ns, finish_ns)` of each recorded schedule entry, aligned
     /// index-for-index with the session's recorded schedule (dropped
     /// entries are filtered by the same remap at finish).
@@ -175,7 +171,6 @@ impl SessionObs {
         SessionObs {
             recorder: Some(recorder),
             stall_open: vec![None; partitions],
-            last_window: vec![u64::MAX; partitions],
             ..SessionObs::default()
         }
     }
@@ -199,16 +194,6 @@ impl SessionObs {
     pub(crate) fn mark(&mut self, kind: MarkKind, p: usize, i: usize, value: u64) {
         if let Some(at_ns) = self.clock() {
             self.marks.push(Mark { kind, partition: p as u32, iteration: i as u32, at_ns, value });
-        }
-    }
-
-    /// The effective-lag trajectory: one [`MarkKind::LagWindow`] mark
-    /// per change of partition `p`'s window (the first admission test
-    /// always emits the starting window).
-    pub(crate) fn window(&mut self, p: usize, i: usize, window: usize) {
-        if self.recorder.is_some() && self.last_window[p] != window as u64 {
-            self.last_window[p] = window as u64;
-            self.mark(MarkKind::LagWindow, p, i, window as u64);
         }
     }
 

@@ -61,8 +61,6 @@ pub(crate) struct SessionMeter {
     pub(super) failed_attempts: usize,
     /// Wall-clock those attempts burned.
     pub(super) failed_time: Duration,
-    /// Speculative launches the byte budget deferred.
-    pub(super) deferred_launches: usize,
     /// Node-failure events fired.
     pub(super) rollbacks: usize,
     /// Absorbed iterations undone across all rollbacks.

@@ -10,19 +10,18 @@ use std::time::{Duration, Instant};
 use asyncmr_runtime::{PoolMetrics, Wave};
 use asyncmr_simcluster::{AsyncTaskSpec, MarkKind, SpanKind};
 
-use super::admission::Admission;
 use super::meter::SessionMeter;
 use super::store::Store;
 use super::topology::Topology;
 use super::{
-    AdaptiveLagConfig, AsyncFixedPointDriver, AsyncIterative, GmapOutput, Outbox,
-    SessionFailurePlan, SessionOutcome, SessionReport,
+    AsyncFixedPointDriver, AsyncIterative, GmapOutput, Outbox, SessionFailurePlan, SessionOutcome,
+    SessionReport,
 };
 use crate::checkpoint::Recovery;
 use crate::obs::{SessionObs, SpanRecorder};
 
 /// How many iterations past the globally-complete frontier a partition
-/// may speculate (on top of the staleness cap). Bounds state/mailbox
+/// may speculate (on top of the staleness bound). Bounds state/mailbox
 /// history per partition without throttling the overlap that pays for
 /// the schedule: a straggler's *neighbors* are gated by messages, not
 /// by this constant.
@@ -106,7 +105,10 @@ pub(super) struct Session<'a, A: AsyncIterative> {
     algo: &'a A,
     topo: &'a Topology,
     store: Store<A::State, A::Msg>,
-    admission: Admission,
+    /// The staleness bound: the absorb admission test, mailbox
+    /// retention, the convergence window and the launch cap all read
+    /// this one number.
+    max_lag: usize,
     recovery: Recovery,
     meter: SessionMeter,
     obs: SessionObs,
@@ -129,10 +131,6 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
         recorder: Option<Arc<SpanRecorder>>,
     ) -> Self {
         let k = topo.partitions();
-        // Fixed `max_lag = L` is the controller pinned at floor = cap = L.
-        let lag = driver
-            .adaptive_lag
-            .unwrap_or_else(|| AdaptiveLagConfig::new(driver.max_lag).with_floor(driver.max_lag));
         let init = |p| {
             let state = algo.init_state(p);
             let bytes = algo.state_bytes(&state);
@@ -141,8 +139,8 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
         Session {
             algo,
             topo,
-            store: Store::new(topo, driver.runahead_byte_budget, init),
-            admission: Admission::new(lag, k),
+            store: Store::new(topo, init),
+            max_lag: driver.max_lag,
             recovery: Recovery::new(driver.checkpoints, driver.node_failures, k),
             meter: SessionMeter::new(k),
             obs: recorder.map_or_else(SessionObs::default, |rec| SessionObs::new(rec, k)),
@@ -157,29 +155,16 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
     }
 
     /// **Launch.** The partition's next gmap, if its state is ready and
-    /// the caps (iteration budget, runahead slack, byte budget) allow.
+    /// the caps (iteration budget, runahead slack) allow.
     pub(super) fn make_launch(&mut self, p: usize) -> Option<Launch<A>> {
         let part = &self.parts[p];
         let iter = part.launched;
         if self.stopped.is_some()
             || iter != part.absorbed
             || iter >= self.max_iterations
-            || iter > self.frontier + self.admission.cap() + RUNAHEAD_SLACK
+            || iter > self.frontier + self.max_lag + RUNAHEAD_SLACK
         {
             return None;
-        }
-        // Cost-aware runahead: defer a *speculative* launch (one past
-        // the globally-complete frontier) while held bytes are at the
-        // budget. Frontier-level launches always go — they are what
-        // advances the frontier, whose relaunch sweep retries every
-        // deferred partition — so the session cannot stall: a tight
-        // budget degrades toward barrier pacing, never below.
-        if iter > self.frontier {
-            if let Some(held) = self.store.over_budget() {
-                self.meter.deferred_launches += 1;
-                self.obs.mark(MarkKind::RunaheadDeferral, p, iter, held);
-                return None;
-            }
         }
         self.parts[p].launched += 1;
         Some(self.attempt(p, iter, 0))
@@ -290,27 +275,17 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
         let i = part.absorbed;
 
         // Staleness bound: per dependency, use the freshest batch of
-        // iteration ≤ i, requiring it be ≥ i − the partition's window.
-        let window = self.admission.window(p);
-        self.obs.window(p, i, window);
-        let min_fresh = i.saturating_sub(window);
+        // iteration ≤ i, requiring it be ≥ i − max_lag.
+        let min_fresh = i.saturating_sub(self.max_lag);
         let mut selected = Vec::with_capacity(self.topo.deps(p).len());
-        let mut slack = 0;
         for freshest in self.store.freshest(p, i) {
             let Some(key) = freshest.filter(|&key| key >= min_fresh) else {
-                // Blocked: not delivered yet, or too stale — in which
-                // case the slack this absorb would have needed widens
-                // the window.
-                if let Some(key) = freshest {
-                    self.admission.observe(p, i - key);
-                }
+                // Blocked: not delivered yet, or too stale.
                 self.obs.open_stall(p, i);
                 return;
             };
-            slack = slack.max(i - key);
             selected.push(key);
         }
-        self.admission.observe(p, slack);
         self.obs.close_stall(p);
 
         let update = self.parts[p].parked.take().expect("checked above");
@@ -320,7 +295,7 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
         self.obs.span(SpanKind::Absorb, p, i, 0, t0);
 
         let bytes = self.algo.state_bytes(&absorbed.state);
-        let keep_from = self.recovery.batch_floor(i + 1, self.admission.cap());
+        let keep_from = self.recovery.batch_floor(i + 1, self.max_lag);
         self.store.commit(p, absorbed.state, bytes, keep_from);
         self.parts[p].absorbed = i + 1;
         self.parts[p].consumed.push(selected);
@@ -348,10 +323,10 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
             }
             self.store.prune_states(self.recovery.state_floor(frontier));
 
-            // Barrier-equivalent convergence: cap + 1 consecutive
-            // fully-absorbed iterations must pass the test (for cap 0
+            // Barrier-equivalent convergence: max_lag + 1 consecutive
+            // fully-absorbed iterations must pass the test (for lag 0
             // this is exactly the barrier rule).
-            let window = self.admission.cap() + 1;
+            let window = self.max_lag + 1;
             if frontier >= window
                 && (frontier - window..frontier)
                     .all(|j| self.algo.converged(self.meter.max_delta(j)))
@@ -417,6 +392,7 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
     /// Builds the outcome: final states at the result iteration, meters
     /// over contributing iterations only, and the contributing slice of
     /// the schedule (speculative tasks filtered out, indices remapped).
+    /// The report is audited on the way out ([`SessionReport::audit`]).
     pub(super) fn finish(
         mut self,
         wall_time: Duration,
@@ -429,6 +405,7 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
             (0..self.parts.len()).map(|p| Arc::clone(self.store.state(p, iterations))).collect();
         let (schedule, remap) = self.meter.take_schedule(iterations);
         let (local_syncs, total_ops, speculative_time) = self.meter.totals(iterations);
+        let consumed: Vec<_> = self.parts.iter().map(|part| &part.consumed[..iterations]).collect();
         let report = SessionReport {
             global_iterations: iterations,
             converged: self.stopped == Some(true),
@@ -443,14 +420,34 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
             rolled_back_iterations: self.meter.rolled_back_iterations,
             checkpoint_bytes: self.recovery.checkpoint_bytes(),
             peak_state_bytes: self.store.peak(),
-            deferred_launches: self.meter.deferred_launches,
-            max_lag: self.admission.cap(),
-            peak_effective_lag: self.admission.peak(),
+            max_lag: self.max_lag,
+            observed_staleness: staleness_histogram(&consumed),
             wall_time,
             pool,
             trace: self.obs.finish(&remap, self.meter.metered_gmap_ns()),
             schedule,
         };
+        let dep_slots = (0..self.parts.len()).map(|p| self.topo.deps(p).len()).sum();
+        report.audit(self.parts.len(), dep_slots);
         SessionOutcome { states, report }
     }
+}
+
+/// How stale every absorbed dependency batch in the given consumption
+/// logs was: `[s]` counts the batches read `s` iterations behind (see
+/// [`SessionReport::observed_staleness`]).
+fn staleness_histogram(consumed: &[&[Vec<usize>]]) -> Vec<u64> {
+    let mut hist = Vec::new();
+    for log in consumed {
+        for (i, selected) in log.iter().enumerate() {
+            for &key in selected {
+                let stale = i - key;
+                if stale >= hist.len() {
+                    hist.resize(stale + 1, 0);
+                }
+                hist[stale] += 1;
+            }
+        }
+    }
+    hist
 }

@@ -6,9 +6,9 @@
 //! of every retained state plus the shallow size of every message in
 //! every mailbox; `peak()` is its high-water mark. No code outside this
 //! module can move a state or a batch, so none can break the ledger —
-//! which is what the driver's `runahead_byte_budget` and
+//! which is what
 //! [`SessionReport::peak_state_bytes`](super::SessionReport::peak_state_bytes)
-//! rest on.
+//! rests on.
 //!
 //! The store also owns the two buffer pools (outboxes and message-batch
 //! `Vec`s): every batch leaving a mailbox is recycled, and re-enters an
@@ -65,19 +65,13 @@ pub(crate) struct Store<S, M> {
     held_state_bytes: u64,
     batches: Batches<M>,
     peak: u64,
-    /// The driver's `runahead_byte_budget`.
-    budget: Option<u64>,
     outboxes: Vec<Outbox<M>>,
 }
 
 impl<S, M> Store<S, M> {
     /// A store holding each partition's initial state (`init(p)` returns
     /// it with its `state_bytes`) and empty mailboxes shaped by `topo`.
-    pub(crate) fn new(
-        topo: &Topology,
-        budget: Option<u64>,
-        mut init: impl FnMut(usize) -> (S, u64),
-    ) -> Self {
+    pub(crate) fn new(topo: &Topology, mut init: impl FnMut(usize) -> (S, u64)) -> Self {
         let mut held_state_bytes = 0;
         let slots = (0..topo.partitions())
             .map(|p| {
@@ -95,7 +89,6 @@ impl<S, M> Store<S, M> {
             held_state_bytes,
             batches: Batches { held_bytes: 0, free: Vec::new() },
             peak: held_state_bytes,
-            budget,
             outboxes: Vec::new(),
         }
     }
@@ -108,13 +101,6 @@ impl<S, M> Store<S, M> {
     /// High-water mark of [`Store::held`].
     pub(crate) fn peak(&self) -> u64 {
         self.peak
-    }
-
-    /// `Some(held)` when a runahead budget is set and held bytes have
-    /// reached it — speculative launches must defer.
-    pub(crate) fn over_budget(&self) -> Option<u64> {
-        let held = self.held();
-        (self.budget? <= held).then_some(held)
     }
 
     fn note_peak(&mut self) {
@@ -287,7 +273,7 @@ mod tests {
     fn chain_store() -> (Topology, Store<usize, u32>) {
         // 0 → 1 → 2, plus 0 → 2.
         let topo = Topology::from_deps(vec![vec![], vec![0], vec![0, 1]]);
-        let store = Store::new(&topo, Some(64), |p| (p, 10 + p as u64));
+        let store = Store::new(&topo, |p| (p, 10 + p as u64));
         (topo, store)
     }
 
@@ -306,7 +292,6 @@ mod tests {
         let (topo, mut store) = chain_store();
         let initial = 10 + 11 + 12;
         assert_eq!((store.held(), store.peak()), (initial, initial));
-        assert_eq!(store.over_budget(), None);
 
         // Inserts: 0 delivers 3 msgs to each of {1, 2}; 1 delivers 2 to {2}.
         for (p, iter, n) in [(0, 0, 3), (1, 0, 2), (0, 1, 3), (1, 1, 0)] {
@@ -314,7 +299,6 @@ mod tests {
             assert_eq!(store.held(), store.recomputed(), "after deliver({p}, {iter})");
         }
         assert_eq!(store.held(), initial + (3 + 3 + 2 + 3 + 3) * 4);
-        assert_eq!(store.over_budget(), Some(store.held()), "89 held ≥ 64 budget");
         assert_eq!(store.freshest(2, 5).collect::<Vec<_>>(), [Some(1), Some(1)]);
         assert_eq!(store.inbox(2, topo.deps(2), &[0, 0]), [(0, &[0, 1, 2][..]), (1, &[0, 1][..])]);
 
@@ -357,5 +341,39 @@ mod tests {
         store.prune_states(1);
         assert_eq!(store.held(), initial + 7 - 12);
         assert_eq!(store.held(), store.recomputed());
+    }
+
+    #[test]
+    fn a_checkpoint_floor_never_holds_less_than_frontier_pruning() {
+        // One schedule, two retention policies: `frontier` prunes states
+        // at every frontier advance, `ckpt` at the last every-2
+        // checkpoint — what `Recovery::state_floor` hands the session
+        // with checkpoints off and on.
+        let (topo, mut frontier) = chain_store();
+        let (_, mut ckpt) = chain_store();
+        let per_iteration = 10 + 11 + 12;
+        for iter in 0..6 {
+            for p in 0..3 {
+                deliver(&mut frontier, &topo, p, iter, 2);
+                deliver(&mut ckpt, &topo, p, iter, 2);
+                assert!(ckpt.held() >= frontier.held(), "after deliver({p}, {iter})");
+            }
+            for p in 0..3 {
+                frontier.commit(p, p, 10 + p as u64, iter + 1);
+                ckpt.commit(p, p, 10 + p as u64, iter + 1);
+                assert!(ckpt.held() >= frontier.held(), "after commit({p}, {iter})");
+            }
+            let advanced = iter + 1;
+            let checkpoint = advanced - advanced % 2;
+            frontier.prune_states(advanced);
+            ckpt.prune_states(checkpoint);
+            assert_eq!(
+                ckpt.held() - frontier.held(),
+                ((advanced - checkpoint) * per_iteration) as u64,
+                "the retained tail back to checkpoint {checkpoint} is the whole difference"
+            );
+            assert!(ckpt.peak() >= frontier.peak());
+        }
+        assert_eq!((frontier.held(), ckpt.held()), (frontier.recomputed(), ckpt.recomputed()));
     }
 }

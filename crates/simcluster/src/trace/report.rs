@@ -7,8 +7,7 @@
 //!   ([`ReportModel::from_session`]) — lanes are pool workers plus the
 //!   scheduler thread, spans are gmap/deliver/absorb/rollback
 //!   intervals, stalls render on one extra lane, and instant events
-//!   carry checkpoint commits, runahead deferrals, and the
-//!   effective-lag trajectory;
+//!   carry launches, checkpoint commits and convergence;
 //! * a **simulated** [`crate::trace::RunRecord`]
 //!   ([`ReportModel::from_run`]) — lanes are cluster nodes, spans are
 //!   the successful attempts of the recorded schedule, instant events
@@ -20,9 +19,8 @@
 //! span — so the conservation law (summed gmap `dur_ns` == the
 //! metered busy time in the top-level `metadata`) is checkable with
 //! integer arithmetic by any JSON consumer. [`ReportModel::html`]
-//! renders a dependency-free single-file report: per-lane timelines,
-//! the per-partition effective-lag trajectory, and the critical-path
-//! bar decomposition. Hand-formatted output throughout — the repo's
+//! renders a dependency-free single-file report: per-lane timelines
+//! and the critical-path bar decomposition. Hand-formatted output throughout — the repo's
 //! no-serde idiom.
 
 use crate::time::SimTime;
@@ -76,9 +74,6 @@ pub struct ReportModel {
     pub lanes: Vec<ReportLane>,
     /// Instant events, emission order.
     pub marks: Vec<ReportMark>,
-    /// Effective-lag trajectory `(at_ns, partition, window)` (live
-    /// sessions only; empty for simulated runs).
-    pub lag: Vec<(u64, u32, u64)>,
     /// The run's critical-path decomposition.
     pub critical_path: CriticalPath,
     /// The session's metered gmap time (conservation reference); `None`
@@ -152,7 +147,6 @@ impl ReportModel {
             wall_ns: trace.wall_ns,
             lanes,
             marks,
-            lag: trace.lag_trajectory(),
             critical_path: trace.critical_path(tasks),
             metered_busy_ns: Some(trace.metered_gmap_ns),
         }
@@ -195,7 +189,6 @@ impl ReportModel {
             wall_ns: us(stats.finished_at) * 1_000,
             lanes,
             marks,
-            lag: Vec::new(),
             critical_path: TraceReader::new(*rec).critical_path(),
             metered_busy_ns: None,
         }
@@ -252,9 +245,8 @@ impl ReportModel {
         )
     }
 
-    /// Renders the self-contained HTML report: per-lane timelines, the
-    /// effective-lag trajectory (live sessions), and the critical-path
-    /// bar decomposition. No external assets, no scripts — inline SVG
+    /// Renders the self-contained HTML report: per-lane timelines and
+    /// the critical-path bar decomposition. No external assets, no scripts — inline SVG
     /// only, so the file opens anywhere and diffs cleanly.
     pub fn html(&self) -> String {
         const W: u64 = 1160; // drawable timeline width in px
@@ -336,59 +328,11 @@ impl ReportModel {
         }
         out.push_str("</svg>\n");
         out.push_str(&format!(
-            "<p class=\"meta\">{} of {} spans drawn{}; dashed lines are instant events (checkpoints, deferrals, lag changes).</p>\n",
+            "<p class=\"meta\">{} of {} spans drawn{}; dashed lines are instant events (launches, checkpoints, convergence).</p>\n",
             drawn,
             total,
             if drawn < total { " (shortest elided for file size)" } else { "" },
         ));
-
-        // ---- Effective-lag trajectory ----
-        if !self.lag.is_empty() {
-            out.push_str("<h2>Effective-lag trajectory</h2>\n");
-            let max_lag = self.lag.iter().map(|&(_, _, w)| w).max().unwrap_or(0).max(1);
-            let lh = 120u64;
-            let ly = |w: u64| 10 + (lh - 20) - w * (lh - 20) / max_lag;
-            out.push_str(&format!("<svg width=\"{}\" height=\"{lh}\">\n", W + 40));
-            let mut parts: Vec<u32> = self.lag.iter().map(|&(_, p, _)| p).collect();
-            parts.sort_unstable();
-            parts.dedup();
-            const PALETTE: [&str; 6] =
-                ["#3a6ecf", "#d64545", "#4caf7d", "#e0a33a", "#a258c4", "#2aa8a8"];
-            for (pi, &p) in parts.iter().enumerate() {
-                let mut d = String::new();
-                let mut last: Option<(u64, u64)> = None;
-                for &(at, part, w) in &self.lag {
-                    if part != p {
-                        continue;
-                    }
-                    match last {
-                        None => d.push_str(&format!("M {} {}", x(at), ly(w))),
-                        // Step function: hold the old window until the
-                        // change instant.
-                        Some((_, lw)) => {
-                            d.push_str(&format!(" L {} {} L {} {}", x(at), ly(lw), x(at), ly(w)))
-                        }
-                    }
-                    last = Some((at, w));
-                }
-                if let Some((_, lw)) = last {
-                    d.push_str(&format!(" L {} {}", x(wall), ly(lw)));
-                }
-                out.push_str(&format!(
-                    "<path d=\"{d}\" fill=\"none\" stroke=\"{}\" stroke-width=\"1.5\"><title>partition {p}</title></path>\n",
-                    PALETTE[pi % PALETTE.len()],
-                ));
-            }
-            out.push_str(&format!(
-                "<text x=\"2\" y=\"12\" font-size=\"10\" fill=\"#555\">window 0..{max_lag}</text>\n"
-            ));
-            out.push_str("</svg>\n");
-            out.push_str(&format!(
-                "<p class=\"meta\">{} window changes across {} partitions (step per partition; higher = wider staleness window).</p>\n",
-                self.lag.len(),
-                parts.len(),
-            ));
-        }
 
         // ---- Critical path ----
         let cp = &self.critical_path;
@@ -512,11 +456,11 @@ mod tests {
             ],
             park_ns: vec![1_000],
             marks: vec![Mark {
-                kind: MarkKind::LagWindow,
+                kind: MarkKind::CheckpointCommit,
                 partition: 0,
                 iteration: 1,
                 at_ns: 4_000,
-                value: 2,
+                value: 16,
             }],
             task_start_ns: vec![500, 4_500],
             task_finish_ns: vec![2_500, 7_500],
@@ -543,7 +487,7 @@ mod tests {
 
         let html = model.html();
         assert!(html.starts_with("<!DOCTYPE html>"));
-        assert!(html.contains("Effective-lag trajectory"));
+        assert!(html.contains("checkpoint-commit"));
         assert!(html.contains("Critical path"));
         assert!(html.contains("worker0") && html.contains("scheduler"));
     }

@@ -22,8 +22,6 @@
 //! * the gmap conservation law ([`SessionTrace::gmap_span_ns`] equals
 //!   the session's metered gmap time *exactly*, because each span's
 //!   duration is the very `elapsed` the meter billed);
-//! * the per-partition effective-lag trajectory
-//!   ([`SessionTrace::lag_trajectory`]);
 //! * an in-process critical path ([`SessionTrace::critical_path`])
 //!   that walks the recorded schedule back along latest-finishing
 //!   dependency edges exactly like the simulator's
@@ -103,16 +101,9 @@ impl Span {
 pub enum MarkKind {
     /// A gmap attempt was handed to the pool (`value` = attempt).
     Launch,
-    /// A ready launch was deferred by the runahead byte budget
-    /// (`value` = the iteration held back).
-    RunaheadDeferral,
     /// The checkpoint tracker declared a checkpoint (`value` = snapshot
     /// bytes; `iteration` = the checkpointed frontier).
     CheckpointCommit,
-    /// A partition's adaptive effective-lag window changed (`value` =
-    /// the new window) — consecutive marks per partition form the
-    /// effective-lag trajectory.
-    LagWindow,
     /// Global convergence was detected (`iteration` = the frontier).
     Converged,
 }
@@ -122,9 +113,7 @@ impl MarkKind {
     pub fn label(&self) -> &'static str {
         match self {
             MarkKind::Launch => "launch",
-            MarkKind::RunaheadDeferral => "runahead-deferral",
             MarkKind::CheckpointCommit => "checkpoint-commit",
-            MarkKind::LagWindow => "lag-window",
             MarkKind::Converged => "converged",
         }
     }
@@ -244,16 +233,6 @@ impl SessionTrace {
             .and_then(|rest| rest.checked_sub(blocked_ns))
             .unwrap_or(0);
         LaneBreakdown { busy_ns, blocked_ns, idle_ns }
-    }
-
-    /// The effective-lag trajectory: every [`MarkKind::LagWindow`]
-    /// mark, in emission order, as `(at_ns, partition, window)`.
-    pub fn lag_trajectory(&self) -> Vec<(u64, u32, u64)> {
-        self.marks
-            .iter()
-            .filter(|m| m.kind == MarkKind::LagWindow)
-            .map(|m| (m.at_ns, m.partition, m.value))
-            .collect()
     }
 
     /// The recorded session's critical path, walked exactly like the
@@ -417,17 +396,5 @@ mod tests {
         let cp = trace.critical_path(&[]);
         assert!(cp.hops.is_empty());
         assert_eq!(cp.total(), SimTime::from_micros(5));
-    }
-
-    #[test]
-    fn lag_trajectory_filters_lag_marks() {
-        let trace = SessionTrace {
-            marks: vec![
-                Mark { kind: MarkKind::Launch, partition: 0, iteration: 0, at_ns: 1, value: 0 },
-                Mark { kind: MarkKind::LagWindow, partition: 2, iteration: 1, at_ns: 5, value: 3 },
-            ],
-            ..SessionTrace::default()
-        };
-        assert_eq!(trace.lag_trajectory(), vec![(5, 2, 3)]);
     }
 }

@@ -28,7 +28,7 @@
 
 use asyncmr_simcluster::workloads::{async_schedule, barrier_jobs, APPS, ASYNC_SEED, BARRIER_SEED};
 use asyncmr_simcluster::{
-    splitmix64, ClusterSpec, Constant, FailurePlan, NodeFailurePlan, Simulation,
+    splitmix64, underflow_count, ClusterSpec, Constant, FailurePlan, NodeFailurePlan, Simulation,
 };
 
 // -------------------------------------------------------------------------
@@ -221,6 +221,45 @@ fn async_failure_and_death_injection_draw_order_is_pinned() {
         .with_node_failures(NodeFailurePlan::correlated(0.10, 2, 77));
     let got = run_async("pagerank", &mut sim);
     assert_eq!(got, (dur, net, failed, fd, nd), "async failure replay drifted");
+}
+
+/// Runs one golden row and asserts it moved the thread's
+/// [`underflow_count`] by nothing.
+fn without_underflow<T>(row: &str, run: impl FnOnce() -> T) {
+    let before = underflow_count();
+    run();
+    assert_eq!(underflow_count() - before, 0, "{row}: a SimTime subtraction underflowed");
+}
+
+#[test]
+fn no_golden_row_underflows_simtime() {
+    // A bare `SimTime - SimTime` that would go negative panics in debug
+    // builds; release builds clamp it to zero and count. This is the
+    // release-mode check that no golden row, barrier or async, was
+    // produced on a clamped span.
+    let default_sim = |seed| Simulation::new(ClusterSpec::ec2_2010(), seed);
+    for app in APPS {
+        without_underflow(&format!("{app}/barrier"), || {
+            run_barrier(app, &mut default_sim(BARRIER_SEED))
+        });
+        without_underflow(&format!("{app}/barrier-constant"), || {
+            run_barrier(app, &mut constant_sim(BARRIER_SEED))
+        });
+        without_underflow(&format!("{app}/async-constant"), || {
+            run_async(app, &mut constant_sim(ASYNC_SEED))
+        });
+        without_underflow(&format!("{app}/async"), || run_async(app, &mut default_sim(ASYNC_SEED)));
+    }
+    without_underflow("pagerank/barrier-failures", || {
+        let mut sim = default_sim(BARRIER_SEED).with_failures(FailurePlan::transient(0.15));
+        run_barrier("pagerank", &mut sim)
+    });
+    without_underflow("pagerank/async-failures", || {
+        let mut sim = constant_sim(ASYNC_SEED)
+            .with_failures(FailurePlan::transient(0.15))
+            .with_node_failures(NodeFailurePlan::correlated(0.10, 2, 77));
+        run_async("pagerank", &mut sim)
+    });
 }
 
 #[test]

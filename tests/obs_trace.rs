@@ -261,24 +261,6 @@ fn gmap_spans_conserve_metered_time_under_transient_failures() {
 }
 
 #[test]
-fn adaptive_staleness_leaves_a_lag_trajectory() {
-    let g = crawl_graph(800, 3);
-    let parts = MultilevelKWay::default().partition(&g, 6);
-    let pool = ThreadPool::new(4);
-    let cfg = PageRankConfig::default();
-    let driver = AsyncFixedPointDriver::new(cfg.max_iterations).with_max_lag(3).with_trace();
-    let out = pagerank::run_async_with_driver(&pool, &g, &parts, &cfg, driver);
-    let trace = out.report.trace.expect("traced run");
-    let traj = trace.lag_trajectory();
-    assert!(!traj.is_empty(), "admissions must record the effective-lag window");
-    for (at_ns, partition, window) in traj {
-        assert!(at_ns <= trace.wall_ns);
-        assert!((partition as usize) < parts.num_parts());
-        assert!(window <= 3, "effective lag {window} beyond the staleness bound");
-    }
-}
-
-#[test]
 fn chrome_trace_and_html_render_from_a_live_session() {
     let algo = Ring::new(6, 1e-9, 1);
     let pool = ThreadPool::new(2);
