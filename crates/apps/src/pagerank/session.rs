@@ -450,7 +450,7 @@ mod tests {
         let clean = run_async(&pool, &g, &parts, &cfg, 0);
         let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
             .with_checkpoints(CheckpointPolicy::EveryK(2))
-            .with_node_failures(NodeFailurePlan::correlated(0.2, 3, 71));
+            .with_node_failures(NodeFailurePlan::correlated(0.2, 71), 3);
         let faulty = run_async_with_driver(&pool, &g, &parts, &cfg, driver);
         assert!(faulty.report.rollbacks > 0, "0.2/(node, epoch) must fire");
         assert!(faulty.report.checkpoint_bytes > 0, "checkpoints must be metered");

@@ -351,7 +351,7 @@ mod tests {
         let clean = run_async(&pool, &wg, &parts, &cfg, 0);
         let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
             .with_checkpoints(CheckpointPolicy::EveryK(1))
-            .with_node_failures(NodeFailurePlan::correlated(0.25, 3, 3));
+            .with_node_failures(NodeFailurePlan::correlated(0.25, 3), 3);
         let faulty = run_async_with_driver(&pool, &wg, &parts, &cfg, driver);
         assert!(faulty.report.rollbacks > 0, "0.25/(node, epoch) must fire");
         assert_eq!(clean.report.global_iterations, faulty.report.global_iterations);

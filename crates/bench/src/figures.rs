@@ -15,8 +15,8 @@ use asyncmr_partition::{MultilevelKWay, Partitioner, Partitioning};
 use asyncmr_runtime::ThreadPool;
 use asyncmr_simcluster::workloads::ring_exchange;
 use asyncmr_simcluster::{
-    diff_runs, AsyncTaskSpec, ClusterSpec, FailurePlan, NodeFailurePlan as SimNodeFailurePlan,
-    RunRecord, SchedulerSpec, SharedBandwidth, SimTime, Simulation,
+    diff_runs, AsyncTaskSpec, ClusterSpec, FailurePlan, RunRecord, SchedulerSpec, SharedBandwidth,
+    SimTime, Simulation, NODE_DETECTION_DELAY,
 };
 
 use crate::report::{Figure, ReproConfig};
@@ -575,15 +575,15 @@ fn async_fault_rows(
             stats.failed_attempts.to_string(),
         );
     }
+    // One regime, handed to both layers: the replay prices it, the live
+    // session survives it.
+    let deaths = NodeFailurePlan::correlated(0.2, cfg.seed);
     for k in [1usize, 4] {
-        let stats = sim()
-            .with_node_failures(SimNodeFailurePlan::correlated(0.2, k, cfg.seed))
-            .run_async_schedule(&schedule);
+        let stats =
+            sim().with_node_failures(deaths, k, NODE_DETECTION_DELAY).run_async_schedule(&schedule);
         push_row(
             format!("node death 20%/epoch, ckpt k={k}"),
-            driver
-                .with_checkpoints(CheckpointPolicy::EveryK(k))
-                .with_node_failures(NodeFailurePlan::correlated(0.2, 8, cfg.seed)),
+            driver.with_checkpoints(CheckpointPolicy::EveryK(k)).with_node_failures(deaths, 8),
             stats.duration.as_secs_f64(),
             format!("{} node deaths", stats.node_failures),
         );

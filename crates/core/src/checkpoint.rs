@@ -25,8 +25,11 @@
 //!   snapshot sits at the same iteration and rollback never cascades
 //!   past the last declared checkpoint (no uncoordinated-checkpoint
 //!   domino effect).
-//! * [`NodeFailurePlan`] — deterministic correlated failures.
-//!   Partitions map onto virtual nodes (`partition % num_nodes`); at
+//! * [`NodeFailurePlan`] — deterministic correlated failures, the
+//!   regime the simulated replay shares (defined in `asyncmr-model`).
+//!   Partitions map onto virtual nodes (`partition % virtual_nodes`,
+//!   the count given beside the plan to
+//!   [`crate::session::AsyncFixedPointDriver::with_node_failures`]); at
 //!   every frontier advance (an *epoch*) each node draws a pure
 //!   splitmix64 verdict ([`crate::hash::verdict_unit`]) over
 //!   `(seed, node, epoch)`, capped per node so sessions always
@@ -44,7 +47,7 @@
 //! checkpointed states, so recovery is invisible in the result and
 //! visible only in the new meters.
 
-use crate::hash::verdict_unit;
+use asyncmr_model::NodeFailurePlan;
 
 /// When the session snapshots per-partition delivered state.
 ///
@@ -90,90 +93,6 @@ impl CheckpointPolicy {
                 assert!(b >= 1, "checkpoint byte budget must be at least 1 byte");
             }
         }
-    }
-}
-
-/// Correlated node-failure injection for in-process sessions, the
-/// node-level escalation of [`crate::session::SessionFailurePlan`]:
-/// instead of one attempt dying, a whole *virtual node* dies, taking
-/// every resident in-flight attempt and every delivered output past
-/// the last checkpoint with it.
-///
-/// Whether node `n` dies at epoch `e` (one epoch per frontier advance)
-/// is a pure function of `(seed, n, e)` via
-/// [`crate::hash::verdict_unit`], so an injected pattern is
-/// reproducible no matter how pool threads interleave. Each node dies
-/// at most [`NodeFailurePlan::max_node_failures`] times (the
-/// termination budget, mirroring the attempt budget), after which it
-/// is permanently stable — so a session under injection always
-/// terminates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeFailurePlan {
-    /// Probability that a given node dies at a given epoch, in
-    /// `[0, 1)`.
-    pub node_failure_prob: f64,
-    /// Virtual nodes partitions are spread over
-    /// (`partition % num_nodes`). Must be ≥ 1 when the plan is
-    /// enabled.
-    pub num_nodes: usize,
-    /// Deaths per node before it becomes permanently stable. Must be
-    /// ≥ 1 for the plan to be considered enabled.
-    pub max_node_failures: u32,
-    /// Seed for the per-(node, epoch) death verdict.
-    pub seed: u64,
-}
-
-impl NodeFailurePlan {
-    /// No injected node failures (the default).
-    pub fn none() -> Self {
-        NodeFailurePlan { node_failure_prob: 0.0, num_nodes: 8, max_node_failures: 2, seed: 0 }
-    }
-
-    /// A correlated-failure regime: `prob` per (node, epoch) over
-    /// `num_nodes` virtual nodes, at most two deaths per node.
-    pub fn correlated(prob: f64, num_nodes: usize, seed: u64) -> Self {
-        let plan =
-            NodeFailurePlan { node_failure_prob: prob, num_nodes, max_node_failures: 2, seed };
-        plan.validate();
-        plan
-    }
-
-    /// Whether this plan can ever kill a node.
-    pub fn enabled(&self) -> bool {
-        self.node_failure_prob > 0.0 && self.max_node_failures > 0
-    }
-
-    /// Panics unless the fields are in range (`prob ∈ [0, 1)`,
-    /// `num_nodes ≥ 1` when enabled). The driver calls this once at
-    /// injection time, like
-    /// [`crate::session::SessionFailurePlan::validate`].
-    pub fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.node_failure_prob),
-            "node failure probability must be in [0, 1), got {}",
-            self.node_failure_prob
-        );
-        if self.enabled() {
-            assert!(self.num_nodes >= 1, "an enabled plan needs at least one virtual node");
-        }
-    }
-
-    /// The virtual node partition `p` resides on.
-    pub fn node_of(&self, p: usize) -> usize {
-        p % self.num_nodes.max(1)
-    }
-
-    /// The deterministic per-(node, epoch) death verdict (the per-node
-    /// death budget is enforced by the session, keeping the verdict a
-    /// pure function).
-    pub fn node_fails(&self, node: usize, epoch: u64) -> bool {
-        self.enabled() && verdict_unit(self.seed, &[node as u64, epoch]) < self.node_failure_prob
-    }
-}
-
-impl Default for NodeFailurePlan {
-    fn default() -> Self {
-        NodeFailurePlan::none()
     }
 }
 
@@ -278,7 +197,9 @@ impl CheckpointTracker {
 pub(crate) struct Recovery {
     tracker: CheckpointTracker,
     plan: NodeFailurePlan,
-    /// Deaths fired per virtual node (the termination budget).
+    /// Deaths fired per virtual node (the termination budget); one
+    /// entry per virtual node, partition `p` residing on
+    /// `p % deaths.len()`.
     deaths: Vec<u32>,
     /// Frontier-advance counter — the node-failure verdict epoch.
     /// Counts *advances*, not iteration values, so re-advancing over
@@ -290,16 +211,31 @@ pub(crate) struct Recovery {
 }
 
 impl Recovery {
-    /// Recovery state for `partitions` partitions under already
-    /// validated `policy` and `plan`.
-    pub(crate) fn new(policy: CheckpointPolicy, plan: NodeFailurePlan, partitions: usize) -> Self {
+    /// Recovery state for `partitions` partitions spread over
+    /// `virtual_nodes` nodes, under already validated `policy` and
+    /// `plan`. Panics if an enabled plan has no node to kill.
+    pub(crate) fn new(
+        policy: CheckpointPolicy,
+        plan: NodeFailurePlan,
+        virtual_nodes: usize,
+        partitions: usize,
+    ) -> Self {
+        assert!(
+            !plan.enabled() || virtual_nodes >= 1,
+            "an enabled plan needs at least one virtual node"
+        );
         Recovery {
             tracker: CheckpointTracker::new(policy),
             plan,
-            deaths: vec![0; plan.num_nodes.max(1)],
+            deaths: vec![0; virtual_nodes],
             epoch: 0,
             generations: vec![0; partitions],
         }
+    }
+
+    /// The virtual node partition `p` resides on.
+    fn node_of(&self, p: usize) -> usize {
+        p % self.deaths.len()
     }
 
     /// Partition `p`'s rollback generation (stamped on every launch).
@@ -364,9 +300,9 @@ impl Recovery {
         let epoch = self.epoch;
         self.epoch += 1;
         let mut fired = Vec::new();
-        for n in 0..self.plan.num_nodes {
-            if self.deaths[n] < self.plan.max_node_failures && self.plan.node_fails(n, epoch) {
-                self.deaths[n] += 1;
+        for (n, deaths) in self.deaths.iter_mut().enumerate() {
+            if *deaths < self.plan.max_node_failures && self.plan.node_fails(n, epoch) {
+                *deaths += 1;
                 fired.push(n);
             }
         }
@@ -386,7 +322,7 @@ impl Recovery {
     ) -> Vec<usize> {
         self.tracker.on_rollback();
         let residents =
-            (0..consumers.len()).filter(|&p| fired.contains(&self.plan.node_of(p))).collect();
+            (0..consumers.len()).filter(|&p| fired.contains(&self.node_of(p))).collect();
         let rewound = contaminated(consumers, residents, self.checkpoint(), consumed);
         for &p in &rewound {
             self.generations[p] += 1;
@@ -533,17 +469,18 @@ mod tests {
 
     #[test]
     fn node_plan_maps_partitions_to_virtual_nodes() {
-        let plan = NodeFailurePlan::correlated(0.1, 3, 0);
-        assert_eq!(plan.node_of(0), 0);
-        assert_eq!(plan.node_of(4), 1);
-        assert_eq!(plan.node_of(5), 2);
+        let plan = NodeFailurePlan::correlated(0.1, 0);
+        let recovery = Recovery::new(CheckpointPolicy::EveryK(1), plan, 3, 6);
+        assert_eq!(recovery.node_of(0), 0);
+        assert_eq!(recovery.node_of(4), 1);
+        assert_eq!(recovery.node_of(5), 2);
     }
 
     #[test]
     fn node_verdicts_are_pure_seeded_and_fire() {
-        let a = NodeFailurePlan::correlated(0.3, 4, 11);
-        let b = NodeFailurePlan::correlated(0.3, 4, 11);
-        let c = NodeFailurePlan::correlated(0.3, 4, 12);
+        let a = NodeFailurePlan::correlated(0.3, 11);
+        let b = NodeFailurePlan::correlated(0.3, 11);
+        let c = NodeFailurePlan::correlated(0.3, 12);
         let mut fired = 0;
         let mut diverged = false;
         for node in 0..4 {
@@ -559,16 +496,16 @@ mod tests {
 
     #[test]
     fn core_and_simcluster_verdicts_share_one_hash() {
-        // The satellite contract: both plans draw from the same
-        // `verdict_unit`, so identical (seed, node, epoch) tuples give
-        // identical unit draws across the in-process and simulated
-        // injectors.
+        // The one plan both layers inject from draws its verdict as
+        // `verdict_unit(seed, [node, epoch]) < prob`, bit for bit — the
+        // formula the pinned chaos seeds and replay goldens rest on.
         for seed in [0u64, 42, 1007] {
+            let plan = NodeFailurePlan::correlated(0.3, seed);
             for node in 0..6usize {
                 for epoch in 0..20u64 {
                     assert_eq!(
-                        crate::hash::verdict_unit(seed, &[node as u64, epoch]),
-                        asyncmr_simcluster::verdict_unit(seed, &[node as u64, epoch]),
+                        plan.node_fails(node, epoch),
+                        crate::hash::verdict_unit(seed, &[node as u64, epoch]) < 0.3,
                     );
                 }
             }
@@ -579,8 +516,8 @@ mod tests {
     /// predecessor in its only slot), one virtual node per partition.
     fn chain() -> (Vec<Vec<(usize, usize)>>, Recovery) {
         let consumers = vec![vec![(1, 0)], vec![(2, 0)], vec![(3, 0)], vec![]];
-        let plan = NodeFailurePlan::correlated(0.5, 4, 0);
-        let mut recovery = Recovery::new(CheckpointPolicy::EveryK(2), plan, 4);
+        let plan = NodeFailurePlan::correlated(0.5, 0);
+        let mut recovery = Recovery::new(CheckpointPolicy::EveryK(2), plan, 4, 4);
         assert_eq!(recovery.on_frontier_advance(1, || 40), None);
         assert_eq!(recovery.on_frontier_advance(2, || 40), Some(40), "checkpoint C = 2");
         (consumers, recovery)
@@ -629,15 +566,14 @@ mod tests {
         // Absorbing 8 at cap 1 needs sources ≥ 7, but a rewind to C = 2
         // re-absorbs from there and needs sources ≥ C − cap = 1.
         assert_eq!(recovery.batch_floor(8, 1), 1);
-        let off = Recovery::new(CheckpointPolicy::Off, NodeFailurePlan::none(), 4);
+        let off = Recovery::new(CheckpointPolicy::Off, NodeFailurePlan::none(), 8, 4);
         assert_eq!((off.state_floor(7), off.batch_floor(8, 1)), (7, 7));
     }
 
     #[test]
     fn deaths_respect_the_per_node_budget() {
-        let plan =
-            NodeFailurePlan { node_failure_prob: 0.9, num_nodes: 2, max_node_failures: 3, seed: 4 };
-        let mut recovery = Recovery::new(CheckpointPolicy::EveryK(1), plan, 2);
+        let plan = NodeFailurePlan { node_failure_prob: 0.9, max_node_failures: 3, seed: 4 };
+        let mut recovery = Recovery::new(CheckpointPolicy::EveryK(1), plan, 2, 2);
         let mut deaths = [0u32; 2];
         for _ in 0..200 {
             for n in recovery.draw_deaths() {
@@ -645,20 +581,20 @@ mod tests {
             }
         }
         assert_eq!(deaths, [3, 3], "0.9 per epoch exhausts both budgets and then stops");
-        let mut off = Recovery::new(CheckpointPolicy::Off, NodeFailurePlan::none(), 2);
+        let mut off = Recovery::new(CheckpointPolicy::Off, NodeFailurePlan::none(), 8, 2);
         assert!(off.draw_deaths().is_empty());
     }
 
     #[test]
     #[should_panic(expected = "node failure probability")]
     fn out_of_range_probability_is_rejected() {
-        let _ = NodeFailurePlan::correlated(1.01, 4, 0);
+        let _ = NodeFailurePlan::correlated(1.01, 0);
     }
 
     #[test]
     #[should_panic(expected = "virtual node")]
     fn zero_nodes_is_rejected_when_enabled() {
-        let plan = NodeFailurePlan { num_nodes: 0, ..NodeFailurePlan::correlated(0.1, 4, 0) };
-        plan.validate();
+        let plan = NodeFailurePlan::correlated(0.1, 0);
+        let _ = Recovery::new(CheckpointPolicy::EveryK(1), plan, 0, 4);
     }
 }

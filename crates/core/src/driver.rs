@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use asyncmr_simcluster::SimTime;
+use asyncmr_model::SimTime;
 
 use crate::engine::Engine;
 

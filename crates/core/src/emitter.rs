@@ -58,7 +58,7 @@ impl<K: Key, V: Value> Emitter<K, V> {
 ///
 /// Applications call [`TaskMeter::add_ops`] with their natural work
 /// unit (edges relaxed, point-dimension products, …); the simulator's
-/// [`asyncmr_simcluster::CostModel`] turns ops into seconds. Tasks that
+/// `asyncmr_simcluster::CostModel` turns ops into seconds. Tasks that
 /// forget to meter still get record-count-based framework cost.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TaskMeter {

@@ -14,8 +14,8 @@
 //! 4. reduce: every reduce task groups its buckets into key-sorted
 //!    [`crate::shuffle::GroupView`]s (map-task-ordered values) over
 //!    buffers recycled across jobs, and reduces them,
-//! 5. the engine meters everything, and — when a [`Simulation`] is
-//!    attached — replays the metered job on the simulated cluster,
+//! 5. the engine meters everything, and — when a [`JobReplay`] (the
+//!    simulated cluster) is attached — replays the metered job on it,
 //!    appending the resulting [`JobStats`] to the engine's history.
 //!
 //! An engine runs that one body under one of two *schedules*: **staged**
@@ -51,8 +51,8 @@
 
 use std::time::{Duration, Instant};
 
+use asyncmr_model::{JobReplay, JobSpec, JobStats};
 use asyncmr_runtime::ThreadPool;
-use asyncmr_simcluster::{JobSpec, JobStats, SimTime, Simulation};
 
 use crate::plan::{self, PlanStore, ScratchArena, StageTimings};
 use crate::shuffle::{GroupingStrategy, PlanOutcome};
@@ -280,7 +280,7 @@ enum ShufflePath {
 /// The MapReduce execution engine (see module docs).
 pub struct Engine<'p> {
     pool: &'p ThreadPool,
-    sim: Option<Simulation>,
+    sim: Option<Box<dyn JobReplay + Send + 'p>>,
     records: Vec<JobRecord>,
     scratch: ScratchArena,
     plans: PlanStore,
@@ -298,7 +298,11 @@ impl std::fmt::Debug for Engine<'_> {
 }
 
 impl<'p> Engine<'p> {
-    fn new(pool: &'p ThreadPool, sim: Option<Simulation>, path: ShufflePath) -> Self {
+    fn new(
+        pool: &'p ThreadPool,
+        sim: Option<Box<dyn JobReplay + Send + 'p>>,
+        path: ShufflePath,
+    ) -> Self {
         let (scratch, plans) = (ScratchArena::new(), PlanStore::new());
         Engine { pool, sim, records: Vec::new(), scratch, plans, path }
     }
@@ -308,8 +312,9 @@ impl<'p> Engine<'p> {
         Engine::new(pool, None, ShufflePath::Staged)
     }
 
-    /// An engine that additionally replays every job on a simulated
-    /// cluster.
+    /// An engine that additionally replays every job on `sim` — the
+    /// simulated cluster (`asyncmr_simcluster::Simulation`), or anything
+    /// else that prices a metered [`JobSpec`].
     ///
     /// Starts on the staged (barrier) schedule; compose with
     /// [`Engine::pipelined`] to simulate *and* execute under the
@@ -317,16 +322,24 @@ impl<'p> Engine<'p> {
     ///
     /// ```
     /// use asyncmr_core::Engine;
+    /// use asyncmr_model::{JobReplay, JobSpec, JobStats, SimTime};
     /// use asyncmr_runtime::ThreadPool;
-    /// use asyncmr_simcluster::{ClusterSpec, Simulation};
+    ///
+    /// /// Prices every job at one simulated second.
+    /// struct OneSecond;
+    /// impl JobReplay for OneSecond {
+    ///     fn run_job(&mut self, job: &JobSpec) -> JobStats {
+    ///         let duration = SimTime::from_secs(1);
+    ///         JobStats { name: job.name.clone(), duration, ..JobStats::default() }
+    ///     }
+    /// }
     ///
     /// let pool = ThreadPool::new(2);
-    /// let sim = Simulation::new(ClusterSpec::ec2_2010(), 42);
-    /// let engine = Engine::with_simulation(&pool, sim).pipelined();
-    /// assert!(engine.simulation().is_some());
+    /// let engine = Engine::with_simulation(&pool, OneSecond).pipelined();
+    /// assert!(format!("{engine:?}").contains("simulating: true"));
     /// ```
-    pub fn with_simulation(pool: &'p ThreadPool, sim: Simulation) -> Self {
-        Engine::new(pool, Some(sim), ShufflePath::Staged)
+    pub fn with_simulation(pool: &'p ThreadPool, sim: impl JobReplay + Send + 'p) -> Self {
+        Engine::new(pool, Some(Box::new(sim)), ShufflePath::Staged)
     }
 
     /// Switches this engine to the **pipelined** schedule, keeping
@@ -369,16 +382,6 @@ impl<'p> Engine<'p> {
     /// The thread pool tasks run on.
     pub fn pool(&self) -> &'p ThreadPool {
         self.pool
-    }
-
-    /// Current simulated clock, if simulating.
-    pub fn sim_now(&self) -> Option<SimTime> {
-        self.sim.as_ref().map(Simulation::now)
-    }
-
-    /// The attached simulation, if any.
-    pub fn simulation(&self) -> Option<&Simulation> {
-        self.sim.as_ref()
     }
 
     /// History of all jobs run by this engine, in order.
@@ -457,7 +460,34 @@ mod tests {
     use crate::hash::reducer_for;
     use crate::local::tests::Decay;
     use crate::local::EagerMapper;
-    use asyncmr_simcluster::ClusterSpec;
+    use asyncmr_model::SimTime;
+
+    /// A [`JobReplay`] with no cluster behind it: one simulated second
+    /// per job on a running clock (after `host_cost` of real time), the
+    /// stats echoing the profile it was handed.
+    #[derive(Default)]
+    struct FakeReplay {
+        now: SimTime,
+        host_cost: Duration,
+    }
+
+    impl JobReplay for FakeReplay {
+        fn run_job(&mut self, job: &JobSpec) -> JobStats {
+            std::thread::sleep(self.host_cost);
+            let submitted_at = self.now;
+            self.now += SimTime::from_secs(1);
+            JobStats {
+                name: job.name.clone(),
+                submitted_at,
+                finished_at: self.now,
+                duration: SimTime::from_secs(1),
+                map_tasks: job.maps.len(),
+                reduce_tasks: job.reduces.len(),
+                network_bytes: job.total_shuffle_bytes(),
+                ..JobStats::default()
+            }
+        }
+    }
 
     struct SquareMapper;
     impl Mapper for SquareMapper {
@@ -839,45 +869,35 @@ mod tests {
             &JobOptions::with_reducers(4),
         );
 
-        let sim = Simulation::new(ClusterSpec::ec2_2010(), 42);
-        let mut sim_engine = Engine::with_simulation(&pool, sim);
+        let mut sim_engine = Engine::with_simulation(&pool, FakeReplay::default());
         let simmed =
             sim_engine.run("x", &inputs, &SquareMapper, &SumReducer, &JobOptions::with_reducers(4));
 
         assert_eq!(plain.pairs, simmed.pairs);
         let stats = simmed.sim.expect("simulated stats present");
-        assert!(stats.duration.as_secs_f64() > 0.0);
-        assert_eq!(stats.map_tasks, 8);
+        assert_eq!((stats.name.as_str(), stats.map_tasks), ("x", 8));
+        assert_eq!(stats.submitted_at, SimTime::ZERO, "one job, one replay call");
         assert_eq!(sim_engine.history().len(), 1);
-        assert_eq!(sim_engine.sim_now(), Some(stats.finished_at));
+        assert_eq!(sim_engine.history()[0].sim.as_ref(), Some(&stats));
     }
 
     #[test]
     fn wall_excludes_the_simulated_replay() {
-        // 20 000 one-record map tasks are an event storm to replay:
-        // milliseconds of simulator host time, which the caller's clock
-        // sees and `wall` — this job's execution time — must not. (Read
-        // after the replay, `wall` trails the caller's clock by about a
+        // The replay costs host time, which the caller's clock sees and
+        // `wall` — this job's execution time — must not. (Read after
+        // the replay, `wall` trails the caller's clock by about a
         // microsecond.)
-        struct One;
-        impl Mapper for One {
-            type Input = u32;
-            type Key = u32;
-            type Value = u64;
-            fn map(&self, _t: usize, _input: &u32, ctx: &mut MapContext<u32, u64>) {
-                ctx.emit_intermediate(0, 1);
-            }
-        }
         let pool = ThreadPool::new(2);
-        let inputs: Vec<u32> = (0..20_000).collect();
-        let sim = Simulation::new(ClusterSpec::ec2_2010(), 7);
-        let mut engine = Engine::with_simulation(&pool, sim);
+        let host_cost = Duration::from_millis(2);
+        let replay = FakeReplay { host_cost, ..FakeReplay::default() };
+        let mut engine = Engine::with_simulation(&pool, replay);
         let t = Instant::now();
-        let out = engine.run("many", &inputs, &One, &SumReducer, &JobOptions::with_reducers(1));
+        let out =
+            engine.run("x", &splits(), &SquareMapper, &SumReducer, &JobOptions::with_reducers(1));
         let with_replay = t.elapsed();
         assert_eq!(engine.history()[0].wall, out.wall);
         assert!(
-            with_replay - out.wall >= Duration::from_micros(100),
+            with_replay - out.wall >= host_cost,
             "wall {:?} bills the replay (caller saw {with_replay:?})",
             out.wall
         );
@@ -907,18 +927,17 @@ mod tests {
     #[test]
     fn pipelined_engine_composes_with_simulation() {
         // Strategy × simulation must be a full matrix: the pipelined
-        // path metered identically, so the simulated replay agrees with
-        // the staged engine's byte-for-byte.
+        // path metered identically, so the replay is handed the same
+        // profile as the staged engine's (the real simulator's
+        // byte-for-byte agreement is `tests/driver_equivalence.rs`).
         let pool = ThreadPool::new(4);
         let inputs = splits();
         let opts = JobOptions::with_reducers(4);
 
-        let staged_sim = Simulation::new(ClusterSpec::ec2_2010(), 42);
-        let mut staged = Engine::with_simulation(&pool, staged_sim);
+        let mut staged = Engine::with_simulation(&pool, FakeReplay::default());
         let a = staged.run("x", &inputs, &SquareMapper, &SumReducer, &opts);
 
-        let pipelined_sim = Simulation::new(ClusterSpec::ec2_2010(), 42);
-        let mut pipelined = Engine::with_simulation(&pool, pipelined_sim).pipelined();
+        let mut pipelined = Engine::with_simulation(&pool, FakeReplay::default()).pipelined();
         let b = pipelined.run("x", &inputs, &SquareMapper, &SumReducer, &opts);
 
         assert_eq!(a.pairs, b.pairs);
@@ -931,8 +950,7 @@ mod tests {
     #[test]
     fn sim_clock_accumulates_over_iterations() {
         let pool = ThreadPool::new(2);
-        let sim = Simulation::new(ClusterSpec::ec2_2010(), 1);
-        let mut engine = Engine::with_simulation(&pool, sim);
+        let mut engine = Engine::with_simulation(&pool, FakeReplay::default());
         let inputs = splits();
         let first = engine
             .run("it0", &inputs, &SquareMapper, &SumReducer, &JobOptions::with_reducers(2))

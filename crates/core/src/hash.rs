@@ -7,21 +7,18 @@
 //! deterministic across runs and platforms, and fast on the short keys
 //! (node ids, centroid ids) the applications shuffle.
 //!
-//! The module is also the workspace-wide home of the **splitmix64
-//! verdict hashing** every failure injector shares: whether a gmap
-//! attempt dies ([`crate::session::SessionFailurePlan`]), or a virtual
-//! node dies at an epoch ([`crate::checkpoint::NodeFailurePlan`] and
-//! the simulator's `asyncmr_simcluster::NodeFailurePlan`), is
+//! The module also re-exports the **splitmix64 verdict hashing** every
+//! failure injector shares ([`asyncmr_model::failure`] holds the one
+//! implementation): whether a gmap attempt dies
+//! ([`crate::session::SessionFailurePlan`]), or a node dies at an epoch
+//! ([`crate::NodeFailurePlan`], in-process and simulated alike), is
 //! `verdict_unit(seed, &[...]) < prob` — a pure function of its
 //! inputs, so injected patterns are reproducible under any thread
-//! interleaving. There is exactly one implementation: it lives in
-//! `asyncmr_simcluster::failure` (this crate depends on `simcluster`,
-//! not the other way around, so the shared helper must sit on that
-//! side of the edge) and is re-exported here as the canonical name.
+//! interleaving.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-pub use asyncmr_simcluster::failure::{splitmix64, verdict_unit};
+pub use asyncmr_model::failure::{splitmix64, verdict_unit};
 
 /// FNV-1a, 64-bit.
 #[derive(Debug, Clone, Copy)]

@@ -38,10 +38,13 @@
 //! with a kept-for-test **oracle** ([`Engine::with_reference_shuffle`])
 //! beside them; all three byte-identical in output. Optionally the
 //! engine *also* meters every task (bytes, records, abstract ops) and replays the
-//! job on the [`asyncmr_simcluster::Simulation`] of the paper's 8-node
-//! EC2/Hadoop testbed, yielding the simulated wall-clock each figure
-//! reports. Algorithmic results are identical under both backends by
-//! construction — the simulator never touches the data.
+//! job on an attached [`asyncmr_model::JobReplay`] — in practice
+//! `asyncmr_simcluster::Simulation`, the paper's 8-node EC2/Hadoop
+//! testbed — yielding the simulated wall-clock each figure reports.
+//! Algorithmic results are identical under both backends by
+//! construction — the replay never touches the data. What this crate
+//! shares with the simulator lives in `asyncmr-model`; it does not
+//! depend on the simulator itself.
 //!
 //! ```
 //! use asyncmr_core::prelude::*;
@@ -94,7 +97,8 @@ pub mod session;
 pub mod shuffle;
 pub mod traits;
 
-pub use checkpoint::{CheckpointPolicy, NodeFailurePlan};
+pub use asyncmr_model::NodeFailurePlan;
+pub use checkpoint::CheckpointPolicy;
 pub use driver::{FixedPointDriver, IterationReport, StepStatus};
 pub use emitter::{Emitter, MapContext, ReduceContext, TaskMeter};
 pub use engine::{Engine, JobMeter, JobOptions, JobResult, JobReuse, PlanUse};
@@ -111,7 +115,7 @@ pub use traits::{Combiner, Mapper, Reducer};
 
 /// Glob import for application code.
 pub mod prelude {
-    pub use crate::checkpoint::{CheckpointPolicy, NodeFailurePlan};
+    pub use crate::checkpoint::CheckpointPolicy;
     pub use crate::driver::{FixedPointDriver, IterationReport, StepStatus};
     pub use crate::emitter::{MapContext, ReduceContext};
     pub use crate::engine::{Engine, JobOptions, JobResult};
@@ -125,4 +129,5 @@ pub mod prelude {
     };
     pub use crate::shuffle::GroupingStrategy;
     pub use crate::traits::{Combiner, Mapper, Reducer};
+    pub use asyncmr_model::NodeFailurePlan;
 }

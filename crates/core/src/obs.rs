@@ -20,17 +20,17 @@
 //! pool's [`ParkObserver`] hook (intervals already in progress when
 //! recording starts are clamped to the epoch).
 //!
-//! The data model ([`SessionTrace`], [`Span`], [`Mark`]) lives in
-//! `asyncmr_simcluster::trace::span` — the dependency arrow points
-//! core → simcluster, and the unified Chrome-trace/HTML renderer there
-//! must accept live and simulated runs alike.
+//! The data model ([`SessionTrace`], [`Span`], [`Mark`]) is
+//! [`asyncmr_model::trace::span`], shared with the simulator's unified
+//! Chrome-trace/HTML renderer, which accepts live and simulated runs
+//! alike.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use asyncmr_model::{Mark, MarkKind, SessionTrace, Span, SpanKind, Stall};
 use asyncmr_runtime::{current_worker, ParkObserver};
-use asyncmr_simcluster::{Mark, MarkKind, SessionTrace, Span, SpanKind, Stall};
 
 /// Lock-light per-lane span recorder for one traced session run.
 ///
@@ -256,7 +256,6 @@ impl SessionObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asyncmr_simcluster::MarkKind;
 
     #[test]
     fn spans_land_on_the_callers_lane() {

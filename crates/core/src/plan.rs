@@ -80,8 +80,8 @@ use std::ops::Range;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use asyncmr_model::{MapTaskSpec, ReduceTaskSpec};
 use asyncmr_runtime::{FollowUp, ThreadPool};
-use asyncmr_simcluster::{MapTaskSpec, ReduceTaskSpec};
 
 use crate::emitter::{MapContext, ReduceContext, Routed};
 use crate::engine::{JobMeter, JobOptions, JobReuse, PlanUse};

@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use asyncmr_simcluster::AsyncTaskSpec;
+use asyncmr_model::AsyncTaskSpec;
 
 /// Everything metered per global iteration, summed over partitions.
 #[derive(Debug, Clone, Default)]

@@ -40,10 +40,9 @@
 //! the convergence iteration is discarded (and reported).
 //!
 //! Every executed gmap is metered into an
-//! [`asyncmr_simcluster::AsyncTaskSpec`]; replaying the recorded
-//! schedule with [`asyncmr_simcluster::Simulation::run_async_schedule`]
-//! shows the win in *simulated* cluster time too, not just host
-//! wall-clock.
+//! [`asyncmr_model::AsyncTaskSpec`]; replaying the recorded schedule
+//! with the simulator's `Simulation::run_async_schedule` shows the win
+//! in *simulated* cluster time too, not just host wall-clock.
 //!
 //! ## Components
 //!
@@ -58,7 +57,7 @@
 //! |---|---|---|---|
 //! | `topology::Topology` | `consumers` is the inverse of `deps`, each entry carrying the producer's mailbox *slot* — delivery and rollback never search | nothing (immutable, built once, shared by `&`) | [`AsyncIterative::dependencies`] |
 //! | `store::Store` | held bytes = Σ retained states + Σ mailbox batches, with its high-water mark; the only code that moves a state, a batch, or a pooled buffer | `&Topology` | — (feeds [`SessionReport::peak_state_bytes`]) |
-//! | `checkpoint::Recovery` | per-node death budget, verdict epoch, per-partition rollback generations; the contamination closure is a pure function of the consumers table + consumption log | the consumers table and the consumption log, as plain slices (read-only; `checkpoint` imports nothing from `session`) | [`AsyncFixedPointDriver::checkpoints`], [`AsyncFixedPointDriver::node_failures`] |
+//! | `checkpoint::Recovery` | per-node death budget, verdict epoch, per-partition rollback generations; the contamination closure is a pure function of the consumers table + consumption log | the consumers table and the consumption log, as plain slices (read-only; `checkpoint` imports nothing from `session`) | [`AsyncFixedPointDriver::checkpoints`], [`AsyncFixedPointDriver::node_failures`], [`AsyncFixedPointDriver::virtual_nodes`] |
 //! | `meter::SessionMeter` | each per-iteration record = Σ of the per-partition records logged for it; rollback unwinds exactly (checked, never clamped) | nothing | — (feeds [`SessionReport`]) |
 //! | `obs::SessionObs` | every call is a no-op on an untraced run; one definition of the scheduler-lane span | nothing | [`AsyncFixedPointDriver::trace`] |
 //!
@@ -115,8 +114,8 @@
 //! Attempt-level recovery leans on delivery atomicity: a dead attempt
 //! delivered nothing, so nothing downstream needs undoing. A **node**
 //! failure breaks that: a dying virtual node
-//! ([`crate::checkpoint::NodeFailurePlan`], partitions mapped
-//! `p % num_nodes`) takes every resident in-flight attempt *and every
+//! ([`crate::NodeFailurePlan`], partitions mapped
+//! `p % virtual_nodes`) takes every resident in-flight attempt *and every
 //! output its partitions already delivered past the last checkpoint*
 //! with it — so consumers that absorbed those outputs hold state
 //! derived from data that no longer exists, and the session must
@@ -163,10 +162,10 @@ mod topology;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use asyncmr_model::{AsyncTaskSpec, NodeFailurePlan, SessionTrace};
 use asyncmr_runtime::{PoolMetrics, ThreadPool};
-use asyncmr_simcluster::{AsyncTaskSpec, SessionTrace};
 
-use crate::checkpoint::{CheckpointPolicy, NodeFailurePlan};
+use crate::checkpoint::CheckpointPolicy;
 use crate::hash::verdict_unit;
 use crate::obs::SpanRecorder;
 use sched::{run_attempt, Session};
@@ -477,7 +476,7 @@ pub struct SessionReport {
     /// transient deaths re-executed by the attempt-tracking layer,
     /// plus in-flight attempts orphaned by a node-failure rollback
     /// (0 without a [`SessionFailurePlan`] or
-    /// [`crate::checkpoint::NodeFailurePlan`]).
+    /// [`crate::NodeFailurePlan`]).
     pub failed_attempts: usize,
     /// Wall-clock burned by failed attempts before they died (wasted
     /// gmap-seconds from transient failures and orphaned attempts).
@@ -485,7 +484,7 @@ pub struct SessionReport {
     /// Injected node-failure events (each fired node death triggers
     /// one rollback of its resident partitions and their transitive
     /// dependents; 0 without a
-    /// [`crate::checkpoint::NodeFailurePlan`]).
+    /// [`crate::NodeFailurePlan`]).
     pub rollbacks: usize,
     /// Absorbed iterations undone by rollbacks, summed over affected
     /// partitions — the re-execution debt node failures created. How
@@ -530,7 +529,7 @@ pub struct SessionReport {
     pub trace: Option<SessionTrace>,
     /// The executed cross-iteration schedule (contributing tasks only,
     /// topologically ordered), ready for
-    /// [`asyncmr_simcluster::Simulation::run_async_schedule`].
+    /// `asyncmr_simcluster::Simulation::run_async_schedule`.
     pub schedule: Vec<AsyncTaskSpec>,
 }
 
@@ -596,6 +595,10 @@ pub struct AsyncFixedPointDriver {
     /// [`NodeFailurePlan::none`]). Validated once at the start of
     /// [`AsyncFixedPointDriver::run`].
     pub node_failures: NodeFailurePlan,
+    /// Virtual nodes the partitions are spread over for node-failure
+    /// injection (`partition % virtual_nodes`; defaults to 8, the
+    /// paper's cluster). Must be ≥ 1 when `node_failures` is enabled.
+    pub virtual_nodes: usize,
     /// When `true`, the run records a per-attempt span trace (see
     /// [`crate::obs`]) and attaches it as
     /// [`SessionReport::trace`]. Off by default: an untraced run pays
@@ -613,6 +616,7 @@ impl Default for AsyncFixedPointDriver {
             failures: SessionFailurePlan::none(),
             checkpoints: CheckpointPolicy::Off,
             node_failures: NodeFailurePlan::none(),
+            virtual_nodes: 8,
             trace: false,
         }
     }
@@ -651,14 +655,17 @@ impl AsyncFixedPointDriver {
     }
 
     /// Enables correlated node-failure injection (see the
-    /// [module docs](self#checkpointrollback-correlated-node-failures)).
-    /// Requires a checkpoint policy
+    /// [module docs](self#checkpointrollback-correlated-node-failures)):
+    /// `plan` is the regime a simulated replay shares, `virtual_nodes`
+    /// how many nodes this session spreads its partitions over
+    /// (`partition % virtual_nodes`). Requires a checkpoint policy
     /// ([`AsyncFixedPointDriver::with_checkpoints`]) — enforced at the
     /// start of [`AsyncFixedPointDriver::run`]. Converged results stay
     /// byte-identical at `max_lag = 0`; only the rollback/wasted-work
     /// accounting and wall-clock change.
-    pub fn with_node_failures(mut self, plan: NodeFailurePlan) -> Self {
+    pub fn with_node_failures(mut self, plan: NodeFailurePlan, virtual_nodes: usize) -> Self {
         self.node_failures = plan;
+        self.virtual_nodes = virtual_nodes;
         self
     }
 
@@ -1099,7 +1106,7 @@ mod tests {
         let clean = AsyncFixedPointDriver::new(500).run(&p, &algo);
         let faulty = AsyncFixedPointDriver::new(500)
             .with_checkpoints(CheckpointPolicy::EveryK(2))
-            .with_node_failures(NodeFailurePlan::correlated(0.2, 3, 42))
+            .with_node_failures(NodeFailurePlan::correlated(0.2, 42), 3)
             .run(&p, &algo);
         assert!(faulty.report.rollbacks > 0, "0.2/(node, epoch) must fire");
         assert!(
@@ -1126,7 +1133,7 @@ mod tests {
         let faulty = AsyncFixedPointDriver::new(400)
             .with_failures(SessionFailurePlan::transient(0.2, 5))
             .with_checkpoints(CheckpointPolicy::EveryK(1))
-            .with_node_failures(NodeFailurePlan::correlated(0.15, 2, 11))
+            .with_node_failures(NodeFailurePlan::correlated(0.15, 11), 2)
             .run(&p, &algo);
         assert!(faulty.report.failed_attempts > 0);
         assert!(faulty.report.rollbacks > 0);
@@ -1144,7 +1151,7 @@ mod tests {
         let faulty = AsyncFixedPointDriver::new(2_000)
             .with_max_lag(2)
             .with_checkpoints(CheckpointPolicy::EveryK(4))
-            .with_node_failures(NodeFailurePlan::correlated(0.15, 3, 9))
+            .with_node_failures(NodeFailurePlan::correlated(0.15, 9), 3)
             .run(&p, &algo);
         assert!(exact.report.converged && faulty.report.converged);
         for (x, y) in exact.states.iter().zip(&faulty.states) {
@@ -1160,11 +1167,10 @@ mod tests {
         let algo = Ring::new(6, 1e-8, true);
         let p = pool();
         let clean = AsyncFixedPointDriver::new(300).run(&p, &algo);
-        let plan =
-            NodeFailurePlan { node_failure_prob: 0.9, num_nodes: 2, max_node_failures: 3, seed: 4 };
+        let plan = NodeFailurePlan { node_failure_prob: 0.9, max_node_failures: 3, seed: 4 };
         let faulty = AsyncFixedPointDriver::new(300)
             .with_checkpoints(CheckpointPolicy::EveryK(1))
-            .with_node_failures(plan)
+            .with_node_failures(plan, 2)
             .run(&p, &algo);
         assert!(faulty.report.converged, "the per-node budget must guarantee termination");
         assert!(faulty.report.rollbacks <= 2 * 3, "budget: ≤ max_node_failures per node");
@@ -1178,7 +1184,7 @@ mod tests {
     fn node_failures_without_checkpoints_are_rejected() {
         let algo = Ring::new(3, 1e-6, true);
         let _ = AsyncFixedPointDriver::new(10)
-            .with_node_failures(NodeFailurePlan::correlated(0.1, 2, 0))
+            .with_node_failures(NodeFailurePlan::correlated(0.1, 0), 2)
             .run(&pool(), &algo);
     }
 
@@ -1189,7 +1195,7 @@ mod tests {
         let algo = Ring::new(3, 1e-6, true);
         let _ = AsyncFixedPointDriver::new(10)
             .with_checkpoints(CheckpointPolicy::EveryK(1))
-            .with_node_failures(plan)
+            .with_node_failures(plan, 8)
             .run(&pool(), &algo);
     }
 
@@ -1219,7 +1225,7 @@ mod tests {
             if node_failures {
                 driver = driver
                     .with_checkpoints(CheckpointPolicy::EveryK(2))
-                    .with_node_failures(NodeFailurePlan::correlated(0.2, 3, 42));
+                    .with_node_failures(NodeFailurePlan::correlated(0.2, 42), 3);
             }
             let report = driver.run(&pool(), &algo).report;
             assert!(report.converged);

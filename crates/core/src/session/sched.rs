@@ -7,8 +7,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use asyncmr_model::{AsyncTaskSpec, MarkKind, SpanKind};
 use asyncmr_runtime::{PoolMetrics, Wave};
-use asyncmr_simcluster::{AsyncTaskSpec, MarkKind, SpanKind};
 
 use super::meter::SessionMeter;
 use super::store::Store;
@@ -141,7 +141,12 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
             topo,
             store: Store::new(topo, init),
             max_lag: driver.max_lag,
-            recovery: Recovery::new(driver.checkpoints, driver.node_failures, k),
+            recovery: Recovery::new(
+                driver.checkpoints,
+                driver.node_failures,
+                driver.virtual_nodes,
+                k,
+            ),
             meter: SessionMeter::new(k),
             obs: recorder.map_or_else(SessionObs::default, |rec| SessionObs::new(rec, k)),
             parts: (0..k)

@@ -3,7 +3,9 @@
 //! A [`JobSpec`] is produced by the engine after it has *actually run*
 //! the map and reduce functions in-process: every task carries its real
 //! input bytes, abstract operation count, and output bytes. The
-//! simulator replays the job's schedule on the modeled cluster.
+//! simulator replays the job's schedule on the modeled cluster. An
+//! asynchronous session records one [`AsyncTaskSpec`] per `gmap` the
+//! same way.
 
 /// Metered profile of a single map task (a paper `gmap` invocation —
 /// which may internally contain many local map/reduce iterations, all
@@ -108,6 +110,58 @@ impl JobSpec {
     pub fn total_ops(&self) -> u64 {
         self.maps.iter().map(|m| m.ops).sum::<u64>()
             + self.reduces.iter().map(|r| r.ops).sum::<u64>()
+    }
+}
+
+/// Metered profile of one asynchronous `gmap` task (one partition at
+/// one global iteration), plus its dependency edges.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AsyncTaskSpec {
+    /// The partition this task advanced.
+    pub partition: usize,
+    /// The global iteration it computed.
+    pub iteration: usize,
+    /// Input split bytes. Read from the DFS only at iteration 0 — the
+    /// session keeps partition state resident afterwards.
+    pub input_bytes: u64,
+    /// Abstract operations performed (engine-metered).
+    pub ops: u64,
+    /// Messages emitted (framework per-record overhead).
+    pub output_records: u64,
+    /// Message bytes emitted to dependent partitions.
+    pub output_bytes: u64,
+    /// Indices (into the schedule's task list) of the producer tasks
+    /// this task waited for. Must all be smaller than this task's own
+    /// index — the list is a topological order by construction.
+    pub deps: Vec<usize>,
+}
+
+impl AsyncTaskSpec {
+    /// Convenience constructor; records default from bytes like
+    /// [`MapTaskSpec::new`].
+    pub fn new(partition: usize, iteration: usize, input_bytes: u64, ops: u64) -> Self {
+        AsyncTaskSpec {
+            partition,
+            iteration,
+            input_bytes,
+            ops,
+            output_records: 0,
+            output_bytes: 0,
+            deps: Vec::new(),
+        }
+    }
+
+    /// Sets the emitted message volume.
+    pub fn with_output(mut self, records: u64, bytes: u64) -> Self {
+        self.output_records = records;
+        self.output_bytes = bytes;
+        self
+    }
+
+    /// Sets the dependency edges.
+    pub fn with_deps(mut self, deps: Vec<usize>) -> Self {
+        self.deps = deps;
+        self
     }
 }
 

@@ -22,9 +22,9 @@ thread_local! {
 /// simulator bug: debug builds panic at the site, release builds clamp
 /// the span to zero and bump this counter instead of silently losing
 /// the evidence. Drivers snapshot it around a run and surface the delta
-/// next to the other promoted invariants (see
-/// [`crate::stats::CommitAccounting::time_underflows`]). Intentional
-/// clamps use [`SimTime::saturating_sub`], which never counts.
+/// next to the other promoted invariants (see the simulator's
+/// `CommitAccounting::time_underflows`). Intentional clamps use
+/// [`SimTime::saturating_sub`], which never counts.
 pub fn underflow_count() -> u64 {
     UNDERFLOWS.with(|c| c.get())
 }

@@ -1,15 +1,14 @@
 //! The shared span model for *live* session traces.
 //!
-//! The simulator's replays leave a [`crate::event_core`] trace behind;
-//! the real in-process driver (`asyncmr-core`'s session layer) has no
-//! event queue to record, so it records **spans**: timestamped
-//! intervals on execution *lanes* (one per pool worker, plus the
-//! scheduler/driver thread), tagged with the `(partition, iteration,
-//! attempt)` they belong to. This module owns the data model both
-//! layers' renderers share — it lives here (not in `asyncmr-core`)
-//! because the dependency arrow points core → simcluster, and the
-//! unified report in [`crate::trace::report`] must accept either a
-//! [`SessionTrace`] or a simulated [`crate::trace::RunRecord`].
+//! The simulator's replays leave an event trace behind; the real
+//! in-process driver (`asyncmr-core`'s session layer) has no event
+//! queue to record, so it records **spans**: timestamped intervals on
+//! execution *lanes* (one per pool worker, plus the scheduler/driver
+//! thread), tagged with the `(partition, iteration, attempt)` they
+//! belong to. This module owns the data model the recorder
+//! (`asyncmr_core::obs`) fills and the unified report
+//! (`asyncmr_simcluster::trace::report`) renders beside a simulated
+//! run.
 //!
 //! All times are **nanoseconds from the recorder's epoch** (a single
 //! monotonic [`std::time::Instant`] taken when recording starts). The
@@ -25,10 +24,10 @@
 //! * an in-process critical path ([`SessionTrace::critical_path`])
 //!   that walks the recorded schedule back along latest-finishing
 //!   dependency edges exactly like the simulator's
-//!   [`crate::trace::TraceReader::critical_path`], so real and
-//!   simulated bottlenecks compare like-for-like.
+//!   `TraceReader::critical_path`, so real and simulated bottlenecks
+//!   compare like-for-like.
 
-use crate::asyncsched::AsyncTaskSpec;
+use crate::job::AsyncTaskSpec;
 use crate::time::SimTime;
 use crate::trace::{CritHop, CriticalPath};
 

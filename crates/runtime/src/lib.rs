@@ -9,7 +9,9 @@
 //!
 //! The design follows the classic work-stealing architecture (one
 //! [`crossbeam_deque::Worker`] per thread, a shared
-//! [`crossbeam_deque::Injector`], random-order stealing), with:
+//! [`crossbeam_deque::Injector`]; a starved worker tries the injector,
+//! then its peers' deques in index order — the vendored deques are
+//! mutex-backed, not lock-free), with:
 //!
 //! * [`ThreadPool::scope`] — structured (borrow-friendly) task spawning
 //!   with panic propagation, in the spirit of `rayon::scope` /

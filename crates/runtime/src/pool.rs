@@ -4,12 +4,20 @@
 //!
 //! ```text
 //!                 +--------------------+
-//!   submitters -> |  Injector (FIFO)   |   shared, lock-free
+//!   submitters -> |  Injector (FIFO)   |   shared, one mutex
 //!                 +--------------------+
 //!                    |     |       |
 //!                 worker0 worker1 worker2 ...   each owns a LIFO deque,
 //!                    \______steal______/        steals when starved
 //! ```
+//!
+//! The queues are the in-tree `crossbeam-deque` stand-in: each is a
+//! `Mutex<VecDeque>`, not a lock-free deque, and never reports
+//! `Steal::Retry`. A starved worker (or a thread helping while it waits
+//! on a scope) looks for work in a fixed order — the injector first,
+//! then the other workers' deques by ascending index, skipping its own
+//! (`Shared::find_task`) — so which victim loses a task depends only on
+//! which deques are non-empty at that moment, not on a random draw.
 //!
 //! Idle workers park on a `Condvar` with a short timeout; every task
 //! submission rings the condvar, and before parking a worker re-checks

@@ -95,65 +95,15 @@
 
 use rand::RngExt;
 
+pub use asyncmr_model::AsyncTaskSpec;
+
 use crate::cluster::ClusterSpec;
 use crate::event_core::{ComponentId, Ev, EventCore, EventHandler};
-use crate::failure::{FailurePlan, NodeFailurePlan};
+use crate::failure::{last_checkpoint, FailurePlan, NodeFailurePlan};
 use crate::sched::{candidates, CritComposition, SchedView, Scheduler, SlotState};
 use crate::sim::Simulation;
 use crate::stats::CommitAccounting;
 use crate::time::SimTime;
-
-/// Metered profile of one asynchronous `gmap` task (one partition at
-/// one global iteration), plus its dependency edges.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsyncTaskSpec {
-    /// The partition this task advanced.
-    pub partition: usize,
-    /// The global iteration it computed.
-    pub iteration: usize,
-    /// Input split bytes. Read from the DFS only at iteration 0 — the
-    /// session keeps partition state resident afterwards.
-    pub input_bytes: u64,
-    /// Abstract operations performed (engine-metered).
-    pub ops: u64,
-    /// Messages emitted (framework per-record overhead).
-    pub output_records: u64,
-    /// Message bytes emitted to dependent partitions.
-    pub output_bytes: u64,
-    /// Indices (into the schedule's task list) of the producer tasks
-    /// this task waited for. Must all be smaller than this task's own
-    /// index — the list is a topological order by construction.
-    pub deps: Vec<usize>,
-}
-
-impl AsyncTaskSpec {
-    /// Convenience constructor; records default from bytes like
-    /// [`crate::MapTaskSpec::new`].
-    pub fn new(partition: usize, iteration: usize, input_bytes: u64, ops: u64) -> Self {
-        AsyncTaskSpec {
-            partition,
-            iteration,
-            input_bytes,
-            ops,
-            output_records: 0,
-            output_bytes: 0,
-            deps: Vec::new(),
-        }
-    }
-
-    /// Sets the emitted message volume.
-    pub fn with_output(mut self, records: u64, bytes: u64) -> Self {
-        self.output_records = records;
-        self.output_bytes = bytes;
-        self
-    }
-
-    /// Sets the dependency edges.
-    pub fn with_deps(mut self, deps: Vec<usize>) -> Self {
-        self.deps = deps;
-        self
-    }
-}
 
 /// Accounting for one replayed asynchronous session.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -298,7 +248,9 @@ impl Simulation {
             spec: &self.spec,
             tasks,
             failure: self.failure.clone(),
-            node_plan: self.node_failure.clone(),
+            node_plan: self.node_failure,
+            checkpoint_interval: self.checkpoint_interval,
+            node_detection_delay: self.node_detection_delay,
             scheduler: self.sched.instantiate(),
             consumers,
             dependents,
@@ -390,6 +342,8 @@ struct AsyncRun<'a> {
     tasks: &'a [AsyncTaskSpec],
     failure: FailurePlan,
     node_plan: NodeFailurePlan,
+    checkpoint_interval: usize,
+    node_detection_delay: SimTime,
     /// The placement policy (instantiated fresh from the simulation's
     /// [`crate::SchedulerSpec`] for this run).
     scheduler: Box<dyn Scheduler>,
@@ -605,15 +559,15 @@ impl AsyncRun<'_> {
         #[allow(clippy::needless_range_loop)] // `node` indexes several parallel per-node views
         for node in 0..n_nodes {
             if self.deaths[node] >= self.node_plan.max_node_failures
-                || !self.node_plan.node_fails(node, epoch)
+                || !self.node_plan.node_fails(node, epoch as u64)
             {
                 continue;
             }
             self.deaths[node] += 1;
             self.node_failures += 1;
-            let ckpt = self.node_plan.last_checkpoint(epoch);
+            let ckpt = last_checkpoint(epoch, self.checkpoint_interval);
             let died_at = self.work_end;
-            let redispatch = died_at + self.node_plan.detection_delay;
+            let redispatch = died_at + self.node_detection_delay;
             core.mark(died_at, self.cid, Ev::NodeDeath { node });
             core.mark(redispatch, self.cid, Ev::NodeRejoin { node });
 
@@ -642,7 +596,7 @@ impl AsyncRun<'_> {
                 self.excluded[t] = Some(node);
                 self.generation[t] += 1;
             }
-            self.rollback_time += self.node_plan.detection_delay;
+            self.rollback_time += self.node_detection_delay;
             // The node reboots with clean state: its slots rejoin once
             // the death is detected.
             for slot in self.slots.iter_mut().filter(|(_, sn)| *sn == node) {
@@ -697,7 +651,7 @@ impl EventHandler for AsyncRun<'_> {
                 let feedback = self.committed_composition();
                 self.scheduler.epoch_feedback(feedback);
                 if self.node_plan.enabled() {
-                    if epoch % self.node_plan.checkpoint_interval == 0 {
+                    if epoch % self.checkpoint_interval == 0 {
                         // Trace-only: the session checkpointed its
                         // resident state (no traffic billed — the
                         // legacy cost model, kept for fidelity).
@@ -773,6 +727,7 @@ impl EventHandler for AsyncRun<'_> {
 mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
+    use crate::failure::NODE_DETECTION_DELAY;
     use crate::job::{JobSpec, MapTaskSpec};
 
     fn sim(seed: u64) -> Simulation {
@@ -939,14 +894,13 @@ mod tests {
 
     #[test]
     fn node_deaths_roll_back_completed_work_and_meter_it() {
-        use crate::failure::NodeFailurePlan;
         let tasks = ring_schedule(8, 8, 40_000_000);
         let clean = sim(9).run_async_schedule(&tasks);
         assert_eq!(clean.node_failures, 0);
         assert_eq!(clean.rollback_time, SimTime::ZERO);
 
         let faulty = sim(9)
-            .with_node_failures(NodeFailurePlan::correlated(0.05, 2, 5))
+            .with_node_failures(NodeFailurePlan::correlated(0.05, 5), 2, NODE_DETECTION_DELAY)
             .run_async_schedule(&tasks);
         assert!(faulty.node_failures > 0, "0.05/(node, epoch) over 8 epochs x 8 nodes must fire");
         // More than the bare detection delays: real executed work was
@@ -975,29 +929,30 @@ mod tests {
 
     #[test]
     fn node_death_replay_is_a_pure_function_of_its_inputs() {
-        use crate::failure::NodeFailurePlan;
         let tasks = ring_schedule(8, 8, 40_000_000);
-        let plan = NodeFailurePlan::correlated(0.08, 4, 21);
-        let a = sim(3).with_node_failures(plan.clone()).run_async_schedule(&tasks);
-        let b = sim(3).with_node_failures(plan).run_async_schedule(&tasks);
+        let plan = NodeFailurePlan::correlated(0.08, 21);
+        let run = |plan| {
+            sim(3).with_node_failures(plan, 4, NODE_DETECTION_DELAY).run_async_schedule(&tasks)
+        };
+        let (a, b) = (run(plan), run(plan));
         assert!(a.node_failures > 0, "the regime must actually fire");
         assert_eq!(a.task_finish, b.task_finish, "schedules must be byte-identical");
         assert_eq!(a.task_node, b.task_node);
         assert_eq!(a, b);
         // A different verdict seed perturbs the death pattern.
         let c = sim(3)
-            .with_node_failures(NodeFailurePlan::correlated(0.08, 4, 22))
+            .with_node_failures(NodeFailurePlan::correlated(0.08, 22), 4, NODE_DETECTION_DELAY)
             .run_async_schedule(&tasks);
         assert_ne!(a.task_finish, c.task_finish, "seed must drive the injected deaths");
     }
 
     #[test]
     fn node_deaths_compose_with_transient_attempt_failures() {
-        use crate::failure::{FailurePlan, NodeFailurePlan};
+        use crate::failure::FailurePlan;
         let tasks = ring_schedule(8, 6, 40_000_000);
         let stats = sim(5)
             .with_failures(FailurePlan::transient(0.15))
-            .with_node_failures(NodeFailurePlan::correlated(0.05, 2, 7))
+            .with_node_failures(NodeFailurePlan::correlated(0.05, 7), 2, NODE_DETECTION_DELAY)
             .run_async_schedule(&tasks);
         assert!(stats.failed_attempts > 0, "attempt deaths must fire");
         assert!(stats.node_failures > 0, "node deaths must fire");
@@ -1007,18 +962,11 @@ mod tests {
 
     #[test]
     fn per_node_death_budget_caps_the_injection() {
-        use crate::failure::NodeFailurePlan;
         // Near-certain deaths with a budget of 1 per node: exactly
         // n_nodes deaths fire, and the replay still terminates.
         let tasks = ring_schedule(4, 12, 10_000_000);
-        let plan = NodeFailurePlan {
-            node_failure_prob: 0.9,
-            max_node_failures: 1,
-            checkpoint_interval: 1,
-            detection_delay: SimTime::from_secs(30),
-            seed: 2,
-        };
-        let mut s = sim(1).with_node_failures(plan);
+        let plan = NodeFailurePlan { node_failure_prob: 0.9, max_node_failures: 1, seed: 2 };
+        let mut s = sim(1).with_node_failures(plan, 1, NODE_DETECTION_DELAY);
         let n_nodes = s.spec().num_nodes();
         let stats = s.run_async_schedule(&tasks);
         assert!(stats.node_failures <= n_nodes, "budget of 1 per node must bound deaths");
@@ -1028,15 +976,14 @@ mod tests {
 
     #[test]
     fn single_node_cluster_survives_its_own_death() {
-        use crate::failure::NodeFailurePlan;
         // test_local is a 1-node cluster: the dead node is the only
         // possible re-placement target, so the exclusion must yield
         // rather than leave the lost work unplaceable.
         let tasks = ring_schedule(2, 6, 5_000_000);
         let plan =
-            NodeFailurePlan { node_failure_prob: 0.9, ..NodeFailurePlan::correlated(0.5, 3, 1) };
+            NodeFailurePlan { node_failure_prob: 0.9, ..NodeFailurePlan::correlated(0.5, 1) };
         let stats = Simulation::new(ClusterSpec::test_local(4, 2), 1)
-            .with_node_failures(plan)
+            .with_node_failures(plan, 3, NODE_DETECTION_DELAY)
             .run_async_schedule(&tasks);
         assert!(stats.node_failures > 0, "0.9 per epoch must fire");
         assert_eq!(stats.tasks, tasks.len(), "all work must still complete");
@@ -1045,9 +992,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "node failure probability")]
     fn literally_constructed_node_plan_is_rejected_at_injection() {
-        use crate::failure::NodeFailurePlan;
         let plan = NodeFailurePlan { node_failure_prob: 1.5, ..NodeFailurePlan::none() };
-        let _ = Simulation::new(ClusterSpec::ec2_2010(), 1).with_node_failures(plan);
+        let _ = Simulation::new(ClusterSpec::ec2_2010(), 1).with_node_failures(
+            plan,
+            1,
+            NODE_DETECTION_DELAY,
+        );
     }
 
     #[test]
@@ -1149,7 +1099,6 @@ mod tests {
 
     #[test]
     fn portfolio_feedback_is_deterministic_across_epochs() {
-        use crate::failure::NodeFailurePlan;
         use crate::sched::SchedulerSpec;
         // A node plan forces one boundary per epoch, so from the second
         // boundary on the portfolio races with a live feed-forward
@@ -1158,7 +1107,7 @@ mod tests {
         let tasks = ring_schedule(8, 6, 20_000_000);
         let run = || {
             Simulation::new(ClusterSpec::ec2_2010(), 9)
-                .with_node_failures(NodeFailurePlan::correlated(0.2, 1, 3))
+                .with_node_failures(NodeFailurePlan::correlated(0.2, 3), 1, NODE_DETECTION_DELAY)
                 .with_scheduler(SchedulerSpec::default_portfolio())
                 .run_async_schedule(&tasks)
         };
@@ -1204,7 +1153,6 @@ mod tests {
 
     #[test]
     fn fluid_models_trace_link_utilization_at_epoch_boundaries() {
-        use crate::failure::NodeFailurePlan;
         use crate::network::SharedBandwidth;
         // Per-epoch boundaries (node plan installed) under a fluid
         // model: whenever flows are live at a boundary, the trace
@@ -1216,7 +1164,7 @@ mod tests {
         // boundary per epoch) without any deaths actually firing.
         let mut s = Simulation::new(spec, 2)
             .with_network(SharedBandwidth::new(n, bw, lat))
-            .with_node_failures(NodeFailurePlan::correlated(1e-12, 1, 5));
+            .with_node_failures(NodeFailurePlan::correlated(1e-12, 5), 1, NODE_DETECTION_DELAY);
         s.run_async_schedule(&tasks);
         let snapshots =
             s.last_trace().iter().filter(|t| matches!(t.ev, Ev::LinkUtil { .. })).count();
@@ -1244,7 +1192,6 @@ mod tests {
 
     #[test]
     fn trace_records_epochs_completions_and_deaths() {
-        use crate::failure::NodeFailurePlan;
         let tasks = ring_schedule(4, 3, 1_000_000);
         let mut s = sim(2);
         let stats = s.run_async_schedule(&tasks);
@@ -1254,7 +1201,8 @@ mod tests {
         let dones = trace.iter().filter(|t| matches!(t.ev, Ev::TaskDone { .. })).count();
         assert_eq!(dones, stats.tasks, "every completion is traced");
 
-        let mut s = sim(2).with_node_failures(NodeFailurePlan::correlated(0.3, 1, 5));
+        let mut s =
+            sim(2).with_node_failures(NodeFailurePlan::correlated(0.3, 5), 1, NODE_DETECTION_DELAY);
         let stats = s.run_async_schedule(&tasks);
         let trace = s.last_trace();
         let epochs = trace.iter().filter(|t| matches!(t.ev, Ev::EpochStart { .. })).count();

@@ -46,21 +46,23 @@ pub mod dfs;
 pub mod event_core;
 pub mod events;
 pub mod failure;
-pub mod job;
 pub mod network;
 pub mod sched;
 pub mod sim;
 pub mod stats;
-pub mod time;
 pub mod trace;
 pub mod workloads;
+
+// The simulator's input and output types are defined in
+// `asyncmr-model`, which the engine shares; they keep their paths here.
+pub use asyncmr_model::{job, time};
 
 pub use asyncsched::{AsyncScheduleStats, AsyncTaskSpec};
 pub use cluster::{ClusterSpec, NodeSpec};
 pub use costmodel::CostModel;
 pub use dfs::DfsModel;
 pub use event_core::{ComponentId, Ev, EventCore, EventHandler, TraceEvent};
-pub use failure::{splitmix64, verdict_unit, FailurePlan, NodeFailurePlan};
+pub use failure::{splitmix64, verdict_unit, FailurePlan, NodeFailurePlan, NODE_DETECTION_DELAY};
 pub use job::{JobSpec, MapTaskSpec, ReduceTaskSpec};
 pub use network::{Constant, NetworkModel, NetworkState, SharedBandwidth, TopologyAware};
 pub use sched::{
@@ -72,5 +74,5 @@ pub use stats::{CommitAccounting, JobStats, PhaseBreakdown, RunTotals};
 pub use time::{underflow_count, SimTime};
 pub use trace::{
     diff_runs, CriticalPath, LaneBreakdown, Mark, MarkKind, ReportModel, RunRecord, SessionTrace,
-    Span, SpanKind, Stall, TraceAnalysis, TraceDiff, TraceReader, TraceWindow, WindowedTrace,
+    Span, SpanKind, Stall, TraceAnalysis, TraceDiff, TraceReader,
 };

@@ -52,6 +52,7 @@
 
 use std::collections::VecDeque;
 
+use asyncmr_model::JobReplay;
 use rand::RngExt;
 
 use crate::cluster::ClusterSpec;
@@ -73,6 +74,9 @@ pub struct Simulation {
     pub(crate) spec: ClusterSpec,
     pub(crate) failure: FailurePlan,
     pub(crate) node_failure: NodeFailurePlan,
+    /// See [`Simulation::with_node_failures`].
+    pub(crate) checkpoint_interval: usize,
+    pub(crate) node_detection_delay: SimTime,
     pub(crate) core: EventCore,
     pub(crate) jobs_run: usize,
     pub(crate) barrier_cid: ComponentId,
@@ -103,6 +107,8 @@ impl Simulation {
             spec,
             failure: FailurePlan::none(),
             node_failure: NodeFailurePlan::none(),
+            checkpoint_interval: 1,
+            node_detection_delay: SimTime::ZERO,
             core,
             jobs_run: 0,
             barrier_cid,
@@ -168,14 +174,30 @@ impl Simulation {
     /// the [module docs](self)). Composes with
     /// [`Simulation::with_failures`] — both regimes can be active.
     ///
+    /// `plan` is the regime the in-process session shares (one epoch
+    /// per global iteration of an async schedule, one per barrier
+    /// job). Checkpoints sit at iteration multiples of
+    /// `checkpoint_interval` (rollback rewinds lost work to the last
+    /// one), and lost work is re-dispatched `detection_delay` after the
+    /// death ([`crate::failure::NODE_DETECTION_DELAY`] in the figures).
+    ///
     /// # Panics
     ///
-    /// If the plan's fields are out of range
-    /// ([`NodeFailurePlan::validate`]) — the same injection-time check
-    /// [`Simulation::with_failures`] performs.
-    pub fn with_node_failures(mut self, plan: NodeFailurePlan) -> Self {
+    /// If the plan's probability is out of range
+    /// ([`NodeFailurePlan::validate`]) or `checkpoint_interval` is 0 —
+    /// the same injection-time check [`Simulation::with_failures`]
+    /// performs.
+    pub fn with_node_failures(
+        mut self,
+        plan: NodeFailurePlan,
+        checkpoint_interval: usize,
+        detection_delay: SimTime,
+    ) -> Self {
         plan.validate();
+        assert!(checkpoint_interval >= 1, "checkpoint_interval must be at least 1");
         self.node_failure = plan;
+        self.checkpoint_interval = checkpoint_interval;
+        self.node_detection_delay = detection_delay;
         self
     }
 
@@ -240,7 +262,7 @@ impl Simulation {
             spec: &self.spec,
             job,
             failure: self.failure.clone(),
-            node_plan: self.node_failure.clone(),
+            node_detection_delay: self.node_detection_delay,
             reduce_node: (0..n_reduces).map(|r| r % n_nodes).collect(),
             free_map_slots: self.spec.nodes.iter().map(|n| n.map_slots).collect(),
             free_reduce_slots: self.spec.nodes.iter().map(|n| n.reduce_slots).collect(),
@@ -272,15 +294,15 @@ impl Simulation {
         // Death verdicts for this job's epoch, drawn before any work
         // dispatches (pure verdict hashing — no RNG stream effect, so
         // failure-free runs reproduce the pre-refactor goldens).
-        if run.node_plan.enabled() {
+        let node_plan = self.node_failure;
+        if node_plan.enabled() {
+            let epoch = self.jobs_run as u64;
             for node in 0..n_nodes {
-                if self.barrier_deaths[node] < run.node_plan.max_node_failures
-                    && run.node_plan.node_fails(node, self.jobs_run)
+                if self.barrier_deaths[node] < node_plan.max_node_failures
+                    && node_plan.node_fails(node, epoch)
                 {
-                    let u = verdict_unit(
-                        run.node_plan.seed ^ BARRIER_DEATH_SALT,
-                        &[node as u64, self.jobs_run as u64],
-                    );
+                    let u =
+                        verdict_unit(node_plan.seed ^ BARRIER_DEATH_SALT, &[node as u64, epoch]);
                     // Dies at its 1st..=3rd task completion this job.
                     run.death_at[node] = Some(1 + (u * 3.0) as u32);
                 }
@@ -353,6 +375,13 @@ impl Simulation {
     }
 }
 
+/// What `asyncmr_core::Engine::with_simulation` drives.
+impl JobReplay for Simulation {
+    fn run_job(&mut self, job: &JobSpec) -> JobStats {
+        Simulation::run_job(self, job)
+    }
+}
+
 /// The per-job driver state: one registered event-core component that
 /// receives every event of one barrier job.
 struct BarrierRun<'a> {
@@ -360,7 +389,7 @@ struct BarrierRun<'a> {
     spec: &'a ClusterSpec,
     job: &'a JobSpec,
     failure: FailurePlan,
-    node_plan: NodeFailurePlan,
+    node_detection_delay: SimTime,
     /// Reducer home nodes (fetch destinations), fixed up front.
     reduce_node: Vec<usize>,
     free_map_slots: Vec<u32>,
@@ -542,7 +571,7 @@ impl BarrierRun<'_> {
         self.node_failures += 1;
         self.incarnation[node] += 1;
         core.mark(now, self.cid, Ev::NodeDeath { node });
-        let redispatch = now + self.node_plan.detection_delay;
+        let redispatch = now + self.node_detection_delay;
 
         // Running map attempts die with the node.
         for task in 0..n_maps {
@@ -719,6 +748,7 @@ impl EventHandler for BarrierRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::NODE_DETECTION_DELAY;
     use crate::job::{MapTaskSpec, ReduceTaskSpec};
     use crate::network::{Constant, SharedBandwidth};
 
@@ -878,12 +908,13 @@ mod tests {
     #[test]
     fn barrier_node_death_requeues_and_completes() {
         let job = small_job(32, 8);
-        let plan = NodeFailurePlan::correlated(0.35, 1, 11);
+        let plan = NodeFailurePlan::correlated(0.35, 11);
         let clean = Simulation::new(ClusterSpec::ec2_2010(), 5).run_job(&job);
         assert_eq!(clean.node_failures, 0);
         assert_eq!(clean.node_lost_tasks, 0);
-        let faulty =
-            Simulation::new(ClusterSpec::ec2_2010(), 5).with_node_failures(plan).run_job(&job);
+        let faulty = Simulation::new(ClusterSpec::ec2_2010(), 5)
+            .with_node_failures(plan, 1, NODE_DETECTION_DELAY)
+            .run_job(&job);
         assert!(faulty.node_failures > 0, "0.35/node at epoch 0 must fire on 8 nodes");
         assert!(faulty.node_lost_tasks > 0, "a death at the k-th completion must lose work");
         assert!(
@@ -900,9 +931,13 @@ mod tests {
         let plan = NodeFailurePlan {
             node_failure_prob: 0.9,
             max_node_failures: 1,
-            ..NodeFailurePlan::correlated(0.5, 1, 3)
+            ..NodeFailurePlan::correlated(0.5, 3)
         };
-        let mut sim = Simulation::new(ClusterSpec::ec2_2010(), 1).with_node_failures(plan);
+        let mut sim = Simulation::new(ClusterSpec::ec2_2010(), 1).with_node_failures(
+            plan,
+            1,
+            NODE_DETECTION_DELAY,
+        );
         let n_nodes = sim.spec().num_nodes();
         let mut total = 0u32;
         for _ in 0..6 {

@@ -1,23 +1,9 @@
-//! Per-job result statistics returned by the simulator.
+//! Run accounting kept by the simulator, beside the per-job
+//! [`JobStats`] (defined in `asyncmr-model`, re-exported here).
+
+pub use asyncmr_model::stats::{JobStats, PhaseBreakdown};
 
 use crate::time::SimTime;
-
-/// Where a job's simulated time went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PhaseBreakdown {
-    /// Job submission/setup overhead.
-    pub setup: SimTime,
-    /// From first map launch to last map completion.
-    pub map_phase: SimTime,
-    /// From last map completion until all reducers hold their input.
-    /// (Shuffle overlaps the map phase; this is only the *exposed* tail.)
-    pub shuffle_tail: SimTime,
-    /// From shuffle completion to last reduce completion (merge +
-    /// reduce compute + DFS output write).
-    pub reduce_phase: SimTime,
-    /// Commit/cleanup overhead.
-    pub cleanup: SimTime,
-}
 
 /// Release-mode accounting of the async placement's estimate-then-commit
 /// invariant: the committed start of a chosen slot may only be *delayed*
@@ -43,48 +29,6 @@ pub struct CommitAccounting {
     /// [`crate::time::underflow_count`] so release sweeps surface the
     /// bug instead of silently absorbing it.
     pub time_underflows: u64,
-}
-
-/// Result of simulating one job.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobStats {
-    /// Job label (from [`crate::JobSpec::name`]).
-    pub name: String,
-    /// Simulated time when the job was submitted.
-    pub submitted_at: SimTime,
-    /// Simulated time when the job completed.
-    pub finished_at: SimTime,
-    /// End-to-end duration.
-    pub duration: SimTime,
-    /// Phase decomposition (sums to `duration`).
-    pub phases: PhaseBreakdown,
-    /// Number of map tasks.
-    pub map_tasks: usize,
-    /// Number of reduce tasks.
-    pub reduce_tasks: usize,
-    /// Task attempts that were failed by the injector and re-executed.
-    pub failed_attempts: u32,
-    /// Correlated node deaths injected during the job (0 without a
-    /// [`crate::NodeFailurePlan`]).
-    pub node_failures: u32,
-    /// Task attempts (running or with unfetched outputs) lost to node
-    /// deaths and re-executed.
-    pub node_lost_tasks: u32,
-    /// Map attempts that ran data-local.
-    pub local_map_tasks: usize,
-    /// Total bytes moved across NICs (shuffle + remote DFS traffic).
-    pub network_bytes: u64,
-}
-
-impl JobStats {
-    /// Phase sum consistency check (used by tests).
-    pub fn phases_sum(&self) -> SimTime {
-        self.phases.setup
-            + self.phases.map_phase
-            + self.phases.shuffle_tail
-            + self.phases.reduce_phase
-            + self.phases.cleanup
-    }
 }
 
 /// Aggregates several job runs (e.g. all global iterations of an
@@ -120,18 +64,11 @@ mod tests {
 
     fn dummy(duration_s: u64) -> JobStats {
         JobStats {
-            name: "d".into(),
-            submitted_at: SimTime::ZERO,
-            finished_at: SimTime::from_secs(duration_s),
             duration: SimTime::from_secs(duration_s),
-            phases: PhaseBreakdown::default(),
-            map_tasks: 1,
-            reduce_tasks: 1,
             failed_attempts: 2,
             node_failures: 1,
-            node_lost_tasks: 3,
-            local_map_tasks: 1,
             network_bytes: 10,
+            ..JobStats::default()
         }
     }
 
@@ -145,10 +82,5 @@ mod tests {
         assert_eq!(t.network_bytes, 20);
         assert_eq!(t.failed_attempts, 4);
         assert_eq!(t.node_failures, 2);
-    }
-
-    #[test]
-    fn phases_sum_default_is_zero() {
-        assert_eq!(dummy(1).phases_sum(), SimTime::ZERO);
     }
 }

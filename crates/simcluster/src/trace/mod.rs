@@ -43,17 +43,6 @@
 //!   hottest link) responsible for the gap. Diffing a run against
 //!   itself reports zero divergence ([`TraceDiff::is_empty`]).
 //!
-//! * **Replay windows** ([`TraceReader::windows`]): a one-time
-//!   time-sorted index over the trace (the raw event order is pop
-//!   order, *not* time order — marks land at arbitrary future
-//!   instants), after which [`WindowedTrace::window`] slices any
-//!   `[t0, t1)` into its traffic, clipped node occupancy, in-window
-//!   utilization snapshots, and boundary queue depths by binary
-//!   search — no per-slice walk of the whole trace. Windows are
-//!   half-open, so adjacent slices partition the run exactly:
-//!   traffic bytes and clipped busy time are conserved across any
-//!   split point (pinned by the tests here).
-//!
 //! Renderings: `to_text` for humans, `to_csv`/`critical_path_csv` for
 //! plotting, `to_json` for embedding in bench artifacts (the repo's
 //! hand-formatted JSON idiom — no serde_json). The [`span`] submodule
@@ -63,8 +52,8 @@
 //! report.
 
 pub mod report;
-pub mod span;
 
+pub use asyncmr_model::trace::{span, CritHop, CriticalPath};
 pub use report::{ReportLane, ReportMark, ReportModel, ReportSpan};
 pub use span::{LaneBreakdown, Mark, MarkKind, SessionTrace, Span, SpanKind, Stall};
 
@@ -159,65 +148,6 @@ pub struct Traffic {
     pub total_bytes: u64,
     /// Per-pair totals, sorted by `(src, dst)`.
     pub pairs: Vec<PairTraffic>,
-}
-
-/// One hop of the recorded critical path, in chain order (source
-/// first, sink last).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CritHop {
-    /// Task index in the schedule.
-    pub task: usize,
-    /// The task's partition.
-    pub partition: usize,
-    /// The task's global iteration.
-    pub iteration: usize,
-    /// Node the successful attempt ran on.
-    pub node: usize,
-    /// Attempt occupancy: `finish - start` (launch + read + compute +
-    /// sort).
-    pub compute: SimTime,
-    /// Wait between the critical input's arrival (or session setup,
-    /// for a source task) and the attempt's start: slot contention,
-    /// dispatch gates, retry delays.
-    pub queue: SimTime,
-    /// Wire time of the critical input edge: `arrival - dep finish`
-    /// (zero for same-node edges and source tasks).
-    pub wire: SimTime,
-}
-
-/// The recorded schedule's critical path: the dependency-respecting
-/// chain that determined the makespan, with each hop split into
-/// compute, wire, and queue wait.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CriticalPath {
-    /// The chain, source first. Empty for an empty schedule.
-    pub hops: Vec<CritHop>,
-    /// Summed attempt occupancy along the chain.
-    pub compute: SimTime,
-    /// Summed critical-edge wire time along the chain.
-    pub wire: SimTime,
-    /// Summed queue wait along the chain.
-    pub queue: SimTime,
-    /// The session envelope outside the chain: setup before the first
-    /// dispatch plus cleanup after the last completion.
-    pub overhead: SimTime,
-}
-
-impl CriticalPath {
-    /// The exact walk total: `compute + wire + queue + overhead`.
-    /// Equals the run's makespan to the microsecond (the decomposition
-    /// telescopes — pinned by `tests/trace_analysis.rs`).
-    pub fn total(&self) -> SimTime {
-        self.compute + self.wire + self.queue + self.overhead
-    }
-
-    /// The contention-free length of the chain: `compute + wire +
-    /// overhead`. A lower bound on the makespan (`queue >= 0`); equals
-    /// it when the chain never waited on a slot — e.g. a single-chain
-    /// DAG.
-    pub fn bound(&self) -> SimTime {
-        self.compute + self.wire + self.overhead
-    }
 }
 
 /// The full analysis of one run — what [`TraceReader::analyze`]
@@ -434,203 +364,6 @@ impl<'a> TraceReader<'a> {
             timelines: self.link_timelines(),
             queue_depths: self.queue_depths(),
             nodes: self.record.nodes,
-        }
-    }
-
-    /// Builds the one-time time-sorted index for replay windows. Costs
-    /// one walk of the trace (plus sorts); every subsequent
-    /// [`WindowedTrace::window`] call is binary search + in-slice
-    /// aggregation only.
-    pub fn windows(&self) -> WindowedTrace<'a> {
-        WindowedTrace::new(self.record)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Replay windows
-// ---------------------------------------------------------------------
-
-/// One `[t0, t1)` time slice of a run's recorded activity — what
-/// [`WindowedTrace::window`] returns.
-///
-/// Half-open on the right, so slicing a run at any split point
-/// conserves everything additive: adjacent windows' traffic bytes sum
-/// to the full matrix total and their clipped busy times sum to the
-/// full occupancy (pinned by this module's tests).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceWindow {
-    /// Inclusive window start.
-    pub t0: SimTime,
-    /// Exclusive window end.
-    pub t1: SimTime,
-    /// Traffic committed inside the window ([`Ev::TransferDone`] marks
-    /// with `t0 <= at < t1`).
-    pub traffic: Traffic,
-    /// Per-node busy occupancy *clipped* to the window: each recorded
-    /// attempt contributes `min(finish, t1) - max(start, t0)` when
-    /// positive (and counts toward `tasks` only then).
-    pub occupancy: Vec<NodeOccupancy>,
-    /// Utilization step functions restricted to the in-window snapshot
-    /// instants (same link set and alignment as
-    /// [`TraceReader::link_timelines`]; links with no in-window
-    /// snapshot have empty `points`).
-    pub timelines: Vec<LinkTimeline>,
-    /// Queue depths at the epoch boundaries that fired inside the
-    /// window, with the same admitted-minus-completed semantics as the
-    /// full [`TraceReader::queue_depths`] (completion is counted in
-    /// pop order up to the boundary, not clipped to the window).
-    pub queue_depths: Vec<QueueDepth>,
-}
-
-/// One utilization snapshot: the instant it was marked at, and the
-/// `(link, in_flight_bytes, capacity)` rows of its [`Ev::LinkUtil`] run.
-type UtilSnapshot = (SimTime, Vec<(usize, u64, u64)>);
-
-/// The sorted replay index behind [`TraceReader::windows`].
-///
-/// The raw trace is in *pop order*, not time order — marks
-/// ([`Ev::TransferDone`], [`Ev::LinkUtil`]) are appended at arbitrary
-/// (often future) instants — so slicing by timestamp needs this
-/// one-time reindex. Construction is `O(n log n)`; each
-/// [`WindowedTrace::window`] is `O(log n + k)` for `k` events in the
-/// slice.
-#[derive(Debug, Clone)]
-pub struct WindowedTrace<'a> {
-    record: RunRecord<'a>,
-    /// Committed transfers sorted by `(at, pop position)`.
-    transfers: Vec<(SimTime, usize, usize, u64)>,
-    /// Epoch boundaries in time order (pop order for popped events),
-    /// each with its full-trace queue depth.
-    boundaries: Vec<(SimTime, QueueDepth)>,
-    /// Utilization snapshots (maximal consecutive [`Ev::LinkUtil`]
-    /// runs) sorted by instant.
-    snapshots: Vec<UtilSnapshot>,
-    /// Every link ever observed, with its capacity, sorted by index.
-    links: Vec<(usize, u64)>,
-}
-
-impl<'a> WindowedTrace<'a> {
-    fn new(record: RunRecord<'a>) -> Self {
-        let mut transfers = Vec::new();
-        let mut boundaries = Vec::new();
-        let mut snapshots: Vec<UtilSnapshot> = Vec::new();
-        let mut snap_open = false;
-        let mut completed = vec![false; record.tasks.len()];
-        let mut done = 0usize;
-        for te in record.trace {
-            match te.ev {
-                Ev::TransferDone { src, dst, bytes } => {
-                    transfers.push((te.at, src, dst, bytes));
-                }
-                Ev::EpochStart { epoch } => {
-                    let admitted = record.tasks.iter().filter(|t| t.iteration <= epoch).count();
-                    boundaries
-                        .push((te.at, QueueDepth { epoch, depth: admitted - done.min(admitted) }));
-                }
-                Ev::TaskDone { task, .. } if !te.is_mark() => {
-                    if let Some(c) = completed.get_mut(task) {
-                        if !*c {
-                            *c = true;
-                            done += 1;
-                        }
-                    }
-                }
-                _ => {}
-            }
-            if let Ev::LinkUtil { link, used_bps, cap_bps } = te.ev {
-                if !snap_open {
-                    snapshots.push((te.at, Vec::new()));
-                    snap_open = true;
-                }
-                let snap = snapshots.last_mut().expect("snapshot group just opened");
-                snap.0 = te.at;
-                snap.1.push((link, used_bps, cap_bps));
-            } else {
-                snap_open = false;
-            }
-        }
-        transfers.sort_by_key(|&(at, ..)| at); // stable: pop order within an instant
-        snapshots.sort_by_key(|&(at, _)| at);
-        let mut links: Vec<(usize, u64)> =
-            snapshots.iter().flat_map(|(_, s)| s.iter().map(|&(l, _, c)| (l, c))).collect();
-        links.sort_unstable();
-        links.dedup_by_key(|e| e.0);
-        WindowedTrace { record, transfers, boundaries, snapshots, links }
-    }
-
-    /// Slices the run to `[t0, t1)`. Panics if `t0 > t1`.
-    pub fn window(&self, t0: SimTime, t1: SimTime) -> TraceWindow {
-        assert!(t0 <= t1, "window bounds must be ordered: {t0:?} > {t1:?}");
-
-        // Traffic: the sorted transfer range [first >= t0, first >= t1).
-        let lo = self.transfers.partition_point(|&(at, ..)| at < t0);
-        let hi = self.transfers.partition_point(|&(at, ..)| at < t1);
-        let mut pairs: Vec<PairTraffic> = Vec::new();
-        let mut total = 0u64;
-        for &(_, src, dst, bytes) in &self.transfers[lo..hi] {
-            total += bytes;
-            match pairs.iter_mut().find(|p| p.src == src && p.dst == dst) {
-                Some(p) => {
-                    p.bytes += bytes;
-                    p.transfers += 1;
-                }
-                None => pairs.push(PairTraffic { src, dst, bytes, transfers: 1 }),
-            }
-        }
-        pairs.sort_unstable_by_key(|p| (p.src, p.dst));
-
-        // Occupancy: clip each recorded attempt to the window. Plain
-        // u64 microsecond arithmetic — SimTime subtraction meters
-        // underflows globally and clipping legitimately truncates.
-        let stats = self.record.stats;
-        let (t0_us, t1_us) = (t0.as_micros(), t1.as_micros());
-        let mut occ: Vec<NodeOccupancy> = (0..self.record.nodes)
-            .map(|node| NodeOccupancy { node, tasks: 0, busy: SimTime::ZERO })
-            .collect();
-        for i in 0..stats.task_finish.len() {
-            let s = stats.task_start[i].as_micros().max(t0_us);
-            let f = stats.task_finish[i].as_micros().min(t1_us);
-            if f <= s {
-                continue;
-            }
-            if let Some(o) = occ.get_mut(stats.task_node[i]) {
-                o.tasks += 1;
-                o.busy += SimTime::from_micros(f - s);
-            }
-        }
-
-        // Timelines: the in-window snapshot range, every known link
-        // sampled at each in-window instant (0 when idle).
-        let slo = self.snapshots.partition_point(|&(at, _)| at < t0);
-        let shi = self.snapshots.partition_point(|&(at, _)| at < t1);
-        let timelines = self
-            .links
-            .iter()
-            .map(|&(link, cap_bps)| LinkTimeline {
-                link,
-                cap_bps,
-                points: self.snapshots[slo..shi]
-                    .iter()
-                    .map(|(at, s)| {
-                        let used = s.iter().find(|&&(l, _, _)| l == link).map_or(0, |&(_, u, _)| u);
-                        (*at, used)
-                    })
-                    .collect(),
-            })
-            .collect();
-
-        // Queue depths: boundaries that fired inside the window.
-        let blo = self.boundaries.partition_point(|&(at, _)| at < t0);
-        let bhi = self.boundaries.partition_point(|&(at, _)| at < t1);
-        let queue_depths = self.boundaries[blo..bhi].iter().map(|&(_, q)| q).collect();
-
-        TraceWindow {
-            t0,
-            t1,
-            traffic: Traffic { total_bytes: total, pairs },
-            occupancy: occ,
-            timelines,
-            queue_depths,
         }
     }
 }
@@ -1115,86 +848,5 @@ mod tests {
         assert_eq!(link_label(0, 8), "tx0");
         assert_eq!(link_label(9, 8), "rx1");
         assert_eq!(link_label(16, 8), "link16");
-    }
-
-    #[test]
-    fn adjacent_windows_conserve_traffic_busy_and_boundaries() {
-        let tasks = chain(8);
-        let mut sim = Simulation::new(ClusterSpec::ec2_2010(), 3);
-        let stats = sim.run_async_schedule(&tasks);
-        let rec = RunRecord {
-            tasks: &tasks,
-            stats: &stats,
-            trace: sim.last_trace(),
-            nodes: sim.spec().num_nodes(),
-        };
-        let reader = TraceReader::new(rec);
-        let full = reader.analyze();
-        let win = reader.windows();
-
-        let end = SimTime::from_micros(stats.finished_at.as_micros() + 1);
-        // Split at several points, including degenerate edges — the
-        // half-open halves must partition every additive quantity.
-        for frac in [0u64, 1, 2, 3, 4] {
-            let mid = SimTime::from_micros(stats.finished_at.as_micros() * frac / 4);
-            let (a, b) = (win.window(SimTime::ZERO, mid), win.window(mid, end));
-            assert_eq!(
-                a.traffic.total_bytes + b.traffic.total_bytes,
-                full.traffic.total_bytes,
-                "traffic splits exactly at {mid:?}"
-            );
-            for node in 0..rec.nodes {
-                assert_eq!(
-                    a.occupancy[node].busy + b.occupancy[node].busy,
-                    full.occupancy[node].busy,
-                    "clipped busy time splits exactly at {mid:?} for node {node}"
-                );
-            }
-            assert_eq!(
-                a.queue_depths.len() + b.queue_depths.len(),
-                full.queue_depths.len(),
-                "every boundary lands in exactly one half"
-            );
-            for t in &a.timelines {
-                let bt = b.timelines.iter().find(|u| u.link == t.link).expect("same link set");
-                let ft =
-                    full.timelines.iter().find(|u| u.link == t.link).expect("link in full set");
-                assert_eq!(t.points.len() + bt.points.len(), ft.points.len());
-            }
-        }
-
-        // The everything-window reproduces the full analysis views.
-        let all = win.window(SimTime::ZERO, end);
-        assert_eq!(all.traffic, full.traffic);
-        assert_eq!(all.occupancy, full.occupancy);
-        assert_eq!(all.queue_depths, full.queue_depths);
-        assert_eq!(all.timelines, full.timelines);
-    }
-
-    #[test]
-    fn a_window_inside_one_attempt_clips_to_its_own_width() {
-        let tasks = chain(2);
-        let mut sim = Simulation::new(ClusterSpec::ec2_2010(), 1);
-        let stats = sim.run_async_schedule(&tasks);
-        let rec = RunRecord {
-            tasks: &tasks,
-            stats: &stats,
-            trace: sim.last_trace(),
-            nodes: sim.spec().num_nodes(),
-        };
-        let win = TraceReader::new(rec).windows();
-        // Pick a window strictly inside task 0's attempt.
-        let (s, f) = (stats.task_start[0].as_micros(), stats.task_finish[0].as_micros());
-        assert!(f - s >= 4, "attempt long enough to slice: {s}..{f}");
-        let (t0, t1) = (SimTime::from_micros(s + 1), SimTime::from_micros(f - 1));
-        let w = win.window(t0, t1);
-        let node = stats.task_node[0];
-        assert_eq!(w.occupancy[node].busy, t1 - t0);
-        assert_eq!(w.occupancy[node].tasks, 1);
-        // An empty window is empty everywhere.
-        let e = win.window(t0, t0);
-        assert_eq!(e.traffic.total_bytes, 0);
-        assert!(e.queue_depths.is_empty());
-        assert!(e.occupancy.iter().all(|o| o.busy == SimTime::ZERO && o.tasks == 0));
     }
 }

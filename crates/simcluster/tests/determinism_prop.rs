@@ -13,6 +13,7 @@
 use asyncmr_simcluster::{
     AsyncTaskSpec, ClusterSpec, Constant, FailurePlan, JobSpec, MapTaskSpec, NodeFailurePlan,
     ReduceTaskSpec, SchedulerSpec, SharedBandwidth, Simulation, TopologyAware,
+    NODE_DETECTION_DELAY,
 };
 use proptest::prelude::*;
 
@@ -178,14 +179,14 @@ proptest! {
     ) {
         for model in MODELS {
             let plan = FailurePlan::transient(prob);
-            let deaths = NodeFailurePlan::correlated(prob / 2.0, 2, seed ^ 0xd1e);
+            let deaths = NodeFailurePlan::correlated(prob / 2.0, seed ^ 0xd1e);
             let mut a = sim_on(model, seed)
                 .with_failures(plan.clone())
-                .with_node_failures(deaths.clone());
+                .with_node_failures(deaths, 2, NODE_DETECTION_DELAY);
             let sa = a.run_async_schedule(&tasks);
             let mut b = sim_on(model, seed)
                 .with_failures(plan)
-                .with_node_failures(deaths);
+                .with_node_failures(deaths, 2, NODE_DETECTION_DELAY);
             let sb = b.run_async_schedule(&tasks);
             prop_assert_eq!(&sa, &sb, "{}: failure replay drifted", model);
             prop_assert_eq!(a.trace_digest(), b.trace_digest(), "{}: trace drifted", model);

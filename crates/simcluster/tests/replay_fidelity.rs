@@ -29,6 +29,7 @@
 use asyncmr_simcluster::workloads::{async_schedule, barrier_jobs, APPS, ASYNC_SEED, BARRIER_SEED};
 use asyncmr_simcluster::{
     splitmix64, underflow_count, ClusterSpec, Constant, FailurePlan, NodeFailurePlan, Simulation,
+    NODE_DETECTION_DELAY,
 };
 
 // -------------------------------------------------------------------------
@@ -77,7 +78,7 @@ const BARRIER_FAILURE_GOLDEN: (u64, u64, u32, u64, u64) =
     (361030832, 3900702720, 29, 0x1b04c2858a048343, 0x2e9fdda562562a42);
 
 /// pagerank async, seed 1007, transient(0.15) +
-/// `NodeFailurePlan::correlated(0.10, 2, 77)`, [`Constant`] model —
+/// `NodeFailurePlan::correlated(0.10, 77)` checkpointed every 2, [`Constant`] model —
 /// pins the RNG draw order of both async injection paths at once.
 const ASYNC_FAILURE_GOLDEN: (u64, u64, usize, u64, u64) =
     (161735875, 685768704, 32, 0xca176c0d663c9d77, 0x8393a56263eaf1e2);
@@ -218,7 +219,7 @@ fn async_failure_and_death_injection_draw_order_is_pinned() {
     let (dur, net, failed, fd, nd) = ASYNC_FAILURE_GOLDEN;
     let mut sim = constant_sim(ASYNC_SEED)
         .with_failures(FailurePlan::transient(0.15))
-        .with_node_failures(NodeFailurePlan::correlated(0.10, 2, 77));
+        .with_node_failures(NodeFailurePlan::correlated(0.10, 77), 2, NODE_DETECTION_DELAY);
     let got = run_async("pagerank", &mut sim);
     assert_eq!(got, (dur, net, failed, fd, nd), "async failure replay drifted");
 }
@@ -257,7 +258,7 @@ fn no_golden_row_underflows_simtime() {
     without_underflow("pagerank/async-failures", || {
         let mut sim = constant_sim(ASYNC_SEED)
             .with_failures(FailurePlan::transient(0.15))
-            .with_node_failures(NodeFailurePlan::correlated(0.10, 2, 77));
+            .with_node_failures(NodeFailurePlan::correlated(0.10, 77), 2, NODE_DETECTION_DELAY);
         run_async("pagerank", &mut sim)
     });
 }
@@ -394,7 +395,7 @@ fn print_goldens() {
     {
         let mut sim = constant_sim(ASYNC_SEED)
             .with_failures(FailurePlan::transient(0.15))
-            .with_node_failures(NodeFailurePlan::correlated(0.10, 2, 77));
+            .with_node_failures(NodeFailurePlan::correlated(0.10, 77), 2, NODE_DETECTION_DELAY);
         let (dur, net, failed, fd, nd) = run_async("pagerank", &mut sim);
         println!(
             "const ASYNC_FAILURE_GOLDEN: (u64, u64, usize, u64, u64) = ({dur}, {net}, {failed}, 0x{fd:016x}, 0x{nd:016x});"

@@ -22,9 +22,7 @@ use asyncmr::core::{
 use asyncmr::graph::presets;
 use asyncmr::partition::{MultilevelKWay, Partitioner};
 use asyncmr::runtime::ThreadPool;
-use asyncmr::simcluster::{
-    ClusterSpec, FailurePlan, NodeFailurePlan as SimNodeFailurePlan, Simulation,
-};
+use asyncmr::simcluster::{ClusterSpec, FailurePlan, Simulation, NODE_DETECTION_DELAY};
 
 fn main() {
     let graph = presets::graph_a(0.02);
@@ -138,6 +136,7 @@ fn main() {
     println!(
         "\nvariant  ckpt k  rollbacks  rb iters  ckpt KiB  peak KiB  sim rollback (s)  identical ranks"
     );
+    let deaths = NodeFailurePlan::correlated(0.1, 2026); // one regime, both layers
     for k in [1usize, 4] {
         let out = pagerank::run_async_with_driver(
             &pool,
@@ -146,10 +145,10 @@ fn main() {
             &cfg,
             AsyncFixedPointDriver::new(cfg.max_iterations)
                 .with_checkpoints(CheckpointPolicy::EveryK(k))
-                .with_node_failures(NodeFailurePlan::correlated(0.1, 8, 2026)),
+                .with_node_failures(deaths, 8),
         );
         let replay = Simulation::new(ClusterSpec::ec2_2010(), 11)
-            .with_node_failures(SimNodeFailurePlan::correlated(0.1, k, 2026))
+            .with_node_failures(deaths, k, NODE_DETECTION_DELAY)
             .run_async_schedule(&out.report.schedule);
         let same = baseline.ranks.iter().zip(&out.ranks).all(|(a, b)| a.to_bits() == b.to_bits());
         println!(

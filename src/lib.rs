@@ -10,12 +10,16 @@
 //! This crate only re-exports the workspace members under friendly
 //! names; see each module for its own documentation:
 //!
+//! * [`model`] — the plain data the engine and the testbed share
+//!   (simulated time, metered job profiles, job statistics, failure
+//!   verdicts, the session trace model); depends on nothing;
 //! * [`core`] — the MapReduce programming model and engine
 //!   ([`core::Mapper`], [`core::Reducer`], [`core::LocalAlgorithm`],
-//!   [`core::EagerMapper`], [`core::Engine`]);
+//!   [`core::EagerMapper`], [`core::Engine`]), on [`runtime`] + [`model`];
 //! * [`runtime`] — the work-stealing thread pool executing tasks;
 //! * [`simcluster`] — the discrete-event model of the paper's 8-node
-//!   EC2/Hadoop testbed (simulated time for the evaluation figures);
+//!   EC2/Hadoop testbed (simulated time for the evaluation figures), on
+//!   [`model`] alone;
 //! * [`graph`] — CSR graphs and the paper's preferential-attachment
 //!   generators (Table II presets);
 //! * [`partition`] — locality-enhancing multilevel k-way partitioning
@@ -47,6 +51,7 @@
 pub use asyncmr_apps as apps;
 pub use asyncmr_core as core;
 pub use asyncmr_graph as graph;
+pub use asyncmr_model as model;
 pub use asyncmr_partition as partition;
 pub use asyncmr_runtime as runtime;
 pub use asyncmr_simcluster as simcluster;

@@ -30,8 +30,8 @@ use asyncmr::graph::{generators, CsrGraph, WeightedGraph};
 use asyncmr::partition::{MultilevelKWay, Partitioner};
 use asyncmr::runtime::ThreadPool;
 use asyncmr::simcluster::{
-    ClusterSpec, Ev, FailurePlan, JobSpec, MapTaskSpec, NodeFailurePlan as SimNodeFailurePlan,
-    ReduceTaskSpec, SimTime, Simulation,
+    ClusterSpec, Ev, FailurePlan, JobSpec, MapTaskSpec, ReduceTaskSpec, SimTime, Simulation,
+    NODE_DETECTION_DELAY,
 };
 
 /// The fixed seed matrix CI's chaos smoke step runs under: every
@@ -246,7 +246,7 @@ fn pagerank_node_failure_rollback_matches_the_failure_free_barrier_driver_bitwis
                     &cfg,
                     AsyncFixedPointDriver::new(cfg.max_iterations)
                         .with_checkpoints(CheckpointPolicy::EveryK(k))
-                        .with_node_failures(NodeFailurePlan::correlated(prob, 3, seed)),
+                        .with_node_failures(NodeFailurePlan::correlated(prob, seed), 3),
                 );
                 assert!(
                     faulty.report.rollbacks > 0,
@@ -296,7 +296,7 @@ fn sssp_node_failure_rollback_matches_the_failure_free_barrier_driver_bitwise() 
                 &cfg,
                 AsyncFixedPointDriver::new(cfg.max_iterations)
                     .with_checkpoints(CheckpointPolicy::EveryK(k))
-                    .with_node_failures(NodeFailurePlan::correlated(prob, 3, 42)),
+                    .with_node_failures(NodeFailurePlan::correlated(prob, 42), 3),
             );
             assert!(faulty.report.rollbacks > 0, "k = {k}, p = {prob}: must fire");
             assert_eq!(faulty.report.global_iterations, barrier.report.global_iterations);
@@ -326,7 +326,7 @@ fn node_failure_rollback_under_staleness_still_reaches_the_fixed_point() {
             AsyncFixedPointDriver::new(cfg.max_iterations)
                 .with_max_lag(lag)
                 .with_checkpoints(CheckpointPolicy::EveryK(2))
-                .with_node_failures(NodeFailurePlan::correlated(0.15, 3, 17)),
+                .with_node_failures(NodeFailurePlan::correlated(0.15, 17), 3),
         );
         assert!(faulty.report.converged, "lag {lag} under node failures must still converge");
         let diff = pagerank::inf_norm_diff(&exact.ranks, &faulty.ranks);
@@ -353,7 +353,7 @@ fn byte_budget_checkpoints_recover_like_interval_checkpoints() {
         &cfg,
         AsyncFixedPointDriver::new(cfg.max_iterations)
             .with_checkpoints(CheckpointPolicy::ByteBudget(40 << 10))
-            .with_node_failures(NodeFailurePlan::correlated(0.2, 3, 1007)),
+            .with_node_failures(NodeFailurePlan::correlated(0.2, 1007), 3),
     );
     assert!(faulty.report.rollbacks > 0, "node deaths must fire");
     assert!(faulty.report.checkpoint_bytes > 0, "the budget must declare checkpoints");
@@ -377,9 +377,9 @@ fn simulated_node_death_replay_is_deterministic_and_meters_rollback() {
 
     for k in CHAOS_CKPT_INTERVALS {
         for prob in CHAOS_PROBS {
-            let plan = SimNodeFailurePlan::correlated(prob, k, 42);
+            let plan = NodeFailurePlan::correlated(prob, 42);
             let faulty = Simulation::new(ClusterSpec::ec2_2010(), 7)
-                .with_node_failures(plan.clone())
+                .with_node_failures(plan, k, NODE_DETECTION_DELAY)
                 .run_async_schedule(&schedule);
             // Same dependency graph, fully completed, in order.
             assert_eq!(faulty.tasks, schedule.len());
@@ -400,7 +400,7 @@ fn simulated_node_death_replay_is_deterministic_and_meters_rollback() {
             // Byte-identical schedules on identical inputs — the
             // determinism contract the acceptance criteria pin.
             let again = Simulation::new(ClusterSpec::ec2_2010(), 7)
-                .with_node_failures(plan)
+                .with_node_failures(plan, k, NODE_DETECTION_DELAY)
                 .run_async_schedule(&schedule);
             assert_eq!(faulty, again, "k = {k}, p = {prob}: replay must be deterministic");
         }
@@ -422,10 +422,13 @@ fn simulated_barrier_jobs_survive_node_deaths_across_the_chaos_matrix() {
 
     for prob in [0.3, 0.6] {
         for seed in CHAOS_SEEDS {
-            let plan = SimNodeFailurePlan::correlated(prob, 1, seed);
+            let plan = NodeFailurePlan::correlated(prob, seed);
             let run = |_: ()| {
-                let mut sim =
-                    Simulation::new(ClusterSpec::ec2_2010(), 7).with_node_failures(plan.clone());
+                let mut sim = Simulation::new(ClusterSpec::ec2_2010(), 7).with_node_failures(
+                    plan,
+                    1,
+                    NODE_DETECTION_DELAY,
+                );
                 let mut all = Vec::new();
                 let mut digests = Vec::new();
                 for _ in 0..jobs {
@@ -490,7 +493,7 @@ fn barrier_node_deaths_cost_time_against_the_clean_run() {
     assert_eq!(clean.node_failures, 0);
     assert_eq!(clean.node_lost_tasks, 0);
     let faulty = Simulation::new(ClusterSpec::ec2_2010(), 7)
-        .with_node_failures(SimNodeFailurePlan::correlated(0.6, 1, 42))
+        .with_node_failures(NodeFailurePlan::correlated(0.6, 42), 1, NODE_DETECTION_DELAY)
         .run_job(&job);
     assert!(faulty.node_failures > 0, "near-certain deaths must fire");
     assert!(

@@ -76,4 +76,11 @@ fn pipelined_engine_simulates_iterative_runs_identically_to_staged() {
     for (s, p) in staged.history().iter().zip(pipelined.history()) {
         assert_eq!(s.sim, p.sim, "per-job simulated stats must agree");
     }
+    // One cluster clock runs through the whole iterative run: every job
+    // is submitted the instant its predecessor finished.
+    let sims: Vec<_> = pipelined.history().iter().map(|r| r.sim.as_ref().unwrap()).collect();
+    assert!(sims.len() > 1);
+    for pair in sims.windows(2) {
+        assert_eq!(pair[1].submitted_at, pair[0].finished_at);
+    }
 }

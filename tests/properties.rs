@@ -233,7 +233,7 @@ proptest! {
         let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
             .with_max_lag(max_lag)
             .with_checkpoints(CheckpointPolicy::EveryK(ckpt_k))
-            .with_node_failures(NodeFailurePlan::correlated(0.25, 1 + (fseed as usize % 4), fseed));
+            .with_node_failures(NodeFailurePlan::correlated(0.25, fseed), 1 + (fseed as usize % 4));
         let faulty = pagerank::run_async_with_driver(&pool, &g, &parts, &cfg, driver);
         prop_assert!(clean.report.converged && faulty.report.converged);
         if max_lag == 0 {
@@ -273,7 +273,7 @@ proptest! {
         let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
             .with_max_lag(max_lag)
             .with_checkpoints(CheckpointPolicy::EveryK(ckpt_k))
-            .with_node_failures(NodeFailurePlan::correlated(0.25, 1 + (fseed as usize % 3), fseed ^ 0xBEEF));
+            .with_node_failures(NodeFailurePlan::correlated(0.25, fseed ^ 0xBEEF), 1 + (fseed as usize % 3));
         let faulty = sssp::run_async_with_driver(&pool, &wg, &parts, &cfg, driver);
         prop_assert!(faulty.report.converged);
         for (v, (&d, &t)) in faulty.distances.iter().zip(&truth).enumerate() {

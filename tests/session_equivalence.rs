@@ -207,7 +207,7 @@ proptest! {
 
         let dying = AsyncFixedPointDriver::new(cfg.max_iterations)
             .with_checkpoints(CheckpointPolicy::EveryK(2))
-            .with_node_failures(NodeFailurePlan::correlated(0.2, 3, seed));
+            .with_node_failures(NodeFailurePlan::correlated(0.2, seed), 3);
         let dying = pagerank::run_async_with_driver(&pool, &g, &parts, &cfg, dying);
         prop_assert!(same_bits(&dying.ranks, &exact.ranks), "rollback changed ranks");
         prop_assert_eq!(dying.report.global_iterations, exact.report.global_iterations);
@@ -259,7 +259,7 @@ proptest! {
 
         let dying = AsyncFixedPointDriver::new(cfg.max_iterations)
             .with_checkpoints(CheckpointPolicy::EveryK(1))
-            .with_node_failures(NodeFailurePlan::correlated(0.25, 3, seed));
+            .with_node_failures(NodeFailurePlan::correlated(0.25, seed), 3);
         let dying = sssp::run_async_with_driver(&pool, &wg, &parts, &cfg, dying);
         prop_assert!(same_bits(&dying.distances, &exact.distances), "rollback changed distances");
     }
