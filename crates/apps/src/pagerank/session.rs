@@ -169,7 +169,7 @@ impl AsyncIterative for PrAsync {
         // ≥ +0.0), so skipping them changes nothing.
         let part = &self.partitions[p];
         let n = part.len();
-        let m_int = part.internal_targets.len() as u64;
+        let m_int = part.internal.num_edges() as u64;
         // Working copy: `state` is shared history and must stay frozen.
         let mut cur = state.ranks.clone();
         let mut next = vec![0.0f64; n];
@@ -177,18 +177,14 @@ impl AsyncIterative for PrAsync {
         let mut passes = 0u64;
         for _ in 0..MAX_LOCAL_PASSES {
             next.copy_from_slice(&state.remote_in);
-            for li in 0..n {
-                let deg = part.out_degree[li];
-                if deg == 0 {
-                    continue;
-                }
-                let c = cur[li] / deg as f64;
-                let lo = part.internal_offsets[li] as usize;
-                let hi = part.internal_offsets[li + 1] as usize;
-                for &lt in &part.internal_targets[lo..hi] {
-                    next[lt as usize] += c;
-                }
-            }
+            part.internal.scatter(
+                &mut next,
+                |li, _| match part.out_degree[li] {
+                    0 => None,
+                    deg => Some(cur[li] / deg as f64),
+                },
+                |slot, c, _| *slot += c,
+            );
             let mut done = true;
             for li in 0..n {
                 let r = (1.0 - self.damping) + self.damping * next[li];

@@ -122,27 +122,20 @@ impl AsyncIterative for SpAsync {
         let mut passes = 0u64;
         for _ in 0..MAX_LOCAL_PASSES {
             next.fill(f64::INFINITY);
-            let mut emitted = n as u64;
-            for li in 0..n {
-                let d = cur[li];
-                next[li] = next[li].min(d); // self-proposal / keep-alive
-                if !d.is_finite() {
-                    continue;
-                }
-                emitted += part.internal_degree(li as u32) as u64;
-                let lo = part.internal_offsets[li] as usize;
-                let hi = part.internal_offsets[li + 1] as usize;
-                for (&lt, &w) in
-                    part.internal_targets[lo..hi].iter().zip(&part.internal_weights[lo..hi])
-                {
-                    let slot = &mut next[lt as usize];
-                    *slot = slot.min(d + w);
-                }
-            }
+            let relaxed = part.internal.scatter(
+                &mut next,
+                |li, next| {
+                    let d = cur[li];
+                    next[li] = next[li].min(d); // self-proposal / keep-alive
+                    d.is_finite().then_some(d)
+                },
+                |slot, d, w| *slot = slot.min(d + w),
+            );
             passes += 1;
             // lmap ops + emitted records + lreduce ops, each equal to
-            // the number of proposals this pass.
-            ops += 3 * emitted;
+            // the number of proposals this pass: one per vertex, one
+            // per internal edge of a finite source.
+            ops += 3 * (n as u64 + relaxed);
             let mut done = true;
             for li in 0..n {
                 let (a, b) = (cur[li], next[li]);

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use asyncmr_apps::common::{CutPlan, GraphPartition};
+use asyncmr_apps::common::{CutPlan, GraphPartition, LocalCsr};
 use asyncmr_core::Outbox;
 use asyncmr_graph::{CsrGraph, NodeId, WeightedGraph};
 use asyncmr_partition::{
@@ -72,39 +72,45 @@ fn reference_build(
     for (p, nodes) in parts.members().into_iter().enumerate() {
         let local_index: HashMap<NodeId, u32> =
             nodes.iter().enumerate().map(|(li, &v)| (v, li as u32)).collect();
-        let mut view = GraphPartition {
-            part: p as u32,
-            local_ids: (0..nodes.len() as u32).collect(),
-            nodes: Vec::new(),
-            internal_offsets: vec![0],
-            internal_targets: Vec::new(),
-            internal_weights: Vec::new(),
-            cross_offsets: vec![0],
-            cross_targets: Vec::new(),
-            cross_weights: Vec::new(),
-            out_degree: Vec::new(),
-        };
+        let (mut internal_offsets, mut internal_targets, mut internal_weights) =
+            (vec![0], Vec::new(), Vec::new());
+        let (mut cross_offsets, mut cross_targets, mut cross_weights) =
+            (vec![0], Vec::new(), Vec::new());
+        let mut out_degree = Vec::new();
         for &v in &nodes {
             let range = g.edge_range(v);
             for (idx, &t) in g.out_neighbors(v).iter().enumerate() {
                 let w = weights.map(|ws| ws[range.start + idx]);
                 match local_index.get(&t) {
                     Some(&lt) => {
-                        view.internal_targets.push(lt);
-                        view.internal_weights.extend(w);
+                        internal_targets.push(lt);
+                        internal_weights.extend(w);
                     }
                     None => {
-                        view.cross_targets.push(t);
-                        view.cross_weights.extend(w);
+                        cross_targets.push(t);
+                        cross_weights.extend(w);
                     }
                 }
             }
-            view.internal_offsets.push(view.internal_targets.len() as u32);
-            view.cross_offsets.push(view.cross_targets.len() as u32);
-            view.out_degree.push(g.out_degree(v));
+            internal_offsets.push(internal_targets.len() as u32);
+            cross_offsets.push(cross_targets.len() as u32);
+            out_degree.push(g.out_degree(v));
         }
-        view.nodes = nodes;
-        out.push(view);
+        out.push(GraphPartition {
+            part: p as u32,
+            local_ids: (0..nodes.len() as u32).collect(),
+            internal: LocalCsr::new(
+                nodes.len(),
+                internal_offsets,
+                internal_targets,
+                internal_weights,
+            ),
+            nodes,
+            cross_offsets,
+            cross_targets,
+            cross_weights,
+            out_degree,
+        });
     }
     out
 }
@@ -206,7 +212,7 @@ proptest! {
         let want = reference_build(&g, None, &parts);
         let views = GraphPartition::build(&g, &parts);
         prop_assert_eq!(&owned(&views), &want);
-        prop_assert!(views.iter().all(|v| v.internal_weights.is_empty() && v.cross_weights.is_empty()));
+        prop_assert!(views.iter().all(|v| v.cross_weights.is_empty()));
         for view in &views {
             for &li in &view.local_ids {
                 prop_assert!(view.internal_edges(li).chain(view.cross_edges(li)).all(|(_, w)| w == 1.0));
