@@ -22,7 +22,7 @@ use asyncmr_bench::{
     fault_tolerance, kmeans_figures, pagerank_figures, partitioner_ablation, scalability,
     scheduler_sweep, sssp_figures, table1, table2, Figure, GraphChoice, ReproConfig,
 };
-use asyncmr_simcluster::underflow_count;
+use asyncmr_model::underflow_count;
 
 fn usage() -> ! {
     eprintln!(

@@ -17,8 +17,8 @@
 //! workload — the 8×8 ring exchange on the straggler cluster (half the
 //! nodes at quarter speed, seed 7) — under the chosen scheduler
 //! (`list` | `heft` | `lookahead` | `portfolio`) and network model
-//! (`default` | `constant` | `shared` | `topology`), then render the
-//! requested analysis. `diff` aligns two schedulers on the same
+//! (`default` | `constant` | `shared`, the last being fair-shared NICs:
+//! the uniform fluid fabric), then render the requested analysis. `diff` aligns two schedulers on the same
 //! workload (defaults: `--a list --b heft`) and names the
 //! critical-path component responsible for the makespan gap.
 //!
@@ -45,14 +45,15 @@
 use asyncmr_apps::pagerank::{self, PageRankConfig};
 use asyncmr_core::{AsyncFixedPointDriver, GroupingStrategy};
 use asyncmr_graph::generators;
+use asyncmr_model::underflow_count;
 use asyncmr_partition::{apply_locality_order, Partitioner, RangePartitioner};
 use asyncmr_runtime::ThreadPool;
 use asyncmr_simcluster::workloads::{
     async_schedule, barrier_jobs, ring_exchange, APPS, ASYNC_SEED,
 };
 use asyncmr_simcluster::{
-    diff_runs, underflow_count, ClusterSpec, Constant, ReportModel, RunRecord, SchedulerSpec,
-    SharedBandwidth, Simulation, TopologyAware,
+    diff_runs, ClusterSpec, Constant, ReportModel, RunRecord, SchedulerSpec, Simulation,
+    TopologyAware,
 };
 
 const USAGE: &str = "usage: simtrace <timeline|critical-path|diff|report|fixtures> \
@@ -63,7 +64,7 @@ fn sched_spec(name: &str) -> SchedulerSpec {
         "list" => SchedulerSpec::List,
         "heft" => SchedulerSpec::Heft,
         "lookahead" => SchedulerSpec::Lookahead { depth: 2 },
-        "portfolio" => SchedulerSpec::default_portfolio(),
+        "portfolio" => SchedulerSpec::Portfolio,
         other => panic!("unknown scheduler {other} (list|heft|lookahead|portfolio)"),
     }
 }
@@ -77,9 +78,8 @@ fn straggler_sim(model: &str, sched: &str) -> Simulation {
     match model {
         "default" => sim,
         "constant" => sim.with_network(Constant::new(n, bw, lat)),
-        "shared" => sim.with_network(SharedBandwidth::new(n, bw, lat)),
-        "topology" => sim.with_network(TopologyAware::uniform(n, bw, lat)),
-        other => panic!("unknown model {other} (default|constant|shared|topology)"),
+        "shared" => sim.with_network(TopologyAware::uniform(n, bw, lat)),
+        other => panic!("unknown model {other} (default|constant|shared)"),
     }
 }
 

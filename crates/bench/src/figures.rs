@@ -11,12 +11,13 @@ use asyncmr_core::{
     AsyncFixedPointDriver, CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan,
 };
 use asyncmr_graph::{presets, stats::GraphProperties, CsrGraph, WeightedGraph};
+use asyncmr_model::{AsyncTaskSpec, SimTime};
 use asyncmr_partition::{MultilevelKWay, Partitioner, Partitioning};
 use asyncmr_runtime::ThreadPool;
 use asyncmr_simcluster::workloads::ring_exchange;
 use asyncmr_simcluster::{
-    diff_runs, AsyncTaskSpec, ClusterSpec, FailurePlan, RunRecord, SchedulerSpec, SharedBandwidth,
-    SimTime, Simulation, NODE_DETECTION_DELAY,
+    diff_runs, ClusterSpec, FailurePlan, RunRecord, SchedulerSpec, Simulation, TopologyAware,
+    NODE_DETECTION_DELAY,
 };
 
 use crate::report::{Figure, ReproConfig};
@@ -692,7 +693,7 @@ pub fn scheduler_sweep(cfg: &ReproConfig) -> Figure {
         let (n, bw, lat) = (spec.num_nodes(), spec.nic_bandwidth, spec.net_latency);
         let sim = Simulation::new(spec, cfg.seed).with_scheduler(sched);
         if regime == "straggler-shared-net" {
-            sim.with_network(SharedBandwidth::new(n, bw, lat))
+            sim.with_network(TopologyAware::uniform(n, bw, lat))
         } else {
             sim
         }
@@ -710,7 +711,7 @@ pub fn scheduler_sweep(cfg: &ReproConfig) -> Figure {
             SchedulerSpec::List,
             SchedulerSpec::Heft,
             SchedulerSpec::Lookahead { depth: 1 },
-            SchedulerSpec::default_portfolio(),
+            SchedulerSpec::Portfolio,
         ] {
             let stats = sim(regime, sched).run_async_schedule(&tasks);
             let secs = stats.duration.as_secs_f64();

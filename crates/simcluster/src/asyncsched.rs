@@ -62,7 +62,7 @@
 //!
 //! ## Correlated node death (checkpoint/rollback)
 //!
-//! With a [`crate::NodeFailurePlan`] installed
+//! With a [`NodeFailurePlan`] installed
 //! ([`Simulation::with_node_failures`]), the replay additionally models
 //! the failure mode transient retries cannot absorb: a whole node
 //! dying, taking **every resident task attempt and its stored outputs**
@@ -93,17 +93,14 @@
 //! event traces, which is what lets `repro faults` price checkpoint
 //! intervals under node death reproducibly.
 
-use rand::RngExt;
-
-pub use asyncmr_model::AsyncTaskSpec;
+use asyncmr_model::{underflow_count, AsyncTaskSpec, NodeFailurePlan, SimTime};
 
 use crate::cluster::ClusterSpec;
 use crate::event_core::{ComponentId, Ev, EventCore, EventHandler};
-use crate::failure::{last_checkpoint, FailurePlan, NodeFailurePlan};
-use crate::sched::{candidates, CritComposition, SchedView, Scheduler, SlotState};
+use crate::failure::{last_checkpoint, FailurePlan};
+use crate::sched::{candidates, SchedView, Scheduler, SlotState};
 use crate::sim::Simulation;
 use crate::stats::CommitAccounting;
-use crate::time::SimTime;
 
 /// Accounting for one replayed asynchronous session.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,7 +125,7 @@ pub struct AsyncScheduleStats {
     /// the eager schedule, which usually hides part of it.)
     pub recovery_time: SimTime,
     /// Injected correlated node deaths (0 without a
-    /// [`crate::NodeFailurePlan`]).
+    /// [`NodeFailurePlan`]).
     pub node_failures: usize,
     /// Simulated time lost to node deaths: the executed durations of
     /// every task rolled back past a checkpoint (directly resident on
@@ -192,7 +189,7 @@ impl Simulation {
     /// it dies, and its retry is dispatched — to the then-best slot —
     /// only after the detection delay.
     ///
-    /// Under an active [`crate::NodeFailurePlan`]
+    /// Under an active [`NodeFailurePlan`]
     /// ([`Simulation::with_node_failures`]) the replay additionally
     /// injects correlated node deaths with checkpoint-bounded rollback
     /// (see the [module docs](self)): dispatch proceeds epoch by epoch
@@ -207,7 +204,7 @@ impl Simulation {
     /// reference (`dep >= task index`).
     pub fn run_async_schedule(&mut self, tasks: &[AsyncTaskSpec]) -> AsyncScheduleStats {
         let submitted_at = self.core.now();
-        let underflows_before = crate::time::underflow_count();
+        let underflows_before = underflow_count();
         // One session = one job-tracker envelope, however many global
         // iterations it spans.
         let setup_done = submitted_at + self.spec.job_setup;
@@ -305,7 +302,7 @@ impl Simulation {
         // needed — both runs of a determinism pair carry the snapshot.
         run.snapshot_link_utilization(&mut self.core);
 
-        run.commit.time_underflows = crate::time::underflow_count() - underflows_before;
+        run.commit.time_underflows = underflow_count() - underflows_before;
 
         let finished_at = run.work_end + self.spec.job_cleanup;
         self.core.set_clock(finished_at);
@@ -385,13 +382,6 @@ struct AsyncRun<'a> {
 }
 
 impl AsyncRun<'_> {
-    /// Decides whether this attempt fails (never on the last attempt).
-    fn attempt_fails(&self, core: &mut EventCore, attempt: u32) -> bool {
-        self.failure.enabled()
-            && attempt + 1 < self.failure.max_attempts
-            && core.rng().random_range(0.0..1.0) < self.failure.attempt_failure_prob
-    }
-
     /// Dispatches task `i` (attempt loop included) onto the slot the
     /// scheduler chooses and records its finish/node/duration.
     ///
@@ -498,11 +488,10 @@ impl AsyncRun<'_> {
             let sort = self.spec.cost.sort_time(task.output_bytes, speed);
             let end = start + self.spec.task_launch + read + compute + sort;
 
-            if self.attempt_fails(core, attempt) {
+            if let Some(frac) = self.failure.draw_death(core.rng(), attempt) {
                 // Dies a uniform fraction of the way through; the slot
                 // is occupied until the death, the retry waits out the
                 // detection delay.
-                let frac: f64 = core.rng().random_range(0.05..0.95);
                 let died = start + (end - start).scale(frac);
                 self.slots[slot].0 = died;
                 self.failed_attempts += 1;
@@ -604,52 +593,12 @@ impl AsyncRun<'_> {
             }
         }
     }
-
-    /// The compute/wire/queue composition of the critical path through
-    /// the schedule committed so far: from the latest-finishing
-    /// committed task backwards along each recorded critical input
-    /// edge ([`AsyncScheduleStats::task_crit_dep`] semantics). Empty
-    /// before anything committed. Rollbacks transitively invalidate
-    /// dependents, so a committed task's recorded edge always points at
-    /// a committed dependency with its current finish time.
-    fn committed_composition(&self) -> CritComposition {
-        let mut comp = CritComposition::default();
-        let Some(sink) = (0..self.tasks.len())
-            .filter(|&i| self.done[i])
-            .max_by_key(|&i| (self.finish[i], std::cmp::Reverse(i)))
-        else {
-            return comp;
-        };
-        let mut cur = sink;
-        loop {
-            comp.compute += self.dur[cur];
-            match self.crit_dep[cur] {
-                Some((dep, arrival)) if self.done[dep] => {
-                    // start >= arrival >= finish[dep] by construction,
-                    // so neither subtraction can underflow.
-                    let start = self.finish[cur] - self.dur[cur];
-                    comp.queue += start - arrival;
-                    comp.wire += arrival - self.finish[dep];
-                    cur = dep;
-                }
-                _ => break,
-            }
-        }
-        comp
-    }
 }
 
 impl EventHandler for AsyncRun<'_> {
     fn on_event(&mut self, core: &mut EventCore, _at: SimTime, ev: Ev) {
         match ev {
             Ev::EpochStart { epoch } => {
-                // Feed the committed critical-path composition forward
-                // before this boundary's verdicts or placements — the
-                // signal is what previous epochs actually bound on
-                // (empty at the first boundary, so single-boundary runs
-                // see no behavior change from feedback-aware policies).
-                let feedback = self.committed_composition();
-                self.scheduler.epoch_feedback(feedback);
                 if self.node_plan.enabled() {
                     if epoch % self.checkpoint_interval == 0 {
                         // Trace-only: the session checkpointed its
@@ -728,7 +677,8 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
     use crate::failure::NODE_DETECTION_DELAY;
-    use crate::job::{JobSpec, MapTaskSpec};
+    use crate::network::TopologyAware;
+    use asyncmr_model::{JobSpec, MapTaskSpec};
 
     fn sim(seed: u64) -> Simulation {
         Simulation::new(ClusterSpec::ec2_2010(), seed)
@@ -1007,14 +957,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one member")]
-    fn literally_constructed_empty_portfolio_is_rejected_at_injection() {
-        use crate::sched::SchedulerSpec;
-        let _ = Simulation::new(ClusterSpec::ec2_2010(), 1)
-            .with_scheduler(SchedulerSpec::Portfolio { members: Vec::new() });
-    }
-
-    #[test]
     #[should_panic(expected = "depth must be at least 1")]
     fn literally_constructed_zero_depth_lookahead_is_rejected_at_injection() {
         use crate::sched::SchedulerSpec;
@@ -1057,7 +999,6 @@ mod tests {
         // schedule's committed transfers land *later* than the pure
         // estimates that ranked their slots (greedy admission), and
         // never earlier.
-        use crate::network::SharedBandwidth;
         let spec = ClusterSpec::ec2_2010();
         let (n, bw, lat) = (spec.num_nodes(), spec.nic_bandwidth, spec.net_latency);
         let tasks = ring_schedule(16, 4, 10_000_000)
@@ -1068,7 +1009,7 @@ mod tests {
             })
             .collect::<Vec<_>>();
         let stats = Simulation::new(spec, 3)
-            .with_network(SharedBandwidth::new(n, bw, lat))
+            .with_network(TopologyAware::uniform(n, bw, lat))
             .run_async_schedule(&tasks);
         assert!(stats.commit.overruns > 0, "contention must delay some commits");
         assert!(stats.commit.overrun_time > SimTime::ZERO);
@@ -1098,21 +1039,22 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_feedback_is_deterministic_across_epochs() {
+    fn portfolio_is_deterministic_with_a_boundary_per_epoch() {
         use crate::sched::SchedulerSpec;
-        // A node plan forces one boundary per epoch, so from the second
-        // boundary on the portfolio races with a live feed-forward
-        // hint. The hint is a pure function of committed state:
-        // repeating the run must reproduce every placement and finish.
+        // A node plan forces one boundary per epoch, so the portfolio
+        // races its members again at every boundary, on state that
+        // deaths and rollbacks have changed. Each race reads estimates
+        // only: repeating the run must reproduce every placement and
+        // finish.
         let tasks = ring_schedule(8, 6, 20_000_000);
         let run = || {
             Simulation::new(ClusterSpec::ec2_2010(), 9)
                 .with_node_failures(NodeFailurePlan::correlated(0.2, 3), 1, NODE_DETECTION_DELAY)
-                .with_scheduler(SchedulerSpec::default_portfolio())
+                .with_scheduler(SchedulerSpec::Portfolio)
                 .run_async_schedule(&tasks)
         };
         let (a, b) = (run(), run());
-        assert_eq!(a.tasks, tasks.len(), "all work completes under feedback");
+        assert_eq!(a.tasks, tasks.len(), "all work completes");
         assert_eq!(a.task_node, b.task_node, "placements are reproducible");
         assert_eq!(a.task_finish, b.task_finish, "finishes are reproducible");
         assert_eq!(a.duration, b.duration);
@@ -1120,13 +1062,12 @@ mod tests {
 
     #[test]
     fn every_scheduler_completes_the_dag_in_dependency_order() {
-        use crate::network::SharedBandwidth;
         use crate::sched::SchedulerSpec;
         let specs = [
             SchedulerSpec::List,
             SchedulerSpec::Heft,
             SchedulerSpec::Lookahead { depth: 2 },
-            SchedulerSpec::default_portfolio(),
+            SchedulerSpec::Portfolio,
         ];
         let tasks = ring_schedule(8, 5, 20_000_000);
         for sched in specs {
@@ -1134,7 +1075,7 @@ mod tests {
             let spec = ClusterSpec::ec2_2010();
             let (n, bw, lat) = (spec.num_nodes(), spec.nic_bandwidth, spec.net_latency);
             let stats = Simulation::new(spec, 11)
-                .with_network(SharedBandwidth::new(n, bw, lat))
+                .with_network(TopologyAware::uniform(n, bw, lat))
                 .with_failures(FailurePlan::transient(0.15))
                 .with_scheduler(sched)
                 .run_async_schedule(&tasks);
@@ -1153,7 +1094,6 @@ mod tests {
 
     #[test]
     fn fluid_models_trace_link_utilization_at_epoch_boundaries() {
-        use crate::network::SharedBandwidth;
         // Per-epoch boundaries (node plan installed) under a fluid
         // model: whenever flows are live at a boundary, the trace
         // carries LinkUtil snapshots. The default model traces none.
@@ -1163,7 +1103,7 @@ mod tests {
         // A vanishing death probability keeps the plan *enabled* (one
         // boundary per epoch) without any deaths actually firing.
         let mut s = Simulation::new(spec, 2)
-            .with_network(SharedBandwidth::new(n, bw, lat))
+            .with_network(TopologyAware::uniform(n, bw, lat))
             .with_node_failures(NodeFailurePlan::correlated(1e-12, 5), 1, NODE_DETECTION_DELAY);
         s.run_async_schedule(&tasks);
         let snapshots =

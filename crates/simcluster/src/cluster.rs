@@ -6,9 +6,10 @@
 //! second job setup at the JobTracker, ~1 s JVM launch per task, a
 //! shared gigabit NIC per node, and HDFS 3-way replicated writes.
 
+use asyncmr_model::SimTime;
+
 use crate::costmodel::CostModel;
 use crate::dfs::DfsModel;
-use crate::time::SimTime;
 
 /// One machine in the simulated cluster.
 #[derive(Debug, Clone, PartialEq)]

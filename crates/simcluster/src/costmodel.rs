@@ -7,7 +7,7 @@
 //! 1.6: interpreted-ish record processing with per-record
 //! (de)serialization overhead dwarfing raw ALU cost.
 
-use crate::time::SimTime;
+use asyncmr_model::SimTime;
 
 /// CPU/record cost constants of the simulated platform.
 #[derive(Debug, Clone, PartialEq)]

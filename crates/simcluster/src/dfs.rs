@@ -15,8 +15,9 @@
 //! Block placement is deterministic from the task index, emulating
 //! HDFS's round-robin-with-local-first placement.
 
+use asyncmr_model::SimTime;
+
 use crate::network::NetworkModel;
-use crate::time::SimTime;
 
 /// DFS behaviour constants.
 #[derive(Debug, Clone, PartialEq)]

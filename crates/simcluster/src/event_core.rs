@@ -27,13 +27,12 @@
 //! `(ClusterSpec, FailurePlan, NodeFailurePlan, NetworkModel, seed,
 //! workload)` — across processes and `--test-threads` settings alike.
 
+use asyncmr_model::{splitmix64, SimTime};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::events::EventQueue;
-use crate::failure::splitmix64;
 use crate::network::NetworkModel;
-use crate::time::SimTime;
 
 /// Identifies a registered simulation component (event destination).
 pub type ComponentId = usize;
@@ -350,12 +349,6 @@ impl EventCore {
     /// [`EventCore::clear_trace`], in processing order.
     pub fn trace(&self) -> &[TraceEvent] {
         &self.trace
-    }
-
-    /// Iterates the recorded trace in processing order — the read API
-    /// [`crate::trace`] builds its analyses on.
-    pub fn trace_iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.trace.iter()
     }
 
     /// Starts a fresh trace (each `run_*` call does this, so the trace

@@ -9,7 +9,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use asyncmr_model::SimTime;
 
 /// A time-ordered queue of simulation events.
 #[derive(Debug)]

@@ -11,20 +11,20 @@
 //!   of its would-be duration, is detected after the tasktracker
 //!   timeout, and is rescheduled (up to `max_attempts`, Hadoop's
 //!   `mapred.map.max.attempts` default of 4).
-//! * [`NodeFailurePlan`] — correlated *node* death: a dying node takes
-//!   every resident task attempt **and its already-stored outputs**
-//!   with it. Completed work on that node past the last checkpoint is
-//!   lost and must be rolled back and re-executed (together with
-//!   everything that transitively consumed it), re-placed on the
-//!   surviving nodes after a detection delay. The plan is the one the
-//!   in-process session injects from (`asyncmr-model` defines it);
+//! * [`NodeFailurePlan`](asyncmr_model::NodeFailurePlan) — correlated
+//!   *node* death: a dying node takes every resident task attempt **and
+//!   its already-stored outputs** with it. Completed work on that node
+//!   past the last checkpoint is lost and must be rolled back and
+//!   re-executed (together with everything that transitively consumed
+//!   it), re-placed on the surviving nodes after a detection delay.
+//!   The plan is the one the in-process session injects from
+//!   (`asyncmr-model` defines it);
 //!   [`crate::Simulation::with_node_failures`] takes the checkpoint
 //!   spacing and detection delay beside it. See [`crate::asyncsched`]
 //!   for the rollback model.
 
-pub use asyncmr_model::failure::{splitmix64, verdict_unit, NodeFailurePlan};
-
-use crate::time::SimTime;
+use asyncmr_model::SimTime;
+use rand::RngExt;
 
 /// The delay the node-failure figures and goldens replay under between
 /// a node dying and the JobTracker noticing: a few missed heartbeats —
@@ -71,6 +71,18 @@ impl FailurePlan {
         self.attempt_failure_prob > 0.0
     }
 
+    /// Whether attempt number `attempt` (0-based) dies, and if so the
+    /// fraction of its would-be runtime it survives, uniform in
+    /// `[0.05, 0.95)`. The last admissible attempt never dies. Draws the
+    /// failure coin and then the fraction from `rng` — the order both
+    /// replay paths' goldens pin.
+    pub(crate) fn draw_death(&self, rng: &mut impl RngExt, attempt: u32) -> Option<f64> {
+        let dies = self.enabled()
+            && attempt + 1 < self.max_attempts
+            && rng.random_range(0.0..1.0) < self.attempt_failure_prob;
+        dies.then(|| rng.random_range(0.05..0.95))
+    }
+
     /// Panics unless the fields are in range (`prob ∈ [0, 1)`,
     /// `max_attempts ≥ 1`).
     ///
@@ -101,6 +113,7 @@ impl Default for FailurePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asyncmr_model::NodeFailurePlan;
 
     #[test]
     fn none_is_disabled() {

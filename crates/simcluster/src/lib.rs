@@ -20,13 +20,17 @@
 //! The simulator never executes user code. The MapReduce engine
 //! (`asyncmr-core`) runs the real algorithm in-process, *meters* each
 //! task (input/output bytes, abstract operation counts), and submits the
-//! resulting [`JobSpec`] here to obtain the simulated wall-clock cost of
-//! that job on the paper's platform. Iteration counts are therefore
-//! exact, and times have the platform's cost *shape* (global
-//! synchronizations dominating useful compute).
+//! resulting [`JobSpec`](asyncmr_model::JobSpec) here to obtain the
+//! simulated wall-clock cost of that job on the paper's platform.
+//! Iteration counts are therefore exact, and times have the platform's
+//! cost *shape* (global synchronizations dominating useful compute).
+//! The job specs, their stats, simulated time and the failure verdicts
+//! are `asyncmr-model`'s vocabulary; this crate defines only the
+//! cluster that prices them.
 //!
 //! ```
-//! use asyncmr_simcluster::{ClusterSpec, JobSpec, MapTaskSpec, ReduceTaskSpec, Simulation};
+//! use asyncmr_model::{JobSpec, MapTaskSpec, ReduceTaskSpec};
+//! use asyncmr_simcluster::{ClusterSpec, Simulation};
 //!
 //! let mut sim = Simulation::new(ClusterSpec::ec2_2010(), 42);
 //! let job = JobSpec::named("tiny")
@@ -53,26 +57,20 @@ pub mod stats;
 pub mod trace;
 pub mod workloads;
 
-// The simulator's input and output types are defined in
-// `asyncmr-model`, which the engine shares; they keep their paths here.
-pub use asyncmr_model::{job, time};
+// The ledger names these `asyncmr-model` types at these paths.
+pub use asyncmr_model::{underflow_count, AsyncTaskSpec};
 
-pub use asyncsched::{AsyncScheduleStats, AsyncTaskSpec};
+pub use asyncsched::AsyncScheduleStats;
 pub use cluster::{ClusterSpec, NodeSpec};
 pub use costmodel::CostModel;
 pub use dfs::DfsModel;
 pub use event_core::{ComponentId, Ev, EventCore, EventHandler, TraceEvent};
-pub use failure::{splitmix64, verdict_unit, FailurePlan, NodeFailurePlan, NODE_DETECTION_DELAY};
-pub use job::{JobSpec, MapTaskSpec, ReduceTaskSpec};
-pub use network::{Constant, NetworkModel, NetworkState, SharedBandwidth, TopologyAware};
+pub use failure::{FailurePlan, NODE_DETECTION_DELAY};
+pub use network::{Constant, NetworkModel, NetworkState, TopologyAware};
 pub use sched::{
-    Candidate, CritComponent, CritComposition, Heft, ListScheduler, Lookahead, Portfolio,
-    SchedView, Scheduler, SchedulerSpec, SlotState,
+    Candidate, Heft, ListScheduler, Lookahead, Portfolio, SchedView, Scheduler, SchedulerSpec,
+    SlotState,
 };
 pub use sim::Simulation;
-pub use stats::{CommitAccounting, JobStats, PhaseBreakdown, RunTotals};
-pub use time::{underflow_count, SimTime};
-pub use trace::{
-    diff_runs, CriticalPath, LaneBreakdown, Mark, MarkKind, ReportModel, RunRecord, SessionTrace,
-    Span, SpanKind, Stall, TraceAnalysis, TraceDiff, TraceReader,
-};
+pub use stats::CommitAccounting;
+pub use trace::{diff_runs, ReportModel, RunRecord, TraceAnalysis, TraceDiff, TraceReader};

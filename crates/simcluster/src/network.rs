@@ -10,14 +10,12 @@
 //! |---|---|---|
 //! | [`Constant`] | none — every transfer gets full bandwidth | uncontended baseline; the pre-refactor async path's semantics |
 //! | [`NetworkState`] (NIC store-and-forward, **default**) | per-node tx/rx pipes serialize | the pre-refactor barrier path's semantics |
-//! | [`SharedBandwidth`] | per-node NIC capacity fair-shared (max-min fluid) across concurrent flows, rates recomputed on flow add/remove | contention studies: all-to-all shuffles visibly stretch |
-//! | [`TopologyAware`] | per-link capacities (node uplinks/downlinks + optional oversubscribed core) | heterogeneous fabrics, CluE-style oversubscription |
+//! | [`TopologyAware`] | per-link capacities (node uplinks/downlinks + optional oversubscribed core), max-min fair-shared across concurrent flows, rates recomputed on flow add/remove | contention studies ([`TopologyAware::uniform`]: fair-shared NICs, all-to-all shuffles visibly stretch); CluE-style oversubscription |
 //!
-//! The fluid models ([`SharedBandwidth`], [`TopologyAware`]) share one
-//! max-min progressive-filling engine: at every flow arrival and
-//! completion the rate allocation is recomputed so that no link ever
-//! carries more than its capacity (the conservation property pinned by
-//! `tests/network_models.rs`). Completion times are committed at
+//! The fluid model is a max-min progressive-filling engine: at every
+//! flow arrival and completion the rate allocation is recomputed so
+//! that no link ever carries more than its capacity (the conservation
+//! property pinned by `tests/network_models.rs`). Completion times are committed at
 //! admission — a flow admitted later shares capacity with everything
 //! active at that instant, but does not retroactively slow transfers
 //! whose completions were already reported (the same
@@ -27,7 +25,7 @@
 
 use std::fmt;
 
-use crate::time::SimTime;
+use asyncmr_model::SimTime;
 
 /// How the simulated cluster prices point-to-point byte movement.
 ///
@@ -47,10 +45,6 @@ pub trait NetworkModel: fmt::Debug + Send {
     /// earlier than `earliest`; returns the completion instant.
     /// Loopback (`src == dst`) completes at `earliest` for free.
     fn transfer(&mut self, src: usize, dst: usize, bytes: u64, earliest: SimTime) -> SimTime;
-
-    /// Commits a transfer that only occupies the receive side of `dst`
-    /// (DFS pipeline-write fan-in from an already-streaming replica).
-    fn receive_only(&mut self, dst: usize, bytes: u64, earliest: SimTime) -> SimTime;
 
     /// Clears capacity occupancy to `at` or later (between jobs, so a
     /// new job's transfers never start in the previous job's past).
@@ -130,10 +124,6 @@ impl NetworkModel for Constant {
         earliest + self.wire_time(bytes)
     }
 
-    fn receive_only(&mut self, _dst: usize, bytes: u64, earliest: SimTime) -> SimTime {
-        earliest + self.wire_time(bytes)
-    }
-
     fn advance_to(&mut self, _at: SimTime) {}
 }
 
@@ -153,7 +143,7 @@ impl NetworkModel for Constant {
 /// caller charges separately.
 ///
 /// This is deliberately simpler than flow-level max-min fairness (see
-/// [`SharedBandwidth`] for that), but it preserves the property the
+/// [`TopologyAware`] for that), but it preserves the property the
 /// paper's argument rests on: all-to-all shuffles serialize on node
 /// NICs, so a *global* synchronization costs far more than the
 /// partition-local work it punctuates, and grows with the number of
@@ -181,17 +171,21 @@ impl NetworkState {
             rx_free: vec![SimTime::ZERO; nodes],
         }
     }
+}
 
-    /// Pure transfer duration for `bytes` (latency + serialization).
-    pub fn wire_time(&self, bytes: u64) -> SimTime {
+impl NetworkModel for NetworkState {
+    fn nodes(&self) -> usize {
+        self.tx_free.len()
+    }
+
+    fn wire_time(&self, bytes: u64) -> SimTime {
         self.latency + SimTime::from_secs_f64(bytes as f64 / self.bandwidth)
     }
 
-    /// Schedules a transfer of `bytes` from `src` to `dst`, not starting
-    /// before `earliest`. Returns the completion time and occupies both
-    /// pipes until then. Loopback (`src == dst`) completes instantly at
-    /// `earliest` (no NIC involvement).
-    pub fn transfer(&mut self, src: usize, dst: usize, bytes: u64, earliest: SimTime) -> SimTime {
+    /// Occupies both pipes until the transfer completes; loopback
+    /// (`src == dst`) completes instantly at `earliest` (no NIC
+    /// involvement).
+    fn transfer(&mut self, src: usize, dst: usize, bytes: u64, earliest: SimTime) -> SimTime {
         if src == dst {
             return earliest;
         }
@@ -202,53 +196,15 @@ impl NetworkState {
         finish
     }
 
-    /// Occupies only the receive pipe of `dst` (used for DFS pipeline
-    /// writes fanning in from a remote replica).
-    pub fn receive_only(&mut self, dst: usize, bytes: u64, earliest: SimTime) -> SimTime {
-        let start = earliest.max(self.rx_free[dst]);
-        let finish = start + self.wire_time(bytes);
-        self.rx_free[dst] = finish;
-        finish
-    }
-
-    /// Clears occupancy to `at` or later (used between jobs so a new
-    /// job's transfers never start in the previous job's past).
-    pub fn advance_to(&mut self, at: SimTime) {
+    fn advance_to(&mut self, at: SimTime) {
         for t in self.tx_free.iter_mut().chain(self.rx_free.iter_mut()) {
             *t = (*t).max(at);
         }
     }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.tx_free.len()
-    }
-}
-
-impl NetworkModel for NetworkState {
-    fn nodes(&self) -> usize {
-        NetworkState::nodes(self)
-    }
-
-    fn wire_time(&self, bytes: u64) -> SimTime {
-        NetworkState::wire_time(self, bytes)
-    }
-
-    fn transfer(&mut self, src: usize, dst: usize, bytes: u64, earliest: SimTime) -> SimTime {
-        NetworkState::transfer(self, src, dst, bytes, earliest)
-    }
-
-    fn receive_only(&mut self, dst: usize, bytes: u64, earliest: SimTime) -> SimTime {
-        NetworkState::receive_only(self, dst, bytes, earliest)
-    }
-
-    fn advance_to(&mut self, at: SimTime) {
-        NetworkState::advance_to(self, at)
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Fluid max-min engine shared by SharedBandwidth and TopologyAware.
+// Fluid max-min engine behind TopologyAware.
 // ---------------------------------------------------------------------------
 
 /// One active fluid flow: the links it crosses and the bytes left.
@@ -421,100 +377,18 @@ impl FluidLinks {
 }
 
 // ---------------------------------------------------------------------------
-// SharedBandwidth: per-node NIC fair sharing.
-// ---------------------------------------------------------------------------
-
-/// Max-min fair sharing of each node's NIC: a transfer crosses its
-/// source's tx link and its destination's rx link, and concurrent flows
-/// on a link share its capacity fairly, with the allocation recomputed
-/// at every flow add/remove. Shuffle contention under this model slows
-/// *everyone* down smoothly instead of serializing — the fluid
-/// counterpart of [`NetworkState`].
-#[derive(Debug)]
-pub struct SharedBandwidth {
-    nodes: usize,
-    bandwidth: f64,
-    latency: SimTime,
-    fluid: FluidLinks,
-}
-
-impl SharedBandwidth {
-    /// Creates the model: `bandwidth` bytes/s per NIC direction.
-    /// Links `0..nodes` are transmit, `nodes..2*nodes` receive.
-    pub fn new(nodes: usize, bandwidth: f64, latency: SimTime) -> Self {
-        assert!(bandwidth > 0.0, "bandwidth must be positive");
-        SharedBandwidth {
-            nodes,
-            bandwidth,
-            latency,
-            fluid: FluidLinks::new(vec![bandwidth; 2 * nodes]),
-        }
-    }
-
-    /// Per-link utilization `[tx_0.., rx_0..]` at the current fluid
-    /// instant — the conservation-test observable.
-    pub fn utilization(&self) -> Vec<f64> {
-        self.fluid.utilization()
-    }
-
-    /// Per-link capacities, parallel to [`SharedBandwidth::utilization`].
-    pub fn capacities(&self) -> Vec<f64> {
-        self.fluid.caps.clone()
-    }
-}
-
-impl NetworkModel for SharedBandwidth {
-    fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    fn wire_time(&self, bytes: u64) -> SimTime {
-        self.latency + SimTime::from_secs_f64(bytes as f64 / self.bandwidth)
-    }
-
-    fn transfer(&mut self, src: usize, dst: usize, bytes: u64, earliest: SimTime) -> SimTime {
-        if src == dst {
-            return earliest;
-        }
-        if bytes == 0 {
-            return earliest + self.latency;
-        }
-        let links = vec![src as u32, (self.nodes + dst) as u32];
-        let done = self.fluid.admit(links, bytes as f64, earliest.as_secs_f64());
-        SimTime::from_secs_f64(done) + self.latency
-    }
-
-    fn receive_only(&mut self, dst: usize, bytes: u64, earliest: SimTime) -> SimTime {
-        if bytes == 0 {
-            return earliest + self.latency;
-        }
-        let links = vec![(self.nodes + dst) as u32];
-        let done = self.fluid.admit(links, bytes as f64, earliest.as_secs_f64());
-        SimTime::from_secs_f64(done) + self.latency
-    }
-
-    fn advance_to(&mut self, at: SimTime) {
-        self.fluid.advance_secs(at.as_secs_f64());
-    }
-
-    fn utilization(&self) -> Vec<f64> {
-        self.fluid.utilization()
-    }
-
-    fn capacities(&self) -> Vec<f64> {
-        self.fluid.caps.clone()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // TopologyAware: per-link capacities.
 // ---------------------------------------------------------------------------
 
 /// Per-link capacities: every node has an uplink and a downlink into a
 /// switching fabric with an optional aggregate core capacity (the
 /// oversubscription knob of CluE-style clusters). Flows cross
-/// `[up(src), core?, down(dst)]` and share each link max-min fairly —
-/// the same fluid engine as [`SharedBandwidth`], so with uniform links,
+/// `[up(src), core?, down(dst)]` and share each link max-min fairly,
+/// with the allocation recomputed at every flow add/remove.
+///
+/// [`TopologyAware::uniform`] is the fluid counterpart of
+/// [`NetworkState`]: fair-shared NICs, where shuffle contention slows
+/// *everyone* down smoothly instead of serializing. With uniform links,
 /// no core bottleneck, and no concurrent flows it degenerates to
 /// [`Constant`] (pinned by `tests/network_models.rs`).
 #[derive(Debug)]
@@ -551,21 +425,11 @@ impl TopologyAware {
         }
     }
 
-    /// Uniform fabric: every up/down link at `bandwidth`, no core
-    /// bottleneck — the [`Constant`]-degenerate configuration.
+    /// Uniform fabric: every up/down link at `bandwidth` per NIC
+    /// direction, no core bottleneck. Links `0..nodes` are transmit,
+    /// `nodes..2*nodes` receive.
     pub fn uniform(nodes: usize, bandwidth: f64, latency: SimTime) -> Self {
         TopologyAware::new(vec![(bandwidth, bandwidth); nodes], None, latency)
-    }
-
-    /// Per-link utilization `[up_0.., down_0.., core?]` at the current
-    /// fluid instant.
-    pub fn utilization(&self) -> Vec<f64> {
-        self.fluid.utilization()
-    }
-
-    /// Per-link capacities, parallel to [`TopologyAware::utilization`].
-    pub fn capacities(&self) -> Vec<f64> {
-        self.fluid.caps.clone()
     }
 }
 
@@ -589,15 +453,6 @@ impl NetworkModel for TopologyAware {
         if let Some(core) = self.core_link {
             links.push(core);
         }
-        let done = self.fluid.admit(links, bytes as f64, earliest.as_secs_f64());
-        SimTime::from_secs_f64(done) + self.latency
-    }
-
-    fn receive_only(&mut self, dst: usize, bytes: u64, earliest: SimTime) -> SimTime {
-        if bytes == 0 {
-            return earliest + self.latency;
-        }
-        let links = vec![(self.nodes + dst) as u32];
         let done = self.fluid.admit(links, bytes as f64, earliest.as_secs_f64());
         SimTime::from_secs_f64(done) + self.latency
     }
@@ -687,7 +542,7 @@ mod tests {
     fn shared_bandwidth_fair_shares_a_pipe() {
         // Two flows out of node 0 at once: each gets bw/2, so both take
         // ~2x the solo duration instead of 1x/2x serialization.
-        let mut s = SharedBandwidth::new(4, 1e6, SimTime::ZERO);
+        let mut s = TopologyAware::uniform(4, 1e6, SimTime::ZERO);
         let a = s.transfer(0, 1, 1_000_000, SimTime::ZERO);
         let b = s.transfer(0, 2, 1_000_000, SimTime::ZERO);
         // Flow a was committed alone (1 s); flow b shares a's residual
@@ -698,7 +553,7 @@ mod tests {
 
     #[test]
     fn shared_bandwidth_recomputes_on_remove() {
-        let mut s = SharedBandwidth::new(4, 1e6, SimTime::ZERO);
+        let mut s = TopologyAware::uniform(4, 1e6, SimTime::ZERO);
         let _a = s.transfer(0, 1, 1_000_000, SimTime::ZERO);
         let _b = s.transfer(0, 2, 4_000_000, SimTime::ZERO);
         // Both active: node 0's tx link is saturated at capacity.
@@ -737,8 +592,8 @@ mod tests {
 
     #[test]
     fn topology_core_bottleneck_slows_disjoint_pairs() {
-        // Disjoint node pairs share nothing under SharedBandwidth but
-        // do share an oversubscribed core here.
+        // Disjoint node pairs share nothing on the uniform fabric but
+        // do share an oversubscribed core.
         let mut free = TopologyAware::uniform(4, 1e6, SimTime::ZERO);
         let mut tight = TopologyAware::new(vec![(1e6, 1e6); 4], Some(1e6), SimTime::ZERO);
         let f1 = free.transfer(0, 1, 1_000_000, SimTime::ZERO);
@@ -752,7 +607,7 @@ mod tests {
 
     #[test]
     fn estimate_is_pure_and_loopback_free() {
-        let s = SharedBandwidth::new(4, 1e6, SimTime::from_millis(1));
+        let s = TopologyAware::uniform(4, 1e6, SimTime::from_millis(1));
         let e = s.estimate(0, 1, 1_000_000, SimTime::from_secs(2));
         assert_eq!(e, SimTime::from_secs(2) + SimTime::from_micros(1_001_000));
         assert_eq!(s.estimate(1, 1, 1 << 30, SimTime::from_secs(2)), SimTime::from_secs(2));

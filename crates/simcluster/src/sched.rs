@@ -13,7 +13,7 @@
 //! | [`ListScheduler`] | list (topological) order | earliest estimated **start** |
 //! | [`Heft`] | upward-rank (critical path first) | earliest estimated **finish** (speed-aware) |
 //! | [`Lookahead`] | list order | contention-inflated finish + child-frontier penalty from live [`NetworkModel::utilization`] |
-//! | [`Portfolio`] | winner's | races its members per epoch on cloned estimate state; commits the winner |
+//! | [`Portfolio`] | winner's | races list, HEFT and 1-hop lookahead per epoch on cloned estimate state; commits the winner |
 //!
 //! Every policy decides from **estimates only** — pure reads of the
 //! network model and the cloned slot state — and draws no randomness,
@@ -32,10 +32,10 @@
 
 use std::fmt;
 
-use crate::asyncsched::AsyncTaskSpec;
+use asyncmr_model::{AsyncTaskSpec, SimTime};
+
 use crate::cluster::ClusterSpec;
 use crate::network::NetworkModel;
-use crate::time::SimTime;
 
 /// Which [`Scheduler`] a simulation's async replay uses — the
 /// builder-level description injected via
@@ -61,58 +61,30 @@ pub enum SchedulerSpec {
         /// looks at (≥ 1; deeper hops are discounted 2× per hop).
         depth: usize,
     },
-    /// Races its members on cloned estimate state at every epoch
-    /// boundary and commits the whole epoch through the winner
-    /// (deterministically: estimates only, first member wins ties).
-    Portfolio {
-        /// The racing schedulers, in tie-break priority order. Must be
-        /// non-empty and must not nest another portfolio.
-        members: Vec<SchedulerSpec>,
-    },
+    /// Races list, HEFT and 1-hop lookahead on cloned estimate state
+    /// at every epoch boundary and commits the whole epoch through the
+    /// winner (deterministically: estimates only, the earlier member
+    /// wins ties).
+    Portfolio,
 }
 
 impl SchedulerSpec {
-    /// The default portfolio: greedy, HEFT, and 1-hop lookahead racing.
-    pub fn default_portfolio() -> Self {
-        SchedulerSpec::Portfolio {
-            members: vec![
-                SchedulerSpec::List,
-                SchedulerSpec::Heft,
-                SchedulerSpec::Lookahead { depth: 1 },
-            ],
-        }
-    }
-
     /// Short stable name (bench/JSON keys, stats labels).
     pub fn name(&self) -> &'static str {
         match self {
             SchedulerSpec::List => "list",
             SchedulerSpec::Heft => "heft",
             SchedulerSpec::Lookahead { .. } => "lookahead",
-            SchedulerSpec::Portfolio { .. } => "portfolio",
+            SchedulerSpec::Portfolio => "portfolio",
         }
     }
 
     /// Panics unless the spec is well-formed (the injection-time check
     /// [`crate::Simulation::with_scheduler`] performs, mirroring
-    /// [`crate::FailurePlan::validate`]): lookahead depth ≥ 1,
-    /// portfolios non-empty and non-nested.
+    /// [`crate::FailurePlan::validate`]): lookahead depth ≥ 1.
     pub fn validate(&self) {
-        match self {
-            SchedulerSpec::List | SchedulerSpec::Heft => {}
-            SchedulerSpec::Lookahead { depth } => {
-                assert!(*depth >= 1, "lookahead depth must be at least 1, got {depth}");
-            }
-            SchedulerSpec::Portfolio { members } => {
-                assert!(!members.is_empty(), "portfolio must have at least one member scheduler");
-                for m in members {
-                    assert!(
-                        !matches!(m, SchedulerSpec::Portfolio { .. }),
-                        "portfolio members cannot be portfolios themselves"
-                    );
-                    m.validate();
-                }
-            }
+        if let SchedulerSpec::Lookahead { depth } = self {
+            assert!(*depth >= 1, "lookahead depth must be at least 1, got {depth}");
         }
     }
 
@@ -124,9 +96,7 @@ impl SchedulerSpec {
             SchedulerSpec::List => Box::new(ListScheduler),
             SchedulerSpec::Heft => Box::new(Heft::new()),
             SchedulerSpec::Lookahead { depth } => Box::new(Lookahead::new(*depth)),
-            SchedulerSpec::Portfolio { members } => {
-                Box::new(Portfolio::new(members.iter().map(|m| m.instantiate()).collect()))
-            }
+            SchedulerSpec::Portfolio => Box::new(Portfolio::default()),
         }
     }
 }
@@ -175,7 +145,10 @@ pub struct Candidate {
     pub slot: usize,
     /// The slot's node.
     pub node: usize,
-    /// Estimated start: `max(slot free, gate, dependency arrivals)`.
+    /// Earliest start before any input arrives: `max(slot free, task
+    /// gate, retry gate)`.
+    pub ready: SimTime,
+    /// Estimated start: `max(ready, dependency arrivals)`.
     pub est_start: SimTime,
     /// Estimated finish at the node's speed (nominal — no straggler
     /// draw; randomness belongs to the commit, not the ranking).
@@ -209,7 +182,8 @@ pub fn candidates(
         if exclude_node == Some(node) {
             continue;
         }
-        let mut start = free.max(gate);
+        let ready = free.max(gate);
+        let mut start = ready;
         for &d in &t.deps {
             debug_assert!(d < task, "async schedule must be topologically ordered");
             let arrival = view.net.estimate(state.node_of[d], node, view.share(d), state.finish[d]);
@@ -224,61 +198,9 @@ pub fn candidates(
         let compute = view.spec.cost.compute_time(t.ops, t.output_records, speed);
         let sort = view.spec.cost.sort_time(t.output_bytes, speed);
         let est_finish = start + view.spec.task_launch + read + compute + sort;
-        out.push(Candidate { slot: s, node, est_start: start, est_finish });
+        out.push(Candidate { slot: s, node, ready, est_start: start, est_finish });
     }
     out
-}
-
-/// One component of a critical-path composition — where the committed
-/// schedule's binding chain spent its time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CritComponent {
-    /// Attempt occupancy (launch + read + compute + sort) dominates.
-    Compute,
-    /// Cross-node transfer time of critical input edges dominates.
-    Wire,
-    /// Slot-contention / dispatch-gate waits dominate.
-    Queue,
-}
-
-/// The compute/wire/queue split of the critical path through a
-/// partially committed schedule — the feed-forward signal the replay
-/// hands every scheduler at each epoch boundary
-/// ([`Scheduler::epoch_feedback`]).
-///
-/// A pure function of the committed state (recorded finishes and
-/// critical input edges), so consuming it keeps the replay's
-/// determinism contract intact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CritComposition {
-    /// Summed attempt occupancy along the committed chain.
-    pub compute: SimTime,
-    /// Summed critical-edge wire time along the committed chain.
-    pub wire: SimTime,
-    /// Summed queue wait along the committed chain.
-    pub queue: SimTime,
-}
-
-impl CritComposition {
-    /// True before anything committed (no signal to act on).
-    pub fn is_empty(&self) -> bool {
-        self.compute == SimTime::ZERO && self.wire == SimTime::ZERO && self.queue == SimTime::ZERO
-    }
-
-    /// The largest component, or `None` when empty. Ties break
-    /// compute > wire > queue (deterministic).
-    pub fn dominant(&self) -> Option<CritComponent> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut best = (CritComponent::Compute, self.compute);
-        for cand in [(CritComponent::Wire, self.wire), (CritComponent::Queue, self.queue)] {
-            if cand.1 > best.1 {
-                best = cand;
-            }
-        }
-        Some(best.0)
-    }
 }
 
 /// A task-ordering and slot-choice policy for the async replay.
@@ -287,22 +209,9 @@ impl CritComposition {
 /// randomness, no hidden clocks — determinism across the scheduler
 /// matrix is part of the replay contract. All methods take `&mut self`
 /// so implementations may keep per-run caches (HEFT ranks, consumer
-/// adjacency) and so [`Portfolio`] can delegate.
+/// adjacency) and so [`Portfolio`] can delegate. The run's stats label
+/// is [`SchedulerSpec::name`].
 pub trait Scheduler: fmt::Debug + Send {
-    /// Short stable name (stats label).
-    fn name(&self) -> &'static str;
-
-    /// Called at each epoch boundary — before the boundary's failure
-    /// verdicts and before [`Scheduler::begin_epoch`] — with the
-    /// critical-path composition of the schedule committed so far
-    /// (empty at the first boundary). A deterministic function of
-    /// committed state, so acting on it cannot break the replay
-    /// contract. Default no-op; [`Portfolio`] uses it to bias its race
-    /// toward the member built for the binding component.
-    fn epoch_feedback(&mut self, prev: CritComposition) {
-        let _ = prev;
-    }
-
     /// Called once per epoch boundary with the pending set, before any
     /// ordering/placement. [`Portfolio`] races its members here; other
     /// schedulers need nothing (default no-op).
@@ -338,10 +247,6 @@ pub trait Scheduler: fmt::Debug + Send {
 pub struct ListScheduler;
 
 impl Scheduler for ListScheduler {
-    fn name(&self) -> &'static str {
-        "list"
-    }
-
     fn order(&mut self, _view: &SchedView<'_>, pending: &[usize]) -> Vec<usize> {
         pending.to_vec()
     }
@@ -422,10 +327,6 @@ impl Heft {
 }
 
 impl Scheduler for Heft {
-    fn name(&self) -> &'static str {
-        "heft"
-    }
-
     fn order(&mut self, view: &SchedView<'_>, pending: &[usize]) -> Vec<usize> {
         let ranks = self.ranks(view);
         let mut order = pending.to_vec();
@@ -546,10 +447,6 @@ impl Lookahead {
 }
 
 impl Scheduler for Lookahead {
-    fn name(&self) -> &'static str {
-        "lookahead"
-    }
-
     fn order(&mut self, _view: &SchedView<'_>, pending: &[usize]) -> Vec<usize> {
         pending.to_vec()
     }
@@ -586,9 +483,9 @@ impl Scheduler for Lookahead {
             // Re-estimate dependency arrivals with the contention the
             // pure estimate ignores: the producer's tx link and this
             // candidate's rx link each scale the serialization by their
-            // residual availability.
-            let gate = state.gate[task];
-            let mut start = state.slots[c.slot].0.max(gate);
+            // residual availability. The gates (retry included) stay as
+            // `candidates` applied them.
+            let mut start = c.ready;
             for &d in &t.deps {
                 let src = state.node_of[d];
                 let arrival = if src == c.node {
@@ -621,40 +518,29 @@ impl Scheduler for Lookahead {
 // Portfolio: race the members per epoch on cloned estimate state.
 // ---------------------------------------------------------------------------
 
-/// Races member schedulers at every epoch boundary: each member
-/// dry-runs the epoch's pending set on a **clone** of the slot/finish
-/// state using estimates only (no RNG draws, no network mutation), and
-/// the member with the smallest estimated epoch makespan commits the
-/// real epoch. Ties go to the earlier member, so the race is
-/// deterministic by construction.
+/// Races [`ListScheduler`], [`Heft`] and 1-hop [`Lookahead`], in that
+/// tie-break order, at every epoch boundary: each member dry-runs the
+/// epoch's pending set on a **clone** of the slot/finish state using
+/// estimates only (no RNG draws, no network mutation), and the member
+/// with the smallest estimated epoch makespan commits the real epoch.
+/// Ties go to the earlier member, so the race is deterministic by
+/// construction.
 #[derive(Debug)]
 pub struct Portfolio {
-    members: Vec<Box<dyn Scheduler>>,
+    members: [Box<dyn Scheduler>; 3],
     winner: usize,
-    /// Dominant component of the committed critical path, fed forward
-    /// from the previous epochs via [`Scheduler::epoch_feedback`].
-    hint: Option<CritComponent>,
+}
+
+impl Default for Portfolio {
+    fn default() -> Self {
+        Portfolio {
+            members: [Box::new(ListScheduler), Box::new(Heft::new()), Box::new(Lookahead::new(1))],
+            winner: 0,
+        }
+    }
 }
 
 impl Portfolio {
-    /// A portfolio over `members` (non-empty), in tie-break order.
-    pub fn new(members: Vec<Box<dyn Scheduler>>) -> Self {
-        assert!(!members.is_empty(), "portfolio must have at least one member scheduler");
-        Portfolio { members, winner: 0, hint: None }
-    }
-
-    /// The member a feed-forward hint favors: wire-dominant paths lean
-    /// HEFT (communication-aware ranks), queue-dominant paths lean
-    /// lookahead (contention-aware estimates). Compute-dominant paths
-    /// favor nobody — placement cannot shorten compute.
-    fn favored(&self, member: usize) -> bool {
-        match self.hint {
-            Some(CritComponent::Wire) => self.members[member].name() == "heft",
-            Some(CritComponent::Queue) => self.members[member].name() == "lookahead",
-            _ => false,
-        }
-    }
-
     /// Dry-runs one member over `pending` on cloned state, returning
     /// the estimated epoch makespan (max estimated finish committed to
     /// the clone — placements feed later estimates, exactly like the
@@ -695,30 +581,14 @@ impl Portfolio {
 }
 
 impl Scheduler for Portfolio {
-    fn name(&self) -> &'static str {
-        "portfolio"
-    }
-
-    fn epoch_feedback(&mut self, prev: CritComposition) {
-        self.hint = prev.dominant();
-    }
-
     fn begin_epoch(&mut self, view: &SchedView<'_>, state: &SlotState<'_>, pending: &[usize]) {
         let mut best = SimTime::from_micros(u64::MAX);
         self.winner = 0;
-        for m in 0..self.members.len() {
-            let makespan = Self::dry_run(&mut self.members[m], view, state, pending);
-            // The feed-forward hint discounts the favored member's
-            // estimate by 1/64 (~1.6%): enough to break near-ties
-            // toward the member built for the binding component, never
-            // enough to override a real estimate gap. Deterministic —
-            // the hint is a pure function of committed state.
-            let us = makespan.as_micros();
-            let scored =
-                if self.favored(m) { SimTime::from_micros(us - us / 64) } else { makespan };
+        for (m, member) in self.members.iter_mut().enumerate() {
+            let makespan = Self::dry_run(member, view, state, pending);
             // Strict `<`: the earlier member keeps ties.
-            if scored < best {
-                best = scored;
+            if makespan < best {
+                best = makespan;
                 self.winner = m;
             }
         }
@@ -742,60 +612,46 @@ impl Scheduler for Portfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::{Constant, TopologyAware};
 
     #[test]
     fn spec_names_are_stable() {
         assert_eq!(SchedulerSpec::List.name(), "list");
         assert_eq!(SchedulerSpec::Heft.name(), "heft");
         assert_eq!(SchedulerSpec::Lookahead { depth: 2 }.name(), "lookahead");
-        assert_eq!(SchedulerSpec::default_portfolio().name(), "portfolio");
+        assert_eq!(SchedulerSpec::Portfolio.name(), "portfolio");
     }
 
     #[test]
     fn default_portfolio_validates() {
-        SchedulerSpec::default_portfolio().validate();
+        SchedulerSpec::Portfolio.validate();
     }
 
     #[test]
-    #[should_panic(expected = "at least one member")]
-    fn empty_portfolio_is_rejected() {
-        SchedulerSpec::Portfolio { members: Vec::new() }.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be portfolios")]
-    fn nested_portfolio_is_rejected() {
-        SchedulerSpec::Portfolio { members: vec![SchedulerSpec::default_portfolio()] }.validate();
-    }
-
-    #[test]
-    fn composition_dominant_is_deterministic_and_empty_aware() {
-        let t = SimTime::from_micros;
-        assert_eq!(CritComposition::default().dominant(), None);
-        let c = CritComposition { compute: t(5), wire: t(9), queue: t(2) };
-        assert_eq!(c.dominant(), Some(CritComponent::Wire));
-        let q = CritComposition { compute: t(1), wire: t(1), queue: t(8) };
-        assert_eq!(q.dominant(), Some(CritComponent::Queue));
-        // Ties break compute > wire > queue.
-        let tie = CritComposition { compute: t(4), wire: t(4), queue: t(4) };
-        assert_eq!(tie.dominant(), Some(CritComponent::Compute));
-    }
-
-    #[test]
-    fn feedback_hint_favors_the_member_built_for_the_binding_component() {
-        let members =
-            [SchedulerSpec::List, SchedulerSpec::Heft, SchedulerSpec::Lookahead { depth: 1 }];
-        let mut p = Portfolio::new(members.iter().map(|m| m.instantiate()).collect());
-        assert!((0..3).all(|m| !p.favored(m)), "no hint, no favorite");
-        let t = SimTime::from_micros;
-        p.epoch_feedback(CritComposition { wire: t(10), ..CritComposition::default() });
-        assert!(p.favored(1) && !p.favored(0) && !p.favored(2), "wire-dominant leans HEFT");
-        p.epoch_feedback(CritComposition { queue: t(10), ..CritComposition::default() });
-        assert!(p.favored(2) && !p.favored(1), "queue-dominant leans lookahead");
-        p.epoch_feedback(CritComposition { compute: t(10), ..CritComposition::default() });
-        assert!((0..3).all(|m| !p.favored(m)), "placement cannot shorten compute");
-        p.epoch_feedback(CritComposition::default());
-        assert!((0..3).all(|m| !p.favored(m)), "empty composition clears the hint");
+    fn lookahead_keeps_the_retry_gate_candidates_applied() {
+        // Slot 0 frees at 10 s, slot 1 at 5 s, but a failed attempt's
+        // retry may not dispatch before 20 s: both slots really start
+        // at 20 s, so the tie must go to the lower slot. Re-estimating
+        // from the slot-free instants alone would rank slot 1 first by
+        // a start no slot can reach.
+        let tasks = vec![AsyncTaskSpec::new(0, 0, 0, 1_000_000)];
+        let consumers = vec![0];
+        let spec = ClusterSpec::ec2_2010();
+        let net = TopologyAware::uniform(8, spec.nic_bandwidth, spec.net_latency);
+        let view = SchedView { tasks: &tasks, consumers: &consumers, spec: &spec, net: &net };
+        let slots = [(SimTime::from_secs(10), 0), (SimTime::from_secs(5), 1)];
+        let state = SlotState {
+            slots: &slots,
+            finish: &[SimTime::ZERO],
+            node_of: &[0],
+            done: &[false],
+            gate: &[SimTime::ZERO],
+            excluded: &[None],
+        };
+        let retry_gate = SimTime::from_secs(20);
+        let cands = candidates(&view, &state, 0, retry_gate);
+        assert!(cands.iter().all(|c| c.est_start == retry_gate), "the retry gate binds both slots");
+        assert_eq!(Lookahead::new(1).choose(&view, &state, 0, &cands), 0, "tie goes to slot 0");
     }
 
     #[test]
@@ -816,7 +672,7 @@ mod tests {
         ];
         let consumers = vec![2, 1, 1, 0];
         let spec = ClusterSpec::ec2_2010();
-        let net = crate::network::Constant::new(8, spec.nic_bandwidth, spec.net_latency);
+        let net = Constant::new(8, spec.nic_bandwidth, spec.net_latency);
         let view = SchedView { tasks: &tasks, consumers: &consumers, spec: &spec, net: &net };
         let mut heft = Heft::new();
         let order = heft.order(&view, &[0, 1, 2, 3]);

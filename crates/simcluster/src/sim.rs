@@ -52,17 +52,16 @@
 
 use std::collections::VecDeque;
 
-use asyncmr_model::JobReplay;
+use asyncmr_model::{
+    verdict_unit, JobReplay, JobSpec, JobStats, NodeFailurePlan, PhaseBreakdown, SimTime,
+};
 use rand::RngExt;
 
 use crate::cluster::ClusterSpec;
 use crate::event_core::{ComponentId, Ev, EventCore, EventHandler, TraceEvent};
-use crate::failure::{verdict_unit, FailurePlan, NodeFailurePlan};
-use crate::job::JobSpec;
+use crate::failure::FailurePlan;
 use crate::network::{NetworkModel, NetworkState};
 use crate::sched::SchedulerSpec;
-use crate::stats::{JobStats, PhaseBreakdown, RunTotals};
-use crate::time::SimTime;
 
 /// Salt for the "at which completion does the marked node die" draw,
 /// kept distinct from the death verdict itself.
@@ -126,8 +125,8 @@ impl Simulation {
     /// # Panics
     ///
     /// If the spec is malformed ([`SchedulerSpec::validate`]: zero
-    /// lookahead depth, empty or nested portfolio) — the same
-    /// injection-time check [`Simulation::with_failures`] performs.
+    /// lookahead depth) — the same injection-time check
+    /// [`Simulation::with_failures`] performs.
     pub fn with_scheduler(mut self, sched: SchedulerSpec) -> Self {
         sched.validate();
         self.sched = sched;
@@ -362,17 +361,6 @@ impl Simulation {
             node_lost_tasks: run.lost_tasks,
         }
     }
-
-    /// Runs a sequence of jobs (e.g. the global iterations of an
-    /// iterative algorithm) and aggregates their accounting.
-    pub fn run_jobs<'a>(&mut self, jobs: impl IntoIterator<Item = &'a JobSpec>) -> RunTotals {
-        let mut totals = RunTotals::default();
-        for job in jobs {
-            let stats = self.run_job(job);
-            totals.add(&stats);
-        }
-        totals
-    }
 }
 
 /// What `asyncmr_core::Engine::with_simulation` drives.
@@ -431,13 +419,6 @@ struct BarrierRun<'a> {
 }
 
 impl BarrierRun<'_> {
-    /// Decides whether this attempt fails (never on the last attempt).
-    fn attempt_fails(&self, core: &mut EventCore, attempt: u32) -> bool {
-        self.failure.enabled()
-            && attempt + 1 < self.failure.max_attempts
-            && core.rng().random_range(0.0..1.0) < self.failure.attempt_failure_prob
-    }
-
     /// Dispatches as many pending maps onto free slots as possible.
     /// Index-based node iteration is deliberate (slot arrays are
     /// per-node ids); draw order per dispatch — locality coin,
@@ -486,9 +467,8 @@ impl BarrierRun<'_> {
                 self.map_attempts[task] += 1;
                 let incarnation = self.incarnation[node];
                 self.map_running[task] = Some((node, incarnation));
-                if self.attempt_fails(core, attempt) {
+                if let Some(frac) = self.failure.draw_death(core.rng(), attempt) {
                     // Dies a uniform fraction of the way through.
-                    let frac: f64 = core.rng().random_range(0.05..0.95);
                     let alive = finish.saturating_sub(now).scale(frac);
                     core.schedule(now + alive, self.cid, Ev::MapFailed { task, node, incarnation });
                 } else {
@@ -535,8 +515,7 @@ impl BarrierRun<'_> {
                 self.reduce_attempts[task] += 1;
                 let incarnation = self.incarnation[node];
                 self.reduce_running[task] = Some((node, incarnation));
-                if self.attempt_fails(core, attempt) {
-                    let frac: f64 = core.rng().random_range(0.05..0.95);
+                if let Some(frac) = self.failure.draw_death(core.rng(), attempt) {
                     let alive = finish.saturating_sub(now).scale(frac);
                     core.schedule(
                         now + alive,
@@ -749,8 +728,8 @@ impl EventHandler for BarrierRun<'_> {
 mod tests {
     use super::*;
     use crate::failure::NODE_DETECTION_DELAY;
-    use crate::job::{MapTaskSpec, ReduceTaskSpec};
-    use crate::network::{Constant, SharedBandwidth};
+    use crate::network::{Constant, TopologyAware};
+    use asyncmr_model::{MapTaskSpec, ReduceTaskSpec};
 
     fn small_job(maps: usize, reduces: usize) -> JobSpec {
         JobSpec::named("t")
@@ -843,16 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn run_jobs_aggregates() {
-        let job = small_job(4, 2);
-        let jobs = [job.clone(), job.clone(), job];
-        let mut sim = Simulation::new(ClusterSpec::ec2_2010(), 1);
-        let totals = sim.run_jobs(jobs.iter());
-        assert_eq!(totals.jobs, 3);
-        assert!(totals.total_time > SimTime::ZERO);
-    }
-
-    #[test]
     fn slow_nodes_straggle_the_job() {
         let job = small_job(32, 8);
         let fast = Simulation::new(ClusterSpec::ec2_2010().with_straggler_sigma(0.0), 1)
@@ -896,7 +865,7 @@ mod tests {
             .run_job(&job)
             .duration;
         let shared = Simulation::new(spec.clone(), 3)
-            .with_network(SharedBandwidth::new(n, spec.nic_bandwidth, spec.net_latency))
+            .with_network(TopologyAware::uniform(n, spec.nic_bandwidth, spec.net_latency))
             .run_job(&job)
             .duration;
         assert!(

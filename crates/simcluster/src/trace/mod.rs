@@ -53,13 +53,15 @@
 
 pub mod report;
 
-pub use asyncmr_model::trace::{span, CritHop, CriticalPath};
+// The ledger names the live span model at this path.
+pub use asyncmr_model::trace::span;
 pub use report::{ReportLane, ReportMark, ReportModel, ReportSpan};
-pub use span::{LaneBreakdown, Mark, MarkKind, SessionTrace, Span, SpanKind, Stall};
 
-use crate::asyncsched::{AsyncScheduleStats, AsyncTaskSpec};
+use asyncmr_model::trace::{CritHop, CriticalPath};
+use asyncmr_model::{AsyncTaskSpec, SimTime};
+
+use crate::asyncsched::AsyncScheduleStats;
 use crate::event_core::{Ev, TraceEvent};
-use crate::time::SimTime;
 
 /// Everything one completed async replay left behind, borrowed for
 /// analysis: the task specs, the schedule record, and the event trace.

@@ -23,9 +23,11 @@
 //! and the critical-path bar decomposition. Hand-formatted output throughout — the repo's
 //! no-serde idiom.
 
-use crate::time::SimTime;
-use crate::trace::span::{MarkKind, SessionTrace, SpanKind};
-use crate::trace::{CriticalPath, RunRecord, TraceReader};
+use asyncmr_model::trace::span::{MarkKind, SessionTrace, SpanKind};
+use asyncmr_model::trace::CriticalPath;
+use asyncmr_model::{AsyncTaskSpec, SimTime};
+
+use crate::trace::{RunRecord, TraceReader};
 use crate::Ev;
 
 /// One rendered span (already assigned to a lane).
@@ -90,7 +92,7 @@ impl ReportModel {
     /// schedule (for the critical path); `title` names the run.
     pub fn from_session(
         trace: &SessionTrace,
-        tasks: &[crate::asyncsched::AsyncTaskSpec],
+        tasks: &[AsyncTaskSpec],
         title: impl Into<String>,
     ) -> Self {
         let mut lanes: Vec<ReportLane> = (0..trace.lanes())
@@ -414,7 +416,6 @@ fn esc(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asyncsched::AsyncTaskSpec;
     use crate::cluster::ClusterSpec;
     use crate::sim::Simulation;
     use crate::trace::span::{Mark, Span};

@@ -14,9 +14,7 @@
 //! [`jitter`] stream), so the generated workloads are bit-stable across
 //! processes and platforms — a prerequisite for golden pinning.
 
-use crate::asyncsched::AsyncTaskSpec;
-use crate::failure::splitmix64;
-use crate::job::{JobSpec, MapTaskSpec, ReduceTaskSpec};
+use asyncmr_model::{splitmix64, AsyncTaskSpec, JobSpec, MapTaskSpec, ReduceTaskSpec};
 
 /// The five paper apps, in golden-table order.
 pub const APPS: [&str; 5] = ["pagerank", "sssp", "cc", "kmeans", "jacobi"];

@@ -10,16 +10,17 @@
 //! (different seeds perturb the schedule — smoke-checked, since a
 //! degenerate workload can legitimately be seed-independent).
 
+use asyncmr_model::{AsyncTaskSpec, JobSpec, MapTaskSpec, NodeFailurePlan, ReduceTaskSpec};
 use asyncmr_simcluster::{
-    AsyncTaskSpec, ClusterSpec, Constant, FailurePlan, JobSpec, MapTaskSpec, NodeFailurePlan,
-    ReduceTaskSpec, SchedulerSpec, SharedBandwidth, Simulation, TopologyAware,
+    ClusterSpec, Constant, FailurePlan, SchedulerSpec, Simulation, TopologyAware,
     NODE_DETECTION_DELAY,
 };
 use proptest::prelude::*;
 
 /// The model matrix every property sweeps. Index 0 is the default
-/// store-and-forward state; the rest are the pluggable models.
-const MODELS: [&str; 4] = ["default", "constant", "shared", "topology"];
+/// store-and-forward state; the rest are the pluggable models
+/// ("shared" is the uniform fluid fabric: fair-shared NICs).
+const MODELS: [&str; 3] = ["default", "constant", "shared"];
 
 /// The scheduler matrix the async properties additionally sweep.
 const SCHEDS: [&str; 4] = ["list", "heft", "lookahead", "portfolio"];
@@ -29,7 +30,7 @@ fn sched_spec(name: &str) -> SchedulerSpec {
         "list" => SchedulerSpec::List,
         "heft" => SchedulerSpec::Heft,
         "lookahead" => SchedulerSpec::Lookahead { depth: 2 },
-        "portfolio" => SchedulerSpec::default_portfolio(),
+        "portfolio" => SchedulerSpec::Portfolio,
         other => panic!("unknown scheduler {other}"),
     }
 }
@@ -40,8 +41,7 @@ fn sim_on(model: &str, seed: u64) -> Simulation {
     match model {
         "default" => Simulation::new(spec, seed),
         "constant" => Simulation::new(spec, seed).with_network(Constant::new(n, bw, lat)),
-        "shared" => Simulation::new(spec, seed).with_network(SharedBandwidth::new(n, bw, lat)),
-        "topology" => Simulation::new(spec, seed).with_network(TopologyAware::uniform(n, bw, lat)),
+        "shared" => Simulation::new(spec, seed).with_network(TopologyAware::uniform(n, bw, lat)),
         other => panic!("unknown model {other}"),
     }
 }

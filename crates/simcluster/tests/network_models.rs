@@ -2,14 +2,16 @@
 //! sharing and degeneracy of the richer models to [`Constant`] when
 //! their extra structure is inert.
 //!
-//! * **Conservation** — [`SharedBandwidth`] (and [`TopologyAware`])
-//!   allocate max-min fair rates; at every admission instant the summed
-//!   rates crossing each link must not exceed its capacity.
+//! * **Conservation** — [`TopologyAware`] allocates max-min fair
+//!   rates; at every admission instant the summed rates crossing each
+//!   link must not exceed its capacity, on the uniform fabric (fair-
+//!   shared NICs) and with an oversubscribed core alike.
 //! * **Degeneracy** — with uniform links, no core bottleneck, and no
-//!   concurrent flows, [`TopologyAware`] and [`SharedBandwidth`] price
-//!   a transfer exactly like [`Constant`]: latency + bytes/bandwidth.
+//!   concurrent flows, [`TopologyAware`] prices a transfer exactly like
+//!   [`Constant`]: latency + bytes/bandwidth.
 
-use asyncmr_simcluster::{Constant, NetworkModel, SharedBandwidth, SimTime, TopologyAware};
+use asyncmr_model::SimTime;
+use asyncmr_simcluster::{Constant, NetworkModel, TopologyAware};
 use proptest::prelude::*;
 
 const BW: f64 = 12.5e6; // 100 Mbit/s in bytes/s, the 2010 testbed NIC
@@ -28,8 +30,9 @@ fn assert_conserved(util: &[f64], caps: &[f64], ctx: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// SharedBandwidth: Σ flow rates ≤ NIC capacity on every pipe, at
-    /// every admission instant, for arbitrary flow batches.
+    /// Uniform fabric (fair-shared NICs): Σ flow rates ≤ NIC capacity
+    /// on every pipe, at every admission instant, for arbitrary flow
+    /// batches.
     #[test]
     fn shared_bandwidth_conserves_capacity(
         flows in proptest::collection::vec(
@@ -37,7 +40,7 @@ proptest! {
             1..40,
         ),
     ) {
-        let mut net = SharedBandwidth::new(6, BW, LAT);
+        let mut net = TopologyAware::uniform(6, BW, LAT);
         let caps = net.capacities();
         for (src, dst, bytes, start_us) in flows {
             let done = net.transfer(src, dst, bytes, SimTime::from_micros(start_us));
@@ -66,7 +69,7 @@ proptest! {
     }
 
     /// Degeneracy: uniform links, no core, and strictly sequential
-    /// (uncontended) transfers — both fluid models must price each
+    /// (uncontended) transfers — the fluid model must price each
     /// transfer like Constant, within the µs quantization of the fluid
     /// clock.
     #[test]
@@ -77,25 +80,19 @@ proptest! {
         ),
     ) {
         let mut constant = Constant::new(4, BW, LAT);
-        let mut shared = SharedBandwidth::new(4, BW, LAT);
         let mut topo = TopologyAware::uniform(4, BW, LAT);
         // Serialize: each transfer starts after every model agrees the
         // previous one drained, so no two flows ever coexist.
         let mut at = SimTime::ZERO;
         for (src, dst, bytes) in transfers {
             let c = constant.transfer(src, dst, bytes, at);
-            let s = shared.transfer(src, dst, bytes, at);
             let t = topo.transfer(src, dst, bytes, at);
             let tol = SimTime::from_micros(2);
-            prop_assert!(
-                s.saturating_sub(c) <= tol && c.saturating_sub(s) <= tol,
-                "shared {s} != constant {c} for {bytes}B uncontended"
-            );
             prop_assert!(
                 t.saturating_sub(c) <= tol && c.saturating_sub(t) <= tol,
                 "topology {t} != constant {c} for {bytes}B uncontended"
             );
-            at = c.max(s).max(t) + SimTime::from_millis(5);
+            at = c.max(t) + SimTime::from_millis(5);
         }
     }
 }
@@ -120,10 +117,10 @@ fn shared_bandwidth_contention_halves_the_pair_rate() {
     // the pair takes ~2x the solo time. (The analytical sanity anchor
     // behind the coarser "contention lengthens the job" assertions.)
     let solo = {
-        let mut net = SharedBandwidth::new(4, BW, LAT);
+        let mut net = TopologyAware::uniform(4, BW, LAT);
         net.transfer(0, 1, 25_000_000, SimTime::ZERO)
     };
-    let mut net = SharedBandwidth::new(4, BW, LAT);
+    let mut net = TopologyAware::uniform(4, BW, LAT);
     net.transfer(0, 1, 25_000_000, SimTime::ZERO);
     let contended = net.transfer(0, 2, 25_000_000, SimTime::ZERO);
     let ratio = contended.as_secs_f64() / solo.as_secs_f64();
@@ -137,7 +134,7 @@ fn shared_bandwidth_contention_halves_the_pair_rate() {
 fn core_bottleneck_bites_only_cross_rack_style_load() {
     // A core at half the aggregate edge capacity throttles many
     // concurrent pairs, while a single pair is edge-limited — the
-    // distinction TopologyAware adds over SharedBandwidth.
+    // distinction the core link adds over the uniform fabric.
     let mk = || TopologyAware::new(vec![(BW, BW); 8], Some(2.0 * BW), LAT);
     let single = mk().transfer(0, 1, 25_000_000, SimTime::ZERO);
     let mut congested = mk();

@@ -26,11 +26,9 @@
 //! file alone: `cargo test -p asyncmr-simcluster --test replay_fidelity
 //! -- --ignored --nocapture` re-prints the golden tables.
 
+use asyncmr_model::{splitmix64, underflow_count, NodeFailurePlan};
 use asyncmr_simcluster::workloads::{async_schedule, barrier_jobs, APPS, ASYNC_SEED, BARRIER_SEED};
-use asyncmr_simcluster::{
-    splitmix64, underflow_count, ClusterSpec, Constant, FailurePlan, NodeFailurePlan, Simulation,
-    NODE_DETECTION_DELAY,
-};
+use asyncmr_simcluster::{ClusterSpec, Constant, FailurePlan, Simulation, NODE_DETECTION_DELAY};
 
 // -------------------------------------------------------------------------
 // Golden tables, captured from the pre-refactor engine (commit 07afebf).
@@ -265,16 +263,16 @@ fn no_golden_row_underflows_simtime() {
 
 #[test]
 fn shared_bandwidth_contention_lengthens_both_paths() {
-    // The acceptance criterion: under the fair-share model, shuffle
-    // contention measurably lengthens simulated time on BOTH execution
-    // styles, relative to the uncontended Constant baselines pinned
-    // above (pagerank — the chattiest app).
-    use asyncmr_simcluster::SharedBandwidth;
+    // The acceptance criterion: under fair-shared NICs (the uniform
+    // fluid fabric), shuffle contention measurably lengthens simulated
+    // time on BOTH execution styles, relative to the uncontended
+    // Constant baselines pinned above (pagerank — the chattiest app).
+    use asyncmr_simcluster::TopologyAware;
     let spec = ClusterSpec::ec2_2010();
     let (n, bw, lat) = (spec.num_nodes(), spec.nic_bandwidth, spec.net_latency);
 
     let mut sim = Simulation::new(ClusterSpec::ec2_2010(), BARRIER_SEED)
-        .with_network(SharedBandwidth::new(n, bw, lat));
+        .with_network(TopologyAware::uniform(n, bw, lat));
     let (barrier_shared, ..) = run_barrier("pagerank", &mut sim);
     let (_, barrier_constant, ..) = BARRIER_CONSTANT_GOLDEN[0];
     assert!(
@@ -283,7 +281,7 @@ fn shared_bandwidth_contention_lengthens_both_paths() {
     );
 
     let mut sim = Simulation::new(ClusterSpec::ec2_2010(), ASYNC_SEED)
-        .with_network(SharedBandwidth::new(n, bw, lat));
+        .with_network(TopologyAware::uniform(n, bw, lat));
     let (async_shared, ..) = run_async("pagerank", &mut sim);
     let (_, async_constant, ..) = ASYNC_GOLDEN[0];
     assert!(

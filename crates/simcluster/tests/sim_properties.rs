@@ -1,10 +1,9 @@
 //! Property tests for the discrete-event simulator: determinism, time
 //! accounting, and monotonicity in workload size.
 
+use asyncmr_model::{JobSpec, MapTaskSpec, ReduceTaskSpec, SimTime};
 use asyncmr_simcluster::events::EventQueue;
-use asyncmr_simcluster::{
-    ClusterSpec, FailurePlan, JobSpec, MapTaskSpec, ReduceTaskSpec, SimTime, Simulation,
-};
+use asyncmr_simcluster::{ClusterSpec, FailurePlan, Simulation};
 use proptest::prelude::*;
 
 fn arb_job() -> impl Strategy<Value = JobSpec> {

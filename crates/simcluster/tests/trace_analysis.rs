@@ -21,14 +21,14 @@
 //!   `Δcompute + Δwire + Δqueue == Δmakespan` (shared cluster
 //!   envelope).
 
+use asyncmr_model::AsyncTaskSpec;
 use asyncmr_simcluster::workloads::ring_exchange;
 use asyncmr_simcluster::{
-    diff_runs, AsyncTaskSpec, ClusterSpec, Constant, Ev, RunRecord, SchedulerSpec, SharedBandwidth,
-    Simulation, TopologyAware,
+    diff_runs, ClusterSpec, Constant, Ev, RunRecord, SchedulerSpec, Simulation, TopologyAware,
 };
 use proptest::prelude::*;
 
-const MODELS: [&str; 4] = ["default", "constant", "shared", "topology"];
+const MODELS: [&str; 3] = ["default", "constant", "shared"];
 const SCHEDS: [&str; 4] = ["list", "heft", "lookahead", "portfolio"];
 
 fn sched_spec(name: &str) -> SchedulerSpec {
@@ -36,7 +36,7 @@ fn sched_spec(name: &str) -> SchedulerSpec {
         "list" => SchedulerSpec::List,
         "heft" => SchedulerSpec::Heft,
         "lookahead" => SchedulerSpec::Lookahead { depth: 2 },
-        "portfolio" => SchedulerSpec::default_portfolio(),
+        "portfolio" => SchedulerSpec::Portfolio,
         other => panic!("unknown scheduler {other}"),
     }
 }
@@ -47,8 +47,7 @@ fn sim_on(model: &str, seed: u64) -> Simulation {
     match model {
         "default" => Simulation::new(spec, seed),
         "constant" => Simulation::new(spec, seed).with_network(Constant::new(n, bw, lat)),
-        "shared" => Simulation::new(spec, seed).with_network(SharedBandwidth::new(n, bw, lat)),
-        "topology" => Simulation::new(spec, seed).with_network(TopologyAware::uniform(n, bw, lat)),
+        "shared" => Simulation::new(spec, seed).with_network(TopologyAware::uniform(n, bw, lat)),
         other => panic!("unknown model {other}"),
     }
 }

@@ -27,12 +27,10 @@ use asyncmr::core::{
     AsyncFixedPointDriver, CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan,
 };
 use asyncmr::graph::{generators, CsrGraph, WeightedGraph};
+use asyncmr::model::{JobSpec, MapTaskSpec, ReduceTaskSpec, SimTime};
 use asyncmr::partition::{MultilevelKWay, Partitioner};
 use asyncmr::runtime::ThreadPool;
-use asyncmr::simcluster::{
-    ClusterSpec, Ev, FailurePlan, JobSpec, MapTaskSpec, ReduceTaskSpec, SimTime, Simulation,
-    NODE_DETECTION_DELAY,
-};
+use asyncmr::simcluster::{ClusterSpec, Ev, FailurePlan, Simulation, NODE_DETECTION_DELAY};
 
 /// The fixed seed matrix CI's chaos smoke step runs under: every
 /// (probability, seed) cell must both *trigger* failures and *hide*

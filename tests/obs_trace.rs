@@ -20,9 +20,10 @@ use asyncmr::core::{
     SessionFailurePlan,
 };
 use asyncmr::graph::{generators, CsrGraph};
+use asyncmr::model::{MarkKind, SessionTrace, SpanKind};
 use asyncmr::partition::{MultilevelKWay, Partitioner};
 use asyncmr::runtime::ThreadPool;
-use asyncmr::simcluster::{MarkKind, ReportModel, SessionTrace, SpanKind};
+use asyncmr::simcluster::ReportModel;
 use proptest::prelude::*;
 
 fn crawl_graph(n: usize, seed: u64) -> CsrGraph {
