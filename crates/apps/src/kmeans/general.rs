@@ -352,36 +352,35 @@ mod tests {
         assert_eq!(out.report.global_iterations, 17);
         assert_eq!(out.report.total_ops, 460_515);
 
-        for mut engine in [Engine::in_process(&pool), Engine::with_pipelined_shuffle(&pool)] {
-            let mut centroids = initial.clone();
-            let opts = JobOptions::with_reducers(4);
-            let (mut map_ops, mut reduce_ops, mut records, mut reduce_tasks) = (0, 0, 0, 0);
-            let mut churned_jobs = 0;
-            for iter in 0..10 {
-                let shared = Arc::new(centroids.clone());
-                let inputs: Vec<KmGeneralInput> = [(0, 300), (300, 600), (600, 900)]
-                    .into_iter()
-                    .map(|(start, end)| KmGeneralInput {
-                        points: Arc::clone(&points),
-                        start,
-                        end,
-                        centroids: Arc::clone(&shared),
-                    })
-                    .collect();
-                let name = format!("kmeans-raw-iter{iter}");
-                let out = engine.run(&name, &inputs, &KmGeneralMapper, &KmMeanReducer, &opts);
-                map_ops += out.meter.map_ops;
-                reduce_ops += out.meter.reduce_ops;
-                records += out.meter.shuffle_records;
-                reduce_tasks += out.meter.reduce_tasks;
-                churned_jobs += usize::from(iter > 0 && out.reuse.route.misses > 0);
-                for (cid, mean) in out.pairs {
-                    centroids[cid as usize] = mean;
-                }
+        let mut engine = Engine::in_process(&pool);
+        let mut centroids = initial.clone();
+        let opts = JobOptions::with_reducers(4);
+        let (mut map_ops, mut reduce_ops, mut records, mut reduce_tasks) = (0, 0, 0, 0);
+        let mut churned_jobs = 0;
+        for iter in 0..10 {
+            let shared = Arc::new(centroids.clone());
+            let inputs: Vec<KmGeneralInput> = [(0, 300), (300, 600), (600, 900)]
+                .into_iter()
+                .map(|(start, end)| KmGeneralInput {
+                    points: Arc::clone(&points),
+                    start,
+                    end,
+                    centroids: Arc::clone(&shared),
+                })
+                .collect();
+            let name = format!("kmeans-raw-iter{iter}");
+            let out = engine.run(&name, &inputs, &KmGeneralMapper, &KmMeanReducer, &opts);
+            map_ops += out.meter.map_ops;
+            reduce_ops += out.meter.reduce_ops;
+            records += out.meter.shuffle_records;
+            reduce_tasks += out.meter.reduce_tasks;
+            churned_jobs += usize::from(iter > 0 && out.reuse.route.misses > 0);
+            for (cid, mean) in out.pairs {
+                centroids[cid as usize] = mean;
             }
-            assert_eq!(bits(&centroids), RAW_BITS);
-            assert_eq!((map_ops, reduce_ops, records, reduce_tasks), (270_000, 45_000, 9_000, 39));
-            assert!(churned_jobs >= 5, "the keys must actually churn: {churned_jobs} of 9 jobs");
         }
+        assert_eq!(bits(&centroids), RAW_BITS);
+        assert_eq!((map_ops, reduce_ops, records, reduce_tasks), (270_000, 45_000, 9_000, 39));
+        assert!(churned_jobs >= 5, "the keys must actually churn: {churned_jobs} of 9 jobs");
     }
 }

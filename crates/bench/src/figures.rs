@@ -51,16 +51,6 @@ fn sim_engine(pool: &ThreadPool, seed: u64) -> Engine<'_> {
     Engine::with_simulation(pool, Simulation::new(ClusterSpec::ec2_2010(), seed))
 }
 
-/// Simulated + **pipelined** execution: the strategies are
-/// byte-identical in pairs and meters, so figures may freely run the
-/// faster in-process path — simulated timings are unchanged. The
-/// K-Means figures use this combination (and
-/// `tests/driver_equivalence.rs` pins the equivalence on an iterative
-/// run).
-fn sim_engine_pipelined(pool: &ThreadPool, seed: u64) -> Engine<'_> {
-    Engine::with_simulation(pool, Simulation::new(ClusterSpec::ec2_2010(), seed)).pipelined()
-}
-
 fn secs(t: Option<SimTime>) -> f64 {
     t.map(SimTime::as_secs_f64).unwrap_or(f64::NAN)
 }
@@ -363,7 +353,7 @@ fn kmeans_sweep(cfg: &ReproConfig) -> Vec<KmPoint> {
             seed: cfg.seed,
             ..Default::default()
         };
-        let mut eager_engine = sim_engine_pipelined(&pool, cfg.seed);
+        let mut eager_engine = sim_engine(&pool, cfg.seed);
         let eager = kmeans::eager::run_eager_from(
             &mut eager_engine,
             &points,
@@ -371,7 +361,7 @@ fn kmeans_sweep(cfg: &ReproConfig) -> Vec<KmPoint> {
             &km_cfg,
             Some(initial.clone()),
         );
-        let mut general_engine = sim_engine_pipelined(&pool, cfg.seed);
+        let mut general_engine = sim_engine(&pool, cfg.seed);
         let general = kmeans::general::run_general_from(
             &mut general_engine,
             &points,

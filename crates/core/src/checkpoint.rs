@@ -35,10 +35,10 @@
 //!   `(seed, node, epoch)`, capped per node so sessions always
 //!   terminate. Validated once at injection, like
 //!   [`crate::session::SessionFailurePlan`].
-//! * [`CheckpointTracker`] — the bookkeeping the driver consults at
-//!   each frontier advance: which iteration is the current rollback
-//!   target, and how many bytes a durable checkpoint store would have
-//!   written ([`crate::session::SessionReport::checkpoint_bytes`]).
+//! * `Recovery` keeps the checkpoint bookkeeping it consults at each
+//!   frontier advance: which iteration is the current rollback target,
+//!   and how many bytes a durable checkpoint store would have written
+//!   ([`crate::session::SessionReport::checkpoint_bytes`]).
 //!
 //! The headline contract (pinned by `tests/chaos_session.rs` and the
 //! proptest suite): at `max_lag = 0`, a session run under injected
@@ -66,10 +66,6 @@ pub enum CheckpointPolicy {
     /// Smaller `k` bounds rollback tighter but writes more checkpoint
     /// bytes — the `ckpt k` axis of `repro faults`.
     EveryK(usize),
-    /// Snapshot whenever the state bytes delivered since the last
-    /// checkpoint reach the budget (`≥ 1`). Adapts the interval to the
-    /// workload: big partitions checkpoint often, small ones rarely.
-    ByteBudget(u64),
 }
 
 impl CheckpointPolicy {
@@ -79,19 +75,13 @@ impl CheckpointPolicy {
     }
 
     /// Panics unless the parameters are in range (`EveryK(k)` needs
-    /// `k ≥ 1`, `ByteBudget(b)` needs `b ≥ 1`). Called once at the
-    /// start of [`crate::session::AsyncFixedPointDriver::run`], so a
+    /// `k ≥ 1`). Called once at the start of
+    /// [`crate::session::AsyncFixedPointDriver::run`], so a
     /// literally-constructed degenerate policy is rejected before it
     /// can bias a run.
     pub fn validate(&self) {
-        match *self {
-            CheckpointPolicy::Off => {}
-            CheckpointPolicy::EveryK(k) => {
-                assert!(k >= 1, "checkpoint interval must be at least 1 iteration");
-            }
-            CheckpointPolicy::ByteBudget(b) => {
-                assert!(b >= 1, "checkpoint byte budget must be at least 1 byte");
-            }
+        if let CheckpointPolicy::EveryK(k) = *self {
+            assert!(k >= 1, "checkpoint interval must be at least 1 iteration");
         }
     }
 }
@@ -104,14 +94,10 @@ impl CheckpointPolicy {
 /// Iteration 0 is always an implicit checkpoint — the initial states
 /// are reconstructible from the input, so it is never billed.
 #[derive(Debug, Clone)]
-pub struct CheckpointTracker {
+struct CheckpointTracker {
     policy: CheckpointPolicy,
     /// Last declared checkpoint iteration (rollback target).
     last: usize,
-    /// Checkpoints declared (excluding the implicit iteration 0).
-    taken: usize,
-    /// Bytes delivered since the last checkpoint (byte-budget policy).
-    bytes_since: u64,
     /// Total bytes a durable store would have written.
     checkpoint_bytes: u64,
 }
@@ -119,29 +105,23 @@ pub struct CheckpointTracker {
 impl CheckpointTracker {
     /// A tracker for `policy`, rooted at the implicit iteration-0
     /// checkpoint.
-    pub fn new(policy: CheckpointPolicy) -> Self {
-        CheckpointTracker { policy, last: 0, taken: 0, bytes_since: 0, checkpoint_bytes: 0 }
+    fn new(policy: CheckpointPolicy) -> Self {
+        CheckpointTracker { policy, last: 0, checkpoint_bytes: 0 }
     }
 
     /// Whether checkpoints are ever declared.
-    pub fn enabled(&self) -> bool {
+    fn enabled(&self) -> bool {
         self.policy.enabled()
     }
 
     /// The last declared checkpoint iteration — where rollback rewinds
     /// to, and the floor below which history may be pruned.
-    pub fn last_checkpoint(&self) -> usize {
+    fn last_checkpoint(&self) -> usize {
         self.last
     }
 
-    /// Checkpoints declared so far (excluding the implicit one at
-    /// iteration 0).
-    pub fn checkpoints_taken(&self) -> usize {
-        self.taken
-    }
-
     /// Total bytes a durable checkpoint store would have written.
-    pub fn checkpoint_bytes(&self) -> u64 {
+    fn checkpoint_bytes(&self) -> u64 {
         self.checkpoint_bytes
     }
 
@@ -154,34 +134,19 @@ impl CheckpointTracker {
     /// Rollback can rewind the frontier and re-advance it over the
     /// same iterations; re-advances past an already-declared checkpoint
     /// do not re-declare (or re-bill) it.
-    pub fn on_frontier_advance(&mut self, frontier: usize, snapshot_bytes: u64) -> bool {
+    fn on_frontier_advance(&mut self, frontier: usize, snapshot_bytes: u64) -> bool {
         if frontier <= self.last {
             return false; // re-advance over already-checkpointed ground
         }
         let declare = match self.policy {
             CheckpointPolicy::Off => false,
             CheckpointPolicy::EveryK(k) => frontier.is_multiple_of(k.max(1)),
-            CheckpointPolicy::ByteBudget(b) => {
-                self.bytes_since = self.bytes_since.saturating_add(snapshot_bytes);
-                self.bytes_since >= b
-            }
         };
         if declare {
             self.last = frontier;
-            self.taken += 1;
             self.checkpoint_bytes += snapshot_bytes;
-            self.bytes_since = 0;
         }
         declare
-    }
-
-    /// Reports that a rollback rewound the frontier to the last
-    /// checkpoint: everything delivered past it was discarded, so the
-    /// byte-budget accumulator restarts from zero. Without this, the
-    /// re-advance over rolled-back ground would count the same
-    /// iterations' bytes twice and fire the next checkpoint early.
-    pub fn on_rollback(&mut self) {
-        self.bytes_since = 0;
     }
 }
 
@@ -312,15 +277,13 @@ impl Recovery {
     /// The partitions the death of nodes `fired` rewinds to the last
     /// checkpoint, ascending: the nodes' residents plus everything they
     /// [`contaminated`]. Bumps their generations (orphaning anything in
-    /// flight) and restarts the checkpoint byte accumulator at the
-    /// checkpoint the frontier rewinds to.
+    /// flight).
     pub(crate) fn rewind_set(
         &mut self,
         consumers: &[Vec<(usize, usize)>],
         fired: &[usize],
         consumed: &[&[Vec<usize>]],
     ) -> Vec<usize> {
-        self.tracker.on_rollback();
         let residents =
             (0..consumers.len()).filter(|&p| fired.contains(&self.node_of(p))).collect();
         let rewound = contaminated(consumers, residents, self.checkpoint(), consumed);
@@ -377,22 +340,14 @@ mod tests {
         assert_eq!(CheckpointPolicy::default(), CheckpointPolicy::Off);
         assert!(!CheckpointPolicy::Off.enabled());
         assert!(CheckpointPolicy::EveryK(4).enabled());
-        assert!(CheckpointPolicy::ByteBudget(1 << 20).enabled());
         CheckpointPolicy::Off.validate();
         CheckpointPolicy::EveryK(1).validate();
-        CheckpointPolicy::ByteBudget(1).validate();
     }
 
     #[test]
     #[should_panic(expected = "checkpoint interval")]
     fn zero_interval_is_rejected() {
         CheckpointPolicy::EveryK(0).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "byte budget")]
-    fn zero_budget_is_rejected() {
-        CheckpointPolicy::ByteBudget(0).validate();
     }
 
     #[test]
@@ -403,7 +358,6 @@ mod tests {
         assert!(!t.on_frontier_advance(2, 100));
         assert!(t.on_frontier_advance(3, 100));
         assert_eq!(t.last_checkpoint(), 3);
-        assert_eq!(t.checkpoints_taken(), 1);
         assert_eq!(t.checkpoint_bytes(), 100);
         assert!(!t.on_frontier_advance(4, 100));
         assert!(t.on_frontier_advance(6, 120));
@@ -419,36 +373,8 @@ mod tests {
         assert!(!t.on_frontier_advance(2, 50));
         assert!(!t.on_frontier_advance(3, 50));
         assert!(t.on_frontier_advance(4, 50));
-        assert_eq!(t.checkpoints_taken(), 2);
+        assert_eq!(t.last_checkpoint(), 4);
         assert_eq!(t.checkpoint_bytes(), 100);
-    }
-
-    #[test]
-    fn byte_budget_accumulates_until_the_threshold() {
-        let mut t = CheckpointTracker::new(CheckpointPolicy::ByteBudget(250));
-        assert!(!t.on_frontier_advance(1, 100));
-        assert!(!t.on_frontier_advance(2, 100));
-        assert!(t.on_frontier_advance(3, 100), "300 accumulated ≥ 250 budget");
-        assert_eq!(t.last_checkpoint(), 3);
-        assert_eq!(t.checkpoint_bytes(), 100, "only the snapshot write is billed");
-        // Accumulator reset after the declaration.
-        assert!(!t.on_frontier_advance(4, 200));
-        assert!(t.on_frontier_advance(5, 60));
-    }
-
-    #[test]
-    fn rollback_resets_the_byte_budget_accumulator() {
-        let mut t = CheckpointTracker::new(CheckpointPolicy::ByteBudget(250));
-        assert!(!t.on_frontier_advance(1, 100));
-        assert!(!t.on_frontier_advance(2, 100));
-        // A rollback rewinds the frontier to checkpoint 0; iterations 1
-        // and 2 are discarded and will be re-delivered. Without the
-        // reset, re-advancing would double-count them (400 ≥ 250) and
-        // fire a checkpoint the budget never earned.
-        t.on_rollback();
-        assert!(!t.on_frontier_advance(1, 100));
-        assert!(!t.on_frontier_advance(2, 100));
-        assert!(t.on_frontier_advance(3, 100), "300 since the checkpoint ≥ 250");
     }
 
     #[test]

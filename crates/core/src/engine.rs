@@ -18,19 +18,14 @@
 //!    simulated cluster) is attached — replays the metered job on it,
 //!    appending the resulting [`JobStats`] to the engine's history.
 //!
-//! An engine runs that one body under one of two *schedules*: **staged**
-//! ([`Engine::in_process`], the default: steps 1, 2 and 4 are barriers
-//! on the work-stealing pool, step 3 a hand-over of bucket handles
-//! between them) or **pipelined**
-//! ([`Engine::with_pipelined_shuffle`]: steps 1–2 fuse into one task
-//! per split and reduce tasks are spawned from its completions, with no
-//! intra-job barrier). The schedules share every line of the body, so
-//! pairs and [`JobMeter`]s are identical by construction; only
-//! wall-clock and [`StageTimings`] attribution differ. A third path,
-//! the **oracle** ([`Engine::with_reference_shuffle`]), deliberately
-//! shares nothing with them and exists so the `stage_equivalence` and
-//! `pipeline_equivalence` suites have something independent to compare
-//! against.
+//! An engine runs that one body under one *schedule*, **staged**
+//! ([`Engine::in_process`], [`Engine::with_simulation`]): steps 1, 2 and
+//! 4 are barriers on the work-stealing pool, step 3 a hand-over of
+//! bucket handles between them, each timed into [`StageTimings`]. The
+//! only other path, the **oracle** ([`Engine::with_reference_shuffle`]),
+//! deliberately shares nothing with it and exists so the
+//! `stage_equivalence` and `pipeline_equivalence` suites have something
+//! independent to compare against.
 //!
 //! The engine **remembers** across jobs: it keeps, per map task and per
 //! reduce partition, the key sequence they last saw and where every
@@ -193,8 +188,8 @@ impl PlanUse {
 /// What one job reused from the jobs its engine ran before it.
 ///
 /// Reported *beside* [`JobMeter`], never inside it: the meter describes
-/// the job and is identical under every schedule, grouping strategy and
-/// the oracle; these counts describe the engine's memory and are not
+/// the job and is identical under every grouping strategy and the
+/// oracle; these counts describe the engine's memory and are not
 /// (the oracle reuses nothing and reports all zeros). In the steady
 /// state of an iterative driver — from its third job of a shape on —
 /// `arena_mints` and both shuffle `misses` are 0, and from the second
@@ -234,13 +229,9 @@ pub struct JobResult<K, O> {
     /// Real in-process execution time of this job (the simulated
     /// replay, when attached, is not part of it).
     pub wall: Duration,
-    /// Per-stage breakdown. Staged schedule: wall-clock per barrier
-    /// (sums to ≤ `wall`). Pipelined schedule
-    /// ([`Engine::with_pipelined_shuffle`]): per-stage *busy time*
-    /// with [`StageTimings::overlapped`] set — stages overlap, so the
-    /// total may exceed `wall`. All-zero on the oracle
-    /// ([`Engine::with_reference_shuffle`]), which executes
-    /// monolithically and is not stage-instrumented.
+    /// Per-stage breakdown: wall-clock per barrier (sums to ≤ `wall`).
+    /// All-zero on the oracle ([`Engine::with_reference_shuffle`]),
+    /// which executes monolithically and is not stage-instrumented.
     pub stages: StageTimings,
     /// What the job reused from earlier jobs on this engine.
     pub reuse: JobReuse,
@@ -257,9 +248,7 @@ pub struct JobRecord {
     pub sim: Option<JobStats>,
     /// Real in-process execution time (excludes the simulated replay).
     pub wall: Duration,
-    /// Per-stage breakdown, as in [`JobResult::stages`]: wall-clock per
-    /// barrier on staged rows, summed busy time on pipelined rows
-    /// ([`StageTimings::overlapped`] tells them apart).
+    /// Per-stage breakdown, as in [`JobResult::stages`].
     pub stages: StageTimings,
     /// What the job reused from earlier jobs, as in [`JobResult::reuse`].
     pub reuse: JobReuse,
@@ -270,8 +259,6 @@ pub struct JobRecord {
 enum ShufflePath {
     /// The job body as barriers.
     Staged,
-    /// The job body with no intra-job barriers.
-    Pipelined,
     /// The oracle: the original clone + `BTreeMap` strategy — for
     /// equivalence tests only.
     Reference,
@@ -314,11 +301,7 @@ impl<'p> Engine<'p> {
 
     /// An engine that additionally replays every job on `sim` — the
     /// simulated cluster (`asyncmr_simcluster::Simulation`), or anything
-    /// else that prices a metered [`JobSpec`].
-    ///
-    /// Starts on the staged (barrier) schedule; compose with
-    /// [`Engine::pipelined`] to simulate *and* execute under the
-    /// pipelined schedule:
+    /// else that prices a metered [`JobSpec`]:
     ///
     /// ```
     /// use asyncmr_core::Engine;
@@ -335,43 +318,26 @@ impl<'p> Engine<'p> {
     /// }
     ///
     /// let pool = ThreadPool::new(2);
-    /// let engine = Engine::with_simulation(&pool, OneSecond).pipelined();
+    /// let engine = Engine::with_simulation(&pool, OneSecond);
     /// assert!(format!("{engine:?}").contains("simulating: true"));
     /// ```
     pub fn with_simulation(pool: &'p ThreadPool, sim: impl JobReplay + Send + 'p) -> Self {
         Engine::new(pool, Some(Box::new(sim)), ShufflePath::Staged)
     }
 
-    /// Switches this engine to the **pipelined** schedule, keeping
-    /// everything else (attached simulation, history, scratch) intact.
-    /// Schedule and simulated replay are orthogonal: both schedules
-    /// produce identical pairs and meters, so the [`JobSpec`]s handed
-    /// to the simulator — and therefore the simulated timings — are
-    /// identical too.
-    pub fn pipelined(mut self) -> Self {
-        self.path = ShufflePath::Pipelined;
+    /// Returns `self`; kept only because `ledger/src/traced.rs:704` calls it.
+    pub fn pipelined(self) -> Self {
         self
     }
 
-    /// An in-process engine that executes jobs under the **pipelined**
-    /// schedule: map/combine/route fused into one task per split, whose
-    /// completion carries its routed buckets to the scheduler, and each
-    /// reduce task spawned the moment its input buckets are complete —
-    /// no whole-stage barriers inside the job (see [`crate::plan`]).
-    ///
-    /// Output pairs and [`JobMeter`]s are identical to the staged
-    /// engine (same task bodies; asserted by the `stage_equivalence`
-    /// and `pipeline_equivalence` integration tests); only scheduling,
-    /// wall-clock, and [`StageTimings`] attribution differ —
-    /// [`JobResult::stages`] reports per-stage *busy time* with
-    /// [`StageTimings::overlapped`] set.
+    /// [`Engine::in_process`]; kept only because `ledger/src/workloads.rs:393` calls it.
     pub fn with_pipelined_shuffle(pool: &'p ThreadPool) -> Self {
-        Engine::new(pool, None, ShufflePath::Pipelined)
+        Engine::in_process(pool)
     }
 
     /// An in-process engine running jobs through the kept-for-test
     /// oracle (sequential concat, per-reducer input clone, `BTreeMap`
-    /// grouping). Results must be byte-identical to the two schedules;
+    /// grouping). Results must be byte-identical to the staged schedule;
     /// use only to assert that or to benchmark against it (compare
     /// whole-job [`JobResult::wall`] — the oracle is monolithic, so its
     /// [`JobResult::stages`] stays all-zero).
@@ -427,9 +393,6 @@ impl<'p> Engine<'p> {
         let (pool, arena, plans) = (self.pool, &self.scratch, &self.plans);
         let plan::Executed { pairs, meter, stages, reuse, specs } = match self.path {
             ShufflePath::Staged => plan::staged(pool, inputs, mapper, reducer, opts, arena, plans),
-            ShufflePath::Pipelined => {
-                plan::pipelined(pool, inputs, mapper, reducer, opts, arena, plans)
-            }
             ShufflePath::Reference => plan::reference(pool, inputs, mapper, reducer, opts),
         };
         // Read before the replay: the simulator's host time is not this
@@ -639,67 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_shuffle_produces_identical_pairs_and_meter() {
-        let pool = ThreadPool::new(4);
-        let inputs = splits();
-        let opts = JobOptions::with_reducers(4);
-        let mut staged = Engine::in_process(&pool);
-        let a = staged.run("s", &inputs, &SquareMapper, &SumReducer, &opts);
-        let mut pipelined = Engine::with_pipelined_shuffle(&pool);
-        let b = pipelined.run("p", &inputs, &SquareMapper, &SumReducer, &opts);
-        assert_eq!(a.pairs, b.pairs, "staged and pipelined paths must agree byte-for-byte");
-        assert_eq!(a.meter, b.meter, "meters are strategy-invariant");
-        assert!(b.stages.overlapped, "pipelined timings use busy-time attribution");
-        assert!(!a.stages.overlapped);
-    }
-
-    #[test]
-    fn pipelined_shuffle_with_combiner_matches_staged() {
-        let pool = ThreadPool::new(4);
-        let inputs = splits();
-        let opts = JobOptions::with_reducers(4).with_combiner(&SumCombiner);
-        let mut staged = Engine::in_process(&pool);
-        let a = staged.run("s", &inputs, &SquareMapper, &SumReducer, &opts);
-        let mut pipelined = Engine::with_pipelined_shuffle(&pool);
-        let b = pipelined.run("p", &inputs, &SquareMapper, &SumReducer, &opts);
-        assert_eq!(a.pairs, b.pairs);
-        assert_eq!(a.meter, b.meter);
-        assert!(b.meter.shuffle_records < b.meter.precombine_records);
-    }
-
-    #[test]
-    fn pipelined_empty_inputs_produce_empty_output() {
-        let pool = ThreadPool::new(2);
-        let mut engine = Engine::with_pipelined_shuffle(&pool);
-        let inputs: Vec<Vec<u32>> = Vec::new();
-        let out = engine.run("empty", &inputs, &SquareMapper, &SumReducer, &JobOptions::default());
-        assert!(out.pairs.is_empty());
-        assert_eq!(out.meter.map_tasks, 0);
-        assert_eq!(out.meter.reduce_tasks, 0);
-    }
-
-    #[test]
-    fn pipelined_runs_iterative_jobs_and_recycles_scratch() {
-        let pool = ThreadPool::new(2);
-        let mut engine = Engine::with_pipelined_shuffle(&pool);
-        let inputs = splits();
-        for i in 0..3 {
-            let out = engine.run(
-                &format!("iter{i}"),
-                &inputs,
-                &SquareMapper,
-                &SumReducer,
-                &JobOptions::with_reducers(2),
-            );
-            let mut got = out.pairs;
-            got.sort();
-            assert_eq!(got, expected());
-        }
-        assert!(engine.scratch_arena().shelved() > 0);
-        assert_eq!(engine.history().len(), 3);
-    }
-
-    #[test]
     fn empty_partitions_are_skipped_not_metered() {
         let pool = ThreadPool::new(2);
         let mut engine = Engine::in_process(&pool);
@@ -758,49 +660,46 @@ mod tests {
         let opts = JobOptions::with_reducers(4);
         let eager_opts = JobOptions::with_reducers(4);
         let populated = populated_partitions(4) as u64;
-        for mut engine in [Engine::in_process(&pool), Engine::with_pipelined_shuffle(&pool)] {
-            let jobs: Vec<JobReuse> = (0..5)
-                .map(|_| engine.run("same", &inputs, &SquareMapper, &SumReducer, &opts).reuse)
-                .collect();
-            // First sight runs unplanned, the second records, then hits.
-            let missed = |n, recorded| PlanUse { hits: 0, misses: n, recorded };
-            assert_eq!((jobs[0].route, jobs[0].group), (missed(8, 0), missed(populated, 0)));
-            assert_eq!(
-                (jobs[1].route, jobs[1].group),
-                (missed(8, 8), missed(populated, populated))
-            );
-            assert!(jobs[0].arena_mints >= 1, "a fresh arena has nothing shelved");
-            for job in &jobs[2..] {
-                let hit = |hits| PlanUse { hits, ..PlanUse::default() };
-                assert_eq!((job.route, job.group), (hit(8), hit(populated)));
-            }
-            // From the third job on every reduce partition knows its
-            // input by the key handles it carries; before that there is
-            // nothing to recognise.
-            let by_identity: Vec<u64> = jobs.iter().map(|job| job.group_by_identity).collect();
-            assert_eq!(by_identity, [0, 0, populated, populated, populated]);
-            // A scratch is minted only while every existing one is
-            // checked out, so never more of them than lanes.
-            let lanes = pool.num_threads() as u64 + 1;
-            assert!(jobs.iter().map(|j| j.arena_mints).sum::<u64>() <= lanes, "{jobs:?}");
-            let recorded: Vec<JobReuse> = engine.history().iter().map(|r| r.reuse).collect();
-            assert_eq!(recorded, jobs);
-            assert!(jobs.iter().all(|job| job.local == PlanUse::default()), "no local syncs");
-
-            // An eager job: each task's local syncs record a plan in
-            // their first pass of the first job, and every pass after
-            // it — in that job and the next ones — runs on it.
-            let local: Vec<PlanUse> = (0..3)
-                .map(|_| engine.run("eager", &targets(), &eager(), &First, &eager_opts).reuse.local)
-                .collect();
-            assert_eq!((local[0].misses, local[0].recorded), (4, 4), "one recording per task");
-            assert!(local[0].hits > 4 * 20, "{local:?}");
-            for job in &local[1..] {
-                assert_eq!((job.misses, job.recorded), (0, 0), "{local:?}");
-                assert_eq!(job.hits, local[0].hits + 4, "the first passes are hits now");
-            }
-            assert_eq!(engine.history().last().expect("jobs ran").reuse.local, local[2]);
+        let mut engine = Engine::in_process(&pool);
+        let jobs: Vec<JobReuse> = (0..5)
+            .map(|_| engine.run("same", &inputs, &SquareMapper, &SumReducer, &opts).reuse)
+            .collect();
+        // First sight runs unplanned, the second records, then hits.
+        let missed = |n, recorded| PlanUse { hits: 0, misses: n, recorded };
+        assert_eq!((jobs[0].route, jobs[0].group), (missed(8, 0), missed(populated, 0)));
+        assert_eq!((jobs[1].route, jobs[1].group), (missed(8, 8), missed(populated, populated)));
+        assert!(jobs[0].arena_mints >= 1, "a fresh arena has nothing shelved");
+        for job in &jobs[2..] {
+            let hit = |hits| PlanUse { hits, ..PlanUse::default() };
+            assert_eq!((job.route, job.group), (hit(8), hit(populated)));
         }
+        // From the third job on every reduce partition knows its
+        // input by the key handles it carries; before that there is
+        // nothing to recognise.
+        let by_identity: Vec<u64> = jobs.iter().map(|job| job.group_by_identity).collect();
+        assert_eq!(by_identity, [0, 0, populated, populated, populated]);
+        // A scratch is minted only while every existing one is
+        // checked out, so never more of them than lanes.
+        let lanes = pool.num_threads() as u64 + 1;
+        assert!(jobs.iter().map(|j| j.arena_mints).sum::<u64>() <= lanes, "{jobs:?}");
+        let recorded: Vec<JobReuse> = engine.history().iter().map(|r| r.reuse).collect();
+        assert_eq!(recorded, jobs);
+        assert!(jobs.iter().all(|job| job.local == PlanUse::default()), "no local syncs");
+
+        // An eager job: each task's local syncs record a plan in
+        // their first pass of the first job, and every pass after
+        // it — in that job and the next ones — runs on it.
+        let local: Vec<PlanUse> = (0..3)
+            .map(|_| engine.run("eager", &targets(), &eager(), &First, &eager_opts).reuse.local)
+            .collect();
+        assert_eq!((local[0].misses, local[0].recorded), (4, 4), "one recording per task");
+        assert!(local[0].hits > 4 * 20, "{local:?}");
+        for job in &local[1..] {
+            assert_eq!((job.misses, job.recorded), (0, 0), "{local:?}");
+            assert_eq!(job.hits, local[0].hits + 4, "the first passes are hits now");
+        }
+        assert_eq!(engine.history().last().expect("jobs ran").reuse.local, local[2]);
+
         let mut oracle = Engine::with_reference_shuffle(&pool);
         let out = oracle.run("eager", &targets(), &eager(), &First, &eager_opts);
         assert_eq!(out.reuse, JobReuse::default(), "the oracle reports no reuse");
@@ -814,14 +713,13 @@ mod tests {
         let pool = ThreadPool::new(2);
         let inputs = splits();
         let opts = JobOptions::with_reducers(1);
-        for mut engine in [Engine::in_process(&pool), Engine::with_pipelined_shuffle(&pool)] {
-            for job in 0..4 {
-                let reuse = engine.run("one", &inputs, &SquareMapper, &SumReducer, &opts).reuse;
-                assert_eq!(reuse.arena_mints, u64::from(job == 0), "job {job}");
-                assert_eq!(reuse.route, PlanUse::default());
-                assert_eq!(reuse.group.hits, u64::from(job > 1));
-                assert_eq!(reuse.group.recorded, u64::from(job == 1));
-            }
+        let mut engine = Engine::in_process(&pool);
+        for job in 0..4 {
+            let reuse = engine.run("one", &inputs, &SquareMapper, &SumReducer, &opts).reuse;
+            assert_eq!(reuse.arena_mints, u64::from(job == 0), "job {job}");
+            assert_eq!(reuse.route, PlanUse::default());
+            assert_eq!(reuse.group.hits, u64::from(job > 1));
+            assert_eq!(reuse.group.recorded, u64::from(job == 1));
         }
         let mut oracle = Engine::with_reference_shuffle(&pool);
         let out = oracle.run("o", &inputs, &SquareMapper, &SumReducer, &JobOptions::default());
@@ -845,15 +743,14 @@ mod tests {
         }
         let pool = ThreadPool::new(2);
         let inputs = vec![(0..100).collect::<Vec<u32>>()];
-        for mut engine in [Engine::in_process(&pool), Engine::with_pipelined_shuffle(&pool)] {
-            let mapper = Sized(std::sync::Mutex::new(Vec::new()));
-            for _ in 0..3 {
-                engine.run("one", &inputs, &mapper, &SumReducer, &JobOptions::with_reducers(1));
-            }
-            let capacities = mapper.0.into_inner().unwrap();
-            assert_eq!(capacities[0], 0, "nothing is known before the first job");
-            assert!(capacities[1..].iter().all(|&c| c >= 100), "{capacities:?}");
+        let mut engine = Engine::in_process(&pool);
+        let mapper = Sized(std::sync::Mutex::new(Vec::new()));
+        for _ in 0..3 {
+            engine.run("one", &inputs, &mapper, &SumReducer, &JobOptions::with_reducers(1));
         }
+        let capacities = mapper.0.into_inner().unwrap();
+        assert_eq!(capacities[0], 0, "nothing is known before the first job");
+        assert!(capacities[1..].iter().all(|&c| c >= 100), "{capacities:?}");
     }
 
     #[test]
@@ -911,40 +808,13 @@ mod tests {
         let inputs = splits();
         let opts: JobOptions<'static, u32, u64> =
             JobOptions { num_reducers: 0, combiner: None, grouping: GroupingStrategy::Sort };
-        for mut engine in [
-            Engine::in_process(&pool),
-            Engine::with_pipelined_shuffle(&pool),
-            Engine::with_reference_shuffle(&pool),
-        ] {
+        for mut engine in [Engine::in_process(&pool), Engine::with_reference_shuffle(&pool)] {
             let out = engine.run("zero", &inputs, &SquareMapper, &SumReducer, &opts);
             let mut got = out.pairs;
             got.sort();
             assert_eq!(got, expected(), "zero reducers must behave as one partition");
             assert_eq!(out.meter.reduce_tasks, 1);
         }
-    }
-
-    #[test]
-    fn pipelined_engine_composes_with_simulation() {
-        // Strategy × simulation must be a full matrix: the pipelined
-        // path metered identically, so the replay is handed the same
-        // profile as the staged engine's (the real simulator's
-        // byte-for-byte agreement is `tests/driver_equivalence.rs`).
-        let pool = ThreadPool::new(4);
-        let inputs = splits();
-        let opts = JobOptions::with_reducers(4);
-
-        let mut staged = Engine::with_simulation(&pool, FakeReplay::default());
-        let a = staged.run("x", &inputs, &SquareMapper, &SumReducer, &opts);
-
-        let mut pipelined = Engine::with_simulation(&pool, FakeReplay::default()).pipelined();
-        let b = pipelined.run("x", &inputs, &SquareMapper, &SumReducer, &opts);
-
-        assert_eq!(a.pairs, b.pairs);
-        assert_eq!(a.meter, b.meter);
-        let (sa, sb) = (a.sim.expect("staged sim"), b.sim.expect("pipelined sim"));
-        assert_eq!(sa, sb, "identical meters must replay to identical simulated stats");
-        assert!(b.stages.overlapped, "the pipelined strategy is actually in effect");
     }
 
     #[test]

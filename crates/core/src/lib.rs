@@ -32,11 +32,9 @@
 //! [`Engine`] always executes the real computation in-process on the
 //! work-stealing [`asyncmr_runtime::ThreadPool`] (map tasks and reduce
 //! tasks in parallel). The job body is written once ([`plan`]) and run
-//! under one of two schedules — **staged** (a barrier per stage, the
-//! default) or **pipelined** ([`Engine::with_pipelined_shuffle`]: no
-//! intra-job barriers, reduce tasks spawned from map completions) —
-//! with a kept-for-test **oracle** ([`Engine::with_reference_shuffle`])
-//! beside them; all three byte-identical in output. Optionally the
+//! under one schedule — **staged**, a barrier per stage — with a
+//! kept-for-test **oracle** ([`Engine::with_reference_shuffle`]) beside
+//! it; the two are byte-identical in output. Optionally the
 //! engine *also* meters every task (bytes, records, abstract ops) and replays the
 //! job on an attached [`asyncmr_model::JobReplay`] — in practice
 //! `asyncmr_simcluster::Simulation`, the paper's 8-node EC2/Hadoop

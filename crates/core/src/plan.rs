@@ -1,4 +1,4 @@
-//! One job body, two schedules — and the oracle.
+//! One job body under one schedule — and the oracle.
 //!
 //! The paper's argument is about *when* work is synchronised, not *what*
 //! the work is, so this module writes the work of a MapReduce job
@@ -21,13 +21,11 @@
 //!   pairs (which then wait in one bucket instead of being routed by
 //!   the map), its combined pairs fed through the same routing sink
 //!   and re-metered as what heads into the shuffle;
-//! * `ReduceInputs` — the single-owner accumulator that transposes
-//!   bucket *handles* (no element is copied or cloned): each map task's
-//!   routed buckets are delivered once; a partition's input is its
-//!   non-empty buckets in map-task order, whatever order they arrived
-//!   in. Partitions that received no records are **skipped** — not
-//!   executed, not metered, not replayed in simulation (see
-//!   [`crate::JobOptions::num_reducers`]);
+//! * `transpose` — the hand-over of bucket *handles* from map tasks to
+//!   reduce partitions (no element is copied or cloned): a partition's
+//!   input is its non-empty buckets in map-task order. Partitions that
+//!   received no records are **skipped** — not executed, not metered,
+//!   not replayed in simulation (see [`crate::JobOptions::num_reducers`]);
 //! * `reduce_task` — grouping of one partition's buckets into
 //!   contiguous [`crate::shuffle::GroupView`] slices through the
 //!   partition's remembered [`GroupPlan`], which recognises buckets
@@ -44,44 +42,27 @@
 //! * `assemble` — the [`crate::JobMeter`] fold, the simulator task
 //!   specs, and the ascending-partition concatenation of output pairs.
 //!
-//! [`crate::Engine::run`] picks one of two **schedules** over those
-//! bodies:
-//!
-//! * **staged** ([`crate::Engine::in_process`]) — three barriers
-//!   (map ∥, combine ∥, reduce ∥) and, between the last two, the
-//!   transposition of bucket handles on the calling thread, each timed
-//!   as wall-clock. There is no route barrier: every record is in its
-//!   bucket when the task that emitted it ends;
-//! * **pipelined** ([`crate::Engine::with_pipelined_shuffle`]) — map →
-//!   combine fuse into one pool task per split (data stays cache-hot,
-//!   no inter-stage pool round-trips) whose completion
-//!   carries its routed buckets to the scheduler closure of
-//!   [`asyncmr_runtime::ThreadPool::par_pipeline`]. That closure runs
-//!   on the one calling thread, so it owns the accumulator outright —
-//!   nothing is shared, nothing is locked — and spawns the reduce
-//!   follow-ups the moment the last delivery completes the partitions.
-//!   Timed as per-stage busy time.
-//!
-//! Because both schedules run the same bodies and the same `assemble`,
-//! their output pairs, [`crate::JobMeter`]s and plan hits are identical
-//! by construction; they differ only in scheduling and therefore in
-//! wall-clock and [`StageTimings`] attribution.
+//! [`crate::Engine::run`] runs those bodies under one **schedule**,
+//! `staged`: three barriers on the work-stealing pool (map ∥, combine ∥,
+//! reduce ∥) and, between the last two, the transposition on the
+//! calling thread, each timed as wall-clock ([`StageTimings`]). There is
+//! no route barrier: every record is in its bucket when the task that
+//! emitted it ends.
 //!
 //! The **oracle** ([`crate::Engine::with_reference_shuffle`]) is the
 //! exception on purpose: it is the original strategy (hash every key,
 //! sequential bucket concatenation, per-reducer `input.clone()`,
 //! `BTreeMap` grouping), remembers nothing from job to job, and shares
-//! *no* body with the schedules, which is what makes the
-//! equivalence suites that compare against it mean something.
+//! *no* body with the schedule, which is what makes the equivalence
+//! suites that compare against it mean something.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use asyncmr_model::{MapTaskSpec, ReduceTaskSpec};
-use asyncmr_runtime::{FollowUp, ThreadPool};
+use asyncmr_runtime::ThreadPool;
 
 use crate::emitter::{MapContext, ReduceContext, Routed};
 use crate::engine::{JobMeter, JobOptions, JobReuse, PlanUse};
@@ -93,20 +74,8 @@ use crate::shuffle::{
 use crate::traits::{Combiner, Mapper, Reducer};
 
 /// Time spent in each stage of one job (in-process execution, not
-/// simulated time).
-///
-/// Two attribution modes exist, flagged by [`StageTimings::overlapped`]:
-///
-/// * **Barrier mode** (`overlapped == false`, the staged schedule):
-///   each field is the *wall-clock* span of that stage's barrier, so
-///   [`StageTimings::total`] ≤ the job's wall time.
-/// * **Overlapped mode** (`overlapped == true`, the pipelined
-///   schedule): stages have no wall-clock extent of their own — a map
-///   task can still be mapping while a reduce task runs. Each field is
-///   instead the summed *busy time* of that stage's work across all
-///   tasks and workers, so [`StageTimings::total`] routinely *exceeds*
-///   the job's wall time; `total() / wall` approximates the parallel
-///   speedup the job achieved.
+/// simulated time): each field is the *wall-clock* span of that stage's
+/// barrier, so [`StageTimings::total`] ≤ the job's wall time.
 ///
 /// # Example
 ///
@@ -120,7 +89,6 @@ use crate::traits::{Combiner, Mapper, Reducer};
 ///     ..Default::default()
 /// };
 /// assert_eq!(t.total(), Duration::from_millis(10));
-/// assert!(!t.overlapped, "barrier attribution is the default");
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
@@ -129,23 +97,18 @@ pub struct StageTimings {
     /// Combine stage (zero when no combiner is attached).
     pub combine: Duration,
     /// Shuffle stage: the transposition of bucket handles from map
-    /// tasks to reduce partitions, on the calling thread (under the
-    /// pipelined schedule, with the spawning of the reduce follow-ups).
-    /// Routing is not in it: records are routed as they are emitted,
-    /// inside the map (or combine) stage.
+    /// tasks to reduce partitions, on the calling thread. Routing is not
+    /// in it: records are routed as they are emitted, inside the map (or
+    /// combine) stage.
     pub shuffle: Duration,
     /// Reduce stage (fused concat/group/reduce, parallel).
     pub reduce: Duration,
-    /// `false`: fields are per-stage wall-clock (barrier attribution).
-    /// `true`: stages overlapped, fields are per-stage summed busy
-    /// time (see the type docs).
+    /// Always `false`; kept only because `ledger/src/traced.rs:411` reads it.
     pub overlapped: bool,
 }
 
 impl StageTimings {
-    /// Sum of all stage times. Bounded by the job's wall time in
-    /// barrier attribution; may exceed it in overlapped attribution
-    /// (see the type docs).
+    /// Sum of all stage times, bounded by the job's wall time.
     pub fn total(&self) -> Duration {
         self.map + self.combine + self.shuffle + self.reduce
     }
@@ -311,7 +274,7 @@ impl PlanStore {
 type Buckets<K, V> = Vec<Bucket<K, V>>;
 
 /// Everything one map task reports besides its pairs.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct MapProfile {
     ops: u64,
     /// Partial synchronizations performed (eager gmap tasks).
@@ -441,73 +404,32 @@ fn combine_task<K: Key, V: Value>(
     out
 }
 
-/// The reduce-input accumulator: collects every map task's routed
-/// buckets and hands each reduce partition its input.
+/// Every populated reduce partition with its input, ascending by
+/// partition.
+type ReduceInputs<K, V> = Vec<(usize, Buckets<K, V>)>;
+
+/// The shuffle's hand-over: transposes the map tasks' routed buckets —
+/// `routed[task][partition]`, in map-task order — into every populated
+/// partition's reduce input, its non-empty buckets in map-task order.
+/// Only bucket handles move. A partition that received no records is
+/// skipped.
 ///
-/// Single-owner (`&mut self` throughout): the staged schedule fills it
-/// between two barriers, the pipelined schedule from its scheduler
-/// closure — both on the thread that called [`crate::Engine::run`].
-struct ReduceInputs<K, V> {
-    /// `routed[task]`: that map task's buckets, one per partition;
-    /// `None` until delivered.
-    routed: Vec<Option<Buckets<K, V>>>,
-    reducers: usize,
-    delivered: usize,
-}
-
-impl<K, V> ReduceInputs<K, V> {
-    /// An accumulator for `reducers` partitions fed by `num_tasks` map
-    /// tasks.
-    fn new(reducers: usize, num_tasks: usize) -> Self {
-        ReduceInputs { routed: (0..num_tasks).map(|_| None).collect(), reducers, delivered: 0 }
-    }
-
-    /// Takes ownership of map task `task`'s routed buckets and returns
-    /// the partitions this delivery *completed*, ascending. Every
-    /// delivery feeds every partition, so that is all of them on the
-    /// last delivery and none before — each partition is reported
-    /// exactly once per job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task` is out of range or delivers twice, or if the
-    /// bucket count is not the partition count — scheduler bugs, not
-    /// data conditions.
-    fn deliver(&mut self, task: usize, buckets: Buckets<K, V>) -> Range<usize> {
-        assert_eq!(buckets.len(), self.reducers, "one bucket per reduce partition");
-        assert!(self.routed[task].is_none(), "map task {task} deposited twice");
-        self.routed[task] = Some(buckets);
-        self.delivered += 1;
-        if self.delivered == self.routed.len() {
-            0..self.reducers
-        } else {
-            0..0
-        }
-    }
-
-    /// Takes a completed partition's reduce input: its non-empty
-    /// buckets in map-task order, whatever order they were delivered
-    /// in. `None` for a partition that received no records — such
-    /// partitions are skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some map task has not delivered yet.
-    fn take(&mut self, partition: usize) -> Option<Buckets<K, V>> {
-        assert_eq!(
-            self.delivered,
-            self.routed.len(),
-            "partition {partition} taken before all map tasks delivered"
-        );
-        let buckets: Buckets<K, V> = self
-            .routed
-            .iter_mut()
-            .flatten()
-            .map(|task_buckets| std::mem::take(&mut task_buckets[partition]))
-            .filter(|bucket| !bucket.is_empty())
-            .collect();
-        (!buckets.is_empty()).then_some(buckets)
-    }
+/// # Panics
+///
+/// Panics if a task's bucket count is not the partition count — a
+/// scheduling bug, not a data condition.
+fn transpose<K, V>(mut routed: Vec<Buckets<K, V>>, reducers: usize) -> ReduceInputs<K, V> {
+    assert!(routed.iter().all(|task| task.len() == reducers), "one bucket per reduce partition");
+    (0..reducers)
+        .filter_map(|partition| {
+            let buckets: Buckets<K, V> = routed
+                .iter_mut()
+                .map(|task| std::mem::take(&mut task[partition]))
+                .filter(|bucket| !bucket.is_empty())
+                .collect();
+            (!buckets.is_empty()).then_some((partition, buckets))
+        })
+        .collect()
 }
 
 /// Runs one reduce task: groups the partition's buckets through the
@@ -617,17 +539,16 @@ where
     // Every record sits in its bucket already: what is left of the
     // shuffle is handing bucket handles over, on this thread.
     let t = Instant::now();
-    let mut ready = ReduceInputs::new(reducers, inputs.len());
     let mut profiles = Vec::with_capacity(inputs.len());
-    for (task, out) in combined.into_iter().enumerate() {
+    let mut routed = Vec::with_capacity(inputs.len());
+    for out in combined {
         profiles.push(out.profile);
         if let Some(planned) = out.planned {
             reuse.route.count(planned);
         }
-        ready.deliver(task, out.buckets);
+        routed.push(out.buckets);
     }
-    let reduce_inputs: Vec<_> =
-        (0..reducers).filter_map(|p| ready.take(p).map(|buckets| (p, buckets))).collect();
+    let reduce_inputs = transpose(routed, reducers);
     stages.shuffle = t.elapsed();
 
     let t = Instant::now();
@@ -639,138 +560,12 @@ where
     assemble(&profiles, reduced, stages, reuse)
 }
 
-/// Ready partitions carrying fewer records than this are batched into a
-/// single reduce follow-up: below it, the injector round-trip and
-/// wakeup for a dedicated pool task cost more than the reduce work
-/// itself. Large partitions still get their own task, so parallel
-/// reduce capacity is unaffected where it matters.
-const MIN_RECORDS_PER_REDUCE_SPAWN: u64 = 1024;
-
-/// One reduce output slot, indexed by partition.
-type Slot<K, O> = Mutex<Option<(ReduceOut<K, O>, Duration)>>;
-
-/// The completed partitions — `(partition, its reduce input)` — that
-/// one reduce follow-up works through.
-type Batch<K, V> = Vec<(usize, Buckets<K, V>)>;
-
-/// Builds the follow-up task that reduces `batch` (one or more
-/// completed partitions) and parks each result in its partition's slot.
-fn reduce_batch<'a, R: Reducer>(
-    batch: Batch<R::Key, R::ValueIn>,
-    reducer: &'a R,
-    grouping: GroupingStrategy,
-    arena: &'a ScratchArena,
-    plans: &'a PlanStore,
-    slots: &'a [Slot<R::Key, R::Out>],
-) -> FollowUp<'a> {
-    Box::new(move || {
-        for (partition, buckets) in batch {
-            let t = Instant::now();
-            let out = reduce_task(reducer, grouping, partition, buckets, arena, plans);
-            let mut slot = slots[partition].lock().unwrap_or_else(|e| e.into_inner());
-            *slot = Some((out, t.elapsed()));
-        }
-    })
-}
-
-/// The pipelined schedule: no whole-stage barriers inside the job (see
-/// the [module docs](self)), each stage timed as summed busy time.
-pub(crate) fn pipelined<M, R>(
-    pool: &ThreadPool,
-    inputs: &[M::Input],
-    mapper: &M,
-    reducer: &R,
-    opts: &JobOptions<'_, M::Key, M::Value>,
-    arena: &ScratchArena,
-    plans: &PlanStore,
-) -> Executed<R::Key, R::Out>
-where
-    M: Mapper,
-    R: Reducer<Key = M::Key, ValueIn = M::Value>,
-{
-    let reducers = opts.num_reducers;
-    let combiner = opts.combiner;
-    let grouping = opts.grouping;
-    let mut ready = ReduceInputs::new(reducers, inputs.len());
-    // Reduce outputs land here indexed by partition, so `assemble` sees
-    // ascending-partition order no matter when each reduce task ran.
-    let slots: Vec<Slot<R::Key, R::Out>> = (0..reducers).map(|_| Mutex::new(None)).collect();
-    let slots: &[Slot<R::Key, R::Out>] = &slots;
-    let mut profiles = vec![MapProfile::default(); inputs.len()];
-    let mut stages = StageTimings { overlapped: true, ..StageTimings::default() };
-    let mut reuse = JobReuse::default();
-
-    let map_into = if combiner.is_some() { 1 } else { reducers };
-    pool.par_pipeline(
-        inputs.iter().collect::<Vec<&M::Input>>(),
-        // Phase 1, on the pool: one fused map → combine task per split,
-        // routing as it emits.
-        move |task, input| {
-            let t = Instant::now();
-            let mut out = map_task(mapper, task, input, map_into, plans);
-            let map_busy = t.elapsed();
-
-            let t = Instant::now();
-            if let Some(combiner) = combiner {
-                out = combine_task(combiner, task, out, reducers, plans);
-            }
-            (out, map_busy, t.elapsed())
-        },
-        // Scheduler, on the calling thread: record the profile, hand
-        // the buckets to the accumulator, and spawn reduce work for
-        // every partition this completion released. Partitions with
-        // few records are *batched* into one follow-up — the scheduler
-        // knows each partition's record count at spawn time, so it can
-        // keep per-task scheduling overhead below the work it carries
-        // (a cost-aware choice the staged schedule cannot make: its
-        // reduce barrier chunks blindly by task count).
-        |task, (out, map_busy, combine_busy)| {
-            let t = Instant::now();
-            profiles[task] = out.profile;
-            stages.map += map_busy;
-            stages.combine += combine_busy;
-            if let Some(planned) = out.planned {
-                reuse.route.count(planned);
-            }
-            let mut follow_ups: Vec<FollowUp<'_>> = Vec::new();
-            let mut batch = Vec::new();
-            let mut batch_records = 0u64;
-            for partition in ready.deliver(task, out.buckets) {
-                let Some(buckets) = ready.take(partition) else {
-                    continue; // zero-record partition: skipped
-                };
-                batch_records += buckets.iter().map(|b| b.len() as u64).sum::<u64>();
-                batch.push((partition, buckets));
-                if batch_records >= MIN_RECORDS_PER_REDUCE_SPAWN {
-                    let batch = std::mem::take(&mut batch);
-                    follow_ups.push(reduce_batch(batch, reducer, grouping, arena, plans, slots));
-                    batch_records = 0;
-                }
-            }
-            if !batch.is_empty() {
-                follow_ups.push(reduce_batch(batch, reducer, grouping, arena, plans, slots));
-            }
-            stages.shuffle += t.elapsed();
-            follow_ups
-        },
-    );
-
-    let mut reduced = Vec::new();
-    for slot in slots {
-        if let Some((out, busy)) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            stages.reduce += busy;
-            reduced.push(out);
-        }
-    }
-    assemble(&profiles, reduced, stages, reuse)
-}
-
 /// The oracle: executes one job the way the pre-staged engine did —
 /// parallel map + combine + route, **sequential** bucket concatenation,
 /// and a parallel reduce phase in which every reduce task `clone()`s
 /// its input and groups it through a `BTreeMap`.
 ///
-/// Deliberately shares no body with the schedules above: their output
+/// Deliberately shares no body with the schedule above: its output
 /// pairs must *prove* byte-identical to this one's (the
 /// `stage_equivalence` and `pipeline_equivalence` integration tests).
 /// Keeps the old meter semantics — every reduce partition counts as a
@@ -838,7 +633,7 @@ where
 
     let reduce_outs = pool.par_map(&reduce_inputs, |input| {
         let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::default();
-        // The allocation-heavy path the schedules replaced: full input
+        // The allocation-heavy path the schedule replaced: full input
         // clone, then per-key Vec<V> groups via BTreeMap.
         let grouped = shuffle::group(input.clone());
         for (k, values) in &grouped {
@@ -894,23 +689,22 @@ mod tests {
         buckets.into_iter().map(Bucket::from).collect()
     }
 
-    /// Map (routing as it emits) → accumulate, one task after another on this thread:
-    /// the job body with no schedule at all. Returns each populated
-    /// partition with its reduce input.
+    /// Map (routing as it emits) → transpose, one task after another on
+    /// this thread: the job body with no schedule at all. Returns each
+    /// populated partition with its reduce input.
     fn shuffled<M: Mapper<Key = K, Value = V>, K: Key, V: Value>(
         mapper: &M,
         inputs: &[M::Input],
         reducers: usize,
         plans: &PlanStore,
-    ) -> (Vec<MapProfile>, Batch<K, V>) {
-        let mut ready = ReduceInputs::new(reducers, inputs.len());
-        let mut profiles = Vec::new();
+    ) -> (Vec<MapProfile>, ReduceInputs<K, V>) {
+        let (mut profiles, mut routed) = (Vec::new(), Vec::new());
         for (task, input) in inputs.iter().enumerate() {
             let out = map_task(mapper, task, input, reducers, plans);
             profiles.push(out.profile);
-            ready.deliver(task, out.buckets);
+            routed.push(out.buckets);
         }
-        (profiles, (0..reducers).filter_map(|p| Some((p, ready.take(p)?))).collect())
+        (profiles, transpose(routed, reducers))
     }
 
     #[test]
@@ -954,56 +748,22 @@ mod tests {
     }
 
     #[test]
-    fn completion_fires_exactly_when_last_task_delivers() {
-        let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(3, 3);
-        assert!(ready.deliver(1, owned(vec![vec![(0, 0)], vec![], vec![]])).is_empty());
-        assert!(ready.deliver(0, owned(vec![vec![(0, 1)], vec![], vec![]])).is_empty());
-        assert_eq!(ready.deliver(2, owned(vec![vec![], vec![(1, 2)], vec![]])), 0..3);
-    }
-
-    #[test]
-    fn buckets_come_back_in_map_task_order_despite_arrival_order() {
-        let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(1, 3);
-        // Arrival order 2, 0, 1 — take must still see 0, 1, 2.
-        ready.deliver(2, owned(vec![vec![(0, 22)]]));
-        ready.deliver(0, owned(vec![vec![(0, 0)]]));
-        ready.deliver(1, owned(vec![vec![(0, 11)]]));
-        let buckets = ready.take(0).unwrap();
-        assert_eq!(buckets, owned(vec![vec![(0, 0)], vec![(0, 11)], vec![(0, 22)]]));
-    }
-
-    #[test]
     fn empty_partitions_are_skipped_like_the_staged_shuffle() {
-        let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(2, 1);
-        assert_eq!(ready.deliver(0, owned(vec![vec![(0, 1)], vec![]])), 0..2);
-        assert!(ready.take(0).is_some());
-        assert!(ready.take(1).is_none(), "zero-record partition must be skipped");
+        let inputs = transpose(vec![owned(vec![vec![(0, 1)], vec![]])], 2);
+        let partitions: Vec<usize> = inputs.iter().map(|(p, _)| *p).collect();
+        assert_eq!(partitions, [0], "zero-record partition must be skipped");
     }
 
     #[test]
     fn empty_buckets_leave_no_hole_in_task_order() {
-        let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(1, 3);
-        ready.deliver(0, owned(vec![vec![(0, 1)]]));
-        ready.deliver(1, owned(vec![vec![]])); // task 1 emitted nothing for p0
-        ready.deliver(2, owned(vec![vec![(0, 3)]]));
+        let routed = vec![
+            owned(vec![vec![(0, 1)]]),
+            owned(vec![vec![]]), // task 1 emitted nothing for p0
+            owned(vec![vec![(0, 3)]]),
+        ];
         // Only non-empty buckets survive, still in task order.
-        assert_eq!(ready.take(0).unwrap(), owned(vec![vec![(0, 1)], vec![(0, 3)]]));
-    }
-
-    #[test]
-    #[should_panic(expected = "taken before all map tasks delivered")]
-    fn taking_an_incomplete_partition_panics() {
-        let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(1, 2);
-        ready.deliver(0, owned(vec![vec![(0, 1)]]));
-        let _ = ready.take(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "deposited twice")]
-    fn double_deposit_panics() {
-        let mut ready: ReduceInputs<u32, u32> = ReduceInputs::new(1, 2);
-        ready.deliver(0, owned(vec![vec![(0, 1)]]));
-        ready.deliver(0, owned(vec![vec![(0, 2)]]));
+        let want = owned(vec![vec![(0, 1)], vec![(0, 3)]]);
+        assert_eq!(transpose(routed, 1), [(0, want)]);
     }
 
     #[test]
@@ -1076,37 +836,6 @@ mod tests {
             arena.put::<ShuffleScratch<u32, u32>>(ShuffleScratch::default());
         }
         assert_eq!(arena.shelved(), SCRATCH_SHELF_CAP);
-    }
-
-    #[test]
-    fn pipelined_matches_reference_pairs_and_meter() {
-        let pool = ThreadPool::new(3);
-        let inputs = splits();
-        let opts = JobOptions::with_reducers(5);
-        let reference = reference(&pool, &inputs, &ModMapper, &SumReducer, &opts);
-
-        let (arena, plans) = (ScratchArena::new(), PlanStore::new());
-        let run = pipelined(&pool, &inputs, &ModMapper, &SumReducer, &opts, &arena, &plans);
-        assert_eq!(run.pairs, reference.pairs, "pipelined must match the reference byte-for-byte");
-        assert!(run.stages.overlapped);
-        assert!(run.stages.map > Duration::ZERO);
-        // The reference meters every partition as a task (old
-        // semantics); everything else must agree.
-        assert_eq!(run.meter.map_ops, reference.meter.map_ops);
-        assert_eq!(run.meter.shuffle_records, reference.meter.shuffle_records);
-        assert_eq!(run.meter.output_records, reference.meter.output_records);
-    }
-
-    #[test]
-    fn pipelined_recycles_scratch_and_skips_empty_partitions() {
-        let pool = ThreadPool::new(2);
-        let inputs = splits();
-        let (arena, plans) = (ScratchArena::new(), PlanStore::new());
-        // 64 partitions over 8 distinct keys: most partitions are empty.
-        let opts = JobOptions::with_reducers(64);
-        let run = pipelined(&pool, &inputs, &ModMapper, &SumReducer, &opts, &arena, &plans);
-        assert!(run.meter.reduce_tasks <= 8, "empty partitions must be skipped");
-        assert!(arena.shelved() > 0, "reduce scratch must be shelved for the next job");
     }
 
     #[test]

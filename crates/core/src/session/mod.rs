@@ -1,8 +1,8 @@
 //! The session layer: **cross-iteration eager scheduling**.
 //!
-//! PR 2's pipelined engine deleted every *intra-job* stage barrier, but
-//! an iterative run still pays the paper's headline cost in full: one
-//! global synchronization per iteration ([`crate::FixedPointDriver`]
+//! An iterative run on the engine pays the paper's headline cost in
+//! full, even in its eager formulation: one global synchronization per
+//! iteration ([`crate::FixedPointDriver`]
 //! runs one [`crate::Engine::run`] job per global iteration, and
 //! iteration *i+1* cannot start until every partition of iteration *i*
 //! has reduced). This module lifts eager scheduling from the stage
@@ -121,8 +121,8 @@
 //! derived from data that no longer exists, and the session must
 //! perform real **rollback** rather than re-execution:
 //!
-//! 1. **Checkpoints** ([`crate::checkpoint::CheckpointPolicy`],
-//!    every-k-iterations or byte-budgeted) are declared at frontier
+//! 1. **Checkpoints** ([`crate::checkpoint::CheckpointPolicy`], every
+//!    `k` iterations) are declared at frontier
 //!    advances, so they are *coordinated*: the same iteration for every
 //!    partition. The retained history `Arc`s at the checkpoint
 //!    iteration are the snapshot; what a durable store would write is
@@ -437,9 +437,8 @@ pub trait AsyncIterative: Sync {
 
     /// Approximate serialized bytes of one partition state — what a
     /// durable checkpoint of it would write, and what holding it in
-    /// history costs. Drives [`SessionReport::checkpoint_bytes`],
-    /// [`SessionReport::peak_state_bytes`], and the
-    /// [`crate::checkpoint::CheckpointPolicy::ByteBudget`] trigger.
+    /// history costs. Drives [`SessionReport::checkpoint_bytes`] and
+    /// [`SessionReport::peak_state_bytes`].
     ///
     /// The default is the shallow `size_of` — exact for plain-data
     /// states (the common trait-test case); override it for states
@@ -711,10 +710,7 @@ impl AsyncFixedPointDriver {
         pool.par_multiwave(
             initial,
             |_id, launch| run_attempt(algo, &self.failures, recorder.as_deref(), launch),
-            |_id, done, wave| {
-                sess.complete(done, wave);
-                Vec::new()
-            },
+            |_id, done, wave| sess.complete(done, wave),
         );
         // Stop observing parks before draining, so the trace's park
         // totals are settled when `finish` reads them.
@@ -1084,19 +1080,6 @@ mod tests {
             ckpt.report.peak_state_bytes >= 3 * 8 * 8,
             "checkpoint retention holds history back to the last checkpoint"
         );
-    }
-
-    #[test]
-    fn byte_budget_checkpoints_declare_and_meter() {
-        let algo = Ring::new(6, 1e-10, true);
-        // 6 partitions × 8 bytes = 48 bytes/iteration; a 100-byte
-        // budget declares roughly every 3rd frontier advance.
-        let out = AsyncFixedPointDriver::new(500)
-            .with_checkpoints(CheckpointPolicy::ByteBudget(100))
-            .run(&pool(), &algo);
-        assert!(out.report.converged);
-        assert!(out.report.checkpoint_bytes > 0, "the budget must trigger checkpoints");
-        assert_eq!(out.report.checkpoint_bytes % 48, 0, "whole snapshots only");
     }
 
     #[test]

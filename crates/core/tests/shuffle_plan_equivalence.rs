@@ -16,7 +16,7 @@
 //! across first sights (sat out), recordings, hits, a key changed at one
 //! index, a changed length and a changed partition count.
 //!
-//! On an engine, staged and pipelined, against a fresh oracle engine
+//! On the staged engine, against a fresh oracle engine
 //! *and* against a model written with `shuffle::{combine_local, route,
 //! group}` alone — pairs, [`JobMeter`]s and the [`JobReuse`] sequence
 //! all equal: a task leaving its plan at **every** prefix length of its
@@ -303,28 +303,17 @@ fn splits() -> Vec<Vec<u32>> {
     (0..5).map(|s| ((s * 97)..(s * 97 + 60)).collect()).collect()
 }
 
-/// What the plans did in one job: the same under both schedules.
-fn plan_use(reuse: &JobReuse) -> (asyncmr_core::PlanUse, asyncmr_core::PlanUse, u64) {
-    (reuse.route, reuse.group, reuse.group_by_identity)
-}
-
-/// Runs `script` on one staged and one pipelined engine, comparing
-/// every job's pairs with a fresh oracle engine and the two schedules'
-/// meters and reuse counts with each other; returns the reuse counts.
+/// Runs `script` on one staged engine, comparing every job's pairs with
+/// a fresh oracle engine; returns the reuse counts.
 fn run_strided(script: &[&Strided], opts: &JobOptions<'_, u32, u64>) -> Vec<JobReuse> {
     let pool = ThreadPool::new(3);
     let inputs = splits();
     let mut staged = Engine::in_process(&pool);
-    let mut pipelined = Engine::with_pipelined_shuffle(&pool);
     let mut reuse = Vec::new();
     for (i, mapper) in script.iter().enumerate() {
         let want = Engine::with_reference_shuffle(&pool).run("o", &inputs, *mapper, &Collect, opts);
         let a = staged.run("s", &inputs, *mapper, &Collect, opts);
-        let b = pipelined.run("p", &inputs, *mapper, &Collect, opts);
         assert_eq!(a.pairs, want.pairs, "job {i}: staged vs oracle");
-        assert_eq!(b.pairs, want.pairs, "job {i}: pipelined vs oracle");
-        assert_eq!(a.meter, b.meter, "job {i}: meters");
-        assert_eq!(plan_use(&a.reuse), plan_use(&b.reuse), "job {i}: plan use");
         reuse.push(a.reuse);
     }
     reuse
@@ -571,14 +560,11 @@ fn model<F: Flavor>(job: &Scripted) -> Vec<(F::K, Vec<u64>)> {
     out
 }
 
-/// Runs `script` on one staged and one pipelined engine. Every job's
-/// pairs must be the oracle's and the model's; its meter the same under
-/// both schedules and the oracle's but for the empty partitions the
-/// oracle counts as tasks; its plan use the same under both schedules.
-/// Returns the plan use.
+/// Runs `script` on one staged engine. Every job's pairs must be the
+/// oracle's and the model's; its meter the oracle's but for the empty
+/// partitions the oracle counts as tasks. Returns the plan use.
 fn run_scripted<F: Flavor>(pool: &ThreadPool, script: &[Scripted]) -> Vec<JobReuse> {
     let mut staged = Engine::in_process(pool);
-    let mut pipelined = Engine::with_pipelined_shuffle(pool);
     let (mapper, reducer, combiner) =
         (Emit::<F>::new(), Arrivals::<F>(PhantomData), Sum::<F>(PhantomData));
     let mut reuse = Vec::new();
@@ -588,14 +574,10 @@ fn run_scripted<F: Flavor>(pool: &ThreadPool, script: &[Scripted]) -> Vec<JobReu
         let mut oracle = Engine::with_reference_shuffle(pool);
         let want = oracle.run("o", &job.tasks, &mapper, &reducer, &opts);
         let a = staged.run("s", &job.tasks, &mapper, &reducer, &opts);
-        let b = pipelined.run("p", &job.tasks, &mapper, &reducer, &opts);
         assert_eq!(want.pairs, model::<F>(job), "job {i} {job:?}: oracle vs model");
         assert_eq!(a.pairs, want.pairs, "job {i} {job:?}: staged vs oracle");
-        assert_eq!(b.pairs, want.pairs, "job {i} {job:?}: pipelined vs oracle");
-        assert_eq!(a.meter, b.meter, "job {i}: meters");
         let every_partition = JobMeter { reduce_tasks: want.meter.reduce_tasks, ..a.meter };
         assert_eq!(every_partition, want.meter, "job {i}: meter vs oracle");
-        assert_eq!(plan_use(&a.reuse), plan_use(&b.reuse), "job {i}: plan use");
         assert_eq!(want.reuse, JobReuse::default(), "the oracle remembers nothing");
         let consulted = if job.reducers > 1 { job.tasks.len() as u64 } else { 0 };
         assert_eq!(a.reuse.route.hits + a.reuse.route.misses, consulted, "job {i}");
@@ -699,22 +681,21 @@ fn a_panic_in_the_middle_of_an_on_plan_map_task_drops_nothing_twice() {
     let opts = JobOptions::with_reducers(base.reducers);
     let (mapper, reducer) = (Emit::<Tracked>::new(), Arrivals::<Tracked>(PhantomData));
     for at in [0, 1, 6, 12] {
-        for mut engine in [Engine::in_process(&pool), Engine::with_pipelined_shuffle(&pool)] {
-            for _ in 0..3 {
-                engine.run("warm", &base.tasks, &mapper, &reducer, &opts);
-            }
-            assert_eq!(engine.history()[2].reuse.route.hits, 3);
-            // `at` values of task 1 sit in their buckets when it panics:
-            // they may leak, nothing may be dropped twice.
-            let panicking = Emit::<Tracked> { panic_at: Some((1, at)), flavor: PhantomData };
-            let unwound = catch_unwind(AssertUnwindSafe(|| {
-                engine.run("boom", &base.tasks, &panicking, &reducer, &opts)
-            }));
-            assert!(unwound.is_err(), "the job panics");
-            // The engine is still good: task 1 lost its plan, no more.
-            let after = engine.run("after", &base.tasks, &mapper, &reducer, &opts);
-            assert_eq!(after.pairs, model::<Tracked>(&base));
+        let mut engine = Engine::in_process(&pool);
+        for _ in 0..3 {
+            engine.run("warm", &base.tasks, &mapper, &reducer, &opts);
         }
+        assert_eq!(engine.history()[2].reuse.route.hits, 3);
+        // `at` values of task 1 sit in their buckets when it panics:
+        // they may leak, nothing may be dropped twice.
+        let panicking = Emit::<Tracked> { panic_at: Some((1, at)), flavor: PhantomData };
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            engine.run("boom", &base.tasks, &panicking, &reducer, &opts)
+        }));
+        assert!(unwound.is_err(), "the job panics");
+        // The engine is still good: task 1 lost its plan, no more.
+        let after = engine.run("after", &base.tasks, &mapper, &reducer, &opts);
+        assert_eq!(after.pairs, model::<Tracked>(&base));
     }
     assert_drops(true);
 }

@@ -17,16 +17,14 @@
 //!   with panic propagation, in the spirit of `rayon::scope` /
 //!   `crossbeam::scope`;
 //! * [`ThreadPool::par_map`] / [`ThreadPool::par_map_indexed`] /
-//!   [`ThreadPool::par_for_each`] — order-preserving data-parallel
-//!   helpers built on `scope`;
-//! * [`ThreadPool::par_pipeline`] — the completion-driven scheduler
-//!   behind the engine's pipelined execution strategy: phase-1 tasks
-//!   stream their results to a caller-side scheduler that spawns
-//!   follow-up tasks onto the same scope, with no stage barrier;
-//! * [`ThreadPool::par_multiwave`] — the persistent generalization of
-//!   `par_pipeline`: the scheduler can inject new phase-1 [`Wave`]s
-//!   while earlier ones drain, keeping one scope alive across the
-//!   global iterations of an iterative driver;
+//!   [`ThreadPool::par_map_vec`] — order-preserving data-parallel
+//!   barriers built on `scope` (the engine's map, combine and reduce
+//!   stages);
+//! * [`ThreadPool::par_multiwave`] — the completion-driven scheduler
+//!   behind the asynchronous session: tasks stream their results to a
+//!   caller-side scheduler that can inject new [`Wave`]s while earlier
+//!   ones drain, keeping one scope alive across the global iterations
+//!   of an iterative driver;
 //! * cooperative waiting: a thread blocked waiting for its [`Scope`] to
 //!   drain *helps*
 //!   execute queued tasks, so nested scopes cannot deadlock the pool;
@@ -50,6 +48,6 @@ mod pool;
 mod scope;
 
 pub use metrics::PoolMetrics;
-pub use pipeline::{FollowUp, Wave};
+pub use pipeline::Wave;
 pub use pool::{current_worker, ParkObserver, ThreadPool, ThreadPoolBuilder};
 pub use scope::Scope;

@@ -6,7 +6,6 @@
 //! parallelism", §IV).
 
 use crate::pool::ThreadPool;
-use crate::Scope;
 
 impl ThreadPool {
     /// Chunk size targeting ~4 chunks per worker, so stealing can smooth
@@ -65,9 +64,9 @@ impl ThreadPool {
     }
 
     /// Like [`ThreadPool::par_map_indexed`], but each invocation takes
-    /// its element **by value** — the primitive behind ownership-moving
-    /// pipelines such as the MapReduce engine's shuffle, where every
-    /// reduce task must consume (not clone) its routed buckets.
+    /// its element **by value** — the primitive behind the MapReduce
+    /// engine's combine and reduce barriers, where every reduce task
+    /// must consume (not clone) its routed buckets.
     ///
     /// Results are returned in input order.
     ///
@@ -110,74 +109,6 @@ impl ThreadPool {
             }
         });
         out.into_iter().map(|slot| slot.expect("scope completed; all slots filled")).collect()
-    }
-
-    /// Runs `f` over every element for its side effects.
-    pub fn par_for_each<T, F>(&self, items: &[T], f: F)
-    where
-        T: Sync,
-        F: Fn(&T) + Sync,
-    {
-        let n = items.len();
-        if n == 0 {
-            return;
-        }
-        let chunk = self.chunk_size(n);
-        let f = &f;
-        self.scope(|s| {
-            for in_chunk in items.chunks(chunk) {
-                s.spawn(move || {
-                    for item in in_chunk {
-                        f(item);
-                    }
-                });
-            }
-        });
-    }
-
-    /// Runs `f` over every element of a mutable slice in parallel,
-    /// giving each invocation exclusive access to its element.
-    pub fn par_for_each_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let n = items.len();
-        if n == 0 {
-            return;
-        }
-        let chunk = self.chunk_size(n);
-        let f = &f;
-        self.scope(|s| {
-            for (ci, chunk_items) in items.chunks_mut(chunk).enumerate() {
-                let base = ci * chunk;
-                s.spawn(move || {
-                    for (j, item) in chunk_items.iter_mut().enumerate() {
-                        f(base + j, item);
-                    }
-                });
-            }
-        });
-    }
-
-    /// Fork-join over two closures; runs `a` on the calling thread and
-    /// `b` on the pool, returning both results.
-    pub fn join<RA, RB, A, B>(&self, a: A, b: B) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-    {
-        let mut rb: Option<RB> = None;
-        let ra = self.scope(|s: &Scope<'_>| {
-            let rb_ref = &mut rb;
-            s.spawn(move || {
-                *rb_ref = Some(b());
-            });
-            a()
-        });
-        (ra, rb.expect("join: spawned half completed"))
     }
 }
 
@@ -235,36 +166,6 @@ mod tests {
         assert!(pool.par_map_vec(empty, |_, s| s).is_empty());
         let one = pool.par_map_vec(vec![String::from("x")], |i, s| format!("{s}{i}"));
         assert_eq!(one, vec!["x0".to_string()]);
-    }
-
-    #[test]
-    fn par_for_each_mut_touches_every_element_once() {
-        let pool = ThreadPool::new(4);
-        let mut v = vec![0u32; 513];
-        pool.par_for_each_mut(&mut v, |i, x| *x = i as u32 + 1);
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i as u32 + 1);
-        }
-    }
-
-    #[test]
-    fn par_for_each_side_effects() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let pool = ThreadPool::new(4);
-        let acc = AtomicU64::new(0);
-        let items: Vec<u64> = (1..=100).collect();
-        pool.par_for_each(&items, |x| {
-            acc.fetch_add(*x, Ordering::Relaxed);
-        });
-        assert_eq!(acc.load(Ordering::Relaxed), 5050);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let pool = ThreadPool::new(2);
-        let (a, b) = pool.join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
     }
 
     #[test]

@@ -1,31 +1,18 @@
-//! Completion-driven pipelining: overlap downstream work with an
-//! in-flight parallel phase.
+//! Completion-driven waves: one scope alive across many dependent
+//! phases.
 //!
 //! [`ThreadPool::par_map_vec`] and friends are *barriers*: nothing
 //! downstream of the call observes any result until every task has
-//! finished. [`ThreadPool::par_pipeline`] removes that barrier. It runs
-//! one pool task per item and streams each completion — in *completion*
-//! order, not input order — to a scheduler closure on the calling
-//! thread, which may immediately spawn follow-up tasks onto the same
-//! scope. Follow-ups execute concurrently with the phase-1 tasks that
-//! have not finished yet; the call returns only when both phases have
-//! fully drained.
-//!
-//! This is the runtime half of the engine's pipelined execution
-//! strategy (`asyncmr_core::Engine::with_pipelined_shuffle`): map tasks
-//! are phase 1, and reduce tasks are spawned as follow-ups the moment
-//! their input buckets are complete, with no whole-stage barrier in
-//! between — the intra-job analogue of the paper's partial
-//! synchronizations.
-//!
-//! [`ThreadPool::par_multiwave`] generalizes the same machinery from
-//! one wave of items to *arbitrarily many*: the scheduler closure can
-//! enqueue new phase-1 items (a [`Wave`]) in response to completions,
-//! and the call returns only when no produced item remains in flight
-//! and no wave is pending. One `par_multiwave` invocation can therefore
-//! keep a single scope alive across the *global iterations* of an
-//! iterative algorithm — the cross-iteration analogue of the paper's
-//! eager scheduling, used by `asyncmr_core::session`.
+//! finished. [`ThreadPool::par_multiwave`] removes that barrier. It runs
+//! one pool task per item and streams each completion — in
+//! *completion* order, not input order — to a scheduler closure on the
+//! calling thread, which may enqueue new items (a [`Wave`]) in response;
+//! they run on the same scope and stream their completions back the
+//! same way. The call returns only when no produced item remains in
+//! flight and no wave is pending. One invocation can therefore keep a
+//! single scope alive across the *global iterations* of an iterative
+//! algorithm — the cross-iteration analogue of the paper's eager
+//! scheduling, used by `asyncmr_core::session`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -34,19 +21,14 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::pool::ThreadPool;
 
-/// A downstream task returned by a [`ThreadPool::par_pipeline`]
-/// scheduler closure, spawned onto the pipeline's scope as soon as the
-/// closure returns.
-pub type FollowUp<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// The pipeline's completion queue: phase-1 tasks push, the caller
-/// batch-drains. A purpose-built inbox instead of a general channel so
-/// the steady state allocates nothing per completion and wakeups stay
-/// in userspace (`parking_lot`).
+/// The completion queue: produced tasks push, the caller batch-drains.
+/// A purpose-built inbox instead of a general channel so the steady
+/// state allocates nothing per completion and wakeups stay in userspace
+/// (`parking_lot`).
 struct Inbox<U> {
     queue: Mutex<Vec<(usize, U)>>,
     ready: Condvar,
-    /// Phase-1 tasks that unwound before reporting a completion. The
+    /// Produced tasks that unwound before reporting a completion. The
     /// caller counts these toward termination so a panicking task
     /// cannot hang the completion loop (the scope re-raises the panic
     /// afterwards).
@@ -66,11 +48,11 @@ impl<U> Drop for AbortGuard<'_, U> {
     }
 }
 
-/// New phase-1 items a [`ThreadPool::par_multiwave`] scheduler wants
-/// launched in response to a completion. Each entry is `(id, item)`;
-/// the id is passed back to `produce` and `schedule` verbatim (it need
-/// not be unique — multiwave callers typically encode their own task
-/// identity inside the item and ignore it).
+/// New items a [`ThreadPool::par_multiwave`] scheduler wants launched
+/// in response to a completion. Each entry is `(id, item)`; the id is
+/// passed back to `produce` and `schedule` verbatim (it need not be
+/// unique — callers typically encode their own task identity inside the
+/// item and ignore it).
 #[derive(Debug)]
 pub struct Wave<T> {
     items: Vec<(usize, T)>,
@@ -97,66 +79,14 @@ impl<T> Wave<T> {
 }
 
 impl ThreadPool {
-    /// Runs `produce` over every item (one pool task per item — no
-    /// chunking, so completions stream individually) and calls
-    /// `schedule` on the **calling thread** for each completion, in
-    /// completion order. Every [`FollowUp`] the scheduler returns is
-    /// spawned onto the same scope immediately, so downstream work
-    /// overlaps with still-running phase-1 tasks. Returns once both
-    /// phases have drained.
-    ///
-    /// While waiting for completions the calling thread *helps* execute
-    /// queued pool tasks (phase-1 or follow-up), so the caller is a
-    /// full compute participant just as in the barrier primitives.
-    ///
-    /// Panics in `produce` or a follow-up propagate to the caller after
-    /// the pipeline drains, like [`ThreadPool::scope`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use std::sync::Mutex;
-    /// use asyncmr_runtime::ThreadPool;
-    ///
-    /// let pool = ThreadPool::new(4);
-    /// let squares = Mutex::new(Vec::new());
-    /// let slot = &squares;
-    /// pool.par_pipeline(
-    ///     (0u64..8).collect(),
-    ///     |_i, x| x * x,                      // phase 1, on the pool
-    ///     |_i, sq| {
-    ///         // scheduler: runs on the caller as each square arrives;
-    ///         // spawn a follow-up task that records it.
-    ///         vec![Box::new(move || slot.lock().unwrap().push(sq)) as Box<_>]
-    ///     },
-    /// );
-    /// let mut got = squares.into_inner().unwrap();
-    /// got.sort_unstable();
-    /// assert_eq!(got, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-    /// ```
-    pub fn par_pipeline<'env, T, U, F, C>(&'env self, items: Vec<T>, produce: F, mut schedule: C)
-    where
-        T: Send + 'env,
-        U: Send + 'env,
-        F: Fn(usize, T) -> U + Sync + 'env,
-        C: FnMut(usize, U) -> Vec<FollowUp<'env>>,
-    {
-        let initial: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-        self.par_multiwave(initial, produce, |i, value, _wave| schedule(i, value));
-    }
-
-    /// The persistent, multi-wave generalization of
-    /// [`ThreadPool::par_pipeline`].
-    ///
     /// Runs `produce` over the `initial` wave of `(id, item)` pairs (one
-    /// pool task per item) and calls `schedule` on the **calling
-    /// thread** for each completion, in completion order. Besides
-    /// returning [`FollowUp`] tasks, the scheduler may push *new
-    /// phase-1 items* onto the provided [`Wave`]; they are spawned
+    /// pool task per item — no chunking, so completions stream
+    /// individually) and calls `schedule` on the **calling thread** for
+    /// each completion, in completion order. The scheduler may push
+    /// *new items* onto the provided [`Wave`]; they are spawned
     /// immediately and stream their completions back through the same
     /// scheduler. The call returns once every produced item — initial
-    /// or wave-injected — has been scheduled and every follow-up has
-    /// drained.
+    /// or wave-injected — has been scheduled.
     ///
     /// This keeps one scope (and therefore one set of borrows) alive
     /// across arbitrarily many dependent waves: an iterative driver can
@@ -174,8 +104,9 @@ impl ThreadPool {
     /// to drain.
     ///
     /// While waiting for completions the calling thread *helps* execute
-    /// queued pool tasks, and panics propagate to the caller after the
-    /// scope drains, exactly as in [`ThreadPool::par_pipeline`].
+    /// queued pool tasks, so the caller is a full compute participant
+    /// just as in the barrier primitives. Panics in `produce` propagate
+    /// to the caller after the scope drains, like [`ThreadPool::scope`].
     ///
     /// # Example
     ///
@@ -194,7 +125,6 @@ impl ThreadPool {
     ///         if x < 3 {
     ///             wave.push(id, x); // next iteration, same borrow scope
     ///         }
-    ///         Vec::new()
     ///     },
     /// );
     /// assert_eq!(last, 3);
@@ -208,7 +138,7 @@ impl ThreadPool {
         T: Send + 'env,
         U: Send + 'env,
         F: Fn(usize, T) -> U + Sync + 'env,
-        C: FnMut(usize, U, &mut Wave<T>) -> Vec<FollowUp<'env>>,
+        C: FnMut(usize, U, &mut Wave<T>),
     {
         if initial.is_empty() {
             return;
@@ -251,9 +181,7 @@ impl ThreadPool {
                 if !batch.is_empty() {
                     received += batch.len();
                     for (i, value) in batch.drain(..) {
-                        for follow_up in schedule(i, value, &mut wave) {
-                            s.spawn(follow_up);
-                        }
+                        schedule(i, value, &mut wave);
                         for (id, item) in wave.items.drain(..) {
                             spawn_item(id, item);
                             spawned += 1;
@@ -261,10 +189,10 @@ impl ThreadPool {
                     }
                     continue;
                 }
-                // Nothing to dispatch: help run a queued task (phase-1
-                // or follow-up), or wait briefly for the next
-                // completion. The timed wait bounds the benign race
-                // with a task finishing between our drain and here.
+                // Nothing to dispatch: help run a queued task, or wait
+                // briefly for the next completion. The timed wait bounds
+                // the benign race with a task finishing between our
+                // drain and here.
                 if let Some(job) = self.shared().find_task(None) {
                     self.shared().run_job(job);
                 } else {
@@ -275,8 +203,6 @@ impl ThreadPool {
                     }
                 }
             }
-            // Leaving the closure waits for outstanding follow-ups
-            // (helping), exactly like any other scope.
         });
     }
 }
@@ -284,194 +210,81 @@ impl ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    use std::time::Duration;
 
     #[test]
     fn every_item_completes_exactly_once() {
         let pool = ThreadPool::new(4);
         let mut seen = vec![0u32; 100];
-        pool.par_pipeline(
-            (0..100usize).collect(),
+        pool.par_multiwave(
+            (0..100usize).map(|i| (i, i)).collect(),
             |i, x| {
                 assert_eq!(i, x);
                 x * 2
             },
-            |i, doubled| {
+            |i, doubled, _wave| {
                 assert_eq!(doubled, i * 2);
                 seen[i] += 1;
-                Vec::new()
             },
         );
         assert!(seen.iter().all(|&c| c == 1), "each completion dispatched once");
     }
 
     #[test]
-    fn follow_ups_run_and_can_borrow_caller_state() {
-        let pool = ThreadPool::new(3);
-        let total = AtomicUsize::new(0);
-        let total_ref = &total;
-        pool.par_pipeline(
-            (1..=50usize).collect(),
-            |_i, x| x,
-            |_i, x| {
-                vec![Box::new(move || {
-                    total_ref.fetch_add(x, Ordering::SeqCst);
-                }) as FollowUp<'_>]
-            },
-        );
-        assert_eq!(total.load(Ordering::SeqCst), (1..=50).sum());
-    }
-
-    #[test]
-    fn follow_ups_overlap_with_phase_one() {
-        // One deliberately slow phase-1 task; a follow-up spawned from a
-        // fast task's completion must be able to finish while the slow
-        // task is still running — i.e. no stage barrier.
-        //
-        // One interleaving voids an attempt: the *helping caller* may
-        // adopt the slow task itself, in which case nobody dispatches
-        // completions until it finishes. That is a throughput trade-off,
-        // not a correctness bug, so the attempt detects it (worker
-        // threads are named, the caller is not) and retries.
-        let pool = ThreadPool::new(4);
-        let mut proved = false;
-        for _attempt in 0..20 {
-            let follow_up_done = std::sync::Arc::new(AtomicUsize::new(0));
-            let observed_overlap = AtomicUsize::new(0);
-            let fd = std::sync::Arc::clone(&follow_up_done);
-            let obs = &observed_overlap;
-            // The fast task goes first: the helping caller steals from
-            // the injector's front, so it adopts the fast task (if any)
-            // and the slow one lands on a real worker.
-            pool.par_pipeline(
-                vec![1usize, 0],
-                move |_i, x| {
-                    if x == 0 {
-                        let on_worker = std::thread::current()
-                            .name()
-                            .is_some_and(|n| n.starts_with("asyncmr-worker"));
-                        if !on_worker {
-                            return 3usize; // caller adopted us: attempt void
-                        }
-                        // Wait (bounded) for the other item's follow-up.
-                        for _ in 0..2000 {
-                            if fd.load(Ordering::SeqCst) == 1 {
-                                return 1; // follow-up beat us: overlap proven
-                            }
-                            std::thread::sleep(Duration::from_micros(50));
-                        }
-                        0
-                    } else {
-                        // Long enough that a parked worker wakes and
-                        // claims the slow task while this one runs.
-                        std::thread::sleep(Duration::from_millis(3));
-                        2
-                    }
-                },
-                |_i, outcome| {
-                    if outcome == 1 {
-                        obs.fetch_add(1, Ordering::SeqCst);
-                        Vec::new()
-                    } else if outcome == 2 {
-                        let done = std::sync::Arc::clone(&follow_up_done);
-                        vec![Box::new(move || {
-                            done.store(1, Ordering::SeqCst);
-                        }) as FollowUp<'_>]
-                    } else {
-                        Vec::new()
-                    }
-                },
-            );
-            if observed_overlap.load(Ordering::SeqCst) == 1 {
-                proved = true;
-                break;
-            }
-        }
-        assert!(proved, "a follow-up must be able to complete while phase 1 is still running");
-    }
-
-    #[test]
     fn single_thread_pool_does_not_deadlock() {
+        // The caller and the one worker share all the work.
         let pool = ThreadPool::new(1);
-        let log = Mutex::new(Vec::new());
-        let log_ref = &log;
-        pool.par_pipeline(
-            (0..20usize).collect(),
+        let mut got = Vec::new();
+        pool.par_multiwave(
+            (0..20usize).map(|i| (i, i)).collect(),
             |_i, x| x + 100,
-            |_i, v| {
-                vec![Box::new(move || {
-                    log_ref.lock().unwrap().push(v);
-                }) as FollowUp<'_>]
-            },
+            |_i, v, _wave| got.push(v),
         );
-        let mut got = log.into_inner().unwrap();
         got.sort_unstable();
         assert_eq!(got, (100..120).collect::<Vec<_>>());
     }
 
     #[test]
-    fn empty_items_is_a_no_op() {
+    fn many_waves_of_items() {
+        // Far more items than workers: completions arrive in many
+        // batches and the scheduler keeps dispatching throughout.
         let pool = ThreadPool::new(2);
-        let mut called = false;
-        pool.par_pipeline(
-            Vec::<u32>::new(),
+        let mut ran = 0usize;
+        pool.par_multiwave(
+            (0..500usize).map(|i| (i, i)).collect(),
             |_i, x| x,
-            |_i, _x| {
-                called = true;
-                Vec::new()
-            },
+            |_i, _x, _wave| ran += 1,
         );
-        assert!(!called);
+        assert_eq!(ran, 500);
     }
 
     #[test]
     fn moves_non_clone_items() {
         struct NoClone(u64);
         let pool = ThreadPool::new(4);
-        let items: Vec<NoClone> = (0..64).map(NoClone).collect();
+        let items: Vec<(usize, NoClone)> = (0..64).map(|i| (i as usize, NoClone(i))).collect();
         let mut sum = 0u64;
-        pool.par_pipeline(
-            items,
-            |_i, x| x.0,
-            |_i, v| {
-                sum += v;
-                Vec::new()
-            },
-        );
+        pool.par_multiwave(items, |_i, x| x.0, |_i, v, _wave| sum += v);
         assert_eq!(sum, (0..64).sum());
     }
 
     #[test]
     fn produce_panic_propagates() {
         let pool = ThreadPool::new(2);
+        let mut drained = 0;
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.par_pipeline(
-                vec![0u32, 1, 2],
+            pool.par_multiwave(
+                vec![(0usize, 0u32), (1, 1), (2, 2)],
                 |_i, x| {
                     if x == 1 {
-                        panic!("pipeline task exploded");
+                        panic!("initial task exploded");
                     }
                     x
                 },
-                |_i, _x| Vec::new(),
+                |_i, _x, _wave| drained += 1,
             );
         }));
-        assert!(caught.is_err(), "phase-1 panic must reach the caller");
-    }
-
-    #[test]
-    fn follow_up_panic_propagates() {
-        let pool = ThreadPool::new(2);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.par_pipeline(
-                vec![0u32],
-                |_i, x| x,
-                |_i, _x| vec![Box::new(|| panic!("follow-up exploded")) as FollowUp<'_>],
-            );
-        }));
-        assert!(caught.is_err(), "follow-up panic must reach the caller");
+        assert!(caught.is_err(), "a panic in an initial item must reach the caller");
+        assert_eq!(drained, 2, "the other items completed before the panic surfaced");
     }
 
     #[test]
@@ -489,17 +302,14 @@ mod tests {
                 if step < 50 {
                     wave.push(c, step);
                 }
-                Vec::new()
             },
         );
         assert_eq!(progress, vec![50; 8]);
     }
 
     #[test]
-    fn multiwave_mixes_waves_and_follow_ups() {
+    fn multiwave_fans_out_from_one_completion() {
         let pool = ThreadPool::new(3);
-        let follow_ran = AtomicUsize::new(0);
-        let fr = &follow_ran;
         let mut produced = 0usize;
         pool.par_multiwave(
             vec![(0usize, 3u32)],
@@ -509,14 +319,10 @@ mod tests {
                 for i in 0..fanout {
                     wave.push(i as usize, fanout - 1); // geometric fan-out
                 }
-                vec![Box::new(move || {
-                    fr.fetch_add(1, Ordering::SeqCst);
-                }) as FollowUp<'_>]
             },
         );
         // 1 + 3 + 3·2 + 6·1 + 6·0-children = 1 + 3 + 6 + 6 = 16 tasks.
         assert_eq!(produced, 16);
-        assert_eq!(follow_ran.load(Ordering::SeqCst), 16);
     }
 
     #[test]
@@ -545,7 +351,6 @@ mod tests {
                     failures_seen[id] += 1;
                     wave.push(id, attempt + 1); // requeue the attempt
                 }
-                Vec::new()
             },
         );
         assert_eq!(succeeded, vec![1; k], "each item must succeed exactly once");
@@ -556,14 +361,7 @@ mod tests {
     fn multiwave_empty_initial_is_a_no_op() {
         let pool = ThreadPool::new(2);
         let mut called = false;
-        pool.par_multiwave(
-            Vec::<(usize, u32)>::new(),
-            |_i, x| x,
-            |_i, _x, _wave| {
-                called = true;
-                Vec::new()
-            },
-        );
+        pool.par_multiwave(Vec::<(usize, u32)>::new(), |_i, x| x, |_i, _x, _wave| called = true);
         assert!(!called);
     }
 
@@ -579,7 +377,6 @@ mod tests {
                 if total < 200 && i % 2 == 0 {
                     wave.push(i, 1);
                 }
-                Vec::new()
             },
         );
         assert!(total >= 10);
@@ -601,29 +398,9 @@ mod tests {
                     if x == 0 {
                         wave.push(i, 1); // second wave panics
                     }
-                    Vec::new()
                 },
             );
         }));
         assert!(caught.is_err(), "second-wave panic must reach the caller");
-    }
-
-    #[test]
-    fn many_waves_of_items() {
-        // Far more items than workers: completions arrive in many waves
-        // and the scheduler keeps dispatching throughout.
-        let pool = ThreadPool::new(2);
-        let ran = AtomicUsize::new(0);
-        let ran_ref = &ran;
-        pool.par_pipeline(
-            (0..500usize).collect(),
-            |_i, x| x,
-            |_i, _x| {
-                vec![Box::new(move || {
-                    ran_ref.fetch_add(1, Ordering::SeqCst);
-                }) as FollowUp<'_>]
-            },
-        );
-        assert_eq!(ran.load(Ordering::SeqCst), 500);
     }
 }

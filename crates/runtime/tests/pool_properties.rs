@@ -41,19 +41,20 @@ proptest! {
         prop_assert_eq!(counter.load(Ordering::SeqCst), tasks);
     }
 
-    /// `par_for_each_mut` writes every slot exactly once with the right
-    /// index.
+    /// `par_map_vec` hands every element over exactly once, with the
+    /// right index, and returns the results in input order.
     #[test]
-    fn par_for_each_mut_indices_correct(
+    fn par_map_vec_indices_correct(
         len in 0usize..300,
         threads in 1usize..5,
     ) {
         let pool = ThreadPool::new(threads);
-        let mut data = vec![usize::MAX; len];
-        pool.par_for_each_mut(&mut data, |i, slot| *slot = i * 2);
-        for (i, v) in data.iter().enumerate() {
-            prop_assert_eq!(*v, i * 2);
+        let data: Vec<usize> = (0..len).collect();
+        let out = pool.par_map_vec(data, |i, x| (i, x * 2));
+        for (i, v) in out.iter().enumerate() {
+            prop_assert_eq!(*v, (i, i * 2));
         }
+        prop_assert_eq!(out.len(), len);
     }
 
     /// Metrics count at least the submitted tasks.

@@ -208,12 +208,12 @@ impl ReportModel {
         let mut events: Vec<String> = Vec::new();
         events.push(format!(
             "{{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
-            esc(&self.title)
+            json_str(&self.title)
         ));
         for (tid, lane) in self.lanes.iter().enumerate() {
             events.push(format!(
                 "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-                esc(&lane.name)
+                json_str(&lane.name)
             ));
         }
         for (tid, lane) in self.lanes.iter().enumerate() {
@@ -221,7 +221,7 @@ impl ReportModel {
                 events.push(format!(
                     "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"cat\":\"{}\",\"name\":\"{}\",\"ts\":{},\"dur\":{},\"args\":{{\"dur_ns\":{}}}}}",
                     s.kind,
-                    esc(&s.label),
+                    json_str(&s.label),
                     frac_us(s.start_ns),
                     frac_us(s.dur_ns),
                     s.dur_ns,
@@ -233,7 +233,7 @@ impl ReportModel {
                 "{{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"s\":\"p\",\"name\":\"{}\",\"ts\":{},\"args\":{{\"detail\":\"{}\"}}}}",
                 m.name,
                 frac_us(m.at_ns),
-                esc(&m.detail),
+                json_str(&m.detail),
             ));
         }
         let metered =
@@ -265,7 +265,7 @@ impl ReportModel {
 
         let mut out = String::with_capacity(64 * 1024);
         out.push_str("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n");
-        out.push_str(&format!("<title>{}</title>\n", esc(&self.title)));
+        out.push_str(&format!("<title>{}</title>\n", html_text(&self.title)));
         out.push_str(
             "<style>body{font:13px/1.5 system-ui,sans-serif;margin:24px;color:#222}\
              h1{font-size:18px}h2{font-size:15px;margin-top:28px}\
@@ -275,7 +275,7 @@ impl ReportModel {
         );
         out.push_str(&format!(
             "<h1>{}</h1>\n<p class=\"meta\">source: {} &middot; wall {:.3} ms &middot; {} lanes, {} spans, {} instant events</p>\n",
-            esc(&self.title),
+            html_text(&self.title),
             self.source,
             self.wall_ns as f64 / 1e6,
             self.lanes.len(),
@@ -299,7 +299,7 @@ impl ReportModel {
             out.push_str(&format!(
                 "<text x=\"2\" y=\"{}\" font-size=\"10\" fill=\"#555\">{}</text>\n",
                 y + 12,
-                esc(&lane.name)
+                html_text(&lane.name)
             ));
             for s in &lane.spans {
                 if s.dur_ns < min_dur {
@@ -313,7 +313,7 @@ impl ReportModel {
                     lane_h - 6,
                     color(s.kind),
                     s.kind,
-                    esc(&s.label),
+                    html_text(&s.label),
                     s.start_ns as f64 / 1e6,
                     (s.start_ns + s.dur_ns) as f64 / 1e6,
                 ));
@@ -325,7 +325,7 @@ impl ReportModel {
                 "<line x1=\"{mx}\" y1=\"14\" x2=\"{mx}\" y2=\"{}\" stroke=\"#a258c4\" stroke-dasharray=\"2,3\"><title>{} {}</title></line>\n",
                 height - 6,
                 m.name,
-                esc(&m.detail),
+                html_text(&m.detail),
             ));
         }
         out.push_str("</svg>\n");
@@ -395,18 +395,32 @@ impl ReportModel {
     }
 }
 
-/// Minimal JSON/HTML string escape (labels are generated, but titles
-/// may carry arbitrary workload names).
-fn esc(s: &str) -> String {
+/// Escapes `s` for the inside of a JSON string (labels are generated,
+/// but titles may carry arbitrary workload names): `"` and `\` take a
+/// backslash, every control character below U+0020 becomes `\u00XX`.
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+/// Escapes `s` for HTML element text: `&`, `<` and `>` become entities,
+/// a control character becomes a space.
+fn html_text(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
             '<' => out.push_str("&lt;"),
             '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '\n' | '\r' | '\t' => out.push(' '),
+            c if c.is_control() => out.push(' '),
             _ => out.push(c),
         }
     }
@@ -548,7 +562,18 @@ mod tests {
 
     #[test]
     fn escapes_hostile_titles() {
-        let e = esc("a<b>&\"c\\d");
-        assert_eq!(e, "a&lt;b&gt;&amp;\\\"c\\\\d");
+        assert_eq!(json_str("a<b>&\"c\\d\u{1}\n"), "a<b>&\\\"c\\\\d\\u0001\\u000a");
+        assert_eq!(html_text("a<b>&\"c\\d\u{1}"), "a&lt;b&gt;&amp;\"c\\d ");
+    }
+
+    #[test]
+    fn each_format_escapes_a_hostile_title_its_own_way() {
+        let (trace, tasks) = tiny_session();
+        let model = ReportModel::from_session(&trace, &tasks, "a<b \"c\"\u{1}");
+        let json = model.chrome_trace_json();
+        assert!(json.contains(r#""name":"a<b \"c\"\u0001""#), "{json}");
+        let html = model.html();
+        assert!(html.contains("<title>a&lt;b \"c\" </title>"), "{html}");
+        assert!(!html.contains('\\'), "no JSON escapes in the HTML: {html}");
     }
 }

@@ -42,15 +42,14 @@ fn main() {
     let pool = ThreadPool::with_default_parallelism();
     let cfg = PageRankConfig::default(); // χ = 0.85, ∞-norm < 1e-5
 
-    // Simulated + pipelined: the pipelined strategy is byte-identical
-    // to the staged one in pairs and meters, so the simulated timings
-    // are unchanged — only the in-process execution is faster.
+    // Each engine executes in-process and replays every job on its own
+    // simulated cluster, which prices the figures' wall-clock.
     let mut general_engine =
-        Engine::with_simulation(&pool, Simulation::new(ClusterSpec::ec2_2010(), 42)).pipelined();
+        Engine::with_simulation(&pool, Simulation::new(ClusterSpec::ec2_2010(), 42));
     let general = pagerank::run_general(&mut general_engine, &graph, &parts, &cfg);
 
     let mut eager_engine =
-        Engine::with_simulation(&pool, Simulation::new(ClusterSpec::ec2_2010(), 42)).pipelined();
+        Engine::with_simulation(&pool, Simulation::new(ClusterSpec::ec2_2010(), 42));
     let eager = pagerank::run_eager(&mut eager_engine, &graph, &parts, &cfg);
 
     println!("                       General      Eager");

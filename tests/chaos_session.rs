@@ -333,35 +333,6 @@ fn node_failure_rollback_under_staleness_still_reaches_the_fixed_point() {
 }
 
 #[test]
-fn byte_budget_checkpoints_recover_like_interval_checkpoints() {
-    // The second policy flavor, end to end: a byte-budgeted policy
-    // declares checkpoints off delivered state volume instead of a
-    // fixed interval, and rollback recovery is just as invisible.
-    let g = crawl_graph(800, 9);
-    let parts = MultilevelKWay::default().partition(&g, 6);
-    let pool = ThreadPool::new(4);
-    let cfg = PageRankConfig::default();
-    let clean = pagerank::run_async(&pool, &g, &parts, &cfg, 0);
-    // ~800 vertices × 16 bytes/vertex ≈ 12.8 KB per iteration: a 40 KB
-    // budget declares roughly every 3rd iteration.
-    let faulty = pagerank::run_async_with_driver(
-        &pool,
-        &g,
-        &parts,
-        &cfg,
-        AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_checkpoints(CheckpointPolicy::ByteBudget(40 << 10))
-            .with_node_failures(NodeFailurePlan::correlated(0.2, 1007), 3),
-    );
-    assert!(faulty.report.rollbacks > 0, "node deaths must fire");
-    assert!(faulty.report.checkpoint_bytes > 0, "the budget must declare checkpoints");
-    assert_eq!(clean.report.global_iterations, faulty.report.global_iterations);
-    for (v, (a, b)) in clean.ranks.iter().zip(&faulty.ranks).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "vertex {v} diverged under byte-budget rollback");
-    }
-}
-
-#[test]
 fn simulated_node_death_replay_is_deterministic_and_meters_rollback() {
     let g = crawl_graph(900, 4);
     let parts = MultilevelKWay::default().partition(&g, 6);

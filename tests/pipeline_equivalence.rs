@@ -1,15 +1,13 @@
-//! Property tests pinning the pipelined execution strategy to the
-//! staged and reference strategies on arbitrary jobs — with the edge
-//! shapes the completion-driven scheduler has to get right called out
-//! explicitly: **empty-input jobs** (no map task ever deposits, so no
-//! partition ever completes) and **single-reducer jobs** (every map
-//! task feeds the one partition, which completes only on the very last
-//! deposit).
+//! Property tests pinning the staged schedule to the oracle on
+//! arbitrary jobs and job sequences — with the edge shapes called out
+//! explicitly: **empty-input jobs** (no map task, so no partition ever
+//! receives a record) and **single-reducer jobs** (every map task feeds
+//! the one partition).
 
 use proptest::prelude::*;
 
 use asyncmr::core::prelude::*;
-use asyncmr::core::{EagerMapper, Engine, JobReuse};
+use asyncmr::core::{EagerMapper, Engine, JobMeter, JobReuse};
 use asyncmr::runtime::ThreadPool;
 
 /// Scatters each input number across a small key space.
@@ -52,28 +50,24 @@ impl Combiner for SumCombiner {
     }
 }
 
-type Run = (Vec<(u32, u64)>, asyncmr::core::JobMeter);
+type Run = (Vec<(u32, u64)>, JobMeter);
 
-/// Runs `script` — one job after another, on one engine per strategy,
-/// so every job after the first meets whatever the engine remembered —
-/// returning each job's (pairs, meter) as (staged, reference,
-/// pipelined), plus the staged engine's reuse counts.
+/// Runs `script` — one job after another, on one staged engine and one
+/// oracle, so every job after the first meets whatever the engine
+/// remembered — returning each job's (pairs, meter) as (staged,
+/// reference), plus the staged engine's reuse counts.
 fn run_sequence(
     script: &[&[Vec<u32>]],
     key_space: u32,
     reducers: usize,
     combine: bool,
-) -> Vec<(Run, Run, Run, JobReuse)> {
+) -> Vec<(Run, Run, JobReuse)> {
     let pool = ThreadPool::new(3);
     let mapper = ScatterMapper { key_space };
-    let mut engines = [
-        Engine::in_process(&pool),
-        Engine::with_reference_shuffle(&pool),
-        Engine::with_pipelined_shuffle(&pool),
-    ];
+    let mut engines = [Engine::in_process(&pool), Engine::with_reference_shuffle(&pool)];
     let mut jobs = Vec::with_capacity(script.len());
     for splits in script {
-        let [staged, reference, pipelined] = engines.each_mut().map(|engine| {
+        let [staged, reference] = engines.each_mut().map(|engine| {
             let opts = JobOptions::with_reducers(reducers);
             if combine {
                 engine.run("job", splits, &mapper, &SumReducer, &opts.with_combiner(&SumCombiner))
@@ -82,40 +76,39 @@ fn run_sequence(
             }
         });
         let reuse = staged.reuse;
-        assert_eq!((reuse.route, reuse.group), (pipelined.reuse.route, pipelined.reuse.group));
         let run = |out: JobResult<u32, u64>| (out.pairs, out.meter);
-        jobs.push((run(staged), run(reference), run(pipelined), reuse));
+        jobs.push((run(staged), run(reference), reuse));
     }
     jobs
 }
 
-/// Runs one job under all three strategies, returning each strategy's
-/// (pairs, meter).
-fn run_all(splits: &[Vec<u32>], key_space: u32, reducers: usize, combine: bool) -> (Run, Run, Run) {
-    let (staged, reference, pipelined, _) =
+/// Runs one job on a staged engine and the oracle, returning each
+/// one's (pairs, meter).
+fn run_all(splits: &[Vec<u32>], key_space: u32, reducers: usize, combine: bool) -> (Run, Run) {
+    let (staged, reference, _) =
         run_sequence(&[splits], key_space, reducers, combine).pop().expect("one job");
-    (staged, reference, pipelined)
+    (staged, reference)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary splits, key space, reducer count, and combiner:
-    /// pipelined ≡ staged ≡ reference, pairs byte-for-byte.
+    /// staged ≡ reference, pairs byte-for-byte.
     #[test]
-    fn pipelined_equals_staged_equals_reference(
+    fn staged_equals_reference(
         splits in proptest::collection::vec(
             proptest::collection::vec(0u32..10_000, 0..40), 0..12),
         key_space in 1u32..64,
         reducers in 1usize..24,
         combine in any::<bool>(),
     ) {
-        let (staged, reference, pipelined) = run_all(&splits, key_space, reducers, combine);
+        let (staged, reference) = run_all(&splits, key_space, reducers, combine);
         prop_assert_eq!(&staged.0, &reference.0, "staged vs reference pairs");
-        prop_assert_eq!(&staged.0, &pipelined.0, "staged vs pipelined pairs");
         // The reference keeps the old every-partition-is-a-task meter
-        // semantics; staged and pipelined meters must be fully equal.
-        prop_assert_eq!(staged.1, pipelined.1, "staged vs pipelined meter");
+        // semantics; everything else must be equal.
+        let every_partition = JobMeter { reduce_tasks: reference.1.reduce_tasks, ..staged.1 };
+        prop_assert_eq!(every_partition, reference.1, "staged vs reference meter");
     }
 
     /// Sequences of jobs on one engine: the same splits four times —
@@ -136,10 +129,8 @@ proptest! {
         let same = &splits[..];
         let script = [same, same, same, same, &churned[..], same];
         let jobs = run_sequence(&script, key_space, reducers, combine);
-        for (job, (staged, reference, pipelined, reuse)) in jobs.iter().enumerate() {
+        for (job, (staged, reference, reuse)) in jobs.iter().enumerate() {
             prop_assert_eq!(&staged.0, &reference.0, "job {}: staged vs reference pairs", job);
-            prop_assert_eq!(&staged.0, &pipelined.0, "job {}: staged vs pipelined pairs", job);
-            prop_assert_eq!(staged.1, pipelined.1, "job {}: staged vs pipelined meter", job);
             let tasks = (splits.len() as u64, staged.1.reduce_tasks as u64);
             let consulted =
                 (reuse.route.hits + reuse.route.misses, reuse.group.hits + reuse.group.misses);
@@ -157,26 +148,22 @@ proptest! {
         prop_assert_eq!(&jobs[0].0, &jobs[5].0, "the first job again, after the churn");
     }
 
-    /// Empty-input jobs: zero map tasks means no deposit ever completes
-    /// a partition — the pipelined scheduler must still terminate with
-    /// empty output and zeroed meters, like the other strategies.
+    /// Empty-input jobs: zero map tasks means no partition receives a
+    /// record — empty output and zeroed meters, like the oracle's.
     #[test]
     fn empty_input_jobs_agree(
         reducers in 1usize..24,
         combine in any::<bool>(),
     ) {
-        let (staged, reference, pipelined) = run_all(&[], 8, reducers, combine);
-        prop_assert!(pipelined.0.is_empty());
-        prop_assert_eq!(&staged.0, &pipelined.0);
-        prop_assert_eq!(&reference.0, &pipelined.0);
-        prop_assert_eq!(staged.1, pipelined.1);
-        prop_assert_eq!(pipelined.1.map_tasks, 0);
-        prop_assert_eq!(pipelined.1.reduce_tasks, 0);
+        let (staged, reference) = run_all(&[], 8, reducers, combine);
+        prop_assert!(staged.0.is_empty());
+        prop_assert_eq!(&reference.0, &staged.0);
+        prop_assert_eq!(staged.1.map_tasks, 0);
+        prop_assert_eq!(staged.1.reduce_tasks, 0);
     }
 
-    /// Single-reducer jobs: the lone partition completes exactly when
-    /// the last map task deposits; ordering inside it must still be
-    /// map-task order regardless of completion order.
+    /// Single-reducer jobs: the lone partition takes every map task's
+    /// bucket; ordering inside it must be map-task order.
     #[test]
     fn single_reducer_jobs_agree(
         splits in proptest::collection::vec(
@@ -184,11 +171,9 @@ proptest! {
         key_space in 1u32..64,
         combine in any::<bool>(),
     ) {
-        let (staged, reference, pipelined) = run_all(&splits, key_space, 1, combine);
+        let (staged, reference) = run_all(&splits, key_space, 1, combine);
         prop_assert_eq!(&staged.0, &reference.0);
-        prop_assert_eq!(&staged.0, &pipelined.0);
-        prop_assert_eq!(staged.1, pipelined.1);
-        prop_assert!(pipelined.1.reduce_tasks <= 1);
+        prop_assert!(staged.1.reduce_tasks <= 1);
     }
 }
 
@@ -272,46 +257,20 @@ proptest! {
         let pool = ThreadPool::new(3);
         let gmap = EagerMapper::new(RingMax { key_space });
         let opts = JobOptions::with_reducers(reducers);
-        let mut engines = [
-            Engine::in_process(&pool),
-            Engine::with_reference_shuffle(&pool),
-            Engine::with_pipelined_shuffle(&pool),
-        ];
+        let mut engines = [Engine::in_process(&pool), Engine::with_reference_shuffle(&pool)];
         let tasks = splits.len() as u64;
         for (job, splits) in [&splits, &splits, &churned, &splits].into_iter().enumerate() {
-            let [staged, reference, pipelined] =
+            let [staged, reference] =
                 engines.each_mut().map(|engine| engine.run("ring", splits, &gmap, &SumReducer, &opts));
             prop_assert_eq!(&staged.pairs, &reference.pairs, "job {}: staged vs reference", job);
-            prop_assert_eq!(&staged.pairs, &pipelined.pairs, "job {}: staged vs pipelined", job);
-            prop_assert_eq!(staged.meter, pipelined.meter, "job {}: meters", job);
             prop_assert_eq!(staged.meter.local_syncs, reference.meter.local_syncs);
             prop_assert_eq!(staged.meter.map_ops, reference.meter.map_ops);
             prop_assert_eq!(reference.reuse, JobReuse::default());
             let local = staged.reuse.local;
-            prop_assert_eq!(local, pipelined.reuse.local, "job {}: local plan use", job);
             prop_assert_eq!(local.hits + local.misses, staged.meter.local_syncs);
             // Job 1 repeats job 0's keys; jobs 2 and 3 each meet the
             // plan of other splits in every task's first pass.
             prop_assert_eq!(local.recorded, if job == 1 { 0 } else { tasks }, "job {}", job);
         }
-    }
-}
-
-/// Determinism under the pipelined scheduler: repeated runs of the same
-/// job must produce identical pair vectors even though completion order
-/// varies run to run.
-#[test]
-fn pipelined_is_deterministic_across_runs() {
-    let pool = ThreadPool::new(4);
-    let splits: Vec<Vec<u32>> = (0..8).map(|s| ((s * 100)..(s * 100 + 100)).collect()).collect();
-    let mapper = ScatterMapper { key_space: 16 };
-    let mut engine = Engine::with_pipelined_shuffle(&pool);
-    let first =
-        engine.run("d0", &splits, &mapper, &SumReducer, &JobOptions::with_reducers(8)).pairs;
-    for i in 1..5 {
-        let again = engine
-            .run(&format!("d{i}"), &splits, &mapper, &SumReducer, &JobOptions::with_reducers(8))
-            .pairs;
-        assert_eq!(first, again, "run {i} diverged from run 0");
     }
 }

@@ -1,14 +1,11 @@
-//! All three execution strategies — **staged** (barriers), **pipelined**
-//! (eager reduce scheduling, no intra-job barriers), and the
+//! Both execution paths — the **staged** schedule (barriers) and the
 //! kept-for-test **reference** (sequential concat + per-reducer clone +
 //! `BTreeMap` grouping) — must be byte-identical, asserted end-to-end
 //! for all five applications in both General and Eager formulations.
 //!
 //! "Byte-identical" is literal: the outputs are `f64`/`u32` vectors and
 //! we compare with `==`, so any reordering of reductions (which would
-//! reassociate floating-point sums) fails the test. For the pipelined
-//! strategy this is the strongest possible check that completion-order
-//! scheduling never leaks into results.
+//! reassociate floating-point sums) fails the test.
 
 use std::sync::Arc;
 
@@ -26,20 +23,18 @@ fn crawl_graph(n: usize, seed: u64) -> CsrGraph {
     generators::preferential_attachment_crawled(n, 3, 2, 1, 0.95, 40, seed)
 }
 
-/// Runs `f` under all three execution strategies, returning
-/// (staged, reference, pipelined) outcomes.
-fn all_strategies<T>(pool: &ThreadPool, mut f: impl FnMut(&mut Engine<'_>) -> T) -> (T, T, T) {
+/// Runs `f` under both execution paths, returning (staged, reference)
+/// outcomes.
+fn all_strategies<T>(pool: &ThreadPool, mut f: impl FnMut(&mut Engine<'_>) -> T) -> (T, T) {
     let mut staged = Engine::in_process(pool);
     let a = f(&mut staged);
     let mut reference = Engine::with_reference_shuffle(pool);
     let b = f(&mut reference);
-    let mut pipelined = Engine::with_pipelined_shuffle(pool);
-    let c = f(&mut pipelined);
-    (a, b, c)
+    (a, b)
 }
 
-/// The strategies must also agree on how they got there: global
-/// iterations and (for the eager formulations) partial synchronizations.
+/// The paths must also agree on how they got there: global iterations
+/// and (for the eager formulations) partial synchronizations.
 fn assert_same_counts(reports: &[&IterationReport]) {
     for r in &reports[1..] {
         assert_eq!(r.global_iterations, reports[0].global_iterations);
@@ -54,15 +49,13 @@ fn pagerank_both_modes_identical_across_paths() {
     let pool = ThreadPool::new(3);
     let cfg = PageRankConfig::default();
 
-    let (a, b, c) = all_strategies(&pool, |e| pagerank::run_general(e, &g, &parts, &cfg));
+    let (a, b) = all_strategies(&pool, |e| pagerank::run_general(e, &g, &parts, &cfg));
     assert_eq!(a.ranks, b.ranks, "general ranks diverge between shuffle paths");
-    assert_eq!(a.ranks, c.ranks, "general ranks diverge under pipelined execution");
-    assert_same_counts(&[&a.report, &b.report, &c.report]);
+    assert_same_counts(&[&a.report, &b.report]);
 
-    let (a, b, c) = all_strategies(&pool, |e| pagerank::run_eager(e, &g, &parts, &cfg));
+    let (a, b) = all_strategies(&pool, |e| pagerank::run_eager(e, &g, &parts, &cfg));
     assert_eq!(a.ranks, b.ranks, "eager ranks diverge between shuffle paths");
-    assert_eq!(a.ranks, c.ranks, "eager ranks diverge under pipelined execution");
-    assert_same_counts(&[&a.report, &b.report, &c.report]);
+    assert_same_counts(&[&a.report, &b.report]);
 }
 
 #[test]
@@ -73,14 +66,12 @@ fn sssp_both_modes_identical_across_paths() {
     let pool = ThreadPool::new(3);
     let cfg = SsspConfig::default();
 
-    let (a, b, c) = all_strategies(&pool, |e| sssp::run_general(e, &wg, &parts, &cfg));
+    let (a, b) = all_strategies(&pool, |e| sssp::run_general(e, &wg, &parts, &cfg));
     assert_eq!(a.distances, b.distances, "general distances diverge");
-    assert_eq!(a.distances, c.distances, "general distances diverge under pipelined execution");
-    assert_same_counts(&[&a.report, &b.report, &c.report]);
-    let (a, b, c) = all_strategies(&pool, |e| sssp::run_eager(e, &wg, &parts, &cfg));
+    assert_same_counts(&[&a.report, &b.report]);
+    let (a, b) = all_strategies(&pool, |e| sssp::run_eager(e, &wg, &parts, &cfg));
     assert_eq!(a.distances, b.distances, "eager distances diverge");
-    assert_eq!(a.distances, c.distances, "eager distances diverge under pipelined execution");
-    assert_same_counts(&[&a.report, &b.report, &c.report]);
+    assert_same_counts(&[&a.report, &b.report]);
 }
 
 #[test]
@@ -91,23 +82,19 @@ fn kmeans_both_modes_identical_across_paths() {
     let cfg = KMeansConfig { k: 5, threshold: 0.001, ..Default::default() };
     let pool = ThreadPool::new(3);
 
-    let (a, b, c) = all_strategies(&pool, |e| {
+    let (a, b) = all_strategies(&pool, |e| {
         kmeans::general::run_general_from(e, &points, 8, &cfg, Some(initial.clone()))
     });
     assert_eq!(a.centroids, b.centroids, "general centroids diverge");
-    assert_eq!(a.centroids, c.centroids, "general centroids diverge under pipelined execution");
     assert_eq!(a.sse, b.sse);
-    assert_eq!(a.sse, c.sse);
-    assert_same_counts(&[&a.report, &b.report, &c.report]);
+    assert_same_counts(&[&a.report, &b.report]);
 
-    let (a, b, c) = all_strategies(&pool, |e| {
+    let (a, b) = all_strategies(&pool, |e| {
         kmeans::eager::run_eager_from(e, &points, 8, &cfg, Some(initial.clone()))
     });
     assert_eq!(a.centroids, b.centroids, "eager centroids diverge");
-    assert_eq!(a.centroids, c.centroids, "eager centroids diverge under pipelined execution");
     assert_eq!(a.sse, b.sse);
-    assert_eq!(a.sse, c.sse);
-    assert_same_counts(&[&a.report, &b.report, &c.report]);
+    assert_same_counts(&[&a.report, &b.report]);
 }
 
 #[test]
@@ -117,14 +104,12 @@ fn cc_both_modes_identical_across_paths() {
     let pool = ThreadPool::new(3);
     let cfg = CcConfig::default();
 
-    let (a, b, c) = all_strategies(&pool, |e| cc::run_general(e, &g, &parts, &cfg));
+    let (a, b) = all_strategies(&pool, |e| cc::run_general(e, &g, &parts, &cfg));
     assert_eq!(a.labels, b.labels, "general labels diverge");
-    assert_eq!(a.labels, c.labels, "general labels diverge under pipelined execution");
-    assert_same_counts(&[&a.report, &b.report, &c.report]);
-    let (a, b, c) = all_strategies(&pool, |e| cc::run_eager(e, &g, &parts, &cfg));
+    assert_same_counts(&[&a.report, &b.report]);
+    let (a, b) = all_strategies(&pool, |e| cc::run_eager(e, &g, &parts, &cfg));
     assert_eq!(a.labels, b.labels, "eager labels diverge");
-    assert_eq!(a.labels, c.labels, "eager labels diverge under pipelined execution");
-    assert_same_counts(&[&a.report, &b.report, &c.report]);
+    assert_same_counts(&[&a.report, &b.report]);
 }
 
 #[test]
@@ -135,19 +120,15 @@ fn jacobi_both_modes_identical_across_paths() {
     let pool = ThreadPool::new(3);
     let cfg = JacobiConfig { max_iterations: 500, ..Default::default() };
 
-    let (a, b, c) = all_strategies(&pool, |e| jacobi::run_general(e, &g, &b_vec, &parts, &cfg));
+    let (a, b) = all_strategies(&pool, |e| jacobi::run_general(e, &g, &b_vec, &parts, &cfg));
     assert_eq!(a.x, b.x, "general solutions diverge");
-    assert_eq!(a.x, c.x, "general solutions diverge under pipelined execution");
     assert_eq!(a.residual, b.residual);
-    assert_eq!(a.residual, c.residual);
-    assert_same_counts(&[&a.report, &b.report, &c.report]);
+    assert_same_counts(&[&a.report, &b.report]);
 
-    let (a, b, c) = all_strategies(&pool, |e| jacobi::run_eager(e, &g, &b_vec, &parts, &cfg));
+    let (a, b) = all_strategies(&pool, |e| jacobi::run_eager(e, &g, &b_vec, &parts, &cfg));
     assert_eq!(a.x, b.x, "eager solutions diverge");
-    assert_eq!(a.x, c.x, "eager solutions diverge under pipelined execution");
     assert_eq!(a.residual, b.residual);
-    assert_eq!(a.residual, c.residual);
-    assert_same_counts(&[&a.report, &b.report, &c.report]);
+    assert_same_counts(&[&a.report, &b.report]);
 }
 
 /// Word count over `String` keys (the non-`Copy` key path), with a
@@ -206,14 +187,10 @@ fn job_level_pairs_are_byte_identical_with_combiner() {
     let a = staged.run("wc", &docs, &Tokenize, &Count, &opts);
     let mut reference = Engine::with_reference_shuffle(&pool);
     let b = reference.run("wc", &docs, &Tokenize, &Count, &opts);
-    let mut pipelined = Engine::with_pipelined_shuffle(&pool);
-    let c = pipelined.run("wc", &docs, &Tokenize, &Count, &opts);
     assert_eq!(a.pairs, b.pairs);
-    assert_eq!(a.pairs, c.pairs, "pipelined diverges on string keys with a combiner");
-    // Same shuffle volume metered on all paths.
+    // Same shuffle volume metered on both paths.
     assert_eq!(a.meter.shuffle_records, b.meter.shuffle_records);
     assert_eq!(a.meter.shuffle_bytes, b.meter.shuffle_bytes);
-    assert_eq!(a.meter, c.meter, "staged and pipelined meters are fully identical");
 }
 
 #[test]
@@ -236,26 +213,21 @@ fn job_sequence_on_one_engine_is_byte_identical_on_the_hit_path() {
             let plain = JobOptions::with_reducers(6).with_grouping(grouping);
             let opts = if combine { plain.with_combiner(&Add) } else { plain };
             let mut staged = Engine::in_process(&pool);
-            let mut pipelined = Engine::with_pipelined_shuffle(&pool);
             let mut reference = Engine::with_reference_shuffle(&pool);
             for (job, docs) in script.into_iter().enumerate() {
                 let a = staged.run("wc", docs, &Tokenize, &Count, &opts);
                 let b = reference.run("wc", docs, &Tokenize, &Count, &opts);
-                let c = pipelined.run("wc", docs, &Tokenize, &Count, &opts);
                 assert_eq!(a.pairs, b.pairs, "job {job}: staged vs oracle");
-                assert_eq!(c.pairs, b.pairs, "job {job}: pipelined vs oracle");
-                assert_eq!(a.meter, c.meter, "job {job}: meters");
-                for reuse in [a.reuse, c.reuse] {
-                    let tasks = (docs.len() as u64, a.meter.reduce_tasks as u64);
-                    let misses = (reuse.route.misses, reuse.group.misses);
-                    let recorded = (reuse.route.recorded, reuse.group.recorded);
-                    match job {
-                        2 | 3 => assert_eq!(misses, (0, 0), "job {job} runs on remembered plans"),
-                        _ => assert_eq!(misses, tasks, "job {job} meets no plan of its own"),
-                    }
-                    let want = if job == 1 || job == 5 { tasks } else { (0, 0) };
-                    assert_eq!(recorded, want, "job {job} clones keys only to record a plan");
+                let reuse = a.reuse;
+                let tasks = (docs.len() as u64, a.meter.reduce_tasks as u64);
+                let misses = (reuse.route.misses, reuse.group.misses);
+                let recorded = (reuse.route.recorded, reuse.group.recorded);
+                match job {
+                    2 | 3 => assert_eq!(misses, (0, 0), "job {job} runs on remembered plans"),
+                    _ => assert_eq!(misses, tasks, "job {job} meets no plan of its own"),
                 }
+                let want = if job == 1 || job == 5 { tasks } else { (0, 0) };
+                assert_eq!(recorded, want, "job {job} clones keys only to record a plan");
             }
         }
     }
@@ -274,10 +246,6 @@ mod eager_jobs {
     use asyncmr::graph::NodeId;
 
     use super::*;
-
-    pub type Schedule = for<'p> fn(&'p ThreadPool) -> Engine<'p>;
-    pub const SCHEDULES: [Schedule; 2] =
-        [|pool| Engine::in_process(pool), |pool| Engine::with_pipelined_shuffle(pool)];
 
     /// Label-flooding inputs: task `t` gets partition `t + rotate`, and
     /// the labels — values, not keys — depend on `job`.
@@ -354,35 +322,33 @@ fn consecutive_eager_jobs_on_one_engine_equal_fresh_engines_and_the_oracle() {
     let partitions = GraphPartition::build(&g, &parts);
     let tasks = partitions.len() as u64;
     let pool = ThreadPool::new(3);
-    for schedule in SCHEDULES {
-        let mut engine = schedule(&pool);
-        let mut oracle = Engine::with_reference_shuffle(&pool);
-        let mut hits_of_job_0 = 0;
-        for job in 0..3 {
-            let inputs = cc_inputs(&partitions, job, 0);
-            let kept = cc_job(&mut engine, &inputs);
-            let fresh = cc_job(&mut schedule(&pool), &inputs);
-            assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
-            assert_eq!(fresh.reuse.local.recorded, tasks, "a fresh engine records once a task");
-            if job == 0 {
-                assert_eq!(kept.reuse.local, fresh.reuse.local);
-                hits_of_job_0 = kept.reuse.local.hits;
-            } else {
-                assert_eq!(kept.reuse.local.misses, 0, "job {job} starts on job 0's plans");
-            }
-        }
-        assert!(hits_of_job_0 > 0, "label flooding takes more than one pass");
-
-        // Task t now gets another partition than it had last job: same
-        // key type, same slot, other keys — a verified miss in the
-        // task's first pass, and the same output.
-        let inputs = cc_inputs(&partitions, 3, 1);
+    let mut engine = Engine::in_process(&pool);
+    let mut oracle = Engine::with_reference_shuffle(&pool);
+    let mut hits_of_job_0 = 0;
+    for job in 0..3 {
+        let inputs = cc_inputs(&partitions, job, 0);
         let kept = cc_job(&mut engine, &inputs);
-        let fresh = cc_job(&mut schedule(&pool), &inputs);
+        let fresh = cc_job(&mut Engine::in_process(&pool), &inputs);
         assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
-        assert_eq!(kept.reuse.local, fresh.reuse.local, "one fallback a task, then hits");
-        assert_eq!(kept.reuse.local.recorded, tasks);
+        assert_eq!(fresh.reuse.local.recorded, tasks, "a fresh engine records once a task");
+        if job == 0 {
+            assert_eq!(kept.reuse.local, fresh.reuse.local);
+            hits_of_job_0 = kept.reuse.local.hits;
+        } else {
+            assert_eq!(kept.reuse.local.misses, 0, "job {job} starts on job 0's plans");
+        }
     }
+    assert!(hits_of_job_0 > 0, "label flooding takes more than one pass");
+
+    // Task t now gets another partition than it had last job: same
+    // key type, same slot, other keys — a verified miss in the
+    // task's first pass, and the same output.
+    let inputs = cc_inputs(&partitions, 3, 1);
+    let kept = cc_job(&mut engine, &inputs);
+    let fresh = cc_job(&mut Engine::in_process(&pool), &inputs);
+    assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
+    assert_eq!(kept.reuse.local, fresh.reuse.local, "one fallback a task, then hits");
+    assert_eq!(kept.reuse.local.recorded, tasks);
 }
 
 #[test]
@@ -399,23 +365,21 @@ fn two_eager_mappers_sharing_a_key_type_evict_each_other_and_stay_correct() {
     let pr_parts = GraphPartition::build(&directed, &parts);
     let (n, tasks) = (directed.num_nodes(), cc_parts.len() as u64);
     let pool = ThreadPool::new(3);
-    for schedule in SCHEDULES {
-        let mut engine = schedule(&pool);
-        let mut oracle = Engine::with_reference_shuffle(&pool);
-        for job in 0..3 {
-            let inputs = cc_inputs(&cc_parts, job, 0);
-            let kept = cc_job(&mut engine, &inputs);
-            let fresh = cc_job(&mut schedule(&pool), &inputs);
-            assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
-            assert_eq!(kept.reuse.local, fresh.reuse.local, "job {job}: evicted, as good as new");
+    let mut engine = Engine::in_process(&pool);
+    let mut oracle = Engine::with_reference_shuffle(&pool);
+    for job in 0..3 {
+        let inputs = cc_inputs(&cc_parts, job, 0);
+        let kept = cc_job(&mut engine, &inputs);
+        let fresh = cc_job(&mut Engine::in_process(&pool), &inputs);
+        assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
+        assert_eq!(kept.reuse.local, fresh.reuse.local, "job {job}: evicted, as good as new");
 
-            let inputs = pr_inputs(&pr_parts, n, job);
-            let kept = pr_job(&mut engine, &inputs);
-            let fresh = pr_job(&mut schedule(&pool), &inputs);
-            assert_same_job(&kept, &fresh, &pr_job(&mut oracle, &inputs));
-            assert_eq!(kept.reuse.local, fresh.reuse.local, "job {job}: evicted, as good as new");
-            assert_eq!(kept.reuse.local.recorded, tasks);
-        }
+        let inputs = pr_inputs(&pr_parts, n, job);
+        let kept = pr_job(&mut engine, &inputs);
+        let fresh = pr_job(&mut Engine::in_process(&pool), &inputs);
+        assert_same_job(&kept, &fresh, &pr_job(&mut oracle, &inputs));
+        assert_eq!(kept.reuse.local, fresh.reuse.local, "job {job}: evicted, as good as new");
+        assert_eq!(kept.reuse.local.recorded, tasks);
     }
 }
 
@@ -431,23 +395,21 @@ fn local_plans_and_shuffle_plans_share_slot_numbers_without_colliding() {
     let parts = MultilevelKWay::default().partition(&g, 2);
     let partitions = GraphPartition::build(&g, &parts);
     let pool = ThreadPool::new(3);
-    for schedule in SCHEDULES {
-        let mut engine = schedule(&pool);
-        let mut oracle = Engine::with_reference_shuffle(&pool);
-        for job in 0..4 {
-            // The labels stay put, so the global emissions repeat too.
-            let inputs = cc_inputs(&partitions, 0, 0);
-            let kept = cc_job(&mut engine, &inputs);
-            let fresh = cc_job(&mut schedule(&pool), &inputs);
-            assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
-            assert!(kept.meter.reduce_tasks > 2, "more reduce partitions than map tasks");
-            let reuse = kept.reuse;
-            assert_eq!(reuse.local.recorded, if job == 0 { 2 } else { 0 }, "job {job}");
-            if job >= 2 {
-                let hits = (reuse.route.hits, reuse.group.hits);
-                assert_eq!(hits, (2, kept.meter.reduce_tasks as u64), "job {job}");
-                assert_eq!((reuse.route.misses, reuse.group.misses, reuse.local.misses), (0, 0, 0));
-            }
+    let mut engine = Engine::in_process(&pool);
+    let mut oracle = Engine::with_reference_shuffle(&pool);
+    for job in 0..4 {
+        // The labels stay put, so the global emissions repeat too.
+        let inputs = cc_inputs(&partitions, 0, 0);
+        let kept = cc_job(&mut engine, &inputs);
+        let fresh = cc_job(&mut Engine::in_process(&pool), &inputs);
+        assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
+        assert!(kept.meter.reduce_tasks > 2, "more reduce partitions than map tasks");
+        let reuse = kept.reuse;
+        assert_eq!(reuse.local.recorded, if job == 0 { 2 } else { 0 }, "job {job}");
+        if job >= 2 {
+            let hits = (reuse.route.hits, reuse.group.hits);
+            assert_eq!(hits, (2, kept.meter.reduce_tasks as u64), "job {job}");
+            assert_eq!((reuse.route.misses, reuse.group.misses, reuse.local.misses), (0, 0, 0));
         }
     }
 }
@@ -460,14 +422,12 @@ fn run_eager_records_its_local_plans_in_the_first_job_only() {
     let g = crawl_graph(400, 11);
     let parts = MultilevelKWay::default().partition(&g, 4);
     let pool = ThreadPool::new(3);
-    for schedule in eager_jobs::SCHEDULES {
-        let mut engine = schedule(&pool);
-        let out = pagerank::run_eager(&mut engine, &g, &parts, &PageRankConfig::default());
-        let local: Vec<_> = engine.history().iter().map(|job| job.reuse.local).collect();
-        assert!(local.len() > 1, "more than one global iteration");
-        assert_eq!((local[0].misses, local[0].recorded), (4, 4));
-        assert!(local[1..].iter().all(|job| job.misses == 0), "{local:?}");
-        let syncs: u64 = local.iter().map(|job| job.hits + job.misses).sum();
-        assert_eq!(syncs, out.report.local_syncs);
-    }
+    let mut engine = Engine::in_process(&pool);
+    let out = pagerank::run_eager(&mut engine, &g, &parts, &PageRankConfig::default());
+    let local: Vec<_> = engine.history().iter().map(|job| job.reuse.local).collect();
+    assert!(local.len() > 1, "more than one global iteration");
+    assert_eq!((local[0].misses, local[0].recorded), (4, 4));
+    assert!(local[1..].iter().all(|job| job.misses == 0), "{local:?}");
+    let syncs: u64 = local.iter().map(|job| job.hits + job.misses).sum();
+    assert_eq!(syncs, out.report.local_syncs);
 }
