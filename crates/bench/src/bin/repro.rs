@@ -9,7 +9,7 @@
 //! Options:
 //!   --scale <f64>    input scale vs the paper (default 0.1)
 //!   --seed <u64>     master seed (default 2010)
-//!   --threads <n>    worker threads (default: all cores)
+//!   --threads <n>    worker threads, at least 1 (default: all cores)
 //!   --reducers <n>   reduce tasks per job (default 16, = paper slots)
 //!   --out <dir>      JSON output directory (default results/)
 //!   --no-save        don't write JSON
@@ -45,7 +45,11 @@ fn main() -> ExitCode {
                 cfg.seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
             "--threads" => {
-                cfg.threads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+                cfg.threads = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage())
             }
             "--reducers" => {
                 cfg.reducers = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())

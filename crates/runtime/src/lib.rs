@@ -7,15 +7,15 @@
 //! local map iterations scheduled without waiting on other partitions) is
 //! realized simply by submitting independent coarse tasks here.
 //!
-//! The design follows the classic work-stealing architecture (one
-//! [`crossbeam_deque::Worker`] per thread, a shared
-//! [`crossbeam_deque::Injector`]; a starved worker tries the injector,
-//! then its peers' deques in index order — the vendored deques are
-//! mutex-backed, not lock-free), with:
+//! The design follows the classic work-stealing architecture, written on
+//! `std::sync` alone: every spawn enters one shared injector; a worker
+//! refills its own deque from it in batches; a starved worker tries the
+//! injector, then its peers' deques in index order (every queue is a
+//! `Mutex<VecDeque>`, not lock-free). On top of it:
 //!
 //! * [`ThreadPool::scope`] — structured (borrow-friendly) task spawning
 //!   with panic propagation, in the spirit of `rayon::scope` /
-//!   `crossbeam::scope`;
+//!   `std::thread::scope`; every task belongs to a scope;
 //! * [`ThreadPool::par_map`] / [`ThreadPool::par_map_indexed`] /
 //!   [`ThreadPool::par_map_vec`] — order-preserving data-parallel
 //!   barriers built on `scope` (the engine's map, combine and reduce
@@ -27,8 +27,10 @@
 //!   of an iterative driver;
 //! * cooperative waiting: a thread blocked waiting for its [`Scope`] to
 //!   drain *helps*
-//!   execute queued tasks, so nested scopes cannot deadlock the pool;
-//! * graceful shutdown: dropping the pool completes all queued work.
+//!   execute queued tasks, so nested scopes cannot deadlock the pool.
+//!
+//! A pool can be dropped only once every scope on it has returned, so
+//! dropping it just stops its idle workers.
 //!
 //! ```
 //! use asyncmr_runtime::ThreadPool;
@@ -49,5 +51,5 @@ mod scope;
 
 pub use metrics::PoolMetrics;
 pub use pipeline::Wave;
-pub use pool::{current_worker, ParkObserver, ThreadPool, ThreadPoolBuilder};
+pub use pool::{current_worker, ParkObserver, ThreadPool};
 pub use scope::Scope;

@@ -9,10 +9,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Internal atomic counters shared by all workers of a pool.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
-    /// Tasks that finished running (including panicked ones).
+    /// Tasks handed to a thread to run (counted as each starts).
     pub executed: AtomicUsize,
-    /// Tasks whose closure panicked (the panic is captured, not lost).
-    pub panicked: AtomicUsize,
     /// Successful steals from *another worker's* deque.
     pub steals: AtomicUsize,
     /// Successful grabs from the shared injector queue.
@@ -29,7 +27,6 @@ impl Counters {
         PoolMetrics {
             threads,
             executed: self.executed.load(Ordering::Relaxed),
-            panicked: self.panicked.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
             injector_pops: self.injector_pops.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
@@ -50,9 +47,6 @@ pub struct PoolMetrics {
     /// each task starts, so the count is exact the moment a
     /// [`crate::ThreadPool::scope`] returns).
     pub executed: usize,
-    /// Tasks that panicked; their payloads were captured by the
-    /// submitting scope (or counted, for detached tasks).
-    pub panicked: usize,
     /// Successful worker-to-worker steals.
     pub steals: usize,
     /// Successful pops from the shared injector.
@@ -101,7 +95,6 @@ impl PoolMetrics {
         PoolMetrics {
             threads: self.threads,
             executed: delta!(executed),
-            panicked: delta!(panicked),
             steals: delta!(steals),
             injector_pops: delta!(injector_pops),
             parks: delta!(parks),
@@ -125,7 +118,6 @@ mod tests {
         assert_eq!(m.threads, 3);
         assert_eq!(m.executed, 10);
         assert_eq!(m.steals, 4);
-        assert_eq!(m.panicked, 0);
         assert_eq!(m.parks, 2);
         assert_eq!(m.park_nanos, 1_500);
     }
@@ -135,7 +127,6 @@ mod tests {
         let m = PoolMetrics {
             threads: 1,
             executed: 0,
-            panicked: 0,
             steals: 0,
             injector_pops: 0,
             parks: 0,
@@ -149,7 +140,6 @@ mod tests {
     const ZERO: PoolMetrics = PoolMetrics {
         threads: 2,
         executed: 0,
-        panicked: 0,
         steals: 0,
         injector_pops: 0,
         parks: 0,

@@ -15,16 +15,14 @@
 //! scheduling, used by `asyncmr_core::session`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
-
-use crate::pool::ThreadPool;
+use crate::pool::{lock, ThreadPool};
 
 /// The completion queue: produced tasks push, the caller batch-drains.
 /// A purpose-built inbox instead of a general channel so the steady
-/// state allocates nothing per completion and wakeups stay in userspace
-/// (`parking_lot`).
+/// state allocates nothing per completion.
 struct Inbox<U> {
     queue: Mutex<Vec<(usize, U)>>,
     ready: Condvar,
@@ -43,7 +41,7 @@ impl<U> Drop for AbortGuard<'_, U> {
     fn drop(&mut self) {
         self.0.aborted.fetch_add(1, Ordering::SeqCst);
         // Pair with the caller's locked condition check, then wake it.
-        drop(self.0.queue.lock());
+        drop(lock(&self.0.queue));
         self.0.ready.notify_one();
     }
 }
@@ -156,7 +154,7 @@ impl ThreadPool {
                     let guard = AbortGuard(inbox);
                     let value = produce(id, item);
                     std::mem::forget(guard); // completing normally
-                    inbox.queue.lock().push((id, value));
+                    lock(&inbox.queue).push((id, value));
                     inbox.ready.notify_one();
                 });
             };
@@ -177,7 +175,7 @@ impl ThreadPool {
             while received + inbox.aborted.load(Ordering::SeqCst) < spawned {
                 // Dispatching queued completions beats helping with
                 // someone else's task.
-                std::mem::swap(&mut *inbox.queue.lock(), &mut batch);
+                std::mem::swap(&mut *lock(&inbox.queue), &mut batch);
                 if !batch.is_empty() {
                     received += batch.len();
                     for (i, value) in batch.drain(..) {
@@ -196,10 +194,10 @@ impl ThreadPool {
                 if let Some(job) = self.shared().find_task(None) {
                     self.shared().run_job(job);
                 } else {
-                    let mut queue = inbox.queue.lock();
+                    let queue = lock(&inbox.queue);
                     if queue.is_empty() && received + inbox.aborted.load(Ordering::SeqCst) < spawned
                     {
-                        inbox.ready.wait_for(&mut queue, Duration::from_micros(200));
+                        let _ = inbox.ready.wait_timeout(queue, Duration::from_micros(200));
                     }
                 }
             }
