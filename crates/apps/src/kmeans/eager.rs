@@ -24,6 +24,14 @@ use rand::SeedableRng;
 use super::general::ClusterUpdate;
 use super::{sse, ConvergenceTracker, KMeansConfig, KMeansOutcome, Point};
 
+/// Points are re-partitioned across gmaps every this many global
+/// iterations (paper/\[12\]).
+pub const REPARTITION_EVERY: usize = 5;
+
+/// Oscillation-detection window: the number of previous centroid sets
+/// a new one is compared against.
+pub const OSCILLATION_WINDOW: usize = 6;
+
 /// `gmap` input: this task's point subset plus the common centroids.
 #[derive(Debug, Clone)]
 pub struct KmEagerInput {
@@ -224,14 +232,14 @@ pub fn run_eager_from(
     let algo = KmLocalAlgorithm { threshold: cfg.threshold };
     let gmap = EagerMapper::new(algo);
     let opts = JobOptions::with_reducers(cfg.num_reducers);
-    let mut tracker = ConvergenceTracker::new(cfg.threshold, cfg.oscillation_window);
+    let mut tracker = ConvergenceTracker::new(cfg.threshold, OSCILLATION_WINDOW);
     let mut groups = partition_indices(n, num_partitions, None);
 
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
         // Paper/[12]: "Every few iterations, the input points need to
         // be partitioned differently across global maps."
-        if cfg.repartition_every > 0 && iter > 0 && iter % cfg.repartition_every == 0 {
+        if iter > 0 && iter.is_multiple_of(REPARTITION_EVERY) {
             groups = partition_indices(
                 n,
                 num_partitions,

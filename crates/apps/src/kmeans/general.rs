@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use asyncmr_core::prelude::*;
 
-use super::{max_movement, nearest, sse, ConvergenceTracker, KMeansConfig, KMeansOutcome, Point};
+use super::{nearest, sse, ConvergenceTracker, KMeansConfig, KMeansOutcome, Point};
 
 /// A partial cluster update: element-wise sum of member points plus
 /// their count. The reducer divides at the end.
@@ -165,7 +165,6 @@ pub fn run_general_from(
             new_centroids[cid as usize] = mean;
         }
         let done = tracker.converged(&centroids, &new_centroids);
-        let _ = max_movement(&centroids, &new_centroids);
         centroids = new_centroids;
         if done {
             StepStatus::Converged
@@ -181,6 +180,7 @@ pub fn run_general_from(
 mod tests {
     use super::*;
     use crate::kmeans::data::census_like;
+    use crate::kmeans::max_movement;
     use crate::kmeans::reference::lloyd;
     use asyncmr_runtime::ThreadPool;
 

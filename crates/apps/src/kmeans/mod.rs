@@ -42,12 +42,6 @@ pub struct KMeansConfig {
     pub max_iterations: usize,
     /// Reduce tasks per job.
     pub num_reducers: usize,
-    /// Eager only: re-partition points across gmaps every this many
-    /// global iterations (paper/\[12\]; 0 disables).
-    pub repartition_every: usize,
-    /// Eager only: oscillation-detection window (previous centroid
-    /// sets compared against; 0 disables).
-    pub oscillation_window: usize,
     /// Seed for initial centroids and re-partitioning.
     pub seed: u64,
 }
@@ -59,8 +53,6 @@ impl Default for KMeansConfig {
             threshold: 0.001,
             max_iterations: 300,
             num_reducers: 16,
-            repartition_every: 5,
-            oscillation_window: 6,
             seed: 0x5EED,
         }
     }

@@ -327,7 +327,7 @@ pub fn run_async(
 /// [`run_async`] under an arbitrary pre-built
 /// [`AsyncFixedPointDriver`]: every session knob — injected transient
 /// failures (`with_failures`), correlated node deaths with
-/// checkpoint/rollback (`with_checkpoints` + `with_node_failures`), a
+/// checkpoint/rollback (`with_node_failures`), a
 /// per-attempt span trace in [`SessionReport::trace`] (`with_trace`) —
 /// is a builder method on the driver, so there is one entry point for
 /// all of them.
@@ -429,7 +429,7 @@ mod tests {
         let cfg = PageRankConfig::default();
         let clean = run_async(&pool, &g, &parts, &cfg, 0);
         let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_failures(SessionFailurePlan::transient(0.2, 99));
+            .with_failures(AttemptFailurePlan::transient(0.2), 99);
         let faulty = run_async_with_driver(&pool, &g, &parts, &cfg, driver);
         assert!(faulty.report.failed_attempts > 0, "0.2/attempt must fire");
         assert_eq!(clean.report.global_iterations, faulty.report.global_iterations);
@@ -445,8 +445,7 @@ mod tests {
         let cfg = PageRankConfig::default();
         let clean = run_async(&pool, &g, &parts, &cfg, 0);
         let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_checkpoints(CheckpointPolicy::EveryK(2))
-            .with_node_failures(NodeFailurePlan::correlated(0.2, 71), 3);
+            .with_node_failures(NodeFailurePlan::correlated(0.2, 71, 2), 3);
         let faulty = run_async_with_driver(&pool, &g, &parts, &cfg, driver);
         assert!(faulty.report.rollbacks > 0, "0.2/(node, epoch) must fire");
         assert!(faulty.report.checkpoint_bytes > 0, "checkpoints must be metered");

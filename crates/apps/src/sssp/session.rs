@@ -323,7 +323,7 @@ mod tests {
         let cfg = SsspConfig::default();
         let clean = run_async(&pool, &wg, &parts, &cfg, 0);
         let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_failures(SessionFailurePlan::transient(0.2, 5));
+            .with_failures(AttemptFailurePlan::transient(0.2), 5);
         let faulty = run_async_with_driver(&pool, &wg, &parts, &cfg, driver);
         assert!(faulty.report.failed_attempts > 0, "0.2/attempt must fire");
         assert_eq!(clean.report.global_iterations, faulty.report.global_iterations);
@@ -343,8 +343,7 @@ mod tests {
         let cfg = SsspConfig::default();
         let clean = run_async(&pool, &wg, &parts, &cfg, 0);
         let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_checkpoints(CheckpointPolicy::EveryK(1))
-            .with_node_failures(NodeFailurePlan::correlated(0.25, 3), 3);
+            .with_node_failures(NodeFailurePlan::correlated(0.25, 3, 1), 3);
         let faulty = run_async_with_driver(&pool, &wg, &parts, &cfg, driver);
         assert!(faulty.report.rollbacks > 0, "0.25/(node, epoch) must fire");
         assert_eq!(clean.report.global_iterations, faulty.report.global_iterations);

@@ -14,11 +14,12 @@
 //! ```
 //!
 //! The first three subcommands replay the `repro sched` headline
-//! workload — the 8×8 ring exchange on the straggler cluster (half the
-//! nodes at quarter speed, seed 7) — under the chosen scheduler
-//! (`list` | `heft` | `lookahead` | `portfolio`) and network model
-//! (`default` | `constant` | `shared`, the last being fair-shared NICs:
-//! the uniform fluid fabric), then render the requested analysis. `diff` aligns two schedulers on the same
+//! workload — the 8×8 ring exchange on its straggler cluster
+//! (`asyncmr_bench::figures::straggler_sim`: half the nodes at quarter
+//! speed), at seed 7 — under one of the schedulers `repro sched`
+//! compares (`list` | `heft` | `lookahead` | `portfolio`) and network
+//! model (`default` | `constant` | `shared`, the last being fair-shared
+//! NICs: the uniform fluid fabric), then render the requested analysis. `diff` aligns two schedulers on the same
 //! workload (defaults: `--a list --b heft`) and names the
 //! critical-path component responsible for the makespan gap.
 //!
@@ -43,6 +44,7 @@
 //! artifacts next to the fixture file.
 
 use asyncmr_apps::pagerank::{self, PageRankConfig};
+use asyncmr_bench::figures::{straggler_sim, SCHEDULERS};
 use asyncmr_core::{AsyncFixedPointDriver, GroupingStrategy};
 use asyncmr_graph::generators;
 use asyncmr_model::underflow_count;
@@ -51,36 +53,18 @@ use asyncmr_runtime::ThreadPool;
 use asyncmr_simcluster::workloads::{
     async_schedule, barrier_jobs, ring_exchange, APPS, ASYNC_SEED,
 };
-use asyncmr_simcluster::{
-    diff_runs, ClusterSpec, Constant, ReportModel, RunRecord, SchedulerSpec, Simulation,
-    TopologyAware,
-};
+use asyncmr_simcluster::{diff_runs, ClusterSpec, Constant, ReportModel, RunRecord, Simulation};
 
 const USAGE: &str = "usage: simtrace <timeline|critical-path|diff|report|fixtures> \
                      [--sched S] [--a S] [--b S] [--model M] [--dir PATH] [--csv] [--json]";
 
-fn sched_spec(name: &str) -> SchedulerSpec {
-    match name {
-        "list" => SchedulerSpec::List,
-        "heft" => SchedulerSpec::Heft,
-        "lookahead" => SchedulerSpec::Lookahead { depth: 2 },
-        "portfolio" => SchedulerSpec::Portfolio,
-        other => panic!("unknown scheduler {other} (list|heft|lookahead|portfolio)"),
-    }
-}
-
-/// The `repro sched` headline cluster: ec2_2010 with half the nodes
-/// at quarter speed, under the chosen network model, seed 7.
-fn straggler_sim(model: &str, sched: &str) -> Simulation {
-    let spec = ClusterSpec::ec2_2010().with_slow_nodes(4, 0.25);
-    let (n, bw, lat) = (spec.num_nodes(), spec.nic_bandwidth, spec.net_latency);
-    let sim = Simulation::new(spec, 7).with_scheduler(sched_spec(sched));
-    match model {
-        "default" => sim,
-        "constant" => sim.with_network(Constant::new(n, bw, lat)),
-        "shared" => sim.with_network(TopologyAware::uniform(n, bw, lat)),
-        other => panic!("unknown model {other} (default|constant|shared)"),
-    }
+/// The `repro sched` headline cluster at seed 7, placed by the
+/// scheduler named `sched`, on the network model named `model`.
+fn headline_sim(model: &str, sched: &str) -> Simulation {
+    let spec = SCHEDULERS.into_iter().find(|s| s.name() == sched);
+    let spec =
+        spec.unwrap_or_else(|| panic!("unknown scheduler {sched} (list|heft|lookahead|portfolio)"));
+    straggler_sim(7, spec, model)
 }
 
 /// The live half of `report`: a traced lag-0 PageRank session on the
@@ -223,7 +207,7 @@ fn main() {
         "timeline" | "critical-path" => {
             let (sched, model) = (opt("--sched", "list"), opt("--model", "shared"));
             let tasks = ring_exchange(8, 8, 40_000_000);
-            let mut sim = straggler_sim(&model, &sched);
+            let mut sim = headline_sim(&model, &sched);
             let stats = sim.run_async_schedule(&tasks);
             let analysis = sim.analyze_async_run(&tasks, &stats);
             if flag("--csv") {
@@ -242,9 +226,9 @@ fn main() {
         "diff" => {
             let (a, b, model) = (opt("--a", "list"), opt("--b", "heft"), opt("--model", "default"));
             let tasks = ring_exchange(8, 8, 40_000_000);
-            let mut sim_a = straggler_sim(&model, &a);
+            let mut sim_a = headline_sim(&model, &a);
             let stats_a = sim_a.run_async_schedule(&tasks);
-            let mut sim_b = straggler_sim(&model, &b);
+            let mut sim_b = headline_sim(&model, &b);
             let stats_b = sim_b.run_async_schedule(&tasks);
             let nodes = sim_a.spec().num_nodes();
             let rec_a =
@@ -262,7 +246,7 @@ fn main() {
             let (sched, model) = (opt("--sched", "list"), opt("--model", "shared"));
             let dir = opt("--dir", "target/trace_report");
             let tasks = ring_exchange(8, 8, 40_000_000);
-            let mut sim = straggler_sim(&model, &sched);
+            let mut sim = headline_sim(&model, &sched);
             let stats = sim.run_async_schedule(&tasks);
             let rec = RunRecord {
                 tasks: &tasks,

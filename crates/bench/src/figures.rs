@@ -7,17 +7,14 @@ use std::sync::Arc;
 use asyncmr_apps::kmeans::{self, KMeansConfig};
 use asyncmr_apps::pagerank::{self, PageRankConfig};
 use asyncmr_apps::sssp::{self, SsspConfig};
-use asyncmr_core::{
-    AsyncFixedPointDriver, CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan,
-};
+use asyncmr_core::{AsyncFixedPointDriver, Engine};
 use asyncmr_graph::{presets, stats::GraphProperties, CsrGraph, WeightedGraph};
-use asyncmr_model::{AsyncTaskSpec, SimTime};
+use asyncmr_model::{AsyncTaskSpec, AttemptFailurePlan, NodeFailurePlan, SimTime};
 use asyncmr_partition::{MultilevelKWay, Partitioner, Partitioning};
 use asyncmr_runtime::ThreadPool;
 use asyncmr_simcluster::workloads::ring_exchange;
 use asyncmr_simcluster::{
-    diff_runs, ClusterSpec, FailurePlan, RunRecord, SchedulerSpec, Simulation, TopologyAware,
-    NODE_DETECTION_DELAY,
+    diff_runs, ClusterSpec, Constant, RunRecord, SchedulerSpec, Simulation, TopologyAware,
 };
 
 use crate::report::{Figure, ReproConfig};
@@ -443,11 +440,8 @@ pub fn fault_tolerance(cfg: &ReproConfig) -> Figure {
     for eager in [true, false] {
         let name = if eager { "Eager" } else { "General" };
         let run = |fail: bool| {
-            let sim = Simulation::new(ClusterSpec::ec2_2010(), cfg.seed).with_failures(if fail {
-                FailurePlan::transient(0.01)
-            } else {
-                FailurePlan::none()
-            });
+            let sim = Simulation::new(ClusterSpec::ec2_2010(), cfg.seed)
+                .with_failures(AttemptFailurePlan::transient(if fail { 0.01 } else { 0.0 }));
             let mut engine = Engine::with_simulation(&pool, sim);
             let outcome = if eager {
                 pagerank::run_eager(&mut engine, &g, &parts, &pr_cfg)
@@ -557,24 +551,24 @@ fn async_fault_rows(
             if identical { "yes" } else { "NO" }.into(),
         ]);
     };
+    // One regime per row, handed to both layers: the replay prices it,
+    // the live session survives it.
     for prob in [0.01f64, 0.2] {
-        let stats = sim().with_failures(FailurePlan::transient(prob)).run_async_schedule(&schedule);
+        let plan = AttemptFailurePlan::transient(prob);
+        let stats = sim().with_failures(plan).run_async_schedule(&schedule);
         push_row(
             format!("{}%/attempt", prob * 100.0),
-            driver.with_failures(SessionFailurePlan::transient(prob, cfg.seed)),
+            driver.with_failures(plan, cfg.seed),
             stats.duration.as_secs_f64(),
             stats.failed_attempts.to_string(),
         );
     }
-    // One regime, handed to both layers: the replay prices it, the live
-    // session survives it.
-    let deaths = NodeFailurePlan::correlated(0.2, cfg.seed);
     for k in [1usize, 4] {
-        let stats =
-            sim().with_node_failures(deaths, k, NODE_DETECTION_DELAY).run_async_schedule(&schedule);
+        let deaths = NodeFailurePlan::correlated(0.2, cfg.seed, k);
+        let stats = sim().with_node_failures(deaths).run_async_schedule(&schedule);
         push_row(
             format!("node death 20%/epoch, ckpt k={k}"),
-            driver.with_checkpoints(CheckpointPolicy::EveryK(k)).with_node_failures(deaths, 8),
+            driver.with_node_failures(deaths, 8),
             stats.duration.as_secs_f64(),
             format!("{} node deaths", stats.node_failures),
         );
@@ -669,24 +663,43 @@ pub fn scalability(cfg: &ReproConfig) -> Figure {
     fig
 }
 
+/// The placement policies `repro sched` compares, in its row order.
+pub const SCHEDULERS: [SchedulerSpec; 4] =
+    [SchedulerSpec::List, SchedulerSpec::Heft, SchedulerSpec::Lookahead, SchedulerSpec::Portfolio];
+
+/// The straggler cluster `repro sched` and `simtrace` replay on:
+/// [`ClusterSpec::ec2_2010`] with half the nodes at quarter speed
+/// ([`ClusterSpec::with_slow_nodes`]), placed by `sched`, on the network
+/// model named `model` — `default` (NIC-serialized), `constant`
+/// (uncontended) or `shared` (fair-shared NICs, the uniform fluid
+/// fabric).
+///
+/// # Panics
+///
+/// On an unknown model name.
+pub fn straggler_sim(seed: u64, sched: SchedulerSpec, model: &str) -> Simulation {
+    let spec = ClusterSpec::ec2_2010().with_slow_nodes(4, 0.25);
+    let (n, bw, lat) = (spec.num_nodes(), spec.nic_bandwidth, spec.net_latency);
+    let sim = Simulation::new(spec, seed).with_scheduler(sched);
+    match model {
+        "default" => sim,
+        "constant" => sim.with_network(Constant::new(n, bw, lat)),
+        "shared" => sim.with_network(TopologyAware::uniform(n, bw, lat)),
+        other => panic!("unknown model {other} (default|constant|shared)"),
+    }
+}
+
 /// Scheduler × straggler-regime makespans (simulated): every placement
-/// policy on a heterogeneous cluster — half the nodes at quarter speed
-/// ([`ClusterSpec::with_slow_nodes`]) — on the uncontended default
+/// policy on the [`straggler_sim`] cluster, on the uncontended default
 /// network and again under fair-share NIC contention. The DAG is the
 /// ring exchange the scheduler unit tests pin (each task feeds its own
 /// next iteration plus both neighbors), sized so the critical path
 /// through slow nodes dominates a start-time-greedy placement.
 pub fn scheduler_sweep(cfg: &ReproConfig) -> Figure {
     let tasks = ring_exchange(8, 8, 40_000_000);
-    let sim = |regime: &str, sched: SchedulerSpec| {
-        let spec = ClusterSpec::ec2_2010().with_slow_nodes(4, 0.25);
-        let (n, bw, lat) = (spec.num_nodes(), spec.nic_bandwidth, spec.net_latency);
-        let sim = Simulation::new(spec, cfg.seed).with_scheduler(sched);
-        if regime == "straggler-shared-net" {
-            sim.with_network(TopologyAware::uniform(n, bw, lat))
-        } else {
-            sim
-        }
+    let sim = |regime: &str, sched| {
+        let model = if regime == "straggler-shared-net" { "shared" } else { "default" };
+        straggler_sim(cfg.seed, sched, model)
     };
 
     let mut fig = Figure::new(
@@ -697,12 +710,7 @@ pub fn scheduler_sweep(cfg: &ReproConfig) -> Figure {
     );
     for regime in ["straggler", "straggler-shared-net"] {
         let mut list_secs = f64::NAN;
-        for sched in [
-            SchedulerSpec::List,
-            SchedulerSpec::Heft,
-            SchedulerSpec::Lookahead { depth: 1 },
-            SchedulerSpec::Portfolio,
-        ] {
+        for sched in SCHEDULERS {
             let stats = sim(regime, sched).run_async_schedule(&tasks);
             let secs = stats.duration.as_secs_f64();
             if stats.scheduler == "list" {

@@ -3,6 +3,8 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use asyncmr_simcluster::trace::report::json_str;
+
 /// Global knobs for a reproduction run.
 #[derive(Debug, Clone)]
 pub struct ReproConfig {
@@ -129,20 +131,21 @@ impl Figure {
     }
 
     /// Renders the figure as pretty-printed JSON (hand-rolled: the
-    /// offline build has no serde).
+    /// offline build has no serde). Strings go through the simulator's
+    /// [`json_str`], the workspace's one JSON string escaper.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"id\": {},\n", json::string(&self.id)));
-        out.push_str(&format!("  \"title\": {},\n", json::string(&self.title)));
-        out.push_str(&format!("  \"scale\": {},\n", json::number(self.scale)));
-        out.push_str(&format!("  \"columns\": {},\n", json::string_array(&self.columns)));
+        out.push_str(&format!("  \"id\": \"{}\",\n", json_str(&self.id)));
+        out.push_str(&format!("  \"title\": \"{}\",\n", json_str(&self.title)));
+        out.push_str(&format!("  \"scale\": {},\n", json_number(self.scale)));
+        out.push_str(&format!("  \"columns\": {},\n", json_string_array(&self.columns)));
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
             let sep = if i + 1 == self.rows.len() { "" } else { "," };
-            out.push_str(&format!("    {}{sep}\n", json::string_array(row)));
+            out.push_str(&format!("    {}{sep}\n", json_string_array(row)));
         }
         out.push_str("  ],\n");
-        out.push_str(&format!("  \"notes\": {}\n", json::string_array(&self.notes)));
+        out.push_str(&format!("  \"notes\": {}\n", json_string_array(&self.notes)));
         out.push_str("}\n");
         out
     }
@@ -157,41 +160,19 @@ impl Figure {
     }
 }
 
-/// Tiny JSON encoding helpers shared by the result writers.
-pub mod json {
-    /// Escapes and quotes a string.
-    pub fn string(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
+/// Formats a finite number (JSON has no NaN/∞ — those become null).
+fn json_number(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "null".to_string()
     }
+}
 
-    /// Formats a finite number (JSON has no NaN/∞ — those become null).
-    pub fn number(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    /// A single-line array of strings.
-    pub fn string_array(items: &[String]) -> String {
-        let inner: Vec<String> = items.iter().map(|s| string(s)).collect();
-        format!("[{}]", inner.join(", "))
-    }
+/// A single-line array of strings.
+fn json_string_array(items: &[String]) -> String {
+    let inner: Vec<String> = items.iter().map(|s| format!("\"{}\"", json_str(s))).collect();
+    format!("[{}]", inner.join(", "))
 }
 
 #[cfg(test)]

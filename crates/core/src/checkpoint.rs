@@ -1,44 +1,40 @@
 //! Checkpoint/rollback recovery for the asynchronous session layer.
 //!
-//! PR 4's [`crate::session::SessionFailurePlan`] covers *transient*
-//! failures: a gmap attempt dies before delivering, and deterministic
-//! re-execution on the same input makes recovery invisible. The failure
-//! mode that machinery cannot absorb is a **node** dying: every
-//! resident attempt *and every async output the node already
-//! delivered* disappears at once, so downstream partitions that
-//! consumed those outputs hold state derived from data that no longer
-//! exists. Recovering from that requires *rollback* — rewinding the
-//! affected partitions to a consistent cut and re-executing forward —
-//! and rollback is only tractable if the session keeps bounded
+//! An [`AttemptFailurePlan`](asyncmr_model::AttemptFailurePlan) covers
+//! *transient* failures: a gmap attempt dies before delivering, and
+//! deterministic re-execution on the same input makes recovery
+//! invisible. The failure mode that machinery cannot absorb is a
+//! **node** dying: every resident attempt *and every async output the
+//! node already delivered* disappears at once, so downstream partitions
+//! that consumed those outputs hold state derived from data that no
+//! longer exists. Recovering from that requires *rollback* — rewinding
+//! the affected partitions to a consistent cut and re-executing forward
+//! — and rollback is only tractable if the session keeps bounded
 //! **history**: checkpoints bound how far the rewind can reach, which
 //! in turn bounds the state and mailbox bytes the session must retain
 //! (the ASYNC observation, arXiv:1907.08526).
 //!
-//! This module holds the policy and injection types and the session's
-//! `Recovery` component (the death budget, verdict epoch, rollback
-//! generations and the contamination closure); the scheduler in
-//! [`crate::session`] applies the rewind set it computes:
+//! The regime is one [`NodeFailurePlan`] (defined in `asyncmr-model`,
+//! shared with the simulated replay), and it carries its own rollback
+//! target: checkpoints every [`NodeFailurePlan::checkpoint_every`]
+//! iterations, so a node death without a checkpoint to return to cannot
+//! be expressed. Checkpoints are **coordinated**: an iteration becomes
+//! a checkpoint the moment the globally-complete frontier reaches it,
+//! so every partition's snapshot sits at the same iteration and
+//! rollback never cascades past the last declared checkpoint (no
+//! uncoordinated-checkpoint domino effect). Partitions map onto virtual
+//! nodes (`partition % virtual_nodes`, the count given beside the plan
+//! to [`crate::session::AsyncFixedPointDriver::with_node_failures`]);
+//! at every frontier advance (an *epoch*) each node draws
+//! [`NodeFailurePlan::dies`] over `(seed, node, epoch)`, capped per node
+//! so sessions always terminate.
 //!
-//! * [`CheckpointPolicy`] — when to snapshot. Checkpoints are
-//!   **coordinated**: an iteration becomes a checkpoint the moment the
-//!   globally-complete frontier reaches it, so every partition's
-//!   snapshot sits at the same iteration and rollback never cascades
-//!   past the last declared checkpoint (no uncoordinated-checkpoint
-//!   domino effect).
-//! * [`NodeFailurePlan`] — deterministic correlated failures, the
-//!   regime the simulated replay shares (defined in `asyncmr-model`).
-//!   Partitions map onto virtual nodes (`partition % virtual_nodes`,
-//!   the count given beside the plan to
-//!   [`crate::session::AsyncFixedPointDriver::with_node_failures`]); at
-//!   every frontier advance (an *epoch*) each node draws a pure
-//!   splitmix64 verdict ([`crate::hash::verdict_unit`]) over
-//!   `(seed, node, epoch)`, capped per node so sessions always
-//!   terminate. Validated once at injection, like
-//!   [`crate::session::SessionFailurePlan`].
-//! * `Recovery` keeps the checkpoint bookkeeping it consults at each
-//!   frontier advance: which iteration is the current rollback target,
-//!   and how many bytes a durable checkpoint store would have written
-//!   ([`crate::session::SessionReport::checkpoint_bytes`]).
+//! This module holds the session's `Recovery` component — the death
+//! budget, verdict epoch, rollback generations, the last declared
+//! checkpoint with the bytes a durable store would have written
+//! ([`crate::session::SessionReport::checkpoint_bytes`]), and the
+//! contamination closure; the scheduler in [`crate::session`] applies
+//! the rewind set it computes.
 //!
 //! The headline contract (pinned by `tests/chaos_session.rs` and the
 //! proptest suite): at `max_lag = 0`, a session run under injected
@@ -49,119 +45,24 @@
 
 use asyncmr_model::NodeFailurePlan;
 
-/// When the session snapshots per-partition delivered state.
-///
-/// Snapshots are declared at frontier advances, so the checkpoint set
-/// is identical for every partition (coordinated checkpointing — see
-/// the [module docs](self)). A checkpoint at iteration `c` preserves
-/// each partition's state *entering* `c`; rollback rewinds affected
-/// partitions to the last declared checkpoint and re-executes forward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointPolicy {
-    /// No checkpoints: history is pruned at the frontier as before, and
-    /// node-failure injection is rejected (nothing to roll back to).
-    #[default]
-    Off,
-    /// Snapshot every `k` completed global iterations (`k ≥ 1`).
-    /// Smaller `k` bounds rollback tighter but writes more checkpoint
-    /// bytes — the `ckpt k` axis of `repro faults`.
-    EveryK(usize),
-}
-
-impl CheckpointPolicy {
-    /// Whether this policy ever declares a checkpoint.
-    pub fn enabled(&self) -> bool {
-        !matches!(self, CheckpointPolicy::Off)
-    }
-
-    /// Panics unless the parameters are in range (`EveryK(k)` needs
-    /// `k ≥ 1`). Called once at the start of
-    /// [`crate::session::AsyncFixedPointDriver::run`], so a
-    /// literally-constructed degenerate policy is rejected before it
-    /// can bias a run.
-    pub fn validate(&self) {
-        if let CheckpointPolicy::EveryK(k) = *self {
-            assert!(k >= 1, "checkpoint interval must be at least 1 iteration");
-        }
-    }
-}
-
-/// Checkpoint bookkeeping for one session run: tracks the last
-/// declared checkpoint (the rollback target and history-retention
-/// floor) and meters what a durable checkpoint store would have
-/// written.
-///
-/// Iteration 0 is always an implicit checkpoint — the initial states
-/// are reconstructible from the input, so it is never billed.
-#[derive(Debug, Clone)]
-struct CheckpointTracker {
-    policy: CheckpointPolicy,
-    /// Last declared checkpoint iteration (rollback target).
-    last: usize,
-    /// Total bytes a durable store would have written.
-    checkpoint_bytes: u64,
-}
-
-impl CheckpointTracker {
-    /// A tracker for `policy`, rooted at the implicit iteration-0
-    /// checkpoint.
-    fn new(policy: CheckpointPolicy) -> Self {
-        CheckpointTracker { policy, last: 0, checkpoint_bytes: 0 }
-    }
-
-    /// Whether checkpoints are ever declared.
-    fn enabled(&self) -> bool {
-        self.policy.enabled()
-    }
-
-    /// The last declared checkpoint iteration — where rollback rewinds
-    /// to, and the floor below which history may be pruned.
-    fn last_checkpoint(&self) -> usize {
-        self.last
-    }
-
-    /// Total bytes a durable checkpoint store would have written.
-    fn checkpoint_bytes(&self) -> u64 {
-        self.checkpoint_bytes
-    }
-
-    /// Reports that the globally-complete frontier advanced to
-    /// `frontier` (every partition has absorbed iteration
-    /// `frontier − 1`, so every state entering `frontier` exists), with
-    /// `snapshot_bytes` the summed size of those states. Returns `true`
-    /// when this advance declares a checkpoint at `frontier`.
-    ///
-    /// Rollback can rewind the frontier and re-advance it over the
-    /// same iterations; re-advances past an already-declared checkpoint
-    /// do not re-declare (or re-bill) it.
-    fn on_frontier_advance(&mut self, frontier: usize, snapshot_bytes: u64) -> bool {
-        if frontier <= self.last {
-            return false; // re-advance over already-checkpointed ground
-        }
-        let declare = match self.policy {
-            CheckpointPolicy::Off => false,
-            CheckpointPolicy::EveryK(k) => frontier.is_multiple_of(k.max(1)),
-        };
-        if declare {
-            self.last = frontier;
-            self.checkpoint_bytes += snapshot_bytes;
-        }
-        declare
-    }
-}
-
 /// The session's recovery component: everything that decides *when* a
-/// node dies and *which* partitions a death rewinds.
+/// node dies, *which* partitions a death rewinds, and *where to*.
 ///
 /// **Invariant:** a partition's generation counts the rollbacks that
 /// rewound it, so a gmap completion carrying an older generation ran on
 /// a state that no longer exists; and each virtual node dies at most
-/// [`NodeFailurePlan::max_node_failures`] times, so a session under
-/// injection terminates.
+/// [`NodeFailurePlan::MAX_DEATHS`] times, so a session under injection
+/// terminates.
 #[derive(Debug)]
 pub(crate) struct Recovery {
-    tracker: CheckpointTracker,
     plan: NodeFailurePlan,
+    /// Last declared checkpoint iteration: the rollback target and the
+    /// state-retention floor. Iteration 0 is an implicit checkpoint —
+    /// the initial states are reconstructible from the input, so it is
+    /// never billed.
+    checkpoint: usize,
+    /// Total bytes a durable checkpoint store would have written.
+    checkpoint_bytes: u64,
     /// Deaths fired per virtual node (the termination budget); one
     /// entry per virtual node, partition `p` residing on
     /// `p % deaths.len()`.
@@ -177,21 +78,20 @@ pub(crate) struct Recovery {
 
 impl Recovery {
     /// Recovery state for `partitions` partitions spread over
-    /// `virtual_nodes` nodes, under already validated `policy` and
-    /// `plan`. Panics if an enabled plan has no node to kill.
-    pub(crate) fn new(
-        policy: CheckpointPolicy,
-        plan: NodeFailurePlan,
-        virtual_nodes: usize,
-        partitions: usize,
-    ) -> Self {
+    /// `virtual_nodes` nodes under `plan`. The session's injection-time
+    /// check: panics if the plan is out of range
+    /// ([`NodeFailurePlan::validate`]) or an enabled plan has no node
+    /// to kill.
+    pub(crate) fn new(plan: NodeFailurePlan, virtual_nodes: usize, partitions: usize) -> Self {
+        plan.validate();
         assert!(
             !plan.enabled() || virtual_nodes >= 1,
             "an enabled plan needs at least one virtual node"
         );
         Recovery {
-            tracker: CheckpointTracker::new(policy),
             plan,
+            checkpoint: 0,
+            checkpoint_bytes: 0,
             deaths: vec![0; virtual_nodes],
             epoch: 0,
             generations: vec![0; partitions],
@@ -210,22 +110,22 @@ impl Recovery {
 
     /// The last declared checkpoint — the rollback target.
     pub(crate) fn checkpoint(&self) -> usize {
-        self.tracker.last_checkpoint()
+        self.checkpoint
     }
 
     /// Total bytes a durable checkpoint store would have written.
     pub(crate) fn checkpoint_bytes(&self) -> u64 {
-        self.tracker.checkpoint_bytes()
+        self.checkpoint_bytes
     }
 
     /// State-retention floor at `frontier`. States below it can never
     /// become the final answer (convergence candidates are ≥ the
-    /// frontier), feed a gmap, or be a rollback target — with
-    /// checkpoints enabled the floor is the last declared checkpoint,
-    /// not the frontier (that retained tail IS the snapshot).
+    /// frontier), feed a gmap, or be a rollback target — under node
+    /// failures the floor is the last declared checkpoint, not the
+    /// frontier (that retained tail IS the snapshot).
     pub(crate) fn state_floor(&self, frontier: usize) -> usize {
-        if self.tracker.enabled() {
-            self.checkpoint()
+        if self.plan.enabled() {
+            self.checkpoint
         } else {
             frontier
         }
@@ -238,26 +138,36 @@ impl Recovery {
     /// re-absorb from there — which needs surviving producers' batches
     /// back to `C − max_lag`, so those outlive the ordinary pruning.
     pub(crate) fn batch_floor(&self, next: usize, max_lag: usize) -> usize {
-        let oldest_absorb = if self.plan.enabled() { next.min(self.checkpoint()) } else { next };
+        let oldest_absorb = if self.plan.enabled() { next.min(self.checkpoint) } else { next };
         oldest_absorb.saturating_sub(max_lag)
     }
 
     /// The frontier advanced to `frontier`, so every state entering it
-    /// exists (`snapshot_bytes` sums them — only asked with checkpoints
-    /// on). Returns the snapshot's bytes when this advance declares a
-    /// coordinated checkpoint at `frontier`.
+    /// exists (`snapshot_bytes` sums them). Returns the snapshot's bytes
+    /// when this advance declares a coordinated checkpoint at
+    /// `frontier`: under node failures, at every multiple of the plan's
+    /// interval. A re-advance over rolled-back ground never re-declares
+    /// (or re-bills) a checkpoint already declared.
     pub(crate) fn on_frontier_advance(
         &mut self,
         frontier: usize,
         snapshot_bytes: impl FnOnce() -> u64,
     ) -> Option<u64> {
-        let bytes = self.tracker.enabled().then(snapshot_bytes)?;
-        self.tracker.on_frontier_advance(frontier, bytes).then_some(bytes)
+        if !self.plan.enabled()
+            || frontier <= self.checkpoint
+            || self.plan.last_checkpoint(frontier) != frontier
+        {
+            return None;
+        }
+        let bytes = snapshot_bytes();
+        self.checkpoint = frontier;
+        self.checkpoint_bytes += bytes;
+        Some(bytes)
     }
 
     /// One node-failure epoch: draws this advance's deterministic
-    /// verdict for every node still within its death budget and
-    /// returns the nodes that died (none, ever, with the plan disabled).
+    /// verdict for every node and returns the nodes that died (none,
+    /// ever, with the plan disabled).
     pub(crate) fn draw_deaths(&mut self) -> Vec<usize> {
         if !self.plan.enabled() {
             return Vec::new();
@@ -266,7 +176,7 @@ impl Recovery {
         self.epoch += 1;
         let mut fired = Vec::new();
         for (n, deaths) in self.deaths.iter_mut().enumerate() {
-            if *deaths < self.plan.max_node_failures && self.plan.node_fails(n, epoch) {
+            if self.plan.dies(n, epoch, *deaths) {
                 *deaths += 1;
                 fired.push(n);
             }
@@ -336,61 +246,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn policy_off_is_default_and_disabled() {
-        assert_eq!(CheckpointPolicy::default(), CheckpointPolicy::Off);
-        assert!(!CheckpointPolicy::Off.enabled());
-        assert!(CheckpointPolicy::EveryK(4).enabled());
-        CheckpointPolicy::Off.validate();
-        CheckpointPolicy::EveryK(1).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpoint interval")]
-    fn zero_interval_is_rejected() {
-        CheckpointPolicy::EveryK(0).validate();
-    }
-
-    #[test]
     fn every_k_declares_on_multiples_and_bills_snapshot_bytes() {
-        let mut t = CheckpointTracker::new(CheckpointPolicy::EveryK(3));
-        assert_eq!(t.last_checkpoint(), 0);
-        assert!(!t.on_frontier_advance(1, 100));
-        assert!(!t.on_frontier_advance(2, 100));
-        assert!(t.on_frontier_advance(3, 100));
-        assert_eq!(t.last_checkpoint(), 3);
-        assert_eq!(t.checkpoint_bytes(), 100);
-        assert!(!t.on_frontier_advance(4, 100));
-        assert!(t.on_frontier_advance(6, 120));
-        assert_eq!(t.checkpoint_bytes(), 220);
+        let mut r = Recovery::new(NodeFailurePlan::correlated(0.1, 0, 3), 1, 1);
+        assert_eq!(r.checkpoint(), 0);
+        assert_eq!(r.on_frontier_advance(1, || 100), None);
+        assert_eq!(
+            r.on_frontier_advance(2, || unreachable!("only a declaration is snapshotted")),
+            None
+        );
+        assert_eq!(r.on_frontier_advance(3, || 100), Some(100));
+        assert_eq!(r.checkpoint(), 3);
+        assert_eq!(r.checkpoint_bytes(), 100);
+        assert_eq!(r.on_frontier_advance(4, || 100), None);
+        assert_eq!(r.on_frontier_advance(6, || 120), Some(120));
+        assert_eq!(r.checkpoint_bytes(), 220);
     }
 
     #[test]
     fn re_advances_after_rollback_do_not_double_bill() {
-        let mut t = CheckpointTracker::new(CheckpointPolicy::EveryK(2));
-        assert!(t.on_frontier_advance(2, 50));
+        let mut r = Recovery::new(NodeFailurePlan::correlated(0.1, 0, 2), 1, 1);
+        assert_eq!(r.on_frontier_advance(2, || 50), Some(50));
         // Rollback rewound the frontier to 2; it re-advances over 2
         // without re-declaring, then declares fresh at 4.
-        assert!(!t.on_frontier_advance(2, 50));
-        assert!(!t.on_frontier_advance(3, 50));
-        assert!(t.on_frontier_advance(4, 50));
-        assert_eq!(t.last_checkpoint(), 4);
-        assert_eq!(t.checkpoint_bytes(), 100);
+        assert_eq!(r.on_frontier_advance(2, || 50), None);
+        assert_eq!(r.on_frontier_advance(3, || 50), None);
+        assert_eq!(r.on_frontier_advance(4, || 50), Some(50));
+        assert_eq!(r.checkpoint(), 4);
+        assert_eq!(r.checkpoint_bytes(), 100);
     }
 
     #[test]
     fn off_policy_never_declares() {
-        let mut t = CheckpointTracker::new(CheckpointPolicy::Off);
+        // Without node failures there is nothing to roll back to, so no
+        // advance is a checkpoint and none is snapshotted.
+        let mut r = Recovery::new(NodeFailurePlan::none(), 8, 4);
         for f in 1..50 {
-            assert!(!t.on_frontier_advance(f, 1 << 20));
+            assert_eq!(r.on_frontier_advance(f, || unreachable!("nothing is snapshotted")), None);
         }
-        assert_eq!(t.last_checkpoint(), 0);
-        assert_eq!(t.checkpoint_bytes(), 0);
+        assert_eq!(r.checkpoint(), 0);
+        assert_eq!(r.checkpoint_bytes(), 0);
     }
 
     #[test]
     fn node_plan_maps_partitions_to_virtual_nodes() {
-        let plan = NodeFailurePlan::correlated(0.1, 0);
-        let recovery = Recovery::new(CheckpointPolicy::EveryK(1), plan, 3, 6);
+        let recovery = Recovery::new(NodeFailurePlan::correlated(0.1, 0, 1), 3, 6);
         assert_eq!(recovery.node_of(0), 0);
         assert_eq!(recovery.node_of(4), 1);
         assert_eq!(recovery.node_of(5), 2);
@@ -402,11 +301,11 @@ mod tests {
         // `verdict_unit(seed, [node, epoch]) < prob`, bit for bit — the
         // formula the pinned chaos seeds and replay goldens rest on.
         for seed in [0u64, 42, 1007] {
-            let plan = NodeFailurePlan::correlated(0.3, seed);
+            let plan = NodeFailurePlan::correlated(0.3, seed, 1);
             for node in 0..6usize {
                 for epoch in 0..20u64 {
                     assert_eq!(
-                        plan.node_fails(node, epoch),
+                        plan.dies(node, epoch, 0),
                         crate::hash::verdict_unit(seed, &[node as u64, epoch]) < 0.3,
                     );
                 }
@@ -418,8 +317,7 @@ mod tests {
     /// predecessor in its only slot), one virtual node per partition.
     fn chain() -> (Vec<Vec<(usize, usize)>>, Recovery) {
         let consumers = vec![vec![(1, 0)], vec![(2, 0)], vec![(3, 0)], vec![]];
-        let plan = NodeFailurePlan::correlated(0.5, 0);
-        let mut recovery = Recovery::new(CheckpointPolicy::EveryK(2), plan, 4, 4);
+        let mut recovery = Recovery::new(NodeFailurePlan::correlated(0.5, 0, 2), 4, 4);
         assert_eq!(recovery.on_frontier_advance(1, || 40), None);
         assert_eq!(recovery.on_frontier_advance(2, || 40), Some(40), "checkpoint C = 2");
         (consumers, recovery)
@@ -468,29 +366,38 @@ mod tests {
         // Absorbing 8 at cap 1 needs sources ≥ 7, but a rewind to C = 2
         // re-absorbs from there and needs sources ≥ C − cap = 1.
         assert_eq!(recovery.batch_floor(8, 1), 1);
-        let off = Recovery::new(CheckpointPolicy::Off, NodeFailurePlan::none(), 8, 4);
+        let off = Recovery::new(NodeFailurePlan::none(), 8, 4);
         assert_eq!((off.state_floor(7), off.batch_floor(8, 1)), (7, 7));
     }
 
     #[test]
     fn deaths_respect_the_per_node_budget() {
-        let plan = NodeFailurePlan { node_failure_prob: 0.9, max_node_failures: 3, seed: 4 };
-        let mut recovery = Recovery::new(CheckpointPolicy::EveryK(1), plan, 2, 2);
+        let mut recovery = Recovery::new(NodeFailurePlan::correlated(0.9, 4, 1), 2, 2);
         let mut deaths = [0u32; 2];
         for _ in 0..200 {
             for n in recovery.draw_deaths() {
                 deaths[n] += 1;
             }
         }
-        assert_eq!(deaths, [3, 3], "0.9 per epoch exhausts both budgets and then stops");
-        let mut off = Recovery::new(CheckpointPolicy::Off, NodeFailurePlan::none(), 8, 2);
+        let budget = NodeFailurePlan::MAX_DEATHS;
+        assert_eq!(deaths, [budget; 2], "0.9 per epoch exhausts both budgets and then stops");
+        let mut off = Recovery::new(NodeFailurePlan::none(), 8, 2);
         assert!(off.draw_deaths().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint interval")]
+    fn zero_interval_is_rejected() {
+        // The field is pub, so `correlated`'s check can be bypassed;
+        // injection must catch it before `is_multiple_of(0)` can.
+        let plan =
+            NodeFailurePlan { checkpoint_every: 0, ..NodeFailurePlan::correlated(0.1, 0, 1) };
+        let _ = Recovery::new(plan, 1, 1);
     }
 
     #[test]
     #[should_panic(expected = "virtual node")]
     fn zero_nodes_is_rejected_when_enabled() {
-        let plan = NodeFailurePlan::correlated(0.1, 0);
-        let _ = Recovery::new(CheckpointPolicy::EveryK(1), plan, 0, 4);
+        let _ = Recovery::new(NodeFailurePlan::correlated(0.1, 0, 1), 0, 4);
     }
 }

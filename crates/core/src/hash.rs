@@ -4,13 +4,14 @@
 //! `std::collections::HashMap`'s default hasher is seeded per process,
 //! so `hash(key) % reducers` would route keys differently on every run
 //! — fatal for reproducible figures. This FNV-1a implementation is
-//! deterministic across runs and platforms, and fast on the short keys
-//! (node ids, centroid ids) the applications shuffle.
+//! deterministic across runs and platforms — integers hash their
+//! little-endian bytes, and `usize` hashes as a `u64` — and fast on the
+//! short keys (node ids, centroid ids) the applications shuffle.
 //!
 //! The module also re-exports the **splitmix64 verdict hashing** every
 //! failure injector shares ([`asyncmr_model::failure`] holds the one
 //! implementation): whether a gmap attempt dies
-//! ([`crate::session::SessionFailurePlan`]), or a node dies at an epoch
+//! ([`crate::AttemptFailurePlan`]), or a node dies at an epoch
 //! ([`crate::NodeFailurePlan`], in-process and simulated alike), is
 //! `verdict_unit(seed, &[...]) < prob` — a pure function of its
 //! inputs, so injected patterns are reproducible under any thread
@@ -48,6 +49,33 @@ impl Hasher for StableHasher {
         }
         self.0 = h;
     }
+
+    // The defaults hash native-endian bytes, and `usize` at the
+    // platform's width; the signed writes delegate to these.
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.write(&i.to_le_bytes());
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.write(&i.to_le_bytes());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.write(&i.to_le_bytes());
+    }
+
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.write(&i.to_le_bytes());
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
 }
 
 /// `BuildHasher` for [`StableHasher`]-backed maps.
@@ -76,9 +104,19 @@ mod tests {
 
     #[test]
     fn hash_is_stable() {
-        // Golden values pin cross-run and cross-platform stability.
-        assert_eq!(stable_hash(&42u32), stable_hash(&42u32));
+        // Golden values pin cross-run and cross-platform stability: this
+        // module's FNV-1a constants over little-endian integer bytes, a
+        // `usize` as a `u64`, and a string's bytes plus its 0xff
+        // terminator.
+        assert_eq!(stable_hash(&42u32), 0xe3a7_d9c8_352f_df7f);
+        assert_eq!(stable_hash(&42u64), 0x0ac6_b56b_3789_daef);
+        assert_eq!(stable_hash(&42usize), stable_hash(&42u64));
+        assert_eq!(stable_hash(&String::from("pagerank")), 0x528d_7871_c998_1b5d);
         assert_ne!(stable_hash(&42u32), stable_hash(&43u32));
+        let routed: Vec<usize> =
+            [0u32, 1, 7, 42, 1000].iter().map(|k| reducer_for(k, 16)).collect();
+        assert_eq!(routed, [5, 4, 2, 15, 12]);
+        assert_eq!(reducer_for(&String::from("pagerank"), 16), 13);
     }
 
     #[test]
@@ -120,8 +158,9 @@ mod tests {
     #[test]
     fn verdict_unit_matches_the_attempt_verdict_formula() {
         // The extraction contract: verdict_unit(seed, [p, i, a]) must
-        // reproduce the inline hash SessionFailurePlan historically
-        // computed, so chaos seeds pinned in tests and CI keep firing
+        // reproduce the inline hash the session's attempt verdict
+        // historically computed, so chaos seeds pinned in tests and CI
+        // keep firing
         // the same patterns.
         for (seed, p, i, a) in [(42u64, 3u64, 7u64, 1u64), (1007, 0, 0, 0), (7, 12, 99, 3)] {
             let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;

@@ -95,8 +95,7 @@ pub mod session;
 pub mod shuffle;
 pub mod traits;
 
-pub use asyncmr_model::NodeFailurePlan;
-pub use checkpoint::CheckpointPolicy;
+pub use asyncmr_model::{AttemptFailurePlan, NodeFailurePlan};
 pub use driver::{FixedPointDriver, IterationReport, StepStatus};
 pub use emitter::{Emitter, MapContext, ReduceContext, TaskMeter};
 pub use engine::{Engine, JobMeter, JobOptions, JobResult, JobReuse, PlanUse};
@@ -106,14 +105,13 @@ pub use obs::SpanRecorder;
 pub use plan::{ScratchArena, StageTimings};
 pub use session::{
     Absorbed, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput, Outbox,
-    SessionFailurePlan, SessionOutcome, SessionReport,
+    SessionOutcome, SessionReport,
 };
 pub use shuffle::{GroupPlan, GroupView, Grouped, GroupingStrategy, ShuffleScratch};
 pub use traits::{Combiner, Mapper, Reducer};
 
 /// Glob import for application code.
 pub mod prelude {
-    pub use crate::checkpoint::CheckpointPolicy;
     pub use crate::driver::{FixedPointDriver, IterationReport, StepStatus};
     pub use crate::emitter::{MapContext, ReduceContext};
     pub use crate::engine::{Engine, JobOptions, JobResult};
@@ -123,9 +121,9 @@ pub mod prelude {
     };
     pub use crate::session::{
         Absorbed, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput, Outbox,
-        SessionFailurePlan, SessionOutcome, SessionReport,
+        SessionOutcome, SessionReport,
     };
     pub use crate::shuffle::GroupingStrategy;
     pub use crate::traits::{Combiner, Mapper, Reducer};
-    pub use asyncmr_model::NodeFailurePlan;
+    pub use asyncmr_model::{AttemptFailurePlan, NodeFailurePlan};
 }

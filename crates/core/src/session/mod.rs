@@ -57,7 +57,7 @@
 //! |---|---|---|---|
 //! | `topology::Topology` | `consumers` is the inverse of `deps`, each entry carrying the producer's mailbox *slot* — delivery and rollback never search | nothing (immutable, built once, shared by `&`) | [`AsyncIterative::dependencies`] |
 //! | `store::Store` | held bytes = Σ retained states + Σ mailbox batches, with its high-water mark; the only code that moves a state, a batch, or a pooled buffer | `&Topology` | — (feeds [`SessionReport::peak_state_bytes`]) |
-//! | `checkpoint::Recovery` | per-node death budget, verdict epoch, per-partition rollback generations; the contamination closure is a pure function of the consumers table + consumption log | the consumers table and the consumption log, as plain slices (read-only; `checkpoint` imports nothing from `session`) | [`AsyncFixedPointDriver::checkpoints`], [`AsyncFixedPointDriver::node_failures`], [`AsyncFixedPointDriver::virtual_nodes`] |
+//! | `checkpoint::Recovery` | per-node death budget, verdict epoch, per-partition rollback generations, the last declared checkpoint; the contamination closure is a pure function of the consumers table + consumption log | the consumers table and the consumption log, as plain slices (read-only; `checkpoint` imports nothing from `session`) | [`AsyncFixedPointDriver::node_failures`], [`AsyncFixedPointDriver::virtual_nodes`] |
 //! | `meter::SessionMeter` | each per-iteration record = Σ of the per-partition records logged for it; rollback unwinds exactly (checked, never clamped) | nothing | — (feeds [`SessionReport`]) |
 //! | `obs::SessionObs` | every call is a no-op on an untraced run; one definition of the scheduler-lane span | nothing | [`AsyncFixedPointDriver::trace`] |
 //!
@@ -85,13 +85,15 @@
 //!
 //! The paper's §VI argument is that MapReduce's deterministic-replay
 //! recovery *carries over* to partial synchronization. The session
-//! reproduces it in-process: a [`SessionFailurePlan`] kills individual
-//! gmap *attempts* (each attempt's fate is a pure function of
-//! `(seed, partition, iteration, attempt)`, so chaos runs are
+//! reproduces it in-process: an [`AttemptFailurePlan`] — the one the
+//! simulated replay injects from — kills individual gmap *attempts*
+//! (each attempt's fate is a pure function of
+//! `(seed, partition, iteration, attempt)`, the seed given beside the
+//! plan to [`AsyncFixedPointDriver::with_failures`], so chaos runs are
 //! reproducible regardless of thread interleaving), and the driver's
 //! attempt-tracking layer re-executes the task — on the *same*
 //! immutable input state `Arc` — up to
-//! [`SessionFailurePlan::max_attempts`].
+//! [`AttemptFailurePlan::MAX_ATTEMPTS`] times.
 //!
 //! The invalidation rule is structural: message delivery is **atomic**
 //! (a completed gmap delivers its whole outbox in one scheduler step,
@@ -121,12 +123,13 @@
 //! derived from data that no longer exists, and the session must
 //! perform real **rollback** rather than re-execution:
 //!
-//! 1. **Checkpoints** ([`crate::checkpoint::CheckpointPolicy`], every
-//!    `k` iterations) are declared at frontier
-//!    advances, so they are *coordinated*: the same iteration for every
-//!    partition. The retained history `Arc`s at the checkpoint
-//!    iteration are the snapshot; what a durable store would write is
-//!    metered into [`SessionReport::checkpoint_bytes`].
+//! 1. **Checkpoints** (every [`NodeFailurePlan::checkpoint_every`]
+//!    iterations — the node plan carries its rollback target) are
+//!    declared at frontier advances, so they are *coordinated*: the
+//!    same iteration for every partition. The retained history `Arc`s
+//!    at the checkpoint iteration are the snapshot; what a durable
+//!    store would write is metered into
+//!    [`SessionReport::checkpoint_bytes`].
 //! 2. **Node death** is evaluated once per frontier advance (an
 //!    *epoch*) with a pure `(seed, node, epoch)` verdict, capped per
 //!    node so sessions terminate. The dead node's partitions rewind to
@@ -162,87 +165,13 @@ mod topology;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use asyncmr_model::{AsyncTaskSpec, NodeFailurePlan, SessionTrace};
+use asyncmr_model::{AsyncTaskSpec, AttemptFailurePlan, NodeFailurePlan, SessionTrace};
 use asyncmr_runtime::{PoolMetrics, ThreadPool};
 
-use crate::checkpoint::CheckpointPolicy;
 use crate::hash::verdict_unit;
 use crate::obs::SpanRecorder;
 use sched::{run_attempt, Session};
 use topology::Topology;
-
-/// Transient-failure injection for in-process sessions, mirroring
-/// `asyncmr_simcluster::FailurePlan` for the simulated cluster: each
-/// gmap *attempt* fails independently with a configured probability and
-/// is re-executed up to `max_attempts`.
-///
-/// Whether attempt `a` of partition `p` at iteration `i` fails is a
-/// pure function of `(seed, p, i, a)` (a splitmix64-style hash, not a
-/// shared sequential RNG), so an injected failure pattern is
-/// reproducible no matter how pool threads interleave — the property
-/// the chaos tests rely on. Like Hadoop's re-execution budget (and the
-/// simulator), the *last* admissible attempt never fails, so a session
-/// under injection always terminates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SessionFailurePlan {
-    /// Probability that any single gmap attempt fails, in `[0, 1)`.
-    pub attempt_failure_prob: f64,
-    /// Attempts before a task would be declared failed (Hadoop's
-    /// `mapred.map.max.attempts` default of 4). Must be ≥ 1.
-    pub max_attempts: u32,
-    /// Seed for the per-attempt failure decision.
-    pub seed: u64,
-}
-
-impl SessionFailurePlan {
-    /// No injected failures (the default).
-    pub fn none() -> Self {
-        SessionFailurePlan { attempt_failure_prob: 0.0, max_attempts: 4, seed: 0 }
-    }
-
-    /// A transient-failure regime: `prob` per attempt, Hadoop's default
-    /// attempt budget, failures drawn from `seed`.
-    pub fn transient(prob: f64, seed: u64) -> Self {
-        let plan = SessionFailurePlan { attempt_failure_prob: prob, max_attempts: 4, seed };
-        plan.validate();
-        plan
-    }
-
-    /// Whether this plan can ever fail an attempt.
-    pub fn enabled(&self) -> bool {
-        self.attempt_failure_prob > 0.0
-    }
-
-    /// Panics unless the fields are in range (`prob ∈ [0, 1)`,
-    /// `max_attempts ≥ 1`). The driver calls this once at injection
-    /// time, so a plan constructed literally with out-of-range fields
-    /// is rejected before it can bias a run.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.attempt_failure_prob),
-            "session failure probability must be in [0, 1), got {}",
-            self.attempt_failure_prob
-        );
-        assert!(self.max_attempts >= 1, "max_attempts must be at least 1");
-    }
-
-    /// The deterministic per-attempt verdict (see the type docs), a
-    /// [`crate::hash::verdict_unit`] draw over
-    /// `(seed, p, iteration, attempt)`.
-    fn attempt_fails(&self, p: usize, iteration: usize, attempt: u32) -> bool {
-        if !self.enabled() || attempt + 1 >= self.max_attempts {
-            return false;
-        }
-        verdict_unit(self.seed, &[p as u64, iteration as u64, u64::from(attempt)])
-            < self.attempt_failure_prob
-    }
-}
-
-impl Default for SessionFailurePlan {
-    fn default() -> Self {
-        SessionFailurePlan::none()
-    }
-}
 
 /// Which partitions' outputs a partition consumes each iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -474,16 +403,14 @@ pub struct SessionReport {
     /// Injected gmap attempts that died before delivering —
     /// transient deaths re-executed by the attempt-tracking layer,
     /// plus in-flight attempts orphaned by a node-failure rollback
-    /// (0 without a [`SessionFailurePlan`] or
-    /// [`crate::NodeFailurePlan`]).
+    /// (0 without an [`AttemptFailurePlan`] or a [`NodeFailurePlan`]).
     pub failed_attempts: usize,
     /// Wall-clock burned by failed attempts before they died (wasted
     /// gmap-seconds from transient failures and orphaned attempts).
     pub failed_attempt_time: Duration,
     /// Injected node-failure events (each fired node death triggers
     /// one rollback of its resident partitions and their transitive
-    /// dependents; 0 without a
-    /// [`crate::NodeFailurePlan`]).
+    /// dependents; 0 without a [`NodeFailurePlan`]).
     pub rollbacks: usize,
     /// Absorbed iterations undone by rollbacks, summed over affected
     /// partitions — the re-execution debt node failures created. How
@@ -493,8 +420,8 @@ pub struct SessionReport {
     pub rolled_back_iterations: usize,
     /// Bytes a durable checkpoint store would have written over the
     /// run (declared snapshots × per-partition
-    /// [`AsyncIterative::state_bytes`]); 0 with
-    /// [`crate::checkpoint::CheckpointPolicy::Off`].
+    /// [`AsyncIterative::state_bytes`]); 0 without a
+    /// [`NodeFailurePlan`].
     pub checkpoint_bytes: u64,
     /// High-water mark of bytes the session held at once: state
     /// history (all retained iterations, all partitions) plus mailbox
@@ -583,16 +510,16 @@ pub struct AsyncFixedPointDriver {
     /// the barrier driver.
     pub max_lag: usize,
     /// Transient-failure injection (defaults to
-    /// [`SessionFailurePlan::none`]). Validated once at the start of
+    /// [`AttemptFailurePlan::none`]). Validated once at the start of
     /// [`AsyncFixedPointDriver::run`].
-    pub failures: SessionFailurePlan,
-    /// Checkpoint policy (defaults to
-    /// [`CheckpointPolicy::Off`]). Required (and validated) when node
-    /// failures are injected — rollback needs a target.
-    pub checkpoints: CheckpointPolicy,
-    /// Correlated node-failure injection (defaults to
-    /// [`NodeFailurePlan::none`]). Validated once at the start of
-    /// [`AsyncFixedPointDriver::run`].
+    pub failures: AttemptFailurePlan,
+    /// Seed of the per-attempt verdict
+    /// `verdict_unit(attempt_seed, [p, iteration, attempt])`.
+    pub attempt_seed: u64,
+    /// Correlated node-failure injection, with the checkpoint interval
+    /// rollback rewinds to (defaults to [`NodeFailurePlan::none`]:
+    /// no deaths, no checkpoints). Validated once when
+    /// [`AsyncFixedPointDriver::run`] starts its session.
     pub node_failures: NodeFailurePlan,
     /// Virtual nodes the partitions are spread over for node-failure
     /// injection (`partition % virtual_nodes`; defaults to 8, the
@@ -612,8 +539,8 @@ impl Default for AsyncFixedPointDriver {
         AsyncFixedPointDriver {
             max_iterations: 1_000,
             max_lag: 0,
-            failures: SessionFailurePlan::none(),
-            checkpoints: CheckpointPolicy::Off,
+            failures: AttemptFailurePlan::none(),
+            attempt_seed: 0,
             node_failures: NodeFailurePlan::none(),
             virtual_nodes: 8,
             trace: false,
@@ -637,35 +564,36 @@ impl AsyncFixedPointDriver {
     /// Enables transient-failure injection (see the
     /// [module docs](self): failed attempts deliver nothing and are
     /// re-executed deterministically, so converged results are
-    /// unchanged).
-    pub fn with_failures(mut self, failures: SessionFailurePlan) -> Self {
-        self.failures = failures;
-        self
-    }
-
-    /// Sets the checkpoint policy (see the
-    /// [module docs](self#checkpointrollback-correlated-node-failures)):
-    /// state history is retained back to the last declared checkpoint
-    /// and the snapshot bytes are metered. Results are unaffected —
-    /// checkpoints only bound how far a node-failure rollback rewinds.
-    pub fn with_checkpoints(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoints = policy;
+    /// unchanged). `plan` is the regime a simulated replay shares;
+    /// `seed` drives this session's per-attempt verdicts.
+    pub fn with_failures(mut self, plan: AttemptFailurePlan, seed: u64) -> Self {
+        self.failures = plan;
+        self.attempt_seed = seed;
         self
     }
 
     /// Enables correlated node-failure injection (see the
     /// [module docs](self#checkpointrollback-correlated-node-failures)):
-    /// `plan` is the regime a simulated replay shares, `virtual_nodes`
-    /// how many nodes this session spreads its partitions over
-    /// (`partition % virtual_nodes`). Requires a checkpoint policy
-    /// ([`AsyncFixedPointDriver::with_checkpoints`]) — enforced at the
-    /// start of [`AsyncFixedPointDriver::run`]. Converged results stay
-    /// byte-identical at `max_lag = 0`; only the rollback/wasted-work
-    /// accounting and wall-clock change.
+    /// `plan` is the regime a simulated replay shares, checkpoint
+    /// interval included; `virtual_nodes` how many nodes this session
+    /// spreads its partitions over (`partition % virtual_nodes`). State
+    /// history is retained back to the last declared checkpoint and the
+    /// snapshot bytes are metered. Converged results stay byte-identical
+    /// at `max_lag = 0`; only the rollback/wasted-work accounting and
+    /// wall-clock change.
     pub fn with_node_failures(mut self, plan: NodeFailurePlan, virtual_nodes: usize) -> Self {
         self.node_failures = plan;
         self.virtual_nodes = virtual_nodes;
         self
+    }
+
+    /// Whether attempt `attempt` of partition `p`'s gmap at `iteration`
+    /// dies: the plan's rule over the pure verdict
+    /// `verdict_unit(attempt_seed, [p, iteration, attempt])`.
+    fn attempt_dies(&self, p: usize, iteration: usize, attempt: u32) -> bool {
+        self.failures.dies(attempt, || {
+            verdict_unit(self.attempt_seed, &[p as u64, iteration as u64, u64::from(attempt)])
+        })
     }
 
     /// Enables per-attempt span recording for this run (see
@@ -687,14 +615,9 @@ impl AsyncFixedPointDriver {
         let started = Instant::now();
         let pool_before = pool.metrics();
         // Injection-time validation: a plan assembled literally with
-        // out-of-range fields is rejected here, before any scheduling.
+        // out-of-range fields is rejected before any scheduling (the
+        // node plan by `Recovery::new`, which owns it).
         self.failures.validate();
-        self.checkpoints.validate();
-        self.node_failures.validate();
-        assert!(
-            !self.node_failures.enabled() || self.checkpoints.enabled(),
-            "node-failure injection requires a checkpoint policy (nothing to roll back to)"
-        );
         let topo = Topology::of(algo);
         // The recorder exists only on traced runs: untraced runs take
         // no per-attempt branches beyond one `Option` test. An empty
@@ -709,7 +632,7 @@ impl AsyncFixedPointDriver {
             (0..topo.partitions()).filter_map(|p| Some((p, sess.make_launch(p)?))).collect();
         pool.par_multiwave(
             initial,
-            |_id, launch| run_attempt(algo, &self.failures, recorder.as_deref(), launch),
+            |_id, launch| run_attempt(algo, self, recorder.as_deref(), launch),
             |_id, done, wave| sess.complete(done, wave),
         );
         // Stop observing parks before draining, so the trace's park
@@ -964,7 +887,7 @@ mod tests {
         let p = pool();
         let clean = AsyncFixedPointDriver::new(500).run(&p, &algo);
         let faulty = AsyncFixedPointDriver::new(500)
-            .with_failures(SessionFailurePlan::transient(0.3, 42))
+            .with_failures(AttemptFailurePlan::transient(0.3), 42)
             .run(&p, &algo);
         assert!(faulty.report.failed_attempts > 0, "0.3/attempt over this many tasks must fire");
         assert_eq!(
@@ -986,10 +909,10 @@ mod tests {
         let p = pool();
         let clean = AsyncFixedPointDriver::new(300).run(&p, &algo);
         let faulty = AsyncFixedPointDriver::new(300)
-            .with_failures(SessionFailurePlan::transient(0.99, 3))
+            .with_failures(AttemptFailurePlan::transient(0.99), 3)
             .run(&p, &algo);
         assert!(faulty.report.converged);
-        // Roughly max_attempts − 1 failures per task at p = 0.99.
+        // Roughly MAX_ATTEMPTS − 1 failures per task at p = 0.99.
         assert!(
             faulty.report.failed_attempts > faulty.report.gmap_tasks,
             "expected ≈3 failures per task, got {} over {} tasks",
@@ -1003,27 +926,30 @@ mod tests {
 
     #[test]
     fn failure_decision_is_deterministic_and_spares_the_last_attempt() {
-        let plan = SessionFailurePlan::transient(0.9, 7);
+        let driver =
+            AsyncFixedPointDriver::new(1).with_failures(AttemptFailurePlan::transient(0.9), 7);
+        let budget = AttemptFailurePlan::MAX_ATTEMPTS;
         let mut fired = 0;
         for p in 0..4 {
             for i in 0..10 {
-                for a in 0..plan.max_attempts {
+                for a in 0..budget {
+                    let dies = driver.attempt_dies(p, i, a);
                     assert_eq!(
-                        plan.attempt_fails(p, i, a),
-                        plan.attempt_fails(p, i, a),
+                        dies,
+                        a + 1 < budget
+                            && verdict_unit(7, &[p as u64, i as u64, u64::from(a)]) < 0.9,
                         "verdict must be a pure function of (seed, p, iter, attempt)"
                     );
-                    if a + 1 >= plan.max_attempts {
-                        assert!(!plan.attempt_fails(p, i, a), "last attempt must succeed");
-                    } else if plan.attempt_fails(p, i, a) {
+                    if a + 1 >= budget {
+                        assert!(!dies, "last attempt must succeed");
+                    } else if dies {
                         fired += 1;
                     }
                 }
             }
         }
         assert!(fired > 0, "0.9/attempt must fire somewhere in 120 draws");
-        assert!(!SessionFailurePlan::none().enabled());
-        assert!(!SessionFailurePlan::none().attempt_fails(0, 0, 0));
+        assert!(!AsyncFixedPointDriver::new(1).attempt_dies(0, 0, 0));
     }
 
     #[test]
@@ -1031,9 +957,9 @@ mod tests {
     fn literally_constructed_out_of_range_plan_is_rejected_at_injection() {
         // The fields are `pub`, so `transient`'s range check can be
         // bypassed; `run` validates once at injection time instead.
-        let plan = SessionFailurePlan { attempt_failure_prob: 1.5, max_attempts: 4, seed: 0 };
+        let plan = AttemptFailurePlan { attempt_failure_prob: 1.5 };
         let algo = Ring::new(3, 1e-6, true);
-        let _ = AsyncFixedPointDriver::new(10).with_failures(plan).run(&pool(), &algo);
+        let _ = AsyncFixedPointDriver::new(10).with_failures(plan, 0).run(&pool(), &algo);
     }
 
     #[test]
@@ -1043,7 +969,7 @@ mod tests {
         let exact = AsyncFixedPointDriver::new(2_000).run(&p, &algo);
         let faulty = AsyncFixedPointDriver::new(2_000)
             .with_max_lag(2)
-            .with_failures(SessionFailurePlan::transient(0.2, 11))
+            .with_failures(AttemptFailurePlan::transient(0.2), 11)
             .run(&p, &algo);
         assert!(exact.report.converged && faulty.report.converged);
         for (x, y) in exact.states.iter().zip(&faulty.states) {
@@ -1059,15 +985,16 @@ mod tests {
         let algo = Ring::new(8, 1e-10, true);
         let p = pool();
         let plain = AsyncFixedPointDriver::new(500).run(&p, &algo);
+        // A node plan that never fires still checkpoints every 2.
         let ckpt = AsyncFixedPointDriver::new(500)
-            .with_checkpoints(CheckpointPolicy::EveryK(2))
+            .with_node_failures(NodeFailurePlan::correlated(1e-12, 0, 2), 8)
             .run(&p, &algo);
         assert_eq!(plain.report.global_iterations, ckpt.report.global_iterations);
         for (x, y) in plain.states.iter().zip(&ckpt.states) {
             assert_eq!(x.to_bits(), y.to_bits(), "checkpointing must not touch results");
         }
         assert_eq!(plain.report.checkpoint_bytes, 0);
-        assert_eq!(plain.report.rollbacks, 0);
+        assert_eq!((plain.report.rollbacks, ckpt.report.rollbacks), (0, 0));
         // Ring state is one f64: every-2 checkpoints over n iterations
         // write ~n/2 × 8 × 8 bytes.
         let iters = ckpt.report.global_iterations as u64;
@@ -1088,8 +1015,7 @@ mod tests {
         let p = pool();
         let clean = AsyncFixedPointDriver::new(500).run(&p, &algo);
         let faulty = AsyncFixedPointDriver::new(500)
-            .with_checkpoints(CheckpointPolicy::EveryK(2))
-            .with_node_failures(NodeFailurePlan::correlated(0.2, 42), 3)
+            .with_node_failures(NodeFailurePlan::correlated(0.2, 42, 2), 3)
             .run(&p, &algo);
         assert!(faulty.report.rollbacks > 0, "0.2/(node, epoch) must fire");
         assert!(
@@ -1114,9 +1040,8 @@ mod tests {
         let p = pool();
         let clean = AsyncFixedPointDriver::new(400).run(&p, &algo);
         let faulty = AsyncFixedPointDriver::new(400)
-            .with_failures(SessionFailurePlan::transient(0.2, 5))
-            .with_checkpoints(CheckpointPolicy::EveryK(1))
-            .with_node_failures(NodeFailurePlan::correlated(0.15, 11), 2)
+            .with_failures(AttemptFailurePlan::transient(0.2), 5)
+            .with_node_failures(NodeFailurePlan::correlated(0.15, 11, 1), 2)
             .run(&p, &algo);
         assert!(faulty.report.failed_attempts > 0);
         assert!(faulty.report.rollbacks > 0);
@@ -1133,8 +1058,7 @@ mod tests {
         let exact = AsyncFixedPointDriver::new(2_000).run(&p, &algo);
         let faulty = AsyncFixedPointDriver::new(2_000)
             .with_max_lag(2)
-            .with_checkpoints(CheckpointPolicy::EveryK(4))
-            .with_node_failures(NodeFailurePlan::correlated(0.15, 9), 3)
+            .with_node_failures(NodeFailurePlan::correlated(0.15, 9, 4), 3)
             .run(&p, &algo);
         assert!(exact.report.converged && faulty.report.converged);
         for (x, y) in exact.states.iter().zip(&faulty.states) {
@@ -1150,25 +1074,15 @@ mod tests {
         let algo = Ring::new(6, 1e-8, true);
         let p = pool();
         let clean = AsyncFixedPointDriver::new(300).run(&p, &algo);
-        let plan = NodeFailurePlan { node_failure_prob: 0.9, max_node_failures: 3, seed: 4 };
         let faulty = AsyncFixedPointDriver::new(300)
-            .with_checkpoints(CheckpointPolicy::EveryK(1))
-            .with_node_failures(plan, 2)
+            .with_node_failures(NodeFailurePlan::correlated(0.9, 4, 1), 2)
             .run(&p, &algo);
         assert!(faulty.report.converged, "the per-node budget must guarantee termination");
-        assert!(faulty.report.rollbacks <= 2 * 3, "budget: ≤ max_node_failures per node");
+        let budget = NodeFailurePlan::MAX_DEATHS as usize;
+        assert!(faulty.report.rollbacks <= 2 * budget, "budget: ≤ MAX_DEATHS per node");
         for (x, y) in clean.states.iter().zip(&faulty.states) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a checkpoint policy")]
-    fn node_failures_without_checkpoints_are_rejected() {
-        let algo = Ring::new(3, 1e-6, true);
-        let _ = AsyncFixedPointDriver::new(10)
-            .with_node_failures(NodeFailurePlan::correlated(0.1, 0), 2)
-            .run(&pool(), &algo);
     }
 
     #[test]
@@ -1176,17 +1090,14 @@ mod tests {
     fn literally_constructed_node_plan_is_rejected_at_injection() {
         let plan = NodeFailurePlan { node_failure_prob: 2.0, ..NodeFailurePlan::none() };
         let algo = Ring::new(3, 1e-6, true);
-        let _ = AsyncFixedPointDriver::new(10)
-            .with_checkpoints(CheckpointPolicy::EveryK(1))
-            .with_node_failures(plan, 8)
-            .run(&pool(), &algo);
+        let _ = AsyncFixedPointDriver::new(10).with_node_failures(plan, 8).run(&pool(), &algo);
     }
 
     #[test]
     fn wasted_work_accounting_splits_failed_from_speculative() {
         let algo = Ring::new(6, 1e-9, true);
         let outcome = AsyncFixedPointDriver::new(400)
-            .with_failures(SessionFailurePlan::transient(0.4, 9))
+            .with_failures(AttemptFailurePlan::transient(0.4), 9)
             .run(&pool(), &algo);
         assert!(outcome.report.failed_attempts > 0);
         // Failed attempts are not speculative tasks and vice versa:
@@ -1206,9 +1117,7 @@ mod tests {
         for (lag, node_failures) in [(0, false), (2, false), (0, true), (2, true)] {
             let mut driver = AsyncFixedPointDriver::new(1_000).with_max_lag(lag);
             if node_failures {
-                driver = driver
-                    .with_checkpoints(CheckpointPolicy::EveryK(2))
-                    .with_node_failures(NodeFailurePlan::correlated(0.2, 42), 3);
+                driver = driver.with_node_failures(NodeFailurePlan::correlated(0.2, 42, 2), 3);
             }
             let report = driver.run(&pool(), &algo).report;
             assert!(report.converged);

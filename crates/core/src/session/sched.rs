@@ -14,8 +14,7 @@ use super::meter::SessionMeter;
 use super::store::Store;
 use super::topology::Topology;
 use super::{
-    AsyncFixedPointDriver, AsyncIterative, GmapOutput, Outbox, SessionFailurePlan, SessionOutcome,
-    SessionReport,
+    AsyncFixedPointDriver, AsyncIterative, GmapOutput, Outbox, SessionOutcome, SessionReport,
 };
 use crate::checkpoint::Recovery;
 use crate::obs::{SessionObs, SpanRecorder};
@@ -65,7 +64,7 @@ pub(super) struct AttemptDone<A: AsyncIterative> {
 /// reproduces it.
 pub(super) fn run_attempt<A: AsyncIterative>(
     algo: &A,
-    failures: &SessionFailurePlan,
+    driver: &AsyncFixedPointDriver,
     recorder: Option<&SpanRecorder>,
     mut launch: Launch<A>,
 ) -> AttemptDone<A> {
@@ -73,7 +72,7 @@ pub(super) fn run_attempt<A: AsyncIterative>(
     let start_ns = recorder.map_or(0, |rec| rec.now_ns());
     let t0 = Instant::now();
     let out = algo.gmap(p, iter, &launch.state, &mut launch.outbox);
-    let died = failures.attempt_fails(p, iter, attempt);
+    let died = driver.attempt_dies(p, iter, attempt);
     // One measurement feeds both the span and the meters: the trace
     // report's conservation law (Σ gmap span durations == metered gmap
     // time, exactly) depends on this identity.
@@ -141,12 +140,7 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
             topo,
             store: Store::new(topo, init),
             max_lag: driver.max_lag,
-            recovery: Recovery::new(
-                driver.checkpoints,
-                driver.node_failures,
-                driver.virtual_nodes,
-                k,
-            ),
+            recovery: Recovery::new(driver.node_failures, driver.virtual_nodes, k),
             meter: SessionMeter::new(k),
             obs: recorder.map_or_else(SessionObs::default, |rec| SessionObs::new(rec, k)),
             parts: (0..k)

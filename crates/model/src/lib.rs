@@ -5,7 +5,8 @@
 //! data: the engine *meters* what it ran ([`JobSpec`],
 //! [`AsyncTaskSpec`]), the testbed answers with simulated timing
 //! ([`JobStats`], [`SimTime`]), both inject failures from the same
-//! deterministic verdicts ([`NodeFailurePlan`], [`verdict_unit`]), and
+//! plans and deterministic verdicts ([`AttemptFailurePlan`],
+//! [`NodeFailurePlan`], [`verdict_unit`]), and
 //! a live session records the span model ([`SessionTrace`]) the
 //! simulator's report renders. This crate is that data, with no
 //! dependencies, so each side builds without the other; its one piece
@@ -20,7 +21,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use failure::{splitmix64, verdict_unit, NodeFailurePlan};
+pub use failure::{splitmix64, verdict_unit, AttemptFailurePlan, NodeFailurePlan};
 pub use job::{AsyncTaskSpec, JobSpec, MapTaskSpec, ReduceTaskSpec};
 pub use stats::{JobStats, PhaseBreakdown};
 pub use time::{underflow_count, SimTime};

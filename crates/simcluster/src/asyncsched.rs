@@ -68,19 +68,19 @@
 //! dying, taking **every resident task attempt and its stored outputs**
 //! with it. Epochs advance with the schedule's global iterations; at
 //! each epoch every node draws a deterministic death verdict
-//! (`verdict_unit(seed, node, epoch)`, capped per node). When node *n*
-//! dies at epoch *e*:
+//! ([`NodeFailurePlan::dies`], capped per node). When node *n* dies at
+//! epoch *e*:
 //!
 //! 1. every *completed* task placed on *n* whose iteration is at or
-//!    past the last checkpoint (iteration multiples of
-//!    `checkpoint_interval`) loses its stored outputs and returns to
+//!    past the plan's last checkpoint (iteration multiples of
+//!    [`NodeFailurePlan::checkpoint_every`]) loses its stored outputs and returns to
 //!    the pending set — its rollback generation is bumped, so the old
 //!    attempt's [`Ev::TaskDone`] becomes a stale trace entry;
 //! 2. every completed task that transitively consumed a lost output is
 //!    invalidated too (its inputs can no longer be refetched) — the
 //!    rollback closure over the dependency graph;
-//! 3. the lost work re-executes after the node-death
-//!    `detection_delay`, re-placed on the earliest-start slot
+//! 3. the lost work re-executes after the node-death detection delay
+//!    ([`NODE_DETECTION_DELAY`]), re-placed on the earliest-start slot
 //!    **excluding the dead node**; the dead node itself rejoins (fresh
 //!    slots) once the death is detected.
 //!
@@ -88,16 +88,16 @@
 //! [`AsyncScheduleStats::rollback_time`] meters the serialized cost:
 //! the executed durations of every rolled-back task plus the detection
 //! delays. The replay remains a pure function of
-//! `(ClusterSpec, FailurePlan, NodeFailurePlan, NetworkModel, seed,
-//! tasks)` — identical inputs produce byte-identical schedules *and*
+//! `(ClusterSpec, AttemptFailurePlan, NodeFailurePlan, NetworkModel,
+//! seed, tasks)` — identical inputs produce byte-identical schedules *and*
 //! event traces, which is what lets `repro faults` price checkpoint
 //! intervals under node death reproducibly.
 
-use asyncmr_model::{underflow_count, AsyncTaskSpec, NodeFailurePlan, SimTime};
+use asyncmr_model::{underflow_count, AsyncTaskSpec, AttemptFailurePlan, NodeFailurePlan, SimTime};
 
 use crate::cluster::ClusterSpec;
 use crate::event_core::{ComponentId, Ev, EventCore, EventHandler};
-use crate::failure::{last_checkpoint, FailurePlan};
+use crate::failure::{draw_death, NODE_DETECTION_DELAY, TASK_DETECTION_DELAY};
 use crate::sched::{candidates, SchedView, Scheduler, SlotState};
 use crate::sim::Simulation;
 use crate::stats::CommitAccounting;
@@ -180,11 +180,11 @@ impl Simulation {
     /// where start = max(slot free, session setup done, every
     /// dependency's message arrival at that slot's node). Ties break
     /// toward the lowest-indexed slot, so the replay is a pure function
-    /// of `(ClusterSpec, FailurePlan, NodeFailurePlan, NetworkModel,
-    /// seed, tasks)` — the async analogue of the contract
+    /// of `(ClusterSpec, AttemptFailurePlan, NodeFailurePlan,
+    /// NetworkModel, seed, tasks)` — the async analogue of the contract
     /// [`Simulation::run_job`] documents.
     ///
-    /// Under an active [`crate::FailurePlan`] each attempt may die (see
+    /// Under an active [`AttemptFailurePlan`] each attempt may die (see
     /// the [module docs](self)); a failed attempt holds its slot until
     /// it dies, and its retry is dispatched — to the then-best slot —
     /// only after the detection delay.
@@ -244,10 +244,8 @@ impl Simulation {
             cid: self.async_cid,
             spec: &self.spec,
             tasks,
-            failure: self.failure.clone(),
+            failure: self.failure,
             node_plan: self.node_failure,
-            checkpoint_interval: self.checkpoint_interval,
-            node_detection_delay: self.node_detection_delay,
             scheduler: self.sched.instantiate(),
             consumers,
             dependents,
@@ -337,10 +335,8 @@ struct AsyncRun<'a> {
     cid: ComponentId,
     spec: &'a ClusterSpec,
     tasks: &'a [AsyncTaskSpec],
-    failure: FailurePlan,
+    failure: AttemptFailurePlan,
     node_plan: NodeFailurePlan,
-    checkpoint_interval: usize,
-    node_detection_delay: SimTime,
     /// The placement policy (instantiated fresh from the simulation's
     /// [`crate::SchedulerSpec`] for this run).
     scheduler: Box<dyn Scheduler>,
@@ -397,7 +393,7 @@ impl AsyncRun<'_> {
     /// estimate under contention (and matches it exactly under
     /// [`crate::network::Constant`]); the gap is metered in
     /// [`AsyncScheduleStats::commit`]. Under an active
-    /// [`crate::FailurePlan`] each attempt may die a uniform fraction
+    /// [`AttemptFailurePlan`] each attempt may die a uniform fraction
     /// of the way through, holding its slot until the death; the retry
     /// waits out the detection delay.
     fn place(&mut self, core: &mut EventCore, i: usize) {
@@ -488,15 +484,15 @@ impl AsyncRun<'_> {
             let sort = self.spec.cost.sort_time(task.output_bytes, speed);
             let end = start + self.spec.task_launch + read + compute + sort;
 
-            if let Some(frac) = self.failure.draw_death(core.rng(), attempt) {
+            if let Some(frac) = draw_death(&self.failure, core.rng(), attempt) {
                 // Dies a uniform fraction of the way through; the slot
                 // is occupied until the death, the retry waits out the
                 // detection delay.
                 let died = start + (end - start).scale(frac);
                 self.slots[slot].0 = died;
                 self.failed_attempts += 1;
-                self.recovery_time += (died - start) + self.failure.detection_delay;
-                retry_gate = died + self.failure.detection_delay;
+                self.recovery_time += (died - start) + TASK_DETECTION_DELAY;
+                retry_gate = died + TASK_DETECTION_DELAY;
                 attempt += 1;
                 continue;
             }
@@ -547,16 +543,14 @@ impl AsyncRun<'_> {
         let n_nodes = self.spec.num_nodes();
         #[allow(clippy::needless_range_loop)] // `node` indexes several parallel per-node views
         for node in 0..n_nodes {
-            if self.deaths[node] >= self.node_plan.max_node_failures
-                || !self.node_plan.node_fails(node, epoch as u64)
-            {
+            if !self.node_plan.dies(node, epoch as u64, self.deaths[node]) {
                 continue;
             }
             self.deaths[node] += 1;
             self.node_failures += 1;
-            let ckpt = last_checkpoint(epoch, self.checkpoint_interval);
+            let ckpt = self.node_plan.last_checkpoint(epoch);
             let died_at = self.work_end;
-            let redispatch = died_at + self.node_detection_delay;
+            let redispatch = died_at + NODE_DETECTION_DELAY;
             core.mark(died_at, self.cid, Ev::NodeDeath { node });
             core.mark(redispatch, self.cid, Ev::NodeRejoin { node });
 
@@ -585,7 +579,7 @@ impl AsyncRun<'_> {
                 self.excluded[t] = Some(node);
                 self.generation[t] += 1;
             }
-            self.rollback_time += self.node_detection_delay;
+            self.rollback_time += NODE_DETECTION_DELAY;
             // The node reboots with clean state: its slots rejoin once
             // the death is detected.
             for slot in self.slots.iter_mut().filter(|(_, sn)| *sn == node) {
@@ -600,7 +594,7 @@ impl EventHandler for AsyncRun<'_> {
         match ev {
             Ev::EpochStart { epoch } => {
                 if self.node_plan.enabled() {
-                    if epoch % self.checkpoint_interval == 0 {
+                    if self.node_plan.last_checkpoint(epoch) == epoch {
                         // Trace-only: the session checkpointed its
                         // resident state (no traffic billed — the
                         // legacy cost model, kept for fidelity).
@@ -676,7 +670,6 @@ impl EventHandler for AsyncRun<'_> {
 mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
-    use crate::failure::NODE_DETECTION_DELAY;
     use crate::network::TopologyAware;
     use asyncmr_model::{JobSpec, MapTaskSpec};
 
@@ -714,30 +707,30 @@ mod tests {
 
     #[test]
     fn deterministic_under_an_identical_failure_plan() {
-        // The "pure function of (ClusterSpec, FailurePlan, seed, task
+        // The "pure function of (ClusterSpec, AttemptFailurePlan, seed, task
         // graph)" contract, extended to the async replay: two runs with
         // identical inputs must produce byte-identical schedules
         // (per-task finish instants and placements) and stats.
-        use crate::failure::FailurePlan;
         let tasks = ring_schedule(8, 5, 40_000_000);
-        let plan = FailurePlan::transient(0.2);
-        let a = sim(9).with_failures(plan.clone()).run_async_schedule(&tasks);
+        let plan = AttemptFailurePlan::transient(0.2);
+        let a = sim(9).with_failures(plan).run_async_schedule(&tasks);
         let b = sim(9).with_failures(plan).run_async_schedule(&tasks);
         assert!(a.failed_attempts > 0, "0.2/attempt over 40 tasks must fire");
         assert_eq!(a.task_finish, b.task_finish, "schedules must be byte-identical");
         assert_eq!(a.task_node, b.task_node);
         assert_eq!(a, b);
         // A different seed perturbs the failure pattern.
-        let c = sim(10).with_failures(FailurePlan::transient(0.2)).run_async_schedule(&tasks);
+        let c =
+            sim(10).with_failures(AttemptFailurePlan::transient(0.2)).run_async_schedule(&tasks);
         assert_ne!(a.task_finish, c.task_finish, "seed must drive the injected pattern");
     }
 
     #[test]
     fn failures_lengthen_the_session_and_recovery_is_visible() {
-        use crate::failure::FailurePlan;
         let tasks = ring_schedule(8, 6, 40_000_000);
         let clean = sim(5).run_async_schedule(&tasks);
-        let faulty = sim(5).with_failures(FailurePlan::transient(0.2)).run_async_schedule(&tasks);
+        let faulty =
+            sim(5).with_failures(AttemptFailurePlan::transient(0.2)).run_async_schedule(&tasks);
         assert_eq!(clean.failed_attempts, 0);
         assert_eq!(clean.recovery_time, SimTime::ZERO);
         assert!(faulty.failed_attempts > 0);
@@ -762,10 +755,11 @@ mod tests {
 
     #[test]
     fn higher_failure_probability_costs_more_recovery() {
-        use crate::failure::FailurePlan;
         let tasks = ring_schedule(8, 6, 40_000_000);
-        let low = sim(11).with_failures(FailurePlan::transient(0.05)).run_async_schedule(&tasks);
-        let high = sim(11).with_failures(FailurePlan::transient(0.4)).run_async_schedule(&tasks);
+        let low =
+            sim(11).with_failures(AttemptFailurePlan::transient(0.05)).run_async_schedule(&tasks);
+        let high =
+            sim(11).with_failures(AttemptFailurePlan::transient(0.4)).run_async_schedule(&tasks);
         assert!(
             high.failed_attempts > low.failed_attempts,
             "p = 0.4 must kill more attempts than p = 0.05 ({} vs {})",
@@ -850,14 +844,14 @@ mod tests {
         assert_eq!(clean.rollback_time, SimTime::ZERO);
 
         let faulty = sim(9)
-            .with_node_failures(NodeFailurePlan::correlated(0.05, 5), 2, NODE_DETECTION_DELAY)
+            .with_node_failures(NodeFailurePlan::correlated(0.05, 5, 2))
             .run_async_schedule(&tasks);
         assert!(faulty.node_failures > 0, "0.05/(node, epoch) over 8 epochs x 8 nodes must fire");
         // More than the bare detection delays: real executed work was
         // lost and re-run. (A death that lands exactly on a checkpoint
         // boundary loses nothing — that is the point of checkpoints —
         // so the seed is chosen to hit a mid-interval death.)
-        let detection_floor = SimTime::from_secs(30).scale(faulty.node_failures as f64);
+        let detection_floor = NODE_DETECTION_DELAY.scale(faulty.node_failures as f64);
         assert!(faulty.rollback_time > detection_floor, "rolled-back work must be metered");
         assert!(
             faulty.duration > clean.duration,
@@ -880,10 +874,8 @@ mod tests {
     #[test]
     fn node_death_replay_is_a_pure_function_of_its_inputs() {
         let tasks = ring_schedule(8, 8, 40_000_000);
-        let plan = NodeFailurePlan::correlated(0.08, 21);
-        let run = |plan| {
-            sim(3).with_node_failures(plan, 4, NODE_DETECTION_DELAY).run_async_schedule(&tasks)
-        };
+        let plan = NodeFailurePlan::correlated(0.08, 21, 4);
+        let run = |plan| sim(3).with_node_failures(plan).run_async_schedule(&tasks);
         let (a, b) = (run(plan), run(plan));
         assert!(a.node_failures > 0, "the regime must actually fire");
         assert_eq!(a.task_finish, b.task_finish, "schedules must be byte-identical");
@@ -891,18 +883,17 @@ mod tests {
         assert_eq!(a, b);
         // A different verdict seed perturbs the death pattern.
         let c = sim(3)
-            .with_node_failures(NodeFailurePlan::correlated(0.08, 22), 4, NODE_DETECTION_DELAY)
+            .with_node_failures(NodeFailurePlan::correlated(0.08, 22, 4))
             .run_async_schedule(&tasks);
         assert_ne!(a.task_finish, c.task_finish, "seed must drive the injected deaths");
     }
 
     #[test]
     fn node_deaths_compose_with_transient_attempt_failures() {
-        use crate::failure::FailurePlan;
         let tasks = ring_schedule(8, 6, 40_000_000);
         let stats = sim(5)
-            .with_failures(FailurePlan::transient(0.15))
-            .with_node_failures(NodeFailurePlan::correlated(0.05, 7), 2, NODE_DETECTION_DELAY)
+            .with_failures(AttemptFailurePlan::transient(0.15))
+            .with_node_failures(NodeFailurePlan::correlated(0.05, 7, 2))
             .run_async_schedule(&tasks);
         assert!(stats.failed_attempts > 0, "attempt deaths must fire");
         assert!(stats.node_failures > 0, "node deaths must fire");
@@ -912,15 +903,14 @@ mod tests {
 
     #[test]
     fn per_node_death_budget_caps_the_injection() {
-        // Near-certain deaths with a budget of 1 per node: exactly
-        // n_nodes deaths fire, and the replay still terminates.
+        // Near-certain deaths: the per-node budget bounds how many fire,
+        // and the replay still terminates.
         let tasks = ring_schedule(4, 12, 10_000_000);
-        let plan = NodeFailurePlan { node_failure_prob: 0.9, max_node_failures: 1, seed: 2 };
-        let mut s = sim(1).with_node_failures(plan, 1, NODE_DETECTION_DELAY);
-        let n_nodes = s.spec().num_nodes();
+        let mut s = sim(1).with_node_failures(NodeFailurePlan::correlated(0.9, 2, 1));
+        let budget = NodeFailurePlan::MAX_DEATHS as usize * s.spec().num_nodes();
         let stats = s.run_async_schedule(&tasks);
-        assert!(stats.node_failures <= n_nodes, "budget of 1 per node must bound deaths");
-        assert!(stats.node_failures > n_nodes / 2, "0.9 per epoch should exhaust most budgets");
+        assert!(stats.node_failures <= budget, "the per-node budget must bound deaths");
+        assert!(stats.node_failures > budget / 2, "0.9 per epoch should exhaust most budgets");
         assert_eq!(stats.tasks, tasks.len());
     }
 
@@ -930,10 +920,8 @@ mod tests {
         // possible re-placement target, so the exclusion must yield
         // rather than leave the lost work unplaceable.
         let tasks = ring_schedule(2, 6, 5_000_000);
-        let plan =
-            NodeFailurePlan { node_failure_prob: 0.9, ..NodeFailurePlan::correlated(0.5, 1) };
         let stats = Simulation::new(ClusterSpec::test_local(4, 2), 1)
-            .with_node_failures(plan, 3, NODE_DETECTION_DELAY)
+            .with_node_failures(NodeFailurePlan::correlated(0.9, 1, 3))
             .run_async_schedule(&tasks);
         assert!(stats.node_failures > 0, "0.9 per epoch must fire");
         assert_eq!(stats.tasks, tasks.len(), "all work must still complete");
@@ -943,25 +931,13 @@ mod tests {
     #[should_panic(expected = "node failure probability")]
     fn literally_constructed_node_plan_is_rejected_at_injection() {
         let plan = NodeFailurePlan { node_failure_prob: 1.5, ..NodeFailurePlan::none() };
-        let _ = Simulation::new(ClusterSpec::ec2_2010(), 1).with_node_failures(
-            plan,
-            1,
-            NODE_DETECTION_DELAY,
-        );
+        let _ = Simulation::new(ClusterSpec::ec2_2010(), 1).with_node_failures(plan);
     }
 
     #[test]
     #[should_panic(expected = "at least one map slot")]
     fn literally_constructed_zero_slot_cluster_is_rejected_at_injection() {
         let _ = Simulation::new(ClusterSpec::test_local(0, 2), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "depth must be at least 1")]
-    fn literally_constructed_zero_depth_lookahead_is_rejected_at_injection() {
-        use crate::sched::SchedulerSpec;
-        let _ = Simulation::new(ClusterSpec::ec2_2010(), 1)
-            .with_scheduler(SchedulerSpec::Lookahead { depth: 0 });
     }
 
     #[test]
@@ -1049,7 +1025,7 @@ mod tests {
         let tasks = ring_schedule(8, 6, 20_000_000);
         let run = || {
             Simulation::new(ClusterSpec::ec2_2010(), 9)
-                .with_node_failures(NodeFailurePlan::correlated(0.2, 3), 1, NODE_DETECTION_DELAY)
+                .with_node_failures(NodeFailurePlan::correlated(0.2, 3, 1))
                 .with_scheduler(SchedulerSpec::Portfolio)
                 .run_async_schedule(&tasks)
         };
@@ -1066,7 +1042,7 @@ mod tests {
         let specs = [
             SchedulerSpec::List,
             SchedulerSpec::Heft,
-            SchedulerSpec::Lookahead { depth: 2 },
+            SchedulerSpec::Lookahead,
             SchedulerSpec::Portfolio,
         ];
         let tasks = ring_schedule(8, 5, 20_000_000);
@@ -1076,7 +1052,7 @@ mod tests {
             let (n, bw, lat) = (spec.num_nodes(), spec.nic_bandwidth, spec.net_latency);
             let stats = Simulation::new(spec, 11)
                 .with_network(TopologyAware::uniform(n, bw, lat))
-                .with_failures(FailurePlan::transient(0.15))
+                .with_failures(AttemptFailurePlan::transient(0.15))
                 .with_scheduler(sched)
                 .run_async_schedule(&tasks);
             assert_eq!(stats.tasks, tasks.len(), "{name}: all work must complete");
@@ -1104,7 +1080,7 @@ mod tests {
         // boundary per epoch) without any deaths actually firing.
         let mut s = Simulation::new(spec, 2)
             .with_network(TopologyAware::uniform(n, bw, lat))
-            .with_node_failures(NodeFailurePlan::correlated(1e-12, 5), 1, NODE_DETECTION_DELAY);
+            .with_node_failures(NodeFailurePlan::correlated(1e-12, 5, 1));
         s.run_async_schedule(&tasks);
         let snapshots =
             s.last_trace().iter().filter(|t| matches!(t.ev, Ev::LinkUtil { .. })).count();
@@ -1141,8 +1117,7 @@ mod tests {
         let dones = trace.iter().filter(|t| matches!(t.ev, Ev::TaskDone { .. })).count();
         assert_eq!(dones, stats.tasks, "every completion is traced");
 
-        let mut s =
-            sim(2).with_node_failures(NodeFailurePlan::correlated(0.3, 5), 1, NODE_DETECTION_DELAY);
+        let mut s = sim(2).with_node_failures(NodeFailurePlan::correlated(0.3, 5, 1));
         let stats = s.run_async_schedule(&tasks);
         let trace = s.last_trace();
         let epochs = trace.iter().filter(|t| matches!(t.ev, Ev::EpochStart { .. })).count();

@@ -24,8 +24,8 @@
 //!   pinnable as a [digest](EventCore::trace_digest)).
 //!
 //! A run is therefore a pure function of
-//! `(ClusterSpec, FailurePlan, NodeFailurePlan, NetworkModel, seed,
-//! workload)` — across processes and `--test-threads` settings alike.
+//! `(ClusterSpec, AttemptFailurePlan, NodeFailurePlan, NetworkModel,
+//! seed, workload)` — across processes and `--test-threads` settings alike.
 
 use asyncmr_model::{splitmix64, SimTime};
 use rand::rngs::StdRng;

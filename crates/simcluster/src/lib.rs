@@ -24,7 +24,7 @@
 //! simulated wall-clock cost of that job on the paper's platform.
 //! Iteration counts are therefore exact, and times have the platform's
 //! cost *shape* (global synchronizations dominating useful compute).
-//! The job specs, their stats, simulated time and the failure verdicts
+//! The job specs, their stats, simulated time and the failure plans
 //! are `asyncmr-model`'s vocabulary; this crate defines only the
 //! cluster that prices them.
 //!
@@ -65,7 +65,7 @@ pub use cluster::{ClusterSpec, NodeSpec};
 pub use costmodel::CostModel;
 pub use dfs::DfsModel;
 pub use event_core::{ComponentId, Ev, EventCore, EventHandler, TraceEvent};
-pub use failure::{FailurePlan, NODE_DETECTION_DELAY};
+pub use failure::{NODE_DETECTION_DELAY, TASK_DETECTION_DELAY};
 pub use network::{Constant, NetworkModel, NetworkState, TopologyAware};
 pub use sched::{
     Candidate, Heft, ListScheduler, Lookahead, Portfolio, SchedView, Scheduler, SchedulerSpec,

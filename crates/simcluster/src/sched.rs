@@ -12,13 +12,13 @@
 //! |---|---|---|
 //! | [`ListScheduler`] | list (topological) order | earliest estimated **start** |
 //! | [`Heft`] | upward-rank (critical path first) | earliest estimated **finish** (speed-aware) |
-//! | [`Lookahead`] | list order | contention-inflated finish + child-frontier penalty from live [`NetworkModel::utilization`] |
-//! | [`Portfolio`] | winner's | races list, HEFT and 1-hop lookahead per epoch on cloned estimate state; commits the winner |
+//! | [`Lookahead`] | list order | contention-inflated finish + one-hop child-frontier penalty from live [`NetworkModel::utilization`] |
+//! | [`Portfolio`] | winner's | races list, HEFT and lookahead per epoch on cloned estimate state; commits the winner |
 //!
 //! Every policy decides from **estimates only** — pure reads of the
 //! network model and the cloned slot state — and draws no randomness,
 //! so the replay stays a pure function of
-//! `(ClusterSpec, FailurePlan, NodeFailurePlan, NetworkModel,
+//! `(ClusterSpec, AttemptFailurePlan, NodeFailurePlan, NetworkModel,
 //! SchedulerSpec, seed, tasks)`: the same determinism contract the
 //! event core documents, extended by the scheduler axis (pinned by
 //! `tests/determinism_prop.rs` over the full scheduler × model matrix).
@@ -41,7 +41,7 @@ use crate::network::NetworkModel;
 /// builder-level description injected via
 /// [`crate::Simulation::with_scheduler`] and instantiated fresh per
 /// replay.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedulerSpec {
     /// The pre-refactor greedy policy (the default): list order,
     /// earliest estimated start. Byte-identical to the inline scheduler
@@ -53,15 +53,11 @@ pub enum SchedulerSpec {
     /// heterogeneous node speeds.
     Heft,
     /// Contention-aware greedy: inflates dependency-arrival estimates
-    /// by live link utilization and charges a discounted child-frontier
-    /// penalty, so committed transfers land closer to their estimates
-    /// under the fluid models.
-    Lookahead {
-        /// How many dependent hops of the child frontier the penalty
-        /// looks at (≥ 1; deeper hops are discounted 2× per hop).
-        depth: usize,
-    },
-    /// Races list, HEFT and 1-hop lookahead on cloned estimate state
+    /// by live link utilization and charges a penalty for the unplaced
+    /// child frontier, so committed transfers land closer to their
+    /// estimates under the fluid models.
+    Lookahead,
+    /// Races list, HEFT and lookahead on cloned estimate state
     /// at every epoch boundary and commits the whole epoch through the
     /// winner (deterministically: estimates only, the earlier member
     /// wins ties).
@@ -74,17 +70,8 @@ impl SchedulerSpec {
         match self {
             SchedulerSpec::List => "list",
             SchedulerSpec::Heft => "heft",
-            SchedulerSpec::Lookahead { .. } => "lookahead",
+            SchedulerSpec::Lookahead => "lookahead",
             SchedulerSpec::Portfolio => "portfolio",
-        }
-    }
-
-    /// Panics unless the spec is well-formed (the injection-time check
-    /// [`crate::Simulation::with_scheduler`] performs, mirroring
-    /// [`crate::FailurePlan::validate`]): lookahead depth ≥ 1.
-    pub fn validate(&self) {
-        if let SchedulerSpec::Lookahead { depth } = self {
-            assert!(*depth >= 1, "lookahead depth must be at least 1, got {depth}");
         }
     }
 
@@ -95,7 +82,7 @@ impl SchedulerSpec {
         match self {
             SchedulerSpec::List => Box::new(ListScheduler),
             SchedulerSpec::Heft => Box::new(Heft::new()),
-            SchedulerSpec::Lookahead { depth } => Box::new(Lookahead::new(*depth)),
+            SchedulerSpec::Lookahead => Box::new(Lookahead::default()),
             SchedulerSpec::Portfolio => Box::new(Portfolio::default()),
         }
     }
@@ -364,37 +351,26 @@ impl Scheduler for Heft {
 /// 20× rather than diverging.
 const MIN_AVAIL: f64 = 0.05;
 
-/// Per-hop discount of the child-frontier penalty (hop `h` counts at
-/// `0.5^(h-1)`).
-const HOP_DISCOUNT: f64 = 0.5;
-
 /// Contention-aware greedy, fixing the greedy-admission gap: the pure
 /// [`NetworkModel::estimate`] ignores in-flight flows, so under the
 /// fluid models a committed transfer routinely lands *later* than the
 /// estimate that ranked its slot. Lookahead re-prices each candidate
 /// against live [`NetworkModel::utilization`] — dependency arrivals are
 /// inflated by the residual availability of the producer's transmit
-/// link and the candidate's receive link — and adds a discounted
-/// penalty for the unplaced child frontier (up to `depth` hops) whose
-/// fetches will leave through the candidate node's transmit link.
+/// link and the candidate's receive link — and adds a penalty for the
+/// task's unplaced dependents, whose fetches will leave through the
+/// candidate node's transmit link.
 ///
 /// On models that report no utilization ([`crate::Constant`], the
 /// default [`crate::NetworkState`]) this degrades exactly to
 /// earliest-finish choice in list order.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Lookahead {
-    depth: usize,
     /// Dependents adjacency (computed lazily, once per replay).
     dependents: Option<Vec<Vec<u32>>>,
 }
 
 impl Lookahead {
-    /// A lookahead scheduler scanning `depth ≥ 1` dependent hops.
-    pub fn new(depth: usize) -> Self {
-        assert!(depth >= 1, "lookahead depth must be at least 1, got {depth}");
-        Lookahead { depth, dependents: None }
-    }
-
     fn dependents<'s>(&'s mut self, view: &SchedView<'_>) -> &'s [Vec<u32>] {
         self.dependents.get_or_insert_with(|| {
             let mut adj: Vec<Vec<u32>> = vec![Vec::new(); view.tasks.len()];
@@ -416,31 +392,16 @@ impl Lookahead {
         ((caps[l] - util[l]) / caps[l]).clamp(MIN_AVAIL, 1.0)
     }
 
-    /// Discounted serialization seconds of the unplaced child frontier
-    /// within `depth` hops of `task` — the traffic that will contend
-    /// for the chosen node's transmit link.
+    /// Serialization seconds of `task`'s output to its unplaced
+    /// dependents — the traffic that will contend for the chosen
+    /// node's transmit link.
     fn frontier_secs(&mut self, view: &SchedView<'_>, state: &SlotState<'_>, task: usize) -> f64 {
-        let depth = self.depth;
-        let deps = self.dependents(view);
-        let mut frontier = vec![task];
+        let out = view.net.wire_time(view.share(task)).as_secs_f64();
         let mut secs = 0.0;
-        let mut weight = 1.0;
-        for _hop in 0..depth {
-            let mut next = Vec::new();
-            for &p in &frontier {
-                let out = view.net.wire_time(view.share(p)).as_secs_f64();
-                for &c in &deps[p] {
-                    if !state.done[c as usize] {
-                        secs += out * weight;
-                        next.push(c as usize);
-                    }
-                }
+        for &c in &self.dependents(view)[task] {
+            if !state.done[c as usize] {
+                secs += out;
             }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-            weight *= HOP_DISCOUNT;
         }
         secs
     }
@@ -518,7 +479,7 @@ impl Scheduler for Lookahead {
 // Portfolio: race the members per epoch on cloned estimate state.
 // ---------------------------------------------------------------------------
 
-/// Races [`ListScheduler`], [`Heft`] and 1-hop [`Lookahead`], in that
+/// Races [`ListScheduler`], [`Heft`] and [`Lookahead`], in that
 /// tie-break order, at every epoch boundary: each member dry-runs the
 /// epoch's pending set on a **clone** of the slot/finish state using
 /// estimates only (no RNG draws, no network mutation), and the member
@@ -534,7 +495,11 @@ pub struct Portfolio {
 impl Default for Portfolio {
     fn default() -> Self {
         Portfolio {
-            members: [Box::new(ListScheduler), Box::new(Heft::new()), Box::new(Lookahead::new(1))],
+            members: [
+                Box::new(ListScheduler),
+                Box::new(Heft::new()),
+                Box::new(Lookahead::default()),
+            ],
             winner: 0,
         }
     }
@@ -618,13 +583,8 @@ mod tests {
     fn spec_names_are_stable() {
         assert_eq!(SchedulerSpec::List.name(), "list");
         assert_eq!(SchedulerSpec::Heft.name(), "heft");
-        assert_eq!(SchedulerSpec::Lookahead { depth: 2 }.name(), "lookahead");
+        assert_eq!(SchedulerSpec::Lookahead.name(), "lookahead");
         assert_eq!(SchedulerSpec::Portfolio.name(), "portfolio");
-    }
-
-    #[test]
-    fn default_portfolio_validates() {
-        SchedulerSpec::Portfolio.validate();
     }
 
     #[test]
@@ -651,13 +611,7 @@ mod tests {
         let retry_gate = SimTime::from_secs(20);
         let cands = candidates(&view, &state, 0, retry_gate);
         assert!(cands.iter().all(|c| c.est_start == retry_gate), "the retry gate binds both slots");
-        assert_eq!(Lookahead::new(1).choose(&view, &state, 0, &cands), 0, "tie goes to slot 0");
-    }
-
-    #[test]
-    #[should_panic(expected = "depth must be at least 1")]
-    fn zero_depth_lookahead_is_rejected() {
-        SchedulerSpec::Lookahead { depth: 0 }.validate();
+        assert_eq!(Lookahead::default().choose(&view, &state, 0, &cands), 0, "tie goes to slot 0");
     }
 
     #[test]

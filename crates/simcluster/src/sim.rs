@@ -22,8 +22,8 @@
 //! All scheduling decisions iterate nodes and FIFO queues in fixed
 //! order, and every random draw comes from the core's one seeded RNG,
 //! so a run is a pure function of
-//! `(ClusterSpec, FailurePlan, NodeFailurePlan, NetworkModel, seed,
-//! jobs)` — pinned bit-exactly by `tests/replay_fidelity.rs`.
+//! `(ClusterSpec, AttemptFailurePlan, NodeFailurePlan, NetworkModel,
+//! seed, jobs)` — pinned bit-exactly by `tests/replay_fidelity.rs`.
 //!
 //! ## Correlated node death (new with the unified core)
 //!
@@ -38,8 +38,8 @@
 //! 2. requeues every attempt running on the node and every completed
 //!    map whose output had not been fully fetched by the reducers
 //!    (map outputs live on local disk; reduce outputs are
-//!    DFS-replicated and survive), each dispatched again after the
-//!    plan's detection delay;
+//!    DFS-replicated and survive), each dispatched again
+//!    [`NODE_DETECTION_DELAY`] later;
 //! 3. zeroes the node's slots until a [`Ev::NodeRejoin`] event restores
 //!    them (detection delay later).
 //!
@@ -47,19 +47,20 @@
 //! and re-arm once all maps (including re-executions) are done again.
 //! [`JobStats::node_failures`]/[`JobStats::node_lost_tasks`] meter the
 //! injection; the per-node death budget
-//! ([`NodeFailurePlan::max_node_failures`]) persists across the
-//! simulation's jobs.
+//! ([`NodeFailurePlan::MAX_DEATHS`]) persists across the simulation's
+//! jobs.
 
 use std::collections::VecDeque;
 
 use asyncmr_model::{
-    verdict_unit, JobReplay, JobSpec, JobStats, NodeFailurePlan, PhaseBreakdown, SimTime,
+    verdict_unit, AttemptFailurePlan, JobReplay, JobSpec, JobStats, NodeFailurePlan,
+    PhaseBreakdown, SimTime,
 };
 use rand::RngExt;
 
 use crate::cluster::ClusterSpec;
 use crate::event_core::{ComponentId, Ev, EventCore, EventHandler, TraceEvent};
-use crate::failure::FailurePlan;
+use crate::failure::{draw_death, NODE_DETECTION_DELAY, TASK_DETECTION_DELAY};
 use crate::network::{NetworkModel, NetworkState};
 use crate::sched::SchedulerSpec;
 
@@ -71,11 +72,8 @@ const BARRIER_DEATH_SALT: u64 = 0xbadd_ead5_a17e_d001;
 #[derive(Debug)]
 pub struct Simulation {
     pub(crate) spec: ClusterSpec,
-    pub(crate) failure: FailurePlan,
+    pub(crate) failure: AttemptFailurePlan,
     pub(crate) node_failure: NodeFailurePlan,
-    /// See [`Simulation::with_node_failures`].
-    pub(crate) checkpoint_interval: usize,
-    pub(crate) node_detection_delay: SimTime,
     pub(crate) core: EventCore,
     pub(crate) jobs_run: usize,
     pub(crate) barrier_cid: ComponentId,
@@ -104,10 +102,8 @@ impl Simulation {
         let async_cid = core.register_component("async");
         Simulation {
             spec,
-            failure: FailurePlan::none(),
+            failure: AttemptFailurePlan::none(),
             node_failure: NodeFailurePlan::none(),
-            checkpoint_interval: 1,
-            node_detection_delay: SimTime::ZERO,
             core,
             jobs_run: 0,
             barrier_cid,
@@ -121,14 +117,7 @@ impl Simulation {
     /// before any run). The default [`SchedulerSpec::List`] is the
     /// pre-trait greedy, pinned byte-identical by the replay-fidelity
     /// goldens; see [`crate::sched`] for the alternatives.
-    ///
-    /// # Panics
-    ///
-    /// If the spec is malformed ([`SchedulerSpec::validate`]: zero
-    /// lookahead depth) — the same injection-time check
-    /// [`Simulation::with_failures`] performs.
     pub fn with_scheduler(mut self, sched: SchedulerSpec) -> Self {
-        sched.validate();
         self.sched = sched;
         self
     }
@@ -157,10 +146,10 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// If the plan's fields are out of range
-    /// ([`FailurePlan::validate`]) — the single injection-time check
-    /// that covers literally-constructed plans.
-    pub fn with_failures(mut self, plan: FailurePlan) -> Self {
+    /// If the plan's probability is out of range
+    /// ([`AttemptFailurePlan::validate`]) — the single injection-time
+    /// check that covers literally-constructed plans.
+    pub fn with_failures(mut self, plan: AttemptFailurePlan) -> Self {
         plan.validate();
         self.failure = plan;
         self
@@ -173,30 +162,20 @@ impl Simulation {
     /// the [module docs](self)). Composes with
     /// [`Simulation::with_failures`] — both regimes can be active.
     ///
-    /// `plan` is the regime the in-process session shares (one epoch
-    /// per global iteration of an async schedule, one per barrier
-    /// job). Checkpoints sit at iteration multiples of
-    /// `checkpoint_interval` (rollback rewinds lost work to the last
-    /// one), and lost work is re-dispatched `detection_delay` after the
-    /// death ([`crate::failure::NODE_DETECTION_DELAY`] in the figures).
+    /// `plan` is the regime the in-process session shares, checkpoint
+    /// interval included (one epoch per global iteration of an async
+    /// schedule, one per barrier job; rollback rewinds lost work to the
+    /// plan's last checkpoint). Lost work is re-dispatched
+    /// [`NODE_DETECTION_DELAY`] after the death.
     ///
     /// # Panics
     ///
-    /// If the plan's probability is out of range
-    /// ([`NodeFailurePlan::validate`]) or `checkpoint_interval` is 0 —
+    /// If the plan is out of range ([`NodeFailurePlan::validate`]) —
     /// the same injection-time check [`Simulation::with_failures`]
     /// performs.
-    pub fn with_node_failures(
-        mut self,
-        plan: NodeFailurePlan,
-        checkpoint_interval: usize,
-        detection_delay: SimTime,
-    ) -> Self {
+    pub fn with_node_failures(mut self, plan: NodeFailurePlan) -> Self {
         plan.validate();
-        assert!(checkpoint_interval >= 1, "checkpoint_interval must be at least 1");
         self.node_failure = plan;
-        self.checkpoint_interval = checkpoint_interval;
-        self.node_detection_delay = detection_delay;
         self
     }
 
@@ -260,8 +239,7 @@ impl Simulation {
             cid: self.barrier_cid,
             spec: &self.spec,
             job,
-            failure: self.failure.clone(),
-            node_detection_delay: self.node_detection_delay,
+            failure: self.failure,
             reduce_node: (0..n_reduces).map(|r| r % n_nodes).collect(),
             free_map_slots: self.spec.nodes.iter().map(|n| n.map_slots).collect(),
             free_reduce_slots: self.spec.nodes.iter().map(|n| n.reduce_slots).collect(),
@@ -297,9 +275,7 @@ impl Simulation {
         if node_plan.enabled() {
             let epoch = self.jobs_run as u64;
             for node in 0..n_nodes {
-                if self.barrier_deaths[node] < node_plan.max_node_failures
-                    && node_plan.node_fails(node, epoch)
-                {
+                if node_plan.dies(node, epoch, self.barrier_deaths[node]) {
                     let u =
                         verdict_unit(node_plan.seed ^ BARRIER_DEATH_SALT, &[node as u64, epoch]);
                     // Dies at its 1st..=3rd task completion this job.
@@ -376,8 +352,7 @@ struct BarrierRun<'a> {
     cid: ComponentId,
     spec: &'a ClusterSpec,
     job: &'a JobSpec,
-    failure: FailurePlan,
-    node_detection_delay: SimTime,
+    failure: AttemptFailurePlan,
     /// Reducer home nodes (fetch destinations), fixed up front.
     reduce_node: Vec<usize>,
     free_map_slots: Vec<u32>,
@@ -467,7 +442,7 @@ impl BarrierRun<'_> {
                 self.map_attempts[task] += 1;
                 let incarnation = self.incarnation[node];
                 self.map_running[task] = Some((node, incarnation));
-                if let Some(frac) = self.failure.draw_death(core.rng(), attempt) {
+                if let Some(frac) = draw_death(&self.failure, core.rng(), attempt) {
                     // Dies a uniform fraction of the way through.
                     let alive = finish.saturating_sub(now).scale(frac);
                     core.schedule(now + alive, self.cid, Ev::MapFailed { task, node, incarnation });
@@ -515,7 +490,7 @@ impl BarrierRun<'_> {
                 self.reduce_attempts[task] += 1;
                 let incarnation = self.incarnation[node];
                 self.reduce_running[task] = Some((node, incarnation));
-                if let Some(frac) = self.failure.draw_death(core.rng(), attempt) {
+                if let Some(frac) = draw_death(&self.failure, core.rng(), attempt) {
                     let alive = finish.saturating_sub(now).scale(frac);
                     core.schedule(
                         now + alive,
@@ -550,7 +525,7 @@ impl BarrierRun<'_> {
         self.node_failures += 1;
         self.incarnation[node] += 1;
         core.mark(now, self.cid, Ev::NodeDeath { node });
-        let redispatch = now + self.node_detection_delay;
+        let redispatch = now + NODE_DETECTION_DELAY;
 
         // Running map attempts die with the node.
         for task in 0..n_maps {
@@ -660,7 +635,7 @@ impl EventHandler for BarrierRun<'_> {
                 self.map_running[task] = None;
                 self.failed_attempts += 1;
                 self.free_map_slots[node] += 1;
-                core.schedule(now + self.failure.detection_delay, self.cid, Ev::MapRetry { task });
+                core.schedule(now + TASK_DETECTION_DELAY, self.cid, Ev::MapRetry { task });
                 self.dispatch_maps(core, now);
             }
             Ev::MapRetry { task } => {
@@ -701,11 +676,7 @@ impl EventHandler for BarrierRun<'_> {
                 self.reduce_running[task] = None;
                 self.failed_attempts += 1;
                 self.free_reduce_slots[node] += 1;
-                core.schedule(
-                    now + self.failure.detection_delay,
-                    self.cid,
-                    Ev::ReduceRetry { task },
-                );
+                core.schedule(now + TASK_DETECTION_DELAY, self.cid, Ev::ReduceRetry { task });
             }
             Ev::ReduceRetry { task } => {
                 self.ready_reduces.push_back(task);
@@ -727,7 +698,6 @@ impl EventHandler for BarrierRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failure::NODE_DETECTION_DELAY;
     use crate::network::{Constant, TopologyAware};
     use asyncmr_model::{MapTaskSpec, ReduceTaskSpec};
 
@@ -787,7 +757,7 @@ mod tests {
         let job = small_job(40, 8);
         let clean = Simulation::new(ClusterSpec::ec2_2010(), 5).run_job(&job);
         let faulty = Simulation::new(ClusterSpec::ec2_2010(), 5)
-            .with_failures(FailurePlan::transient(0.2))
+            .with_failures(AttemptFailurePlan::transient(0.2))
             .run_job(&job);
         assert!(faulty.failed_attempts > 0, "20% attempt failure must trigger");
         assert!(faulty.duration > clean.duration);
@@ -877,13 +847,12 @@ mod tests {
     #[test]
     fn barrier_node_death_requeues_and_completes() {
         let job = small_job(32, 8);
-        let plan = NodeFailurePlan::correlated(0.35, 11);
+        let plan = NodeFailurePlan::correlated(0.35, 11, 1);
         let clean = Simulation::new(ClusterSpec::ec2_2010(), 5).run_job(&job);
         assert_eq!(clean.node_failures, 0);
         assert_eq!(clean.node_lost_tasks, 0);
-        let faulty = Simulation::new(ClusterSpec::ec2_2010(), 5)
-            .with_node_failures(plan, 1, NODE_DETECTION_DELAY)
-            .run_job(&job);
+        let faulty =
+            Simulation::new(ClusterSpec::ec2_2010(), 5).with_node_failures(plan).run_job(&job);
         assert!(faulty.node_failures > 0, "0.35/node at epoch 0 must fire on 8 nodes");
         assert!(faulty.node_lost_tasks > 0, "a death at the k-th completion must lose work");
         assert!(
@@ -897,26 +866,16 @@ mod tests {
     #[test]
     fn barrier_node_death_budget_persists_across_jobs() {
         let job = small_job(16, 4);
-        let plan = NodeFailurePlan {
-            node_failure_prob: 0.9,
-            max_node_failures: 1,
-            ..NodeFailurePlan::correlated(0.5, 3)
-        };
-        let mut sim = Simulation::new(ClusterSpec::ec2_2010(), 1).with_node_failures(
-            plan,
-            1,
-            NODE_DETECTION_DELAY,
-        );
+        let plan = NodeFailurePlan::correlated(0.9, 3, 1);
+        let mut sim = Simulation::new(ClusterSpec::ec2_2010(), 1).with_node_failures(plan);
         let n_nodes = sim.spec().num_nodes();
         let mut total = 0u32;
         for _ in 0..6 {
             total += sim.run_job(&job).node_failures;
         }
         assert!(total > 0, "0.9/(node, job) must fire");
-        assert!(
-            total <= n_nodes as u32,
-            "budget of 1 per node must bound deaths across jobs: {total}"
-        );
+        let budget = NodeFailurePlan::MAX_DEATHS * n_nodes as u32;
+        assert!(total <= budget, "the per-node budget must bound deaths across jobs: {total}");
     }
 
     #[test]

@@ -398,7 +398,9 @@ impl ReportModel {
 /// Escapes `s` for the inside of a JSON string (labels are generated,
 /// but titles may carry arbitrary workload names): `"` and `\` take a
 /// backslash, every control character below U+0020 becomes `\u00XX`.
-fn json_str(s: &str) -> String {
+/// The workspace's one JSON string escaper (`repro`'s figures use it
+/// too).
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -563,6 +565,12 @@ mod tests {
     #[test]
     fn escapes_hostile_titles() {
         assert_eq!(json_str("a<b>&\"c\\d\u{1}\n"), "a<b>&\\\"c\\\\d\\u0001\\u000a");
+        // One character at a time: a quote, a backslash, a newline and
+        // U+0001 — the newline as `\u000a`, like every control character.
+        assert_eq!(json_str("\""), r#"\""#);
+        assert_eq!(json_str("\\"), r"\\");
+        assert_eq!(json_str("\n"), r"\u000a");
+        assert_eq!(json_str("\u{1}"), r"\u0001");
         assert_eq!(html_text("a<b>&\"c\\d\u{1}"), "a&lt;b&gt;&amp;\"c\\d ");
     }
 

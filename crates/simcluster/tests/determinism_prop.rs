@@ -3,18 +3,17 @@
 //!
 //! The contract under test is the acceptance criterion of the
 //! event-core refactor: a simulation is a *pure function* of
-//! `(ClusterSpec, NetworkModel, FailurePlan, NodeFailurePlan, seed,
+//! `(ClusterSpec, NetworkModel, AttemptFailurePlan, NodeFailurePlan, seed,
 //! workload)` — same inputs give a **byte-identical event trace**
 //! (pinned via the order-sensitive trace digest) and byte-identical
 //! stats, on every network model; and the seed genuinely matters
 //! (different seeds perturb the schedule — smoke-checked, since a
 //! degenerate workload can legitimately be seed-independent).
 
-use asyncmr_model::{AsyncTaskSpec, JobSpec, MapTaskSpec, NodeFailurePlan, ReduceTaskSpec};
-use asyncmr_simcluster::{
-    ClusterSpec, Constant, FailurePlan, SchedulerSpec, Simulation, TopologyAware,
-    NODE_DETECTION_DELAY,
+use asyncmr_model::{
+    AsyncTaskSpec, AttemptFailurePlan, JobSpec, MapTaskSpec, NodeFailurePlan, ReduceTaskSpec,
 };
+use asyncmr_simcluster::{ClusterSpec, Constant, SchedulerSpec, Simulation, TopologyAware};
 use proptest::prelude::*;
 
 /// The model matrix every property sweeps. Index 0 is the default
@@ -29,7 +28,7 @@ fn sched_spec(name: &str) -> SchedulerSpec {
     match name {
         "list" => SchedulerSpec::List,
         "heft" => SchedulerSpec::Heft,
-        "lookahead" => SchedulerSpec::Lookahead { depth: 2 },
+        "lookahead" => SchedulerSpec::Lookahead,
         "portfolio" => SchedulerSpec::Portfolio,
         other => panic!("unknown scheduler {other}"),
     }
@@ -178,15 +177,15 @@ proptest! {
         prob in 0.0f64..0.4,
     ) {
         for model in MODELS {
-            let plan = FailurePlan::transient(prob);
-            let deaths = NodeFailurePlan::correlated(prob / 2.0, seed ^ 0xd1e);
+            let plan = AttemptFailurePlan::transient(prob);
+            let deaths = NodeFailurePlan::correlated(prob / 2.0, seed ^ 0xd1e, 2);
             let mut a = sim_on(model, seed)
-                .with_failures(plan.clone())
-                .with_node_failures(deaths, 2, NODE_DETECTION_DELAY);
+                .with_failures(plan)
+                .with_node_failures(deaths);
             let sa = a.run_async_schedule(&tasks);
             let mut b = sim_on(model, seed)
                 .with_failures(plan)
-                .with_node_failures(deaths, 2, NODE_DETECTION_DELAY);
+                .with_node_failures(deaths);
             let sb = b.run_async_schedule(&tasks);
             prop_assert_eq!(&sa, &sb, "{}: failure replay drifted", model);
             prop_assert_eq!(a.trace_digest(), b.trace_digest(), "{}: trace drifted", model);

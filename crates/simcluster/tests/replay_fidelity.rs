@@ -26,9 +26,9 @@
 //! file alone: `cargo test -p asyncmr-simcluster --test replay_fidelity
 //! -- --ignored --nocapture` re-prints the golden tables.
 
-use asyncmr_model::{splitmix64, underflow_count, NodeFailurePlan};
+use asyncmr_model::{splitmix64, underflow_count, AttemptFailurePlan, NodeFailurePlan};
 use asyncmr_simcluster::workloads::{async_schedule, barrier_jobs, APPS, ASYNC_SEED, BARRIER_SEED};
-use asyncmr_simcluster::{ClusterSpec, Constant, FailurePlan, Simulation, NODE_DETECTION_DELAY};
+use asyncmr_simcluster::{ClusterSpec, Constant, Simulation};
 
 // -------------------------------------------------------------------------
 // Golden tables, captured from the pre-refactor engine (commit 07afebf).
@@ -70,13 +70,13 @@ const ASYNC_GOLDEN: [(&str, u64, u64, usize, u64, u64); 5] = [
     ("jacobi", 30691824, 26965865, 0, 0x72c4b6569396d628, 0x3c6f01532700ca93),
 ];
 
-/// pagerank barrier, seed 42, `FailurePlan::transient(0.15)` — pins the
+/// pagerank barrier, seed 42, `AttemptFailurePlan::transient(0.15)` — pins the
 /// RNG draw order of the transient-injection path.
 const BARRIER_FAILURE_GOLDEN: (u64, u64, u32, u64, u64) =
     (361030832, 3900702720, 29, 0x1b04c2858a048343, 0x2e9fdda562562a42);
 
 /// pagerank async, seed 1007, transient(0.15) +
-/// `NodeFailurePlan::correlated(0.10, 77)` checkpointed every 2, [`Constant`] model —
+/// `NodeFailurePlan::correlated(0.10, 77, 2)` (checkpointed every 2), [`Constant`] model —
 /// pins the RNG draw order of both async injection paths at once.
 const ASYNC_FAILURE_GOLDEN: (u64, u64, usize, u64, u64) =
     (161735875, 685768704, 32, 0xca176c0d663c9d77, 0x8393a56263eaf1e2);
@@ -207,7 +207,7 @@ fn async_under_the_default_model_now_sees_nic_contention() {
 fn barrier_failure_injection_draw_order_is_pinned() {
     let (total, net, failed, d, l) = BARRIER_FAILURE_GOLDEN;
     let mut sim = Simulation::new(ClusterSpec::ec2_2010(), BARRIER_SEED)
-        .with_failures(FailurePlan::transient(0.15));
+        .with_failures(AttemptFailurePlan::transient(0.15));
     let got = run_barrier("pagerank", &mut sim);
     assert_eq!(got, (total, net, failed, d, l), "barrier failure replay drifted");
 }
@@ -216,8 +216,8 @@ fn barrier_failure_injection_draw_order_is_pinned() {
 fn async_failure_and_death_injection_draw_order_is_pinned() {
     let (dur, net, failed, fd, nd) = ASYNC_FAILURE_GOLDEN;
     let mut sim = constant_sim(ASYNC_SEED)
-        .with_failures(FailurePlan::transient(0.15))
-        .with_node_failures(NodeFailurePlan::correlated(0.10, 77), 2, NODE_DETECTION_DELAY);
+        .with_failures(AttemptFailurePlan::transient(0.15))
+        .with_node_failures(NodeFailurePlan::correlated(0.10, 77, 2));
     let got = run_async("pagerank", &mut sim);
     assert_eq!(got, (dur, net, failed, fd, nd), "async failure replay drifted");
 }
@@ -250,13 +250,13 @@ fn no_golden_row_underflows_simtime() {
         without_underflow(&format!("{app}/async"), || run_async(app, &mut default_sim(ASYNC_SEED)));
     }
     without_underflow("pagerank/barrier-failures", || {
-        let mut sim = default_sim(BARRIER_SEED).with_failures(FailurePlan::transient(0.15));
+        let mut sim = default_sim(BARRIER_SEED).with_failures(AttemptFailurePlan::transient(0.15));
         run_barrier("pagerank", &mut sim)
     });
     without_underflow("pagerank/async-failures", || {
         let mut sim = constant_sim(ASYNC_SEED)
-            .with_failures(FailurePlan::transient(0.15))
-            .with_node_failures(NodeFailurePlan::correlated(0.10, 77), 2, NODE_DETECTION_DELAY);
+            .with_failures(AttemptFailurePlan::transient(0.15))
+            .with_node_failures(NodeFailurePlan::correlated(0.10, 77, 2));
         run_async("pagerank", &mut sim)
     });
 }
@@ -384,7 +384,7 @@ fn print_goldens() {
     // otherwise silently reorder.
     {
         let mut sim = Simulation::new(ClusterSpec::ec2_2010(), BARRIER_SEED)
-            .with_failures(FailurePlan::transient(0.15));
+            .with_failures(AttemptFailurePlan::transient(0.15));
         let (total, net, failed, d, l) = run_barrier("pagerank", &mut sim);
         println!(
             "const BARRIER_FAILURE_GOLDEN: (u64, u64, u32, u64, u64) = ({total}, {net}, {failed}, 0x{d:016x}, 0x{l:016x});"
@@ -392,8 +392,8 @@ fn print_goldens() {
     }
     {
         let mut sim = constant_sim(ASYNC_SEED)
-            .with_failures(FailurePlan::transient(0.15))
-            .with_node_failures(NodeFailurePlan::correlated(0.10, 77), 2, NODE_DETECTION_DELAY);
+            .with_failures(AttemptFailurePlan::transient(0.15))
+            .with_node_failures(NodeFailurePlan::correlated(0.10, 77, 2));
         let (dur, net, failed, fd, nd) = run_async("pagerank", &mut sim);
         println!(
             "const ASYNC_FAILURE_GOLDEN: (u64, u64, usize, u64, u64) = ({dur}, {net}, {failed}, 0x{fd:016x}, 0x{nd:016x});"

@@ -1,9 +1,10 @@
 //! Property tests for the discrete-event simulator: determinism, time
 //! accounting, and monotonicity in workload size.
 
+use asyncmr_model::AttemptFailurePlan;
 use asyncmr_model::{JobSpec, MapTaskSpec, ReduceTaskSpec, SimTime};
 use asyncmr_simcluster::events::EventQueue;
-use asyncmr_simcluster::{ClusterSpec, FailurePlan, Simulation};
+use asyncmr_simcluster::{ClusterSpec, Simulation};
 use proptest::prelude::*;
 
 fn arb_job() -> impl Strategy<Value = JobSpec> {
@@ -78,7 +79,7 @@ proptest! {
     #[test]
     fn failures_preserve_completion(job in arb_job(), prob in 0.0f64..0.5) {
         let stats = Simulation::new(ClusterSpec::ec2_2010(), 3)
-            .with_failures(FailurePlan::transient(prob))
+            .with_failures(AttemptFailurePlan::transient(prob))
             .run_job(&job);
         prop_assert_eq!(stats.map_tasks, job.maps.len());
         prop_assert_eq!(stats.reduce_tasks, job.reduces.len());

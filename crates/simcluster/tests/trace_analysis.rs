@@ -35,7 +35,7 @@ fn sched_spec(name: &str) -> SchedulerSpec {
     match name {
         "list" => SchedulerSpec::List,
         "heft" => SchedulerSpec::Heft,
-        "lookahead" => SchedulerSpec::Lookahead { depth: 2 },
+        "lookahead" => SchedulerSpec::Lookahead,
         "portfolio" => SchedulerSpec::Portfolio,
         other => panic!("unknown scheduler {other}"),
     }

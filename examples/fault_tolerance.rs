@@ -7,22 +7,20 @@
 //! (1) results are bit-identical with and without failures, and
 //! (2) the time overhead of re-execution for both variants — then does
 //! the same for the *asynchronous session* (`pagerank::run_async`),
-//! where failures are injected in-process (`SessionFailurePlan` kills
-//! real gmap attempts) and the recorded schedule is replayed on the
-//! failing simulated cluster.
+//! where the same `AttemptFailurePlan` kills real gmap attempts
+//! in-process and the recorded schedule is replayed on the failing
+//! simulated cluster.
 //!
 //! ```sh
 //! cargo run --release --example fault_tolerance
 //! ```
 
 use asyncmr::apps::pagerank::{self, PageRankConfig};
-use asyncmr::core::{
-    AsyncFixedPointDriver, CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan,
-};
+use asyncmr::core::{AsyncFixedPointDriver, AttemptFailurePlan, Engine, NodeFailurePlan};
 use asyncmr::graph::presets;
 use asyncmr::partition::{MultilevelKWay, Partitioner};
 use asyncmr::runtime::ThreadPool;
-use asyncmr::simcluster::{ClusterSpec, FailurePlan, Simulation, NODE_DETECTION_DELAY};
+use asyncmr::simcluster::{ClusterSpec, Simulation};
 
 fn main() {
     let graph = presets::graph_a(0.02);
@@ -35,7 +33,7 @@ fn main() {
         let name = if eager { "Eager" } else { "General" };
         let mut baseline_ranks: Option<Vec<f64>> = None;
         for prob in [0.0, 0.02, 0.05] {
-            let plan = if prob == 0.0 { FailurePlan::none() } else { FailurePlan::transient(prob) };
+            let plan = AttemptFailurePlan::transient(prob);
             let sim = Simulation::new(ClusterSpec::ec2_2010(), 11).with_failures(plan);
             let mut engine = Engine::with_simulation(&pool, sim);
             let outcome = if eager {
@@ -80,21 +78,16 @@ fn main() {
     println!("\nvariant  failure rate  sim time (s)  gmap re-exec  sim re-exec  identical ranks");
     let mut baseline_ranks: Option<Vec<f64>> = None;
     for prob in [0.0, 0.02, 0.05] {
-        let session_plan = if prob == 0.0 {
-            SessionFailurePlan::none()
-        } else {
-            SessionFailurePlan::transient(prob, 2026)
-        };
+        let plan = AttemptFailurePlan::transient(prob); // one regime, both layers
         let out = pagerank::run_async_with_driver(
             &pool,
             &graph,
             &parts,
             &cfg,
-            AsyncFixedPointDriver::new(cfg.max_iterations).with_failures(session_plan),
+            AsyncFixedPointDriver::new(cfg.max_iterations).with_failures(plan, 2026),
         );
-        let sim_plan = if prob == 0.0 { FailurePlan::none() } else { FailurePlan::transient(prob) };
         let replay = Simulation::new(ClusterSpec::ec2_2010(), 11)
-            .with_failures(sim_plan)
+            .with_failures(plan)
             .run_async_schedule(&out.report.schedule);
         let identical = match &baseline_ranks {
             None => {
@@ -136,19 +129,17 @@ fn main() {
     println!(
         "\nvariant  ckpt k  rollbacks  rb iters  ckpt KiB  peak KiB  sim rollback (s)  identical ranks"
     );
-    let deaths = NodeFailurePlan::correlated(0.1, 2026); // one regime, both layers
     for k in [1usize, 4] {
+        let deaths = NodeFailurePlan::correlated(0.1, 2026, k); // one regime, both layers
         let out = pagerank::run_async_with_driver(
             &pool,
             &graph,
             &parts,
             &cfg,
-            AsyncFixedPointDriver::new(cfg.max_iterations)
-                .with_checkpoints(CheckpointPolicy::EveryK(k))
-                .with_node_failures(deaths, 8),
+            AsyncFixedPointDriver::new(cfg.max_iterations).with_node_failures(deaths, 8),
         );
         let replay = Simulation::new(ClusterSpec::ec2_2010(), 11)
-            .with_node_failures(deaths, k, NODE_DETECTION_DELAY)
+            .with_node_failures(deaths)
             .run_async_schedule(&out.report.schedule);
         let same = baseline.ranks.iter().zip(&out.ranks).all(|(a, b)| a.to_bits() == b.to_bits());
         println!(

@@ -7,30 +7,28 @@
 //! tests make that claim falsifiable for the reproduction:
 //!
 //! * **In-process**: with transient gmap failures injected at
-//!   p ∈ {0.05, 0.2} (`SessionFailurePlan`, deterministic per-attempt
+//!   p ∈ {0.05, 0.2} (`AttemptFailurePlan`, deterministic per-attempt
 //!   verdicts), `pagerank::run_async` / `sssp::run_async` at
 //!   `max_lag = 0` produce **bitwise-identical** ranks / distances and
 //!   iteration counts to the *failure-free barrier* `FixedPointDriver`
 //!   path — recovery is invisible in the result, visible only in the
 //!   wasted-attempt accounting.
 //! * **Simulated**: `Simulation::run_async_schedule` under the same
-//!   `FailurePlan` regime as the barrier `run_job` path completes the
+//!   `AttemptFailurePlan` regime as the barrier `run_job` path completes the
 //!   identical dependency graph, with the recovery cost metered
 //!   (`failed_attempts`, `recovery_time`) and the whole replay still a
-//!   pure function of `(ClusterSpec, FailurePlan, seed, tasks)`.
+//!   pure function of `(ClusterSpec, AttemptFailurePlan, seed, tasks)`.
 //! * **Under staleness**: failures at `max_lag > 0` still converge to
 //!   the same fixed point within the declared tolerance.
 
 use asyncmr::apps::pagerank::{self, PageRankConfig};
 use asyncmr::apps::sssp::{self, SsspConfig};
-use asyncmr::core::{
-    AsyncFixedPointDriver, CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan,
-};
+use asyncmr::core::{AsyncFixedPointDriver, AttemptFailurePlan, Engine, NodeFailurePlan};
 use asyncmr::graph::{generators, CsrGraph, WeightedGraph};
 use asyncmr::model::{JobSpec, MapTaskSpec, ReduceTaskSpec, SimTime};
 use asyncmr::partition::{MultilevelKWay, Partitioner};
 use asyncmr::runtime::ThreadPool;
-use asyncmr::simcluster::{ClusterSpec, Ev, FailurePlan, Simulation, NODE_DETECTION_DELAY};
+use asyncmr::simcluster::{ClusterSpec, Ev, Simulation};
 
 /// The fixed seed matrix CI's chaos smoke step runs under: every
 /// (probability, seed) cell must both *trigger* failures and *hide*
@@ -67,7 +65,7 @@ fn pagerank_chaos_lag0_matches_the_failure_free_barrier_driver_bitwise() {
                 &parts,
                 &cfg,
                 AsyncFixedPointDriver::new(cfg.max_iterations)
-                    .with_failures(SessionFailurePlan::transient(prob, seed)),
+                    .with_failures(AttemptFailurePlan::transient(prob), seed),
             );
             assert!(
                 faulty.report.failed_attempts > 0,
@@ -111,7 +109,7 @@ fn sssp_chaos_lag0_matches_the_failure_free_barrier_driver_bitwise() {
                 &parts,
                 &cfg,
                 AsyncFixedPointDriver::new(cfg.max_iterations)
-                    .with_failures(SessionFailurePlan::transient(prob, seed)),
+                    .with_failures(AttemptFailurePlan::transient(prob), seed),
             );
             assert!(faulty.report.failed_attempts > 0, "p = {prob}, seed {seed}: must fire");
             assert_eq!(faulty.report.global_iterations, barrier.report.global_iterations);
@@ -140,7 +138,7 @@ fn chaos_under_staleness_still_reaches_the_fixed_point() {
             &cfg,
             AsyncFixedPointDriver::new(cfg.max_iterations)
                 .with_max_lag(lag)
-                .with_failures(SessionFailurePlan::transient(0.2, 17)),
+                .with_failures(AttemptFailurePlan::transient(0.2), 17),
         );
         assert!(faulty.report.converged, "lag {lag} under failures must still converge");
         let diff = pagerank::inf_norm_diff(&exact.ranks, &faulty.ranks);
@@ -164,7 +162,7 @@ fn failed_and_speculative_work_are_accounted_as_waste() {
         &parts,
         &cfg,
         AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_failures(SessionFailurePlan::transient(0.2, 42)),
+            .with_failures(AttemptFailurePlan::transient(0.2), 42),
     );
     assert!(faulty.report.failed_attempts > 0);
     assert!(
@@ -188,7 +186,7 @@ fn simulated_async_replay_completes_the_same_graph_under_failures() {
     let clean = Simulation::new(ClusterSpec::ec2_2010(), 7).run_async_schedule(&schedule);
     for prob in CHAOS_PROBS {
         let faulty = Simulation::new(ClusterSpec::ec2_2010(), 7)
-            .with_failures(FailurePlan::transient(prob))
+            .with_failures(AttemptFailurePlan::transient(prob))
             .run_async_schedule(&schedule);
         // Same dependency graph, fully completed, in dependency order.
         assert_eq!(faulty.tasks, schedule.len());
@@ -211,7 +209,7 @@ fn simulated_async_replay_completes_the_same_graph_under_failures() {
         );
         // And the replay stays a pure function of its inputs.
         let again = Simulation::new(ClusterSpec::ec2_2010(), 7)
-            .with_failures(FailurePlan::transient(prob))
+            .with_failures(AttemptFailurePlan::transient(prob))
             .run_async_schedule(&schedule);
         assert_eq!(faulty, again, "p = {prob}: failure replay must be deterministic");
     }
@@ -243,8 +241,7 @@ fn pagerank_node_failure_rollback_matches_the_failure_free_barrier_driver_bitwis
                     &parts,
                     &cfg,
                     AsyncFixedPointDriver::new(cfg.max_iterations)
-                        .with_checkpoints(CheckpointPolicy::EveryK(k))
-                        .with_node_failures(NodeFailurePlan::correlated(prob, seed), 3),
+                        .with_node_failures(NodeFailurePlan::correlated(prob, seed, k), 3),
                 );
                 assert!(
                     faulty.report.rollbacks > 0,
@@ -293,8 +290,7 @@ fn sssp_node_failure_rollback_matches_the_failure_free_barrier_driver_bitwise() 
                 &parts,
                 &cfg,
                 AsyncFixedPointDriver::new(cfg.max_iterations)
-                    .with_checkpoints(CheckpointPolicy::EveryK(k))
-                    .with_node_failures(NodeFailurePlan::correlated(prob, 42), 3),
+                    .with_node_failures(NodeFailurePlan::correlated(prob, 42, k), 3),
             );
             assert!(faulty.report.rollbacks > 0, "k = {k}, p = {prob}: must fire");
             assert_eq!(faulty.report.global_iterations, barrier.report.global_iterations);
@@ -323,8 +319,7 @@ fn node_failure_rollback_under_staleness_still_reaches_the_fixed_point() {
             &cfg,
             AsyncFixedPointDriver::new(cfg.max_iterations)
                 .with_max_lag(lag)
-                .with_checkpoints(CheckpointPolicy::EveryK(2))
-                .with_node_failures(NodeFailurePlan::correlated(0.15, 17), 3),
+                .with_node_failures(NodeFailurePlan::correlated(0.15, 17, 2), 3),
         );
         assert!(faulty.report.converged, "lag {lag} under node failures must still converge");
         let diff = pagerank::inf_norm_diff(&exact.ranks, &faulty.ranks);
@@ -346,9 +341,9 @@ fn simulated_node_death_replay_is_deterministic_and_meters_rollback() {
 
     for k in CHAOS_CKPT_INTERVALS {
         for prob in CHAOS_PROBS {
-            let plan = NodeFailurePlan::correlated(prob, 42);
+            let plan = NodeFailurePlan::correlated(prob, 42, k);
             let faulty = Simulation::new(ClusterSpec::ec2_2010(), 7)
-                .with_node_failures(plan, k, NODE_DETECTION_DELAY)
+                .with_node_failures(plan)
                 .run_async_schedule(&schedule);
             // Same dependency graph, fully completed, in order.
             assert_eq!(faulty.tasks, schedule.len());
@@ -369,7 +364,7 @@ fn simulated_node_death_replay_is_deterministic_and_meters_rollback() {
             // Byte-identical schedules on identical inputs — the
             // determinism contract the acceptance criteria pin.
             let again = Simulation::new(ClusterSpec::ec2_2010(), 7)
-                .with_node_failures(plan, k, NODE_DETECTION_DELAY)
+                .with_node_failures(plan)
                 .run_async_schedule(&schedule);
             assert_eq!(faulty, again, "k = {k}, p = {prob}: replay must be deterministic");
         }
@@ -391,13 +386,9 @@ fn simulated_barrier_jobs_survive_node_deaths_across_the_chaos_matrix() {
 
     for prob in [0.3, 0.6] {
         for seed in CHAOS_SEEDS {
-            let plan = NodeFailurePlan::correlated(prob, seed);
+            let plan = NodeFailurePlan::correlated(prob, seed, 1);
             let run = |_: ()| {
-                let mut sim = Simulation::new(ClusterSpec::ec2_2010(), 7).with_node_failures(
-                    plan,
-                    1,
-                    NODE_DETECTION_DELAY,
-                );
+                let mut sim = Simulation::new(ClusterSpec::ec2_2010(), 7).with_node_failures(plan);
                 let mut all = Vec::new();
                 let mut digests = Vec::new();
                 for _ in 0..jobs {
@@ -462,7 +453,7 @@ fn barrier_node_deaths_cost_time_against_the_clean_run() {
     assert_eq!(clean.node_failures, 0);
     assert_eq!(clean.node_lost_tasks, 0);
     let faulty = Simulation::new(ClusterSpec::ec2_2010(), 7)
-        .with_node_failures(NodeFailurePlan::correlated(0.6, 42), 1, NODE_DETECTION_DELAY)
+        .with_node_failures(NodeFailurePlan::correlated(0.6, 42, 1))
         .run_job(&job);
     assert!(faulty.node_failures > 0, "near-certain deaths must fire");
     assert!(
@@ -484,15 +475,15 @@ fn async_recovery_stays_cheaper_than_the_barrier_job_sequence() {
     let pool = ThreadPool::new(4);
     let cfg = PageRankConfig::default();
 
-    let sim =
-        Simulation::new(ClusterSpec::ec2_2010(), 7).with_failures(FailurePlan::transient(0.2));
+    let sim = Simulation::new(ClusterSpec::ec2_2010(), 7)
+        .with_failures(AttemptFailurePlan::transient(0.2));
     let mut engine = Engine::with_simulation(&pool, sim);
     let barrier = pagerank::run_eager(&mut engine, &g, &parts, &cfg);
     let barrier_secs = barrier.report.sim_time.expect("simulated").as_secs_f64();
 
     let schedule = pagerank::run_async(&pool, &g, &parts, &cfg, 0).report.schedule;
     let faulty_async = Simulation::new(ClusterSpec::ec2_2010(), 7)
-        .with_failures(FailurePlan::transient(0.2))
+        .with_failures(AttemptFailurePlan::transient(0.2))
         .run_async_schedule(&schedule);
     assert!(faulty_async.failed_attempts > 0);
     assert!(

@@ -7,11 +7,11 @@ use std::sync::Arc;
 use asyncmr::apps::kmeans::{self, KMeansConfig};
 use asyncmr::apps::pagerank::{self, PageRankConfig};
 use asyncmr::apps::sssp::{self, SsspConfig};
-use asyncmr::core::Engine;
+use asyncmr::core::{AttemptFailurePlan, Engine};
 use asyncmr::graph::{generators, WeightedGraph};
 use asyncmr::partition::{BfsPartitioner, HashPartitioner, MultilevelKWay, Partitioner};
 use asyncmr::runtime::ThreadPool;
-use asyncmr::simcluster::{ClusterSpec, FailurePlan, Simulation};
+use asyncmr::simcluster::{ClusterSpec, Simulation};
 
 fn crawl_graph(n: usize, seed: u64) -> asyncmr::graph::CsrGraph {
     generators::preferential_attachment_crawled(n, 3, 2, 1, 0.95, 40, seed)
@@ -92,8 +92,8 @@ fn failure_injection_preserves_results_and_costs_time() {
     let mut clean_engine = Engine::with_simulation(&pool, clean_sim);
     let clean = pagerank::run_general(&mut clean_engine, &g, &parts, &cfg);
 
-    let faulty_sim =
-        Simulation::new(ClusterSpec::ec2_2010(), 2).with_failures(FailurePlan::transient(0.15));
+    let faulty_sim = Simulation::new(ClusterSpec::ec2_2010(), 2)
+        .with_failures(AttemptFailurePlan::transient(0.15));
     let mut faulty_engine = Engine::with_simulation(&pool, faulty_sim);
     let faulty = pagerank::run_general(&mut faulty_engine, &g, &parts, &cfg);
 

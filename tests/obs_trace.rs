@@ -16,8 +16,8 @@
 
 use asyncmr::apps::pagerank::{self, PageRankConfig};
 use asyncmr::core::{
-    Absorbed, AsyncFixedPointDriver, AsyncIterative, Dependence, Engine, GmapOutput, Outbox,
-    SessionFailurePlan,
+    Absorbed, AsyncFixedPointDriver, AsyncIterative, AttemptFailurePlan, Dependence, Engine,
+    GmapOutput, Outbox,
 };
 use asyncmr::graph::{generators, CsrGraph};
 use asyncmr::model::{MarkKind, SessionTrace, SpanKind};
@@ -239,7 +239,7 @@ fn gmap_spans_conserve_metered_time_under_transient_failures() {
     let pool = ThreadPool::new(4);
     let driver = AsyncFixedPointDriver::new(400)
         .with_max_lag(2)
-        .with_failures(SessionFailurePlan::transient(0.2, 77))
+        .with_failures(AttemptFailurePlan::transient(0.2), 77)
         .with_trace();
     let outcome = driver.run(&pool, &algo);
     assert!(outcome.report.converged);

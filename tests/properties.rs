@@ -7,9 +7,7 @@ use proptest::prelude::*;
 use asyncmr::apps::kmeans;
 use asyncmr::apps::pagerank::{self, PageRankConfig};
 use asyncmr::apps::sssp::{self, SsspConfig};
-use asyncmr::core::{
-    AsyncFixedPointDriver, CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan,
-};
+use asyncmr::core::{AsyncFixedPointDriver, AttemptFailurePlan, Engine, NodeFailurePlan};
 use asyncmr::graph::{CsrGraph, WeightedGraph};
 use asyncmr::partition::{
     BfsPartitioner, HashPartitioner, MultilevelKWay, Partitioner, RangePartitioner,
@@ -167,7 +165,7 @@ proptest! {
         let clean = pagerank::run_async(&pool, &g, &parts, &cfg, max_lag);
         let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
             .with_max_lag(max_lag)
-            .with_failures(SessionFailurePlan::transient(0.25, fseed));
+            .with_failures(AttemptFailurePlan::transient(0.25), fseed);
         let faulty = pagerank::run_async_with_driver(&pool, &g, &parts, &cfg, driver);
         prop_assert!(clean.report.converged && faulty.report.converged);
         if max_lag == 0 {
@@ -200,7 +198,7 @@ proptest! {
         let cfg = SsspConfig::default();
         let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
             .with_max_lag(max_lag)
-            .with_failures(SessionFailurePlan::transient(0.25, fseed ^ 0xC0FFEE));
+            .with_failures(AttemptFailurePlan::transient(0.25), fseed ^ 0xC0FFEE);
         let faulty = sssp::run_async_with_driver(&pool, &wg, &parts, &cfg, driver);
         prop_assert!(faulty.report.converged);
         for (v, (&d, &t)) in faulty.distances.iter().zip(&truth).enumerate() {
@@ -232,8 +230,7 @@ proptest! {
         let clean = pagerank::run_async(&pool, &g, &parts, &cfg, max_lag);
         let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
             .with_max_lag(max_lag)
-            .with_checkpoints(CheckpointPolicy::EveryK(ckpt_k))
-            .with_node_failures(NodeFailurePlan::correlated(0.25, fseed), 1 + (fseed as usize % 4));
+            .with_node_failures(NodeFailurePlan::correlated(0.25, fseed, ckpt_k), 1 + (fseed as usize % 4));
         let faulty = pagerank::run_async_with_driver(&pool, &g, &parts, &cfg, driver);
         prop_assert!(clean.report.converged && faulty.report.converged);
         if max_lag == 0 {
@@ -272,8 +269,7 @@ proptest! {
         let cfg = SsspConfig::default();
         let driver = AsyncFixedPointDriver::new(cfg.max_iterations)
             .with_max_lag(max_lag)
-            .with_checkpoints(CheckpointPolicy::EveryK(ckpt_k))
-            .with_node_failures(NodeFailurePlan::correlated(0.25, fseed ^ 0xBEEF), 1 + (fseed as usize % 3));
+            .with_node_failures(NodeFailurePlan::correlated(0.25, fseed ^ 0xBEEF, ckpt_k), 1 + (fseed as usize % 3));
         let faulty = sssp::run_async_with_driver(&pool, &wg, &parts, &cfg, driver);
         prop_assert!(faulty.report.converged);
         for (v, (&d, &t)) in faulty.distances.iter().zip(&truth).enumerate() {

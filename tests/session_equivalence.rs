@@ -19,9 +19,7 @@
 use asyncmr::apps::pagerank::{self, PageRankConfig};
 use asyncmr::apps::sssp::{self, SsspConfig};
 use asyncmr::core::session::SessionReport;
-use asyncmr::core::{
-    AsyncFixedPointDriver, CheckpointPolicy, Engine, NodeFailurePlan, SessionFailurePlan,
-};
+use asyncmr::core::{AsyncFixedPointDriver, AttemptFailurePlan, Engine, NodeFailurePlan};
 use asyncmr::graph::{generators, CsrGraph, NodeId, WeightedGraph};
 use asyncmr::partition::{
     HashPartitioner, MultilevelKWay, Partitioner, Partitioning, RangePartitioner,
@@ -200,14 +198,13 @@ proptest! {
         prop_assert!(drift < 1e-6, "lag 2 drifted the fixed point by {}", drift);
 
         let flaky = AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_failures(SessionFailurePlan::transient(0.2, seed));
+            .with_failures(AttemptFailurePlan::transient(0.2), seed);
         let flaky = pagerank::run_async_with_driver(&pool, &g, &parts, &cfg, flaky);
         prop_assert!(same_bits(&flaky.ranks, &exact.ranks), "transient failures changed ranks");
         prop_assert_eq!(flaky.report.global_iterations, exact.report.global_iterations);
 
         let dying = AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_checkpoints(CheckpointPolicy::EveryK(2))
-            .with_node_failures(NodeFailurePlan::correlated(0.2, seed), 3);
+            .with_node_failures(NodeFailurePlan::correlated(0.2, seed, 2), 3);
         let dying = pagerank::run_async_with_driver(&pool, &g, &parts, &cfg, dying);
         prop_assert!(same_bits(&dying.ranks, &exact.ranks), "rollback changed ranks");
         prop_assert_eq!(dying.report.global_iterations, exact.report.global_iterations);
@@ -253,13 +250,12 @@ proptest! {
         prop_assert!(same_bits(&stale.distances, &exact.distances), "lag 2 changed distances");
 
         let flaky = AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_failures(SessionFailurePlan::transient(0.2, seed));
+            .with_failures(AttemptFailurePlan::transient(0.2), seed);
         let flaky = sssp::run_async_with_driver(&pool, &wg, &parts, &cfg, flaky);
         prop_assert!(same_bits(&flaky.distances, &exact.distances), "failures changed distances");
 
         let dying = AsyncFixedPointDriver::new(cfg.max_iterations)
-            .with_checkpoints(CheckpointPolicy::EveryK(1))
-            .with_node_failures(NodeFailurePlan::correlated(0.25, seed), 3);
+            .with_node_failures(NodeFailurePlan::correlated(0.25, seed, 1), 3);
         let dying = sssp::run_async_with_driver(&pool, &wg, &parts, &cfg, dying);
         prop_assert!(same_bits(&dying.distances, &exact.distances), "rollback changed distances");
     }
