@@ -10,7 +10,7 @@
 //!   --scale <f64>    input scale vs the paper (default 0.1)
 //!   --seed <u64>     master seed (default 2010)
 //!   --threads <n>    worker threads, at least 1 (default: all cores)
-//!   --reducers <n>   reduce tasks per job (default 16, = paper slots)
+//!   --reducers <n>   reduce tasks per job, at least 1 (default 16, = paper slots)
 //!   --out <dir>      JSON output directory (default results/)
 //!   --no-save        don't write JSON
 //! ```
@@ -52,7 +52,11 @@ fn main() -> ExitCode {
                     .unwrap_or_else(|| usage())
             }
             "--reducers" => {
-                cfg.reducers = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+                cfg.reducers = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage())
             }
             "--out" => cfg.out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--no-save" => cfg.out_dir = None,

@@ -50,7 +50,8 @@ pub struct IterationReport {
 /// Runs a step function until convergence or an iteration cap.
 #[derive(Debug, Clone, Copy)]
 pub struct FixedPointDriver {
-    /// Upper bound on global iterations.
+    /// Upper bound on global iterations; must be ≥ 1
+    /// ([`FixedPointDriver::run`] panics on `0`).
     pub max_iterations: usize,
 }
 
@@ -63,16 +64,21 @@ impl Default for FixedPointDriver {
 impl FixedPointDriver {
     /// A driver capped at `max_iterations` global iterations.
     pub fn new(max_iterations: usize) -> Self {
-        FixedPointDriver { max_iterations: max_iterations.max(1) }
+        FixedPointDriver { max_iterations }
     }
 
     /// Runs `step(engine, iteration)` until it returns
     /// [`StepStatus::Converged`] or the cap is reached, and summarizes
     /// everything the engine recorded during the run.
+    ///
+    /// # Panics
+    ///
+    /// If `max_iterations` is 0.
     pub fn run<F>(&self, engine: &mut Engine<'_>, mut step: F) -> IterationReport
     where
         F: FnMut(&mut Engine<'_>, usize) -> StepStatus,
     {
+        assert!(self.max_iterations > 0, "FixedPointDriver::max_iterations is 0");
         let history_start = engine.history().len();
         let started = Instant::now();
         let mut iterations = 0;
@@ -193,5 +199,12 @@ mod tests {
         assert_eq!(report.global_iterations, 7);
         assert!(!report.converged);
         assert_eq!(report.jobs, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "FixedPointDriver::max_iterations is 0")]
+    fn a_zero_iteration_cap_is_refused() {
+        let pool = ThreadPool::new(1);
+        FixedPointDriver::new(0).run(&mut Engine::in_process(&pool), |_, _| StepStatus::Converged);
     }
 }

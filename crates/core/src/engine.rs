@@ -12,8 +12,8 @@
 //!    partition's buckets reach its reduce task *by move* — no clone,
 //!    and partitions that received no records are skipped,
 //! 4. reduce: every reduce task groups its buckets into key-sorted
-//!    [`crate::shuffle::GroupView`]s (map-task-ordered values) over
-//!    buffers recycled across jobs, and reduces them,
+//!    [`crate::shuffle::GroupView`]s (map-task-ordered values) and
+//!    reduces them,
 //! 5. the engine meters everything, and — when a [`JobReplay`] (the
 //!    simulated cluster) is attached — replays the metered job on it,
 //!    appending the resulting [`JobStats`] to the engine's history.
@@ -38,8 +38,8 @@
 //! pays for a new plan only when one looks worth recording. Step 1 keeps, the same
 //! way, what the local syncs of a [`crate::EagerMapper`] task learned
 //! (see [`crate::local`]), so only a task's first job sorts anything.
-//! [`JobResult::reuse`] says which it was. Dropping the engine releases
-//! the plans and the scratch buffers.
+//! [`JobResult::reuse`] says which it was. The plans are all an engine
+//! carries from job to job; dropping the engine releases them.
 //!
 //! The returned pairs are *identical* whether or not simulation is
 //! enabled; simulation only produces timing.
@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use asyncmr_model::{JobReplay, JobSpec, JobStats};
 use asyncmr_runtime::ThreadPool;
 
-use crate::plan::{self, PlanStore, ScratchArena, StageTimings};
+use crate::plan::{self, PlanStore, StageTimings};
 use crate::shuffle::{GroupingStrategy, PlanOutcome};
 use crate::traits::{Combiner, Mapper, Reducer};
 
@@ -67,9 +67,8 @@ pub struct JobOptions<'c, K, V> {
     /// three distinct keys runs at most three reduce tasks instead of
     /// metering thirteen empty ones.
     ///
-    /// A value of `0` (constructible through this public field) is
-    /// clamped to `1` once at the top of [`Engine::run`]; the task
-    /// bodies in [`crate::plan`] themselves require ≥ 1.
+    /// Must be ≥ 1: [`Engine::run`] panics on `0` rather than pick a
+    /// partition count for the caller.
     pub num_reducers: usize,
     /// Optional map-side combiner.
     pub combiner: Option<&'c dyn Combiner<Key = K, Value = V>>,
@@ -101,9 +100,10 @@ impl<K, V> Default for JobOptions<'static, K, V> {
 }
 
 impl<K, V> JobOptions<'static, K, V> {
-    /// Options with `n` reducers and no combiner.
+    /// Options with `n` reducers (≥ 1, checked by [`Engine::run`]) and
+    /// no combiner.
     pub fn with_reducers(n: usize) -> Self {
-        JobOptions { num_reducers: n.max(1), combiner: None, grouping: GroupingStrategy::Sort }
+        JobOptions { num_reducers: n, combiner: None, grouping: GroupingStrategy::Sort }
     }
 }
 
@@ -192,13 +192,10 @@ impl PlanUse {
 /// oracle; these counts describe the engine's memory and are not
 /// (the oracle reuses nothing and reports all zeros). In the steady
 /// state of an iterative driver — from its third job of a shape on —
-/// `arena_mints` and both shuffle `misses` are 0, and from the second
-/// on so are `local.misses` when the tasks' keys repeat.
+/// both shuffle `misses` are 0, and from the second on so are
+/// `local.misses` when the tasks' keys repeat.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobReuse {
-    /// Reduce tasks that found no shelved scratch in the
-    /// [`ScratchArena`] and minted a fresh one.
-    pub arena_mints: u64,
     /// Map tasks' [`crate::shuffle::RoutePlan`]s (none are consulted
     /// when the job has a single partition).
     pub route: PlanUse,
@@ -269,7 +266,6 @@ pub struct Engine<'p> {
     pool: &'p ThreadPool,
     sim: Option<Box<dyn JobReplay + Send + 'p>>,
     records: Vec<JobRecord>,
-    scratch: ScratchArena,
     plans: PlanStore,
     path: ShufflePath,
 }
@@ -290,8 +286,7 @@ impl<'p> Engine<'p> {
         sim: Option<Box<dyn JobReplay + Send + 'p>>,
         path: ShufflePath,
     ) -> Self {
-        let (scratch, plans) = (ScratchArena::new(), PlanStore::new());
-        Engine { pool, sim, records: Vec::new(), scratch, plans, path }
+        Engine { pool, sim, records: Vec::new(), plans: PlanStore::new(), path }
     }
 
     /// An engine that only executes in-process (no simulated timing).
@@ -355,19 +350,12 @@ impl<'p> Engine<'p> {
         &self.records
     }
 
-    /// Drops accumulated history (keeps the simulation clock running).
-    pub fn clear_history(&mut self) {
-        self.records.clear();
-    }
-
-    /// The scratch arena reduce tasks recycle buffers through
-    /// (diagnostic access).
-    pub fn scratch_arena(&self) -> &ScratchArena {
-        &self.scratch
-    }
-
     /// Executes one MapReduce job. See the module docs for phase
     /// semantics and determinism guarantees.
+    ///
+    /// # Panics
+    ///
+    /// If `opts.num_reducers` is 0.
     pub fn run<I, M, R>(
         &mut self,
         name: &str,
@@ -381,18 +369,11 @@ impl<'p> Engine<'p> {
         M: Mapper<Input = I>,
         R: Reducer<Key = M::Key, ValueIn = M::Value>,
     {
+        assert!(opts.num_reducers > 0, "JobOptions::num_reducers is 0; a job needs ≥ 1 partition");
         let started = Instant::now();
-        // Normalize once: `num_reducers: 0` is constructible through the
-        // public fields (only `with_reducers` clamps), and every task
-        // body assumes ≥ 1 partition. This is the single clamp point.
-        let opts = &JobOptions {
-            num_reducers: opts.num_reducers.max(1),
-            combiner: opts.combiner,
-            grouping: opts.grouping,
-        };
-        let (pool, arena, plans) = (self.pool, &self.scratch, &self.plans);
+        let (pool, plans) = (self.pool, &self.plans);
         let plan::Executed { pairs, meter, stages, reuse, specs } = match self.path {
-            ShufflePath::Staged => plan::staged(pool, inputs, mapper, reducer, opts, arena, plans),
+            ShufflePath::Staged => plan::staged(pool, inputs, mapper, reducer, opts, plans),
             ShufflePath::Reference => plan::reference(pool, inputs, mapper, reducer, opts),
         };
         // Read before the replay: the simulator's host time is not this
@@ -634,26 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_recycled_across_jobs() {
-        let pool = ThreadPool::new(2);
-        let mut engine = Engine::in_process(&pool);
-        let inputs = splits();
-        for i in 0..3 {
-            engine.run(
-                &format!("iter{i}"),
-                &inputs,
-                &SquareMapper,
-                &SumReducer,
-                &JobOptions::with_reducers(2),
-            );
-        }
-        assert!(
-            engine.scratch_arena().shelved() > 0,
-            "reduce-task scratch buffers must be shelved for reuse"
-        );
-    }
-
-    #[test]
     fn steady_state_reuses_everything_and_history_carries_the_counts() {
         let pool = ThreadPool::new(2);
         let inputs = splits();
@@ -668,7 +629,6 @@ mod tests {
         let missed = |n, recorded| PlanUse { hits: 0, misses: n, recorded };
         assert_eq!((jobs[0].route, jobs[0].group), (missed(8, 0), missed(populated, 0)));
         assert_eq!((jobs[1].route, jobs[1].group), (missed(8, 8), missed(populated, populated)));
-        assert!(jobs[0].arena_mints >= 1, "a fresh arena has nothing shelved");
         for job in &jobs[2..] {
             let hit = |hits| PlanUse { hits, ..PlanUse::default() };
             assert_eq!((job.route, job.group), (hit(8), hit(populated)));
@@ -678,10 +638,6 @@ mod tests {
         // nothing to recognise.
         let by_identity: Vec<u64> = jobs.iter().map(|job| job.group_by_identity).collect();
         assert_eq!(by_identity, [0, 0, populated, populated, populated]);
-        // A scratch is minted only while every existing one is
-        // checked out, so never more of them than lanes.
-        let lanes = pool.num_threads() as u64 + 1;
-        assert!(jobs.iter().map(|j| j.arena_mints).sum::<u64>() <= lanes, "{jobs:?}");
         let recorded: Vec<JobReuse> = engine.history().iter().map(|r| r.reuse).collect();
         assert_eq!(recorded, jobs);
         assert!(jobs.iter().all(|job| job.local == PlanUse::default()), "no local syncs");
@@ -706,18 +662,17 @@ mod tests {
     }
 
     #[test]
-    fn one_reduce_task_per_job_mints_exactly_once() {
-        // One partition, one reduce task at a time: which job mints is
-        // not up to the scheduler. A single partition consults no route
-        // plan; the oracle reuses nothing at all.
+    fn a_one_partition_job_records_its_group_plan_once() {
+        // A single partition consults no route plan; its group plan is
+        // unplanned on first sight, recorded by the second job and hit
+        // from then on. The oracle reuses nothing at all.
         let pool = ThreadPool::new(2);
         let inputs = splits();
         let opts = JobOptions::with_reducers(1);
         let mut engine = Engine::in_process(&pool);
         for job in 0..4 {
             let reuse = engine.run("one", &inputs, &SquareMapper, &SumReducer, &opts).reuse;
-            assert_eq!(reuse.arena_mints, u64::from(job == 0), "job {job}");
-            assert_eq!(reuse.route, PlanUse::default());
+            assert_eq!(reuse.route, PlanUse::default(), "job {job}");
             assert_eq!(reuse.group.hits, u64::from(job > 1));
             assert_eq!(reuse.group.recorded, u64::from(job == 1));
         }
@@ -800,21 +755,23 @@ mod tests {
         );
     }
 
-    #[test]
-    fn zero_reducers_built_via_public_fields_is_clamped() {
-        // Regression: only `with_reducers` used to clamp; a literal
-        // zero through the public fields reached the stages unclamped.
-        let pool = ThreadPool::new(2);
-        let inputs = splits();
+    /// Runs one job with zero reducers, built through the public field.
+    fn run_with_zero_reducers(mut engine: Engine<'_>) {
         let opts: JobOptions<'static, u32, u64> =
             JobOptions { num_reducers: 0, combiner: None, grouping: GroupingStrategy::Sort };
-        for mut engine in [Engine::in_process(&pool), Engine::with_reference_shuffle(&pool)] {
-            let out = engine.run("zero", &inputs, &SquareMapper, &SumReducer, &opts);
-            let mut got = out.pairs;
-            got.sort();
-            assert_eq!(got, expected(), "zero reducers must behave as one partition");
-            assert_eq!(out.meter.reduce_tasks, 1);
-        }
+        engine.run("zero", &splits(), &SquareMapper, &SumReducer, &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "JobOptions::num_reducers is 0")]
+    fn zero_reducers_are_refused_by_the_staged_engine() {
+        run_with_zero_reducers(Engine::in_process(&ThreadPool::new(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "JobOptions::num_reducers is 0")]
+    fn zero_reducers_are_refused_by_the_oracle() {
+        run_with_zero_reducers(Engine::with_reference_shuffle(&ThreadPool::new(2)));
     }
 
     #[test]

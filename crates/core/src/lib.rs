@@ -102,7 +102,7 @@ pub use engine::{Engine, JobMeter, JobOptions, JobResult, JobReuse, PlanUse};
 pub use kv::{Key, Meterable, Value};
 pub use local::{EagerMapper, LocalAlgorithm, LocalMapContext, LocalReduceContext, LocalState};
 pub use obs::SpanRecorder;
-pub use plan::{ScratchArena, StageTimings};
+pub use plan::StageTimings;
 pub use session::{
     Absorbed, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput, Outbox,
     SessionOutcome, SessionReport,

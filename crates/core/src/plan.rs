@@ -36,9 +36,11 @@
 //!   no concatenation, no hash map, no sort, no key moved or compared;
 //!   on a miss the job's [`GroupingStrategy`] groups them unplanned, or
 //!   records a new plan, under the same backoff), and the user's
-//!   reduce calls, over buffers recycled through a [`ScratchArena`]
-//!   across the hundreds of jobs a [`crate::FixedPointDriver`] run
-//!   issues. The plans live in the engine's [`PlanStore`];
+//!   reduce calls, over a [`ShuffleScratch`] of the task's own. The
+//!   plans live in the engine's [`PlanStore`], the only thing a job
+//!   hands on to the next: the hundreds of jobs a
+//!   [`crate::FixedPointDriver`] run issues share key sequences, not
+//!   buffers;
 //! * `assemble` — the [`crate::JobMeter`] fold, the simulator task
 //!   specs, and the ascending-partition concatenation of output pairs.
 //!
@@ -114,110 +116,16 @@ impl StageTimings {
     }
 }
 
-/// A typed shelf of reusable scratch buffers, shared by the parallel
-/// reduce tasks of every job an engine runs.
-///
-/// Keyed by concrete type, so one engine can interleave jobs with
-/// different key/value types (as the eager/general app pairs do)
-/// without cross-contamination. Bounded per type.
-///
-/// # The `take` contract
-///
-/// [`ScratchArena::take`] returns a shelved value **only if one of
-/// exactly the requested type `T` was previously
-/// [`put`](ScratchArena::put)**; otherwise it *silently mints* a fresh
-/// `T::default()`. That is the intended cold-start path — the first
-/// job of each shape warms the arena — but it means a caller that
-/// requests the wrong type gets no reuse and no error, while the
-/// differently-typed shelf sits untouched. When reuse must be
-/// observable, use [`ScratchArena::try_take`], which returns `None`
-/// instead of minting — the engine's reduce tasks do, and every job
-/// reports its mints as [`crate::JobReuse::arena_mints`].
-/// Mismatched requests never consume or corrupt another type's shelf.
-///
-/// # Example
-///
-/// ```
-/// use asyncmr_core::plan::ScratchArena;
-///
-/// let arena = ScratchArena::new();
-/// let mut buf: Vec<u8> = arena.take(); // cold: fresh default
-/// buf.reserve(512);
-/// arena.put(buf);
-///
-/// // A *different* type cannot see that buffer — explicit via try_take:
-/// assert!(arena.try_take::<Vec<u16>>().is_none());
-///
-/// // The matching type gets the warm buffer back.
-/// let warm: Vec<u8> = arena.take();
-/// assert!(warm.capacity() >= 512);
-/// ```
-#[derive(Debug, Default)]
-pub struct ScratchArena {
-    shelves: Mutex<HashMap<TypeId, Vec<Box<dyn Any + Send>>>>,
-}
-
-/// Per-type cap on the *number* of shelved buffers — enough for every
-/// pool thread to hold one plus headroom. Note this bounds count, not
-/// bytes: shelved buffers keep their capacity on purpose (iterative
-/// drivers rerun same-shaped jobs, and warm buffers are the point), so
-/// an engine that ran one huge job retains up to `reduce_tasks` big
-/// buffers until dropped. Create a fresh engine to release them.
-const SCRATCH_SHELF_CAP: usize = 64;
-
-impl ScratchArena {
-    /// A fresh, empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checks out a scratch value of type `T`, or **silently mints** a
-    /// `T::default()` when none of that exact type is shelved — see
-    /// [the type docs](ScratchArena#the-take-contract) for the full
-    /// contract and [`ScratchArena::try_take`] for the non-minting
-    /// variant.
-    pub fn take<T: Any + Send + Default>(&self) -> T {
-        self.try_take().unwrap_or_default()
-    }
-
-    /// Checks out a shelved scratch value of type `T`, or `None` when
-    /// none of that exact type is available. Never mints a default and
-    /// never touches a differently-typed shelf.
-    pub fn try_take<T: Any + Send>(&self) -> Option<T> {
-        let mut shelves = self.shelves.lock().unwrap_or_else(|e| e.into_inner());
-        shelves
-            .get_mut(&TypeId::of::<T>())
-            .and_then(Vec::pop)
-            .map(|boxed| *boxed.downcast::<T>().expect("shelf is keyed by TypeId"))
-    }
-
-    /// Returns a scratch value for later reuse (dropped if the shelf
-    /// for its type is full).
-    pub fn put<T: Any + Send>(&self, value: T) {
-        let mut shelves = self.shelves.lock().unwrap_or_else(|e| e.into_inner());
-        let shelf = shelves.entry(TypeId::of::<T>()).or_default();
-        if shelf.len() < SCRATCH_SHELF_CAP {
-            shelf.push(Box::new(value));
-        }
-    }
-
-    /// Total buffers currently shelved, across all types (diagnostic).
-    pub fn shelved(&self) -> usize {
-        let shelves = self.shelves.lock().unwrap_or_else(|e| e.into_inner());
-        shelves.values().map(Vec::len).sum()
-    }
-}
-
 /// What the engine remembers from job to job: one [`RoutePlan`] and
 /// one local-sync plan (`crate::local`'s; empty unless the mapper is a
 /// [`crate::EagerMapper`]) per map task, and one [`GroupPlan`] per
 /// reduce partition.
 ///
-/// **Slot-addressed**, unlike the [`ScratchArena`] beside it: a plan is
-/// only worth something to the task that will see the same key sequence
-/// again, so it is filed under (plan type — which names the key type,
-/// and keeps a map task's plans and partition `t`'s group plan apart
-/// under one number —, map task or *real* partition index; a skipped
+/// **Slot-addressed**: a plan is only worth something to the task that
+/// will see the same key sequence again, so it is filed under (plan
+/// type — which names the key type, and keeps a map task's plans and
+/// partition `t`'s group plan apart under one number —, map task or
+/// *real* partition index; a skipped
 /// empty partition does not shift its neighbours' slots). Two job types
 /// that share a key type share slots and evict each other's plans:
 /// every plan is verified against its input on every use
@@ -310,8 +218,6 @@ struct ReduceOut<K, O> {
     in_records: u64,
     out_records: u64,
     out_bytes: u64,
-    /// Whether the arena had no shelved scratch for this task.
-    minted: bool,
     /// What became of the partition's [`GroupPlan`], and whether a hit
     /// was recognised by identity alone.
     planned: (PlanOutcome, bool),
@@ -434,29 +340,24 @@ fn transpose<K, V>(mut routed: Vec<Buckets<K, V>>, reducers: usize) -> ReduceInp
 
 /// Runs one reduce task: groups the partition's buckets through the
 /// partition's remembered [`GroupPlan`] and applies the user's reduce
-/// function per key, over scratch buffers checked out of (and returned
-/// to) `arena`.
+/// function per key, over a fresh [`ShuffleScratch`].
 fn reduce_task<R: Reducer>(
     reducer: &R,
     grouping: GroupingStrategy,
     partition: usize,
     buckets: Buckets<R::Key, R::ValueIn>,
-    arena: &ScratchArena,
     plans: &PlanStore,
 ) -> ReduceOut<R::Key, R::Out> {
     let in_records = buckets.iter().map(|b| b.len() as u64).sum();
-    let shelved: Option<ShuffleScratch<R::Key, R::ValueIn>> = arena.try_take();
-    let minted = shelved.is_none();
-    let mut scratch = shelved.unwrap_or_default();
+    let mut scratch = ShuffleScratch::default();
     let groups = plans.peek(partition, GroupPlan::<R::Key>::groups).unwrap_or(0);
     let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::with_capacity(groups);
     let planned = plans.with(partition, |plan: &mut GroupPlan<R::Key>| {
         let reduce = |g: GroupView<'_, _, _>| reducer.reduce(g.key, g.values, &mut ctx);
         shuffle::group_planned(buckets, grouping, plan, &mut scratch, reduce)
     });
-    arena.put(scratch);
     let (pairs, meter, out_records, out_bytes) = ctx.finish();
-    ReduceOut { pairs, ops: meter.ops(), in_records, out_records, out_bytes, minted, planned }
+    ReduceOut { pairs, ops: meter.ops(), in_records, out_records, out_bytes, planned }
 }
 
 /// Folds the per-task reports into the job's result. `reduced` must be
@@ -488,7 +389,6 @@ fn assemble<K, O>(
         meter.reduce_ops += r.ops;
         meter.output_records += r.out_records;
         meter.output_bytes += r.out_bytes;
-        reuse.arena_mints += u64::from(r.minted);
         reuse.group.count(r.planned.0);
         reuse.group_by_identity += u64::from(r.planned.1);
         // Record-handling framework work folds into reduce ops.
@@ -506,7 +406,6 @@ pub(crate) fn staged<M, R>(
     mapper: &M,
     reducer: &R,
     opts: &JobOptions<'_, M::Key, M::Value>,
-    arena: &ScratchArena,
     plans: &PlanStore,
 ) -> Executed<R::Key, R::Out>
 where
@@ -553,7 +452,7 @@ where
 
     let t = Instant::now();
     let reduced = pool.par_map_vec(reduce_inputs, |_i, (partition, buckets)| {
-        reduce_task(reducer, opts.grouping, partition, buckets, arena, plans)
+        reduce_task(reducer, opts.grouping, partition, buckets, plans)
     });
     stages.reduce = t.elapsed();
 
@@ -709,14 +608,14 @@ mod tests {
 
     #[test]
     fn stages_compose_to_a_correct_job() {
-        let (arena, plans) = (ScratchArena::new(), PlanStore::new());
+        let plans = PlanStore::new();
         let (profiles, reduce_inputs) = shuffled(&ModMapper, &splits(), 3, &plans);
         assert_eq!(profiles.len(), 4);
         assert!(profiles.iter().all(|p| p.records == 50 && p.precombine_records == 50));
         assert!(reduce_inputs.len() <= 3);
         let reduced: Vec<ReduceOut<u32, u64>> = reduce_inputs
             .into_iter()
-            .map(|(p, b)| reduce_task(&SumReducer, GroupingStrategy::Sort, p, b, &arena, &plans))
+            .map(|(p, b)| reduce_task(&SumReducer, GroupingStrategy::Sort, p, b, &plans))
             .collect();
         assert_eq!(reduced.iter().map(|r| r.in_records).sum::<u64>(), 200);
         let job = assemble(&profiles, reduced, StageTimings::default(), JobReuse::default());
@@ -767,43 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_arena_round_trips_by_type() {
-        let arena = ScratchArena::new();
-        let mut s: ShuffleScratch<u32, u64> = arena.take();
-        s.pairs.reserve(1024);
-        let want = s.pairs.capacity();
-        arena.put(s);
-        assert_eq!(arena.shelved(), 1);
-        // Different type: separate shelf, fresh default.
-        let other: ShuffleScratch<u64, u64> = arena.take();
-        assert_eq!(other.capacity(), 0);
-        // Same type: the shelved buffer comes back, capacity intact.
-        let again: ShuffleScratch<u32, u64> = arena.take();
-        assert!(again.pairs.capacity() >= want);
-        assert_eq!(arena.shelved(), 0);
-    }
-
-    #[test]
-    fn scratch_arena_mismatched_take_mints_default_without_touching_other_shelves() {
-        let arena = ScratchArena::new();
-        let mut s: ShuffleScratch<u32, u64> = arena.take();
-        s.pairs.reserve(1024);
-        let want = s.pairs.capacity();
-        arena.put(s);
-        assert_eq!(arena.shelved(), 1);
-
-        // Regression (documented contract): a request for a *different*
-        // type silently mints a fresh default...
-        let minted: ShuffleScratch<u64, u32> = arena.take();
-        assert_eq!(minted.capacity(), 0, "mismatched take mints a cold default");
-        // ...and must neither consume nor corrupt the other shelf.
-        assert_eq!(arena.shelved(), 1, "mismatched take must not consume the shelf");
-        assert!(arena.try_take::<ShuffleScratch<u64, u32>>().is_none());
-        let original: ShuffleScratch<u32, u64> = arena.try_take().expect("still shelved");
-        assert!(original.pairs.capacity() >= want, "original buffer survives intact");
-    }
-
-    #[test]
     fn plan_store_files_by_type_and_slot() {
         let store = PlanStore::new();
         assert_eq!(store.peek(3, RoutePlan::<u32>::records), None);
@@ -830,25 +692,15 @@ mod tests {
     }
 
     #[test]
-    fn scratch_arena_is_bounded() {
-        let arena = ScratchArena::new();
-        for _ in 0..(SCRATCH_SHELF_CAP + 10) {
-            arena.put::<ShuffleScratch<u32, u32>>(ShuffleScratch::default());
-        }
-        assert_eq!(arena.shelved(), SCRATCH_SHELF_CAP);
-    }
-
-    #[test]
     fn reference_and_stages_agree() {
         let pool = ThreadPool::new(3);
         let inputs = splits();
         let opts = JobOptions::with_reducers(5);
         let reference = reference(&pool, &inputs, &ModMapper, &SumReducer, &opts);
 
-        let (arena, plans) = (ScratchArena::new(), PlanStore::new());
+        let plans = PlanStore::new();
         let (_, reduce_inputs) = shuffled(&ModMapper, &inputs, 5, &plans);
-        let reduce =
-            |(p, b)| reduce_task(&SumReducer, GroupingStrategy::Radix, p, b, &arena, &plans).pairs;
+        let reduce = |(p, b)| reduce_task(&SumReducer, GroupingStrategy::Radix, p, b, &plans).pairs;
         let staged: Vec<(u32, u64)> = reduce_inputs.into_iter().flat_map(reduce).collect();
         assert_eq!(staged, reference.pairs, "stage composition must match the reference");
     }

@@ -501,7 +501,8 @@ pub struct SessionOutcome<S> {
 /// cross-iteration eager scheduling.
 #[derive(Debug, Clone, Copy)]
 pub struct AsyncFixedPointDriver {
-    /// Upper bound on global iterations.
+    /// Upper bound on global iterations; must be ≥ 1
+    /// ([`AsyncFixedPointDriver::run`] panics on `0`).
     pub max_iterations: usize,
     /// Bounded staleness: a partition may absorb iteration *i* using a
     /// dependency's messages from any iteration in `[i - max_lag, i]`
@@ -552,7 +553,7 @@ impl AsyncFixedPointDriver {
     /// A driver capped at `max_iterations`, with `max_lag = 0`
     /// (barrier-identical results, asynchronous schedule).
     pub fn new(max_iterations: usize) -> Self {
-        AsyncFixedPointDriver { max_iterations: max_iterations.max(1), ..Default::default() }
+        AsyncFixedPointDriver { max_iterations, ..Default::default() }
     }
 
     /// Sets the bounded-staleness knob.
@@ -611,7 +612,12 @@ impl AsyncFixedPointDriver {
     /// Runs `algo` until convergence or the iteration cap, keeping one
     /// multiwave scope alive across all global iterations (see the
     /// [module docs](self)).
+    ///
+    /// # Panics
+    ///
+    /// If `max_iterations` is 0, or a failure plan is out of range.
     pub fn run<A: AsyncIterative>(&self, pool: &ThreadPool, algo: &A) -> SessionOutcome<A::State> {
+        assert!(self.max_iterations > 0, "AsyncFixedPointDriver::max_iterations is 0");
         let started = Instant::now();
         let pool_before = pool.metrics();
         // Injection-time validation: a plan assembled literally with
@@ -960,6 +966,12 @@ mod tests {
         let plan = AttemptFailurePlan { attempt_failure_prob: 1.5 };
         let algo = Ring::new(3, 1e-6, true);
         let _ = AsyncFixedPointDriver::new(10).with_failures(plan, 0).run(&pool(), &algo);
+    }
+
+    #[test]
+    #[should_panic(expected = "AsyncFixedPointDriver::max_iterations is 0")]
+    fn a_zero_iteration_cap_is_refused() {
+        let _ = AsyncFixedPointDriver::new(0).run(&pool(), &Ring::new(3, 1e-6, true));
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
             frontier: 0,
             // Zero partitions are vacuously at their fixed point.
             stopped: (k == 0).then_some(true),
-            max_iterations: driver.max_iterations.max(1),
+            max_iterations: driver.max_iterations,
         }
     }
 

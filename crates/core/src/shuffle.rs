@@ -502,9 +502,10 @@ impl<K: Key, V: Value> RouteSink<K, V> {
 /// [`Grouped::from_pairs_reusing`].
 ///
 /// One reduce task's worth of shuffle memory: the concatenation buffer
-/// plus the split key/value arrays. An [`crate::plan::ScratchArena`]
-/// shelves these between jobs so an iterative run stops reallocating
-/// after its first iteration.
+/// plus the split key/value arrays. A task owns its scratch for the
+/// task's lifetime (a reduce task starts from `default()`, an
+/// [`crate::EagerMapper`] task reuses one across its local syncs); no
+/// scratch outlives its task.
 #[derive(Debug)]
 pub struct ShuffleScratch<K, V> {
     pub(crate) pairs: Vec<(K, V)>,
@@ -528,7 +529,7 @@ impl<K, V> Default for ShuffleScratch<K, V> {
 }
 
 impl<K, V> ShuffleScratch<K, V> {
-    /// Total capacity currently shelved (diagnostic).
+    /// Total capacity currently held (diagnostic).
     pub fn capacity(&self) -> usize {
         self.pairs.capacity() + self.keys.capacity() + self.values.capacity()
     }

@@ -178,13 +178,6 @@ impl CsrGraph {
         }
         CsrGraph { offsets, targets }
     }
-
-    /// Total bytes of the in-memory representation (capacity planning
-    /// for the simulator's input-split sizes).
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(self.offsets.as_slice())
-            + std::mem::size_of_val(self.targets.as_slice())
-    }
 }
 
 #[cfg(test)]
@@ -262,11 +255,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
         let _ = CsrGraph::from_edges(2, &[(0, 5)]);
-    }
-
-    #[test]
-    fn memory_bytes_positive() {
-        assert!(diamond().memory_bytes() > 0);
     }
 
     #[test]

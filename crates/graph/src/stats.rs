@@ -46,12 +46,6 @@ impl DegreeStats {
         Self::from_degrees(&g.in_degrees())
     }
 
-    /// Out-degree statistics of `g`.
-    pub fn out_degrees(g: &CsrGraph) -> Self {
-        let degrees: Vec<u32> = (0..g.num_nodes() as u32).map(|v| g.out_degree(v)).collect();
-        Self::from_degrees(&degrees)
-    }
-
     /// Mean degree.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -59,17 +53,6 @@ impl DegreeStats {
         } else {
             self.total as f64 / self.count as f64
         }
-    }
-
-    /// Fraction of vertices whose degree is at least `threshold` —
-    /// the paper's "very few nodes have very high inlink values".
-    pub fn tail_fraction(&self, threshold: u32) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let tail: usize =
-            self.histogram.iter().enumerate().skip(threshold as usize).map(|(_, &c)| c).sum();
-        tail as f64 / self.count as f64
     }
 }
 
@@ -144,14 +127,7 @@ mod tests {
         let s = DegreeStats::from_degrees(&[]);
         assert_eq!(s.count, 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.tail_fraction(1), 0.0);
-    }
-
-    #[test]
-    fn tail_fraction_counts_heavy_nodes() {
-        let s = DegreeStats::from_degrees(&[1, 1, 1, 1, 10]);
-        assert!((s.tail_fraction(5) - 0.2).abs() < 1e-12);
-        assert!((s.tail_fraction(1) - 1.0).abs() < 1e-12);
+        assert!(s.histogram.is_empty());
     }
 
     #[test]

@@ -61,10 +61,6 @@ pub struct JobSpec {
     pub maps: Vec<MapTaskSpec>,
     /// Reduce-side task profiles.
     pub reduces: Vec<ReduceTaskSpec>,
-    /// Whether map output is combined before shuffling (the paper notes
-    /// combiners compose with partial synchronization, §VI). When true,
-    /// shuffle volume per map is reduced by the combiner ratio.
-    pub combiner_ratio: Option<f64>,
 }
 
 impl JobSpec {
@@ -85,25 +81,10 @@ impl JobSpec {
         self
     }
 
-    /// Enables a combiner with the given output/input byte ratio
-    /// (0 < ratio ≤ 1; lower means more aggregation).
-    pub fn with_combiner_ratio(mut self, ratio: f64) -> Self {
-        assert!(ratio > 0.0 && ratio <= 1.0, "combiner ratio must be in (0, 1]");
-        self.combiner_ratio = Some(ratio);
-        self
-    }
-
-    /// Effective shuffle bytes leaving one map task after combining.
-    pub fn shuffle_bytes(&self, map: &MapTaskSpec) -> u64 {
-        match self.combiner_ratio {
-            Some(r) => (map.output_bytes as f64 * r).round() as u64,
-            None => map.output_bytes,
-        }
-    }
-
-    /// Total bytes shuffled by the job.
+    /// Total bytes shuffled by the job: what its map tasks emit (the
+    /// engine meters a task's output after its combiner ran).
     pub fn total_shuffle_bytes(&self) -> u64 {
-        self.maps.iter().map(|m| self.shuffle_bytes(m)).sum()
+        self.maps.iter().map(|m| m.output_bytes).sum()
     }
 
     /// Total abstract operations across all tasks.
@@ -186,19 +167,5 @@ mod tests {
         assert_eq!(m.output_records, 10);
         let m = m.with_records(3);
         assert_eq!(m.output_records, 3);
-    }
-
-    #[test]
-    fn combiner_shrinks_shuffle() {
-        let job = JobSpec::named("c")
-            .with_maps(vec![MapTaskSpec::new(0, 0, 1000)])
-            .with_combiner_ratio(0.25);
-        assert_eq!(job.total_shuffle_bytes(), 250);
-    }
-
-    #[test]
-    #[should_panic(expected = "combiner ratio")]
-    fn combiner_ratio_validated() {
-        let _ = JobSpec::named("bad").with_combiner_ratio(0.0);
     }
 }

@@ -93,15 +93,6 @@ impl Partitioning {
         boundary
     }
 
-    /// Fraction of vertices on a partition boundary.
-    pub fn boundary_fraction(&self, g: &CsrGraph) -> f64 {
-        if self.num_nodes() == 0 {
-            return 0.0;
-        }
-        let b = self.boundary_flags(g).iter().filter(|&&x| x).count();
-        b as f64 / self.num_nodes() as f64
-    }
-
     /// Load imbalance: `max part size / ideal size` (1.0 = perfect).
     /// Empty partitionings report 1.0.
     pub fn balance(&self) -> f64 {
@@ -146,7 +137,7 @@ mod tests {
         // All four vertices touch a cut edge here.
         assert_eq!(split.boundary_flags(&g), vec![true, true, true, true]);
         let lump = Partitioning::new(vec![0, 0, 0, 0], 1);
-        assert_eq!(lump.boundary_fraction(&g), 0.0);
+        assert_eq!(lump.boundary_flags(&g), vec![false; 4], "one part has no boundary");
     }
 
     #[test]

@@ -96,7 +96,7 @@
 use asyncmr_model::{underflow_count, AsyncTaskSpec, AttemptFailurePlan, NodeFailurePlan, SimTime};
 
 use crate::cluster::ClusterSpec;
-use crate::event_core::{ComponentId, Ev, EventCore, EventHandler};
+use crate::event_core::{Ev, EventCore, ASYNC};
 use crate::failure::{draw_death, NODE_DETECTION_DELAY, TASK_DETECTION_DELAY};
 use crate::sched::{candidates, SchedView, Scheduler, SlotState};
 use crate::sim::Simulation;
@@ -241,7 +241,6 @@ impl Simulation {
 
         let n_nodes = self.spec.num_nodes();
         let mut run = AsyncRun {
-            cid: self.async_cid,
             spec: &self.spec,
             tasks,
             failure: self.failure,
@@ -279,15 +278,15 @@ impl Simulation {
         let max_epoch = tasks.iter().map(|t| t.iteration).max().unwrap_or(0);
         if run.node_plan.enabled() {
             for epoch in 0..=max_epoch {
-                self.core.schedule(setup_done, run.cid, Ev::EpochStart { epoch });
+                self.core.schedule(setup_done, ASYNC, Ev::EpochStart { epoch });
             }
         } else {
-            self.core.schedule(setup_done, run.cid, Ev::EpochStart { epoch: max_epoch });
+            self.core.schedule(setup_done, ASYNC, Ev::EpochStart { epoch: max_epoch });
         }
 
-        while let Some((at, component, ev)) = self.core.pop() {
-            debug_assert_eq!(component, run.cid, "async run owns the whole queue");
-            run.on_event(&mut self.core, at, ev);
+        while let Some((_, component, ev)) = self.core.pop() {
+            debug_assert_eq!(component, ASYNC, "async run owns the whole queue");
+            run.on_event(&mut self.core, ev);
         }
 
         debug_assert!(run.done.iter().all(|&d| d), "all tasks must complete");
@@ -329,10 +328,9 @@ impl Simulation {
     }
 }
 
-/// The per-session driver state: one registered event-core component
+/// The per-session driver state: the event-core component ([`ASYNC`])
 /// receiving the session's epoch boundaries and task completions.
 struct AsyncRun<'a> {
-    cid: ComponentId,
     spec: &'a ClusterSpec,
     tasks: &'a [AsyncTaskSpec],
     failure: AttemptFailurePlan,
@@ -448,7 +446,7 @@ impl AsyncRun<'_> {
                         core.net_mut().transfer(self.node_of[d], node, share, self.finish[d]);
                     core.mark(
                         arrival,
-                        self.cid,
+                        ASYNC,
                         Ev::TransferDone { src: self.node_of[d], dst: node, bytes: share },
                     );
                     arrival
@@ -506,7 +504,7 @@ impl AsyncRun<'_> {
             self.work_end = self.work_end.max(end);
             core.schedule(
                 end,
-                self.cid,
+                ASYNC,
                 Ev::TaskDone { task: i, node, generation: self.generation[i] },
             );
             return;
@@ -531,7 +529,7 @@ impl AsyncRun<'_> {
                 .collect()
         };
         for (link, used_bps, cap_bps) in snapshot {
-            core.mark(self.work_end, self.cid, Ev::LinkUtil { link, used_bps, cap_bps });
+            core.mark(self.work_end, ASYNC, Ev::LinkUtil { link, used_bps, cap_bps });
         }
     }
 
@@ -551,8 +549,8 @@ impl AsyncRun<'_> {
             let ckpt = self.node_plan.last_checkpoint(epoch);
             let died_at = self.work_end;
             let redispatch = died_at + NODE_DETECTION_DELAY;
-            core.mark(died_at, self.cid, Ev::NodeDeath { node });
-            core.mark(redispatch, self.cid, Ev::NodeRejoin { node });
+            core.mark(died_at, ASYNC, Ev::NodeDeath { node });
+            core.mark(redispatch, ASYNC, Ev::NodeRejoin { node });
 
             // Directly lost: completed tasks resident on the dead node
             // whose outputs post-date the last checkpoint.
@@ -587,10 +585,9 @@ impl AsyncRun<'_> {
             }
         }
     }
-}
 
-impl EventHandler for AsyncRun<'_> {
-    fn on_event(&mut self, core: &mut EventCore, _at: SimTime, ev: Ev) {
+    /// Handles one event popped from the core's queue.
+    fn on_event(&mut self, core: &mut EventCore, ev: Ev) {
         match ev {
             Ev::EpochStart { epoch } => {
                 if self.node_plan.enabled() {
@@ -598,7 +595,7 @@ impl EventHandler for AsyncRun<'_> {
                         // Trace-only: the session checkpointed its
                         // resident state (no traffic billed — the
                         // legacy cost model, kept for fidelity).
-                        core.mark(self.work_end, self.cid, Ev::Checkpoint { epoch });
+                        core.mark(self.work_end, ASYNC, Ev::Checkpoint { epoch });
                     }
                     // Verdicts at the epoch boundary — before this
                     // epoch's tasks dispatch, so a death can only take

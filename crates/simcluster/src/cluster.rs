@@ -22,12 +22,6 @@ pub struct NodeSpec {
     pub speed: f64,
 }
 
-impl Default for NodeSpec {
-    fn default() -> Self {
-        NodeSpec { map_slots: 4, reduce_slots: 2, speed: 1.0 }
-    }
-}
-
 /// Full description of the simulated cluster and its cost constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
@@ -117,29 +111,6 @@ impl ClusterSpec {
         self.nodes.len()
     }
 
-    /// Total map slots across the cluster.
-    pub fn total_map_slots(&self) -> u32 {
-        self.nodes.iter().map(|n| n.map_slots).sum()
-    }
-
-    /// Total reduce slots across the cluster.
-    pub fn total_reduce_slots(&self) -> u32 {
-        self.nodes.iter().map(|n| n.reduce_slots).sum()
-    }
-
-    /// Sets a uniform node count, keeping per-node configuration.
-    pub fn with_nodes(mut self, count: usize) -> Self {
-        let template = self.nodes.first().cloned().unwrap_or_default();
-        self.nodes = vec![template; count];
-        self
-    }
-
-    /// Replaces the straggler spread.
-    pub fn with_straggler_sigma(mut self, sigma: f64) -> Self {
-        self.straggler_sigma = sigma;
-        self
-    }
-
     /// Marks a subset of nodes as slow (heterogeneous cluster), the
     /// scenario of the paper's load-imbalance discussion.
     pub fn with_slow_nodes(mut self, count: usize, speed: f64) -> Self {
@@ -164,16 +135,9 @@ mod tests {
     fn ec2_preset_matches_table_i() {
         let spec = ClusterSpec::ec2_2010();
         assert_eq!(spec.num_nodes(), 8); // Table I: 8 large instances
-        assert_eq!(spec.total_map_slots(), 32);
-        assert_eq!(spec.total_reduce_slots(), 16);
+        assert_eq!(spec.nodes.iter().map(|n| n.map_slots).sum::<u32>(), 32);
+        assert_eq!(spec.nodes.iter().map(|n| n.reduce_slots).sum::<u32>(), 16);
         assert!(spec.job_setup > SimTime::ZERO);
-    }
-
-    #[test]
-    fn with_nodes_scales_uniformly() {
-        let spec = ClusterSpec::ec2_2010().with_nodes(3);
-        assert_eq!(spec.num_nodes(), 3);
-        assert_eq!(spec.total_map_slots(), 12);
     }
 
     #[test]

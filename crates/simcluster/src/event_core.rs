@@ -3,12 +3,13 @@
 //! One [`EventCore`] owns everything a deterministic simulation needs —
 //! the clock, the `(time, event_id)`-ordered event queue, the seeded
 //! RNG, and the pluggable [`NetworkModel`] — in the dslab-core shape:
-//! drivers register as components, schedule [`Ev`] payloads addressed
-//! to a component, and receive them back through the [`EventHandler`]
-//! trait in deterministic order. Both replay paths
-//! ([`crate::Simulation::run_job`] and
-//! [`crate::Simulation::run_async_schedule`]) are now schedules fed to
-//! this one core: task lifecycles, shuffle transfers, failure verdicts,
+//! events carry [`Ev`] payloads addressed to a [`ComponentId`] and pop
+//! in deterministic order. Both replay paths
+//! ([`crate::Simulation::run_job`], addressed as [`BARRIER`], and
+//! [`crate::Simulation::run_async_schedule`], as [`ASYNC`]) are
+//! schedules fed to this one core. Each replay owns the whole queue
+//! while it runs: it pops every event itself and handles it in its own
+//! `on_event`. Task lifecycles, shuffle transfers, failure verdicts,
 //! detection delays, node deaths/rejoins, and checkpoint markers are
 //! all instances of the same event vocabulary, stamped on the same
 //! clock, priced by the same network model.
@@ -34,8 +35,14 @@ use rand::{RngExt, SeedableRng};
 use crate::events::EventQueue;
 use crate::network::NetworkModel;
 
-/// Identifies a registered simulation component (event destination).
+/// The address an event is scheduled to (part of every trace digest).
 pub type ComponentId = usize;
+
+/// The barrier replay ([`crate::Simulation::run_job`]).
+pub const BARRIER: ComponentId = 0;
+
+/// The async replay ([`crate::Simulation::run_async_schedule`]).
+pub const ASYNC: ComponentId = 1;
 
 /// The unified event vocabulary: every state transition of either
 /// replay path is one of these, so a single trace tells the whole
@@ -214,15 +221,6 @@ impl TraceEvent {
     }
 }
 
-/// A registered simulation component: receives the events addressed to
-/// it, in deterministic `(time, event_id)` order, with mutable access
-/// to the core (to draw randomness, price transfers, and schedule
-/// follow-up events).
-pub trait EventHandler {
-    /// Handles one event popped from the core's queue at time `at`.
-    fn on_event(&mut self, core: &mut EventCore, at: SimTime, ev: Ev);
-}
-
 /// The unified simulation core: clock + event queue + seeded RNG +
 /// network model + trace.
 #[derive(Debug)]
@@ -231,7 +229,6 @@ pub struct EventCore {
     queue: EventQueue<(ComponentId, Ev)>,
     rng: StdRng,
     net: Box<dyn NetworkModel>,
-    components: Vec<String>,
     trace: Vec<TraceEvent>,
     marks: u64,
 }
@@ -245,22 +242,9 @@ impl EventCore {
             queue: EventQueue::new(),
             rng: StdRng::seed_from_u64(seed),
             net,
-            components: Vec::new(),
             trace: Vec::new(),
             marks: 0,
         }
-    }
-
-    /// Registers a named component and returns its id (the address
-    /// events are scheduled to).
-    pub fn register_component(&mut self, name: impl Into<String>) -> ComponentId {
-        self.components.push(name.into());
-        self.components.len() - 1
-    }
-
-    /// Name of a registered component.
-    pub fn component_name(&self, id: ComponentId) -> &str {
-        &self.components[id]
     }
 
     /// Current simulated time (the timestamp of the last popped event,
@@ -284,19 +268,10 @@ impl EventCore {
     /// Pops the earliest event, advancing the clock to it and recording
     /// it in the trace.
     pub fn pop(&mut self) -> Option<(SimTime, ComponentId, Ev)> {
-        let (at, id, (component, ev)) = self.queue.pop_with_id()?;
+        let (at, id, (component, ev)) = self.queue.pop()?;
         self.clock = self.clock.max(at);
         self.trace.push(TraceEvent { id, at, component, ev });
         Some((at, component, ev))
-    }
-
-    /// Drains the queue, dispatching each event to its handler —
-    /// `handlers[component_id]`. Use [`EventCore::pop`] directly when a
-    /// single driver owns the whole run.
-    pub fn run(&mut self, handlers: &mut [&mut dyn EventHandler]) {
-        while let Some((at, component, ev)) = self.pop() {
-            handlers[component].on_event(self, at, ev);
-        }
     }
 
     /// Records a trace-only marker (no queue traffic, no clock effect):
@@ -374,74 +349,28 @@ mod tests {
         EventCore::new(seed, Box::new(Constant::new(4, 1e6, SimTime::from_millis(1))))
     }
 
-    /// A toy component that echoes each MapRetry as a later MapDone —
-    /// enough to exercise registration, scheduling, and dispatch.
-    struct Echo {
-        id: ComponentId,
-        seen: Vec<(SimTime, Ev)>,
-    }
-
-    impl EventHandler for Echo {
-        fn on_event(&mut self, core: &mut EventCore, at: SimTime, ev: Ev) {
-            self.seen.push((at, ev));
-            if let Ev::MapRetry { task } = ev {
-                core.schedule(
-                    at + SimTime::from_secs(1),
-                    self.id,
-                    Ev::MapDone { task, node: 0, incarnation: 0 },
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn components_receive_their_events_in_order() {
-        let mut core = core(1);
-        let a = core.register_component("a");
-        let b = core.register_component("b");
-        assert_eq!(core.component_name(a), "a");
-        let t = SimTime::from_secs(5);
-        core.schedule(t, b, Ev::MapRetry { task: 7 });
-        core.schedule(t, a, Ev::MapRetry { task: 3 });
-        let mut ha = Echo { id: a, seen: Vec::new() };
-        let mut hb = Echo { id: b, seen: Vec::new() };
-        core.run(&mut [&mut ha, &mut hb]);
-        // Tie at t broken by push order: b's retry first.
-        assert_eq!(hb.seen[0], (t, Ev::MapRetry { task: 7 }));
-        assert_eq!(ha.seen[0], (t, Ev::MapRetry { task: 3 }));
-        // Both echoes then fired at t+1.
-        assert_eq!(
-            hb.seen[1],
-            (t + SimTime::from_secs(1), Ev::MapDone { task: 7, node: 0, incarnation: 0 })
-        );
-        assert_eq!(core.now(), t + SimTime::from_secs(1));
-        assert_eq!(core.trace().len(), 4);
-    }
-
     #[test]
     fn pop_advances_clock_and_traces() {
         let mut core = core(1);
-        let c = core.register_component("driver");
-        let id0 = core.schedule(SimTime::from_secs(2), c, Ev::ReduceReady { task: 0 });
-        let id1 = core.schedule(SimTime::from_secs(1), c, Ev::ReduceReady { task: 1 });
+        let id0 = core.schedule(SimTime::from_secs(2), BARRIER, Ev::ReduceReady { task: 0 });
+        let id1 = core.schedule(SimTime::from_secs(1), ASYNC, Ev::ReduceReady { task: 1 });
         assert!(id1 > id0, "event ids are assigned in push order");
-        let (at, _, ev) = core.pop().unwrap();
-        assert_eq!(at, SimTime::from_secs(1));
+        let (at, component, ev) = core.pop().unwrap();
+        assert_eq!((at, component), (SimTime::from_secs(1), ASYNC), "the address travels along");
         assert_eq!(ev, Ev::ReduceReady { task: 1 });
         assert_eq!(core.now(), SimTime::from_secs(1));
         core.pop().unwrap();
         assert_eq!(core.now(), SimTime::from_secs(2));
         assert!(core.pop().is_none());
-        assert_eq!(core.trace()[0].id, id1);
-        assert_eq!(core.trace()[1].id, id0);
+        assert_eq!((core.trace()[0].id, core.trace()[0].component), (id1, ASYNC));
+        assert_eq!((core.trace()[1].id, core.trace()[1].component), (id0, BARRIER));
     }
 
     #[test]
     fn marks_do_not_perturb_the_queue() {
         let mut core = core(1);
-        let c = core.register_component("driver");
-        core.schedule(SimTime::from_secs(1), c, Ev::MapRetry { task: 0 });
-        core.mark(SimTime::from_secs(9), c, Ev::TransferDone { src: 0, dst: 1, bytes: 10 });
+        core.schedule(SimTime::from_secs(1), BARRIER, Ev::MapRetry { task: 0 });
+        core.mark(SimTime::from_secs(9), BARRIER, Ev::TransferDone { src: 0, dst: 1, bytes: 10 });
         let (at, _, _) = core.pop().unwrap();
         assert_eq!(at, SimTime::from_secs(1));
         assert_eq!(core.now(), SimTime::from_secs(1), "marks never advance the clock");
@@ -451,9 +380,8 @@ mod tests {
     #[test]
     fn trace_digest_is_order_sensitive_and_resets() {
         let mut core = core(1);
-        let c = core.register_component("driver");
-        core.schedule(SimTime::from_secs(1), c, Ev::MapRetry { task: 0 });
-        core.schedule(SimTime::from_secs(1), c, Ev::MapRetry { task: 1 });
+        core.schedule(SimTime::from_secs(1), BARRIER, Ev::MapRetry { task: 0 });
+        core.schedule(SimTime::from_secs(1), BARRIER, Ev::MapRetry { task: 1 });
         while core.pop().is_some() {}
         let d01 = core.trace_digest();
 
@@ -463,8 +391,8 @@ mod tests {
             0x5eed_5eed_5eed_5eed,
             "cleared trace has the empty digest"
         );
-        core.schedule(SimTime::from_secs(1), c, Ev::MapRetry { task: 1 });
-        core.schedule(SimTime::from_secs(1), c, Ev::MapRetry { task: 0 });
+        core.schedule(SimTime::from_secs(1), BARRIER, Ev::MapRetry { task: 1 });
+        core.schedule(SimTime::from_secs(1), BARRIER, Ev::MapRetry { task: 0 });
         while core.pop().is_some() {}
         assert_ne!(core.trace_digest(), d01, "processing order is part of the digest");
     }

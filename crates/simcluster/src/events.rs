@@ -64,30 +64,10 @@ impl<E> EventQueue<E> {
         seq
     }
 
-    /// Removes and returns the earliest event (FIFO among equal times).
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
-    }
-
-    /// Like [`EventQueue::pop`], also yielding the event id (for event
-    /// traces).
-    pub fn pop_with_id(&mut self) -> Option<(SimTime, u64, E)> {
+    /// Removes and returns the earliest event (FIFO among equal times)
+    /// with its event id, for event traces.
+    pub fn pop(&mut self) -> Option<(SimTime, u64, E)> {
         self.heap.pop().map(|Reverse(e)| (e.at, e.seq, e.event))
-    }
-
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -101,9 +81,9 @@ mod tests {
         q.push(SimTime::from_secs(3), "c");
         q.push(SimTime::from_secs(1), "a");
         q.push(SimTime::from_secs(2), "b");
-        assert_eq!(q.pop(), Some((SimTime::from_secs(1), "a")));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(3), "c")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 1, "a")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), 2, "b")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3), 0, "c")));
         assert_eq!(q.pop(), None);
     }
 
@@ -115,20 +95,8 @@ mod tests {
             q.push(t, i);
         }
         for i in 0..100 {
-            assert_eq!(q.pop(), Some((t, i)));
+            assert_eq!(q.pop(), Some((t, i, i)));
         }
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(7), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -136,11 +104,11 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(10), 10u32);
         q.push(SimTime::from_secs(1), 1);
-        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().2, 1);
         q.push(SimTime::from_secs(5), 5);
         q.push(SimTime::from_secs(2), 2);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 5);
-        assert_eq!(q.pop().unwrap().1, 10);
+        assert_eq!(q.pop().unwrap().2, 2);
+        assert_eq!(q.pop().unwrap().2, 5);
+        assert_eq!(q.pop().unwrap().2, 10);
     }
 }

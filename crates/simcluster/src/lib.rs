@@ -64,7 +64,7 @@ pub use asyncsched::AsyncScheduleStats;
 pub use cluster::{ClusterSpec, NodeSpec};
 pub use costmodel::CostModel;
 pub use dfs::DfsModel;
-pub use event_core::{ComponentId, Ev, EventCore, EventHandler, TraceEvent};
+pub use event_core::{ComponentId, Ev, EventCore, TraceEvent};
 pub use failure::{NODE_DETECTION_DELAY, TASK_DETECTION_DELAY};
 pub use network::{Constant, NetworkModel, NetworkState, TopologyAware};
 pub use sched::{

@@ -59,7 +59,7 @@ use asyncmr_model::{
 use rand::RngExt;
 
 use crate::cluster::ClusterSpec;
-use crate::event_core::{ComponentId, Ev, EventCore, EventHandler, TraceEvent};
+use crate::event_core::{Ev, EventCore, TraceEvent, BARRIER};
 use crate::failure::{draw_death, NODE_DETECTION_DELAY, TASK_DETECTION_DELAY};
 use crate::network::{NetworkModel, NetworkState};
 use crate::sched::SchedulerSpec;
@@ -76,8 +76,6 @@ pub struct Simulation {
     pub(crate) node_failure: NodeFailurePlan,
     pub(crate) core: EventCore,
     pub(crate) jobs_run: usize,
-    pub(crate) barrier_cid: ComponentId,
-    pub(crate) async_cid: ComponentId,
     /// The async replay's placement policy (default: the pre-trait
     /// greedy [`crate::ListScheduler`]).
     pub(crate) sched: SchedulerSpec,
@@ -97,17 +95,12 @@ impl Simulation {
             "cluster must have at least one map slot"
         );
         let net = NetworkState::new(nodes, spec.nic_bandwidth, spec.net_latency);
-        let mut core = EventCore::new(seed, Box::new(net));
-        let barrier_cid = core.register_component("barrier");
-        let async_cid = core.register_component("async");
         Simulation {
             spec,
             failure: AttemptFailurePlan::none(),
             node_failure: NodeFailurePlan::none(),
-            core,
+            core: EventCore::new(seed, Box::new(net)),
             jobs_run: 0,
-            barrier_cid,
-            async_cid,
             sched: SchedulerSpec::List,
             barrier_deaths: vec![0; nodes],
         }
@@ -236,7 +229,6 @@ impl Simulation {
         let n_reduces = job.reduces.len();
 
         let mut run = BarrierRun {
-            cid: self.barrier_cid,
             spec: &self.spec,
             job,
             failure: self.failure,
@@ -288,12 +280,12 @@ impl Simulation {
         if n_maps == 0 && n_reduces > 0 {
             // Degenerate: reducers have nothing to wait for.
             for r in 0..n_reduces {
-                self.core.schedule(setup_done, run.cid, Ev::ReduceReady { task: r });
+                self.core.schedule(setup_done, BARRIER, Ev::ReduceReady { task: r });
             }
         }
 
         while let Some((at, component, ev)) = self.core.pop() {
-            debug_assert_eq!(component, run.cid, "barrier run owns the whole queue");
+            debug_assert_eq!(component, BARRIER, "barrier run owns the whole queue");
             run.on_event(&mut self.core, at, ev);
         }
 
@@ -346,10 +338,9 @@ impl JobReplay for Simulation {
     }
 }
 
-/// The per-job driver state: one registered event-core component that
-/// receives every event of one barrier job.
+/// The per-job driver state: the event-core component ([`BARRIER`])
+/// that receives every event of one barrier job.
 struct BarrierRun<'a> {
-    cid: ComponentId,
     spec: &'a ClusterSpec,
     job: &'a JobSpec,
     failure: AttemptFailurePlan,
@@ -435,7 +426,7 @@ impl BarrierRun<'_> {
                     .cost
                     .compute_time(spec.ops, spec.output_records, speed)
                     .scale(straggle);
-                let sort = self.spec.cost.sort_time(self.job.shuffle_bytes(spec), speed);
+                let sort = self.spec.cost.sort_time(spec.output_bytes, speed);
                 let finish = read_done + compute + sort;
 
                 let attempt = self.map_attempts[task];
@@ -445,9 +436,9 @@ impl BarrierRun<'_> {
                 if let Some(frac) = draw_death(&self.failure, core.rng(), attempt) {
                     // Dies a uniform fraction of the way through.
                     let alive = finish.saturating_sub(now).scale(frac);
-                    core.schedule(now + alive, self.cid, Ev::MapFailed { task, node, incarnation });
+                    core.schedule(now + alive, BARRIER, Ev::MapFailed { task, node, incarnation });
                 } else {
-                    core.schedule(finish, self.cid, Ev::MapDone { task, node, incarnation });
+                    core.schedule(finish, BARRIER, Ev::MapDone { task, node, incarnation });
                 }
             }
         }
@@ -494,11 +485,11 @@ impl BarrierRun<'_> {
                     let alive = finish.saturating_sub(now).scale(frac);
                     core.schedule(
                         now + alive,
-                        self.cid,
+                        BARRIER,
                         Ev::ReduceFailed { task, node, incarnation },
                     );
                 } else {
-                    core.schedule(finish, self.cid, Ev::ReduceDone { task, node, incarnation });
+                    core.schedule(finish, BARRIER, Ev::ReduceDone { task, node, incarnation });
                 }
             }
         }
@@ -524,7 +515,7 @@ impl BarrierRun<'_> {
         let n_reduces = self.job.reduces.len();
         self.node_failures += 1;
         self.incarnation[node] += 1;
-        core.mark(now, self.cid, Ev::NodeDeath { node });
+        core.mark(now, BARRIER, Ev::NodeDeath { node });
         let redispatch = now + NODE_DETECTION_DELAY;
 
         // Running map attempts die with the node.
@@ -533,7 +524,7 @@ impl BarrierRun<'_> {
                 if n == node {
                     self.map_running[task] = None;
                     self.lost_tasks += 1;
-                    core.schedule(redispatch, self.cid, Ev::MapRetry { task });
+                    core.schedule(redispatch, BARRIER, Ev::MapRetry { task });
                 }
             }
         }
@@ -547,7 +538,7 @@ impl BarrierRun<'_> {
                     self.map_done_on[task] = None;
                     self.maps_remaining += 1;
                     self.lost_tasks += 1;
-                    core.schedule(redispatch, self.cid, Ev::MapRetry { task });
+                    core.schedule(redispatch, BARRIER, Ev::MapRetry { task });
                 }
             }
         }
@@ -570,18 +561,17 @@ impl BarrierRun<'_> {
             for r in lost_reduces {
                 core.schedule(
                     self.fetch_done[r].max(redispatch),
-                    self.cid,
+                    BARRIER,
                     Ev::ReduceReady { task: r },
                 );
             }
         }
         self.free_map_slots[node] = 0;
         self.free_reduce_slots[node] = 0;
-        core.schedule(redispatch, self.cid, Ev::NodeRejoin { node });
+        core.schedule(redispatch, BARRIER, Ev::NodeRejoin { node });
     }
-}
 
-impl EventHandler for BarrierRun<'_> {
+    /// Handles one event popped from the core's queue at `now`.
     fn on_event(&mut self, core: &mut EventCore, now: SimTime, ev: Ev) {
         let n_reduces = self.job.reduces.len();
         match ev {
@@ -595,7 +585,7 @@ impl EventHandler for BarrierRun<'_> {
                 self.maps_done_at = self.maps_done_at.max(now);
                 // Start shuffle fetches for this map's output.
                 if n_reduces > 0 {
-                    let bytes = self.job.shuffle_bytes(&self.job.maps[task]);
+                    let bytes = self.job.maps[task].output_bytes;
                     let per_reduce = bytes / n_reduces as u64;
                     for r in 0..n_reduces {
                         let rnode = self.reduce_node[r];
@@ -605,7 +595,7 @@ impl EventHandler for BarrierRun<'_> {
                         let done = core.net_mut().transfer(node, rnode, per_reduce, now);
                         core.mark(
                             done,
-                            self.cid,
+                            BARRIER,
                             Ev::TransferDone { src: node, dst: rnode, bytes: per_reduce },
                         );
                         self.fetch_done[r] = self.fetch_done[r].max(done);
@@ -623,7 +613,7 @@ impl EventHandler for BarrierRun<'_> {
                             continue;
                         }
                         let ready = self.fetch_done[r].max(now);
-                        core.schedule(ready, self.cid, Ev::ReduceReady { task: r });
+                        core.schedule(ready, BARRIER, Ev::ReduceReady { task: r });
                     }
                 }
                 self.after_completion(core, now, node);
@@ -635,7 +625,7 @@ impl EventHandler for BarrierRun<'_> {
                 self.map_running[task] = None;
                 self.failed_attempts += 1;
                 self.free_map_slots[node] += 1;
-                core.schedule(now + TASK_DETECTION_DELAY, self.cid, Ev::MapRetry { task });
+                core.schedule(now + TASK_DETECTION_DELAY, BARRIER, Ev::MapRetry { task });
                 self.dispatch_maps(core, now);
             }
             Ev::MapRetry { task } => {
@@ -676,7 +666,7 @@ impl EventHandler for BarrierRun<'_> {
                 self.reduce_running[task] = None;
                 self.failed_attempts += 1;
                 self.free_reduce_slots[node] += 1;
-                core.schedule(now + TASK_DETECTION_DELAY, self.cid, Ev::ReduceRetry { task });
+                core.schedule(now + TASK_DETECTION_DELAY, BARRIER, Ev::ReduceRetry { task });
             }
             Ev::ReduceRetry { task } => {
                 self.ready_reduces.push_back(task);
@@ -784,8 +774,11 @@ mod tests {
 
     #[test]
     fn combiner_reduces_network_traffic() {
+        // The engine meters what a map task shuffles after its combiner
+        // ran, so a combined job is one whose maps emit fewer bytes.
         let plain = small_job(16, 8);
-        let combined = small_job(16, 8).with_combiner_ratio(0.1);
+        let mut combined = small_job(16, 8);
+        combined.maps.iter_mut().for_each(|m| m.output_bytes /= 10);
         let a = Simulation::new(ClusterSpec::ec2_2010(), 2).run_job(&plain);
         let b = Simulation::new(ClusterSpec::ec2_2010(), 2).run_job(&combined);
         assert!(b.network_bytes < a.network_bytes);
@@ -794,15 +787,9 @@ mod tests {
     #[test]
     fn slow_nodes_straggle_the_job() {
         let job = small_job(32, 8);
-        let fast = Simulation::new(ClusterSpec::ec2_2010().with_straggler_sigma(0.0), 1)
-            .run_job(&job)
-            .duration;
-        let slow = Simulation::new(
-            ClusterSpec::ec2_2010().with_straggler_sigma(0.0).with_slow_nodes(4, 0.25),
-            1,
-        )
-        .run_job(&job)
-        .duration;
+        let steady = ClusterSpec { straggler_sigma: 0.0, ..ClusterSpec::ec2_2010() };
+        let fast = Simulation::new(steady.clone(), 1).run_job(&job).duration;
+        let slow = Simulation::new(steady.with_slow_nodes(4, 0.25), 1).run_job(&job).duration;
         assert!(slow > fast);
     }
 

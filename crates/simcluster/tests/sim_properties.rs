@@ -32,8 +32,9 @@ proptest! {
             q.push(SimTime::from_micros(t), i);
         }
         let mut popped: Vec<(SimTime, usize)> = Vec::new();
-        while let Some(e) = q.pop() {
-            popped.push(e);
+        while let Some((at, id, i)) = q.pop() {
+            prop_assert_eq!(id, i as u64, "event ids are assigned in push order");
+            popped.push((at, i));
         }
         prop_assert_eq!(popped.len(), times.len());
         for pair in popped.windows(2) {
