@@ -271,6 +271,12 @@ impl GraphPartition {
                 cross_offsets.push(index_u32(cross_targets.len(), "cross edges"));
                 out_degree.push(g.out_degree(v));
             }
+            // Exact-size views: the pushes above leave up to half of each
+            // edge vector as growth slack, held for the whole solve.
+            internal_targets.shrink_to_fit();
+            internal_weights.shrink_to_fit();
+            cross_targets.shrink_to_fit();
+            cross_weights.shrink_to_fit();
             Arc::new(GraphPartition {
                 part,
                 local_ids: (0..index_u32(n_local, "vertices")).collect(),
@@ -553,6 +559,33 @@ mod tests {
                 let dest = parts.part_of(t) as usize;
                 assert!(plan.in_deps[dest].contains(&q));
             }
+        }
+    }
+
+    #[test]
+    fn built_views_hold_no_growth_slack() {
+        let g = generators::preferential_attachment(300, 4, 1, 1, 11);
+        let wg = asyncmr_graph::WeightedGraph::random_weights(g.clone(), 1.0, 5.0, 3);
+        let parts = RangePartitioner.partition(&g, 5);
+        let pool = ThreadPool::new(2);
+        let builds = [
+            GraphPartition::build(&g, &parts),
+            GraphPartition::build_on(&pool, &g, &parts),
+            GraphPartition::build_weighted(&wg, &parts),
+            GraphPartition::build_weighted_on(&pool, &wg, &parts),
+        ];
+        for view in builds.iter().flatten() {
+            let exact = |what: &str, cap: usize, len: usize| {
+                assert_eq!(cap, len, "partition {}: {what} capacity vs length", view.part);
+            };
+            let csr = &view.internal;
+            exact("internal offsets", csr.offsets.capacity(), csr.offsets.len());
+            exact("internal targets", csr.targets.capacity(), csr.targets.len());
+            exact("internal weights", csr.weights.capacity(), csr.weights.len());
+            exact("cross offsets", view.cross_offsets.capacity(), view.cross_offsets.len());
+            exact("cross targets", view.cross_targets.capacity(), view.cross_targets.len());
+            exact("cross weights", view.cross_weights.capacity(), view.cross_weights.len());
+            exact("out degrees", view.out_degree.capacity(), view.out_degree.len());
         }
     }
 

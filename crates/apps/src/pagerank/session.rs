@@ -63,7 +63,6 @@ pub struct PrAsync {
     damping: f64,
     tolerance: f64,
     local_tolerance: f64,
-    init: Vec<PrPartitionState>,
 }
 
 impl PrAsync {
@@ -94,21 +93,6 @@ impl PrAsync {
         cfg: &PageRankConfig,
     ) -> Self {
         let cut = CutPlan::build(pool, &partitions, parts);
-        let mut init: Vec<PrPartitionState> = partitions
-            .iter()
-            .map(|p| PrPartitionState { ranks: vec![1.0; p.len()], remote_in: vec![0.0; p.len()] })
-            .collect();
-        // `initial_remote_in` under all-ones ranks, folded per consumer:
-        // producers ascending and each run in emission order is the
-        // order that global sweep adds a vertex's contributions in.
-        for (part, runs) in partitions.iter().zip(&cut.runs) {
-            for run in runs {
-                let remote = &mut init[run.dest as usize].remote_in;
-                for (&li, &t) in run.src.iter().zip(cut.landing(run)) {
-                    remote[t as usize] += 1.0 / part.out_degree[li as usize] as f64;
-                }
-            }
-        }
         PrAsync {
             partitions,
             cut,
@@ -117,7 +101,6 @@ impl PrAsync {
             // Same inner tolerance derivation as `run_eager` — required
             // for byte-identity of the local solves.
             local_tolerance: cfg.tolerance * (1.0 - cfg.damping) * 0.5,
-            init,
         }
     }
 
@@ -142,7 +125,20 @@ impl AsyncIterative for PrAsync {
     }
 
     fn init_state(&self, p: usize) -> PrPartitionState {
-        self.init[p].clone()
+        // `initial_remote_in` under all-ones ranks: producers ascending
+        // and each run in emission order is the order that global sweep
+        // adds a vertex's contributions in.
+        let n = self.partitions[p].len();
+        let mut remote_in = vec![0.0; n];
+        for (&q, landing) in self.cut.in_deps[p].iter().zip(&self.cut.in_index[p]) {
+            let runs = &self.cut.runs[q];
+            let run = &runs[runs.partition_point(|run| (run.dest as usize) < p)];
+            let out_degree = &self.partitions[q].out_degree;
+            for (&li, &t) in run.src.iter().zip(landing) {
+                remote_in[t as usize] += 1.0 / out_degree[li as usize] as f64;
+            }
+        }
+        PrPartitionState { ranks: vec![1.0; n], remote_in }
     }
 
     // Indexed loops are the point here: each is a dense CSR window

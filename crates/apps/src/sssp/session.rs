@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use asyncmr_core::prelude::*;
 use asyncmr_core::session::SessionReport;
-use asyncmr_graph::WeightedGraph;
+use asyncmr_graph::{NodeId, WeightedGraph};
 use asyncmr_partition::Partitioning;
 use asyncmr_runtime::ThreadPool;
 
@@ -30,7 +30,7 @@ pub type SpAsyncMsg = (u32, f64);
 pub struct SpAsync {
     partitions: Vec<Arc<GraphPartition>>,
     cut: CutPlan,
-    init: Vec<Vec<f64>>,
+    source: NodeId,
 }
 
 impl SpAsync {
@@ -59,17 +59,10 @@ impl SpAsync {
         parts: &Partitioning,
         cfg: &SsspConfig,
     ) -> Self {
-        let cut = CutPlan::build(pool, &partitions, parts);
         let n = parts.num_nodes();
-        let mut dists = vec![f64::INFINITY; n];
-        if n > 0 {
-            dists[cfg.source as usize] = 0.0;
-        }
-        let init = partitions
-            .iter()
-            .map(|p| p.nodes.iter().map(|&v| dists[v as usize]).collect())
-            .collect();
-        SpAsync { partitions, cut, init }
+        assert!(n == 0 || (cfg.source as usize) < n, "source {} out of {n} vertices", cfg.source);
+        let cut = CutPlan::build(pool, &partitions, parts);
+        SpAsync { partitions, cut, source: cfg.source }
     }
 
     /// The partition views (for scattering final states back).
@@ -92,7 +85,8 @@ impl AsyncIterative for SpAsync {
     }
 
     fn init_state(&self, p: usize) -> Vec<f64> {
-        self.init[p].clone()
+        let nodes = &self.partitions[p].nodes;
+        nodes.iter().map(|&v| if v == self.source { 0.0 } else { f64::INFINITY }).collect()
     }
 
     // Indexed loops are the point here: each is a dense CSR window

@@ -9,6 +9,13 @@
 //! graphs with self loops, multi-edges, a sink, one-vertex, cut-free and
 //! empty partitions. Run them in release too: that is where the
 //! unchecked path runs as a benchmark runs it.
+//!
+//! On the same graphs, `PrAsync::init_state` and `SpAsync::init_state`,
+//! which derive a partition's initial state on demand, are pinned
+//! bitwise to the construction that built every initial state up front
+//! (kept here as the oracle).
+
+use std::sync::Arc;
 
 use asyncmr_apps::common::{CutPlan, CutRun, GraphPartition};
 use asyncmr_apps::pagerank::session::{PrAsync, PrPartitionState};
@@ -184,6 +191,39 @@ fn reference_sp_gmap(
     }
 }
 
+/// `PrAsync`'s initial states as it once built them all up front: ranks
+/// all ones, and every producer's runs folded into their consumers'
+/// remote sums, producers ascending.
+fn eager_pr_init(views: &[Arc<GraphPartition>], cut: &CutPlan) -> Vec<PrPartitionState> {
+    let mut init: Vec<PrPartitionState> = views
+        .iter()
+        .map(|p| PrPartitionState { ranks: vec![1.0; p.len()], remote_in: vec![0.0; p.len()] })
+        .collect();
+    for (part, runs) in views.iter().zip(&cut.runs) {
+        for run in runs {
+            let remote = &mut init[run.dest as usize].remote_in;
+            for (&li, &t) in run.src.iter().zip(cut.landing(run)) {
+                remote[t as usize] += 1.0 / part.out_degree[li as usize] as f64;
+            }
+        }
+    }
+    init
+}
+
+/// `SpAsync`'s initial states as it once built them all up front: a
+/// global distance vector, gathered per partition.
+fn eager_sp_init(views: &[Arc<GraphPartition>], n: usize, source: NodeId) -> Vec<Vec<f64>> {
+    let mut dists = vec![f64::INFINITY; n];
+    if n > 0 {
+        dists[source as usize] = 0.0;
+    }
+    views.iter().map(|p| p.nodes.iter().map(|&v| dists[v as usize]).collect()).collect()
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Bitwise: the update, every meter, and every destination's batch.
 fn same_gmap<M>(
     p: usize,
@@ -261,6 +301,46 @@ proptest! {
                 let got = algo.gmap(p, 0, &state, &mut got_box);
                 let want = reference_sp_gmap(&views[p], &cut, &cut.runs[p], &state, &mut want_box);
                 same_gmap(p, (&got, &got_box), (&want, &want_box), slots, |&(t, d)| (t, d.to_bits()));
+            }
+        }
+    }
+
+    #[test]
+    fn pagerank_init_state_matches_the_eager_construction(
+        main in 1usize..24,
+        island in 1usize..4,
+        picks in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..80),
+        k in 1usize..6,
+        which in any::<u8>(),
+    ) {
+        let (g, parts) = adversarial(main, island, &picks, k, which);
+        let algo = PrAsync::new(&g, &parts, &PageRankConfig::default());
+        let views = algo.partitions();
+        let cut = CutPlan::build(None, views, &parts);
+        prop_assert!(cut.in_deps.iter().any(Vec::is_empty), "the island depends on nobody");
+        for (p, want) in eager_pr_init(views, &cut).iter().enumerate() {
+            let got = algo.init_state(p);
+            prop_assert_eq!(bits(&got.ranks), bits(&want.ranks), "partition {}: ranks", p);
+            prop_assert_eq!(bits(&got.remote_in), bits(&want.remote_in), "partition {}: remote", p);
+        }
+    }
+
+    #[test]
+    fn sssp_init_state_matches_the_eager_construction(
+        main in 1usize..24,
+        island in 1usize..4,
+        picks in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..80),
+        k in 1usize..6,
+        which in any::<u8>(),
+    ) {
+        let (g, parts) = adversarial(main, island, &picks, k, which);
+        let n = g.num_nodes();
+        let wg = WeightedGraph::unit_weights(g);
+        // Every vertex as the source: most lie outside partition 0.
+        for source in 0..n as NodeId {
+            let algo = SpAsync::new(&wg, &parts, &SsspConfig { source, ..Default::default() });
+            for (p, want) in eager_sp_init(algo.partitions(), n, source).iter().enumerate() {
+                prop_assert_eq!(bits(&algo.init_state(p)), bits(want), "source {}, partition {}", source, p);
             }
         }
     }

@@ -131,6 +131,18 @@ impl Recovery {
         }
     }
 
+    /// The most iterations a frontier can run past
+    /// [`Recovery::state_floor`]: none with the plan disabled (the floor
+    /// is the frontier), else one less than the checkpoint interval —
+    /// the advance that reaches the next multiple declares it.
+    pub(crate) fn checkpoint_tail(&self) -> usize {
+        if self.plan.enabled() {
+            self.plan.checkpoint_every - 1
+        } else {
+            0
+        }
+    }
+
     /// Mailbox-retention floor for a partition about to absorb `next`
     /// under staleness bound `max_lag`: that absorb selects source
     /// iterations ≥ `next − max_lag`, but with node failures enabled a

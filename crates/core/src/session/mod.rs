@@ -56,7 +56,7 @@
 //! | Component | Invariant it owns | May borrow | Public knob feeding it |
 //! |---|---|---|---|
 //! | `topology::Topology` | `consumers` is the inverse of `deps`, each entry carrying the producer's mailbox *slot* — delivery and rollback never search | nothing (immutable, built once, shared by `&`) | [`AsyncIterative::dependencies`] |
-//! | `store::Store` | held bytes = Σ retained states + Σ mailbox batches, with its high-water mark; the only code that moves a state, a batch, or a pooled buffer | `&Topology` | — (feeds [`SessionReport::peak_state_bytes`]) |
+//! | `store::Store` | held bytes = Σ retained states + Σ mailbox batch capacity, with its high-water mark and the most states one partition retained; the only code that moves a state or a batch | `&Topology` | — (feeds [`SessionReport::peak_state_bytes`]) |
 //! | `checkpoint::Recovery` | per-node death budget, verdict epoch, per-partition rollback generations, the last declared checkpoint; the contamination closure is a pure function of the consumers table + consumption log | the consumers table and the consumption log, as plain slices (read-only; `checkpoint` imports nothing from `session`) | [`AsyncFixedPointDriver::node_failures`], [`AsyncFixedPointDriver::virtual_nodes`] |
 //! | `meter::SessionMeter` | each per-iteration record = Σ of the per-partition records logged for it; rollback unwinds exactly (checked, never clamped) | nothing | — (feeds [`SessionReport`]) |
 //! | `obs::SessionObs` | every call is a no-op on an untraced run; one definition of the scheduler-lane span | nothing | [`AsyncFixedPointDriver::trace`] |
@@ -79,7 +79,11 @@
 //! byte budget. What the knob promises is checked where the report is
 //! built: [`SessionReport::observed_staleness`] is the histogram of how
 //! stale every absorbed dependency batch was, and the session panics if
-//! it reaches past `max_lag`.
+//! it reaches past `max_lag`. The launch cap bounds history the same
+//! way, and is audited the same way: no partition may ever have held
+//! more than `max_lag + RUNAHEAD_SLACK + 2` states at once, plus, under
+//! node failures, the `checkpoint_every − 1` iterations a frontier can
+//! run past its last checkpoint.
 //!
 //! ## Fault tolerance (deterministic replay)
 //!
@@ -186,11 +190,10 @@ pub enum Dependence {
     Sparse(Vec<usize>),
 }
 
-/// Reusable cross-partition message staging for one `gmap` call: one
-/// batch slot per destination partition, **pooled by the session** and
-/// recycled across waves so the steady-state hot path performs no
-/// per-gmap `Vec<Vec<_>>` allocation (batches drained into mailboxes
-/// return to the pool when pruned).
+/// Cross-partition message staging for one `gmap` call: one batch slot
+/// per destination partition. The session hands every launch a fresh
+/// outbox and moves each staged batch, as allocated, into its
+/// consumer's mailbox.
 ///
 /// A gmap pushes messages in emission order. Destinations must be
 /// partitions that declare the producer as a dependency (enforced by
@@ -202,15 +205,14 @@ pub enum Dependence {
 pub struct Outbox<M> {
     /// One staged message batch per destination partition.
     per_dest: Vec<Vec<M>>,
-    /// Destinations pushed to since the last recycle (first touch
-    /// recorded once), so recycling clears only the slots used.
+    /// Destinations pushed to (first touch recorded once), so delivery
+    /// checks only the slots used.
     touched: Vec<u32>,
 }
 
 impl<M> Outbox<M> {
     /// An empty outbox with `slots` destination slots (one per
-    /// partition). The session pools these; barrier oracles and tests
-    /// may construct their own.
+    /// partition).
     pub fn new(slots: usize) -> Self {
         Outbox { per_dest: (0..slots).map(|_| Vec::new()).collect(), touched: Vec::new() }
     }
@@ -238,14 +240,6 @@ impl<M> Outbox<M> {
     /// The batch currently staged for `dest` (empty if untouched).
     pub fn batch(&self, dest: usize) -> &[M] {
         &self.per_dest[dest]
-    }
-
-    /// Clears every touched slot, keeping all allocations for reuse.
-    pub fn recycle(&mut self) {
-        for &t in &self.touched {
-            self.per_dest[t as usize].clear();
-        }
-        self.touched.clear();
     }
 }
 
@@ -293,7 +287,7 @@ pub struct Absorbed<S> {
 ///
 /// 1. [`gmap`](AsyncIterative::gmap) — the heavy local solve on *p*'s
 ///    state (runs on the thread pool), emitting the owner-side update
-///    plus per-destination message batches into a pooled [`Outbox`];
+///    plus per-destination message batches into an [`Outbox`];
 /// 2. [`absorb`](AsyncIterative::absorb) — *p*'s slice of the global
 ///    reduce: combine the own update with the dependencies' message
 ///    batches into the next state (runs on the session's scheduler
@@ -333,10 +327,12 @@ pub trait AsyncIterative: Sync {
     /// The local solve for partition `p` at global iteration
     /// `iteration`, given the state produced by its previous absorb.
     ///
-    /// Cross-partition messages are staged into `outbox`, a pooled
-    /// buffer the session recycles across waves (it arrives empty; do
-    /// not clear it). The returned [`GmapOutput`] carries the owner-side
-    /// update and the meters.
+    /// Cross-partition messages are staged into `outbox`, which arrives
+    /// empty; each batch is delivered with the capacity the gmap gave
+    /// it, so size a batch exactly where that is cheap
+    /// ([`Outbox::extend`] from an iterator of known length). The
+    /// returned [`GmapOutput`] carries the owner-side update and the
+    /// meters.
     fn gmap(
         &self,
         p: usize,
@@ -425,8 +421,8 @@ pub struct SessionReport {
     pub checkpoint_bytes: u64,
     /// High-water mark of bytes the session held at once: state
     /// history (all retained iterations, all partitions) plus mailbox
-    /// message batches. Checkpoint retention makes this grow with the
-    /// checkpoint interval.
+    /// message batches, by allocated capacity. Checkpoint retention
+    /// makes this grow with the checkpoint interval.
     pub peak_state_bytes: u64,
     /// The staleness bound the session ran under
     /// ([`AsyncFixedPointDriver::max_lag`]).
@@ -463,10 +459,12 @@ impl SessionReport {
     /// The contracts every run is held to, rollbacks included: no batch
     /// was absorbed more than `max_lag` iterations stale, every
     /// contributing absorb read one batch per declared dependency
-    /// (`dep_slots` = Σ over partitions), and every contributing
-    /// `(partition, iteration)` executed exactly once. A report that
-    /// fails them is a scheduler bug, so there is no report.
-    fn audit(&self, partitions: usize, dep_slots: usize) {
+    /// (`dep_slots` = Σ over partitions), every contributing
+    /// `(partition, iteration)` executed exactly once, and no partition
+    /// retained more states at once than the bound the launch cap
+    /// implies (`retained` = (most held, bound)). A report that fails
+    /// them is a scheduler bug, so there is no report.
+    fn audit(&self, partitions: usize, dep_slots: usize, retained: (usize, usize)) {
         let observed = &self.observed_staleness;
         assert!(
             observed.len() <= self.max_lag + 1,
@@ -483,6 +481,12 @@ impl SessionReport {
             self.gmap_tasks,
             self.global_iterations * partitions,
             "every contributing (partition, iteration) executes exactly once"
+        );
+        let (held, bound) = retained;
+        assert!(
+            held <= bound,
+            "retention contract broken: a partition held {held} states at once, over the bound \
+             of {bound}"
         );
     }
 }
@@ -1145,22 +1149,93 @@ mod tests {
         }
     }
 
-    #[test]
-    fn outbox_recycle_clears_only_touched_slots() {
-        let mut outbox: Outbox<u32> = Outbox::new(4);
-        outbox.push(1, 10);
-        outbox.push(1, 11);
-        outbox.push(3, 30);
-        assert_eq!(outbox.batch(1), &[10, 11]);
-        assert_eq!(outbox.batch(3), &[30]);
-        assert!(outbox.batch(0).is_empty() && outbox.batch(2).is_empty());
-        outbox.recycle();
-        for d in 0..4 {
-            assert!(outbox.batch(d).is_empty(), "slot {d} survived recycling");
+    /// Partition 0 depends on nobody; partition 1 reads it and is slow,
+    /// so partition 0 runs as far ahead as the launch cap lets it.
+    struct Runaway;
+
+    impl AsyncIterative for Runaway {
+        type State = f64;
+        type Update = f64;
+        type Msg = f64;
+
+        fn partitions(&self) -> usize {
+            2
         }
-        // Reuse after recycling records fresh touches.
-        outbox.push(0, 1);
-        assert_eq!(outbox.batch(0), &[1]);
+
+        fn dependencies(&self, p: usize) -> Dependence {
+            Dependence::Sparse(if p == 1 { vec![0] } else { Vec::new() })
+        }
+
+        fn init_state(&self, _p: usize) -> f64 {
+            1.0
+        }
+
+        fn gmap(
+            &self,
+            p: usize,
+            _: usize,
+            state: &f64,
+            outbox: &mut Outbox<f64>,
+        ) -> GmapOutput<f64> {
+            if p == 0 {
+                outbox.push(1, *state);
+            } else {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let sent = u64::from(p == 0);
+            GmapOutput {
+                update: 0.5 * *state,
+                ops: 1,
+                local_syncs: 1,
+                input_bytes: 8,
+                msg_records: sent,
+                msg_bytes: 8 * sent,
+            }
+        }
+
+        fn absorb(
+            &self,
+            _p: usize,
+            _: usize,
+            state: &f64,
+            update: f64,
+            inbox: &[(usize, &[f64])],
+        ) -> Absorbed<f64> {
+            let x =
+                update + inbox.iter().flat_map(|(_, msgs)| *msgs).map(|m| 0.25 * m).sum::<f64>();
+            Absorbed { state: x, delta: (x - *state).abs(), ops: 1 }
+        }
+
+        fn converged(&self, max_delta: f64) -> bool {
+            max_delta < 1e-9
+        }
+    }
+
+    #[test]
+    fn a_partition_running_ahead_passes_the_retention_audit() {
+        // `run` audits the retention bound on the way out; these runs
+        // press on it at lag 0, at lag 2, and with the checkpoint tail
+        // of node failures every 4 iterations.
+        let nodes = NodeFailurePlan::correlated(0.2, 42, 4);
+        for driver in [
+            AsyncFixedPointDriver::new(500),
+            AsyncFixedPointDriver::new(500).with_max_lag(2),
+            AsyncFixedPointDriver::new(500).with_node_failures(nodes, 2),
+        ] {
+            let report = driver.run(&pool(), &Runaway).report;
+            assert!(report.converged, "lag {}", driver.max_lag);
+            assert_eq!(report.rollbacks > 0, driver.node_failures.enabled(), "0.2/epoch fires");
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "retention contract broken: a partition held 11 states at once, over the bound \
+                    of 10"
+    )]
+    fn the_audit_refuses_a_partition_holding_past_the_bound() {
+        let report = AsyncFixedPointDriver::new(50).run(&pool(), &Ring::new(3, 1e-6, true)).report;
+        report.audit(3, 6, (11, 10));
     }
 
     #[test]

@@ -37,9 +37,9 @@ pub(super) struct Launch<A: AsyncIterative> {
     /// rollback and is discarded (billed as a failed attempt).
     generation: u64,
     state: Arc<A::State>,
-    /// A pooled (empty, capacity-retaining) outbox for the gmap to fill;
-    /// it returns with the completion for delivery — or, if the attempt
-    /// died or was orphaned, without — and is recycled either way.
+    /// A fresh outbox for the gmap to fill; it returns with the
+    /// completion for delivery, or is dropped if the attempt died or
+    /// was orphaned.
     outbox: Outbox<A::Msg>,
 }
 
@@ -186,7 +186,7 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
             attempt,
             generation: self.recovery.generation(p),
             state: Arc::clone(self.store.state(p, iter)),
-            outbox: self.store.take_outbox(),
+            outbox: Outbox::new(self.parts.len()),
         }
     }
 
@@ -207,7 +207,6 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
             // at `iter` until a retry delivers (unless the run already
             // stopped and no longer needs it).
             self.meter.attempt_failed(elapsed);
-            self.store.recycle_outbox(outbox);
             if !orphaned && self.stopped.is_none() {
                 debug_assert_eq!(self.parts[p].absorbed, iter, "a failed gmap was not absorbed");
                 wave.push(p, self.attempt(p, iter, attempt + 1));
@@ -218,7 +217,6 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
             // A straggler finishing after convergence/cap: its output
             // can no longer influence the result.
             self.meter.gmap_succeeded(elapsed);
-            self.store.recycle_outbox(outbox);
             return;
         }
 
@@ -427,7 +425,14 @@ impl<'a, A: AsyncIterative> Session<'a, A> {
             schedule,
         };
         let dep_slots = (0..self.parts.len()).map(|p| self.topo.deps(p).len()).sum();
-        report.audit(self.parts.len(), dep_slots);
+        // The most states one partition can retain: `make_launch` lets
+        // it launch up to `frontier + max_lag + RUNAHEAD_SLACK`, so it
+        // absorbs up to one past that, and its history reaches back to
+        // the retention floor — the frontier, or under node failures the
+        // last checkpoint, which trails any frontier a launch saw by at
+        // most `checkpoint_tail`. `floor ..= absorbed` is that many states.
+        let bound = self.max_lag + RUNAHEAD_SLACK + 2 + self.recovery.checkpoint_tail();
+        report.audit(self.parts.len(), dep_slots, (self.store.max_retained(), bound));
         SessionOutcome { states, report }
     }
 }

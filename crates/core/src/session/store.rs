@@ -3,18 +3,17 @@
 //!
 //! **Invariant:** `held()` equals, at every method boundary, the summed
 //! [`AsyncIterative::state_bytes`](super::AsyncIterative::state_bytes)
-//! of every retained state plus the shallow size of every message in
-//! every mailbox; `peak()` is its high-water mark. No code outside this
-//! module can move a state or a batch, so none can break the ledger —
-//! which is what
+//! of every retained state plus the allocated capacity of every batch
+//! in every mailbox; `peak()` is its high-water mark. No code outside
+//! this module can move a state or a batch, so none can break the
+//! ledger — which is what
 //! [`SessionReport::peak_state_bytes`](super::SessionReport::peak_state_bytes)
 //! rests on.
 //!
-//! The store also owns the two buffer pools (outboxes and message-batch
-//! `Vec`s): every batch leaving a mailbox is recycled, and re-enters an
-//! outbox slot at the next delivery, so steady-state delivery moves
-//! capacity around without allocating. All traffic is on the scheduler
-//! thread; no locks.
+//! Batches are moved, never pooled: delivery takes each staged batch
+//! out of its outbox into a mailbox, and a batch that is pruned,
+//! replaced or revoked is dropped — so what the ledger counts is what
+//! the heap holds. All traffic is on the scheduler thread; no locks.
 //!
 //! The absorb computation for partition `p` reads only `p`'s own slot
 //! (its state and its mailbox) plus the shared [`Topology`]; delivery
@@ -36,36 +35,21 @@ struct Slot<S, M> {
     mailbox: Vec<BTreeMap<usize, Vec<M>>>,
 }
 
-/// Mailbox byte ledger plus the recycled batch `Vec`s.
-#[derive(Debug)]
-struct Batches<M> {
-    held_bytes: u64,
-    free: Vec<Vec<M>>,
+/// Bytes a mailbox batch holds: its allocation, not its length.
+fn batch_bytes<M>(batch: &Vec<M>) -> u64 {
+    (batch.capacity() * std::mem::size_of::<M>()) as u64
 }
 
-impl<M> Batches<M> {
-    fn bytes(batch: &[M]) -> u64 {
-        std::mem::size_of_val(batch) as u64
-    }
-
-    /// Takes a batch that just left a mailbox off the ledger and keeps
-    /// its capacity for a later delivery.
-    fn recycle(&mut self, mut batch: Vec<M>) {
-        self.held_bytes -= Self::bytes(&batch);
-        batch.clear();
-        self.free.push(batch);
-    }
-}
-
-/// Histories, mailboxes, ledger and pools of one session run (see the
+/// Histories, mailboxes and the ledger of one session run (see the
 /// [module docs](self)).
 #[derive(Debug)]
 pub(crate) struct Store<S, M> {
     slots: Vec<Slot<S, M>>,
     held_state_bytes: u64,
-    batches: Batches<M>,
+    held_batch_bytes: u64,
     peak: u64,
-    outboxes: Vec<Outbox<M>>,
+    /// The most states one partition has retained at once.
+    max_retained: usize,
 }
 
 impl<S, M> Store<S, M> {
@@ -87,20 +71,26 @@ impl<S, M> Store<S, M> {
         Store {
             slots,
             held_state_bytes,
-            batches: Batches { held_bytes: 0, free: Vec::new() },
+            held_batch_bytes: 0,
             peak: held_state_bytes,
-            outboxes: Vec::new(),
+            max_retained: usize::from(topo.partitions() > 0),
         }
     }
 
     /// Bytes currently held: state history plus mailbox batches.
     pub(crate) fn held(&self) -> u64 {
-        self.held_state_bytes + self.batches.held_bytes
+        self.held_state_bytes + self.held_batch_bytes
     }
 
     /// High-water mark of [`Store::held`].
     pub(crate) fn peak(&self) -> u64 {
         self.peak
+    }
+
+    /// High-water mark of one partition's retained states (commits are
+    /// the only place a history grows).
+    pub(crate) fn max_retained(&self) -> usize {
+        self.max_retained
     }
 
     fn note_peak(&mut self) {
@@ -119,23 +109,10 @@ impl<S, M> Store<S, M> {
         self.slots.iter().map(|slot| slot.history[iter - slot.base].1).sum()
     }
 
-    /// A pooled empty outbox for the next launch.
-    pub(crate) fn take_outbox(&mut self) -> Outbox<M> {
-        self.outboxes.pop().unwrap_or_else(|| Outbox::new(self.slots.len()))
-    }
-
-    /// Returns an outbox to the pool (clearing only its touched slots,
-    /// keeping all allocations).
-    pub(crate) fn recycle_outbox(&mut self, mut outbox: Outbox<M>) {
-        outbox.recycle();
-        self.outboxes.push(outbox);
-    }
-
-    /// Delivers (and recycles) `p`'s iteration-`iter` outbox: one batch to every
+    /// Delivers `p`'s iteration-`iter` outbox: one batch to every
     /// declared consumer — empty if the gmap emitted nothing for it —
-    /// so consumers never wait on a message that will never come.
-    /// Non-empty slots are swapped out against recycled batch `Vec`s.
-    /// A rollback re-delivery replaces the surviving batch of identical
+    /// so consumers never wait on a message that will never come. A
+    /// rollback re-delivery replaces the surviving batch of identical
     /// content.
     pub(crate) fn deliver(
         &mut self,
@@ -145,22 +122,17 @@ impl<S, M> Store<S, M> {
         mut outbox: Outbox<M>,
     ) {
         for &(dest, slot) in topo.consumers(p) {
-            let staged = &mut outbox.per_dest[dest];
-            let msgs = if staged.is_empty() {
-                Vec::new()
-            } else {
-                std::mem::replace(staged, self.batches.free.pop().unwrap_or_default())
-            };
-            self.batches.held_bytes += Batches::bytes(&msgs);
+            let msgs = std::mem::take(&mut outbox.per_dest[dest]);
+            self.held_batch_bytes += batch_bytes(&msgs);
             if let Some(old) = self.slots[dest].mailbox[slot].insert(iter, msgs) {
-                self.batches.recycle(old);
+                self.held_batch_bytes -= batch_bytes(&old);
             }
         }
         self.note_peak();
         // Hard assert (touched slots are few, this is once per gmap):
         // silently dropping a batch for an undeclared consumer would
         // converge to a *wrong* fixed point, not fail. Declared slots
-        // were just emptied by the swap, so any survivor is undeclared.
+        // were just taken, so any survivor is undeclared.
         for &t in &outbox.touched {
             assert!(
                 outbox.per_dest[t as usize].is_empty(),
@@ -168,7 +140,6 @@ impl<S, M> Store<S, M> {
                  dependency"
             );
         }
-        self.recycle_outbox(outbox);
     }
 
     /// Per dependency slot of `p`: the freshest delivered source
@@ -204,9 +175,10 @@ impl<S, M> Store<S, M> {
     pub(crate) fn commit(&mut self, p: usize, state: S, bytes: u64, keep_from: usize) {
         let slot = &mut self.slots[p];
         slot.history.push_back((Arc::new(state), bytes));
+        self.max_retained = self.max_retained.max(slot.history.len());
         for mb in &mut slot.mailbox {
             while mb.first_key_value().is_some_and(|(&key, _)| key < keep_from) {
-                self.batches.recycle(mb.pop_first().expect("checked non-empty").1);
+                self.held_batch_bytes -= batch_bytes(&mb.pop_first().expect("checked non-empty").1);
             }
         }
         self.held_state_bytes += bytes;
@@ -242,7 +214,7 @@ impl<S, M> Store<S, M> {
         for &(dest, slot) in topo.consumers(p) {
             let mb = &mut self.slots[dest].mailbox[slot];
             while mb.last_key_value().is_some_and(|(&key, _)| key >= c) {
-                self.batches.recycle(mb.pop_last().expect("checked non-empty").1);
+                self.held_batch_bytes -= batch_bytes(&mb.pop_last().expect("checked non-empty").1);
             }
         }
         debug_assert!(self.slots[p].base <= c, "retention keeps the checkpoint state");
@@ -255,17 +227,17 @@ mod tests {
     use super::*;
 
     impl<S, M> Store<S, M> {
-        /// The ledger recomputed from scratch.
+        /// The ledger recomputed from scratch, batches by capacity.
         fn recomputed(&self) -> u64 {
             let states: u64 = self.slots.iter().flat_map(|s| &s.history).map(|(_, b)| b).sum();
-            let msgs: usize = self
+            let slots: usize = self
                 .slots
                 .iter()
                 .flat_map(|s| &s.mailbox)
                 .flat_map(|mb| mb.values())
-                .map(Vec::len)
+                .map(Vec::capacity)
                 .sum();
-            states + (msgs * std::mem::size_of::<M>()) as u64
+            states + (slots * std::mem::size_of::<M>()) as u64
         }
     }
 
@@ -277,14 +249,22 @@ mod tests {
         (topo, store)
     }
 
+    /// `p` delivers `n` pushed messages to each of its consumers.
     fn deliver(store: &mut Store<usize, u32>, topo: &Topology, p: usize, iter: usize, n: u32) {
-        let mut outbox = store.take_outbox();
+        let mut outbox = Outbox::new(topo.partitions());
         for &(dest, _) in topo.consumers(p) {
             for m in 0..n {
                 outbox.push(dest, m);
             }
         }
         store.deliver(topo, p, iter, outbox);
+    }
+
+    /// Bytes a batch of `n` pushed messages holds: its capacity.
+    fn pushed(n: u32) -> u64 {
+        let mut batch: Vec<u32> = Vec::new();
+        (0..n).for_each(|m| batch.push(m));
+        (batch.capacity() * 4) as u64
     }
 
     #[test]
@@ -298,7 +278,7 @@ mod tests {
             deliver(&mut store, &topo, p, iter, n);
             assert_eq!(store.held(), store.recomputed(), "after deliver({p}, {iter})");
         }
-        assert_eq!(store.held(), initial + (3 + 3 + 2 + 3 + 3) * 4);
+        assert_eq!(store.held(), initial + 4 * pushed(3) + pushed(2));
         assert_eq!(store.freshest(2, 5).collect::<Vec<_>>(), [Some(1), Some(1)]);
         assert_eq!(store.inbox(2, topo.deps(2), &[0, 0]), [(0, &[0, 1, 2][..]), (1, &[0, 1][..])]);
 
@@ -311,7 +291,7 @@ mod tests {
         // Commit an absorb of partition 2 (state +7 bytes), pruning its
         // iteration-0 batches (3 from source 0, 2 from source 1).
         store.commit(2, 99, 7, 1);
-        assert_eq!(store.held(), before + 7 - 5 * 4);
+        assert_eq!(store.held(), before + 7 - pushed(3) - pushed(2));
         assert_eq!(store.held(), store.recomputed());
         assert_eq!(**store.state(2, 1), 99);
         assert_eq!(store.snapshot_bytes(0), initial);
@@ -321,7 +301,7 @@ mod tests {
         // Revoke: rewinding producer 0 to checkpoint 1 pulls its
         // iteration-1 batches out of both consumers.
         store.rewind(&topo, 0, 1);
-        assert_eq!(store.held(), before + 7 - 5 * 4 - 6 * 4);
+        assert_eq!(store.held(), before + 7 - 3 * pushed(3) - pushed(2));
         assert_eq!(store.held(), store.recomputed());
         assert_eq!(store.freshest(2, 5).collect::<Vec<_>>(), [None, Some(1)]);
 
@@ -330,7 +310,7 @@ mod tests {
         for p in 0..3 {
             store.rewind(&topo, p, 0);
         }
-        assert_eq!(store.batches.held_bytes, 0, "every mailbox is empty again");
+        assert_eq!(store.held_batch_bytes, 0, "every mailbox is empty again");
         assert_eq!(store.held(), initial, "one state per partition, back at the initial bytes");
         assert_eq!(store.held(), store.recomputed());
         assert_eq!(store.peak(), peak, "the peak never comes down");
@@ -341,6 +321,50 @@ mod tests {
         store.prune_states(1);
         assert_eq!(store.held(), initial + 7 - 12);
         assert_eq!(store.held(), store.recomputed());
+    }
+
+    #[test]
+    fn a_pushed_batch_is_metered_by_its_capacity_not_its_length() {
+        let (topo, mut store) = chain_store();
+        deliver(&mut store, &topo, 1, 0, 5);
+        let batch = &store.slots[2].mailbox[1][&0];
+        assert!(batch.capacity() > batch.len(), "five pushes leave growth slack");
+        assert_eq!(store.held(), 10 + 11 + 12 + (batch.capacity() * 4) as u64);
+        assert_eq!(store.held(), store.recomputed());
+    }
+
+    #[test]
+    fn a_small_batch_after_a_large_one_gets_its_own_capacity() {
+        let (topo, mut store) = chain_store();
+        deliver(&mut store, &topo, 1, 0, 1_000);
+        // Partition 2 absorbs iteration 0, dropping the large batch.
+        store.commit(2, 2, 12, 1);
+        deliver(&mut store, &topo, 1, 1, 1);
+        assert!(!store.slots[2].mailbox[1].contains_key(&0), "the large batch was pruned");
+        let small = &store.slots[2].mailbox[1][&1];
+        assert_eq!(((small.capacity() * 4) as u64, small.as_slice()), (pushed(1), &[0][..]));
+        assert_eq!(store.held(), 10 + 11 + 2 * 12 + pushed(1));
+        assert_eq!(store.held(), store.recomputed());
+        assert!(store.peak() >= 10 + 11 + 12 + pushed(1_000), "the large batch set the peak");
+    }
+
+    #[test]
+    fn max_retained_is_one_partition_s_longest_history() {
+        let (topo, mut store) = chain_store();
+        assert_eq!(store.max_retained(), 1, "the initial states");
+        for iter in 0..3 {
+            store.commit(0, 0, 10, iter + 1);
+        }
+        store.commit(1, 1, 11, 1);
+        assert_eq!(store.max_retained(), 4, "partition 0 holds iterations 0..=3");
+        // Pruning and rewinding shrink histories, never the maximum.
+        store.rewind(&topo, 1, 0);
+        store.prune_states(3);
+        assert_eq!(store.max_retained(), 4);
+        store.commit(0, 0, 10, 5);
+        assert_eq!(store.max_retained(), 4, "partition 0 holds iterations 3..=4");
+        let empty = Store::<usize, u32>::new(&Topology::from_deps(Vec::new()), |p| (p, 0));
+        assert_eq!(empty.max_retained(), 0);
     }
 
     #[test]
