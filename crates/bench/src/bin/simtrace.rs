@@ -17,7 +17,7 @@
 //! workload — the 8×8 ring exchange on its straggler cluster
 //! (`asyncmr_bench::figures::straggler_sim`: half the nodes at quarter
 //! speed), at seed 7 — under one of the schedulers `repro sched`
-//! compares (`list` | `heft` | `lookahead` | `portfolio`) and network
+//! compares (`list` | `heft`) and network
 //! model (`default` | `constant` | `shared`, the last being fair-shared
 //! NICs: the uniform fluid fabric), then render the requested analysis. `diff` aligns two schedulers on the same
 //! workload (defaults: `--a list --b heft`) and names the
@@ -44,7 +44,7 @@
 //! artifacts next to the fixture file.
 
 use asyncmr_apps::pagerank::{self, PageRankConfig};
-use asyncmr_bench::figures::{straggler_sim, SCHEDULERS};
+use asyncmr_bench::figures::straggler_sim;
 use asyncmr_core::{AsyncFixedPointDriver, GroupingStrategy};
 use asyncmr_graph::generators;
 use asyncmr_model::underflow_count;
@@ -53,7 +53,9 @@ use asyncmr_runtime::ThreadPool;
 use asyncmr_simcluster::workloads::{
     async_schedule, barrier_jobs, ring_exchange, APPS, ASYNC_SEED,
 };
-use asyncmr_simcluster::{diff_runs, ClusterSpec, Constant, ReportModel, RunRecord, Simulation};
+use asyncmr_simcluster::{
+    diff_runs, ClusterSpec, Constant, ReportModel, RunRecord, SchedulerSpec, Simulation,
+};
 
 const USAGE: &str = "usage: simtrace <timeline|critical-path|diff|report|fixtures> \
                      [--sched S] [--a S] [--b S] [--model M] [--dir PATH] [--csv] [--json]";
@@ -61,9 +63,8 @@ const USAGE: &str = "usage: simtrace <timeline|critical-path|diff|report|fixture
 /// The `repro sched` headline cluster at seed 7, placed by the
 /// scheduler named `sched`, on the network model named `model`.
 fn headline_sim(model: &str, sched: &str) -> Simulation {
-    let spec = SCHEDULERS.into_iter().find(|s| s.name() == sched);
-    let spec =
-        spec.unwrap_or_else(|| panic!("unknown scheduler {sched} (list|heft|lookahead|portfolio)"));
+    let spec = SchedulerSpec::ALL.into_iter().find(|s| s.name() == sched);
+    let spec = spec.unwrap_or_else(|| panic!("unknown scheduler {sched} (list|heft)"));
     straggler_sim(7, spec, model)
 }
 

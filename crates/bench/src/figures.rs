@@ -663,10 +663,6 @@ pub fn scalability(cfg: &ReproConfig) -> Figure {
     fig
 }
 
-/// The placement policies `repro sched` compares, in its row order.
-pub const SCHEDULERS: [SchedulerSpec; 4] =
-    [SchedulerSpec::List, SchedulerSpec::Heft, SchedulerSpec::Lookahead, SchedulerSpec::Portfolio];
-
 /// The straggler cluster `repro sched` and `simtrace` replay on:
 /// [`ClusterSpec::ec2_2010`] with half the nodes at quarter speed
 /// ([`ClusterSpec::with_slow_nodes`]), placed by `sched`, on the network
@@ -710,7 +706,7 @@ pub fn scheduler_sweep(cfg: &ReproConfig) -> Figure {
     );
     for regime in ["straggler", "straggler-shared-net"] {
         let mut list_secs = f64::NAN;
-        for sched in SCHEDULERS {
+        for sched in SchedulerSpec::ALL {
             let stats = sim(regime, sched).run_async_schedule(&tasks);
             let secs = stats.duration.as_secs_f64();
             if stats.scheduler == "list" {

@@ -18,21 +18,18 @@
 //! *generation*, the async analogue of the barrier path's node
 //! incarnations), node deaths/rejoins and checkpoint boundaries are
 //! trace markers, and every cross-node message edge is priced by the
-//! core's pluggable [`NetworkModel`](crate::network::NetworkModel).
-//! Placement itself stays synchronous inside the epoch handler, but
-//! the *policy* is pluggable ([`crate::sched`]): the run's
-//! [`Scheduler`] orders the epoch's pending tasks
-//! and picks among the admissible slots, which are ranked by pure
-//! *estimated* start
-//! ([`NetworkModel::estimate`](crate::network::NetworkModel::estimate)).
-//! The default [`ListScheduler`](crate::ListScheduler) reproduces the
-//! pre-trait greedy bit-for-bit: list order (a topological order),
-//! earliest estimated start, ties toward the lowest slot. The chosen
-//! slot's message edges are then *committed* through the model, which
-//! under a contention model may push the real start past the estimate
-//! (greedy admission — the committed flow shares capacity with
-//! everything already in flight); the gap is metered per run in
-//! [`AsyncScheduleStats::commit`]. Under the
+//! core's pluggable [`NetworkModel`]. Placement itself stays
+//! synchronous inside the epoch handler, under one of two policies
+//! ([`SchedulerSpec`]): it orders the epoch's pending tasks and picks
+//! among the admissible slots, each priced by pure *estimates*
+//! ([`NetworkModel::estimate`]). The default, [`SchedulerSpec::List`],
+//! is the greedy the goldens were pinned under: list order (a
+//! topological order), earliest estimated start, ties toward the lowest
+//! slot. The chosen slot's message edges are then *committed* through
+//! the model, which under a contention model may push the real start
+//! past the estimate (greedy admission — the committed flow shares
+//! capacity with everything already in flight); the gap is metered per
+//! run in [`AsyncScheduleStats::commit`]. Under the
 //! [`Constant`](crate::network::Constant) model commit equals estimate,
 //! which is exactly the pre-refactor scheduler's arrival formula — the
 //! replay-fidelity goldens are pinned there.
@@ -98,7 +95,8 @@ use asyncmr_model::{underflow_count, AsyncTaskSpec, AttemptFailurePlan, NodeFail
 use crate::cluster::ClusterSpec;
 use crate::event_core::{Ev, EventCore, ASYNC};
 use crate::failure::{draw_death, NODE_DETECTION_DELAY, TASK_DETECTION_DELAY};
-use crate::sched::{candidates, SchedView, Scheduler, SlotState};
+use crate::network::NetworkModel;
+use crate::sched::SchedulerSpec;
 use crate::sim::Simulation;
 use crate::stats::CommitAccounting;
 
@@ -161,8 +159,8 @@ pub struct AsyncScheduleStats {
     /// queue wait (`task_start[i] - arrival`) without re-running the
     /// network model.
     pub task_crit_dep: Vec<Option<(usize, SimTime)>>,
-    /// Name of the [`crate::Scheduler`] that placed this run
-    /// ([`crate::SchedulerSpec::name`]).
+    /// Name of the policy that placed this run
+    /// ([`SchedulerSpec::name`]).
     pub scheduler: &'static str,
     /// Estimate-then-commit accounting: contention overruns past the
     /// placement estimates, and (always-zero unless a model is buggy)
@@ -174,14 +172,16 @@ impl Simulation {
     /// Replays an eager cross-iteration schedule, advancing the cluster
     /// clock. See the [module docs](self) for the model.
     ///
-    /// Scheduling policy: tasks are visited in list order (a
-    /// topological order — `deps` always point backwards) and each is
-    /// placed on the map slot giving it the earliest estimated start,
-    /// where start = max(slot free, session setup done, every
-    /// dependency's message arrival at that slot's node). Ties break
-    /// toward the lowest-indexed slot, so the replay is a pure function
-    /// of `(ClusterSpec, AttemptFailurePlan, NodeFailurePlan,
-    /// NetworkModel, seed, tasks)` — the async analogue of the contract
+    /// Scheduling policy (the default [`SchedulerSpec::List`]): tasks
+    /// are visited in list order (a topological order — `deps` always
+    /// point backwards) and each is placed on the map slot giving it the
+    /// earliest estimated start, where start = max(slot free, session
+    /// setup done, every dependency's message arrival at that slot's
+    /// node); [`SchedulerSpec::Heft`] visits by upward rank and keeps
+    /// the earliest estimated finish instead. Ties break toward the
+    /// lowest-indexed slot, so the replay is a pure function of
+    /// `(ClusterSpec, AttemptFailurePlan, NodeFailurePlan, NetworkModel,
+    /// SchedulerSpec, seed, tasks)` — the async analogue of the contract
     /// [`Simulation::run_job`] documents.
     ///
     /// Under an active [`AttemptFailurePlan`] each attempt may die (see
@@ -211,14 +211,19 @@ impl Simulation {
         self.core.net_mut().advance_to(setup_done);
         self.core.clear_trace();
 
-        // Fan-out per producer: message bytes are split evenly across
-        // the consumers that actually waited on the task.
+        // Message bytes per consumer: a producer's output is split
+        // evenly across the consumers that actually waited on it.
         let mut consumers = vec![0u32; tasks.len()];
         for t in tasks {
             for &d in &t.deps {
                 consumers[d] += 1;
             }
         }
+        let share: Vec<u64> = tasks
+            .iter()
+            .zip(&consumers)
+            .map(|(t, &c)| t.output_bytes / u64::from(c.max(1)))
+            .collect();
         // Consumer adjacency for the transitive rollback closure (only
         // needed when deaths can fire).
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); tasks.len()];
@@ -245,8 +250,9 @@ impl Simulation {
             tasks,
             failure: self.failure,
             node_plan: self.node_failure,
-            scheduler: self.sched.instantiate(),
-            consumers,
+            sched: self.sched,
+            ranks: self.sched.ranks(tasks, &share, &self.spec, self.core.net()),
+            share,
             dependents,
             slots,
             finish: vec![SimTime::ZERO; tasks.len()],
@@ -335,11 +341,12 @@ struct AsyncRun<'a> {
     tasks: &'a [AsyncTaskSpec],
     failure: AttemptFailurePlan,
     node_plan: NodeFailurePlan,
-    /// The placement policy (instantiated fresh from the simulation's
-    /// [`crate::SchedulerSpec`] for this run).
-    scheduler: Box<dyn Scheduler>,
-    /// Fan-out per producer (message bytes split across consumers).
-    consumers: Vec<u32>,
+    /// The placement policy.
+    sched: SchedulerSpec,
+    /// The policy's per-task priorities ([`SchedulerSpec::ranks`]).
+    ranks: Vec<f64>,
+    /// Message bytes per consumer, per producer.
+    share: Vec<u64>,
     /// Consumer adjacency (rollback closure); empty without a node plan.
     dependents: Vec<Vec<usize>>,
     /// (free time, node) per map slot.
@@ -376,19 +383,73 @@ struct AsyncRun<'a> {
 }
 
 impl AsyncRun<'_> {
-    /// Dispatches task `i` (attempt loop included) onto the slot the
-    /// scheduler chooses and records its finish/node/duration.
+    /// The slot the policy picks for task `i`, with its estimated start.
     ///
-    /// The admissible slots are enumerated with their pure estimates
-    /// ([`candidates`]: start = max(slot free, the task's gate, every
-    /// dependency's *estimated* message arrival at that slot's node),
-    /// slots on the task's excluded node skipped — the re-placement
-    /// rule after a node death), and the run's [`Scheduler`] picks one.
-    /// The default [`crate::ListScheduler`] keeps the pre-trait greedy:
-    /// earliest estimated start, ties toward the lowest-indexed slot.
-    /// The chosen slot's cross-node edges are then committed through
-    /// the network model, which may push the real start past the
-    /// estimate under contention (and matches it exactly under
+    /// Every admissible slot is priced by pure estimate: start =
+    /// max(slot free, the task's gate, `retry_gate`, every dependency's
+    /// *estimated* message arrival at that slot's node — which depends
+    /// on whether its producer ran on the same node); finish adds the
+    /// launch overhead, the iteration-0 DFS read and the node-speed
+    /// nominal compute + sort (no straggler draw: randomness belongs to
+    /// the commit). Slots on the task's excluded node are skipped
+    /// unless it is the only node (the re-placement rule after a node
+    /// death). The lowest [`SchedulerSpec::slot_key`] wins, the lowest
+    /// slot on ties.
+    fn choose_slot(
+        &self,
+        net: &dyn NetworkModel,
+        i: usize,
+        retry_gate: SimTime,
+    ) -> (SimTime, usize) {
+        // On a single-node cluster there is nowhere else to go: the
+        // rebooted node must take its own lost work back.
+        let exclude_node =
+            self.excluded[i].filter(|&n| self.slots.iter().any(|&(_, node)| node != n));
+        let t = &self.tasks[i];
+        let gate = self.gate[i].max(retry_gate);
+        let read = self.dfs_read(t);
+        let mut best: Option<(SimTime, SimTime, usize)> = None;
+        for (s, &(free, node)) in self.slots.iter().enumerate() {
+            if exclude_node == Some(node) {
+                continue;
+            }
+            let mut start = free.max(gate);
+            for &d in &t.deps {
+                debug_assert!(d < i, "async schedule must be topologically ordered");
+                start =
+                    start.max(net.estimate(self.node_of[d], node, self.share[d], self.finish[d]));
+            }
+            let speed = self.spec.nodes[node].speed;
+            let compute = self.spec.cost.compute_time(t.ops, t.output_records, speed);
+            let sort = self.spec.cost.sort_time(t.output_bytes, speed);
+            let finish = start + self.spec.task_launch + read + compute + sort;
+            let key = self.sched.slot_key(start, finish);
+            if best.is_none_or(|(k, ..)| key < k) {
+                best = Some((key, start, s));
+            }
+        }
+        let (_, est_start, slot) = best.expect("at least one admissible slot");
+        (est_start, slot)
+    }
+
+    /// Iteration 0 reads its split from the local DFS replica; later
+    /// iterations operate on resident state (the async session never
+    /// round-trips through the DFS).
+    fn dfs_read(&self, task: &AsyncTaskSpec) -> SimTime {
+        if task.iteration == 0 {
+            SimTime::from_secs_f64(task.input_bytes as f64 / self.spec.disk_bandwidth)
+        } else {
+            SimTime::ZERO
+        }
+    }
+
+    /// Dispatches task `i` (attempt loop included) onto the slot the
+    /// policy chooses ([`AsyncRun::choose_slot`]) and records its
+    /// finish/node/duration.
+    ///
+    /// The chosen slot's cross-node edges are committed through the
+    /// network model, which may push the real start past the estimate
+    /// under contention (and matches it exactly under
     /// [`crate::network::Constant`]); the gap is metered in
     /// [`AsyncScheduleStats::commit`]. Under an active
     /// [`AttemptFailurePlan`] each attempt may die a uniform fraction
@@ -402,30 +463,7 @@ impl AsyncRun<'_> {
         // death is detected.
         let mut retry_gate = gate;
         loop {
-            // Rank the admissible slots by pure estimate and let the
-            // scheduler pick; a dependency's arrival time depends on
-            // whether its producer ran on the same node, so readiness
-            // is evaluated per candidate slot.
-            let (est_start, slot) = {
-                let view = SchedView {
-                    tasks: self.tasks,
-                    consumers: &self.consumers,
-                    spec: self.spec,
-                    net: core.net(),
-                };
-                let st = SlotState {
-                    slots: &self.slots,
-                    finish: &self.finish,
-                    node_of: &self.node_of,
-                    done: &self.done,
-                    gate: &self.gate,
-                    excluded: &self.excluded,
-                };
-                let cands = candidates(&view, &st, i, retry_gate);
-                debug_assert!(!cands.is_empty(), "at least one admissible slot");
-                let pick = self.scheduler.choose(&view, &st, i, &cands);
-                (cands[pick].est_start, cands[pick].slot)
-            };
+            let (est_start, slot) = self.choose_slot(core.net(), i, retry_gate);
             let node = self.slots[slot].1;
             // Commit the chosen slot's cross-node edges. Every attempt
             // refetches its inputs (Hadoop re-reads map outputs on
@@ -440,7 +478,7 @@ impl AsyncRun<'_> {
                 let arrival = if self.node_of[d] == node {
                     self.finish[d]
                 } else {
-                    let share = self.tasks[d].output_bytes / u64::from(self.consumers[d].max(1));
+                    let share = self.share[d];
                     self.network_bytes += share;
                     let arrival =
                         core.net_mut().transfer(self.node_of[d], node, share, self.finish[d]);
@@ -467,14 +505,7 @@ impl AsyncRun<'_> {
                 self.commit.overrun_time += start - est_start;
             }
 
-            // Iteration 0 reads its split from the local DFS replica;
-            // later iterations operate on resident state (the async
-            // session never round-trips through the DFS).
-            let read = if task.iteration == 0 {
-                SimTime::from_secs_f64(task.input_bytes as f64 / self.spec.disk_bandwidth)
-            } else {
-                SimTime::ZERO
-            };
+            let read = self.dfs_read(task);
             let speed = self.spec.nodes[node].speed;
             let straggle = core.straggler(self.spec.straggler_sigma);
             let compute =
@@ -608,45 +639,17 @@ impl AsyncRun<'_> {
                 self.snapshot_link_utilization(core);
                 // (Re-)dispatch everything pending up to this epoch.
                 // The pending set is collected in index order (a
-                // topological order); the scheduler may reorder it but
-                // must keep deps before their consumers, so a
-                // rolled-back producer is re-placed before any consumer
-                // that needs its fresh finish time.
-                let pending: Vec<usize> = (0..self.tasks.len())
+                // topological order); the policy may reorder it but
+                // keeps deps before their consumers, so a rolled-back
+                // producer is re-placed before any consumer that needs
+                // its fresh finish time.
+                let mut pending: Vec<usize> = (0..self.tasks.len())
                     .filter(|&i| !self.done[i] && self.tasks[i].iteration <= epoch)
                     .collect();
-                if !pending.is_empty() {
-                    let order = {
-                        let view = SchedView {
-                            tasks: self.tasks,
-                            consumers: &self.consumers,
-                            spec: self.spec,
-                            net: core.net(),
-                        };
-                        let st = SlotState {
-                            slots: &self.slots,
-                            finish: &self.finish,
-                            node_of: &self.node_of,
-                            done: &self.done,
-                            gate: &self.gate,
-                            excluded: &self.excluded,
-                        };
-                        self.scheduler.begin_epoch(&view, &st, &pending);
-                        self.scheduler.order(&view, &pending)
-                    };
-                    debug_assert_eq!(
-                        {
-                            let mut sorted = order.clone();
-                            sorted.sort_unstable();
-                            sorted
-                        },
-                        pending,
-                        "scheduler order must be a permutation of the pending set"
-                    );
-                    for i in order {
-                        self.place(core, i);
-                        self.done[i] = true;
-                    }
+                self.sched.order(&self.ranks, &mut pending);
+                for i in pending {
+                    self.place(core, i);
+                    self.done[i] = true;
                 }
             }
             Ev::TaskDone { task, generation, .. } => {
@@ -939,7 +942,6 @@ mod tests {
 
     #[test]
     fn stats_name_the_scheduler_that_placed_the_run() {
-        use crate::sched::SchedulerSpec;
         let tasks = ring_schedule(4, 2, 1_000_000);
         assert_eq!(sim(1).run_async_schedule(&tasks).scheduler, "list");
         let heft = Simulation::new(ClusterSpec::ec2_2010(), 1)
@@ -997,7 +999,6 @@ mod tests {
         // real speed. With half the cluster at quarter speed the
         // critical path through slow nodes dominates the greedy
         // makespan.
-        use crate::sched::SchedulerSpec;
         let spec = ClusterSpec::ec2_2010().with_slow_nodes(4, 0.25);
         let tasks = ring_schedule(8, 6, 40_000_000);
         let greedy = Simulation::new(spec.clone(), 7).run_async_schedule(&tasks);
@@ -1012,21 +1013,20 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_is_deterministic_with_a_boundary_per_epoch() {
-        use crate::sched::SchedulerSpec;
-        // A node plan forces one boundary per epoch, so the portfolio
-        // races its members again at every boundary, on state that
-        // deaths and rollbacks have changed. Each race reads estimates
-        // only: repeating the run must reproduce every placement and
-        // finish.
+    fn heft_is_deterministic_with_a_boundary_per_epoch() {
+        // A node plan forces one boundary per epoch, so HEFT re-orders
+        // every epoch's pending set by the ranks computed once, on
+        // state that deaths and rollbacks have changed. Repeating the
+        // run must reproduce every placement and finish.
         let tasks = ring_schedule(8, 6, 20_000_000);
         let run = || {
             Simulation::new(ClusterSpec::ec2_2010(), 9)
                 .with_node_failures(NodeFailurePlan::correlated(0.2, 3, 1))
-                .with_scheduler(SchedulerSpec::Portfolio)
+                .with_scheduler(SchedulerSpec::Heft)
                 .run_async_schedule(&tasks)
         };
         let (a, b) = (run(), run());
+        assert!(a.node_failures > 0, "the regime must actually fire");
         assert_eq!(a.tasks, tasks.len(), "all work completes");
         assert_eq!(a.task_node, b.task_node, "placements are reproducible");
         assert_eq!(a.task_finish, b.task_finish, "finishes are reproducible");
@@ -1035,15 +1035,8 @@ mod tests {
 
     #[test]
     fn every_scheduler_completes_the_dag_in_dependency_order() {
-        use crate::sched::SchedulerSpec;
-        let specs = [
-            SchedulerSpec::List,
-            SchedulerSpec::Heft,
-            SchedulerSpec::Lookahead,
-            SchedulerSpec::Portfolio,
-        ];
         let tasks = ring_schedule(8, 5, 20_000_000);
-        for sched in specs {
+        for sched in SchedulerSpec::ALL {
             let name = sched.name();
             let spec = ClusterSpec::ec2_2010();
             let (n, bw, lat) = (spec.num_nodes(), spec.nic_bandwidth, spec.net_latency);

@@ -67,10 +67,7 @@ pub use dfs::DfsModel;
 pub use event_core::{ComponentId, Ev, EventCore, TraceEvent};
 pub use failure::{NODE_DETECTION_DELAY, TASK_DETECTION_DELAY};
 pub use network::{Constant, NetworkModel, NetworkState, TopologyAware};
-pub use sched::{
-    Candidate, Heft, ListScheduler, Lookahead, Portfolio, SchedView, Scheduler, SchedulerSpec,
-    SlotState,
-};
+pub use sched::SchedulerSpec;
 pub use sim::Simulation;
 pub use stats::CommitAccounting;
 pub use trace::{diff_runs, ReportModel, RunRecord, TraceAnalysis, TraceDiff, TraceReader};

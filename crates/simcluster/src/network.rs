@@ -63,14 +63,13 @@ pub trait NetworkModel: fmt::Debug + Send {
         }
     }
 
-    /// Live per-link utilization in bytes/s, for contention-aware
-    /// placement ([`crate::Lookahead`]) and the epoch-boundary trace
-    /// snapshots. Link layout convention: indices `0..nodes` are the
-    /// transmit/uplink side of each node, `nodes..2*nodes` the
-    /// receive/downlink side; any further entries are model-specific
-    /// (e.g. a shared core link). Models without a live contention
-    /// notion return an empty vector (the default) and schedulers
-    /// degrade gracefully.
+    /// Live per-link utilization in bytes/s, for the epoch-boundary
+    /// trace snapshots ([`crate::Ev::LinkUtil`]). Link layout
+    /// convention: indices `0..nodes` are the transmit/uplink side of
+    /// each node, `nodes..2*nodes` the receive/downlink side; any
+    /// further entries are model-specific (e.g. a shared core link).
+    /// Models without a live contention notion return an empty vector
+    /// (the default) and the trace records no snapshot.
     fn utilization(&self) -> Vec<f64> {
         Vec::new()
     }

@@ -76,8 +76,8 @@ pub struct Simulation {
     pub(crate) node_failure: NodeFailurePlan,
     pub(crate) core: EventCore,
     pub(crate) jobs_run: usize,
-    /// The async replay's placement policy (default: the pre-trait
-    /// greedy [`crate::ListScheduler`]).
+    /// The async replay's placement policy (default: the list greedy,
+    /// [`SchedulerSpec::List`]).
     pub(crate) sched: SchedulerSpec,
     /// Cross-job node-death budget spent by the barrier path.
     barrier_deaths: Vec<u32>,
@@ -108,8 +108,8 @@ impl Simulation {
 
     /// Selects the async replay's placement policy (builder-style,
     /// before any run). The default [`SchedulerSpec::List`] is the
-    /// pre-trait greedy, pinned byte-identical by the replay-fidelity
-    /// goldens; see [`crate::sched`] for the alternatives.
+    /// greedy the replay-fidelity goldens are pinned under;
+    /// [`SchedulerSpec::Heft`] is the other one (see [`crate::sched`]).
     pub fn with_scheduler(mut self, sched: SchedulerSpec) -> Self {
         self.sched = sched;
         self

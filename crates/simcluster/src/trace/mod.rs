@@ -1,7 +1,7 @@
 //! Post-hoc analysis of recorded event traces — where a schedule's
 //! simulated time actually went.
 //!
-//! `repro sched` shows *that* finish-aware schedulers beat the
+//! `repro sched` shows *that* HEFT's finish-aware placement beats the
 //! greedy list placement on straggler clusters; this module shows
 //! *where*. It never re-runs the network model: everything is derived
 //! from the artifacts a completed [`crate::Simulation::run_async_schedule`]

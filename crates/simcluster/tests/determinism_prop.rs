@@ -21,19 +21,6 @@ use proptest::prelude::*;
 /// ("shared" is the uniform fluid fabric: fair-shared NICs).
 const MODELS: [&str; 3] = ["default", "constant", "shared"];
 
-/// The scheduler matrix the async properties additionally sweep.
-const SCHEDS: [&str; 4] = ["list", "heft", "lookahead", "portfolio"];
-
-fn sched_spec(name: &str) -> SchedulerSpec {
-    match name {
-        "list" => SchedulerSpec::List,
-        "heft" => SchedulerSpec::Heft,
-        "lookahead" => SchedulerSpec::Lookahead,
-        "portfolio" => SchedulerSpec::Portfolio,
-        other => panic!("unknown scheduler {other}"),
-    }
-}
-
 fn sim_on(model: &str, seed: u64) -> Simulation {
     let spec = ClusterSpec::ec2_2010();
     let (n, bw, lat) = (spec.num_nodes(), spec.nic_bandwidth, spec.net_latency);
@@ -144,10 +131,11 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         for model in MODELS {
-            for sched in SCHEDS {
-                let mut a = sim_on(model, seed).with_scheduler(sched_spec(sched));
+            for spec in SchedulerSpec::ALL {
+                let sched = spec.name();
+                let mut a = sim_on(model, seed).with_scheduler(spec);
                 let sa = a.run_async_schedule(&tasks);
-                let mut b = sim_on(model, seed).with_scheduler(sched_spec(sched));
+                let mut b = sim_on(model, seed).with_scheduler(spec);
                 let sb = b.run_async_schedule(&tasks);
                 prop_assert_eq!(&sa, &sb, "{}/{}: stats drifted", model, sched);
                 prop_assert_eq!(
@@ -159,7 +147,7 @@ proptest! {
                     sa.commit.violations, 0,
                     "{}/{}: a commit may never beat its estimate", model, sched
                 );
-                if sched == "list" {
+                if spec == SchedulerSpec::List {
                     let mut d = sim_on(model, seed);
                     let sd = d.run_async_schedule(&tasks);
                     prop_assert_eq!(&sa, &sd, "{}: default must equal the list scheduler", model);

@@ -29,17 +29,6 @@ use asyncmr_simcluster::{
 use proptest::prelude::*;
 
 const MODELS: [&str; 3] = ["default", "constant", "shared"];
-const SCHEDS: [&str; 4] = ["list", "heft", "lookahead", "portfolio"];
-
-fn sched_spec(name: &str) -> SchedulerSpec {
-    match name {
-        "list" => SchedulerSpec::List,
-        "heft" => SchedulerSpec::Heft,
-        "lookahead" => SchedulerSpec::Lookahead,
-        "portfolio" => SchedulerSpec::Portfolio,
-        other => panic!("unknown scheduler {other}"),
-    }
-}
 
 fn sim_on(model: &str, seed: u64) -> Simulation {
     let spec = ClusterSpec::ec2_2010();
@@ -107,8 +96,9 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         for model in MODELS {
-            for sched in SCHEDS {
-                let mut sim = sim_on(model, seed).with_scheduler(sched_spec(sched));
+            for spec in SchedulerSpec::ALL {
+                let sched = spec.name();
+                let mut sim = sim_on(model, seed).with_scheduler(spec);
                 let stats = sim.run_async_schedule(&tasks);
                 let analysis = sim.analyze_async_run(&tasks, &stats);
                 let cp = &analysis.critical_path;
@@ -140,8 +130,9 @@ proptest! {
     ) {
         let tasks = chain(n, ops, out);
         for model in MODELS {
-            for sched in SCHEDS {
-                let mut sim = sim_on(model, seed).with_scheduler(sched_spec(sched));
+            for spec in SchedulerSpec::ALL {
+                let sched = spec.name();
+                let mut sim = sim_on(model, seed).with_scheduler(spec);
                 let stats = sim.run_async_schedule(&tasks);
                 let analysis = sim.analyze_async_run(&tasks, &stats);
                 let cp = &analysis.critical_path;
@@ -163,10 +154,10 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         for model in MODELS {
-            let mut sims: Vec<(Simulation, asyncmr_simcluster::AsyncScheduleStats)> = SCHEDS
-                .iter()
+            let mut sims: Vec<(Simulation, asyncmr_simcluster::AsyncScheduleStats)> = SchedulerSpec::ALL
+                .into_iter()
                 .map(|s| {
-                    let mut sim = sim_on(model, seed).with_scheduler(sched_spec(s));
+                    let mut sim = sim_on(model, seed).with_scheduler(s);
                     let stats = sim.run_async_schedule(&tasks);
                     (sim, stats)
                 })
