@@ -4,15 +4,13 @@
 //! cross-partition messages affects only the global round count, never
 //! correctness — the same argument as Eager SSSP (§V-C1).
 
-use std::sync::Arc;
-
 use asyncmr_core::prelude::*;
 use asyncmr_graph::{CsrGraph, NodeId};
 use asyncmr_partition::Partitioning;
 
-use super::general::{CcGeneralInput, CcMinReducer};
+use super::general::{propagate, CcGeneralInput};
+use super::rule::min_label;
 use super::{CcConfig, CcOutcome};
-use crate::common::GraphPartition;
 
 /// `lmap`/`lreduce` pair: local min-label flooding.
 #[derive(Debug, Clone, Copy, Default)]
@@ -60,7 +58,7 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         ctx: &mut LocalReduceContext<NodeId, NodeId>,
     ) {
         ctx.add_ops(values.len() as u64);
-        ctx.emit_local(*key, *values.iter().min().expect("non-empty group"));
+        ctx.emit_local(*key, min_label(values));
     }
 
     fn locally_converged(
@@ -103,37 +101,7 @@ pub fn run_eager(
     parts: &Partitioning,
     cfg: &CcConfig,
 ) -> CcOutcome {
-    let undirected = graph.to_undirected();
-    let partitions = GraphPartition::build_on(engine.pool(), &undirected, parts);
-    let n = undirected.num_nodes();
-    let mut labels: Vec<NodeId> = (0..n as NodeId).collect();
-    let gmap = EagerMapper::new(CcLocalAlgorithm);
-    let opts = JobOptions::with_reducers(cfg.num_reducers);
-
-    let driver = FixedPointDriver::new(cfg.max_iterations);
-    let report = driver.run(engine, |engine, iter| {
-        let inputs: Vec<CcGeneralInput> = partitions
-            .iter()
-            .map(|p| CcGeneralInput {
-                part: Arc::clone(p),
-                labels: p.nodes.iter().map(|&v| labels[v as usize]).collect(),
-            })
-            .collect();
-        let out = engine.run(&format!("cc-eager-iter{iter}"), &inputs, &gmap, &CcMinReducer, &opts);
-        let mut changed = false;
-        for (v, label) in out.pairs {
-            if labels[v as usize] != label {
-                labels[v as usize] = label;
-                changed = true;
-            }
-        }
-        if changed {
-            StepStatus::Continue
-        } else {
-            StepStatus::Converged
-        }
-    });
-    CcOutcome { labels, report }
+    propagate(engine, graph, parts, cfg, &EagerMapper::new(CcLocalAlgorithm), "cc-eager")
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@ use asyncmr_core::prelude::*;
 use asyncmr_graph::{CsrGraph, NodeId};
 use asyncmr_partition::Partitioning;
 
+use super::rule::min_label;
 use super::{CcConfig, CcOutcome};
-use crate::common::GraphPartition;
+use crate::common::{gather, step_status, GraphPartition};
 
 /// Map-task input: the partition view (built from the *undirected*
 /// graph) plus current labels of owned vertices.
@@ -63,7 +64,7 @@ impl Reducer for CcMinReducer {
 
     fn reduce(&self, key: &NodeId, values: &[NodeId], ctx: &mut ReduceContext<NodeId, NodeId>) {
         ctx.add_ops(values.len() as u64);
-        ctx.emit(*key, *values.iter().min().expect("non-empty group"));
+        ctx.emit(*key, min_label(values));
     }
 }
 
@@ -75,6 +76,23 @@ pub fn run_general(
     parts: &Partitioning,
     cfg: &CcConfig,
 ) -> CcOutcome {
+    propagate(engine, graph, parts, cfg, &CcGeneralMapper, "cc-general")
+}
+
+/// Label propagation to a fixpoint, one job named `{job}-iter{i}` per
+/// global iteration: `gmap` over the partitions (General's one round or
+/// Eager's local flood), then [`CcMinReducer`].
+pub(crate) fn propagate<M>(
+    engine: &mut Engine<'_>,
+    graph: &CsrGraph,
+    parts: &Partitioning,
+    cfg: &CcConfig,
+    gmap: &M,
+    job: &str,
+) -> CcOutcome
+where
+    M: Mapper<Input = CcGeneralInput, Key = NodeId, Value = NodeId>,
+{
     let undirected = graph.to_undirected();
     let partitions = GraphPartition::build_on(engine.pool(), &undirected, parts);
     let n = undirected.num_nodes();
@@ -91,24 +109,16 @@ pub fn run_general(
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
         for input in &mut inputs {
-            input.labels.clear();
-            input.labels.extend(input.part.nodes.iter().map(|&v| labels[v as usize]));
+            gather(&mut input.labels, &input.part.nodes, &labels);
         }
         name.clear();
-        write!(name, "cc-general-iter{iter}").expect("writing to a String");
-        let out = engine.run(&name, &inputs, &CcGeneralMapper, &CcMinReducer, &opts);
+        write!(name, "{job}-iter{iter}").expect("writing to a String");
+        let out = engine.run(&name, &inputs, gmap, &CcMinReducer, &opts);
         let mut changed = false;
         for (v, label) in out.pairs {
-            if labels[v as usize] != label {
-                labels[v as usize] = label;
-                changed = true;
-            }
+            changed |= std::mem::replace(&mut labels[v as usize], label) != label;
         }
-        if changed {
-            StepStatus::Continue
-        } else {
-            StepStatus::Converged
-        }
+        step_status(!changed)
     });
     CcOutcome { labels, report }
 }

@@ -13,10 +13,13 @@
 //! * [`run_eager`] — local flooding to fixpoint inside each `gmap`,
 //!   then one global exchange across partition boundaries.
 //! * [`reference::components`] — sequential BFS labelling.
+//!
+//! The min-label fold lives in `rule`.
 
 pub mod eager;
 pub mod general;
 pub mod reference;
+mod rule;
 
 pub use eager::run_eager;
 pub use general::run_general;

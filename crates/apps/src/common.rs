@@ -1,6 +1,7 @@
 //! Shared partition machinery for the graph applications.
 //!
-//! Both PageRank and SSSP hand each `gmap` task one [`GraphPartition`]:
+//! PageRank, SSSP, Connected Components and Jacobi hand each map task
+//! one [`GraphPartition`]:
 //! the vertices it owns, its *internal* adjacency (rewritten to local
 //! indices so local iterations never touch a hash map on the hot path)
 //! and its *cross* adjacency (global ids — the edges whose messages
@@ -19,6 +20,7 @@
 
 use std::sync::Arc;
 
+use asyncmr_core::driver::StepStatus;
 use asyncmr_graph::{CsrGraph, NodeId, WeightedGraph};
 use asyncmr_partition::{PartId, Partitioning};
 use asyncmr_runtime::ThreadPool;
@@ -334,6 +336,61 @@ impl GraphPartition {
         // node id + degree + rank per node, id + weight per edge.
         (self.nodes.len() * 16 + (self.internal.num_edges() + self.cross_targets.len()) * 12) as u64
     }
+}
+
+/// Per vertex `t` of the `n`-vertex graph, the sum of `send(part, li)`
+/// over the cross edges `li → t` into it, folded in ascending
+/// partition, local id and cross-CSR order — the order the barrier
+/// formulations' shuffles deliver boundary values in.
+pub(crate) fn cross_edge_sums(
+    partitions: &[Arc<GraphPartition>],
+    n: usize,
+    send: impl Fn(&GraphPartition, u32) -> f64,
+) -> Vec<f64> {
+    let mut sums = vec![0.0f64; n];
+    for part in partitions {
+        for &li in &part.local_ids {
+            let c = send(part, li);
+            for (t, _) in part.cross_edges(li) {
+                sums[t as usize] += c;
+            }
+        }
+    }
+    sums
+}
+
+/// Writes a job's `(vertex, value)` pairs into the global vector `x`;
+/// returns the ∞-norm of the change (the pairs name each vertex once).
+pub(crate) fn apply_pairs(x: &mut [f64], pairs: Vec<(NodeId, f64)>) -> f64 {
+    let mut diff = 0.0f64;
+    for (v, value) in pairs {
+        diff = diff.max((value - x[v as usize]).abs());
+        x[v as usize] = value;
+    }
+    diff
+}
+
+/// Overwrites `slice` with the entries of the global vector `global` at
+/// `nodes`, in order: one partition's view of it.
+pub(crate) fn gather<T: Copy>(slice: &mut Vec<T>, nodes: &[NodeId], global: &[T]) {
+    slice.clear();
+    slice.extend(nodes.iter().map(|&v| global[v as usize]));
+}
+
+/// A barrier driver's step once its convergence test says `done`.
+pub(crate) fn step_status(done: bool) -> StepStatus {
+    if done {
+        StepStatus::Converged
+    } else {
+        StepStatus::Continue
+    }
+}
+
+/// Refuses a convergence bound that is not finite and positive, naming
+/// the config field: a NaN bound never converges, and a zero or
+/// negative one only stops at the iteration cap.
+pub(crate) fn check_bound(field: &str, value: f64) {
+    assert!(value.is_finite() && value > 0.0, "{field} is {value}; it must be finite and > 0");
 }
 
 /// One producer's cut edges into one destination partition, in the

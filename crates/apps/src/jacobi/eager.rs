@@ -4,16 +4,14 @@
 //! realizing §VI's "asynchronous mat-vecs form the core of iterative
 //! linear system solvers".
 
-use std::sync::Arc;
-
 use asyncmr_core::prelude::*;
 use asyncmr_graph::{CsrGraph, NodeId};
 use asyncmr_partition::Partitioning;
 
 use super::general::{JMsg, JacobiInput, JacobiReducer};
+use super::rule::{local_sum, update};
 use super::{diagonal, residual_inf, JacobiConfig, JacobiOutcome};
-use crate::common::GraphPartition;
-use crate::pagerank::inf_norm_diff;
+use crate::common::{apply_pairs, cross_edge_sums, gather, step_status, GraphPartition};
 
 /// `lmap`/`lreduce` pair: inner point Jacobi on internal edges.
 #[derive(Debug, Clone, Copy)]
@@ -73,8 +71,7 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
             }
         }
         ctx.add_ops(values.len() as u64);
-        let next = (input.b[li] + sum) / input.diag[li];
-        ctx.emit_local(*key, JMsg::Contrib(next));
+        ctx.emit_local(*key, JMsg::Contrib(update(input.b[li], sum, input.diag[li])));
     }
 
     fn locally_converged(
@@ -103,15 +100,11 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
             let JMsg::Contrib(xv) = state[&v] else {
                 unreachable!("owned vertices always in state");
             };
-            // Recover the converged internal sum from the block
-            // equation: x = (b + S_int + remote_in) / diag.
-            let s_int =
-                xv * input.diag[li as usize] - input.b[li as usize] - input.remote_in[li as usize];
+            // Recover the converged internal sum from the block equation.
+            let (b, diag) = (input.b[li as usize], input.diag[li as usize]);
+            let s_int = local_sum(xv, b, diag, input.remote_in[li as usize]);
             ctx.emit_intermediate(v, JMsg::LocalSum(s_int));
-            ctx.emit_intermediate(
-                v,
-                JMsg::Seed { b: input.b[li as usize], diag: input.diag[li as usize] },
-            );
+            ctx.emit_intermediate(v, JMsg::Seed { b, diag });
             ctx.add_ops(2);
             for (t, _) in part.cross_edges(li) {
                 ctx.emit_intermediate(t, JMsg::Contrib(xv));
@@ -133,6 +126,7 @@ pub fn run_eager(
     parts: &Partitioning,
     cfg: &JacobiConfig,
 ) -> JacobiOutcome {
+    cfg.validate();
     let undirected = graph.to_undirected();
     let partitions = GraphPartition::build_on(engine.pool(), &undirected, parts);
     let n = undirected.num_nodes();
@@ -141,50 +135,25 @@ pub fn run_eager(
     let mut x = vec![0.0f64; n];
     // Frozen remote sums; exact for the all-zero initial iterate.
     let mut remote_in = vec![0.0f64; n];
-    let algo = JacobiLocalAlgorithm { local_tolerance: cfg.tolerance * 0.05 };
-    let gmap = EagerMapper::new(algo);
+    let gmap = EagerMapper::new(JacobiLocalAlgorithm { local_tolerance: cfg.local_tolerance() });
     let opts = JobOptions::with_reducers(cfg.num_reducers);
+
+    let mut inputs = JacobiInput::per_partition(&partitions, b, &diag);
 
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
-        let inputs: Vec<JacobiInput> = partitions
-            .iter()
-            .map(|p| JacobiInput {
-                part: Arc::clone(p),
-                x: p.nodes.iter().map(|&v| x[v as usize]).collect(),
-                b: p.nodes.iter().map(|&v| b[v as usize]).collect(),
-                diag: p.nodes.iter().map(|&v| diag[v as usize]).collect(),
-                remote_in: p.nodes.iter().map(|&v| remote_in[v as usize]).collect(),
-            })
-            .collect();
+        for input in &mut inputs {
+            gather(&mut input.x, &input.part.nodes, &x);
+            gather(&mut input.remote_in, &input.part.nodes, &remote_in);
+        }
         let out =
             engine.run(&format!("jacobi-eager-iter{iter}"), &inputs, &gmap, &JacobiReducer, &opts);
-        // greduce emitted x'(v) = (b + S_int + Σ cross x)/diag; recover
-        // the new frozen remote sums for the next block solve.
-        let mut next = x.clone();
-        for (v, value) in out.pairs {
-            next[v as usize] = value;
-        }
-        // remote_in(v) = Σ_{cross edges (w, v)} x(w) under the *new* x.
-        for r in remote_in.iter_mut() {
-            *r = 0.0;
-        }
-        for p in &partitions {
-            for &li in &p.local_ids {
-                let v = p.nodes[li as usize];
-                for (t, _) in p.cross_edges(li) {
-                    remote_in[t as usize] += next[v as usize];
-                    let _ = v;
-                }
-            }
-        }
-        let diff = inf_norm_diff(&x, &next);
-        x = next;
-        if diff < cfg.tolerance {
-            StepStatus::Converged
-        } else {
-            StepStatus::Continue
-        }
+        // greduce emitted x'(v) = (b + S_int + Σ cross x)/diag.
+        let diff = apply_pairs(&mut x, out.pairs);
+        // The frozen remote sums of the next block solve:
+        // remote_in(v) = Σ_{cross edges (w, v)} x(w) under the new x.
+        remote_in = cross_edge_sums(&partitions, n, |p, li| x[p.nodes[li as usize] as usize]);
+        step_status(diff < cfg.tolerance)
     });
     let residual = residual_inf(&undirected, &x, b);
     JacobiOutcome { x, residual, report }
@@ -195,6 +164,7 @@ mod tests {
     use super::*;
     use crate::jacobi::reference::jacobi_sequential;
     use crate::jacobi::seeded_rhs;
+    use crate::pagerank::inf_norm_diff;
     use asyncmr_graph::generators;
     use asyncmr_partition::{MultilevelKWay, Partitioner, RangePartitioner};
     use asyncmr_runtime::ThreadPool;

@@ -10,9 +10,9 @@ use asyncmr_core::Meterable;
 use asyncmr_graph::{CsrGraph, NodeId};
 use asyncmr_partition::Partitioning;
 
+use super::rule::update;
 use super::{diagonal, residual_inf, JacobiConfig, JacobiOutcome};
-use crate::common::GraphPartition;
-use crate::pagerank::inf_norm_diff;
+use crate::common::{apply_pairs, gather, step_status, GraphPartition};
 
 /// Intermediate value for the solver jobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,6 +52,26 @@ pub struct JacobiInput {
     pub remote_in: Vec<f64>,
 }
 
+impl JacobiInput {
+    /// One input per partition, with `b` and the diagonal sliced once
+    /// (they do not change); the drivers [`gather`] the iterate (and
+    /// Eager's remote sums) into it in place every iteration.
+    pub(crate) fn per_partition(
+        partitions: &[Arc<GraphPartition>],
+        b: &[f64],
+        diag: &[f64],
+    ) -> Vec<Self> {
+        let input = |part: &Arc<GraphPartition>| {
+            let (mut b_p, mut diag_p) = (Vec::new(), Vec::new());
+            gather(&mut b_p, &part.nodes, b);
+            gather(&mut diag_p, &part.nodes, diag);
+            let part = Arc::clone(part);
+            JacobiInput { part, x: Vec::new(), b: b_p, diag: diag_p, remote_in: Vec::new() }
+        };
+        partitions.iter().map(input).collect()
+    }
+}
+
 /// The general mapper: every vertex sends `x(v)` to all neighbors.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JacobiGeneralMapper;
@@ -86,7 +106,7 @@ impl Mapper for JacobiGeneralMapper {
 }
 
 /// The reducer: completes the Jacobi update
-/// `x'(v) = (b(v) + Σ_{w∈N(v)} x(w)) / A(v, v)`.
+/// `x'(v) = (b(v) + Σ_{w∈N(v)} x(w)) / A(v, v)` ([`update`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JacobiReducer;
 
@@ -109,7 +129,7 @@ impl Reducer for JacobiReducer {
             }
         }
         ctx.add_ops(values.len() as u64);
-        ctx.emit(*key, (b + sum) / diag);
+        ctx.emit(*key, update(b, sum, diag));
     }
 }
 
@@ -122,6 +142,7 @@ pub fn run_general(
     parts: &Partitioning,
     cfg: &JacobiConfig,
 ) -> JacobiOutcome {
+    cfg.validate();
     let undirected = graph.to_undirected();
     let partitions = GraphPartition::build_on(engine.pool(), &undirected, parts);
     let n = undirected.num_nodes();
@@ -130,40 +151,18 @@ pub fn run_general(
     let mut x = vec![0.0f64; n];
     let opts = JobOptions::with_reducers(cfg.num_reducers);
 
-    // Built once (`b` and the diagonal do not change); every iteration
-    // overwrites the iterate's slices in place.
-    let mut inputs: Vec<JacobiInput> = partitions
-        .iter()
-        .map(|p| JacobiInput {
-            part: Arc::clone(p),
-            x: Vec::new(),
-            b: p.nodes.iter().map(|&v| b[v as usize]).collect(),
-            diag: p.nodes.iter().map(|&v| diag[v as usize]).collect(),
-            remote_in: Vec::new(), // unused by the general mapper
-        })
-        .collect();
+    let mut inputs = JacobiInput::per_partition(&partitions, b, &diag);
     let mut name = String::new();
 
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
         for input in &mut inputs {
-            input.x.clear();
-            input.x.extend(input.part.nodes.iter().map(|&v| x[v as usize]));
+            gather(&mut input.x, &input.part.nodes, &x);
         }
         name.clear();
         write!(name, "jacobi-general-iter{iter}").expect("writing to a String");
         let out = engine.run(&name, &inputs, &JacobiGeneralMapper, &JacobiReducer, &opts);
-        let mut next = x.clone();
-        for (v, value) in out.pairs {
-            next[v as usize] = value;
-        }
-        let diff = inf_norm_diff(&x, &next);
-        x = next;
-        if diff < cfg.tolerance {
-            StepStatus::Converged
-        } else {
-            StepStatus::Continue
-        }
+        step_status(apply_pairs(&mut x, out.pairs) < cfg.tolerance)
     });
     let residual = residual_inf(&undirected, &x, b);
     JacobiOutcome { x, residual, report }
@@ -174,6 +173,7 @@ mod tests {
     use super::*;
     use crate::jacobi::reference::jacobi_sequential;
     use crate::jacobi::seeded_rhs;
+    use crate::pagerank::inf_norm_diff;
     use asyncmr_graph::generators;
     use asyncmr_partition::{Partitioner, RangePartitioner};
     use asyncmr_runtime::ThreadPool;

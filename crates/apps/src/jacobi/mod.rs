@@ -16,17 +16,22 @@
 //!   values frozen) before the global boundary exchange — identical in
 //!   structure to Eager PageRank;
 //! * [`reference::jacobi_sequential`] — sequential point Jacobi.
+//!
+//! The update, its inverse and the block solves' tolerance live in
+//! [`rule`].
 
 pub mod eager;
 pub mod general;
 pub mod reference;
+pub mod rule;
 
 pub use eager::run_eager;
 pub use general::run_general;
 
 use asyncmr_graph::CsrGraph;
 
-/// Configuration shared by the solver variants.
+/// Configuration shared by the solver variants; each entry point
+/// refuses one that fails [`JacobiConfig::validate`].
 #[derive(Debug, Clone, Copy)]
 pub struct JacobiConfig {
     /// ∞-norm convergence bound on successive iterates.
@@ -104,5 +109,16 @@ mod tests {
     fn seeded_rhs_deterministic() {
         assert_eq!(seeded_rhs(10, 3), seeded_rhs(10, 3));
         assert_ne!(seeded_rhs(10, 3), seeded_rhs(10, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "JacobiConfig::tolerance is NaN; it must be finite and > 0")]
+    fn a_nan_tolerance_is_refused() {
+        use asyncmr_partition::{Partitioner, RangePartitioner};
+        let g = generators::cycle(4);
+        let parts = RangePartitioner.partition(&g, 2);
+        let pool = asyncmr_runtime::ThreadPool::new(1);
+        let cfg = JacobiConfig { tolerance: f64::NAN, ..Default::default() };
+        run_general(&mut asyncmr_core::Engine::in_process(&pool), &g, &[1.0; 4], &parts, &cfg);
     }
 }

@@ -21,8 +21,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use super::general::ClusterUpdate;
+use super::general::{ClusterUpdate, KmMeanReducer};
+use super::rule::mean;
 use super::{sse, ConvergenceTracker, KMeansConfig, KMeansOutcome, Point};
+use crate::common::step_status;
 
 /// Points are re-partitioned across gmaps every this many global
 /// iterations (paper/\[12\]).
@@ -100,20 +102,9 @@ impl LocalAlgorithm for KmLocalAlgorithm {
         values: &[ClusterUpdate],
         ctx: &mut LocalReduceContext<u32, ClusterUpdate>,
     ) {
-        let dims = values[0].0.len();
-        let mut sum = vec![0.0f64; dims];
-        let mut count = 0u64;
-        for (vec, c) in values {
-            for (s, v) in sum.iter_mut().zip(vec) {
-                *s += v;
-            }
-            count += c;
-        }
-        ctx.add_ops((values.len() * dims) as u64);
-        if count > 0 {
-            sum.iter_mut().for_each(|s| *s /= count as f64);
-        }
-        ctx.emit_local(*key, (sum, count));
+        let (centroid, count) = mean(values);
+        ctx.add_ops((values.len() * centroid.len()) as u64);
+        ctx.emit_local(*key, (centroid, count));
     }
 
     fn post_lreduce(
@@ -168,33 +159,6 @@ impl LocalAlgorithm for KmLocalAlgorithm {
     }
 }
 
-/// The `greduce`: pooled mean over all gmaps' updated centroids.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KmEagerReducer;
-
-impl Reducer for KmEagerReducer {
-    type Key = u32;
-    type ValueIn = ClusterUpdate;
-    type Out = Vec<f64>;
-
-    fn reduce(&self, key: &u32, values: &[ClusterUpdate], ctx: &mut ReduceContext<u32, Vec<f64>>) {
-        let dims = values[0].0.len();
-        let mut sum = vec![0.0f64; dims];
-        let mut count = 0u64;
-        for (scaled, c) in values {
-            for (s, v) in sum.iter_mut().zip(scaled) {
-                *s += v;
-            }
-            count += c;
-        }
-        ctx.add_ops((values.len() * dims) as u64);
-        if count > 0 {
-            sum.iter_mut().for_each(|s| *s /= count as f64);
-            ctx.emit(*key, sum);
-        }
-    }
-}
-
 /// Splits point indices into `num_partitions` groups; `shuffle_seed`
 /// (when `Some`) permutes the points first — the paper's periodic
 /// re-partitioning.
@@ -227,8 +191,7 @@ pub fn run_eager_from(
 ) -> KMeansOutcome {
     let n = points.len();
     assert!(num_partitions >= 1 && n > 0, "need points and at least one partition");
-    let mut centroids =
-        initial.unwrap_or_else(|| super::initial_centroids(points, cfg.k, cfg.seed));
+    let mut centroids = cfg.start(points, initial);
     let algo = KmLocalAlgorithm { threshold: cfg.threshold };
     let gmap = EagerMapper::new(algo);
     let opts = JobOptions::with_reducers(cfg.num_reducers);
@@ -255,19 +218,11 @@ pub fn run_eager_from(
                 centroids: Arc::clone(&shared),
             })
             .collect();
+        // The greduce pools the gmaps' count-scaled centroids: the mean
+        // reducer General runs.
         let out =
-            engine.run(&format!("kmeans-eager-iter{iter}"), &inputs, &gmap, &KmEagerReducer, &opts);
-        let mut new_centroids = centroids.clone();
-        for (cid, mean) in out.pairs {
-            new_centroids[cid as usize] = mean;
-        }
-        let done = tracker.converged(&centroids, &new_centroids);
-        centroids = new_centroids;
-        if done {
-            StepStatus::Converged
-        } else {
-            StepStatus::Continue
-        }
+            engine.run(&format!("kmeans-eager-iter{iter}"), &inputs, &gmap, &KmMeanReducer, &opts);
+        step_status(tracker.advance(&mut centroids, out.pairs))
     });
     let sse_value = sse(points, &centroids);
     KMeansOutcome { centroids, sse: sse_value, report }

@@ -10,7 +10,9 @@ use std::sync::Arc;
 
 use asyncmr_core::prelude::*;
 
+use super::rule::{fold, mean};
 use super::{nearest, sse, ConvergenceTracker, KMeansConfig, KMeansOutcome, Point};
+use crate::common::step_status;
 
 /// A partial cluster update: element-wise sum of member points plus
 /// their count. The reducer divides at the end.
@@ -64,20 +66,13 @@ impl Combiner for KmCombiner {
     type Value = ClusterUpdate;
 
     fn combine(&self, _key: &u32, values: &[ClusterUpdate]) -> ClusterUpdate {
-        let dims = values[0].0.len();
-        let mut sum = vec![0.0f64; dims];
-        let mut count = 0u64;
-        for (vec, c) in values {
-            for (s, v) in sum.iter_mut().zip(vec) {
-                *s += v;
-            }
-            count += c;
-        }
-        (sum, count)
+        fold(values)
     }
 }
 
-/// The general reducer: mean of all member points.
+/// The reducer of both variants: the mean of all member points. Eager's
+/// gmaps emit count-scaled local centroids, so it pools their members
+/// too.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KmMeanReducer;
 
@@ -87,19 +82,10 @@ impl Reducer for KmMeanReducer {
     type Out = Vec<f64>;
 
     fn reduce(&self, key: &u32, values: &[ClusterUpdate], ctx: &mut ReduceContext<u32, Vec<f64>>) {
-        let dims = values[0].0.len();
-        let mut sum = vec![0.0f64; dims];
-        let mut count = 0u64;
-        for (vec, c) in values {
-            for (s, v) in sum.iter_mut().zip(vec) {
-                *s += v;
-            }
-            count += c;
-        }
-        ctx.add_ops((values.len() * dims) as u64);
+        let (centroid, count) = mean(values);
+        ctx.add_ops((values.len() * centroid.len()) as u64);
         if count > 0 {
-            sum.iter_mut().for_each(|s| *s /= count as f64);
-            ctx.emit(*key, sum);
+            ctx.emit(*key, centroid);
         }
         // count == 0 cannot happen (keys exist only when emitted), but
         // the guard documents the "empty cluster keeps position" rule
@@ -128,8 +114,7 @@ pub fn run_general_from(
 ) -> KMeansOutcome {
     let n = points.len();
     assert!(num_partitions >= 1 && n > 0, "need points and at least one partition");
-    let mut centroids =
-        initial.unwrap_or_else(|| super::initial_centroids(points, cfg.k, cfg.seed));
+    let mut centroids = cfg.start(points, initial);
     // Fixed contiguous chunks (the general variant never repartitions).
     // Both bounds are clamped: with more partitions than chunks the
     // trailing tasks legitimately receive empty ranges.
@@ -160,17 +145,7 @@ pub fn run_general_from(
             &KmMeanReducer,
             &opts,
         );
-        let mut new_centroids = centroids.clone(); // empty clusters stay
-        for (cid, mean) in out.pairs {
-            new_centroids[cid as usize] = mean;
-        }
-        let done = tracker.converged(&centroids, &new_centroids);
-        centroids = new_centroids;
-        if done {
-            StepStatus::Converged
-        } else {
-            StepStatus::Continue
-        }
+        step_status(tracker.advance(&mut centroids, out.pairs))
     });
     let sse_value = sse(points, &centroids);
     KMeansOutcome { centroids, sse: sse_value, report }

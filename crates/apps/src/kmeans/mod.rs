@@ -14,11 +14,14 @@
 //! across gmaps every few iterations** ("to avoid the algorithm's move
 //! towards local optima"), and the global convergence test **detects
 //! oscillations** in addition to the Euclidean threshold.
+//!
+//! The sum/count fold both variants pool points with lives in `rule`.
 
 pub mod data;
 pub mod eager;
 pub mod general;
 pub mod reference;
+mod rule;
 
 pub use eager::run_eager;
 pub use general::run_general;
@@ -30,7 +33,8 @@ use rand::SeedableRng;
 /// A data point / centroid: a dense vector.
 pub type Point = Vec<f64>;
 
-/// Configuration shared by the K-Means variants.
+/// Configuration shared by the K-Means variants; each entry point
+/// refuses one that fails [`KMeansConfig::validate`].
 #[derive(Debug, Clone, Copy)]
 pub struct KMeansConfig {
     /// Number of clusters.
@@ -141,6 +145,19 @@ impl ConvergenceTracker {
             }
         }
         oscillating
+    }
+
+    /// Writes a job's `(centroid id, mean)` pairs into `centroids` (an
+    /// empty cluster keeps its position); returns whether the move
+    /// [`ConvergenceTracker::converged`].
+    pub(crate) fn advance(&mut self, centroids: &mut Vec<Point>, pairs: Vec<(u32, Point)>) -> bool {
+        let mut next = centroids.clone();
+        for (cid, mean) in pairs {
+            next[cid as usize] = mean;
+        }
+        let done = self.converged(centroids, &next);
+        *centroids = next;
+        done
     }
 }
 

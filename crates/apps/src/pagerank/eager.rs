@@ -26,8 +26,8 @@ use asyncmr_core::prelude::*;
 use asyncmr_graph::{CsrGraph, NodeId};
 use asyncmr_partition::Partitioning;
 
-use super::{initial_remote_in, PageRankConfig, PageRankOutcome, PrMsg};
-use crate::common::GraphPartition;
+use super::{PageRankConfig, PageRankOutcome, PageRankRule, PrMsg};
+use crate::common::{cross_edge_sums, step_status, GraphPartition};
 
 /// `gmap` input: the partition view plus this global iteration's state.
 ///
@@ -50,10 +50,8 @@ pub struct PrEagerInput {
 /// The paper's `lmap`/`lreduce` pair for PageRank.
 #[derive(Debug, Clone, Copy)]
 pub struct PrLocalAlgorithm {
-    /// Damping factor χ.
-    pub damping: f64,
-    /// Local fixpoint tolerance (∞-norm on the partition's ranks).
-    pub local_tolerance: f64,
+    /// Eq. 1, its inverse and the local fixpoint tolerance.
+    pub rule: PageRankRule,
 }
 
 impl LocalAlgorithm for PrLocalAlgorithm {
@@ -118,7 +116,7 @@ impl LocalAlgorithm for PrLocalAlgorithm {
             }
         }
         ctx.add_ops(values.len() as u64);
-        ctx.emit_local(*key, PrMsg::Contrib((1.0 - self.damping) + self.damping * sum));
+        ctx.emit_local(*key, PrMsg::Contrib(self.rule.rank(sum)));
     }
 
     fn locally_converged(
@@ -130,7 +128,7 @@ impl LocalAlgorithm for PrLocalAlgorithm {
             let (PrMsg::Contrib(a), Some(PrMsg::Contrib(b))) = (v, new.get(k)) else {
                 return false;
             };
-            (a - b).abs() < self.local_tolerance
+            self.rule.locally_settled(*a, *b)
         })
     }
 
@@ -148,10 +146,8 @@ impl LocalAlgorithm for PrLocalAlgorithm {
                 Some(PrMsg::Contrib(r)) => *r,
                 _ => unreachable!("owned vertices always in state"),
             };
-            // Converged local contribution sum, recovered from Eq. 1:
-            // rank = (1−χ) + χ·(S_local + remote_in)  ⇒  S_local = …
-            let s_local =
-                (rank - (1.0 - self.damping)) / self.damping - input.remote_in[v as usize];
+            // Converged local contribution sum, recovered from Eq. 1.
+            let s_local = self.rule.local_sum(rank, input.remote_in[v as usize]);
             ctx.emit_intermediate(v, PrMsg::LocalSum(s_local));
             let deg = part.out_degree[li as usize];
             ctx.add_ops(1 + (deg - part.internal_degree(li)) as u64);
@@ -176,8 +172,8 @@ impl LocalAlgorithm for PrLocalAlgorithm {
 /// each partition's frozen `remote_in` for the next global iteration.
 #[derive(Debug, Clone, Copy)]
 pub struct PrEagerReducer {
-    /// Damping factor χ.
-    pub damping: f64,
+    /// Eq. 1 for the run's configuration.
+    pub rule: PageRankRule,
 }
 
 impl Reducer for PrEagerReducer {
@@ -195,8 +191,7 @@ impl Reducer for PrEagerReducer {
             }
         }
         ctx.add_ops(values.len() as u64);
-        let rank = (1.0 - self.damping) + self.damping * (local_sum + remote_sum);
-        ctx.emit(*key, (rank, remote_sum));
+        ctx.emit(*key, (self.rule.rank(local_sum + remote_sum), remote_sum));
     }
 }
 
@@ -207,22 +202,16 @@ pub fn run_eager(
     parts: &Partitioning,
     cfg: &PageRankConfig,
 ) -> PageRankOutcome {
+    let rule = cfg.rule();
     let partitions = GraphPartition::build_on(engine.pool(), graph, parts);
     let n = graph.num_nodes();
-    let init = vec![1.0f64; n];
-    let mut remote_in = Arc::new(initial_remote_in(&partitions, &init, n));
-    let mut ranks = Arc::new(init);
-    let algo = PrLocalAlgorithm {
-        damping: cfg.damping,
-        // The inner solve stops when successive local iterates differ
-        // by < local_tolerance, which bounds the *true* local fixpoint
-        // error by ~local_tolerance/(1−χ). Solving to tolerance·(1−χ)/2
-        // keeps that error below half the global threshold, so local
-        // noise can never stall the global convergence test.
-        local_tolerance: cfg.tolerance * (1.0 - cfg.damping) * 0.5,
-    };
-    let gmap = EagerMapper::new(algo);
-    let greduce = PrEagerReducer { damping: cfg.damping };
+    // Frozen remote contributions under the initial all-ones ranks.
+    let mut remote_in = Arc::new(cross_edge_sums(&partitions, n, |part, li| {
+        1.0 / part.out_degree[li as usize] as f64
+    }));
+    let mut ranks = Arc::new(vec![1.0f64; n]);
+    let gmap = EagerMapper::new(PrLocalAlgorithm { rule });
+    let greduce = PrEagerReducer { rule };
     let opts = JobOptions::with_reducers(cfg.num_reducers).with_grouping(cfg.grouping);
 
     let driver = FixedPointDriver::new(cfg.max_iterations);
@@ -248,11 +237,7 @@ pub fn run_eager(
             cur_ranks[v as usize] = rank;
             cur_remote[v as usize] = remote;
         }
-        if diff < cfg.tolerance {
-            StepStatus::Converged
-        } else {
-            StepStatus::Continue
-        }
+        step_status(rule.converged(diff))
     });
     PageRankOutcome { ranks: Arc::try_unwrap(ranks).unwrap_or_else(|a| (*a).clone()), report }
 }

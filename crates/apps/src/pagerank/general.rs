@@ -20,9 +20,8 @@ use asyncmr_core::prelude::*;
 use asyncmr_graph::{CsrGraph, NodeId};
 use asyncmr_partition::Partitioning;
 
-use super::{PageRankConfig, PageRankOutcome, PrMsg};
-use crate::common::GraphPartition;
-use asyncmr_core::driver::StepStatus;
+use super::{PageRankConfig, PageRankOutcome, PageRankRule, PrMsg};
+use crate::common::{apply_pairs, gather, step_status, GraphPartition};
 
 /// Map-task input: the partition view plus this iteration's ranks for
 /// the owned vertices (aligned with `part.nodes`).
@@ -72,8 +71,8 @@ impl Mapper for PrGeneralMapper {
 /// The general reducer: applies Eq. 1.
 #[derive(Debug, Clone, Copy)]
 pub struct PrGeneralReducer {
-    /// Damping factor χ.
-    pub damping: f64,
+    /// Eq. 1 for the run's configuration.
+    pub rule: PageRankRule,
 }
 
 impl Reducer for PrGeneralReducer {
@@ -90,7 +89,7 @@ impl Reducer for PrGeneralReducer {
             }
         }
         ctx.add_ops(values.len() as u64);
-        ctx.emit(*key, (1.0 - self.damping) + self.damping * sum);
+        ctx.emit(*key, self.rule.rank(sum));
     }
 }
 
@@ -101,10 +100,11 @@ pub fn run_general(
     parts: &Partitioning,
     cfg: &PageRankConfig,
 ) -> PageRankOutcome {
+    let rule = cfg.rule();
     let partitions = GraphPartition::build_on(engine.pool(), graph, parts);
     let n = graph.num_nodes();
     let mut ranks = vec![1.0f64; n];
-    let reducer = PrGeneralReducer { damping: cfg.damping };
+    let reducer = PrGeneralReducer { rule };
     let opts = JobOptions::with_reducers(cfg.num_reducers).with_grouping(cfg.grouping);
 
     // Built once; every iteration overwrites the rank slices in place.
@@ -117,22 +117,12 @@ pub fn run_general(
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
         for input in &mut inputs {
-            input.ranks.clear();
-            input.ranks.extend(input.part.nodes.iter().map(|&v| ranks[v as usize]));
+            gather(&mut input.ranks, &input.part.nodes, &ranks);
         }
         name.clear();
         write!(name, "pagerank-general-iter{iter}").expect("writing to a String");
         let out = engine.run(&name, &inputs, &PrGeneralMapper, &reducer, &opts);
-        let mut diff = 0.0f64;
-        for (v, r) in out.pairs {
-            diff = diff.max((r - ranks[v as usize]).abs());
-            ranks[v as usize] = r;
-        }
-        if diff < cfg.tolerance {
-            StepStatus::Converged
-        } else {
-            StepStatus::Continue
-        }
+        step_status(rule.converged(apply_pairs(&mut ranks, out.pairs)))
     });
     PageRankOutcome { ranks, report }
 }

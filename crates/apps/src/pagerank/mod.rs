@@ -7,7 +7,8 @@
 //! ```
 //!
 //! with damping χ = 0.85 and convergence when the ∞-norm of the rank
-//! change drops below 1e-5 (both paper defaults).
+//! change drops below 1e-5 (both paper defaults). Eq. 1, its inverse and
+//! both tolerances live in [`rule`]; every formulation below calls it.
 //!
 //! * [`run_general`] — the paper's *competitive baseline*: a classic
 //!   iterative MapReduce in which each map task operates on a complete
@@ -17,10 +18,16 @@
 //!   partition to a *local* PageRank fixpoint (remote neighbor ranks
 //!   frozen) before one global exchange of boundary contributions —
 //!   block-Jacobi with exact inner solves, in numerical terms.
+//! * [`run_async`] — the same local solves and exchange without the
+//!   per-iteration barrier: a partition starts its next iteration as
+//!   soon as the partitions it depends on have sent their boundary
+//!   contributions (bitwise [`run_eager`] at `max_lag = 0`).
+//! * [`reference::pagerank_sequential`] — sequential power iteration.
 
 pub mod eager;
 pub mod general;
 pub mod reference;
+pub mod rule;
 pub mod session;
 
 use asyncmr_core::Meterable;
@@ -28,9 +35,11 @@ use asyncmr_graph::NodeId;
 
 pub use eager::run_eager;
 pub use general::run_general;
+pub use rule::PageRankRule;
 pub use session::{run_async, run_async_with_driver, PageRankAsyncOutcome};
 
-/// Configuration shared by all PageRank variants.
+/// Configuration shared by all PageRank variants; every entry point
+/// refuses one that fails [`PageRankConfig::validate`].
 #[derive(Debug, Clone, Copy)]
 pub struct PageRankConfig {
     /// Damping factor χ (paper: 0.85).
@@ -87,30 +96,6 @@ impl Meterable for PrMsg {
 pub fn inf_norm_diff(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).fold(0.0f64, |acc, (x, y)| acc.max((x - y).abs()))
-}
-
-/// Initial frozen remote contributions: for every cross edge `u → v`,
-/// `remote_in[v] += PR(u)/outdeg(u)` under the initial all-ones ranks.
-pub(crate) fn initial_remote_in(
-    partitions: &[std::sync::Arc<crate::common::GraphPartition>],
-    ranks: &[f64],
-    n: usize,
-) -> Vec<f64> {
-    let mut remote = vec![0.0f64; n];
-    for part in partitions {
-        for &li in &part.local_ids {
-            let v = part.nodes[li as usize];
-            let deg = part.out_degree[li as usize];
-            if deg == 0 {
-                continue;
-            }
-            let c = ranks[v as usize] / deg as f64;
-            for (t, _) in part.cross_edges(li) {
-                remote[t as usize] += c;
-            }
-        }
-    }
-    remote
 }
 
 /// Convenience: top-`k` vertices by rank (descending), for reporting.

@@ -2,16 +2,21 @@
 
 use asyncmr_graph::CsrGraph;
 
-use super::inf_norm_diff;
+use super::{inf_norm_diff, PageRankConfig};
 
 /// Runs the paper's Eq. 1 power iteration to the given ∞-norm
 /// tolerance. Returns `(ranks, iterations)`.
+///
+/// # Panics
+///
+/// If `damping` or `tolerance` fails [`PageRankConfig::validate`].
 pub fn pagerank_sequential(
     g: &CsrGraph,
     damping: f64,
     tolerance: f64,
     max_iterations: usize,
 ) -> (Vec<f64>, usize) {
+    let rule = PageRankConfig { damping, tolerance, ..Default::default() }.rule();
     let n = g.num_nodes();
     let mut ranks = vec![1.0f64; n];
     let mut acc = vec![0.0f64; n];
@@ -27,10 +32,10 @@ pub fn pagerank_sequential(
                 acc[t as usize] += c;
             }
         }
-        let new: Vec<f64> = acc.iter().map(|&a| (1.0 - damping) + damping * a).collect();
+        let new: Vec<f64> = acc.iter().map(|&a| rule.rank(a)).collect();
         let diff = inf_norm_diff(&ranks, &new);
         ranks = new;
-        if diff < tolerance {
+        if rule.converged(diff) {
             return (ranks, iter);
         }
     }

@@ -29,7 +29,7 @@ use asyncmr_graph::CsrGraph;
 use asyncmr_partition::Partitioning;
 use asyncmr_runtime::ThreadPool;
 
-use super::{PageRankConfig, PrMsg};
+use super::{PageRankConfig, PageRankRule, PrMsg};
 use crate::common::{CutPlan, GraphPartition, MAX_LOCAL_PASSES};
 
 /// Per-partition session state: owned ranks plus the frozen remote
@@ -60,15 +60,17 @@ pub type PrAsyncMsg = f64;
 pub struct PrAsync {
     partitions: Vec<Arc<GraphPartition>>,
     cut: CutPlan,
-    damping: f64,
-    tolerance: f64,
-    local_tolerance: f64,
+    rule: PageRankRule,
 }
 
 impl PrAsync {
     /// Builds the session algorithm (same initial state as
     /// [`super::run_eager`]: all-ones ranks, frozen initial remote
     /// contributions).
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` fails [`PageRankConfig::validate`].
     pub fn new(graph: &CsrGraph, parts: &Partitioning, cfg: &PageRankConfig) -> Self {
         let partitions = GraphPartition::build(graph, parts);
         Self::from_views(None, partitions, parts, cfg)
@@ -92,16 +94,9 @@ impl PrAsync {
         parts: &Partitioning,
         cfg: &PageRankConfig,
     ) -> Self {
+        let rule = cfg.rule();
         let cut = CutPlan::build(pool, &partitions, parts);
-        PrAsync {
-            partitions,
-            cut,
-            damping: cfg.damping,
-            tolerance: cfg.tolerance,
-            // Same inner tolerance derivation as `run_eager` — required
-            // for byte-identity of the local solves.
-            local_tolerance: cfg.tolerance * (1.0 - cfg.damping) * 0.5,
-        }
+        PrAsync { partitions, cut, rule }
     }
 
     /// The partition views (for scattering final states back to a
@@ -125,9 +120,9 @@ impl AsyncIterative for PrAsync {
     }
 
     fn init_state(&self, p: usize) -> PrPartitionState {
-        // `initial_remote_in` under all-ones ranks: producers ascending
-        // and each run in emission order is the order that global sweep
-        // adds a vertex's contributions in.
+        // `run_eager`'s initial cross-edge sums under all-ones ranks:
+        // producers ascending and each run in emission order is the order
+        // that global sweep adds a vertex's contributions in.
         let n = self.partitions[p].len();
         let mut remote_in = vec![0.0; n];
         for (&q, landing) in self.cut.in_deps[p].iter().zip(&self.cut.in_index[p]) {
@@ -143,9 +138,8 @@ impl AsyncIterative for PrAsync {
 
     // Indexed loops are the point here: each is a dense CSR window
     // sweep whose accumulation order is the byte-identity contract with
-    // the keyed path, and the negated `<` keeps NaN iterates spinning
-    // exactly like `locally_converged` does.
-    #[allow(clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]
+    // the keyed path.
+    #[allow(clippy::needless_range_loop)]
     fn gmap(
         &self,
         p: usize,
@@ -183,11 +177,8 @@ impl AsyncIterative for PrAsync {
             );
             let mut done = true;
             for li in 0..n {
-                let r = (1.0 - self.damping) + self.damping * next[li];
-                // Strict `<` as in `locally_converged`: a NaN iterate
-                // fails the test and keeps iterating, like the keyed
-                // path.
-                if !((cur[li] - r).abs() < self.local_tolerance) {
+                let r = self.rule.rank(next[li]);
+                if !self.rule.locally_settled(cur[li], r) {
                     done = false;
                 }
                 next[li] = r;
@@ -210,7 +201,7 @@ impl AsyncIterative for PrAsync {
         let contrib = &mut next;
         for li in 0..n {
             let rank = cur[li];
-            update.push((rank - (1.0 - self.damping)) / self.damping - state.remote_in[li]);
+            update.push(self.rule.local_sum(rank, state.remote_in[li]));
             // A sink has no cross edge to gather this.
             contrib[li] = rank / part.out_degree[li] as f64;
         }
@@ -269,7 +260,7 @@ impl AsyncIterative for PrAsync {
         let mut ranks = Vec::with_capacity(n);
         let mut delta = 0.0f64;
         for li in 0..n {
-            let rank = (1.0 - self.damping) + self.damping * (update[li] + remote[li]);
+            let rank = self.rule.rank(update[li] + remote[li]);
             delta = delta.max((rank - state.ranks[li]).abs());
             ranks.push(rank);
         }
@@ -283,7 +274,7 @@ impl AsyncIterative for PrAsync {
     }
 
     fn converged(&self, max_delta: f64) -> bool {
-        max_delta < self.tolerance
+        self.rule.converged(max_delta)
     }
 
     fn state_bytes(&self, state: &PrPartitionState) -> u64 {
@@ -309,6 +300,10 @@ pub struct PageRankAsyncOutcome {
 /// byte-identically with an asynchronous schedule; `max_lag > 0`
 /// additionally admits bounded-staleness reads of neighbor
 /// contributions.
+///
+/// # Panics
+///
+/// If `cfg` fails [`PageRankConfig::validate`].
 pub fn run_async(
     pool: &ThreadPool,
     graph: &CsrGraph,

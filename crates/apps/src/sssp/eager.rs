@@ -20,8 +20,9 @@ use asyncmr_graph::{NodeId, WeightedGraph};
 use asyncmr_partition::Partitioning;
 
 use super::general::SpMinReducer;
+use super::rule::{settle_pairs, settled, shortest};
 use super::{SsspConfig, SsspOutcome};
-use crate::common::GraphPartition;
+use crate::common::{step_status, GraphPartition};
 
 /// `gmap` input: the partition view plus the current distances.
 ///
@@ -88,7 +89,7 @@ impl LocalAlgorithm for SpLocalAlgorithm {
         ctx: &mut LocalReduceContext<NodeId, f64>,
     ) {
         ctx.add_ops(values.len() as u64);
-        ctx.emit_local(*key, values.iter().copied().fold(f64::INFINITY, f64::min));
+        ctx.emit_local(*key, shortest(values));
     }
 
     fn locally_converged(
@@ -96,10 +97,7 @@ impl LocalAlgorithm for SpLocalAlgorithm {
         old: &LocalState<NodeId, f64>,
         new: &LocalState<NodeId, f64>,
     ) -> bool {
-        old.iter().all(|(k, &a)| {
-            let b = new[k];
-            a == b || (a.is_infinite() && b.is_infinite())
-        })
+        old.iter().all(|(k, &a)| settled(a, new[k]))
     }
 
     fn finalize(
@@ -137,13 +135,8 @@ pub fn run_eager(
     parts: &Partitioning,
     cfg: &SsspConfig,
 ) -> SsspOutcome {
+    let mut dists = Arc::new(cfg.initial_distances(graph.num_nodes()));
     let partitions = GraphPartition::build_weighted_on(engine.pool(), graph, parts);
-    let n = graph.num_nodes();
-    let mut init = vec![f64::INFINITY; n];
-    if n > 0 {
-        init[cfg.source as usize] = 0.0;
-    }
-    let mut dists = Arc::new(init);
     let gmap = EagerMapper::new(SpLocalAlgorithm);
     let opts = JobOptions::with_reducers(cfg.num_reducers).with_grouping(cfg.grouping);
 
@@ -156,25 +149,10 @@ pub fn run_eager(
         let out =
             engine.run(&format!("sssp-eager-iter{iter}"), &inputs, &gmap, &SpMinReducer, &opts);
         // Dropping the inputs makes the distance vector unique again,
-        // so the refresh mutates in place. Every vertex is re-emitted
-        // every iteration (self-proposal keep-alives), so an in-place
-        // compare-and-set over the pairs is the old full-vector
-        // `distances_equal` check.
+        // so the refresh mutates in place.
         drop(inputs);
-        let cur = Arc::make_mut(&mut dists);
-        let mut done = true;
-        for (v, d) in out.pairs {
-            let slot = &mut cur[v as usize];
-            if !(*slot == d || (slot.is_infinite() && d.is_infinite())) {
-                done = false;
-            }
-            *slot = d;
-        }
-        if done {
-            StepStatus::Converged
-        } else {
-            StepStatus::Continue
-        }
+        let cur: &mut Vec<f64> = Arc::make_mut(&mut dists);
+        step_status(settle_pairs(cur, out.pairs))
     });
     SsspOutcome { distances: Arc::try_unwrap(dists).unwrap_or_else(|a| (*a).clone()), report }
 }

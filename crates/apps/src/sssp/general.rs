@@ -15,8 +15,9 @@ use asyncmr_core::prelude::*;
 use asyncmr_graph::{NodeId, WeightedGraph};
 use asyncmr_partition::Partitioning;
 
-use super::{distances_equal, SsspConfig, SsspOutcome};
-use crate::common::GraphPartition;
+use super::rule::{settle_pairs, shortest};
+use super::{SsspConfig, SsspOutcome};
+use crate::common::{gather, step_status, GraphPartition};
 
 /// Map-task input: partition view + current distances of owned nodes.
 #[derive(Debug, Clone)]
@@ -74,8 +75,7 @@ impl Reducer for SpMinReducer {
 
     fn reduce(&self, key: &NodeId, values: &[f64], ctx: &mut ReduceContext<NodeId, f64>) {
         ctx.add_ops(values.len() as u64);
-        let best = values.iter().copied().fold(f64::INFINITY, f64::min);
-        ctx.emit(*key, best);
+        ctx.emit(*key, shortest(values));
     }
 }
 
@@ -86,12 +86,8 @@ pub fn run_general(
     parts: &Partitioning,
     cfg: &SsspConfig,
 ) -> SsspOutcome {
+    let mut dists = cfg.initial_distances(graph.num_nodes());
     let partitions = GraphPartition::build_weighted_on(engine.pool(), graph, parts);
-    let n = graph.num_nodes();
-    let mut dists = vec![f64::INFINITY; n];
-    if n > 0 {
-        dists[cfg.source as usize] = 0.0;
-    }
     let opts = JobOptions::with_reducers(cfg.num_reducers).with_grouping(cfg.grouping);
 
     // Built once; every iteration overwrites the distance slices in place.
@@ -104,23 +100,12 @@ pub fn run_general(
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
         for input in &mut inputs {
-            input.dists.clear();
-            input.dists.extend(input.part.nodes.iter().map(|&v| dists[v as usize]));
+            gather(&mut input.dists, &input.part.nodes, &dists);
         }
         name.clear();
         write!(name, "sssp-general-iter{iter}").expect("writing to a String");
         let out = engine.run(&name, &inputs, &SpGeneralMapper, &SpMinReducer, &opts);
-        let mut new_dists = dists.clone();
-        for (v, d) in out.pairs {
-            new_dists[v as usize] = d;
-        }
-        let done = distances_equal(&dists, &new_dists);
-        dists = new_dists;
-        if done {
-            StepStatus::Converged
-        } else {
-            StepStatus::Continue
-        }
+        step_status(settle_pairs(&mut dists, out.pairs))
     });
     SsspOutcome { distances: dists, report }
 }

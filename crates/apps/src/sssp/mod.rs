@@ -10,11 +10,13 @@
 //! Distances are `f64`; unreachable vertices stay at `f64::INFINITY`.
 //! Relaxation is monotone (min), so — unlike PageRank — the global
 //! reduce needs no owner/remote distinction: the minimum over every
-//! proposal is always safe.
+//! proposal is always safe. The min-reduce and the settle test every
+//! formulation applies live in `rule`.
 
 pub mod eager;
 pub mod general;
 pub mod reference;
+mod rule;
 pub mod session;
 
 use asyncmr_graph::NodeId;
@@ -23,7 +25,8 @@ pub use eager::run_eager;
 pub use general::run_general;
 pub use session::{run_async, run_async_with_driver, SsspAsyncOutcome};
 
-/// Configuration for both SSSP variants.
+/// Configuration for every SSSP variant; each entry point refuses one
+/// that fails [`SsspConfig::validate`].
 #[derive(Debug, Clone, Copy)]
 pub struct SsspConfig {
     /// The source vertex.
@@ -57,21 +60,29 @@ pub struct SsspOutcome {
     pub report: asyncmr_core::IterationReport,
 }
 
-/// Exact equality test used for convergence: distances only ever
-/// decrease, so "no vertex changed" is a sound fixpoint test.
-pub(crate) fn distances_equal(a: &[f64], b: &[f64]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).all(|(x, y)| x == y || (x.is_infinite() && y.is_infinite()))
-}
-
 #[cfg(test)]
 mod tests {
+    use super::rule::all_settled;
     use super::*;
+    use asyncmr_core::Engine;
+    use asyncmr_graph::{generators, WeightedGraph};
+    use asyncmr_partition::{Partitioner, RangePartitioner};
+    use asyncmr_runtime::ThreadPool;
 
     #[test]
     fn distance_equality_handles_infinities() {
-        assert!(distances_equal(&[0.0, f64::INFINITY, 2.0], &[0.0, f64::INFINITY, 2.0]));
-        assert!(!distances_equal(&[0.0, 1.0], &[0.0, 1.5]));
-        assert!(!distances_equal(&[f64::INFINITY], &[3.0]));
+        assert!(all_settled(&[0.0, f64::INFINITY, 2.0], &[0.0, f64::INFINITY, 2.0]));
+        assert!(!all_settled(&[0.0, 1.0], &[0.0, 1.5]));
+        assert!(!all_settled(&[f64::INFINITY], &[3.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "SsspConfig::source is 4; the graph has 4 vertices")]
+    fn a_source_outside_the_graph_is_refused() {
+        let wg = WeightedGraph::unit_weights(generators::cycle(4));
+        let parts = RangePartitioner.partition(wg.graph(), 2);
+        let pool = ThreadPool::new(1);
+        let cfg = SsspConfig { source: 4, ..Default::default() };
+        run_eager(&mut Engine::in_process(&pool), &wg, &parts, &cfg);
     }
 }

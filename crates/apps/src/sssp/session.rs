@@ -19,7 +19,8 @@ use asyncmr_graph::{NodeId, WeightedGraph};
 use asyncmr_partition::Partitioning;
 use asyncmr_runtime::ThreadPool;
 
-use super::{distances_equal, SsspConfig};
+use super::rule::all_settled;
+use super::SsspConfig;
 use crate::common::{CutPlan, GraphPartition, MAX_LOCAL_PASSES};
 
 /// One cross-partition relaxation:
@@ -36,6 +37,10 @@ pub struct SpAsync {
 impl SpAsync {
     /// Builds the session algorithm (source at distance 0, everything
     /// else unreachable — same as [`super::run_eager`]).
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` fails [`SsspConfig::validate`] on the graph.
     pub fn new(graph: &WeightedGraph, parts: &Partitioning, cfg: &SsspConfig) -> Self {
         let partitions = GraphPartition::build_weighted(graph, parts);
         Self::from_views(None, partitions, parts, cfg)
@@ -59,8 +64,7 @@ impl SpAsync {
         parts: &Partitioning,
         cfg: &SsspConfig,
     ) -> Self {
-        let n = parts.num_nodes();
-        assert!(n == 0 || (cfg.source as usize) < n, "source {} out of {n} vertices", cfg.source);
+        cfg.validate(parts.num_nodes());
         let cut = CutPlan::build(pool, &partitions, parts);
         SpAsync { partitions, cut, source: cfg.source }
     }
@@ -89,11 +93,6 @@ impl AsyncIterative for SpAsync {
         nodes.iter().map(|&v| if v == self.source { 0.0 } else { f64::INFINITY }).collect()
     }
 
-    // Indexed loops are the point here: each is a dense CSR window
-    // sweep whose accumulation order is the byte-identity contract with
-    // the keyed path, and the negated `<` keeps NaN iterates spinning
-    // exactly like `locally_converged` does.
-    #[allow(clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]
     fn gmap(
         &self,
         p: usize,
@@ -130,13 +129,7 @@ impl AsyncIterative for SpAsync {
             // the number of proposals this pass: one per vertex, one
             // per internal edge of a finite source.
             ops += 3 * (n as u64 + relaxed);
-            let mut done = true;
-            for li in 0..n {
-                let (a, b) = (cur[li], next[li]);
-                if !(a == b || (a.is_infinite() && b.is_infinite())) {
-                    done = false;
-                }
-            }
+            let done = all_settled(&cur, &next);
             std::mem::swap(&mut cur, &mut next);
             if done {
                 break;
@@ -188,7 +181,7 @@ impl AsyncIterative for SpAsync {
                 msg_count += 1;
             }
         }
-        let delta = if distances_equal(state, &dists) { 0.0 } else { 1.0 };
+        let delta = if all_settled(state, &dists) { 0.0 } else { 1.0 };
         Absorbed { delta, ops: dists.len() as u64 + msg_count, state: dists }
     }
 

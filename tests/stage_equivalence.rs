@@ -283,8 +283,10 @@ mod eager_jobs {
         engine: &mut Engine<'_>,
         inputs: &[PrEagerInput],
     ) -> JobResult<NodeId, (f64, f64)> {
-        let gmap = EagerMapper::new(PrLocalAlgorithm { damping: 0.85, local_tolerance: 1e-7 });
-        let greduce = PrEagerReducer { damping: 0.85 };
+        // The rule `run_eager` derives for the paper's defaults.
+        let rule = PageRankConfig::default().rule();
+        let gmap = EagerMapper::new(PrLocalAlgorithm { rule });
+        let greduce = PrEagerReducer { rule };
         engine.run("pr", inputs, &gmap, &greduce, &JobOptions::with_reducers(5))
     }
 
