@@ -30,6 +30,10 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         input.part.nodes.iter().zip(&input.labels).map(|(&v, &l)| (v, l)).collect()
     }
 
+    fn emission_keys(&self, _task: usize, input: &CcGeneralInput) -> Option<Vec<NodeId>> {
+        Some(input.part.emission_keys())
+    }
+
     fn lmap(
         &self,
         _task: usize,
@@ -40,12 +44,12 @@ impl LocalAlgorithm for CcLocalAlgorithm {
     ) {
         let li = *item;
         let part = &input.part;
-        let v = part.nodes[li as usize];
-        let label = state[&v];
-        ctx.emit_local_intermediate(v, label);
-        ctx.add_ops(1 + part.internal_degree(li) as u64);
-        for (lt, _) in part.internal_edges(li) {
-            ctx.emit_local_intermediate(part.nodes[lt as usize], label);
+        let label = state[&part.nodes[li as usize]];
+        ctx.emit_value(label);
+        let internal = part.internal_degree(li);
+        ctx.add_ops(1 + internal as u64);
+        for _ in 0..internal {
+            ctx.emit_value(label);
         }
     }
 

@@ -311,6 +311,22 @@ impl GraphPartition {
         self.nodes.is_empty()
     }
 
+    /// The keys one local pass of a graph app's `lmap` emits, in
+    /// emission order: each owned vertex (its keep-alive), then its
+    /// internal out-neighbours in CSR order — the declared
+    /// [`LocalAlgorithm::emission_keys`] of Eager PageRank, Jacobi and
+    /// Connected Components.
+    ///
+    /// [`LocalAlgorithm::emission_keys`]: asyncmr_core::LocalAlgorithm::emission_keys
+    pub fn emission_keys(&self) -> Vec<NodeId> {
+        let mut keys = Vec::with_capacity(self.len() + self.internal.num_edges());
+        for &li in &self.local_ids {
+            keys.push(self.nodes[li as usize]);
+            keys.extend(self.internal_edges(li).map(|(lt, _)| self.nodes[lt as usize]));
+        }
+        keys
+    }
+
     /// Internal out-edges of local node `li` as `(local_target, weight)`.
     #[inline]
     pub fn internal_edges(&self, li: u32) -> impl Iterator<Item = (u32, f64)> + '_ {

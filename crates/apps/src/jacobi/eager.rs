@@ -34,6 +34,10 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         input.part.nodes.iter().zip(&input.x).map(|(&v, &xv)| (v, JMsg::Contrib(xv))).collect()
     }
 
+    fn emission_keys(&self, _task: usize, input: &JacobiInput) -> Option<Vec<NodeId>> {
+        Some(input.part.emission_keys())
+    }
+
     fn lmap(
         &self,
         _task: usize,
@@ -44,14 +48,14 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
     ) {
         let li = *item;
         let part = &input.part;
-        let v = part.nodes[li as usize];
-        let JMsg::Contrib(xv) = state[&v] else {
+        let JMsg::Contrib(xv) = state[&part.nodes[li as usize]] else {
             unreachable!("state stores Contrib(x)");
         };
-        ctx.emit_local_intermediate(v, JMsg::Contrib(0.0)); // keep-alive
-        ctx.add_ops(1 + part.internal_degree(li) as u64);
-        for (lt, _) in part.internal_edges(li) {
-            ctx.emit_local_intermediate(part.nodes[lt as usize], JMsg::Contrib(xv));
+        ctx.emit_value(JMsg::Contrib(0.0)); // keep-alive
+        let internal = part.internal_degree(li);
+        ctx.add_ops(1 + internal as u64);
+        for _ in 0..internal {
+            ctx.emit_value(JMsg::Contrib(xv));
         }
     }
 

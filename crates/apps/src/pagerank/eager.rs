@@ -73,6 +73,10 @@ impl LocalAlgorithm for PrLocalAlgorithm {
             .collect()
     }
 
+    fn emission_keys(&self, _task: usize, input: &PrEagerInput) -> Option<Vec<NodeId>> {
+        Some(input.part.emission_keys())
+    }
+
     fn lmap(
         &self,
         _task: usize,
@@ -83,21 +87,23 @@ impl LocalAlgorithm for PrLocalAlgorithm {
     ) {
         let li = *item;
         let part = &input.part;
-        let v = part.nodes[li as usize];
-        let rank = match state.get(&v) {
+        let rank = match state.get(&part.nodes[li as usize]) {
             Some(PrMsg::Contrib(r)) => *r,
             _ => unreachable!("state always holds the vertex rank"),
         };
         // Keep-alive: every owned vertex must survive the lreduce.
-        ctx.emit_local_intermediate(v, PrMsg::Contrib(0.0));
+        ctx.emit_value(PrMsg::Contrib(0.0));
         let deg = part.out_degree[li as usize];
-        ctx.add_ops(1 + part.internal_degree(li) as u64);
+        let internal = part.internal_degree(li);
+        ctx.add_ops(1 + internal as u64);
         if deg == 0 {
             return;
         }
+        // One contribution per internal out-edge, under the keys the
+        // partition declared.
         let c = rank / deg as f64;
-        for (lt, _) in part.internal_edges(li) {
-            ctx.emit_local_intermediate(part.nodes[lt as usize], PrMsg::Contrib(c));
+        for _ in 0..internal {
+            ctx.emit_value(PrMsg::Contrib(c));
         }
     }
 

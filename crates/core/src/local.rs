@@ -44,6 +44,17 @@
 //! whose keys differ is buffered, sorted and remembered in turn: only
 //! slower, never different (`docs/ARCHITECTURE.md`, "What one partial
 //! synchronization costs").
+//!
+//! An algorithm whose keys are the partition's structure — a graph
+//! app's owned vertices and internal edges — can say so once, as
+//! [`LocalAlgorithm::emission_keys`]. Its passes are then *declared*:
+//! `lmap` builds no key and emits values only
+//! ([`LocalMapContext::emit_value`]), value `i` landing in the slot of
+//! declared key `i`. The declaration is compared with the task's
+//! remembered sequence once per map call (the plan is recorded from it
+//! when they differ), and every declared pass checks that it emitted
+//! exactly as many values as keys were declared, in every build — so
+//! no key goes unchecked: a declared pass emits none.
 
 use std::fmt;
 use std::ops::Index;
@@ -237,7 +248,9 @@ impl<'a, K, V> IntoIterator for &'a LocalState<K, V> {
 /// change. [`LocalMapContext::emit_local_intermediate`] **verifies**
 /// every emitted key against the remembered sequence — one equality
 /// test per record, in every build, never skipped — so a pass whose
-/// keys churn (K-Means reassignments) is never wrong, only slower.
+/// keys churn (K-Means reassignments) is never wrong, only slower. A
+/// declaring algorithm's plan is the plan of its declaration, compared
+/// with the kept one once per map call; its passes emit no key.
 ///
 /// One `K` and one `u32` a record plus two `u32` a group, held until
 /// the plan fails a verification (which frees it; the pass records its
@@ -269,12 +282,11 @@ impl<K: Key> LocalPlan<K> {
         self.input_keys.len()
     }
 
-    /// The plan of `pairs`' key sequence: the keys — the one clone per
-    /// record a plan costs — their stable-sort permutation and the
-    /// groups' boundaries (`order` is a recycled temporary).
-    fn record<V>(pairs: &[(K, V)], order: &mut Vec<u32>) -> Self {
-        let mut plan = LocalPlan::default();
-        plan.input_keys.extend(pairs.iter().map(|(k, _)| k.clone()));
+    /// The plan of the key sequence `input_keys`: the keys, their
+    /// stable-sort permutation and the groups' boundaries (`order` is a
+    /// recycled temporary).
+    fn record(input_keys: Vec<K>, order: &mut Vec<u32>) -> Self {
+        let mut plan = LocalPlan { input_keys, ..LocalPlan::default() };
         shuffle::sort_slots(&plan.input_keys, order, &mut plan.slots);
         let keys = &plan.input_keys;
         for (slot, &i) in order.iter().enumerate() {
@@ -303,48 +315,80 @@ impl<K: Key> LocalPlan<K> {
 /// Context for [`LocalAlgorithm::lmap`] — the paper's
 /// `EmitLocalIntermediate` plus op metering.
 ///
-/// A pass starts **on plan** when its task holds a (non-empty) plan —
-/// the key sequence its last pass emitted: each emission is checked
-/// against the plan's next key and its value written straight to its
-/// slot in the grouped values. The first emission that differs — or the
-/// end of a pass that stopped short of the plan — takes the pass off
-/// plan: the verified prefix comes back out as pairs, the rest of the
-/// pass is buffered, and the end of the pass records a fresh plan.
-/// Either way the grouped values are what a stable sort of the emitted
-/// pairs gives.
+/// A **keyed** pass (the algorithm declares no
+/// [emission keys](LocalAlgorithm::emission_keys)) starts **on plan**
+/// when its task holds a (non-empty) plan — the key sequence its last
+/// pass emitted: each emission is checked against the plan's next key
+/// and its value written straight to its slot in the grouped values.
+/// The first emission that differs — or the end of a pass that stopped
+/// short of the plan — takes the pass off plan: the verified prefix
+/// comes back out as pairs, the rest of the pass is buffered, and the
+/// end of the pass records a fresh plan. Either way the grouped values
+/// are what a stable sort of the emitted pairs gives.
+///
+/// A **declared** pass runs on the plan of the keys its algorithm
+/// declared, and `lmap` emits values only
+/// ([`emit_value`](LocalMapContext::emit_value)): value `i` goes to
+/// the slot of declared key `i`. The pass must emit exactly as many
+/// values as keys were declared — one more panics at that emission,
+/// one fewer at the end of the pass — and a keyed emission panics, as
+/// does `emit_value` in a keyed pass. Every such panic names the task
+/// and the pass.
 #[derive(Debug)]
 pub struct LocalMapContext<K, V> {
     /// The task's plan, checked out for the pass.
     plan: LocalPlan<K>,
     /// On plan: emissions `..cursor` matched `plan.input_keys[..cursor]`
     /// and their values sit at `plan.slots[..cursor]` of `placed`.
+    /// Declared: values `..cursor` sit there.
     on_plan: bool,
     cursor: usize,
     placed: SlotWriter<V>,
     /// Off plan: the pass's emissions so far, in order.
     intermediate: Vec<(K, V)>,
+    /// `Some` in a declared pass: what the pass reports it did with the
+    /// plan.
+    declared: Option<PlanOutcome>,
+    /// The map task and its pass index, for the panics.
+    task: usize,
+    pass: usize,
     ops: u64,
 }
 
 impl<K: Key, V: Value> LocalMapContext<K, V> {
-    /// A context for one pass of the task that holds `plan`, over
-    /// buffers recycled from `scratch`. On plan the pair buffer is not
-    /// needed and is released.
-    fn following(plan: LocalPlan<K>, scratch: &mut ShuffleScratch<K, V>) -> Self {
-        let on_plan = plan.records() > 0;
+    /// A context for pass `pass` of task `task`, which holds `plan`,
+    /// over buffers recycled from `scratch`. `declared` is `Some` when
+    /// the plan's keys are the algorithm's declaration, with what this
+    /// pass reports (a zero-record plan is no plan: `Recorded`). On
+    /// plan and declared the pair buffer is not needed and is released.
+    fn following(
+        plan: LocalPlan<K>,
+        declared: Option<PlanOutcome>,
+        (task, pass): (usize, usize),
+        scratch: &mut ShuffleScratch<K, V>,
+    ) -> Self {
+        let on_plan = declared.is_none() && plan.records() > 0;
+        let declared = declared.map(|o| if plan.records() > 0 { o } else { PlanOutcome::Recorded });
         let pairs = scratch.take_pairs();
         LocalMapContext {
             placed: SlotWriter::new(std::mem::take(&mut scratch.values), plan.records()),
             plan,
             on_plan,
             cursor: 0,
-            intermediate: if on_plan { Vec::new() } else { pairs },
+            intermediate: if on_plan || declared.is_some() { Vec::new() } else { pairs },
+            declared,
+            task,
+            pass,
             ops: 0,
         }
     }
 
     /// The paper's `EmitLocalIntermediate(key, value)`: feeds the next
     /// `lreduce` *within this partition only*.
+    ///
+    /// # Panics
+    ///
+    /// In a declared pass, which emits values only.
     #[inline]
     pub fn emit_local_intermediate(&mut self, key: K, value: V) {
         if self.on_plan {
@@ -354,14 +398,50 @@ impl<K: Key, V: Value> LocalMapContext<K, V> {
                 return;
             }
             self.fall_back();
+        } else if self.declared.is_some() {
+            self.refuse(format_args!(
+                "a keyed emission in a declared pass, after {} values",
+                self.cursor
+            ));
         }
         self.intermediate.push((key, value));
+    }
+
+    /// Emits the value of the next declared key: the declared pass's
+    /// `EmitLocalIntermediate`, with the key the algorithm's
+    /// [`LocalAlgorithm::emission_keys`] gave for this position.
+    ///
+    /// # Panics
+    ///
+    /// In a keyed pass (the algorithm declared nothing), and past the
+    /// last declared key.
+    #[inline]
+    pub fn emit_value(&mut self, value: V) {
+        match self.plan.slots.get(self.cursor) {
+            Some(&slot) if self.declared.is_some() => {
+                self.placed.write(slot, value);
+                self.cursor += 1;
+            }
+            _ if self.declared.is_some() => self.refuse(format_args!(
+                "one value more than the {} keys it declared",
+                self.plan.records()
+            )),
+            _ => self.refuse(format_args!("emit_value, but its algorithm declares no keys")),
+        }
     }
 
     /// Meters `n` abstract operations.
     #[inline]
     pub fn add_ops(&mut self, n: u64) {
         self.ops += n;
+    }
+
+    /// Panics for a pass that broke its contract: `what` it did, and
+    /// where. Values already placed leak; none is dropped twice.
+    #[cold]
+    #[inline(never)]
+    fn refuse(&self, what: fmt::Arguments<'_>) -> ! {
+        panic!("local sync of task {}, pass {}: {what}", self.task, self.pass)
     }
 
     /// Takes the pass off plan: the plan failed its verification and is
@@ -387,7 +467,22 @@ impl<K: Key, V: Value> LocalMapContext<K, V> {
     /// [`LocalPlan::for_each_group`] over the returned plan, and
     /// whether the pass stayed on plan ([`PlanOutcome::Hit`]) or
     /// recorded a new one.
+    ///
+    /// # Panics
+    ///
+    /// If a declared pass emitted fewer values than it declared keys.
     fn finish(mut self, scratch: &mut ShuffleScratch<K, V>) -> (Vec<V>, LocalPlan<K>, PlanOutcome) {
+        if let Some(outcome) = self.declared {
+            if self.cursor < self.plan.records() {
+                let (emitted, declared) = (self.cursor, self.plan.records());
+                self.refuse(format_args!("{emitted} values for the {declared} keys it declared"));
+            }
+            // SAFETY: `emit_value` wrote `slots[i]` for each emission
+            // `i < cursor` and refuses one at `cursor == records()`, so
+            // with `cursor == records()` every slot of the permutation
+            // `slots` was written exactly once.
+            return (unsafe { self.placed.finish() }, self.plan, outcome);
+        }
         if self.on_plan && self.cursor < self.plan.records() {
             self.fall_back(); // a strict prefix of the plan is a miss
         }
@@ -399,7 +494,9 @@ impl<K: Key, V: Value> LocalMapContext<K, V> {
             return (unsafe { self.placed.finish() }, self.plan, PlanOutcome::Hit);
         }
         let mut pairs = self.intermediate;
-        let plan = LocalPlan::record(&pairs, &mut scratch.slots);
+        // The keys — the one clone per record a plan costs.
+        let keys = pairs.iter().map(|(k, _)| k.clone()).collect();
+        let plan = LocalPlan::record(keys, &mut scratch.slots);
         let mut placed = SlotWriter::new(self.placed.into_buffer(), pairs.len());
         for ((_, value), &slot) in pairs.drain(..).zip(&plan.slots) {
             placed.write(slot, value);
@@ -465,9 +562,27 @@ pub trait LocalAlgorithm: Send + Sync {
     /// local map and local reduce", §IV).
     fn init_state(&self, task: usize, input: &Self::Input) -> Vec<(Self::Key, Self::Value)>;
 
+    /// The keys every local pass over `input` emits, in emission order,
+    /// when they do not depend on the state — a graph partition's
+    /// structure. `None` (the default) declares nothing: `lmap` emits
+    /// keyed, through [`LocalMapContext::emit_local_intermediate`].
+    ///
+    /// With `Some(keys)`, every pass is *declared*: `lmap` emits values
+    /// only, through [`LocalMapContext::emit_value`], value `i` under
+    /// `keys[i]`, and each pass must emit exactly `keys.len()` of them
+    /// (checked in every build; a pass that emits a different count
+    /// panics). Called once per map call, where the declaration is
+    /// compared with the plan the task kept.
+    fn emission_keys(&self, task: usize, input: &Self::Input) -> Option<Vec<Self::Key>> {
+        let _ = (task, input);
+        None
+    }
+
     /// The paper's `lmap`: processes one element of `xs`, reading the
     /// current hashtable and emitting via
-    /// [`LocalMapContext::emit_local_intermediate`].
+    /// [`LocalMapContext::emit_local_intermediate`] — or, when the
+    /// algorithm declares its [emission keys](Self::emission_keys), via
+    /// [`LocalMapContext::emit_value`].
     fn lmap(
         &self,
         task: usize,
@@ -510,7 +625,8 @@ pub trait LocalAlgorithm: Send + Sync {
     ) -> bool;
 
     /// Safety valve on local iterations (default
-    /// [`DEFAULT_MAX_LOCAL_ITERATIONS`]).
+    /// [`DEFAULT_MAX_LOCAL_ITERATIONS`]); at least 1 — a `gmap` whose
+    /// cap is 0 panics rather than emit its initial state unsynced.
     fn max_local_iterations(&self) -> usize {
         DEFAULT_MAX_LOCAL_ITERATIONS
     }
@@ -568,7 +684,14 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
     type Key = L::Key;
     type Value = L::Value;
 
+    /// # Panics
+    ///
+    /// If the algorithm's [`LocalAlgorithm::max_local_iterations`] is
+    /// 0, or a declared pass breaks its declaration (see
+    /// [`LocalMapContext`]).
     fn map(&self, task: usize, input: &Self::Input, ctx: &mut MapContext<Self::Key, Self::Value>) {
+        let max_passes = self.algo.max_local_iterations();
+        assert!(max_passes > 0, "LocalAlgorithm::max_local_iterations is 0 (task {task})");
         let mut state: LocalState<L::Key, L::Value> =
             self.algo.init_state(task, input).into_iter().collect();
         let input_bytes = self.algo.input_bytes(task, input).unwrap_or_else(|| {
@@ -584,10 +707,20 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
         // every pass whose keys repeat into verified slot writes.
         let mut scratch: ShuffleScratch<L::Key, L::Value> = ShuffleScratch::default();
         let mut plan = std::mem::take(&mut ctx.local_plan);
+        // A declaration is compared with the kept plan once, here; the
+        // plan is recorded from it when they differ. Its passes then
+        // emit no key, and each checks its value count.
+        let mut declared = self.algo.emission_keys(task, input).map(|keys| {
+            if keys == plan.input_keys {
+                return PlanOutcome::Hit;
+            }
+            plan = LocalPlan::record(keys, &mut scratch.slots);
+            PlanOutcome::Recorded
+        });
         let mut retired: Vec<(L::Key, L::Value)> = Vec::new();
-        for _ in 0..self.algo.max_local_iterations() {
+        for pass in 0..max_passes {
             // Local map phase over every element of xs.
-            let mut lctx = LocalMapContext::following(plan, &mut scratch);
+            let mut lctx = LocalMapContext::following(plan, declared, (task, pass), &mut scratch);
             for item in items {
                 self.algo.lmap(task, input, item, &state, &mut lctx);
             }
@@ -599,6 +732,8 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
             let (values, outcome);
             (values, plan, outcome) = lctx.finish(&mut scratch);
             ctx.local_use.count(outcome);
+            // Every later declared pass runs on the plan this one used.
+            declared = declared.and(Some(PlanOutcome::Hit));
             let record_work = values.len() as u64;
             let mut rctx = LocalReduceContext::reusing(retired);
             plan.for_each_group(&values, |key, group| {
@@ -748,8 +883,9 @@ pub(crate) mod tests {
         assert_eq!(pairs, vec![(5, 5), (6, 6)]);
     }
 
-    /// Never converges: the max-iteration valve must stop it.
-    struct Runaway;
+    /// Never converges: the max-iteration valve (its field) must stop
+    /// it.
+    struct Runaway(usize);
     impl LocalAlgorithm for Runaway {
         type Input = Vec<u32>;
         type Item = u32;
@@ -789,18 +925,25 @@ pub(crate) mod tests {
             false
         }
         fn max_local_iterations(&self) -> usize {
-            17
+            self.0
         }
     }
 
     #[test]
     fn max_local_iterations_caps_runaway() {
-        let mapper = EagerMapper::new(Runaway);
+        let mapper = EagerMapper::new(Runaway(17));
         let mut ctx = MapContext::default();
         mapper.map(0, &vec![9], &mut ctx);
         let (pairs, meter, _, _) = ctx.finish();
         assert_eq!(meter.local_syncs(), 17);
         assert_eq!(pairs, vec![(0, 17)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "LocalAlgorithm::max_local_iterations is 0 (task 4)")]
+    fn a_zero_local_iteration_cap_is_refused() {
+        // Not a gmap that runs no pass and emits its initial state.
+        EagerMapper::new(Runaway(0)).map(4, &vec![9], &mut MapContext::default());
     }
 
     /// Pass `p` emits `self.0[p]` records — keys `0, 1, 2 …`, each with
@@ -900,6 +1043,102 @@ pub(crate) mod tests {
         let (pairs, local) = Stretch::run(&[0, 0, 2, 2]);
         assert_eq!(pairs, vec![(0, 4), (1, 4), (Stretch::CLOCK, 4)]);
         assert_eq!(local, PlanUse { hits: 1, misses: 3, recorded: 3 });
+    }
+
+    /// Item `k` emits key `k` with its state value + 1, keyed or — when
+    /// `declare` — as a value under the declared keys (the items
+    /// themselves); `lreduce` sums each group. Three passes, never
+    /// converged.
+    struct Echo {
+        declare: bool,
+    }
+
+    impl Echo {
+        /// Runs one map call per input in turn on one task, each
+        /// starting from the plan the last one left: every call's pairs
+        /// and plan use.
+        fn run(declare: bool, inputs: &[&[u32]]) -> Vec<(Vec<(u32, u64)>, PlanUse)> {
+            let mut plan = LocalPlan::default();
+            let mut calls = Vec::new();
+            for input in inputs {
+                let mut ctx = MapContext::default();
+                ctx.local_plan = plan;
+                EagerMapper::new(Echo { declare }).map(0, &input.to_vec(), &mut ctx);
+                plan = std::mem::take(&mut ctx.local_plan);
+                let local_use = ctx.local_use;
+                calls.push((ctx.finish().0, local_use));
+            }
+            calls
+        }
+    }
+
+    impl LocalAlgorithm for Echo {
+        type Input = Vec<u32>;
+        type Item = u32;
+        type Key = u32;
+        type Value = u64;
+        fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
+            input
+        }
+        fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(u32, u64)> {
+            input.iter().map(|&k| (k, u64::from(k))).collect()
+        }
+        fn emission_keys(&self, _t: usize, input: &Vec<u32>) -> Option<Vec<u32>> {
+            self.declare.then(|| input.clone())
+        }
+        fn lmap(
+            &self,
+            _t: usize,
+            _i: &Self::Input,
+            item: &u32,
+            state: &LocalState<u32, u64>,
+            ctx: &mut LocalMapContext<u32, u64>,
+        ) {
+            let value = state[item] + 1;
+            if self.declare {
+                ctx.emit_value(value);
+            } else {
+                ctx.emit_local_intermediate(*item, value);
+            }
+        }
+        fn lreduce(
+            &self,
+            _t: usize,
+            _i: &Self::Input,
+            key: &u32,
+            values: &[u64],
+            ctx: &mut LocalReduceContext<u32, u64>,
+        ) {
+            ctx.emit_local(*key, values.iter().sum());
+        }
+        fn locally_converged(
+            &self,
+            _old: &LocalState<u32, u64>,
+            _new: &LocalState<u32, u64>,
+        ) -> bool {
+            false
+        }
+        fn max_local_iterations(&self) -> usize {
+            3
+        }
+    }
+
+    #[test]
+    fn a_declared_task_counts_its_plan_as_the_keyed_task_does() {
+        // First sight records, then hits; the kept plan is a hit from
+        // the first pass; another sequence re-records; an empty one is
+        // no plan, pass after pass; and back.
+        let inputs: [&[u32]; 5] = [&[3, 1, 3, 2], &[3, 1, 3, 2], &[1, 2], &[], &[1, 2]];
+        let declared = Echo::run(true, &inputs);
+        assert_eq!(declared, Echo::run(false, &inputs));
+        let uses: Vec<PlanUse> = declared.iter().map(|call| call.1).collect();
+        let (recorded, hit, empty) = (
+            PlanUse { hits: 2, misses: 1, recorded: 1 },
+            PlanUse { hits: 3, misses: 0, recorded: 0 },
+            PlanUse { hits: 0, misses: 3, recorded: 3 },
+        );
+        assert_eq!(uses, [recorded, hit, recorded, empty, recorded]);
+        assert_eq!(declared[0].0, vec![(1, 4), (2, 5), (3, 38)]);
     }
 
     /// post_lreduce carries forward entries lreduce never saw.

@@ -326,6 +326,12 @@ trait Spec: Send + Sync {
     fn converged(&self, old: &[(Self::Key, Self::Value)], new: &[(Self::Key, Self::Value)])
         -> bool;
     fn max_passes(&self) -> usize;
+    /// The keys every `lmap` pass over `xs` emits, in order, when they
+    /// depend on `xs` alone.
+    fn keys(&self, xs: &[Self::Item]) -> Option<Vec<Self::Key>> {
+        let _ = xs;
+        None
+    }
 }
 
 /// What a gmap produced and what it metered.
@@ -380,8 +386,9 @@ fn oracle_gmap<S: Spec>(spec: &S, xs: &[S::Item]) -> Outcome<S::Key, S::Value> {
     Outcome { pairs: state.into_iter().collect(), ops, local_syncs, input_bytes }
 }
 
-/// A [`Spec`] as a [`LocalAlgorithm`].
-struct Framework<S>(S);
+/// A [`Spec`] as a [`LocalAlgorithm`]: keyed, or — with `.1` set —
+/// declaring [`Spec::keys`] and emitting values only.
+struct Framework<S>(S, bool);
 
 impl<S: Spec> LocalAlgorithm for Framework<S> {
     type Input = Vec<S::Item>;
@@ -395,6 +402,13 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
     fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(S::Key, S::Value)> {
         self.0.init(input)
     }
+    fn emission_keys(&self, _t: usize, input: &Self::Input) -> Option<Vec<S::Key>> {
+        if self.1 {
+            self.0.keys(input)
+        } else {
+            None
+        }
+    }
     fn lmap(
         &self,
         _t: usize,
@@ -403,9 +417,12 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
         state: &LocalState<S::Key, S::Value>,
         ctx: &mut LocalMapContext<S::Key, S::Value>,
     ) {
-        let ops = self
-            .0
-            .lmap(item, &|k| state.get(k).cloned(), &mut |k, v| ctx.emit_local_intermediate(k, v));
+        let get = |k: &S::Key| state.get(k).cloned();
+        let ops = if self.1 {
+            self.0.lmap(item, &get, &mut |_, v| ctx.emit_value(v))
+        } else {
+            self.0.lmap(item, &get, &mut |k, v| ctx.emit_local_intermediate(k, v))
+        };
         ctx.add_ops(ops);
     }
     fn lreduce(
@@ -450,8 +467,12 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
 }
 
 fn framework_gmap<S: Spec>(spec: S, xs: Vec<S::Item>) -> Outcome<S::Key, S::Value> {
+    run_gmap(Framework(spec, false), xs)
+}
+
+fn run_gmap<S: Spec>(algo: Framework<S>, xs: Vec<S::Item>) -> Outcome<S::Key, S::Value> {
     let mut ctx = MapContext::default();
-    EagerMapper::new(Framework(spec)).map(0, &xs, &mut ctx);
+    EagerMapper::new(algo).map(0, &xs, &mut ctx);
     let (pairs, meter, _, _) = ctx.finish();
     Outcome {
         pairs,
@@ -911,5 +932,254 @@ proptest! {
         prop_assert!(unwound.is_err(), "the second pass panics");
         let drops = DROPS.with_borrow(Vec::clone);
         prop_assert!(drops.iter().all(|&d| d <= 1), "{:?}", drops);
+    }
+}
+
+// ---------------------------------------------------------------- (d)
+
+/// A graph's local pass: item `(key, targets)` emits its own key (the
+/// keep-alive) and then one record per target, so the keys depend on
+/// the items alone and can be declared. Targets may repeat
+/// (multi-edges), name the item's own key (self-loops) or a key no item
+/// owns, and an item may have none (a sink).
+struct Flow<F>(std::marker::PhantomData<F>);
+
+impl<F: Flavor> Flow<F> {
+    fn new() -> Self {
+        Flow(std::marker::PhantomData)
+    }
+}
+
+impl<F: Flavor> Spec for Flow<F> {
+    type Item = (u32, Vec<u32>);
+    type Key = F::K;
+    type Value = F::V;
+    const CARRY_FORWARD: bool = true;
+
+    fn init(&self, xs: &[(u32, Vec<u32>)]) -> Vec<(F::K, F::V)> {
+        xs.iter().map(|(k, _)| (F::key(*k), F::value(u64::from(*k) * 3 + 1))).collect()
+    }
+    fn lmap(
+        &self,
+        (key, targets): &(u32, Vec<u32>),
+        get: &dyn Fn(&F::K) -> Option<F::V>,
+        emit: &mut dyn FnMut(F::K, F::V),
+    ) -> u64 {
+        let x = get(&F::key(*key)).map_or(0, |v| F::raw(&v));
+        emit(F::key(*key), F::value(x / 2));
+        for &t in targets {
+            emit(F::key(t), F::value(x % 7 + u64::from(t)));
+        }
+        1 + targets.len() as u64
+    }
+    fn lreduce(&self, key: &F::K, values: &[F::V], emit: &mut dyn FnMut(F::K, F::V)) -> u64 {
+        let fold = values.iter().fold(11u64, |h, v| h.wrapping_mul(31).wrapping_add(F::raw(v)));
+        emit(key.clone(), F::value(fold % 1_000));
+        values.len() as u64
+    }
+    fn converged(&self, old: &[(F::K, F::V)], new: &[(F::K, F::V)]) -> bool {
+        old == new
+    }
+    fn max_passes(&self) -> usize {
+        6
+    }
+    fn keys(&self, xs: &[(u32, Vec<u32>)]) -> Option<Vec<F::K>> {
+        let per_item = |(k, ts): &(u32, Vec<u32>)| {
+            std::iter::once(*k).chain(ts.iter().copied()).map(F::key).collect::<Vec<_>>()
+        };
+        Some(xs.iter().flat_map(per_item).collect())
+    }
+}
+
+/// Items over keys `0..24`: repeated, self-looped, multi-edged, sinks
+/// among them; possibly none.
+fn flow_items() -> impl Strategy<Value = Vec<(u32, Vec<u32>)>> {
+    let item = (0u32..24, proptest::collection::vec(0u32..24, 0..5)).prop_map(|(k, mut ts)| {
+        if ts.len() == 3 {
+            ts.push(k); // a self-loop
+        }
+        if ts.len() == 2 {
+            ts.push(ts[0]); // a multi-edge
+        }
+        (k, ts)
+    });
+    proptest::collection::vec(item, 0..12)
+}
+
+/// Declared, keyed and the oracle over `xs`: all three equal.
+fn assert_declared_equals_keyed<F: Flavor>(xs: &[(u32, Vec<u32>)]) {
+    let oracle = oracle_gmap(&Flow::<F>::new(), xs);
+    assert_eq!(framework_gmap(Flow::<F>::new(), xs.to_vec()), oracle, "keyed");
+    assert_eq!(run_gmap(Framework(Flow::<F>::new(), true), xs.to_vec()), oracle, "declared");
+}
+
+/// Sums each group: the global reduce of the engine-level comparison.
+struct Sum;
+
+impl Reducer for Sum {
+    type Key = u32;
+    type ValueIn = u64;
+    type Out = u64;
+    fn reduce(&self, key: &u32, values: &[u64], ctx: &mut ReduceContext<u32, u64>) {
+        ctx.emit(*key, values.iter().sum());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn declared_passes_equal_keyed_passes_and_the_oracle(xs in flow_items()) {
+        assert_declared_equals_keyed::<Plain>(&xs);
+        assert_declared_equals_keyed::<Worded>(&xs);
+    }
+
+    /// Every value a declared pass emits goes through a raw slot; each
+    /// one ever made is dropped exactly once.
+    #[test]
+    fn every_declared_value_is_dropped_exactly_once(xs in flow_items()) {
+        DROPS.with_borrow_mut(Vec::clear);
+        assert_declared_equals_keyed::<Tracked>(&xs);
+        let drops = DROPS.with_borrow(Vec::clone);
+        prop_assert!(drops.iter().all(|&d| d == 1), "{:?}", drops);
+    }
+
+    /// Jobs in sequence on one engine, declared and keyed: the same
+    /// pairs, meters and `JobReuse` (the local plan uses included) job
+    /// by job — through a job where task 0 is handed task 1's items (a
+    /// slot whose keys change re-records, never reuses a stale plan)
+    /// and one where it is handed none (an empty plan is no plan).
+    #[test]
+    fn declared_jobs_on_one_engine_equal_keyed_jobs(
+        tasks in proptest::collection::vec(flow_items(), 2..4),
+    ) {
+        let pool = asyncmr_runtime::ThreadPool::new(2);
+        let (mut declared, mut keyed) = (Engine::in_process(&pool), Engine::in_process(&pool));
+        let opts = JobOptions::with_reducers(3);
+        let mut swapped = tasks.clone();
+        swapped[0] = tasks[1].clone();
+        let mut emptied = tasks.clone();
+        emptied[0].clear();
+        for inputs in [&tasks, &tasks, &swapped, &emptied, &tasks, &tasks] {
+            let d = declared.run("d", inputs, &EagerMapper::new(Framework(Flow::<Plain>::new(), true)), &Sum, &opts);
+            let k = keyed.run("k", inputs, &EagerMapper::new(Framework(Flow::<Plain>::new(), false)), &Sum, &opts);
+            prop_assert_eq!(&d.pairs, &k.pairs);
+            prop_assert_eq!(d.meter, k.meter);
+            prop_assert_eq!(d.reuse, k.reuse);
+            prop_assert_eq!(d.reuse.local.hits + d.reuse.local.misses, d.meter.local_syncs);
+        }
+    }
+}
+
+/// How a [`Liar`] breaks its declaration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Lie {
+    /// One value more than declared keys.
+    Extra,
+    /// One value fewer.
+    Missing,
+    /// A keyed emission in a declared pass.
+    Keyed,
+    /// Declares nothing, emits keyed — and then one value.
+    Undeclared,
+}
+
+/// Declares keys `0..records` and then its clock (the pass counter,
+/// [`Liar::CLOCK`]), emits a [`Tracked`] value per key, and breaks the
+/// declaration in pass `at` as `lie` says.
+struct Liar {
+    records: u32,
+    lie: Lie,
+    at: u64,
+}
+
+impl Liar {
+    const CLOCK: u32 = 9_000;
+}
+
+impl LocalAlgorithm for Liar {
+    type Input = Vec<u32>;
+    type Item = u32;
+    type Key = u32;
+    type Value = Tracked;
+
+    fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
+        input
+    }
+    fn init_state(&self, _t: usize, _input: &Vec<u32>) -> Vec<(u32, Tracked)> {
+        vec![(Self::CLOCK, Tracked::new(0))]
+    }
+    fn emission_keys(&self, _t: usize, input: &Vec<u32>) -> Option<Vec<u32>> {
+        let keys = input.iter().map(|&j| if j == self.records { Self::CLOCK } else { j });
+        (self.lie != Lie::Undeclared).then(|| keys.collect())
+    }
+    fn lmap(
+        &self,
+        _t: usize,
+        _input: &Vec<u32>,
+        &j: &u32,
+        state: &LocalState<u32, Tracked>,
+        ctx: &mut LocalMapContext<u32, Tracked>,
+    ) {
+        let pass = state[&Self::CLOCK].x;
+        let (key, value) = if j == self.records { (Self::CLOCK, pass + 1) } else { (j, 7) };
+        match (self.lie, pass == self.at) {
+            (Lie::Extra, true) if j == 0 => {
+                ctx.emit_value(Tracked::new(value));
+                ctx.emit_value(Tracked::new(value));
+            }
+            (Lie::Missing, true) if j == 0 => {}
+            (Lie::Keyed, true) if j == 0 => ctx.emit_local_intermediate(key, Tracked::new(value)),
+            (Lie::Undeclared, false) => ctx.emit_local_intermediate(key, Tracked::new(value)),
+            _ => ctx.emit_value(Tracked::new(value)),
+        }
+    }
+    fn lreduce(
+        &self,
+        _t: usize,
+        _input: &Vec<u32>,
+        key: &u32,
+        values: &[Tracked],
+        ctx: &mut LocalReduceContext<u32, Tracked>,
+    ) {
+        ctx.emit_local(*key, values[0].clone());
+    }
+    fn locally_converged(
+        &self,
+        _old: &LocalState<u32, Tracked>,
+        _new: &LocalState<u32, Tracked>,
+    ) -> bool {
+        false
+    }
+    fn max_local_iterations(&self) -> usize {
+        self.at as usize + 2
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every way to break a declaration panics, in every build, naming
+    /// the task and the pass — and no value is dropped twice.
+    #[test]
+    fn a_broken_declaration_panics_naming_its_task_and_pass(
+        records in 1u32..20,
+        at in 0u64..4,
+        task in 0usize..9,
+    ) {
+        for lie in [Lie::Extra, Lie::Missing, Lie::Keyed, Lie::Undeclared] {
+            DROPS.with_borrow_mut(Vec::clear);
+            let input: Vec<u32> = (0..=records).collect();
+            let mapper = EagerMapper::new(Liar { records, lie, at });
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                mapper.map(task, &input, &mut MapContext::default())
+            }));
+            let payload = unwound.expect_err("a broken declaration panics");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            let named = format!("task {task}, pass {at}:");
+            prop_assert!(message.contains(&named), "{:?}: {}", lie, message);
+            let drops = DROPS.with_borrow(Vec::clone);
+            prop_assert!(drops.iter().all(|&d| d <= 1), "{:?}: {:?}", lie, drops);
+        }
     }
 }
