@@ -226,9 +226,9 @@ mod tests {
 
     /// K-Means is the workload whose shuffle keys (the assigned cluster
     /// ids) change from one job to the next, so the engine's remembered
-    /// route and group plans are recorded, go stale, are dropped and
-    /// back off to the unplanned shuffle — and none of it may show. Every number below was captured at the
-    /// commit before the engine remembered anything. The first run is
+    /// route and group plans are recorded, go stale and are recorded
+    /// again — and none of it may show. Every number below was captured
+    /// at the commit before the engine remembered anything. The first run is
     /// the application as shipped (combiner on: post-combine keys
     /// barely move); the second drives the same mapper and reducer
     /// without the combiner, one emitted key per point, so the key

@@ -1,4 +1,4 @@
-//! Emitters and task contexts — the paper's data-flow functions.
+//! Task contexts — the paper's data-flow functions.
 //!
 //! `EmitIntermediate` / `Emit` become methods on the map/reduce task
 //! contexts. Every emission is metered (records + approximate bytes) so
@@ -9,50 +9,6 @@ use crate::engine::PlanUse;
 use crate::kv::{Key, Value};
 use crate::local::LocalPlan;
 use crate::shuffle::{Bucket, PlanOutcome, RoutePlan, RouteSink};
-
-/// A metered sink of `(key, value)` pairs.
-#[derive(Debug)]
-pub struct Emitter<K, V> {
-    pairs: Vec<(K, V)>,
-    bytes: u64,
-}
-
-impl<K: Key, V: Value> Default for Emitter<K, V> {
-    fn default() -> Self {
-        Emitter { pairs: Vec::new(), bytes: 0 }
-    }
-}
-
-impl<K: Key, V: Value> Emitter<K, V> {
-    /// Emits one pair.
-    #[inline]
-    pub fn emit(&mut self, key: K, value: V) {
-        self.bytes += key.approx_bytes() + value.approx_bytes();
-        self.pairs.push((key, value));
-    }
-
-    /// Number of pairs emitted.
-    #[inline]
-    pub fn records(&self) -> u64 {
-        self.pairs.len() as u64
-    }
-
-    /// Approximate serialized bytes emitted.
-    #[inline]
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Consumes the emitter, yielding the pairs.
-    pub fn into_pairs(self) -> Vec<(K, V)> {
-        self.pairs
-    }
-
-    /// Borrowed view of the pairs.
-    pub fn pairs(&self) -> &[(K, V)] {
-        &self.pairs
-    }
-}
 
 /// Abstract-operation + volume counters for one task attempt.
 ///
@@ -216,7 +172,10 @@ impl<K: Key, V: Value> MapContext<K, V> {
 /// `Emit` plus metering.
 #[derive(Debug)]
 pub struct ReduceContext<K, O> {
-    emitter: Emitter<K, O>,
+    /// The task's output, in emission order.
+    pairs: Vec<(K, O)>,
+    /// Approximate serialized bytes emitted.
+    bytes: u64,
     /// Work/volume counters for this reduce task.
     pub meter: TaskMeter,
 }
@@ -232,14 +191,14 @@ impl<K: Key, O: Value> ReduceContext<K, O> {
     /// emissions (the engine passes the partition's remembered group
     /// count — what a reducer that emits once per key will fill).
     pub(crate) fn with_capacity(records: usize) -> Self {
-        let emitter = Emitter { pairs: Vec::with_capacity(records), bytes: 0 };
-        ReduceContext { emitter, meter: TaskMeter::default() }
+        ReduceContext { pairs: Vec::with_capacity(records), bytes: 0, meter: TaskMeter::default() }
     }
 
     /// The paper's `Emit(key, value)` — final job output.
     #[inline]
     pub fn emit(&mut self, key: K, value: O) {
-        self.emitter.emit(key, value);
+        self.bytes += key.approx_bytes() + value.approx_bytes();
+        self.pairs.push((key, value));
     }
 
     /// Shorthand for `self.meter.add_ops(n)`.
@@ -248,26 +207,16 @@ impl<K: Key, O: Value> ReduceContext<K, O> {
         self.meter.add_ops(n);
     }
 
+    /// Consumes the context: `(pairs, meter, records, bytes)`.
     pub(crate) fn finish(self) -> (Vec<(K, O)>, TaskMeter, u64, u64) {
-        let records = self.emitter.records();
-        let bytes = self.emitter.bytes();
-        (self.emitter.into_pairs(), self.meter, records, bytes)
+        let records = self.pairs.len() as u64;
+        (self.pairs, self.meter, records, self.bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn emitter_meters_bytes_and_records() {
-        let mut e: Emitter<u32, f64> = Emitter::default();
-        e.emit(1, 0.5);
-        e.emit(2, 1.5);
-        assert_eq!(e.records(), 2);
-        assert_eq!(e.bytes(), 2 * (4 + 8));
-        assert_eq!(e.into_pairs(), vec![(1, 0.5), (2, 1.5)]);
-    }
 
     #[test]
     fn map_context_finish_reports_meter() {
@@ -281,6 +230,17 @@ mod tests {
         assert_eq!(meter.input_bytes(), 456);
         assert_eq!(records, 1);
         assert_eq!(bytes, 12);
+    }
+
+    #[test]
+    fn emitter_meters_bytes_and_records() {
+        let mut ctx: ReduceContext<u32, f64> = ReduceContext::default();
+        ctx.emit(1, 0.5);
+        ctx.emit(2, 1.5);
+        let (pairs, _, records, bytes) = ctx.finish();
+        assert_eq!(records, 2);
+        assert_eq!(bytes, 2 * (4 + 8));
+        assert_eq!(pairs, vec![(1, 0.5), (2, 1.5)]);
     }
 
     #[test]

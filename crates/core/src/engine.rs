@@ -34,9 +34,9 @@
 //! again — every iteration of a graph algorithm — verifies that, key by
 //! key as the keys are emitted, and then places each value once on the
 //! map side and once on the reduce side instead of hashing, moving and
-//! sorting pairs; a job that does not runs the unplanned shuffle, and
-//! pays for a new plan only when one looks worth recording. Step 1 keeps, the same
-//! way, what the local syncs of a [`crate::EagerMapper`] task learned
+//! sorting pairs; a task whose keys do not repeat records a new plan,
+//! for the next job of the same shape. Step 1 keeps, the same way, what
+//! the local syncs of a [`crate::EagerMapper`] task learned
 //! (see [`crate::local`]), so only a task's first job sorts anything.
 //! [`JobResult::reuse`] says which it was. The plans are all an engine
 //! carries from job to job; dropping the engine releases them.
@@ -164,24 +164,20 @@ pub struct JobMeter {
 pub struct PlanUse {
     /// Tasks whose input repeated the remembered key sequence.
     pub hits: u64,
-    /// Tasks whose input did not (first sight, or the keys changed).
+    /// Tasks whose input did not (first sight, or the keys changed),
+    /// each of which recorded a new plan.
     pub misses: u64,
-    /// The misses that recorded a new plan — one key clone per record;
-    /// the others ran the unplanned shuffle and cloned nothing.
-    pub recorded: u64,
 }
 
 impl PlanUse {
     pub(crate) fn count(&mut self, planned: PlanOutcome) {
         self.hits += u64::from(planned == PlanOutcome::Hit);
-        self.misses += u64::from(planned != PlanOutcome::Hit);
-        self.recorded += u64::from(planned == PlanOutcome::Recorded);
+        self.misses += u64::from(planned == PlanOutcome::Recorded);
     }
 
     pub(crate) fn add(&mut self, other: PlanUse) {
         self.hits += other.hits;
         self.misses += other.misses;
-        self.recorded += other.recorded;
     }
 }
 
@@ -190,10 +186,11 @@ impl PlanUse {
 /// Reported *beside* [`JobMeter`], never inside it: the meter describes
 /// the job and is identical under every grouping strategy and the
 /// oracle; these counts describe the engine's memory and are not
-/// (the oracle reuses nothing and reports all zeros). In the steady
-/// state of an iterative driver — from its third job of a shape on —
-/// both shuffle `misses` are 0, and from the second on so are
-/// `local.misses` when the tasks' keys repeat.
+/// (the oracle reuses nothing and reports all zeros). Every miss
+/// records a plan, so on a fresh engine the first job of a shape misses
+/// every plan and, while the tasks' keys repeat, every later one hits
+/// them all: from the second job on, the shuffle's and the local syncs'
+/// `misses` are 0 and `group_by_identity` equals `group.hits`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobReuse {
     /// Map tasks' [`crate::shuffle::RoutePlan`]s (none are consulted
@@ -209,8 +206,8 @@ pub struct JobReuse {
     /// Local syncs of [`crate::EagerMapper`] tasks, summed over the map
     /// tasks: passes that ran on the task's remembered plan (`hits`)
     /// and passes that fell off it or had none, each of which records
-    /// its own (`misses` = `recorded`). The plan outlives the job, so a
-    /// task whose keys repeat records in its first job only.
+    /// its own (`misses`). The plan outlives the job, so a task whose
+    /// keys repeat records in its first job only.
     pub local: PlanUse,
 }
 
@@ -625,19 +622,18 @@ mod tests {
         let jobs: Vec<JobReuse> = (0..5)
             .map(|_| engine.run("same", &inputs, &SquareMapper, &SumReducer, &opts).reuse)
             .collect();
-        // First sight runs unplanned, the second records, then hits.
-        let missed = |n, recorded| PlanUse { hits: 0, misses: n, recorded };
-        assert_eq!((jobs[0].route, jobs[0].group), (missed(8, 0), missed(populated, 0)));
-        assert_eq!((jobs[1].route, jobs[1].group), (missed(8, 8), missed(populated, populated)));
-        for job in &jobs[2..] {
-            let hit = |hits| PlanUse { hits, ..PlanUse::default() };
+        // First sight records every plan, then every job hits.
+        let missed = |misses| PlanUse { hits: 0, misses };
+        assert_eq!((jobs[0].route, jobs[0].group), (missed(8), missed(populated)));
+        for job in &jobs[1..] {
+            let hit = |hits| PlanUse { hits, misses: 0 };
             assert_eq!((job.route, job.group), (hit(8), hit(populated)));
         }
-        // From the third job on every reduce partition knows its
+        // From the second job on every reduce partition knows its
         // input by the key handles it carries; before that there is
         // nothing to recognise.
         let by_identity: Vec<u64> = jobs.iter().map(|job| job.group_by_identity).collect();
-        assert_eq!(by_identity, [0, 0, populated, populated, populated]);
+        assert_eq!(by_identity, [0, populated, populated, populated, populated]);
         let recorded: Vec<JobReuse> = engine.history().iter().map(|r| r.reuse).collect();
         assert_eq!(recorded, jobs);
         assert!(jobs.iter().all(|job| job.local == PlanUse::default()), "no local syncs");
@@ -648,10 +644,10 @@ mod tests {
         let local: Vec<PlanUse> = (0..3)
             .map(|_| engine.run("eager", &targets(), &eager(), &First, &eager_opts).reuse.local)
             .collect();
-        assert_eq!((local[0].misses, local[0].recorded), (4, 4), "one recording per task");
+        assert_eq!(local[0].misses, 4, "one recording per task");
         assert!(local[0].hits > 4 * 20, "{local:?}");
         for job in &local[1..] {
-            assert_eq!((job.misses, job.recorded), (0, 0), "{local:?}");
+            assert_eq!(job.misses, 0, "{local:?}");
             assert_eq!(job.hits, local[0].hits + 4, "the first passes are hits now");
         }
         assert_eq!(engine.history().last().expect("jobs ran").reuse.local, local[2]);
@@ -661,11 +657,60 @@ mod tests {
         assert_eq!(out.reuse, JobReuse::default(), "the oracle reports no reuse");
     }
 
+    /// Emits `(x % 10 + 10 * salt, x)`: keys no other salt emits.
+    struct Salted(u32);
+    impl Mapper for Salted {
+        type Input = Vec<u32>;
+        type Key = u32;
+        type Value = u64;
+        fn map(&self, _t: usize, input: &Vec<u32>, ctx: &mut MapContext<u32, u64>) {
+            for &x in input {
+                ctx.emit_intermediate(x % 10 + 10 * self.0, u64::from(x));
+            }
+        }
+    }
+
+    #[test]
+    fn every_miss_records_so_a_repeated_shape_misses_in_its_first_job_only() {
+        // One engine, one oracle: each job's pairs and meter must be the
+        // oracle's (which counts every partition as a reduce task).
+        let pool = ThreadPool::new(2);
+        let (inputs, opts) = (splits(), JobOptions::with_reducers(4));
+        let mut engine = Engine::in_process(&pool);
+        let mut job = |mapper: &Salted| {
+            let want =
+                Engine::with_reference_shuffle(&pool).run("o", &inputs, mapper, &SumReducer, &opts);
+            let got = engine.run("s", &inputs, mapper, &SumReducer, &opts);
+            assert_eq!(got.pairs, want.pairs, "staged vs oracle");
+            let every_partition = JobMeter { reduce_tasks: want.meter.reduce_tasks, ..got.meter };
+            assert_eq!(every_partition, want.meter, "meter vs oracle");
+            (got.reuse, got.meter.reduce_tasks as u64)
+        };
+        // A repeated shape on a fresh engine: job 1 misses and records
+        // every route and group plan; from job 2 on every plan hits and
+        // every reduce input is known by identity.
+        for n in 0..4 {
+            let (reuse, reduce_tasks) = job(&Salted(0));
+            let (route, group) =
+                if n == 0 { ((0, 8), (0, reduce_tasks)) } else { ((8, 0), (reduce_tasks, 0)) };
+            assert_eq!((reuse.route.hits, reuse.route.misses), route, "job {n}");
+            assert_eq!((reuse.group.hits, reuse.group.misses), group, "job {n}");
+            assert_eq!(reuse.group_by_identity, reuse.group.hits, "job {n}");
+        }
+        // Keys that change every job: every plan misses and records,
+        // every job, and nothing else changes.
+        for salt in 1..5 {
+            let (reuse, reduce_tasks) = job(&Salted(salt));
+            assert_eq!((reuse.route.hits, reuse.route.misses), (0, 8), "salt {salt}");
+            assert_eq!((reuse.group.hits, reuse.group.misses), (0, reduce_tasks), "salt {salt}");
+        }
+    }
+
     #[test]
     fn a_one_partition_job_records_its_group_plan_once() {
         // A single partition consults no route plan; its group plan is
-        // unplanned on first sight, recorded by the second job and hit
-        // from then on. The oracle reuses nothing at all.
+        // recorded on first sight and hit from then on. The oracle
+        // reuses nothing at all.
         let pool = ThreadPool::new(2);
         let inputs = splits();
         let opts = JobOptions::with_reducers(1);
@@ -673,8 +718,8 @@ mod tests {
         for job in 0..4 {
             let reuse = engine.run("one", &inputs, &SquareMapper, &SumReducer, &opts).reuse;
             assert_eq!(reuse.route, PlanUse::default(), "job {job}");
-            assert_eq!(reuse.group.hits, u64::from(job > 1));
-            assert_eq!(reuse.group.recorded, u64::from(job == 1));
+            let group = PlanUse { hits: u64::from(job > 0), misses: u64::from(job == 0) };
+            assert_eq!(reuse.group, group, "job {job}");
         }
         let mut oracle = Engine::with_reference_shuffle(&pool);
         let out = oracle.run("o", &inputs, &SquareMapper, &SumReducer, &JobOptions::default());

@@ -97,7 +97,7 @@ pub mod traits;
 
 pub use asyncmr_model::{AttemptFailurePlan, NodeFailurePlan};
 pub use driver::{FixedPointDriver, IterationReport, StepStatus};
-pub use emitter::{Emitter, MapContext, ReduceContext, TaskMeter};
+pub use emitter::{MapContext, ReduceContext, TaskMeter};
 pub use engine::{Engine, JobMeter, JobOptions, JobResult, JobReuse, PlanUse};
 pub use kv::{Key, Meterable, Value};
 pub use local::{EagerMapper, LocalAlgorithm, LocalMapContext, LocalReduceContext, LocalState};

@@ -1026,14 +1026,14 @@ pub(crate) mod tests {
         // of the pass, before any slot is read), hit on the new plan.
         let (pairs, local) = Stretch::run(&[3, 3, 2, 2]);
         assert_eq!(pairs, vec![(0, 4), (1, 4), (Stretch::CLOCK, 4)]);
-        assert_eq!(local, PlanUse { hits: 2, misses: 2, recorded: 2 });
+        assert_eq!(local, PlanUse { hits: 2, misses: 2 });
     }
 
     #[test]
     fn a_pass_that_runs_past_the_plan_falls_back_at_the_first_excess_record() {
         let (pairs, local) = Stretch::run(&[2, 3, 3]);
         assert_eq!(pairs, vec![(0, 3), (1, 3), (2, 3), (Stretch::CLOCK, 3)]);
-        assert_eq!(local, PlanUse { hits: 1, misses: 2, recorded: 2 });
+        assert_eq!(local, PlanUse { hits: 1, misses: 2 });
     }
 
     #[test]
@@ -1042,7 +1042,7 @@ pub(crate) mod tests {
         // sequence and is still not a hit: there is no plan to be on.
         let (pairs, local) = Stretch::run(&[0, 0, 2, 2]);
         assert_eq!(pairs, vec![(0, 4), (1, 4), (Stretch::CLOCK, 4)]);
-        assert_eq!(local, PlanUse { hits: 1, misses: 3, recorded: 3 });
+        assert_eq!(local, PlanUse { hits: 1, misses: 3 });
     }
 
     /// Item `k` emits key `k` with its state value + 1, keyed or — when
@@ -1133,9 +1133,9 @@ pub(crate) mod tests {
         assert_eq!(declared, Echo::run(false, &inputs));
         let uses: Vec<PlanUse> = declared.iter().map(|call| call.1).collect();
         let (recorded, hit, empty) = (
-            PlanUse { hits: 2, misses: 1, recorded: 1 },
-            PlanUse { hits: 3, misses: 0, recorded: 0 },
-            PlanUse { hits: 0, misses: 3, recorded: 3 },
+            PlanUse { hits: 2, misses: 1 },
+            PlanUse { hits: 3, misses: 0 },
+            PlanUse { hits: 0, misses: 3 },
         );
         assert_eq!(uses, [recorded, hit, recorded, empty, recorded]);
         assert_eq!(declared[0].0, vec![(1, 4), (2, 5), (3, 38)]);

@@ -11,9 +11,9 @@
 //!   back, and while the task emits the key sequence it emitted last
 //!   job (verified key by key at the point of emission, every job)
 //!   each value goes straight onto its reduce bucket, bare — no pair
-//!   is buffered, nothing is hashed; a task that leaves its plan is
-//!   buffered and routed by [`shuffle::route`] as ever, and a new plan
-//!   is recorded only when one looks worth it (see [`crate::shuffle`]).
+//!   is buffered, nothing is hashed; a task that leaves its plan, or
+//!   has none, is buffered and records a new plan from its pairs (see
+//!   [`crate::shuffle`]).
 //!   The context carries the task's local-sync plan the same way, so a
 //!   [`crate::EagerMapper`] task starts on the key sequence its local
 //!   syncs verified last job;
@@ -34,9 +34,9 @@
 //!   key; on a hit the values scatter from the buckets straight to
 //!   their slots and the reducer walks the recorded group boundaries —
 //!   no concatenation, no hash map, no sort, no key moved or compared;
-//!   on a miss the job's [`GroupingStrategy`] groups them unplanned, or
-//!   records a new plan, under the same backoff), and the user's
-//!   reduce calls, over a [`ShuffleScratch`] of the task's own. The
+//!   on a miss a new plan is recorded the way the job's
+//!   [`GroupingStrategy`] names and the values scatter through it), and
+//!   the user's reduce calls. The
 //!   plans live in the engine's [`PlanStore`], the only thing a job
 //!   hands on to the next: the hundreds of jobs a
 //!   [`crate::FixedPointDriver`] run issues share key sequences, not
@@ -71,7 +71,7 @@ use crate::engine::{JobMeter, JobOptions, JobReuse, PlanUse};
 use crate::kv::{Key, Meterable, Value};
 use crate::local::LocalPlan;
 use crate::shuffle::{
-    self, Bucket, GroupPlan, GroupView, GroupingStrategy, PlanOutcome, RoutePlan, ShuffleScratch,
+    self, Bucket, GroupPlan, GroupView, GroupingStrategy, PlanOutcome, RoutePlan,
 };
 use crate::traits::{Combiner, Mapper, Reducer};
 
@@ -131,8 +131,8 @@ impl StageTimings {
 /// every plan is verified against its input on every use
 /// ([`shuffle::RouteSink::emit`], [`shuffle::group_planned`],
 /// [`crate::LocalMapContext::emit_local_intermediate`]), so that costs
-/// recordings — fewer and fewer for the shuffle's plans, whose slots
-/// back off to the unplanned shuffle — never results.
+/// a recording per use — every plan records on every miss — never
+/// results.
 ///
 /// A slot holds what its task recorded — a map task's key sequence
 /// with one `u32` a record (≈ 8 B a record for `u32` keys; the
@@ -340,7 +340,7 @@ fn transpose<K, V>(mut routed: Vec<Buckets<K, V>>, reducers: usize) -> ReduceInp
 
 /// Runs one reduce task: groups the partition's buckets through the
 /// partition's remembered [`GroupPlan`] and applies the user's reduce
-/// function per key, over a fresh [`ShuffleScratch`].
+/// function per key.
 fn reduce_task<R: Reducer>(
     reducer: &R,
     grouping: GroupingStrategy,
@@ -349,12 +349,11 @@ fn reduce_task<R: Reducer>(
     plans: &PlanStore,
 ) -> ReduceOut<R::Key, R::Out> {
     let in_records = buckets.iter().map(|b| b.len() as u64).sum();
-    let mut scratch = ShuffleScratch::default();
     let groups = plans.peek(partition, GroupPlan::<R::Key>::groups).unwrap_or(0);
     let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::with_capacity(groups);
     let planned = plans.with(partition, |plan: &mut GroupPlan<R::Key>| {
         let reduce = |g: GroupView<'_, _, _>| reducer.reduce(g.key, g.values, &mut ctx);
-        shuffle::group_planned(buckets, grouping, plan, &mut scratch, reduce)
+        shuffle::group_planned(buckets, grouping, plan, reduce)
     });
     let (pairs, meter, out_records, out_bytes) = ctx.finish();
     ReduceOut { pairs, ops: meter.ops(), in_records, out_records, out_bytes, planned }
@@ -679,10 +678,10 @@ mod tests {
             })
         };
         assert_eq!(store.peek(3, RoutePlan::<u32>::records), None, "peek files nothing");
-        for want in [PlanOutcome::Unplanned, PlanOutcome::Recorded, PlanOutcome::Hit] {
+        for want in [PlanOutcome::Recorded, PlanOutcome::Hit, PlanOutcome::Hit] {
             assert_eq!(route(3, vec![(1, 9), (2, 9)]), want, "slot 3 remembers");
         }
-        assert_eq!(route(4, vec![(1, 0)]), PlanOutcome::Unplanned, "slot 4 is another task's");
+        assert_eq!(route(4, vec![(1, 0)]), PlanOutcome::Recorded, "slot 4 is another task's");
         assert_eq!(store.peek(3, RoutePlan::<u32>::records), Some(2));
         assert_eq!(store.peek(4, RoutePlan::<u32>::records), Some(1));
         // Same slot number, other plan types: separate files.

@@ -21,9 +21,10 @@
 //!   digested; on equality the *bare value* is pushed onto its
 //!   partition's exactly-sized bucket and the emitted key is dropped.
 //!   No pair is buffered, nothing is hashed, no key moves.
-//! * A [`Bucket`] therefore reaches the reduce side either as owned
-//!   pairs (the task ran off plan) or as values beside the handle on
-//!   the key sequence they were verified against.
+//! * A [`Bucket`] therefore reaches the reduce side as values beside
+//!   the handle on the key sequence they were verified against (or
+//!   recorded with), or — in a job with a single partition, which
+//!   consults no route plan — as owned pairs.
 //! * A [`GroupPlan`] keeps one reduce input's key sequence — as those
 //!   very handles — with each record's slot in the grouped values and
 //!   the group boundaries. [`group_planned`] **recognises** its input
@@ -36,43 +37,33 @@
 //!   no hash, no sort, no concatenation, no key compared, moved or
 //!   cloned.
 //!
-//! A miss is only slower, never different: a sink whose task emits a key
-//! the plan does not expect, runs past the plan or stops short of it
-//! hands the verified prefix back as pairs (the plan's keys, cloned;
-//! the values walked back out of their buckets) and routes the task
-//! with [`route`]; a reduce input the plan does not recognise goes
-//! through [`concat_buckets`] and [`Grouped::from_pairs_using`] with the
-//! job's [`GroupingStrategy`] — exactly the code a job with no memory
-//! runs, and the code the engine's oracle shares.
-//!
-//! Remembering has a price — a route plan takes the keys it records, a
-//! group plan clones those it cannot share, and a dropped plan is a
-//! fall-back next job — which a job that never repeats would pay for
-//! nothing, so *recording* is earned (see `Backoff`): a plan sits out
-//! the first input it sees and records the second, and a recorded plan
-//! that fails its next verification is dropped and sits out 1, 2, 4 …
-//! 64 inputs before recording again. So a one-shot job clones nothing,
-//! a job whose keys churn forever (K-Means reassignments) records in at
-//! most one job of 65, and neither is ever wrong. [`PlanOutcome`] says
-//! which of the three happened. The engine keeps the plans per map task
-//! and per reduce partition in its [`crate::plan::PlanStore`]. The
-//! local syncs of a [`crate::local::EagerMapper`] task remember the
-//! same way but earn nothing — a task that loops is about to see its
-//! keys again, so its plan (of a type of its own, in [`crate::local`])
-//! records at once — and the engine files that plan in the same store
-//! between jobs.
+//! A miss is only slower, never different, and it **records**: a sink
+//! whose task emits a key the plan does not expect, runs past the plan,
+//! stops short of it or has none hands the verified prefix back as
+//! pairs (the plan's keys, moved; the values walked back out of their
+//! buckets) and records a new plan from the task's pairs; a reduce input
+//! the plan does not recognise records a new plan the way the job's
+//! [`GroupingStrategy`] names. An iterative driver issues the same job
+//! every global iteration, so a plan that misses is needed again next
+//! job: job 1 of a shape records every plan, and from job 2 on every
+//! reduce input is known by identity. [`PlanOutcome`] says which of the
+//! two happened. The engine keeps the plans per map task and per reduce
+//! partition in its [`crate::plan::PlanStore`]. The local syncs of a
+//! [`crate::local::EagerMapper`] task remember the same way — their plan
+//! is of a type of its own, in [`crate::local`] — and the engine files
+//! that plan in the same store between jobs.
 //!
 //! Grouping implementations:
 //!
-//! * [`Grouped`] — the **unplanned path**: parallel `keys`/`values`
-//!   arrays (keys ascending), with run detection yielding contiguous
-//!   [`GroupView`] slices. No per-key `Vec` allocations, no value
-//!   clones, and all backing buffers are recyclable through
-//!   [`ShuffleScratch`] across the hundreds of jobs an iterative driver
-//!   issues. Its constructors differ only in how the permutation is
-//!   found — a stable sort or a radix scatter
-//!   ([`Grouped::from_pairs_using`]) — and produce byte-identical
-//!   arrays; [`group_planned`] hands its reducer the same groups from a
+//! * [`Grouped`] — the **unplanned** grouping, which the map-side
+//!   combiner ([`combine_local`]) and the ledger's probe run: parallel
+//!   `keys`/`values` arrays (keys ascending), with run detection
+//!   yielding contiguous [`GroupView`] slices. No per-key `Vec`
+//!   allocations, no value clones, and all backing buffers are
+//!   recyclable through [`ShuffleScratch`]. Its one constructor,
+//!   [`Grouped::from_pairs_using`], finds the permutation by a stable
+//!   sort or a radix scatter, byte-identical either way;
+//!   [`group_planned`] hands its reducer the same groups from a
 //!   remembered permutation.
 //! * [`group`] — the original `BTreeMap` formulation, **kept as the
 //!   behavioral reference** for property tests. Both produce
@@ -86,10 +77,10 @@ use crate::kv::{Key, Value};
 
 /// How a grouping permutation is *found* when it has to be computed:
 /// per call by [`Grouped::from_pairs_using`], and by a job's reduce
-/// tasks only when their [`GroupPlan`] does not match (they then group
-/// unplanned, or record a new plan, this way) — a reduce input whose
-/// key sequence repeats is scattered through its remembered plan
-/// whichever member the job names.
+/// tasks only when their [`GroupPlan`] does not match (they then record
+/// a new plan this way) — a reduce input whose key sequence repeats is
+/// scattered through its remembered plan whichever member the job
+/// names.
 ///
 /// Both strategies produce **byte-identical** [`Grouped`] arrays (keys
 /// ascending, values in concatenation order within each key) — pinned
@@ -114,16 +105,15 @@ pub enum GroupingStrategy {
     Radix,
 }
 
-/// Splits one map task's output into per-reducer buckets.
+/// Splits one map task's output into per-reducer buckets: the oracle's
+/// routing, and the reference a [`RouteSink`] is held against.
 ///
 /// Exactly-sized: a counting pass first computes every pair's target
 /// partition, so each bucket is allocated once at its final capacity
-/// (empty buckets allocate nothing) instead of growing through
-/// repeated reallocation — `route` runs once per map task per job, so
-/// iterative drivers hit this thousands of times. With a single
-/// reducer the input vector is returned as-is (pure ownership
-/// transfer). Output is byte-identical to the naive scatter in both
-/// cases: same buckets, same order.
+/// (empty buckets allocate nothing). With a single reducer the input
+/// vector is returned as-is (pure ownership transfer). Output is
+/// byte-identical to the naive scatter in both cases: same buckets,
+/// same order.
 pub fn route<K: Key, V: Value>(pairs: Vec<(K, V)>, reducers: usize) -> Vec<Vec<(K, V)>> {
     assert!(reducers > 0, "need at least one reducer");
     if reducers == 1 {
@@ -159,64 +149,19 @@ pub enum PlanOutcome {
     /// The input repeated the remembered key sequence: records moved to
     /// their remembered places.
     Hit,
-    /// No match, and a new plan was recorded from this input (one key
-    /// clone per record).
+    /// No match (first sight, or the keys changed), and a new plan was
+    /// recorded from this input.
     Recorded,
-    /// No match, and the plan is sitting this input out: the unplanned
-    /// code ran and nothing was cloned.
-    Unplanned,
-}
-
-/// When a plan that does not match its input is worth recording again.
-///
-/// Recording clones every key. A fresh plan therefore sits out its
-/// first input — a one-shot job records nothing — and a recorded plan
-/// that fails its next verification sits out 1, then 2, 4 … up to
-/// [`Backoff::MAX`] inputs before the next recording, so keys that
-/// churn forever cost a recording in at most one job of `MAX + 1`. A
-/// hit resets the series.
-#[derive(Debug)]
-struct Backoff {
-    /// Inputs still to sit out before the next recording.
-    sit_out: u32,
-    /// What `sit_out` becomes when the plan next goes stale.
-    penalty: u32,
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff { sit_out: 1, penalty: 1 }
-    }
-}
-
-impl Backoff {
-    const MAX: u32 = 64;
-
-    fn hit(&mut self) {
-        self.penalty = 1;
-    }
-
-    /// The plan does not match the input (`stale`: a recorded plan was
-    /// just dropped for it). Whether to record a plan from this input;
-    /// otherwise it is sat out.
-    fn record_now(&mut self, stale: bool) -> bool {
-        if stale {
-            self.sit_out = self.penalty;
-            self.penalty = (2 * self.penalty).min(Self::MAX);
-        }
-        let due = self.sit_out == 0;
-        self.sit_out = self.sit_out.saturating_sub(1);
-        due
-    }
 }
 
 /// One map task's records for one reduce partition, in emission order:
 /// what the map side hands the reduce side.
 ///
-/// Either owned pairs — the task ran off plan — or, when every key the
-/// task emitted was verified against its [`RoutePlan`], the **bare
-/// values** beside a shared, immutable handle on the bucket's key
-/// sequence, which the plan holds too. The handle is what lets a reduce
+/// Either owned pairs — a single partition's, which consults no plan —
+/// or the **bare values** beside a shared, immutable handle on the
+/// bucket's key sequence, which the task's [`RoutePlan`] holds too:
+/// every key the task emitted was verified against it, or it was just
+/// recorded from them. The handle is what lets a reduce
 /// partition recognise its input by identity ([`group_planned`]): the
 /// same allocation cannot come to hold other keys while a plan keeps it
 /// alive.
@@ -290,9 +235,9 @@ impl<K: Clone, V> Bucket<K, V> {
 /// never skipped — and split by partition, as the shared handles
 /// (`Arc`) the routed [`Bucket`]s carry to the reduce side and the
 /// [`GroupPlan`]s recorded from them keep. Two `K` and one `u32` per
-/// record. A plan that fails a verification is dropped, and re-recorded
-/// when its `Backoff` allows; a dropped plan's per-partition keys live
-/// until the last group plan sharing them lets go.
+/// record. A plan that fails a verification is dropped and re-recorded
+/// from the same task; a dropped plan's per-partition keys live until
+/// the last group plan sharing them lets go.
 #[derive(Debug)]
 pub struct RoutePlan<K> {
     /// The key sequence the plan was built for, in emission order, each
@@ -302,32 +247,25 @@ pub struct RoutePlan<K> {
     /// its length is the partition count the plan was built for (empty
     /// while nothing is recorded).
     keys: Vec<Arc<[K]>>,
-    backoff: Backoff,
-    /// Records in the last task routed, recorded or not.
+    /// Records in the last task routed, into any number of partitions.
     last_records: usize,
 }
 
 impl<K> Default for RoutePlan<K> {
     fn default() -> Self {
-        RoutePlan {
-            emitted: Vec::new(),
-            keys: Vec::new(),
-            backoff: Backoff::default(),
-            last_records: 0,
-        }
+        RoutePlan { emitted: Vec::new(), keys: Vec::new(), last_records: 0 }
     }
 }
 
 impl<K: Key> RoutePlan<K> {
     /// Records the task this plan belongs to emitted last job (0 before
-    /// the first), planned or not, into any number of partitions: what
-    /// it is expected to emit next.
+    /// the first), into any number of partitions: what it is expected
+    /// to emit next.
     pub fn records(&self) -> usize {
         self.last_records
     }
 
-    /// Drops what was recorded (and its share of the memory); the
-    /// backoff stays.
+    /// Drops what was recorded (and its share of the memory).
     fn forget(&mut self) {
         (self.emitted, self.keys) = (Vec::new(), Vec::new());
     }
@@ -375,10 +313,9 @@ impl<K: Key> RoutePlan<K> {
 /// one that ends short of it takes the sink **off plan**: the verified
 /// prefix comes back out as pairs in emission order (the plan's own
 /// keys, moved, and the values walked back out of their buckets), the
-/// rest of the task is buffered, and [`RouteSink::finish`] routes the
-/// pairs with [`route`] or, when the plan's `Backoff` says it is time,
-/// records a new plan from them. A miss is only slower, never
-/// different.
+/// rest of the task is buffered, and [`RouteSink::finish`] records a
+/// new plan from the pairs — as it does for a task that had no plan for
+/// this partition count. A miss is only slower, never different.
 #[derive(Debug)]
 pub struct RouteSink<K, V> {
     /// The task's plan, checked out for the job.
@@ -391,8 +328,6 @@ pub struct RouteSink<K, V> {
     /// On plan: per partition, the values verified so far — a bucket in
     /// the making, allocated at its final size.
     placed: Vec<Vec<V>>,
-    /// A recorded plan was found wanting this job (it is forgotten).
-    stale: bool,
     /// Off plan: the task's emissions so far, in order.
     pairs: Vec<(K, V)>,
 }
@@ -400,12 +335,12 @@ pub struct RouteSink<K, V> {
 impl<K: Key, V: Value> RouteSink<K, V> {
     /// A sink for the task that holds `plan`, routing into `reducers`
     /// partitions: on plan iff `plan` was recorded for that partition
-    /// count. A single partition consults no plan.
+    /// count (a plan for another count is dropped). A single partition
+    /// consults no plan.
     pub fn following(mut plan: RoutePlan<K>, reducers: usize) -> Self {
         assert!(reducers > 0, "need at least one reducer");
         let on_plan = reducers > 1 && plan.keys.len() == reducers;
-        let stale = reducers > 1 && !on_plan && !plan.keys.is_empty();
-        if stale {
+        if reducers > 1 && !on_plan {
             plan.forget();
         }
         // On plan every bucket is allocated once, at its final size,
@@ -415,7 +350,7 @@ impl<K: Key, V: Value> RouteSink<K, V> {
         } else {
             (Vec::new(), Vec::with_capacity(plan.last_records))
         };
-        RouteSink { placed, pairs, plan, reducers, on_plan, cursor: 0, stale }
+        RouteSink { placed, pairs, plan, reducers, on_plan, cursor: 0 }
     }
 
     /// Takes one emission.
@@ -454,7 +389,7 @@ impl<K: Key, V: Value> RouteSink<K, V> {
     /// dropped, and the emissions it did match become buffered pairs.
     #[cold]
     fn fall_back(&mut self) {
-        (self.on_plan, self.stale) = (false, true);
+        self.on_plan = false;
         let emitted = std::mem::take(&mut self.plan.emitted);
         self.plan.forget();
         let mut placed: Vec<_> = self.placed.drain(..).map(Vec::into_iter).collect();
@@ -484,36 +419,30 @@ impl<K: Key, V: Value> RouteSink<K, V> {
         }
         self.plan.last_records = self.records();
         let (buckets, outcome) = if self.on_plan {
-            self.plan.backoff.hit();
             (self.plan.buckets(self.placed), Some(PlanOutcome::Hit))
         } else if self.reducers == 1 {
             (vec![self.pairs.into()], None)
-        } else if self.plan.backoff.record_now(self.stale) {
-            (self.plan.record(self.pairs, self.reducers), Some(PlanOutcome::Recorded))
         } else {
-            let routed = route(self.pairs, self.reducers);
-            (routed.into_iter().map(Bucket::from).collect(), Some(PlanOutcome::Unplanned))
+            (self.plan.record(self.pairs, self.reducers), Some(PlanOutcome::Recorded))
         };
         (buckets, self.plan, outcome)
     }
 }
 
 /// Reusable backing buffers for [`concat_buckets`] and
-/// [`Grouped::from_pairs_reusing`].
+/// [`Grouped::from_pairs_using`].
 ///
-/// One reduce task's worth of shuffle memory: the concatenation buffer
-/// plus the split key/value arrays. A task owns its scratch for the
-/// task's lifetime (a reduce task starts from `default()`, an
-/// [`crate::EagerMapper`] task reuses one across its local syncs); no
-/// scratch outlives its task.
+/// One task's worth of grouping memory: the concatenation buffer plus
+/// the split key/value arrays. A task owns its scratch for the task's
+/// lifetime (an [`crate::EagerMapper`] task reuses one across its local
+/// syncs); no scratch outlives its task.
 #[derive(Debug)]
 pub struct ShuffleScratch<K, V> {
     pub(crate) pairs: Vec<(K, V)>,
     pub(crate) keys: Vec<K>,
     pub(crate) values: Vec<V>,
     /// Per-pair index buffer: the group ids of a radix grouping, or
-    /// the temporary of a [`GroupPlan`] recording (untyped in K/V, so
-    /// it recycles across jobs of any shape).
+    /// the temporary of a local-sync plan recording (untyped in K/V).
     pub(crate) slots: Vec<u32>,
 }
 
@@ -577,13 +506,13 @@ pub fn concat_buckets<K, V>(
 /// by bucket: one that carries the very handle the plan holds was
 /// verified key by key where it was emitted, against those same keys;
 /// any other is compared element by element, here. An input whose keys
-/// churn (K-Means reassignments) is therefore never wrong; what it
-/// costs is bounded by the plan's `Backoff`.
+/// churn (K-Means reassignments) is therefore never wrong; it records a
+/// new plan every time.
 ///
 /// One `u32` a record and three a group, plus one `K` a record only
 /// where a bucket carried no handle; kept in the engine's
 /// [`crate::plan::PlanStore`] slot of the reduce partition until it
-/// fails to recognise an input, which frees it.
+/// fails to recognise an input, which replaces it.
 #[derive(Debug)]
 pub struct GroupPlan<K> {
     /// The key sequence the plan was built for, one chunk per input
@@ -595,7 +524,6 @@ pub struct GroupPlan<K> {
     slots: Vec<u32>,
     /// One per key group, keys ascending.
     groups: Vec<GroupSpan>,
-    backoff: Backoff,
 }
 
 /// One key group of a [`GroupPlan`]: its key is `chunks[chunk][at]`
@@ -610,12 +538,7 @@ struct GroupSpan {
 
 impl<K> Default for GroupPlan<K> {
     fn default() -> Self {
-        GroupPlan {
-            chunks: Vec::new(),
-            slots: Vec::new(),
-            groups: Vec::new(),
-            backoff: Backoff::default(),
-        }
+        GroupPlan { chunks: Vec::new(), slots: Vec::new(), groups: Vec::new() }
     }
 }
 
@@ -660,31 +583,23 @@ impl<K: Key> GroupPlan<K> {
         Some(by_identity)
     }
 
-    /// Drops what was recorded (and its share of the memory); the
-    /// backoff stays.
-    fn forget(&mut self) {
-        (self.chunks, self.slots, self.groups) = (Vec::new(), Vec::new(), Vec::new());
-    }
-
-    /// Records, into a forgotten plan, the plan for `buckets`' key
-    /// sequence: the permutation a stable sort applies — found the way
-    /// `strategy` names, see [`GroupingStrategy`] — and the groups it
-    /// leaves (`order` is a recycled temporary). Costs one key clone
-    /// per record of a bucket that carries no handle, none otherwise.
-    fn record<V>(
-        &mut self,
-        buckets: &[Bucket<K, V>],
-        strategy: GroupingStrategy,
-        order: &mut Vec<u32>,
-    ) {
+    /// Replaces the plan (what it held is dropped first) with the plan
+    /// for `buckets`' key sequence: the permutation a stable sort
+    /// applies, found the way `strategy` names (see
+    /// [`GroupingStrategy`]), and the groups it leaves. Costs one key
+    /// clone per record of a bucket that carries no handle, none
+    /// otherwise.
+    fn record<V>(&mut self, buckets: &[Bucket<K, V>], strategy: GroupingStrategy) {
+        *self = GroupPlan::default();
         self.chunks = buckets.iter().map(Bucket::key_handle).collect();
         let keys: Vec<&K> = self.chunks.iter().flat_map(|chunk| chunk.iter()).collect();
+        let mut order = Vec::new();
         match strategy {
-            GroupingStrategy::Sort => sort_slots(&keys, order, &mut self.slots),
+            GroupingStrategy::Sort => sort_slots(&keys, &mut order, &mut self.slots),
             GroupingStrategy::Radix => {
                 // `order` holds the group ids, then the inverse of the
                 // permutation the cursors deal out.
-                let mut next = radix_cursors(keys.iter().copied(), order);
+                let mut next = radix_cursors(keys.iter().copied(), &mut order);
                 self.slots.clear();
                 self.slots.extend(order.iter().map(|&g| {
                     let cursor = &mut next[g as usize];
@@ -716,16 +631,15 @@ impl<K: Key> GroupPlan<K> {
             self.groups.last_mut().expect("a group is open").end = slot as u32 + 1;
         }
         self.groups.shrink_to_fit();
-        order.clear();
     }
 
     /// Moves every value of `buckets` — which the plan has just
     /// recognised, or been recorded from — to its slot in the grouped
-    /// values, over `buffer`'s allocation. Keys that came along as
-    /// owned pairs are dropped: the groups' keys are the plan's.
-    fn scatter<V>(&self, buckets: Vec<Bucket<K, V>>, buffer: Vec<V>) -> Vec<V> {
+    /// values. Keys that came along as owned pairs are dropped: the
+    /// groups' keys are the plan's.
+    fn scatter<V>(&self, buckets: Vec<Bucket<K, V>>) -> Vec<V> {
         let n = self.slots.len();
-        let mut placed = SlotWriter::new(buffer, n);
+        let mut placed = SlotWriter::new(Vec::new(), n);
         let mut done = 0;
         for bucket in buckets {
             let slots = &self.slots[done..done + bucket.len()];
@@ -771,41 +685,24 @@ impl<K: Key> GroupPlan<K> {
 /// every call, in every build), the **values** scatter from the buckets
 /// straight to their remembered slots and `f` walks the remembered
 /// group boundaries over the plan's own keys: `O(n)` moves, no key is
-/// moved, compared or cloned. Otherwise the plan is dropped and the
-/// input is either grouped unplanned — [`concat_buckets`], then
-/// [`Grouped::from_pairs_using`]: exactly the code a job with no memory
-/// runs — or, when the plan's `Backoff` says it is time, recorded the
-/// way `strategy` names and scattered. A bucket sequence that differs
-/// from the recorded one only in where the buckets are cut is a miss:
-/// slower, never different.
+/// moved, compared or cloned. Otherwise a new plan is recorded from the
+/// input the way `strategy` names — as [`crate::local`]'s plans are on
+/// every miss — and the values scatter through it. A bucket sequence
+/// that differs from the recorded one only in where the buckets are cut
+/// is a miss: slower, never different.
 pub fn group_planned<K: Key, V: Value>(
     buckets: Vec<Bucket<K, V>>,
     strategy: GroupingStrategy,
     plan: &mut GroupPlan<K>,
-    scratch: &mut ShuffleScratch<K, V>,
-    mut f: impl FnMut(GroupView<'_, K, V>),
+    f: impl FnMut(GroupView<'_, K, V>),
 ) -> (PlanOutcome, bool) {
     let recognised = plan.recognises(&buckets);
-    let outcome = if recognised.is_some() {
-        plan.backoff.hit();
-        PlanOutcome::Hit
-    } else {
-        let stale = plan.records() > 0;
-        plan.forget();
-        if !plan.backoff.record_now(stale) {
-            let pairs = concat_buckets(buckets.into_iter().map(Bucket::into_pairs), scratch);
-            let grouped = Grouped::from_pairs_using(strategy, pairs, scratch);
-            grouped.for_each(f);
-            grouped.recycle_into(scratch);
-            return (PlanOutcome::Unplanned, false);
-        }
-        plan.record(&buckets, strategy, &mut scratch.slots);
-        PlanOutcome::Recorded
-    };
-    let mut values = plan.scatter(buckets, std::mem::take(&mut scratch.values));
-    plan.for_each_group(&values, &mut f);
-    values.clear();
-    scratch.values = values;
+    if recognised.is_none() {
+        plan.record(&buckets, strategy);
+    }
+    let values = plan.scatter(buckets);
+    plan.for_each_group(&values, f);
+    let outcome = if recognised.is_some() { PlanOutcome::Hit } else { PlanOutcome::Recorded };
     (outcome, recognised == Some(true))
 }
 
@@ -967,82 +864,59 @@ pub struct Grouped<K, V> {
 }
 
 impl<K: Key, V: Value> Grouped<K, V> {
-    /// Groups `pairs` (allocating fresh buffers).
-    pub fn from_pairs(pairs: Vec<(K, V)>) -> Self {
-        Self::from_pairs_reusing(pairs, &mut ShuffleScratch::default())
-    }
-
-    /// Groups `pairs`, recycling buffers from `scratch`; the drained
-    /// input allocation is shelved back into `scratch` for the next
-    /// round.
+    /// Groups `pairs` with `strategy`, recycling buffers from `scratch`;
+    /// the drained input allocation is shelved back into `scratch` for
+    /// the next round. Values keep their input order within each key —
+    /// the determinism contract the `BTreeMap` reference establishes —
+    /// and both strategies produce byte-identical arrays:
     ///
-    /// The sort is *stable*, so values keep their concatenation order
-    /// within each key — the determinism contract the `BTreeMap`
-    /// reference establishes.
-    pub fn from_pairs_reusing(mut pairs: Vec<(K, V)>, scratch: &mut ShuffleScratch<K, V>) -> Self {
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut keys = std::mem::take(&mut scratch.keys);
-        let mut values = std::mem::take(&mut scratch.values);
-        keys.clear();
-        values.clear();
-        keys.reserve(pairs.len());
-        values.reserve(pairs.len());
-        for (k, v) in pairs.drain(..) {
-            keys.push(k);
-            values.push(v);
-        }
-        scratch.offer_pairs(pairs);
-        Grouped { keys, values }
-    }
-
-    /// Groups `pairs` via the radix path (allocating fresh buffers).
-    pub fn from_pairs_radix(pairs: Vec<(K, V)>) -> Self {
-        Self::from_pairs_radix_reusing(pairs, &mut ShuffleScratch::default())
-    }
-
-    /// Groups `pairs` with `strategy`, recycling buffers from `scratch`.
+    /// * [`GroupingStrategy::Sort`] sorts the pairs stably by key;
+    /// * [`GroupingStrategy::Radix`] gives each pair a first-seen group
+    ///   id via one stable-hash lookup, sorts only the distinct keys and
+    ///   moves every pair straight to its final slot with a counting
+    ///   scatter in input order: `O(n + g log g)` for `n` pairs over `g`
+    ///   distinct keys, versus `O(n log n)`.
     pub fn from_pairs_using(
         strategy: GroupingStrategy,
-        pairs: Vec<(K, V)>,
-        scratch: &mut ShuffleScratch<K, V>,
-    ) -> Self {
-        match strategy {
-            GroupingStrategy::Sort => Self::from_pairs_reusing(pairs, scratch),
-            GroupingStrategy::Radix => Self::from_pairs_radix_reusing(pairs, scratch),
-        }
-    }
-
-    /// Groups `pairs` without a comparison sort over the full input:
-    /// each pair gets a first-seen group id via one stable-hash lookup,
-    /// only the distinct keys are sorted, and a counting scatter moves
-    /// every pair straight to its final slot. `O(n + g log g)` for `n`
-    /// pairs over `g` distinct keys, versus `O(n log n)` for
-    /// [`Grouped::from_pairs_reusing`] — byte-identical output by
-    /// construction (ascending keys; within a key, concatenation order
-    /// is preserved because pairs scatter in input order).
-    pub fn from_pairs_radix_reusing(
         mut pairs: Vec<(K, V)>,
         scratch: &mut ShuffleScratch<K, V>,
     ) -> Self {
         let n = pairs.len();
-        let mut gids = std::mem::take(&mut scratch.slots);
-        let mut next = radix_cursors(pairs.iter().map(|(k, _)| k), &mut gids);
-        // Scatter into recycled buffers.
-        let mut keys = SlotWriter::new(std::mem::take(&mut scratch.keys), n);
-        let mut values = SlotWriter::new(std::mem::take(&mut scratch.values), n);
-        for (i, (k, v)) in pairs.drain(..).enumerate() {
-            let slot = &mut next[gids[i] as usize];
-            keys.write(*slot, k);
-            values.write(*slot, v);
-            *slot += 1;
-        }
-        // SAFETY: the groups' output ranges partition 0..n and each
-        // group's cursor advanced once per member, so every slot below
-        // n of both arrays was written exactly once.
-        let (keys, values) = unsafe { (keys.finish(), values.finish()) };
+        let (keys, values) = match strategy {
+            GroupingStrategy::Sort => {
+                pairs.sort_by(|a, b| a.0.cmp(&b.0));
+                let mut keys = std::mem::take(&mut scratch.keys);
+                let mut values = std::mem::take(&mut scratch.values);
+                keys.clear();
+                values.clear();
+                keys.reserve(n);
+                values.reserve(n);
+                for (k, v) in pairs.drain(..) {
+                    keys.push(k);
+                    values.push(v);
+                }
+                (keys, values)
+            }
+            GroupingStrategy::Radix => {
+                let mut gids = std::mem::take(&mut scratch.slots);
+                let mut next = radix_cursors(pairs.iter().map(|(k, _)| k), &mut gids);
+                let mut keys = SlotWriter::new(std::mem::take(&mut scratch.keys), n);
+                let mut values = SlotWriter::new(std::mem::take(&mut scratch.values), n);
+                for (i, (k, v)) in pairs.drain(..).enumerate() {
+                    let slot = &mut next[gids[i] as usize];
+                    keys.write(*slot, k);
+                    values.write(*slot, v);
+                    *slot += 1;
+                }
+                gids.clear();
+                scratch.slots = gids;
+                // SAFETY: the groups' output ranges partition 0..n and
+                // each group's cursor advanced once per member, so every
+                // slot below n of both arrays was written exactly once.
+                unsafe { (keys.finish(), values.finish()) }
+            }
+        };
         scratch.offer_pairs(pairs);
-        gids.clear();
-        scratch.slots = gids;
         Grouped { keys, values }
     }
 
@@ -1094,9 +968,8 @@ impl<K: Key, V: Value> Grouped<K, V> {
 /// order) into `(key, values)` with keys ascending.
 ///
 /// This is the original `BTreeMap` formulation, **kept as the
-/// behavioral reference**: the engine's hot path uses [`Grouped`], and
-/// tests/benches assert both produce identical output. Prefer
-/// [`Grouped`] in new engine code.
+/// behavioral reference**: the oracle groups with it, and the tests
+/// assert that [`Grouped`] and [`group_planned`] produce its groups.
 pub fn group<K: Key, V: Value>(input: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
     let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
     for (k, v) in input {
@@ -1107,12 +980,12 @@ pub fn group<K: Key, V: Value>(input: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
 
 /// Map-side combining: groups a single task's output by key and folds
 /// each group with the combiner function. Returns the combined pairs
-/// (keys ascending) — this runs *before* [`route`].
+/// (keys ascending) — this runs *before* routing.
 pub fn combine_local<K: Key, V: Value>(
     pairs: Vec<(K, V)>,
     combine: impl Fn(&K, &[V]) -> V,
 ) -> Vec<(K, V)> {
-    let grouped = Grouped::from_pairs(pairs);
+    let grouped = Grouped::from_pairs_using(GroupingStrategy::Sort, pairs, &mut Default::default());
     let mut out = Vec::new();
     grouped.for_each(|g| out.push((g.key.clone(), combine(g.key, g.values))));
     out
@@ -1121,6 +994,7 @@ pub fn combine_local<K: Key, V: Value>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use GroupingStrategy::{Radix, Sort};
 
     #[test]
     fn route_covers_all_pairs() {
@@ -1149,11 +1023,19 @@ mod tests {
         assert!(grouped.is_empty());
     }
 
+    /// Groups `pairs` with `strategy` over fresh buffers.
+    fn grouped_by<K: Key, V: Value>(
+        strategy: GroupingStrategy,
+        pairs: Vec<(K, V)>,
+    ) -> Grouped<K, V> {
+        Grouped::from_pairs_using(strategy, pairs, &mut ShuffleScratch::default())
+    }
+
     #[test]
     fn grouped_matches_reference_on_interleaved_keys() {
         let input = vec![(3u32, 'a'), (1, 'b'), (3, 'c'), (2, 'd'), (1, 'e')];
         let reference = group(input.clone());
-        let grouped = Grouped::from_pairs(input);
+        let grouped = grouped_by(Sort, input);
         let mut got: Vec<(u32, Vec<char>)> = Vec::new();
         grouped.for_each(|g| got.push((*g.key, g.values.to_vec())));
         assert_eq!(got, reference);
@@ -1163,7 +1045,7 @@ mod tests {
 
     #[test]
     fn grouped_empty() {
-        let grouped: Grouped<u32, u32> = Grouped::from_pairs(Vec::new());
+        let grouped: Grouped<u32, u32> = grouped_by(Sort, Vec::new());
         assert!(grouped.is_empty());
         let mut called = false;
         grouped.for_each(|_| called = true);
@@ -1174,7 +1056,7 @@ mod tests {
     fn scratch_recycles_capacity() {
         let mut scratch: ShuffleScratch<u32, u64> = ShuffleScratch::default();
         let pairs: Vec<(u32, u64)> = (0..1000).map(|i| (i % 7, u64::from(i))).collect();
-        let grouped = Grouped::from_pairs_reusing(pairs, &mut scratch);
+        let grouped = Grouped::from_pairs_using(Sort, pairs, &mut scratch);
         assert_eq!(grouped.records(), 1000);
         grouped.recycle_into(&mut scratch);
         let before = scratch.capacity();
@@ -1187,7 +1069,7 @@ mod tests {
             ],
             &mut scratch,
         );
-        let grouped = Grouped::from_pairs_reusing(pairs, &mut scratch);
+        let grouped = Grouped::from_pairs_using(Sort, pairs, &mut scratch);
         grouped.recycle_into(&mut scratch);
         assert!(scratch.capacity() >= before, "capacity retained across rounds");
     }
@@ -1202,8 +1084,8 @@ mod tests {
     #[test]
     fn radix_matches_sort_on_interleaved_keys() {
         let input = vec![(3u32, 'a'), (1, 'b'), (3, 'c'), (2, 'd'), (1, 'e')];
-        let sorted = Grouped::from_pairs(input.clone());
-        let radix = Grouped::from_pairs_radix(input);
+        let sorted = grouped_by(Sort, input.clone());
+        let radix = grouped_by(Radix, input);
         assert_eq!(collect(&radix), collect(&sorted));
         assert_eq!(radix.records(), 5);
         assert_eq!(radix.num_groups(), 3);
@@ -1211,7 +1093,7 @@ mod tests {
 
     #[test]
     fn radix_empty() {
-        let grouped: Grouped<u32, u32> = Grouped::from_pairs_radix(Vec::new());
+        let grouped: Grouped<u32, u32> = grouped_by(Radix, Vec::new());
         assert!(grouped.is_empty());
         let mut called = false;
         grouped.for_each(|_| called = true);
@@ -1222,8 +1104,8 @@ mod tests {
     fn radix_heavy_duplication_preserves_value_order() {
         // Many values per key (the graph-workload shape radix targets).
         let pairs: Vec<(u32, u64)> = (0..5000).map(|i| (i % 3, u64::from(i))).collect();
-        let sorted = Grouped::from_pairs(pairs.clone());
-        let radix = Grouped::from_pairs_radix(pairs);
+        let sorted = grouped_by(Sort, pairs.clone());
+        let radix = grouped_by(Radix, pairs);
         assert_eq!(collect(&radix), collect(&sorted));
     }
 
@@ -1231,12 +1113,12 @@ mod tests {
     fn radix_recycles_scratch_including_slots() {
         let mut scratch: ShuffleScratch<u32, u64> = ShuffleScratch::default();
         let pairs: Vec<(u32, u64)> = (0..1000).map(|i| (i % 7, u64::from(i))).collect();
-        let grouped = Grouped::from_pairs_radix_reusing(pairs, &mut scratch);
+        let grouped = Grouped::from_pairs_using(Radix, pairs, &mut scratch);
         grouped.recycle_into(&mut scratch);
         assert!(scratch.slots.capacity() >= 1000, "gid buffer shelved");
         let before = scratch.capacity();
         let pairs: Vec<(u32, u64)> = (0..1000).map(|i| (i % 7, u64::from(i))).collect();
-        let grouped = Grouped::from_pairs_radix_reusing(pairs, &mut scratch);
+        let grouped = Grouped::from_pairs_using(Radix, pairs, &mut scratch);
         grouped.recycle_into(&mut scratch);
         assert!(scratch.capacity() >= before, "capacity retained across rounds");
     }
@@ -1244,9 +1126,8 @@ mod tests {
     #[test]
     fn from_pairs_using_dispatches_both_strategies() {
         let input = vec![(9u32, 'x'), (2, 'y'), (9, 'z')];
-        for strategy in [GroupingStrategy::Sort, GroupingStrategy::Radix] {
-            let mut scratch = ShuffleScratch::default();
-            let g = Grouped::from_pairs_using(strategy, input.clone(), &mut scratch);
+        for strategy in [Sort, Radix] {
+            let g = grouped_by(strategy, input.clone());
             assert_eq!(collect(&g), vec![(2, vec!['y']), (9, vec!['x', 'z'])]);
         }
     }
@@ -1272,25 +1153,7 @@ mod tests {
         index_u32(u32::MAX as usize + 1);
     }
 
-    use PlanOutcome::{Hit, Recorded, Unplanned};
-
-    #[test]
-    fn backoff_sits_out_the_first_input_and_doubles_while_plans_go_stale() {
-        let mut backoff = Backoff::default();
-        assert!(!backoff.record_now(false), "a one-shot input records nothing");
-        assert!(backoff.record_now(false), "the second sighting records");
-        // Every recording goes stale at once: 1, 2, 4 … inputs sat out.
-        for sat_out in [1, 2, 4, 8, 16, 32, 64, 64] {
-            assert!(!backoff.record_now(true));
-            for _ in 1..sat_out {
-                assert!(!backoff.record_now(false));
-            }
-            assert!(backoff.record_now(false), "after sitting out {sat_out}");
-        }
-        backoff.hit();
-        assert!(!backoff.record_now(true), "a hit resets the series to one input");
-        assert!(backoff.record_now(false));
-    }
+    use PlanOutcome::{Hit, Recorded};
 
     /// Routes `pairs` the way a map task does: each through a sink
     /// that follows `plan`, which is filed back.
@@ -1321,11 +1184,10 @@ mod tests {
         buckets: Vec<Bucket<K, V>>,
         strategy: GroupingStrategy,
         plan: &mut GroupPlan<K>,
-        scratch: &mut ShuffleScratch<K, V>,
     ) -> (Groups<K, V>, (PlanOutcome, bool)) {
         let mut out = Vec::new();
         let collect = |g: GroupView<'_, K, V>| out.push((g.key.clone(), g.values.to_vec()));
-        let planned = group_planned(buckets, strategy, plan, scratch, collect);
+        let planned = group_planned(buckets, strategy, plan, collect);
         (out, planned)
     }
 
@@ -1335,15 +1197,15 @@ mod tests {
         let mut plan = RoutePlan::default();
         assert_eq!(plan.records(), 0);
         for (input, reducers, want) in [
-            (pairs.clone(), 3, Unplanned), // first sight
-            (pairs.clone(), 3, Recorded),
+            (pairs.clone(), 3, Recorded), // first sight
             (pairs.clone(), 3, Hit),
             (vec![(5, 'x'), (9, 'y'), (5, 'z'), (2, 'w')], 3, Hit), // values are free
-            (vec![(5, 'a'), (9, 'b'), (6, 'c'), (2, 'd')], 3, Unplanned), // one key, same length
+            (vec![(5, 'a'), (9, 'b'), (6, 'c'), (2, 'd')], 3, Recorded), // one key, same length
             (pairs.clone(), 3, Recorded),
-            (pairs.clone(), 4, Unplanned), // same keys, other partition count
-            (pairs.clone(), 4, Unplanned), // second stale recording in a row: sits out two
-            (pairs[..3].to_vec(), 4, Recorded),
+            (pairs.clone(), 4, Recorded), // same keys, other partition count
+            (pairs.clone(), 4, Hit),
+            (pairs[..3].to_vec(), 4, Recorded), // a strict prefix
+            (pairs[..3].to_vec(), 4, Hit),
         ] {
             let (buckets, outcome) = route_through(&mut plan, input.clone(), reducers);
             assert_eq!(into_pairs(buckets), route(input.clone(), reducers));
@@ -1358,7 +1220,6 @@ mod tests {
         let planned: Vec<(u32, usize)> = keys.iter().copied().zip(0..).collect();
         let recorded = || {
             let mut plan = RoutePlan::default();
-            assert_eq!(route_through(&mut plan, planned.clone(), 4).1, Some(Unplanned));
             assert_eq!(route_through(&mut plan, planned.clone(), 4).1, Some(Recorded));
             plan
         };
@@ -1374,12 +1235,13 @@ mod tests {
                 let mut plan = recorded();
                 let (buckets, outcome) = route_through(&mut plan, input.clone(), 4);
                 let hit = input == planned;
-                assert_eq!(outcome, Some(if hit { Hit } else { Unplanned }), "left at {at}");
+                assert_eq!(outcome, Some(if hit { Hit } else { Recorded }), "left at {at}");
                 assert_eq!(into_pairs(buckets), route(input.clone(), 4), "left at {at}");
                 assert_eq!(plan.records(), input.len());
-                // A stale plan sits one task out, then records.
-                let again = route_through(&mut plan, input.clone(), 4).1;
-                assert_eq!(again, Some(if hit { Hit } else { Recorded }));
+                // A miss records: the same task hits next time.
+                let (buckets, again) = route_through(&mut plan, input.clone(), 4);
+                assert_eq!(again, Some(Hit), "left at {at}");
+                assert_eq!(into_pairs(buckets), route(input.clone(), 4), "left at {at}");
             }
         }
     }
@@ -1387,7 +1249,7 @@ mod tests {
     #[test]
     fn a_task_that_emits_nothing_hits_its_empty_plan_and_one_partition_consults_none() {
         let mut plan: RoutePlan<u32> = RoutePlan::default();
-        for want in [Unplanned, Recorded, Hit, Hit] {
+        for want in [Recorded, Hit, Hit] {
             let (buckets, outcome) = route_through(&mut plan, Vec::<(u32, u8)>::new(), 3);
             assert_eq!((buckets.len(), outcome), (3, Some(want)));
             assert!(buckets.iter().all(Bucket::is_empty));
@@ -1395,14 +1257,14 @@ mod tests {
         let (buckets, outcome) = route_through(&mut plan, vec![(1, 1u8), (2, 2)], 3);
         assert_eq!(
             (into_pairs(buckets), outcome),
-            (route(vec![(1, 1), (2, 2)], 3), Some(Unplanned))
+            (route(vec![(1, 1), (2, 2)], 3), Some(Recorded))
         );
         // One partition: an ownership transfer that still learns the
-        // task's size, and leaves the backoff alone.
+        // task's size, and leaves the plan for three partitions alone.
         let (buckets, outcome) = route_through(&mut plan, vec![(4, 4u8), (5, 5), (6, 6)], 1);
         assert_eq!((into_pairs(buckets), outcome), (vec![vec![(4, 4), (5, 5), (6, 6)]], None));
         assert_eq!(plan.records(), 3);
-        assert_eq!(route_through(&mut plan, vec![(1, 1u8), (2, 2)], 3).1, Some(Recorded));
+        assert_eq!(route_through(&mut plan, vec![(1, 1u8), (2, 2)], 3).1, Some(Hit));
         // Outside a job: a default sink buffers and hands pairs back.
         let mut sink = RouteSink::following(RoutePlan::default(), 1);
         sink.emit(7u32, 'x');
@@ -1414,20 +1276,21 @@ mod tests {
         let pairs = vec![vec![(3u32, 'a'), (1, 'b')], vec![(3, 'c')], vec![(2, 'd'), (1, 'e')]];
         let owned = |pairs: &[Vec<(u32, char)>]| pairs.iter().cloned().map(Bucket::from).collect();
         let want = group(pairs.concat());
-        for strategy in [GroupingStrategy::Sort, GroupingStrategy::Radix] {
-            let (mut plan, mut scratch) = (GroupPlan::default(), ShuffleScratch::default());
+        for strategy in [Sort, Radix] {
+            let mut plan = GroupPlan::default();
             // Owned pairs carry no handle: every hit compares keys.
-            for want_outcome in [Unplanned, Recorded, Hit, Hit] {
-                let (got, planned) = grouped(owned(&pairs), strategy, &mut plan, &mut scratch);
+            for want_outcome in [Recorded, Hit, Hit] {
+                let (got, planned) = grouped(owned(&pairs), strategy, &mut plan);
                 assert_eq!((got, planned), (want.clone(), (want_outcome, false)));
             }
             assert_eq!(plan.records(), 5);
             // Where the buckets are cut is part of what a plan
             // recognises: the same keys in one bucket are a miss (and
-            // the same groups).
-            let (got, planned) =
-                grouped(owned(&[pairs.concat()]), strategy, &mut plan, &mut scratch);
-            assert_eq!((got, planned), (want.clone(), (Unplanned, false)));
+            // the same groups), recorded like any other.
+            for want_outcome in [Recorded, Hit] {
+                let (got, planned) = grouped(owned(&[pairs.concat()]), strategy, &mut plan);
+                assert_eq!((got, planned), (want.clone(), (want_outcome, false)));
+            }
         }
     }
 
@@ -1443,35 +1306,30 @@ mod tests {
             vec![ascending.collect(), descending.collect()]
         };
         let mut routes = [RoutePlan::default(), RoutePlan::default()];
-        let (mut plan, mut scratch) = (GroupPlan::default(), ShuffleScratch::default());
+        let mut plan = GroupPlan::default();
         let mut job = |routes: &mut [RoutePlan<u32>; 2], input: Vec<Vec<(u32, u32)>>| {
             let reference = input.iter().flat_map(|task| route(task.clone(), 2).swap_remove(P));
             let want = group(reference.collect());
             let routed = input.into_iter().zip(routes.iter_mut());
             let buckets = routed.map(|(task, plan)| route_through(plan, task, 2).0.swap_remove(P));
-            let strategy = GroupingStrategy::Sort;
-            let (got, planned) = grouped(buckets.collect(), strategy, &mut plan, &mut scratch);
+            let (got, planned) = grouped(buckets.collect(), Sort, &mut plan);
             assert_eq!(got, want);
             planned
         };
-        assert_eq!(job(&mut routes, tasks(1)), (Unplanned, false));
-        assert_eq!(job(&mut routes, tasks(2)), (Recorded, false));
-        assert_eq!(job(&mut routes, tasks(3)), (Hit, true));
+        assert_eq!(job(&mut routes, tasks(1)), (Recorded, false));
+        assert_eq!(job(&mut routes, tasks(2)), (Hit, true));
         // Task 0 loses its plan and re-records an *equal* key sequence:
-        // owned pairs, then a new handle with equal contents, are
-        // compared key by key and hit; the new handle is the one the
-        // plan holds from then on.
+        // a new handle with equal contents is compared key by key and
+        // hits; the new handle is the one the plan holds from then on.
         routes[0] = RoutePlan::default();
-        assert_eq!(job(&mut routes, tasks(4)), (Hit, false), "owned pairs, equal keys");
-        assert_eq!(job(&mut routes, tasks(5)), (Hit, false), "a new handle, equal keys");
-        assert_eq!(job(&mut routes, tasks(6)), (Hit, true));
+        assert_eq!(job(&mut routes, tasks(3)), (Hit, false), "a new handle, equal keys");
+        assert_eq!(job(&mut routes, tasks(4)), (Hit, true));
         // The tasks swap sequences, plans and all: every bucket carries
         // a handle the plan holds — for the *other* chunk, of the same
         // length. Identity is per bucket, so this is a miss.
         routes.swap(0, 1);
         let mut swapped = tasks(7);
         swapped.swap(0, 1);
-        assert_eq!(job(&mut routes, swapped.clone()), (Unplanned, false));
         assert_eq!(job(&mut routes, swapped.clone()), (Recorded, false));
         assert_eq!(job(&mut routes, swapped), (Hit, true));
     }
@@ -1524,32 +1382,26 @@ mod tests {
             let (clones, eqs) = (CLONES.with(std::cell::Cell::get), EQS.with(std::cell::Cell::get));
             (out, clones - before.0, eqs - before.1)
         }
-        let strategy = GroupingStrategy::Sort;
-
         // A whole job: two map tasks route 40 records each into three
         // partitions, which group what they are sent.
         let mut routes = [RoutePlan::default(), RoutePlan::default()];
         let mut groups = [GroupPlan::default(), GroupPlan::default(), GroupPlan::default()];
-        let mut scratch = ShuffleScratch::default();
         let mut job = || {
             let mut routed: Vec<_> =
                 routes.iter_mut().map(|plan| route_through(plan, input(), 3)).collect();
             let mut outcomes: Vec<_> = routed.iter().map(|(_, outcome)| outcome.unwrap()).collect();
             for (p, plan) in groups.iter_mut().enumerate().rev() {
                 let buckets = routed.iter_mut().map(|(b, _)| b.swap_remove(p)).collect();
-                let (outcome, by_identity) =
-                    group_planned(buckets, strategy, plan, &mut scratch, |_| {});
+                let (outcome, by_identity) = group_planned(buckets, Sort, plan, |_| {});
                 assert_eq!(by_identity, outcome == Hit);
                 outcomes.push(outcome);
             }
             outcomes
         };
-        // First sight hashes and sorts; nothing is kept, nothing cloned.
-        let (outcomes, clones, _) = counting(&mut job);
-        assert_eq!((outcomes, clones), (vec![Unplanned; 5], 0));
-        // A route plan keeps each key twice — in emission order and in
-        // its partition's handle — so recording one clones each key
-        // once; the group plans share the handles and clone nothing.
+        // First sight records every plan. A route plan keeps each key
+        // twice — in emission order and in its partition's handle — so
+        // recording one clones each key once; the group plans share the
+        // handles and clone nothing. That is all a one-shot job pays.
         let (outcomes, clones, _) = counting(&mut job);
         assert_eq!((outcomes, clones), (vec![Recorded; 5], 80));
         // Steady state: each record's key is compared exactly once —
@@ -1560,13 +1412,11 @@ mod tests {
         // A plan that has to keep its own copy of the keys — its input
         // arrived as owned pairs — clones each once when it records,
         // and compares each once when it hits.
-        let (mut plan, mut scratch) = (GroupPlan::default(), ShuffleScratch::default());
+        let mut plan = GroupPlan::default();
         let mut group_once = || {
             let buckets = vec![input().into(), input().into()];
-            group_planned(buckets, strategy, &mut plan, &mut scratch, |_| {}).0
+            group_planned(buckets, Sort, &mut plan, |_| {}).0
         };
-        let (outcome, clones, _) = counting(&mut group_once);
-        assert_eq!((outcome, clones), (Unplanned, 0));
         let (outcome, clones, _) = counting(&mut group_once);
         assert_eq!((outcome, clones), (Recorded, 80));
         assert_eq!(counting(&mut group_once), (Hit, 0, 80));

@@ -1,16 +1,24 @@
 //! Property tests pinning the shuffle's hot path to its reference:
 //!
-//! * sort-based [`Grouped`]/`GroupView` grouping must be equivalent to
-//!   the `BTreeMap` reference [`shuffle::group`] on arbitrary key/value
-//!   streams — including duplicate-heavy and empty inputs;
+//! * [`Grouped`]/`GroupView` grouping, through its one constructor with
+//!   either [`GroupingStrategy`], must be equivalent to the `BTreeMap`
+//!   reference [`shuffle::group`] on arbitrary key/value streams —
+//!   including duplicate-heavy and empty inputs;
 //! * `route` → move-based [`concat_buckets`] must preserve
 //!   (map-task, emission-index) value order per reducer, i.e. exactly
 //!   match filtering the task-ordered emission stream by routed
 //!   partition.
 
 use asyncmr_core::hash::reducer_for;
-use asyncmr_core::shuffle::{self, concat_buckets, Grouped, ShuffleScratch};
+use asyncmr_core::shuffle::{self, concat_buckets, Grouped, GroupingStrategy, ShuffleScratch};
 use proptest::prelude::*;
+
+use GroupingStrategy::{Radix, Sort};
+
+/// Groups `pairs` with `strategy` over fresh buffers.
+fn grouped_by(strategy: GroupingStrategy, pairs: Vec<(u32, u32)>) -> Grouped<u32, u32> {
+    Grouped::from_pairs_using(strategy, pairs, &mut ShuffleScratch::default())
+}
 
 /// Collects a `Grouped` into the reference's output shape.
 fn collect<K: asyncmr_core::Key, V: asyncmr_core::Value>(
@@ -31,7 +39,7 @@ proptest! {
         pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..400),
     ) {
         let reference = shuffle::group(pairs.clone());
-        let grouped = Grouped::from_pairs(pairs);
+        let grouped = grouped_by(Sort, pairs);
         prop_assert_eq!(collect(&grouped), reference);
     }
 
@@ -45,7 +53,7 @@ proptest! {
         let pairs: Vec<(u32, u32)> =
             values.iter().enumerate().map(|(i, &v)| (v % modulus, i as u32)).collect();
         let reference = shuffle::group(pairs.clone());
-        let grouped = Grouped::from_pairs(pairs);
+        let grouped = grouped_by(Sort, pairs);
         prop_assert_eq!(collect(&grouped), reference);
     }
 
@@ -59,7 +67,7 @@ proptest! {
         let mut scratch: ShuffleScratch<u32, u32> = ShuffleScratch::default();
         for pairs in jobs {
             let reference = shuffle::group(pairs.clone());
-            let grouped = Grouped::from_pairs_reusing(pairs, &mut scratch);
+            let grouped = Grouped::from_pairs_using(Sort, pairs, &mut scratch);
             prop_assert_eq!(collect(&grouped), reference);
             grouped.recycle_into(&mut scratch);
         }
@@ -103,8 +111,8 @@ proptest! {
     fn radix_equals_sort_on_arbitrary_streams(
         pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..400),
     ) {
-        let sorted = Grouped::from_pairs(pairs.clone());
-        let radix = Grouped::from_pairs_radix(pairs);
+        let sorted = grouped_by(Sort, pairs.clone());
+        let radix = grouped_by(Radix, pairs);
         prop_assert_eq!(collect(&radix), collect(&sorted));
         prop_assert_eq!(radix.records(), sorted.records());
         prop_assert_eq!(radix.num_groups(), sorted.num_groups());
@@ -119,8 +127,8 @@ proptest! {
     ) {
         let pairs: Vec<(u32, u32)> =
             values.iter().enumerate().map(|(i, &v)| (v % modulus, i as u32)).collect();
-        let sorted = Grouped::from_pairs(pairs.clone());
-        let radix = Grouped::from_pairs_radix(pairs);
+        let sorted = grouped_by(Sort, pairs.clone());
+        let radix = grouped_by(Radix, pairs);
         prop_assert_eq!(collect(&radix), collect(&sorted));
     }
 
@@ -135,11 +143,11 @@ proptest! {
         prop_assert_eq!(buckets.len(), 1);
         let bucket = buckets.pop().unwrap();
         prop_assert_eq!(bucket.len(), pairs.len());
-        let sorted = Grouped::from_pairs(bucket.clone());
-        let radix = Grouped::from_pairs_radix(bucket);
+        let sorted = grouped_by(Sort, bucket.clone());
+        let radix = grouped_by(Radix, bucket);
         prop_assert_eq!(collect(&radix), collect(&sorted));
         // Empty buckets (what the other reducers of a wider job see).
-        let empty: Grouped<u32, u32> = Grouped::from_pairs_radix(Vec::new());
+        let empty: Grouped<u32, u32> = grouped_by(Radix, Vec::new());
         prop_assert_eq!(collect(&empty), Vec::new());
     }
 
@@ -154,11 +162,8 @@ proptest! {
         let mut scratch: ShuffleScratch<u32, u32> = ShuffleScratch::default();
         for (i, pairs) in jobs.into_iter().enumerate() {
             let reference = shuffle::group(pairs.clone());
-            let grouped = if i % 2 == 0 {
-                Grouped::from_pairs_radix_reusing(pairs, &mut scratch)
-            } else {
-                Grouped::from_pairs_reusing(pairs, &mut scratch)
-            };
+            let strategy = if i % 2 == 0 { Radix } else { Sort };
+            let grouped = Grouped::from_pairs_using(strategy, pairs, &mut scratch);
             prop_assert_eq!(collect(&grouped), reference);
             grouped.recycle_into(&mut scratch);
         }
@@ -179,7 +184,7 @@ proptest! {
                 .filter(|(k, _)| reducer_for(k, reducers) == r)
                 .cloned()
                 .collect();
-            let grouped = Grouped::from_pairs(bucket);
+            let grouped = grouped_by(Sort, bucket);
             prop_assert_eq!(collect(&grouped), shuffle::group(direct));
         }
     }

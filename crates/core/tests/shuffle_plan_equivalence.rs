@@ -13,8 +13,9 @@
 //!   `BTreeMap` reference) over the concatenated buckets, for both
 //!   strategies;
 //!
-//! across first sights (sat out), recordings, hits, a key changed at one
-//! index, a changed length and a changed partition count.
+//! across first sights, hits, a key changed at one index, a changed
+//! length and a changed partition count — every miss recording a new
+//! plan, which the same input hits next time.
 //!
 //! On the staged engine, against a fresh oracle engine
 //! *and* against a model written with `shuffle::{combine_local, route,
@@ -39,8 +40,8 @@ use asyncmr_core::engine::{JobMeter, JobReuse};
 use asyncmr_core::hash::reducer_for;
 use asyncmr_core::plan::PlanStore;
 use asyncmr_core::prelude::*;
-use asyncmr_core::shuffle::PlanOutcome::{self, Hit, Recorded, Unplanned};
-use asyncmr_core::shuffle::{self, Bucket, GroupPlan, RoutePlan, RouteSink, ShuffleScratch};
+use asyncmr_core::shuffle::PlanOutcome::{self, Hit, Recorded};
+use asyncmr_core::shuffle::{self, Bucket, GroupPlan, RoutePlan, RouteSink};
 use asyncmr_runtime::ThreadPool;
 use proptest::prelude::*;
 
@@ -73,13 +74,7 @@ impl Hits {
 /// task, planned grouping per populated partition, plans filed in
 /// `store` — asserting every intermediate against the unplanned
 /// reference.
-fn shuffle_job(
-    store: &PlanStore,
-    scratch: &mut ShuffleScratch<u32, u32>,
-    job: &Job,
-    reducers: usize,
-    strategy: GroupingStrategy,
-) -> Hits {
+fn shuffle_job(store: &PlanStore, job: &Job, reducers: usize, strategy: GroupingStrategy) -> Hits {
     let mut hits = Hits { route: Vec::new(), group: Vec::new() };
     let mut routed: Vec<Vec<Bucket<u32, u32>>> = Vec::new();
     for (task, pairs) in job.iter().enumerate() {
@@ -109,7 +104,7 @@ fn shuffle_job(
         let reference = shuffle::group(concat);
         let mut got = Vec::new();
         let hit = store.with(partition, |plan: &mut GroupPlan<u32>| {
-            shuffle::group_planned(buckets, strategy, plan, scratch, |g| {
+            shuffle::group_planned(buckets, strategy, plan, |g| {
                 got.push((*g.key, g.values.to_vec()));
             })
         });
@@ -143,16 +138,13 @@ proptest! {
     ) {
         let strategy = strategy(radix);
         let store = PlanStore::new();
-        let mut scratch = ShuffleScratch::default();
         let tasks = first.len();
         let populated = |job: &Job, p: usize| {
             job.iter().flatten().any(|(k, _)| reducer_for(k, reducers) == p)
         };
 
-        // First sight is sat out, the second is recorded.
-        let hits = shuffle_job(&store, &mut scratch, &first, reducers, strategy);
-        prop_assert!(hits.all(Unplanned));
-        let hits = shuffle_job(&store, &mut scratch, &first, reducers, strategy);
+        // First sight records every plan.
+        let hits = shuffle_job(&store, &first, reducers, strategy);
         prop_assert!(hits.all(Recorded));
 
         // Same keys, new values: everything hits, and every reduce
@@ -161,80 +153,79 @@ proptest! {
             .iter()
             .map(|task| task.iter().map(|&(k, v)| (k, v ^ 0xA5A5)).collect())
             .collect();
-        let hits = shuffle_job(&store, &mut scratch, &new_values, reducers, strategy);
+        let hits = shuffle_job(&store, &new_values, reducers, strategy);
         prop_assert!(hits.all_by_identity());
 
         // Same lengths, one key of one task replaced by a key the
         // sequence never held: that task's route plan and the group
-        // plans of the key's old and new partitions are dropped and sit
-        // the job out; nothing else moves — but the task now sends
-        // owned pairs, which its partitions compare key by key.
+        // plans of the key's old and new partitions are recorded anew;
+        // nothing else moves — but the task now sends new handles,
+        // which its other partitions compare key by key.
         let task = pick.0 as usize % tasks;
         let at = pick.1 as usize % first[task].len();
         let (old_key, new_key) = (first[task][at].0, first[task][at].0 + 40);
         let mut one_key_changed = new_values.clone();
         one_key_changed[task][at].0 = new_key;
         let touched = [reducer_for(&old_key, reducers), reducer_for(&new_key, reducers)];
-        let hits = shuffle_job(&store, &mut scratch, &one_key_changed, reducers, strategy);
+        let hits = shuffle_job(&store, &one_key_changed, reducers, strategy);
         for (t, &outcome) in hits.route.iter().enumerate() {
-            prop_assert_eq!(outcome, if t == task { Unplanned } else { Hit }, "task {}", t);
+            prop_assert_eq!(outcome, if t == task { Recorded } else { Hit }, "task {}", t);
         }
         for (p, &outcome) in hits.group.iter().enumerate() {
             prop_assert_eq!(outcome.is_some(), populated(&one_key_changed, p));
             if let Some((outcome, by_identity)) = outcome {
                 // A partition the change emptied cannot appear here; one
                 // it populated for the first time has a fresh plan and
-                // sits its first sight out like the rest of `touched`.
-                let want = if touched.contains(&p) { Unplanned } else { Hit };
+                // records it like the rest of `touched`.
+                let want = if touched.contains(&p) { Recorded } else { Hit };
                 prop_assert_eq!(outcome, want, "partition {}", p);
                 let from_task = one_key_changed[task].iter();
-                let owned = from_task.filter(|(k, _)| reducer_for(k, reducers) == p).count() > 0;
-                prop_assert_eq!(by_identity, want == Hit && !owned, "partition {}", p);
+                let renewed = from_task.filter(|(k, _)| reducer_for(k, reducers) == p).count() > 0;
+                prop_assert_eq!(by_identity, want == Hit && !renewed, "partition {}", p);
             }
         }
 
-        // One more pair at the end of that task: its route plan (sat
-        // out last job, so due) records the longer sequence; so do the
-        // touched partitions, whether or not this job changed them.
+        // One more pair at the end of that task: its route plan records
+        // the longer sequence, and so does the new key's partition — the
+        // only one whose input changed.
         let mut longer = one_key_changed.clone();
         longer[task].push((new_key, 7));
-        let hits = shuffle_job(&store, &mut scratch, &longer, reducers, strategy);
+        let hits = shuffle_job(&store, &longer, reducers, strategy);
         for (t, &outcome) in hits.route.iter().enumerate() {
             prop_assert_eq!(outcome, if t == task { Recorded } else { Hit });
         }
         for (p, &outcome) in hits.group.iter().enumerate() {
             if let Some((outcome, _)) = outcome {
-                prop_assert_eq!(outcome, if touched.contains(&p) { Recorded } else { Hit });
+                prop_assert_eq!(outcome, if p == touched[1] { Recorded } else { Hit });
             }
         }
         // The re-recorded task's new handles were adopted on the way.
-        let hits = shuffle_job(&store, &mut scratch, &longer, reducers, strategy);
+        let hits = shuffle_job(&store, &longer, reducers, strategy);
         prop_assert!(hits.all_by_identity());
 
         // Another partition count: no route plan hits (its targets and
         // bucket sizes are for the old count), whatever the keys.
-        let hits = shuffle_job(&store, &mut scratch, &longer, reducers + 1, strategy);
-        prop_assert!(hits.route.iter().all(|&outcome| outcome == Unplanned));
-        // ... and back: nothing is left to hit, and every task — the
-        // hits above reset its backoff — records at once.
-        let hits = shuffle_job(&store, &mut scratch, &longer, reducers, strategy);
+        let hits = shuffle_job(&store, &longer, reducers + 1, strategy);
+        prop_assert!(hits.route.iter().all(|&outcome| outcome == Recorded));
+        // ... and back: nothing is left to hit, and every task records.
+        let hits = shuffle_job(&store, &longer, reducers, strategy);
         prop_assert!(hits.route.iter().all(|&outcome| outcome == Recorded));
         // A partition's input may or may not have differed under the
         // other count, so its plan was kept or is recorded again;
         // either way it holds the new handles now.
-        let hits = shuffle_job(&store, &mut scratch, &longer, reducers, strategy);
+        let hits = shuffle_job(&store, &longer, reducers, strategy);
         prop_assert!(hits.all_by_identity());
 
         // Fewer map tasks, then an empty job: still the references'.
-        shuffle_job(&store, &mut scratch, &longer[..tasks - 1].to_vec(), reducers, strategy);
-        shuffle_job(&store, &mut scratch, &Job::new(), reducers, strategy);
-        shuffle_job(&store, &mut scratch, &first, reducers, strategy);
+        shuffle_job(&store, &longer[..tasks - 1].to_vec(), reducers, strategy);
+        shuffle_job(&store, &Job::new(), reducers, strategy);
+        shuffle_job(&store, &first, reducers, strategy);
     }
 
     /// Unscripted: arbitrary jobs with arbitrary partition counts and
     /// strategies on one store, each shuffled four times in a row —
-    /// whatever a plan's backoff, once it is recorded it hits the same
-    /// job from then on.
+    /// whatever the first time found, every later time hits every plan
+    /// and knows every reduce input by identity.
     #[test]
     fn planned_shuffle_equals_reference_on_arbitrary_sequences(
         jobs in proptest::collection::vec(
@@ -248,15 +239,11 @@ proptest! {
         ),
     ) {
         let store = PlanStore::new();
-        let mut scratch = ShuffleScratch::default();
         for (job, reducers, radix) in jobs {
-            let mut last = shuffle_job(&store, &mut scratch, &job, reducers, strategy(radix));
+            shuffle_job(&store, &job, reducers, strategy(radix));
             for _ in 0..3 {
-                let hits = shuffle_job(&store, &mut scratch, &job, reducers, strategy(radix));
-                for (before, now) in last.outcomes().zip(hits.outcomes()) {
-                    prop_assert_eq!(now == Hit, before != Unplanned, "{:?} then {:?}", before, now);
-                }
-                last = hits;
+                let hits = shuffle_job(&store, &job, reducers, strategy(radix));
+                prop_assert!(hits.all_by_identity());
             }
         }
     }
@@ -327,18 +314,17 @@ fn two_job_types_sharing_a_key_type_evict_each_other_and_stay_correct() {
         let opts = JobOptions::with_reducers(4).with_grouping(grouping);
         let reuse = run_strided(&[&a, &b, &a, &b, &a, &a, &a, &a], &opts);
         // Interleaved, each job finds the other type's plans in its
-        // slots (or none) and the slots back off: `b` is recorded twice
-        // and found stale twice, so `a` is sat out twice more before it
-        // is recorded; then it finds its own.
-        let recorded: Vec<u64> = reuse.iter().map(|r| r.route.recorded).collect();
-        assert_eq!(recorded, [0, 5, 0, 5, 0, 0, 5, 0], "{reuse:?}");
-        for r in &reuse[..7] {
+        // slots (or none) and records its own over them; once `a` runs
+        // twice in a row it finds its own.
+        for r in &reuse[..5] {
             assert_eq!((r.route.hits, r.route.misses), (0, 5), "{reuse:?}");
             assert_eq!((r.group.hits, r.group_by_identity), (0, 0), "{reuse:?}");
         }
-        assert_eq!((reuse[7].route.hits, reuse[7].route.misses), (5, 0), "{reuse:?}");
-        assert_eq!((reuse[7].group.hits, reuse[7].group.misses), (4, 0), "{reuse:?}");
-        assert_eq!(reuse[7].group_by_identity, 4, "{reuse:?}");
+        for r in &reuse[5..] {
+            assert_eq!((r.route.hits, r.route.misses), (5, 0), "{reuse:?}");
+            assert_eq!((r.group.hits, r.group.misses), (4, 0), "{reuse:?}");
+            assert_eq!(r.group_by_identity, 4, "{reuse:?}");
+        }
     }
 }
 
@@ -356,17 +342,16 @@ fn a_partition_that_goes_empty_and_comes_back_keeps_every_slot_in_place() {
         // Partition 1 is skipped; partitions 0, 2 and 3 received what
         // they always do and must find their plans where they left
         // them — filed by compacted position, 2 and 3 would miss. Every
-        // map task lost keys and left its plan, so what they received
-        // came as owned pairs: compared key by key.
+        // map task lost keys and recorded anew, so what they received
+        // came with new handles: compared key by key.
         assert_eq!((reuse[3].group.hits, reuse[3].group.misses), (3, 0), "{reuse:?}");
         assert_eq!(reuse[3].route.hits, 0, "every map task lost keys: {reuse:?}");
         assert_eq!(reuse[3].group_by_identity, 0, "{reuse:?}");
         // Partition 1 comes back to the plan nobody touched. The map
-        // tasks (stale, so sat out for the one job above) record again:
-        // new handles with equal keys, compared once more and adopted —
-        // and then it is all identity.
+        // tasks record again: new handles with equal keys, compared once
+        // more and adopted — and then it is all identity.
         assert_eq!((reuse[4].group.hits, reuse[4].group.misses), (4, 0), "{reuse:?}");
-        assert_eq!((reuse[4].route.recorded, reuse[4].group_by_identity), (5, 0), "{reuse:?}");
+        assert_eq!((reuse[4].route.misses, reuse[4].group_by_identity), (5, 0), "{reuse:?}");
         assert_eq!((reuse[5].route.hits, reuse[5].group_by_identity), (5, 4), "{reuse:?}");
     }
 }
@@ -599,9 +584,9 @@ fn revalued(job: &Scripted, salt: u64) -> Scripted {
 }
 
 /// For task `t` and every prefix length `at` of its emissions: three
-/// jobs to get on plan, then the task leaves its plan at `at` — a key
-/// it never emitted there, or (at the plan's length) one record more —,
-/// comes back, and stops short at `at`; all on one engine.
+/// jobs on plan from the second, then the task leaves its plan at `at` —
+/// a key it never emitted there, or (at the plan's length) one record
+/// more —, comes back, and stops short at `at`; all on one engine.
 fn leave_the_plan_everywhere<F: Flavor>(combine: bool) {
     let pool = ThreadPool::new(3);
     let base = Scripted { combine, ..base_job() };
@@ -631,9 +616,11 @@ fn leave_the_plan_everywhere<F: Flavor>(combine: bool) {
                 revalued(&base, 7),
             ];
             let reuse = run_scripted::<F>(&pool, &script);
-            let steady = &reuse[2];
-            assert_eq!((steady.route.hits, steady.route.misses), (3, 0), "{reuse:?}");
-            assert_eq!((steady.group.hits, steady.group_by_identity), (populated, populated));
+            // Every miss records, so the job after it is on plan again.
+            for steady in [&reuse[1], &reuse[2], &reuse[5]] {
+                assert_eq!((steady.route.hits, steady.route.misses), (3, 0), "{reuse:?}");
+                assert_eq!((steady.group.hits, steady.group_by_identity), (populated, populated));
+            }
             if !combine {
                 // (Behind a combiner a changed key may fold away.)
                 assert_eq!((reuse[3].route.hits, reuse[3].route.misses), (2, 1), "at {at}");

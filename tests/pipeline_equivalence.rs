@@ -112,10 +112,10 @@ proptest! {
     }
 
     /// Sequences of jobs on one engine: the same splits four times —
-    /// first sight is shuffled unplanned, the second records every
-    /// plan, and the third and fourth are shuffled entirely through
-    /// remembered plans, so *that* is what is compared against the
-    /// oracle — then splits whose keys churn, then the first again.
+    /// first sight records every plan, and the second to fourth are
+    /// shuffled entirely through remembered plans, so *that* is what is
+    /// compared against the oracle — then splits whose keys churn, then
+    /// the first again.
     #[test]
     fn job_sequences_on_one_engine_agree_on_the_hit_path(
         splits in proptest::collection::vec(
@@ -135,12 +135,12 @@ proptest! {
             let consulted =
                 (reuse.route.hits + reuse.route.misses, reuse.group.hits + reuse.group.misses);
             prop_assert_eq!(consulted, tasks, "job {}: one plan per task", job);
-            let recorded = (reuse.route.recorded, reuse.group.recorded);
+            let misses = (reuse.route.misses, reuse.group.misses);
             match job {
-                0 => prop_assert_eq!(recorded, (0, 0), "first sight records nothing"),
-                1 => prop_assert_eq!(recorded, tasks, "the second sight records every plan"),
-                2 | 3 => {
-                    prop_assert_eq!((reuse.route.hits, reuse.group.hits), tasks, "all hits")
+                0 => prop_assert_eq!(misses, tasks, "first sight records every plan"),
+                1..=3 => {
+                    prop_assert_eq!((reuse.route.hits, reuse.group.hits), tasks, "all hits");
+                    prop_assert_eq!(reuse.group_by_identity, reuse.group.hits, "job {}", job);
                 }
                 _ => {}
             }
@@ -270,7 +270,7 @@ proptest! {
             prop_assert_eq!(local.hits + local.misses, staged.meter.local_syncs);
             // Job 1 repeats job 0's keys; jobs 2 and 3 each meet the
             // plan of other splits in every task's first pass.
-            prop_assert_eq!(local.recorded, if job == 1 { 0 } else { tasks }, "job {}", job);
+            prop_assert_eq!(local.misses, if job == 1 { 0 } else { tasks }, "job {}", job);
         }
     }
 }

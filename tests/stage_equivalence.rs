@@ -195,13 +195,12 @@ fn job_level_pairs_are_byte_identical_with_combiner() {
 
 #[test]
 fn job_sequence_on_one_engine_is_byte_identical_on_the_hit_path() {
-    // The same job four times on one engine — first sight is shuffled
-    // unplanned, the second records every plan, the third and fourth are
-    // shuffled entirely through remembered plans, and that is what the
-    // oracle is held against — then documents in other words (the plans
-    // are dropped and sit that job out), then the first again (recorded
-    // anew). String keys, with and without the combiner, both grouping
-    // strategies.
+    // The same job four times on one engine — first sight records every
+    // plan, the second to fourth are shuffled entirely through
+    // remembered plans, and that is what the oracle is held against —
+    // then documents in other words (every plan is dropped and recorded
+    // anew), then the first again (recorded anew once more). String
+    // keys, with and without the combiner, both grouping strategies.
     use asyncmr::core::GroupingStrategy;
     use wordcount::*;
 
@@ -220,14 +219,15 @@ fn job_sequence_on_one_engine_is_byte_identical_on_the_hit_path() {
                 assert_eq!(a.pairs, b.pairs, "job {job}: staged vs oracle");
                 let reuse = a.reuse;
                 let tasks = (docs.len() as u64, a.meter.reduce_tasks as u64);
-                let misses = (reuse.route.misses, reuse.group.misses);
-                let recorded = (reuse.route.recorded, reuse.group.recorded);
+                let (hits, misses) = (
+                    (reuse.route.hits, reuse.group.hits),
+                    (reuse.route.misses, reuse.group.misses),
+                );
                 match job {
-                    2 | 3 => assert_eq!(misses, (0, 0), "job {job} runs on remembered plans"),
-                    _ => assert_eq!(misses, tasks, "job {job} meets no plan of its own"),
+                    1..=3 => assert_eq!((hits, misses), (tasks, (0, 0)), "job {job} runs on plans"),
+                    _ => assert_eq!((hits, misses), ((0, 0), tasks), "job {job} records anew"),
                 }
-                let want = if job == 1 || job == 5 { tasks } else { (0, 0) };
-                assert_eq!(recorded, want, "job {job} clones keys only to record a plan");
+                assert_eq!(reuse.group_by_identity, reuse.group.hits, "job {job}");
             }
         }
     }
@@ -309,7 +309,6 @@ mod eager_jobs {
         for job in [kept, fresh] {
             let local = job.reuse.local;
             assert_eq!(local.hits + local.misses, job.meter.local_syncs);
-            assert_eq!(local.misses, local.recorded, "a local sync off its plan records one");
         }
         assert_eq!(oracle.reuse.local, PlanUse::default(), "the oracle reports no reuse");
     }
@@ -332,7 +331,7 @@ fn consecutive_eager_jobs_on_one_engine_equal_fresh_engines_and_the_oracle() {
         let kept = cc_job(&mut engine, &inputs);
         let fresh = cc_job(&mut Engine::in_process(&pool), &inputs);
         assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
-        assert_eq!(fresh.reuse.local.recorded, tasks, "a fresh engine records once a task");
+        assert_eq!(fresh.reuse.local.misses, tasks, "a fresh engine records once a task");
         if job == 0 {
             assert_eq!(kept.reuse.local, fresh.reuse.local);
             hits_of_job_0 = kept.reuse.local.hits;
@@ -350,7 +349,7 @@ fn consecutive_eager_jobs_on_one_engine_equal_fresh_engines_and_the_oracle() {
     let fresh = cc_job(&mut Engine::in_process(&pool), &inputs);
     assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
     assert_eq!(kept.reuse.local, fresh.reuse.local, "one fallback a task, then hits");
-    assert_eq!(kept.reuse.local.recorded, tasks);
+    assert_eq!(kept.reuse.local.misses, tasks);
 }
 
 #[test]
@@ -381,7 +380,7 @@ fn two_eager_mappers_sharing_a_key_type_evict_each_other_and_stay_correct() {
         let fresh = pr_job(&mut Engine::in_process(&pool), &inputs);
         assert_same_job(&kept, &fresh, &pr_job(&mut oracle, &inputs));
         assert_eq!(kept.reuse.local, fresh.reuse.local, "job {job}: evicted, as good as new");
-        assert_eq!(kept.reuse.local.recorded, tasks);
+        assert_eq!(kept.reuse.local.misses, tasks);
     }
 }
 
@@ -392,7 +391,7 @@ fn local_plans_and_shuffle_plans_share_slot_numbers_without_colliding() {
     // Two map tasks, five reduce partitions, `u32` keys everywhere:
     // slots 0 and 1 of the engine's plan store hold a route plan, a
     // local-sync plan *and* a reduce partition's group plan each. From
-    // the third job on every one of them is a hit.
+    // the second job on every one of them is a hit.
     let g = crawl_graph(300, 37).to_undirected();
     let parts = MultilevelKWay::default().partition(&g, 2);
     let partitions = GraphPartition::build(&g, &parts);
@@ -407,8 +406,8 @@ fn local_plans_and_shuffle_plans_share_slot_numbers_without_colliding() {
         assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
         assert!(kept.meter.reduce_tasks > 2, "more reduce partitions than map tasks");
         let reuse = kept.reuse;
-        assert_eq!(reuse.local.recorded, if job == 0 { 2 } else { 0 }, "job {job}");
-        if job >= 2 {
+        assert_eq!(reuse.local.misses, if job == 0 { 2 } else { 0 }, "job {job}");
+        if job >= 1 {
             let hits = (reuse.route.hits, reuse.group.hits);
             assert_eq!(hits, (2, kept.meter.reduce_tasks as u64), "job {job}");
             assert_eq!((reuse.route.misses, reuse.group.misses, reuse.local.misses), (0, 0, 0));
@@ -428,7 +427,7 @@ fn run_eager_records_its_local_plans_in_the_first_job_only() {
     let out = pagerank::run_eager(&mut engine, &g, &parts, &PageRankConfig::default());
     let local: Vec<_> = engine.history().iter().map(|job| job.reuse.local).collect();
     assert!(local.len() > 1, "more than one global iteration");
-    assert_eq!((local[0].misses, local[0].recorded), (4, 4));
+    assert_eq!(local[0].misses, 4);
     assert!(local[1..].iter().all(|job| job.misses == 0), "{local:?}");
     let syncs: u64 = local.iter().map(|job| job.hits + job.misses).sum();
     assert_eq!(syncs, out.report.local_syncs);
