@@ -159,7 +159,8 @@ impl LocalAlgorithm for KmLocalAlgorithm {
     }
 }
 
-/// Splits point indices into `num_partitions` groups; `shuffle_seed`
+/// Splits point indices into `num_partitions` groups, General's split
+/// ([`super::split`]; trailing groups may be empty); `shuffle_seed`
 /// (when `Some`) permutes the points first — the paper's periodic
 /// re-partitioning.
 fn partition_indices(n: usize, num_partitions: usize, shuffle_seed: Option<u64>) -> Vec<Vec<u32>> {
@@ -167,8 +168,7 @@ fn partition_indices(n: usize, num_partitions: usize, shuffle_seed: Option<u64>)
     if let Some(seed) = shuffle_seed {
         idx.shuffle(&mut StdRng::seed_from_u64(seed));
     }
-    let chunk = n.div_ceil(num_partitions);
-    idx.chunks(chunk.max(1)).map(<[u32]>::to_vec).collect()
+    super::split(n, num_partitions).map(|range| idx[range].to_vec()).collect()
 }
 
 /// Runs Eager K-Means from seeded random initial centroids.
@@ -300,6 +300,17 @@ mod tests {
         // Shuffled version differs from unshuffled.
         let plain = partition_indices(103, 7, None);
         assert_ne!(groups, plain);
+    }
+
+    #[test]
+    fn every_partition_gets_a_group_as_in_general() {
+        for (n, k) in [(100, 52), (9, 6), (3, 5)] {
+            let groups = partition_indices(n, k, Some(3));
+            assert_eq!(groups.len(), k, "n = {n}, k = {k}");
+            let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
+            let ranges: Vec<usize> = crate::kmeans::split(n, k).map(|r| r.len()).collect();
+            assert_eq!(sizes, ranges, "n = {n}, k = {k}");
+        }
     }
 
     #[test]

@@ -115,12 +115,6 @@ pub fn run_general_from(
     let n = points.len();
     assert!(num_partitions >= 1 && n > 0, "need points and at least one partition");
     let mut centroids = cfg.start(points, initial);
-    // Fixed contiguous chunks (the general variant never repartitions).
-    // Both bounds are clamped: with more partitions than chunks the
-    // trailing tasks legitimately receive empty ranges.
-    let chunk = n.div_ceil(num_partitions);
-    let ranges: Vec<(usize, usize)> =
-        (0..num_partitions).map(|p| ((p * chunk).min(n), ((p + 1) * chunk).min(n))).collect();
     let opts = JobOptions::with_reducers(cfg.num_reducers).with_combiner(&KmCombiner);
     // General convergence: Euclidean threshold only (no oscillation
     // detection — that refinement belongs to the eager variant).
@@ -129,12 +123,13 @@ pub fn run_general_from(
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
         let shared = Arc::new(centroids.clone());
-        let inputs: Vec<KmGeneralInput> = ranges
-            .iter()
-            .map(|&(start, end)| KmGeneralInput {
+        // Fixed contiguous chunks (the general variant never
+        // repartitions).
+        let inputs: Vec<KmGeneralInput> = super::split(n, num_partitions)
+            .map(|range| KmGeneralInput {
                 points: Arc::clone(points),
-                start,
-                end,
+                start: range.start,
+                end: range.end,
                 centroids: Arc::clone(&shared),
             })
             .collect();

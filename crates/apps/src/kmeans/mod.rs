@@ -26,6 +26,8 @@ mod rule;
 pub use eager::run_eager;
 pub use general::run_general;
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -115,6 +117,15 @@ pub fn initial_centroids(points: &[Point], k: usize, seed: u64) -> Vec<Point> {
     let mut idx: Vec<usize> = (0..points.len()).collect();
     idx.shuffle(&mut rng);
     idx.into_iter().take(k).map(|i| points[i].clone()).collect()
+}
+
+/// The one split of `n` points among `num_partitions` gmaps, which
+/// General and Eager share: partition `p` takes positions
+/// `p·⌈n/k⌉ .. (p+1)·⌈n/k⌉`, both bounds clamped to `n`, so there are
+/// always `num_partitions` ranges and the trailing ones may be empty.
+pub(crate) fn split(n: usize, num_partitions: usize) -> impl Iterator<Item = Range<usize>> {
+    let chunk = n.div_ceil(num_partitions);
+    (0..num_partitions).map(move |p| (p * chunk).min(n)..((p + 1) * chunk).min(n))
 }
 
 /// Global convergence state shared by the drivers: threshold plus

@@ -204,10 +204,11 @@ pub struct JobReuse {
     /// keys; the other hits compared at least one bucket key by key.
     pub group_by_identity: u64,
     /// Local syncs of [`crate::EagerMapper`] tasks, summed over the map
-    /// tasks: passes that ran on the task's remembered plan (`hits`)
-    /// and passes that fell off it or had none, each of which records
-    /// its own (`misses`). The plan outlives the job, so a task whose
-    /// keys repeat records in its first job only.
+    /// tasks: passes whose emissions the task's remembered
+    /// [`crate::shuffle::GroupPlan`] recognised (`hits`) and passes it
+    /// did not — other keys, no plan, or no emission at all — each of
+    /// which records its own (`misses`). The plan outlives the job, so
+    /// a task whose keys repeat records in its first job only.
     pub local: PlanUse,
 }
 
@@ -640,10 +641,22 @@ mod tests {
 
         // An eager job: each task's local syncs record a plan in
         // their first pass of the first job, and every pass after
-        // it — in that job and the next ones — runs on it.
-        let local: Vec<PlanUse> = (0..3)
-            .map(|_| engine.run("eager", &targets(), &eager(), &First, &eager_opts).reuse.local)
+        // it — in that job and the next ones — runs on it. Map task
+        // t's local plan and reduce partition t's group plan are both
+        // `GroupPlan<u32>`s and do not evict each other: from the
+        // second job on every route and group plan hits too.
+        let eager_jobs: Vec<JobReuse> = (0..3)
+            .map(|_| engine.run("eager", &targets(), &eager(), &First, &eager_opts).reuse)
             .collect();
+        let groups = eager_jobs[0].group.misses;
+        assert!(groups > 0 && eager_jobs[0].group.hits == 0, "{eager_jobs:?}");
+        assert_eq!(eager_jobs[0].route, missed(4), "the first job records");
+        for job in &eager_jobs[1..] {
+            let hit = |hits| PlanUse { hits, misses: 0 };
+            assert_eq!((job.route, job.group), (hit(4), hit(groups)), "{eager_jobs:?}");
+            assert_eq!(job.group_by_identity, groups);
+        }
+        let local: Vec<PlanUse> = eager_jobs.iter().map(|job| job.local).collect();
         assert_eq!(local[0].misses, 4, "one recording per task");
         assert!(local[0].hits > 4 * 20, "{local:?}");
         for job in &local[1..] {

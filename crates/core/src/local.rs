@@ -33,28 +33,30 @@
 //! each `lreduce` pass is one *partial synchronization*, counted in
 //! [`crate::TaskMeter::local_syncs`].
 //!
-//! A task's passes emit the same keys in the same order again and again
-//! (its partition does not change), so a steady-state pass buffers,
-//! sorts and groups nothing: `EmitLocalIntermediate` checks each key
-//! against the sequence the task last emitted — every key, every pass —
-//! and writes the value straight to its place among the grouped values,
+//! Each pass is a one-partition shuffle: its emissions are grouped
+//! through a [`GroupPlan`] the task keeps from pass to pass — and, filed
+//! in the engine's [`crate::plan::PlanStore`] between jobs, from job to
+//! job — by the very [`shuffle::group_planned`] a single-partition
+//! reduce task runs. A task's passes emit the same keys in the same
+//! order again and again (its partition does not change), so a
+//! steady-state pass sorts nothing: the plan compares every emitted key
+//! with the sequence it was recorded from — every key, every pass —
+//! scatters the values to their places among the grouped values, and
 //! `lreduce` walks the group boundaries recorded with that sequence,
-//! and `EmitLocal` appends to the next state. The remembered sequence
-//! outlives the job when an [`crate::Engine`] runs the task. A pass
-//! whose keys differ is buffered, sorted and remembered in turn: only
-//! slower, never different (`docs/ARCHITECTURE.md`, "What one partial
-//! synchronization costs").
+//! `EmitLocal` appending to the next state. A pass whose keys differ
+//! records a new plan: only slower, never different
+//! (`docs/ARCHITECTURE.md`, "What one partial synchronization costs").
 //!
 //! An algorithm whose keys are the partition's structure — a graph
 //! app's owned vertices and internal edges — can say so once, as
 //! [`LocalAlgorithm::emission_keys`]. Its passes are then *declared*:
 //! `lmap` builds no key and emits values only
-//! ([`LocalMapContext::emit_value`]), value `i` landing in the slot of
-//! declared key `i`. The declaration is compared with the task's
-//! remembered sequence once per map call (the plan is recorded from it
-//! when they differ), and every declared pass checks that it emitted
-//! exactly as many values as keys were declared, in every build — so
-//! no key goes unchecked: a declared pass emits none.
+//! ([`LocalMapContext::emit_value`]), value `i` going straight to the
+//! slot of declared key `i`. The declaration is compared with the
+//! task's plan once per map call (the plan is recorded from it when
+//! they differ), and every declared pass checks that it emitted exactly
+//! as many values as keys were declared, in every build — so no key
+//! goes unchecked: a declared pass emits none.
 
 use std::fmt;
 use std::ops::Index;
@@ -62,7 +64,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::emitter::MapContext;
 use crate::kv::{Key, Meterable, Value};
-use crate::shuffle::{self, PlanOutcome, ShuffleScratch, SlotWriter};
+use crate::shuffle::{self, GroupPlan, GroupView, GroupingStrategy, PlanOutcome, SlotWriter};
 use crate::traits::Mapper;
 
 /// Default for [`LocalAlgorithm::max_local_iterations`] — the one
@@ -238,77 +240,15 @@ impl<'a, K, V> IntoIterator for &'a LocalState<K, V> {
     }
 }
 
-/// What a task's local syncs remember from one pass to the next — and,
-/// filed in the engine's [`crate::plan::PlanStore`] between jobs, from
-/// one job to the next: the key sequence a pass emitted, where each
-/// emission lands in the grouped values, and where the groups end.
-///
-/// An iterative task emits the same keys in the same order pass after
-/// pass (a graph partition's edges do not move); only the values
-/// change. [`LocalMapContext::emit_local_intermediate`] **verifies**
-/// every emitted key against the remembered sequence — one equality
-/// test per record, in every build, never skipped — so a pass whose
-/// keys churn (K-Means reassignments) is never wrong, only slower. A
-/// declaring algorithm's plan is the plan of its declaration, compared
-/// with the kept one once per map call; its passes emit no key.
-///
-/// One `K` and one `u32` a record plus two `u32` a group, held until
-/// the plan fails a verification (which frees it; the pass records its
-/// successor) or the task — outside an engine — or the engine is
-/// dropped.
+/// A map task's local-sync plan as the engine files it between jobs: a
+/// [`GroupPlan`] under a type of its own, so it never shares a
+/// [`crate::plan::PlanStore`] slot with reduce partition *t*'s.
 #[derive(Debug)]
-pub(crate) struct LocalPlan<K> {
-    /// The key sequence the plan was built for, in emission order.
-    input_keys: Vec<K>,
-    /// `slots[i]` is where emission `i`'s value lands in the grouped
-    /// values: a permutation of `0..input_keys.len()` (the slot writes'
-    /// safety rests on this, so only [`LocalPlan::record`] writes it).
-    slots: Vec<u32>,
-    /// One `(head, end)` per group, keys ascending: the group's key is
-    /// `input_keys[head]` (its first emission) and its values end at
-    /// `end` in the grouped values, where the next group's begin.
-    groups: Vec<(u32, u32)>,
-}
+pub(crate) struct LocalSyncPlan<K>(GroupPlan<K>);
 
-impl<K> Default for LocalPlan<K> {
+impl<K> Default for LocalSyncPlan<K> {
     fn default() -> Self {
-        LocalPlan { input_keys: Vec::new(), slots: Vec::new(), groups: Vec::new() }
-    }
-}
-
-impl<K: Key> LocalPlan<K> {
-    /// Records in the key sequence the plan was built for.
-    fn records(&self) -> usize {
-        self.input_keys.len()
-    }
-
-    /// The plan of the key sequence `input_keys`: the keys, their
-    /// stable-sort permutation and the groups' boundaries (`order` is a
-    /// recycled temporary).
-    fn record(input_keys: Vec<K>, order: &mut Vec<u32>) -> Self {
-        let mut plan = LocalPlan { input_keys, ..LocalPlan::default() };
-        shuffle::sort_slots(&plan.input_keys, order, &mut plan.slots);
-        let keys = &plan.input_keys;
-        for (slot, &i) in order.iter().enumerate() {
-            let end = slot as u32 + 1;
-            match plan.groups.last_mut() {
-                Some(group) if keys[group.0 as usize] == keys[i as usize] => group.1 = end,
-                _ => plan.groups.push((i, end)),
-            }
-        }
-        plan.groups.shrink_to_fit();
-        order.clear();
-        plan
-    }
-
-    /// Calls `f` once per key group of `values` — a pass's emissions
-    /// placed through this plan — keys ascending.
-    fn for_each_group<V>(&self, values: &[V], mut f: impl FnMut(&K, &[V])) {
-        let mut lo = 0;
-        for &(head, end) in &self.groups {
-            f(&self.input_keys[head as usize], &values[lo..end as usize]);
-            lo = end as usize;
-        }
+        LocalSyncPlan(GroupPlan::default())
     }
 }
 
@@ -316,39 +256,33 @@ impl<K: Key> LocalPlan<K> {
 /// `EmitLocalIntermediate` plus op metering.
 ///
 /// A **keyed** pass (the algorithm declares no
-/// [emission keys](LocalAlgorithm::emission_keys)) starts **on plan**
-/// when its task holds a (non-empty) plan — the key sequence its last
-/// pass emitted: each emission is checked against the plan's next key
-/// and its value written straight to its slot in the grouped values.
-/// The first emission that differs — or the end of a pass that stopped
-/// short of the plan — takes the pass off plan: the verified prefix
-/// comes back out as pairs, the rest of the pass is buffered, and the
-/// end of the pass records a fresh plan. Either way the grouped values
-/// are what a stable sort of the emitted pairs gives.
+/// [emission keys](LocalAlgorithm::emission_keys)) buffers its
+/// emissions as pairs, and the end of the pass groups them through the
+/// task's plan with [`shuffle::group_planned`]: it recognises the key
+/// sequence the plan was recorded from, every key compared, or records
+/// a new plan. Either way the grouped values are what a stable sort of
+/// the emitted pairs gives.
 ///
 /// A **declared** pass runs on the plan of the keys its algorithm
 /// declared, and `lmap` emits values only
-/// ([`emit_value`](LocalMapContext::emit_value)): value `i` goes to
-/// the slot of declared key `i`. The pass must emit exactly as many
-/// values as keys were declared — one more panics at that emission,
-/// one fewer at the end of the pass — and a keyed emission panics, as
-/// does `emit_value` in a keyed pass. Every such panic names the task
-/// and the pass.
+/// ([`emit_value`](LocalMapContext::emit_value)): value `i` goes
+/// straight to the slot of declared key `i`. The pass must emit exactly
+/// as many values as keys were declared — one more panics at that
+/// emission, one fewer at the end of the pass — and a keyed emission
+/// panics, as does `emit_value` in a keyed pass. Every such panic names
+/// the task and the pass.
 #[derive(Debug)]
 pub struct LocalMapContext<K, V> {
     /// The task's plan, checked out for the pass.
-    plan: LocalPlan<K>,
-    /// On plan: emissions `..cursor` matched `plan.input_keys[..cursor]`
-    /// and their values sit at `plan.slots[..cursor]` of `placed`.
-    /// Declared: values `..cursor` sit there.
-    on_plan: bool,
+    plan: GroupPlan<K>,
+    /// Keyed: the pass's emissions, in order.
+    pairs: Vec<(K, V)>,
+    /// `Some` in a declared pass, with what the pass reports it did
+    /// with the plan: values `..cursor` sit at the plan's slots of
+    /// records `..cursor` in `placed`.
+    declared: Option<PlanOutcome>,
     cursor: usize,
     placed: SlotWriter<V>,
-    /// Off plan: the pass's emissions so far, in order.
-    intermediate: Vec<(K, V)>,
-    /// `Some` in a declared pass: what the pass reports it did with the
-    /// plan.
-    declared: Option<PlanOutcome>,
     /// The map task and its pass index, for the panics.
     task: usize,
     pass: usize,
@@ -356,31 +290,22 @@ pub struct LocalMapContext<K, V> {
 }
 
 impl<K: Key, V: Value> LocalMapContext<K, V> {
-    /// A context for pass `pass` of task `task`, which holds `plan`,
-    /// over buffers recycled from `scratch`. `declared` is `Some` when
-    /// the plan's keys are the algorithm's declaration, with what this
-    /// pass reports (a zero-record plan is no plan: `Recorded`). On
-    /// plan and declared the pair buffer is not needed and is released.
+    /// A context for pass `pass` of task `task`, which holds `plan`.
+    /// `declared` is `Some` when the plan is the algorithm's
+    /// declaration, with what this pass reports; its values are placed
+    /// in `values`' allocation. A keyed pass buffers its pairs in room
+    /// for the plan's records.
     fn following(
-        plan: LocalPlan<K>,
+        plan: GroupPlan<K>,
         declared: Option<PlanOutcome>,
         (task, pass): (usize, usize),
-        scratch: &mut ShuffleScratch<K, V>,
+        values: &mut Vec<V>,
     ) -> Self {
-        let on_plan = declared.is_none() && plan.records() > 0;
-        let declared = declared.map(|o| if plan.records() > 0 { o } else { PlanOutcome::Recorded });
-        let pairs = scratch.take_pairs();
-        LocalMapContext {
-            placed: SlotWriter::new(std::mem::take(&mut scratch.values), plan.records()),
-            plan,
-            on_plan,
-            cursor: 0,
-            intermediate: if on_plan || declared.is_some() { Vec::new() } else { pairs },
-            declared,
-            task,
-            pass,
-            ops: 0,
-        }
+        let (placed, pairs) = match declared {
+            Some(_) => (SlotWriter::new(std::mem::take(values), plan.records()), Vec::new()),
+            None => (SlotWriter::new(Vec::new(), 0), Vec::with_capacity(plan.records())),
+        };
+        LocalMapContext { plan, pairs, declared, cursor: 0, placed, task, pass, ops: 0 }
     }
 
     /// The paper's `EmitLocalIntermediate(key, value)`: feeds the next
@@ -391,20 +316,13 @@ impl<K: Key, V: Value> LocalMapContext<K, V> {
     /// In a declared pass, which emits values only.
     #[inline]
     pub fn emit_local_intermediate(&mut self, key: K, value: V) {
-        if self.on_plan {
-            if self.plan.input_keys.get(self.cursor) == Some(&key) {
-                self.placed.write(self.plan.slots[self.cursor], value);
-                self.cursor += 1;
-                return;
-            }
-            self.fall_back();
-        } else if self.declared.is_some() {
+        if self.declared.is_some() {
             self.refuse(format_args!(
                 "a keyed emission in a declared pass, after {} values",
                 self.cursor
             ));
         }
-        self.intermediate.push((key, value));
+        self.pairs.push((key, value));
     }
 
     /// Emits the value of the next declared key: the declared pass's
@@ -417,8 +335,8 @@ impl<K: Key, V: Value> LocalMapContext<K, V> {
     /// last declared key.
     #[inline]
     pub fn emit_value(&mut self, value: V) {
-        match self.plan.slots.get(self.cursor) {
-            Some(&slot) if self.declared.is_some() => {
+        match self.plan.slot(self.cursor) {
+            Some(slot) if self.declared.is_some() => {
                 self.placed.write(slot, value);
                 self.cursor += 1;
             }
@@ -444,68 +362,43 @@ impl<K: Key, V: Value> LocalMapContext<K, V> {
         panic!("local sync of task {}, pass {}: {what}", self.task, self.pass)
     }
 
-    /// Takes the pass off plan: the plan failed its verification and is
-    /// dropped, and the emissions it did match become buffered pairs —
-    /// its own keys, moved, with the values taken back out of their
-    /// slots.
-    #[cold]
-    fn fall_back(&mut self) {
-        self.on_plan = false;
-        let plan = std::mem::take(&mut self.plan);
-        self.intermediate.reserve(self.cursor + 1);
-        for (key, &slot) in plan.input_keys.into_iter().zip(&plan.slots).take(self.cursor) {
-            // SAFETY: on plan, emission `i < cursor` wrote `slots[i]`
-            // and nothing else did (`slots` is a permutation); this
-            // loop visits each `i < cursor` once and `on_plan` is now
-            // false, so each of those values is taken exactly once.
-            let value = unsafe { self.placed.take(slot) };
-            self.intermediate.push((key, value));
-        }
-    }
-
-    /// Ends the pass: the emitted values grouped for
-    /// [`LocalPlan::for_each_group`] over the returned plan, and
-    /// whether the pass stayed on plan ([`PlanOutcome::Hit`]) or
-    /// recorded a new one.
+    /// Ends the pass: places its values, grouped, in `values`' allocation,
+    /// calls `f` once per key group, keys ascending, and returns the
+    /// plan they were grouped through and what became of it — a pass
+    /// that emitted nothing has no plan to be on, so it never hits.
     ///
     /// # Panics
     ///
     /// If a declared pass emitted fewer values than it declared keys.
-    fn finish(mut self, scratch: &mut ShuffleScratch<K, V>) -> (Vec<V>, LocalPlan<K>, PlanOutcome) {
-        if let Some(outcome) = self.declared {
-            if self.cursor < self.plan.records() {
-                let (emitted, declared) = (self.cursor, self.plan.records());
-                self.refuse(format_args!("{emitted} values for the {declared} keys it declared"));
+    fn finish(
+        mut self,
+        values: &mut Vec<V>,
+        f: impl FnMut(GroupView<'_, K, V>),
+    ) -> (GroupPlan<K>, PlanOutcome) {
+        let outcome = match self.declared {
+            Some(outcome) => {
+                if self.cursor < self.plan.records() {
+                    let (emitted, declared) = (self.cursor, self.plan.records());
+                    self.refuse(format_args!(
+                        "{emitted} values for the {declared} keys it declared"
+                    ));
+                }
+                // SAFETY: `emit_value` wrote the slot of record `i` for
+                // each emission `i < cursor` and refuses one at `cursor
+                // == records()`, so with `cursor == records()` every slot
+                // of the plan's permutation was written exactly once.
+                *values = unsafe { self.placed.finish() };
+                self.plan.for_each_group(values, f);
+                outcome
             }
-            // SAFETY: `emit_value` wrote `slots[i]` for each emission
-            // `i < cursor` and refuses one at `cursor == records()`, so
-            // with `cursor == records()` every slot of the permutation
-            // `slots` was written exactly once.
-            return (unsafe { self.placed.finish() }, self.plan, outcome);
-        }
-        if self.on_plan && self.cursor < self.plan.records() {
-            self.fall_back(); // a strict prefix of the plan is a miss
-        }
-        if self.on_plan {
-            // SAFETY: every emission matched and the pass covered the
-            // plan: emission `i` wrote `slots[i]` for each `i` below
-            // `records()`, and `slots` is a permutation of that range,
-            // so every slot was written exactly once.
-            return (unsafe { self.placed.finish() }, self.plan, PlanOutcome::Hit);
-        }
-        let mut pairs = self.intermediate;
-        // The keys — the one clone per record a plan costs.
-        let keys = pairs.iter().map(|(k, _)| k.clone()).collect();
-        let plan = LocalPlan::record(keys, &mut scratch.slots);
-        let mut placed = SlotWriter::new(self.placed.into_buffer(), pairs.len());
-        for ((_, value), &slot) in pairs.drain(..).zip(&plan.slots) {
-            placed.write(slot, value);
-        }
-        scratch.offer_pairs(pairs);
-        // SAFETY: `plan` was just recorded from `pairs`: pair `i` wrote
-        // `slots[i]`, a permutation of `0..pairs.len()`, so every slot
-        // was written exactly once.
-        (unsafe { placed.finish() }, plan, PlanOutcome::Recorded)
+            None => {
+                let pairs = vec![self.pairs.into()];
+                let sort = GroupingStrategy::Sort;
+                shuffle::group_planned(pairs, sort, &mut self.plan, values, f).0
+            }
+        };
+        let outcome = if self.plan.records() > 0 { outcome } else { PlanOutcome::Recorded };
+        (self.plan, outcome)
     }
 }
 
@@ -700,27 +593,18 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
         ctx.meter.set_input_bytes(input_bytes);
         let items = self.algo.items(input);
 
-        // One scratch set serves every local iteration of this task —
-        // the grouped values, the state buffers and (off plan) the pair
-        // buffer stop allocating after the first pass — and `plan`,
-        // which the task keeps from its last job on this engine, turns
-        // every pass whose keys repeat into verified slot writes.
-        let mut scratch: ShuffleScratch<L::Key, L::Value> = ShuffleScratch::default();
-        let mut plan = std::mem::take(&mut ctx.local_plan);
+        // The plan the task kept from its last job on this engine turns
+        // every pass whose keys repeat into a scatter of values.
+        let mut plan = std::mem::take(&mut ctx.local_plan).0;
         // A declaration is compared with the kept plan once, here; the
         // plan is recorded from it when they differ. Its passes then
         // emit no key, and each checks its value count.
-        let mut declared = self.algo.emission_keys(task, input).map(|keys| {
-            if keys == plan.input_keys {
-                return PlanOutcome::Hit;
-            }
-            plan = LocalPlan::record(keys, &mut scratch.slots);
-            PlanOutcome::Recorded
-        });
-        let mut retired: Vec<(L::Key, L::Value)> = Vec::new();
+        let mut declared =
+            self.algo.emission_keys(task, input).map(|keys| plan.recognise_or_record(keys));
+        let (mut values, mut retired) = (Vec::new(), Vec::new());
         for pass in 0..max_passes {
             // Local map phase over every element of xs.
-            let mut lctx = LocalMapContext::following(plan, declared, (task, pass), &mut scratch);
+            let mut lctx = LocalMapContext::following(plan, declared, (task, pass), &mut values);
             for item in items {
                 self.algo.lmap(task, input, item, &state, &mut lctx);
             }
@@ -729,20 +613,17 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
             // barrier is *within* the task — other partitions are
             // already running their next local iteration (eager
             // scheduling).
-            let (values, outcome);
-            (values, plan, outcome) = lctx.finish(&mut scratch);
+            let mut rctx = LocalReduceContext::reusing(retired);
+            let outcome;
+            (plan, outcome) = lctx.finish(&mut values, |g| {
+                self.algo.lreduce(task, input, g.key, g.values, &mut rctx)
+            });
             ctx.local_use.count(outcome);
             // Every later declared pass runs on the plan this one used.
             declared = declared.and(Some(PlanOutcome::Hit));
-            let record_work = values.len() as u64;
-            let mut rctx = LocalReduceContext::reusing(retired);
-            plan.for_each_group(&values, |key, group| {
-                self.algo.lreduce(task, input, key, group, &mut rctx)
-            });
-            scratch.values = values;
             let mut new_state = LocalState::from_writes(rctx.emitted);
             self.algo.post_lreduce(task, input, &state, &mut new_state);
-            ctx.meter.add_ops(lmap_ops + rctx.ops + record_work);
+            ctx.meter.add_ops(lmap_ops + rctx.ops + plan.records() as u64);
             ctx.meter.add_local_sync();
 
             let done = self.algo.locally_converged(&state, &new_state);
@@ -751,7 +632,7 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
                 break;
             }
         }
-        ctx.local_plan = plan;
+        ctx.local_plan = LocalSyncPlan(plan);
         self.algo.finalize(task, input, &state, ctx);
     }
 }
@@ -1022,8 +903,8 @@ pub(crate) mod tests {
 
     #[test]
     fn a_pass_that_stops_short_of_the_plan_is_a_miss() {
-        // Recorded, hit, a strict prefix of the plan (caught at the end
-        // of the pass, before any slot is read), hit on the new plan.
+        // Recorded, hit, a strict prefix of the plan (not recognised:
+        // it records), hit on the new plan.
         let (pairs, local) = Stretch::run(&[3, 3, 2, 2]);
         assert_eq!(pairs, vec![(0, 4), (1, 4), (Stretch::CLOCK, 4)]);
         assert_eq!(local, PlanUse { hits: 2, misses: 2 });
@@ -1031,6 +912,8 @@ pub(crate) mod tests {
 
     #[test]
     fn a_pass_that_runs_past_the_plan_falls_back_at_the_first_excess_record() {
+        // Recorded, one record past the plan (not recognised: it
+        // records), hit on the new plan.
         let (pairs, local) = Stretch::run(&[2, 3, 3]);
         assert_eq!(pairs, vec![(0, 3), (1, 3), (2, 3), (Stretch::CLOCK, 3)]);
         assert_eq!(local, PlanUse { hits: 1, misses: 2 });
@@ -1054,13 +937,13 @@ pub(crate) mod tests {
     }
 
     impl Echo {
-        /// Runs one map call per input in turn on one task, each
-        /// starting from the plan the last one left: every call's pairs
-        /// and plan use.
-        fn run(declare: bool, inputs: &[&[u32]]) -> Vec<(Vec<(u32, u64)>, PlanUse)> {
-            let mut plan = LocalPlan::default();
+        /// Runs one map call per `(declare, input)` in turn on one task,
+        /// each starting from the plan the last one left: every call's
+        /// pairs and plan use.
+        fn run(inputs: &[(bool, &[u32])]) -> Vec<(Vec<(u32, u64)>, PlanUse)> {
+            let mut plan = LocalSyncPlan::default();
             let mut calls = Vec::new();
-            for input in inputs {
+            for &(declare, input) in inputs {
                 let mut ctx = MapContext::default();
                 ctx.local_plan = plan;
                 EagerMapper::new(Echo { declare }).map(0, &input.to_vec(), &mut ctx);
@@ -1129,8 +1012,8 @@ pub(crate) mod tests {
         // the first pass; another sequence re-records; an empty one is
         // no plan, pass after pass; and back.
         let inputs: [&[u32]; 5] = [&[3, 1, 3, 2], &[3, 1, 3, 2], &[1, 2], &[], &[1, 2]];
-        let declared = Echo::run(true, &inputs);
-        assert_eq!(declared, Echo::run(false, &inputs));
+        let declared = Echo::run(&inputs.map(|input| (true, input)));
+        assert_eq!(declared, Echo::run(&inputs.map(|input| (false, input))));
         let uses: Vec<PlanUse> = declared.iter().map(|call| call.1).collect();
         let (recorded, hit, empty) = (
             PlanUse { hits: 2, misses: 1 },
@@ -1139,6 +1022,15 @@ pub(crate) mod tests {
         );
         assert_eq!(uses, [recorded, hit, recorded, empty, recorded]);
         assert_eq!(declared[0].0, vec![(1, 4), (2, 5), (3, 38)]);
+        // The two roads share one plan: declared and keyed calls that
+        // alternate over the same keys on one task hit what the other
+        // recorded, and either records when the keys change.
+        let (a, b) = (inputs[0], inputs[2]);
+        let calls = [(true, a), (false, a), (true, a), (false, b), (true, b), (false, a)];
+        let mixed = Echo::run(&calls);
+        assert_eq!(mixed, Echo::run(&calls.map(|(_, input)| (false, input))));
+        let uses: Vec<PlanUse> = mixed.iter().map(|call| call.1).collect();
+        assert_eq!(uses, [recorded, hit, hit, recorded, hit, recorded]);
     }
 
     /// post_lreduce carries forward entries lreduce never saw.

@@ -69,7 +69,7 @@ use asyncmr_runtime::ThreadPool;
 use crate::emitter::{MapContext, ReduceContext, Routed};
 use crate::engine::{JobMeter, JobOptions, JobReuse, PlanUse};
 use crate::kv::{Key, Meterable, Value};
-use crate::local::LocalPlan;
+use crate::local::LocalSyncPlan;
 use crate::shuffle::{
     self, Bucket, GroupPlan, GroupView, GroupingStrategy, PlanOutcome, RoutePlan,
 };
@@ -117,7 +117,8 @@ impl StageTimings {
 }
 
 /// What the engine remembers from job to job: one [`RoutePlan`] and
-/// one local-sync plan (`crate::local`'s; empty unless the mapper is a
+/// one local-sync plan (a [`GroupPlan`] under a newtype of
+/// `crate::local`'s; empty unless the mapper is a
 /// [`crate::EagerMapper`]) per map task, and one [`GroupPlan`] per
 /// reduce partition.
 ///
@@ -129,18 +130,19 @@ impl StageTimings {
 /// empty partition does not shift its neighbours' slots). Two job types
 /// that share a key type share slots and evict each other's plans:
 /// every plan is verified against its input on every use
-/// ([`shuffle::RouteSink::emit`], [`shuffle::group_planned`],
-/// [`crate::LocalMapContext::emit_local_intermediate`]), so that costs
-/// a recording per use — every plan records on every miss — never
-/// results.
+/// ([`shuffle::RouteSink::emit`], [`shuffle::group_planned`] — which
+/// the local syncs run too — and a declaration's comparison once per
+/// map call), so that costs a recording per use — every plan records
+/// on every miss — never results.
 ///
 /// A slot holds what its task recorded — a map task's key sequence
-/// with one `u32` a record (≈ 8 B a record for `u32` keys; the
-/// local-sync plan alike, plus two `u32` a key group), a reduce
+/// with one `u32` a record (≈ 8 B a record for `u32` keys), a reduce
 /// partition's one `u32` a record and three a key group beside
-/// *handles* on the map tasks' keys, which it shares — until it fails a
-/// verification, which frees it (a key sequence goes when the last
-/// plan sharing it does); dropping the engine releases everything.
+/// *handles* on the map tasks' keys, which it shares, and a map task's
+/// local-sync plan, the same `GroupPlan` over one chunk of keys of its
+/// own — until it fails a verification, which frees it (a key sequence
+/// goes when the last plan sharing it does); dropping the engine
+/// releases everything.
 #[derive(Debug, Default)]
 pub struct PlanStore {
     slots: Mutex<HashMap<(TypeId, usize), Box<dyn Any + Send>>>,
@@ -269,7 +271,7 @@ fn map_task<M: Mapper>(
 ) -> MapOut<M::Key, M::Value> {
     let Routed { buckets, planned, meter, records, bytes, local } =
         routing(task, reducers, plans, |ctx| {
-            plans.with(task, |kept: &mut LocalPlan<M::Key>| {
+            plans.with(task, |kept: &mut LocalSyncPlan<M::Key>| {
                 ctx.local_plan = std::mem::take(kept);
                 mapper.map(task, input, ctx);
                 *kept = std::mem::take(&mut ctx.local_plan);
@@ -353,7 +355,7 @@ fn reduce_task<R: Reducer>(
     let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::with_capacity(groups);
     let planned = plans.with(partition, |plan: &mut GroupPlan<R::Key>| {
         let reduce = |g: GroupView<'_, _, _>| reducer.reduce(g.key, g.values, &mut ctx);
-        shuffle::group_planned(buckets, grouping, plan, reduce)
+        shuffle::group_planned(buckets, grouping, plan, &mut Vec::new(), reduce)
     });
     let (pairs, meter, out_records, out_bytes) = ctx.finish();
     ReduceOut { pairs, ops: meter.ops(), in_records, out_records, out_bytes, planned }

@@ -48,10 +48,10 @@
 //! job: job 1 of a shape records every plan, and from job 2 on every
 //! reduce input is known by identity. [`PlanOutcome`] says which of the
 //! two happened. The engine keeps the plans per map task and per reduce
-//! partition in its [`crate::plan::PlanStore`]. The local syncs of a
-//! [`crate::local::EagerMapper`] task remember the same way — their plan
-//! is of a type of its own, in [`crate::local`] — and the engine files
-//! that plan in the same store between jobs.
+//! partition in its [`crate::plan::PlanStore`]. A local sync of a
+//! [`crate::local::EagerMapper`] task is a one-partition shuffle: each
+//! pass groups through a one-chunk [`GroupPlan`] of the task's own,
+//! which the engine files in the same store between jobs.
 //!
 //! Grouping implementations:
 //!
@@ -434,15 +434,13 @@ impl<K: Key, V: Value> RouteSink<K, V> {
 ///
 /// One task's worth of grouping memory: the concatenation buffer plus
 /// the split key/value arrays. A task owns its scratch for the task's
-/// lifetime (an [`crate::EagerMapper`] task reuses one across its local
-/// syncs); no scratch outlives its task.
+/// lifetime; no scratch outlives its task.
 #[derive(Debug)]
 pub struct ShuffleScratch<K, V> {
     pub(crate) pairs: Vec<(K, V)>,
     pub(crate) keys: Vec<K>,
     pub(crate) values: Vec<V>,
-    /// Per-pair index buffer: the group ids of a radix grouping, or
-    /// the temporary of a local-sync plan recording (untyped in K/V).
+    /// Per-pair index buffer: the group ids of a radix grouping.
     pub(crate) slots: Vec<u32>,
 }
 
@@ -464,14 +462,14 @@ impl<K, V> ShuffleScratch<K, V> {
     }
 
     /// Takes the spare pair buffer (cleared), leaving an empty one.
-    pub(crate) fn take_pairs(&mut self) -> Vec<(K, V)> {
+    fn take_pairs(&mut self) -> Vec<(K, V)> {
         let mut pairs = std::mem::take(&mut self.pairs);
         pairs.clear();
         pairs
     }
 
     /// Shelves a pair buffer if it beats the currently held one.
-    pub(crate) fn offer_pairs(&mut self, pairs: Vec<(K, V)>) {
+    fn offer_pairs(&mut self, pairs: Vec<(K, V)>) {
         if pairs.capacity() > self.pairs.capacity() {
             self.pairs = pairs;
             self.pairs.clear();
@@ -509,18 +507,25 @@ pub fn concat_buckets<K, V>(
 /// churn (K-Means reassignments) is therefore never wrong; it records a
 /// new plan every time.
 ///
+/// The local syncs of a [`crate::EagerMapper`] task group through a
+/// plan of one chunk: a keyed pass hands [`group_planned`] its pairs as
+/// one owned bucket, and a pass whose algorithm declares its keys runs
+/// on the plan of that declaration (`GroupPlan::recognise_or_record`).
+///
 /// One `u32` a record and three a group, plus one `K` a record only
 /// where a bucket carried no handle; kept in the engine's
-/// [`crate::plan::PlanStore`] slot of the reduce partition until it
-/// fails to recognise an input, which replaces it.
+/// [`crate::plan::PlanStore`] slot of the reduce partition (or of the
+/// map task whose local syncs it serves) until it fails to recognise an
+/// input, which replaces it.
 #[derive(Debug)]
 pub struct GroupPlan<K> {
     /// The key sequence the plan was built for, one chunk per input
     /// bucket.
     chunks: Vec<Arc<[K]>>,
     /// `slots[i]` is the output index of record `i` of the chunks'
-    /// concatenation: a permutation of `0..slots.len()` (the scatter's
-    /// safety rests on this, so only [`GroupPlan::record`] writes it).
+    /// concatenation: a permutation of `0..slots.len()` (the scatters'
+    /// safety rests on this, so only [`GroupPlan::of_chunks`] writes
+    /// it).
     slots: Vec<u32>,
     /// One per key group, keys ascending.
     groups: Vec<GroupSpan>,
@@ -584,62 +589,86 @@ impl<K: Key> GroupPlan<K> {
     }
 
     /// Replaces the plan (what it held is dropped first) with the plan
-    /// for `buckets`' key sequence: the permutation a stable sort
-    /// applies, found the way `strategy` names (see
-    /// [`GroupingStrategy`]), and the groups it leaves. Costs one key
-    /// clone per record of a bucket that carries no handle, none
-    /// otherwise.
+    /// for `buckets`' key sequence. Costs one key clone per record of a
+    /// bucket that carries no handle, none otherwise.
     fn record<V>(&mut self, buckets: &[Bucket<K, V>], strategy: GroupingStrategy) {
         *self = GroupPlan::default();
-        self.chunks = buckets.iter().map(Bucket::key_handle).collect();
-        let keys: Vec<&K> = self.chunks.iter().flat_map(|chunk| chunk.iter()).collect();
-        let mut order = Vec::new();
+        *self = GroupPlan::of_chunks(buckets.iter().map(Bucket::key_handle).collect(), strategy);
+    }
+
+    /// Keeps the plan if it was built for `keys` as one chunk — compared
+    /// key by key ([`PlanOutcome::Hit`]) — and otherwise replaces it
+    /// with the plan of `keys`, found by a stable sort.
+    pub(crate) fn recognise_or_record(&mut self, keys: Vec<K>) -> PlanOutcome {
+        if matches!(&self.chunks[..], [chunk] if **chunk == keys[..]) {
+            return PlanOutcome::Hit;
+        }
+        *self = GroupPlan::default();
+        *self = GroupPlan::of_chunks(vec![keys.into()], GroupingStrategy::Sort);
+        PlanOutcome::Recorded
+    }
+
+    /// The plan of the key sequence `chunks` (concatenated): the
+    /// permutation a stable sort applies, found the way `strategy`
+    /// names (see [`GroupingStrategy`]), and the groups it leaves.
+    fn of_chunks(chunks: Vec<Arc<[K]>>, strategy: GroupingStrategy) -> Self {
+        let keys: Vec<&K> = chunks.iter().flat_map(|chunk| chunk.iter()).collect();
+        let (mut order, mut slots) = (Vec::new(), Vec::new());
         match strategy {
-            GroupingStrategy::Sort => sort_slots(&keys, &mut order, &mut self.slots),
+            GroupingStrategy::Sort => sort_slots(&keys, &mut order, &mut slots),
             GroupingStrategy::Radix => {
                 // `order` holds the group ids, then the inverse of the
                 // permutation the cursors deal out.
                 let mut next = radix_cursors(keys.iter().copied(), &mut order);
-                self.slots.clear();
-                self.slots.extend(order.iter().map(|&g| {
+                slots.extend(order.iter().map(|&g| {
                     let cursor = &mut next[g as usize];
                     *cursor += 1;
                     *cursor - 1
                 }));
-                for (i, &slot) in self.slots.iter().enumerate() {
+                for (i, &slot) in slots.iter().enumerate() {
                     order[slot as usize] = i as u32;
                 }
             }
         }
         // `order[slot]` is the input index that lands at `slot`: walk
         // the output, opening a group wherever the key changes.
-        let mut starts = Vec::with_capacity(self.chunks.len());
+        let mut starts = Vec::with_capacity(chunks.len());
         let mut start = 0;
-        for chunk in &self.chunks {
+        for chunk in &chunks {
             starts.push(start);
             start += chunk.len();
         }
-        let mut head = None;
+        let (mut groups, mut head) = (Vec::new(), None);
         for (slot, &i) in order.iter().enumerate() {
             let i = i as usize;
             if head.is_none_or(|head: usize| keys[head] != keys[i]) {
                 head = Some(i);
                 let chunk = starts.partition_point(|&start| start <= i) - 1;
                 let at = (i - starts[chunk]) as u32;
-                self.groups.push(GroupSpan { chunk: chunk as u32, at, end: 0 });
+                groups.push(GroupSpan { chunk: chunk as u32, at, end: 0 });
             }
-            self.groups.last_mut().expect("a group is open").end = slot as u32 + 1;
+            groups.last_mut().expect("a group is open").end = slot as u32 + 1;
         }
-        self.groups.shrink_to_fit();
+        groups.shrink_to_fit();
+        GroupPlan { chunks, slots, groups }
+    }
+
+    /// Where record `i` of the key sequence the plan was built for lands
+    /// in the grouped values (`None` past its end): a permutation of
+    /// `0..records()` over all `i`.
+    #[inline]
+    pub(crate) fn slot(&self, i: usize) -> Option<u32> {
+        self.slots.get(i).copied()
     }
 
     /// Moves every value of `buckets` — which the plan has just
     /// recognised, or been recorded from — to its slot in the grouped
-    /// values. Keys that came along as owned pairs are dropped: the
+    /// values, placed in `values`' allocation (what it held is dropped
+    /// first). Keys that came along as owned pairs are dropped: the
     /// groups' keys are the plan's.
-    fn scatter<V>(&self, buckets: Vec<Bucket<K, V>>) -> Vec<V> {
+    fn scatter<V>(&self, buckets: Vec<Bucket<K, V>>, values: &mut Vec<V>) {
         let n = self.slots.len();
-        let mut placed = SlotWriter::new(Vec::new(), n);
+        let mut placed = SlotWriter::new(std::mem::take(values), n);
         let mut done = 0;
         for bucket in buckets {
             let slots = &self.slots[done..done + bucket.len()];
@@ -657,15 +686,15 @@ impl<K: Key> GroupPlan<K> {
         // SAFETY: the buckets held n values (each bucket's slice of
         // `slots` was as long as the bucket, and the slices add up to n
         // — the assert), value i was written to `slots[i]`, and `slots`
-        // is a permutation of 0..n (`record` assigns each output
+        // is a permutation of 0..n (`of_chunks` assigns each output
         // position to exactly one input index), so every slot below n
         // was written exactly once.
-        unsafe { placed.finish() }
+        *values = unsafe { placed.finish() };
     }
 
     /// Calls `f` once per key group of `values` — an input's values
-    /// placed by [`GroupPlan::scatter`] — keys ascending.
-    fn for_each_group<V>(&self, values: &[V], mut f: impl FnMut(GroupView<'_, K, V>)) {
+    /// placed at their slots — keys ascending.
+    pub(crate) fn for_each_group<V>(&self, values: &[V], mut f: impl FnMut(GroupView<'_, K, V>)) {
         let mut lo = 0;
         for group in &self.groups {
             let key = &self.chunks[group.chunk as usize][group.at as usize];
@@ -686,22 +715,27 @@ impl<K: Key> GroupPlan<K> {
 /// straight to their remembered slots and `f` walks the remembered
 /// group boundaries over the plan's own keys: `O(n)` moves, no key is
 /// moved, compared or cloned. Otherwise a new plan is recorded from the
-/// input the way `strategy` names — as [`crate::local`]'s plans are on
-/// every miss — and the values scatter through it. A bucket sequence
-/// that differs from the recorded one only in where the buckets are cut
-/// is a miss: slower, never different.
+/// input the way `strategy` names, and the values scatter through it. A
+/// bucket sequence that differs from the recorded one only in where the
+/// buckets are cut is a miss: slower, never different.
+///
+/// The grouped values are placed in `values`' allocation and left
+/// there: a caller that groups again and again — a local sync, pass
+/// after pass — hands the same buffer back each time; a reduce task
+/// passes an empty one.
 pub fn group_planned<K: Key, V: Value>(
     buckets: Vec<Bucket<K, V>>,
     strategy: GroupingStrategy,
     plan: &mut GroupPlan<K>,
+    values: &mut Vec<V>,
     f: impl FnMut(GroupView<'_, K, V>),
 ) -> (PlanOutcome, bool) {
     let recognised = plan.recognises(&buckets);
     if recognised.is_none() {
         plan.record(&buckets, strategy);
     }
-    let values = plan.scatter(buckets);
-    plan.for_each_group(&values, f);
+    plan.scatter(buckets, values);
+    plan.for_each_group(values, f);
     let outcome = if recognised.is_some() { PlanOutcome::Hit } else { PlanOutcome::Recorded };
     (outcome, recognised == Some(true))
 }
@@ -713,7 +747,7 @@ pub fn group_planned<K: Key, V: Value>(
 /// input `i`. `slots` is a permutation of `0..keys.len()` by
 /// construction: `order` is `0..n` rearranged, and each of its
 /// positions is assigned to exactly one input index.
-pub(crate) fn sort_slots<K: Ord>(keys: &[K], order: &mut Vec<u32>, slots: &mut Vec<u32>) {
+fn sort_slots<K: Ord>(keys: &[K], order: &mut Vec<u32>, slots: &mut Vec<u32>) {
     let n = index_u32(keys.len());
     order.clear();
     order.extend(0..n);
@@ -728,12 +762,11 @@ pub(crate) fn sort_slots<K: Ord>(keys: &[K], order: &mut Vec<u32>, slots: &mut V
 /// A recycled buffer being filled out of order: `n` values, each written
 /// straight to its final slot, then handed over as a `Vec` of length
 /// `n` — the one place the planned scatters (here and in
-/// [`crate::local`]) touch uninitialised memory.
+/// [`crate::local`]'s declared passes) touch uninitialised memory.
 ///
 /// The buffer's length stays 0 until [`SlotWriter::finish`], so a panic
-/// while it fills — or abandoning it through
-/// [`SlotWriter::into_buffer`] — leaks the values written so far and
-/// drops nothing twice.
+/// while it fills leaks the values written so far and drops nothing
+/// twice.
 #[derive(Debug)]
 pub(crate) struct SlotWriter<T> {
     /// Empty, with capacity for at least `n`.
@@ -766,33 +799,15 @@ impl<T> SlotWriter<T> {
         self.buf.spare_capacity_mut()[slot as usize].write(value);
     }
 
-    /// Moves the value written to `slot` back out.
-    ///
-    /// # Safety
-    ///
-    /// `slot` has been written since this writer was made, and the
-    /// value written last has not been taken before.
-    pub(crate) unsafe fn take(&mut self, slot: u32) -> T {
-        // SAFETY: the caller guarantees the slot holds an initialised
-        // value that nothing else will read or drop.
-        unsafe { self.buf.spare_capacity_mut()[slot as usize].assume_init_read() }
-    }
-
     /// The filled buffer, as a vector of length `n`.
     ///
     /// # Safety
     ///
-    /// Every slot below `n` has been written exactly once and not taken.
+    /// Every slot below `n` has been written exactly once.
     pub(crate) unsafe fn finish(mut self) -> Vec<T> {
         // SAFETY: `new` reserved capacity for `n`, and the caller
         // guarantees the first `n` elements are initialised.
         unsafe { self.buf.set_len(self.n) };
-        self.buf
-    }
-
-    /// Abandons the fill: the allocation, empty. Values written and not
-    /// taken leak.
-    pub(crate) fn into_buffer(self) -> Vec<T> {
         self.buf
     }
 }
@@ -1187,7 +1202,7 @@ mod tests {
     ) -> (Groups<K, V>, (PlanOutcome, bool)) {
         let mut out = Vec::new();
         let collect = |g: GroupView<'_, K, V>| out.push((g.key.clone(), g.values.to_vec()));
-        let planned = group_planned(buckets, strategy, plan, collect);
+        let planned = group_planned(buckets, strategy, plan, &mut Vec::new(), collect);
         (out, planned)
     }
 
@@ -1392,7 +1407,8 @@ mod tests {
             let mut outcomes: Vec<_> = routed.iter().map(|(_, outcome)| outcome.unwrap()).collect();
             for (p, plan) in groups.iter_mut().enumerate().rev() {
                 let buckets = routed.iter_mut().map(|(b, _)| b.swap_remove(p)).collect();
-                let (outcome, by_identity) = group_planned(buckets, Sort, plan, |_| {});
+                let (outcome, by_identity) =
+                    group_planned(buckets, Sort, plan, &mut Vec::new(), |_| {});
                 assert_eq!(by_identity, outcome == Hit);
                 outcomes.push(outcome);
             }
@@ -1415,7 +1431,7 @@ mod tests {
         let mut plan = GroupPlan::default();
         let mut group_once = || {
             let buckets = vec![input().into(), input().into()];
-            group_planned(buckets, Sort, &mut plan, |_| {}).0
+            group_planned(buckets, Sort, &mut plan, &mut Vec::new(), |_| {}).0
         };
         let (outcome, clones, _) = counting(&mut group_once);
         assert_eq!((outcome, clones), (Recorded, 80));

@@ -15,7 +15,8 @@
 //!   bytes — on algorithms whose keys churn, and on scripted passes
 //!   that leave the plan at every prefix length, stop short of it or
 //!   run past it, with `String` keys, and with values that count their
-//!   drops (a value emitted on plan is written through a raw slot).
+//!   drops (a value scattered through a plan is written through a raw
+//!   slot).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -629,8 +630,8 @@ impl Flavor for Plain {
     }
 }
 
-/// Heap keys: a fallback moves them out of the plan, a recording clones
-/// them.
+/// Heap keys: a hit compares them with the plan's and drops them, a
+/// recording clones them.
 struct Worded;
 impl Flavor for Worded {
     type K = String;
@@ -652,8 +653,9 @@ thread_local! {
     static DROPS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A value that counts its drops: emitted on plan it is written through
-/// a raw slot, so "dropped exactly once" is worth checking.
+/// A value that counts its drops: scattered through a plan it is
+/// written through a raw slot, so "dropped exactly once" is worth
+/// checking.
 #[derive(Debug)]
 struct Tracked {
     id: usize,
@@ -901,7 +903,7 @@ proptest! {
         }
     }
 
-    /// On a hit and on a fallback at every prefix length, each value
+    /// On a hit and on a miss at every prefix length, each value
     /// ever made — emitted, cloned into the state, handed out — is
     /// dropped exactly once.
     #[test]
@@ -915,9 +917,8 @@ proptest! {
         }
     }
 
-    /// `lmap` panics in the middle of an on-plan pass, after `at`
-    /// values went to their slots: they may leak, nothing may be
-    /// dropped twice.
+    /// `lmap` panics in the middle of a pass whose keys repeat the
+    /// plan, after `at` emissions: nothing may be dropped twice.
     #[test]
     fn a_panic_in_the_middle_of_an_on_plan_pass_drops_nothing_twice(
         base in base_pass(),

@@ -104,7 +104,7 @@ fn shuffle_job(store: &PlanStore, job: &Job, reducers: usize, strategy: Grouping
         let reference = shuffle::group(concat);
         let mut got = Vec::new();
         let hit = store.with(partition, |plan: &mut GroupPlan<u32>| {
-            shuffle::group_planned(buckets, strategy, plan, |g| {
+            shuffle::group_planned(buckets, strategy, plan, &mut Vec::new(), |g| {
                 got.push((*g.key, g.values.to_vec()));
             })
         });
