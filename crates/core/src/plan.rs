@@ -54,7 +54,7 @@
 //! The **oracle** ([`crate::Engine::with_reference_shuffle`]) is the
 //! exception on purpose: it is the original strategy (hash every key,
 //! sequential bucket concatenation, per-reducer `input.clone()`,
-//! `BTreeMap` grouping), remembers nothing from job to job, and shares
+//! `BTreeMap` grouping, for the combiner too), remembers nothing from job to job, and shares
 //! *no* body with the schedule, which is what makes the equivalence
 //! suites that compare against it mean something.
 
@@ -103,7 +103,9 @@ pub struct StageTimings {
     /// in it: records are routed as they are emitted, inside the map (or
     /// combine) stage.
     pub shuffle: Duration,
-    /// Reduce stage (fused concat/group/reduce, parallel).
+    /// Reduce stage: each partition's values scattered through its group
+    /// plan (recorded first on a miss) and reduced group by group,
+    /// parallel.
     pub reduce: Duration,
     /// Always `false`; kept only because `ledger/src/traced.rs:411` reads it.
     pub overlapped: bool,
@@ -463,7 +465,8 @@ where
 /// The oracle: executes one job the way the pre-staged engine did —
 /// parallel map + combine + route, **sequential** bucket concatenation,
 /// and a parallel reduce phase in which every reduce task `clone()`s
-/// its input and groups it through a `BTreeMap`.
+/// its input and groups it through a `BTreeMap` — the grouping the
+/// combiner folds here too.
 ///
 /// Deliberately shares no body with the schedule above: its output
 /// pairs must *prove* byte-identical to this one's (the
@@ -488,13 +491,13 @@ where
         mapper.map(task, input, &mut ctx);
         let (mut pairs, meter, precombine_records, precombine_bytes) = ctx.finish();
         if let Some(combiner) = opts.combiner {
-            pairs = shuffle::combine_local(pairs, |k, vs| combiner.combine(k, vs));
+            for (k, values) in shuffle::group(std::mem::take(&mut pairs)) {
+                let v = combiner.combine(&k, &values);
+                pairs.push((k, v));
+            }
         }
-        let (mut records, mut bytes) = (0u64, 0u64);
-        for (k, v) in &pairs {
-            records += 1;
-            bytes += k.approx_bytes() + v.approx_bytes();
-        }
+        let records = pairs.len() as u64;
+        let bytes = pairs.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum();
         let input_bytes = if meter.input_bytes() > 0 {
             meter.input_bytes()
         } else {

@@ -55,19 +55,21 @@
 //!
 //! Grouping implementations:
 //!
+//! * `GroupPlan::of_chunks` finds every grouping permutation in the
+//!   crate — a reduce input's plan on a miss, a local sync's plan, the
+//!   combiner's and the ledger probe's grouping — the way the
+//!   [`GroupingStrategy`] names; [`group_planned`] and [`Grouped`]
+//!   scatter values through the plan it records.
 //! * [`Grouped`] — the **unplanned** grouping, which the map-side
-//!   combiner ([`combine_local`]) and the ledger's probe run: parallel
-//!   `keys`/`values` arrays (keys ascending), with run detection
-//!   yielding contiguous [`GroupView`] slices. No per-key `Vec`
-//!   allocations, no value clones, and all backing buffers are
-//!   recyclable through [`ShuffleScratch`]. Its one constructor,
-//!   [`Grouped::from_pairs_using`], finds the permutation by a stable
-//!   sort or a radix scatter, byte-identical either way;
-//!   [`group_planned`] hands its reducer the same groups from a
-//!   remembered permutation.
+//!   combiner ([`combine_local`]) and the ledger's probe run: a
+//!   [`GroupPlan`] recorded from one input alone (its keys moved into
+//!   the plan, none cloned) beside the values scattered through it, read
+//!   as contiguous [`GroupView`] slices. No per-key `Vec` allocations,
+//!   no value clones, and the value buffer is recyclable through
+//!   [`ShuffleScratch`]. It pays what a reduce task pays on a plan miss.
 //! * [`group`] — the original `BTreeMap` formulation, **kept as the
-//!   behavioral reference** for property tests. Both produce
-//!   byte-identical group order.
+//!   behavioral reference**: the engine's oracle groups and combines
+//!   with it, and the property tests hold the others to it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -75,30 +77,31 @@ use std::sync::Arc;
 use crate::hash::{reducer_for, StableHashMap};
 use crate::kv::{Key, Value};
 
-/// How a grouping permutation is *found* when it has to be computed:
-/// per call by [`Grouped::from_pairs_using`], and by a job's reduce
-/// tasks only when their [`GroupPlan`] does not match (they then record
-/// a new plan this way) — a reduce input whose key sequence repeats is
+/// How a grouping permutation is *found* when it has to be computed —
+/// by `GroupPlan::of_chunks`, the one function that computes them: on
+/// every [`Grouped::from_pairs_using`] call, and by a job's reduce tasks
+/// only when their [`GroupPlan`] does not match (they then record a new
+/// plan this way) — a reduce input whose key sequence repeats is
 /// scattered through its remembered plan whichever member the job
 /// names.
 ///
-/// Both strategies produce **byte-identical** [`Grouped`] arrays (keys
-/// ascending, values in concatenation order within each key) — pinned
-/// by the radix/sort equivalence tests. They differ only in how the
-/// permutation is computed:
+/// Both strategies find the **same** permutation (keys ascending,
+/// values in concatenation order within each key) — pinned by the
+/// radix/sort equivalence tests. They differ only in how it is
+/// computed:
 ///
-/// * [`GroupingStrategy::Sort`] — comparison sort over all `n` keys:
-///   `O(n log n)` comparisons, the right default when keys are mostly
-///   distinct.
-/// * [`GroupingStrategy::Radix`] — hash-grouping: assign each pair a
-///   first-seen group id (one stable-hash lookup per pair), sort only
-///   the `g` *distinct* keys, then count every pair straight to its
-///   final slot: `O(n + g log g)`. Wins when duplicate keys dominate
-///   (`g ≪ n`), which is exactly the shape of iterative graph
-///   workloads where many edges target the same vertex.
+/// * [`GroupingStrategy::Sort`] — a stable sort of the `n` keys'
+///   indices: `O(n log n)` comparisons, the right default when keys are
+///   mostly distinct.
+/// * [`GroupingStrategy::Radix`] — hash-grouping: assign each record a
+///   first-seen group id (one stable-hash lookup per record, no key
+///   cloned), sort only the `g` *distinct* keys, then count every
+///   record straight to its final slot: `O(n + g log g)`. Wins when
+///   duplicate keys dominate (`g ≪ n`), which is exactly the shape of
+///   iterative graph workloads where many edges target the same vertex.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum GroupingStrategy {
-    /// Stable sort by key + run detection (the default).
+    /// A stable sort of all keys' indices (the default).
     #[default]
     Sort,
     /// First-seen group ids + distinct-key sort + counting scatter.
@@ -432,33 +435,26 @@ impl<K: Key, V: Value> RouteSink<K, V> {
 /// Reusable backing buffers for [`concat_buckets`] and
 /// [`Grouped::from_pairs_using`].
 ///
-/// One task's worth of grouping memory: the concatenation buffer plus
-/// the split key/value arrays. A task owns its scratch for the task's
-/// lifetime; no scratch outlives its task.
+/// One task's worth of grouping memory: the concatenation buffer, which
+/// the grouping hands back drained, and the grouped values, which
+/// [`Grouped::recycle_into`] hands back. A task owns its scratch for the
+/// task's lifetime; no scratch outlives its task.
 #[derive(Debug)]
 pub struct ShuffleScratch<K, V> {
-    pub(crate) pairs: Vec<(K, V)>,
-    pub(crate) keys: Vec<K>,
-    pub(crate) values: Vec<V>,
-    /// Per-pair index buffer: the group ids of a radix grouping.
-    pub(crate) slots: Vec<u32>,
+    pairs: Vec<(K, V)>,
+    values: Vec<V>,
 }
 
 impl<K, V> Default for ShuffleScratch<K, V> {
     fn default() -> Self {
-        ShuffleScratch {
-            pairs: Vec::new(),
-            keys: Vec::new(),
-            values: Vec::new(),
-            slots: Vec::new(),
-        }
+        ShuffleScratch { pairs: Vec::new(), values: Vec::new() }
     }
 }
 
 impl<K, V> ShuffleScratch<K, V> {
     /// Total capacity currently held (diagnostic).
     pub fn capacity(&self) -> usize {
-        self.pairs.capacity() + self.keys.capacity() + self.values.capacity()
+        self.pairs.capacity() + self.values.capacity()
     }
 
     /// Takes the spare pair buffer (cleared), leaving an empty one.
@@ -466,14 +462,6 @@ impl<K, V> ShuffleScratch<K, V> {
         let mut pairs = std::mem::take(&mut self.pairs);
         pairs.clear();
         pairs
-    }
-
-    /// Shelves a pair buffer if it beats the currently held one.
-    fn offer_pairs(&mut self, pairs: Vec<(K, V)>) {
-        if pairs.capacity() > self.pairs.capacity() {
-            self.pairs = pairs;
-            self.pairs.clear();
-        }
     }
 }
 
@@ -511,6 +499,8 @@ pub fn concat_buckets<K, V>(
 /// plan of one chunk: a keyed pass hands [`group_planned`] its pairs as
 /// one owned bucket, and a pass whose algorithm declares its keys runs
 /// on the plan of that declaration (`GroupPlan::recognise_or_record`).
+/// A [`Grouped`] is a plan recorded from one input, kept beside that
+/// input's scattered values.
 ///
 /// One `u32` a record and three a group, plus one `K` a record only
 /// where a bucket carried no handle; kept in the engine's
@@ -610,47 +600,27 @@ impl<K: Key> GroupPlan<K> {
 
     /// The plan of the key sequence `chunks` (concatenated): the
     /// permutation a stable sort applies, found the way `strategy`
-    /// names (see [`GroupingStrategy`]), and the groups it leaves.
+    /// names (see [`GroupingStrategy`]), and the groups it leaves. The
+    /// one place a grouping permutation is computed.
     fn of_chunks(chunks: Vec<Arc<[K]>>, strategy: GroupingStrategy) -> Self {
         let keys: Vec<&K> = chunks.iter().flat_map(|chunk| chunk.iter()).collect();
-        let (mut order, mut slots) = (Vec::new(), Vec::new());
-        match strategy {
-            GroupingStrategy::Sort => sort_slots(&keys, &mut order, &mut slots),
-            GroupingStrategy::Radix => {
-                // `order` holds the group ids, then the inverse of the
-                // permutation the cursors deal out.
-                let mut next = radix_cursors(keys.iter().copied(), &mut order);
-                slots.extend(order.iter().map(|&g| {
-                    let cursor = &mut next[g as usize];
-                    *cursor += 1;
-                    *cursor - 1
-                }));
-                for (i, &slot) in slots.iter().enumerate() {
-                    order[slot as usize] = i as u32;
-                }
-            }
-        }
-        // `order[slot]` is the input index that lands at `slot`: walk
-        // the output, opening a group wherever the key changes.
+        // `heads`: per group, keys ascending, the input index of its
+        // first record (where its key sits) and the slot its values end.
+        let (slots, heads) = match strategy {
+            GroupingStrategy::Sort => sort_slots(&keys),
+            GroupingStrategy::Radix => radix_cursors(&keys),
+        };
         let mut starts = Vec::with_capacity(chunks.len());
         let mut start = 0;
         for chunk in &chunks {
             starts.push(start);
             start += chunk.len();
         }
-        let (mut groups, mut head) = (Vec::new(), None);
-        for (slot, &i) in order.iter().enumerate() {
-            let i = i as usize;
-            if head.is_none_or(|head: usize| keys[head] != keys[i]) {
-                head = Some(i);
-                let chunk = starts.partition_point(|&start| start <= i) - 1;
-                let at = (i - starts[chunk]) as u32;
-                groups.push(GroupSpan { chunk: chunk as u32, at, end: 0 });
-            }
-            groups.last_mut().expect("a group is open").end = slot as u32 + 1;
-        }
-        groups.shrink_to_fit();
-        GroupPlan { chunks, slots, groups }
+        let span = |(i, end): (u32, u32)| {
+            let chunk = starts.partition_point(|&start| start <= i as usize) - 1;
+            GroupSpan { chunk: chunk as u32, at: (i as usize - starts[chunk]) as u32, end }
+        };
+        GroupPlan { groups: heads.into_iter().map(span).collect(), chunks, slots }
     }
 
     /// Where record `i` of the key sequence the plan was built for lands
@@ -740,23 +710,28 @@ pub fn group_planned<K: Key, V: Value>(
     (outcome, recognised == Some(true))
 }
 
-/// The permutation a stable sort of `keys` applies, found with one index
-/// sort: leaves in `order` the input indices in output order (keys
-/// ascending, ties by input index — so values keep input order within a
-/// key) and in `slots` its inverse, `slots[i]` the output index of
-/// input `i`. `slots` is a permutation of `0..keys.len()` by
-/// construction: `order` is `0..n` rearranged, and each of its
-/// positions is assigned to exactly one input index.
-fn sort_slots<K: Ord>(keys: &[K], order: &mut Vec<u32>, slots: &mut Vec<u32>) {
+/// The permutation a stable sort of `keys` applies — so values keep
+/// input order within a key — and the groups it leaves, found with one
+/// stable sort of their indices. Returns `slots`, `slots[i]` the output
+/// index of input `i`, and per group, keys ascending, the input index
+/// of its first record and the slot its values end at. `slots` is a
+/// permutation of `0..keys.len()` by construction: the sorted indices
+/// are `0..n` rearranged, and each of their positions is assigned to
+/// exactly one input index.
+fn sort_slots<K: Ord>(keys: &[K]) -> (Vec<u32>, Vec<(u32, u32)>) {
     let n = index_u32(keys.len());
-    order.clear();
-    order.extend(0..n);
-    order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]).then(a.cmp(&b)));
-    slots.clear();
-    slots.resize(n as usize, 0);
-    for (slot, &i) in order.iter().enumerate() {
-        slots[i as usize] = slot as u32;
+    let mut order: Vec<u32> = (0..n).collect();
+    order.sort_by_key(|&i| &keys[i as usize]);
+    let (mut slots, mut heads) = (vec![0; n as usize], Vec::<(u32, u32)>::new());
+    // Walk the output, opening a group wherever the key changes.
+    for (slot, &i) in (0..).zip(&order) {
+        slots[i as usize] = slot;
+        match heads.last_mut() {
+            Some((head, end)) if keys[*head as usize] == keys[i as usize] => *end = slot + 1,
+            _ => heads.push((i, slot + 1)),
+        }
     }
+    (slots, heads)
 }
 
 /// A recycled buffer being filled out of order: `n` values, each written
@@ -812,47 +787,43 @@ impl<T> SlotWriter<T> {
     }
 }
 
-/// The radix grouping of a key sequence: writes each key's first-seen
-/// group id to `gids` and returns, per group id, the first output slot
-/// of that group when groups are laid out in ascending key order. Input
-/// `i` then belongs at the slot its group's cursor shows, the cursor
-/// advancing once per member — slots `0..n`, each exactly once.
-fn radix_cursors<'k, K: Key>(
-    keys: impl ExactSizeIterator<Item = &'k K>,
-    gids: &mut Vec<u32>,
-) -> Vec<u32> {
-    // Group ids, per-group counts and cursors are all bounded by n.
-    index_u32(keys.len());
-    let mut id_of: StableHashMap<K, u32> = StableHashMap::default();
-    let mut distinct: Vec<K> = Vec::new();
-    let mut counts: Vec<u32> = Vec::new();
-    gids.clear();
-    gids.reserve(keys.len());
-    for k in keys {
-        let g = match id_of.get(k) {
-            Some(&g) => g,
-            None => {
-                let g = distinct.len() as u32;
-                id_of.insert(k.clone(), g);
-                distinct.push(k.clone());
-                counts.push(0);
-                g
-            }
-        };
-        counts[g as usize] += 1;
-        gids.push(g);
+/// The radix grouping of `keys`: what [`sort_slots`] returns,
+/// found without comparing more than the distinct keys. Each record
+/// gets its key's first-seen group id (one stable-hash lookup; the keys
+/// are borrowed, none is cloned), the distinct keys are sorted, and the
+/// groups' output ranges follow from their sizes in that order. A
+/// cursor per group, starting at its range, then deals record `i` the
+/// next slot of its group: slots `0..n`, each exactly once.
+fn radix_cursors<K: Key>(keys: &[&K]) -> (Vec<u32>, Vec<(u32, u32)>) {
+    let n = index_u32(keys.len());
+    let mut id_of: StableHashMap<&K, u32> = StableHashMap::default();
+    // Per group id: its key, its first record's input index and its size.
+    let mut seen: Vec<(&K, u32, u32)> = Vec::new();
+    // The records' group ids, until the cursors replace them by slots.
+    let mut slots: Vec<u32> = Vec::with_capacity(n as usize);
+    for (&k, i) in keys.iter().zip(0..n) {
+        let g = *id_of.entry(k).or_insert_with(|| {
+            seen.push((k, i, 0));
+            seen.len() as u32 - 1
+        });
+        seen[g as usize].2 += 1;
+        slots.push(g);
     }
-    // Sort only the distinct keys; each group id learns its output
-    // range's start slot from the sorted order's prefix sums.
-    let mut order: Vec<u32> = (0..distinct.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| distinct[a as usize].cmp(&distinct[b as usize]));
-    let mut next = vec![0u32; distinct.len()];
-    let mut cursor = 0u32;
-    for &gid in &order {
-        next[gid as usize] = cursor;
-        cursor += counts[gid as usize];
+    let mut order: Vec<u32> = (0..seen.len() as u32).collect();
+    order.sort_unstable_by_key(|&g| seen[g as usize].0);
+    let (mut next, mut heads, mut end) = (vec![0; seen.len()], Vec::with_capacity(seen.len()), 0);
+    for &g in &order {
+        let (_, first, size) = seen[g as usize];
+        next[g as usize] = end;
+        end += size;
+        heads.push((first, end));
     }
-    next
+    for slot in &mut slots {
+        let cursor = &mut next[*slot as usize];
+        *slot = *cursor;
+        *cursor += 1;
+    }
+    (slots, heads)
 }
 
 /// One key group: the key plus its values as a contiguous slice.
@@ -867,114 +838,67 @@ pub struct GroupView<'a, K, V> {
     pub values: &'a [V],
 }
 
-/// One reducer's input, grouped by key via stable sort + run detection.
-///
-/// Internally two parallel arrays (`keys[i]` owns `values[i]`'s key), so
-/// each group's values are a contiguous `&[V]` without per-key `Vec`
-/// allocation. Keys ascend; duplicate keys are adjacent.
+/// One input's pairs, grouped by key: the [`GroupPlan`] of their key
+/// sequence — recorded from this input alone, so it owns the keys —
+/// beside the values placed at their slots, so each group's values are
+/// a contiguous `&[V]` without per-key `Vec` allocation. Keys ascend.
 #[derive(Debug)]
 pub struct Grouped<K, V> {
-    keys: Vec<K>,
+    plan: GroupPlan<K>,
     values: Vec<V>,
 }
 
 impl<K: Key, V: Value> Grouped<K, V> {
-    /// Groups `pairs` with `strategy`, recycling buffers from `scratch`;
-    /// the drained input allocation is shelved back into `scratch` for
-    /// the next round. Values keep their input order within each key —
-    /// the determinism contract the `BTreeMap` reference establishes —
-    /// and both strategies produce byte-identical arrays:
-    ///
-    /// * [`GroupingStrategy::Sort`] sorts the pairs stably by key;
-    /// * [`GroupingStrategy::Radix`] gives each pair a first-seen group
-    ///   id via one stable-hash lookup, sorts only the distinct keys and
-    ///   moves every pair straight to its final slot with a counting
-    ///   scatter in input order: `O(n + g log g)` for `n` pairs over `g`
-    ///   distinct keys, versus `O(n log n)`.
+    /// Groups `pairs`, values in input order within each key — the
+    /// determinism contract the `BTreeMap` reference establishes — and
+    /// the same groups whichever `strategy` finds the permutation. The
+    /// keys move (none is cloned) into the one chunk of a plan recorded
+    /// the way `strategy` names, and the values scatter through it into
+    /// the value buffer recycled from `scratch`; the drained input
+    /// allocation goes back to `scratch` for the next
+    /// [`concat_buckets`]. What a reduce task pays on a plan miss.
     pub fn from_pairs_using(
         strategy: GroupingStrategy,
         mut pairs: Vec<(K, V)>,
         scratch: &mut ShuffleScratch<K, V>,
     ) -> Self {
-        let n = pairs.len();
-        let (keys, values) = match strategy {
-            GroupingStrategy::Sort => {
-                pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                let mut keys = std::mem::take(&mut scratch.keys);
-                let mut values = std::mem::take(&mut scratch.values);
-                keys.clear();
-                values.clear();
-                keys.reserve(n);
-                values.reserve(n);
-                for (k, v) in pairs.drain(..) {
-                    keys.push(k);
-                    values.push(v);
-                }
-                (keys, values)
-            }
-            GroupingStrategy::Radix => {
-                let mut gids = std::mem::take(&mut scratch.slots);
-                let mut next = radix_cursors(pairs.iter().map(|(k, _)| k), &mut gids);
-                let mut keys = SlotWriter::new(std::mem::take(&mut scratch.keys), n);
-                let mut values = SlotWriter::new(std::mem::take(&mut scratch.values), n);
-                for (i, (k, v)) in pairs.drain(..).enumerate() {
-                    let slot = &mut next[gids[i] as usize];
-                    keys.write(*slot, k);
-                    values.write(*slot, v);
-                    *slot += 1;
-                }
-                gids.clear();
-                scratch.slots = gids;
-                // SAFETY: the groups' output ranges partition 0..n and
-                // each group's cursor advanced once per member, so every
-                // slot below n of both arrays was written exactly once.
-                unsafe { (keys.finish(), values.finish()) }
-            }
+        let mut values = Vec::with_capacity(pairs.len());
+        let split = |(k, v)| {
+            values.push(v);
+            k
         };
-        scratch.offer_pairs(pairs);
-        Grouped { keys, values }
+        let keys: Arc<[K]> = pairs.drain(..).map(split).collect();
+        scratch.pairs = pairs;
+        let plan = GroupPlan::of_chunks(vec![Arc::clone(&keys)], strategy);
+        let mut grouped = std::mem::take(&mut scratch.values);
+        plan.scatter(vec![Bucket(Records::Planned { keys, values })], &mut grouped);
+        Grouped { plan, values: grouped }
     }
 
     /// Calls `f` once per key group, keys ascending.
-    pub fn for_each<F>(&self, mut f: F)
-    where
-        F: FnMut(GroupView<'_, K, V>),
-    {
-        let n = self.keys.len();
-        let mut lo = 0;
-        while lo < n {
-            let mut hi = lo + 1;
-            while hi < n && self.keys[hi] == self.keys[lo] {
-                hi += 1;
-            }
-            f(GroupView { key: &self.keys[lo], values: &self.values[lo..hi] });
-            lo = hi;
-        }
+    pub fn for_each_group(&self, f: impl FnMut(GroupView<'_, K, V>)) {
+        self.plan.for_each_group(&self.values, f);
     }
 
     /// Total records (across all groups).
     pub fn records(&self) -> usize {
-        self.keys.len()
+        self.values.len()
     }
 
     /// Whether there are no groups.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.values.is_empty()
     }
 
     /// Number of distinct keys.
     pub fn num_groups(&self) -> usize {
-        let mut groups = 0;
-        self.for_each(|_| groups += 1);
-        groups
+        self.plan.groups()
     }
 
-    /// Returns the backing buffers to `scratch` (cleared, capacity
-    /// kept) for the next job.
+    /// Returns the value buffer to `scratch` (cleared, capacity kept)
+    /// for the next job.
     pub fn recycle_into(mut self, scratch: &mut ShuffleScratch<K, V>) {
-        self.keys.clear();
         self.values.clear();
-        scratch.keys = self.keys;
         scratch.values = self.values;
     }
 }
@@ -1001,8 +925,8 @@ pub fn combine_local<K: Key, V: Value>(
     combine: impl Fn(&K, &[V]) -> V,
 ) -> Vec<(K, V)> {
     let grouped = Grouped::from_pairs_using(GroupingStrategy::Sort, pairs, &mut Default::default());
-    let mut out = Vec::new();
-    grouped.for_each(|g| out.push((g.key.clone(), combine(g.key, g.values))));
+    let mut out = Vec::with_capacity(grouped.num_groups());
+    grouped.for_each_group(|g| out.push((g.key.clone(), combine(g.key, g.values))));
     out
 }
 
@@ -1052,7 +976,7 @@ mod tests {
         let reference = group(input.clone());
         let grouped = grouped_by(Sort, input);
         let mut got: Vec<(u32, Vec<char>)> = Vec::new();
-        grouped.for_each(|g| got.push((*g.key, g.values.to_vec())));
+        grouped.for_each_group(|g| got.push((*g.key, g.values.to_vec())));
         assert_eq!(got, reference);
         assert_eq!(grouped.records(), 5);
         assert_eq!(grouped.num_groups(), 3);
@@ -1063,7 +987,7 @@ mod tests {
         let grouped: Grouped<u32, u32> = grouped_by(Sort, Vec::new());
         assert!(grouped.is_empty());
         let mut called = false;
-        grouped.for_each(|_| called = true);
+        grouped.for_each_group(|_| called = true);
         assert!(!called);
     }
 
@@ -1075,7 +999,6 @@ mod tests {
         assert_eq!(grouped.records(), 1000);
         grouped.recycle_into(&mut scratch);
         let before = scratch.capacity();
-        assert!(before >= 3000, "all three buffers shelved: {before}");
         // Second round must not grow the scratch (same shape workload).
         let pairs: Vec<(u32, u64)> = concat_buckets(
             vec![
@@ -1092,7 +1015,7 @@ mod tests {
     /// Flattens a `Grouped` into the reference `(key, values)` shape.
     fn collect<K: Key, V: Value>(g: &Grouped<K, V>) -> Vec<(K, Vec<V>)> {
         let mut out = Vec::new();
-        g.for_each(|view| out.push((view.key.clone(), view.values.to_vec())));
+        g.for_each_group(|view| out.push((view.key.clone(), view.values.to_vec())));
         out
     }
 
@@ -1111,7 +1034,7 @@ mod tests {
         let grouped: Grouped<u32, u32> = grouped_by(Radix, Vec::new());
         assert!(grouped.is_empty());
         let mut called = false;
-        grouped.for_each(|_| called = true);
+        grouped.for_each_group(|_| called = true);
         assert!(!called);
     }
 
@@ -1130,7 +1053,6 @@ mod tests {
         let pairs: Vec<(u32, u64)> = (0..1000).map(|i| (i % 7, u64::from(i))).collect();
         let grouped = Grouped::from_pairs_using(Radix, pairs, &mut scratch);
         grouped.recycle_into(&mut scratch);
-        assert!(scratch.slots.capacity() >= 1000, "gid buffer shelved");
         let before = scratch.capacity();
         let pairs: Vec<(u32, u64)> = (0..1000).map(|i| (i % 7, u64::from(i))).collect();
         let grouped = Grouped::from_pairs_using(Radix, pairs, &mut scratch);
@@ -1436,6 +1358,16 @@ mod tests {
         let (outcome, clones, _) = counting(&mut group_once);
         assert_eq!((outcome, clones), (Recorded, 80));
         assert_eq!(counting(&mut group_once), (Hit, 0, 80));
+
+        // The unplanned grouping moves its keys into its plan and clones
+        // none, whichever strategy finds the permutation; the combiner
+        // clones the one key each of its groups hands on.
+        for strategy in [Sort, Radix] {
+            let (grouped, clones, _) = counting(|| grouped_by(strategy, input()));
+            assert_eq!((grouped.num_groups(), clones), (7, 0), "{strategy:?}");
+        }
+        let (combined, clones, _) = counting(|| combine_local(input(), |_, vs| vs[0]));
+        assert_eq!((combined.len(), clones), (7, 7));
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn collect<K: asyncmr_core::Key, V: asyncmr_core::Value>(
     grouped: &Grouped<K, V>,
 ) -> Vec<(K, Vec<V>)> {
     let mut out = Vec::new();
-    grouped.for_each(|g| out.push((g.key.clone(), g.values.to_vec())));
+    grouped.for_each_group(|g| out.push((g.key.clone(), g.values.to_vec())));
     out
 }
 
@@ -40,6 +40,8 @@ proptest! {
     ) {
         let reference = shuffle::group(pairs.clone());
         let grouped = grouped_by(Sort, pairs);
+        prop_assert_eq!(grouped.records(), reference.iter().map(|(_, vs)| vs.len()).sum());
+        prop_assert_eq!(grouped.num_groups(), reference.len());
         prop_assert_eq!(collect(&grouped), reference);
     }
 

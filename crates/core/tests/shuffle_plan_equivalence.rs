@@ -17,13 +17,14 @@
 //! length and a changed partition count — every miss recording a new
 //! plan, which the same input hits next time.
 //!
-//! On the staged engine, against a fresh oracle engine
-//! *and* against a model written with `shuffle::{combine_local, route,
-//! group}` alone — pairs, [`JobMeter`]s and the [`JobReuse`] sequence
-//! all equal: a task leaving its plan at **every** prefix length of its
-//! emissions (first record, mid-bucket, last record, one past the end),
-//! tasks that emit fewer and more records than their plan, a changed
-//! partition count, a combiner switched on and off, `String` keys, a
+//! On the staged engine, against a fresh oracle engine *and* against a
+//! model written with `shuffle::{route, group}` alone (its combiner
+//! folds `group`'s groups, as the oracle's does) — pairs, [`JobMeter`]s
+//! and the [`JobReuse`] sequence all equal: a task leaving its plan at
+//! **every** prefix length of its emissions (first record, mid-bucket,
+//! last record, one past the end), tasks that emit fewer and more
+//! records than their plan, a changed partition count, a combiner
+//! switched on and off, `String` keys, a
 //! partition that empties and returns, two job types sharing a slot;
 //! with values that count their drops — exactly once each on a hit and
 //! on a fall-back at each prefix, never twice when `map` panics
@@ -530,7 +531,8 @@ fn model<F: Flavor>(job: &Scripted) -> Vec<(F::K, Vec<u64>)> {
         .map(|task| {
             let mut pairs: Vec<_> = task.iter().map(|&(k, x)| (F::key(k), F::value(x))).collect();
             if job.combine {
-                pairs = shuffle::combine_local(pairs, |_, vs| sum::<F>(vs));
+                let fold = |(k, vs): (F::K, Vec<F::V>)| (k, sum::<F>(&vs));
+                pairs = shuffle::group(pairs).into_iter().map(fold).collect();
             }
             shuffle::route(pairs, job.reducers)
         })
