@@ -33,6 +33,7 @@ impl Mapper for CcGeneralMapper {
     type Value = NodeId;
 
     fn map(&self, _task: usize, input: &CcGeneralInput, ctx: &mut MapContext<NodeId, NodeId>) {
+        ctx.meter.set_input_bytes(input.part.approx_bytes());
         let part = &input.part;
         for &li in &part.local_ids {
             let v = part.nodes[li as usize];
@@ -46,10 +47,6 @@ impl Mapper for CcGeneralMapper {
                 ctx.emit_intermediate(t, label);
             }
         }
-    }
-
-    fn input_size_hint(&self, input: &CcGeneralInput) -> u64 {
-        input.part.approx_bytes()
     }
 }
 

@@ -82,6 +82,7 @@ impl Mapper for JacobiGeneralMapper {
     type Value = JMsg;
 
     fn map(&self, _task: usize, input: &JacobiInput, ctx: &mut MapContext<NodeId, JMsg>) {
+        ctx.meter.set_input_bytes(input.part.approx_bytes());
         let part = &input.part;
         for &li in &part.local_ids {
             let v = part.nodes[li as usize];
@@ -98,10 +99,6 @@ impl Mapper for JacobiGeneralMapper {
                 ctx.emit_intermediate(t, JMsg::Contrib(xv));
             }
         }
-    }
-
-    fn input_size_hint(&self, input: &JacobiInput) -> u64 {
-        input.part.approx_bytes()
     }
 }
 

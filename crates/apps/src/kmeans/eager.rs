@@ -17,13 +17,10 @@
 use std::sync::Arc;
 
 use asyncmr_core::prelude::*;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
-use super::general::{ClusterUpdate, KmMeanReducer};
+use super::general::{ClusterUpdate, KmGeneralInput, KmMeanReducer};
 use super::rule::mean;
-use super::{sse, ConvergenceTracker, KMeansConfig, KMeansOutcome, Point};
+use super::{partition_indices, sse, ConvergenceTracker, KMeansConfig, KMeansOutcome, Point};
 use crate::common::step_status;
 
 /// Points are re-partitioned across gmaps every this many global
@@ -33,17 +30,6 @@ pub const REPARTITION_EVERY: usize = 5;
 /// Oscillation-detection window: the number of previous centroid sets
 /// a new one is compared against.
 pub const OSCILLATION_WINDOW: usize = 6;
-
-/// `gmap` input: this task's point subset plus the common centroids.
-#[derive(Debug, Clone)]
-pub struct KmEagerInput {
-    /// The full (shared) point set.
-    pub points: Arc<Vec<Point>>,
-    /// Indices of the points this gmap owns this iteration.
-    pub indices: Vec<u32>,
-    /// The common input centroids.
-    pub centroids: Arc<Vec<Point>>,
-}
 
 /// `lmap`/`lreduce` pair: local Lloyd iterations over the subset.
 ///
@@ -58,23 +44,23 @@ pub struct KmLocalAlgorithm {
 }
 
 impl LocalAlgorithm for KmLocalAlgorithm {
-    type Input = KmEagerInput;
+    type Input = KmGeneralInput;
     type Item = u32; // point index
     type Key = u32; // input-centroid id
     type Value = ClusterUpdate;
 
-    fn items<'a>(&self, input: &'a KmEagerInput) -> &'a [u32] {
+    fn items<'a>(&self, input: &'a KmGeneralInput) -> &'a [u32] {
         &input.indices
     }
 
-    fn init_state(&self, _task: usize, input: &KmEagerInput) -> Vec<(u32, ClusterUpdate)> {
+    fn init_state(&self, _task: usize, input: &KmGeneralInput) -> Vec<(u32, ClusterUpdate)> {
         input.centroids.iter().enumerate().map(|(cid, c)| (cid as u32, (c.clone(), 0))).collect()
     }
 
     fn lmap(
         &self,
         _task: usize,
-        input: &KmEagerInput,
+        input: &KmGeneralInput,
         item: &u32,
         state: &LocalState<u32, ClusterUpdate>,
         ctx: &mut LocalMapContext<u32, ClusterUpdate>,
@@ -97,7 +83,7 @@ impl LocalAlgorithm for KmLocalAlgorithm {
     fn lreduce(
         &self,
         _task: usize,
-        _input: &KmEagerInput,
+        _input: &KmGeneralInput,
         key: &u32,
         values: &[ClusterUpdate],
         ctx: &mut LocalReduceContext<u32, ClusterUpdate>,
@@ -110,7 +96,7 @@ impl LocalAlgorithm for KmLocalAlgorithm {
     fn post_lreduce(
         &self,
         _task: usize,
-        _input: &KmEagerInput,
+        _input: &KmGeneralInput,
         old: &LocalState<u32, ClusterUpdate>,
         new: &mut LocalState<u32, ClusterUpdate>,
     ) {
@@ -139,7 +125,7 @@ impl LocalAlgorithm for KmLocalAlgorithm {
     fn finalize(
         &self,
         _task: usize,
-        _input: &KmEagerInput,
+        _input: &KmGeneralInput,
         state: &LocalState<u32, ClusterUpdate>,
         ctx: &mut MapContext<u32, ClusterUpdate>,
     ) {
@@ -153,22 +139,9 @@ impl LocalAlgorithm for KmLocalAlgorithm {
         }
     }
 
-    fn input_bytes(&self, _task: usize, input: &KmEagerInput) -> Option<u64> {
-        let dims = input.centroids.first().map_or(0, Vec::len) as u64;
-        Some(input.indices.len() as u64 * dims * 8)
+    fn input_bytes(&self, _task: usize, input: &KmGeneralInput) -> Option<u64> {
+        Some(input.approx_bytes())
     }
-}
-
-/// Splits point indices into `num_partitions` groups, General's split
-/// ([`super::split`]; trailing groups may be empty); `shuffle_seed`
-/// (when `Some`) permutes the points first — the paper's periodic
-/// re-partitioning.
-fn partition_indices(n: usize, num_partitions: usize, shuffle_seed: Option<u64>) -> Vec<Vec<u32>> {
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    if let Some(seed) = shuffle_seed {
-        idx.shuffle(&mut StdRng::seed_from_u64(seed));
-    }
-    super::split(n, num_partitions).map(|range| idx[range].to_vec()).collect()
 }
 
 /// Runs Eager K-Means from seeded random initial centroids.
@@ -209,15 +182,7 @@ pub fn run_eager_from(
                 Some(cfg.seed ^ (iter as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             );
         }
-        let shared = Arc::new(centroids.clone());
-        let inputs: Vec<KmEagerInput> = groups
-            .iter()
-            .map(|indices| KmEagerInput {
-                points: Arc::clone(points),
-                indices: indices.clone(),
-                centroids: Arc::clone(&shared),
-            })
-            .collect();
+        let inputs = KmGeneralInput::for_groups(points, &groups, &centroids);
         // The greduce pools the gmaps' count-scaled centroids: the mean
         // reducer General runs.
         let out =
@@ -307,10 +272,23 @@ mod tests {
         for (n, k) in [(100, 52), (9, 6), (3, 5)] {
             let groups = partition_indices(n, k, Some(3));
             assert_eq!(groups.len(), k, "n = {n}, k = {k}");
-            let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
+            let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
             let ranges: Vec<usize> = crate::kmeans::split(n, k).map(|r| r.len()).collect();
             assert_eq!(sizes, ranges, "n = {n}, k = {k}");
         }
+        // Both formulations' first jobs: one task per partition, reading
+        // every point once.
+        let (n, dims, k) = (100, 4, 52);
+        let points = Arc::new(census_like(n, dims, 2, 1).points);
+        let cfg = KMeansConfig { k: 2, max_iterations: 1, ..Default::default() };
+        let pool = ThreadPool::new(2);
+        let (mut e1, mut e2) = (Engine::in_process(&pool), Engine::in_process(&pool));
+        run_general_from(&mut e1, &points, k, &cfg, None);
+        run_eager_from(&mut e2, &points, k, &cfg, None);
+        let (general, eager) = (&e1.history()[0].meter, &e2.history()[0].meter);
+        assert_eq!((general.map_tasks, eager.map_tasks), (k, k));
+        assert_eq!(general.input_bytes, (n * dims * 8) as u64);
+        assert_eq!(eager.input_bytes, general.input_bytes);
     }
 
     #[test]

@@ -11,25 +11,49 @@ use std::sync::Arc;
 use asyncmr_core::prelude::*;
 
 use super::rule::{fold, mean};
-use super::{nearest, sse, ConvergenceTracker, KMeansConfig, KMeansOutcome, Point};
+use super::{
+    nearest, partition_indices, sse, ConvergenceTracker, KMeansConfig, KMeansOutcome, Point,
+};
 use crate::common::step_status;
 
 /// A partial cluster update: element-wise sum of member points plus
 /// their count. The reducer divides at the end.
 pub type ClusterUpdate = (Vec<f64>, u64);
 
-/// Map-task input: a contiguous chunk of the point set plus the
-/// iteration's shared centroids.
+/// Map-task input of both formulations: this task's point subset plus
+/// the iteration's shared centroids.
 #[derive(Debug, Clone)]
 pub struct KmGeneralInput {
     /// The full (shared) point set.
     pub points: Arc<Vec<Point>>,
-    /// This task's chunk: `points[start..end]`.
-    pub start: usize,
-    /// Chunk end (exclusive).
-    pub end: usize,
+    /// Positions in `points` of the points this task owns, shared
+    /// across iterations until the next re-partitioning.
+    pub indices: Arc<[u32]>,
     /// The common input centroids for this iteration.
     pub centroids: Arc<Vec<Point>>,
+}
+
+impl KmGeneralInput {
+    /// One job's inputs: a task per group, each reading `centroids`.
+    pub(crate) fn for_groups(
+        points: &Arc<Vec<Point>>,
+        groups: &[Arc<[u32]>],
+        centroids: &[Point],
+    ) -> Vec<Self> {
+        let centroids = Arc::new(centroids.to_vec());
+        let input = |indices: &Arc<[u32]>| KmGeneralInput {
+            points: Arc::clone(points),
+            indices: Arc::clone(indices),
+            centroids: Arc::clone(&centroids),
+        };
+        groups.iter().map(input).collect()
+    }
+
+    /// Size of the task's split: its points' coordinates.
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        let dims = self.centroids.first().map_or(0, Vec::len) as u64;
+        self.indices.len() as u64 * dims * 8
+    }
 }
 
 /// The general mapper: nearest-centroid assignment.
@@ -42,18 +66,15 @@ impl Mapper for KmGeneralMapper {
     type Value = ClusterUpdate;
 
     fn map(&self, _task: usize, input: &KmGeneralInput, ctx: &mut MapContext<u32, ClusterUpdate>) {
+        ctx.meter.set_input_bytes(input.approx_bytes());
         let centroids = &input.centroids;
         let dims = centroids.first().map_or(0, Vec::len);
-        for p in &input.points[input.start..input.end] {
+        for &i in input.indices.iter() {
+            let p = &input.points[i as usize];
             let c = nearest(p, centroids);
             ctx.add_ops((centroids.len() * dims) as u64);
             ctx.emit_intermediate(c as u32, (p.clone(), 1));
         }
-    }
-
-    fn input_size_hint(&self, input: &KmGeneralInput) -> u64 {
-        let dims = input.centroids.first().map_or(0, Vec::len) as u64;
-        (input.end - input.start) as u64 * dims * 8
     }
 }
 
@@ -119,20 +140,12 @@ pub fn run_general_from(
     // General convergence: Euclidean threshold only (no oscillation
     // detection — that refinement belongs to the eager variant).
     let mut tracker = ConvergenceTracker::new(cfg.threshold, 0);
+    // Fixed contiguous chunks (the general variant never repartitions).
+    let groups = partition_indices(n, num_partitions, None);
 
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
-        let shared = Arc::new(centroids.clone());
-        // Fixed contiguous chunks (the general variant never
-        // repartitions).
-        let inputs: Vec<KmGeneralInput> = super::split(n, num_partitions)
-            .map(|range| KmGeneralInput {
-                points: Arc::clone(points),
-                start: range.start,
-                end: range.end,
-                centroids: Arc::clone(&shared),
-            })
-            .collect();
+        let inputs = KmGeneralInput::for_groups(points, &groups, &centroids);
         let out = engine.run(
             &format!("kmeans-general-iter{iter}"),
             &inputs,
@@ -327,17 +340,10 @@ mod tests {
         let opts = JobOptions::with_reducers(4);
         let (mut map_ops, mut reduce_ops, mut records, mut reduce_tasks) = (0, 0, 0, 0);
         let mut churned_jobs = 0;
+        // Three chunks of 300 points: 0..300, 300..600, 600..900.
+        let groups = partition_indices(900, 3, None);
         for iter in 0..10 {
-            let shared = Arc::new(centroids.clone());
-            let inputs: Vec<KmGeneralInput> = [(0, 300), (300, 600), (600, 900)]
-                .into_iter()
-                .map(|(start, end)| KmGeneralInput {
-                    points: Arc::clone(&points),
-                    start,
-                    end,
-                    centroids: Arc::clone(&shared),
-                })
-                .collect();
+            let inputs = KmGeneralInput::for_groups(&points, &groups, &centroids);
             let name = format!("kmeans-raw-iter{iter}");
             let out = engine.run(&name, &inputs, &KmGeneralMapper, &KmMeanReducer, &opts);
             map_ops += out.meter.map_ops;

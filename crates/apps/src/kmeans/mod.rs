@@ -15,6 +15,13 @@
 //! towards local optima"), and the global convergence test **detects
 //! oscillations** in addition to the Euclidean threshold.
 //!
+//! Both variants read one map input, [`general::KmGeneralInput`]: the
+//! shared points, a task's group of point indices and the iteration's
+//! centroids. General's groups are `split`'s ranges, built once; they
+//! are also Eager's until its first re-partitioning, which builds new
+//! ones. The two drivers stay separate, because re-partitioning and
+//! oscillation detection are Eager's alone.
+//!
 //! The sum/count fold both variants pool points with lives in `rule`.
 
 pub mod data;
@@ -27,6 +34,7 @@ pub use eager::run_eager;
 pub use general::run_general;
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -126,6 +134,22 @@ pub fn initial_centroids(points: &[Point], k: usize, seed: u64) -> Vec<Point> {
 pub(crate) fn split(n: usize, num_partitions: usize) -> impl Iterator<Item = Range<usize>> {
     let chunk = n.div_ceil(num_partitions);
     (0..num_partitions).map(move |p| (p * chunk).min(n)..((p + 1) * chunk).min(n))
+}
+
+/// The gmaps' point-index groups: [`split`]'s ranges over the point
+/// positions, permuted first when `shuffle_seed` is `Some` (Eager's
+/// periodic re-partitioning). `None` gives General's groups, which are
+/// also Eager's until its first re-partitioning.
+pub(crate) fn partition_indices(
+    n: usize,
+    num_partitions: usize,
+    shuffle_seed: Option<u64>,
+) -> Vec<Arc<[u32]>> {
+    let mut idx: Vec<u32> = (0..n as u32).collect();
+    if let Some(seed) = shuffle_seed {
+        idx.shuffle(&mut StdRng::seed_from_u64(seed));
+    }
+    split(n, num_partitions).map(|range| Arc::from(&idx[range])).collect()
 }
 
 /// Global convergence state shared by the drivers: threshold plus

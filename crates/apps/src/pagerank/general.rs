@@ -43,6 +43,7 @@ impl Mapper for PrGeneralMapper {
     type Value = PrMsg;
 
     fn map(&self, _task: usize, input: &PrGeneralInput, ctx: &mut MapContext<NodeId, PrMsg>) {
+        ctx.meter.set_input_bytes(input.part.approx_bytes());
         let part = &input.part;
         for &li in &part.local_ids {
             let v = part.nodes[li as usize];
@@ -61,10 +62,6 @@ impl Mapper for PrGeneralMapper {
                 ctx.emit_intermediate(t, PrMsg::Contrib(c));
             }
         }
-    }
-
-    fn input_size_hint(&self, input: &PrGeneralInput) -> u64 {
-        input.part.approx_bytes()
     }
 }
 

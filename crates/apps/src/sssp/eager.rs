@@ -13,54 +13,36 @@
 //! correctness is unaffected by the deferred cross-edge relaxation —
 //! only the number of global rounds changes.
 
-use std::sync::Arc;
-
 use asyncmr_core::prelude::*;
 use asyncmr_graph::{NodeId, WeightedGraph};
 use asyncmr_partition::Partitioning;
 
-use super::general::SpMinReducer;
-use super::rule::{settle_pairs, settled, shortest};
+use super::general::{relax, SpGeneralInput};
+use super::rule::{settled, shortest};
 use super::{SsspConfig, SsspOutcome};
-use crate::common::{step_status, GraphPartition};
-
-/// `gmap` input: the partition view plus the current distances.
-///
-/// The distance vector is *global* (indexed by vertex id) and shared
-/// across all partition inputs via `Arc` — building one iteration's
-/// inputs is O(k) pointer bumps, not O(n) copies; each task reads only
-/// its owned slots.
-#[derive(Debug, Clone)]
-pub struct SpEagerInput {
-    /// The partition (with edge weights).
-    pub part: Arc<GraphPartition>,
-    /// Current best distances, indexed by global vertex id, shared
-    /// read-only.
-    pub dists: Arc<Vec<f64>>,
-}
 
 /// `lmap`/`lreduce` pair: local Bellman-Ford.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpLocalAlgorithm;
 
 impl LocalAlgorithm for SpLocalAlgorithm {
-    type Input = SpEagerInput;
+    type Input = SpGeneralInput;
     type Item = u32; // local vertex index
     type Key = NodeId;
     type Value = f64;
 
-    fn items<'a>(&self, input: &'a SpEagerInput) -> &'a [u32] {
+    fn items<'a>(&self, input: &'a SpGeneralInput) -> &'a [u32] {
         &input.part.local_ids
     }
 
-    fn init_state(&self, _task: usize, input: &SpEagerInput) -> Vec<(NodeId, f64)> {
-        input.part.nodes.iter().map(|&v| (v, input.dists[v as usize])).collect()
+    fn init_state(&self, _task: usize, input: &SpGeneralInput) -> Vec<(NodeId, f64)> {
+        input.part.nodes.iter().zip(&input.dists).map(|(&v, &d)| (v, d)).collect()
     }
 
     fn lmap(
         &self,
         _task: usize,
-        input: &SpEagerInput,
+        input: &SpGeneralInput,
         item: &u32,
         state: &LocalState<NodeId, f64>,
         ctx: &mut LocalMapContext<NodeId, f64>,
@@ -83,7 +65,7 @@ impl LocalAlgorithm for SpLocalAlgorithm {
     fn lreduce(
         &self,
         _task: usize,
-        _input: &SpEagerInput,
+        _input: &SpGeneralInput,
         key: &NodeId,
         values: &[f64],
         ctx: &mut LocalReduceContext<NodeId, f64>,
@@ -103,7 +85,7 @@ impl LocalAlgorithm for SpLocalAlgorithm {
     fn finalize(
         &self,
         _task: usize,
-        input: &SpEagerInput,
+        input: &SpGeneralInput,
         state: &LocalState<NodeId, f64>,
         ctx: &mut MapContext<NodeId, f64>,
     ) {
@@ -123,7 +105,7 @@ impl LocalAlgorithm for SpLocalAlgorithm {
         }
     }
 
-    fn input_bytes(&self, _task: usize, input: &SpEagerInput) -> Option<u64> {
+    fn input_bytes(&self, _task: usize, input: &SpGeneralInput) -> Option<u64> {
         Some(input.part.approx_bytes())
     }
 }
@@ -135,31 +117,13 @@ pub fn run_eager(
     parts: &Partitioning,
     cfg: &SsspConfig,
 ) -> SsspOutcome {
-    let mut dists = Arc::new(cfg.initial_distances(graph.num_nodes()));
-    let partitions = GraphPartition::build_weighted_on(engine.pool(), graph, parts);
-    let gmap = EagerMapper::new(SpLocalAlgorithm);
-    let opts = JobOptions::with_reducers(cfg.num_reducers).with_grouping(cfg.grouping);
-
-    let driver = FixedPointDriver::new(cfg.max_iterations);
-    let report = driver.run(engine, |engine, iter| {
-        let inputs: Vec<SpEagerInput> = partitions
-            .iter()
-            .map(|p| SpEagerInput { part: Arc::clone(p), dists: Arc::clone(&dists) })
-            .collect();
-        let out =
-            engine.run(&format!("sssp-eager-iter{iter}"), &inputs, &gmap, &SpMinReducer, &opts);
-        // Dropping the inputs makes the distance vector unique again,
-        // so the refresh mutates in place.
-        drop(inputs);
-        let cur: &mut Vec<f64> = Arc::make_mut(&mut dists);
-        step_status(settle_pairs(cur, out.pairs))
-    });
-    SsspOutcome { distances: Arc::try_unwrap(dists).unwrap_or_else(|a| (*a).clone()), report }
+    relax(engine, graph, parts, cfg, &EagerMapper::new(SpLocalAlgorithm), "sssp-eager")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::GraphPartition;
     use crate::sssp::reference::dijkstra;
     use crate::sssp::run_general;
     use asyncmr_graph::generators;
@@ -205,6 +169,15 @@ mod tests {
             general.report.global_iterations
         );
         assert!(eager.report.local_syncs > 0);
+        // Both formulations read the same split, metered at the same size.
+        let split_bytes: u64 =
+            GraphPartition::build_weighted(&wg, &parts).iter().map(|p| p.approx_bytes()).sum();
+        for (engine, job) in [(&e1, "sssp-eager"), (&e2, "sssp-general")] {
+            for (i, record) in engine.history().iter().enumerate() {
+                assert_eq!(record.name, format!("{job}-iter{i}"));
+                assert_eq!(record.meter.input_bytes, split_bytes, "{}", record.name);
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@ use super::rule::{settle_pairs, shortest};
 use super::{SsspConfig, SsspOutcome};
 use crate::common::{gather, step_status, GraphPartition};
 
-/// Map-task input: partition view + current distances of owned nodes.
+/// Map-task input of both formulations: partition view + current
+/// distances of its vertices, gathered each iteration.
 #[derive(Debug, Clone)]
 pub struct SpGeneralInput {
     /// The partition (with edge weights).
@@ -38,6 +39,7 @@ impl Mapper for SpGeneralMapper {
     type Value = f64;
 
     fn map(&self, _task: usize, input: &SpGeneralInput, ctx: &mut MapContext<NodeId, f64>) {
+        ctx.meter.set_input_bytes(input.part.approx_bytes());
         let part = &input.part;
         for &li in &part.local_ids {
             let v = part.nodes[li as usize];
@@ -57,10 +59,6 @@ impl Mapper for SpGeneralMapper {
                 ctx.emit_intermediate(t, d + w);
             }
         }
-    }
-
-    fn input_size_hint(&self, input: &SpGeneralInput) -> u64 {
-        input.part.approx_bytes()
     }
 }
 
@@ -86,9 +84,26 @@ pub fn run_general(
     parts: &Partitioning,
     cfg: &SsspConfig,
 ) -> SsspOutcome {
+    relax(engine, graph, parts, cfg, &SpGeneralMapper, "sssp-general")
+}
+
+/// Bellman-Ford to a fixpoint, one job named `{job}-iter{i}` per global
+/// iteration: `gmap` over the partitions (General's one relaxation round
+/// or Eager's local fixpoint), then [`SpMinReducer`].
+pub(crate) fn relax<M>(
+    engine: &mut Engine<'_>,
+    graph: &WeightedGraph,
+    parts: &Partitioning,
+    cfg: &SsspConfig,
+    gmap: &M,
+    job: &str,
+) -> SsspOutcome
+where
+    M: Mapper<Input = SpGeneralInput, Key = NodeId, Value = f64>,
+{
     let mut dists = cfg.initial_distances(graph.num_nodes());
     let partitions = GraphPartition::build_weighted_on(engine.pool(), graph, parts);
-    let opts = JobOptions::with_reducers(cfg.num_reducers).with_grouping(cfg.grouping);
+    let opts = JobOptions::with_reducers(cfg.num_reducers);
 
     // Built once; every iteration overwrites the distance slices in place.
     let mut inputs: Vec<SpGeneralInput> = partitions
@@ -103,8 +118,8 @@ pub fn run_general(
             gather(&mut input.dists, &input.part.nodes, &dists);
         }
         name.clear();
-        write!(name, "sssp-general-iter{iter}").expect("writing to a String");
-        let out = engine.run(&name, &inputs, &SpGeneralMapper, &SpMinReducer, &opts);
+        write!(name, "{job}-iter{iter}").expect("writing to a String");
+        let out = engine.run(&name, &inputs, gmap, &SpMinReducer, &opts);
         step_status(settle_pairs(&mut dists, out.pairs))
     });
     SsspOutcome { distances: dists, report }

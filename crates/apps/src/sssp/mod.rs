@@ -12,6 +12,12 @@
 //! reduce needs no owner/remote distinction: the minimum over every
 //! proposal is always safe. The min-reduce and the settle test every
 //! formulation applies live in `rule`.
+//!
+//! Both barrier formulations read one map input,
+//! [`general::SpGeneralInput`] (a partition and its vertices'
+//! distances, gathered each iteration), and run one driver loop; they
+//! differ only in the gmap. General relaxes every out-edge once; Eager
+//! wraps [`eager::SpLocalAlgorithm`] in an [`asyncmr_core::EagerMapper`].
 
 pub mod eager;
 pub mod general;
@@ -35,19 +41,11 @@ pub struct SsspConfig {
     pub max_iterations: usize,
     /// Reduce tasks per job.
     pub num_reducers: usize,
-    /// Shuffle grouping strategy for the barrier jobs (byte-identical
-    /// output either way; radix wins when duplicate keys dominate).
-    pub grouping: asyncmr_core::GroupingStrategy,
 }
 
 impl Default for SsspConfig {
     fn default() -> Self {
-        SsspConfig {
-            source: 0,
-            max_iterations: 10_000,
-            num_reducers: 16,
-            grouping: asyncmr_core::GroupingStrategy::Sort,
-        }
+        SsspConfig { source: 0, max_iterations: 10_000, num_reducers: 16 }
     }
 }
 

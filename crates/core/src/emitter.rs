@@ -44,7 +44,11 @@ impl TaskMeter {
         self.local_syncs
     }
 
-    /// Records the size of the task's input split.
+    /// Records the size of the task's input split, for the simulator's
+    /// DFS-read accounting. This is the one source of a split's size:
+    /// each map sets it (an [`crate::EagerMapper`] task from its
+    /// [`crate::LocalAlgorithm::input_bytes`]); a task that never sets
+    /// it reads 0 bytes.
     #[inline]
     pub fn set_input_bytes(&mut self, bytes: u64) {
         self.input_bytes = bytes;

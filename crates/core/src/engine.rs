@@ -437,13 +437,11 @@ mod tests {
         type Key = u32;
         type Value = u64;
         fn map(&self, _t: usize, input: &Vec<u32>, ctx: &mut MapContext<u32, u64>) {
+            ctx.meter.set_input_bytes(input.len() as u64 * 4);
             for &x in input {
                 ctx.emit_intermediate(x % 10, (x as u64) * (x as u64));
                 ctx.add_ops(1);
             }
-        }
-        fn input_size_hint(&self, input: &Vec<u32>) -> u64 {
-            input.len() as u64 * 4
         }
     }
 
@@ -860,11 +858,11 @@ mod tests {
     }
 
     #[test]
-    fn input_size_hint_feeds_meter() {
+    fn task_meter_input_bytes_feed_job_meter() {
         let pool = ThreadPool::new(2);
         let mut engine = Engine::in_process(&pool);
         let inputs = splits();
-        let out = engine.run("hint", &inputs, &SquareMapper, &SumReducer, &JobOptions::default());
+        let out = engine.run("split", &inputs, &SquareMapper, &SumReducer, &JobOptions::default());
         assert_eq!(out.meter.input_bytes, 8 * 100 * 4);
     }
 }

@@ -5,7 +5,7 @@
 //! exactly once, as private task bodies:
 //!
 //! * `map_task` — the user's map over one split, plus its meters
-//!   (including the [`crate::Mapper::input_size_hint`] fallback). The
+//!   (the split's size among them, as the map set it). The
 //!   task's [`MapContext`] **routes as it is emitted into**: it carries
 //!   the task's remembered [`RoutePlan`] out of the [`PlanStore`] and
 //!   back, and while the task emits the key sequence it emitted last
@@ -279,12 +279,10 @@ fn map_task<M: Mapper>(
                 *kept = std::mem::take(&mut ctx.local_plan);
             })
         });
-    let input_bytes =
-        if meter.input_bytes() > 0 { meter.input_bytes() } else { mapper.input_size_hint(input) };
     let profile = MapProfile {
         ops: meter.ops(),
         local_syncs: meter.local_syncs(),
-        input_bytes,
+        input_bytes: meter.input_bytes(),
         records,
         bytes,
         precombine_records: records,
@@ -498,15 +496,10 @@ where
         }
         let records = pairs.len() as u64;
         let bytes = pairs.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum();
-        let input_bytes = if meter.input_bytes() > 0 {
-            meter.input_bytes()
-        } else {
-            mapper.input_size_hint(input)
-        };
         let profile = MapProfile {
             ops: meter.ops(),
             local_syncs: meter.local_syncs(),
-            input_bytes,
+            input_bytes: meter.input_bytes(),
             records,
             bytes,
             precombine_records,

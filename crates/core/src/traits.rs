@@ -19,16 +19,11 @@ pub trait Mapper: Send + Sync {
     type Value: Value;
 
     /// Processes one split. `task` is the split index (stable across
-    /// iterations — partition `p` is always task `p`).
+    /// iterations — partition `p` is always task `p`). A task that reads
+    /// a split of known size meters it through
+    /// [`crate::TaskMeter::set_input_bytes`] (`ctx.meter`); one that
+    /// does not is billed no input read.
     fn map(&self, task: usize, input: &Self::Input, ctx: &mut MapContext<Self::Key, Self::Value>);
-
-    /// Approximate size of an input split in bytes, used for the
-    /// simulator's DFS-read accounting when the map task does not set
-    /// [`crate::TaskMeter::set_input_bytes`] itself.
-    fn input_size_hint(&self, input: &Self::Input) -> u64 {
-        let _ = input;
-        0
-    }
 }
 
 /// A (global) reduce function: consumes one key and all its values.
