@@ -3,91 +3,91 @@
 //! ```text
 //! repro [OPTIONS] <ARTIFACT>...
 //!
-//! Artifacts: table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-//!            faults ablation scalability sched all
-//!
 //! Options:
-//!   --scale <f64>    input scale vs the paper (default 0.1)
+//!   --scale <f64>    input scale vs the paper, finite and > 0 (default 0.1)
 //!   --seed <u64>     master seed (default 2010)
 //!   --threads <n>    worker threads, at least 1 (default: all cores)
 //!   --reducers <n>   reduce tasks per job, at least 1 (default 16, = paper slots)
 //!   --out <dir>      JSON output directory (default results/)
 //!   --no-save        don't write JSON
 //! ```
+//!
+//! The artifacts are `asyncmr_bench::ARTIFACTS`, which `repro --help`
+//! lists; `all` runs every one of them in that table's order. A refused
+//! option value or an unknown artifact exits 2 before anything runs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use asyncmr_bench::{
-    fault_tolerance, kmeans_figures, pagerank_figures, partitioner_ablation, scalability,
-    scheduler_sweep, sssp_figures, table1, table2, Figure, GraphChoice, ReproConfig,
-};
+use asyncmr_bench::{Figure, ReproConfig, ARTIFACTS};
 use asyncmr_model::underflow_count;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--scale f] [--seed n] [--threads n] [--reducers n] [--out dir] [--no-save] \
-         <table1|table2|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|faults|ablation|scalability|sched|all>..."
+        "usage: repro [--scale f] [--seed n] [--threads n] [--reducers n] [--out dir] [--no-save] <artifact>...\n\nartifacts:"
     );
+    for artifact in ARTIFACTS {
+        eprintln!("  {:<13} {}", artifact.ids.join(" "), artifact.about);
+    }
+    eprintln!("  {:<13} every artifact above, in this order", "all");
     std::process::exit(2);
+}
+
+/// The value after `flag`: refused, by name, unless it parses and
+/// passes `ok` (`rule` says what `ok` wants).
+fn value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    ok: fn(&T) -> bool,
+    rule: &str,
+) -> T {
+    let raw = args.next().unwrap_or_else(|| usage());
+    match raw.parse() {
+        Ok(v) if ok(&v) => v,
+        _ => {
+            eprintln!("repro: {flag} {raw} is refused; it must be {rule}");
+            std::process::exit(2)
+        }
+    }
 }
 
 fn main() -> ExitCode {
     let mut cfg = ReproConfig::default();
-    let mut artifacts: Vec<String> = Vec::new();
+    let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                cfg.scale = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+                let ok = |s: &f64| s.is_finite() && *s > 0.0;
+                cfg.scale = value(&mut args, &arg, ok, "a finite number > 0")
             }
-            "--seed" => {
-                cfg.seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--threads" => {
-                cfg.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage())
-            }
-            "--reducers" => {
-                cfg.reducers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage())
-            }
+            "--seed" => cfg.seed = value(&mut args, &arg, |_| true, "an unsigned integer"),
+            "--threads" => cfg.threads = value(&mut args, &arg, |&n| n > 0, "an integer >= 1"),
+            "--reducers" => cfg.reducers = value(&mut args, &arg, |&n| n > 0, "an integer >= 1"),
             "--out" => cfg.out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--no-save" => cfg.out_dir = None,
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => usage(),
-            other => artifacts.push(other.to_string()),
+            other => ids.push(other.to_string()),
         }
     }
-    if artifacts.is_empty() {
+    if ids.is_empty() {
         usage();
     }
-    if artifacts.iter().any(|a| a == "all") {
-        artifacts = [
-            "table1",
-            "table2",
-            "fig2",
-            "fig4",
-            "fig3",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "faults",
-            "ablation",
-            "scalability",
-            "sched",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    if ids.iter().any(|a| a == "all") {
+        ids = ARTIFACTS.iter().flat_map(|a| a.ids).map(|id| id.to_string()).collect();
+    }
+    // Each id's entry in the table, checked before anything runs.
+    let mut entries = Vec::with_capacity(ids.len());
+    for id in &ids {
+        match ARTIFACTS.iter().position(|a| a.ids.contains(&id.as_str())) {
+            Some(entry) => entries.push(entry),
+            None => {
+                eprintln!("unknown artifact: {id}");
+                return ExitCode::from(2);
+            }
+        }
     }
 
     eprintln!(
@@ -95,13 +95,14 @@ fn main() -> ExitCode {
         cfg.scale, cfg.seed, cfg.threads, cfg.reducers
     );
 
-    // Figure pairs share one sweep; cache so `all` doesn't redo work.
-    let mut pr_a: Option<(Figure, Figure)> = None;
-    let mut pr_b: Option<(Figure, Figure)> = None;
-    let mut sp: Option<(Figure, Figure)> = None;
-    let mut km: Option<(Figure, Figure)> = None;
-
-    let emit = |fig: &Figure, cfg: &ReproConfig| {
+    // An experiment runs once however many of its figures are asked for.
+    let mut produced: Vec<Option<Vec<Figure>>> = vec![None; ARTIFACTS.len()];
+    for (id, entry) in ids.iter().zip(entries) {
+        // Every simulation below (barrier `run_job` inside the engine,
+        // async replays in the figures) runs on this thread.
+        let underflows_before = underflow_count();
+        let figures = produced[entry].get_or_insert_with(|| (ARTIFACTS[entry].produce)(&cfg));
+        let fig = figures.iter().find(|f| f.id == *id).expect("an artifact produces its ids");
         fig.print();
         if let Some(dir) = &cfg.out_dir {
             match fig.save_json(dir) {
@@ -109,69 +110,11 @@ fn main() -> ExitCode {
                 Err(err) => eprintln!("# WARN: could not save {}: {err}", fig.id),
             }
         }
-    };
-
-    for artifact in &artifacts {
-        // Every simulation below (barrier `run_job` inside the engine,
-        // async replays in the figures) runs on this thread.
-        let underflows_before = underflow_count();
-        match artifact.as_str() {
-            "table1" => emit(&table1(&cfg), &cfg),
-            "table2" => emit(&table2(&cfg), &cfg),
-            "fig2" => {
-                let figs = pr_a.get_or_insert_with(|| pagerank_figures(&cfg, GraphChoice::A));
-                let fig = figs.0.clone();
-                emit(&fig, &cfg);
-            }
-            "fig4" => {
-                let figs = pr_a.get_or_insert_with(|| pagerank_figures(&cfg, GraphChoice::A));
-                let fig = figs.1.clone();
-                emit(&fig, &cfg);
-            }
-            "fig3" => {
-                let figs = pr_b.get_or_insert_with(|| pagerank_figures(&cfg, GraphChoice::B));
-                let fig = figs.0.clone();
-                emit(&fig, &cfg);
-            }
-            "fig5" => {
-                let figs = pr_b.get_or_insert_with(|| pagerank_figures(&cfg, GraphChoice::B));
-                let fig = figs.1.clone();
-                emit(&fig, &cfg);
-            }
-            "fig6" => {
-                let figs = sp.get_or_insert_with(|| sssp_figures(&cfg));
-                let fig = figs.0.clone();
-                emit(&fig, &cfg);
-            }
-            "fig7" => {
-                let figs = sp.get_or_insert_with(|| sssp_figures(&cfg));
-                let fig = figs.1.clone();
-                emit(&fig, &cfg);
-            }
-            "fig8" => {
-                let figs = km.get_or_insert_with(|| kmeans_figures(&cfg));
-                let fig = figs.0.clone();
-                emit(&fig, &cfg);
-            }
-            "fig9" => {
-                let figs = km.get_or_insert_with(|| kmeans_figures(&cfg));
-                let fig = figs.1.clone();
-                emit(&fig, &cfg);
-            }
-            "faults" => emit(&fault_tolerance(&cfg), &cfg),
-            "ablation" => emit(&partitioner_ablation(&cfg), &cfg),
-            "scalability" => emit(&scalability(&cfg), &cfg),
-            "sched" => emit(&scheduler_sweep(&cfg), &cfg),
-            other => {
-                eprintln!("unknown artifact: {other}");
-                return ExitCode::from(2);
-            }
-        }
         // `SimTime`'s `-` clamps in release builds and counts: a figure
         // built on a clamped span is wrong, not slow.
         let underflows = underflow_count() - underflows_before;
         if underflows > 0 {
-            eprintln!("{artifact}: {underflows} SimTime subtraction(s) underflowed in its replays");
+            eprintln!("{id}: {underflows} SimTime subtraction(s) underflowed in its replays");
             return ExitCode::FAILURE;
         }
     }

@@ -44,15 +44,13 @@
 //! artifacts next to the fixture file.
 
 use asyncmr_apps::pagerank::{self, PageRankConfig};
-use asyncmr_bench::figures::straggler_sim;
+use asyncmr_bench::figures::HeadlineRun;
 use asyncmr_core::{AsyncFixedPointDriver, GroupingStrategy};
 use asyncmr_graph::generators;
 use asyncmr_model::underflow_count;
 use asyncmr_partition::{apply_locality_order, Partitioner, RangePartitioner};
 use asyncmr_runtime::ThreadPool;
-use asyncmr_simcluster::workloads::{
-    async_schedule, barrier_jobs, ring_exchange, APPS, ASYNC_SEED,
-};
+use asyncmr_simcluster::workloads::{async_schedule, barrier_jobs, APPS, ASYNC_SEED};
 use asyncmr_simcluster::{
     diff_runs, ClusterSpec, Constant, ReportModel, RunRecord, SchedulerSpec, Simulation,
 };
@@ -60,12 +58,12 @@ use asyncmr_simcluster::{
 const USAGE: &str = "usage: simtrace <timeline|critical-path|diff|report|fixtures> \
                      [--sched S] [--a S] [--b S] [--model M] [--dir PATH] [--csv] [--json]";
 
-/// The `repro sched` headline cluster at seed 7, placed by the
-/// scheduler named `sched`, on the network model named `model`.
-fn headline_sim(model: &str, sched: &str) -> Simulation {
+/// The `repro sched` headline run at seed 7, placed by the scheduler
+/// named `sched`, on the network model named `model`.
+fn headline_run(model: &str, sched: &str) -> HeadlineRun {
     let spec = SchedulerSpec::ALL.into_iter().find(|s| s.name() == sched);
     let spec = spec.unwrap_or_else(|| panic!("unknown scheduler {sched} (list|heft)"));
-    straggler_sim(7, spec, model)
+    HeadlineRun::new(7, spec, model)
 }
 
 /// The live half of `report`: a traced lag-0 PageRank session on the
@@ -207,10 +205,8 @@ fn main() {
     match cmd {
         "timeline" | "critical-path" => {
             let (sched, model) = (opt("--sched", "list"), opt("--model", "shared"));
-            let tasks = ring_exchange(8, 8, 40_000_000);
-            let mut sim = headline_sim(&model, &sched);
-            let stats = sim.run_async_schedule(&tasks);
-            let analysis = sim.analyze_async_run(&tasks, &stats);
+            let run = headline_run(&model, &sched);
+            let analysis = run.sim.analyze_async_run(&run.tasks, &run.stats);
             if flag("--csv") {
                 print!(
                     "{}",
@@ -226,17 +222,8 @@ fn main() {
         }
         "diff" => {
             let (a, b, model) = (opt("--a", "list"), opt("--b", "heft"), opt("--model", "default"));
-            let tasks = ring_exchange(8, 8, 40_000_000);
-            let mut sim_a = headline_sim(&model, &a);
-            let stats_a = sim_a.run_async_schedule(&tasks);
-            let mut sim_b = headline_sim(&model, &b);
-            let stats_b = sim_b.run_async_schedule(&tasks);
-            let nodes = sim_a.spec().num_nodes();
-            let rec_a =
-                RunRecord { tasks: &tasks, stats: &stats_a, trace: sim_a.last_trace(), nodes };
-            let rec_b =
-                RunRecord { tasks: &tasks, stats: &stats_b, trace: sim_b.last_trace(), nodes };
-            let diff = diff_runs(&rec_a, &rec_b);
+            let diff =
+                diff_runs(&headline_run(&model, &a).record(), &headline_run(&model, &b).record());
             if flag("--json") {
                 println!("{}", diff.to_json());
             } else {
@@ -246,17 +233,9 @@ fn main() {
         "report" => {
             let (sched, model) = (opt("--sched", "list"), opt("--model", "shared"));
             let dir = opt("--dir", "target/trace_report");
-            let tasks = ring_exchange(8, 8, 40_000_000);
-            let mut sim = headline_sim(&model, &sched);
-            let stats = sim.run_async_schedule(&tasks);
-            let rec = RunRecord {
-                tasks: &tasks,
-                stats: &stats,
-                trace: sim.last_trace(),
-                nodes: sim.spec().num_nodes(),
-            };
+            let run = headline_run(&model, &sched);
             let title = format!("ring 8x8 on straggler cluster ({sched}/{model}, simulated)");
-            let report = ReportModel::from_run(&rec, &title);
+            let report = ReportModel::from_run(&run.record(), &title);
             std::fs::create_dir_all(&dir).expect("create report dir");
             let html = format!("{dir}/sim_report.html");
             let json = format!("{dir}/sim_trace.json");
@@ -264,7 +243,7 @@ fn main() {
             std::fs::write(&json, report.chrome_trace_json()).expect("write Chrome trace");
             println!(
                 "simulated makespan {:?}, critical path {} hops; wrote {html} and {json}",
-                stats.duration,
+                run.stats.duration,
                 report.critical_path.hops.len()
             );
             live_report(&dir);

@@ -1,20 +1,30 @@
 //! The experiments: one function per paper table/figure (or pair that
 //! shares a sweep, as the paper's own runs did — an execution yields
 //! both its iteration count and its wall time).
+//!
+//! Every Eager-vs-General experiment (Figs. 2–9, §VI scalability) is one
+//! comparison: a `Testbed` runs each formulation once on a fresh
+//! simulated engine and reads a `Run` off it (global iterations, partial
+//! syncs, simulated seconds); a `Point` holds both runs at one x-axis
+//! value; and a `Pair` draws the iterations / time figures, the latter
+//! with the speed-up column and the average speed-up note (the §VI
+//! scalability table is that time figure alone). A figure function is
+//! its sweep plus one `render`.
 
 use std::sync::Arc;
 
-use asyncmr_apps::kmeans::{self, KMeansConfig};
-use asyncmr_apps::pagerank::{self, PageRankConfig};
+use asyncmr_apps::kmeans::{self, eager::run_eager_from, general::run_general_from, KMeansConfig};
+use asyncmr_apps::pagerank::{self, PageRankConfig, PageRankOutcome};
 use asyncmr_apps::sssp::{self, SsspConfig};
-use asyncmr_core::{AsyncFixedPointDriver, Engine};
+use asyncmr_core::{AsyncFixedPointDriver, Engine, IterationReport};
 use asyncmr_graph::{presets, stats::GraphProperties, CsrGraph, WeightedGraph};
 use asyncmr_model::{AsyncTaskSpec, AttemptFailurePlan, NodeFailurePlan, SimTime};
 use asyncmr_partition::{MultilevelKWay, Partitioner, Partitioning};
 use asyncmr_runtime::ThreadPool;
 use asyncmr_simcluster::workloads::ring_exchange;
 use asyncmr_simcluster::{
-    diff_runs, ClusterSpec, Constant, RunRecord, SchedulerSpec, Simulation, TopologyAware,
+    diff_runs, AsyncScheduleStats, ClusterSpec, Constant, RunRecord, SchedulerSpec, Simulation,
+    TopologyAware,
 };
 
 use crate::report::{Figure, ReproConfig};
@@ -44,13 +54,116 @@ impl GraphChoice {
     }
 }
 
-fn sim_engine(pool: &ThreadPool, seed: u64) -> Engine<'_> {
-    Engine::with_simulation(pool, Simulation::new(ClusterSpec::ec2_2010(), seed))
+/// A multilevel k-way partitioner at the run's seed.
+fn multilevel(cfg: &ReproConfig) -> MultilevelKWay {
+    MultilevelKWay { seed: cfg.seed, ..Default::default() }
 }
 
-fn secs(t: Option<SimTime>) -> f64 {
-    t.map(SimTime::as_secs_f64).unwrap_or(f64::NAN)
+/// What a comparison reads off one formulation's run.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Global iterations (= global synchronizations).
+    iterations: usize,
+    /// Partial synchronizations across all gmap tasks.
+    local_syncs: u64,
+    /// Simulated seconds to converge.
+    secs: f64,
 }
+
+impl Run {
+    fn of(report: &IterationReport) -> Run {
+        let secs = report.sim_time.map(SimTime::as_secs_f64).unwrap_or(f64::NAN);
+        Run { iterations: report.global_iterations, local_syncs: report.local_syncs, secs }
+    }
+}
+
+/// Where a comparison runs: a pool for the in-process jobs and the
+/// simulated cluster, at the run's seed, that prices them.
+struct Testbed {
+    pool: ThreadPool,
+    spec: ClusterSpec,
+    seed: u64,
+}
+
+impl Testbed {
+    fn on(cfg: &ReproConfig, spec: ClusterSpec) -> Testbed {
+        Testbed { pool: ThreadPool::new(cfg.threads), spec, seed: cfg.seed }
+    }
+
+    /// Runs one formulation on a fresh engine simulating this cluster.
+    fn run(&self, solve: impl FnOnce(&mut Engine<'_>) -> IterationReport) -> Run {
+        let sim = Simulation::new(self.spec.clone(), self.seed);
+        Run::of(&solve(&mut Engine::with_simulation(&self.pool, sim)))
+    }
+
+    /// Runs Eager, then General (`solve`'s flag says which), each on a
+    /// fresh engine: the paper's comparison on one input.
+    fn compare(&self, mut solve: impl FnMut(&mut Engine<'_>, bool) -> IterationReport) -> [Run; 2] {
+        [true, false].map(|eager| self.run(|e| solve(e, eager)))
+    }
+}
+
+/// One x-axis value of an Eager-vs-General comparison.
+struct Point {
+    /// The x-axis cells, leading every row of both figures.
+    x: Vec<String>,
+    eager: Run,
+    general: Run,
+    /// The cells the iterations figure adds (cut %, partial syncs, SSE):
+    /// as many as its layout's leading extra columns go before the
+    /// iteration counts, the rest after.
+    extra: Vec<String>,
+}
+
+/// How one comparison is drawn as the paper's figure pair: iterations
+/// to converge, then simulated time with the speed-up.
+struct Pair<'a> {
+    ids: [&'a str; 2],
+    titles: [String; 2],
+    /// The x-axis columns.
+    x: &'a [&'a str],
+    /// The iterations figure's extra columns before the counts, and after.
+    extra: [&'a [&'a str]; 2],
+    /// The shape the paper reports, noted under the iterations figure.
+    shape: &'a str,
+    /// Where the paper states its average speed-up.
+    paper: &'a str,
+}
+
+impl Pair<'_> {
+    fn render(self, scale: f64, points: &[Point]) -> (Figure, Figure) {
+        let Pair { ids, titles: [iters_title, time_title], x, extra: [lead, trail], .. } = self;
+        let columns = [x, lead, &["Eager", "General"], trail].concat();
+        let mut iters = Figure::new(ids[0], iters_title, scale, columns);
+        for p in points {
+            let (before, after) = p.extra.split_at(lead.len());
+            let counts = [p.eager.iterations, p.general.iterations].map(|n| n.to_string());
+            iters.push_row([&p.x[..], before, &counts, after].concat());
+        }
+        iters.note(self.shape);
+        let mut time = time_figure(ids[1], time_title, scale, x, points);
+        let speedups = points.iter().map(|p| p.general.secs / p.eager.secs);
+        let avg = speedups.sum::<f64>() / points.len() as f64;
+        time.note(format!("Average speedup {avg:.1}x ({}).", self.paper));
+        (iters, time)
+    }
+}
+
+/// A comparison's time figure: per point, the x-axis cells, both runs'
+/// simulated seconds and the speed-up (General's time over Eager's).
+fn time_figure(id: &str, title: String, scale: f64, x: &[&str], points: &[Point]) -> Figure {
+    let mut fig =
+        Figure::new(id, title, scale, [x, &["Eager (s)", "General (s)", "speedup"]].concat());
+    for p in points {
+        let (e, g) = (p.eager.secs, p.general.secs);
+        let secs = [format!("{e:.0}"), format!("{g:.0}"), format!("{:.1}x", g / e)];
+        fig.push_row([&p.x[..], &secs].concat());
+    }
+    fig
+}
+
+/// The x-axis of the partition sweeps (Figs. 2–7).
+const PARTITIONS: [&str; 2] = ["partitions(paper)", "partitions(run)"];
 
 /// Table I — the measurement testbed. The paper ran 8 EC2 extra-large
 /// instances with Hadoop 0.20.1; we print the simulated stand-in's
@@ -149,200 +262,96 @@ pub fn table2(cfg: &ReproConfig) -> Figure {
     fig
 }
 
-/// Per-k measurements of one PageRank sweep point.
-struct PrPoint {
-    paper_k: usize,
-    k: usize,
-    cut: f64,
-    eager_iters: usize,
-    general_iters: usize,
-    eager_secs: f64,
-    general_secs: f64,
-    eager_local_syncs: u64,
+/// PageRank's barrier formulation: Eager or General.
+fn pagerank_run(
+    eager: bool,
+) -> fn(&mut Engine<'_>, &CsrGraph, &Partitioning, &PageRankConfig) -> PageRankOutcome {
+    if eager {
+        pagerank::run_eager
+    } else {
+        pagerank::run_general
+    }
 }
 
-fn pagerank_sweep(cfg: &ReproConfig, graph: GraphChoice) -> Vec<PrPoint> {
+fn pagerank_sweep(cfg: &ReproConfig, graph: GraphChoice) -> Vec<Point> {
     let g = graph.build(cfg.scale);
-    let pool = ThreadPool::new(cfg.threads);
+    let bed = Testbed::on(cfg, ClusterSpec::ec2_2010());
     let pr_cfg = PageRankConfig { num_reducers: cfg.reducers, ..Default::default() };
-    let mut points = Vec::new();
-    for (paper_k, k) in cfg.partition_sweep() {
-        let parts = MultilevelKWay { seed: cfg.seed, ..Default::default() }.partition(&g, k);
-        let cut = parts.cut_fraction(&g);
-        let mut eager_engine = sim_engine(&pool, cfg.seed);
-        let eager = pagerank::run_eager(&mut eager_engine, &g, &parts, &pr_cfg);
-        let mut general_engine = sim_engine(&pool, cfg.seed);
-        let general = pagerank::run_general(&mut general_engine, &g, &parts, &pr_cfg);
-        points.push(PrPoint {
-            paper_k,
-            k,
-            cut,
-            eager_iters: eager.report.global_iterations,
-            general_iters: general.report.global_iterations,
-            eager_secs: secs(eager.report.sim_time),
-            general_secs: secs(general.report.sim_time),
-            eager_local_syncs: eager.report.local_syncs,
-        });
-    }
-    points
+    let sweep = cfg.partition_sweep().into_iter().map(|(paper_k, k)| {
+        let parts = multilevel(cfg).partition(&g, k);
+        let [eager, general] =
+            bed.compare(|e, eager| pagerank_run(eager)(e, &g, &parts, &pr_cfg).report);
+        let cut = format!("{:.1}", parts.cut_fraction(&g) * 100.0);
+        let extra = vec![cut, eager.local_syncs.to_string()];
+        Point { x: vec![paper_k.to_string(), k.to_string()], eager, general, extra }
+    });
+    sweep.collect()
 }
 
 /// Figures 2+4 (Graph A) or 3+5 (Graph B): PageRank iterations and
 /// simulated time-to-converge vs number of partitions.
 pub fn pagerank_figures(cfg: &ReproConfig, graph: GraphChoice) -> (Figure, Figure) {
-    let points = pagerank_sweep(cfg, graph);
-    let (iters_id, time_id) = match graph {
-        GraphChoice::A => ("fig2", "fig4"),
-        GraphChoice::B => ("fig3", "fig5"),
-    };
-
-    let mut iters = Figure::new(
-        iters_id,
-        format!("PageRank: iterations to converge vs partitions — {}", graph.label()),
-        cfg.scale,
-        vec![
-            "partitions(paper)",
-            "partitions(run)",
-            "cut%",
-            "Eager",
-            "General",
-            "Eager partial syncs",
+    let (iters, mut time) = Pair {
+        ids: match graph {
+            GraphChoice::A => ["fig2", "fig4"],
+            GraphChoice::B => ["fig3", "fig5"],
+        },
+        titles: [
+            format!("PageRank: iterations to converge vs partitions — {}", graph.label()),
+            format!("PageRank: time to converge vs partitions — {} (simulated)", graph.label()),
         ],
-    );
-    for p in &points {
-        iters.push_row(vec![
-            p.paper_k.to_string(),
-            p.k.to_string(),
-            format!("{:.1}", p.cut * 100.0),
-            p.eager_iters.to_string(),
-            p.general_iters.to_string(),
-            p.eager_local_syncs.to_string(),
-        ]);
+        x: &PARTITIONS,
+        extra: [&["cut%"], &["Eager partial syncs"]],
+        shape: "Paper shape: General flat; Eager grows with partitions, meeting General at tiny partitions.",
+        paper: "paper §V-B4: ~8x average on EC2",
     }
-    iters.note("Paper shape: General flat; Eager grows with partitions, meeting General at tiny partitions.");
-
-    let mut time = Figure::new(
-        time_id,
-        format!("PageRank: time to converge vs partitions — {} (simulated)", graph.label()),
-        cfg.scale,
-        vec!["partitions(paper)", "partitions(run)", "Eager (s)", "General (s)", "speedup"],
-    );
-    let mut speedups = Vec::new();
-    for p in &points {
-        let speedup = p.general_secs / p.eager_secs;
-        speedups.push(speedup);
-        time.push_row(vec![
-            p.paper_k.to_string(),
-            p.k.to_string(),
-            format!("{:.0}", p.eager_secs),
-            format!("{:.0}", p.general_secs),
-            format!("{:.1}x", speedup),
-        ]);
-    }
-    let avg = speedups.iter().sum::<f64>() / speedups.len() as f64;
-    time.note(format!("Average speedup {avg:.1}x (paper §V-B4: ~8x average on EC2)."));
+    .render(cfg.scale, &pagerank_sweep(cfg, graph));
     time.note("Times are simulated seconds on the Table I cluster model.");
     (iters, time)
 }
 
-struct SpPoint {
-    paper_k: usize,
-    k: usize,
-    eager_iters: usize,
-    general_iters: usize,
-    eager_secs: f64,
-    general_secs: f64,
-}
-
-fn sssp_sweep(cfg: &ReproConfig) -> Vec<SpPoint> {
+fn sssp_sweep(cfg: &ReproConfig) -> Vec<Point> {
     // Paper §V-C2: Graph A with random edge weights.
     let g = GraphChoice::A.build(cfg.scale);
     let wg = WeightedGraph::random_weights(g, 1.0, 10.0, cfg.seed ^ 0x55);
-    let pool = ThreadPool::new(cfg.threads);
+    let bed = Testbed::on(cfg, ClusterSpec::ec2_2010());
     let sp_cfg = SsspConfig { source: 0, num_reducers: cfg.reducers, ..Default::default() };
-    let mut points = Vec::new();
-    for (paper_k, k) in cfg.partition_sweep() {
-        let parts =
-            MultilevelKWay { seed: cfg.seed, ..Default::default() }.partition(wg.graph(), k);
-        let mut eager_engine = sim_engine(&pool, cfg.seed);
-        let eager = sssp::run_eager(&mut eager_engine, &wg, &parts, &sp_cfg);
-        let mut general_engine = sim_engine(&pool, cfg.seed);
-        let general = sssp::run_general(&mut general_engine, &wg, &parts, &sp_cfg);
-        points.push(SpPoint {
-            paper_k,
-            k,
-            eager_iters: eager.report.global_iterations,
-            general_iters: general.report.global_iterations,
-            eager_secs: secs(eager.report.sim_time),
-            general_secs: secs(general.report.sim_time),
+    let sweep = cfg.partition_sweep().into_iter().map(|(paper_k, k)| {
+        let parts = multilevel(cfg).partition(wg.graph(), k);
+        let [eager, general] = bed.compare(|e, eager| {
+            let run = if eager { sssp::run_eager } else { sssp::run_general };
+            run(e, &wg, &parts, &sp_cfg).report
         });
-    }
-    points
+        Point { x: vec![paper_k.to_string(), k.to_string()], eager, general, extra: vec![] }
+    });
+    sweep.collect()
 }
 
 /// Figures 6+7: SSSP iterations and simulated time vs partitions.
 pub fn sssp_figures(cfg: &ReproConfig) -> (Figure, Figure) {
-    let points = sssp_sweep(cfg);
-    let mut iters = Figure::new(
-        "fig6",
-        "SSSP: iterations to converge vs partitions — Graph A",
-        cfg.scale,
-        vec!["partitions(paper)", "partitions(run)", "Eager", "General"],
-    );
-    for p in &points {
-        iters.push_row(vec![
-            p.paper_k.to_string(),
-            p.k.to_string(),
-            p.eager_iters.to_string(),
-            p.general_iters.to_string(),
-        ]);
+    Pair {
+        ids: ["fig6", "fig7"],
+        titles: [
+            "SSSP: iterations to converge vs partitions — Graph A".into(),
+            "SSSP: time to converge vs partitions — Graph A (simulated)".into(),
+        ],
+        x: &PARTITIONS,
+        extra: [&[], &[]],
+        shape:
+            "Paper shape: General flat; Eager needs fewer global iterations at fewer partitions.",
+        paper: "paper §V-C2: ~8x",
     }
-    iters.note(
-        "Paper shape: General flat; Eager needs fewer global iterations at fewer partitions.",
-    );
-
-    let mut time = Figure::new(
-        "fig7",
-        "SSSP: time to converge vs partitions — Graph A (simulated)",
-        cfg.scale,
-        vec!["partitions(paper)", "partitions(run)", "Eager (s)", "General (s)", "speedup"],
-    );
-    let mut speedups = Vec::new();
-    for p in &points {
-        let s = p.general_secs / p.eager_secs;
-        speedups.push(s);
-        time.push_row(vec![
-            p.paper_k.to_string(),
-            p.k.to_string(),
-            format!("{:.0}", p.eager_secs),
-            format!("{:.0}", p.general_secs),
-            format!("{:.1}x", s),
-        ]);
-    }
-    let avg = speedups.iter().sum::<f64>() / speedups.len() as f64;
-    time.note(format!("Average speedup {avg:.1}x (paper §V-C2: ~8x)."));
-    (iters, time)
+    .render(cfg.scale, &sssp_sweep(cfg))
 }
 
-struct KmPoint {
-    threshold: f64,
-    eager_iters: usize,
-    general_iters: usize,
-    eager_secs: f64,
-    general_secs: f64,
-    eager_sse: f64,
-    general_sse: f64,
-}
-
-fn kmeans_sweep(cfg: &ReproConfig) -> Vec<KmPoint> {
+fn kmeans_sweep(cfg: &ReproConfig) -> Vec<Point> {
     // Paper §V-D: census data, 52 partitions, random initial centroids.
     let data = kmeans::data::census_sample(cfg.scale, cfg.seed ^ 0xCE);
     let points = Arc::new(data.points);
     let partitions = 52usize;
-    let pool = ThreadPool::new(cfg.threads);
+    let bed = Testbed::on(cfg, ClusterSpec::ec2_2010());
     let initial = kmeans::initial_centroids(&points, 10, cfg.seed);
-    let mut out = Vec::new();
-    for threshold in cfg.threshold_sweep() {
+    let sweep = cfg.threshold_sweep().into_iter().map(|threshold| {
         let km_cfg = KMeansConfig {
             k: 10,
             threshold,
@@ -350,84 +359,40 @@ fn kmeans_sweep(cfg: &ReproConfig) -> Vec<KmPoint> {
             seed: cfg.seed,
             ..Default::default()
         };
-        let mut eager_engine = sim_engine(&pool, cfg.seed);
-        let eager = kmeans::eager::run_eager_from(
-            &mut eager_engine,
-            &points,
-            partitions,
-            &km_cfg,
-            Some(initial.clone()),
-        );
-        let mut general_engine = sim_engine(&pool, cfg.seed);
-        let general = kmeans::general::run_general_from(
-            &mut general_engine,
-            &points,
-            partitions,
-            &km_cfg,
-            Some(initial.clone()),
-        );
-        out.push(KmPoint {
-            threshold,
-            eager_iters: eager.report.global_iterations,
-            general_iters: general.report.global_iterations,
-            eager_secs: secs(eager.report.sim_time),
-            general_secs: secs(general.report.sim_time),
-            eager_sse: eager.sse,
-            general_sse: general.sse,
+        let mut sse = Vec::new();
+        let [eager, general] = bed.compare(|e, eager| {
+            let run = if eager { run_eager_from } else { run_general_from };
+            let out = run(e, &points, partitions, &km_cfg, Some(initial.clone()));
+            sse.push(format!("{:.3e}", out.sse));
+            out.report
         });
-    }
-    out
+        Point { x: vec![format!("{threshold}")], eager, general, extra: sse }
+    });
+    sweep.collect()
 }
 
 /// Figures 8+9: K-Means iterations and simulated time vs threshold δ.
 pub fn kmeans_figures(cfg: &ReproConfig) -> (Figure, Figure) {
-    let points = kmeans_sweep(cfg);
-    let mut iters = Figure::new(
-        "fig8",
-        "K-Means: iterations to converge vs threshold (52 partitions)",
-        cfg.scale,
-        vec!["threshold", "Eager", "General", "Eager SSE", "General SSE"],
-    );
-    for p in &points {
-        iters.push_row(vec![
-            format!("{}", p.threshold),
-            p.eager_iters.to_string(),
-            p.general_iters.to_string(),
-            format!("{:.3e}", p.eager_sse),
-            format!("{:.3e}", p.general_sse),
-        ]);
+    Pair {
+        ids: ["fig8", "fig9"],
+        titles: [
+            "K-Means: iterations to converge vs threshold (52 partitions)".into(),
+            "K-Means: time to converge vs threshold (simulated)".into(),
+        ],
+        x: &["threshold"],
+        extra: [&[], &["Eager SSE", "General SSE"]],
+        shape: "Paper: Eager converges in < 1/3 of General's global iterations.",
+        paper: "paper §V-D: ~3.5x",
     }
-    iters.note("Paper: Eager converges in < 1/3 of General's global iterations.");
-
-    let mut time = Figure::new(
-        "fig9",
-        "K-Means: time to converge vs threshold (simulated)",
-        cfg.scale,
-        vec!["threshold", "Eager (s)", "General (s)", "speedup"],
-    );
-    let mut speedups = Vec::new();
-    for p in &points {
-        let s = p.general_secs / p.eager_secs;
-        speedups.push(s);
-        time.push_row(vec![
-            format!("{}", p.threshold),
-            format!("{:.0}", p.eager_secs),
-            format!("{:.0}", p.general_secs),
-            format!("{:.1}x", s),
-        ]);
-    }
-    let avg = speedups.iter().sum::<f64>() / speedups.len() as f64;
-    time.note(format!("Average speedup {avg:.1}x (paper §V-D: ~3.5x)."));
-    (iters, time)
+    .render(cfg.scale, &kmeans_sweep(cfg))
 }
 
 /// §VI fault tolerance: identical results under injected transient
 /// failures, with modest (slightly larger for Eager) time overhead.
 pub fn fault_tolerance(cfg: &ReproConfig) -> Figure {
     let g = GraphChoice::A.build(cfg.scale);
-    let k = ((100.0 * cfg.scale).round() as usize).max(2);
-    let parts = MultilevelKWay { seed: cfg.seed, ..Default::default() }.partition(&g, k);
-    let pool = ThreadPool::new(cfg.threads);
+    let parts = multilevel(cfg).partition(&g, cfg.partitions(100));
+    let bed = Testbed::on(cfg, ClusterSpec::ec2_2010());
     let pr_cfg = PageRankConfig { num_reducers: cfg.reducers, ..Default::default() };
 
     let mut fig = Figure::new(
@@ -438,51 +403,55 @@ pub fn fault_tolerance(cfg: &ReproConfig) -> Figure {
     );
 
     for eager in [true, false] {
-        let name = if eager { "Eager" } else { "General" };
-        let run = |fail: bool| {
-            let sim = Simulation::new(ClusterSpec::ec2_2010(), cfg.seed)
-                .with_failures(AttemptFailurePlan::transient(if fail { 0.01 } else { 0.0 }));
-            let mut engine = Engine::with_simulation(&pool, sim);
-            let outcome = if eager {
-                pagerank::run_eager(&mut engine, &g, &parts, &pr_cfg)
-            } else {
-                pagerank::run_general(&mut engine, &g, &parts, &pr_cfg)
-            };
-            let reexec: u32 = engine
-                .history()
-                .iter()
-                .filter_map(|r| r.sim.as_ref())
-                .map(|s| s.failed_attempts)
-                .sum();
-            (outcome, reexec)
+        let variant = if eager { "Eager" } else { "General" };
+        let run = |prob: f64| {
+            let sim = Simulation::new(bed.spec.clone(), bed.seed)
+                .with_failures(AttemptFailurePlan::transient(prob));
+            let mut engine = Engine::with_simulation(&bed.pool, sim);
+            let out = pagerank_run(eager)(&mut engine, &g, &parts, &pr_cfg);
+            let jobs = engine.history().iter().filter_map(|r| r.sim.as_ref());
+            let reexec = jobs.map(|s| s.failed_attempts).sum::<u32>().to_string();
+            (Run::of(&out.report), out.ranks, reexec)
         };
-        let (clean, _) = run(false);
-        let (faulty, reexec) = run(true);
-        let t_clean = secs(clean.report.sim_time);
-        let t_faulty = secs(faulty.report.sim_time);
-        let identical = clean.ranks.iter().zip(&faulty.ranks).all(|(a, b)| (a - b).abs() < 1e-12);
-        fig.push_row(vec![
-            name.into(),
-            "none".into(),
-            format!("{t_clean:.0}"),
-            "-".into(),
-            "0".into(),
-            "-".into(),
-        ]);
-        fig.push_row(vec![
-            name.into(),
-            "1%/attempt".into(),
-            format!("{t_faulty:.0}"),
-            format!("{:+.1}%", (t_faulty / t_clean - 1.0) * 100.0),
-            reexec.to_string(),
-            if identical { "yes" } else { "NO" }.into(),
-        ]);
+        let (clean, clean_ranks, _) = run(0.0);
+        let (faulty, ranks, reexec) = run(0.01);
+        fig.push_row(clean_row(variant, clean.secs));
+        let same = identical((clean.iterations, &clean_ranks), (faulty.iterations, &ranks));
+        let failures = "1%/attempt".into();
+        fig.push_row(fault_row(variant, failures, faulty.secs, clean.secs, reexec, same));
     }
-    async_fault_rows(&mut fig, cfg, &pool, &g, &parts, &pr_cfg);
+    async_fault_rows(&mut fig, &bed, &g, &parts, &pr_cfg);
     fig.note("Deterministic replay: results are bit-identical with and without failures (§VI).");
     fig.note("Eager tasks are coarser, so each re-execution costs more — but overall overhead stays modest.");
     fig.note("Async rows: the failure-free session's recorded schedule replayed under each regime; 'ranks identical' compares a live faulty session bitwise against the live clean one.");
     fig
+}
+
+/// Whether two PageRank runs took as many iterations to bitwise-equal
+/// ranks: what the faults figure's "ranks identical" column claims.
+fn identical(a: (usize, &[f64]), b: (usize, &[f64])) -> bool {
+    a.0 == b.0 && a.1.iter().map(|r| r.to_bits()).eq(b.1.iter().map(|r| r.to_bits()))
+}
+
+/// A failure-free row of the faults figure.
+fn clean_row(variant: &str, secs: f64) -> Vec<String> {
+    [variant, "none", &format!("{secs:.0}"), "-", "0", "-"].map(String::from).to_vec()
+}
+
+/// A faults-figure row: `variant` under `failures`, its simulated
+/// seconds against the failure-free run's, its re-executions, and
+/// whether its ranks are [`identical`] to the failure-free run's.
+fn fault_row(
+    variant: &str,
+    failures: String,
+    secs: f64,
+    clean_secs: f64,
+    reexec: String,
+    same: bool,
+) -> Vec<String> {
+    let overhead = format!("{:+.1}%", (secs / clean_secs - 1.0) * 100.0);
+    let same = if same { "yes" } else { "NO" }.into();
+    vec![variant.into(), failures, format!("{secs:.0}"), overhead, reexec, same]
 }
 
 /// A live session records its schedule in completion order, which
@@ -517,39 +486,26 @@ fn canonical_schedule(schedule: &[AsyncTaskSpec]) -> Vec<AsyncTaskSpec> {
 /// barrier rows.
 fn async_fault_rows(
     fig: &mut Figure,
-    cfg: &ReproConfig,
-    pool: &ThreadPool,
+    bed: &Testbed,
     g: &CsrGraph,
     parts: &Partitioning,
     pr_cfg: &PageRankConfig,
 ) {
-    let live = |driver| pagerank::run_async_with_driver(pool, g, parts, pr_cfg, driver);
+    let live = |driver| pagerank::run_async_with_driver(&bed.pool, g, parts, pr_cfg, driver);
     let driver = AsyncFixedPointDriver::new(pr_cfg.max_iterations);
     let clean = live(driver);
     let schedule = canonical_schedule(&clean.report.schedule);
-    let sim = || Simulation::new(ClusterSpec::ec2_2010(), cfg.seed);
+    let sim = || Simulation::new(bed.spec.clone(), bed.seed);
     let t_clean = sim().run_async_schedule(&schedule).duration.as_secs_f64();
-    fig.push_row(vec![
-        "Async".into(),
-        "none".into(),
-        format!("{t_clean:.0}"),
-        "-".into(),
-        "0".into(),
-        "-".into(),
-    ]);
+    fig.push_row(clean_row("Async", t_clean));
 
     let mut push_row = |failures: String, driver, replay_secs: f64, reexec: String| {
         let faulty = live(driver);
-        let identical = faulty.report.global_iterations == clean.report.global_iterations
-            && clean.ranks.iter().zip(&faulty.ranks).all(|(a, b)| a.to_bits() == b.to_bits());
-        fig.push_row(vec![
-            "Async".into(),
-            failures,
-            format!("{replay_secs:.0}"),
-            format!("{:+.1}%", (replay_secs / t_clean - 1.0) * 100.0),
-            reexec,
-            if identical { "yes" } else { "NO" }.into(),
-        ]);
+        let same = identical(
+            (clean.report.global_iterations, &clean.ranks),
+            (faulty.report.global_iterations, &faulty.ranks),
+        );
+        fig.push_row(fault_row("Async", failures, replay_secs, t_clean, reexec, same));
     };
     // One regime per row, handed to both layers: the replay prices it,
     // the live session survives it.
@@ -558,13 +514,13 @@ fn async_fault_rows(
         let stats = sim().with_failures(plan).run_async_schedule(&schedule);
         push_row(
             format!("{}%/attempt", prob * 100.0),
-            driver.with_failures(plan, cfg.seed),
+            driver.with_failures(plan, bed.seed),
             stats.duration.as_secs_f64(),
             stats.failed_attempts.to_string(),
         );
     }
     for k in [1usize, 4] {
-        let deaths = NodeFailurePlan::correlated(0.2, cfg.seed, k);
+        let deaths = NodeFailurePlan::correlated(0.2, bed.seed, k);
         let stats = sim().with_node_failures(deaths).run_async_schedule(&schedule);
         push_row(
             format!("node death 20%/epoch, ckpt k={k}"),
@@ -583,9 +539,12 @@ pub fn partitioner_ablation(cfg: &ReproConfig) -> Figure {
     use asyncmr_partition::{BfsPartitioner, HashPartitioner, RangePartitioner};
 
     let g = GraphChoice::A.build(cfg.scale);
-    let k = ((400.0 * cfg.scale).round() as usize).max(2);
-    let pool = ThreadPool::new(cfg.threads);
+    let k = cfg.partitions(400);
+    let bed = Testbed::on(cfg, ClusterSpec::ec2_2010());
     let pr_cfg = PageRankConfig { num_reducers: cfg.reducers, ..Default::default() };
+    let run = |eager, parts: &Partitioning| {
+        bed.run(|e| pagerank_run(eager)(e, &g, parts, &pr_cfg).report)
+    };
 
     let mut fig = Figure::new(
         "ablation",
@@ -593,34 +552,26 @@ pub fn partitioner_ablation(cfg: &ReproConfig) -> Figure {
         cfg.scale,
         vec!["partitioner", "cut%", "Eager iters", "Eager time (s)", "vs General"],
     );
-    let general_secs;
-    {
-        let parts = MultilevelKWay { seed: cfg.seed, ..Default::default() }.partition(&g, k);
-        let mut engine = sim_engine(&pool, cfg.seed);
-        let general = pagerank::run_general(&mut engine, &g, &parts, &pr_cfg);
-        general_secs = secs(general.report.sim_time);
-        fig.note(format!(
-            "General baseline: {} iterations, {:.0}s (partitioner-independent).",
-            general.report.global_iterations, general_secs
-        ));
-    }
+    let general = run(false, &multilevel(cfg).partition(&g, k));
+    fig.note(format!(
+        "General baseline: {} iterations, {:.0}s (partitioner-independent).",
+        general.iterations, general.secs
+    ));
     let partitioners: Vec<(&str, Box<dyn Partitioner>)> = vec![
         ("hash (no locality)", Box::new(HashPartitioner)),
         ("range (crawl order)", Box::new(RangePartitioner)),
         ("bfs region growing", Box::new(BfsPartitioner::default())),
-        ("multilevel k-way", Box::new(MultilevelKWay { seed: cfg.seed, ..Default::default() })),
+        ("multilevel k-way", Box::new(multilevel(cfg))),
     ];
     for (name, partitioner) in partitioners {
         let parts = partitioner.partition(&g, k);
-        let mut engine = sim_engine(&pool, cfg.seed);
-        let eager = pagerank::run_eager(&mut engine, &g, &parts, &pr_cfg);
-        let t = secs(eager.report.sim_time);
+        let eager = run(true, &parts);
         fig.push_row(vec![
             name.to_string(),
             format!("{:.1}", parts.cut_fraction(&g) * 100.0),
-            eager.report.global_iterations.to_string(),
-            format!("{t:.0}"),
-            format!("{:.1}x", general_secs / t),
+            eager.iterations.to_string(),
+            format!("{:.0}", eager.secs),
+            format!("{:.1}x", general.secs / eager.secs),
         ]);
     }
     fig.note("Paper §II: partial synchronizations 'must be augmented with suitable locality enhancing techniques'.");
@@ -633,32 +584,21 @@ pub fn partitioner_ablation(cfg: &ReproConfig) -> Figure {
 /// the simulated CluE model.
 pub fn scalability(cfg: &ReproConfig) -> Figure {
     let g = GraphChoice::A.build(cfg.scale);
-    let k = ((800.0 * cfg.scale).round() as usize).max(2);
-    let parts = MultilevelKWay { seed: cfg.seed, ..Default::default() }.partition(&g, k);
-    let pool = ThreadPool::new(cfg.threads);
+    let k = cfg.partitions(800);
+    let parts = multilevel(cfg).partition(&g, k);
     let pr_cfg = PageRankConfig { num_reducers: cfg.reducers, ..Default::default() };
-
-    let mut fig = Figure::new(
-        "scalability",
-        format!("PageRank on the 460-node CluE cluster model (k = {k})"),
-        cfg.scale,
-        vec!["cluster", "Eager (s)", "General (s)", "speedup"],
-    );
-    for (label, spec) in [("ec2-8", ClusterSpec::ec2_2010()), ("clue-460", ClusterSpec::clue_460())]
-    {
-        let mut e1 = Engine::with_simulation(&pool, Simulation::new(spec.clone(), cfg.seed));
-        let eager = pagerank::run_eager(&mut e1, &g, &parts, &pr_cfg);
-        let mut e2 = Engine::with_simulation(&pool, Simulation::new(spec, cfg.seed));
-        let general = pagerank::run_general(&mut e2, &g, &parts, &pr_cfg);
-        let et = secs(eager.report.sim_time);
-        let gt = secs(general.report.sim_time);
-        fig.push_row(vec![
-            label.to_string(),
-            format!("{et:.0}"),
-            format!("{gt:.0}"),
-            format!("{:.1}x", gt / et),
-        ]);
-    }
+    let clusters = [("ec2-8", ClusterSpec::ec2_2010()), ("clue-460", ClusterSpec::clue_460())];
+    let points: Vec<Point> = clusters
+        .into_iter()
+        .map(|(label, spec)| {
+            let bed = Testbed::on(cfg, spec);
+            let [eager, general] =
+                bed.compare(|e, eager| pagerank_run(eager)(e, &g, &parts, &pr_cfg).report);
+            Point { x: vec![label.into()], eager, general, extra: vec![] }
+        })
+        .collect();
+    let title = format!("PageRank on the 460-node CluE cluster model (k = {k})");
+    let mut fig = time_figure("scalability", title, cfg.scale, &["cluster"], &points);
     fig.note("Paper §VI: 'By showing significant performance improvements on a huge data set even in a setting of such large scale, our approach demonstrates scalability.'");
     fig
 }
@@ -685,6 +625,34 @@ pub fn straggler_sim(seed: u64, sched: SchedulerSpec, model: &str) -> Simulation
     }
 }
 
+/// One replay of the headline DAG on a [`straggler_sim`] cluster, kept
+/// for analysis: the ring exchange of 8 partitions over 8 iterations,
+/// 40 M ops a task, that `repro sched` and `simtrace` replay.
+pub struct HeadlineRun {
+    /// The replayed DAG.
+    pub tasks: Vec<AsyncTaskSpec>,
+    /// The cluster, holding the replay's trace.
+    pub sim: Simulation,
+    /// What the replay returned.
+    pub stats: AsyncScheduleStats,
+}
+
+impl HeadlineRun {
+    /// Replays the ring on `straggler_sim(seed, sched, model)`.
+    pub fn new(seed: u64, sched: SchedulerSpec, model: &str) -> HeadlineRun {
+        let tasks = ring_exchange(8, 8, 40_000_000);
+        let mut sim = straggler_sim(seed, sched, model);
+        let stats = sim.run_async_schedule(&tasks);
+        HeadlineRun { tasks, sim, stats }
+    }
+
+    /// The replay as [`diff_runs`] and the trace reports read it.
+    pub fn record(&self) -> RunRecord<'_> {
+        let (tasks, stats, trace) = (&self.tasks, &self.stats, self.sim.last_trace());
+        RunRecord { tasks, stats, trace, nodes: self.sim.spec().num_nodes() }
+    }
+}
+
 /// Scheduler × straggler-regime makespans (simulated): every placement
 /// policy on the [`straggler_sim`] cluster, on the uncontended default
 /// network and again under fair-share NIC contention. The DAG is the
@@ -692,22 +660,16 @@ pub fn straggler_sim(seed: u64, sched: SchedulerSpec, model: &str) -> Simulation
 /// next iteration plus both neighbors), sized so the critical path
 /// through slow nodes dominates a start-time-greedy placement.
 pub fn scheduler_sweep(cfg: &ReproConfig) -> Figure {
-    let tasks = ring_exchange(8, 8, 40_000_000);
-    let sim = |regime: &str, sched| {
-        let model = if regime == "straggler-shared-net" { "shared" } else { "default" };
-        straggler_sim(cfg.seed, sched, model)
-    };
-
     let mut fig = Figure::new(
         "sched",
         "Scheduler makespans, ring exchange 8x8 with 4 of 8 nodes at 0.25x (simulated)",
         cfg.scale,
         vec!["regime", "scheduler", "makespan (s)", "vs list", "commit overruns", "overrun (s)"],
     );
-    for regime in ["straggler", "straggler-shared-net"] {
+    for (regime, model) in [("straggler", "default"), ("straggler-shared-net", "shared")] {
         let mut list_secs = f64::NAN;
         for sched in SchedulerSpec::ALL {
-            let stats = sim(regime, sched).run_async_schedule(&tasks);
+            let stats = HeadlineRun::new(cfg.seed, sched, model).stats;
             let secs = stats.duration.as_secs_f64();
             if stats.scheduler == "list" {
                 list_secs = secs;
@@ -724,18 +686,9 @@ pub fn scheduler_sweep(cfg: &ReproConfig) -> Figure {
     }
 
     // Where the list-vs-HEFT gap comes from, by critical-path component.
-    let run = |sched| {
-        let mut sim = sim("straggler", sched);
-        let stats = sim.run_async_schedule(&tasks);
-        (sim, stats)
-    };
-    let (list_sim, list_stats) = run(SchedulerSpec::List);
-    let (heft_sim, heft_stats) = run(SchedulerSpec::Heft);
-    let nodes = list_sim.spec().num_nodes();
-    let diff = diff_runs(
-        &RunRecord { tasks: &tasks, stats: &list_stats, trace: list_sim.last_trace(), nodes },
-        &RunRecord { tasks: &tasks, stats: &heft_stats, trace: heft_sim.last_trace(), nodes },
-    );
+    let [list, heft] = [SchedulerSpec::List, SchedulerSpec::Heft]
+        .map(|s| HeadlineRun::new(cfg.seed, s, "default"));
+    let diff = diff_runs(&list.record(), &heft.record());
     fig.note(format!(
         "list vs heft on 'straggler': {:.0}% of the makespan gap is {} on the critical path (`simtrace diff` prints the hop-by-hop chain).",
         diff.dominant_share * 100.0,
@@ -790,6 +743,32 @@ mod tests {
         // Simulated times present and positive.
         let t: f64 = time.rows[0][2].parse().unwrap();
         assert!(t > 0.0);
+    }
+
+    #[test]
+    fn sssp_figures_have_expected_shape() {
+        let (iters, time) = sssp_figures(&tiny());
+        assert_eq!(iters.columns, ["partitions(paper)", "partitions(run)", "Eager", "General"]);
+        assert_eq!(iters.rows.len(), 7);
+        assert_eq!(time.rows.len(), 7);
+        // General column constant across partition counts.
+        let general: Vec<&String> = iters.rows.iter().map(|r| &r[3]).collect();
+        assert!(general.windows(2).all(|w| w[0] == w[1]), "general not flat: {general:?}");
+        let t: f64 = time.rows[0][2].parse().unwrap();
+        assert!(t > 0.0);
+        assert!(time.notes[0].starts_with("Average speedup"), "{:?}", time.notes);
+    }
+
+    #[test]
+    fn kmeans_figures_have_expected_shape() {
+        let (iters, time) = kmeans_figures(&tiny());
+        assert_eq!(iters.columns, ["threshold", "Eager", "General", "Eager SSE", "General SSE"]);
+        assert_eq!(iters.rows.len(), 4);
+        assert_eq!(time.columns, ["threshold", "Eager (s)", "General (s)", "speedup"]);
+        assert_eq!(time.rows.len(), 4);
+        let t: f64 = time.rows[0][1].parse().unwrap();
+        assert!(t > 0.0);
+        assert!(time.notes[0].starts_with("Average speedup"), "{:?}", time.notes);
     }
 
     #[test]

@@ -10,21 +10,13 @@
 //! | contracts (byte-identity, failure invisibility, replay determinism) | the test suites |
 //!
 //! `repro` regenerates the paper's evaluation section and the simulated
-//! experiments grown around it:
-//!
-//! | Command | Artifact |
-//! |---|---|
-//! | `repro table1` | Table I — measurement testbed (simulated) |
-//! | `repro table2` | Table II — input graph properties |
-//! | `repro fig2` / `fig3` | PageRank iterations vs partitions (Graphs A, B) |
-//! | `repro fig4` / `fig5` | PageRank time vs partitions (Graphs A, B) |
-//! | `repro fig6` / `fig7` | SSSP iterations / time vs partitions (Graph A) |
-//! | `repro fig8` / `fig9` | K-Means iterations / time vs threshold δ |
-//! | `repro faults` | §VI fault tolerance: Eager/General barrier jobs and the async session under transient failures and node death |
-//! | `repro ablation` | Eager PageRank vs partitioner quality |
-//! | `repro scalability` | §VI scalability on the 460-node cluster model |
-//! | `repro sched` | scheduler × straggler-regime simulated makespans |
-//! | `repro all` | everything above |
+//! experiments grown around it. [`ARTIFACTS`] lists them, in the order
+//! `repro all` runs them: each entry names the figures one experiment
+//! produces and what they show, and `repro`'s usage, `all` and dispatch
+//! all read it. Every Eager-vs-General experiment (Figs. 2–9, §VI
+//! scalability) is one comparison in [`figures`]: each formulation runs
+//! once on a fresh simulated engine, and one renderer draws the
+//! iterations / time figures with the speed-up column.
 //!
 //! Runs are pure functions of `--seed` (two runs print byte-identical
 //! tables: simulated seconds and seed-determined counts only — no host
@@ -44,3 +36,73 @@ pub use figures::{
     scheduler_sweep, sssp_figures, table1, table2, GraphChoice,
 };
 pub use report::{Figure, ReproConfig};
+
+/// One experiment `repro` runs.
+#[derive(Debug, Clone, Copy)]
+pub struct Artifact {
+    /// The ids of the figures [`Artifact::produce`] returns, in order:
+    /// a figure pair shares one sweep, as the paper's own runs did.
+    pub ids: &'static [&'static str],
+    /// What the figures show.
+    pub about: &'static str,
+    /// Runs the experiment.
+    pub produce: fn(&ReproConfig) -> Vec<Figure>,
+}
+
+/// Every artifact `repro` regenerates, in `repro all`'s order.
+pub const ARTIFACTS: &[Artifact] = &[
+    Artifact {
+        ids: &["table1"],
+        about: "Table I: measurement testbed (simulated)",
+        produce: |c| vec![table1(c)],
+    },
+    Artifact {
+        ids: &["table2"],
+        about: "Table II: input graph properties",
+        produce: |c| vec![table2(c)],
+    },
+    Artifact {
+        ids: &["fig2", "fig4"],
+        about: "PageRank iterations / time vs partitions, Graph A",
+        produce: |c| pair(pagerank_figures(c, GraphChoice::A)),
+    },
+    Artifact {
+        ids: &["fig3", "fig5"],
+        about: "PageRank iterations / time vs partitions, Graph B",
+        produce: |c| pair(pagerank_figures(c, GraphChoice::B)),
+    },
+    Artifact {
+        ids: &["fig6", "fig7"],
+        about: "SSSP iterations / time vs partitions, Graph A",
+        produce: |c| pair(sssp_figures(c)),
+    },
+    Artifact {
+        ids: &["fig8", "fig9"],
+        about: "K-Means iterations / time vs threshold",
+        produce: |c| pair(kmeans_figures(c)),
+    },
+    Artifact {
+        ids: &["faults"],
+        about: "§VI fault tolerance: barrier jobs and the async session under transient failures and node death",
+        produce: |c| vec![fault_tolerance(c)],
+    },
+    Artifact {
+        ids: &["ablation"],
+        about: "Eager PageRank vs partitioner quality",
+        produce: |c| vec![partitioner_ablation(c)],
+    },
+    Artifact {
+        ids: &["scalability"],
+        about: "§VI scalability on the 460-node cluster model",
+        produce: |c| vec![scalability(c)],
+    },
+    Artifact {
+        ids: &["sched"],
+        about: "scheduler x straggler-regime simulated makespans",
+        produce: |c| vec![scheduler_sweep(c)],
+    },
+];
+
+fn pair((iters, time): (Figure, Figure)) -> Vec<Figure> {
+    vec![iters, time]
+}

@@ -38,10 +38,13 @@ impl ReproConfig {
     /// partition *sizes* match the paper's at any input scale.
     pub fn partition_sweep(&self) -> Vec<(usize, usize)> {
         // (paper k, scaled k)
-        [100usize, 200, 400, 800, 1600, 3200, 6400]
-            .into_iter()
-            .map(|k| (k, ((k as f64 * self.scale).round() as usize).max(2)))
-            .collect()
+        [100usize, 200, 400, 800, 1600, 3200, 6400].map(|k| (k, self.partitions(k))).to_vec()
+    }
+
+    /// The partition count that keeps the paper's `paper_k` partition
+    /// *size* at this input scale (at least 2).
+    pub fn partitions(&self, paper_k: usize) -> usize {
+        ((paper_k as f64 * self.scale).round() as usize).max(2)
     }
 
     /// The paper's threshold sweep (Figs. 8–9 x-axis).
