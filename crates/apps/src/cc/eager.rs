@@ -9,7 +9,7 @@ use asyncmr_graph::{CsrGraph, NodeId};
 use asyncmr_partition::Partitioning;
 
 use super::general::{propagate, CcGeneralInput};
-use super::rule::min_label;
+use super::rule::{min_label, UNHEARD};
 use super::{CcConfig, CcOutcome};
 
 /// `lmap`/`lreduce` pair: local min-label flooding.
@@ -40,7 +40,7 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         input: &CcGeneralInput,
         item: &u32,
         state: &LocalState<NodeId, NodeId>,
-        ctx: &mut LocalMapContext<NodeId, NodeId>,
+        ctx: &mut LocalMapContext<Self>,
     ) {
         let li = *item;
         let part = &input.part;
@@ -53,16 +53,26 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         }
     }
 
-    fn lreduce(
+    /// `lreduce` as a fold: the smallest label heard.
+    fn init(&self, _input: &CcGeneralInput, _group: usize, _key: &NodeId) -> NodeId {
+        UNHEARD
+    }
+
+    fn fold(acc: &mut NodeId, label: NodeId) {
+        *acc = min_label(*acc, label);
+    }
+
+    fn finish(
         &self,
-        _task: usize,
         _input: &CcGeneralInput,
+        _group: usize,
         key: &NodeId,
-        values: &[NodeId],
+        acc: NodeId,
+        count: usize,
         ctx: &mut LocalReduceContext<NodeId, NodeId>,
     ) {
-        ctx.add_ops(values.len() as u64);
-        ctx.emit_local(*key, min_label(values));
+        ctx.add_ops(count as u64);
+        ctx.emit_local(*key, acc);
     }
 
     fn locally_converged(

@@ -8,7 +8,7 @@ use asyncmr_core::prelude::*;
 use asyncmr_graph::{CsrGraph, NodeId};
 use asyncmr_partition::Partitioning;
 
-use super::rule::min_label;
+use super::rule::{min_label, UNHEARD};
 use super::{CcConfig, CcOutcome};
 use crate::common::{gather, step_status, GraphPartition};
 
@@ -61,7 +61,7 @@ impl Reducer for CcMinReducer {
 
     fn reduce(&self, key: &NodeId, values: &[NodeId], ctx: &mut ReduceContext<NodeId, NodeId>) {
         ctx.add_ops(values.len() as u64);
-        ctx.emit(*key, min_label(values));
+        ctx.emit(*key, values.iter().copied().fold(UNHEARD, min_label));
     }
 }
 

@@ -315,7 +315,9 @@ impl GraphPartition {
     /// emission order: each owned vertex (its keep-alive), then its
     /// internal out-neighbours in CSR order — the declared
     /// [`LocalAlgorithm::emission_keys`] of Eager PageRank, Jacobi and
-    /// Connected Components.
+    /// Connected Components. Every owned vertex is among them and no
+    /// other key is, so their key group `g`, keys ascending, is local
+    /// vertex `g`.
     ///
     /// [`LocalAlgorithm::emission_keys`]: asyncmr_core::LocalAlgorithm::emission_keys
     pub fn emission_keys(&self) -> Vec<NodeId> {

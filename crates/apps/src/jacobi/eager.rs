@@ -44,7 +44,7 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         input: &JacobiInput,
         item: &u32,
         state: &LocalState<NodeId, JMsg>,
-        ctx: &mut LocalMapContext<NodeId, JMsg>,
+        ctx: &mut LocalMapContext<Self>,
     ) {
         let li = *item;
         let part = &input.part;
@@ -59,22 +59,31 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         }
     }
 
-    fn lreduce(
+    /// `lreduce` as a fold: the frozen remote sum, plus each neighbour
+    /// value in emission order, through the point update. Group `li` of
+    /// a partition's declaration is its local vertex `li`.
+    fn init(&self, input: &JacobiInput, li: usize, key: &NodeId) -> JMsg {
+        assert_eq!(input.part.nodes[li], *key, "group {li} is local vertex {li}");
+        JMsg::Contrib(input.remote_in[li])
+    }
+
+    fn fold(acc: &mut JMsg, value: JMsg) {
+        if let (JMsg::Contrib(sum), JMsg::Contrib(c)) = (acc, value) {
+            *sum += c;
+        }
+    }
+
+    fn finish(
         &self,
-        _task: usize,
         input: &JacobiInput,
+        li: usize,
         key: &NodeId,
-        values: &[JMsg],
+        acc: JMsg,
+        count: usize,
         ctx: &mut LocalReduceContext<NodeId, JMsg>,
     ) {
-        let li = input.part.nodes.binary_search(key).expect("lreduce key is an owned vertex");
-        let mut sum = input.remote_in[li];
-        for msg in values {
-            if let JMsg::Contrib(c) = msg {
-                sum += c;
-            }
-        }
-        ctx.add_ops(values.len() as u64);
+        let JMsg::Contrib(sum) = acc else { unreachable!("init starts a Contrib sum") };
+        ctx.add_ops(count as u64);
         ctx.emit_local(*key, JMsg::Contrib(update(input.b[li], sum, input.diag[li])));
     }
 

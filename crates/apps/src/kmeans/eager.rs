@@ -63,7 +63,7 @@ impl LocalAlgorithm for KmLocalAlgorithm {
         input: &KmGeneralInput,
         item: &u32,
         state: &LocalState<u32, ClusterUpdate>,
-        ctx: &mut LocalMapContext<u32, ClusterUpdate>,
+        ctx: &mut LocalMapContext<Self>,
     ) {
         let point = &input.points[*item as usize];
         // Nearest over the *local* evolving centroids, in cid order.

@@ -83,7 +83,7 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         input: &PrEagerInput,
         item: &u32,
         state: &LocalState<NodeId, PrMsg>,
-        ctx: &mut LocalMapContext<NodeId, PrMsg>,
+        ctx: &mut LocalMapContext<Self>,
     ) {
         let li = *item;
         let part = &input.part;
@@ -107,21 +107,29 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         }
     }
 
-    fn lreduce(
+    /// `lreduce` as a fold: the frozen remote sum, plus each
+    /// contribution in emission order, through Eq. 1.
+    fn init(&self, input: &PrEagerInput, _group: usize, key: &NodeId) -> PrMsg {
+        PrMsg::Contrib(input.remote_in[*key as usize])
+    }
+
+    fn fold(acc: &mut PrMsg, value: PrMsg) {
+        if let (PrMsg::Contrib(sum), PrMsg::Contrib(c)) = (acc, value) {
+            *sum += c;
+        }
+    }
+
+    fn finish(
         &self,
-        _task: usize,
-        input: &PrEagerInput,
+        _input: &PrEagerInput,
+        _group: usize,
         key: &NodeId,
-        values: &[PrMsg],
+        acc: PrMsg,
+        count: usize,
         ctx: &mut LocalReduceContext<NodeId, PrMsg>,
     ) {
-        let mut sum = input.remote_in[*key as usize];
-        for msg in values {
-            if let PrMsg::Contrib(c) = msg {
-                sum += c;
-            }
-        }
-        ctx.add_ops(values.len() as u64);
+        let PrMsg::Contrib(sum) = acc else { unreachable!("init starts a Contrib sum") };
+        ctx.add_ops(count as u64);
         ctx.emit_local(*key, PrMsg::Contrib(self.rule.rank(sum)));
     }
 

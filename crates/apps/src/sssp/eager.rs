@@ -45,7 +45,7 @@ impl LocalAlgorithm for SpLocalAlgorithm {
         input: &SpGeneralInput,
         item: &u32,
         state: &LocalState<NodeId, f64>,
-        ctx: &mut LocalMapContext<NodeId, f64>,
+        ctx: &mut LocalMapContext<Self>,
     ) {
         let li = *item;
         let part = &input.part;

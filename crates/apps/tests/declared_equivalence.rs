@@ -2,12 +2,14 @@
 //! Jacobi and Connected Components to the keyed passes they replaced.
 //!
 //! Each app declares its emission keys ([`GraphPartition::emission_keys`])
-//! and its `lmap` emits values only. The `lmap` each app ran before —
-//! every key built from `part.nodes` and handed to
-//! `emit_local_intermediate` — is kept here as the oracle, behind the
-//! app's own `init_state`, `lreduce`, convergence test and `finalize`
-//! ([`Keyed`]). Declared and keyed runs must agree bitwise (`f64`s are
-//! compared by their bits) on:
+//! and its `lreduce` as a fold, and its `lmap` emits values only, each
+//! folded into its group's accumulator as it is emitted. The `lmap`
+//! each app ran before — every key built from `part.nodes` and handed
+//! to `emit_local_intermediate` — is kept here as the oracle, behind
+//! the app's own `init_state`, `lreduce` (its fold, run over each key
+//! group once the keyed pass has grouped its pairs), convergence test
+//! and `finalize` ([`Keyed`]). Declared and keyed runs must agree
+//! bitwise (`f64`s are compared by their bits) on:
 //!
 //! * every map task's emissions, `TaskMeter`, records and bytes — so
 //!   its final local state, which `finalize` emits;
@@ -40,12 +42,13 @@ type KeyedLmap<A> = fn(
     &<A as LocalAlgorithm>::Input,
     &u32,
     &LocalState<NodeId, <A as LocalAlgorithm>::Value>,
-    &mut LocalMapContext<NodeId, <A as LocalAlgorithm>::Value>,
+    &mut LocalMapContext<Keyed<A>>,
 );
 
 /// `A` with no declaration and its old keyed `lmap`; everything else is
-/// `A`'s own.
-struct Keyed<A: LocalAlgorithm> {
+/// `A`'s own — its `lreduce` is the default, `A`'s declared fold over
+/// each group's values.
+struct Keyed<A: LocalAlgorithm<Item = u32, Key = NodeId>> {
     algo: A,
     lmap: KeyedLmap<A>,
 }
@@ -68,7 +71,7 @@ impl<A: LocalAlgorithm<Item = u32, Key = NodeId>> LocalAlgorithm for Keyed<A> {
         input: &A::Input,
         item: &u32,
         state: &LocalState<NodeId, A::Value>,
-        ctx: &mut LocalMapContext<NodeId, A::Value>,
+        ctx: &mut LocalMapContext<Self>,
     ) {
         (self.lmap)(input, item, state, ctx);
     }
@@ -120,7 +123,7 @@ fn pr_lmap(
     input: &PrEagerInput,
     &li: &u32,
     state: &LocalState<NodeId, PrMsg>,
-    ctx: &mut LocalMapContext<NodeId, PrMsg>,
+    ctx: &mut LocalMapContext<Keyed<PrLocalAlgorithm>>,
 ) {
     let part = &input.part;
     let v = part.nodes[li as usize];
@@ -144,7 +147,7 @@ fn jacobi_lmap(
     input: &JacobiInput,
     &li: &u32,
     state: &LocalState<NodeId, JMsg>,
-    ctx: &mut LocalMapContext<NodeId, JMsg>,
+    ctx: &mut LocalMapContext<Keyed<JacobiLocalAlgorithm>>,
 ) {
     let part = &input.part;
     let v = part.nodes[li as usize];
@@ -163,7 +166,7 @@ fn cc_lmap(
     input: &CcGeneralInput,
     &li: &u32,
     state: &LocalState<NodeId, NodeId>,
-    ctx: &mut LocalMapContext<NodeId, NodeId>,
+    ctx: &mut LocalMapContext<Keyed<CcLocalAlgorithm>>,
 ) {
     let part = &input.part;
     let v = part.nodes[li as usize];

@@ -33,7 +33,7 @@
 //! each `lreduce` pass is one *partial synchronization*, counted in
 //! [`crate::TaskMeter::local_syncs`].
 //!
-//! Each pass is a one-partition shuffle: its emissions are grouped
+//! Each keyed pass is a one-partition shuffle: its emissions are grouped
 //! through a [`GroupPlan`] the task keeps from pass to pass — and, filed
 //! in the engine's [`crate::plan::PlanStore`] between jobs, from job to
 //! job — by the very [`shuffle::group_planned`] a single-partition
@@ -49,14 +49,22 @@
 //!
 //! An algorithm whose keys are the partition's structure — a graph
 //! app's owned vertices and internal edges — can say so once, as
-//! [`LocalAlgorithm::emission_keys`]. Its passes are then *declared*:
-//! `lmap` builds no key and emits values only
-//! ([`LocalMapContext::emit_value`]), value `i` going straight to the
-//! slot of declared key `i`. The declaration is compared with the
-//! task's plan once per map call (the plan is recorded from it when
-//! they differ), and every declared pass checks that it emitted exactly
-//! as many values as keys were declared, in every build — so no key
-//! goes unchecked: a declared pass emits none.
+//! [`LocalAlgorithm::emission_keys`], and state its `lreduce` as a fold
+//! ([`LocalAlgorithm::init`], [`LocalAlgorithm::fold`],
+//! [`LocalAlgorithm::finish`]). Its passes are then *declared*: `lmap`
+//! builds no key and emits values only ([`LocalMapContext::emit_value`]),
+//! and value `i` is folded, as it is emitted, into the accumulator of
+//! declared key `i`'s group; the end of the pass finishes each group,
+//! keys ascending. No value is buffered or grouped: the fold sees a
+//! group's values in emission order — the order a keyed pass hands
+//! `lreduce` — so it computes what `lreduce` over the group would, and
+//! the default `lreduce` is that fold. The declaration is compared with
+//! the task's plan once per map call (the plan is recorded from it when
+//! they differ; each emission's group is read off it then), and every
+//! declared pass
+//! checks that it emitted exactly as many values as keys were declared,
+//! in every build — so no key goes unchecked: a declared pass emits
+//! none.
 
 use std::fmt;
 use std::ops::Index;
@@ -64,7 +72,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::emitter::MapContext;
 use crate::kv::{Key, Meterable, Value};
-use crate::shuffle::{self, GroupPlan, GroupView, GroupingStrategy, PlanOutcome, SlotWriter};
+use crate::shuffle::{self, GroupPlan, GroupView, GroupingStrategy, PlanOutcome};
 use crate::traits::Mapper;
 
 /// Default for [`LocalAlgorithm::max_local_iterations`] — the one
@@ -253,7 +261,9 @@ impl<K> Default for LocalSyncPlan<K> {
 }
 
 /// Context for [`LocalAlgorithm::lmap`] — the paper's
-/// `EmitLocalIntermediate` plus op metering.
+/// `EmitLocalIntermediate` plus op metering — typed with its algorithm,
+/// whose [fold](LocalAlgorithm::fold) a declared pass calls where each
+/// value is emitted.
 ///
 /// A **keyed** pass (the algorithm declares no
 /// [emission keys](LocalAlgorithm::emission_keys)) buffers its
@@ -261,51 +271,58 @@ impl<K> Default for LocalSyncPlan<K> {
 /// task's plan with [`shuffle::group_planned`]: it recognises the key
 /// sequence the plan was recorded from, every key compared, or records
 /// a new plan. Either way the grouped values are what a stable sort of
-/// the emitted pairs gives.
+/// the emitted pairs gives, and `lreduce` reduces each group.
 ///
 /// A **declared** pass runs on the plan of the keys its algorithm
 /// declared, and `lmap` emits values only
-/// ([`emit_value`](LocalMapContext::emit_value)): value `i` goes
-/// straight to the slot of declared key `i`. The pass must emit exactly
-/// as many values as keys were declared — one more panics at that
+/// ([`emit_value`](LocalMapContext::emit_value)): value `i` is folded
+/// straight into the accumulator of declared key `i`'s group, and the
+/// end of the pass finishes every group. The pass must emit exactly as
+/// many values as keys were declared — one more panics at that
 /// emission, one fewer at the end of the pass — and a keyed emission
 /// panics, as does `emit_value` in a keyed pass. Every such panic names
 /// the task and the pass.
 #[derive(Debug)]
-pub struct LocalMapContext<K, V> {
-    /// The task's plan, checked out for the pass.
-    plan: GroupPlan<K>,
+pub struct LocalMapContext<L: LocalAlgorithm> {
+    /// The task's plan.
+    plan: GroupPlan<L::Key>,
     /// Keyed: the pass's emissions, in order.
-    pairs: Vec<(K, V)>,
-    /// `Some` in a declared pass, with what the pass reports it did
-    /// with the plan: values `..cursor` sit at the plan's slots of
-    /// records `..cursor` in `placed`.
+    pairs: Vec<(L::Key, L::Value)>,
+    /// `Some` in a declared map call, with what the next pass reports
+    /// it did with the plan: emission `i` folds into `accs[group_of[i]]`,
+    /// and values `..cursor` have.
     declared: Option<PlanOutcome>,
+    group_of: Vec<u32>,
+    accs: Vec<L::Value>,
     cursor: usize,
-    placed: SlotWriter<V>,
     /// The map task and its pass index, for the panics.
     task: usize,
     pass: usize,
     ops: u64,
 }
 
-impl<K: Key, V: Value> LocalMapContext<K, V> {
-    /// A context for pass `pass` of task `task`, which holds `plan`.
-    /// `declared` is `Some` when the plan is the algorithm's
-    /// declaration, with what this pass reports; its values are placed
-    /// in `values`' allocation. A keyed pass buffers its pairs in room
-    /// for the plan's records.
-    fn following(
-        plan: GroupPlan<K>,
-        declared: Option<PlanOutcome>,
-        (task, pass): (usize, usize),
-        values: &mut Vec<V>,
-    ) -> Self {
-        let (placed, pairs) = match declared {
-            Some(_) => (SlotWriter::new(std::mem::take(values), plan.records()), Vec::new()),
-            None => (SlotWriter::new(Vec::new(), 0), Vec::with_capacity(plan.records())),
-        };
-        LocalMapContext { plan, pairs, declared, cursor: 0, placed, task, pass, ops: 0 }
+impl<L: LocalAlgorithm> LocalMapContext<L> {
+    /// A context for the passes of task `task`, which holds `plan`.
+    /// With `keys` declared, the plan is compared with them once, here —
+    /// and recorded from them when they differ — and each emission's
+    /// group is looked up once.
+    fn following(mut plan: GroupPlan<L::Key>, keys: Option<Vec<L::Key>>, task: usize) -> Self {
+        let declared = keys.map(|keys| plan.recognise_or_record(keys));
+        let group_of = if declared.is_some() { plan.group_of() } else { Vec::new() };
+        let (pairs, accs) = (Vec::new(), Vec::new());
+        LocalMapContext { plan, pairs, declared, group_of, accs, cursor: 0, task, pass: 0, ops: 0 }
+    }
+
+    /// Starts pass `pass`: a declared one with a fresh accumulator per
+    /// group, a keyed one with room for the plan's records.
+    fn begin(&mut self, algo: &L, input: &L::Input, pass: usize) {
+        (self.pass, self.cursor, self.ops) = (pass, 0, 0);
+        if self.declared.is_some() {
+            let init = |(group, (key, _))| algo.init(input, group, key);
+            self.accs.extend(self.plan.spans().enumerate().map(init));
+        } else {
+            self.pairs = Vec::with_capacity(self.plan.records());
+        }
     }
 
     /// The paper's `EmitLocalIntermediate(key, value)`: feeds the next
@@ -315,7 +332,7 @@ impl<K: Key, V: Value> LocalMapContext<K, V> {
     ///
     /// In a declared pass, which emits values only.
     #[inline]
-    pub fn emit_local_intermediate(&mut self, key: K, value: V) {
+    pub fn emit_local_intermediate(&mut self, key: L::Key, value: L::Value) {
         if self.declared.is_some() {
             self.refuse(format_args!(
                 "a keyed emission in a declared pass, after {} values",
@@ -325,27 +342,26 @@ impl<K: Key, V: Value> LocalMapContext<K, V> {
         self.pairs.push((key, value));
     }
 
-    /// Emits the value of the next declared key: the declared pass's
+    /// Emits the value of the next declared key — the declared pass's
     /// `EmitLocalIntermediate`, with the key the algorithm's
-    /// [`LocalAlgorithm::emission_keys`] gave for this position.
+    /// [`LocalAlgorithm::emission_keys`] gave for this position — by
+    /// folding it into that key's group.
     ///
     /// # Panics
     ///
     /// In a keyed pass (the algorithm declared nothing), and past the
     /// last declared key.
     #[inline]
-    pub fn emit_value(&mut self, value: V) {
-        match self.plan.slot(self.cursor) {
-            Some(slot) if self.declared.is_some() => {
-                self.placed.write(slot, value);
-                self.cursor += 1;
-            }
-            _ if self.declared.is_some() => self.refuse(format_args!(
+    pub fn emit_value(&mut self, value: L::Value) {
+        match self.group_of.get(self.cursor) {
+            Some(&group) => L::fold(&mut self.accs[group as usize], value),
+            None if self.declared.is_some() => self.refuse(format_args!(
                 "one value more than the {} keys it declared",
-                self.plan.records()
+                self.group_of.len()
             )),
-            _ => self.refuse(format_args!("emit_value, but its algorithm declares no keys")),
+            None => self.refuse(format_args!("emit_value, but its algorithm declares no keys")),
         }
+        self.cursor += 1;
     }
 
     /// Meters `n` abstract operations.
@@ -355,59 +371,75 @@ impl<K: Key, V: Value> LocalMapContext<K, V> {
     }
 
     /// Panics for a pass that broke its contract: `what` it did, and
-    /// where. Values already placed leak; none is dropped twice.
+    /// where. Every value the pass made is dropped once, on the unwind.
     #[cold]
     #[inline(never)]
     fn refuse(&self, what: fmt::Arguments<'_>) -> ! {
         panic!("local sync of task {}, pass {}: {what}", self.task, self.pass)
     }
 
-    /// Ends the pass: places its values, grouped, in `values`' allocation,
-    /// calls `f` once per key group, keys ascending, and returns the
-    /// plan they were grouped through and what became of it — a pass
-    /// that emitted nothing has no plan to be on, so it never hits.
+    /// Ends the pass: reduces each key group, keys ascending, into
+    /// `rctx` — a declared pass finishes its accumulators, a keyed one
+    /// groups its pairs in `values`' allocation and calls `lreduce` —
+    /// and returns what became of the plan. A pass that emitted nothing
+    /// has no plan to be on, so it never hits.
     ///
     /// # Panics
     ///
     /// If a declared pass emitted fewer values than it declared keys.
     fn finish(
-        mut self,
-        values: &mut Vec<V>,
-        f: impl FnMut(GroupView<'_, K, V>),
-    ) -> (GroupPlan<K>, PlanOutcome) {
+        &mut self,
+        algo: &L,
+        task: usize,
+        input: &L::Input,
+        values: &mut Vec<L::Value>,
+        rctx: &mut LocalReduceContext<L::Key, L::Value>,
+    ) -> PlanOutcome {
         let outcome = match self.declared {
             Some(outcome) => {
-                if self.cursor < self.plan.records() {
-                    let (emitted, declared) = (self.cursor, self.plan.records());
+                if self.cursor < self.group_of.len() {
+                    let (emitted, declared) = (self.cursor, self.group_of.len());
                     self.refuse(format_args!(
                         "{emitted} values for the {declared} keys it declared"
                     ));
                 }
-                // SAFETY: `emit_value` wrote the slot of record `i` for
-                // each emission `i < cursor` and refuses one at `cursor
-                // == records()`, so with `cursor == records()` every slot
-                // of the plan's permutation was written exactly once.
-                *values = unsafe { self.placed.finish() };
-                self.plan.for_each_group(values, f);
+                let groups = self.plan.spans().zip(self.accs.drain(..));
+                for (group, ((key, count), acc)) in groups.enumerate() {
+                    algo.finish(input, group, key, acc, count, rctx);
+                }
+                // Every later pass runs on the plan this one used.
+                self.declared = Some(PlanOutcome::Hit);
                 outcome
             }
             None => {
-                let pairs = vec![self.pairs.into()];
-                let sort = GroupingStrategy::Sort;
-                shuffle::group_planned(pairs, sort, &mut self.plan, values, f).0
+                let (pairs, sort) =
+                    (vec![std::mem::take(&mut self.pairs).into()], GroupingStrategy::Sort);
+                let reduce = |g: GroupView<'_, L::Key, L::Value>| {
+                    algo.lreduce(task, input, g.key, g.values, rctx);
+                    rctx.group += 1;
+                };
+                shuffle::group_planned(pairs, sort, &mut self.plan, values, reduce).0
             }
         };
-        let outcome = if self.plan.records() > 0 { outcome } else { PlanOutcome::Recorded };
-        (self.plan, outcome)
+        if self.plan.records() > 0 {
+            outcome
+        } else {
+            PlanOutcome::Recorded
+        }
     }
 }
 
-/// Context for [`LocalAlgorithm::lreduce`] — the paper's `EmitLocal`
-/// plus op metering.
+/// Context for [`LocalAlgorithm::lreduce`] and a declared fold's
+/// [`LocalAlgorithm::finish`] — the paper's `EmitLocal` plus op
+/// metering.
 #[derive(Debug)]
 pub struct LocalReduceContext<K, V> {
     /// The next state's entries in emission order.
     emitted: Vec<(K, V)>,
+    /// The index of the key group `lreduce` is reducing among its
+    /// pass's groups, keys ascending — what the default `lreduce` hands
+    /// the algorithm's fold as `group`.
+    group: usize,
     ops: u64,
 }
 
@@ -415,7 +447,7 @@ impl<K: Key, V: Value> LocalReduceContext<K, V> {
     /// A context emitting into a recycled (cleared) buffer.
     fn reusing(buffer: Vec<(K, V)>) -> Self {
         debug_assert!(buffer.is_empty());
-        LocalReduceContext { emitted: buffer, ops: 0 }
+        LocalReduceContext { emitted: buffer, group: 0, ops: 0 }
     }
 
     /// The paper's `EmitLocal(key, value)`: writes an entry of the new
@@ -436,7 +468,7 @@ impl<K: Key, V: Value> LocalReduceContext<K, V> {
 
 /// An iterative algorithm expressed as local map/reduce over one
 /// partition — the ingredients of the paper's `gmap` (Fig. 1).
-pub trait LocalAlgorithm: Send + Sync {
+pub trait LocalAlgorithm: Send + Sync + Sized {
     /// The partition handed to each `gmap` task (the paper's `xs`,
     /// plus any read-only structure such as adjacency).
     type Input: Send + Sync;
@@ -464,8 +496,10 @@ pub trait LocalAlgorithm: Send + Sync {
     /// only, through [`LocalMapContext::emit_value`], value `i` under
     /// `keys[i]`, and each pass must emit exactly `keys.len()` of them
     /// (checked in every build; a pass that emits a different count
-    /// panics). Called once per map call, where the declaration is
-    /// compared with the plan the task kept.
+    /// panics). Its `lreduce` is the fold ([`init`](Self::init),
+    /// [`fold`](Self::fold), [`finish`](Self::finish)), which a
+    /// declaring algorithm must write. Called once per map call, where
+    /// the declaration is compared with the plan the task kept.
     fn emission_keys(&self, task: usize, input: &Self::Input) -> Option<Vec<Self::Key>> {
         let _ = (task, input);
         None
@@ -482,11 +516,13 @@ pub trait LocalAlgorithm: Send + Sync {
         input: &Self::Input,
         item: &Self::Item,
         state: &LocalState<Self::Key, Self::Value>,
-        ctx: &mut LocalMapContext<Self::Key, Self::Value>,
+        ctx: &mut LocalMapContext<Self>,
     );
 
     /// The paper's `lreduce`: folds one intermediate key group into the
-    /// new hashtable via [`LocalReduceContext::emit_local`].
+    /// new hashtable via [`LocalReduceContext::emit_local`]. The default
+    /// is the algorithm's fold over the group's values, in order —
+    /// what a declared pass computes as they are emitted.
     fn lreduce(
         &self,
         task: usize,
@@ -494,7 +530,52 @@ pub trait LocalAlgorithm: Send + Sync {
         key: &Self::Key,
         values: &[Self::Value],
         ctx: &mut LocalReduceContext<Self::Key, Self::Value>,
-    );
+    ) {
+        let _ = task;
+        let mut acc = self.init(input, ctx.group, key);
+        for value in values {
+            Self::fold(&mut acc, value.clone());
+        }
+        self.finish(input, ctx.group, key, acc, values.len(), ctx);
+    }
+
+    /// `lreduce` as a fold, first step: the accumulator of key group
+    /// `group` — its index among the pass's key groups, keys ascending —
+    /// whose key is `key`, before any value. A declared pass starts
+    /// every group's accumulator as it begins. The default panics: an
+    /// algorithm writes [`lreduce`](Self::lreduce) or this fold, and
+    /// one that declares its [emission keys](Self::emission_keys)
+    /// writes the fold.
+    fn init(&self, input: &Self::Input, group: usize, key: &Self::Key) -> Self::Value {
+        let _ = (input, group, key);
+        unimplemented!("LocalAlgorithm::init: write lreduce, or declare it as a fold")
+    }
+
+    /// Folds `value`, the group's next value in emission order, into
+    /// its accumulator — in a declared pass, where `lmap` emits it
+    /// (dispatched statically: the context is typed with its
+    /// algorithm).
+    fn fold(acc: &mut Self::Value, value: Self::Value) {
+        let _ = (acc, value);
+        unimplemented!("LocalAlgorithm::fold: write lreduce, or declare it as a fold")
+    }
+
+    /// The fold's last step, once per group, keys ascending: the
+    /// group's `EmitLocal`s (and ops) from its accumulator and its
+    /// `count` values. The default stores the accumulator under the
+    /// group's key and meters nothing.
+    fn finish(
+        &self,
+        input: &Self::Input,
+        group: usize,
+        key: &Self::Key,
+        acc: Self::Value,
+        count: usize,
+        ctx: &mut LocalReduceContext<Self::Key, Self::Value>,
+    ) {
+        let _ = (input, group, count);
+        ctx.emit_local(key.clone(), acc);
+    }
 
     /// Hook after each `lreduce` barrier, before the convergence test.
     /// The default does nothing; algorithms use it to carry forward
@@ -594,36 +675,30 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
         let items = self.algo.items(input);
 
         // The plan the task kept from its last job on this engine turns
-        // every pass whose keys repeat into a scatter of values.
-        let mut plan = std::mem::take(&mut ctx.local_plan).0;
-        // A declaration is compared with the kept plan once, here; the
-        // plan is recorded from it when they differ. Its passes then
-        // emit no key, and each checks its value count.
-        let mut declared =
-            self.algo.emission_keys(task, input).map(|keys| plan.recognise_or_record(keys));
+        // every keyed pass whose keys repeat into a scatter of values. A
+        // declaration is compared with it once, here (the plan is
+        // recorded from it when they differ); its passes then emit no
+        // key, fold each value where it is emitted, and check their
+        // value count.
+        let plan = std::mem::take(&mut ctx.local_plan).0;
+        let keys = self.algo.emission_keys(task, input);
+        let mut lctx = LocalMapContext::following(plan, keys, task);
         let (mut values, mut retired) = (Vec::new(), Vec::new());
         for pass in 0..max_passes {
             // Local map phase over every element of xs.
-            let mut lctx = LocalMapContext::following(plan, declared, (task, pass), &mut values);
+            lctx.begin(&self.algo, input, pass);
             for item in items {
                 self.algo.lmap(task, input, item, &state, &mut lctx);
             }
-            let lmap_ops = lctx.ops;
-            // Partial synchronization: group and locally reduce. This
-            // barrier is *within* the task — other partitions are
-            // already running their next local iteration (eager
-            // scheduling).
+            // Partial synchronization: locally reduce. This barrier is
+            // *within* the task — other partitions are already running
+            // their next local iteration (eager scheduling).
             let mut rctx = LocalReduceContext::reusing(retired);
-            let outcome;
-            (plan, outcome) = lctx.finish(&mut values, |g| {
-                self.algo.lreduce(task, input, g.key, g.values, &mut rctx)
-            });
+            let outcome = lctx.finish(&self.algo, task, input, &mut values, &mut rctx);
             ctx.local_use.count(outcome);
-            // Every later declared pass runs on the plan this one used.
-            declared = declared.and(Some(PlanOutcome::Hit));
             let mut new_state = LocalState::from_writes(rctx.emitted);
             self.algo.post_lreduce(task, input, &state, &mut new_state);
-            ctx.meter.add_ops(lmap_ops + rctx.ops + plan.records() as u64);
+            ctx.meter.add_ops(lctx.ops + rctx.ops + lctx.plan.records() as u64);
             ctx.meter.add_local_sync();
 
             let done = self.algo.locally_converged(&state, &new_state);
@@ -632,7 +707,7 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
                 break;
             }
         }
-        ctx.local_plan = LocalSyncPlan(plan);
+        ctx.local_plan = LocalSyncPlan(lctx.plan);
         self.algo.finalize(task, input, &state, ctx);
     }
 }
@@ -667,7 +742,7 @@ pub(crate) mod tests {
             _input: &Self::Input,
             item: &(u32, f64),
             state: &LocalState<u32, f64>,
-            ctx: &mut LocalMapContext<u32, f64>,
+            ctx: &mut LocalMapContext<Self>,
         ) {
             let (key, target) = *item;
             let current = state[&key];
@@ -731,7 +806,7 @@ pub(crate) mod tests {
             _i: &Self::Input,
             item: &u32,
             state: &LocalState<u32, u64>,
-            ctx: &mut LocalMapContext<u32, u64>,
+            ctx: &mut LocalMapContext<Self>,
         ) {
             ctx.emit_local_intermediate(*item, state[item]);
         }
@@ -784,7 +859,7 @@ pub(crate) mod tests {
             _i: &Self::Input,
             _item: &u32,
             state: &LocalState<u32, u64>,
-            ctx: &mut LocalMapContext<u32, u64>,
+            ctx: &mut LocalMapContext<Self>,
         ) {
             ctx.emit_local_intermediate(0, state[&0] + 1);
         }
@@ -863,7 +938,7 @@ pub(crate) mod tests {
             _i: &(),
             _item: &(),
             state: &LocalState<u32, u64>,
-            ctx: &mut LocalMapContext<u32, u64>,
+            ctx: &mut LocalMapContext<Self>,
         ) {
             let pass = state[&Self::CLOCK];
             for key in 0..self.0[pass as usize] {
@@ -930,8 +1005,8 @@ pub(crate) mod tests {
 
     /// Item `k` emits key `k` with its state value + 1, keyed or — when
     /// `declare` — as a value under the declared keys (the items
-    /// themselves); `lreduce` sums each group. Three passes, never
-    /// converged.
+    /// themselves); `lreduce` sums each group, and so does the declared
+    /// fold. Three passes, never converged.
     struct Echo {
         declare: bool,
     }
@@ -975,7 +1050,7 @@ pub(crate) mod tests {
             _i: &Self::Input,
             item: &u32,
             state: &LocalState<u32, u64>,
-            ctx: &mut LocalMapContext<u32, u64>,
+            ctx: &mut LocalMapContext<Self>,
         ) {
             let value = state[item] + 1;
             if self.declare {
@@ -993,6 +1068,12 @@ pub(crate) mod tests {
             ctx: &mut LocalReduceContext<u32, u64>,
         ) {
             ctx.emit_local(*key, values.iter().sum());
+        }
+        fn init(&self, _i: &Self::Input, _group: usize, _key: &u32) -> u64 {
+            0
+        }
+        fn fold(acc: &mut u64, value: u64) {
+            *acc += value;
         }
         fn locally_converged(
             &self,
@@ -1052,7 +1133,7 @@ pub(crate) mod tests {
             _i: &Self::Input,
             item: &u32,
             state: &LocalState<u32, u64>,
-            ctx: &mut LocalMapContext<u32, u64>,
+            ctx: &mut LocalMapContext<Self>,
         ) {
             ctx.emit_local_intermediate(0, state[&0] + *item as u64);
         }

@@ -498,7 +498,9 @@ pub fn concat_buckets<K, V>(
 /// The local syncs of a [`crate::EagerMapper`] task group through a
 /// plan of one chunk: a keyed pass hands [`group_planned`] its pairs as
 /// one owned bucket, and a pass whose algorithm declares its keys runs
-/// on the plan of that declaration (`GroupPlan::recognise_or_record`).
+/// on the plan of that declaration (`GroupPlan::recognise_or_record`),
+/// folding each value into its group's accumulator where it is emitted
+/// (`GroupPlan::group_of`, `GroupPlan::spans`): it places no value.
 /// A [`Grouped`] is a plan recorded from one input, kept beside that
 /// input's scattered values.
 ///
@@ -623,12 +625,25 @@ impl<K: Key> GroupPlan<K> {
         GroupPlan { groups: heads.into_iter().map(span).collect(), chunks, slots }
     }
 
-    /// Where record `i` of the key sequence the plan was built for lands
-    /// in the grouped values (`None` past its end): a permutation of
-    /// `0..records()` over all `i`.
-    #[inline]
-    pub(crate) fn slot(&self, i: usize) -> Option<u32> {
-        self.slots.get(i).copied()
+    /// The key group of each record of the key sequence the plan was
+    /// built for: `group_of()[i]` indexes [`GroupPlan::spans`].
+    pub(crate) fn group_of(&self) -> Vec<u32> {
+        let mut of_slot = Vec::with_capacity(self.slots.len());
+        for (group, span) in (0..).zip(&self.groups) {
+            of_slot.resize(span.end as usize, group);
+        }
+        self.slots.iter().map(|&slot| of_slot[slot as usize]).collect()
+    }
+
+    /// Each key group's key and number of records, keys ascending.
+    pub(crate) fn spans(&self) -> impl Iterator<Item = (&K, usize)> {
+        let mut lo = 0;
+        self.groups.iter().map(move |group| {
+            let key = &self.chunks[group.chunk as usize][group.at as usize];
+            let count = group.end as usize - lo;
+            lo = group.end as usize;
+            (key, count)
+        })
     }
 
     /// Moves every value of `buckets` — which the plan has just
@@ -664,12 +679,11 @@ impl<K: Key> GroupPlan<K> {
 
     /// Calls `f` once per key group of `values` — an input's values
     /// placed at their slots — keys ascending.
-    pub(crate) fn for_each_group<V>(&self, values: &[V], mut f: impl FnMut(GroupView<'_, K, V>)) {
+    fn for_each_group<V>(&self, values: &[V], mut f: impl FnMut(GroupView<'_, K, V>)) {
         let mut lo = 0;
-        for group in &self.groups {
-            let key = &self.chunks[group.chunk as usize][group.at as usize];
-            f(GroupView { key, values: &values[lo..group.end as usize] });
-            lo = group.end as usize;
+        for (key, count) in self.spans() {
+            f(GroupView { key, values: &values[lo..lo + count] });
+            lo += count;
         }
     }
 }
@@ -736,14 +750,14 @@ fn sort_slots<K: Ord>(keys: &[K]) -> (Vec<u32>, Vec<(u32, u32)>) {
 
 /// A recycled buffer being filled out of order: `n` values, each written
 /// straight to its final slot, then handed over as a `Vec` of length
-/// `n` — the one place the planned scatters (here and in
-/// [`crate::local`]'s declared passes) touch uninitialised memory.
+/// `n` — the one place the planned scatter touches uninitialised
+/// memory.
 ///
 /// The buffer's length stays 0 until [`SlotWriter::finish`], so a panic
 /// while it fills leaks the values written so far and drops nothing
 /// twice.
 #[derive(Debug)]
-pub(crate) struct SlotWriter<T> {
+struct SlotWriter<T> {
     /// Empty, with capacity for at least `n`.
     buf: Vec<T>,
     n: usize,
@@ -752,7 +766,7 @@ pub(crate) struct SlotWriter<T> {
 impl<T> SlotWriter<T> {
     /// A writer of `n` values into `buf`'s allocation (cleared, grown
     /// if it must be).
-    pub(crate) fn new(mut buf: Vec<T>, n: usize) -> Self {
+    fn new(mut buf: Vec<T>, n: usize) -> Self {
         buf.clear();
         buf.reserve(n);
         SlotWriter { buf, n }
@@ -764,12 +778,11 @@ impl<T> SlotWriter<T> {
     /// # Panics
     ///
     /// Panics if `slot` is beyond the buffer's capacity — the one check
-    /// memory safety needs, and the only one a release build makes: a
-    /// second, against `n`, costs the local sync's emission loop a
-    /// third of its time (ledger, `pr-eager-engine`). A slot between
-    /// `n` and the capacity is written and never read.
+    /// memory safety needs, and the only one a release build makes: the
+    /// slots come from a permutation only `GroupPlan::of_chunks` writes.
+    /// A slot between `n` and the capacity is written and never read.
     #[inline]
-    pub(crate) fn write(&mut self, slot: u32, value: T) {
+    fn write(&mut self, slot: u32, value: T) {
         debug_assert!((slot as usize) < self.n, "slot {slot} of {}", self.n);
         self.buf.spare_capacity_mut()[slot as usize].write(value);
     }
@@ -779,7 +792,7 @@ impl<T> SlotWriter<T> {
     /// # Safety
     ///
     /// Every slot below `n` has been written exactly once.
-    pub(crate) unsafe fn finish(mut self) -> Vec<T> {
+    unsafe fn finish(mut self) -> Vec<T> {
         // SAFETY: `new` reserved capacity for `n`, and the caller
         // guarantees the first `n` elements are initialised.
         unsafe { self.buf.set_len(self.n) };

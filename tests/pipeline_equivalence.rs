@@ -203,7 +203,7 @@ impl LocalAlgorithm for RingMax {
         _split: &Vec<u32>,
         &x: &u32,
         state: &LocalState<u32, u64>,
-        ctx: &mut LocalMapContext<u32, u64>,
+        ctx: &mut LocalMapContext<Self>,
     ) {
         let key = x % self.key_space;
         ctx.emit_local_intermediate(key, u64::from(x));
