@@ -30,9 +30,7 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         input.part.nodes.iter().zip(&input.labels).map(|(&v, &l)| (v, l)).collect()
     }
 
-    fn emission_keys(&self, _task: usize, input: &CcGeneralInput) -> Option<Vec<NodeId>> {
-        Some(input.part.emission_keys())
-    }
+    const FOLDS: bool = true;
 
     fn lmap(
         &self,
@@ -45,34 +43,24 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         let li = *item;
         let part = &input.part;
         let label = state[&part.nodes[li as usize]];
-        ctx.emit_value(label);
+        // The state's entry `li` is local vertex `li`: its group.
+        ctx.emit_to(li as usize, label);
         let internal = part.internal_degree(li);
-        ctx.add_ops(1 + internal as u64);
-        for _ in 0..internal {
-            ctx.emit_value(label);
+        // The sends, and as many again for the minima that take them in.
+        ctx.add_ops(2 * (1 + internal as u64));
+        for (lt, _) in part.internal_edges(li) {
+            ctx.emit_to(lt as usize, label);
         }
     }
 
-    /// `lreduce` as a fold: the smallest label heard.
+    /// `lreduce` as a fold: the smallest label heard, stored by the
+    /// default `finish`.
     fn init(&self, _input: &CcGeneralInput, _group: usize, _key: &NodeId) -> NodeId {
         UNHEARD
     }
 
     fn fold(acc: &mut NodeId, label: NodeId) {
         *acc = min_label(*acc, label);
-    }
-
-    fn finish(
-        &self,
-        _input: &CcGeneralInput,
-        _group: usize,
-        key: &NodeId,
-        acc: NodeId,
-        count: usize,
-        ctx: &mut LocalReduceContext<NodeId, NodeId>,
-    ) {
-        ctx.add_ops(count as u64);
-        ctx.emit_local(*key, acc);
     }
 
     fn locally_converged(

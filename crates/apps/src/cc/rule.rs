@@ -2,7 +2,7 @@
 //! reduce applies.
 //!
 //! General's reducer ([`super::general::CcMinReducer`]) folds a group
-//! with [`min_label`] from [`UNHEARD`]; Eager's declared `lreduce`
+//! with [`min_label`] from [`UNHEARD`]; Eager's folding `lreduce`
 //! ([`super::eager::CcLocalAlgorithm`]) is that fold, label by label as
 //! each is emitted. [`super::CcConfig`] holds only counts, which the
 //! engine and the driver already refuse at 0, so it has nothing of its

@@ -35,7 +35,9 @@ pub(crate) use asyncmr_core::local::DEFAULT_MAX_LOCAL_ITERATIONS as MAX_LOCAL_PA
 pub struct GraphPartition {
     /// The partition id (== map task index).
     pub part: u32,
-    /// Global ids of owned vertices, ascending.
+    /// Global ids of owned vertices, ascending — so local vertex `li`
+    /// is entry `li` of a local state keyed by them, the group an
+    /// Eager app's `lmap` folds its values for `li` into.
     pub nodes: Vec<NodeId>,
     /// Local indices `0..nodes.len()` (convenience for `items()`).
     pub local_ids: Vec<u32>,
@@ -309,24 +311,6 @@ impl GraphPartition {
     /// Whether this partition owns no vertices.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// The keys one local pass of a graph app's `lmap` emits, in
-    /// emission order: each owned vertex (its keep-alive), then its
-    /// internal out-neighbours in CSR order — the declared
-    /// [`LocalAlgorithm::emission_keys`] of Eager PageRank, Jacobi and
-    /// Connected Components. Every owned vertex is among them and no
-    /// other key is, so their key group `g`, keys ascending, is local
-    /// vertex `g`.
-    ///
-    /// [`LocalAlgorithm::emission_keys`]: asyncmr_core::LocalAlgorithm::emission_keys
-    pub fn emission_keys(&self) -> Vec<NodeId> {
-        let mut keys = Vec::with_capacity(self.len() + self.internal.num_edges());
-        for &li in &self.local_ids {
-            keys.push(self.nodes[li as usize]);
-            keys.extend(self.internal_edges(li).map(|(lt, _)| self.nodes[lt as usize]));
-        }
-        keys
     }
 
     /// Internal out-edges of local node `li` as `(local_target, weight)`.

@@ -34,9 +34,7 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         input.part.nodes.iter().zip(&input.x).map(|(&v, &xv)| (v, JMsg::Contrib(xv))).collect()
     }
 
-    fn emission_keys(&self, _task: usize, input: &JacobiInput) -> Option<Vec<NodeId>> {
-        Some(input.part.emission_keys())
-    }
+    const FOLDS: bool = true;
 
     fn lmap(
         &self,
@@ -51,17 +49,19 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         let JMsg::Contrib(xv) = state[&part.nodes[li as usize]] else {
             unreachable!("state stores Contrib(x)");
         };
-        ctx.emit_value(JMsg::Contrib(0.0)); // keep-alive
+        // The state's entry `li` is local vertex `li`: its group.
+        ctx.emit_to(li as usize, JMsg::Contrib(0.0)); // keep-alive
         let internal = part.internal_degree(li);
-        ctx.add_ops(1 + internal as u64);
-        for _ in 0..internal {
-            ctx.emit_value(JMsg::Contrib(xv));
+        // The sends, and as many again for the sums that take them in.
+        ctx.add_ops(2 * (1 + internal as u64));
+        for (lt, _) in part.internal_edges(li) {
+            ctx.emit_to(lt as usize, JMsg::Contrib(xv));
         }
     }
 
     /// `lreduce` as a fold: the frozen remote sum, plus each neighbour
-    /// value in emission order, through the point update. Group `li` of
-    /// a partition's declaration is its local vertex `li`.
+    /// value in emission order, through the point update. Group `li`
+    /// is local vertex `li`.
     fn init(&self, input: &JacobiInput, li: usize, key: &NodeId) -> JMsg {
         assert_eq!(input.part.nodes[li], *key, "group {li} is local vertex {li}");
         JMsg::Contrib(input.remote_in[li])
@@ -78,12 +78,11 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         input: &JacobiInput,
         li: usize,
         key: &NodeId,
+        _old: &JMsg,
         acc: JMsg,
-        count: usize,
         ctx: &mut LocalReduceContext<NodeId, JMsg>,
     ) {
         let JMsg::Contrib(sum) = acc else { unreachable!("init starts a Contrib sum") };
-        ctx.add_ops(count as u64);
         ctx.emit_local(*key, JMsg::Contrib(update(input.b[li], sum, input.diag[li])));
     }
 

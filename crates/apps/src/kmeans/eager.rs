@@ -19,7 +19,7 @@ use std::sync::Arc;
 use asyncmr_core::prelude::*;
 
 use super::general::{ClusterUpdate, KmGeneralInput, KmMeanReducer};
-use super::rule::mean;
+use super::rule::{add_update, divide};
 use super::{partition_indices, sse, ConvergenceTracker, KMeansConfig, KMeansOutcome, Point};
 use crate::common::step_status;
 
@@ -31,12 +31,14 @@ pub const REPARTITION_EVERY: usize = 5;
 /// a new one is compared against.
 pub const OSCILLATION_WINDOW: usize = 6;
 
-/// `lmap`/`lreduce` pair: local Lloyd iterations over the subset.
+/// `lmap` and its fold: local Lloyd iterations over the subset.
 ///
-/// Local state: `cid → (centroid, member count)`. `lmap` assigns one
-/// point against the *current local* centroids; `lreduce` recomputes a
-/// centroid as the mean of its local members. Centroids that attract no
-/// local points are carried forward with count 0 (`post_lreduce`).
+/// Local state: `cid → (centroid, member count)`, every centroid id
+/// `0..k`, so group `g` is centroid `g`. `lmap` assigns one point
+/// against the *current local* centroids and folds it into its
+/// centroid's sum; the end of the pass takes each centroid as the mean
+/// of its local members. A centroid that attracts no local point keeps
+/// its previous position, with count 0.
 #[derive(Debug, Clone, Copy)]
 pub struct KmLocalAlgorithm {
     /// Local convergence threshold (same δ as global, per the paper).
@@ -48,6 +50,8 @@ impl LocalAlgorithm for KmLocalAlgorithm {
     type Item = u32; // point index
     type Key = u32; // input-centroid id
     type Value = ClusterUpdate;
+
+    const FOLDS: bool = true;
 
     fn items<'a>(&self, input: &'a KmGeneralInput) -> &'a [u32] {
         &input.indices
@@ -67,46 +71,44 @@ impl LocalAlgorithm for KmLocalAlgorithm {
     ) {
         let point = &input.points[*item as usize];
         // Nearest over the *local* evolving centroids, in cid order.
-        let mut best_cid = 0u32;
+        let mut best = 0;
         let mut best_d = f64::INFINITY;
-        for (cid, (centroid, _)) in state {
+        for (g, (_, (centroid, _))) in state.iter().enumerate() {
             let d = super::dist2(point, centroid);
             if d < best_d {
-                best_cid = *cid;
+                best = g;
                 best_d = d;
             }
         }
-        ctx.add_ops((state.len() * point.len()) as u64);
-        ctx.emit_local_intermediate(best_cid, (point.clone(), 1));
+        // The distances, and the point's share of its centroid's sum.
+        ctx.add_ops(((state.len() + 1) * point.len()) as u64);
+        ctx.emit_to(best, (point.clone(), 1));
     }
 
-    fn lreduce(
+    /// `lreduce` as a fold: the sum and count of the members, from
+    /// zeros — the combiner's fold, a point at a time.
+    fn init(&self, input: &KmGeneralInput, g: usize, _cid: &u32) -> ClusterUpdate {
+        (vec![0.0; input.centroids[g].len()], 0)
+    }
+
+    fn fold(acc: &mut ClusterUpdate, update: ClusterUpdate) {
+        add_update(acc, &update);
+    }
+
+    /// The members' mean, divided as the mean reducer divides; a
+    /// centroid with no member keeps its `old` position, with count 0
+    /// so `finalize` won't weight it into the global mean.
+    fn finish(
         &self,
-        _task: usize,
         _input: &KmGeneralInput,
-        key: &u32,
-        values: &[ClusterUpdate],
+        _g: usize,
+        cid: &u32,
+        old: &ClusterUpdate,
+        acc: ClusterUpdate,
         ctx: &mut LocalReduceContext<u32, ClusterUpdate>,
     ) {
-        let (centroid, count) = mean(values);
-        ctx.add_ops((values.len() * centroid.len()) as u64);
-        ctx.emit_local(*key, (centroid, count));
-    }
-
-    fn post_lreduce(
-        &self,
-        _task: usize,
-        _input: &KmGeneralInput,
-        old: &LocalState<u32, ClusterUpdate>,
-        new: &mut LocalState<u32, ClusterUpdate>,
-    ) {
-        // Empty clusters keep their previous position, with count 0 so
-        // `finalize` won't weight them into the global mean.
-        for (cid, (centroid, _)) in old {
-            if new.get(cid).is_none() {
-                new.insert(*cid, (centroid.clone(), 0));
-            }
-        }
+        let update = if acc.1 == 0 { (old.0.clone(), 0) } else { divide(acc) };
+        ctx.emit_local(*cid, update);
     }
 
     fn locally_converged(
@@ -163,8 +165,7 @@ pub fn run_eager_from(
     initial: Option<Vec<Point>>,
 ) -> KMeansOutcome {
     let n = points.len();
-    assert!(num_partitions >= 1 && n > 0, "need points and at least one partition");
-    let mut centroids = cfg.start(points, initial);
+    let mut centroids = cfg.start(points, num_partitions, initial);
     let algo = KmLocalAlgorithm { threshold: cfg.threshold };
     let gmap = EagerMapper::new(algo);
     let opts = JobOptions::with_reducers(cfg.num_reducers);

@@ -134,8 +134,7 @@ pub fn run_general_from(
     initial: Option<Vec<Point>>,
 ) -> KMeansOutcome {
     let n = points.len();
-    assert!(num_partitions >= 1 && n > 0, "need points and at least one partition");
-    let mut centroids = cfg.start(points, initial);
+    let mut centroids = cfg.start(points, num_partitions, initial);
     let opts = JobOptions::with_reducers(cfg.num_reducers).with_combiner(&KmCombiner);
     // General convergence: Euclidean threshold only (no oscillation
     // detection — that refinement belongs to the eager variant).

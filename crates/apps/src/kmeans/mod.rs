@@ -119,8 +119,12 @@ pub fn sse(points: &[Point], centroids: &[Point]) -> f64 {
 
 /// Paper's initialization: "initial centroids are chosen at random for
 /// the sake of generality" — `k` distinct points, seeded.
+///
+/// # Panics
+///
+/// Naming both, unless `1 ≤ k ≤ points.len()`.
 pub fn initial_centroids(points: &[Point], k: usize, seed: u64) -> Vec<Point> {
-    assert!(k >= 1 && k <= points.len(), "need 1 <= k <= #points");
+    rule::check_seeded_start(k, points.len());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut idx: Vec<usize> = (0..points.len()).collect();
     idx.shuffle(&mut rng);

@@ -3,14 +3,16 @@
 //!
 //! General's combiner ([`super::general::KmCombiner`]) folds; the
 //! reducer General and Eager share ([`super::general::KmMeanReducer`])
-//! and Eager's `lreduce` ([`super::eager::KmLocalAlgorithm`]) take the
-//! [`mean`] of the fold. Eager's `finalize` scales each local centroid
-//! back by its count, so the global mean pools member points across
-//! gmaps. The sequential reference ([`super::reference::lloyd`]) sums
-//! point by point, so it is not bitwise this fold and keeps its own loop
-//! as the independent oracle. `run_general_from` and `run_eager_from`,
-//! behind every entry point, start from `KMeansConfig::start`, which
-//! calls [`KMeansConfig::validate`].
+//! takes the [`mean`] of the fold, and Eager's `lreduce`
+//! ([`super::eager::KmLocalAlgorithm`]) is the same fold taken a point
+//! at a time ([`add_update`]), then [`divide`]d. Eager's `finalize`
+//! scales each local centroid back by its count, so the global mean
+//! pools member points across gmaps. The sequential reference
+//! ([`super::reference::lloyd`]) sums point by point, so it is not
+//! bitwise this fold and keeps its own loop as the independent oracle.
+//! `run_general_from` and `run_eager_from`, behind every entry point,
+//! start from `KMeansConfig::start`, which checks the partition count
+//! and calls [`KMeansConfig::validate`].
 
 use super::general::ClusterUpdate;
 use super::{KMeansConfig, Point};
@@ -23,20 +25,25 @@ impl KMeansConfig {
     /// # Panics
     ///
     /// Naming the field or argument and its value, if `k` is 0, if
-    /// `threshold` is not finite and > 0, or if `initial` does not hold
-    /// `k` centroids of the points' dimension (a shorter centroid would
-    /// be compared on its prefix only).
+    /// `threshold` is not finite and > 0, if there are no points, if
+    /// `initial` does not hold `k` centroids of the points' dimension
+    /// (a shorter centroid would be compared on its prefix only), or,
+    /// with no `initial`, if there are fewer than `k` points to draw
+    /// the seeded start from.
     pub fn validate(&self, points: &[Point], initial: Option<&[Point]>) {
         assert!(self.k > 0, "KMeansConfig::k is 0; clustering needs ≥ 1 centroid");
         check_bound("KMeansConfig::threshold", self.threshold);
-        let Some(initial) = initial else { return };
+        assert!(!points.is_empty(), "points is empty; clustering needs ≥ 1 point");
+        let Some(initial) = initial else {
+            return check_seeded_start(self.k, points.len());
+        };
         assert!(
             initial.len() == self.k,
             "initial has {} centroids; KMeansConfig::k is {}",
             initial.len(),
             self.k
         );
-        let dims = points.first().map_or(0, Vec::len);
+        let dims = points[0].len();
         if let Some(i) = initial.iter().position(|c| c.len() != dims) {
             panic!(
                 "initial centroid {i} has {} dimensions; the points have {dims}",
@@ -45,36 +52,60 @@ impl KMeansConfig {
         }
     }
 
-    /// The centroids a run starts from: `initial`, validated with the
-    /// config, or `k` seeded random points.
-    pub(crate) fn start(&self, points: &[Point], initial: Option<Vec<Point>>) -> Vec<Point> {
+    /// The centroids a run over `num_partitions` gmaps starts from:
+    /// `initial`, validated with the config, or `k` seeded random
+    /// points.
+    ///
+    /// # Panics
+    ///
+    /// If `num_partitions` is 0, and as [`KMeansConfig::validate`] does.
+    pub(crate) fn start(
+        &self,
+        points: &[Point],
+        num_partitions: usize,
+        initial: Option<Vec<Point>>,
+    ) -> Vec<Point> {
+        assert!(num_partitions > 0, "num_partitions is 0; K-Means needs ≥ 1 partition");
         self.validate(points, initial.as_deref());
         initial.unwrap_or_else(|| super::initial_centroids(points, self.k, self.seed))
     }
 }
 
+/// Panics unless `k` distinct points can be drawn from `n`: the seeded
+/// start's check, naming both.
+pub(crate) fn check_seeded_start(k: usize, n: usize) {
+    assert!((1..=n).contains(&k), "k is {k}; a seeded start draws 1 ≤ k ≤ {n} of the {n} points");
+}
+
+/// Adds `update`'s sum, element by element, and its count into `acc`.
+#[inline]
+pub(crate) fn add_update(acc: &mut ClusterUpdate, (vec, c): &ClusterUpdate) {
+    for (s, v) in acc.0.iter_mut().zip(vec) {
+        *s += v;
+    }
+    acc.1 += c;
+}
+
 /// The element-wise sum and the total count of partial cluster updates,
 /// folded in the order given.
 pub(crate) fn fold(updates: &[ClusterUpdate]) -> ClusterUpdate {
-    let mut sum = vec![0.0f64; updates[0].0.len()];
-    let mut count = 0u64;
-    for (vec, c) in updates {
-        for (s, v) in sum.iter_mut().zip(vec) {
-            *s += v;
-        }
-        count += c;
-    }
-    (sum, count)
+    let mut acc = (vec![0.0f64; updates[0].0.len()], 0);
+    updates.iter().for_each(|update| add_update(&mut acc, update));
+    acc
 }
 
-/// [`fold`], its sum divided by the count unless the count is 0: the
-/// mean of the pooled member points, and how many there were.
-pub(crate) fn mean(updates: &[ClusterUpdate]) -> ClusterUpdate {
-    let (mut sum, count) = fold(updates);
+/// A folded sum divided by its count unless the count is 0: the mean of
+/// the pooled member points, and how many there were.
+pub(crate) fn divide((mut sum, count): ClusterUpdate) -> ClusterUpdate {
     if count > 0 {
         sum.iter_mut().for_each(|s| *s /= count as f64);
     }
     (sum, count)
+}
+
+/// [`divide`] of the [`fold`].
+pub(crate) fn mean(updates: &[ClusterUpdate]) -> ClusterUpdate {
+    divide(fold(updates))
 }
 
 #[cfg(test)]
@@ -111,6 +142,28 @@ mod tests {
     fn a_nan_threshold_is_refused() {
         let cfg = KMeansConfig { k: 2, threshold: f64::NAN, ..Default::default() };
         run(|engine, points| drop(run_eager(engine, points, 2, &cfg)));
+    }
+
+    #[test]
+    #[should_panic(expected = "num_partitions is 0; K-Means needs ≥ 1 partition")]
+    fn zero_partitions_are_refused() {
+        let cfg = KMeansConfig { k: 2, ..Default::default() };
+        run(|engine, points| drop(run_eager(engine, points, 0, &cfg)));
+    }
+
+    #[test]
+    #[should_panic(expected = "points is empty; clustering needs ≥ 1 point")]
+    fn no_points_are_refused() {
+        let cfg = KMeansConfig { k: 1, ..Default::default() };
+        let pool = ThreadPool::new(1);
+        drop(run_general(&mut Engine::in_process(&pool), &Arc::new(Vec::new()), 2, &cfg));
+    }
+
+    #[test]
+    #[should_panic(expected = "k is 4; a seeded start draws 1 ≤ k ≤ 3 of the 3 points")]
+    fn more_centroids_than_points_are_refused() {
+        let cfg = KMeansConfig { k: 4, ..Default::default() };
+        run(|engine, points| drop(run_general(engine, points, 2, &cfg)));
     }
 
     #[test]

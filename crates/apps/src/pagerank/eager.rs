@@ -73,9 +73,7 @@ impl LocalAlgorithm for PrLocalAlgorithm {
             .collect()
     }
 
-    fn emission_keys(&self, _task: usize, input: &PrEagerInput) -> Option<Vec<NodeId>> {
-        Some(input.part.emission_keys())
-    }
+    const FOLDS: bool = true;
 
     fn lmap(
         &self,
@@ -91,19 +89,20 @@ impl LocalAlgorithm for PrLocalAlgorithm {
             Some(PrMsg::Contrib(r)) => *r,
             _ => unreachable!("state always holds the vertex rank"),
         };
-        // Keep-alive: every owned vertex must survive the lreduce.
-        ctx.emit_value(PrMsg::Contrib(0.0));
+        // Keep-alive: every owned vertex hears at least one value. The
+        // state's entry `li` is local vertex `li`, so that is its group.
+        ctx.emit_to(li as usize, PrMsg::Contrib(0.0));
         let deg = part.out_degree[li as usize];
         let internal = part.internal_degree(li);
-        ctx.add_ops(1 + internal as u64);
+        // The sends, and as many again for the sums that take them in.
+        ctx.add_ops(2 * (1 + internal as u64));
         if deg == 0 {
             return;
         }
-        // One contribution per internal out-edge, under the keys the
-        // partition declared.
+        // One contribution per internal out-edge, to its target's group.
         let c = rank / deg as f64;
-        for _ in 0..internal {
-            ctx.emit_value(PrMsg::Contrib(c));
+        for (lt, _) in part.internal_edges(li) {
+            ctx.emit_to(lt as usize, PrMsg::Contrib(c));
         }
     }
 
@@ -124,12 +123,11 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         _input: &PrEagerInput,
         _group: usize,
         key: &NodeId,
+        _old: &PrMsg,
         acc: PrMsg,
-        count: usize,
         ctx: &mut LocalReduceContext<NodeId, PrMsg>,
     ) {
         let PrMsg::Contrib(sum) = acc else { unreachable!("init starts a Contrib sum") };
-        ctx.add_ops(count as u64);
         ctx.emit_local(*key, PrMsg::Contrib(self.rule.rank(sum)));
     }
 

@@ -18,10 +18,10 @@ use asyncmr_graph::{NodeId, WeightedGraph};
 use asyncmr_partition::Partitioning;
 
 use super::general::{relax, SpGeneralInput};
-use super::rule::{settled, shortest};
+use super::rule::settled;
 use super::{SsspConfig, SsspOutcome};
 
-/// `lmap`/`lreduce` pair: local Bellman-Ford.
+/// `lmap` and its fold: local Bellman-Ford.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpLocalAlgorithm;
 
@@ -39,6 +39,8 @@ impl LocalAlgorithm for SpLocalAlgorithm {
         input.part.nodes.iter().zip(&input.dists).map(|(&v, &d)| (v, d)).collect()
     }
 
+    const FOLDS: bool = true;
+
     fn lmap(
         &self,
         _task: usize,
@@ -49,29 +51,30 @@ impl LocalAlgorithm for SpLocalAlgorithm {
     ) {
         let li = *item;
         let part = &input.part;
-        let v = part.nodes[li as usize];
-        let d = state[&v];
-        ctx.emit_local_intermediate(v, d); // self-proposal / keep-alive
-        ctx.add_ops(1);
+        let d = state[&part.nodes[li as usize]];
+        // Self-proposal / keep-alive; the state's entry `li` is local
+        // vertex `li`, so that is its group. Two ops: the send, and the
+        // minimum that takes it in.
+        ctx.emit_to(li as usize, d);
+        ctx.add_ops(2);
         if !d.is_finite() {
             return;
         }
-        ctx.add_ops(part.internal_degree(li) as u64);
+        ctx.add_ops(2 * part.internal_degree(li) as u64);
         for (lt, w) in part.internal_edges(li) {
-            ctx.emit_local_intermediate(part.nodes[lt as usize], d + w);
+            ctx.emit_to(lt as usize, d + w);
         }
     }
 
-    fn lreduce(
-        &self,
-        _task: usize,
-        _input: &SpGeneralInput,
-        key: &NodeId,
-        values: &[f64],
-        ctx: &mut LocalReduceContext<NodeId, f64>,
-    ) {
-        ctx.add_ops(values.len() as u64);
-        ctx.emit_local(*key, shortest(values));
+    /// `lreduce` as a fold: the shortest proposal, from ∞ — what the
+    /// min reducer computes over the group's values — stored by the
+    /// default `finish`.
+    fn init(&self, _input: &SpGeneralInput, _group: usize, _key: &NodeId) -> f64 {
+        f64::INFINITY
+    }
+
+    fn fold(acc: &mut f64, proposal: f64) {
+        *acc = acc.min(proposal);
     }
 
     fn locally_converged(

@@ -1,8 +1,9 @@
 //! SSSP's math, written once: the min-reduce over distance proposals,
 //! the settle test every fixpoint check applies, and the config check.
 //!
-//! General's reducer and Eager's `lreduce` ([`super::general::SpMinReducer`],
-//! [`super::eager::SpLocalAlgorithm`]) take [`shortest`]; Eager's
+//! General's reducer ([`super::general::SpMinReducer`]) takes
+//! [`shortest`], and Eager's `lreduce` ([`super::eager::SpLocalAlgorithm`])
+//! is the same fold taken a proposal at a time; Eager's
 //! `locally_converged`, both barrier drivers ([`settle_pairs`]) and the
 //! flat session kernel's `gmap` and `absorb` ([`super::session::SpAsync`])
 //! test [`settled`]. The barrier drivers start from

@@ -1,26 +1,33 @@
-//! Property tests pinning the declared local passes of Eager PageRank,
-//! Jacobi and Connected Components to the keyed passes they replaced.
+//! Property tests pinning the folding local passes of the five Eager
+//! apps — PageRank, Jacobi, Connected Components, SSSP and K-Means — to
+//! the keyed passes they replaced.
 //!
-//! Each app declares its emission keys ([`GraphPartition::emission_keys`])
-//! and its `lreduce` as a fold, and its `lmap` emits values only, each
-//! folded into its group's accumulator as it is emitted. The `lmap`
-//! each app ran before — every key built from `part.nodes` and handed
-//! to `emit_local_intermediate` — is kept here as the oracle, behind
-//! the app's own `init_state`, `lreduce` (its fold, run over each key
-//! group once the keyed pass has grouped its pairs), convergence test
-//! and `finalize` ([`Keyed`]). Declared and keyed runs must agree
+//! Each app's groups are its local state's entries (`FOLDS`): its
+//! `lmap` emits each value to its group — a graph app's local target
+//! `lt`, K-Means's nearest centroid — and the value is folded into that
+//! group's accumulator as it is emitted. The keyed `lmap` and `lreduce`
+//! each app ran before — every key handed to `emit_local_intermediate`,
+//! every group reduced once the pass has grouped its pairs — are kept
+//! here as the oracle ([`Keyed`]), behind the app's own `init_state`,
+//! convergence test and `finalize`. K-Means's oracle also keeps the
+//! carry its after-reduce hook made, before the framework dropped that
+//! hook: a centroid no point chose keeps its place ([`CarriedKMeans`]). Folding and keyed runs must agree
 //! bitwise (`f64`s are compared by their bits) on:
 //!
 //! * every map task's emissions, `TaskMeter`, records and bytes — so
 //!   its final local state, which `finalize` emits;
-//! * a sequence of jobs on one engine: pairs, `JobMeter` and the whole
-//!   `JobReuse`, the local plan uses included — through a job where
-//!   each task is handed another task's partition (it must re-record,
-//!   never reuse a stale plan).
+//! * a sequence of jobs on one engine: pairs, `JobMeter` and the
+//!   shuffle's `JobReuse` (`route`, `group`, `group_by_identity`) —
+//!   through a job where each task is handed another task's input.
+//!   Only the keyed oracle counts local plan uses.
 //!
-//! Every graph carries self-loops, multi-edges and a sink, and every
-//! partitioning a partition with no internal edge and an empty one.
+//! Every graph carries self-loops, multi-edges, a sink and vertices the
+//! source cannot reach, and every partitioning a partition with no
+//! internal edge and an empty one; every K-Means run a centroid no
+//! point chooses and, with more partitions than points, tasks with no
+//! point at all.
 
+use std::cell::RefCell;
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -28,16 +35,23 @@ use asyncmr_apps::cc::eager::CcLocalAlgorithm;
 use asyncmr_apps::cc::general::{CcGeneralInput, CcMinReducer};
 use asyncmr_apps::jacobi::eager::JacobiLocalAlgorithm;
 use asyncmr_apps::jacobi::general::{JMsg, JacobiInput, JacobiReducer};
+use asyncmr_apps::jacobi::rule::update;
+use asyncmr_apps::kmeans::eager::KmLocalAlgorithm;
+use asyncmr_apps::kmeans::general::{ClusterUpdate, KmGeneralInput, KmMeanReducer};
+use asyncmr_apps::kmeans::{dist2, Point};
 use asyncmr_apps::pagerank::eager::{PrEagerInput, PrEagerReducer, PrLocalAlgorithm};
 use asyncmr_apps::pagerank::{PageRankConfig, PrMsg};
+use asyncmr_apps::sssp::eager::SpLocalAlgorithm;
+use asyncmr_apps::sssp::general::{SpGeneralInput, SpMinReducer};
 use asyncmr_apps::GraphPartition;
 use asyncmr_core::prelude::*;
-use asyncmr_graph::{CsrGraph, NodeId};
+use asyncmr_core::{JobReuse, PlanUse};
+use asyncmr_graph::{CsrGraph, NodeId, WeightedGraph};
 use asyncmr_partition::Partitioning;
 use asyncmr_runtime::ThreadPool;
 use proptest::prelude::*;
 
-/// The keyed `lmap` an app ran before it declared its keys.
+/// The keyed `lmap` an app ran before it folded.
 type KeyedLmap<A> = fn(
     &<A as LocalAlgorithm>::Input,
     &u32,
@@ -45,12 +59,21 @@ type KeyedLmap<A> = fn(
     &mut LocalMapContext<Keyed<A>>,
 );
 
-/// `A` with no declaration and its old keyed `lmap`; everything else is
-/// `A`'s own — its `lreduce` is the default, `A`'s declared fold over
-/// each group's values.
+/// The keyed `lreduce` it ran: one key group into the next state.
+type KeyedLreduce<A> = fn(
+    &A,
+    &<A as LocalAlgorithm>::Input,
+    &NodeId,
+    &[<A as LocalAlgorithm>::Value],
+    &mut LocalReduceContext<NodeId, <A as LocalAlgorithm>::Value>,
+);
+
+/// `A` as a keyed algorithm, with its old `lmap` and `lreduce`;
+/// everything else is `A`'s own.
 struct Keyed<A: LocalAlgorithm<Item = u32, Key = NodeId>> {
     algo: A,
     lmap: KeyedLmap<A>,
+    lreduce: KeyedLreduce<A>,
 }
 
 impl<A: LocalAlgorithm<Item = u32, Key = NodeId>> LocalAlgorithm for Keyed<A> {
@@ -77,22 +100,13 @@ impl<A: LocalAlgorithm<Item = u32, Key = NodeId>> LocalAlgorithm for Keyed<A> {
     }
     fn lreduce(
         &self,
-        task: usize,
+        _task: usize,
         input: &A::Input,
         key: &NodeId,
         values: &[A::Value],
         ctx: &mut LocalReduceContext<NodeId, A::Value>,
     ) {
-        self.algo.lreduce(task, input, key, values, ctx);
-    }
-    fn post_lreduce(
-        &self,
-        task: usize,
-        input: &A::Input,
-        old: &LocalState<NodeId, A::Value>,
-        new: &mut LocalState<NodeId, A::Value>,
-    ) {
-        self.algo.post_lreduce(task, input, old, new);
+        (self.lreduce)(&self.algo, input, key, values, ctx);
     }
     fn locally_converged(
         &self,
@@ -142,6 +156,24 @@ fn pr_lmap(
     }
 }
 
+/// Eager PageRank's keyed `lreduce`: the frozen remote sum plus the
+/// contributions, through Eq. 1.
+fn pr_lreduce(
+    algo: &PrLocalAlgorithm,
+    input: &PrEagerInput,
+    v: &NodeId,
+    values: &[PrMsg],
+    ctx: &mut LocalReduceContext<NodeId, PrMsg>,
+) {
+    let mut sum = input.remote_in[*v as usize];
+    for value in values {
+        let PrMsg::Contrib(c) = value else { unreachable!("lmap sends contributions") };
+        sum += c;
+    }
+    ctx.add_ops(values.len() as u64);
+    ctx.emit_local(*v, PrMsg::Contrib(algo.rule.rank(sum)));
+}
+
 /// Eager Jacobi's keyed `lmap`.
 fn jacobi_lmap(
     input: &JacobiInput,
@@ -161,6 +193,25 @@ fn jacobi_lmap(
     }
 }
 
+/// Eager Jacobi's keyed `lreduce`: the frozen remote sum plus the
+/// neighbour values, through the point update.
+fn jacobi_lreduce(
+    _algo: &JacobiLocalAlgorithm,
+    input: &JacobiInput,
+    v: &NodeId,
+    values: &[JMsg],
+    ctx: &mut LocalReduceContext<NodeId, JMsg>,
+) {
+    let li = input.part.nodes.binary_search(v).expect("lmap emits owned vertices only");
+    let mut sum = input.remote_in[li];
+    for value in values {
+        let JMsg::Contrib(c) = value else { unreachable!("lmap sends neighbour values") };
+        sum += c;
+    }
+    ctx.add_ops(values.len() as u64);
+    ctx.emit_local(*v, JMsg::Contrib(update(input.b[li], sum, input.diag[li])));
+}
+
 /// Eager Connected Components' keyed `lmap`.
 fn cc_lmap(
     input: &CcGeneralInput,
@@ -175,6 +226,158 @@ fn cc_lmap(
     ctx.add_ops(1 + part.internal_degree(li) as u64);
     for (lt, _) in part.internal_edges(li) {
         ctx.emit_local_intermediate(part.nodes[lt as usize], label);
+    }
+}
+
+/// Eager Connected Components' keyed `lreduce`: the smallest label.
+fn cc_lreduce(
+    _algo: &CcLocalAlgorithm,
+    _input: &CcGeneralInput,
+    v: &NodeId,
+    labels: &[NodeId],
+    ctx: &mut LocalReduceContext<NodeId, NodeId>,
+) {
+    ctx.add_ops(labels.len() as u64);
+    ctx.emit_local(*v, labels.iter().copied().fold(NodeId::MAX, NodeId::min));
+}
+
+/// Eager SSSP's keyed `lmap`: an unreached vertex proposes only itself.
+fn sssp_lmap(
+    input: &SpGeneralInput,
+    &li: &u32,
+    state: &LocalState<NodeId, f64>,
+    ctx: &mut LocalMapContext<Keyed<SpLocalAlgorithm>>,
+) {
+    let part = &input.part;
+    let v = part.nodes[li as usize];
+    let d = state[&v];
+    ctx.emit_local_intermediate(v, d);
+    ctx.add_ops(1);
+    if !d.is_finite() {
+        return;
+    }
+    ctx.add_ops(part.internal_degree(li) as u64);
+    for (lt, w) in part.internal_edges(li) {
+        ctx.emit_local_intermediate(part.nodes[lt as usize], d + w);
+    }
+}
+
+/// Eager SSSP's keyed `lreduce`: the shortest proposal.
+fn sssp_lreduce(
+    _algo: &SpLocalAlgorithm,
+    _input: &SpGeneralInput,
+    v: &NodeId,
+    proposals: &[f64],
+    ctx: &mut LocalReduceContext<NodeId, f64>,
+) {
+    ctx.add_ops(proposals.len() as u64);
+    ctx.emit_local(*v, proposals.iter().copied().fold(f64::INFINITY, f64::min));
+}
+
+thread_local! {
+    /// The state [`CarriedKMeans`]'s map call on this thread would hold
+    /// had every pass carried its unchosen centroids forward. A map
+    /// call runs on the thread that starts it.
+    static CARRIED: RefCell<Vec<(u32, ClusterUpdate)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Eager K-Means as it ran keyed: `lmap` emits each point under its
+/// nearest centroid's id, `lreduce` takes each chosen centroid's mean,
+/// and the hook it had after each `lreduce` carried every centroid no
+/// point chose forward, in place, with count 0. The hook is gone from
+/// the framework, so the carried state is kept beside the framework's
+/// ([`CARRIED`]): `lmap`, the convergence test and `finalize` read it.
+struct CarriedKMeans(KmLocalAlgorithm);
+
+impl CarriedKMeans {
+    fn carried() -> LocalState<u32, ClusterUpdate> {
+        CARRIED.with_borrow(|carried| carried.iter().cloned().collect())
+    }
+}
+
+impl LocalAlgorithm for CarriedKMeans {
+    type Input = KmGeneralInput;
+    type Item = u32;
+    type Key = u32;
+    type Value = ClusterUpdate;
+
+    fn items<'a>(&self, input: &'a KmGeneralInput) -> &'a [u32] {
+        self.0.items(input)
+    }
+    fn init_state(&self, task: usize, input: &KmGeneralInput) -> Vec<(u32, ClusterUpdate)> {
+        let state = self.0.init_state(task, input);
+        CARRIED.set(state.clone());
+        state
+    }
+    fn lmap(
+        &self,
+        _task: usize,
+        input: &KmGeneralInput,
+        &i: &u32,
+        _state: &LocalState<u32, ClusterUpdate>,
+        ctx: &mut LocalMapContext<Self>,
+    ) {
+        let point = &input.points[i as usize];
+        let (k, best) = CARRIED.with_borrow(|carried| {
+            let mut best = (0, f64::INFINITY);
+            for (cid, (centroid, _)) in carried {
+                let d = dist2(point, centroid);
+                if d < best.1 {
+                    best = (*cid, d);
+                }
+            }
+            (carried.len(), best.0)
+        });
+        ctx.add_ops((k * point.len()) as u64);
+        ctx.emit_local_intermediate(best, (point.clone(), 1));
+    }
+    fn lreduce(
+        &self,
+        _task: usize,
+        _input: &KmGeneralInput,
+        cid: &u32,
+        members: &[ClusterUpdate],
+        ctx: &mut LocalReduceContext<u32, ClusterUpdate>,
+    ) {
+        let mut sum = vec![0.0; members[0].0.len()];
+        let mut count = 0;
+        for (point, c) in members {
+            sum.iter_mut().zip(point).for_each(|(s, x)| *s += x);
+            count += c;
+        }
+        sum.iter_mut().for_each(|s| *s /= count as f64);
+        ctx.add_ops((members.len() * sum.len()) as u64);
+        ctx.emit_local(*cid, (sum, count));
+    }
+    fn locally_converged(
+        &self,
+        _old: &LocalState<u32, ClusterUpdate>,
+        new: &LocalState<u32, ClusterUpdate>,
+    ) -> bool {
+        let old = Self::carried();
+        let mut carried: Vec<(u32, ClusterUpdate)> =
+            new.iter().map(|(cid, update)| (*cid, update.clone())).collect();
+        for (cid, (centroid, _)) in &old {
+            if new.get(cid).is_none() {
+                carried.push((*cid, (centroid.clone(), 0)));
+            }
+        }
+        carried.sort_by_key(|entry| entry.0);
+        let new: LocalState<u32, ClusterUpdate> = carried.iter().cloned().collect();
+        CARRIED.set(carried);
+        self.0.locally_converged(&old, &new)
+    }
+    fn input_bytes(&self, task: usize, input: &KmGeneralInput) -> Option<u64> {
+        self.0.input_bytes(task, input)
+    }
+    fn finalize(
+        &self,
+        task: usize,
+        input: &KmGeneralInput,
+        _state: &LocalState<u32, ClusterUpdate>,
+        ctx: &mut MapContext<u32, ClusterUpdate>,
+    ) {
+        self.0.finalize(task, input, &Self::carried(), ctx);
     }
 }
 
@@ -249,6 +452,18 @@ impl Bits for JMsg {
     }
 }
 
+impl Bits for u64 {
+    fn bits(&self) -> Vec<u64> {
+        vec![*self]
+    }
+}
+
+impl Bits for Vec<f64> {
+    fn bits(&self) -> Vec<u64> {
+        self.iter().map(|x| x.to_bits()).collect()
+    }
+}
+
 impl<A: Bits, B: Bits> Bits for (A, B) {
     fn bits(&self) -> Vec<u64> {
         [self.0.bits(), self.1.bits()].concat()
@@ -261,30 +476,31 @@ fn pair_bits<V: Bits>(pairs: &[(NodeId, V)]) -> Vec<(NodeId, Vec<u64>)> {
 
 /// One map task of each formulation on every input, task by task:
 /// emissions bitwise, `TaskMeter`, records and bytes equal.
-fn assert_same_tasks<A, B>(declared: &EagerMapper<A>, keyed: &EagerMapper<B>, inputs: &[A::Input])
+fn assert_same_tasks<A, B>(folded: &EagerMapper<A>, keyed: &EagerMapper<B>, inputs: &[A::Input])
 where
     A: LocalAlgorithm<Key = NodeId>,
     B: LocalAlgorithm<Input = A::Input, Key = NodeId, Value = A::Value>,
     A::Value: Bits,
 {
     for (task, input) in inputs.iter().enumerate() {
-        let mut d = MapContext::default();
-        declared.map(task, input, &mut d);
+        let mut f = MapContext::default();
+        folded.map(task, input, &mut f);
         let mut k = MapContext::default();
         keyed.map(task, input, &mut k);
-        let (d_pairs, d_meter, d_records, d_bytes) = d.finish();
+        let (f_pairs, f_meter, f_records, f_bytes) = f.finish();
         let (k_pairs, k_meter, k_records, k_bytes) = k.finish();
-        assert_eq!(pair_bits(&d_pairs), pair_bits(&k_pairs), "task {task}: emissions");
-        assert_eq!(d_meter, k_meter, "task {task}: meter");
-        assert_eq!((d_records, d_bytes), (k_records, k_bytes), "task {task}: records, bytes");
-        assert!(d_meter.local_syncs() > 0);
+        assert_eq!(pair_bits(&f_pairs), pair_bits(&k_pairs), "task {task}: emissions");
+        assert_eq!(f_meter, k_meter, "task {task}: meter");
+        assert_eq!((f_records, f_bytes), (k_records, k_bytes), "task {task}: records, bytes");
+        assert!(f_meter.local_syncs() > 0);
     }
 }
 
 /// A sequence of jobs, one engine per formulation: pairs bitwise,
-/// `JobMeter` and `JobReuse` equal job by job.
+/// `JobMeter` and the shuffle's plan uses equal job by job; the folding
+/// jobs use no local plan.
 fn assert_same_jobs<A, B, R>(
-    declared: &EagerMapper<A>,
+    folded: &EagerMapper<A>,
     keyed: &EagerMapper<B>,
     reducer: &R,
     jobs: &[Vec<A::Input>],
@@ -295,23 +511,23 @@ fn assert_same_jobs<A, B, R>(
     R::Out: Bits + Debug,
 {
     let pool = ThreadPool::new(2);
-    let (mut d_engine, mut k_engine) = (Engine::in_process(&pool), Engine::in_process(&pool));
+    let (mut f_engine, mut k_engine) = (Engine::in_process(&pool), Engine::in_process(&pool));
     let opts = JobOptions::with_reducers(3);
     for (job, inputs) in jobs.iter().enumerate() {
-        let d = d_engine.run("declared", inputs, declared, reducer, &opts);
+        let f = f_engine.run("folded", inputs, folded, reducer, &opts);
         let k = k_engine.run("keyed", inputs, keyed, reducer, &opts);
-        assert_eq!(pair_bits(&d.pairs), pair_bits(&k.pairs), "job {job}: pairs");
-        assert_eq!(d.meter, k.meter, "job {job}: meter");
-        assert_eq!(d.reuse, k.reuse, "job {job}: reuse");
-        let local = d.reuse.local;
-        assert_eq!(local.hits + local.misses, d.meter.local_syncs, "job {job}");
+        assert_eq!(pair_bits(&f.pairs), pair_bits(&k.pairs), "job {job}: pairs");
+        assert_eq!(f.meter, k.meter, "job {job}: meter");
+        let shuffle = |r: JobReuse| (r.route, r.group, r.group_by_identity);
+        assert_eq!(shuffle(f.reuse), shuffle(k.reuse), "job {job}: reuse");
+        assert_eq!(f.reuse.local, PlanUse::default(), "job {job}: a fold keeps no plan");
     }
 }
 
-/// `partitions` with task `t` handed partition `t + rotate`.
-fn rotated(partitions: &[Arc<GraphPartition>], rotate: usize) -> Vec<Arc<GraphPartition>> {
-    let k = partitions.len();
-    (0..k).map(|t| Arc::clone(&partitions[(t + rotate) % k])).collect()
+/// `inputs` with task `t` handed input `t + rotate`.
+fn rotated<I: Clone>(inputs: &[I], rotate: usize) -> Vec<I> {
+    let k = inputs.len();
+    (0..k).map(|t| inputs[(t + rotate) % k].clone()).collect()
 }
 
 /// Per-vertex values that move with `job`.
@@ -321,9 +537,9 @@ fn field(n: usize, job: usize) -> Vec<f64> {
 
 /// Jobs 0–1 on the partitions, job 2 on them rotated by one, job 3
 /// back: `input(partitions, job)` builds each job's inputs.
-fn job_sequence<I>(
-    partitions: &[Arc<GraphPartition>],
-    input: impl Fn(&[Arc<GraphPartition>], usize) -> Vec<I>,
+fn job_sequence<P: Clone, I>(
+    partitions: &[P],
+    input: impl Fn(&[P], usize) -> Vec<I>,
 ) -> Vec<Vec<I>> {
     [0, 0, 1, 0].iter().enumerate().map(|(job, &r)| input(&rotated(partitions, r), job)).collect()
 }
@@ -361,6 +577,55 @@ fn cc_inputs(partitions: &[Arc<GraphPartition>], job: usize) -> Vec<CcGeneralInp
     partitions.iter().map(input).collect()
 }
 
+/// Job 0 starts from the source alone (vertex 0 at 0, every other
+/// vertex unreached); later jobs from moved distances, every third
+/// vertex unreached.
+fn sssp_inputs(partitions: &[Arc<GraphPartition>], job: usize) -> Vec<SpGeneralInput> {
+    let dist = |v: NodeId| match (v, job) {
+        (0, _) => 0.0,
+        (_, 0) => f64::INFINITY,
+        (v, _) if (v as usize + job).is_multiple_of(3) => f64::INFINITY,
+        (v, _) => 1.0 + f64::from(v % 7) * 2.5,
+    };
+    let input = |part: &Arc<GraphPartition>| SpGeneralInput {
+        part: Arc::clone(part),
+        dists: part.nodes.iter().map(|&v| dist(v)).collect(),
+    };
+    partitions.iter().map(input).collect()
+}
+
+/// `points` split into `parts` contiguous groups — the trailing ones
+/// empty when there are more parts than points — each clustering
+/// around `centroids`.
+fn kmeans_inputs(
+    points: &Arc<Vec<Point>>,
+    parts: usize,
+    centroids: &[Point],
+) -> Vec<KmGeneralInput> {
+    let (n, centroids) = (points.len(), Arc::new(centroids.to_vec()));
+    let chunk = n.div_ceil(parts);
+    let input = |p: usize| KmGeneralInput {
+        points: Arc::clone(points),
+        indices: ((p * chunk).min(n) as u32..((p + 1) * chunk).min(n) as u32).collect(),
+        centroids: Arc::clone(&centroids),
+    };
+    (0..parts).map(input).collect()
+}
+
+/// Points on a small grid, and `k` centroids: the first `k − 1` points,
+/// moved by `job`, and one far from every point, which none chooses.
+fn kmeans_centroids(points: &[Point], k: usize, job: usize) -> Vec<Point> {
+    let shift = |p: &Point| p.iter().map(|x| x + job as f64 * 0.75).collect();
+    let near = (0..k - 1).map(|c| shift(&points[c % points.len()]));
+    near.chain([vec![1.0e6; points[0].len()]]).collect()
+}
+
+fn kmeans_points() -> impl Strategy<Value = Vec<Point>> {
+    proptest::collection::vec(proptest::collection::vec(0u32..12, 2), 1..14).prop_map(|points| {
+        points.into_iter().map(|p| p.into_iter().map(f64::from).collect()).collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -369,31 +634,64 @@ proptest! {
         let partitions = GraphPartition::build(&g, &parts);
         let n = g.num_nodes();
         let rule = PageRankConfig::default().rule();
-        let declared = EagerMapper::new(PrLocalAlgorithm { rule });
-        let keyed = EagerMapper::new(Keyed { algo: PrLocalAlgorithm { rule }, lmap: pr_lmap });
-        assert_same_tasks(&declared, &keyed, &pr_inputs(&partitions, n, 0));
+        let algo = PrLocalAlgorithm { rule };
+        let folded = EagerMapper::new(algo);
+        let keyed = EagerMapper::new(Keyed { algo, lmap: pr_lmap, lreduce: pr_lreduce });
+        assert_same_tasks(&folded, &keyed, &pr_inputs(&partitions, n, 0));
         let jobs = job_sequence(&partitions, |p, job| pr_inputs(p, n, job));
-        assert_same_jobs(&declared, &keyed, &PrEagerReducer { rule }, &jobs);
+        assert_same_jobs(&folded, &keyed, &PrEagerReducer { rule }, &jobs);
     }
 
     #[test]
     fn declared_jacobi_equals_its_keyed_lmap((g, parts) in graphs()) {
         let partitions = GraphPartition::build(&g.to_undirected(), &parts);
         let algo = JacobiLocalAlgorithm { local_tolerance: 1e-9 };
-        let (declared, keyed) = (EagerMapper::new(algo), EagerMapper::new(Keyed { algo, lmap: jacobi_lmap }));
-        assert_same_tasks(&declared, &keyed, &jacobi_inputs(&partitions, 0));
+        let folded = EagerMapper::new(algo);
+        let keyed = EagerMapper::new(Keyed { algo, lmap: jacobi_lmap, lreduce: jacobi_lreduce });
+        assert_same_tasks(&folded, &keyed, &jacobi_inputs(&partitions, 0));
         let jobs = job_sequence(&partitions, jacobi_inputs);
-        assert_same_jobs(&declared, &keyed, &JacobiReducer, &jobs);
+        assert_same_jobs(&folded, &keyed, &JacobiReducer, &jobs);
     }
 
     #[test]
     fn declared_cc_equals_its_keyed_lmap((g, parts) in graphs()) {
         let partitions = GraphPartition::build(&g.to_undirected(), &parts);
-        let declared = EagerMapper::new(CcLocalAlgorithm);
-        let keyed = EagerMapper::new(Keyed { algo: CcLocalAlgorithm, lmap: cc_lmap });
-        assert_same_tasks(&declared, &keyed, &cc_inputs(&partitions, 0));
+        let folded = EagerMapper::new(CcLocalAlgorithm);
+        let keyed =
+            EagerMapper::new(Keyed { algo: CcLocalAlgorithm, lmap: cc_lmap, lreduce: cc_lreduce });
+        assert_same_tasks(&folded, &keyed, &cc_inputs(&partitions, 0));
         let jobs = job_sequence(&partitions, cc_inputs);
-        assert_same_jobs(&declared, &keyed, &CcMinReducer, &jobs);
+        assert_same_jobs(&folded, &keyed, &CcMinReducer, &jobs);
+    }
+
+    #[test]
+    fn declared_sssp_equals_its_keyed_lmap((g, parts) in graphs(), seed in any::<u64>()) {
+        let wg = WeightedGraph::random_weights(g, 1.0, 10.0, seed);
+        let partitions = GraphPartition::build_weighted(&wg, &parts);
+        let folded = EagerMapper::new(SpLocalAlgorithm);
+        let keyed =
+            EagerMapper::new(Keyed { algo: SpLocalAlgorithm, lmap: sssp_lmap, lreduce: sssp_lreduce });
+        assert_same_tasks(&folded, &keyed, &sssp_inputs(&partitions, 0));
+        let jobs = job_sequence(&partitions, sssp_inputs);
+        assert_same_jobs(&folded, &keyed, &SpMinReducer, &jobs);
+    }
+
+    #[test]
+    fn declared_kmeans_equals_its_keyed_lmap(
+        points in kmeans_points(),
+        k in 2usize..5,
+        parts in 1usize..6,
+    ) {
+        let points = Arc::new(points);
+        let algo = KmLocalAlgorithm { threshold: 1e-3 };
+        let (folded, keyed) = (EagerMapper::new(algo), EagerMapper::new(CarriedKMeans(algo)));
+        assert_same_tasks(&folded, &keyed, &kmeans_inputs(&points, parts, &kmeans_centroids(&points, k, 0)));
+        let groups: Vec<usize> = (0..parts).collect();
+        let jobs = job_sequence(&groups, |order, job| {
+            let inputs = kmeans_inputs(&points, parts, &kmeans_centroids(&points, k, job));
+            order.iter().map(|&p| inputs[p].clone()).collect()
+        });
+        assert_same_jobs(&folded, &keyed, &KmMeanReducer, &jobs);
     }
 }
 
@@ -407,9 +705,17 @@ fn the_adversarial_shapes_are_there() {
     assert!(lonely.len() == 3 && lonely.internal.num_edges() == 0, "no internal edge");
     assert_eq!(g.out_degree(12), 0, "a sink");
     assert!(g.out_neighbors(0).contains(&0), "a self-loop");
-    // Every partition declares one key per owned vertex and internal
-    // edge.
+    let dists = asyncmr_apps::sssp::reference::dijkstra(&WeightedGraph::unit_weights(g), 0);
+    assert!(dists[13..].iter().all(|d| d.is_infinite()), "vertices the source cannot reach");
+    // Every partition's vertices ascend, so local vertex `li` is entry
+    // `li` of its state — the group its `lmap` emits to.
     for part in &partitions {
-        assert_eq!(part.emission_keys().len(), part.len() + part.internal.num_edges());
+        assert!(part.nodes.windows(2).all(|w| w[0] < w[1]));
     }
+    // A centroid no point chooses, and tasks with no point.
+    let points = Arc::new(vec![vec![0.0, 1.0], vec![3.0, 2.0]]);
+    let inputs = kmeans_inputs(&points, 4, &kmeans_centroids(&points, 3, 0));
+    assert!(inputs[2..].iter().all(|input| input.indices.is_empty()), "tasks with no point");
+    let far = &inputs[0].centroids[2];
+    assert!(points.iter().all(|p| dist2(p, far) > dist2(p, &inputs[0].centroids[0])));
 }

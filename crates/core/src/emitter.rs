@@ -7,7 +7,6 @@
 
 use crate::engine::PlanUse;
 use crate::kv::{Key, Value};
-use crate::local::LocalSyncPlan;
 use crate::shuffle::{Bucket, PlanOutcome, RoutePlan, RouteSink};
 
 /// Abstract-operation + volume counters for one task attempt.
@@ -82,13 +81,9 @@ pub struct MapContext<K, V> {
     bytes: u64,
     /// Work/volume counters for this map task.
     pub meter: TaskMeter,
-    /// The local-sync plan a [`crate::EagerMapper`] task starts from
-    /// and leaves behind. The engine checks it out of its plan store
-    /// around the map call, so it outlives the job; anywhere else it
-    /// starts empty and goes with the context.
-    pub(crate) local_plan: LocalSyncPlan<K>,
-    /// What the task's local syncs did with that plan — reported beside
-    /// the meter (as [`crate::JobReuse::local`]), never in it.
+    /// What a [`crate::EagerMapper`] task's keyed local syncs did with
+    /// the plan it keeps from pass to pass — reported beside the meter
+    /// (as [`crate::JobReuse::local`]), never in it.
     pub(crate) local_use: PlanUse,
 }
 
@@ -122,7 +117,6 @@ impl<K: Key, V: Value> MapContext<K, V> {
             sink: RouteSink::following(plan, reducers),
             bytes: 0,
             meter: TaskMeter::default(),
-            local_plan: LocalSyncPlan::default(),
             local_use: PlanUse::default(),
         }
     }

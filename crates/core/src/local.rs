@@ -34,9 +34,8 @@
 //! [`crate::TaskMeter::local_syncs`].
 //!
 //! Each keyed pass is a one-partition shuffle: its emissions are grouped
-//! through a [`GroupPlan`] the task keeps from pass to pass — and, filed
-//! in the engine's [`crate::plan::PlanStore`] between jobs, from job to
-//! job — by the very [`shuffle::group_planned`] a single-partition
+//! through a [`GroupPlan`] the task keeps from pass to pass of one map
+//! call, by the very [`shuffle::group_planned`] a single-partition
 //! reduce task runs. A task's passes emit the same keys in the same
 //! order again and again (its partition does not change), so a
 //! steady-state pass sorts nothing: the plan compares every emitted key
@@ -47,24 +46,20 @@
 //! records a new plan: only slower, never different
 //! (`docs/ARCHITECTURE.md`, "What one partial synchronization costs").
 //!
-//! An algorithm whose keys are the partition's structure — a graph
-//! app's owned vertices and internal edges — can say so once, as
-//! [`LocalAlgorithm::emission_keys`], and state its `lreduce` as a fold
+//! An algorithm whose groups are its state's keys — a graph app's owned
+//! vertices, K-Means's centroid ids — says so with
+//! [`LocalAlgorithm::FOLDS`] and states its `lreduce` as a fold
 //! ([`LocalAlgorithm::init`], [`LocalAlgorithm::fold`],
-//! [`LocalAlgorithm::finish`]). Its passes are then *declared*: `lmap`
-//! builds no key and emits values only ([`LocalMapContext::emit_value`]),
-//! and value `i` is folded, as it is emitted, into the accumulator of
-//! declared key `i`'s group; the end of the pass finishes each group,
-//! keys ascending. No value is buffered or grouped: the fold sees a
-//! group's values in emission order — the order a keyed pass hands
-//! `lreduce` — so it computes what `lreduce` over the group would, and
-//! the default `lreduce` is that fold. The declaration is compared with
-//! the task's plan once per map call (the plan is recorded from it when
-//! they differ; each emission's group is read off it then), and every
-//! declared pass
-//! checks that it emitted exactly as many values as keys were declared,
-//! in every build — so no key goes unchecked: a declared pass emits
-//! none.
+//! [`LocalAlgorithm::finish`]). Its groups are then the entries of the
+//! pass's [`LocalState`], keys ascending, so group `g` is state entry
+//! `g`: `lmap` names the group of each value it emits
+//! ([`LocalMapContext::emit_to`]), which is folded into that group's
+//! accumulator where it is emitted. No key is built, no value buffered
+//! or grouped: the fold sees a group's values in emission order — the
+//! order a keyed pass hands `lreduce` — so it computes what `lreduce`
+//! over the group would. Every group finishes, keys ascending, at the
+//! end of the pass; one that no value reached finishes from its `init`
+//! and its old value.
 
 use std::fmt;
 use std::ops::Index;
@@ -248,53 +243,33 @@ impl<'a, K, V> IntoIterator for &'a LocalState<K, V> {
     }
 }
 
-/// A map task's local-sync plan as the engine files it between jobs: a
-/// [`GroupPlan`] under a type of its own, so it never shares a
-/// [`crate::plan::PlanStore`] slot with reduce partition *t*'s.
-#[derive(Debug)]
-pub(crate) struct LocalSyncPlan<K>(GroupPlan<K>);
-
-impl<K> Default for LocalSyncPlan<K> {
-    fn default() -> Self {
-        LocalSyncPlan(GroupPlan::default())
-    }
-}
-
 /// Context for [`LocalAlgorithm::lmap`] — the paper's
 /// `EmitLocalIntermediate` plus op metering — typed with its algorithm,
-/// whose [fold](LocalAlgorithm::fold) a declared pass calls where each
+/// whose [fold](LocalAlgorithm::fold) a folding pass calls where each
 /// value is emitted.
 ///
-/// A **keyed** pass (the algorithm declares no
-/// [emission keys](LocalAlgorithm::emission_keys)) buffers its
-/// emissions as pairs, and the end of the pass groups them through the
-/// task's plan with [`shuffle::group_planned`]: it recognises the key
-/// sequence the plan was recorded from, every key compared, or records
-/// a new plan. Either way the grouped values are what a stable sort of
-/// the emitted pairs gives, and `lreduce` reduces each group.
+/// A **keyed** pass buffers its emissions as pairs, and the end of the
+/// pass groups them through the plan the task kept from its last pass
+/// with [`shuffle::group_planned`]: it recognises the key sequence the
+/// plan was recorded from, every key compared, or records a new plan.
+/// Either way the grouped values are what a stable sort of the emitted
+/// pairs gives, and `lreduce` reduces each group.
 ///
-/// A **declared** pass runs on the plan of the keys its algorithm
-/// declared, and `lmap` emits values only
-/// ([`emit_value`](LocalMapContext::emit_value)): value `i` is folded
-/// straight into the accumulator of declared key `i`'s group, and the
-/// end of the pass finishes every group. The pass must emit exactly as
-/// many values as keys were declared — one more panics at that
-/// emission, one fewer at the end of the pass — and a keyed emission
-/// panics, as does `emit_value` in a keyed pass. Every such panic names
-/// the task and the pass.
+/// A **folding** pass ([`LocalAlgorithm::FOLDS`]) has one accumulator
+/// per entry of the state it reads, keys ascending, and `lmap` names
+/// the group of each value ([`emit_to`](LocalMapContext::emit_to)):
+/// the value is folded straight into that accumulator, and the end of
+/// the pass finishes every group. A group past the last, a keyed
+/// emission in a folding pass and `emit_to` from a keyed algorithm
+/// panic, naming the task and the pass.
 #[derive(Debug)]
 pub struct LocalMapContext<L: LocalAlgorithm> {
-    /// The task's plan.
+    /// Keyed: the plan kept from pass to pass.
     plan: GroupPlan<L::Key>,
     /// Keyed: the pass's emissions, in order.
     pairs: Vec<(L::Key, L::Value)>,
-    /// `Some` in a declared map call, with what the next pass reports
-    /// it did with the plan: emission `i` folds into `accs[group_of[i]]`,
-    /// and values `..cursor` have.
-    declared: Option<PlanOutcome>,
-    group_of: Vec<u32>,
+    /// Folding: the accumulator of each group, state entry by entry.
     accs: Vec<L::Value>,
-    cursor: usize,
     /// The map task and its pass index, for the panics.
     task: usize,
     pass: usize,
@@ -302,24 +277,27 @@ pub struct LocalMapContext<L: LocalAlgorithm> {
 }
 
 impl<L: LocalAlgorithm> LocalMapContext<L> {
-    /// A context for the passes of task `task`, which holds `plan`.
-    /// With `keys` declared, the plan is compared with them once, here —
-    /// and recorded from them when they differ — and each emission's
-    /// group is looked up once.
-    fn following(mut plan: GroupPlan<L::Key>, keys: Option<Vec<L::Key>>, task: usize) -> Self {
-        let declared = keys.map(|keys| plan.recognise_or_record(keys));
-        let group_of = if declared.is_some() { plan.group_of() } else { Vec::new() };
-        let (pairs, accs) = (Vec::new(), Vec::new());
-        LocalMapContext { plan, pairs, declared, group_of, accs, cursor: 0, task, pass: 0, ops: 0 }
+    /// A context for the passes of task `task`.
+    fn new(task: usize) -> Self {
+        let (plan, pairs, accs) = (GroupPlan::default(), Vec::new(), Vec::new());
+        LocalMapContext { plan, pairs, accs, task, pass: 0, ops: 0 }
     }
 
-    /// Starts pass `pass`: a declared one with a fresh accumulator per
-    /// group, a keyed one with room for the plan's records.
-    fn begin(&mut self, algo: &L, input: &L::Input, pass: usize) {
-        (self.pass, self.cursor, self.ops) = (pass, 0, 0);
-        if self.declared.is_some() {
-            let init = |(group, (key, _))| algo.init(input, group, key);
-            self.accs.extend(self.plan.spans().enumerate().map(init));
+    /// Starts pass `pass` over `state`: a folding one with a fresh
+    /// accumulator per entry, a keyed one with room for the plan's
+    /// records.
+    fn begin(
+        &mut self,
+        algo: &L,
+        input: &L::Input,
+        state: &LocalState<L::Key, L::Value>,
+        pass: usize,
+    ) {
+        (self.pass, self.ops) = (pass, 0);
+        if L::FOLDS {
+            let init =
+                |(group, (key, _)): (usize, &(L::Key, L::Value))| algo.init(input, group, key);
+            self.accs.extend(state.entries.iter().enumerate().map(init));
         } else {
             self.pairs = Vec::with_capacity(self.plan.records());
         }
@@ -330,38 +308,33 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
     ///
     /// # Panics
     ///
-    /// In a declared pass, which emits values only.
+    /// In a folding pass, whose values name their group instead.
     #[inline]
     pub fn emit_local_intermediate(&mut self, key: L::Key, value: L::Value) {
-        if self.declared.is_some() {
-            self.refuse(format_args!(
-                "a keyed emission in a declared pass, after {} values",
-                self.cursor
-            ));
+        if L::FOLDS {
+            self.refuse(format_args!("a keyed emission in a folding pass"));
         }
         self.pairs.push((key, value));
     }
 
-    /// Emits the value of the next declared key — the declared pass's
-    /// `EmitLocalIntermediate`, with the key the algorithm's
-    /// [`LocalAlgorithm::emission_keys`] gave for this position — by
-    /// folding it into that key's group.
+    /// The folding pass's `EmitLocalIntermediate`: folds `value` into
+    /// the accumulator of group `group` — the pass's state entry
+    /// `group`, keys ascending.
     ///
     /// # Panics
     ///
-    /// In a keyed pass (the algorithm declared nothing), and past the
-    /// last declared key.
+    /// Past the last group, and in a keyed pass.
     #[inline]
-    pub fn emit_value(&mut self, value: L::Value) {
-        match self.group_of.get(self.cursor) {
-            Some(&group) => L::fold(&mut self.accs[group as usize], value),
-            None if self.declared.is_some() => self.refuse(format_args!(
-                "one value more than the {} keys it declared",
-                self.group_of.len()
-            )),
-            None => self.refuse(format_args!("emit_value, but its algorithm declares no keys")),
+    pub fn emit_to(&mut self, group: usize, value: L::Value) {
+        match self.accs.get_mut(group) {
+            Some(acc) => L::fold(acc, value),
+            None if L::FOLDS => {
+                let groups = self.accs.len();
+                self.refuse(format_args!("a value for group {group}, past its {groups} groups"))
+            }
+            None => self.refuse(format_args!("emit_to, but its algorithm does not fold")),
         }
-        self.cursor += 1;
+        self.ops += 1;
     }
 
     /// Meters `n` abstract operations.
@@ -378,68 +351,44 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
         panic!("local sync of task {}, pass {}: {what}", self.task, self.pass)
     }
 
-    /// Ends the pass: reduces each key group, keys ascending, into
-    /// `rctx` — a declared pass finishes its accumulators, a keyed one
-    /// groups its pairs in `values`' allocation and calls `lreduce` —
-    /// and returns what became of the plan. A pass that emitted nothing
-    /// has no plan to be on, so it never hits.
-    ///
-    /// # Panics
-    ///
-    /// If a declared pass emitted fewer values than it declared keys.
+    /// Ends the pass over `state`: reduces each group, keys ascending,
+    /// into `rctx` — a folding pass finishes its accumulators, a keyed
+    /// one meters its records, groups its pairs in `values'` allocation
+    /// and calls `lreduce` — and returns what became of a keyed pass's
+    /// plan. A keyed pass that emitted nothing has no plan to be on, so
+    /// it never hits.
     fn finish(
         &mut self,
         algo: &L,
         task: usize,
         input: &L::Input,
+        state: &LocalState<L::Key, L::Value>,
         values: &mut Vec<L::Value>,
         rctx: &mut LocalReduceContext<L::Key, L::Value>,
-    ) -> PlanOutcome {
-        let outcome = match self.declared {
-            Some(outcome) => {
-                if self.cursor < self.group_of.len() {
-                    let (emitted, declared) = (self.cursor, self.group_of.len());
-                    self.refuse(format_args!(
-                        "{emitted} values for the {declared} keys it declared"
-                    ));
-                }
-                let groups = self.plan.spans().zip(self.accs.drain(..));
-                for (group, ((key, count), acc)) in groups.enumerate() {
-                    algo.finish(input, group, key, acc, count, rctx);
-                }
-                // Every later pass runs on the plan this one used.
-                self.declared = Some(PlanOutcome::Hit);
-                outcome
+    ) -> Option<PlanOutcome> {
+        if L::FOLDS {
+            let groups = state.entries.iter().zip(self.accs.drain(..));
+            for (group, ((key, old), acc)) in groups.enumerate() {
+                algo.finish(input, group, key, old, acc, rctx);
             }
-            None => {
-                let (pairs, sort) =
-                    (vec![std::mem::take(&mut self.pairs).into()], GroupingStrategy::Sort);
-                let reduce = |g: GroupView<'_, L::Key, L::Value>| {
-                    algo.lreduce(task, input, g.key, g.values, rctx);
-                    rctx.group += 1;
-                };
-                shuffle::group_planned(pairs, sort, &mut self.plan, values, reduce).0
-            }
-        };
-        if self.plan.records() > 0 {
-            outcome
-        } else {
-            PlanOutcome::Recorded
+            return None;
         }
+        self.ops += self.pairs.len() as u64;
+        let (pairs, sort) = (vec![std::mem::take(&mut self.pairs).into()], GroupingStrategy::Sort);
+        let reduce =
+            |g: GroupView<'_, L::Key, L::Value>| algo.lreduce(task, input, g.key, g.values, rctx);
+        let outcome = shuffle::group_planned(pairs, sort, &mut self.plan, values, reduce).0;
+        Some(if self.plan.records() > 0 { outcome } else { PlanOutcome::Recorded })
     }
 }
 
-/// Context for [`LocalAlgorithm::lreduce`] and a declared fold's
+/// Context for [`LocalAlgorithm::lreduce`] and a fold's
 /// [`LocalAlgorithm::finish`] — the paper's `EmitLocal` plus op
 /// metering.
 #[derive(Debug)]
 pub struct LocalReduceContext<K, V> {
     /// The next state's entries in emission order.
     emitted: Vec<(K, V)>,
-    /// The index of the key group `lreduce` is reducing among its
-    /// pass's groups, keys ascending — what the default `lreduce` hands
-    /// the algorithm's fold as `group`.
-    group: usize,
     ops: u64,
 }
 
@@ -447,7 +396,7 @@ impl<K: Key, V: Value> LocalReduceContext<K, V> {
     /// A context emitting into a recycled (cleared) buffer.
     fn reusing(buffer: Vec<(K, V)>) -> Self {
         debug_assert!(buffer.is_empty());
-        LocalReduceContext { emitted: buffer, group: 0, ops: 0 }
+        LocalReduceContext { emitted: buffer, ops: 0 }
     }
 
     /// The paper's `EmitLocal(key, value)`: writes an entry of the new
@@ -487,29 +436,23 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
     /// local map and local reduce", §IV).
     fn init_state(&self, task: usize, input: &Self::Input) -> Vec<(Self::Key, Self::Value)>;
 
-    /// The keys every local pass over `input` emits, in emission order,
-    /// when they do not depend on the state — a graph partition's
-    /// structure. `None` (the default) declares nothing: `lmap` emits
-    /// keyed, through [`LocalMapContext::emit_local_intermediate`].
+    /// Whether `lmap` folds: `false` (the default) for a keyed
+    /// algorithm, whose `lmap` emits through
+    /// [`LocalMapContext::emit_local_intermediate`] and whose
+    /// [`lreduce`](Self::lreduce) reduces each key group.
     ///
-    /// With `Some(keys)`, every pass is *declared*: `lmap` emits values
-    /// only, through [`LocalMapContext::emit_value`], value `i` under
-    /// `keys[i]`, and each pass must emit exactly `keys.len()` of them
-    /// (checked in every build; a pass that emits a different count
-    /// panics). Its `lreduce` is the fold ([`init`](Self::init),
-    /// [`fold`](Self::fold), [`finish`](Self::finish)), which a
-    /// declaring algorithm must write. Called once per map call, where
-    /// the declaration is compared with the plan the task kept.
-    fn emission_keys(&self, task: usize, input: &Self::Input) -> Option<Vec<Self::Key>> {
-        let _ = (task, input);
-        None
-    }
+    /// With `true`, every pass's groups are the entries of the state it
+    /// reads, keys ascending: `lmap` emits each value to the index of
+    /// its group ([`LocalMapContext::emit_to`]), and the algorithm
+    /// writes its `lreduce` as a fold ([`init`](Self::init),
+    /// [`fold`](Self::fold), [`finish`](Self::finish)), which sees a
+    /// group's values in emission order.
+    const FOLDS: bool = false;
 
     /// The paper's `lmap`: processes one element of `xs`, reading the
     /// current hashtable and emitting via
     /// [`LocalMapContext::emit_local_intermediate`] — or, when the
-    /// algorithm declares its [emission keys](Self::emission_keys), via
-    /// [`LocalMapContext::emit_value`].
+    /// algorithm [folds](Self::FOLDS), via [`LocalMapContext::emit_to`].
     fn lmap(
         &self,
         task: usize,
@@ -519,10 +462,9 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
         ctx: &mut LocalMapContext<Self>,
     );
 
-    /// The paper's `lreduce`: folds one intermediate key group into the
-    /// new hashtable via [`LocalReduceContext::emit_local`]. The default
-    /// is the algorithm's fold over the group's values, in order —
-    /// what a declared pass computes as they are emitted.
+    /// The paper's `lreduce`: reduces one intermediate key group into
+    /// the new hashtable via [`LocalReduceContext::emit_local`]. A keyed
+    /// algorithm writes it; the default panics.
     fn lreduce(
         &self,
         task: usize,
@@ -531,64 +473,43 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
         values: &[Self::Value],
         ctx: &mut LocalReduceContext<Self::Key, Self::Value>,
     ) {
-        let _ = task;
-        let mut acc = self.init(input, ctx.group, key);
-        for value in values {
-            Self::fold(&mut acc, value.clone());
-        }
-        self.finish(input, ctx.group, key, acc, values.len(), ctx);
+        let _ = (task, input, key, values, ctx);
+        unimplemented!("LocalAlgorithm::lreduce: a keyed algorithm writes it")
     }
 
-    /// `lreduce` as a fold, first step: the accumulator of key group
-    /// `group` — its index among the pass's key groups, keys ascending —
-    /// whose key is `key`, before any value. A declared pass starts
-    /// every group's accumulator as it begins. The default panics: an
-    /// algorithm writes [`lreduce`](Self::lreduce) or this fold, and
-    /// one that declares its [emission keys](Self::emission_keys)
-    /// writes the fold.
+    /// A folding pass's first step: the accumulator of group `group` —
+    /// the pass's state entry `group`, keys ascending — whose key is
+    /// `key`, before any value. The default panics: a folding algorithm
+    /// writes it.
     fn init(&self, input: &Self::Input, group: usize, key: &Self::Key) -> Self::Value {
         let _ = (input, group, key);
-        unimplemented!("LocalAlgorithm::init: write lreduce, or declare it as a fold")
+        unimplemented!("LocalAlgorithm::init: a folding algorithm writes it")
     }
 
     /// Folds `value`, the group's next value in emission order, into
-    /// its accumulator — in a declared pass, where `lmap` emits it
-    /// (dispatched statically: the context is typed with its
-    /// algorithm).
+    /// its accumulator, where `lmap` emits it (dispatched statically:
+    /// the context is typed with its algorithm).
     fn fold(acc: &mut Self::Value, value: Self::Value) {
         let _ = (acc, value);
-        unimplemented!("LocalAlgorithm::fold: write lreduce, or declare it as a fold")
+        unimplemented!("LocalAlgorithm::fold: a folding algorithm writes it")
     }
 
-    /// The fold's last step, once per group, keys ascending: the
-    /// group's `EmitLocal`s (and ops) from its accumulator and its
-    /// `count` values. The default stores the accumulator under the
-    /// group's key and meters nothing.
+    /// A folding pass's last step, once per group, keys ascending, the
+    /// groups no value reached included: the group's `EmitLocal`s from
+    /// its accumulator and `old`, its entry's value in the state the
+    /// pass read. The default stores the accumulator under the group's
+    /// key.
     fn finish(
         &self,
         input: &Self::Input,
         group: usize,
         key: &Self::Key,
+        old: &Self::Value,
         acc: Self::Value,
-        count: usize,
         ctx: &mut LocalReduceContext<Self::Key, Self::Value>,
     ) {
-        let _ = (input, group, count);
+        let _ = (input, group, old);
         ctx.emit_local(key.clone(), acc);
-    }
-
-    /// Hook after each `lreduce` barrier, before the convergence test.
-    /// The default does nothing; algorithms use it to carry forward
-    /// entries that received no intermediate data this pass (e.g.
-    /// centroids that attracted no points).
-    fn post_lreduce(
-        &self,
-        task: usize,
-        input: &Self::Input,
-        old: &LocalState<Self::Key, Self::Value>,
-        new: &mut LocalState<Self::Key, Self::Value>,
-    ) {
-        let _ = (task, input, old, new);
     }
 
     /// Local termination test ("no-local-convergence-intimated").
@@ -661,7 +582,7 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
     /// # Panics
     ///
     /// If the algorithm's [`LocalAlgorithm::max_local_iterations`] is
-    /// 0, or a declared pass breaks its declaration (see
+    /// 0, or a pass breaks its context's contract (see
     /// [`LocalMapContext`]).
     fn map(&self, task: usize, input: &Self::Input, ctx: &mut MapContext<Self::Key, Self::Value>) {
         let max_passes = self.algo.max_local_iterations();
@@ -674,19 +595,11 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
         ctx.meter.set_input_bytes(input_bytes);
         let items = self.algo.items(input);
 
-        // The plan the task kept from its last job on this engine turns
-        // every keyed pass whose keys repeat into a scatter of values. A
-        // declaration is compared with it once, here (the plan is
-        // recorded from it when they differ); its passes then emit no
-        // key, fold each value where it is emitted, and check their
-        // value count.
-        let plan = std::mem::take(&mut ctx.local_plan).0;
-        let keys = self.algo.emission_keys(task, input);
-        let mut lctx = LocalMapContext::following(plan, keys, task);
+        let mut lctx = LocalMapContext::new(task);
         let (mut values, mut retired) = (Vec::new(), Vec::new());
         for pass in 0..max_passes {
             // Local map phase over every element of xs.
-            lctx.begin(&self.algo, input, pass);
+            lctx.begin(&self.algo, input, &state, pass);
             for item in items {
                 self.algo.lmap(task, input, item, &state, &mut lctx);
             }
@@ -694,11 +607,13 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
             // *within* the task — other partitions are already running
             // their next local iteration (eager scheduling).
             let mut rctx = LocalReduceContext::reusing(retired);
-            let outcome = lctx.finish(&self.algo, task, input, &mut values, &mut rctx);
-            ctx.local_use.count(outcome);
-            let mut new_state = LocalState::from_writes(rctx.emitted);
-            self.algo.post_lreduce(task, input, &state, &mut new_state);
-            ctx.meter.add_ops(lctx.ops + rctx.ops + lctx.plan.records() as u64);
+            if let Some(outcome) =
+                lctx.finish(&self.algo, task, input, &state, &mut values, &mut rctx)
+            {
+                ctx.local_use.count(outcome);
+            }
+            let new_state = LocalState::from_writes(rctx.emitted);
+            ctx.meter.add_ops(lctx.ops + rctx.ops);
             ctx.meter.add_local_sync();
 
             let done = self.algo.locally_converged(&state, &new_state);
@@ -707,7 +622,6 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
                 break;
             }
         }
-        ctx.local_plan = LocalSyncPlan(lctx.plan);
         self.algo.finalize(task, input, &state, ctx);
     }
 }
@@ -902,20 +816,22 @@ pub(crate) mod tests {
         EagerMapper::new(Runaway(0)).map(4, &vec![9], &mut MapContext::default());
     }
 
-    /// Pass `p` emits `self.0[p]` records — keys `0, 1, 2 …`, each with
+    /// Pass `p` emits `lens[p]` records — keys `0, 1, 2 …`, each with
     /// the value `p + 1` — so a pass can stop short of the plan the one
-    /// before it recorded, or run past it. The pass counter lives in
-    /// the state under [`Stretch::CLOCK`].
-    struct Stretch(Vec<u32>);
+    /// before it recorded, or run past it. The pass counter is advanced
+    /// by the convergence test, which runs once a pass.
+    struct Stretch {
+        lens: Vec<u32>,
+        pass: AtomicUsize,
+    }
 
     impl Stretch {
-        const CLOCK: u32 = u32::MAX;
-
         /// Runs the passes: the emitted pairs and what the local syncs
         /// did with the task's plan.
         fn run(lens: &[u32]) -> (Vec<(u32, u64)>, PlanUse) {
             let mut ctx = MapContext::default();
-            EagerMapper::new(Stretch(lens.to_vec())).map(0, &(), &mut ctx);
+            let stretch = Stretch { lens: lens.to_vec(), pass: AtomicUsize::new(0) };
+            EagerMapper::new(stretch).map(0, &(), &mut ctx);
             let local_use = ctx.local_use;
             (ctx.finish().0, local_use)
         }
@@ -930,19 +846,19 @@ pub(crate) mod tests {
             std::slice::from_ref(input)
         }
         fn init_state(&self, _t: usize, _i: &()) -> Vec<(u32, u64)> {
-            vec![(Self::CLOCK, 0)]
+            Vec::new()
         }
         fn lmap(
             &self,
             _t: usize,
             _i: &(),
             _item: &(),
-            state: &LocalState<u32, u64>,
+            _state: &LocalState<u32, u64>,
             ctx: &mut LocalMapContext<Self>,
         ) {
-            let pass = state[&Self::CLOCK];
-            for key in 0..self.0[pass as usize] {
-                ctx.emit_local_intermediate(key, pass + 1);
+            let pass = self.pass.load(Ordering::Relaxed);
+            for key in 0..self.lens[pass] {
+                ctx.emit_local_intermediate(key, pass as u64 + 1);
             }
         }
         fn lreduce(
@@ -955,24 +871,16 @@ pub(crate) mod tests {
         ) {
             ctx.emit_local(*key, values.iter().sum());
         }
-        fn post_lreduce(
-            &self,
-            _t: usize,
-            _i: &(),
-            old: &LocalState<u32, u64>,
-            new: &mut LocalState<u32, u64>,
-        ) {
-            new.insert(Self::CLOCK, old[&Self::CLOCK] + 1);
-        }
         fn locally_converged(
             &self,
             _old: &LocalState<u32, u64>,
             _new: &LocalState<u32, u64>,
         ) -> bool {
+            self.pass.fetch_add(1, Ordering::Relaxed);
             false
         }
         fn max_local_iterations(&self) -> usize {
-            self.0.len()
+            self.lens.len()
         }
     }
 
@@ -981,7 +889,7 @@ pub(crate) mod tests {
         // Recorded, hit, a strict prefix of the plan (not recognised:
         // it records), hit on the new plan.
         let (pairs, local) = Stretch::run(&[3, 3, 2, 2]);
-        assert_eq!(pairs, vec![(0, 4), (1, 4), (Stretch::CLOCK, 4)]);
+        assert_eq!(pairs, vec![(0, 4), (1, 4)]);
         assert_eq!(local, PlanUse { hits: 2, misses: 2 });
     }
 
@@ -990,7 +898,7 @@ pub(crate) mod tests {
         // Recorded, one record past the plan (not recognised: it
         // records), hit on the new plan.
         let (pairs, local) = Stretch::run(&[2, 3, 3]);
-        assert_eq!(pairs, vec![(0, 3), (1, 3), (2, 3), (Stretch::CLOCK, 3)]);
+        assert_eq!(pairs, vec![(0, 3), (1, 3), (2, 3)]);
         assert_eq!(local, PlanUse { hits: 1, misses: 2 });
     }
 
@@ -999,50 +907,41 @@ pub(crate) mod tests {
         // The second empty pass repeats the first's (empty) key
         // sequence and is still not a hit: there is no plan to be on.
         let (pairs, local) = Stretch::run(&[0, 0, 2, 2]);
-        assert_eq!(pairs, vec![(0, 4), (1, 4), (Stretch::CLOCK, 4)]);
+        assert_eq!(pairs, vec![(0, 4), (1, 4)]);
         assert_eq!(local, PlanUse { hits: 1, misses: 3 });
     }
 
-    /// Item `k` emits key `k` with its state value + 1, keyed or — when
-    /// `declare` — as a value under the declared keys (the items
-    /// themselves); `lreduce` sums each group, and so does the declared
-    /// fold. Three passes, never converged.
-    struct Echo {
-        declare: bool,
-    }
+    /// Item `k` emits its state value + 1 to key `k` — keyed, or, as
+    /// `Echo<true>`, to its group, the state entry of key `k`; `lreduce`
+    /// sums each group, and so does the fold. Three passes, never
+    /// converged.
+    struct Echo<const FOLDS: bool>;
 
-    impl Echo {
-        /// Runs one map call per `(declare, input)` in turn on one task,
-        /// each starting from the plan the last one left: every call's
-        /// pairs and plan use.
-        fn run(inputs: &[(bool, &[u32])]) -> Vec<(Vec<(u32, u64)>, PlanUse)> {
-            let mut plan = LocalSyncPlan::default();
-            let mut calls = Vec::new();
-            for &(declare, input) in inputs {
+    impl<const FOLDS: bool> Echo<FOLDS> {
+        /// Runs one map call per input, each on a fresh context: every
+        /// call's pairs and plan use.
+        fn run(inputs: &[&[u32]]) -> Vec<(Vec<(u32, u64)>, PlanUse)> {
+            let call = |input: &&[u32]| {
                 let mut ctx = MapContext::default();
-                ctx.local_plan = plan;
-                EagerMapper::new(Echo { declare }).map(0, &input.to_vec(), &mut ctx);
-                plan = std::mem::take(&mut ctx.local_plan);
+                EagerMapper::new(Echo::<FOLDS>).map(0, &input.to_vec(), &mut ctx);
                 let local_use = ctx.local_use;
-                calls.push((ctx.finish().0, local_use));
-            }
-            calls
+                (ctx.finish().0, local_use)
+            };
+            inputs.iter().map(call).collect()
         }
     }
 
-    impl LocalAlgorithm for Echo {
+    impl<const F: bool> LocalAlgorithm for Echo<F> {
         type Input = Vec<u32>;
         type Item = u32;
         type Key = u32;
         type Value = u64;
+        const FOLDS: bool = F;
         fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
             input
         }
         fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(u32, u64)> {
             input.iter().map(|&k| (k, u64::from(k))).collect()
-        }
-        fn emission_keys(&self, _t: usize, input: &Vec<u32>) -> Option<Vec<u32>> {
-            self.declare.then(|| input.clone())
         }
         fn lmap(
             &self,
@@ -1053,8 +952,9 @@ pub(crate) mod tests {
             ctx: &mut LocalMapContext<Self>,
         ) {
             let value = state[item] + 1;
-            if self.declare {
-                ctx.emit_value(value);
+            if F {
+                let group = state.entries.binary_search_by_key(item, |(k, _)| *k);
+                ctx.emit_to(group.expect("every item is a key of the state"), value);
             } else {
                 ctx.emit_local_intermediate(*item, value);
             }
@@ -1088,98 +988,22 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_declared_task_counts_its_plan_as_the_keyed_task_does() {
-        // First sight records, then hits; the kept plan is a hit from
-        // the first pass; another sequence re-records; an empty one is
-        // no plan, pass after pass; and back.
-        let inputs: [&[u32]; 5] = [&[3, 1, 3, 2], &[3, 1, 3, 2], &[1, 2], &[], &[1, 2]];
-        let declared = Echo::run(&inputs.map(|input| (true, input)));
-        assert_eq!(declared, Echo::run(&inputs.map(|input| (false, input))));
-        let uses: Vec<PlanUse> = declared.iter().map(|call| call.1).collect();
-        let (recorded, hit, empty) = (
-            PlanUse { hits: 2, misses: 1 },
-            PlanUse { hits: 3, misses: 0 },
-            PlanUse { hits: 0, misses: 3 },
-        );
-        assert_eq!(uses, [recorded, hit, recorded, empty, recorded]);
-        assert_eq!(declared[0].0, vec![(1, 4), (2, 5), (3, 38)]);
-        // The two roads share one plan: declared and keyed calls that
-        // alternate over the same keys on one task hit what the other
-        // recorded, and either records when the keys change.
-        let (a, b) = (inputs[0], inputs[2]);
-        let calls = [(true, a), (false, a), (true, a), (false, b), (true, b), (false, a)];
-        let mixed = Echo::run(&calls);
-        assert_eq!(mixed, Echo::run(&calls.map(|(_, input)| (false, input))));
-        let uses: Vec<PlanUse> = mixed.iter().map(|call| call.1).collect();
-        assert_eq!(uses, [recorded, hit, hit, recorded, hit, recorded]);
-    }
-
-    /// post_lreduce carries forward entries lreduce never saw.
-    struct CarryForward;
-    impl LocalAlgorithm for CarryForward {
-        type Input = Vec<u32>;
-        type Item = u32;
-        type Key = u32;
-        type Value = u64;
-        fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
-            input
-        }
-        fn init_state(&self, _t: usize, _i: &Self::Input) -> Vec<(u32, u64)> {
-            vec![(0, 100), (1, 200)] // key 1 never gets intermediate data
-        }
-        fn lmap(
-            &self,
-            _t: usize,
-            _i: &Self::Input,
-            item: &u32,
-            state: &LocalState<u32, u64>,
-            ctx: &mut LocalMapContext<Self>,
-        ) {
-            ctx.emit_local_intermediate(0, state[&0] + *item as u64);
-        }
-        fn lreduce(
-            &self,
-            _t: usize,
-            _i: &Self::Input,
-            key: &u32,
-            values: &[u64],
-            ctx: &mut LocalReduceContext<u32, u64>,
-        ) {
-            ctx.emit_local(*key, *values.iter().max().unwrap());
-        }
-        fn post_lreduce(
-            &self,
-            _t: usize,
-            _i: &Self::Input,
-            old: &LocalState<u32, u64>,
-            new: &mut LocalState<u32, u64>,
-        ) {
-            for (k, v) in old {
-                if new.get(k).is_none() {
-                    new.insert(*k, *v);
-                }
-            }
-        }
-        fn locally_converged(
-            &self,
-            old: &LocalState<u32, u64>,
-            new: &LocalState<u32, u64>,
-        ) -> bool {
-            old == new
-        }
-        fn max_local_iterations(&self) -> usize {
-            3
-        }
-    }
-
-    #[test]
-    fn post_lreduce_preserves_untouched_entries() {
-        let mapper = EagerMapper::new(CarryForward);
-        let mut ctx = MapContext::default();
-        mapper.map(0, &vec![1], &mut ctx);
-        let (pairs, _, _, _) = ctx.finish();
-        // Key 1 survived every pass via post_lreduce.
-        assert!(pairs.contains(&(1, 200)), "pairs: {pairs:?}");
+    fn a_folding_task_equals_the_keyed_task_and_counts_no_plan() {
+        // The keyed task records in its first pass, then hits; an
+        // empty pass is no plan, pass after pass. Every call starts
+        // with no plan. The folding task runs on none.
+        let inputs: [&[u32]; 4] = [&[3, 1, 3, 2], &[3, 1, 3, 2], &[], &[1, 2]];
+        let folded = Echo::<true>::run(&inputs);
+        let keyed = Echo::<false>::run(&inputs);
+        let pairs = |calls: &[(Vec<(u32, u64)>, PlanUse)]| -> Vec<Vec<(u32, u64)>> {
+            calls.iter().map(|call| call.0.clone()).collect()
+        };
+        assert_eq!(pairs(&folded), pairs(&keyed));
+        assert_eq!(folded[0].0, vec![(1, 4), (2, 5), (3, 38)]);
+        assert!(folded.iter().all(|call| call.1 == PlanUse::default()));
+        let uses: Vec<PlanUse> = keyed.iter().map(|call| call.1).collect();
+        let (recorded, empty) = (PlanUse { hits: 2, misses: 1 }, PlanUse { hits: 0, misses: 3 });
+        assert_eq!(uses, [recorded, recorded, empty, recorded]);
     }
 
     #[test]

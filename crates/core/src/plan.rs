@@ -13,10 +13,7 @@
 //!   each value goes straight onto its reduce bucket, bare — no pair
 //!   is buffered, nothing is hashed; a task that leaves its plan, or
 //!   has none, is buffered and records a new plan from its pairs (see
-//!   [`crate::shuffle`]).
-//!   The context carries the task's local-sync plan the same way, so a
-//!   [`crate::EagerMapper`] task starts on the key sequence its local
-//!   syncs verified last job;
+//!   [`crate::shuffle`]);
 //! * `combine_task` — the optional map-side combiner over one task's
 //!   pairs (which then wait in one bucket instead of being routed by
 //!   the map), its combined pairs fed through the same routing sink
@@ -69,7 +66,6 @@ use asyncmr_runtime::ThreadPool;
 use crate::emitter::{MapContext, ReduceContext, Routed};
 use crate::engine::{JobMeter, JobOptions, JobReuse, PlanUse};
 use crate::kv::{Key, Meterable, Value};
-use crate::local::LocalSyncPlan;
 use crate::shuffle::{
     self, Bucket, GroupPlan, GroupView, GroupingStrategy, PlanOutcome, RoutePlan,
 };
@@ -118,33 +114,27 @@ impl StageTimings {
     }
 }
 
-/// What the engine remembers from job to job: one [`RoutePlan`] and
-/// one local-sync plan (a [`GroupPlan`] under a newtype of
-/// `crate::local`'s; empty unless the mapper is a
-/// [`crate::EagerMapper`]) per map task, and one [`GroupPlan`] per
-/// reduce partition.
+/// What the engine remembers from job to job: one [`RoutePlan`] per
+/// map task and one [`GroupPlan`] per reduce partition.
 ///
 /// **Slot-addressed**: a plan is only worth something to the task that
 /// will see the same key sequence again, so it is filed under (plan
-/// type — which names the key type, and keeps a map task's plans and
-/// partition `t`'s group plan apart under one number —, map task or
+/// type — which names the key type, and keeps map task `t`'s route plan
+/// and partition `t`'s group plan apart under one number —, map task or
 /// *real* partition index; a skipped
 /// empty partition does not shift its neighbours' slots). Two job types
 /// that share a key type share slots and evict each other's plans:
 /// every plan is verified against its input on every use
-/// ([`shuffle::RouteSink::emit`], [`shuffle::group_planned`] — which
-/// the local syncs run too — and a declaration's comparison once per
-/// map call), so that costs a recording per use — every plan records
-/// on every miss — never results.
+/// ([`shuffle::RouteSink::emit`], [`shuffle::group_planned`]), so that
+/// costs a recording per use — every plan records on every miss —
+/// never results.
 ///
 /// A slot holds what its task recorded — a map task's key sequence
 /// with one `u32` a record (≈ 8 B a record for `u32` keys), a reduce
 /// partition's one `u32` a record and three a key group beside
-/// *handles* on the map tasks' keys, which it shares, and a map task's
-/// local-sync plan, the same `GroupPlan` over one chunk of keys of its
-/// own — until it fails a verification, which frees it (a key sequence
-/// goes when the last plan sharing it does); dropping the engine
-/// releases everything.
+/// *handles* on the map tasks' keys, which it shares — until it fails
+/// a verification, which frees it (a key sequence goes when the last
+/// plan sharing it does); dropping the engine releases everything.
 #[derive(Debug, Default)]
 pub struct PlanStore {
     slots: Mutex<HashMap<(TypeId, usize), Box<dyn Any + Send>>>,
@@ -260,10 +250,7 @@ fn routing<K: Key, V: Value>(
 
 /// Runs the user's map function over one input split, its emissions
 /// routed into `reducers` buckets as they are made (one bucket while a
-/// combiner is still to run: an ownership transfer). The context also
-/// carries the task's local-sync plan out of `plans` and back, so an
-/// [`crate::EagerMapper`] task starts on what it learned last job (any
-/// other mapper leaves the empty plan untouched).
+/// combiner is still to run: an ownership transfer).
 fn map_task<M: Mapper>(
     mapper: &M,
     task: usize,
@@ -272,13 +259,7 @@ fn map_task<M: Mapper>(
     plans: &PlanStore,
 ) -> MapOut<M::Key, M::Value> {
     let Routed { buckets, planned, meter, records, bytes, local } =
-        routing(task, reducers, plans, |ctx| {
-            plans.with(task, |kept: &mut LocalSyncPlan<M::Key>| {
-                ctx.local_plan = std::mem::take(kept);
-                mapper.map(task, input, ctx);
-                *kept = std::mem::take(&mut ctx.local_plan);
-            })
-        });
+        routing(task, reducers, plans, |ctx| mapper.map(task, input, ctx));
     let profile = MapProfile {
         ops: meter.ops(),
         local_syncs: meter.local_syncs(),

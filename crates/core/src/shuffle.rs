@@ -48,15 +48,15 @@
 //! job: job 1 of a shape records every plan, and from job 2 on every
 //! reduce input is known by identity. [`PlanOutcome`] says which of the
 //! two happened. The engine keeps the plans per map task and per reduce
-//! partition in its [`crate::plan::PlanStore`]. A local sync of a
+//! partition in its [`crate::plan::PlanStore`]. A keyed local sync of a
 //! [`crate::local::EagerMapper`] task is a one-partition shuffle: each
-//! pass groups through a one-chunk [`GroupPlan`] of the task's own,
-//! which the engine files in the same store between jobs.
+//! pass groups through a one-chunk [`GroupPlan`] the task keeps from
+//! pass to pass of one map call.
 //!
 //! Grouping implementations:
 //!
 //! * `GroupPlan::of_chunks` finds every grouping permutation in the
-//!   crate — a reduce input's plan on a miss, a local sync's plan, the
+//!   crate — a reduce input's plan on a miss, a keyed local sync's plan, the
 //!   combiner's and the ledger probe's grouping — the way the
 //!   [`GroupingStrategy`] names; [`group_planned`] and [`Grouped`]
 //!   scatter values through the plan it records.
@@ -495,20 +495,16 @@ pub fn concat_buckets<K, V>(
 /// churn (K-Means reassignments) is therefore never wrong; it records a
 /// new plan every time.
 ///
-/// The local syncs of a [`crate::EagerMapper`] task group through a
-/// plan of one chunk: a keyed pass hands [`group_planned`] its pairs as
-/// one owned bucket, and a pass whose algorithm declares its keys runs
-/// on the plan of that declaration (`GroupPlan::recognise_or_record`),
-/// folding each value into its group's accumulator where it is emitted
-/// (`GroupPlan::group_of`, `GroupPlan::spans`): it places no value.
-/// A [`Grouped`] is a plan recorded from one input, kept beside that
-/// input's scattered values.
+/// The keyed local syncs of a [`crate::EagerMapper`] task group through
+/// a plan of one chunk, kept from pass to pass of one map call: a pass
+/// hands [`group_planned`] its pairs as one owned bucket. A [`Grouped`]
+/// is a plan recorded from one input, kept beside that input's
+/// scattered values.
 ///
 /// One `u32` a record and three a group, plus one `K` a record only
 /// where a bucket carried no handle; kept in the engine's
-/// [`crate::plan::PlanStore`] slot of the reduce partition (or of the
-/// map task whose local syncs it serves) until it fails to recognise an
-/// input, which replaces it.
+/// [`crate::plan::PlanStore`] slot of the reduce partition until it
+/// fails to recognise an input, which replaces it.
 #[derive(Debug)]
 pub struct GroupPlan<K> {
     /// The key sequence the plan was built for, one chunk per input
@@ -588,18 +584,6 @@ impl<K: Key> GroupPlan<K> {
         *self = GroupPlan::of_chunks(buckets.iter().map(Bucket::key_handle).collect(), strategy);
     }
 
-    /// Keeps the plan if it was built for `keys` as one chunk — compared
-    /// key by key ([`PlanOutcome::Hit`]) — and otherwise replaces it
-    /// with the plan of `keys`, found by a stable sort.
-    pub(crate) fn recognise_or_record(&mut self, keys: Vec<K>) -> PlanOutcome {
-        if matches!(&self.chunks[..], [chunk] if **chunk == keys[..]) {
-            return PlanOutcome::Hit;
-        }
-        *self = GroupPlan::default();
-        *self = GroupPlan::of_chunks(vec![keys.into()], GroupingStrategy::Sort);
-        PlanOutcome::Recorded
-    }
-
     /// The plan of the key sequence `chunks` (concatenated): the
     /// permutation a stable sort applies, found the way `strategy`
     /// names (see [`GroupingStrategy`]), and the groups it leaves. The
@@ -623,27 +607,6 @@ impl<K: Key> GroupPlan<K> {
             GroupSpan { chunk: chunk as u32, at: (i as usize - starts[chunk]) as u32, end }
         };
         GroupPlan { groups: heads.into_iter().map(span).collect(), chunks, slots }
-    }
-
-    /// The key group of each record of the key sequence the plan was
-    /// built for: `group_of()[i]` indexes [`GroupPlan::spans`].
-    pub(crate) fn group_of(&self) -> Vec<u32> {
-        let mut of_slot = Vec::with_capacity(self.slots.len());
-        for (group, span) in (0..).zip(&self.groups) {
-            of_slot.resize(span.end as usize, group);
-        }
-        self.slots.iter().map(|&slot| of_slot[slot as usize]).collect()
-    }
-
-    /// Each key group's key and number of records, keys ascending.
-    pub(crate) fn spans(&self) -> impl Iterator<Item = (&K, usize)> {
-        let mut lo = 0;
-        self.groups.iter().map(move |group| {
-            let key = &self.chunks[group.chunk as usize][group.at as usize];
-            let count = group.end as usize - lo;
-            lo = group.end as usize;
-            (key, count)
-        })
     }
 
     /// Moves every value of `buckets` — which the plan has just
@@ -681,9 +644,10 @@ impl<K: Key> GroupPlan<K> {
     /// placed at their slots — keys ascending.
     fn for_each_group<V>(&self, values: &[V], mut f: impl FnMut(GroupView<'_, K, V>)) {
         let mut lo = 0;
-        for (key, count) in self.spans() {
-            f(GroupView { key, values: &values[lo..lo + count] });
-            lo += count;
+        for group in &self.groups {
+            let key = &self.chunks[group.chunk as usize][group.at as usize];
+            f(GroupView { key, values: &values[lo..group.end as usize] });
+            lo = group.end as usize;
         }
     }
 }

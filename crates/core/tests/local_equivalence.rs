@@ -17,10 +17,12 @@
 //!   run past it, with `String` keys, and with values that count their
 //!   drops (a value scattered through a plan is written through a raw
 //!   slot);
-//! * declared passes, whose values fold into their groups as they are
-//!   emitted, equal keyed passes and that loop, and a broken
-//!   declaration panics naming its task and pass, dropping every value
-//!   it made exactly once.
+//! * folding passes, whose values name their group — an entry of the
+//!   state — and fold into it as they are emitted, equal keyed passes
+//!   and that loop (a group no value reached finishes from its `init`
+//!   and its old value, as the loop's carry-forward keeps it), and a
+//!   pass that breaks its context's contract panics naming its task and
+//!   pass, dropping every value it made exactly once.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -31,6 +33,7 @@ use std::sync::Mutex;
 
 use asyncmr_core::prelude::*;
 use asyncmr_core::shuffle;
+use asyncmr_core::{JobReuse, PlanUse};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------- (a)
@@ -225,16 +228,9 @@ impl LocalAlgorithm for Logged {
         let pass = self.pass.load(Ordering::Relaxed);
         log[pass].push((*key, values.to_vec()));
     }
-    fn post_lreduce(
-        &self,
-        _t: usize,
-        _input: &(),
-        _old: &LocalState<u32, u32>,
-        _new: &mut LocalState<u32, u32>,
-    ) {
-        self.pass.fetch_add(1, Ordering::Relaxed);
-    }
+    /// Runs once a pass, after its `lreduce`s: the pass counter moves on.
     fn locally_converged(&self, _old: &LocalState<u32, u32>, _new: &LocalState<u32, u32>) -> bool {
+        self.pass.fetch_add(1, Ordering::Relaxed);
         false
     }
     fn max_local_iterations(&self) -> usize {
@@ -310,7 +306,9 @@ trait Spec: Send + Sync {
     type Item: Send + Sync;
     type Key: Key + Debug;
     type Value: Value + PartialEq + Debug;
-    /// Whether `post_lreduce` carries old entries nothing rewrote.
+    /// Whether an entry nothing rewrote keeps its value in the oracle —
+    /// what a folding spec's [`Spec::finish`] does for a group no value
+    /// reached.
     const CARRY_FORWARD: bool;
 
     fn init(&self, xs: &[Self::Item]) -> Vec<(Self::Key, Self::Value)>;
@@ -331,32 +329,27 @@ trait Spec: Send + Sync {
     fn converged(&self, old: &[(Self::Key, Self::Value)], new: &[(Self::Key, Self::Value)])
         -> bool;
     fn max_passes(&self) -> usize;
-    /// The keys every `lmap` pass over `xs` emits, in order, when they
-    /// depend on `xs` alone.
-    fn keys(&self, xs: &[Self::Item]) -> Option<Vec<Self::Key>> {
-        let _ = xs;
-        None
-    }
-    /// `lreduce` as a fold, for a spec with [`Spec::keys`]: a group's
-    /// start, each value folded in, and its emissions from the result
-    /// and the group's size; returns the ops they meter.
+    /// `lreduce` as a fold, for a spec that can fold (its every emission
+    /// names a key of the state it read): a group's start, each value
+    /// folded in, and its emissions from the result and the entry's old
+    /// value; `finish` returns the ops it meters.
     fn start(&self, key: &Self::Key) -> Self::Value {
         let _ = key;
-        unimplemented!("a spec with keys folds")
+        unimplemented!("a keyed spec")
     }
     fn fold(acc: &mut Self::Value, value: Self::Value) {
         let _ = (acc, value);
-        unimplemented!("a spec with keys folds")
+        unimplemented!("a keyed spec")
     }
     fn finish(
         &self,
         key: &Self::Key,
+        old: &Self::Value,
         acc: Self::Value,
-        count: usize,
         emit: &mut dyn FnMut(Self::Key, Self::Value),
     ) -> u64 {
-        let _ = (key, acc, count, emit);
-        unimplemented!("a spec with keys folds")
+        let _ = (key, old, acc, emit);
+        unimplemented!("a keyed spec")
     }
 }
 
@@ -372,7 +365,7 @@ struct Outcome<K, V> {
 /// `EagerMapper::map` as it was before grouping plans and the flat
 /// state: a `BTreeMap` per pass, a full stable sort of every pass's
 /// emissions, `BTreeMap::insert` for `EmitLocal`, `entry().or_insert`
-/// for the carry-forward hook.
+/// for the carry-forward.
 fn oracle_gmap<S: Spec>(spec: &S, xs: &[S::Item]) -> Outcome<S::Key, S::Value> {
     let flat = |m: &BTreeMap<S::Key, S::Value>| -> Vec<(S::Key, S::Value)> {
         m.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
@@ -412,29 +405,25 @@ fn oracle_gmap<S: Spec>(spec: &S, xs: &[S::Item]) -> Outcome<S::Key, S::Value> {
     Outcome { pairs: state.into_iter().collect(), ops, local_syncs, input_bytes }
 }
 
-/// A [`Spec`] as a [`LocalAlgorithm`]: keyed, or — with `.1` set —
-/// declaring [`Spec::keys`], emitting values only and reducing with the
-/// spec's fold ([`Spec::lreduce`] reduces the keyed passes).
-struct Framework<S>(S, bool);
+/// A [`Spec`] as a [`LocalAlgorithm`]: keyed, or — as
+/// `Framework<S, true>` — folding, each emission sent to the group of
+/// its key, found by its position in the state (past the last group
+/// when the state has no such key), and reduced with the spec's fold
+/// ([`Spec::lreduce`] reduces the keyed passes).
+struct Framework<S, const FOLDS: bool>(S);
 
-impl<S: Spec> LocalAlgorithm for Framework<S> {
+impl<S: Spec, const F: bool> LocalAlgorithm for Framework<S, F> {
     type Input = Vec<S::Item>;
     type Item = S::Item;
     type Key = S::Key;
     type Value = S::Value;
+    const FOLDS: bool = F;
 
     fn items<'a>(&self, input: &'a Self::Input) -> &'a [S::Item] {
         input
     }
     fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(S::Key, S::Value)> {
         self.0.init(input)
-    }
-    fn emission_keys(&self, _t: usize, input: &Self::Input) -> Option<Vec<S::Key>> {
-        if self.1 {
-            self.0.keys(input)
-        } else {
-            None
-        }
     }
     fn lmap(
         &self,
@@ -445,8 +434,9 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
         ctx: &mut LocalMapContext<Self>,
     ) {
         let get = |k: &S::Key| state.get(k).cloned();
-        let ops = if self.1 {
-            self.0.lmap(item, &get, &mut |_, v| ctx.emit_value(v))
+        let ops = if F {
+            let group = |k: &S::Key| state.iter().position(|(key, _)| key == k);
+            self.0.lmap(item, &get, &mut |k, v| ctx.emit_to(group(&k).unwrap_or(state.len()), v))
         } else {
             self.0.lmap(item, &get, &mut |k, v| ctx.emit_local_intermediate(k, v))
         };
@@ -474,27 +464,12 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
         _input: &Self::Input,
         _group: usize,
         key: &S::Key,
+        old: &S::Value,
         acc: S::Value,
-        count: usize,
         ctx: &mut LocalReduceContext<S::Key, S::Value>,
     ) {
-        let ops = self.0.finish(key, acc, count, &mut |k, v| ctx.emit_local(k, v));
+        let ops = self.0.finish(key, old, acc, &mut |k, v| ctx.emit_local(k, v));
         ctx.add_ops(ops);
-    }
-    fn post_lreduce(
-        &self,
-        _t: usize,
-        _input: &Self::Input,
-        old: &LocalState<S::Key, S::Value>,
-        new: &mut LocalState<S::Key, S::Value>,
-    ) {
-        if S::CARRY_FORWARD {
-            for (k, v) in old {
-                if new.get(k).is_none() {
-                    new.insert(k.clone(), v.clone());
-                }
-            }
-        }
     }
     fn locally_converged(
         &self,
@@ -511,11 +486,20 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
     }
 }
 
+/// The keyed framework over `xs`.
 fn framework_gmap<S: Spec>(spec: S, xs: Vec<S::Item>) -> Outcome<S::Key, S::Value> {
-    run_gmap(Framework(spec, false), xs)
+    run_gmap(Framework::<S, false>(spec), xs)
 }
 
-fn run_gmap<S: Spec>(algo: Framework<S>, xs: Vec<S::Item>) -> Outcome<S::Key, S::Value> {
+/// The folding framework over `xs`.
+fn folding_gmap<S: Spec>(spec: S, xs: Vec<S::Item>) -> Outcome<S::Key, S::Value> {
+    run_gmap(Framework::<S, true>(spec), xs)
+}
+
+fn run_gmap<S: Spec, const F: bool>(
+    algo: Framework<S, F>,
+    xs: Vec<S::Item>,
+) -> Outcome<S::Key, S::Value> {
     let mut ctx = MapContext::default();
     EagerMapper::new(algo).map(0, &xs, &mut ctx);
     let (pairs, meter, _, _) = ctx.finish();
@@ -563,8 +547,9 @@ impl Spec for Decay {
     }
 }
 
-/// `local::tests::CarryForward`: key 1 never receives intermediate data
-/// and survives only through `post_lreduce`.
+/// Key 1 never receives a value and key 0 only from items: folding,
+/// a group no value reached finishes from its old value — the oracle's
+/// carry-forward.
 struct CarryForward;
 
 impl Spec for CarryForward {
@@ -582,7 +567,7 @@ impl Spec for CarryForward {
         get: &dyn Fn(&u32) -> Option<u64>,
         emit: &mut dyn FnMut(u32, u64),
     ) -> u64 {
-        emit(0, get(&0).expect("key 0 is always rewritten") + u64::from(*x));
+        emit(0, get(&0).expect("key 0 is always in the state") + u64::from(*x));
         0
     }
     fn lreduce(&self, key: &u32, values: &[u64], emit: &mut dyn FnMut(u32, u64)) -> u64 {
@@ -595,11 +580,23 @@ impl Spec for CarryForward {
     fn max_passes(&self) -> usize {
         3
     }
+    /// Every value is at least 100, so 0 is "none yet".
+    fn start(&self, _key: &u32) -> u64 {
+        0
+    }
+    fn fold(acc: &mut u64, value: u64) {
+        *acc = (*acc).max(value);
+    }
+    fn finish(&self, key: &u32, old: &u64, acc: u64, emit: &mut dyn FnMut(u32, u64)) -> u64 {
+        emit(*key, if acc == 0 { *old } else { acc });
+        0
+    }
 }
 
-/// Key churn: a pass counter lives in the state under [`Churn::CLOCK`]
-/// and `lmap`'s keys depend on it for the first `churn` passes (plan
-/// misses), then freeze (plan hits, and convergence two passes later).
+/// Key churn: a pass counter lives in the state under [`Churn::CLOCK`],
+/// rewritten by every item, and `lmap`'s keys depend on it for the
+/// first `churn` passes (plan misses), then freeze (plan hits, and
+/// convergence two passes later).
 /// `lreduce` also writes each group's mirror key, so `emit_local` sees
 /// out-of-order and repeated keys and last-write-wins decides values.
 struct Churn {
@@ -615,7 +612,7 @@ impl Spec for Churn {
     type Item = u32;
     type Key = u32;
     type Value = u64;
-    const CARRY_FORWARD: bool = true;
+    const CARRY_FORWARD: bool = false;
 
     fn init(&self, _xs: &[u32]) -> Vec<(u32, u64)> {
         (0..self.key_space).map(|k| (k, 0)).chain([(Self::CLOCK, 0)]).collect()
@@ -626,7 +623,7 @@ impl Spec for Churn {
         get: &dyn Fn(&u32) -> Option<u64>,
         emit: &mut dyn FnMut(u32, u64),
     ) -> u64 {
-        let phase = get(&Self::CLOCK).expect("the clock is carried forward").min(self.churn);
+        let phase = get(&Self::CLOCK).expect("every item rewrites the clock").min(self.churn);
         emit(Self::CLOCK, phase + 1);
         emit((x * (phase as u32 + 1) + phase as u32) % self.key_space, u64::from(*x) + phase);
         2
@@ -760,7 +757,7 @@ impl Flavor for Tracked {
 /// leave its plan at the very first emission or be a strict prefix of
 /// it. `lreduce` folds each group in value order and also rewrites key
 /// 0 (a duplicate, out-of-order `emit_local`); entries nothing rewrote
-/// are carried forward by `post_lreduce` inserts.
+/// are gone from the next state.
 struct Script<F> {
     passes: Vec<Vec<(u32, u64)>>,
     clock_first: bool,
@@ -797,7 +794,7 @@ impl<F: Flavor> Spec for Script<F> {
     type Item = usize;
     type Key = F::K;
     type Value = F::V;
-    const CARRY_FORWARD: bool = true;
+    const CARRY_FORWARD: bool = false;
 
     fn init(&self, _xs: &[usize]) -> Vec<(F::K, F::V)> {
         vec![(F::key(Self::CLOCK), F::value(0))]
@@ -914,7 +911,7 @@ proptest! {
     ) {
         let oracle = oracle_gmap(&CarryForward, &xs);
         prop_assert!(oracle.pairs.contains(&(1, 200)));
-        prop_assert_eq!(framework_gmap(CarryForward, xs), oracle);
+        prop_assert_eq!(folding_gmap(CarryForward, xs), oracle);
     }
 
     #[test]
@@ -983,12 +980,14 @@ proptest! {
 // ---------------------------------------------------------------- (d)
 
 /// A graph's local pass: item `(key, targets)` emits its own key (the
-/// keep-alive) and then one record per target, so the keys depend on
-/// the items alone and can be declared. Targets may repeat
-/// (multi-edges), name the item's own key (self-loops) or a key no item
-/// owns, and an item may have none (a sink). `lreduce` hashes each
-/// group's values in order, `11·31^k + …`; the declared fold is that
-/// hash, written a value at a time.
+/// keep-alive) and then one record per target, each a key some item
+/// owns, so every emission names an entry of the state (the items'
+/// keys) and every entry hears a value each pass. Targets may repeat
+/// (multi-edges) or name the item's own key (self-loops), keys may
+/// repeat across items, and an item may have none (a sink). `lreduce`
+/// hashes each group's values in order, `11·31^k + …`; the fold is
+/// that hash, written a value at a time, and `lmap` meters the fold's
+/// op for each value it sends.
 struct Flow<F>(std::marker::PhantomData<F>);
 
 impl<F: Flavor> Flow<F> {
@@ -1001,7 +1000,7 @@ impl<F: Flavor> Spec for Flow<F> {
     type Item = (u32, Vec<u32>);
     type Key = F::K;
     type Value = F::V;
-    const CARRY_FORWARD: bool = true;
+    const CARRY_FORWARD: bool = false;
 
     fn init(&self, xs: &[(u32, Vec<u32>)]) -> Vec<(F::K, F::V)> {
         xs.iter().map(|(k, _)| (F::key(*k), F::value(u64::from(*k) * 3 + 1))).collect()
@@ -1017,12 +1016,12 @@ impl<F: Flavor> Spec for Flow<F> {
         for &t in targets {
             emit(F::key(t), F::value(x % 7 + u64::from(t)));
         }
-        1 + targets.len() as u64
+        2 * (1 + targets.len() as u64)
     }
     fn lreduce(&self, key: &F::K, values: &[F::V], emit: &mut dyn FnMut(F::K, F::V)) -> u64 {
         let fold = values.iter().fold(11u64, |h, v| h.wrapping_mul(31).wrapping_add(F::raw(v)));
         emit(key.clone(), F::value(fold % 1_000));
-        values.len() as u64
+        0
     }
     fn converged(&self, old: &[(F::K, F::V)], new: &[(F::K, F::V)]) -> bool {
         old == new
@@ -1030,44 +1029,44 @@ impl<F: Flavor> Spec for Flow<F> {
     fn max_passes(&self) -> usize {
         6
     }
-    fn keys(&self, xs: &[(u32, Vec<u32>)]) -> Option<Vec<F::K>> {
-        let per_item = |(k, ts): &(u32, Vec<u32>)| {
-            std::iter::once(*k).chain(ts.iter().copied()).map(F::key).collect::<Vec<_>>()
-        };
-        Some(xs.iter().flat_map(per_item).collect())
-    }
     fn start(&self, _key: &F::K) -> F::V {
         F::value(11)
     }
     fn fold(acc: &mut F::V, value: F::V) {
         *acc = F::value(F::raw(acc).wrapping_mul(31).wrapping_add(F::raw(&value)));
     }
-    fn finish(&self, key: &F::K, acc: F::V, count: usize, emit: &mut dyn FnMut(F::K, F::V)) -> u64 {
+    fn finish(&self, key: &F::K, _old: &F::V, acc: F::V, emit: &mut dyn FnMut(F::K, F::V)) -> u64 {
         emit(key.clone(), F::value(F::raw(&acc) % 1_000));
-        count as u64
+        0
     }
 }
 
-/// Items over keys `0..24`: repeated, self-looped, multi-edged, sinks
-/// among them; possibly none.
+/// Items over keys `0..24`, their targets among the items' keys:
+/// repeated, self-looped, multi-edged, sinks among them; possibly none.
 fn flow_items() -> impl Strategy<Value = Vec<(u32, Vec<u32>)>> {
-    let item = (0u32..24, proptest::collection::vec(0u32..24, 0..5)).prop_map(|(k, mut ts)| {
-        if ts.len() == 3 {
-            ts.push(k); // a self-loop
-        }
-        if ts.len() == 2 {
-            ts.push(ts[0]); // a multi-edge
-        }
-        (k, ts)
-    });
-    proptest::collection::vec(item, 0..12)
+    let item = (0u32..24, proptest::collection::vec(any::<usize>(), 0..5));
+    proptest::collection::vec(item, 0..12).prop_map(|items| {
+        let keys: Vec<u32> = items.iter().map(|(k, _)| *k).collect();
+        let owned = |picks: Vec<usize>| picks.into_iter().map(|p| keys[p % keys.len()]).collect();
+        let with_edges = |(k, picks): (u32, Vec<usize>)| {
+            let mut ts: Vec<u32> = owned(picks);
+            if ts.len() == 3 {
+                ts.push(k); // a self-loop
+            }
+            if ts.len() == 2 {
+                ts.push(ts[0]); // a multi-edge
+            }
+            (k, ts)
+        };
+        items.into_iter().map(with_edges).collect()
+    })
 }
 
-/// Declared, keyed and the oracle over `xs`: all three equal.
-fn assert_declared_equals_keyed<F: Flavor>(xs: &[(u32, Vec<u32>)]) {
+/// Folding, keyed and the oracle over `xs`: all three equal.
+fn assert_folding_equals_keyed<F: Flavor>(xs: &[(u32, Vec<u32>)]) {
     let oracle = oracle_gmap(&Flow::<F>::new(), xs);
     assert_eq!(framework_gmap(Flow::<F>::new(), xs.to_vec()), oracle, "keyed");
-    assert_eq!(run_gmap(Framework(Flow::<F>::new(), true), xs.to_vec()), oracle, "declared");
+    assert_eq!(folding_gmap(Flow::<F>::new(), xs.to_vec()), oracle, "folding");
 }
 
 /// Sums each group: the global reduce of the engine-level comparison.
@@ -1087,90 +1086,91 @@ proptest! {
 
     #[test]
     fn declared_passes_equal_keyed_passes_and_the_oracle(xs in flow_items()) {
-        assert_declared_equals_keyed::<Plain>(&xs);
-        assert_declared_equals_keyed::<Worded>(&xs);
+        assert_folding_equals_keyed::<Plain>(&xs);
+        assert_folding_equals_keyed::<Worded>(&xs);
     }
 
-    /// Every value a declared pass emits is folded into its group's
+    /// Every value a folding pass emits is folded into its group's
     /// accumulator, and the accumulators are finished into the state;
     /// each value ever made is dropped exactly once.
     #[test]
     fn every_declared_value_is_dropped_exactly_once(xs in flow_items()) {
         DROPS.with_borrow_mut(Vec::clear);
-        assert_declared_equals_keyed::<Tracked>(&xs);
+        assert_folding_equals_keyed::<Tracked>(&xs);
         let drops = DROPS.with_borrow(Vec::clone);
         prop_assert!(drops.iter().all(|&d| d == 1), "{:?}", drops);
     }
 
-    /// Jobs in sequence on one engine, declared and keyed: the same
-    /// pairs, meters and `JobReuse` (the local plan uses included) job
-    /// by job — through a job where task 0 is handed task 1's items (a
-    /// slot whose keys change re-records, never reuses a stale plan)
-    /// and one where it is handed none (an empty plan is no plan).
+    /// Jobs in sequence on one engine, folding and keyed: the same
+    /// pairs, meters and shuffle plan uses job by job — through a job
+    /// where task 0 is handed task 1's items and one where it is handed
+    /// none. Only the keyed passes count local plan uses.
     #[test]
     fn declared_jobs_on_one_engine_equal_keyed_jobs(
         tasks in proptest::collection::vec(flow_items(), 2..4),
     ) {
         let pool = asyncmr_runtime::ThreadPool::new(2);
-        let (mut declared, mut keyed) = (Engine::in_process(&pool), Engine::in_process(&pool));
+        let (mut folding, mut keyed) = (Engine::in_process(&pool), Engine::in_process(&pool));
         let opts = JobOptions::with_reducers(3);
         let mut swapped = tasks.clone();
         swapped[0] = tasks[1].clone();
         let mut emptied = tasks.clone();
         emptied[0].clear();
         for inputs in [&tasks, &tasks, &swapped, &emptied, &tasks, &tasks] {
-            let d = declared.run("d", inputs, &EagerMapper::new(Framework(Flow::<Plain>::new(), true)), &Sum, &opts);
-            let k = keyed.run("k", inputs, &EagerMapper::new(Framework(Flow::<Plain>::new(), false)), &Sum, &opts);
-            prop_assert_eq!(&d.pairs, &k.pairs);
-            prop_assert_eq!(d.meter, k.meter);
-            prop_assert_eq!(d.reuse, k.reuse);
-            prop_assert_eq!(d.reuse.local.hits + d.reuse.local.misses, d.meter.local_syncs);
+            let f = folding.run("f", inputs, &EagerMapper::new(Framework::<_, true>(Flow::<Plain>::new())), &Sum, &opts);
+            let k = keyed.run("k", inputs, &EagerMapper::new(Framework::<_, false>(Flow::<Plain>::new())), &Sum, &opts);
+            prop_assert_eq!(&f.pairs, &k.pairs);
+            prop_assert_eq!(f.meter, k.meter);
+            let shuffle = |r: JobReuse| (r.route, r.group, r.group_by_identity);
+            prop_assert_eq!(shuffle(f.reuse), shuffle(k.reuse));
+            prop_assert_eq!(f.reuse.local, PlanUse::default());
+            prop_assert_eq!(k.reuse.local.hits + k.reuse.local.misses, k.meter.local_syncs);
         }
     }
 }
 
-/// How a [`Liar`] breaks its declaration.
+/// How a [`Liar`] breaks its context's contract.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Lie {
-    /// One value more than declared keys.
-    Extra,
-    /// One value fewer.
-    Missing,
-    /// A keyed emission in a declared pass.
+    /// Folding: a value for the group after the last.
+    PastTheLast,
+    /// Folding: a keyed emission.
     Keyed,
-    /// Declares nothing, emits keyed — and then one value.
-    Undeclared,
+    /// Keyed: a value sent to a group.
+    Unfolded,
+    /// Folding: no value for group 0 — no breach: it finishes from its
+    /// `init`.
+    Missing,
 }
 
-/// Declares keys `0..records` and then its clock (the pass counter,
-/// [`Liar::CLOCK`]), emits a [`Tracked`] value per key, keeps each
-/// group's last value (its fold, and so its `lreduce`), and breaks the
-/// declaration in pass `at` as `lie` says.
-struct Liar {
+/// Its state is keys `0..records` and then its clock (the pass counter,
+/// [`Liar::CLOCK`]); item `j` sends a [`Tracked`] value to key `j`, the
+/// last item the next pass number to the clock, and each key keeps its
+/// last value. It breaks the contract in pass `at` as `lie` says —
+/// folding (`Liar<true>`) or keyed.
+struct Liar<const FOLDS: bool> {
     records: u32,
     lie: Lie,
     at: u64,
 }
 
-impl Liar {
+impl<const F: bool> Liar<F> {
     const CLOCK: u32 = 9_000;
 }
 
-impl LocalAlgorithm for Liar {
+impl<const F: bool> LocalAlgorithm for Liar<F> {
     type Input = Vec<u32>;
     type Item = u32;
     type Key = u32;
     type Value = Tracked;
+    const FOLDS: bool = F;
 
     fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
         input
     }
-    fn init_state(&self, _t: usize, _input: &Vec<u32>) -> Vec<(u32, Tracked)> {
-        vec![(Self::CLOCK, Tracked::new(0))]
-    }
-    fn emission_keys(&self, _t: usize, input: &Vec<u32>) -> Option<Vec<u32>> {
-        let keys = input.iter().map(|&j| if j == self.records { Self::CLOCK } else { j });
-        (self.lie != Lie::Undeclared).then(|| keys.collect())
+    fn init_state(&self, _t: usize, input: &Vec<u32>) -> Vec<(u32, Tracked)> {
+        let key = |j: u32| if j == self.records { Self::CLOCK } else { j };
+        input.iter().map(|&j| (key(j), Tracked::new(0))).collect()
     }
     fn lmap(
         &self,
@@ -1182,16 +1182,29 @@ impl LocalAlgorithm for Liar {
     ) {
         let pass = state[&Self::CLOCK].x;
         let (key, value) = if j == self.records { (Self::CLOCK, pass + 1) } else { (j, 7) };
-        match (self.lie, pass == self.at) {
-            (Lie::Extra, true) if j == 0 => {
-                ctx.emit_value(Tracked::new(value));
-                ctx.emit_value(Tracked::new(value));
+        // Key `j`'s group is entry `j`; the clock's is the last.
+        match (self.lie, pass == self.at && j == 0) {
+            (Lie::PastTheLast, true) => ctx.emit_to(j as usize + state.len(), Tracked::new(value)),
+            (Lie::Keyed | Lie::Unfolded, true) => {
+                ctx.emit_local_intermediate(key, Tracked::new(value))
             }
-            (Lie::Missing, true) if j == 0 => {}
-            (Lie::Keyed, true) if j == 0 => ctx.emit_local_intermediate(key, Tracked::new(value)),
-            (Lie::Undeclared, false) => ctx.emit_local_intermediate(key, Tracked::new(value)),
-            _ => ctx.emit_value(Tracked::new(value)),
+            (Lie::Missing, true) => {}
+            _ if F => ctx.emit_to(j as usize, Tracked::new(value)),
+            _ => ctx.emit_local_intermediate(key, Tracked::new(value)),
         }
+        if self.lie == Lie::Unfolded && pass == self.at && j == 0 {
+            ctx.emit_to(0, Tracked::new(value));
+        }
+    }
+    fn lreduce(
+        &self,
+        _t: usize,
+        _input: &Vec<u32>,
+        key: &u32,
+        values: &[Tracked],
+        ctx: &mut LocalReduceContext<u32, Tracked>,
+    ) {
+        ctx.emit_local(*key, values[values.len() - 1].clone());
     }
     fn init(&self, _input: &Vec<u32>, _group: usize, _key: &u32) -> Tracked {
         Tracked::new(0)
@@ -1211,32 +1224,56 @@ impl LocalAlgorithm for Liar {
     }
 }
 
+/// Runs `liar` as task `task` over `records` keys and its clock: it
+/// must panic, naming the task and pass `at` and saying `what`, and
+/// drop every value it made exactly once — on the unwind too.
+fn assert_refused<const F: bool>(liar: Liar<F>, task: usize, what: &str) {
+    DROPS.with_borrow_mut(Vec::clear);
+    let (lie, at) = (liar.lie, liar.at);
+    let input: Vec<u32> = (0..=liar.records).collect();
+    let mapper = EagerMapper::new(liar);
+    let unwound =
+        catch_unwind(AssertUnwindSafe(|| mapper.map(task, &input, &mut MapContext::default())));
+    let payload = unwound.expect_err("a broken contract panics");
+    let message = payload.downcast_ref::<String>().expect("a formatted panic");
+    let named = format!("task {task}, pass {at}: {what}");
+    assert!(message.contains(&named), "{lie:?}: {message}");
+    let drops = DROPS.with_borrow(Vec::clone);
+    assert!(!drops.is_empty() && drops.iter().all(|&d| d == 1), "{lie:?}: {drops:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every way to break a declaration panics, in every build, naming
-    /// the task and the pass — and every value made is dropped exactly
-    /// once, on the unwind too: a declared pass holds no value outside
-    /// its accumulators, which unwind with it.
+    /// Every way to break a pass's contract panics, in every build,
+    /// naming the task and the pass — and every value made is dropped
+    /// exactly once, on the unwind too: a folding pass holds no value
+    /// outside its accumulators, which unwind with it. A group no value
+    /// reaches is no breach: it finishes from its `init`.
     #[test]
     fn a_broken_declaration_panics_naming_its_task_and_pass(
         records in 1u32..20,
         at in 0u64..4,
         task in 0usize..9,
     ) {
-        for lie in [Lie::Extra, Lie::Missing, Lie::Keyed, Lie::Undeclared] {
-            DROPS.with_borrow_mut(Vec::clear);
-            let input: Vec<u32> = (0..=records).collect();
-            let mapper = EagerMapper::new(Liar { records, lie, at });
-            let unwound = catch_unwind(AssertUnwindSafe(|| {
-                mapper.map(task, &input, &mut MapContext::default())
-            }));
-            let payload = unwound.expect_err("a broken declaration panics");
-            let message = payload.downcast_ref::<String>().expect("a formatted panic");
-            let named = format!("task {task}, pass {at}:");
-            prop_assert!(message.contains(&named), "{:?}: {}", lie, message);
-            let drops = DROPS.with_borrow(Vec::clone);
-            prop_assert!(drops.iter().all(|&d| d == 1), "{:?}: {:?}", lie, drops);
-        }
+        let groups = records as usize + 1;
+        let past = format!("a value for group {groups}, past its {groups} groups");
+        assert_refused(Liar::<true> { records, lie: Lie::PastTheLast, at }, task, &past);
+        let keyed = "a keyed emission in a folding pass";
+        assert_refused(Liar::<true> { records, lie: Lie::Keyed, at }, task, keyed);
+        let unfolded = "emit_to, but its algorithm does not fold";
+        assert_refused(Liar::<false> { records, lie: Lie::Unfolded, at }, task, unfolded);
+
+        // A group no value reached finishes from its `init`: the pass
+        // goes on, and the next one rewrites it.
+        DROPS.with_borrow_mut(Vec::clear);
+        let input: Vec<u32> = (0..=records).collect();
+        let mut ctx = MapContext::default();
+        EagerMapper::new(Liar::<true> { records, lie: Lie::Missing, at }).map(task, &input, &mut ctx);
+        let (pairs, meter, _, _) = ctx.finish();
+        prop_assert_eq!(meter.local_syncs(), at + 2);
+        prop_assert_eq!(pairs.len(), input.len());
+        drop(pairs);
+        prop_assert!(DROPS.with_borrow(|drops| drops.iter().all(|&d| d == 1)));
     }
 }

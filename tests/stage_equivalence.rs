@@ -14,7 +14,7 @@ use asyncmr::apps::kmeans::{self, KMeansConfig};
 use asyncmr::apps::pagerank::{self, PageRankConfig};
 use asyncmr::apps::sssp::{self, SsspConfig};
 use asyncmr::apps::{cc, cc::CcConfig};
-use asyncmr::core::{Engine, IterationReport};
+use asyncmr::core::{Engine, IterationReport, PlanUse};
 use asyncmr::graph::{generators, CsrGraph, WeightedGraph};
 use asyncmr::partition::{MultilevelKWay, Partitioner};
 use asyncmr::runtime::ThreadPool;
@@ -233,10 +233,10 @@ fn job_sequence_on_one_engine_is_byte_identical_on_the_hit_path() {
     }
 }
 
-/// Eager jobs handed to the engine one by one: a `gmap` task's
-/// local-sync plan is filed in the engine's plan store between jobs, so
-/// what a job starts from depends on what the engine ran before it —
-/// and its output must not.
+/// Eager jobs handed to the engine one by one: a `gmap` task's route
+/// plan and its reduce partitions' group plans are filed in the
+/// engine's plan store between jobs, so what a job starts from depends
+/// on what the engine ran before it — and its output must not.
 mod eager_jobs {
     pub use asyncmr::apps::cc::eager::CcLocalAlgorithm;
     pub use asyncmr::apps::cc::general::{CcGeneralInput, CcMinReducer};
@@ -291,8 +291,7 @@ mod eager_jobs {
     }
 
     /// `kept` ran on an engine with a history, `fresh` on a new one and
-    /// `oracle` on the reference shuffle: same pairs, same meters, and
-    /// one plan outcome per local sync.
+    /// `oracle` on the reference shuffle: same pairs, same meters.
     pub fn assert_same_job<K, O>(
         kept: &JobResult<K, O>,
         fresh: &JobResult<K, O>,
@@ -306,10 +305,6 @@ mod eager_jobs {
         assert_eq!(kept.meter, fresh.meter, "a kept plan changed the meters");
         assert_eq!(kept.meter.map_ops, oracle.meter.map_ops);
         assert_eq!(kept.meter.local_syncs, oracle.meter.local_syncs);
-        for job in [kept, fresh] {
-            let local = job.reuse.local;
-            assert_eq!(local.hits + local.misses, job.meter.local_syncs);
-        }
         assert_eq!(oracle.reuse.local, PlanUse::default(), "the oracle reports no reuse");
     }
 }
@@ -325,31 +320,20 @@ fn consecutive_eager_jobs_on_one_engine_equal_fresh_engines_and_the_oracle() {
     let pool = ThreadPool::new(3);
     let mut engine = Engine::in_process(&pool);
     let mut oracle = Engine::with_reference_shuffle(&pool);
-    let mut hits_of_job_0 = 0;
     for job in 0..3 {
         let inputs = cc_inputs(&partitions, job, 0);
         let kept = cc_job(&mut engine, &inputs);
         let fresh = cc_job(&mut Engine::in_process(&pool), &inputs);
         assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
-        assert_eq!(fresh.reuse.local.misses, tasks, "a fresh engine records once a task");
-        if job == 0 {
-            assert_eq!(kept.reuse.local, fresh.reuse.local);
-            hits_of_job_0 = kept.reuse.local.hits;
-        } else {
-            assert_eq!(kept.reuse.local.misses, 0, "job {job} starts on job 0's plans");
-        }
+        assert!(kept.meter.local_syncs > tasks, "label flooding takes more than one pass");
     }
-    assert!(hits_of_job_0 > 0, "label flooding takes more than one pass");
 
     // Task t now gets another partition than it had last job: same
-    // key type, same slot, other keys — a verified miss in the
-    // task's first pass, and the same output.
+    // key type, same slot, other keys — and the same output.
     let inputs = cc_inputs(&partitions, 3, 1);
     let kept = cc_job(&mut engine, &inputs);
     let fresh = cc_job(&mut Engine::in_process(&pool), &inputs);
     assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
-    assert_eq!(kept.reuse.local, fresh.reuse.local, "one fallback a task, then hits");
-    assert_eq!(kept.reuse.local.misses, tasks);
 }
 
 #[test]
@@ -358,13 +342,14 @@ fn two_eager_mappers_sharing_a_key_type_evict_each_other_and_stay_correct() {
 
     // Label flooding over the symmetrized graph and PageRank over the
     // directed one: both keyed by `NodeId`, so task t of either finds
-    // the other's plan in its slot, falls off it, and records its own.
+    // the other's route plan in its slot, falls off it, and records
+    // its own.
     let directed = crawl_graph(300, 31);
     let undirected = directed.to_undirected();
     let parts = MultilevelKWay::default().partition(&undirected, 3);
     let cc_parts = GraphPartition::build(&undirected, &parts);
     let pr_parts = GraphPartition::build(&directed, &parts);
-    let (n, tasks) = (directed.num_nodes(), cc_parts.len() as u64);
+    let n = directed.num_nodes();
     let pool = ThreadPool::new(3);
     let mut engine = Engine::in_process(&pool);
     let mut oracle = Engine::with_reference_shuffle(&pool);
@@ -373,14 +358,11 @@ fn two_eager_mappers_sharing_a_key_type_evict_each_other_and_stay_correct() {
         let kept = cc_job(&mut engine, &inputs);
         let fresh = cc_job(&mut Engine::in_process(&pool), &inputs);
         assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
-        assert_eq!(kept.reuse.local, fresh.reuse.local, "job {job}: evicted, as good as new");
 
         let inputs = pr_inputs(&pr_parts, n, job);
         let kept = pr_job(&mut engine, &inputs);
         let fresh = pr_job(&mut Engine::in_process(&pool), &inputs);
         assert_same_job(&kept, &fresh, &pr_job(&mut oracle, &inputs));
-        assert_eq!(kept.reuse.local, fresh.reuse.local, "job {job}: evicted, as good as new");
-        assert_eq!(kept.reuse.local.misses, tasks);
     }
 }
 
@@ -389,9 +371,9 @@ fn local_plans_and_shuffle_plans_share_slot_numbers_without_colliding() {
     use eager_jobs::*;
 
     // Two map tasks, five reduce partitions, `u32` keys everywhere:
-    // slots 0 and 1 of the engine's plan store hold a route plan, a
-    // local-sync plan *and* a reduce partition's group plan each. From
-    // the second job on every one of them is a hit.
+    // slots 0 and 1 of the engine's plan store hold a route plan and a
+    // reduce partition's group plan each; the local syncs fold and keep
+    // no plan there. From the second job on every plan is a hit.
     let g = crawl_graph(300, 37).to_undirected();
     let parts = MultilevelKWay::default().partition(&g, 2);
     let partitions = GraphPartition::build(&g, &parts);
@@ -406,29 +388,56 @@ fn local_plans_and_shuffle_plans_share_slot_numbers_without_colliding() {
         assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
         assert!(kept.meter.reduce_tasks > 2, "more reduce partitions than map tasks");
         let reuse = kept.reuse;
-        assert_eq!(reuse.local.misses, if job == 0 { 2 } else { 0 }, "job {job}");
         if job >= 1 {
             let hits = (reuse.route.hits, reuse.group.hits);
             assert_eq!(hits, (2, kept.meter.reduce_tasks as u64), "job {job}");
-            assert_eq!((reuse.route.misses, reuse.group.misses, reuse.local.misses), (0, 0, 0));
+            assert_eq!((reuse.route.misses, reuse.group.misses), (0, 0));
         }
     }
 }
 
+/// Runs `app`'s whole Eager solve on a fresh engine: its local syncs
+/// fold into its state's entries, so no job records or consults a local
+/// plan — while every job runs its local syncs.
+fn assert_no_local_plan_use(
+    app: &str,
+    pool: &ThreadPool,
+    run: impl FnOnce(&mut Engine<'_>) -> IterationReport,
+) {
+    let mut engine = Engine::in_process(pool);
+    let report = run(&mut engine);
+    let history = engine.history();
+    assert!(history.len() > 1, "{app}: more than one global iteration");
+    let local: Vec<PlanUse> = history.iter().map(|job| job.reuse.local).collect();
+    assert!(local.iter().all(|&job| job == PlanUse::default()), "{app}: {local:?}");
+    let syncs: u64 = history.iter().map(|job| job.meter.local_syncs).sum();
+    assert_eq!(syncs, report.local_syncs, "{app}");
+    assert!(syncs > history.len() as u64, "{app}: several local syncs a task");
+}
+
 #[test]
-fn run_eager_records_its_local_plans_in_the_first_job_only() {
-    // The driver's whole run on one engine: every gmap task sorts its
-    // key sequence once, in the first pass of job 1, and every local
-    // sync after it — in that job and in all later ones — is a hit.
+fn run_eager_jobs_report_no_local_plan_use() {
     let g = crawl_graph(400, 11);
     let parts = MultilevelKWay::default().partition(&g, 4);
+    let wg = WeightedGraph::random_weights(g.clone(), 1.0, 9.0, 4);
+    let sym = g.to_undirected();
+    let b = jacobi::seeded_rhs(g.num_nodes(), 31);
+    let points = Arc::new(kmeans::data::census_like(600, 12, 6, 21).points);
+    let km = KMeansConfig { k: 5, threshold: 0.001, ..Default::default() };
     let pool = ThreadPool::new(3);
-    let mut engine = Engine::in_process(&pool);
-    let out = pagerank::run_eager(&mut engine, &g, &parts, &PageRankConfig::default());
-    let local: Vec<_> = engine.history().iter().map(|job| job.reuse.local).collect();
-    assert!(local.len() > 1, "more than one global iteration");
-    assert_eq!(local[0].misses, 4);
-    assert!(local[1..].iter().all(|job| job.misses == 0), "{local:?}");
-    let syncs: u64 = local.iter().map(|job| job.hits + job.misses).sum();
-    assert_eq!(syncs, out.report.local_syncs);
+    assert_no_local_plan_use("pagerank", &pool, |e| {
+        pagerank::run_eager(e, &g, &parts, &PageRankConfig::default()).report
+    });
+    assert_no_local_plan_use("sssp", &pool, |e| {
+        sssp::run_eager(e, &wg, &parts, &SsspConfig::default()).report
+    });
+    assert_no_local_plan_use("cc", &pool, |e| {
+        cc::run_eager(e, &sym, &parts, &CcConfig::default()).report
+    });
+    assert_no_local_plan_use("jacobi", &pool, |e| {
+        jacobi::run_eager(e, &sym, &b, &parts, &JacobiConfig::default()).report
+    });
+    assert_no_local_plan_use("kmeans", &pool, |e| {
+        kmeans::eager::run_eager(e, &points, 8, &km).report
+    });
 }
