@@ -32,6 +32,7 @@ impl LocalAlgorithm for CcLocalAlgorithm {
 
     const FOLDS: bool = true;
 
+    #[inline]
     fn lmap(
         &self,
         _task: usize,
@@ -45,12 +46,10 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         let label = state[&part.nodes[li as usize]];
         // The state's entry `li` is local vertex `li`: its group.
         ctx.emit_to(li as usize, label);
-        let internal = part.internal_degree(li);
+        let targets = part.internal.targets(li);
         // The sends, and as many again for the minima that take them in.
-        ctx.add_ops(2 * (1 + internal as u64));
-        for (lt, _) in part.internal_edges(li) {
-            ctx.emit_to(lt as usize, label);
-        }
+        ctx.add_ops(2 * (1 + targets.len() as u64));
+        ctx.emit_to_each(targets, label);
     }
 
     /// `lreduce` as a fold: the smallest label heard, stored by the

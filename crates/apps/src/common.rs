@@ -149,6 +149,14 @@ impl LocalCsr {
         window(&self.targets, &self.weights, lo, hi)
     }
 
+    /// Out-neighbours of `s`, in CSR order.
+    #[inline]
+    pub fn targets(&self, s: u32) -> &[u32] {
+        let lo = self.offsets[s as usize] as usize;
+        let hi = self.offsets[s as usize + 1] as usize;
+        &self.targets[lo..hi]
+    }
+
     /// Out-degree of `s`.
     #[inline]
     pub fn degree(&self, s: u32) -> u32 {

@@ -36,6 +36,7 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
 
     const FOLDS: bool = true;
 
+    #[inline]
     fn lmap(
         &self,
         _task: usize,
@@ -49,14 +50,13 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         let JMsg::Contrib(xv) = state[&part.nodes[li as usize]] else {
             unreachable!("state stores Contrib(x)");
         };
-        // The state's entry `li` is local vertex `li`: its group.
-        ctx.emit_to(li as usize, JMsg::Contrib(0.0)); // keep-alive
-        let internal = part.internal_degree(li);
+        // The state's entry `li` is local vertex `li`: its group. This
+        // keep-alive stays: its +0.0 turns a -0.0 sum into +0.0.
+        ctx.emit_to(li as usize, JMsg::Contrib(0.0));
+        let targets = part.internal.targets(li);
         // The sends, and as many again for the sums that take them in.
-        ctx.add_ops(2 * (1 + internal as u64));
-        for (lt, _) in part.internal_edges(li) {
-            ctx.emit_to(lt as usize, JMsg::Contrib(xv));
-        }
+        ctx.add_ops(2 * (1 + targets.len() as u64));
+        ctx.emit_to_each(targets, JMsg::Contrib(xv));
     }
 
     /// `lreduce` as a fold: the frozen remote sum, plus each neighbour
@@ -73,17 +73,9 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         }
     }
 
-    fn finish(
-        &self,
-        input: &JacobiInput,
-        li: usize,
-        key: &NodeId,
-        _old: &JMsg,
-        acc: JMsg,
-        ctx: &mut LocalReduceContext<NodeId, JMsg>,
-    ) {
+    fn finish(&self, input: &JacobiInput, li: usize, _key: &NodeId, _old: &JMsg, acc: &mut JMsg) {
         let JMsg::Contrib(sum) = acc else { unreachable!("init starts a Contrib sum") };
-        ctx.emit_local(*key, JMsg::Contrib(update(input.b[li], sum, input.diag[li])));
+        *sum = update(input.b[li], *sum, input.diag[li]);
     }
 
     fn locally_converged(

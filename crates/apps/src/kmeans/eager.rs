@@ -102,13 +102,15 @@ impl LocalAlgorithm for KmLocalAlgorithm {
         &self,
         _input: &KmGeneralInput,
         _g: usize,
-        cid: &u32,
+        _cid: &u32,
         old: &ClusterUpdate,
-        acc: ClusterUpdate,
-        ctx: &mut LocalReduceContext<u32, ClusterUpdate>,
+        acc: &mut ClusterUpdate,
     ) {
-        let update = if acc.1 == 0 { (old.0.clone(), 0) } else { divide(acc) };
-        ctx.emit_local(*cid, update);
+        if acc.1 == 0 {
+            acc.0.clone_from(&old.0);
+        } else {
+            *acc = divide(std::mem::take(acc));
+        }
     }
 
     fn locally_converged(
@@ -299,13 +301,14 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    /// K-Means is the workload whose `lmap` keys (the assigned cluster
-    /// ids) change from one local pass to the next and only freeze as
-    /// a gmap converges, so the local sync's grouping plan misses, then
-    /// hits. Both must be invisible: every number below was captured
-    /// from the commit before plan reuse and the flat `LocalState`
-    /// (full sort + `BTreeMap` on every pass). The reference engine
-    /// shares `EagerMapper`, so only constants can pin this.
+    /// K-Means is the workload whose `lmap` groups (the assigned
+    /// cluster ids) change from one local pass to the next and only
+    /// freeze as a gmap converges; it folds each point into its group's
+    /// accumulator and carries an unchosen centroid from its old value.
+    /// None of that may show: every number below was captured from the
+    /// commit before plan reuse and the flat `LocalState` (full sort +
+    /// `BTreeMap` on every pass). The reference engine shares
+    /// `EagerMapper`, so only constants can pin this.
     #[test]
     fn key_churn_across_local_passes_matches_golden_run() {
         const CENTROID_BITS: [[u64; 6]; 4] = [

@@ -75,6 +75,7 @@ impl LocalAlgorithm for PrLocalAlgorithm {
 
     const FOLDS: bool = true;
 
+    #[inline]
     fn lmap(
         &self,
         _task: usize,
@@ -89,21 +90,20 @@ impl LocalAlgorithm for PrLocalAlgorithm {
             Some(PrMsg::Contrib(r)) => *r,
             _ => unreachable!("state always holds the vertex rank"),
         };
-        // Keep-alive: every owned vertex hears at least one value. The
-        // state's entry `li` is local vertex `li`, so that is its group.
-        ctx.emit_to(li as usize, PrMsg::Contrib(0.0));
         let deg = part.out_degree[li as usize];
-        let internal = part.internal_degree(li);
-        // The sends, and as many again for the sums that take them in.
-        ctx.add_ops(2 * (1 + internal as u64));
+        let targets = part.internal.targets(li);
+        // The sends, and as many again for the sums that take them in,
+        // plus the op of the keep-alive the keyed pass emitted: a 0.0 to
+        // every vertex, which no fold needs now that every group
+        // finishes from its `init` (adding +0.0 to a sum of values
+        // ≥ +0.0 is a bitwise no-op).
+        ctx.add_ops(2 * (1 + targets.len() as u64) + 1);
         if deg == 0 {
             return;
         }
-        // One contribution per internal out-edge, to its target's group.
-        let c = rank / deg as f64;
-        for (lt, _) in part.internal_edges(li) {
-            ctx.emit_to(lt as usize, PrMsg::Contrib(c));
-        }
+        // One contribution along every internal out-edge: the state's
+        // entry `lt` is local vertex `lt`, so that is its group.
+        ctx.emit_to_each(targets, PrMsg::Contrib(rank / deg as f64));
     }
 
     /// `lreduce` as a fold: the frozen remote sum, plus each
@@ -122,13 +122,12 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         &self,
         _input: &PrEagerInput,
         _group: usize,
-        key: &NodeId,
+        _key: &NodeId,
         _old: &PrMsg,
-        acc: PrMsg,
-        ctx: &mut LocalReduceContext<NodeId, PrMsg>,
+        acc: &mut PrMsg,
     ) {
         let PrMsg::Contrib(sum) = acc else { unreachable!("init starts a Contrib sum") };
-        ctx.emit_local(*key, PrMsg::Contrib(self.rule.rank(sum)));
+        *sum = self.rule.rank(*sum);
     }
 
     fn locally_converged(

@@ -51,11 +51,11 @@ pub type PrAsyncMsg = f64;
 /// PageRank expressed for cross-iteration eager scheduling.
 ///
 /// The local solve is a *flat* CSR kernel: dense `f64` rank arrays
-/// indexed by partition-local vertex id, swept in ascending CSR order —
-/// no per-pass `BTreeMap` state, no intermediate key/value
-/// materialization. It replays the keyed
-/// [`super::eager::PrLocalAlgorithm`] solve bitwise (same fold order,
-/// same meters), which is what keeps the `max_lag = 0` byte-identity
+/// indexed by partition-local vertex id, swept in ascending CSR order.
+/// It replays the folding [`super::eager::PrLocalAlgorithm`] solve —
+/// whose state is the same kind of swapped accumulator array, reached
+/// through `LocalAlgorithm`'s calls — bitwise (same fold order, same
+/// meters), which is what keeps the `max_lag = 0` byte-identity
 /// contract with [`super::run_eager`] intact.
 pub struct PrAsync {
     partitions: Vec<Arc<GraphPartition>>,
@@ -138,7 +138,7 @@ impl AsyncIterative for PrAsync {
 
     // Indexed loops are the point here: each is a dense CSR window
     // sweep whose accumulation order is the byte-identity contract with
-    // the keyed path.
+    // the fold.
     #[allow(clippy::needless_range_loop)]
     fn gmap(
         &self,
@@ -150,13 +150,12 @@ impl AsyncIterative for PrAsync {
         // The same gmap the barrier engine runs — iterate the partition
         // to its local PageRank fixpoint, then emit the owner's local
         // sums plus one boundary contribution per cross edge — but as a
-        // flat CSR sweep over dense rank arrays. Bitwise equal to the
-        // keyed `EagerMapper<PrLocalAlgorithm>` path: the keyed lreduce
-        // folds, per target, the frozen remote seed then internal
-        // contributions in ascending-source emission order, which is
-        // exactly this sweep's accumulation order; its keep-alive
-        // Contrib(0.0) adds are bitwise no-ops (every accumuland is
-        // ≥ +0.0), so skipping them changes nothing.
+        // flat CSR sweep over dense rank arrays. Bitwise equal to
+        // `EagerMapper<PrLocalAlgorithm>`'s fold: per target, the frozen
+        // remote seed (its `init`) then the internal contributions in
+        // ascending-source emission order, which is exactly this sweep's
+        // accumulation order. Neither adds the keyed pass's keep-alive
+        // Contrib(0.0): a bitwise no-op, every accumuland being ≥ +0.0.
         let part = &self.partitions[p];
         let n = part.len();
         let m_int = part.internal.num_edges() as u64;
@@ -185,10 +184,10 @@ impl AsyncIterative for PrAsync {
             }
             std::mem::swap(&mut cur, &mut next);
             passes += 1;
-            // Per pass the keyed path meters lmap ops (1 + deg_int per
-            // vertex), emitted records (keep-alive + internal
-            // contributions) and lreduce ops (values.len() per key) —
-            // each totalling n + m_int.
+            // Per pass the fold meters three ops a vertex and three an
+            // internal edge — what the keyed pass metered for each value
+            // it sent (lmap op, record, lreduce op), a vertex's
+            // keep-alive included — 3 (n + m_int) in all.
             ops += 3 * (n as u64 + m_int);
             if done {
                 break;

@@ -41,6 +41,7 @@ impl LocalAlgorithm for SpLocalAlgorithm {
 
     const FOLDS: bool = true;
 
+    #[inline]
     fn lmap(
         &self,
         _task: usize,

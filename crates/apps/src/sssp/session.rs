@@ -1,9 +1,8 @@
 //! Asynchronous SSSP — the barrier-free session formulation.
 //!
 //! Same decomposition as [`crate::pagerank::session`]: the gmap is a
-//! flat-CSR replay of the [`super::eager::SpLocalAlgorithm`]
-//! Bellman-Ford local solve (dense distance arrays, no keyed
-//! intermediate state), and the
+//! flat-CSR replay of the folding [`super::eager::SpLocalAlgorithm`]
+//! Bellman-Ford local solve (dense distance arrays), and the
 //! global min-reduce is sliced per owner partition into
 //! [`AsyncIterative::absorb`]. SSSP is the friendliest possible case
 //! for asynchrony — min is monotone, idempotent, and exact in floating
@@ -102,10 +101,10 @@ impl AsyncIterative for SpAsync {
     ) -> GmapOutput<Vec<f64>> {
         // Local Bellman-Ford as a flat CSR sweep over dense distance
         // arrays. Min is exact and order-insensitive in floating point,
-        // so the sweep is bitwise equal to the keyed
-        // `EagerMapper<SpLocalAlgorithm>` fold it replaces; the meters
-        // reproduce the keyed path's accounting (self-proposal per
-        // vertex, internal relaxations only from finite sources).
+        // so the sweep is bitwise equal to the
+        // `EagerMapper<SpLocalAlgorithm>` fold it replays; the meters
+        // reproduce the fold's accounting (self-proposal per vertex,
+        // internal relaxations only from finite sources).
         let part = &self.partitions[p];
         let n = part.len();
         // Working copy: `state` is shared history and must stay frozen.

@@ -42,24 +42,28 @@
 //! with the sequence it was recorded from — every key, every pass —
 //! scatters the values to their places among the grouped values, and
 //! `lreduce` walks the group boundaries recorded with that sequence,
-//! `EmitLocal` appending to the next state. A pass whose keys differ
-//! records a new plan: only slower, never different
-//! (`docs/ARCHITECTURE.md`, "What one partial synchronization costs").
+//! `EmitLocal` writing the next state. A pass whose keys differ records
+//! a new plan: only slower, never different (`docs/ARCHITECTURE.md`,
+//! "What one partial synchronization costs").
 //!
 //! An algorithm whose groups are its state's keys — a graph app's owned
 //! vertices, K-Means's centroid ids — says so with
 //! [`LocalAlgorithm::FOLDS`] and states its `lreduce` as a fold
 //! ([`LocalAlgorithm::init`], [`LocalAlgorithm::fold`],
-//! [`LocalAlgorithm::finish`]). Its groups are then the entries of the
-//! pass's [`LocalState`], keys ascending, so group `g` is state entry
-//! `g`: `lmap` names the group of each value it emits
-//! ([`LocalMapContext::emit_to`]), which is folded into that group's
-//! accumulator where it is emitted. No key is built, no value buffered
-//! or grouped: the fold sees a group's values in emission order — the
-//! order a keyed pass hands `lreduce` — so it computes what `lreduce`
-//! over the group would. Every group finishes, keys ascending, at the
-//! end of the pass; one that no value reached finishes from its `init`
-//! and its old value.
+//! [`LocalAlgorithm::finish`]). Its groups are then the entries of its
+//! [`LocalState`], keys ascending, so group `g` is state entry `g`, and
+//! its state *is* an accumulator array: the map call fixes the keys once
+//! and keeps two value arrays, the one the pass reads and the one it
+//! writes, swapped between passes. `lmap` names the group of each value
+//! it emits ([`LocalMapContext::emit_to`], or
+//! [`LocalMapContext::emit_to_each`] for one value along a list of
+//! groups), which is folded into that group's slot of the written array
+//! where it is emitted. No key is built, no value buffered or grouped:
+//! the fold sees a group's values in emission order — the order a keyed
+//! pass hands `lreduce` — so it computes what `lreduce` over the group
+//! would. Every group finishes in place, keys ascending, at the end of
+//! the pass; one that no value reached finishes from its `init` and its
+//! old value.
 
 use std::fmt;
 use std::ops::Index;
@@ -77,16 +81,17 @@ pub const DEFAULT_MAX_LOCAL_ITERATIONS: usize = 10_000;
 
 /// The local-state "hashtable" of paper Figure 1 ("a hashtable is used
 /// to store the intermediate and final results of the local MapReduce",
-/// §V-A), kept as one key-ascending `Vec<(K, V)>`.
+/// §V-A), kept as two parallel `Vec`s: the keys, ascending, and the
+/// value stored under each.
 ///
 /// It has a map's interface — [`get`](LocalState::get),
 /// [`insert`](LocalState::insert), `state[&key]`, iteration — but a
-/// local sync never uses it as a general map: `lreduce` sees its groups
-/// key-ascending, so [`LocalReduceContext::emit_local`] just *appends*;
-/// a pass's state is built once, read many times and retired whole, so
-/// its buffer is handed to the next pass instead of being freed node by
-/// node; and `lmap`, `finalize` and `locally_converged` look keys up in
-/// the order they were stored, so `get` keeps a **search finger** — the
+/// local sync never uses it as a general map: a folding pass's entry
+/// `g` is its group `g`, so its keys are fixed for the map call and the
+/// pass writes the next values in place, array against array; a keyed
+/// pass builds its next state once from its `EmitLocal`s. `lmap`,
+/// `finalize` and `locally_converged` look keys up in the order they
+/// are stored, so `get` keeps a **search finger** over the keys — the
 /// position of the last key found — and tries the entry after it, then
 /// the entry itself, before it falls back to a binary search. The
 /// finger is only ever a proposal: key equality decides every lookup,
@@ -96,49 +101,41 @@ pub const DEFAULT_MAX_LOCAL_ITERATIONS: usize = 10_000;
 /// determinism the bitwise contracts need and a hashed table would not
 /// give.
 pub struct LocalState<K, V> {
-    /// Keys strictly ascending.
-    entries: Vec<(K, V)>,
+    /// Strictly ascending.
+    keys: Vec<K>,
+    /// `values[i]` is stored under `keys[i]`.
+    values: Vec<V>,
     /// Where [`LocalState::get`] last found a key (`usize::MAX` before
     /// the first hit, so the entry "after" it is the first). Publishes
     /// nothing: a stale or torn-looking value is just a bad guess.
     finger: AtomicUsize,
 }
 
-/// `(&K, &V)` view of one entry, for [`LocalState::iter`].
-fn entry_refs<K, V>(entry: &(K, V)) -> (&K, &V) {
-    (&entry.0, &entry.1)
-}
-
 impl<K, V> LocalState<K, V> {
     /// An empty state.
     pub fn new() -> Self {
-        Self::from_sorted(Vec::new())
+        Self::from_sorted(Vec::new(), Vec::new())
     }
 
-    /// A state over `entries`, whose keys strictly ascend.
-    fn from_sorted(entries: Vec<(K, V)>) -> Self {
-        LocalState { entries, finger: AtomicUsize::new(usize::MAX) }
+    /// A state storing `values[i]` under `keys[i]`; the keys strictly
+    /// ascend.
+    fn from_sorted(keys: Vec<K>, values: Vec<V>) -> Self {
+        LocalState { keys, values, finger: AtomicUsize::new(usize::MAX) }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// Whether the state has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
     }
 
     /// The entries as `(&key, &value)`, keys ascending.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.into_iter()
-    }
-
-    /// The backing buffer, emptied, for the next pass to fill.
-    fn into_buffer(mut self) -> Vec<(K, V)> {
-        self.entries.clear();
-        self.entries
     }
 }
 
@@ -148,26 +145,27 @@ impl<K: Ord, V> LocalState<K, V> {
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
         let finger = self.finger.load(Ordering::Relaxed);
-        let holds = |at: usize| self.entries.get(at).is_some_and(|(k, _)| k == key);
+        let holds = |at: usize| self.keys.get(at) == Some(key);
         let at = if holds(finger.wrapping_add(1)) {
             finger.wrapping_add(1)
         } else if holds(finger) {
             finger
         } else {
-            self.entries.binary_search_by(|(k, _)| k.cmp(key)).ok()?
+            self.keys.binary_search(key).ok()?
         };
         self.finger.store(at, Ordering::Relaxed);
-        Some(&self.entries[at].1)
+        Some(&self.values[at])
     }
 
     /// Stores `value` under `key`, returning the value it replaces.
     /// `O(len)` for a new key — bulk writes go through
     /// [`LocalReduceContext::emit_local`] or `collect()`.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        match self.entries.binary_search_by(|(k, _)| k.cmp(&key)) {
-            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, value)),
+        match self.keys.binary_search(&key) {
+            Ok(at) => Some(std::mem::replace(&mut self.values[at], value)),
             Err(at) => {
-                self.entries.insert(at, (key, value));
+                self.keys.insert(at, key);
+                self.values.insert(at, value);
                 None
             }
         }
@@ -190,20 +188,21 @@ impl<K: Ord, V> LocalState<K, V> {
                 same
             });
         }
-        Self::from_sorted(entries)
+        let (keys, values) = entries.into_iter().unzip();
+        Self::from_sorted(keys, values)
     }
 }
 
 impl<K: Clone, V: Clone> Clone for LocalState<K, V> {
     fn clone(&self) -> Self {
-        Self::from_sorted(self.entries.clone())
+        Self::from_sorted(self.keys.clone(), self.values.clone())
     }
 }
 
 /// States are equal when their entries are; the finger is not state.
 impl<K: PartialEq, V: PartialEq> PartialEq for LocalState<K, V> {
     fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
+        self.keys == other.keys && self.values == other.values
     }
 }
 
@@ -236,40 +235,43 @@ impl<K: Ord, V> FromIterator<(K, V)> for LocalState<K, V> {
 
 impl<'a, K, V> IntoIterator for &'a LocalState<K, V> {
     type Item = (&'a K, &'a V);
-    type IntoIter = std::iter::Map<std::slice::Iter<'a, (K, V)>, fn(&'a (K, V)) -> Self::Item>;
+    type IntoIter = std::iter::Zip<std::slice::Iter<'a, K>, std::slice::Iter<'a, V>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter().map(entry_refs)
+        self.keys.iter().zip(&self.values)
     }
 }
 
 /// Context for [`LocalAlgorithm::lmap`] — the paper's
 /// `EmitLocalIntermediate` plus op metering — typed with its algorithm,
 /// whose [fold](LocalAlgorithm::fold) a folding pass calls where each
-/// value is emitted.
+/// value is emitted. It holds the state the pass writes.
 ///
 /// A **keyed** pass buffers its emissions as pairs, and the end of the
 /// pass groups them through the plan the task kept from its last pass
 /// with [`shuffle::group_planned`]: it recognises the key sequence the
 /// plan was recorded from, every key compared, or records a new plan.
 /// Either way the grouped values are what a stable sort of the emitted
-/// pairs gives, and `lreduce` reduces each group.
+/// pairs gives, and `lreduce` reduces each group into a new state.
 ///
-/// A **folding** pass ([`LocalAlgorithm::FOLDS`]) has one accumulator
-/// per entry of the state it reads, keys ascending, and `lmap` names
-/// the group of each value ([`emit_to`](LocalMapContext::emit_to)):
-/// the value is folded straight into that accumulator, and the end of
-/// the pass finishes every group. A group past the last, a keyed
-/// emission in a folding pass and `emit_to` from a keyed algorithm
-/// panic, naming the task and the pass.
+/// A **folding** pass ([`LocalAlgorithm::FOLDS`]) writes a state with
+/// the keys of the one it reads, its values overwritten with each
+/// group's [`init`](LocalAlgorithm::init): `lmap` names the group of
+/// each value ([`emit_to`](LocalMapContext::emit_to),
+/// [`emit_to_each`](LocalMapContext::emit_to_each)), the value is folded
+/// straight into that group's slot, and the end of the pass finishes
+/// every slot in place. A group past the last, a keyed emission in a
+/// folding pass and a group named by a keyed algorithm panic, naming
+/// the task and the pass.
 #[derive(Debug)]
 pub struct LocalMapContext<L: LocalAlgorithm> {
     /// Keyed: the plan kept from pass to pass.
     plan: GroupPlan<L::Key>,
     /// Keyed: the pass's emissions, in order.
     pairs: Vec<(L::Key, L::Value)>,
-    /// Folding: the accumulator of each group, state entry by entry.
-    accs: Vec<L::Value>,
+    /// The state the pass writes; folding, its values are the groups'
+    /// accumulators.
+    next: LocalState<L::Key, L::Value>,
     /// The map task and its pass index, for the panics.
     task: usize,
     pass: usize,
@@ -277,15 +279,19 @@ pub struct LocalMapContext<L: LocalAlgorithm> {
 }
 
 impl<L: LocalAlgorithm> LocalMapContext<L> {
-    /// A context for the passes of task `task`.
-    fn new(task: usize) -> Self {
-        let (plan, pairs, accs) = (GroupPlan::default(), Vec::new(), Vec::new());
-        LocalMapContext { plan, pairs, accs, task, pass: 0, ops: 0 }
+    /// A context for the passes of task `task` over `state`, the first
+    /// state they read: a folding one writes states with its keys, and
+    /// each pass's `begin` fills in their values.
+    fn new(task: usize, state: &LocalState<L::Key, L::Value>) -> Self {
+        let keys = if L::FOLDS { state.keys.clone() } else { Vec::new() };
+        let (plan, pairs, next) =
+            (GroupPlan::default(), Vec::new(), LocalState::from_sorted(keys, Vec::new()));
+        LocalMapContext { plan, pairs, next, task, pass: 0, ops: 0 }
     }
 
-    /// Starts pass `pass` over `state`: a folding one with a fresh
-    /// accumulator per entry, a keyed one with room for the plan's
-    /// records.
+    /// Starts pass `pass` over `state`: a folding one by overwriting
+    /// each group's slot with its `init`, a keyed one with room for the
+    /// plan's records.
     fn begin(
         &mut self,
         algo: &L,
@@ -295,9 +301,9 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
     ) {
         (self.pass, self.ops) = (pass, 0);
         if L::FOLDS {
-            let init =
-                |(group, (key, _)): (usize, &(L::Key, L::Value))| algo.init(input, group, key);
-            self.accs.extend(state.entries.iter().enumerate().map(init));
+            let init = |(group, key): (usize, &L::Key)| algo.init(input, group, key);
+            self.next.values.clear();
+            self.next.values.extend(state.keys.iter().enumerate().map(init));
         } else {
             self.pairs = Vec::with_capacity(self.plan.records());
         }
@@ -319,28 +325,50 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
 
     /// The folding pass's `EmitLocalIntermediate`: folds `value` into
     /// the accumulator of group `group` — the pass's state entry
-    /// `group`, keys ascending.
+    /// `group`, keys ascending. One op.
     ///
     /// # Panics
     ///
     /// Past the last group, and in a keyed pass.
     #[inline]
     pub fn emit_to(&mut self, group: usize, value: L::Value) {
-        match self.accs.get_mut(group) {
+        if !L::FOLDS {
+            self.refuse(format_args!("emit_to, but its algorithm does not fold"));
+        }
+        match self.next.values.get_mut(group) {
             Some(acc) => L::fold(acc, value),
-            None if L::FOLDS => {
-                let groups = self.accs.len();
-                self.refuse(format_args!("a value for group {group}, past its {groups} groups"))
-            }
-            None => self.refuse(format_args!("emit_to, but its algorithm does not fold")),
+            None => self.past_the_last(group),
         }
         self.ops += 1;
     }
 
-    /// Meters `n` abstract operations.
+    /// [`emit_to`](Self::emit_to) of a clone of `value` to each of
+    /// `groups`, in order — one value sent along every edge of a list.
+    /// `groups.len()` ops.
+    ///
+    /// # Panics
+    ///
+    /// At a group past the last, and in a keyed pass.
     #[inline]
-    pub fn add_ops(&mut self, n: u64) {
-        self.ops += n;
+    pub fn emit_to_each(&mut self, groups: &[u32], value: L::Value) {
+        if !L::FOLDS {
+            self.refuse(format_args!("emit_to_each, but its algorithm does not fold"));
+        }
+        let accs = &mut self.next.values[..];
+        for &group in groups {
+            match accs.get_mut(group as usize) {
+                Some(acc) => L::fold(acc, value.clone()),
+                None => self.past_the_last(group as usize),
+            }
+        }
+        self.ops += groups.len() as u64;
+    }
+
+    /// Refuses a value for `group`, past the last group.
+    #[cold]
+    #[inline(never)]
+    fn past_the_last(&self, group: usize) -> ! {
+        self.refuse(format_args!("a value for group {group}, past its {} groups", self.next.len()))
     }
 
     /// Panics for a pass that broke its contract: `what` it did, and
@@ -351,12 +379,19 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
         panic!("local sync of task {}, pass {}: {what}", self.task, self.pass)
     }
 
-    /// Ends the pass over `state`: reduces each group, keys ascending,
-    /// into `rctx` — a folding pass finishes its accumulators, a keyed
-    /// one meters its records, groups its pairs in `values'` allocation
-    /// and calls `lreduce` — and returns what became of a keyed pass's
-    /// plan. A keyed pass that emitted nothing has no plan to be on, so
-    /// it never hits.
+    /// Meters `n` abstract operations.
+    #[inline]
+    pub fn add_ops(&mut self, n: u64) {
+        self.ops += n;
+    }
+
+    /// Ends the pass over `state`, leaving the state it wrote in
+    /// `self.next`: a folding pass finishes each group in place, keys
+    /// ascending; a keyed one meters its records, groups its pairs in
+    /// `values'` allocation, calls `lreduce` on each group and builds
+    /// the new state from its `EmitLocal`s. Returns what became of a
+    /// keyed pass's plan; a keyed pass that emitted nothing has no plan
+    /// to be on, so it never hits.
     fn finish(
         &mut self,
         algo: &L,
@@ -364,27 +399,29 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
         input: &L::Input,
         state: &LocalState<L::Key, L::Value>,
         values: &mut Vec<L::Value>,
-        rctx: &mut LocalReduceContext<L::Key, L::Value>,
     ) -> Option<PlanOutcome> {
         if L::FOLDS {
-            let groups = state.entries.iter().zip(self.accs.drain(..));
+            let groups = state.keys.iter().zip(&state.values).zip(&mut self.next.values);
             for (group, ((key, old), acc)) in groups.enumerate() {
-                algo.finish(input, group, key, old, acc, rctx);
+                algo.finish(input, group, key, old, acc);
             }
             return None;
         }
         self.ops += self.pairs.len() as u64;
+        let mut rctx = LocalReduceContext { emitted: Vec::new(), ops: 0 };
         let (pairs, sort) = (vec![std::mem::take(&mut self.pairs).into()], GroupingStrategy::Sort);
-        let reduce =
-            |g: GroupView<'_, L::Key, L::Value>| algo.lreduce(task, input, g.key, g.values, rctx);
+        let reduce = |g: GroupView<'_, L::Key, L::Value>| {
+            algo.lreduce(task, input, g.key, g.values, &mut rctx)
+        };
         let outcome = shuffle::group_planned(pairs, sort, &mut self.plan, values, reduce).0;
+        self.ops += rctx.ops;
+        self.next = LocalState::from_writes(rctx.emitted);
         Some(if self.plan.records() > 0 { outcome } else { PlanOutcome::Recorded })
     }
 }
 
-/// Context for [`LocalAlgorithm::lreduce`] and a fold's
-/// [`LocalAlgorithm::finish`] — the paper's `EmitLocal` plus op
-/// metering.
+/// Context for a keyed algorithm's [`LocalAlgorithm::lreduce`] — the
+/// paper's `EmitLocal` plus op metering.
 #[derive(Debug)]
 pub struct LocalReduceContext<K, V> {
     /// The next state's entries in emission order.
@@ -393,12 +430,6 @@ pub struct LocalReduceContext<K, V> {
 }
 
 impl<K: Key, V: Value> LocalReduceContext<K, V> {
-    /// A context emitting into a recycled (cleared) buffer.
-    fn reusing(buffer: Vec<(K, V)>) -> Self {
-        debug_assert!(buffer.is_empty());
-        LocalReduceContext { emitted: buffer, ops: 0 }
-    }
-
     /// The paper's `EmitLocal(key, value)`: writes an entry of the new
     /// local state; writing a key again replaces its value. At local
     /// convergence this state becomes the gmap's global emissions;
@@ -441,18 +472,21 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
     /// [`LocalMapContext::emit_local_intermediate`] and whose
     /// [`lreduce`](Self::lreduce) reduces each key group.
     ///
-    /// With `true`, every pass's groups are the entries of the state it
-    /// reads, keys ascending: `lmap` emits each value to the index of
-    /// its group ([`LocalMapContext::emit_to`]), and the algorithm
-    /// writes its `lreduce` as a fold ([`init`](Self::init),
-    /// [`fold`](Self::fold), [`finish`](Self::finish)), which sees a
-    /// group's values in emission order.
+    /// With `true`, the keys of `init_state` are every pass's groups,
+    /// ascending: `lmap` emits each value to the index of its group
+    /// ([`LocalMapContext::emit_to`], [`LocalMapContext::emit_to_each`]),
+    /// and the algorithm writes its `lreduce` as a fold
+    /// ([`init`](Self::init), [`fold`](Self::fold),
+    /// [`finish`](Self::finish)), which sees a group's values in
+    /// emission order and leaves the group's next value in its
+    /// accumulator.
     const FOLDS: bool = false;
 
     /// The paper's `lmap`: processes one element of `xs`, reading the
     /// current hashtable and emitting via
     /// [`LocalMapContext::emit_local_intermediate`] — or, when the
-    /// algorithm [folds](Self::FOLDS), via [`LocalMapContext::emit_to`].
+    /// algorithm [folds](Self::FOLDS), via [`LocalMapContext::emit_to`]
+    /// and [`LocalMapContext::emit_to_each`].
     fn lmap(
         &self,
         task: usize,
@@ -495,21 +529,19 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
     }
 
     /// A folding pass's last step, once per group, keys ascending, the
-    /// groups no value reached included: the group's `EmitLocal`s from
-    /// its accumulator and `old`, its entry's value in the state the
-    /// pass read. The default stores the accumulator under the group's
-    /// key.
+    /// groups no value reached included: turns the group's accumulator
+    /// `acc` into its entry's next value, in place, given `old`, its
+    /// value in the state the pass read. The default does nothing: the
+    /// accumulator is the next value.
     fn finish(
         &self,
         input: &Self::Input,
         group: usize,
         key: &Self::Key,
         old: &Self::Value,
-        acc: Self::Value,
-        ctx: &mut LocalReduceContext<Self::Key, Self::Value>,
+        acc: &mut Self::Value,
     ) {
-        let _ = (input, group, old);
-        ctx.emit_local(key.clone(), acc);
+        let _ = (input, group, key, old, acc);
     }
 
     /// Local termination test ("no-local-convergence-intimated").
@@ -595,8 +627,8 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
         ctx.meter.set_input_bytes(input_bytes);
         let items = self.algo.items(input);
 
-        let mut lctx = LocalMapContext::new(task);
-        let (mut values, mut retired) = (Vec::new(), Vec::new());
+        let mut lctx = LocalMapContext::new(task, &state);
+        let mut values = Vec::new();
         for pass in 0..max_passes {
             // Local map phase over every element of xs.
             lctx.begin(&self.algo, input, &state, pass);
@@ -606,18 +638,15 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
             // Partial synchronization: locally reduce. This barrier is
             // *within* the task — other partitions are already running
             // their next local iteration (eager scheduling).
-            let mut rctx = LocalReduceContext::reusing(retired);
-            if let Some(outcome) =
-                lctx.finish(&self.algo, task, input, &state, &mut values, &mut rctx)
-            {
+            if let Some(outcome) = lctx.finish(&self.algo, task, input, &state, &mut values) {
                 ctx.local_use.count(outcome);
             }
-            let new_state = LocalState::from_writes(rctx.emitted);
-            ctx.meter.add_ops(lctx.ops + rctx.ops);
+            ctx.meter.add_ops(lctx.ops);
             ctx.meter.add_local_sync();
 
-            let done = self.algo.locally_converged(&state, &new_state);
-            retired = std::mem::replace(&mut state, new_state).into_buffer();
+            let done = self.algo.locally_converged(&state, &lctx.next);
+            // The written state is read next; the read one is written.
+            std::mem::swap(&mut state, &mut lctx.next);
             if done {
                 break;
             }
@@ -953,7 +982,7 @@ pub(crate) mod tests {
         ) {
             let value = state[item] + 1;
             if F {
-                let group = state.entries.binary_search_by_key(item, |(k, _)| *k);
+                let group = state.keys.binary_search(item);
                 ctx.emit_to(group.expect("every item is a key of the state"), value);
             } else {
                 ctx.emit_local_intermediate(*item, value);

@@ -20,9 +20,11 @@
 //! * folding passes, whose values name their group — an entry of the
 //!   state — and fold into it as they are emitted, equal keyed passes
 //!   and that loop (a group no value reached finishes from its `init`
-//!   and its old value, as the loop's carry-forward keeps it), and a
-//!   pass that breaks its context's contract panics naming its task and
-//!   pass, dropping every value it made exactly once.
+//!   and its old value, as the loop's carry-forward keeps it), one
+//!   value sent along a list of groups (`emit_to_each`) equals an
+//!   `emit_to` per group, and a pass that breaks its context's contract
+//!   panics naming its task and pass, dropping every value it made
+//!   exactly once.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -33,7 +35,7 @@ use std::sync::Mutex;
 
 use asyncmr_core::prelude::*;
 use asyncmr_core::shuffle;
-use asyncmr_core::{JobReuse, PlanUse};
+use asyncmr_core::{JobReuse, PlanUse, TaskMeter};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------- (a)
@@ -331,8 +333,8 @@ trait Spec: Send + Sync {
     fn max_passes(&self) -> usize;
     /// `lreduce` as a fold, for a spec that can fold (its every emission
     /// names a key of the state it read): a group's start, each value
-    /// folded in, and its emissions from the result and the entry's old
-    /// value; `finish` returns the ops it meters.
+    /// folded in, and its entry's next value made in place from the
+    /// result and its old value.
     fn start(&self, key: &Self::Key) -> Self::Value {
         let _ = key;
         unimplemented!("a keyed spec")
@@ -341,14 +343,8 @@ trait Spec: Send + Sync {
         let _ = (acc, value);
         unimplemented!("a keyed spec")
     }
-    fn finish(
-        &self,
-        key: &Self::Key,
-        old: &Self::Value,
-        acc: Self::Value,
-        emit: &mut dyn FnMut(Self::Key, Self::Value),
-    ) -> u64 {
-        let _ = (key, old, acc, emit);
+    fn finish(&self, old: &Self::Value, acc: &mut Self::Value) {
+        let _ = (old, acc);
         unimplemented!("a keyed spec")
     }
 }
@@ -463,13 +459,11 @@ impl<S: Spec, const F: bool> LocalAlgorithm for Framework<S, F> {
         &self,
         _input: &Self::Input,
         _group: usize,
-        key: &S::Key,
+        _key: &S::Key,
         old: &S::Value,
-        acc: S::Value,
-        ctx: &mut LocalReduceContext<S::Key, S::Value>,
+        acc: &mut S::Value,
     ) {
-        let ops = self.0.finish(key, old, acc, &mut |k, v| ctx.emit_local(k, v));
-        ctx.add_ops(ops);
+        self.0.finish(old, acc);
     }
     fn locally_converged(
         &self,
@@ -587,9 +581,10 @@ impl Spec for CarryForward {
     fn fold(acc: &mut u64, value: u64) {
         *acc = (*acc).max(value);
     }
-    fn finish(&self, key: &u32, old: &u64, acc: u64, emit: &mut dyn FnMut(u32, u64)) -> u64 {
-        emit(*key, if acc == 0 { *old } else { acc });
-        0
+    fn finish(&self, old: &u64, acc: &mut u64) {
+        if *acc == 0 {
+            *acc = *old;
+        }
     }
 }
 
@@ -1035,9 +1030,8 @@ impl<F: Flavor> Spec for Flow<F> {
     fn fold(acc: &mut F::V, value: F::V) {
         *acc = F::value(F::raw(acc).wrapping_mul(31).wrapping_add(F::raw(&value)));
     }
-    fn finish(&self, key: &F::K, _old: &F::V, acc: F::V, emit: &mut dyn FnMut(F::K, F::V)) -> u64 {
-        emit(key.clone(), F::value(F::raw(&acc) % 1_000));
-        0
+    fn finish(&self, _old: &F::V, acc: &mut F::V) {
+        *acc = F::value(F::raw(acc) % 1_000);
     }
 }
 
@@ -1134,10 +1128,15 @@ proptest! {
 enum Lie {
     /// Folding: a value for the group after the last.
     PastTheLast,
+    /// Folding: one value for group 0, then for the group after the
+    /// last, through `emit_to_each`.
+    EachPastTheLast,
     /// Folding: a keyed emission.
     Keyed,
     /// Keyed: a value sent to a group.
     Unfolded,
+    /// Keyed: a value sent along a list of groups.
+    EachUnfolded,
     /// Folding: no value for group 0 — no breach: it finishes from its
     /// `init`.
     Missing,
@@ -1183,17 +1182,23 @@ impl<const F: bool> LocalAlgorithm for Liar<F> {
         let pass = state[&Self::CLOCK].x;
         let (key, value) = if j == self.records { (Self::CLOCK, pass + 1) } else { (j, 7) };
         // Key `j`'s group is entry `j`; the clock's is the last.
+        let past = j as usize + state.len();
         match (self.lie, pass == self.at && j == 0) {
-            (Lie::PastTheLast, true) => ctx.emit_to(j as usize + state.len(), Tracked::new(value)),
-            (Lie::Keyed | Lie::Unfolded, true) => {
+            (Lie::PastTheLast, true) => ctx.emit_to(past, Tracked::new(value)),
+            (Lie::EachPastTheLast, true) => {
+                ctx.emit_to_each(&[j, past as u32], Tracked::new(value))
+            }
+            (Lie::Keyed | Lie::Unfolded | Lie::EachUnfolded, true) => {
                 ctx.emit_local_intermediate(key, Tracked::new(value))
             }
             (Lie::Missing, true) => {}
             _ if F => ctx.emit_to(j as usize, Tracked::new(value)),
             _ => ctx.emit_local_intermediate(key, Tracked::new(value)),
         }
-        if self.lie == Lie::Unfolded && pass == self.at && j == 0 {
-            ctx.emit_to(0, Tracked::new(value));
+        match (self.lie, pass == self.at && j == 0) {
+            (Lie::Unfolded, true) => ctx.emit_to(0, Tracked::new(value)),
+            (Lie::EachUnfolded, true) => ctx.emit_to_each(&[], Tracked::new(value)),
+            _ => {}
         }
     }
     fn lreduce(
@@ -1259,10 +1264,13 @@ proptest! {
         let groups = records as usize + 1;
         let past = format!("a value for group {groups}, past its {groups} groups");
         assert_refused(Liar::<true> { records, lie: Lie::PastTheLast, at }, task, &past);
+        assert_refused(Liar::<true> { records, lie: Lie::EachPastTheLast, at }, task, &past);
         let keyed = "a keyed emission in a folding pass";
         assert_refused(Liar::<true> { records, lie: Lie::Keyed, at }, task, keyed);
         let unfolded = "emit_to, but its algorithm does not fold";
         assert_refused(Liar::<false> { records, lie: Lie::Unfolded, at }, task, unfolded);
+        let unfolded = "emit_to_each, but its algorithm does not fold";
+        assert_refused(Liar::<false> { records, lie: Lie::EachUnfolded, at }, task, unfolded);
 
         // A group no value reached finishes from its `init`: the pass
         // goes on, and the next one rewrites it.
@@ -1276,4 +1284,100 @@ proptest! {
         drop(pairs);
         prop_assert!(DROPS.with_borrow(|drops| drops.iter().all(|&d| d == 1)));
     }
+}
+
+/// Item `(x, groups)` sends one value — `x` mixed with the state's entry
+/// `x mod n` — to each of its groups, in order: through one
+/// `emit_to_each` (`Spray<true>`) or an `emit_to` per group. The fold
+/// hashes a group's values in order, so the order counts as well as
+/// the values. Three passes, never converged.
+struct Spray<const EACH: bool>;
+
+/// `n` groups, and the items.
+type SprayInput = (u32, Vec<(u32, Vec<u32>)>);
+
+impl<const E: bool> Spray<E> {
+    /// One map call: its pairs and its meter.
+    fn run(input: &SprayInput) -> (Vec<(u32, u64)>, TaskMeter) {
+        let mut ctx = MapContext::default();
+        EagerMapper::new(Spray::<E>).map(0, input, &mut ctx);
+        let (pairs, meter, _, _) = ctx.finish();
+        (pairs, meter)
+    }
+}
+
+impl<const E: bool> LocalAlgorithm for Spray<E> {
+    type Input = SprayInput;
+    type Item = (u32, Vec<u32>);
+    type Key = u32;
+    type Value = u64;
+    const FOLDS: bool = true;
+
+    fn items<'a>(&self, input: &'a SprayInput) -> &'a [(u32, Vec<u32>)] {
+        &input.1
+    }
+    fn init_state(&self, _t: usize, input: &SprayInput) -> Vec<(u32, u64)> {
+        (0..input.0).map(|k| (k, u64::from(k) * 3 + 1)).collect()
+    }
+    fn lmap(
+        &self,
+        _t: usize,
+        input: &SprayInput,
+        (x, groups): &(u32, Vec<u32>),
+        state: &LocalState<u32, u64>,
+        ctx: &mut LocalMapContext<Self>,
+    ) {
+        let value = state[&(x % input.0)] * 7 + u64::from(*x);
+        if E {
+            ctx.emit_to_each(groups, value);
+        } else {
+            for &group in groups {
+                ctx.emit_to(group as usize, value);
+            }
+        }
+    }
+    fn init(&self, _input: &SprayInput, group: usize, _key: &u32) -> u64 {
+        11 + group as u64
+    }
+    fn fold(acc: &mut u64, value: u64) {
+        *acc = acc.wrapping_mul(31).wrapping_add(value);
+    }
+    fn finish(&self, _input: &SprayInput, _group: usize, _key: &u32, _old: &u64, acc: &mut u64) {
+        *acc %= 1_000_003;
+    }
+    fn locally_converged(&self, _old: &LocalState<u32, u64>, _new: &LocalState<u32, u64>) -> bool {
+        false
+    }
+    fn max_local_iterations(&self) -> usize {
+        3
+    }
+}
+
+/// `n` groups, and items whose group lists repeat groups, run in any
+/// order and are often empty.
+fn spray_inputs() -> impl Strategy<Value = SprayInput> {
+    (1u32..12).prop_flat_map(|n| {
+        let item = (any::<u32>(), proptest::collection::vec(0..n, 0..6));
+        (Just(n), proptest::collection::vec(item, 0..10))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One value along a list of groups is an `emit_to` per group: the
+    /// same accumulators — so the same states and pairs — and the same
+    /// ops, an empty list included.
+    #[test]
+    fn emit_to_each_equals_an_emit_to_per_group(input in spray_inputs()) {
+        prop_assert_eq!(Spray::<true>::run(&input), Spray::<false>::run(&input));
+    }
+}
+
+#[test]
+fn emit_to_each_of_no_group_folds_nothing_and_meters_nothing() {
+    let input = (2, vec![(0, vec![]), (1, vec![1, 1]), (5, vec![])]);
+    let (each, one_by_one) = (Spray::<true>::run(&input), Spray::<false>::run(&input));
+    assert_eq!(each, one_by_one);
+    assert_eq!(each.1.ops(), 3 * 2, "two sends a pass, three passes");
 }

@@ -218,16 +218,8 @@ impl LocalAlgorithm for RingMax {
     fn fold(acc: &mut u64, value: u64) {
         *acc = (*acc).max(value);
     }
-    fn finish(
-        &self,
-        _split: &Vec<u32>,
-        _group: usize,
-        key: &u32,
-        old: &u64,
-        acc: u64,
-        ctx: &mut LocalReduceContext<u32, u64>,
-    ) {
-        ctx.emit_local(*key, acc.max(*old));
+    fn finish(&self, _split: &Vec<u32>, _group: usize, _key: &u32, old: &u64, acc: &mut u64) {
+        *acc = (*acc).max(*old);
     }
     fn locally_converged(&self, old: &LocalState<u32, u64>, new: &LocalState<u32, u64>) -> bool {
         old == new
