@@ -30,8 +30,6 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         input.part.nodes.iter().zip(&input.labels).map(|(&v, &l)| (v, l)).collect()
     }
 
-    const FOLDS: bool = true;
-
     #[inline]
     fn lmap(
         &self,

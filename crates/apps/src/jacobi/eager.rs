@@ -34,8 +34,6 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         input.part.nodes.iter().zip(&input.x).map(|(&v, &xv)| (v, JMsg::Contrib(xv))).collect()
     }
 
-    const FOLDS: bool = true;
-
     #[inline]
     fn lmap(
         &self,

@@ -51,8 +51,6 @@ impl LocalAlgorithm for KmLocalAlgorithm {
     type Key = u32; // input-centroid id
     type Value = ClusterUpdate;
 
-    const FOLDS: bool = true;
-
     fn items<'a>(&self, input: &'a KmGeneralInput) -> &'a [u32] {
         &input.indices
     }

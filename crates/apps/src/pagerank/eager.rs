@@ -73,8 +73,6 @@ impl LocalAlgorithm for PrLocalAlgorithm {
             .collect()
     }
 
-    const FOLDS: bool = true;
-
     #[inline]
     fn lmap(
         &self,

@@ -39,8 +39,6 @@ impl LocalAlgorithm for SpLocalAlgorithm {
         input.part.nodes.iter().zip(&input.dists).map(|(&v, &d)| (v, d)).collect()
     }
 
-    const FOLDS: bool = true;
-
     #[inline]
     fn lmap(
         &self,

@@ -2,24 +2,25 @@
 //! apps — PageRank, Jacobi, Connected Components, SSSP and K-Means — to
 //! the keyed passes they replaced.
 //!
-//! Each app's groups are its local state's entries (`FOLDS`): its
-//! `lmap` emits each value to its group — a graph app's local target
-//! `lt`, K-Means's nearest centroid — and the value is folded into that
-//! group's accumulator as it is emitted. The keyed `lmap` and `lreduce`
-//! each app ran before — every key handed to `emit_local_intermediate`,
-//! every group reduced once the pass has grouped its pairs — are kept
-//! here as the oracle ([`Keyed`]), behind the app's own `init_state`,
-//! convergence test and `finalize`. K-Means's oracle also keeps the
+//! Each app's groups are its local state's entries: its `lmap` emits
+//! each value to its group — a graph app's local target `lt`, K-Means's
+//! nearest centroid — and the value is folded into that group's
+//! accumulator as it is emitted. The reference ([`KeyedPass`]) is a
+//! global map of its own that shares no code with `EagerMapper`: a
+//! `BTreeMap` state, each pass's emitted pairs grouped by
+//! `shuffle::group`, and the keyed `lmap` and `lreduce` each app ran
+//! before it folded, kept here as plain functions that emit through a
+//! closure. Only the app's `init_state`, convergence test and
+//! `finalize` are the app's own. K-Means's reference also keeps the
 //! carry its after-reduce hook made, before the framework dropped that
-//! hook: a centroid no point chose keeps its place ([`CarriedKMeans`]). Folding and keyed runs must agree
-//! bitwise (`f64`s are compared by their bits) on:
+//! hook: a centroid no point chose keeps its place. Folding and keyed
+//! runs must agree bitwise (`f64`s are compared by their bits) on:
 //!
 //! * every map task's emissions, `TaskMeter`, records and bytes — so
 //!   its final local state, which `finalize` emits;
-//! * a sequence of jobs on one engine: pairs, `JobMeter` and the
-//!   shuffle's `JobReuse` (`route`, `group`, `group_by_identity`) —
-//!   through a job where each task is handed another task's input.
-//!   Only the keyed oracle counts local plan uses.
+//! * a sequence of jobs on one engine: pairs, `JobMeter` and `JobReuse`
+//!   (`route`, `group`, `group_by_identity`) — through a job where each
+//!   task is handed another task's input.
 //!
 //! Every graph carries self-loops, multi-edges, a sink and vertices the
 //! source cannot reach, and every partitioning a partition with no
@@ -27,7 +28,7 @@
 //! point chooses and, with more partitions than points, tasks with no
 //! point at all.
 
-use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -45,340 +46,287 @@ use asyncmr_apps::sssp::eager::SpLocalAlgorithm;
 use asyncmr_apps::sssp::general::{SpGeneralInput, SpMinReducer};
 use asyncmr_apps::GraphPartition;
 use asyncmr_core::prelude::*;
-use asyncmr_core::{JobReuse, PlanUse};
+use asyncmr_core::shuffle;
 use asyncmr_graph::{CsrGraph, NodeId, WeightedGraph};
 use asyncmr_partition::Partitioning;
 use asyncmr_runtime::ThreadPool;
 use proptest::prelude::*;
 
-/// The keyed `lmap` an app ran before it folded.
+/// Where a keyed `lmap` or `lreduce` sends its `(key, value)` pairs.
+type Emit<'a, V> = &'a mut dyn FnMut(NodeId, V);
+
+/// The keyed `lmap` an app ran before it folded: one item over the
+/// current state; returns the ops it meters.
 type KeyedLmap<A> = fn(
     &<A as LocalAlgorithm>::Input,
-    &u32,
-    &LocalState<NodeId, <A as LocalAlgorithm>::Value>,
-    &mut LocalMapContext<Keyed<A>>,
-);
+    u32,
+    &BTreeMap<NodeId, <A as LocalAlgorithm>::Value>,
+    Emit<'_, <A as LocalAlgorithm>::Value>,
+) -> u64;
 
-/// The keyed `lreduce` it ran: one key group into the next state.
-type KeyedLreduce<A> = fn(
+/// The keyed `lreduce` it ran: one key group into the next state;
+/// returns the ops it meters.
+type KeyedReduce<A> = fn(
     &A,
     &<A as LocalAlgorithm>::Input,
     &NodeId,
     &[<A as LocalAlgorithm>::Value],
-    &mut LocalReduceContext<NodeId, <A as LocalAlgorithm>::Value>,
-);
+    Emit<'_, <A as LocalAlgorithm>::Value>,
+) -> u64;
 
-/// `A` as a keyed algorithm, with its old `lmap` and `lreduce`;
-/// everything else is `A`'s own.
-struct Keyed<A: LocalAlgorithm<Item = u32, Key = NodeId>> {
+/// What an entry no value reached becomes in the next state.
+type Carry<A> = fn(&<A as LocalAlgorithm>::Value) -> <A as LocalAlgorithm>::Value;
+
+/// `A`'s keyed local passes as a global map: `A`'s `init_state`,
+/// convergence test, cap and `finalize` around its old `lmap` and
+/// `lreduce`.
+struct KeyedPass<A: LocalAlgorithm<Item = u32, Key = NodeId>> {
     algo: A,
     lmap: KeyedLmap<A>,
-    lreduce: KeyedLreduce<A>,
+    reduce: KeyedReduce<A>,
+    /// `None` drops an entry no value reached. The graph apps' `lmap`
+    /// reaches every entry (its keep-alive).
+    carry: Option<Carry<A>>,
 }
 
-impl<A: LocalAlgorithm<Item = u32, Key = NodeId>> LocalAlgorithm for Keyed<A> {
+impl<A: LocalAlgorithm<Item = u32, Key = NodeId>> KeyedPass<A> {
+    fn new(algo: A, lmap: KeyedLmap<A>, reduce: KeyedReduce<A>) -> Self {
+        KeyedPass { algo, lmap, reduce, carry: None }
+    }
+}
+
+impl<A: LocalAlgorithm<Item = u32, Key = NodeId>> Mapper for KeyedPass<A> {
     type Input = A::Input;
-    type Item = u32;
     type Key = NodeId;
     type Value = A::Value;
 
-    fn items<'a>(&self, input: &'a A::Input) -> &'a [u32] {
-        self.algo.items(input)
-    }
-    fn init_state(&self, task: usize, input: &A::Input) -> Vec<(NodeId, A::Value)> {
-        self.algo.init_state(task, input)
-    }
-    fn lmap(
-        &self,
-        _task: usize,
-        input: &A::Input,
-        item: &u32,
-        state: &LocalState<NodeId, A::Value>,
-        ctx: &mut LocalMapContext<Self>,
-    ) {
-        (self.lmap)(input, item, state, ctx);
-    }
-    fn lreduce(
-        &self,
-        _task: usize,
-        input: &A::Input,
-        key: &NodeId,
-        values: &[A::Value],
-        ctx: &mut LocalReduceContext<NodeId, A::Value>,
-    ) {
-        (self.lreduce)(&self.algo, input, key, values, ctx);
-    }
-    fn locally_converged(
-        &self,
-        old: &LocalState<NodeId, A::Value>,
-        new: &LocalState<NodeId, A::Value>,
-    ) -> bool {
-        self.algo.locally_converged(old, new)
-    }
-    fn max_local_iterations(&self) -> usize {
-        self.algo.max_local_iterations()
-    }
-    fn input_bytes(&self, task: usize, input: &A::Input) -> Option<u64> {
-        self.algo.input_bytes(task, input)
-    }
-    fn finalize(
-        &self,
-        task: usize,
-        input: &A::Input,
-        state: &LocalState<NodeId, A::Value>,
-        ctx: &mut MapContext<NodeId, A::Value>,
-    ) {
-        self.algo.finalize(task, input, state, ctx);
+    fn map(&self, task: usize, input: &A::Input, ctx: &mut MapContext<NodeId, A::Value>) {
+        let algo = &self.algo;
+        let mut state: BTreeMap<NodeId, A::Value> =
+            algo.init_state(task, input).into_iter().collect();
+        let bytes = algo.input_bytes(task, input).unwrap_or_else(|| {
+            state.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum()
+        });
+        ctx.meter.set_input_bytes(bytes);
+        // The app's convergence test and `finalize` read a `LocalState`.
+        let view = |state: &BTreeMap<NodeId, A::Value>| -> LocalState<NodeId, A::Value> {
+            state.iter().map(|(k, v)| (*k, v.clone())).collect()
+        };
+        for _ in 0..algo.max_local_iterations() {
+            let (mut pairs, mut ops) = (Vec::new(), 0);
+            for &item in algo.items(input) {
+                ops += (self.lmap)(input, item, &state, &mut |k, v| pairs.push((k, v)));
+            }
+            ops += pairs.len() as u64; // the framework's op a record
+            let mut next = BTreeMap::new();
+            for (key, values) in shuffle::group(pairs) {
+                ops += (self.reduce)(algo, input, &key, &values, &mut |k, v| {
+                    next.insert(k, v);
+                });
+            }
+            if let Some(carry) = self.carry {
+                for (key, old) in &state {
+                    next.entry(*key).or_insert_with(|| carry(old));
+                }
+            }
+            ctx.meter.add_ops(ops);
+            ctx.meter.add_local_sync();
+            let done = algo.locally_converged(&view(&state), &view(&next));
+            state = next;
+            if done {
+                break;
+            }
+        }
+        algo.finalize(task, input, &view(&state), ctx);
     }
 }
 
 /// Eager PageRank's keyed `lmap`.
 fn pr_lmap(
     input: &PrEagerInput,
-    &li: &u32,
-    state: &LocalState<NodeId, PrMsg>,
-    ctx: &mut LocalMapContext<Keyed<PrLocalAlgorithm>>,
-) {
+    li: u32,
+    state: &BTreeMap<NodeId, PrMsg>,
+    emit: Emit<'_, PrMsg>,
+) -> u64 {
     let part = &input.part;
     let v = part.nodes[li as usize];
-    let Some(PrMsg::Contrib(rank)) = state.get(&v) else {
+    let PrMsg::Contrib(rank) = state[&v] else {
         unreachable!("state always holds the vertex rank");
     };
-    ctx.emit_local_intermediate(v, PrMsg::Contrib(0.0));
-    let deg = part.out_degree[li as usize];
-    ctx.add_ops(1 + part.internal_degree(li) as u64);
+    emit(v, PrMsg::Contrib(0.0));
+    let (deg, ops) = (part.out_degree[li as usize], 1 + part.internal_degree(li) as u64);
     if deg == 0 {
-        return;
+        return ops;
     }
     let c = rank / deg as f64;
     for (lt, _) in part.internal_edges(li) {
-        ctx.emit_local_intermediate(part.nodes[lt as usize], PrMsg::Contrib(c));
+        emit(part.nodes[lt as usize], PrMsg::Contrib(c));
     }
+    ops
 }
 
 /// Eager PageRank's keyed `lreduce`: the frozen remote sum plus the
 /// contributions, through Eq. 1.
-fn pr_lreduce(
+fn pr_reduce(
     algo: &PrLocalAlgorithm,
     input: &PrEagerInput,
     v: &NodeId,
     values: &[PrMsg],
-    ctx: &mut LocalReduceContext<NodeId, PrMsg>,
-) {
+    emit: Emit<'_, PrMsg>,
+) -> u64 {
     let mut sum = input.remote_in[*v as usize];
     for value in values {
         let PrMsg::Contrib(c) = value else { unreachable!("lmap sends contributions") };
         sum += c;
     }
-    ctx.add_ops(values.len() as u64);
-    ctx.emit_local(*v, PrMsg::Contrib(algo.rule.rank(sum)));
+    emit(*v, PrMsg::Contrib(algo.rule.rank(sum)));
+    values.len() as u64
 }
 
 /// Eager Jacobi's keyed `lmap`.
 fn jacobi_lmap(
     input: &JacobiInput,
-    &li: &u32,
-    state: &LocalState<NodeId, JMsg>,
-    ctx: &mut LocalMapContext<Keyed<JacobiLocalAlgorithm>>,
-) {
+    li: u32,
+    state: &BTreeMap<NodeId, JMsg>,
+    emit: Emit<'_, JMsg>,
+) -> u64 {
     let part = &input.part;
     let v = part.nodes[li as usize];
     let JMsg::Contrib(xv) = state[&v] else {
         unreachable!("state stores Contrib(x)");
     };
-    ctx.emit_local_intermediate(v, JMsg::Contrib(0.0));
-    ctx.add_ops(1 + part.internal_degree(li) as u64);
+    emit(v, JMsg::Contrib(0.0));
     for (lt, _) in part.internal_edges(li) {
-        ctx.emit_local_intermediate(part.nodes[lt as usize], JMsg::Contrib(xv));
+        emit(part.nodes[lt as usize], JMsg::Contrib(xv));
     }
+    1 + part.internal_degree(li) as u64
 }
 
 /// Eager Jacobi's keyed `lreduce`: the frozen remote sum plus the
 /// neighbour values, through the point update.
-fn jacobi_lreduce(
+fn jacobi_reduce(
     _algo: &JacobiLocalAlgorithm,
     input: &JacobiInput,
     v: &NodeId,
     values: &[JMsg],
-    ctx: &mut LocalReduceContext<NodeId, JMsg>,
-) {
+    emit: Emit<'_, JMsg>,
+) -> u64 {
     let li = input.part.nodes.binary_search(v).expect("lmap emits owned vertices only");
     let mut sum = input.remote_in[li];
     for value in values {
         let JMsg::Contrib(c) = value else { unreachable!("lmap sends neighbour values") };
         sum += c;
     }
-    ctx.add_ops(values.len() as u64);
-    ctx.emit_local(*v, JMsg::Contrib(update(input.b[li], sum, input.diag[li])));
+    emit(*v, JMsg::Contrib(update(input.b[li], sum, input.diag[li])));
+    values.len() as u64
 }
 
 /// Eager Connected Components' keyed `lmap`.
 fn cc_lmap(
     input: &CcGeneralInput,
-    &li: &u32,
-    state: &LocalState<NodeId, NodeId>,
-    ctx: &mut LocalMapContext<Keyed<CcLocalAlgorithm>>,
-) {
+    li: u32,
+    state: &BTreeMap<NodeId, NodeId>,
+    emit: Emit<'_, NodeId>,
+) -> u64 {
     let part = &input.part;
     let v = part.nodes[li as usize];
     let label = state[&v];
-    ctx.emit_local_intermediate(v, label);
-    ctx.add_ops(1 + part.internal_degree(li) as u64);
+    emit(v, label);
     for (lt, _) in part.internal_edges(li) {
-        ctx.emit_local_intermediate(part.nodes[lt as usize], label);
+        emit(part.nodes[lt as usize], label);
     }
+    1 + part.internal_degree(li) as u64
 }
 
 /// Eager Connected Components' keyed `lreduce`: the smallest label.
-fn cc_lreduce(
+fn cc_reduce(
     _algo: &CcLocalAlgorithm,
     _input: &CcGeneralInput,
     v: &NodeId,
     labels: &[NodeId],
-    ctx: &mut LocalReduceContext<NodeId, NodeId>,
-) {
-    ctx.add_ops(labels.len() as u64);
-    ctx.emit_local(*v, labels.iter().copied().fold(NodeId::MAX, NodeId::min));
+    emit: Emit<'_, NodeId>,
+) -> u64 {
+    emit(*v, labels.iter().copied().fold(NodeId::MAX, NodeId::min));
+    labels.len() as u64
 }
 
 /// Eager SSSP's keyed `lmap`: an unreached vertex proposes only itself.
 fn sssp_lmap(
     input: &SpGeneralInput,
-    &li: &u32,
-    state: &LocalState<NodeId, f64>,
-    ctx: &mut LocalMapContext<Keyed<SpLocalAlgorithm>>,
-) {
+    li: u32,
+    state: &BTreeMap<NodeId, f64>,
+    emit: Emit<'_, f64>,
+) -> u64 {
     let part = &input.part;
     let v = part.nodes[li as usize];
     let d = state[&v];
-    ctx.emit_local_intermediate(v, d);
-    ctx.add_ops(1);
+    emit(v, d);
     if !d.is_finite() {
-        return;
+        return 1;
     }
-    ctx.add_ops(part.internal_degree(li) as u64);
     for (lt, w) in part.internal_edges(li) {
-        ctx.emit_local_intermediate(part.nodes[lt as usize], d + w);
+        emit(part.nodes[lt as usize], d + w);
     }
+    1 + part.internal_degree(li) as u64
 }
 
 /// Eager SSSP's keyed `lreduce`: the shortest proposal.
-fn sssp_lreduce(
+fn sssp_reduce(
     _algo: &SpLocalAlgorithm,
     _input: &SpGeneralInput,
     v: &NodeId,
     proposals: &[f64],
-    ctx: &mut LocalReduceContext<NodeId, f64>,
-) {
-    ctx.add_ops(proposals.len() as u64);
-    ctx.emit_local(*v, proposals.iter().copied().fold(f64::INFINITY, f64::min));
+    emit: Emit<'_, f64>,
+) -> u64 {
+    emit(*v, proposals.iter().copied().fold(f64::INFINITY, f64::min));
+    proposals.len() as u64
 }
 
-thread_local! {
-    /// The state [`CarriedKMeans`]'s map call on this thread would hold
-    /// had every pass carried its unchosen centroids forward. A map
-    /// call runs on the thread that starts it.
-    static CARRIED: RefCell<Vec<(u32, ClusterUpdate)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Eager K-Means as it ran keyed: `lmap` emits each point under its
-/// nearest centroid's id, `lreduce` takes each chosen centroid's mean,
-/// and the hook it had after each `lreduce` carried every centroid no
-/// point chose forward, in place, with count 0. The hook is gone from
-/// the framework, so the carried state is kept beside the framework's
-/// ([`CARRIED`]): `lmap`, the convergence test and `finalize` read it.
-struct CarriedKMeans(KmLocalAlgorithm);
-
-impl CarriedKMeans {
-    fn carried() -> LocalState<u32, ClusterUpdate> {
-        CARRIED.with_borrow(|carried| carried.iter().cloned().collect())
-    }
-}
-
-impl LocalAlgorithm for CarriedKMeans {
-    type Input = KmGeneralInput;
-    type Item = u32;
-    type Key = u32;
-    type Value = ClusterUpdate;
-
-    fn items<'a>(&self, input: &'a KmGeneralInput) -> &'a [u32] {
-        self.0.items(input)
-    }
-    fn init_state(&self, task: usize, input: &KmGeneralInput) -> Vec<(u32, ClusterUpdate)> {
-        let state = self.0.init_state(task, input);
-        CARRIED.set(state.clone());
-        state
-    }
-    fn lmap(
-        &self,
-        _task: usize,
-        input: &KmGeneralInput,
-        &i: &u32,
-        _state: &LocalState<u32, ClusterUpdate>,
-        ctx: &mut LocalMapContext<Self>,
-    ) {
-        let point = &input.points[i as usize];
-        let (k, best) = CARRIED.with_borrow(|carried| {
-            let mut best = (0, f64::INFINITY);
-            for (cid, (centroid, _)) in carried {
-                let d = dist2(point, centroid);
-                if d < best.1 {
-                    best = (*cid, d);
-                }
-            }
-            (carried.len(), best.0)
-        });
-        ctx.add_ops((k * point.len()) as u64);
-        ctx.emit_local_intermediate(best, (point.clone(), 1));
-    }
-    fn lreduce(
-        &self,
-        _task: usize,
-        _input: &KmGeneralInput,
-        cid: &u32,
-        members: &[ClusterUpdate],
-        ctx: &mut LocalReduceContext<u32, ClusterUpdate>,
-    ) {
-        let mut sum = vec![0.0; members[0].0.len()];
-        let mut count = 0;
-        for (point, c) in members {
-            sum.iter_mut().zip(point).for_each(|(s, x)| *s += x);
-            count += c;
+/// Eager K-Means's keyed `lmap`: each point under its nearest
+/// centroid's id, over every centroid of the state, unchosen ones
+/// included.
+fn kmeans_lmap(
+    input: &KmGeneralInput,
+    i: u32,
+    state: &BTreeMap<u32, ClusterUpdate>,
+    emit: Emit<'_, ClusterUpdate>,
+) -> u64 {
+    let point = &input.points[i as usize];
+    let mut best = (0, f64::INFINITY);
+    for (cid, (centroid, _)) in state {
+        let d = dist2(point, centroid);
+        if d < best.1 {
+            best = (*cid, d);
         }
-        sum.iter_mut().for_each(|s| *s /= count as f64);
-        ctx.add_ops((members.len() * sum.len()) as u64);
-        ctx.emit_local(*cid, (sum, count));
     }
-    fn locally_converged(
-        &self,
-        _old: &LocalState<u32, ClusterUpdate>,
-        new: &LocalState<u32, ClusterUpdate>,
-    ) -> bool {
-        let old = Self::carried();
-        let mut carried: Vec<(u32, ClusterUpdate)> =
-            new.iter().map(|(cid, update)| (*cid, update.clone())).collect();
-        for (cid, (centroid, _)) in &old {
-            if new.get(cid).is_none() {
-                carried.push((*cid, (centroid.clone(), 0)));
-            }
-        }
-        carried.sort_by_key(|entry| entry.0);
-        let new: LocalState<u32, ClusterUpdate> = carried.iter().cloned().collect();
-        CARRIED.set(carried);
-        self.0.locally_converged(&old, &new)
+    emit(best.0, (point.clone(), 1));
+    (state.len() * point.len()) as u64
+}
+
+/// Eager K-Means's keyed `lreduce`: each chosen centroid's mean.
+fn kmeans_reduce(
+    _algo: &KmLocalAlgorithm,
+    _input: &KmGeneralInput,
+    cid: &u32,
+    members: &[ClusterUpdate],
+    emit: Emit<'_, ClusterUpdate>,
+) -> u64 {
+    let mut sum = vec![0.0; members[0].0.len()];
+    let mut count = 0;
+    for (point, c) in members {
+        sum.iter_mut().zip(point).for_each(|(s, x)| *s += x);
+        count += c;
     }
-    fn input_bytes(&self, task: usize, input: &KmGeneralInput) -> Option<u64> {
-        self.0.input_bytes(task, input)
-    }
-    fn finalize(
-        &self,
-        task: usize,
-        input: &KmGeneralInput,
-        _state: &LocalState<u32, ClusterUpdate>,
-        ctx: &mut MapContext<u32, ClusterUpdate>,
-    ) {
-        self.0.finalize(task, input, &Self::carried(), ctx);
-    }
+    sum.iter_mut().for_each(|s| *s /= count as f64);
+    let ops = (members.len() * sum.len()) as u64;
+    emit(*cid, (sum, count));
+    ops
+}
+
+/// The hook K-Means had after each `lreduce`: a centroid no point
+/// chose keeps its place, with count 0.
+fn kmeans_carry((centroid, _): &ClusterUpdate) -> ClusterUpdate {
+    (centroid.clone(), 0)
 }
 
 /// `main` vertices over `picks` (folded into range) plus a self-loop
@@ -476,11 +424,11 @@ fn pair_bits<V: Bits>(pairs: &[(NodeId, V)]) -> Vec<(NodeId, Vec<u64>)> {
 
 /// One map task of each formulation on every input, task by task:
 /// emissions bitwise, `TaskMeter`, records and bytes equal.
-fn assert_same_tasks<A, B>(folded: &EagerMapper<A>, keyed: &EagerMapper<B>, inputs: &[A::Input])
+fn assert_same_tasks<F, K>(folded: &F, keyed: &K, inputs: &[F::Input])
 where
-    A: LocalAlgorithm<Key = NodeId>,
-    B: LocalAlgorithm<Input = A::Input, Key = NodeId, Value = A::Value>,
-    A::Value: Bits,
+    F: Mapper<Key = NodeId>,
+    K: Mapper<Input = F::Input, Key = NodeId, Value = F::Value>,
+    F::Value: Bits,
 {
     for (task, input) in inputs.iter().enumerate() {
         let mut f = MapContext::default();
@@ -497,17 +445,12 @@ where
 }
 
 /// A sequence of jobs, one engine per formulation: pairs bitwise,
-/// `JobMeter` and the shuffle's plan uses equal job by job; the folding
-/// jobs use no local plan.
-fn assert_same_jobs<A, B, R>(
-    folded: &EagerMapper<A>,
-    keyed: &EagerMapper<B>,
-    reducer: &R,
-    jobs: &[Vec<A::Input>],
-) where
-    A: LocalAlgorithm<Key = NodeId>,
-    B: LocalAlgorithm<Input = A::Input, Key = NodeId, Value = A::Value>,
-    R: Reducer<Key = NodeId, ValueIn = A::Value>,
+/// `JobMeter` and `JobReuse` equal job by job.
+fn assert_same_jobs<F, K, R>(folded: &F, keyed: &K, reducer: &R, jobs: &[Vec<F::Input>])
+where
+    F: Mapper<Key = NodeId>,
+    K: Mapper<Input = F::Input, Key = NodeId, Value = F::Value>,
+    R: Reducer<Key = NodeId, ValueIn = F::Value>,
     R::Out: Bits + Debug,
 {
     let pool = ThreadPool::new(2);
@@ -518,9 +461,7 @@ fn assert_same_jobs<A, B, R>(
         let k = k_engine.run("keyed", inputs, keyed, reducer, &opts);
         assert_eq!(pair_bits(&f.pairs), pair_bits(&k.pairs), "job {job}: pairs");
         assert_eq!(f.meter, k.meter, "job {job}: meter");
-        let shuffle = |r: JobReuse| (r.route, r.group, r.group_by_identity);
-        assert_eq!(shuffle(f.reuse), shuffle(k.reuse), "job {job}: reuse");
-        assert_eq!(f.reuse.local, PlanUse::default(), "job {job}: a fold keeps no plan");
+        assert_eq!(f.reuse, k.reuse, "job {job}: reuse");
     }
 }
 
@@ -636,7 +577,7 @@ proptest! {
         let rule = PageRankConfig::default().rule();
         let algo = PrLocalAlgorithm { rule };
         let folded = EagerMapper::new(algo);
-        let keyed = EagerMapper::new(Keyed { algo, lmap: pr_lmap, lreduce: pr_lreduce });
+        let keyed = KeyedPass::new(algo, pr_lmap, pr_reduce);
         assert_same_tasks(&folded, &keyed, &pr_inputs(&partitions, n, 0));
         let jobs = job_sequence(&partitions, |p, job| pr_inputs(p, n, job));
         assert_same_jobs(&folded, &keyed, &PrEagerReducer { rule }, &jobs);
@@ -647,7 +588,7 @@ proptest! {
         let partitions = GraphPartition::build(&g.to_undirected(), &parts);
         let algo = JacobiLocalAlgorithm { local_tolerance: 1e-9 };
         let folded = EagerMapper::new(algo);
-        let keyed = EagerMapper::new(Keyed { algo, lmap: jacobi_lmap, lreduce: jacobi_lreduce });
+        let keyed = KeyedPass::new(algo, jacobi_lmap, jacobi_reduce);
         assert_same_tasks(&folded, &keyed, &jacobi_inputs(&partitions, 0));
         let jobs = job_sequence(&partitions, jacobi_inputs);
         assert_same_jobs(&folded, &keyed, &JacobiReducer, &jobs);
@@ -657,8 +598,7 @@ proptest! {
     fn declared_cc_equals_its_keyed_lmap((g, parts) in graphs()) {
         let partitions = GraphPartition::build(&g.to_undirected(), &parts);
         let folded = EagerMapper::new(CcLocalAlgorithm);
-        let keyed =
-            EagerMapper::new(Keyed { algo: CcLocalAlgorithm, lmap: cc_lmap, lreduce: cc_lreduce });
+        let keyed = KeyedPass::new(CcLocalAlgorithm, cc_lmap, cc_reduce);
         assert_same_tasks(&folded, &keyed, &cc_inputs(&partitions, 0));
         let jobs = job_sequence(&partitions, cc_inputs);
         assert_same_jobs(&folded, &keyed, &CcMinReducer, &jobs);
@@ -669,8 +609,7 @@ proptest! {
         let wg = WeightedGraph::random_weights(g, 1.0, 10.0, seed);
         let partitions = GraphPartition::build_weighted(&wg, &parts);
         let folded = EagerMapper::new(SpLocalAlgorithm);
-        let keyed =
-            EagerMapper::new(Keyed { algo: SpLocalAlgorithm, lmap: sssp_lmap, lreduce: sssp_lreduce });
+        let keyed = KeyedPass::new(SpLocalAlgorithm, sssp_lmap, sssp_reduce);
         assert_same_tasks(&folded, &keyed, &sssp_inputs(&partitions, 0));
         let jobs = job_sequence(&partitions, sssp_inputs);
         assert_same_jobs(&folded, &keyed, &SpMinReducer, &jobs);
@@ -684,7 +623,8 @@ proptest! {
     ) {
         let points = Arc::new(points);
         let algo = KmLocalAlgorithm { threshold: 1e-3 };
-        let (folded, keyed) = (EagerMapper::new(algo), EagerMapper::new(CarriedKMeans(algo)));
+        let folded = EagerMapper::new(algo);
+        let keyed = KeyedPass { carry: Some(kmeans_carry), ..KeyedPass::new(algo, kmeans_lmap, kmeans_reduce) };
         assert_same_tasks(&folded, &keyed, &kmeans_inputs(&points, parts, &kmeans_centroids(&points, k, 0)));
         let groups: Vec<usize> = (0..parts).collect();
         let jobs = job_sequence(&groups, |order, job| {

@@ -5,7 +5,6 @@
 //! the engine can hand the simulator an exact profile of what the task
 //! actually produced.
 
-use crate::engine::PlanUse;
 use crate::kv::{Key, Value};
 use crate::shuffle::{Bucket, PlanOutcome, RoutePlan, RouteSink};
 
@@ -81,10 +80,6 @@ pub struct MapContext<K, V> {
     bytes: u64,
     /// Work/volume counters for this map task.
     pub meter: TaskMeter,
-    /// What a [`crate::EagerMapper`] task's keyed local syncs did with
-    /// the plan it keeps from pass to pass — reported beside the meter
-    /// (as [`crate::JobReuse::local`]), never in it.
-    pub(crate) local_use: PlanUse,
 }
 
 impl<K: Key, V: Value> Default for MapContext<K, V> {
@@ -103,7 +98,6 @@ pub(crate) struct Routed<K, V> {
     pub(crate) meter: TaskMeter,
     pub(crate) records: u64,
     pub(crate) bytes: u64,
-    pub(crate) local: PlanUse,
 }
 
 impl<K: Key, V: Value> MapContext<K, V> {
@@ -117,7 +111,6 @@ impl<K: Key, V: Value> MapContext<K, V> {
             sink: RouteSink::following(plan, reducers),
             bytes: 0,
             meter: TaskMeter::default(),
-            local_use: PlanUse::default(),
         }
     }
 
@@ -159,10 +152,9 @@ impl<K: Key, V: Value> MapContext<K, V> {
     /// task: the emissions stay where the sink routed them. Also
     /// returns the plan to file for the task's next job.
     pub(crate) fn finish_routed(self) -> (Routed<K, V>, RoutePlan<K>) {
-        let (records, bytes, meter, local) =
-            (self.records(), self.bytes, self.meter, self.local_use);
+        let (records, bytes, meter) = (self.records(), self.bytes, self.meter);
         let (buckets, plan, planned) = self.sink.finish();
-        (Routed { buckets, planned, meter, records, bytes, local }, plan)
+        (Routed { buckets, planned, meter, records, bytes }, plan)
     }
 }
 

@@ -160,7 +160,7 @@ pub struct JobMeter {
 
 /// What became of one kind of remembered plan in one job (see
 /// [`crate::shuffle::PlanOutcome`]): one count per task that consulted
-/// a shuffle plan, or — [`JobReuse::local`] — per local sync.
+/// a shuffle plan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanUse {
     /// Tasks whose input repeated the remembered key sequence.
@@ -175,16 +175,9 @@ impl PlanUse {
         self.hits += u64::from(planned == PlanOutcome::Hit);
         self.misses += u64::from(planned == PlanOutcome::Recorded);
     }
-
-    pub(crate) fn add(&mut self, other: PlanUse) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
 }
 
-/// What one job reused from the jobs its engine ran before it — and,
-/// in [`JobReuse::local`], what keyed local syncs reused from the pass
-/// before them.
+/// What one job reused from the jobs its engine ran before it.
 ///
 /// Reported *beside* [`JobMeter`], never inside it: the meter describes
 /// the job and is identical under every grouping strategy and the
@@ -193,7 +186,9 @@ impl PlanUse {
 /// records a plan, so on a fresh engine the first job of a shape misses
 /// every shuffle plan and, while the tasks' keys repeat, every later
 /// one hits them all: from the second job on, the shuffle's `misses`
-/// are 0 and `group_by_identity` equals `group.hits`.
+/// are 0 and `group_by_identity` equals `group.hits`. Local syncs keep
+/// no plan — an [`crate::EagerMapper`] pass folds each value into its
+/// group's slot — so they count here not at all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobReuse {
     /// Map tasks' [`crate::shuffle::RoutePlan`]s (none are consulted
@@ -206,17 +201,6 @@ pub struct JobReuse {
     /// keys verified where they were emitted — rather than by comparing
     /// keys; the other hits compared at least one bucket key by key.
     pub group_by_identity: u64,
-    /// Keyed local syncs of [`crate::EagerMapper`] tasks, summed over
-    /// the map tasks: passes whose emissions the
-    /// [`crate::shuffle::GroupPlan`] the task kept from its last pass
-    /// recognised (`hits`) and passes it did not — other keys, no plan,
-    /// or no emission at all — each of which records its own
-    /// (`misses`). The plan lives for one map call, so a task whose keys
-    /// repeat records in its first pass of every job. A folding
-    /// algorithm ([`crate::LocalAlgorithm::FOLDS`]) groups by its
-    /// state's entries and keeps no plan: its local syncs count here
-    /// not at all.
-    pub local: PlanUse,
 }
 
 /// Everything one job produced.
@@ -642,28 +626,26 @@ mod tests {
         assert_eq!(by_identity, [0, populated, populated, populated, populated]);
         let recorded: Vec<JobReuse> = engine.history().iter().map(|r| r.reuse).collect();
         assert_eq!(recorded, jobs);
-        assert!(jobs.iter().all(|job| job.local == PlanUse::default()), "no local syncs");
 
-        // An eager job: each task's keyed local syncs record a plan in
-        // their first pass, and every later pass of the map call runs
-        // on it. From the second job on every route and group plan
-        // hits.
-        let eager_jobs: Vec<JobReuse> = (0..3)
-            .map(|_| engine.run("eager", &targets(), &eager(), &First, &eager_opts).reuse)
+        // An eager job: each task runs some 35 local syncs, which fold
+        // into its state and keep no plan. From the second job on every
+        // route and group plan hits.
+        let eager_jobs: Vec<JobResult<u32, f64>> = (0..3)
+            .map(|_| engine.run("eager", &targets(), &eager(), &First, &eager_opts))
             .collect();
-        let groups = eager_jobs[0].group.misses;
-        assert!(groups > 0 && eager_jobs[0].group.hits == 0, "{eager_jobs:?}");
-        assert_eq!(eager_jobs[0].route, missed(4), "the first job records");
-        for job in &eager_jobs[1..] {
+        let reuse: Vec<JobReuse> = eager_jobs.iter().map(|job| job.reuse).collect();
+        let groups = reuse[0].group.misses;
+        assert!(groups > 0 && reuse[0].group.hits == 0, "{reuse:?}");
+        assert_eq!(reuse[0].route, missed(4), "the first job records");
+        for job in &reuse[1..] {
             let hit = |hits| PlanUse { hits, misses: 0 };
-            assert_eq!((job.route, job.group), (hit(4), hit(groups)), "{eager_jobs:?}");
+            assert_eq!((job.route, job.group), (hit(4), hit(groups)), "{reuse:?}");
             assert_eq!(job.group_by_identity, groups);
         }
-        let local: Vec<PlanUse> = eager_jobs.iter().map(|job| job.local).collect();
-        assert_eq!(local[0].misses, 4, "one recording per task");
-        assert!(local[0].hits > 4 * 20, "{local:?}");
-        assert!(local.iter().all(|job| *job == local[0]), "{local:?}");
-        assert_eq!(engine.history().last().expect("jobs ran").reuse.local, local[2]);
+        let syncs: Vec<u64> = eager_jobs.iter().map(|job| job.meter.local_syncs).collect();
+        assert!(syncs[0] > 4 * 20, "{syncs:?}");
+        assert!(syncs.iter().all(|&job| job == syncs[0]), "{syncs:?}");
+        assert_eq!(engine.history().last().expect("jobs ran").reuse, reuse[2]);
 
         let mut oracle = Engine::with_reference_shuffle(&pool);
         let out = oracle.run("eager", &targets(), &eager(), &First, &eager_opts);

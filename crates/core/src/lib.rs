@@ -13,9 +13,10 @@
 //! | `map` / `reduce` (global) | [`Mapper::map`] / [`Reducer::reduce`] |
 //! | `EmitIntermediate(k, v)` | [`MapContext::emit_intermediate`] |
 //! | `Emit(k, v)` | [`ReduceContext::emit`] |
-//! | `lmap` / `lreduce` (local) | [`LocalAlgorithm::lmap`] / [`LocalAlgorithm::lreduce`] |
-//! | `EmitLocalIntermediate(k, v)` | [`LocalMapContext::emit_local_intermediate`] |
-//! | `EmitLocal(k, v)` | [`LocalReduceContext::emit_local`] |
+//! | `lmap` (local) | [`LocalAlgorithm::lmap`] |
+//! | `lreduce` (local), a fold over each group | [`LocalAlgorithm::init`] / [`LocalAlgorithm::fold`] / [`LocalAlgorithm::finish`] |
+//! | `EmitLocalIntermediate(k, v)` | [`LocalMapContext::emit_to`] / [`LocalMapContext::emit_to_each`], to the group of `k` |
+//! | `EmitLocal(k, v)` | [`LocalAlgorithm::finish`]'s in-place write of `k`'s next value |
 //! | `gmap` built from `lmap`+`lreduce` (Fig. 1) | [`EagerMapper`] |
 //! | combiner | [`Combiner`] |
 //!
@@ -23,9 +24,9 @@
 //! [`Mapper`] + [`Reducer`] and runs one global MapReduce per
 //! iteration. An *eager* (partial-sync) algorithm implements
 //! [`LocalAlgorithm`]; wrapping it in [`EagerMapper`] produces a `gmap`
-//! that iterates `lmap`/`lreduce` on its partition **to local
-//! convergence** — with no cross-partition barrier (that is the eager
-//! scheduling) — before the single global reduce.
+//! that iterates `lmap` and its folding `lreduce` on its partition **to
+//! local convergence** — with no cross-partition barrier (that is the
+//! eager scheduling) — before the single global reduce.
 //!
 //! ## Execution backends
 //!
@@ -100,7 +101,7 @@ pub use driver::{FixedPointDriver, IterationReport, StepStatus};
 pub use emitter::{MapContext, ReduceContext, TaskMeter};
 pub use engine::{Engine, JobMeter, JobOptions, JobResult, JobReuse, PlanUse};
 pub use kv::{Key, Meterable, Value};
-pub use local::{EagerMapper, LocalAlgorithm, LocalMapContext, LocalReduceContext, LocalState};
+pub use local::{EagerMapper, LocalAlgorithm, LocalMapContext, LocalState};
 pub use obs::SpanRecorder;
 pub use plan::StageTimings;
 pub use session::{
@@ -116,9 +117,7 @@ pub mod prelude {
     pub use crate::emitter::{MapContext, ReduceContext};
     pub use crate::engine::{Engine, JobOptions, JobResult};
     pub use crate::kv::{Key, Meterable, Value};
-    pub use crate::local::{
-        EagerMapper, LocalAlgorithm, LocalMapContext, LocalReduceContext, LocalState,
-    };
+    pub use crate::local::{EagerMapper, LocalAlgorithm, LocalMapContext, LocalState};
     pub use crate::session::{
         Absorbed, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput, Outbox,
         SessionOutcome, SessionReport,

@@ -17,53 +17,37 @@
 //! used to store the intermediate and final results of the local
 //! MapReduce" (paper §V-A). Accordingly, [`LocalAlgorithm::lmap`] runs
 //! over the partition's [items](LocalAlgorithm::items) with *read*
-//! access to the current hashtable ([`LocalState`]), and
-//! [`LocalAlgorithm::lreduce`] writes the next hashtable via
-//! `EmitLocal`.
+//! access to the current hashtable ([`LocalState`]), and the pass's
+//! `lreduce` writes the next one.
 //!
-//! An application supplies `lmap`, `lreduce`, a local-convergence test,
-//! and the input/state conversion functions (paper: "the user must
-//! provide functions for termination of global and local MapReduce
-//! iterations, and functions to convert data into the formats required
-//! by the local map and local reduce functions"). [`EagerMapper`] then
-//! *is* the `gmap`: a [`crate::Mapper`] whose every task iterates its
-//! partition to local convergence with only partial (in-task)
-//! synchronizations — no cross-partition barrier — before the global
-//! reduce. That absence of a barrier is the paper's eager scheduling;
-//! each `lreduce` pass is one *partial synchronization*, counted in
-//! [`crate::TaskMeter::local_syncs`].
+//! An application supplies `lmap`, its `lreduce` as a fold, a
+//! local-convergence test, and the input/state conversion functions
+//! (paper: "the user must provide functions for termination of global
+//! and local MapReduce iterations, and functions to convert data into
+//! the formats required by the local map and local reduce functions").
+//! [`EagerMapper`] then *is* the `gmap`: a [`crate::Mapper`] whose every
+//! task iterates its partition to local convergence with only partial
+//! (in-task) synchronizations — no cross-partition barrier — before the
+//! global reduce. That absence of a barrier is the paper's eager
+//! scheduling; each pass's `lreduce` is one *partial synchronization*,
+//! counted in [`crate::TaskMeter::local_syncs`].
 //!
-//! Each keyed pass is a one-partition shuffle: its emissions are grouped
-//! through a [`GroupPlan`] the task keeps from pass to pass of one map
-//! call, by the very [`shuffle::group_planned`] a single-partition
-//! reduce task runs. A task's passes emit the same keys in the same
-//! order again and again (its partition does not change), so a
-//! steady-state pass sorts nothing: the plan compares every emitted key
-//! with the sequence it was recorded from — every key, every pass —
-//! scatters the values to their places among the grouped values, and
-//! `lreduce` walks the group boundaries recorded with that sequence,
-//! `EmitLocal` writing the next state. A pass whose keys differ records
-//! a new plan: only slower, never different (`docs/ARCHITECTURE.md`,
-//! "What one partial synchronization costs").
-//!
-//! An algorithm whose groups are its state's keys — a graph app's owned
-//! vertices, K-Means's centroid ids — says so with
-//! [`LocalAlgorithm::FOLDS`] and states its `lreduce` as a fold
-//! ([`LocalAlgorithm::init`], [`LocalAlgorithm::fold`],
-//! [`LocalAlgorithm::finish`]). Its groups are then the entries of its
-//! [`LocalState`], keys ascending, so group `g` is state entry `g`, and
-//! its state *is* an accumulator array: the map call fixes the keys once
-//! and keeps two value arrays, the one the pass reads and the one it
-//! writes, swapped between passes. `lmap` names the group of each value
-//! it emits ([`LocalMapContext::emit_to`], or
-//! [`LocalMapContext::emit_to_each`] for one value along a list of
-//! groups), which is folded into that group's slot of the written array
-//! where it is emitted. No key is built, no value buffered or grouped:
-//! the fold sees a group's values in emission order — the order a keyed
-//! pass hands `lreduce` — so it computes what `lreduce` over the group
-//! would. Every group finishes in place, keys ascending, at the end of
-//! the pass; one that no value reached finishes from its `init` and its
-//! old value.
+//! An algorithm's groups are its state's keys — a graph app's owned
+//! vertices, K-Means's centroid ids: group `g` is entry `g` of its
+//! [`LocalState`], keys ascending, and its state *is* an accumulator
+//! array. The map call fixes the keys once and keeps two value arrays,
+//! the one the pass reads and the one it writes, swapped between
+//! passes. `lmap` names the group of each value it emits
+//! ([`LocalMapContext::emit_to`], or [`LocalMapContext::emit_to_each`]
+//! for one value along a list of groups), which is folded into that
+//! group's slot of the written array where it is emitted
+//! ([`LocalAlgorithm::init`], [`LocalAlgorithm::fold`]). No key is
+//! built, no value buffered or grouped: the fold sees a group's values
+//! in emission order — what a stable grouping of the pass's emissions
+//! would hand a keyed `lreduce` — so it computes what that `lreduce`
+//! over the group would. Every group finishes in place, keys ascending,
+//! at the end of the pass ([`LocalAlgorithm::finish`]); one that no
+//! value reached finishes from its `init` and its old value.
 
 use std::fmt;
 use std::ops::Index;
@@ -71,7 +55,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::emitter::MapContext;
 use crate::kv::{Key, Meterable, Value};
-use crate::shuffle::{self, GroupPlan, GroupView, GroupingStrategy, PlanOutcome};
 use crate::traits::Mapper;
 
 /// Default for [`LocalAlgorithm::max_local_iterations`] — the one
@@ -84,22 +67,20 @@ pub const DEFAULT_MAX_LOCAL_ITERATIONS: usize = 10_000;
 /// §V-A), kept as two parallel `Vec`s: the keys, ascending, and the
 /// value stored under each.
 ///
-/// It has a map's interface — [`get`](LocalState::get),
-/// [`insert`](LocalState::insert), `state[&key]`, iteration — but a
-/// local sync never uses it as a general map: a folding pass's entry
-/// `g` is its group `g`, so its keys are fixed for the map call and the
-/// pass writes the next values in place, array against array; a keyed
-/// pass builds its next state once from its `EmitLocal`s. `lmap`,
-/// `finalize` and `locally_converged` look keys up in the order they
-/// are stored, so `get` keeps a **search finger** over the keys — the
-/// position of the last key found — and tries the entry after it, then
-/// the entry itself, before it falls back to a binary search. The
+/// It has a map's read interface — [`get`](LocalState::get),
+/// `state[&key]`, iteration — and is built by `collect()` from entries
+/// in any order. A local sync never uses it as a general map: a pass's
+/// entry `g` is its group `g`, so its keys are fixed for the map call
+/// and the pass writes the next values in place, array against array.
+/// `lmap`, `finalize` and `locally_converged` look keys up in the order
+/// they are stored, so `get` keeps a **search finger** over the keys —
+/// the position of the last key found — and tries the entry after it,
+/// then the entry itself, before it falls back to a binary search. The
 /// finger is only ever a proposal: key equality decides every lookup,
-/// so writes between lookups and lookups in any order (or from several
-/// threads — the finger is a relaxed atomic) cost a binary search, never
-/// a wrong answer. Every traversal is in ascending key order — the
-/// determinism the bitwise contracts need and a hashed table would not
-/// give.
+/// so lookups in any order (or from several threads — the finger is a
+/// relaxed atomic) cost a binary search, never a wrong answer. Every
+/// traversal is in ascending key order — the determinism the bitwise
+/// contracts need and a hashed table would not give.
 pub struct LocalState<K, V> {
     /// Strictly ascending.
     keys: Vec<K>,
@@ -157,24 +138,9 @@ impl<K: Ord, V> LocalState<K, V> {
         Some(&self.values[at])
     }
 
-    /// Stores `value` under `key`, returning the value it replaces.
-    /// `O(len)` for a new key — bulk writes go through
-    /// [`LocalReduceContext::emit_local`] or `collect()`.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        match self.keys.binary_search(&key) {
-            Ok(at) => Some(std::mem::replace(&mut self.values[at], value)),
-            Err(at) => {
-                self.keys.insert(at, key);
-                self.values.insert(at, value);
-                None
-            }
-        }
-    }
-
     /// Builds the state from entries written in any order: a later
-    /// write to a key replaces an earlier one (what inserting them one
-    /// by one would do). Already-ascending input — every `lreduce` that
-    /// emits its own key — costs one scan.
+    /// write to a key replaces an earlier one. Already-ascending input —
+    /// every `init_state` that lists its keys in order — costs one scan.
     fn from_writes(mut entries: Vec<(K, V)>) -> Self {
         if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
             entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -244,35 +210,23 @@ impl<'a, K, V> IntoIterator for &'a LocalState<K, V> {
 
 /// Context for [`LocalAlgorithm::lmap`] — the paper's
 /// `EmitLocalIntermediate` plus op metering — typed with its algorithm,
-/// whose [fold](LocalAlgorithm::fold) a folding pass calls where each
-/// value is emitted. It holds the state the pass writes.
+/// whose [fold](LocalAlgorithm::fold) it calls where each value is
+/// emitted.
 ///
-/// A **keyed** pass buffers its emissions as pairs, and the end of the
-/// pass groups them through the plan the task kept from its last pass
-/// with [`shuffle::group_planned`]: it recognises the key sequence the
-/// plan was recorded from, every key compared, or records a new plan.
-/// Either way the grouped values are what a stable sort of the emitted
-/// pairs gives, and `lreduce` reduces each group into a new state.
-///
-/// A **folding** pass ([`LocalAlgorithm::FOLDS`]) writes a state with
-/// the keys of the one it reads, its values overwritten with each
-/// group's [`init`](LocalAlgorithm::init): `lmap` names the group of
-/// each value ([`emit_to`](LocalMapContext::emit_to),
+/// It holds the state the pass writes: the keys of the one it reads,
+/// its values overwritten with each group's
+/// [`init`](LocalAlgorithm::init). `lmap` names the group of each value
+/// ([`emit_to`](LocalMapContext::emit_to),
 /// [`emit_to_each`](LocalMapContext::emit_to_each)), the value is folded
 /// straight into that group's slot, and the end of the pass finishes
-/// every slot in place. A group past the last, a keyed emission in a
-/// folding pass and a group named by a keyed algorithm panic, naming
-/// the task and the pass.
+/// every slot in place. A group past the last panics, naming the task
+/// and the pass.
 #[derive(Debug)]
 pub struct LocalMapContext<L: LocalAlgorithm> {
-    /// Keyed: the plan kept from pass to pass.
-    plan: GroupPlan<L::Key>,
-    /// Keyed: the pass's emissions, in order.
-    pairs: Vec<(L::Key, L::Value)>,
-    /// The state the pass writes; folding, its values are the groups'
+    /// The state the pass writes; its values are the groups'
     /// accumulators.
     next: LocalState<L::Key, L::Value>,
-    /// The map task and its pass index, for the panics.
+    /// The map task and its pass index, for the panic.
     task: usize,
     pass: usize,
     ops: u64,
@@ -280,18 +234,15 @@ pub struct LocalMapContext<L: LocalAlgorithm> {
 
 impl<L: LocalAlgorithm> LocalMapContext<L> {
     /// A context for the passes of task `task` over `state`, the first
-    /// state they read: a folding one writes states with its keys, and
-    /// each pass's `begin` fills in their values.
+    /// state they read: it writes states with its keys, and each pass's
+    /// `begin` fills in their values.
     fn new(task: usize, state: &LocalState<L::Key, L::Value>) -> Self {
-        let keys = if L::FOLDS { state.keys.clone() } else { Vec::new() };
-        let (plan, pairs, next) =
-            (GroupPlan::default(), Vec::new(), LocalState::from_sorted(keys, Vec::new()));
-        LocalMapContext { plan, pairs, next, task, pass: 0, ops: 0 }
+        let next = LocalState::from_sorted(state.keys.clone(), Vec::new());
+        LocalMapContext { next, task, pass: 0, ops: 0 }
     }
 
-    /// Starts pass `pass` over `state`: a folding one by overwriting
-    /// each group's slot with its `init`, a keyed one with room for the
-    /// plan's records.
+    /// Starts pass `pass` over `state` by overwriting each group's slot
+    /// with its `init`.
     fn begin(
         &mut self,
         algo: &L,
@@ -300,41 +251,20 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
         pass: usize,
     ) {
         (self.pass, self.ops) = (pass, 0);
-        if L::FOLDS {
-            let init = |(group, key): (usize, &L::Key)| algo.init(input, group, key);
-            self.next.values.clear();
-            self.next.values.extend(state.keys.iter().enumerate().map(init));
-        } else {
-            self.pairs = Vec::with_capacity(self.plan.records());
-        }
+        let init = |(group, key): (usize, &L::Key)| algo.init(input, group, key);
+        self.next.values.clear();
+        self.next.values.extend(state.keys.iter().enumerate().map(init));
     }
 
-    /// The paper's `EmitLocalIntermediate(key, value)`: feeds the next
-    /// `lreduce` *within this partition only*.
+    /// The paper's `EmitLocalIntermediate`: folds `value` into the
+    /// accumulator of group `group` — the pass's state entry `group`,
+    /// keys ascending. One op.
     ///
     /// # Panics
     ///
-    /// In a folding pass, whose values name their group instead.
-    #[inline]
-    pub fn emit_local_intermediate(&mut self, key: L::Key, value: L::Value) {
-        if L::FOLDS {
-            self.refuse(format_args!("a keyed emission in a folding pass"));
-        }
-        self.pairs.push((key, value));
-    }
-
-    /// The folding pass's `EmitLocalIntermediate`: folds `value` into
-    /// the accumulator of group `group` — the pass's state entry
-    /// `group`, keys ascending. One op.
-    ///
-    /// # Panics
-    ///
-    /// Past the last group, and in a keyed pass.
+    /// Past the last group.
     #[inline]
     pub fn emit_to(&mut self, group: usize, value: L::Value) {
-        if !L::FOLDS {
-            self.refuse(format_args!("emit_to, but its algorithm does not fold"));
-        }
         match self.next.values.get_mut(group) {
             Some(acc) => L::fold(acc, value),
             None => self.past_the_last(group),
@@ -348,12 +278,9 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
     ///
     /// # Panics
     ///
-    /// At a group past the last, and in a keyed pass.
+    /// At a group past the last.
     #[inline]
     pub fn emit_to_each(&mut self, groups: &[u32], value: L::Value) {
-        if !L::FOLDS {
-            self.refuse(format_args!("emit_to_each, but its algorithm does not fold"));
-        }
         let accs = &mut self.next.values[..];
         for &group in groups {
             match accs.get_mut(group as usize) {
@@ -364,19 +291,14 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
         self.ops += groups.len() as u64;
     }
 
-    /// Refuses a value for `group`, past the last group.
+    /// Refuses a value for `group`, past the last group, naming the task
+    /// and the pass. Every value the pass made is dropped once, on the
+    /// unwind.
     #[cold]
     #[inline(never)]
     fn past_the_last(&self, group: usize) -> ! {
-        self.refuse(format_args!("a value for group {group}, past its {} groups", self.next.len()))
-    }
-
-    /// Panics for a pass that broke its contract: `what` it did, and
-    /// where. Every value the pass made is dropped once, on the unwind.
-    #[cold]
-    #[inline(never)]
-    fn refuse(&self, what: fmt::Arguments<'_>) -> ! {
-        panic!("local sync of task {}, pass {}: {what}", self.task, self.pass)
+        let (task, pass, groups) = (self.task, self.pass, self.next.len());
+        panic!("local sync of task {task}, pass {pass}: a value for group {group}, past its {groups} groups")
     }
 
     /// Meters `n` abstract operations.
@@ -385,69 +307,26 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
         self.ops += n;
     }
 
-    /// Ends the pass over `state`, leaving the state it wrote in
-    /// `self.next`: a folding pass finishes each group in place, keys
-    /// ascending; a keyed one meters its records, groups its pairs in
-    /// `values'` allocation, calls `lreduce` on each group and builds
-    /// the new state from its `EmitLocal`s. Returns what became of a
-    /// keyed pass's plan; a keyed pass that emitted nothing has no plan
-    /// to be on, so it never hits.
-    fn finish(
-        &mut self,
-        algo: &L,
-        task: usize,
-        input: &L::Input,
-        state: &LocalState<L::Key, L::Value>,
-        values: &mut Vec<L::Value>,
-    ) -> Option<PlanOutcome> {
-        if L::FOLDS {
-            let groups = state.keys.iter().zip(&state.values).zip(&mut self.next.values);
-            for (group, ((key, old), acc)) in groups.enumerate() {
-                algo.finish(input, group, key, old, acc);
-            }
-            return None;
+    /// Ends the pass over `state`: finishes each group in place, keys
+    /// ascending, leaving the state the pass wrote in `self.next`.
+    fn finish(&mut self, algo: &L, input: &L::Input, state: &LocalState<L::Key, L::Value>) {
+        let groups = state.keys.iter().zip(&state.values).zip(&mut self.next.values);
+        for (group, ((key, old), acc)) in groups.enumerate() {
+            algo.finish(input, group, key, old, acc);
         }
-        self.ops += self.pairs.len() as u64;
-        let mut rctx = LocalReduceContext { emitted: Vec::new(), ops: 0 };
-        let (pairs, sort) = (vec![std::mem::take(&mut self.pairs).into()], GroupingStrategy::Sort);
-        let reduce = |g: GroupView<'_, L::Key, L::Value>| {
-            algo.lreduce(task, input, g.key, g.values, &mut rctx)
-        };
-        let outcome = shuffle::group_planned(pairs, sort, &mut self.plan, values, reduce).0;
-        self.ops += rctx.ops;
-        self.next = LocalState::from_writes(rctx.emitted);
-        Some(if self.plan.records() > 0 { outcome } else { PlanOutcome::Recorded })
-    }
-}
-
-/// Context for a keyed algorithm's [`LocalAlgorithm::lreduce`] — the
-/// paper's `EmitLocal` plus op metering.
-#[derive(Debug)]
-pub struct LocalReduceContext<K, V> {
-    /// The next state's entries in emission order.
-    emitted: Vec<(K, V)>,
-    ops: u64,
-}
-
-impl<K: Key, V: Value> LocalReduceContext<K, V> {
-    /// The paper's `EmitLocal(key, value)`: writes an entry of the new
-    /// local state; writing a key again replaces its value. At local
-    /// convergence this state becomes the gmap's global emissions;
-    /// otherwise the next `lmap` pass reads it.
-    #[inline]
-    pub fn emit_local(&mut self, key: K, value: V) {
-        self.emitted.push((key, value));
-    }
-
-    /// Meters `n` abstract operations.
-    #[inline]
-    pub fn add_ops(&mut self, n: u64) {
-        self.ops += n;
     }
 }
 
 /// An iterative algorithm expressed as local map/reduce over one
 /// partition — the ingredients of the paper's `gmap` (Fig. 1).
+///
+/// The keys of [`init_state`](Self::init_state), ascending, are every
+/// pass's groups: `lmap` emits each value to the index of its group
+/// ([`LocalMapContext::emit_to`], [`LocalMapContext::emit_to_each`]),
+/// and the paper's `lreduce` is a fold ([`init`](Self::init),
+/// [`fold`](Self::fold), [`finish`](Self::finish)), which sees a
+/// group's values in emission order and leaves the group's next value
+/// in its accumulator.
 pub trait LocalAlgorithm: Send + Sync + Sized {
     /// The partition handed to each `gmap` task (the paper's `xs`,
     /// plus any read-only structure such as adjacency).
@@ -467,26 +346,9 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
     /// local map and local reduce", §IV).
     fn init_state(&self, task: usize, input: &Self::Input) -> Vec<(Self::Key, Self::Value)>;
 
-    /// Whether `lmap` folds: `false` (the default) for a keyed
-    /// algorithm, whose `lmap` emits through
-    /// [`LocalMapContext::emit_local_intermediate`] and whose
-    /// [`lreduce`](Self::lreduce) reduces each key group.
-    ///
-    /// With `true`, the keys of `init_state` are every pass's groups,
-    /// ascending: `lmap` emits each value to the index of its group
-    /// ([`LocalMapContext::emit_to`], [`LocalMapContext::emit_to_each`]),
-    /// and the algorithm writes its `lreduce` as a fold
-    /// ([`init`](Self::init), [`fold`](Self::fold),
-    /// [`finish`](Self::finish)), which sees a group's values in
-    /// emission order and leaves the group's next value in its
-    /// accumulator.
-    const FOLDS: bool = false;
-
     /// The paper's `lmap`: processes one element of `xs`, reading the
-    /// current hashtable and emitting via
-    /// [`LocalMapContext::emit_local_intermediate`] — or, when the
-    /// algorithm [folds](Self::FOLDS), via [`LocalMapContext::emit_to`]
-    /// and [`LocalMapContext::emit_to_each`].
+    /// current hashtable and sending each value to its group via
+    /// [`LocalMapContext::emit_to`] and [`LocalMapContext::emit_to_each`].
     fn lmap(
         &self,
         task: usize,
@@ -496,43 +358,21 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
         ctx: &mut LocalMapContext<Self>,
     );
 
-    /// The paper's `lreduce`: reduces one intermediate key group into
-    /// the new hashtable via [`LocalReduceContext::emit_local`]. A keyed
-    /// algorithm writes it; the default panics.
-    fn lreduce(
-        &self,
-        task: usize,
-        input: &Self::Input,
-        key: &Self::Key,
-        values: &[Self::Value],
-        ctx: &mut LocalReduceContext<Self::Key, Self::Value>,
-    ) {
-        let _ = (task, input, key, values, ctx);
-        unimplemented!("LocalAlgorithm::lreduce: a keyed algorithm writes it")
-    }
-
-    /// A folding pass's first step: the accumulator of group `group` —
-    /// the pass's state entry `group`, keys ascending — whose key is
-    /// `key`, before any value. The default panics: a folding algorithm
-    /// writes it.
-    fn init(&self, input: &Self::Input, group: usize, key: &Self::Key) -> Self::Value {
-        let _ = (input, group, key);
-        unimplemented!("LocalAlgorithm::init: a folding algorithm writes it")
-    }
+    /// The pass's first step: the accumulator of group `group` — the
+    /// pass's state entry `group`, keys ascending — whose key is `key`,
+    /// before any value.
+    fn init(&self, input: &Self::Input, group: usize, key: &Self::Key) -> Self::Value;
 
     /// Folds `value`, the group's next value in emission order, into
     /// its accumulator, where `lmap` emits it (dispatched statically:
     /// the context is typed with its algorithm).
-    fn fold(acc: &mut Self::Value, value: Self::Value) {
-        let _ = (acc, value);
-        unimplemented!("LocalAlgorithm::fold: a folding algorithm writes it")
-    }
+    fn fold(acc: &mut Self::Value, value: Self::Value);
 
-    /// A folding pass's last step, once per group, keys ascending, the
-    /// groups no value reached included: turns the group's accumulator
-    /// `acc` into its entry's next value, in place, given `old`, its
-    /// value in the state the pass read. The default does nothing: the
-    /// accumulator is the next value.
+    /// The pass's last step — the paper's `EmitLocal` — once per group,
+    /// keys ascending, the groups no value reached included: turns the
+    /// group's accumulator `acc` into its entry's next value, in place,
+    /// given `old`, its value in the state the pass read. The default
+    /// does nothing: the accumulator is the next value.
     fn finish(
         &self,
         input: &Self::Input,
@@ -585,10 +425,9 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
 }
 
 /// The paper's `gmap`: wraps a [`LocalAlgorithm`] into a [`Mapper`]
-/// whose tasks iterate `lmap`/`lreduce` to local convergence before
+/// whose tasks iterate `lmap` and its fold to local convergence before
 /// emitting globally (Fig. 1). Framework record-handling work is
-/// metered automatically; algorithm ops are whatever the `lmap` /
-/// `lreduce` implementations add.
+/// metered automatically; algorithm ops are whatever `lmap` adds.
 #[derive(Debug, Clone, Copy)]
 pub struct EagerMapper<L> {
     algo: L,
@@ -614,7 +453,7 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
     /// # Panics
     ///
     /// If the algorithm's [`LocalAlgorithm::max_local_iterations`] is
-    /// 0, or a pass breaks its context's contract (see
+    /// 0, or a pass sends a value past its last group (see
     /// [`LocalMapContext`]).
     fn map(&self, task: usize, input: &Self::Input, ctx: &mut MapContext<Self::Key, Self::Value>) {
         let max_passes = self.algo.max_local_iterations();
@@ -628,7 +467,6 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
         let items = self.algo.items(input);
 
         let mut lctx = LocalMapContext::new(task, &state);
-        let mut values = Vec::new();
         for pass in 0..max_passes {
             // Local map phase over every element of xs.
             lctx.begin(&self.algo, input, &state, pass);
@@ -638,9 +476,7 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
             // Partial synchronization: locally reduce. This barrier is
             // *within* the task — other partitions are already running
             // their next local iteration (eager scheduling).
-            if let Some(outcome) = lctx.finish(&self.algo, task, input, &state, &mut values) {
-                ctx.local_use.count(outcome);
-            }
+            lctx.finish(&self.algo, input, &state);
             ctx.meter.add_ops(lctx.ops);
             ctx.meter.add_local_sync();
 
@@ -658,11 +494,15 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::engine::PlanUse;
+
+    /// The group of `key`: its entry in `state`.
+    fn entry_of<V>(state: &LocalState<u32, V>, key: &u32) -> usize {
+        state.keys.binary_search(key).expect("every item's key is in the state")
+    }
 
     /// Toy fixpoint: every key's value decays toward a per-key target;
-    /// lmap emits the next value, lreduce stores it. Converges when the
-    /// max delta is below 1e-9.
+    /// lmap sends the next value to the key's group, whose fold keeps
+    /// it. Converges when the max delta is below 1e-9.
     pub(crate) struct Decay;
 
     impl LocalAlgorithm for Decay {
@@ -689,19 +529,16 @@ pub(crate) mod tests {
         ) {
             let (key, target) = *item;
             let current = state[&key];
-            ctx.emit_local_intermediate(key, current + 0.5 * (target - current));
+            ctx.emit_to(entry_of(state, &key), current + 0.5 * (target - current));
             ctx.add_ops(1);
         }
 
-        fn lreduce(
-            &self,
-            _t: usize,
-            _input: &Self::Input,
-            key: &u32,
-            values: &[f64],
-            ctx: &mut LocalReduceContext<u32, f64>,
-        ) {
-            ctx.emit_local(*key, values[0]);
+        fn init(&self, _input: &Self::Input, _group: usize, _key: &u32) -> f64 {
+            0.0
+        }
+
+        fn fold(acc: &mut f64, value: f64) {
+            *acc = value;
         }
 
         fn locally_converged(
@@ -730,7 +567,8 @@ pub(crate) mod tests {
         assert!(meter.ops() > 0);
     }
 
-    /// State that converges instantly (lreduce echoes lmap output).
+    /// State that converges instantly: each item sends its own value
+    /// back to its group.
     struct Instant;
     impl LocalAlgorithm for Instant {
         type Input = Vec<u32>;
@@ -751,17 +589,13 @@ pub(crate) mod tests {
             state: &LocalState<u32, u64>,
             ctx: &mut LocalMapContext<Self>,
         ) {
-            ctx.emit_local_intermediate(*item, state[item]);
+            ctx.emit_to(entry_of(state, item), state[item]);
         }
-        fn lreduce(
-            &self,
-            _t: usize,
-            _i: &Self::Input,
-            key: &u32,
-            values: &[u64],
-            ctx: &mut LocalReduceContext<u32, u64>,
-        ) {
-            ctx.emit_local(*key, values[0]);
+        fn init(&self, _i: &Self::Input, _group: usize, _key: &u32) -> u64 {
+            0
+        }
+        fn fold(acc: &mut u64, value: u64) {
+            *acc = value;
         }
         fn locally_converged(
             &self,
@@ -804,17 +638,13 @@ pub(crate) mod tests {
             state: &LocalState<u32, u64>,
             ctx: &mut LocalMapContext<Self>,
         ) {
-            ctx.emit_local_intermediate(0, state[&0] + 1);
+            ctx.emit_to(0, state[&0] + 1);
         }
-        fn lreduce(
-            &self,
-            _t: usize,
-            _i: &Self::Input,
-            key: &u32,
-            values: &[u64],
-            ctx: &mut LocalReduceContext<u32, u64>,
-        ) {
-            ctx.emit_local(*key, values[0]);
+        fn init(&self, _i: &Self::Input, _group: usize, _key: &u32) -> u64 {
+            0
+        }
+        fn fold(acc: &mut u64, value: u64) {
+            *acc = value;
         }
         fn locally_converged(
             &self,
@@ -845,127 +675,16 @@ pub(crate) mod tests {
         EagerMapper::new(Runaway(0)).map(4, &vec![9], &mut MapContext::default());
     }
 
-    /// Pass `p` emits `lens[p]` records — keys `0, 1, 2 …`, each with
-    /// the value `p + 1` — so a pass can stop short of the plan the one
-    /// before it recorded, or run past it. The pass counter is advanced
-    /// by the convergence test, which runs once a pass.
-    struct Stretch {
-        lens: Vec<u32>,
-        pass: AtomicUsize,
-    }
-
-    impl Stretch {
-        /// Runs the passes: the emitted pairs and what the local syncs
-        /// did with the task's plan.
-        fn run(lens: &[u32]) -> (Vec<(u32, u64)>, PlanUse) {
-            let mut ctx = MapContext::default();
-            let stretch = Stretch { lens: lens.to_vec(), pass: AtomicUsize::new(0) };
-            EagerMapper::new(stretch).map(0, &(), &mut ctx);
-            let local_use = ctx.local_use;
-            (ctx.finish().0, local_use)
-        }
-    }
-
-    impl LocalAlgorithm for Stretch {
-        type Input = ();
-        type Item = ();
-        type Key = u32;
-        type Value = u64;
-        fn items<'a>(&self, input: &'a ()) -> &'a [()] {
-            std::slice::from_ref(input)
-        }
-        fn init_state(&self, _t: usize, _i: &()) -> Vec<(u32, u64)> {
-            Vec::new()
-        }
-        fn lmap(
-            &self,
-            _t: usize,
-            _i: &(),
-            _item: &(),
-            _state: &LocalState<u32, u64>,
-            ctx: &mut LocalMapContext<Self>,
-        ) {
-            let pass = self.pass.load(Ordering::Relaxed);
-            for key in 0..self.lens[pass] {
-                ctx.emit_local_intermediate(key, pass as u64 + 1);
-            }
-        }
-        fn lreduce(
-            &self,
-            _t: usize,
-            _i: &(),
-            key: &u32,
-            values: &[u64],
-            ctx: &mut LocalReduceContext<u32, u64>,
-        ) {
-            ctx.emit_local(*key, values.iter().sum());
-        }
-        fn locally_converged(
-            &self,
-            _old: &LocalState<u32, u64>,
-            _new: &LocalState<u32, u64>,
-        ) -> bool {
-            self.pass.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-        fn max_local_iterations(&self) -> usize {
-            self.lens.len()
-        }
-    }
-
-    #[test]
-    fn a_pass_that_stops_short_of_the_plan_is_a_miss() {
-        // Recorded, hit, a strict prefix of the plan (not recognised:
-        // it records), hit on the new plan.
-        let (pairs, local) = Stretch::run(&[3, 3, 2, 2]);
-        assert_eq!(pairs, vec![(0, 4), (1, 4)]);
-        assert_eq!(local, PlanUse { hits: 2, misses: 2 });
-    }
-
-    #[test]
-    fn a_pass_that_runs_past_the_plan_falls_back_at_the_first_excess_record() {
-        // Recorded, one record past the plan (not recognised: it
-        // records), hit on the new plan.
-        let (pairs, local) = Stretch::run(&[2, 3, 3]);
-        assert_eq!(pairs, vec![(0, 3), (1, 3), (2, 3)]);
-        assert_eq!(local, PlanUse { hits: 1, misses: 2 });
-    }
-
-    #[test]
-    fn a_zero_record_plan_is_never_on_plan() {
-        // The second empty pass repeats the first's (empty) key
-        // sequence and is still not a hit: there is no plan to be on.
-        let (pairs, local) = Stretch::run(&[0, 0, 2, 2]);
-        assert_eq!(pairs, vec![(0, 4), (1, 4)]);
-        assert_eq!(local, PlanUse { hits: 1, misses: 3 });
-    }
-
-    /// Item `k` emits its state value + 1 to key `k` — keyed, or, as
-    /// `Echo<true>`, to its group, the state entry of key `k`; `lreduce`
-    /// sums each group, and so does the fold. Three passes, never
+    /// Item `k` sends its state value + 1 to its group, the state entry
+    /// of key `k`; the fold sums a group's values. Three passes, never
     /// converged.
-    struct Echo<const FOLDS: bool>;
+    struct Echo;
 
-    impl<const FOLDS: bool> Echo<FOLDS> {
-        /// Runs one map call per input, each on a fresh context: every
-        /// call's pairs and plan use.
-        fn run(inputs: &[&[u32]]) -> Vec<(Vec<(u32, u64)>, PlanUse)> {
-            let call = |input: &&[u32]| {
-                let mut ctx = MapContext::default();
-                EagerMapper::new(Echo::<FOLDS>).map(0, &input.to_vec(), &mut ctx);
-                let local_use = ctx.local_use;
-                (ctx.finish().0, local_use)
-            };
-            inputs.iter().map(call).collect()
-        }
-    }
-
-    impl<const F: bool> LocalAlgorithm for Echo<F> {
+    impl LocalAlgorithm for Echo {
         type Input = Vec<u32>;
         type Item = u32;
         type Key = u32;
         type Value = u64;
-        const FOLDS: bool = F;
         fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
             input
         }
@@ -980,23 +699,7 @@ pub(crate) mod tests {
             state: &LocalState<u32, u64>,
             ctx: &mut LocalMapContext<Self>,
         ) {
-            let value = state[item] + 1;
-            if F {
-                let group = state.keys.binary_search(item);
-                ctx.emit_to(group.expect("every item is a key of the state"), value);
-            } else {
-                ctx.emit_local_intermediate(*item, value);
-            }
-        }
-        fn lreduce(
-            &self,
-            _t: usize,
-            _i: &Self::Input,
-            key: &u32,
-            values: &[u64],
-            ctx: &mut LocalReduceContext<u32, u64>,
-        ) {
-            ctx.emit_local(*key, values.iter().sum());
+            ctx.emit_to(entry_of(state, item), state[item] + 1);
         }
         fn init(&self, _i: &Self::Input, _group: usize, _key: &u32) -> u64 {
             0
@@ -1017,22 +720,21 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_folding_task_equals_the_keyed_task_and_counts_no_plan() {
-        // The keyed task records in its first pass, then hits; an
-        // empty pass is no plan, pass after pass. Every call starts
-        // with no plan. The folding task runs on none.
+    fn a_folding_task_sums_a_groups_values_and_every_call_starts_afresh() {
+        // Key 3 is two items, so its group hears two values a pass; an
+        // empty input has no group. Every call starts from its own
+        // `init_state`, whatever the call before it folded.
         let inputs: [&[u32]; 4] = [&[3, 1, 3, 2], &[3, 1, 3, 2], &[], &[1, 2]];
-        let folded = Echo::<true>::run(&inputs);
-        let keyed = Echo::<false>::run(&inputs);
-        let pairs = |calls: &[(Vec<(u32, u64)>, PlanUse)]| -> Vec<Vec<(u32, u64)>> {
-            calls.iter().map(|call| call.0.clone()).collect()
+        let call = |input: &&[u32]| {
+            let mut ctx = MapContext::default();
+            EagerMapper::new(Echo).map(0, &input.to_vec(), &mut ctx);
+            let (pairs, meter, _, _) = ctx.finish();
+            assert_eq!(meter.local_syncs(), 3);
+            pairs
         };
-        assert_eq!(pairs(&folded), pairs(&keyed));
-        assert_eq!(folded[0].0, vec![(1, 4), (2, 5), (3, 38)]);
-        assert!(folded.iter().all(|call| call.1 == PlanUse::default()));
-        let uses: Vec<PlanUse> = keyed.iter().map(|call| call.1).collect();
-        let (recorded, empty) = (PlanUse { hits: 2, misses: 1 }, PlanUse { hits: 0, misses: 3 });
-        assert_eq!(uses, [recorded, recorded, empty, recorded]);
+        let calls: Vec<Vec<(u32, u64)>> = inputs.iter().map(call).collect();
+        let repeated = vec![(1, 4), (2, 5), (3, 38)];
+        assert_eq!(calls, [repeated.clone(), repeated, vec![], vec![(1, 4), (2, 5)]]);
     }
 
     #[test]

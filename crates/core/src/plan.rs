@@ -64,7 +64,7 @@ use asyncmr_model::{MapTaskSpec, ReduceTaskSpec};
 use asyncmr_runtime::ThreadPool;
 
 use crate::emitter::{MapContext, ReduceContext, Routed};
-use crate::engine::{JobMeter, JobOptions, JobReuse, PlanUse};
+use crate::engine::{JobMeter, JobOptions, JobReuse};
 use crate::kv::{Key, Meterable, Value};
 use crate::shuffle::{
     self, Bucket, GroupPlan, GroupView, GroupingStrategy, PlanOutcome, RoutePlan,
@@ -187,9 +187,6 @@ struct MapProfile {
     bytes: u64,
     precombine_records: u64,
     precombine_bytes: u64,
-    /// What the task's local syncs did with their plan (beside the
-    /// meters, never in them).
-    local: PlanUse,
 }
 
 /// One map task's output, routed, plus its meters.
@@ -258,7 +255,7 @@ fn map_task<M: Mapper>(
     reducers: usize,
     plans: &PlanStore,
 ) -> MapOut<M::Key, M::Value> {
-    let Routed { buckets, planned, meter, records, bytes, local } =
+    let Routed { buckets, planned, meter, records, bytes } =
         routing(task, reducers, plans, |ctx| mapper.map(task, input, ctx));
     let profile = MapProfile {
         ops: meter.ops(),
@@ -268,7 +265,6 @@ fn map_task<M: Mapper>(
         bytes,
         precombine_records: records,
         precombine_bytes: bytes,
-        local,
     };
     MapOut { buckets, planned, profile }
 }
@@ -336,7 +332,7 @@ fn reduce_task<R: Reducer>(
     let mut ctx: ReduceContext<R::Key, R::Out> = ReduceContext::with_capacity(groups);
     let planned = plans.with(partition, |plan: &mut GroupPlan<R::Key>| {
         let reduce = |g: GroupView<'_, _, _>| reducer.reduce(g.key, g.values, &mut ctx);
-        shuffle::group_planned(buckets, grouping, plan, &mut Vec::new(), reduce)
+        shuffle::group_planned(buckets, grouping, plan, reduce)
     });
     let (pairs, meter, out_records, out_bytes) = ctx.finish();
     ReduceOut { pairs, ops: meter.ops(), in_records, out_records, out_bytes, planned }
@@ -362,7 +358,6 @@ fn assemble<K, O>(
         meter.shuffle_bytes += p.bytes;
         meter.precombine_records += p.precombine_records;
         meter.precombine_bytes += p.precombine_bytes;
-        reuse.local.add(p.local);
         map_specs.push(MapTaskSpec::new(p.input_bytes, p.ops, p.bytes).with_records(p.records));
     }
     let mut reduce_specs = Vec::with_capacity(reduced.len());
@@ -485,7 +480,6 @@ where
             bytes,
             precombine_records,
             precombine_bytes,
-            local: PlanUse::default(), // the oracle remembers nothing
         };
         (shuffle::route(pairs, reducers), profile)
     });

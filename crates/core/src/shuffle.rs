@@ -48,16 +48,13 @@
 //! job: job 1 of a shape records every plan, and from job 2 on every
 //! reduce input is known by identity. [`PlanOutcome`] says which of the
 //! two happened. The engine keeps the plans per map task and per reduce
-//! partition in its [`crate::plan::PlanStore`]. A keyed local sync of a
-//! [`crate::local::EagerMapper`] task is a one-partition shuffle: each
-//! pass groups through a one-chunk [`GroupPlan`] the task keeps from
-//! pass to pass of one map call.
+//! partition in its [`crate::plan::PlanStore`].
 //!
 //! Grouping implementations:
 //!
 //! * `GroupPlan::of_chunks` finds every grouping permutation in the
-//!   crate — a reduce input's plan on a miss, a keyed local sync's plan, the
-//!   combiner's and the ledger probe's grouping — the way the
+//!   crate — a reduce input's plan on a miss, the combiner's and the
+//!   ledger probe's grouping — the way the
 //!   [`GroupingStrategy`] names; [`group_planned`] and [`Grouped`]
 //!   scatter values through the plan it records.
 //! * [`Grouped`] — the **unplanned** grouping, which the map-side
@@ -495,11 +492,8 @@ pub fn concat_buckets<K, V>(
 /// churn (K-Means reassignments) is therefore never wrong; it records a
 /// new plan every time.
 ///
-/// The keyed local syncs of a [`crate::EagerMapper`] task group through
-/// a plan of one chunk, kept from pass to pass of one map call: a pass
-/// hands [`group_planned`] its pairs as one owned bucket. A [`Grouped`]
-/// is a plan recorded from one input, kept beside that input's
-/// scattered values.
+/// A [`Grouped`] is a plan recorded from one input, kept beside that
+/// input's scattered values.
 ///
 /// One `u32` a record and three a group, plus one `K` a record only
 /// where a bucket carried no handle; kept in the engine's
@@ -666,24 +660,19 @@ impl<K: Key> GroupPlan<K> {
 /// input the way `strategy` names, and the values scatter through it. A
 /// bucket sequence that differs from the recorded one only in where the
 /// buckets are cut is a miss: slower, never different.
-///
-/// The grouped values are placed in `values`' allocation and left
-/// there: a caller that groups again and again — a local sync, pass
-/// after pass — hands the same buffer back each time; a reduce task
-/// passes an empty one.
 pub fn group_planned<K: Key, V: Value>(
     buckets: Vec<Bucket<K, V>>,
     strategy: GroupingStrategy,
     plan: &mut GroupPlan<K>,
-    values: &mut Vec<V>,
     f: impl FnMut(GroupView<'_, K, V>),
 ) -> (PlanOutcome, bool) {
     let recognised = plan.recognises(&buckets);
     if recognised.is_none() {
         plan.record(&buckets, strategy);
     }
-    plan.scatter(buckets, values);
-    plan.for_each_group(values, f);
+    let mut values = Vec::new();
+    plan.scatter(buckets, &mut values);
+    plan.for_each_group(&values, f);
     let outcome = if recognised.is_some() { PlanOutcome::Hit } else { PlanOutcome::Recorded };
     (outcome, recognised == Some(true))
 }
@@ -1101,7 +1090,7 @@ mod tests {
     ) -> (Groups<K, V>, (PlanOutcome, bool)) {
         let mut out = Vec::new();
         let collect = |g: GroupView<'_, K, V>| out.push((g.key.clone(), g.values.to_vec()));
-        let planned = group_planned(buckets, strategy, plan, &mut Vec::new(), collect);
+        let planned = group_planned(buckets, strategy, plan, collect);
         (out, planned)
     }
 
@@ -1306,8 +1295,7 @@ mod tests {
             let mut outcomes: Vec<_> = routed.iter().map(|(_, outcome)| outcome.unwrap()).collect();
             for (p, plan) in groups.iter_mut().enumerate().rev() {
                 let buckets = routed.iter_mut().map(|(b, _)| b.swap_remove(p)).collect();
-                let (outcome, by_identity) =
-                    group_planned(buckets, Sort, plan, &mut Vec::new(), |_| {});
+                let (outcome, by_identity) = group_planned(buckets, Sort, plan, |_| {});
                 assert_eq!(by_identity, outcome == Hit);
                 outcomes.push(outcome);
             }
@@ -1330,7 +1318,7 @@ mod tests {
         let mut plan = GroupPlan::default();
         let mut group_once = || {
             let buckets = vec![input().into(), input().into()];
-            group_planned(buckets, Sort, &mut plan, &mut Vec::new(), |_| {}).0
+            group_planned(buckets, Sort, &mut plan, |_| {}).0
         };
         let (outcome, clones, _) = counting(&mut group_once);
         assert_eq!((outcome, clones), (Recorded, 80));

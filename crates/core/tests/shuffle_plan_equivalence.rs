@@ -105,7 +105,7 @@ fn shuffle_job(store: &PlanStore, job: &Job, reducers: usize, strategy: Grouping
         let reference = shuffle::group(concat);
         let mut got = Vec::new();
         let hit = store.with(partition, |plan: &mut GroupPlan<u32>| {
-            shuffle::group_planned(buckets, strategy, plan, &mut Vec::new(), |g| {
+            shuffle::group_planned(buckets, strategy, plan, |g| {
                 got.push((*g.key, g.values.to_vec()));
             })
         });
@@ -468,7 +468,8 @@ struct Scripted {
 }
 
 /// Emits its split record by record; panics at `panic_at`'s
-/// `(task, record)`.
+/// `(task, record)` — before that record, or, at the split's length,
+/// after the last.
 struct Emit<F> {
     panic_at: Option<(usize, usize)>,
     flavor: PhantomData<F>,
@@ -490,6 +491,7 @@ impl<F: Flavor> Mapper for Emit<F> {
             ctx.emit_intermediate(F::key(k), F::value(x));
             assert_eq!(ctx.records(), i as u64 + 1);
         }
+        assert!(self.panic_at != Some((task, split.len())), "scripted panic");
         ctx.add_ops(split.len() as u64);
     }
 }
@@ -669,7 +671,7 @@ fn a_panic_in_the_middle_of_an_on_plan_map_task_drops_nothing_twice() {
     let base = base_job();
     let opts = JobOptions::with_reducers(base.reducers);
     let (mapper, reducer) = (Emit::<Tracked>::new(), Arrivals::<Tracked>(PhantomData));
-    for at in [0, 1, 6, 12] {
+    for at in [0, 1, 6, 12, 13] {
         let mut engine = Engine::in_process(&pool);
         for _ in 0..3 {
             engine.run("warm", &base.tasks, &mapper, &reducer, &opts);

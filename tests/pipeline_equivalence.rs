@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use asyncmr::core::prelude::*;
-use asyncmr::core::{EagerMapper, Engine, JobMeter, JobReuse, PlanUse};
+use asyncmr::core::{EagerMapper, Engine, JobMeter, JobReuse};
 use asyncmr::runtime::ThreadPool;
 
 /// Scatters each input number across a small key space.
@@ -180,8 +180,8 @@ proptest! {
 /// An eager mapper over the same splits: every number `x` feeds its
 /// key `x % key_space` and passes that key's running maximum on to the
 /// next key, round and round to a local fixpoint — several local syncs
-/// a task. It folds: its state's keys `0..key_space` are its groups, so
-/// key `k`'s group is `k`, and a key no number reached keeps its value.
+/// a task. Its state's keys `0..key_space` are its groups, so key `k`'s
+/// group is `k`, and a key no number reached keeps its value.
 struct RingMax {
     key_space: u32,
 }
@@ -191,7 +191,6 @@ impl LocalAlgorithm for RingMax {
     type Item = u32;
     type Key = u32;
     type Value = u64;
-    const FOLDS: bool = true;
 
     fn items<'a>(&self, split: &'a Vec<u32>) -> &'a [u32] {
         split
@@ -231,8 +230,7 @@ proptest! {
 
     /// Sequences of *eager* jobs on one engine, the staged schedule
     /// against the reference: a job whose splits changed and a job
-    /// that repeats an earlier one give the same pairs and meters, and
-    /// the folding local syncs use no plan.
+    /// that repeats an earlier one give the same pairs and meters.
     #[test]
     fn eager_job_sequences_on_one_engine_agree(
         splits in proptest::collection::vec(
@@ -254,7 +252,6 @@ proptest! {
             prop_assert_eq!(staged.meter.map_ops, reference.meter.map_ops);
             prop_assert!(staged.meter.local_syncs >= splits.len() as u64);
             prop_assert_eq!(reference.reuse, JobReuse::default());
-            prop_assert_eq!(staged.reuse.local, PlanUse::default());
         }
     }
 }
