@@ -36,13 +36,13 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         _task: usize,
         input: &CcGeneralInput,
         item: &u32,
-        state: &LocalState<NodeId, NodeId>,
+        state: &[NodeId],
         ctx: &mut LocalMapContext<Self>,
     ) {
         let li = *item;
         let part = &input.part;
-        let label = state[&part.nodes[li as usize]];
         // The state's entry `li` is local vertex `li`: its group.
+        let label = state[li as usize];
         ctx.emit_to(li as usize, label);
         let targets = part.internal.targets(li);
         // The sends, and as many again for the minima that take them in.
@@ -60,11 +60,7 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         *acc = min_label(*acc, label);
     }
 
-    fn locally_converged(
-        &self,
-        old: &LocalState<NodeId, NodeId>,
-        new: &LocalState<NodeId, NodeId>,
-    ) -> bool {
+    fn locally_converged(&self, old: &[NodeId], new: &[NodeId]) -> bool {
         old == new
     }
 
@@ -72,13 +68,14 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         &self,
         _task: usize,
         input: &CcGeneralInput,
-        state: &LocalState<NodeId, NodeId>,
+        _keys: &[NodeId],
+        state: &[NodeId],
         ctx: &mut MapContext<NodeId, NodeId>,
     ) {
         let part = &input.part;
         for &li in &part.local_ids {
             let v = part.nodes[li as usize];
-            let label = state[&v];
+            let label = state[li as usize];
             ctx.emit_intermediate(v, label);
             ctx.add_ops(1);
             for (t, _) in part.cross_edges(li) {

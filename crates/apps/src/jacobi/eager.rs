@@ -40,12 +40,12 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         _task: usize,
         input: &JacobiInput,
         item: &u32,
-        state: &LocalState<NodeId, JMsg>,
+        state: &[JMsg],
         ctx: &mut LocalMapContext<Self>,
     ) {
         let li = *item;
         let part = &input.part;
-        let JMsg::Contrib(xv) = state[&part.nodes[li as usize]] else {
+        let JMsg::Contrib(xv) = state[li as usize] else {
             unreachable!("state stores Contrib(x)");
         };
         // The state's entry `li` is local vertex `li`: its group. This
@@ -76,13 +76,9 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         *sum = update(input.b[li], *sum, input.diag[li]);
     }
 
-    fn locally_converged(
-        &self,
-        old: &LocalState<NodeId, JMsg>,
-        new: &LocalState<NodeId, JMsg>,
-    ) -> bool {
-        old.iter().all(|(k, v)| {
-            let (JMsg::Contrib(a), Some(JMsg::Contrib(b))) = (v, new.get(k)) else {
+    fn locally_converged(&self, old: &[JMsg], new: &[JMsg]) -> bool {
+        old.iter().zip(new).all(|pair| {
+            let (JMsg::Contrib(a), JMsg::Contrib(b)) = pair else {
                 return false;
             };
             (a - b).abs() < self.local_tolerance
@@ -93,13 +89,14 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         &self,
         _task: usize,
         input: &JacobiInput,
-        state: &LocalState<NodeId, JMsg>,
+        _keys: &[NodeId],
+        state: &[JMsg],
         ctx: &mut MapContext<NodeId, JMsg>,
     ) {
         let part = &input.part;
         for &li in &part.local_ids {
             let v = part.nodes[li as usize];
-            let JMsg::Contrib(xv) = state[&v] else {
+            let JMsg::Contrib(xv) = state[li as usize] else {
                 unreachable!("owned vertices always in state");
             };
             // Recover the converged internal sum from the block equation.

@@ -64,14 +64,14 @@ impl LocalAlgorithm for KmLocalAlgorithm {
         _task: usize,
         input: &KmGeneralInput,
         item: &u32,
-        state: &LocalState<u32, ClusterUpdate>,
+        state: &[ClusterUpdate],
         ctx: &mut LocalMapContext<Self>,
     ) {
         let point = &input.points[*item as usize];
         // Nearest over the *local* evolving centroids, in cid order.
         let mut best = 0;
         let mut best_d = f64::INFINITY;
-        for (g, (_, (centroid, _))) in state.iter().enumerate() {
+        for (g, (centroid, _)) in state.iter().enumerate() {
             let d = super::dist2(point, centroid);
             if d < best_d {
                 best = g;
@@ -111,15 +111,10 @@ impl LocalAlgorithm for KmLocalAlgorithm {
         }
     }
 
-    fn locally_converged(
-        &self,
-        old: &LocalState<u32, ClusterUpdate>,
-        new: &LocalState<u32, ClusterUpdate>,
-    ) -> bool {
-        old.iter().all(|(cid, (c_old, _))| match new.get(cid) {
-            Some((c_new, _)) => super::dist2(c_old, c_new).sqrt() < self.threshold,
-            None => false,
-        })
+    fn locally_converged(&self, old: &[ClusterUpdate], new: &[ClusterUpdate]) -> bool {
+        old.iter()
+            .zip(new)
+            .all(|((c_old, _), (c_new, _))| super::dist2(c_old, c_new).sqrt() < self.threshold)
     }
 
     /// Emit `(input-centroid id, count-weighted updated centroid)` so
@@ -128,10 +123,11 @@ impl LocalAlgorithm for KmLocalAlgorithm {
         &self,
         _task: usize,
         _input: &KmGeneralInput,
-        state: &LocalState<u32, ClusterUpdate>,
+        cids: &[u32],
+        state: &[ClusterUpdate],
         ctx: &mut MapContext<u32, ClusterUpdate>,
     ) {
-        for (cid, (centroid, count)) in state {
+        for (cid, (centroid, count)) in cids.iter().zip(state) {
             if *count == 0 {
                 continue; // this gmap has no opinion on the centroid
             }
@@ -304,7 +300,7 @@ mod tests {
     /// freeze as a gmap converges; it folds each point into its group's
     /// accumulator and carries an unchosen centroid from its old value.
     /// None of that may show: every number below was captured from the
-    /// commit before plan reuse and the flat `LocalState` (full sort +
+    /// commit before plan reuse and the flat local state (full sort +
     /// `BTreeMap` on every pass). The reference engine shares
     /// `EagerMapper`, so only constants can pin this.
     #[test]

@@ -79,14 +79,14 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         _task: usize,
         input: &PrEagerInput,
         item: &u32,
-        state: &LocalState<NodeId, PrMsg>,
+        state: &[PrMsg],
         ctx: &mut LocalMapContext<Self>,
     ) {
         let li = *item;
         let part = &input.part;
-        let rank = match state.get(&part.nodes[li as usize]) {
-            Some(PrMsg::Contrib(r)) => *r,
-            _ => unreachable!("state always holds the vertex rank"),
+        // The state's entry `li` is local vertex `li`.
+        let PrMsg::Contrib(rank) = state[li as usize] else {
+            unreachable!("state always holds the vertex rank");
         };
         let deg = part.out_degree[li as usize];
         let targets = part.internal.targets(li);
@@ -128,13 +128,9 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         *sum = self.rule.rank(*sum);
     }
 
-    fn locally_converged(
-        &self,
-        old: &LocalState<NodeId, PrMsg>,
-        new: &LocalState<NodeId, PrMsg>,
-    ) -> bool {
-        old.iter().all(|(k, v)| {
-            let (PrMsg::Contrib(a), Some(PrMsg::Contrib(b))) = (v, new.get(k)) else {
+    fn locally_converged(&self, old: &[PrMsg], new: &[PrMsg]) -> bool {
+        old.iter().zip(new).all(|pair| {
+            let (PrMsg::Contrib(a), PrMsg::Contrib(b)) = pair else {
                 return false;
             };
             self.rule.locally_settled(*a, *b)
@@ -145,15 +141,15 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         &self,
         _task: usize,
         input: &PrEagerInput,
-        state: &LocalState<NodeId, PrMsg>,
+        _keys: &[NodeId],
+        state: &[PrMsg],
         ctx: &mut MapContext<NodeId, PrMsg>,
     ) {
         let part = &input.part;
         for &li in &part.local_ids {
             let v = part.nodes[li as usize];
-            let rank = match state.get(&v) {
-                Some(PrMsg::Contrib(r)) => *r,
-                _ => unreachable!("owned vertices always in state"),
+            let PrMsg::Contrib(rank) = state[li as usize] else {
+                unreachable!("owned vertices always in state");
             };
             // Converged local contribution sum, recovered from Eq. 1.
             let s_local = self.rule.local_sum(rank, input.remote_in[v as usize]);

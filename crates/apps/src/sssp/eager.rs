@@ -45,12 +45,12 @@ impl LocalAlgorithm for SpLocalAlgorithm {
         _task: usize,
         input: &SpGeneralInput,
         item: &u32,
-        state: &LocalState<NodeId, f64>,
+        state: &[f64],
         ctx: &mut LocalMapContext<Self>,
     ) {
         let li = *item;
         let part = &input.part;
-        let d = state[&part.nodes[li as usize]];
+        let d = state[li as usize];
         // Self-proposal / keep-alive; the state's entry `li` is local
         // vertex `li`, so that is its group. Two ops: the send, and the
         // minimum that takes it in.
@@ -76,25 +76,22 @@ impl LocalAlgorithm for SpLocalAlgorithm {
         *acc = acc.min(proposal);
     }
 
-    fn locally_converged(
-        &self,
-        old: &LocalState<NodeId, f64>,
-        new: &LocalState<NodeId, f64>,
-    ) -> bool {
-        old.iter().all(|(k, &a)| settled(a, new[k]))
+    fn locally_converged(&self, old: &[f64], new: &[f64]) -> bool {
+        old.iter().zip(new).all(|(&a, &b)| settled(a, b))
     }
 
     fn finalize(
         &self,
         _task: usize,
         input: &SpGeneralInput,
-        state: &LocalState<NodeId, f64>,
+        _keys: &[NodeId],
+        state: &[f64],
         ctx: &mut MapContext<NodeId, f64>,
     ) {
         let part = &input.part;
         for &li in &part.local_ids {
             let v = part.nodes[li as usize];
-            let d = state[&v];
+            let d = state[li as usize];
             ctx.emit_intermediate(v, d);
             ctx.add_ops(1);
             if !d.is_finite() {

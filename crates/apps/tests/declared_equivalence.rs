@@ -108,9 +108,10 @@ impl<A: LocalAlgorithm<Item = u32, Key = NodeId>> Mapper for KeyedPass<A> {
             state.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum()
         });
         ctx.meter.set_input_bytes(bytes);
-        // The app's convergence test and `finalize` read a `LocalState`.
-        let view = |state: &BTreeMap<NodeId, A::Value>| -> LocalState<NodeId, A::Value> {
-            state.iter().map(|(k, v)| (*k, v.clone())).collect()
+        // The app's convergence test and `finalize` read the state's
+        // values, and `finalize` its keys, as key-ascending slices.
+        let values = |state: &BTreeMap<NodeId, A::Value>| -> Vec<A::Value> {
+            state.values().cloned().collect()
         };
         for _ in 0..algo.max_local_iterations() {
             let (mut pairs, mut ops) = (Vec::new(), 0);
@@ -131,13 +132,17 @@ impl<A: LocalAlgorithm<Item = u32, Key = NodeId>> Mapper for KeyedPass<A> {
             }
             ctx.meter.add_ops(ops);
             ctx.meter.add_local_sync();
-            let done = algo.locally_converged(&view(&state), &view(&next));
+            // Every pass reaches every entry (or carries it), so the two
+            // states' slices pair entry with entry.
+            assert!(next.keys().eq(state.keys()), "a keyed pass keeps its state's keys");
+            let done = algo.locally_converged(&values(&state), &values(&next));
             state = next;
             if done {
                 break;
             }
         }
-        algo.finalize(task, input, &view(&state), ctx);
+        let keys: Vec<NodeId> = state.keys().copied().collect();
+        algo.finalize(task, input, &keys, &values(&state), ctx);
     }
 }
 

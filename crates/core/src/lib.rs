@@ -17,6 +17,7 @@
 //! | `lreduce` (local), a fold over each group | [`LocalAlgorithm::init`] / [`LocalAlgorithm::fold`] / [`LocalAlgorithm::finish`] |
 //! | `EmitLocalIntermediate(k, v)` | [`LocalMapContext::emit_to`] / [`LocalMapContext::emit_to_each`], to the group of `k` |
 //! | `EmitLocal(k, v)` | [`LocalAlgorithm::finish`]'s in-place write of `k`'s next value |
+//! | the local hashtable (§V-A) | the map call's value array, keys fixed once from [`LocalAlgorithm::init_state`] (strictly ascending): group `g` is entry `g` |
 //! | `gmap` built from `lmap`+`lreduce` (Fig. 1) | [`EagerMapper`] |
 //! | combiner | [`Combiner`] |
 //!
@@ -101,7 +102,7 @@ pub use driver::{FixedPointDriver, IterationReport, StepStatus};
 pub use emitter::{MapContext, ReduceContext, TaskMeter};
 pub use engine::{Engine, JobMeter, JobOptions, JobResult, JobReuse, PlanUse};
 pub use kv::{Key, Meterable, Value};
-pub use local::{EagerMapper, LocalAlgorithm, LocalMapContext, LocalState};
+pub use local::{EagerMapper, LocalAlgorithm, LocalMapContext};
 pub use obs::SpanRecorder;
 pub use plan::StageTimings;
 pub use session::{
@@ -117,7 +118,7 @@ pub mod prelude {
     pub use crate::emitter::{MapContext, ReduceContext};
     pub use crate::engine::{Engine, JobOptions, JobResult};
     pub use crate::kv::{Key, Meterable, Value};
-    pub use crate::local::{EagerMapper, LocalAlgorithm, LocalMapContext, LocalState};
+    pub use crate::local::{EagerMapper, LocalAlgorithm, LocalMapContext};
     pub use crate::session::{
         Absorbed, AsyncFixedPointDriver, AsyncIterative, Dependence, GmapOutput, Outbox,
         SessionOutcome, SessionReport,

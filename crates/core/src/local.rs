@@ -15,10 +15,10 @@
 //!
 //! `xs` is the partition handed to the `gmap` task; "a hashtable is
 //! used to store the intermediate and final results of the local
-//! MapReduce" (paper §V-A). Accordingly, [`LocalAlgorithm::lmap`] runs
-//! over the partition's [items](LocalAlgorithm::items) with *read*
-//! access to the current hashtable ([`LocalState`]), and the pass's
-//! `lreduce` writes the next one.
+//! MapReduce" (paper §V-A). Here that hashtable is the map call's value
+//! array: [`LocalAlgorithm::lmap`] runs over the partition's
+//! [items](LocalAlgorithm::items) with *read* access to the current
+//! values, and the pass's `lreduce` writes the next ones.
 //!
 //! An application supplies `lmap`, its `lreduce` as a fold, a
 //! local-convergence test, and the input/state conversion functions
@@ -33,11 +33,13 @@
 //! counted in [`crate::TaskMeter::local_syncs`].
 //!
 //! An algorithm's groups are its state's keys — a graph app's owned
-//! vertices, K-Means's centroid ids: group `g` is entry `g` of its
-//! [`LocalState`], keys ascending, and its state *is* an accumulator
-//! array. The map call fixes the keys once and keeps two value arrays,
-//! the one the pass reads and the one it writes, swapped between
-//! passes. `lmap` names the group of each value it emits
+//! vertices, K-Means's centroid ids — listed by
+//! [`init_state`](LocalAlgorithm::init_state) in strictly ascending
+//! order: group `g` is entry `g`, and the state *is* an accumulator
+//! array. The map call splits the initial state once into its keys and
+//! its values and keeps two value arrays, the one the pass reads and
+//! the one it writes, swapped between passes. `lmap` reads its groups
+//! by index and names the group of each value it emits
 //! ([`LocalMapContext::emit_to`], or [`LocalMapContext::emit_to_each`]
 //! for one value along a list of groups), which is folded into that
 //! group's slot of the written array where it is emitted
@@ -49,10 +51,6 @@
 //! at the end of the pass ([`LocalAlgorithm::finish`]); one that no
 //! value reached finishes from its `init` and its old value.
 
-use std::fmt;
-use std::ops::Index;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::emitter::MapContext;
 use crate::kv::{Key, Meterable, Value};
 use crate::traits::Mapper;
@@ -62,170 +60,22 @@ use crate::traits::Mapper;
 /// kernels so they stop where the eager formulations stop.
 pub const DEFAULT_MAX_LOCAL_ITERATIONS: usize = 10_000;
 
-/// The local-state "hashtable" of paper Figure 1 ("a hashtable is used
-/// to store the intermediate and final results of the local MapReduce",
-/// §V-A), kept as two parallel `Vec`s: the keys, ascending, and the
-/// value stored under each.
-///
-/// It has a map's read interface — [`get`](LocalState::get),
-/// `state[&key]`, iteration — and is built by `collect()` from entries
-/// in any order. A local sync never uses it as a general map: a pass's
-/// entry `g` is its group `g`, so its keys are fixed for the map call
-/// and the pass writes the next values in place, array against array.
-/// `lmap`, `finalize` and `locally_converged` look keys up in the order
-/// they are stored, so `get` keeps a **search finger** over the keys —
-/// the position of the last key found — and tries the entry after it,
-/// then the entry itself, before it falls back to a binary search. The
-/// finger is only ever a proposal: key equality decides every lookup,
-/// so lookups in any order (or from several threads — the finger is a
-/// relaxed atomic) cost a binary search, never a wrong answer. Every
-/// traversal is in ascending key order — the determinism the bitwise
-/// contracts need and a hashed table would not give.
-pub struct LocalState<K, V> {
-    /// Strictly ascending.
-    keys: Vec<K>,
-    /// `values[i]` is stored under `keys[i]`.
-    values: Vec<V>,
-    /// Where [`LocalState::get`] last found a key (`usize::MAX` before
-    /// the first hit, so the entry "after" it is the first). Publishes
-    /// nothing: a stale or torn-looking value is just a bad guess.
-    finger: AtomicUsize,
-}
-
-impl<K, V> LocalState<K, V> {
-    /// An empty state.
-    pub fn new() -> Self {
-        Self::from_sorted(Vec::new(), Vec::new())
-    }
-
-    /// A state storing `values[i]` under `keys[i]`; the keys strictly
-    /// ascend.
-    fn from_sorted(keys: Vec<K>, values: Vec<V>) -> Self {
-        LocalState { keys, values, finger: AtomicUsize::new(usize::MAX) }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the state has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The entries as `(&key, &value)`, keys ascending.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.into_iter()
-    }
-}
-
-impl<K: Ord, V> LocalState<K, V> {
-    /// The value stored under `key`: `O(1)` when `key` is the one after
-    /// (or the same as) the last key found, a binary search otherwise.
-    #[inline]
-    pub fn get(&self, key: &K) -> Option<&V> {
-        let finger = self.finger.load(Ordering::Relaxed);
-        let holds = |at: usize| self.keys.get(at) == Some(key);
-        let at = if holds(finger.wrapping_add(1)) {
-            finger.wrapping_add(1)
-        } else if holds(finger) {
-            finger
-        } else {
-            self.keys.binary_search(key).ok()?
-        };
-        self.finger.store(at, Ordering::Relaxed);
-        Some(&self.values[at])
-    }
-
-    /// Builds the state from entries written in any order: a later
-    /// write to a key replaces an earlier one. Already-ascending input —
-    /// every `init_state` that lists its keys in order — costs one scan.
-    fn from_writes(mut entries: Vec<(K, V)>) -> Self {
-        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-            // The sort is stable, so each key's writes are adjacent in
-            // write order; fold every later one into the kept first.
-            entries.dedup_by(|later, kept| {
-                let same = later.0 == kept.0;
-                if same {
-                    std::mem::swap(&mut later.1, &mut kept.1);
-                }
-                same
-            });
-        }
-        let (keys, values) = entries.into_iter().unzip();
-        Self::from_sorted(keys, values)
-    }
-}
-
-impl<K: Clone, V: Clone> Clone for LocalState<K, V> {
-    fn clone(&self) -> Self {
-        Self::from_sorted(self.keys.clone(), self.values.clone())
-    }
-}
-
-/// States are equal when their entries are; the finger is not state.
-impl<K: PartialEq, V: PartialEq> PartialEq for LocalState<K, V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.keys == other.keys && self.values == other.values
-    }
-}
-
-impl<K, V> Default for LocalState<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for LocalState<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
-    }
-}
-
-impl<K: Ord, V> Index<&K> for LocalState<K, V> {
-    type Output = V;
-
-    /// Panics if `key` is absent.
-    fn index(&self, key: &K) -> &V {
-        self.get(key).expect("no entry found for key")
-    }
-}
-
-impl<K: Ord, V> FromIterator<(K, V)> for LocalState<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        Self::from_writes(iter.into_iter().collect())
-    }
-}
-
-impl<'a, K, V> IntoIterator for &'a LocalState<K, V> {
-    type Item = (&'a K, &'a V);
-    type IntoIter = std::iter::Zip<std::slice::Iter<'a, K>, std::slice::Iter<'a, V>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.keys.iter().zip(&self.values)
-    }
-}
-
 /// Context for [`LocalAlgorithm::lmap`] — the paper's
 /// `EmitLocalIntermediate` plus op metering — typed with its algorithm,
 /// whose [fold](LocalAlgorithm::fold) it calls where each value is
 /// emitted.
 ///
-/// It holds the state the pass writes: the keys of the one it reads,
-/// its values overwritten with each group's
-/// [`init`](LocalAlgorithm::init). `lmap` names the group of each value
-/// ([`emit_to`](LocalMapContext::emit_to),
+/// It holds the values the pass writes, one per group, each overwritten
+/// with the group's [`init`](LocalAlgorithm::init). `lmap` names the
+/// group of each value ([`emit_to`](LocalMapContext::emit_to),
 /// [`emit_to_each`](LocalMapContext::emit_to_each)), the value is folded
 /// straight into that group's slot, and the end of the pass finishes
 /// every slot in place. A group past the last panics, naming the task
 /// and the pass.
 #[derive(Debug)]
 pub struct LocalMapContext<L: LocalAlgorithm> {
-    /// The state the pass writes; its values are the groups'
-    /// accumulators.
-    next: LocalState<L::Key, L::Value>,
+    /// The values the pass writes: the groups' accumulators.
+    next: Vec<L::Value>,
     /// The map task and its pass index, for the panic.
     task: usize,
     pass: usize,
@@ -233,39 +83,31 @@ pub struct LocalMapContext<L: LocalAlgorithm> {
 }
 
 impl<L: LocalAlgorithm> LocalMapContext<L> {
-    /// A context for the passes of task `task` over `state`, the first
-    /// state they read: it writes states with its keys, and each pass's
-    /// `begin` fills in their values.
-    fn new(task: usize, state: &LocalState<L::Key, L::Value>) -> Self {
-        let next = LocalState::from_sorted(state.keys.clone(), Vec::new());
-        LocalMapContext { next, task, pass: 0, ops: 0 }
+    /// A context for the passes of task `task`; each pass's `begin`
+    /// fills in the values it writes.
+    fn new(task: usize) -> Self {
+        LocalMapContext { next: Vec::new(), task, pass: 0, ops: 0 }
     }
 
-    /// Starts pass `pass` over `state` by overwriting each group's slot
-    /// with its `init`.
-    fn begin(
-        &mut self,
-        algo: &L,
-        input: &L::Input,
-        state: &LocalState<L::Key, L::Value>,
-        pass: usize,
-    ) {
+    /// Starts pass `pass` by overwriting each group's slot with its
+    /// `init`.
+    fn begin(&mut self, algo: &L, input: &L::Input, keys: &[L::Key], pass: usize) {
         (self.pass, self.ops) = (pass, 0);
         let init = |(group, key): (usize, &L::Key)| algo.init(input, group, key);
-        self.next.values.clear();
-        self.next.values.extend(state.keys.iter().enumerate().map(init));
+        self.next.clear();
+        self.next.extend(keys.iter().enumerate().map(init));
     }
 
     /// The paper's `EmitLocalIntermediate`: folds `value` into the
-    /// accumulator of group `group` — the pass's state entry `group`,
-    /// keys ascending. One op.
+    /// accumulator of group `group` — the state's entry `group`, keys
+    /// ascending. One op.
     ///
     /// # Panics
     ///
     /// Past the last group.
     #[inline]
     pub fn emit_to(&mut self, group: usize, value: L::Value) {
-        match self.next.values.get_mut(group) {
+        match self.next.get_mut(group) {
             Some(acc) => L::fold(acc, value),
             None => self.past_the_last(group),
         }
@@ -281,7 +123,7 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
     /// At a group past the last.
     #[inline]
     pub fn emit_to_each(&mut self, groups: &[u32], value: L::Value) {
-        let accs = &mut self.next.values[..];
+        let accs = &mut self.next[..];
         for &group in groups {
             match accs.get_mut(group as usize) {
                 Some(acc) => L::fold(acc, value.clone()),
@@ -307,10 +149,10 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
         self.ops += n;
     }
 
-    /// Ends the pass over `state`: finishes each group in place, keys
-    /// ascending, leaving the state the pass wrote in `self.next`.
-    fn finish(&mut self, algo: &L, input: &L::Input, state: &LocalState<L::Key, L::Value>) {
-        let groups = state.keys.iter().zip(&state.values).zip(&mut self.next.values);
+    /// Ends the pass that read `cur`: finishes each group in place, keys
+    /// ascending, leaving the values the pass wrote in `self.next`.
+    fn finish(&mut self, algo: &L, input: &L::Input, keys: &[L::Key], cur: &[L::Value]) {
+        let groups = keys.iter().zip(cur).zip(&mut self.next);
         for (group, ((key, old), acc)) in groups.enumerate() {
             algo.finish(input, group, key, old, acc);
         }
@@ -320,13 +162,14 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
 /// An iterative algorithm expressed as local map/reduce over one
 /// partition — the ingredients of the paper's `gmap` (Fig. 1).
 ///
-/// The keys of [`init_state`](Self::init_state), ascending, are every
-/// pass's groups: `lmap` emits each value to the index of its group
-/// ([`LocalMapContext::emit_to`], [`LocalMapContext::emit_to_each`]),
-/// and the paper's `lreduce` is a fold ([`init`](Self::init),
-/// [`fold`](Self::fold), [`finish`](Self::finish)), which sees a
-/// group's values in emission order and leaves the group's next value
-/// in its accumulator.
+/// The keys of [`init_state`](Self::init_state), strictly ascending,
+/// are every pass's groups, and a state is its value array: entry `g`
+/// is group `g`. `lmap` reads the current values by index and emits
+/// each value to the index of its group ([`LocalMapContext::emit_to`],
+/// [`LocalMapContext::emit_to_each`]), and the paper's `lreduce` is a
+/// fold ([`init`](Self::init), [`fold`](Self::fold),
+/// [`finish`](Self::finish)), which sees a group's values in emission
+/// order and leaves the group's next value in its accumulator.
 pub trait LocalAlgorithm: Send + Sync + Sized {
     /// The partition handed to each `gmap` task (the paper's `xs`,
     /// plus any read-only structure such as adjacency).
@@ -341,25 +184,28 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
     /// The `xs` list inside the partition.
     fn items<'a>(&self, input: &'a Self::Input) -> &'a [Self::Item];
 
-    /// Builds the initial local-state hashtable from the partition
-    /// ("functions to convert data into the formats required by the
-    /// local map and local reduce", §IV).
+    /// Builds the initial local state from the partition ("functions to
+    /// convert data into the formats required by the local map and
+    /// local reduce", §IV): one entry per group, keys strictly
+    /// ascending. A map call panics, naming the task and the entry, at
+    /// the first key that does not ascend.
     fn init_state(&self, task: usize, input: &Self::Input) -> Vec<(Self::Key, Self::Value)>;
 
     /// The paper's `lmap`: processes one element of `xs`, reading the
-    /// current hashtable and sending each value to its group via
-    /// [`LocalMapContext::emit_to`] and [`LocalMapContext::emit_to_each`].
+    /// current values — `state[g]` is group `g`'s — and sending each
+    /// value to its group via [`LocalMapContext::emit_to`] and
+    /// [`LocalMapContext::emit_to_each`].
     fn lmap(
         &self,
         task: usize,
         input: &Self::Input,
         item: &Self::Item,
-        state: &LocalState<Self::Key, Self::Value>,
+        state: &[Self::Value],
         ctx: &mut LocalMapContext<Self>,
     );
 
     /// The pass's first step: the accumulator of group `group` — the
-    /// pass's state entry `group`, keys ascending — whose key is `key`,
+    /// state's entry `group`, keys ascending — whose key is `key`,
     /// before any value.
     fn init(&self, input: &Self::Input, group: usize, key: &Self::Key) -> Self::Value;
 
@@ -384,12 +230,9 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
         let _ = (input, group, key, old, acc);
     }
 
-    /// Local termination test ("no-local-convergence-intimated").
-    fn locally_converged(
-        &self,
-        old: &LocalState<Self::Key, Self::Value>,
-        new: &LocalState<Self::Key, Self::Value>,
-    ) -> bool;
+    /// Local termination test ("no-local-convergence-intimated") over
+    /// the values a pass read and the ones it wrote, entry by entry.
+    fn locally_converged(&self, old: &[Self::Value], new: &[Self::Value]) -> bool;
 
     /// Safety valve on local iterations (default
     /// [`DEFAULT_MAX_LOCAL_ITERATIONS`]); at least 1 — a `gmap` whose
@@ -407,18 +250,21 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
         None
     }
 
-    /// Global emissions after local convergence. The default dumps the
-    /// final hashtable — exactly paper Fig. 1. Override to emit
-    /// cross-partition messages (e.g. boundary contributions) too.
+    /// Global emissions after local convergence, given the state's keys
+    /// and its final values (`state[g]` is stored under `keys[g]`). The
+    /// default dumps the final hashtable — exactly paper Fig. 1.
+    /// Override to emit cross-partition messages (e.g. boundary
+    /// contributions) too.
     fn finalize(
         &self,
         task: usize,
         input: &Self::Input,
-        state: &LocalState<Self::Key, Self::Value>,
+        keys: &[Self::Key],
+        state: &[Self::Value],
         ctx: &mut MapContext<Self::Key, Self::Value>,
     ) {
         let _ = (task, input);
-        for (k, v) in state {
+        for (k, v) in keys.iter().zip(state) {
             ctx.emit_intermediate(k.clone(), v.clone());
         }
     }
@@ -453,56 +299,66 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
     /// # Panics
     ///
     /// If the algorithm's [`LocalAlgorithm::max_local_iterations`] is
-    /// 0, or a pass sends a value past its last group (see
+    /// 0, its [`LocalAlgorithm::init_state`]'s keys do not strictly
+    /// ascend, or a pass sends a value past its last group (see
     /// [`LocalMapContext`]).
     fn map(&self, task: usize, input: &Self::Input, ctx: &mut MapContext<Self::Key, Self::Value>) {
         let max_passes = self.algo.max_local_iterations();
         assert!(max_passes > 0, "LocalAlgorithm::max_local_iterations is 0 (task {task})");
-        let mut state: LocalState<L::Key, L::Value> =
-            self.algo.init_state(task, input).into_iter().collect();
+        let (keys, mut cur): (Vec<L::Key>, Vec<L::Value>) =
+            self.algo.init_state(task, input).into_iter().unzip();
+        if let Some(prev) = keys.windows(2).position(|w| w[0] >= w[1]) {
+            let entry = prev + 1;
+            panic!("LocalAlgorithm::init_state of task {task}: the key of entry {entry} does not ascend past entry {prev}'s (keys must strictly ascend)");
+        }
         let input_bytes = self.algo.input_bytes(task, input).unwrap_or_else(|| {
-            state.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum()
+            keys.iter().zip(&cur).map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum()
         });
         ctx.meter.set_input_bytes(input_bytes);
         let items = self.algo.items(input);
 
-        let mut lctx = LocalMapContext::new(task, &state);
+        let mut lctx = LocalMapContext::new(task);
         for pass in 0..max_passes {
             // Local map phase over every element of xs.
-            lctx.begin(&self.algo, input, &state, pass);
+            lctx.begin(&self.algo, input, &keys, pass);
             for item in items {
-                self.algo.lmap(task, input, item, &state, &mut lctx);
+                self.algo.lmap(task, input, item, &cur, &mut lctx);
             }
             // Partial synchronization: locally reduce. This barrier is
             // *within* the task — other partitions are already running
             // their next local iteration (eager scheduling).
-            lctx.finish(&self.algo, input, &state);
+            lctx.finish(&self.algo, input, &keys, &cur);
             ctx.meter.add_ops(lctx.ops);
             ctx.meter.add_local_sync();
 
-            let done = self.algo.locally_converged(&state, &lctx.next);
-            // The written state is read next; the read one is written.
-            std::mem::swap(&mut state, &mut lctx.next);
+            let done = self.algo.locally_converged(&cur, &lctx.next);
+            // The written values are read next; the read ones are
+            // written.
+            std::mem::swap(&mut cur, &mut lctx.next);
             if done {
                 break;
             }
         }
-        self.algo.finalize(task, input, &state, ctx);
+        self.algo.finalize(task, input, &keys, &cur, ctx);
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
-    /// The group of `key`: its entry in `state`.
-    fn entry_of<V>(state: &LocalState<u32, V>, key: &u32) -> usize {
-        state.keys.binary_search(key).expect("every item's key is in the state")
+    /// The entry of `key` in the state whose keys are `keys`, ascending
+    /// and deduplicated: the number of distinct keys below it.
+    fn entry_of(keys: impl IntoIterator<Item = u32>, key: u32) -> usize {
+        keys.into_iter().collect::<BTreeSet<u32>>().range(..key).count()
     }
 
     /// Toy fixpoint: every key's value decays toward a per-key target;
     /// lmap sends the next value to the key's group, whose fold keeps
-    /// it. Converges when the max delta is below 1e-9.
+    /// it. Converges when the max delta is below 1e-9. Its input lists
+    /// its keys ascending.
     pub(crate) struct Decay;
 
     impl LocalAlgorithm for Decay {
@@ -522,14 +378,15 @@ pub(crate) mod tests {
         fn lmap(
             &self,
             _t: usize,
-            _input: &Self::Input,
+            input: &Self::Input,
             item: &(u32, f64),
-            state: &LocalState<u32, f64>,
+            state: &[f64],
             ctx: &mut LocalMapContext<Self>,
         ) {
             let (key, target) = *item;
-            let current = state[&key];
-            ctx.emit_to(entry_of(state, &key), current + 0.5 * (target - current));
+            let group = entry_of(input.iter().map(|&(k, _)| k), key);
+            let current = state[group];
+            ctx.emit_to(group, current + 0.5 * (target - current));
             ctx.add_ops(1);
         }
 
@@ -541,12 +398,8 @@ pub(crate) mod tests {
             *acc = value;
         }
 
-        fn locally_converged(
-            &self,
-            old: &LocalState<u32, f64>,
-            new: &LocalState<u32, f64>,
-        ) -> bool {
-            old.iter().all(|(k, v)| (new[k] - v).abs() < 1e-9)
+        fn locally_converged(&self, old: &[f64], new: &[f64]) -> bool {
+            old.iter().zip(new).all(|(a, b)| (b - a).abs() < 1e-9)
         }
     }
 
@@ -568,7 +421,7 @@ pub(crate) mod tests {
     }
 
     /// State that converges instantly: each item sends its own value
-    /// back to its group.
+    /// back to its group. Its `init_state` lists the input as given.
     struct Instant;
     impl LocalAlgorithm for Instant {
         type Input = Vec<u32>;
@@ -584,12 +437,13 @@ pub(crate) mod tests {
         fn lmap(
             &self,
             _t: usize,
-            _i: &Self::Input,
+            input: &Self::Input,
             item: &u32,
-            state: &LocalState<u32, u64>,
+            state: &[u64],
             ctx: &mut LocalMapContext<Self>,
         ) {
-            ctx.emit_to(entry_of(state, item), state[item]);
+            let group = entry_of(input.iter().copied(), *item);
+            ctx.emit_to(group, state[group]);
         }
         fn init(&self, _i: &Self::Input, _group: usize, _key: &u32) -> u64 {
             0
@@ -597,11 +451,7 @@ pub(crate) mod tests {
         fn fold(acc: &mut u64, value: u64) {
             *acc = value;
         }
-        fn locally_converged(
-            &self,
-            old: &LocalState<u32, u64>,
-            new: &LocalState<u32, u64>,
-        ) -> bool {
+        fn locally_converged(&self, old: &[u64], new: &[u64]) -> bool {
             old == new
         }
     }
@@ -614,6 +464,25 @@ pub(crate) mod tests {
         let (pairs, meter, _, _) = ctx.finish();
         assert_eq!(meter.local_syncs(), 1);
         assert_eq!(pairs, vec![(5, 5), (6, 6)]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "init_state of task 7: the key of entry 2 does not ascend past entry 1's"
+    )]
+    fn an_init_state_out_of_order_is_refused() {
+        // Not sorted into place: the groups `lmap` names by index would
+        // be other entries than it meant.
+        EagerMapper::new(Instant).map(7, &vec![1, 5, 3, 9], &mut MapContext::default());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "init_state of task 2: the key of entry 3 does not ascend past entry 2's"
+    )]
+    fn an_init_state_with_a_repeated_key_is_refused() {
+        // Not deduplicated: two entries for one key are two groups.
+        EagerMapper::new(Instant).map(2, &vec![1, 4, 6, 6], &mut MapContext::default());
     }
 
     /// Never converges: the max-iteration valve (its field) must stop
@@ -635,10 +504,10 @@ pub(crate) mod tests {
             _t: usize,
             _i: &Self::Input,
             _item: &u32,
-            state: &LocalState<u32, u64>,
+            state: &[u64],
             ctx: &mut LocalMapContext<Self>,
         ) {
-            ctx.emit_to(0, state[&0] + 1);
+            ctx.emit_to(0, state[0] + 1);
         }
         fn init(&self, _i: &Self::Input, _group: usize, _key: &u32) -> u64 {
             0
@@ -646,11 +515,7 @@ pub(crate) mod tests {
         fn fold(acc: &mut u64, value: u64) {
             *acc = value;
         }
-        fn locally_converged(
-            &self,
-            _old: &LocalState<u32, u64>,
-            _new: &LocalState<u32, u64>,
-        ) -> bool {
+        fn locally_converged(&self, _old: &[u64], _new: &[u64]) -> bool {
             false
         }
         fn max_local_iterations(&self) -> usize {
@@ -676,8 +541,9 @@ pub(crate) mod tests {
     }
 
     /// Item `k` sends its state value + 1 to its group, the state entry
-    /// of key `k`; the fold sums a group's values. Three passes, never
-    /// converged.
+    /// of key `k`; the fold sums a group's values. Its state has one
+    /// entry per distinct key of its input, ascending. Three passes,
+    /// never converged.
     struct Echo;
 
     impl LocalAlgorithm for Echo {
@@ -689,17 +555,19 @@ pub(crate) mod tests {
             input
         }
         fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(u32, u64)> {
-            input.iter().map(|&k| (k, u64::from(k))).collect()
+            let keys: BTreeSet<u32> = input.iter().copied().collect();
+            keys.into_iter().map(|k| (k, u64::from(k))).collect()
         }
         fn lmap(
             &self,
             _t: usize,
-            _i: &Self::Input,
+            input: &Self::Input,
             item: &u32,
-            state: &LocalState<u32, u64>,
+            state: &[u64],
             ctx: &mut LocalMapContext<Self>,
         ) {
-            ctx.emit_to(entry_of(state, item), state[item] + 1);
+            let group = entry_of(input.iter().copied(), *item);
+            ctx.emit_to(group, state[group] + 1);
         }
         fn init(&self, _i: &Self::Input, _group: usize, _key: &u32) -> u64 {
             0
@@ -707,11 +575,7 @@ pub(crate) mod tests {
         fn fold(acc: &mut u64, value: u64) {
             *acc += value;
         }
-        fn locally_converged(
-            &self,
-            _old: &LocalState<u32, u64>,
-            _new: &LocalState<u32, u64>,
-        ) -> bool {
+        fn locally_converged(&self, _old: &[u64], _new: &[u64]) -> bool {
             false
         }
         fn max_local_iterations(&self) -> usize {

@@ -1,118 +1,27 @@
-//! Property tests pinning the local sync's fast structures to their
-//! slow references:
+//! Property tests pinning the local sync to its slow reference:
 //!
-//! * [`LocalState`] (two parallel `Vec`s and a search finger) behaves
-//!   like the `BTreeMap` it replaced — built by `collect` from writes in
-//!   any order (last write wins), `get` in any order, traversal, `==`;
 //! * [`EagerMapper`] equals [`oracle_gmap`], the loop it ran before the
 //!   fold and the flat state existed (`BTreeMap` state, a full stable
 //!   sort of every pass's emitted pairs, a keyed `lreduce` over each
 //!   group), kept here as the reference the way `shuffle::group` is:
 //!   emitted pairs, ops, local syncs and input bytes — on a fixpoint
-//!   whose emission order is scrambled, on groups no value reaches, on
-//!   groups that churn from pass to pass, on graph-shaped passes with
-//!   `String` keys and with values that count their drops, and job by
-//!   job on one engine;
+//!   whose items list their keys scrambled, on groups no value reaches,
+//!   on groups that churn from pass to pass, on graph-shaped passes
+//!   with repeated and `String` keys and with values that count their
+//!   drops, and job by job on one engine;
 //! * one value sent along a list of groups (`emit_to_each`) equals an
 //!   `emit_to` per group, and a value sent past the last group panics
 //!   naming its task and pass, dropping every value the pass made
 //!   exactly once.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use asyncmr_core::prelude::*;
 use asyncmr_core::TaskMeter;
 use proptest::prelude::*;
-
-// ---------------------------------------------------------------- (a)
-
-/// Look keys up: one, or every key of the key space — ascending (what
-/// `lmap` does, the finger's fast path), descending, or each key twice.
-#[derive(Debug, Clone)]
-enum Op {
-    Get(u32),
-    Sweep(Order),
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Order {
-    Ascending,
-    Descending,
-    Repeated,
-}
-
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    let op = (0u32..4, 0u32..40).prop_map(|(kind, k)| match kind {
-        0 => Op::Get(k),
-        1 => Op::Sweep(Order::Ascending),
-        2 => Op::Sweep(Order::Descending),
-        _ => Op::Sweep(Order::Repeated),
-    });
-    proptest::collection::vec(op, 0..80)
-}
-
-/// A write stream over a small key space, as is / key-descending /
-/// key-ascending with duplicates adjacent.
-fn write_stream() -> impl Strategy<Value = Vec<(u32, u32)>> {
-    (proptest::collection::vec((0u32..20, any::<u32>()), 0..60), 0u32..3).prop_map(
-        |(mut stream, order)| {
-            match order {
-                1 => stream.sort_by_key(|w| std::cmp::Reverse(w.0)),
-                2 => stream.sort_by_key(|w| w.0),
-                _ => {}
-            }
-            stream
-        },
-    )
-}
-
-fn assert_same_map(state: &LocalState<u32, u32>, model: &BTreeMap<u32, u32>) {
-    assert_eq!(state.len(), model.len());
-    assert_eq!(state.is_empty(), model.is_empty());
-    assert!(state.iter().eq(model.iter()), "{state:?} vs {model:?}");
-    assert!(state.into_iter().eq(model));
-    for (k, v) in model {
-        assert_eq!(state[k], *v);
-    }
-    assert_eq!(format!("{state:?}"), format!("{model:?}"));
-    assert_eq!(*state, model.iter().map(|(k, v)| (*k, *v)).collect::<LocalState<u32, u32>>());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn local_state_behaves_like_a_btreemap(writes in write_stream(), ops in ops()) {
-        let model: BTreeMap<u32, u32> = writes.iter().copied().collect();
-        let state: LocalState<u32, u32> = writes.iter().copied().collect();
-        assert_same_map(&state, &model);
-        for op in ops {
-            match op {
-                Op::Get(k) => prop_assert_eq!(state.get(&k), model.get(&k)),
-                Op::Sweep(order) => {
-                    let keys: Vec<u32> = match order {
-                        Order::Ascending => (0..42).collect(),
-                        Order::Descending => (0..42).rev().collect(),
-                        Order::Repeated => (0..42).flat_map(|k| [k, k]).collect(),
-                    };
-                    for k in keys {
-                        prop_assert_eq!(state.get(&k), model.get(&k));
-                    }
-                }
-            }
-            assert_same_map(&state, &model);
-        }
-        let copy = state.clone();
-        prop_assert_eq!(&copy, &state);
-        let more: LocalState<u32, u32> = writes.into_iter().chain([(99, 1)]).collect();
-        prop_assert!(copy != more);
-        prop_assert!(LocalState::<u32, u32>::default().is_empty());
-        prop_assert_eq!(LocalState::<u32, u32>::new(), LocalState::default());
-    }
-}
 
 // ---------------------------------------------------------------- (b)
 
@@ -121,7 +30,8 @@ proptest! {
 /// through its keyed `lmap` and [`Spec::reduce_group`], the framework
 /// through the same `lmap`, each emission sent to the group of its key,
 /// and the fold ([`Spec::start`], [`Spec::fold`], [`Spec::finish`]).
-/// States are passed to `converged` as key-ascending slices.
+/// States are passed to `converged` as their values, key-ascending,
+/// and only when the two states have the same keys.
 trait Spec: Send + Sync {
     type Item: Send + Sync;
     type Key: Key + Debug;
@@ -146,8 +56,7 @@ trait Spec: Send + Sync {
         values: &[Self::Value],
         emit: &mut dyn FnMut(Self::Key, Self::Value),
     ) -> u64;
-    fn converged(&self, old: &[(Self::Key, Self::Value)], new: &[(Self::Key, Self::Value)])
-        -> bool;
+    fn converged(&self, old: &[Self::Value], new: &[Self::Value]) -> bool;
     fn max_passes(&self) -> usize;
     /// `reduce_group` as a fold: a group's start, each value folded in,
     /// and its entry's next value made in place from the result and its
@@ -173,9 +82,8 @@ struct Outcome<K, V> {
 /// pass's emissions, `BTreeMap::insert` for `EmitLocal`,
 /// `entry().or_insert` for the carry-forward.
 fn oracle_gmap<S: Spec>(spec: &S, xs: &[S::Item]) -> Outcome<S::Key, S::Value> {
-    let flat = |m: &BTreeMap<S::Key, S::Value>| -> Vec<(S::Key, S::Value)> {
-        m.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-    };
+    let values =
+        |m: &BTreeMap<S::Key, S::Value>| -> Vec<S::Value> { m.values().cloned().collect() };
     let mut state: BTreeMap<S::Key, S::Value> = spec.init(xs).into_iter().collect();
     let input_bytes = state.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum();
     let (mut ops, mut local_syncs) = (0u64, 0u64);
@@ -202,7 +110,8 @@ fn oracle_gmap<S: Spec>(spec: &S, xs: &[S::Item]) -> Outcome<S::Key, S::Value> {
             }
         }
         local_syncs += 1;
-        let done = spec.converged(&flat(&state), &flat(&new_state));
+        let done = state.keys().eq(new_state.keys())
+            && spec.converged(&values(&state), &values(&new_state));
         state = new_state;
         if done {
             break;
@@ -211,38 +120,56 @@ fn oracle_gmap<S: Spec>(spec: &S, xs: &[S::Item]) -> Outcome<S::Key, S::Value> {
     Outcome { pairs: state.into_iter().collect(), ops, local_syncs, input_bytes }
 }
 
-/// A [`Spec`] as a [`LocalAlgorithm`]: each emission sent to the group
-/// of its key, found by its position in the state (past the last group
-/// when the state has no such key), and reduced with the spec's fold.
+/// A split as [`Framework`] runs it: the items, and the keys of the
+/// state [`Spec::init`] builds from them, ascending and deduplicated —
+/// what `lmap`'s keys are turned into groups by.
+struct Split<S: Spec> {
+    xs: Vec<S::Item>,
+    keys: Vec<S::Key>,
+}
+
+impl<S: Spec> Split<S> {
+    fn new(spec: &S, xs: Vec<S::Item>) -> Self {
+        let keys: BTreeSet<S::Key> = spec.init(&xs).into_iter().map(|(k, _)| k).collect();
+        Split { xs, keys: keys.into_iter().collect() }
+    }
+}
+
+/// A [`Spec`] as a [`LocalAlgorithm`]: its initial state normalised
+/// through a `BTreeMap` (a later write to a key replaces an earlier
+/// one, as in `oracle_gmap`), each emission sent to the group of its
+/// key, found by its position among the split's keys (past the last
+/// group when there is no such key), and reduced with the spec's fold.
 struct Framework<S>(S);
 
 impl<S: Spec> LocalAlgorithm for Framework<S> {
-    type Input = Vec<S::Item>;
+    type Input = Split<S>;
     type Item = S::Item;
     type Key = S::Key;
     type Value = S::Value;
 
-    fn items<'a>(&self, input: &'a Self::Input) -> &'a [S::Item] {
-        input
+    fn items<'a>(&self, input: &'a Split<S>) -> &'a [S::Item] {
+        &input.xs
     }
-    fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(S::Key, S::Value)> {
-        self.0.init(input)
+    fn init_state(&self, _t: usize, input: &Split<S>) -> Vec<(S::Key, S::Value)> {
+        let state: BTreeMap<S::Key, S::Value> = self.0.init(&input.xs).into_iter().collect();
+        state.into_iter().collect()
     }
     fn lmap(
         &self,
         _t: usize,
-        _input: &Self::Input,
+        input: &Split<S>,
         item: &S::Item,
-        state: &LocalState<S::Key, S::Value>,
+        state: &[S::Value],
         ctx: &mut LocalMapContext<Self>,
     ) {
-        let get = |k: &S::Key| state.get(k).cloned();
-        let group = |k: &S::Key| state.iter().position(|(key, _)| key == k);
+        let group = |k: &S::Key| input.keys.binary_search(k).ok();
+        let get = |k: &S::Key| group(k).map(|g| state[g].clone());
         let ops =
             self.0.lmap(item, &get, &mut |k, v| ctx.emit_to(group(&k).unwrap_or(state.len()), v));
         ctx.add_ops(ops);
     }
-    fn init(&self, _input: &Self::Input, _group: usize, key: &S::Key) -> S::Value {
+    fn init(&self, _input: &Split<S>, _group: usize, key: &S::Key) -> S::Value {
         self.0.start(key)
     }
     fn fold(acc: &mut S::Value, value: S::Value) {
@@ -250,7 +177,7 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
     }
     fn finish(
         &self,
-        _input: &Self::Input,
+        _input: &Split<S>,
         _group: usize,
         key: &S::Key,
         old: &S::Value,
@@ -258,15 +185,8 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
     ) {
         self.0.finish(key, old, acc);
     }
-    fn locally_converged(
-        &self,
-        old: &LocalState<S::Key, S::Value>,
-        new: &LocalState<S::Key, S::Value>,
-    ) -> bool {
-        let flat = |s: &LocalState<S::Key, S::Value>| -> Vec<(S::Key, S::Value)> {
-            s.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
-        self.0.converged(&flat(old), &flat(new))
+    fn locally_converged(&self, old: &[S::Value], new: &[S::Value]) -> bool {
+        self.0.converged(old, new)
     }
     fn max_local_iterations(&self) -> usize {
         self.0.max_passes()
@@ -276,7 +196,8 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
 /// The framework over `xs`.
 fn folding_gmap<S: Spec>(spec: S, xs: Vec<S::Item>) -> Outcome<S::Key, S::Value> {
     let mut ctx = MapContext::default();
-    EagerMapper::new(Framework(spec)).map(0, &xs, &mut ctx);
+    let split = Split::new(&spec, xs);
+    EagerMapper::new(Framework(spec)).map(0, &split, &mut ctx);
     let (pairs, meter, _, _) = ctx.finish();
     Outcome {
         pairs,
@@ -335,8 +256,8 @@ impl Spec for Decay {
         emit(*key, values[0]);
         0
     }
-    fn converged(&self, old: &[(u32, f64)], new: &[(u32, f64)]) -> bool {
-        old.iter().zip(new).all(|(a, b)| a.0 == b.0 && (a.1 - b.1).abs() < 1e-9)
+    fn converged(&self, old: &[f64], new: &[f64]) -> bool {
+        old.iter().zip(new).all(|(a, b)| (a - b).abs() < 1e-9)
     }
     fn max_passes(&self) -> usize {
         asyncmr_core::local::DEFAULT_MAX_LOCAL_ITERATIONS
@@ -376,7 +297,7 @@ impl Spec for CarryForward {
         emit(*key, *values.iter().max().expect("groups are non-empty"));
         0
     }
-    fn converged(&self, old: &[(u32, u64)], new: &[(u32, u64)]) -> bool {
+    fn converged(&self, old: &[u64], new: &[u64]) -> bool {
         old == new
     }
     fn max_passes(&self) -> usize {
@@ -437,7 +358,7 @@ impl Spec for Churn {
         emit(*key, if *key == Self::CLOCK { max.min(self.churn) } else { max });
         0
     }
-    fn converged(&self, old: &[(u32, u64)], new: &[(u32, u64)]) -> bool {
+    fn converged(&self, old: &[u64], new: &[u64]) -> bool {
         old == new
     }
     fn max_passes(&self) -> usize {
@@ -521,8 +442,8 @@ impl Flavor for Plain {
     }
 }
 
-/// Heap keys: a map call clones them once for the states its passes
-/// write, and every lookup compares them.
+/// Heap keys: a map call moves them out of its initial state once, and
+/// the test's key-to-group lookup compares them.
 struct Worded;
 impl Flavor for Worded {
     type K = String;
@@ -647,7 +568,7 @@ impl<F: Flavor> Spec for Flow<F> {
         emit(key.clone(), F::value(fold % 1_000));
         0
     }
-    fn converged(&self, old: &[(F::K, F::V)], new: &[(F::K, F::V)]) -> bool {
+    fn converged(&self, old: &[F::V], new: &[F::V]) -> bool {
         old == new
     }
     fn max_passes(&self) -> usize {
@@ -744,7 +665,9 @@ proptest! {
         let mut emptied = tasks.clone();
         emptied[0].clear();
         for inputs in [&tasks, &tasks, &swapped, &emptied, &tasks, &tasks] {
-            let f = folding.run("f", inputs, &gmap, &Sum, &opts);
+            let split = |xs: &Vec<_>| Split::new(&gmap.algorithm().0, xs.clone());
+            let splits: Vec<_> = inputs.iter().map(split).collect();
+            let f = folding.run("f", &splits, &gmap, &Sum, &opts);
             let k = keyed.run("k", inputs, &oracle, &Sum, &opts);
             prop_assert_eq!(&f.pairs, &k.pairs);
             prop_assert_eq!(f.meter, k.meter);
@@ -797,10 +720,10 @@ impl LocalAlgorithm for Liar {
         _t: usize,
         _input: &Vec<u32>,
         &j: &u32,
-        state: &LocalState<u32, Tracked>,
+        state: &[Tracked],
         ctx: &mut LocalMapContext<Self>,
     ) {
-        let pass = state[&Self::CLOCK].x;
+        let pass = state[state.len() - 1].x;
         let value = if j == self.records { pass + 1 } else { 7 };
         // Key `j`'s group is entry `j`; the clock's is the last.
         let past = j as usize + state.len();
@@ -819,11 +742,7 @@ impl LocalAlgorithm for Liar {
     fn fold(acc: &mut Tracked, value: Tracked) {
         *acc = value;
     }
-    fn locally_converged(
-        &self,
-        _old: &LocalState<u32, Tracked>,
-        _new: &LocalState<u32, Tracked>,
-    ) -> bool {
+    fn locally_converged(&self, _old: &[Tracked], _new: &[Tracked]) -> bool {
         false
     }
     fn max_local_iterations(&self) -> usize {
@@ -919,10 +838,10 @@ impl<const E: bool> LocalAlgorithm for Spray<E> {
         _t: usize,
         input: &SprayInput,
         (x, groups): &(u32, Vec<u32>),
-        state: &LocalState<u32, u64>,
+        state: &[u64],
         ctx: &mut LocalMapContext<Self>,
     ) {
-        let value = state[&(x % input.0)] * 7 + u64::from(*x);
+        let value = state[(x % input.0) as usize] * 7 + u64::from(*x);
         if E {
             ctx.emit_to_each(groups, value);
         } else {
@@ -940,7 +859,7 @@ impl<const E: bool> LocalAlgorithm for Spray<E> {
     fn finish(&self, _input: &SprayInput, _group: usize, _key: &u32, _old: &u64, acc: &mut u64) {
         *acc %= 1_000_003;
     }
-    fn locally_converged(&self, _old: &LocalState<u32, u64>, _new: &LocalState<u32, u64>) -> bool {
+    fn locally_converged(&self, _old: &[u64], _new: &[u64]) -> bool {
         false
     }
     fn max_local_iterations(&self) -> usize {

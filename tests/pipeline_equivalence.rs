@@ -203,12 +203,12 @@ impl LocalAlgorithm for RingMax {
         _t: usize,
         _split: &Vec<u32>,
         &x: &u32,
-        state: &LocalState<u32, u64>,
+        state: &[u64],
         ctx: &mut LocalMapContext<Self>,
     ) {
         let key = x % self.key_space;
         ctx.emit_to(key as usize, u64::from(x));
-        ctx.emit_to(((key + 1) % self.key_space) as usize, state[&key]);
+        ctx.emit_to(((key + 1) % self.key_space) as usize, state[key as usize]);
         ctx.add_ops(2);
     }
     fn init(&self, _split: &Vec<u32>, _group: usize, _key: &u32) -> u64 {
@@ -220,7 +220,7 @@ impl LocalAlgorithm for RingMax {
     fn finish(&self, _split: &Vec<u32>, _group: usize, _key: &u32, old: &u64, acc: &mut u64) {
         *acc = (*acc).max(*old);
     }
-    fn locally_converged(&self, old: &LocalState<u32, u64>, new: &LocalState<u32, u64>) -> bool {
+    fn locally_converged(&self, old: &[u64], new: &[u64]) -> bool {
         old == new
     }
 }
