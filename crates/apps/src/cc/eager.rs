@@ -21,6 +21,7 @@ impl LocalAlgorithm for CcLocalAlgorithm {
     type Item = u32;
     type Key = NodeId;
     type Value = NodeId;
+    type Intermediate = NodeId;
 
     fn items<'a>(&self, input: &'a CcGeneralInput) -> &'a [u32] {
         &input.part.local_ids

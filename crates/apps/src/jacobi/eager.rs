@@ -3,6 +3,10 @@
 //! values at the global reduce — the solver analogue of Eager PageRank,
 //! realizing §VI's "asynchronous mat-vecs form the core of iterative
 //! linear system solvers".
+//!
+//! The local state is plain `f64`s — a vertex's `x` between passes, its
+//! neighbour sum within one; only `finalize` speaks [`JMsg`], whose tag
+//! the global reduce reads.
 
 use asyncmr_core::prelude::*;
 use asyncmr_graph::{CsrGraph, NodeId};
@@ -24,14 +28,16 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
     type Input = JacobiInput;
     type Item = u32;
     type Key = NodeId;
-    type Value = JMsg;
+    /// A vertex's `x` between passes; its neighbour sum within one.
+    type Value = f64;
+    type Intermediate = JMsg;
 
     fn items<'a>(&self, input: &'a JacobiInput) -> &'a [u32] {
         &input.part.local_ids
     }
 
-    fn init_state(&self, _task: usize, input: &JacobiInput) -> Vec<(NodeId, JMsg)> {
-        input.part.nodes.iter().zip(&input.x).map(|(&v, &xv)| (v, JMsg::Contrib(xv))).collect()
+    fn init_state(&self, _task: usize, input: &JacobiInput) -> Vec<(NodeId, f64)> {
+        input.part.nodes.iter().zip(&input.x).map(|(&v, &xv)| (v, xv)).collect()
     }
 
     #[inline]
@@ -40,49 +46,39 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         _task: usize,
         input: &JacobiInput,
         item: &u32,
-        state: &[JMsg],
+        state: &[f64],
         ctx: &mut LocalMapContext<Self>,
     ) {
         let li = *item;
         let part = &input.part;
-        let JMsg::Contrib(xv) = state[li as usize] else {
-            unreachable!("state stores Contrib(x)");
-        };
+        let xv = state[li as usize];
         // The state's entry `li` is local vertex `li`: its group. This
         // keep-alive stays: its +0.0 turns a -0.0 sum into +0.0.
-        ctx.emit_to(li as usize, JMsg::Contrib(0.0));
+        ctx.emit_to(li as usize, 0.0);
         let targets = part.internal.targets(li);
         // The sends, and as many again for the sums that take them in.
         ctx.add_ops(2 * (1 + targets.len() as u64));
-        ctx.emit_to_each(targets, JMsg::Contrib(xv));
+        ctx.emit_to_each(targets, xv);
     }
 
     /// `lreduce` as a fold: the frozen remote sum, plus each neighbour
     /// value in emission order, through the point update. Group `li`
     /// is local vertex `li`.
-    fn init(&self, input: &JacobiInput, li: usize, key: &NodeId) -> JMsg {
+    fn init(&self, input: &JacobiInput, li: usize, key: &NodeId) -> f64 {
         assert_eq!(input.part.nodes[li], *key, "group {li} is local vertex {li}");
-        JMsg::Contrib(input.remote_in[li])
+        input.remote_in[li]
     }
 
-    fn fold(acc: &mut JMsg, value: JMsg) {
-        if let (JMsg::Contrib(sum), JMsg::Contrib(c)) = (acc, value) {
-            *sum += c;
-        }
+    fn fold(sum: &mut f64, neighbour: f64) {
+        *sum += neighbour;
     }
 
-    fn finish(&self, input: &JacobiInput, li: usize, _key: &NodeId, _old: &JMsg, acc: &mut JMsg) {
-        let JMsg::Contrib(sum) = acc else { unreachable!("init starts a Contrib sum") };
+    fn finish(&self, input: &JacobiInput, li: usize, _key: &NodeId, _old: &f64, sum: &mut f64) {
         *sum = update(input.b[li], *sum, input.diag[li]);
     }
 
-    fn locally_converged(&self, old: &[JMsg], new: &[JMsg]) -> bool {
-        old.iter().zip(new).all(|pair| {
-            let (JMsg::Contrib(a), JMsg::Contrib(b)) = pair else {
-                return false;
-            };
-            (a - b).abs() < self.local_tolerance
-        })
+    fn locally_converged(&self, old: &[f64], new: &[f64]) -> bool {
+        old.iter().zip(new).all(|(a, b)| (a - b).abs() < self.local_tolerance)
     }
 
     fn finalize(
@@ -90,15 +86,13 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         _task: usize,
         input: &JacobiInput,
         _keys: &[NodeId],
-        state: &[JMsg],
+        state: &[f64],
         ctx: &mut MapContext<NodeId, JMsg>,
     ) {
         let part = &input.part;
         for &li in &part.local_ids {
             let v = part.nodes[li as usize];
-            let JMsg::Contrib(xv) = state[li as usize] else {
-                unreachable!("owned vertices always in state");
-            };
+            let xv = state[li as usize];
             // Recover the converged internal sum from the block equation.
             let (b, diag) = (input.b[li as usize], input.diag[li as usize]);
             let s_int = local_sum(xv, b, diag, input.remote_in[li as usize]);

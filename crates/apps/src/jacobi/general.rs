@@ -14,7 +14,8 @@ use super::rule::update;
 use super::{diagonal, residual_inf, JacobiConfig, JacobiOutcome};
 use crate::common::{apply_pairs, gather, step_status, GraphPartition};
 
-/// Intermediate value for the solver jobs.
+/// Intermediate value for the solver jobs, told apart by the global
+/// reduce. It is never a local state: Eager's local passes fold `f64`s.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JMsg {
     /// From a vertex's owner: its right-hand side and diagonal entry

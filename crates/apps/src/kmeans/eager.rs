@@ -50,6 +50,7 @@ impl LocalAlgorithm for KmLocalAlgorithm {
     type Item = u32; // point index
     type Key = u32; // input-centroid id
     type Value = ClusterUpdate;
+    type Intermediate = ClusterUpdate;
 
     fn items<'a>(&self, input: &'a KmGeneralInput) -> &'a [u32] {
         &input.indices

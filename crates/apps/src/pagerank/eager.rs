@@ -9,10 +9,13 @@
 //!   contributions along *internal* edges only; remote in-neighbor
 //!   contributions stay frozen at their last globally synchronized
 //!   values. Iterates to a local fixpoint (the sub-graph's ranks become
-//!   self-consistent).
+//!   self-consistent). The local state is plain `f64`s — a vertex's
+//!   rank between passes, its contribution sum within one — so a fold
+//!   is one add, as in a hand-written loop.
 //! * **finalize**: the task emits, for every owned vertex, its
 //!   converged *local contribution sum* and, for every cross edge, the
-//!   boundary contribution `PR(s)/outdeg(s)`.
+//!   boundary contribution `PR(s)/outdeg(s)` — as [`PrMsg`]s, whose tag
+//!   only the global reduce needs.
 //! * **greduce**: `PR(d) = (1−χ) + χ·(local sum + Σ remote
 //!   contributions)` — "the local reduce and global reduce functions
 //!   are functionally identical" (§V-B2).
@@ -58,19 +61,16 @@ impl LocalAlgorithm for PrLocalAlgorithm {
     type Input = PrEagerInput;
     type Item = u32; // local vertex index
     type Key = NodeId;
-    type Value = PrMsg;
+    /// A vertex's rank between passes; its contribution sum within one.
+    type Value = f64;
+    type Intermediate = PrMsg;
 
     fn items<'a>(&self, input: &'a PrEagerInput) -> &'a [u32] {
         &input.part.local_ids
     }
 
-    fn init_state(&self, _task: usize, input: &PrEagerInput) -> Vec<(NodeId, PrMsg)> {
-        input
-            .part
-            .nodes
-            .iter()
-            .map(|&v| (v, PrMsg::Contrib(input.ranks[v as usize]))) // state stores ranks
-            .collect()
+    fn init_state(&self, _task: usize, input: &PrEagerInput) -> Vec<(NodeId, f64)> {
+        input.part.nodes.iter().map(|&v| (v, input.ranks[v as usize])).collect()
     }
 
     #[inline]
@@ -79,15 +79,13 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         _task: usize,
         input: &PrEagerInput,
         item: &u32,
-        state: &[PrMsg],
+        state: &[f64],
         ctx: &mut LocalMapContext<Self>,
     ) {
         let li = *item;
         let part = &input.part;
         // The state's entry `li` is local vertex `li`.
-        let PrMsg::Contrib(rank) = state[li as usize] else {
-            unreachable!("state always holds the vertex rank");
-        };
+        let rank = state[li as usize];
         let deg = part.out_degree[li as usize];
         let targets = part.internal.targets(li);
         // The sends, and as many again for the sums that take them in,
@@ -101,19 +99,17 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         }
         // One contribution along every internal out-edge: the state's
         // entry `lt` is local vertex `lt`, so that is its group.
-        ctx.emit_to_each(targets, PrMsg::Contrib(rank / deg as f64));
+        ctx.emit_to_each(targets, rank / deg as f64);
     }
 
     /// `lreduce` as a fold: the frozen remote sum, plus each
     /// contribution in emission order, through Eq. 1.
-    fn init(&self, input: &PrEagerInput, _group: usize, key: &NodeId) -> PrMsg {
-        PrMsg::Contrib(input.remote_in[*key as usize])
+    fn init(&self, input: &PrEagerInput, _group: usize, key: &NodeId) -> f64 {
+        input.remote_in[*key as usize]
     }
 
-    fn fold(acc: &mut PrMsg, value: PrMsg) {
-        if let (PrMsg::Contrib(sum), PrMsg::Contrib(c)) = (acc, value) {
-            *sum += c;
-        }
+    fn fold(sum: &mut f64, contribution: f64) {
+        *sum += contribution;
     }
 
     fn finish(
@@ -121,20 +117,14 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         _input: &PrEagerInput,
         _group: usize,
         _key: &NodeId,
-        _old: &PrMsg,
-        acc: &mut PrMsg,
+        _old: &f64,
+        sum: &mut f64,
     ) {
-        let PrMsg::Contrib(sum) = acc else { unreachable!("init starts a Contrib sum") };
         *sum = self.rule.rank(*sum);
     }
 
-    fn locally_converged(&self, old: &[PrMsg], new: &[PrMsg]) -> bool {
-        old.iter().zip(new).all(|pair| {
-            let (PrMsg::Contrib(a), PrMsg::Contrib(b)) = pair else {
-                return false;
-            };
-            self.rule.locally_settled(*a, *b)
-        })
+    fn locally_converged(&self, old: &[f64], new: &[f64]) -> bool {
+        old.iter().zip(new).all(|(&a, &b)| self.rule.locally_settled(a, b))
     }
 
     fn finalize(
@@ -142,15 +132,13 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         _task: usize,
         input: &PrEagerInput,
         _keys: &[NodeId],
-        state: &[PrMsg],
+        state: &[f64],
         ctx: &mut MapContext<NodeId, PrMsg>,
     ) {
         let part = &input.part;
         for &li in &part.local_ids {
             let v = part.nodes[li as usize];
-            let PrMsg::Contrib(rank) = state[li as usize] else {
-                unreachable!("owned vertices always in state");
-            };
+            let rank = state[li as usize];
             // Converged local contribution sum, recovered from Eq. 1.
             let s_local = self.rule.local_sum(rank, input.remote_in[v as usize]);
             ctx.emit_intermediate(v, PrMsg::LocalSum(s_local));

@@ -76,7 +76,9 @@ pub struct PageRankOutcome {
     pub report: asyncmr_core::IterationReport,
 }
 
-/// Intermediate value flowing through the PageRank jobs.
+/// Intermediate value flowing through the PageRank jobs: what General's
+/// map and Eager's `finalize` emit, told apart by the global reduce. It
+/// is never a local state: Eager's local passes fold plain `f64`s.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrMsg {
     /// A rank contribution `PR(s)/outdeg(s)` along an edge.

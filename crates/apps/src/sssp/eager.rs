@@ -30,6 +30,7 @@ impl LocalAlgorithm for SpLocalAlgorithm {
     type Item = u32; // local vertex index
     type Key = NodeId;
     type Value = f64;
+    type Intermediate = f64;
 
     fn items<'a>(&self, input: &'a SpGeneralInput) -> &'a [u32] {
         &input.part.local_ids

@@ -11,10 +11,14 @@
 //! `shuffle::group`, and the keyed `lmap` and `lreduce` each app ran
 //! before it folded, kept here as plain functions that emit through a
 //! closure. Only the app's `init_state`, convergence test and
-//! `finalize` are the app's own. K-Means's reference also keeps the
-//! carry its after-reduce hook made, before the framework dropped that
-//! hook: a centroid no point chose keeps its place. Folding and keyed
-//! runs must agree bitwise (`f64`s are compared by their bits) on:
+//! `finalize` are the app's own. PageRank's and Jacobi's keyed passes
+//! keep their state as the `PrMsg`/`JMsg` they carried, tag and all,
+//! and hand the app's convergence test and `finalize` the `f64`s inside
+//! ([`Keyed`]), where the folds' state is the plain `f64`. K-Means's
+//! reference also keeps the carry its after-reduce hook made, before
+//! the framework dropped that hook: a centroid no point chose keeps its
+//! place. Folding and keyed runs must agree bitwise (`f64`s are
+//! compared by their bits) on:
 //!
 //! * every map task's emissions, `TaskMeter`, records and bytes — so
 //!   its final local state, which `finalize` emits;
@@ -56,62 +60,96 @@ use proptest::prelude::*;
 type Emit<'a, V> = &'a mut dyn FnMut(NodeId, V);
 
 /// The keyed `lmap` an app ran before it folded: one item over the
-/// current state; returns the ops it meters.
-type KeyedLmap<A> = fn(
-    &<A as LocalAlgorithm>::Input,
-    u32,
-    &BTreeMap<NodeId, <A as LocalAlgorithm>::Value>,
-    Emit<'_, <A as LocalAlgorithm>::Value>,
-) -> u64;
+/// current state, whose values are `S`s; returns the ops it meters.
+type KeyedLmap<A, S> =
+    fn(&<A as LocalAlgorithm>::Input, u32, &BTreeMap<NodeId, S>, Emit<'_, S>) -> u64;
 
 /// The keyed `lreduce` it ran: one key group into the next state;
 /// returns the ops it meters.
-type KeyedReduce<A> = fn(
-    &A,
-    &<A as LocalAlgorithm>::Input,
-    &NodeId,
-    &[<A as LocalAlgorithm>::Value],
-    Emit<'_, <A as LocalAlgorithm>::Value>,
-) -> u64;
+type KeyedReduce<A, S> = fn(&A, &<A as LocalAlgorithm>::Input, &NodeId, &[S], Emit<'_, S>) -> u64;
 
 /// What an entry no value reached becomes in the next state.
-type Carry<A> = fn(&<A as LocalAlgorithm>::Value) -> <A as LocalAlgorithm>::Value;
+type Carry<S> = fn(&S) -> S;
+
+/// A value of the keyed pass's state, which holds an app's state value
+/// `V` — as itself, or as the message its keyed passes carried:
+/// PageRank's and Jacobi's kept their `Contrib` tag on every entry.
+trait Keyed<V>: Value {
+    /// `init_state`'s value as the keyed state stores it.
+    fn wrap(value: V) -> Self;
+    /// The value the app's convergence test and `finalize` read.
+    fn payload(&self) -> V;
+}
+
+impl<V: Value> Keyed<V> for V {
+    fn wrap(value: V) -> V {
+        value
+    }
+    fn payload(&self) -> V {
+        self.clone()
+    }
+}
+
+impl Keyed<f64> for PrMsg {
+    fn wrap(rank: f64) -> PrMsg {
+        PrMsg::Contrib(rank)
+    }
+    fn payload(&self) -> f64 {
+        let PrMsg::Contrib(rank) = self else { unreachable!("state always holds the vertex rank") };
+        *rank
+    }
+}
+
+impl Keyed<f64> for JMsg {
+    fn wrap(x: f64) -> JMsg {
+        JMsg::Contrib(x)
+    }
+    fn payload(&self) -> f64 {
+        let JMsg::Contrib(x) = self else { unreachable!("state stores Contrib(x)") };
+        *x
+    }
+}
 
 /// `A`'s keyed local passes as a global map: `A`'s `init_state`,
 /// convergence test, cap and `finalize` around its old `lmap` and
-/// `lreduce`.
-struct KeyedPass<A: LocalAlgorithm<Item = u32, Key = NodeId>> {
+/// `lreduce` over a state of `S`s.
+struct KeyedPass<A: LocalAlgorithm<Item = u32, Key = NodeId>, S> {
     algo: A,
-    lmap: KeyedLmap<A>,
-    reduce: KeyedReduce<A>,
+    lmap: KeyedLmap<A, S>,
+    reduce: KeyedReduce<A, S>,
     /// `None` drops an entry no value reached. The graph apps' `lmap`
     /// reaches every entry (its keep-alive).
-    carry: Option<Carry<A>>,
+    carry: Option<Carry<S>>,
 }
 
-impl<A: LocalAlgorithm<Item = u32, Key = NodeId>> KeyedPass<A> {
-    fn new(algo: A, lmap: KeyedLmap<A>, reduce: KeyedReduce<A>) -> Self {
+impl<A: LocalAlgorithm<Item = u32, Key = NodeId>, S> KeyedPass<A, S> {
+    fn new(algo: A, lmap: KeyedLmap<A, S>, reduce: KeyedReduce<A, S>) -> Self {
         KeyedPass { algo, lmap, reduce, carry: None }
     }
 }
 
-impl<A: LocalAlgorithm<Item = u32, Key = NodeId>> Mapper for KeyedPass<A> {
+impl<A, S> Mapper for KeyedPass<A, S>
+where
+    A: LocalAlgorithm<Item = u32, Key = NodeId>,
+    S: Keyed<A::Value>,
+{
     type Input = A::Input;
     type Key = NodeId;
-    type Value = A::Value;
+    type Value = A::Intermediate;
 
-    fn map(&self, task: usize, input: &A::Input, ctx: &mut MapContext<NodeId, A::Value>) {
+    fn map(&self, task: usize, input: &A::Input, ctx: &mut MapContext<NodeId, A::Intermediate>) {
         let algo = &self.algo;
-        let mut state: BTreeMap<NodeId, A::Value> =
-            algo.init_state(task, input).into_iter().collect();
-        let bytes = algo.input_bytes(task, input).unwrap_or_else(|| {
-            state.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum()
-        });
+        let init = algo.init_state(task, input);
+        let bytes = algo
+            .input_bytes(task, input)
+            .unwrap_or_else(|| init.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum());
         ctx.meter.set_input_bytes(bytes);
+        let mut state: BTreeMap<NodeId, S> =
+            init.into_iter().map(|(k, v)| (k, S::wrap(v))).collect();
         // The app's convergence test and `finalize` read the state's
         // values, and `finalize` its keys, as key-ascending slices.
-        let values = |state: &BTreeMap<NodeId, A::Value>| -> Vec<A::Value> {
-            state.values().cloned().collect()
+        let values = |state: &BTreeMap<NodeId, S>| -> Vec<A::Value> {
+            state.values().map(S::payload).collect()
         };
         for _ in 0..algo.max_local_iterations() {
             let (mut pairs, mut ops) = (Vec::new(), 0);

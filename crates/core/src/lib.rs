@@ -11,7 +11,7 @@
 //! | Paper construct | Here |
 //! |---|---|
 //! | `map` / `reduce` (global) | [`Mapper::map`] / [`Reducer::reduce`] |
-//! | `EmitIntermediate(k, v)` | [`MapContext::emit_intermediate`] |
+//! | `EmitIntermediate(k, v)` | [`MapContext::emit_intermediate`]; in a `gmap`, [`LocalAlgorithm::finalize`]'s, of type [`LocalAlgorithm::Intermediate`] (a local pass folds [`LocalAlgorithm::Value`]s) |
 //! | `Emit(k, v)` | [`ReduceContext::emit`] |
 //! | `lmap` (local) | [`LocalAlgorithm::lmap`] |
 //! | `lreduce` (local), a fold over each group | [`LocalAlgorithm::init`] / [`LocalAlgorithm::fold`] / [`LocalAlgorithm::finish`] |

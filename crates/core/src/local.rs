@@ -50,6 +50,15 @@
 //! over the group would. Every group finishes in place, keys ascending,
 //! at the end of the pass ([`LocalAlgorithm::finish`]); one that no
 //! value reached finishes from its `init` and its old value.
+//!
+//! A local pass and the global reduce speak different types. A group's
+//! value ([`LocalAlgorithm::Value`]) is only what the pass folds — a
+//! rank, a distance — while what [`LocalAlgorithm::finalize`] emits
+//! after local convergence ([`LocalAlgorithm::Intermediate`], the
+//! `EmitIntermediate` of Fig. 1 and [`EagerMapper`]'s map output) may
+//! tag it for the global reduce: Eager PageRank folds plain `f64` sums
+//! and emits `PrMsg`s. Every algorithm writes its own `finalize`;
+//! Fig. 1's dump of the final hashtable is one line of it.
 
 use crate::emitter::MapContext;
 use crate::kv::{Key, Meterable, Value};
@@ -169,7 +178,9 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
 /// [`LocalMapContext::emit_to_each`]), and the paper's `lreduce` is a
 /// fold ([`init`](Self::init), [`fold`](Self::fold),
 /// [`finish`](Self::finish)), which sees a group's values in emission
-/// order and leaves the group's next value in its accumulator.
+/// order and leaves the group's next value in its accumulator. After
+/// the last pass, [`finalize`](Self::finalize) turns the final state
+/// into the map call's [`Intermediate`](Self::Intermediate) pairs.
 pub trait LocalAlgorithm: Send + Sync + Sized {
     /// The partition handed to each `gmap` task (the paper's `xs`,
     /// plus any read-only structure such as adjacency).
@@ -178,8 +189,13 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
     type Item: Sync;
     /// Local (and global-intermediate) key.
     type Key: Key;
-    /// Local (and global-intermediate) value.
+    /// A group's value: the state's entries, what `init`, `fold` and
+    /// `finish` make and what `lmap` reads and sends.
     type Value: Value;
+    /// What [`finalize`](Self::finalize) emits to the global reduce
+    /// (the paper's `EmitIntermediate`), which may carry more than a
+    /// group's value — a tag telling the global reduce what it is.
+    type Intermediate: Value;
 
     /// The `xs` list inside the partition.
     fn items<'a>(&self, input: &'a Self::Input) -> &'a [Self::Item];
@@ -243,31 +259,27 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
 
     /// Size of this partition's input split in bytes, for the
     /// simulator's DFS-read accounting. Defaults to the initial state's
-    /// metered size; override when the partition carries bulk data the
-    /// state does not (e.g. the point set in K-Means).
+    /// metered size, its keys and [values](Self::Value); override when
+    /// the partition carries bulk data the state does not (e.g. the
+    /// point set in K-Means).
     fn input_bytes(&self, task: usize, input: &Self::Input) -> Option<u64> {
         let _ = (task, input);
         None
     }
 
     /// Global emissions after local convergence, given the state's keys
-    /// and its final values (`state[g]` is stored under `keys[g]`). The
-    /// default dumps the final hashtable — exactly paper Fig. 1.
-    /// Override to emit cross-partition messages (e.g. boundary
-    /// contributions) too.
+    /// and its final values (`state[g]` is stored under `keys[g]`): the
+    /// paper's `EmitIntermediate` of each entry of the final hashtable
+    /// (Fig. 1), as [`Intermediate`](Self::Intermediate)s, and any
+    /// cross-partition messages (e.g. boundary contributions).
     fn finalize(
         &self,
         task: usize,
         input: &Self::Input,
         keys: &[Self::Key],
         state: &[Self::Value],
-        ctx: &mut MapContext<Self::Key, Self::Value>,
-    ) {
-        let _ = (task, input);
-        for (k, v) in keys.iter().zip(state) {
-            ctx.emit_intermediate(k.clone(), v.clone());
-        }
-    }
+        ctx: &mut MapContext<Self::Key, Self::Intermediate>,
+    );
 }
 
 /// The paper's `gmap`: wraps a [`LocalAlgorithm`] into a [`Mapper`]
@@ -294,7 +306,7 @@ impl<L: LocalAlgorithm> EagerMapper<L> {
 impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
     type Input = L::Input;
     type Key = L::Key;
-    type Value = L::Value;
+    type Value = L::Intermediate;
 
     /// # Panics
     ///
@@ -355,6 +367,13 @@ pub(crate) mod tests {
         keys.into_iter().collect::<BTreeSet<u32>>().range(..key).count()
     }
 
+    /// Fig. 1's `finalize`: each entry of the final state under its key.
+    fn dump<V: Value>(keys: &[u32], state: &[V], ctx: &mut MapContext<u32, V>) {
+        for (k, v) in keys.iter().zip(state) {
+            ctx.emit_intermediate(*k, v.clone());
+        }
+    }
+
     /// Toy fixpoint: every key's value decays toward a per-key target;
     /// lmap sends the next value to the key's group, whose fold keeps
     /// it. Converges when the max delta is below 1e-9. Its input lists
@@ -366,6 +385,7 @@ pub(crate) mod tests {
         type Item = (u32, f64);
         type Key = u32;
         type Value = f64;
+        type Intermediate = f64;
 
         fn items<'a>(&self, input: &'a Self::Input) -> &'a [(u32, f64)] {
             input
@@ -401,6 +421,17 @@ pub(crate) mod tests {
         fn locally_converged(&self, old: &[f64], new: &[f64]) -> bool {
             old.iter().zip(new).all(|(a, b)| (b - a).abs() < 1e-9)
         }
+
+        fn finalize(
+            &self,
+            _t: usize,
+            _i: &Self::Input,
+            keys: &[u32],
+            state: &[f64],
+            ctx: &mut MapContext<u32, f64>,
+        ) {
+            dump(keys, state, ctx);
+        }
     }
 
     #[test]
@@ -428,6 +459,7 @@ pub(crate) mod tests {
         type Item = u32;
         type Key = u32;
         type Value = u64;
+        type Intermediate = u64;
         fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
             input
         }
@@ -453,6 +485,16 @@ pub(crate) mod tests {
         }
         fn locally_converged(&self, old: &[u64], new: &[u64]) -> bool {
             old == new
+        }
+        fn finalize(
+            &self,
+            _t: usize,
+            _i: &Self::Input,
+            keys: &[u32],
+            state: &[u64],
+            ctx: &mut MapContext<u32, u64>,
+        ) {
+            dump(keys, state, ctx);
         }
     }
 
@@ -493,6 +535,7 @@ pub(crate) mod tests {
         type Item = u32;
         type Key = u32;
         type Value = u64;
+        type Intermediate = u64;
         fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
             input
         }
@@ -517,6 +560,16 @@ pub(crate) mod tests {
         }
         fn locally_converged(&self, _old: &[u64], _new: &[u64]) -> bool {
             false
+        }
+        fn finalize(
+            &self,
+            _t: usize,
+            _i: &Self::Input,
+            keys: &[u32],
+            state: &[u64],
+            ctx: &mut MapContext<u32, u64>,
+        ) {
+            dump(keys, state, ctx);
         }
         fn max_local_iterations(&self) -> usize {
             self.0
@@ -551,6 +604,7 @@ pub(crate) mod tests {
         type Item = u32;
         type Key = u32;
         type Value = u64;
+        type Intermediate = u64;
         fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
             input
         }
@@ -577,6 +631,16 @@ pub(crate) mod tests {
         }
         fn locally_converged(&self, _old: &[u64], _new: &[u64]) -> bool {
             false
+        }
+        fn finalize(
+            &self,
+            _t: usize,
+            _i: &Self::Input,
+            keys: &[u32],
+            state: &[u64],
+            ctx: &mut MapContext<u32, u64>,
+        ) {
+            dump(keys, state, ctx);
         }
         fn max_local_iterations(&self) -> usize {
             3
@@ -607,6 +671,92 @@ pub(crate) mod tests {
         let mut ctx = MapContext::default();
         mapper.map(0, &vec![1, 2, 3], &mut ctx);
         let (_, meter, _, _) = ctx.finish();
+        assert_eq!(meter.input_bytes(), 3 * (4 + 8));
+    }
+
+    /// What [`Tally`] emits: one count per key, and the total under key
+    /// [`Tally::TOTAL`] — a tag its state never carries.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Tallied {
+        Count(u64),
+        Total(u64),
+    }
+
+    impl Meterable for Tallied {
+        fn approx_bytes(&self) -> u64 {
+            9 // 1 tag + 8 payload
+        }
+    }
+
+    /// Counts each distinct number of its input: its state is a plain
+    /// `u64` per number, ascending, and `finalize` tags what it emits.
+    /// Converges on the second pass, which counts what the first did.
+    struct Tally;
+
+    impl Tally {
+        const TOTAL: u32 = u32::MAX;
+    }
+
+    impl LocalAlgorithm for Tally {
+        type Input = Vec<u32>;
+        type Item = u32;
+        type Key = u32;
+        type Value = u64;
+        type Intermediate = Tallied;
+        fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
+            input
+        }
+        fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(u32, u64)> {
+            let keys: BTreeSet<u32> = input.iter().copied().collect();
+            keys.into_iter().map(|k| (k, 0)).collect()
+        }
+        fn lmap(
+            &self,
+            _t: usize,
+            input: &Self::Input,
+            item: &u32,
+            _state: &[u64],
+            ctx: &mut LocalMapContext<Self>,
+        ) {
+            ctx.emit_to(entry_of(input.iter().copied(), *item), 1);
+        }
+        fn init(&self, _i: &Self::Input, _group: usize, _key: &u32) -> u64 {
+            0
+        }
+        fn fold(acc: &mut u64, value: u64) {
+            *acc += value;
+        }
+        fn locally_converged(&self, old: &[u64], new: &[u64]) -> bool {
+            old == new
+        }
+        fn finalize(
+            &self,
+            _t: usize,
+            _i: &Self::Input,
+            keys: &[u32],
+            state: &[u64],
+            ctx: &mut MapContext<u32, Tallied>,
+        ) {
+            for (k, &count) in keys.iter().zip(state) {
+                ctx.emit_intermediate(*k, Tallied::Count(count));
+            }
+            ctx.emit_intermediate(Self::TOTAL, Tallied::Total(state.iter().sum()));
+        }
+    }
+
+    #[test]
+    fn a_state_value_is_not_what_finalize_emits() {
+        let mapper = EagerMapper::new(Tally);
+        // The map call's records are the intermediate type.
+        let mut ctx: MapContext<u32, Tallied> = MapContext::default();
+        mapper.map(0, &vec![7, 3, 7, 7, 9], &mut ctx);
+        let (pairs, meter, records, bytes) = ctx.finish();
+        let (count, total) = (Tallied::Count, Tallied::Total);
+        assert_eq!(pairs, [(3, count(1)), (7, count(3)), (9, count(1)), (Tally::TOTAL, total(5))]);
+        assert_eq!(meter.local_syncs(), 2);
+        assert_eq!((records, bytes), (4, 4 * (4 + 9)));
+        // Its split is metered from the state: three `u32` keys, three
+        // `u64` values.
         assert_eq!(meter.input_bytes(), 3 * (4 + 8));
     }
 }

@@ -147,6 +147,7 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
     type Item = S::Item;
     type Key = S::Key;
     type Value = S::Value;
+    type Intermediate = S::Value;
 
     fn items<'a>(&self, input: &'a Split<S>) -> &'a [S::Item] {
         &input.xs
@@ -191,6 +192,25 @@ impl<S: Spec> LocalAlgorithm for Framework<S> {
     fn max_local_iterations(&self) -> usize {
         self.0.max_passes()
     }
+    /// The final state, key-ascending: what `oracle_gmap` returns.
+    fn finalize(
+        &self,
+        _t: usize,
+        _input: &Split<S>,
+        keys: &[S::Key],
+        state: &[S::Value],
+        ctx: &mut MapContext<S::Key, S::Value>,
+    ) {
+        dump(keys, state, ctx);
+    }
+}
+
+/// Fig. 1's `finalize`: a clone of each entry of the final state under
+/// its key.
+fn dump<K: Key, V: Value>(keys: &[K], state: &[V], ctx: &mut MapContext<K, V>) {
+    for (k, v) in keys.iter().zip(state) {
+        ctx.emit_intermediate(k.clone(), v.clone());
+    }
 }
 
 /// The framework over `xs`.
@@ -208,8 +228,7 @@ fn folding_gmap<S: Spec>(spec: S, xs: Vec<S::Item>) -> Outcome<S::Key, S::Value>
 }
 
 /// The oracle as a global map: each task's final state, emitted in key
-/// order (what the framework's default `finalize` emits), and its
-/// meters.
+/// order (what [`Framework`]'s `finalize` emits), and its meters.
 struct Oracle<S>(S);
 
 impl<S: Spec> Mapper for Oracle<S> {
@@ -707,6 +726,7 @@ impl LocalAlgorithm for Liar {
     type Item = u32;
     type Key = u32;
     type Value = Tracked;
+    type Intermediate = Tracked;
 
     fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
         input
@@ -747,6 +767,16 @@ impl LocalAlgorithm for Liar {
     }
     fn max_local_iterations(&self) -> usize {
         self.at as usize + 2
+    }
+    fn finalize(
+        &self,
+        _t: usize,
+        _input: &Vec<u32>,
+        keys: &[u32],
+        state: &[Tracked],
+        ctx: &mut MapContext<u32, Tracked>,
+    ) {
+        dump(keys, state, ctx);
     }
 }
 
@@ -826,6 +856,7 @@ impl<const E: bool> LocalAlgorithm for Spray<E> {
     type Item = (u32, Vec<u32>);
     type Key = u32;
     type Value = u64;
+    type Intermediate = u64;
 
     fn items<'a>(&self, input: &'a SprayInput) -> &'a [(u32, Vec<u32>)] {
         &input.1
@@ -864,6 +895,16 @@ impl<const E: bool> LocalAlgorithm for Spray<E> {
     }
     fn max_local_iterations(&self) -> usize {
         3
+    }
+    fn finalize(
+        &self,
+        _t: usize,
+        _input: &SprayInput,
+        keys: &[u32],
+        state: &[u64],
+        ctx: &mut MapContext<u32, u64>,
+    ) {
+        dump(keys, state, ctx);
     }
 }
 

@@ -191,6 +191,7 @@ impl LocalAlgorithm for RingMax {
     type Item = u32;
     type Key = u32;
     type Value = u64;
+    type Intermediate = u64;
 
     fn items<'a>(&self, split: &'a Vec<u32>) -> &'a [u32] {
         split
@@ -222,6 +223,19 @@ impl LocalAlgorithm for RingMax {
     }
     fn locally_converged(&self, old: &[u64], new: &[u64]) -> bool {
         old == new
+    }
+    /// Each key's running maximum, for the global sum.
+    fn finalize(
+        &self,
+        _t: usize,
+        _split: &Vec<u32>,
+        keys: &[u32],
+        state: &[u64],
+        ctx: &mut MapContext<u32, u64>,
+    ) {
+        for (k, v) in keys.iter().zip(state) {
+            ctx.emit_intermediate(*k, *v);
+        }
     }
 }
 
