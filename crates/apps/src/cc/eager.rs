@@ -45,10 +45,9 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         // The state's entry `li` is local vertex `li`: its group.
         let label = state[li as usize];
         ctx.emit_to(li as usize, label);
-        let targets = part.internal.targets(li);
         // The sends, and as many again for the minima that take them in.
-        ctx.add_ops(2 * (1 + targets.len() as u64));
-        ctx.emit_to_each(targets, label);
+        ctx.add_ops(2 * (1 + part.internal.degree(li) as u64));
+        ctx.emit_along(&part.internal, li, |_| label);
     }
 
     /// `lreduce` as a fold: the smallest label heard, stored by the
@@ -79,7 +78,7 @@ impl LocalAlgorithm for CcLocalAlgorithm {
             let label = state[li as usize];
             ctx.emit_intermediate(v, label);
             ctx.add_ops(1);
-            for (t, _) in part.cross_edges(li) {
+            for (t, _) in part.cross.edges(li) {
                 ctx.emit_intermediate(t, label);
                 ctx.add_ops(1);
             }

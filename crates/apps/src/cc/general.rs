@@ -40,10 +40,10 @@ impl Mapper for CcGeneralMapper {
             let label = input.labels[li as usize];
             ctx.emit_intermediate(v, label);
             ctx.add_ops(1 + part.out_degree[li as usize] as u64);
-            for (lt, _) in part.internal_edges(li) {
+            for (lt, _) in part.internal.edges(li) {
                 ctx.emit_intermediate(part.nodes[lt as usize], label);
             }
-            for (t, _) in part.cross_edges(li) {
+            for (t, _) in part.cross.edges(li) {
                 ctx.emit_intermediate(t, label);
             }
         }

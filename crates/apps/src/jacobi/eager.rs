@@ -55,10 +55,9 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         // The state's entry `li` is local vertex `li`: its group. This
         // keep-alive stays: its +0.0 turns a -0.0 sum into +0.0.
         ctx.emit_to(li as usize, 0.0);
-        let targets = part.internal.targets(li);
         // The sends, and as many again for the sums that take them in.
-        ctx.add_ops(2 * (1 + targets.len() as u64));
-        ctx.emit_to_each(targets, xv);
+        ctx.add_ops(2 * (1 + part.internal.degree(li) as u64));
+        ctx.emit_along(&part.internal, li, |_| xv);
     }
 
     /// `lreduce` as a fold: the frozen remote sum, plus each neighbour
@@ -99,7 +98,7 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
             ctx.emit_intermediate(v, JMsg::LocalSum(s_int));
             ctx.emit_intermediate(v, JMsg::Seed { b, diag });
             ctx.add_ops(2);
-            for (t, _) in part.cross_edges(li) {
+            for (t, _) in part.cross.edges(li) {
                 ctx.emit_intermediate(t, JMsg::Contrib(xv));
                 ctx.add_ops(1);
             }

@@ -93,10 +93,10 @@ impl Mapper for JacobiGeneralMapper {
                 JMsg::Seed { b: input.b[li as usize], diag: input.diag[li as usize] },
             );
             ctx.add_ops(1 + part.out_degree[li as usize] as u64);
-            for (lt, _) in part.internal_edges(li) {
+            for (lt, _) in part.internal.edges(li) {
                 ctx.emit_intermediate(part.nodes[lt as usize], JMsg::Contrib(xv));
             }
-            for (t, _) in part.cross_edges(li) {
+            for (t, _) in part.cross.edges(li) {
                 ctx.emit_intermediate(t, JMsg::Contrib(xv));
             }
         }

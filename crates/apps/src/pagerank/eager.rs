@@ -87,19 +87,19 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         // The state's entry `li` is local vertex `li`.
         let rank = state[li as usize];
         let deg = part.out_degree[li as usize];
-        let targets = part.internal.targets(li);
         // The sends, and as many again for the sums that take them in,
         // plus the op of the keep-alive the keyed pass emitted: a 0.0 to
         // every vertex, which no fold needs now that every group
         // finishes from its `init` (adding +0.0 to a sum of values
         // ≥ +0.0 is a bitwise no-op).
-        ctx.add_ops(2 * (1 + targets.len() as u64) + 1);
+        ctx.add_ops(2 * (1 + part.internal.degree(li) as u64) + 1);
         if deg == 0 {
             return;
         }
         // One contribution along every internal out-edge: the state's
         // entry `lt` is local vertex `lt`, so that is its group.
-        ctx.emit_to_each(targets, rank / deg as f64);
+        let contribution = rank / deg as f64;
+        ctx.emit_along(&part.internal, li, |_| contribution);
     }
 
     /// `lreduce` as a fold: the frozen remote sum, plus each
@@ -143,12 +143,12 @@ impl LocalAlgorithm for PrLocalAlgorithm {
             let s_local = self.rule.local_sum(rank, input.remote_in[v as usize]);
             ctx.emit_intermediate(v, PrMsg::LocalSum(s_local));
             let deg = part.out_degree[li as usize];
-            ctx.add_ops(1 + (deg - part.internal_degree(li)) as u64);
+            ctx.add_ops(1 + (deg - part.internal.degree(li)) as u64);
             if deg == 0 {
                 continue;
             }
             let c = rank / deg as f64;
-            for (t, _) in part.cross_edges(li) {
+            for (t, _) in part.cross.edges(li) {
                 ctx.emit_intermediate(t, PrMsg::Contrib(c));
             }
         }

@@ -55,10 +55,10 @@ impl Mapper for PrGeneralMapper {
                 continue;
             }
             let c = input.ranks[li as usize] / deg as f64;
-            for (lt, _) in part.internal_edges(li) {
+            for (lt, _) in part.internal.edges(li) {
                 ctx.emit_intermediate(part.nodes[lt as usize], PrMsg::Contrib(c));
             }
-            for (t, _) in part.cross_edges(li) {
+            for (t, _) in part.cross.edges(li) {
                 ctx.emit_intermediate(t, PrMsg::Contrib(c));
             }
         }

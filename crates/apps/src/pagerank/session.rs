@@ -209,7 +209,7 @@ impl AsyncIterative for PrAsync {
         for run in &self.cut.runs[p] {
             outbox.extend(run.dest as usize, run.src.iter().map(|&li| contrib[li as usize]));
         }
-        let msg_records = part.cross_targets.len() as u64;
+        let msg_records = part.cross.num_edges() as u64;
         GmapOutput {
             update,
             // One op per vertex plus one per boundary contribution.

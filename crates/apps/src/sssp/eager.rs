@@ -60,10 +60,8 @@ impl LocalAlgorithm for SpLocalAlgorithm {
         if !d.is_finite() {
             return;
         }
-        ctx.add_ops(2 * part.internal_degree(li) as u64);
-        for (lt, w) in part.internal_edges(li) {
-            ctx.emit_to(lt as usize, d + w);
-        }
+        ctx.add_ops(2 * part.internal.degree(li) as u64);
+        ctx.emit_along(&part.internal, li, |w| d + w);
     }
 
     /// `lreduce` as a fold: the shortest proposal, from ∞ — what the
@@ -98,7 +96,7 @@ impl LocalAlgorithm for SpLocalAlgorithm {
             if !d.is_finite() {
                 continue;
             }
-            for (t, w) in part.cross_edges(li) {
+            for (t, w) in part.cross.edges(li) {
                 ctx.emit_intermediate(t, d + w);
                 ctx.add_ops(1);
             }

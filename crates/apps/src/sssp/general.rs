@@ -52,10 +52,10 @@ impl Mapper for SpGeneralMapper {
                 continue;
             }
             ctx.add_ops(part.out_degree[li as usize] as u64);
-            for (lt, w) in part.internal_edges(li) {
+            for (lt, w) in part.internal.edges(li) {
                 ctx.emit_intermediate(part.nodes[lt as usize], d + w);
             }
-            for (t, w) in part.cross_edges(li) {
+            for (t, w) in part.cross.edges(li) {
                 ctx.emit_intermediate(t, d + w);
             }
         }

@@ -21,7 +21,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use asyncmr_apps::common::{CutPlan, GraphPartition, LocalCsr};
+use asyncmr_apps::common::{CutPlan, GraphPartition};
+use asyncmr_core::csr::LocalCsr;
 use asyncmr_core::Outbox;
 use asyncmr_graph::{CsrGraph, NodeId, WeightedGraph};
 use asyncmr_partition::{
@@ -74,8 +75,7 @@ fn reference_build(
             nodes.iter().enumerate().map(|(li, &v)| (v, li as u32)).collect();
         let (mut internal_offsets, mut internal_targets, mut internal_weights) =
             (vec![0], Vec::new(), Vec::new());
-        let (mut cross_offsets, mut cross_targets, mut cross_weights) =
-            (vec![0], Vec::new(), Vec::new());
+        let (mut cut_offsets, mut cut_targets, mut cut_weights) = (vec![0], Vec::new(), Vec::new());
         let mut out_degree = Vec::new();
         for &v in &nodes {
             let range = g.edge_range(v);
@@ -87,13 +87,13 @@ fn reference_build(
                         internal_weights.extend(w);
                     }
                     None => {
-                        cross_targets.push(t);
-                        cross_weights.extend(w);
+                        cut_targets.push(t);
+                        cut_weights.extend(w);
                     }
                 }
             }
             internal_offsets.push(internal_targets.len() as u32);
-            cross_offsets.push(cross_targets.len() as u32);
+            cut_offsets.push(cut_targets.len() as u32);
             out_degree.push(g.out_degree(v));
         }
         out.push(GraphPartition {
@@ -101,14 +101,13 @@ fn reference_build(
             local_ids: (0..nodes.len() as u32).collect(),
             internal: LocalCsr::new(
                 nodes.len(),
+                nodes.len(),
                 internal_offsets,
                 internal_targets,
                 internal_weights,
             ),
+            cross: LocalCsr::new(nodes.len(), g.num_nodes(), cut_offsets, cut_targets, cut_weights),
             nodes,
-            cross_offsets,
-            cross_targets,
-            cross_weights,
             out_degree,
         });
     }
@@ -124,26 +123,31 @@ fn owned(views: &[Arc<GraphPartition>]) -> Vec<GraphPartition> {
 type CutEdge = (u32, u32, Option<u64>);
 
 /// Per `(producer, destination)`: the producer's cross CSR in order,
-/// owner and local index applied by search.
+/// owner and local index applied by search. Each vertex's cross edges
+/// must be its out-edges in `g` that leave its partition, in order and
+/// with their weights in `weights` (1.0 each for an unweighted graph).
 fn reference_cut(
+    g: &CsrGraph,
+    weights: Option<&[f64]>,
     views: &[Arc<GraphPartition>],
     parts: &Partitioning,
 ) -> HashMap<(usize, usize), Vec<CutEdge>> {
     let mut cut: HashMap<(usize, usize), Vec<CutEdge>> = HashMap::new();
     for (q, view) in views.iter().enumerate() {
         for &li in &view.local_ids {
-            for (e, (t, w)) in view.cross_edges(li).enumerate() {
+            let v = view.nodes[li as usize];
+            let at = g.edge_range(v).start;
+            let leaving: Vec<(NodeId, u64)> = (g.out_neighbors(v).iter().enumerate())
+                .filter(|&(_, &t)| parts.part_of(t) as usize != q)
+                .map(|(idx, &t)| (t, weights.map_or(1.0, |ws| ws[at + idx]).to_bits()))
+                .collect();
+            let yielded: Vec<(NodeId, u64)> =
+                view.cross.edges(li).map(|(t, w)| (t, w.to_bits())).collect();
+            assert_eq!(yielded, leaving, "cross.edges yields the stored edges and weights");
+            for (t, w) in yielded {
                 let dest = parts.part_of(t) as usize;
                 let lt = views[dest].nodes.iter().position(|&v| v == t).expect("owner lists it");
-                let at = view.cross_offsets[li as usize] as usize + e;
-                let w = view.cross_weights.get(at).map(|stored| {
-                    assert_eq!(
-                        stored.to_bits(),
-                        w.to_bits(),
-                        "cross_edges yields the stored weight"
-                    );
-                    w.to_bits()
-                });
+                let w = view.cross.is_weighted().then_some(w);
                 cut.entry((q, dest)).or_default().push((li, lt as u32, w));
             }
         }
@@ -151,9 +155,14 @@ fn reference_cut(
     cut
 }
 
-fn check_plan(g: &CsrGraph, views: &[Arc<GraphPartition>], parts: &Partitioning) {
+fn check_plan(
+    g: &CsrGraph,
+    weights: Option<&[f64]>,
+    views: &[Arc<GraphPartition>],
+    parts: &Partitioning,
+) {
     let plan = CutPlan::build(None, views, parts);
-    let mut expected = reference_cut(views, parts);
+    let mut expected = reference_cut(g, weights, views, parts);
     let k = views.len();
 
     let mut cut_edges = 0;
@@ -212,11 +221,11 @@ proptest! {
         let want = reference_build(&g, None, &parts);
         let views = GraphPartition::build(&g, &parts);
         prop_assert_eq!(&owned(&views), &want);
-        prop_assert!(views.iter().all(|v| v.cross_weights.is_empty()));
+        prop_assert!(views.iter().all(|v| !v.cross.is_weighted()));
         for view in &views {
             for &li in &view.local_ids {
-                prop_assert!(view.internal_edges(li).chain(view.cross_edges(li)).all(|(_, w)| w == 1.0));
-                let degree = view.internal_edges(li).count() + view.cross_edges(li).count();
+                prop_assert!(view.internal.edges(li).chain(view.cross.edges(li)).all(|(_, w)| w == 1.0));
+                let degree = view.internal.edges(li).count() + view.cross.edges(li).count();
                 prop_assert_eq!(degree as u32, view.out_degree[li as usize]);
             }
         }
@@ -224,7 +233,7 @@ proptest! {
             let pool = ThreadPool::new(workers);
             prop_assert_eq!(&owned(&GraphPartition::build_on(&pool, &g, &parts)), &want);
         }
-        check_plan(&g, &views, &parts);
+        check_plan(&g, None, &views, &parts);
     }
 
     /// (a) + (b), weighted.
@@ -246,7 +255,7 @@ proptest! {
             let pool = ThreadPool::new(workers);
             prop_assert_eq!(&owned(&GraphPartition::build_weighted_on(&pool, &wg, &parts)), &want);
         }
-        check_plan(wg.graph(), &views, &parts);
+        check_plan(wg.graph(), Some(wg.weights()), &views, &parts);
     }
 
     /// (c) `extend` stages what repeated `push` stages, run after run.

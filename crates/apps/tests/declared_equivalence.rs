@@ -197,12 +197,12 @@ fn pr_lmap(
         unreachable!("state always holds the vertex rank");
     };
     emit(v, PrMsg::Contrib(0.0));
-    let (deg, ops) = (part.out_degree[li as usize], 1 + part.internal_degree(li) as u64);
+    let (deg, ops) = (part.out_degree[li as usize], 1 + part.internal.degree(li) as u64);
     if deg == 0 {
         return ops;
     }
     let c = rank / deg as f64;
-    for (lt, _) in part.internal_edges(li) {
+    for (lt, _) in part.internal.edges(li) {
         emit(part.nodes[lt as usize], PrMsg::Contrib(c));
     }
     ops
@@ -239,10 +239,10 @@ fn jacobi_lmap(
         unreachable!("state stores Contrib(x)");
     };
     emit(v, JMsg::Contrib(0.0));
-    for (lt, _) in part.internal_edges(li) {
+    for (lt, _) in part.internal.edges(li) {
         emit(part.nodes[lt as usize], JMsg::Contrib(xv));
     }
-    1 + part.internal_degree(li) as u64
+    1 + part.internal.degree(li) as u64
 }
 
 /// Eager Jacobi's keyed `lreduce`: the frozen remote sum plus the
@@ -275,10 +275,10 @@ fn cc_lmap(
     let v = part.nodes[li as usize];
     let label = state[&v];
     emit(v, label);
-    for (lt, _) in part.internal_edges(li) {
+    for (lt, _) in part.internal.edges(li) {
         emit(part.nodes[lt as usize], label);
     }
-    1 + part.internal_degree(li) as u64
+    1 + part.internal.degree(li) as u64
 }
 
 /// Eager Connected Components' keyed `lreduce`: the smallest label.
@@ -307,10 +307,10 @@ fn sssp_lmap(
     if !d.is_finite() {
         return 1;
     }
-    for (lt, w) in part.internal_edges(li) {
+    for (lt, w) in part.internal.edges(li) {
         emit(part.nodes[lt as usize], d + w);
     }
-    1 + part.internal_degree(li) as u64
+    1 + part.internal.degree(li) as u64
 }
 
 /// Eager SSSP's keyed `lreduce`: the shortest proposal.

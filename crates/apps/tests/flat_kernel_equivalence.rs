@@ -3,7 +3,7 @@
 //! buffer without a bounds check per edge. These properties pin
 //! `PrAsync::gmap` and `SpAsync::gmap` bitwise to the bounds-checked
 //! loops that scatter replaced (kept here as references, reading the
-//! CSR through `GraphPartition::internal_edges`): the update, every
+//! CSR through `LocalCsr::edges`): the update, every
 //! meter of the `GmapOutput`, and every outbox batch, compared by
 //! `to_bits` — from the initial states and from mid-solve states, on
 //! graphs with self loops, multi-edges, a sink, one-vertex, cut-free and
@@ -78,7 +78,7 @@ fn reference_pr_gmap(
 ) -> GmapOutput<Vec<f64>> {
     let (damping, local_tolerance) = (cfg.damping, cfg.tolerance * (1.0 - cfg.damping) * 0.5);
     let n = part.len();
-    let m_int: u64 = (0..n as u32).map(|li| part.internal_degree(li) as u64).sum();
+    let m_int: u64 = (0..n as u32).map(|li| part.internal.degree(li) as u64).sum();
     let mut cur = state.ranks.clone();
     let mut next = vec![0.0f64; n];
     let (mut ops, mut passes) = (0u64, 0u64);
@@ -90,7 +90,7 @@ fn reference_pr_gmap(
                 continue;
             }
             let c = cur[li] / deg as f64;
-            for (lt, _) in part.internal_edges(li as u32) {
+            for (lt, _) in part.internal.edges(li as u32) {
                 next[lt as usize] += c;
             }
         }
@@ -118,7 +118,7 @@ fn reference_pr_gmap(
     for run in runs {
         outbox.extend(run.dest as usize, run.src.iter().map(|&li| next[li as usize]));
     }
-    let msg_records = part.cross_targets.len() as u64;
+    let msg_records = part.cross.num_edges() as u64;
     GmapOutput {
         update,
         ops: ops + n as u64 + msg_records,
@@ -151,8 +151,8 @@ fn reference_sp_gmap(
             if !d.is_finite() {
                 continue;
             }
-            emitted += part.internal_degree(li as u32) as u64;
-            for (lt, w) in part.internal_edges(li as u32) {
+            emitted += part.internal.degree(li as u32) as u64;
+            for (lt, w) in part.internal.edges(li as u32) {
                 let slot = &mut next[lt as usize];
                 *slot = slot.min(d + w);
             }

@@ -466,7 +466,7 @@ mod tests {
         EagerMapper::new(Decay)
     }
 
-    fn targets() -> Vec<Vec<(u32, f64)>> {
+    fn decay_inputs() -> Vec<Vec<(u32, f64)>> {
         (0..4u32).map(|t| (0..6).map(|k| (k * 4 + t, f64::from(k + t))).collect()).collect()
     }
 
@@ -631,7 +631,7 @@ mod tests {
         // into its state and keep no plan. From the second job on every
         // route and group plan hits.
         let eager_jobs: Vec<JobResult<u32, f64>> = (0..3)
-            .map(|_| engine.run("eager", &targets(), &eager(), &First, &eager_opts))
+            .map(|_| engine.run("eager", &decay_inputs(), &eager(), &First, &eager_opts))
             .collect();
         let reuse: Vec<JobReuse> = eager_jobs.iter().map(|job| job.reuse).collect();
         let groups = reuse[0].group.misses;
@@ -648,7 +648,7 @@ mod tests {
         assert_eq!(engine.history().last().expect("jobs ran").reuse, reuse[2]);
 
         let mut oracle = Engine::with_reference_shuffle(&pool);
-        let out = oracle.run("eager", &targets(), &eager(), &First, &eager_opts);
+        let out = oracle.run("eager", &decay_inputs(), &eager(), &First, &eager_opts);
         assert_eq!(out.reuse, JobReuse::default(), "the oracle reports no reuse");
     }
 

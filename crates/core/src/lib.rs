@@ -15,7 +15,7 @@
 //! | `Emit(k, v)` | [`ReduceContext::emit`] |
 //! | `lmap` (local) | [`LocalAlgorithm::lmap`] |
 //! | `lreduce` (local), a fold over each group | [`LocalAlgorithm::init`] / [`LocalAlgorithm::fold`] / [`LocalAlgorithm::finish`] |
-//! | `EmitLocalIntermediate(k, v)` | [`LocalMapContext::emit_to`] / [`LocalMapContext::emit_to_each`], to the group of `k` |
+//! | `EmitLocalIntermediate(k, v)` | [`LocalMapContext::emit_to`], to the group of `k`, or [`LocalMapContext::emit_along`] along a [`csr::LocalCsr`] row |
 //! | `EmitLocal(k, v)` | [`LocalAlgorithm::finish`]'s in-place write of `k`'s next value |
 //! | the local hashtable (§V-A) | the map call's value array, keys fixed once from [`LocalAlgorithm::init_state`] (strictly ascending): group `g` is entry `g` |
 //! | `gmap` built from `lmap`+`lreduce` (Fig. 1) | [`EagerMapper`] |
@@ -85,6 +85,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod checkpoint;
+pub mod csr;
 pub mod driver;
 pub mod emitter;
 pub mod engine;

@@ -40,11 +40,12 @@
 //! its values and keeps two value arrays, the one the pass reads and
 //! the one it writes, swapped between passes. `lmap` reads its groups
 //! by index and names the group of each value it emits
-//! ([`LocalMapContext::emit_to`], or [`LocalMapContext::emit_to_each`]
-//! for one value along a list of groups), which is folded into that
-//! group's slot of the written array where it is emitted
-//! ([`LocalAlgorithm::init`], [`LocalAlgorithm::fold`]). No key is
-//! built, no value buffered or grouped: the fold sees a group's values
+//! ([`LocalMapContext::emit_to`], or [`LocalMapContext::emit_along`]
+//! for one value along a row of an adjacency whose targets are
+//! groups), which is folded into that group's slot of the written
+//! array where it is emitted ([`LocalAlgorithm::init`],
+//! [`LocalAlgorithm::fold`]). No key is built, no value buffered or
+//! grouped: the fold sees a group's values
 //! in emission order — what a stable grouping of the pass's emissions
 //! would hand a keyed `lreduce` — so it computes what that `lreduce`
 //! over the group would. Every group finishes in place, keys ascending,
@@ -60,6 +61,7 @@
 //! and emits `PrMsg`s. Every algorithm writes its own `finalize`;
 //! Fig. 1's dump of the final hashtable is one line of it.
 
+use crate::csr::LocalCsr;
 use crate::emitter::MapContext;
 use crate::kv::{Key, Meterable, Value};
 use crate::traits::Mapper;
@@ -77,10 +79,10 @@ pub const DEFAULT_MAX_LOCAL_ITERATIONS: usize = 10_000;
 /// It holds the values the pass writes, one per group, each overwritten
 /// with the group's [`init`](LocalAlgorithm::init). `lmap` names the
 /// group of each value ([`emit_to`](LocalMapContext::emit_to),
-/// [`emit_to_each`](LocalMapContext::emit_to_each)), the value is folded
+/// [`emit_along`](LocalMapContext::emit_along)), the value is folded
 /// straight into that group's slot, and the end of the pass finishes
-/// every slot in place. A group past the last panics, naming the task
-/// and the pass.
+/// every slot in place. A group past the last, or an adjacency whose
+/// targets may be, panics, naming the task and the pass.
 #[derive(Debug)]
 pub struct LocalMapContext<L: LocalAlgorithm> {
     /// The values the pass writes: the groups' accumulators.
@@ -118,38 +120,39 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
     pub fn emit_to(&mut self, group: usize, value: L::Value) {
         match self.next.get_mut(group) {
             Some(acc) => L::fold(acc, value),
-            None => self.past_the_last(group),
+            None => self.refuse(format_args!("a value for group {group}")),
         }
         self.ops += 1;
     }
 
-    /// [`emit_to`](Self::emit_to) of a clone of `value` to each of
-    /// `groups`, in order — one value sent along every edge of a list.
-    /// `groups.len()` ops.
+    /// One value along every edge of row `source` of `csr`, whose
+    /// targets are groups: folds `value(w)` into the accumulator of
+    /// each target, `w` being the edge's weight, in CSR order — what an
+    /// [`emit_to`](Self::emit_to) per edge of `csr.edges(source)` folds.
+    /// The row's degree in ops.
     ///
     /// # Panics
     ///
-    /// At a group past the last.
+    /// Before folding anything, if `csr`'s targets may lie past the last
+    /// group ([`LocalCsr::bound`] above the group count), or `source`
+    /// is not one of its sources.
     #[inline]
-    pub fn emit_to_each(&mut self, groups: &[u32], value: L::Value) {
-        let accs = &mut self.next[..];
-        for &group in groups {
-            match accs.get_mut(group as usize) {
-                Some(acc) => L::fold(acc, value.clone()),
-                None => self.past_the_last(group as usize),
-            }
+    pub fn emit_along(&mut self, csr: &LocalCsr, source: u32, value: impl Fn(f64) -> L::Value) {
+        let bound = csr.bound();
+        if bound > self.next.len() {
+            self.refuse(format_args!("an adjacency over {bound} targets"));
         }
-        self.ops += groups.len() as u64;
+        self.ops += csr.fold_row(source as usize, &mut self.next, |acc, w| L::fold(acc, value(w)));
     }
 
-    /// Refuses a value for `group`, past the last group, naming the task
-    /// and the pass. Every value the pass made is dropped once, on the
-    /// unwind.
+    /// Refuses `what` — a value for a group past the last, or an
+    /// adjacency whose targets may be — naming the task and the pass.
+    /// Every value the pass made is dropped once, on the unwind.
     #[cold]
     #[inline(never)]
-    fn past_the_last(&self, group: usize) -> ! {
+    fn refuse(&self, what: std::fmt::Arguments<'_>) -> ! {
         let (task, pass, groups) = (self.task, self.pass, self.next.len());
-        panic!("local sync of task {task}, pass {pass}: a value for group {group}, past its {groups} groups")
+        panic!("local sync of task {task}, pass {pass}: {what}, past its {groups} groups")
     }
 
     /// Meters `n` abstract operations.
@@ -175,7 +178,7 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
 /// are every pass's groups, and a state is its value array: entry `g`
 /// is group `g`. `lmap` reads the current values by index and emits
 /// each value to the index of its group ([`LocalMapContext::emit_to`],
-/// [`LocalMapContext::emit_to_each`]), and the paper's `lreduce` is a
+/// [`LocalMapContext::emit_along`]), and the paper's `lreduce` is a
 /// fold ([`init`](Self::init), [`fold`](Self::fold),
 /// [`finish`](Self::finish)), which sees a group's values in emission
 /// order and leaves the group's next value in its accumulator. After
@@ -210,7 +213,7 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
     /// The paper's `lmap`: processes one element of `xs`, reading the
     /// current values — `state[g]` is group `g`'s — and sending each
     /// value to its group via [`LocalMapContext::emit_to`] and
-    /// [`LocalMapContext::emit_to_each`].
+    /// [`LocalMapContext::emit_along`].
     fn lmap(
         &self,
         task: usize,

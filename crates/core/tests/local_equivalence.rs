@@ -9,16 +9,17 @@
 //!   on groups that churn from pass to pass, on graph-shaped passes
 //!   with repeated and `String` keys and with values that count their
 //!   drops, and job by job on one engine;
-//! * one value sent along a list of groups (`emit_to_each`) equals an
-//!   `emit_to` per group, and a value sent past the last group panics
-//!   naming its task and pass, dropping every value the pass made
-//!   exactly once.
+//! * one value sent along a CSR row (`emit_along`) equals an `emit_to`
+//!   per edge of the row, and a value sent past the last group, or
+//!   along a CSR whose targets may lie past it, panics naming its task
+//!   and pass, dropping every value the pass made exactly once.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use asyncmr_core::csr::LocalCsr;
 use asyncmr_core::prelude::*;
 use asyncmr_core::TaskMeter;
 use proptest::prelude::*;
@@ -700,8 +701,8 @@ proptest! {
 enum Lie {
     /// A value for the group after the last.
     PastTheLast,
-    /// One value for group 0, then for the group after the last,
-    /// through `emit_to_each`.
+    /// One value along a CSR row into group 0 and the group after the
+    /// last, through `emit_along`: a CSR wider than the groups.
     EachPastTheLast,
     /// No value for group 0 — no breach: it finishes from its `init`.
     Missing,
@@ -750,7 +751,8 @@ impl LocalAlgorithm for Liar {
         match (self.lie, pass == self.at && j == 0) {
             (Lie::PastTheLast, true) => ctx.emit_to(past, Tracked::new(value)),
             (Lie::EachPastTheLast, true) => {
-                ctx.emit_to_each(&[j, past as u32], Tracked::new(value))
+                let wide = LocalCsr::new(1, past + 1, vec![0, 2], vec![j, past as u32], vec![]);
+                ctx.emit_along(&wide, 0, |_| Tracked::new(value))
             }
             (Lie::Missing, true) => {}
             _ => ctx.emit_to(j as usize, Tracked::new(value)),
@@ -801,11 +803,12 @@ fn assert_refused(liar: Liar, task: usize, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A value past the last group panics, in every build, naming the
-    /// task and the pass — and every value made is dropped exactly
-    /// once, on the unwind too: a pass holds no value outside its
-    /// accumulators, which unwind with it. A group no value reaches is
-    /// no breach: it finishes from its `init`.
+    /// A value past the last group, or a CSR whose targets may lie
+    /// past it, panics, in every build, naming the task and the pass —
+    /// and every value made is dropped exactly once, on the unwind too:
+    /// a pass holds no value outside its accumulators, which unwind with
+    /// it. A group no value reaches is no breach: it finishes from its
+    /// `init`.
     #[test]
     fn a_broken_declaration_panics_naming_its_task_and_pass(
         records in 1u32..20,
@@ -815,7 +818,8 @@ proptest! {
         let groups = records as usize + 1;
         let past = format!("a value for group {groups}, past its {groups} groups");
         assert_refused(Liar { records, lie: Lie::PastTheLast, at }, task, &past);
-        assert_refused(Liar { records, lie: Lie::EachPastTheLast, at }, task, &past);
+        let wide = format!("an adjacency over {} targets, past its {groups} groups", groups + 1);
+        assert_refused(Liar { records, lie: Lie::EachPastTheLast, at }, task, &wide);
 
         // A group no value reached finishes from its `init`: the pass
         // goes on, and the next one rewrites it.
@@ -831,35 +835,36 @@ proptest! {
     }
 }
 
-/// Item `(x, groups)` sends one value — `x` mixed with the state's entry
-/// `x mod n` — to each of its groups, in order: through one
-/// `emit_to_each` (`Spray<true>`) or an `emit_to` per group. The fold
-/// hashes a group's values in order, so the order counts as well as
-/// the values. Three passes, never converged.
-struct Spray<const EACH: bool>;
+/// Item `(x, s)` sends one value — `x` mixed with the state's entry
+/// `x mod n` and each edge's weight — along row `s` of its CSR, whose
+/// targets are groups: through one `emit_along` (`Spray<true>`) or an
+/// `emit_to` per edge of `csr.edges(s)`. The fold hashes a group's
+/// values in order, so the order counts as well as the values. Three
+/// passes, never converged.
+struct Spray<const ALONG: bool>;
 
-/// `n` groups, and the items.
-type SprayInput = (u32, Vec<(u32, Vec<u32>)>);
+/// `n` groups, a CSR whose targets are groups, and the items.
+type SprayInput = (u32, LocalCsr, Vec<(u32, u32)>);
 
-impl<const E: bool> Spray<E> {
+impl<const A: bool> Spray<A> {
     /// One map call: its pairs and its meter.
     fn run(input: &SprayInput) -> (Vec<(u32, u64)>, TaskMeter) {
         let mut ctx = MapContext::default();
-        EagerMapper::new(Spray::<E>).map(0, input, &mut ctx);
+        EagerMapper::new(Spray::<A>).map(0, input, &mut ctx);
         let (pairs, meter, _, _) = ctx.finish();
         (pairs, meter)
     }
 }
 
-impl<const E: bool> LocalAlgorithm for Spray<E> {
+impl<const A: bool> LocalAlgorithm for Spray<A> {
     type Input = SprayInput;
-    type Item = (u32, Vec<u32>);
+    type Item = (u32, u32);
     type Key = u32;
     type Value = u64;
     type Intermediate = u64;
 
-    fn items<'a>(&self, input: &'a SprayInput) -> &'a [(u32, Vec<u32>)] {
-        &input.1
+    fn items<'a>(&self, input: &'a SprayInput) -> &'a [(u32, u32)] {
+        &input.2
     }
     fn init_state(&self, _t: usize, input: &SprayInput) -> Vec<(u32, u64)> {
         (0..input.0).map(|k| (k, u64::from(k) * 3 + 1)).collect()
@@ -867,17 +872,18 @@ impl<const E: bool> LocalAlgorithm for Spray<E> {
     fn lmap(
         &self,
         _t: usize,
-        input: &SprayInput,
-        (x, groups): &(u32, Vec<u32>),
+        (n, csr, _): &SprayInput,
+        &(x, s): &(u32, u32),
         state: &[u64],
         ctx: &mut LocalMapContext<Self>,
     ) {
-        let value = state[(x % input.0) as usize] * 7 + u64::from(*x);
-        if E {
-            ctx.emit_to_each(groups, value);
+        let value = state[(x % n) as usize] * 7 + u64::from(x);
+        let mix = |w: f64| value ^ w.to_bits();
+        if A {
+            ctx.emit_along(csr, s, mix);
         } else {
-            for &group in groups {
-                ctx.emit_to(group as usize, value);
+            for (t, w) in csr.edges(s) {
+                ctx.emit_to(t as usize, mix(w));
             }
         }
     }
@@ -908,31 +914,61 @@ impl<const E: bool> LocalAlgorithm for Spray<E> {
     }
 }
 
-/// `n` groups, and items whose group lists repeat groups, run in any
-/// order and are often empty.
+/// The CSR over `n` groups whose rows are `rows` of `(target, weight
+/// step)` after a first row holding a self-loop twice and before a last
+/// row that is a sink, weighted or not; each item names its row modulo
+/// the row count.
+fn spray_input(
+    n: u32,
+    rows: Vec<Vec<(u32, u32)>>,
+    weighted: bool,
+    items: &[(u32, u32)],
+) -> SprayInput {
+    let rows: Vec<_> = [vec![(0, 3), (0, 5)]].into_iter().chain(rows).chain([vec![]]).collect();
+    let (mut offsets, mut targets, mut weights) = (vec![0], Vec::new(), Vec::new());
+    for row in &rows {
+        for &(t, step) in row {
+            targets.push(t);
+            if weighted {
+                weights.push(f64::from(step) * 0.25);
+            }
+        }
+        offsets.push(targets.len() as u32);
+    }
+    let csr = LocalCsr::new(rows.len(), n as usize, offsets, targets, weights);
+    let items = items.iter().map(|&(x, s)| (x, s % rows.len() as u32)).collect();
+    (n, csr, items)
+}
+
+/// `n` groups, a random CSR over them — repeated targets, rows of any
+/// length, weighted or not — and the items, often none.
 fn spray_inputs() -> impl Strategy<Value = SprayInput> {
-    (1u32..12).prop_flat_map(|n| {
-        let item = (any::<u32>(), proptest::collection::vec(0..n, 0..6));
-        (Just(n), proptest::collection::vec(item, 0..10))
-    })
+    (1u32..12)
+        .prop_flat_map(|n| {
+            let row = proptest::collection::vec((0..n, 0u32..1000), 0..6);
+            let items = proptest::collection::vec((any::<u32>(), any::<u32>()), 0..10);
+            (Just(n), proptest::collection::vec(row, 0..5), any::<bool>(), items)
+        })
+        .prop_map(|(n, rows, weighted, items)| spray_input(n, rows, weighted, &items))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One value along a list of groups is an `emit_to` per group: the
-    /// same accumulators — so the same states and pairs — and the same
-    /// ops, an empty list included.
+    /// One value along a CSR row is an `emit_to` per edge of the row:
+    /// the same accumulators — so the same states and pairs — and the
+    /// same ops, a sink included.
     #[test]
-    fn emit_to_each_equals_an_emit_to_per_group(input in spray_inputs()) {
+    fn emit_along_equals_an_emit_to_per_edge(input in spray_inputs()) {
         prop_assert_eq!(Spray::<true>::run(&input), Spray::<false>::run(&input));
     }
 }
 
 #[test]
-fn emit_to_each_of_no_group_folds_nothing_and_meters_nothing() {
-    let input = (2, vec![(0, vec![]), (1, vec![1, 1]), (5, vec![])]);
-    let (each, one_by_one) = (Spray::<true>::run(&input), Spray::<false>::run(&input));
-    assert_eq!(each, one_by_one);
-    assert_eq!(each.1.ops(), 3 * 2, "two sends a pass, three passes");
+fn emit_along_a_sink_folds_nothing_and_meters_nothing() {
+    // Row 0: a self-loop twice; row 1: a sink. Two groups.
+    let input = spray_input(2, vec![], false, &[(0, 1), (1, 0), (5, 1)]);
+    let (along, one_by_one) = (Spray::<true>::run(&input), Spray::<false>::run(&input));
+    assert_eq!(along, one_by_one);
+    assert_eq!(along.1.ops(), 3 * 2, "two sends a pass, three passes");
 }
