@@ -9,6 +9,11 @@
 //!   edge's message crosses the global shuffle;
 //! * **reduce**: `PR(d) = (1−χ) + χ·Σ contributions`.
 //!
+//! Its records are bare [`Contribution`]s, 8 bytes in memory, metered as
+//! the tagged 9-byte wire record the paper's job ships: nothing here
+//! needs the tag, so the shuffle moves half the bytes and the cost model
+//! prices the same record.
+//!
 //! The iteration count is independent of the partitioning (each
 //! iteration is exactly one power-method step) — the flat "General"
 //! series of paper Figs. 2 and 3.
@@ -20,7 +25,7 @@ use asyncmr_core::prelude::*;
 use asyncmr_graph::{CsrGraph, NodeId};
 use asyncmr_partition::Partitioning;
 
-use super::{PageRankConfig, PageRankOutcome, PageRankRule, PrMsg};
+use super::{Contribution, PageRankConfig, PageRankOutcome, PageRankRule};
 use crate::common::{apply_pairs, gather, step_status, GraphPartition};
 
 /// Map-task input: the partition view plus this iteration's ranks for
@@ -40,15 +45,15 @@ pub struct PrGeneralMapper;
 impl Mapper for PrGeneralMapper {
     type Input = PrGeneralInput;
     type Key = NodeId;
-    type Value = PrMsg;
+    type Value = Contribution;
 
-    fn map(&self, _task: usize, input: &PrGeneralInput, ctx: &mut MapContext<NodeId, PrMsg>) {
+    fn map(&self, _: usize, input: &PrGeneralInput, ctx: &mut MapContext<NodeId, Contribution>) {
         ctx.meter.set_input_bytes(input.part.approx_bytes());
         let part = &input.part;
         for &li in &part.local_ids {
             let v = part.nodes[li as usize];
             // Keep-alive so sink/unreferenced vertices still reduce.
-            ctx.emit_intermediate(v, PrMsg::Contrib(0.0));
+            ctx.emit_intermediate(v, Contribution(0.0));
             let deg = part.out_degree[li as usize];
             ctx.add_ops(1 + deg as u64);
             if deg == 0 {
@@ -56,10 +61,10 @@ impl Mapper for PrGeneralMapper {
             }
             let c = input.ranks[li as usize] / deg as f64;
             for (lt, _) in part.internal.edges(li) {
-                ctx.emit_intermediate(part.nodes[lt as usize], PrMsg::Contrib(c));
+                ctx.emit_intermediate(part.nodes[lt as usize], Contribution(c));
             }
             for (t, _) in part.cross.edges(li) {
-                ctx.emit_intermediate(t, PrMsg::Contrib(c));
+                ctx.emit_intermediate(t, Contribution(c));
             }
         }
     }
@@ -74,17 +79,11 @@ pub struct PrGeneralReducer {
 
 impl Reducer for PrGeneralReducer {
     type Key = NodeId;
-    type ValueIn = PrMsg;
+    type ValueIn = Contribution;
     type Out = f64;
 
-    fn reduce(&self, key: &NodeId, values: &[PrMsg], ctx: &mut ReduceContext<NodeId, f64>) {
-        let mut sum = 0.0;
-        for msg in values {
-            match msg {
-                PrMsg::Contrib(c) => sum += c,
-                PrMsg::LocalSum(s) => sum += s, // not produced by the general mapper
-            }
-        }
+    fn reduce(&self, key: &NodeId, values: &[Contribution], ctx: &mut ReduceContext<NodeId, f64>) {
+        let sum = values.iter().fold(0.0, |sum, c| sum + c.0);
         ctx.add_ops(values.len() as u64);
         ctx.emit(*key, self.rule.rank(sum));
     }
@@ -98,16 +97,15 @@ pub fn run_general(
     cfg: &PageRankConfig,
 ) -> PageRankOutcome {
     let rule = cfg.rule();
-    let partitions = GraphPartition::build_on(engine.pool(), graph, parts);
     let n = graph.num_nodes();
     let mut ranks = vec![1.0f64; n];
     let reducer = PrGeneralReducer { rule };
     let opts = JobOptions::with_reducers(cfg.num_reducers).with_grouping(cfg.grouping);
 
     // Built once; every iteration overwrites the rank slices in place.
-    let mut inputs: Vec<PrGeneralInput> = partitions
-        .iter()
-        .map(|part| PrGeneralInput { part: Arc::clone(part), ranks: Vec::new() })
+    let mut inputs: Vec<PrGeneralInput> = GraphPartition::build_on(engine.pool(), graph, parts)
+        .into_iter()
+        .map(|part| PrGeneralInput { part, ranks: Vec::new() })
         .collect();
     let mut name = String::new();
 

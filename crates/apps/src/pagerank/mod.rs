@@ -76,9 +76,24 @@ pub struct PageRankOutcome {
     pub report: asyncmr_core::IterationReport,
 }
 
-/// Intermediate value flowing through the PageRank jobs: what General's
-/// map and Eager's `finalize` emit, told apart by the global reduce. It
-/// is never a local state: Eager's local passes fold plain `f64`s.
+/// A rank contribution `PR(s)/outdeg(s)` along an edge: General's
+/// shuffle record, and the unit the session meters its boundary
+/// messages in. It is 8 bytes in memory but metered as the tagged wire
+/// record the paper's job ships, [`PrMsg::Contrib`]'s 9 bytes, so the
+/// cost model prices one record whichever formulation carries it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Contribution(pub f64);
+
+impl Meterable for Contribution {
+    fn approx_bytes(&self) -> u64 {
+        9 // 1 tag + 8 payload, as PrMsg
+    }
+}
+
+/// What Eager's `finalize` emits, and only that: its global reduce
+/// needs the tag to tell a vertex's local sum from a remote
+/// contribution. It is never a local state: Eager's local passes fold
+/// plain `f64`s.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrMsg {
     /// A rank contribution `PR(s)/outdeg(s)` along an edge.
@@ -126,6 +141,21 @@ mod tests {
     fn prmsg_is_metered() {
         assert_eq!(PrMsg::Contrib(1.0).approx_bytes(), 9);
         assert_eq!(PrMsg::LocalSum(2.0).approx_bytes(), 9);
+    }
+
+    #[test]
+    fn contribution_is_half_a_prmsg_in_memory_and_the_same_on_the_wire() {
+        assert_eq!(Contribution(1.5).approx_bytes(), PrMsg::Contrib(1.5).approx_bytes());
+        assert_eq!(Contribution(1.5).approx_bytes(), 9);
+        assert_eq!(std::mem::size_of::<Contribution>(), 8);
+        assert_eq!(std::mem::size_of::<PrMsg>(), 16);
+    }
+
+    #[test]
+    fn the_session_meters_its_messages_as_contributions() {
+        let src = include_str!("session.rs");
+        assert!(src.contains("Contribution(0.0).approx_bytes()"));
+        assert!(!src.contains("PrMsg"), "session.rs meters through Contribution, not PrMsg");
     }
 
     #[test]

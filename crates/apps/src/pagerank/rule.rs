@@ -2,8 +2,9 @@
 //! the inner solves stop at and the global convergence test.
 //!
 //! Every formulation calls this module instead of spelling the math:
-//! General's reducer ([`super::general::PrGeneralReducer`]), Eager's
-//! `lreduce`, `locally_converged`, `finalize` and greduce
+//! General's reducer over bare contributions
+//! ([`super::general::PrGeneralReducer`]), Eager's `finish`,
+//! `locally_converged`, `finalize` and greduce
 //! ([`super::eager`]), the flat session kernel's `gmap`, `absorb` and
 //! `converged` ([`super::session::PrAsync`]) and the sequential
 //! reference ([`super::reference::pagerank_sequential`]). Each site keeps

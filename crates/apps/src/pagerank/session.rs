@@ -29,7 +29,7 @@ use asyncmr_graph::CsrGraph;
 use asyncmr_partition::Partitioning;
 use asyncmr_runtime::ThreadPool;
 
-use super::{PageRankConfig, PageRankRule, PrMsg};
+use super::{Contribution, PageRankConfig, PageRankRule};
 use crate::common::{CutPlan, GraphPartition, MAX_LOCAL_PASSES};
 
 /// Per-partition session state: owned ranks plus the frozen remote
@@ -217,7 +217,7 @@ impl AsyncIterative for PrAsync {
             local_syncs: passes,
             input_bytes: part.approx_bytes(),
             msg_records,
-            msg_bytes: msg_records * PrMsg::Contrib(0.0).approx_bytes(),
+            msg_bytes: msg_records * Contribution(0.0).approx_bytes(),
         }
     }
 

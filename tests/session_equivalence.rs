@@ -186,7 +186,7 @@ proptest! {
         prop_assert_eq!(exact.report.global_iterations, keyed.report.global_iterations);
         prop_assert_eq!(exact.report.total_ops, keyed.report.total_ops);
 
-        // Every cut edge is one 9-byte `PrMsg::Contrib` per iteration.
+        // Every cut edge is one `Contribution`, metered at 9 bytes, per iteration.
         let cut = parts.edge_cut(&g) as u64;
         for (iter, metered) in metered_per_iteration(&exact.report).into_iter().enumerate() {
             prop_assert_eq!(metered, (cut, 9 * cut), "iteration {}", iter);
