@@ -85,7 +85,7 @@ impl LocalAlgorithm for KmLocalAlgorithm {
     }
 
     /// `lreduce` as a fold: the sum and count of the members, from
-    /// zeros — the combiner's fold, a point at a time.
+    /// zeros — General's in-mapper fold, a point at a time.
     fn init(&self, input: &KmGeneralInput, g: usize, _cid: &u32) -> ClusterUpdate {
         (vec![0.0; input.centroids[g].len()], 0)
     }

@@ -3,14 +3,16 @@
 //! "In the map phase, every point chooses its closest cluster centroid
 //! and in the reduce phase, every centroid is updated to be the mean of
 //! all the points that chose the particular centroid" (§V-D, after
-//! Chu et al. \[2\] / Mahout). One Lloyd step per global iteration, with
-//! the classic sum/count combiner to keep the shuffle small.
+//! Chu et al. \[2\] / Mahout). One Lloyd step per global iteration. The
+//! map combines in the mapper (Lin & Schatz's in-mapper combining): a
+//! task sums its points per chosen centroid and ships one `(sum, count)`
+//! record per centroid, which keeps the shuffle small.
 
 use std::sync::Arc;
 
 use asyncmr_core::prelude::*;
 
-use super::rule::{fold, mean};
+use super::rule::{add_sum, mean};
 use super::{
     nearest, partition_indices, sse, ConvergenceTracker, KMeansConfig, KMeansOutcome, Point,
 };
@@ -56,7 +58,10 @@ impl KmGeneralInput {
     }
 }
 
-/// The general mapper: nearest-centroid assignment.
+/// The general mapper: nearest-centroid assignment, combined in the
+/// mapper. Each point is summed into its nearest centroid's `(sum,
+/// count)` slot, in index order from zeros, and the task emits one
+/// record per centroid some point chose, ids ascending.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KmGeneralMapper;
 
@@ -69,25 +74,16 @@ impl Mapper for KmGeneralMapper {
         ctx.meter.set_input_bytes(input.approx_bytes());
         let centroids = &input.centroids;
         let dims = centroids.first().map_or(0, Vec::len);
+        let mut sums = vec![(vec![0.0; dims], 0); centroids.len()];
         for &i in input.indices.iter() {
             let p = &input.points[i as usize];
             let c = nearest(p, centroids);
             ctx.add_ops((centroids.len() * dims) as u64);
-            ctx.emit_intermediate(c as u32, (p.clone(), 1));
+            add_sum(&mut sums[c], p, 1);
         }
-    }
-}
-
-/// Sum/count combiner — the aggregation Mahout applies map-side.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KmCombiner;
-
-impl Combiner for KmCombiner {
-    type Key = u32;
-    type Value = ClusterUpdate;
-
-    fn combine(&self, _key: &u32, values: &[ClusterUpdate]) -> ClusterUpdate {
-        fold(values)
+        for (c, update) in sums.into_iter().enumerate().filter(|(_, (_, count))| *count > 0) {
+            ctx.emit_intermediate(c as u32, update);
+        }
     }
 }
 
@@ -135,7 +131,7 @@ pub fn run_general_from(
 ) -> KMeansOutcome {
     let n = points.len();
     let mut centroids = cfg.start(points, num_partitions, initial);
-    let opts = JobOptions::with_reducers(cfg.num_reducers).with_combiner(&KmCombiner);
+    let opts = JobOptions::with_reducers(cfg.num_reducers);
     // General convergence: Euclidean threshold only (no oscillation
     // detection — that refinement belongs to the eager variant).
     let mut tracker = ConvergenceTracker::new(cfg.threshold, 0);
@@ -164,7 +160,9 @@ mod tests {
     use crate::kmeans::data::census_like;
     use crate::kmeans::max_movement;
     use crate::kmeans::reference::lloyd;
+    use crate::kmeans::rule::fold;
     use asyncmr_runtime::ThreadPool;
+    use proptest::prelude::*;
 
     #[test]
     fn matches_sequential_lloyd_exactly() {
@@ -231,15 +229,102 @@ mod tests {
         }
     }
 
+    /// [`KmGeneralMapper`] before it combined: one `(centroid, (point,
+    /// 1))` record per point, in index order.
+    struct PerPointMapper;
+
+    impl Mapper for PerPointMapper {
+        type Input = KmGeneralInput;
+        type Key = u32;
+        type Value = ClusterUpdate;
+
+        fn map(
+            &self,
+            _task: usize,
+            input: &KmGeneralInput,
+            ctx: &mut MapContext<u32, ClusterUpdate>,
+        ) {
+            ctx.meter.set_input_bytes(input.approx_bytes());
+            let centroids = &input.centroids;
+            let dims = centroids.first().map_or(0, Vec::len);
+            for &i in input.indices.iter() {
+                let p = &input.points[i as usize];
+                let c = nearest(p, centroids);
+                ctx.add_ops((centroids.len() * dims) as u64);
+                ctx.emit_intermediate(c as u32, (p.clone(), 1));
+            }
+        }
+    }
+
+    /// One map task's emitted pairs, and its records and bytes.
+    fn emitted(
+        mapper: &impl Mapper<Input = KmGeneralInput, Key = u32, Value = ClusterUpdate>,
+        input: &KmGeneralInput,
+    ) -> (Vec<(u32, ClusterUpdate)>, u64, u64) {
+        let mut ctx = MapContext::default();
+        mapper.map(0, input, &mut ctx);
+        let (pairs, _, records, bytes) = ctx.finish();
+        (pairs, records, bytes)
+    }
+
+    /// A pair's bits: the key, the sum's coordinates and the count.
+    fn pair_bits((cid, (sum, count)): &(u32, ClusterUpdate)) -> (u32, Vec<u64>, u64) {
+        (*cid, sum.iter().map(|v| v.to_bits()).collect(), *count)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// In-mapper combining is the per-point pairs grouped by
+        /// `shuffle::group` and each group folded with `rule::fold`:
+        /// the same keys in the same (ascending) order, the same sums
+        /// bit for bit, the same records and bytes. Coordinates on a
+        /// half-step grid make ties in `nearest` common; tasks may be
+        /// empty, hold fewer points than there are centroids, and leave
+        /// centroids unchosen.
+        #[test]
+        fn in_mapper_combining_folds_the_per_point_groups(
+            points in proptest::collection::vec(proptest::collection::vec(0u8..5, 2), 0..40),
+            centroids in proptest::collection::vec(proptest::collection::vec(0u8..5, 2), 1..9),
+            tasks in proptest::collection::vec(proptest::collection::vec(0usize..64, 0..12), 1..5),
+        ) {
+            let grid = |cs: Vec<Vec<u8>>| -> Vec<Point> {
+                cs.into_iter().map(|c| c.into_iter().map(|x| f64::from(x) * 0.5).collect()).collect()
+            };
+            let points = Arc::new(grid(points));
+            let centroids = grid(centroids);
+            let n = points.len();
+            let groups: Vec<Arc<[u32]>> = tasks
+                .into_iter()
+                .map(|t| t.into_iter().filter(|_| n > 0).map(|i| (i % n) as u32).collect())
+                .collect();
+            for input in KmGeneralInput::for_groups(&points, &groups, &centroids) {
+                let (combined, records, bytes) = emitted(&KmGeneralMapper, &input);
+                let (per_point, _, _) = emitted(&PerPointMapper, &input);
+                let folded: Vec<(u32, ClusterUpdate)> = asyncmr_core::shuffle::group(per_point)
+                    .into_iter()
+                    .map(|(cid, updates)| (cid, fold(&updates)))
+                    .collect();
+                let want_bytes: u64 =
+                    folded.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum();
+                prop_assert_eq!(
+                    combined.iter().map(pair_bits).collect::<Vec<_>>(),
+                    folded.iter().map(pair_bits).collect::<Vec<_>>()
+                );
+                prop_assert_eq!((records, bytes), (folded.len() as u64, want_bytes));
+            }
+        }
+    }
+
     /// K-Means is the workload whose shuffle keys (the assigned cluster
     /// ids) change from one job to the next, so the engine's remembered
     /// route and group plans are recorded, go stale and are recorded
     /// again — and none of it may show. Every number below was captured
     /// at the commit before the engine remembered anything. The first run is
-    /// the application as shipped (combiner on: post-combine keys
-    /// barely move); the second drives the same mapper and reducer
-    /// without the combiner, one emitted key per point, so the key
-    /// sequences churn job after job.
+    /// the application as shipped (in-mapper combining: a task's keys
+    /// barely move); the second drives [`PerPointMapper`], one emitted
+    /// key per point, with the same reducer, so the key sequences churn
+    /// job after job.
     #[test]
     fn key_churn_across_jobs_matches_golden_run() {
         const APP_BITS: [[u64; 5]; 6] = [
@@ -344,7 +429,7 @@ mod tests {
         for iter in 0..10 {
             let inputs = KmGeneralInput::for_groups(&points, &groups, &centroids);
             let name = format!("kmeans-raw-iter{iter}");
-            let out = engine.run(&name, &inputs, &KmGeneralMapper, &KmMeanReducer, &opts);
+            let out = engine.run(&name, &inputs, &PerPointMapper, &KmMeanReducer, &opts);
             map_ops += out.meter.map_ops;
             reduce_ops += out.meter.reduce_ops;
             records += out.meter.shuffle_records;

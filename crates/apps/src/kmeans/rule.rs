@@ -1,11 +1,12 @@
 //! K-Means's math, written once: the sum/count fold that pools member
 //! points into a centroid, and the config check.
 //!
-//! General's combiner ([`super::general::KmCombiner`]) folds; the
-//! reducer General and Eager share ([`super::general::KmMeanReducer`])
-//! takes the [`mean`] of the fold, and Eager's `lreduce`
-//! ([`super::eager::KmLocalAlgorithm`]) is the same fold taken a point
-//! at a time ([`add_update`]), then [`divide`]d. Eager's `finalize`
+//! General's mapper ([`super::general::KmGeneralMapper`]) folds each
+//! task's points into per-centroid sums, a borrowed point at a time
+//! ([`add_sum`]); the reducer General and Eager share
+//! ([`super::general::KmMeanReducer`]) takes the [`mean`] of the fold,
+//! and Eager's `lreduce` ([`super::eager::KmLocalAlgorithm`]) is the
+//! same fold taken a point at a time ([`add_update`]), then [`divide`]d. Eager's `finalize`
 //! scales each local centroid back by its count, so the global mean
 //! pools member points across gmaps. The sequential reference
 //! ([`super::reference::lloyd`]) sums point by point, so it is not
@@ -77,13 +78,20 @@ pub(crate) fn check_seeded_start(k: usize, n: usize) {
     assert!((1..=n).contains(&k), "k is {k}; a seeded start draws 1 ≤ k ≤ {n} of the {n} points");
 }
 
+/// Adds `sum`, element by element, and `count` into `acc`: a borrowed
+/// point is `add_sum(acc, point, 1)`.
+#[inline]
+pub(crate) fn add_sum(acc: &mut ClusterUpdate, sum: &[f64], count: u64) {
+    for (s, v) in acc.0.iter_mut().zip(sum) {
+        *s += v;
+    }
+    acc.1 += count;
+}
+
 /// Adds `update`'s sum, element by element, and its count into `acc`.
 #[inline]
 pub(crate) fn add_update(acc: &mut ClusterUpdate, (vec, c): &ClusterUpdate) {
-    for (s, v) in acc.0.iter_mut().zip(vec) {
-        *s += v;
-    }
-    acc.1 += c;
+    add_sum(acc, vec, *c);
 }
 
 /// The element-wise sum and the total count of partial cluster updates,

@@ -5,22 +5,23 @@
 //! synchronization** in the paper's cost accounting. The job's work is
 //! written once, as the task bodies of [`crate::plan`]:
 //!
-//! 1. map: every input split runs the user's map function,
-//! 2. combine: the optional combiner folds each task's output,
-//! 3. shuffle: records are routed deterministically (stable key hash →
-//!    reduce partition) *as they are emitted* in steps 1–2, and each
+//! 1. map: every input split runs the user's map function; a mapper
+//!    that pre-aggregates does so itself, before it emits (in-mapper
+//!    combining — there is no separate combine step),
+//! 2. shuffle: records are routed deterministically (stable key hash →
+//!    reduce partition) *as they are emitted* in step 1, and each
 //!    partition's buckets reach its reduce task *by move* — no clone,
 //!    and partitions that received no records are skipped,
-//! 4. reduce: every reduce task groups its buckets into key-sorted
+//! 3. reduce: every reduce task groups its buckets into key-sorted
 //!    [`crate::shuffle::GroupView`]s (map-task-ordered values) and
 //!    reduces them,
-//! 5. the engine meters everything, and — when a [`JobReplay`] (the
+//! 4. the engine meters everything, and — when a [`JobReplay`] (the
 //!    simulated cluster) is attached — replays the metered job on it,
 //!    appending the resulting [`JobStats`] to the engine's history.
 //!
 //! An engine runs that one body under one *schedule*, **staged**
-//! ([`Engine::in_process`], [`Engine::with_simulation`]): steps 1, 2 and
-//! 4 are barriers on the work-stealing pool, step 3 a hand-over of
+//! ([`Engine::in_process`], [`Engine::with_simulation`]): steps 1 and 3
+//! are barriers on the work-stealing pool, step 2 a hand-over of
 //! bucket handles between them, each timed into [`StageTimings`]. The
 //! only other path, the **oracle** ([`Engine::with_reference_shuffle`]),
 //! deliberately shares nothing with it and exists so the
@@ -52,11 +53,11 @@ use asyncmr_runtime::ThreadPool;
 
 use crate::plan::{self, PlanStore, StageTimings};
 use crate::shuffle::{GroupingStrategy, PlanOutcome};
-use crate::traits::{Combiner, Mapper, Reducer};
+use crate::traits::{Mapper, Reducer};
 
 /// Per-job knobs.
-#[derive(Clone, Copy)]
-pub struct JobOptions<'c, K, V> {
+#[derive(Debug, Clone, Copy)]
+pub struct JobOptions {
     /// The shuffle's partition count — an **upper bound** on reduce
     /// tasks, not a promise.
     ///
@@ -71,8 +72,6 @@ pub struct JobOptions<'c, K, V> {
     /// Must be ≥ 1: [`Engine::run`] panics on `0` rather than pick a
     /// partition count for the caller.
     pub num_reducers: usize,
-    /// Optional map-side combiner.
-    pub combiner: Option<&'c dyn Combiner<Key = K, Value = V>>,
     /// How the reduce tasks find a grouping when they have to compute
     /// one (a reduce input that repeats last job's key sequence reuses
     /// the remembered one) — sort-based (default) or radix/hash-based.
@@ -81,45 +80,19 @@ pub struct JobOptions<'c, K, V> {
     pub grouping: GroupingStrategy,
 }
 
-impl<K, V> std::fmt::Debug for JobOptions<'_, K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobOptions")
-            .field("num_reducers", &self.num_reducers)
-            .field("combiner", &self.combiner.is_some())
-            .field("grouping", &self.grouping)
-            .finish()
-    }
-}
-
-impl<K, V> Default for JobOptions<'static, K, V> {
-    /// 16 shuffle partitions (the paper's testbed), no combiner. See
+impl Default for JobOptions {
+    /// 16 shuffle partitions (the paper's testbed). See
     /// [`JobOptions::num_reducers`] for why this is safe on tiny
     /// inputs.
     fn default() -> Self {
-        JobOptions { num_reducers: 16, combiner: None, grouping: GroupingStrategy::Sort }
+        JobOptions::with_reducers(16)
     }
 }
 
-impl<K, V> JobOptions<'static, K, V> {
-    /// Options with `n` reducers (≥ 1, checked by [`Engine::run`]) and
-    /// no combiner.
+impl JobOptions {
+    /// Options with `n` reducers (≥ 1, checked by [`Engine::run`]).
     pub fn with_reducers(n: usize) -> Self {
-        JobOptions { num_reducers: n, combiner: None, grouping: GroupingStrategy::Sort }
-    }
-}
-
-impl<'c, K, V> JobOptions<'c, K, V> {
-    /// Attaches a combiner.
-    pub fn with_combiner<'n, C>(self, combiner: &'n C) -> JobOptions<'n, K, V>
-    where
-        C: Combiner<Key = K, Value = V>,
-        'c: 'n,
-    {
-        JobOptions {
-            num_reducers: self.num_reducers,
-            combiner: Some(combiner),
-            grouping: self.grouping,
-        }
+        JobOptions { num_reducers: n, grouping: GroupingStrategy::Sort }
     }
 
     /// Selects the grouping strategy for this job's reduce tasks.
@@ -140,14 +113,10 @@ pub struct JobMeter {
     pub map_ops: u64,
     /// Abstract ops across all reduce tasks.
     pub reduce_ops: u64,
-    /// Records entering the shuffle (post-combiner).
+    /// Records entering the shuffle: what the map tasks emitted.
     pub shuffle_records: u64,
-    /// Bytes entering the shuffle (post-combiner).
+    /// Bytes entering the shuffle.
     pub shuffle_bytes: u64,
-    /// Records emitted by map tasks before combining.
-    pub precombine_records: u64,
-    /// Bytes emitted by map tasks before combining.
-    pub precombine_bytes: u64,
     /// Final output records.
     pub output_records: u64,
     /// Final output bytes.
@@ -351,7 +320,7 @@ impl<'p> Engine<'p> {
         inputs: &[I],
         mapper: &M,
         reducer: &R,
-        opts: &JobOptions<'_, M::Key, M::Value>,
+        opts: &JobOptions,
     ) -> JobResult<R::Key, R::Out>
     where
         I: Send + Sync,
@@ -447,15 +416,6 @@ mod tests {
         }
     }
 
-    struct SumCombiner;
-    impl Combiner for SumCombiner {
-        type Key = u32;
-        type Value = u64;
-        fn combine(&self, _key: &u32, values: &[u64]) -> u64 {
-            values.iter().sum()
-        }
-    }
-
     fn splits() -> Vec<Vec<u32>> {
         (0..8).map(|s| ((s * 100)..(s * 100 + 100)).collect()).collect()
     }
@@ -521,30 +481,6 @@ mod tests {
         assert_eq!(out.meter.shuffle_records, 800);
         assert_eq!(out.meter.output_records, 10);
         assert!(out.sim.is_none());
-    }
-
-    #[test]
-    fn combiner_shrinks_shuffle_not_results() {
-        let pool = ThreadPool::new(4);
-        let mut engine = Engine::in_process(&pool);
-        let inputs = splits();
-        let plain =
-            engine.run("p", &inputs, &SquareMapper, &SumReducer, &JobOptions::with_reducers(4));
-        let combined = engine.run(
-            "c",
-            &inputs,
-            &SquareMapper,
-            &SumReducer,
-            &JobOptions::with_reducers(4).with_combiner(&SumCombiner),
-        );
-        let (mut a, mut b) = (plain.pairs, combined.pairs);
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "combiner must not change results");
-        assert!(combined.meter.shuffle_records < plain.meter.shuffle_records);
-        assert!(combined.meter.shuffle_bytes < plain.meter.shuffle_bytes);
-        // 8 tasks × ≤10 keys each.
-        assert!(combined.meter.shuffle_records <= 80);
     }
 
     #[test]
@@ -797,8 +733,7 @@ mod tests {
 
     /// Runs one job with zero reducers, built through the public field.
     fn run_with_zero_reducers(mut engine: Engine<'_>) {
-        let opts: JobOptions<'static, u32, u64> =
-            JobOptions { num_reducers: 0, combiner: None, grouping: GroupingStrategy::Sort };
+        let opts = JobOptions { num_reducers: 0, grouping: GroupingStrategy::Sort };
         engine.run("zero", &splits(), &SquareMapper, &SumReducer, &opts);
     }
 

@@ -19,7 +19,7 @@
 //! | `EmitLocal(k, v)` | [`LocalAlgorithm::finish`]'s in-place write of `k`'s next value |
 //! | the local hashtable (§V-A) | the map call's value array, keys fixed once from [`LocalAlgorithm::init_state`] (strictly ascending): group `g` is entry `g` |
 //! | `gmap` built from `lmap`+`lreduce` (Fig. 1) | [`EagerMapper`] |
-//! | combiner | [`Combiner`] |
+//! | combiner | in-mapper combining: a [`Mapper`] folds before it emits (K-Means General) |
 //!
 //! A *general* (fully synchronous) iterative algorithm implements
 //! [`Mapper`] + [`Reducer`] and runs one global MapReduce per
@@ -111,7 +111,7 @@ pub use session::{
     SessionOutcome, SessionReport,
 };
 pub use shuffle::{GroupPlan, GroupView, Grouped, GroupingStrategy, ShuffleScratch};
-pub use traits::{Combiner, Mapper, Reducer};
+pub use traits::{Mapper, Reducer};
 
 /// Glob import for application code.
 pub mod prelude {
@@ -125,6 +125,6 @@ pub mod prelude {
         SessionOutcome, SessionReport,
     };
     pub use crate::shuffle::GroupingStrategy;
-    pub use crate::traits::{Combiner, Mapper, Reducer};
+    pub use crate::traits::{Mapper, Reducer};
     pub use asyncmr_model::{AttemptFailurePlan, NodeFailurePlan};
 }

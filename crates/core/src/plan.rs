@@ -13,11 +13,9 @@
 //!   each value goes straight onto its reduce bucket, bare — no pair
 //!   is buffered, nothing is hashed; a task that leaves its plan, or
 //!   has none, is buffered and records a new plan from its pairs (see
-//!   [`crate::shuffle`]);
-//! * `combine_task` — the optional map-side combiner over one task's
-//!   pairs (which then wait in one bucket instead of being routed by
-//!   the map), its combined pairs fed through the same routing sink
-//!   and re-metered as what heads into the shuffle;
+//!   [`crate::shuffle`]). What a map emits is what heads into the
+//!   shuffle: a mapper that pre-aggregates (K-Means General's in-mapper
+//!   combining) folds before it emits;
 //! * `transpose` — the hand-over of bucket *handles* from map tasks to
 //!   reduce partitions (no element is copied or cloned): a partition's
 //!   input is its non-empty buckets in map-task order. Partitions that
@@ -42,16 +40,15 @@
 //!   specs, and the ascending-partition concatenation of output pairs.
 //!
 //! [`crate::Engine::run`] runs those bodies under one **schedule**,
-//! `staged`: three barriers on the work-stealing pool (map ∥, combine ∥,
-//! reduce ∥) and, between the last two, the transposition on the
-//! calling thread, each timed as wall-clock ([`StageTimings`]). There is
-//! no route barrier: every record is in its bucket when the task that
-//! emitted it ends.
+//! `staged`: two barriers on the work-stealing pool (map ∥, reduce ∥)
+//! and, between them, the transposition on the calling thread, each
+//! timed as wall-clock ([`StageTimings`]). There is no route barrier:
+//! every record is in its bucket when the task that emitted it ends.
 //!
 //! The **oracle** ([`crate::Engine::with_reference_shuffle`]) is the
 //! exception on purpose: it is the original strategy (hash every key,
 //! sequential bucket concatenation, per-reducer `input.clone()`,
-//! `BTreeMap` grouping, for the combiner too), remembers nothing from job to job, and shares
+//! `BTreeMap` grouping), remembers nothing from job to job, and shares
 //! *no* body with the schedule, which is what makes the equivalence
 //! suites that compare against it mean something.
 
@@ -65,11 +62,10 @@ use asyncmr_runtime::ThreadPool;
 
 use crate::emitter::{MapContext, ReduceContext, Routed};
 use crate::engine::{JobMeter, JobOptions, JobReuse};
-use crate::kv::{Key, Meterable, Value};
 use crate::shuffle::{
     self, Bucket, GroupPlan, GroupView, GroupingStrategy, PlanOutcome, RoutePlan,
 };
-use crate::traits::{Combiner, Mapper, Reducer};
+use crate::traits::{Mapper, Reducer};
 
 /// Time spent in each stage of one job (in-process execution, not
 /// simulated time): each field is the *wall-clock* span of that stage's
@@ -92,12 +88,14 @@ use crate::traits::{Combiner, Mapper, Reducer};
 pub struct StageTimings {
     /// Map stage (user map functions, parallel).
     pub map: Duration,
-    /// Combine stage (zero when no combiner is attached).
+    /// Always zero: there is no combine stage (a mapper that
+    /// pre-aggregates does so before it emits); kept only because
+    /// `ledger/src/traced.rs:415,629` reads it.
     pub combine: Duration,
     /// Shuffle stage: the transposition of bucket handles from map
     /// tasks to reduce partitions, on the calling thread. Routing is not
-    /// in it: records are routed as they are emitted, inside the map (or
-    /// combine) stage.
+    /// in it: records are routed as they are emitted, inside the map
+    /// stage.
     pub shuffle: Duration,
     /// Reduce stage: each partition's values scattered through its group
     /// plan (recorded first on a miss) and reduced group by group,
@@ -110,7 +108,7 @@ pub struct StageTimings {
 impl StageTimings {
     /// Sum of all stage times, bounded by the job's wall time.
     pub fn total(&self) -> Duration {
-        self.map + self.combine + self.shuffle + self.reduce
+        self.map + self.shuffle + self.reduce
     }
 }
 
@@ -182,21 +180,17 @@ struct MapProfile {
     /// Partial synchronizations performed (eager gmap tasks).
     local_syncs: u64,
     input_bytes: u64,
-    /// Records / bytes headed into the shuffle (post-combine).
+    /// Records / bytes headed into the shuffle.
     records: u64,
     bytes: u64,
-    precombine_records: u64,
-    precombine_bytes: u64,
 }
 
 /// One map task's output, routed, plus its meters.
 struct MapOut<K, V> {
-    /// `buckets[r]` goes to reduce partition `r` — or, while a combiner
-    /// is still to fold the task's output, the one bucket of everything
-    /// it emitted.
+    /// `buckets[r]` goes to reduce partition `r`.
     buckets: Buckets<K, V>,
-    /// What became of the task's [`RoutePlan`] (`None`: one bucket,
-    /// which consults none).
+    /// What became of the task's [`RoutePlan`] (`None`: a single
+    /// partition consults none).
     planned: Option<PlanOutcome>,
     profile: MapProfile,
 }
@@ -226,28 +220,10 @@ pub(crate) struct Executed<K, O> {
     pub(crate) specs: Option<(Vec<MapTaskSpec>, Vec<ReduceTaskSpec>)>,
 }
 
-/// Runs `emit` against a context that routes what it is handed into
-/// `reducers` partitions as it arrives, following map task `task`'s
-/// [`RoutePlan`] — checked out of `plans` meanwhile, filed back after:
-/// the one routing mechanism, which the map and the combiner both feed.
-fn routing<K: Key, V: Value>(
-    task: usize,
-    reducers: usize,
-    plans: &PlanStore,
-    emit: impl FnOnce(&mut MapContext<K, V>),
-) -> Routed<K, V> {
-    plans.with(task, |kept: &mut RoutePlan<K>| {
-        let mut ctx = MapContext::routing(std::mem::take(kept), reducers);
-        emit(&mut ctx);
-        let (routed, plan) = ctx.finish_routed();
-        *kept = plan;
-        routed
-    })
-}
-
 /// Runs the user's map function over one input split, its emissions
-/// routed into `reducers` buckets as they are made (one bucket while a
-/// combiner is still to run: an ownership transfer).
+/// routed into `reducers` buckets as they are made, following map task
+/// `task`'s [`RoutePlan`] — checked out of `plans` meanwhile, filed
+/// back after.
 fn map_task<M: Mapper>(
     mapper: &M,
     task: usize,
@@ -256,37 +232,21 @@ fn map_task<M: Mapper>(
     plans: &PlanStore,
 ) -> MapOut<M::Key, M::Value> {
     let Routed { buckets, planned, meter, records, bytes } =
-        routing(task, reducers, plans, |ctx| mapper.map(task, input, ctx));
+        plans.with(task, |kept: &mut RoutePlan<M::Key>| {
+            let mut ctx = MapContext::routing(std::mem::take(kept), reducers);
+            mapper.map(task, input, &mut ctx);
+            let (routed, plan) = ctx.finish_routed();
+            *kept = plan;
+            routed
+        });
     let profile = MapProfile {
         ops: meter.ops(),
         local_syncs: meter.local_syncs(),
         input_bytes: meter.input_bytes(),
         records,
         bytes,
-        precombine_records: records,
-        precombine_bytes: bytes,
     };
     MapOut { buckets, planned, profile }
-}
-
-/// Applies the map-side combiner to one task's pairs, feeds the
-/// combined pairs through the routing sink and re-meters what now heads
-/// into the shuffle.
-fn combine_task<K: Key, V: Value>(
-    combiner: &dyn Combiner<Key = K, Value = V>,
-    task: usize,
-    mut out: MapOut<K, V>,
-    reducers: usize,
-    plans: &PlanStore,
-) -> MapOut<K, V> {
-    let pairs = out.buckets.pop().expect("a task that awaits its combiner holds one bucket");
-    let combined = shuffle::combine_local(pairs.into_pairs(), |k, vs| combiner.combine(k, vs));
-    let routed = routing(task, reducers, plans, |ctx| {
-        combined.into_iter().for_each(|(k, v)| ctx.emit_intermediate(k, v));
-    });
-    (out.profile.records, out.profile.bytes) = (routed.records, routed.bytes);
-    (out.buckets, out.planned) = (routed.buckets, routed.planned);
-    out
 }
 
 /// Every populated reduce partition with its input, ascending by
@@ -356,8 +316,6 @@ fn assemble<K, O>(
         meter.input_bytes += p.input_bytes;
         meter.shuffle_records += p.records;
         meter.shuffle_bytes += p.bytes;
-        meter.precombine_records += p.precombine_records;
-        meter.precombine_bytes += p.precombine_bytes;
         map_specs.push(MapTaskSpec::new(p.input_bytes, p.ops, p.bytes).with_records(p.records));
     }
     let mut reduce_specs = Vec::with_capacity(reduced.len());
@@ -375,14 +333,14 @@ fn assemble<K, O>(
     Executed { pairs, meter, stages, reuse, specs: Some((map_specs, reduce_specs)) }
 }
 
-/// The staged schedule: the job body as three barriers and a
+/// The staged schedule: the job body as two barriers and a
 /// transposition, each timed as its wall-clock span.
 pub(crate) fn staged<M, R>(
     pool: &ThreadPool,
     inputs: &[M::Input],
     mapper: &M,
     reducer: &R,
-    opts: &JobOptions<'_, M::Key, M::Value>,
+    opts: &JobOptions,
     plans: &PlanStore,
 ) -> Executed<R::Key, R::Out>
 where
@@ -393,31 +351,18 @@ where
     let mut stages = StageTimings::default();
     let mut reuse = JobReuse::default();
 
-    // A map task routes as it emits — unless a combiner is still to fold
-    // its output, which then waits in one bucket.
-    let map_into = if opts.combiner.is_some() { 1 } else { reducers };
+    // A map task routes as it emits.
     let t = Instant::now();
     let mapped =
-        pool.par_map_indexed(inputs, |task, input| map_task(mapper, task, input, map_into, plans));
+        pool.par_map_indexed(inputs, |task, input| map_task(mapper, task, input, reducers, plans));
     stages.map = t.elapsed();
-
-    // With no combiner attached this barrier is a free pass-through (no
-    // pool round-trip, no data movement).
-    let t = Instant::now();
-    let combined = match opts.combiner {
-        Some(combiner) => {
-            pool.par_map_vec(mapped, |task, out| combine_task(combiner, task, out, reducers, plans))
-        }
-        None => mapped,
-    };
-    stages.combine = t.elapsed();
 
     // Every record sits in its bucket already: what is left of the
     // shuffle is handing bucket handles over, on this thread.
     let t = Instant::now();
     let mut profiles = Vec::with_capacity(inputs.len());
     let mut routed = Vec::with_capacity(inputs.len());
-    for out in combined {
+    for out in mapped {
         profiles.push(out.profile);
         if let Some(planned) = out.planned {
             reuse.route.count(planned);
@@ -437,10 +382,9 @@ where
 }
 
 /// The oracle: executes one job the way the pre-staged engine did —
-/// parallel map + combine + route, **sequential** bucket concatenation,
-/// and a parallel reduce phase in which every reduce task `clone()`s
-/// its input and groups it through a `BTreeMap` — the grouping the
-/// combiner folds here too.
+/// parallel map + route, **sequential** bucket concatenation, and a
+/// parallel reduce phase in which every reduce task `clone()`s its
+/// input and groups it through a `BTreeMap`.
 ///
 /// Deliberately shares no body with the schedule above: its output
 /// pairs must *prove* byte-identical to this one's (the
@@ -452,7 +396,7 @@ pub(crate) fn reference<M, R>(
     inputs: &[M::Input],
     mapper: &M,
     reducer: &R,
-    opts: &JobOptions<'_, M::Key, M::Value>,
+    opts: &JobOptions,
 ) -> Executed<R::Key, R::Out>
 where
     M: Mapper,
@@ -463,23 +407,13 @@ where
     let map_outs = pool.par_map_indexed(inputs, |task, input| {
         let mut ctx: MapContext<M::Key, M::Value> = MapContext::default();
         mapper.map(task, input, &mut ctx);
-        let (mut pairs, meter, precombine_records, precombine_bytes) = ctx.finish();
-        if let Some(combiner) = opts.combiner {
-            for (k, values) in shuffle::group(std::mem::take(&mut pairs)) {
-                let v = combiner.combine(&k, &values);
-                pairs.push((k, v));
-            }
-        }
-        let records = pairs.len() as u64;
-        let bytes = pairs.iter().map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum();
+        let (pairs, meter, records, bytes) = ctx.finish();
         let profile = MapProfile {
             ops: meter.ops(),
             local_syncs: meter.local_syncs(),
             input_bytes: meter.input_bytes(),
             records,
             bytes,
-            precombine_records,
-            precombine_bytes,
         };
         (shuffle::route(pairs, reducers), profile)
     });
@@ -495,8 +429,6 @@ where
         meter.input_bytes += p.input_bytes;
         meter.shuffle_records += p.records;
         meter.shuffle_bytes += p.bytes;
-        meter.precombine_records += p.precombine_records;
-        meter.precombine_bytes += p.precombine_bytes;
         for (r, bucket) in buckets.into_iter().enumerate() {
             reduce_inputs[r].extend(bucket);
         }
@@ -527,6 +459,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::{Key, Value};
     use asyncmr_runtime::ThreadPool;
 
     struct ModMapper;
@@ -583,7 +516,7 @@ mod tests {
         let plans = PlanStore::new();
         let (profiles, reduce_inputs) = shuffled(&ModMapper, &splits(), 3, &plans);
         assert_eq!(profiles.len(), 4);
-        assert!(profiles.iter().all(|p| p.records == 50 && p.precombine_records == 50));
+        assert!(profiles.iter().all(|p| p.records == 50));
         assert!(reduce_inputs.len() <= 3);
         let reduced: Vec<ReduceOut<u32, u64>> = reduce_inputs
             .into_iter()

@@ -53,20 +53,20 @@
 //! Grouping implementations:
 //!
 //! * `GroupPlan::of_chunks` finds every grouping permutation in the
-//!   crate — a reduce input's plan on a miss, the combiner's and the
-//!   ledger probe's grouping — the way the
+//!   crate — a reduce input's plan on a miss and the ledger probe's
+//!   grouping — the way the
 //!   [`GroupingStrategy`] names; [`group_planned`] and [`Grouped`]
 //!   scatter values through the plan it records.
-//! * [`Grouped`] — the **unplanned** grouping, which the map-side
-//!   combiner ([`combine_local`]) and the ledger's probe run: a
+//! * [`Grouped`] — the **unplanned** grouping, which the ledger's
+//!   probe runs: a
 //!   [`GroupPlan`] recorded from one input alone (its keys moved into
 //!   the plan, none cloned) beside the values scattered through it, read
 //!   as contiguous [`GroupView`] slices. No per-key `Vec` allocations,
 //!   no value clones, and the value buffer is recyclable through
 //!   [`ShuffleScratch`]. It pays what a reduce task pays on a plan miss.
 //! * [`group`] — the original `BTreeMap` formulation, **kept as the
-//!   behavioral reference**: the engine's oracle groups and combines
-//!   with it, and the property tests hold the others to it.
+//!   behavioral reference**: the engine's oracle groups with it, and
+//!   the property tests hold the others to it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -301,8 +301,7 @@ impl<K: Key> RoutePlan<K> {
 }
 
 /// Where a map task's emissions go: the one routing mechanism of a
-/// job, fed by [`crate::MapContext::emit_intermediate`] (and, behind a
-/// combiner, by the combined pairs).
+/// job, fed by [`crate::MapContext::emit_intermediate`].
 ///
 /// A sink that follows a [`RoutePlan`] recorded for its partition count
 /// starts **on plan**: [`RouteSink::emit`] compares each key with the
@@ -883,19 +882,6 @@ pub fn group<K: Key, V: Value>(input: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
     grouped.into_iter().collect()
 }
 
-/// Map-side combining: groups a single task's output by key and folds
-/// each group with the combiner function. Returns the combined pairs
-/// (keys ascending) — this runs *before* routing.
-pub fn combine_local<K: Key, V: Value>(
-    pairs: Vec<(K, V)>,
-    combine: impl Fn(&K, &[V]) -> V,
-) -> Vec<(K, V)> {
-    let grouped = Grouped::from_pairs_using(GroupingStrategy::Sort, pairs, &mut Default::default());
-    let mut out = Vec::with_capacity(grouped.num_groups());
-    grouped.for_each_group(|g| out.push((g.key.clone(), combine(g.key, g.values))));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1325,21 +1311,11 @@ mod tests {
         assert_eq!(counting(&mut group_once), (Hit, 0, 80));
 
         // The unplanned grouping moves its keys into its plan and clones
-        // none, whichever strategy finds the permutation; the combiner
-        // clones the one key each of its groups hands on.
+        // none, whichever strategy finds the permutation.
         for strategy in [Sort, Radix] {
             let (grouped, clones, _) = counting(|| grouped_by(strategy, input()));
             assert_eq!((grouped.num_groups(), clones), (7, 0), "{strategy:?}");
         }
-        let (combined, clones, _) = counting(|| combine_local(input(), |_, vs| vs[0]));
-        assert_eq!((combined.len(), clones), (7, 7));
-    }
-
-    #[test]
-    fn combine_local_folds_groups() {
-        let pairs = vec![(1u32, 2u64), (2, 5), (1, 3)];
-        let combined = combine_local(pairs, |_, vs| vs.iter().sum());
-        assert_eq!(combined, vec![(1, 5), (2, 5)]);
     }
 
     #[test]

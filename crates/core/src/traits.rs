@@ -45,21 +45,6 @@ pub trait Reducer: Send + Sync {
     );
 }
 
-/// Map-side pre-aggregation (the original MapReduce combiner).
-///
-/// Applied independently to each map task's output before the shuffle;
-/// the paper notes combiners compose with partial synchronization
-/// because they run on `gmap` output (§VI "Other Optimizations").
-pub trait Combiner: Send + Sync {
-    /// Key type.
-    type Key: Key;
-    /// Value type (combined in place: `[V] -> V`).
-    type Value: Value;
-
-    /// Folds all of one map task's values for `key` into one value.
-    fn combine(&self, key: &Self::Key, values: &[Self::Value]) -> Self::Value;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

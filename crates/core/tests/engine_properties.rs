@@ -35,16 +35,6 @@ impl Reducer for SumReducer {
     }
 }
 
-struct SumCombiner;
-
-impl Combiner for SumCombiner {
-    type Key = u32;
-    type Value = u64;
-    fn combine(&self, _key: &u32, values: &[u64]) -> u64 {
-        values.iter().sum()
-    }
-}
-
 fn expected(inputs: &[Vec<u32>], modulus: u32) -> BTreeMap<u32, u64> {
     let mut sums = BTreeMap::new();
     for split in inputs {
@@ -77,27 +67,6 @@ proptest! {
         prop_assert_eq!(got, expected(&inputs, modulus));
     }
 
-    /// A (correct, associative+commutative) combiner never changes the
-    /// job's output — only its shuffle volume.
-    #[test]
-    fn combiner_is_semantically_transparent(
-        inputs in proptest::collection::vec(
-            proptest::collection::vec(any::<u32>(), 1..60), 1..8),
-        modulus in 1u32..20,
-    ) {
-        let pool = ThreadPool::new(2);
-        let mut engine = Engine::in_process(&pool);
-        let mapper = ModMapper { modulus };
-        let plain = engine.run("p", &inputs, &mapper, &SumReducer,
-            &JobOptions::with_reducers(4));
-        let combined = engine.run("c", &inputs, &mapper, &SumReducer,
-            &JobOptions::with_reducers(4).with_combiner(&SumCombiner));
-        let a: BTreeMap<u32, u64> = plain.pairs.into_iter().collect();
-        let b: BTreeMap<u32, u64> = combined.pairs.into_iter().collect();
-        prop_assert_eq!(a, b);
-        prop_assert!(combined.meter.shuffle_records <= plain.meter.shuffle_records);
-    }
-
     /// Stable hashing: the same key set routes identically regardless
     /// of insertion order.
     #[test]
@@ -115,7 +84,7 @@ proptest! {
     }
 
     /// Engine job meters add up: shuffle records seen by reducers equal
-    /// records emitted by mappers (post-combine).
+    /// records emitted by mappers.
     #[test]
     fn meter_accounting_consistent(
         inputs in proptest::collection::vec(

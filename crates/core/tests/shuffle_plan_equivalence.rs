@@ -18,13 +18,11 @@
 //! plan, which the same input hits next time.
 //!
 //! On the staged engine, against a fresh oracle engine *and* against a
-//! model written with `shuffle::{route, group}` alone (its combiner
-//! folds `group`'s groups, as the oracle's does) — pairs, [`JobMeter`]s
+//! model written with `shuffle::{route, group}` alone — pairs, [`JobMeter`]s
 //! and the [`JobReuse`] sequence all equal: a task leaving its plan at
 //! **every** prefix length of its emissions (first record, mid-bucket,
 //! last record, one past the end), tasks that emit fewer and more
-//! records than their plan, a changed partition count, a combiner
-//! switched on and off, `String` keys, a
+//! records than their plan, a changed partition count, `String` keys, a
 //! partition that empties and returns, two job types sharing a slot;
 //! with values that count their drops — exactly once each on a hit and
 //! on a fall-back at each prefix, never twice when `map` panics
@@ -293,7 +291,7 @@ fn splits() -> Vec<Vec<u32>> {
 
 /// Runs `script` on one staged engine, comparing every job's pairs with
 /// a fresh oracle engine; returns the reuse counts.
-fn run_strided(script: &[&Strided], opts: &JobOptions<'_, u32, u64>) -> Vec<JobReuse> {
+fn run_strided(script: &[&Strided], opts: &JobOptions) -> Vec<JobReuse> {
     let pool = ThreadPool::new(3);
     let inputs = splits();
     let mut staged = Engine::in_process(&pool);
@@ -459,12 +457,11 @@ impl Flavor for Tracked {
 }
 
 /// One scripted job: what each map task emits, record by record, into
-/// how many partitions, behind a combiner or not.
+/// how many partitions.
 #[derive(Debug, Clone)]
 struct Scripted {
     tasks: Vec<Vec<(u32, u64)>>,
     reducers: usize,
-    combine: bool,
 }
 
 /// Emits its split record by record; panics at `panic_at`'s
@@ -496,21 +493,6 @@ impl<F: Flavor> Mapper for Emit<F> {
     }
 }
 
-/// Sums a key's values (wrapping).
-struct Sum<F>(PhantomData<F>);
-
-fn sum<F: Flavor>(values: &[F::V]) -> F::V {
-    F::value(values.iter().fold(0u64, |acc, v| acc.wrapping_add(F::raw(v))))
-}
-
-impl<F: Flavor> Combiner for Sum<F> {
-    type Key = F::K;
-    type Value = F::V;
-    fn combine(&self, _key: &F::K, values: &[F::V]) -> F::V {
-        sum::<F>(values)
-    }
-}
-
 /// Emits each key's values in arrival order, so a misplaced value shows.
 struct Arrivals<F>(PhantomData<F>);
 
@@ -524,18 +506,14 @@ impl<F: Flavor> Reducer for Arrivals<F> {
     }
 }
 
-/// The job written with the unplanned shuffle alone: combine, `route`,
+/// The job written with the unplanned shuffle alone: `route`,
 /// concatenate in task order, `group`, reduce, partitions ascending.
 fn model<F: Flavor>(job: &Scripted) -> Vec<(F::K, Vec<u64>)> {
     let routed: Vec<_> = job
         .tasks
         .iter()
         .map(|task| {
-            let mut pairs: Vec<_> = task.iter().map(|&(k, x)| (F::key(k), F::value(x))).collect();
-            if job.combine {
-                let fold = |(k, vs): (F::K, Vec<F::V>)| (k, sum::<F>(&vs));
-                pairs = shuffle::group(pairs).into_iter().map(fold).collect();
-            }
+            let pairs: Vec<_> = task.iter().map(|&(k, x)| (F::key(k), F::value(x))).collect();
             shuffle::route(pairs, job.reducers)
         })
         .collect();
@@ -554,12 +532,10 @@ fn model<F: Flavor>(job: &Scripted) -> Vec<(F::K, Vec<u64>)> {
 /// partitions the oracle counts as tasks. Returns the plan use.
 fn run_scripted<F: Flavor>(pool: &ThreadPool, script: &[Scripted]) -> Vec<JobReuse> {
     let mut staged = Engine::in_process(pool);
-    let (mapper, reducer, combiner) =
-        (Emit::<F>::new(), Arrivals::<F>(PhantomData), Sum::<F>(PhantomData));
+    let (mapper, reducer) = (Emit::<F>::new(), Arrivals::<F>(PhantomData));
     let mut reuse = Vec::new();
     for (i, job) in script.iter().enumerate() {
-        let plain = JobOptions::with_reducers(job.reducers);
-        let opts = if job.combine { plain.with_combiner(&combiner) } else { plain };
+        let opts = JobOptions::with_reducers(job.reducers);
         let mut oracle = Engine::with_reference_shuffle(pool);
         let want = oracle.run("o", &job.tasks, &mapper, &reducer, &opts);
         let a = staged.run("s", &job.tasks, &mapper, &reducer, &opts);
@@ -579,7 +555,7 @@ fn run_scripted<F: Flavor>(pool: &ThreadPool, script: &[Scripted]) -> Vec<JobReu
 /// Three tasks of 13 records over 9 keys, four partitions.
 fn base_job() -> Scripted {
     let task = |t: u32| (0..13u32).map(|i| ((i * 5 + t * 3) % 9, u64::from(100 * t + i))).collect();
-    Scripted { tasks: (0..3).map(task).collect(), reducers: 4, combine: false }
+    Scripted { tasks: (0..3).map(task).collect(), reducers: 4 }
 }
 
 fn revalued(job: &Scripted, salt: u64) -> Scripted {
@@ -591,9 +567,9 @@ fn revalued(job: &Scripted, salt: u64) -> Scripted {
 /// jobs on plan from the second, then the task leaves its plan at `at` —
 /// a key it never emitted there, or (at the plan's length) one record
 /// more —, comes back, and stops short at `at`; all on one engine.
-fn leave_the_plan_everywhere<F: Flavor>(combine: bool) {
+fn leave_the_plan_everywhere<F: Flavor>() {
     let pool = ThreadPool::new(3);
-    let base = Scripted { combine, ..base_job() };
+    let base = base_job();
     let populated = model::<F>(&base)
         .iter()
         .map(|(key, _)| reducer_for(key, base.reducers))
@@ -625,26 +601,21 @@ fn leave_the_plan_everywhere<F: Flavor>(combine: bool) {
                 assert_eq!((steady.route.hits, steady.route.misses), (3, 0), "{reuse:?}");
                 assert_eq!((steady.group.hits, steady.group_by_identity), (populated, populated));
             }
-            if !combine {
-                // (Behind a combiner a changed key may fold away.)
-                assert_eq!((reuse[3].route.hits, reuse[3].route.misses), (2, 1), "at {at}");
-                let stopped_short = u64::from(at < n);
-                assert_eq!(reuse[6].route.misses, stopped_short, "at {at}: {reuse:?}");
-            }
+            assert_eq!((reuse[3].route.hits, reuse[3].route.misses), (2, 1), "at {at}");
+            let stopped_short = u64::from(at < n);
+            assert_eq!(reuse[6].route.misses, stopped_short, "at {at}: {reuse:?}");
         }
     }
 }
 
 #[test]
 fn a_task_that_leaves_its_plan_at_any_prefix_changes_nothing_but_the_counts() {
-    leave_the_plan_everywhere::<Plain>(false);
-    leave_the_plan_everywhere::<Plain>(true);
+    leave_the_plan_everywhere::<Plain>();
 }
 
 #[test]
 fn string_keys_leave_and_rejoin_their_plans_too() {
-    leave_the_plan_everywhere::<Worded>(false);
-    leave_the_plan_everywhere::<Worded>(true);
+    leave_the_plan_everywhere::<Worded>();
 }
 
 fn assert_drops(at_most_once: bool) {
@@ -658,8 +629,7 @@ fn assert_drops(at_most_once: bool) {
 fn every_emitted_value_is_dropped_exactly_once_on_hits_and_fall_backs() {
     let _tracking = TRACKING.lock().unwrap_or_else(|e| e.into_inner());
     DROPS.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    leave_the_plan_everywhere::<Tracked>(false);
-    leave_the_plan_everywhere::<Tracked>(true);
+    leave_the_plan_everywhere::<Tracked>();
     assert_drops(false);
 }
 
@@ -709,7 +679,6 @@ enum Step {
         key: u32,
     },
     Reducers(usize),
-    ToggleCombiner,
     /// Drops every record whose key routes to this partition (of the
     /// job's count).
     Empty(usize),
@@ -718,15 +687,14 @@ enum Step {
 }
 
 fn step() -> impl Strategy<Value = Step> {
-    (0u8..8, 0usize..4, 0usize..40, 0u32..30, any::<u64>()).prop_map(
+    (0u8..7, 0usize..4, 0usize..40, 0u32..30, any::<u64>()).prop_map(
         |(kind, task, at, key, salt)| match kind {
             0 => Step::Revalue(salt),
             1 => Step::ChangeKey { task, at, key },
             2 => Step::Truncate { task, at },
             3 => Step::Extend { task, key },
             4 => Step::Reducers(1 + at % 5),
-            5 => Step::ToggleCombiner,
-            6 => Step::Empty(at),
+            5 => Step::Empty(at),
             _ => Step::Restore,
         },
     )
@@ -750,7 +718,6 @@ fn apply(job: &Scripted, first: &Scripted, step: &Step) -> Scripted {
         }
         Step::Extend { task, key } => next.tasks[task % tasks].push((key, 9)),
         Step::Reducers(reducers) => next.reducers = reducers,
-        Step::ToggleCombiner => next.combine = !next.combine,
         Step::Empty(partition) => {
             let (p, of) = (partition % next.reducers, next.reducers);
             next.tasks.iter_mut().for_each(|task| task.retain(|(k, _)| reducer_for(k, of) != p));
@@ -764,8 +731,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Unscripted: a first job, then steps that revalue it, churn a key,
-    /// shorten or lengthen a task, change the partition count, switch
-    /// the combiner, empty a partition or restore the first job — each
+    /// shorten or lengthen a task, change the partition count, empty a
+    /// partition or restore the first job — each
     /// resulting job run one to three times so plans get to record and
     /// hit in between — for `u32` and for `String` keys.
     #[test]
@@ -773,10 +740,9 @@ proptest! {
         tasks in proptest::collection::vec(
             proptest::collection::vec((0u32..30, any::<u64>()), 0..40), 1..5),
         reducers in 1usize..6,
-        combine in any::<bool>(),
         steps in proptest::collection::vec((step(), 1usize..4), 1..8),
     ) {
-        let first = Scripted { tasks, reducers, combine };
+        let first = Scripted { tasks, reducers };
         let mut script = vec![first.clone(), revalued(&first, 1), revalued(&first, 2)];
         for (step, times) in &steps {
             let next = apply(script.last().expect("starts with three jobs"), &first, step);

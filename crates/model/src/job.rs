@@ -82,7 +82,8 @@ impl JobSpec {
     }
 
     /// Total bytes shuffled by the job: what its map tasks emit (the
-    /// engine meters a task's output after its combiner ran).
+    /// engine meters what a task emits, after any combining its map
+    /// did).
     pub fn total_shuffle_bytes(&self) -> u64 {
         self.maps.iter().map(|m| m.output_bytes).sum()
     }

@@ -18,8 +18,7 @@
 //!   `std::thread::scope`; every task belongs to a scope;
 //! * [`ThreadPool::par_map`] / [`ThreadPool::par_map_indexed`] /
 //!   [`ThreadPool::par_map_vec`] — order-preserving data-parallel
-//!   barriers built on `scope` (the engine's map, combine and reduce
-//!   stages);
+//!   barriers built on `scope` (the engine's map and reduce stages);
 //! * [`ThreadPool::par_multiwave`] — the completion-driven scheduler
 //!   behind the asynchronous session: tasks stream their results to a
 //!   caller-side scheduler that can inject new [`Wave`]s while earlier

@@ -65,7 +65,7 @@ impl ThreadPool {
 
     /// Like [`ThreadPool::par_map_indexed`], but each invocation takes
     /// its element **by value** — the primitive behind the MapReduce
-    /// engine's combine and reduce barriers, where every reduce task
+    /// engine's reduce barrier, where every reduce task
     /// must consume (not clone) its routed buckets.
     ///
     /// Results are returned in input order.

@@ -774,8 +774,9 @@ mod tests {
 
     #[test]
     fn combiner_reduces_network_traffic() {
-        // The engine meters what a map task shuffles after its combiner
-        // ran, so a combined job is one whose maps emit fewer bytes.
+        // The engine meters what a map task emits, after any combining
+        // its map did, so a combined job is one whose maps emit fewer
+        // bytes.
         let plain = small_job(16, 8);
         let mut combined = small_job(16, 8);
         combined.maps.iter_mut().for_each(|m| m.output_bytes /= 10);

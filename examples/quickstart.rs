@@ -1,10 +1,13 @@
 //! Quickstart: the MapReduce API in a few dozen lines — word count,
-//! then the same job again with a combiner, showing the metering the
+//! then the same job again with in-mapper combining (each map counts
+//! its own document before it emits), showing the metering the
 //! simulator uses.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
+
+use std::collections::BTreeMap;
 
 use asyncmr::core::prelude::*;
 use asyncmr::runtime::ThreadPool;
@@ -18,14 +21,31 @@ impl Mapper for Tokenize {
     type Value = u64;
 
     fn map(&self, _task: usize, doc: &String, ctx: &mut MapContext<String, u64>) {
-        for word in doc.split_whitespace() {
-            let cleaned: String =
-                word.chars().filter(|c| c.is_alphanumeric()).collect::<String>().to_lowercase();
-            if !cleaned.is_empty() {
-                ctx.emit_intermediate(cleaned, 1);
-            }
-        }
+        words(doc).for_each(|word| ctx.emit_intermediate(word, 1));
     }
+}
+
+/// `map` with in-mapper combining: counts one document's words first,
+/// then emits one `(word, count)` pair per distinct word.
+struct TokenizeAndCount;
+
+impl Mapper for TokenizeAndCount {
+    type Input = String;
+    type Key = String;
+    type Value = u64;
+
+    fn map(&self, _task: usize, doc: &String, ctx: &mut MapContext<String, u64>) {
+        let mut counts = BTreeMap::new();
+        words(doc).for_each(|word| *counts.entry(word).or_insert(0) += 1);
+        counts.into_iter().for_each(|(word, count)| ctx.emit_intermediate(word, count));
+    }
+}
+
+/// A document's words, lower-cased, punctuation dropped.
+fn words(doc: &str) -> impl Iterator<Item = String> + '_ {
+    doc.split_whitespace()
+        .map(|word| word.chars().filter(|c| c.is_alphanumeric()).collect::<String>().to_lowercase())
+        .filter(|word| !word.is_empty())
 }
 
 /// `reduce`: sums the counts of one word.
@@ -41,17 +61,6 @@ impl Reducer for Count {
     }
 }
 
-/// Map-side pre-aggregation (classic combiner).
-struct SumCombiner;
-
-impl Combiner for SumCombiner {
-    type Key = String;
-    type Value = u64;
-    fn combine(&self, _key: &String, values: &[u64]) -> u64 {
-        values.iter().sum()
-    }
-}
-
 fn main() {
     let docs: Vec<String> = vec![
         "the quick brown fox jumps over the lazy dog".into(),
@@ -63,14 +72,9 @@ fn main() {
     let pool = ThreadPool::with_default_parallelism();
     let mut engine = Engine::in_process(&pool);
 
-    let plain = engine.run("wordcount", &docs, &Tokenize, &Count, &JobOptions::with_reducers(4));
-    let combined = engine.run(
-        "wordcount+combiner",
-        &docs,
-        &Tokenize,
-        &Count,
-        &JobOptions::with_reducers(4).with_combiner(&SumCombiner),
-    );
+    let opts = JobOptions::with_reducers(4);
+    let plain = engine.run("wordcount", &docs, &Tokenize, &Count, &opts);
+    let combined = engine.run("wordcount-in-mapper", &docs, &TokenizeAndCount, &Count, &opts);
 
     let mut counts = plain.pairs.clone();
     counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -79,12 +83,13 @@ fn main() {
         println!("  {count:>3}  {word}");
     }
 
-    println!("\nshuffle records without combiner: {}", plain.meter.shuffle_records);
-    println!("shuffle records with combiner:    {}", combined.meter.shuffle_records);
+    println!("\nshuffle records, one per word:        {}", plain.meter.shuffle_records);
+    println!("shuffle records, combined in the map: {}", combined.meter.shuffle_records);
+    assert!(combined.meter.shuffle_records < plain.meter.shuffle_records);
     let mut a = plain.pairs;
     let mut b = combined.pairs;
     a.sort();
     b.sort();
-    assert_eq!(a, b, "combiner must not change results");
-    println!("\nresults identical; the combiner only reduced network volume.");
+    assert_eq!(a, b, "combining in the mapper must not change results");
+    println!("\nresults identical; combining in the mapper only reduced network volume.");
 }

@@ -40,16 +40,6 @@ impl Reducer for SumReducer {
     }
 }
 
-struct SumCombiner;
-
-impl Combiner for SumCombiner {
-    type Key = u32;
-    type Value = u64;
-    fn combine(&self, _key: &u32, values: &[u64]) -> u64 {
-        values.iter().sum()
-    }
-}
-
 type Run = (Vec<(u32, u64)>, JobMeter);
 
 /// Runs `script` — one job after another, on one staged engine and one
@@ -60,21 +50,15 @@ fn run_sequence(
     script: &[&[Vec<u32>]],
     key_space: u32,
     reducers: usize,
-    combine: bool,
 ) -> Vec<(Run, Run, JobReuse)> {
     let pool = ThreadPool::new(3);
     let mapper = ScatterMapper { key_space };
     let mut engines = [Engine::in_process(&pool), Engine::with_reference_shuffle(&pool)];
     let mut jobs = Vec::with_capacity(script.len());
     for splits in script {
-        let [staged, reference] = engines.each_mut().map(|engine| {
-            let opts = JobOptions::with_reducers(reducers);
-            if combine {
-                engine.run("job", splits, &mapper, &SumReducer, &opts.with_combiner(&SumCombiner))
-            } else {
-                engine.run("job", splits, &mapper, &SumReducer, &opts)
-            }
-        });
+        let opts = JobOptions::with_reducers(reducers);
+        let [staged, reference] =
+            engines.each_mut().map(|engine| engine.run("job", splits, &mapper, &SumReducer, &opts));
         let reuse = staged.reuse;
         let run = |out: JobResult<u32, u64>| (out.pairs, out.meter);
         jobs.push((run(staged), run(reference), reuse));
@@ -84,16 +68,16 @@ fn run_sequence(
 
 /// Runs one job on a staged engine and the oracle, returning each
 /// one's (pairs, meter).
-fn run_all(splits: &[Vec<u32>], key_space: u32, reducers: usize, combine: bool) -> (Run, Run) {
+fn run_all(splits: &[Vec<u32>], key_space: u32, reducers: usize) -> (Run, Run) {
     let (staged, reference, _) =
-        run_sequence(&[splits], key_space, reducers, combine).pop().expect("one job");
+        run_sequence(&[splits], key_space, reducers).pop().expect("one job");
     (staged, reference)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary splits, key space, reducer count, and combiner:
+    /// Arbitrary splits, key space and reducer count:
     /// staged ≡ reference, pairs byte-for-byte.
     #[test]
     fn staged_equals_reference(
@@ -101,9 +85,8 @@ proptest! {
             proptest::collection::vec(0u32..10_000, 0..40), 0..12),
         key_space in 1u32..64,
         reducers in 1usize..24,
-        combine in any::<bool>(),
     ) {
-        let (staged, reference) = run_all(&splits, key_space, reducers, combine);
+        let (staged, reference) = run_all(&splits, key_space, reducers);
         prop_assert_eq!(&staged.0, &reference.0, "staged vs reference pairs");
         // The reference keeps the old every-partition-is-a-task meter
         // semantics; everything else must be equal.
@@ -122,13 +105,12 @@ proptest! {
             proptest::collection::vec(0u32..10_000, 1..40), 1..8),
         key_space in 2u32..64,
         reducers in 2usize..12,
-        combine in any::<bool>(),
     ) {
         let churned: Vec<Vec<u32>> =
             splits.iter().map(|split| split.iter().map(|x| x + 1).collect()).collect();
         let same = &splits[..];
         let script = [same, same, same, same, &churned[..], same];
-        let jobs = run_sequence(&script, key_space, reducers, combine);
+        let jobs = run_sequence(&script, key_space, reducers);
         for (job, (staged, reference, reuse)) in jobs.iter().enumerate() {
             prop_assert_eq!(&staged.0, &reference.0, "job {}: staged vs reference pairs", job);
             let tasks = (splits.len() as u64, staged.1.reduce_tasks as u64);
@@ -153,9 +135,8 @@ proptest! {
     #[test]
     fn empty_input_jobs_agree(
         reducers in 1usize..24,
-        combine in any::<bool>(),
     ) {
-        let (staged, reference) = run_all(&[], 8, reducers, combine);
+        let (staged, reference) = run_all(&[], 8, reducers);
         prop_assert!(staged.0.is_empty());
         prop_assert_eq!(&reference.0, &staged.0);
         prop_assert_eq!(staged.1.map_tasks, 0);
@@ -169,9 +150,8 @@ proptest! {
         splits in proptest::collection::vec(
             proptest::collection::vec(0u32..10_000, 0..40), 1..12),
         key_space in 1u32..64,
-        combine in any::<bool>(),
     ) {
-        let (staged, reference) = run_all(&splits, key_space, 1, combine);
+        let (staged, reference) = run_all(&splits, key_space, 1);
         prop_assert_eq!(&staged.0, &reference.0);
         prop_assert!(staged.1.reduce_tasks <= 1);
     }

@@ -131,8 +131,7 @@ fn jacobi_both_modes_identical_across_paths() {
     assert_same_counts(&[&a.report, &b.report]);
 }
 
-/// Word count over `String` keys (the non-`Copy` key path), with a
-/// combiner to attach.
+/// Word count over `String` keys (the non-`Copy` key path).
 mod wordcount {
     pub use asyncmr::core::prelude::*;
 
@@ -156,14 +155,6 @@ mod wordcount {
             ctx.emit(k.clone(), vs.iter().sum());
         }
     }
-    pub struct Add;
-    impl Combiner for Add {
-        type Key = String;
-        type Value = u64;
-        fn combine(&self, _k: &String, vs: &[u64]) -> u64 {
-            vs.iter().sum()
-        }
-    }
 
     /// Twelve documents of forty words from a 23-word vocabulary whose
     /// words all start with `initial`.
@@ -174,33 +165,13 @@ mod wordcount {
 }
 
 #[test]
-fn job_level_pairs_are_byte_identical_with_combiner() {
-    // A raw engine-level check with a combiner in play, on string keys
-    // (exercises the non-Copy key path).
-    use wordcount::*;
-
-    let docs = docs('w');
-    let pool = ThreadPool::new(4);
-    let opts = JobOptions::with_reducers(6).with_combiner(&Add);
-
-    let mut staged = Engine::in_process(&pool);
-    let a = staged.run("wc", &docs, &Tokenize, &Count, &opts);
-    let mut reference = Engine::with_reference_shuffle(&pool);
-    let b = reference.run("wc", &docs, &Tokenize, &Count, &opts);
-    assert_eq!(a.pairs, b.pairs);
-    // Same shuffle volume metered on both paths.
-    assert_eq!(a.meter.shuffle_records, b.meter.shuffle_records);
-    assert_eq!(a.meter.shuffle_bytes, b.meter.shuffle_bytes);
-}
-
-#[test]
 fn job_sequence_on_one_engine_is_byte_identical_on_the_hit_path() {
     // The same job four times on one engine — first sight records every
     // plan, the second to fourth are shuffled entirely through
     // remembered plans, and that is what the oracle is held against —
     // then documents in other words (every plan is dropped and recorded
     // anew), then the first again (recorded anew once more). String
-    // keys, with and without the combiner, both grouping strategies.
+    // keys, both grouping strategies.
     use asyncmr::core::GroupingStrategy;
     use wordcount::*;
 
@@ -208,27 +179,22 @@ fn job_sequence_on_one_engine_is_byte_identical_on_the_hit_path() {
     let script = [&same, &same, &same, &same, &churned, &same];
     let pool = ThreadPool::new(4);
     for grouping in [GroupingStrategy::Sort, GroupingStrategy::Radix] {
-        for combine in [false, true] {
-            let plain = JobOptions::with_reducers(6).with_grouping(grouping);
-            let opts = if combine { plain.with_combiner(&Add) } else { plain };
-            let mut staged = Engine::in_process(&pool);
-            let mut reference = Engine::with_reference_shuffle(&pool);
-            for (job, docs) in script.into_iter().enumerate() {
-                let a = staged.run("wc", docs, &Tokenize, &Count, &opts);
-                let b = reference.run("wc", docs, &Tokenize, &Count, &opts);
-                assert_eq!(a.pairs, b.pairs, "job {job}: staged vs oracle");
-                let reuse = a.reuse;
-                let tasks = (docs.len() as u64, a.meter.reduce_tasks as u64);
-                let (hits, misses) = (
-                    (reuse.route.hits, reuse.group.hits),
-                    (reuse.route.misses, reuse.group.misses),
-                );
-                match job {
-                    1..=3 => assert_eq!((hits, misses), (tasks, (0, 0)), "job {job} runs on plans"),
-                    _ => assert_eq!((hits, misses), ((0, 0), tasks), "job {job} records anew"),
-                }
-                assert_eq!(reuse.group_by_identity, reuse.group.hits, "job {job}");
+        let opts = JobOptions::with_reducers(6).with_grouping(grouping);
+        let mut staged = Engine::in_process(&pool);
+        let mut reference = Engine::with_reference_shuffle(&pool);
+        for (job, docs) in script.into_iter().enumerate() {
+            let a = staged.run("wc", docs, &Tokenize, &Count, &opts);
+            let b = reference.run("wc", docs, &Tokenize, &Count, &opts);
+            assert_eq!(a.pairs, b.pairs, "job {job}: staged vs oracle");
+            let reuse = a.reuse;
+            let tasks = (docs.len() as u64, a.meter.reduce_tasks as u64);
+            let (hits, misses) =
+                ((reuse.route.hits, reuse.group.hits), (reuse.route.misses, reuse.group.misses));
+            match job {
+                1..=3 => assert_eq!((hits, misses), (tasks, (0, 0)), "job {job} runs on plans"),
+                _ => assert_eq!((hits, misses), ((0, 0), tasks), "job {job} records anew"),
             }
+            assert_eq!(reuse.group_by_identity, reuse.group.hits, "job {job}");
         }
     }
 }
