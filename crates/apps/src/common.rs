@@ -192,12 +192,20 @@ pub(crate) fn cross_edge_sums(
     sums
 }
 
+/// `|a − b|` for a maximum that must not drop a NaN: a NaN gap (a NaN
+/// on either side, or ∞ against ∞, which is no fixed point) counts as
+/// +∞ — `f64::min` returns its other operand when one is NaN.
+pub(crate) fn gap(a: f64, b: f64) -> f64 {
+    f64::INFINITY.min((a - b).abs())
+}
+
 /// Writes a job's `(vertex, value)` pairs into the global vector `x`;
-/// returns the ∞-norm of the change (the pairs name each vertex once).
+/// returns the ∞-norm of the change (the pairs name each vertex once),
+/// +∞ if a value or the vertex's old one is NaN.
 pub(crate) fn apply_pairs(x: &mut [f64], pairs: Vec<(NodeId, f64)>) -> f64 {
     let mut diff = 0.0f64;
     for (v, value) in pairs {
-        diff = diff.max((value - x[v as usize]).abs());
+        diff = diff.max(gap(value, x[v as usize]));
         x[v as usize] = value;
     }
     diff
@@ -339,6 +347,31 @@ mod tests {
     use super::*;
     use asyncmr_graph::generators;
     use asyncmr_partition::{Partitioner, RangePartitioner};
+
+    #[test]
+    fn apply_pairs_reports_a_nan_as_an_infinite_change() {
+        let mut x = vec![1.0, 2.0, f64::NAN];
+        assert_eq!(apply_pairs(&mut x, vec![(0, 1.5), (1, 1.75)]), 0.5);
+        assert_eq!(apply_pairs(&mut x, vec![(0, f64::NAN), (1, 1.75)]), f64::INFINITY);
+        assert_eq!(apply_pairs(&mut x, vec![(1, 1.0), (2, 3.0)]), f64::INFINITY, "old NaN");
+        assert_eq!(apply_pairs(&mut x, vec![(1, 1.0), (2, 3.0)]), 0.0);
+        assert_eq!(x[1..], [1.0, 3.0]);
+        assert!(x[0].is_nan());
+    }
+
+    #[test]
+    fn gap_is_the_plain_absolute_difference_for_finite_values() {
+        let xs = [0.0, -0.0, 1e-300, 0.15, 1.0 / 3.0, -7.25, 1e300, f64::MAX, f64::MIN];
+        for &a in &xs {
+            for &b in &xs {
+                assert_eq!(gap(a, b).to_bits(), (a - b).abs().to_bits(), "{a} vs {b}");
+            }
+        }
+        assert_eq!(gap(f64::INFINITY, f64::INFINITY), f64::INFINITY);
+        assert_eq!(gap(f64::INFINITY, f64::NEG_INFINITY), f64::INFINITY);
+        assert_eq!(gap(f64::NAN, f64::NAN), f64::INFINITY);
+        assert_eq!(gap(1.0, f64::NAN), f64::INFINITY);
+    }
 
     /// The targets of every cut edge of `view`, in cross-CSR order.
     fn cut_targets(view: &GraphPartition) -> Vec<NodeId> {

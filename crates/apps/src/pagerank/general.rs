@@ -5,8 +5,10 @@
 //! implementation" (§V-B1). Every global iteration:
 //!
 //! * **map** (one task per partition): each vertex pushes
-//!   `PR(s)/outdeg(s)` to every out-neighbor — local or not, every
-//!   edge's message crosses the global shuffle;
+//!   `PR(s)/outdeg(s)` to every out-neighbor, local or not, and the
+//!   task combines in the mapper (Lin & Schatz's in-mapper combining):
+//!   it sums the pushes per target and ships one record per owned
+//!   vertex and one per distinct cross target, not one per edge;
 //! * **reduce**: `PR(d) = (1−χ) + χ·Σ contributions`.
 //!
 //! Its records are bare [`Contribution`]s, 8 bytes in memory, metered as
@@ -21,6 +23,7 @@
 use std::fmt::Write;
 use std::sync::Arc;
 
+use asyncmr_core::csr::LocalCsr;
 use asyncmr_core::prelude::*;
 use asyncmr_graph::{CsrGraph, NodeId};
 use asyncmr_partition::Partitioning;
@@ -28,17 +31,46 @@ use asyncmr_partition::Partitioning;
 use super::{Contribution, PageRankConfig, PageRankOutcome, PageRankRule};
 use crate::common::{apply_pairs, gather, step_status, GraphPartition};
 
-/// Map-task input: the partition view plus this iteration's ranks for
-/// the owned vertices (aligned with `part.nodes`).
+/// Map-task input: the partition view, this iteration's ranks for the
+/// owned vertices (aligned with `part.nodes`) and the slots its cross
+/// contributions sum into.
 #[derive(Debug, Clone)]
 pub struct PrGeneralInput {
     /// The partition.
     pub part: Arc<GraphPartition>,
     /// Current ranks of `part.nodes`, same order.
     pub ranks: Vec<f64>,
+    /// The distinct targets of `part.cross`, ascending: one slot each.
+    remote: Vec<NodeId>,
+    /// `part.cross` with every target replaced by its slot in `remote`.
+    slots: LocalCsr,
 }
 
-/// The general mapper: pushes contributions along every edge.
+impl PrGeneralInput {
+    /// The input of `part`'s map task, its ranks empty until gathered.
+    pub fn new(part: Arc<GraphPartition>) -> Self {
+        let cross = &part.cross;
+        let mut remote: Vec<NodeId> =
+            part.local_ids.iter().flat_map(|&li| cross.edges(li)).map(|(t, _)| t).collect();
+        remote.sort_unstable();
+        remote.dedup();
+        let (mut offsets, mut slot_of) = (vec![0], Vec::with_capacity(cross.num_edges()));
+        for &li in &part.local_ids {
+            slot_of.extend(cross.edges(li).map(|(t, _)| remote.partition_point(|&r| r < t) as u32));
+            offsets.push(slot_of.len() as u32);
+        }
+        let slots = LocalCsr::new(part.len(), remote.len(), offsets, slot_of, Vec::new());
+        PrGeneralInput { part, ranks: Vec::new(), remote, slots }
+    }
+}
+
+/// The general mapper, combined in the mapper: each vertex's
+/// contribution is summed from 0.0 into a slot per internal target
+/// (through `part.internal.scatter`) and per distinct cross target,
+/// sources ascending, and the task emits one record per owned vertex,
+/// local ids ascending (a vertex nothing here reaches still gets its
+/// 0.0, so sinks and unreferenced vertices reduce), then one per cross
+/// target, ids ascending: the same keys every job.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrGeneralMapper;
 
@@ -50,22 +82,18 @@ impl Mapper for PrGeneralMapper {
     fn map(&self, _: usize, input: &PrGeneralInput, ctx: &mut MapContext<NodeId, Contribution>) {
         ctx.meter.set_input_bytes(input.part.approx_bytes());
         let part = &input.part;
-        for &li in &part.local_ids {
-            let v = part.nodes[li as usize];
-            // Keep-alive so sink/unreferenced vertices still reduce.
-            ctx.emit_intermediate(v, Contribution(0.0));
-            let deg = part.out_degree[li as usize];
-            ctx.add_ops(1 + deg as u64);
-            if deg == 0 {
-                continue;
-            }
-            let c = input.ranks[li as usize] / deg as f64;
-            for (lt, _) in part.internal.edges(li) {
-                ctx.emit_intermediate(part.nodes[lt as usize], Contribution(c));
-            }
-            for (t, _) in part.cross.edges(li) {
-                ctx.emit_intermediate(t, Contribution(c));
-            }
+        let (mut owned, mut crossing) = (vec![0.0; part.len()], vec![0.0; input.remote.len()]);
+        let push = |li: usize, _: &mut [f64]| {
+            let deg = part.out_degree[li];
+            let c = (deg > 0).then(|| input.ranks[li] / deg as f64)?;
+            input.slots.edges(li as u32).for_each(|(slot, _)| crossing[slot as usize] += c);
+            Some(c)
+        };
+        let edges = part.internal.scatter(&mut owned, push, |sum, c, _| *sum += c);
+        ctx.add_ops((part.len() + part.cross.num_edges()) as u64 + edges);
+        let records = part.nodes.iter().zip(&owned).chain(input.remote.iter().zip(&crossing));
+        for (&v, &sum) in records {
+            ctx.emit_intermediate(v, Contribution(sum));
         }
     }
 }
@@ -102,11 +130,11 @@ pub fn run_general(
     let reducer = PrGeneralReducer { rule };
     let opts = JobOptions::with_reducers(cfg.num_reducers).with_grouping(cfg.grouping);
 
-    // Built once; every iteration overwrites the rank slices in place.
-    let mut inputs: Vec<PrGeneralInput> = GraphPartition::build_on(engine.pool(), graph, parts)
-        .into_iter()
-        .map(|part| PrGeneralInput { part, ranks: Vec::new() })
-        .collect();
+    // Built once, cross slots included; every iteration overwrites the
+    // rank slices in place.
+    let pool = engine.pool();
+    let mut inputs = pool
+        .par_map_vec(GraphPartition::build_on(pool, graph, parts), |_, p| PrGeneralInput::new(p));
     let mut name = String::new();
 
     let driver = FixedPointDriver::new(cfg.max_iterations);

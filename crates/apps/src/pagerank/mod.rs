@@ -76,11 +76,13 @@ pub struct PageRankOutcome {
     pub report: asyncmr_core::IterationReport,
 }
 
-/// A rank contribution `PR(s)/outdeg(s)` along an edge: General's
-/// shuffle record, and the unit the session meters its boundary
-/// messages in. It is 8 bytes in memory but metered as the tagged wire
-/// record the paper's job ships, [`PrMsg::Contrib`]'s 9 bytes, so the
-/// cost model prices one record whichever formulation carries it.
+/// A rank contribution. General's shuffle record is one map task's
+/// partial sum for one target vertex, the `PR(s)/outdeg(s)` of its
+/// edges into it summed in the mapper (`0.0` for an owned vertex none
+/// reaches); the session meters its boundary messages in the same unit,
+/// one per cut edge. It is 8 bytes in memory but metered as the tagged
+/// wire record the paper's job ships, [`PrMsg::Contrib`]'s 9 bytes, so
+/// the cost model prices one record whichever formulation carries it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Contribution(pub f64);
 
@@ -109,10 +111,11 @@ impl Meterable for PrMsg {
     }
 }
 
-/// ∞-norm of the difference between two rank vectors.
+/// ∞-norm of the difference between two rank vectors: +∞ if a NaN
+/// sits on either side. Panics if their lengths differ.
 pub fn inf_norm_diff(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).fold(0.0f64, |acc, (x, y)| acc.max((x - y).abs()))
+    assert_eq!(a.len(), b.len(), "inf_norm_diff over rank vectors of different lengths");
+    a.iter().zip(b).fold(0.0f64, |acc, (&x, &y)| acc.max(crate::common::gap(x, y)))
 }
 
 /// Convenience: top-`k` vertices by rank (descending), for reporting.
@@ -135,6 +138,28 @@ mod tests {
     fn inf_norm_diff_finds_max() {
         assert_eq!(inf_norm_diff(&[1.0, 2.0], &[1.5, 2.1]), 0.5);
         assert_eq!(inf_norm_diff(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn inf_norm_diff_counts_a_nan_as_infinitely_far() {
+        assert_eq!(inf_norm_diff(&[1.0, f64::NAN, 2.0], &[1.0, 0.5, 2.0]), f64::INFINITY);
+        assert_eq!(inf_norm_diff(&[1.0, 0.5], &[f64::NAN, 0.5]), f64::INFINITY);
+        assert_eq!(inf_norm_diff(&[f64::NAN], &[f64::NAN]), f64::INFINITY);
+        assert_eq!(inf_norm_diff(&[f64::INFINITY, 1.0], &[f64::INFINITY, 1.25]), f64::INFINITY);
+    }
+
+    #[test]
+    fn inf_norm_diff_keeps_the_plain_fold_on_finite_ranks() {
+        let a: [f64; 5] = [0.15, 1.0 / 3.0, 2.5e-7, 7.0, -0.0];
+        let b = [0.150_000_1, 0.3, 2.5e-7, 6.5, 0.0];
+        let plain = a.iter().zip(&b).fold(0.0f64, |acc, (x, y)| acc.max((x - y).abs()));
+        assert_eq!(inf_norm_diff(&a, &b).to_bits(), plain.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "inf_norm_diff over rank vectors of different lengths")]
+    fn inf_norm_diff_refuses_vectors_of_different_lengths() {
+        inf_norm_diff(&[1.0, 2.0], &[1.0]);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   is buffered, nothing is hashed; a task that leaves its plan, or
 //!   has none, is buffered and records a new plan from its pairs (see
 //!   [`crate::shuffle`]). What a map emits is what heads into the
-//!   shuffle: a mapper that pre-aggregates (K-Means General's in-mapper
-//!   combining) folds before it emits;
+//!   shuffle: a mapper that pre-aggregates (K-Means General's and
+//!   General PageRank's in-mapper combining) folds before it emits;
 //! * `transpose` — the hand-over of bucket *handles* from map tasks to
 //!   reduce partitions (no element is copied or cloned): a partition's
 //!   input is its non-empty buckets in map-task order. Partitions that
