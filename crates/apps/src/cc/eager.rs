@@ -18,14 +18,9 @@ pub struct CcLocalAlgorithm;
 
 impl LocalAlgorithm for CcLocalAlgorithm {
     type Input = CcGeneralInput;
-    type Item = u32;
     type Key = NodeId;
     type Value = NodeId;
     type Intermediate = NodeId;
-
-    fn items<'a>(&self, input: &'a CcGeneralInput) -> &'a [u32] {
-        &input.part.local_ids
-    }
 
     fn init_state(&self, _task: usize, input: &CcGeneralInput) -> Vec<(NodeId, NodeId)> {
         input.part.nodes.iter().zip(&input.labels).map(|(&v, &l)| (v, l)).collect()
@@ -36,32 +31,39 @@ impl LocalAlgorithm for CcLocalAlgorithm {
         &self,
         _task: usize,
         input: &CcGeneralInput,
-        item: &u32,
         state: &[NodeId],
         ctx: &mut LocalMapContext<Self>,
     ) {
-        let li = *item;
         let part = &input.part;
+        // Per vertex and internal edge, the sends and as many again for
+        // the minima that take them in; a vertex's own label is one more.
+        ctx.add_ops(3 * part.len() as u64 + 2 * part.internal.num_edges() as u64);
         // The state's entry `li` is local vertex `li`: its group.
-        let label = state[li as usize];
-        ctx.emit_to(li as usize, label);
-        // The sends, and as many again for the minima that take them in.
-        ctx.add_ops(2 * (1 + part.internal.degree(li) as u64));
-        ctx.emit_along(&part.internal, li, |_| label);
+        let send = |li: usize, labels: &mut [NodeId]| {
+            let label = state[li];
+            Self::fold(&mut labels[li], label);
+            Some(label)
+        };
+        ctx.scatter(&part.internal, send, |label, _| label);
     }
 
-    /// `lreduce` as a fold: the smallest label heard, stored by the
-    /// default `finish`.
-    fn init(&self, _input: &CcGeneralInput, _group: usize, _key: &NodeId) -> NodeId {
-        UNHEARD
+    /// `lreduce` as a fold: the smallest label heard.
+    fn init(&self, input: &CcGeneralInput, labels: &mut Vec<NodeId>) {
+        labels.resize(input.part.len(), UNHEARD);
     }
 
     fn fold(acc: &mut NodeId, label: NodeId) {
         *acc = min_label(*acc, label);
     }
 
-    fn locally_converged(&self, old: &[NodeId], new: &[NodeId]) -> bool {
-        old == new
+    fn finish(
+        &self,
+        _input: &CcGeneralInput,
+        _li: usize,
+        old: &NodeId,
+        label: &mut NodeId,
+    ) -> bool {
+        old == label
     }
 
     fn finalize(

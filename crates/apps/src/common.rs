@@ -60,7 +60,7 @@ fn index_u32(n: usize, what: &str) -> u32 {
 
 /// Each vertex's index within its owning group (`groups` partition the
 /// vertices `0..n`).
-fn local_indices<'a>(n: usize, groups: impl Iterator<Item = &'a [NodeId]>) -> Vec<u32> {
+pub(crate) fn local_indices<'a>(n: usize, groups: impl Iterator<Item = &'a [NodeId]>) -> Vec<u32> {
     let mut local = vec![0u32; n];
     for nodes in groups {
         for (li, &v) in nodes.iter().enumerate() {

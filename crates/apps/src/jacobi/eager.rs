@@ -26,15 +26,10 @@ pub struct JacobiLocalAlgorithm {
 
 impl LocalAlgorithm for JacobiLocalAlgorithm {
     type Input = JacobiInput;
-    type Item = u32;
     type Key = NodeId;
     /// A vertex's `x` between passes; its neighbour sum within one.
     type Value = f64;
     type Intermediate = JMsg;
-
-    fn items<'a>(&self, input: &'a JacobiInput) -> &'a [u32] {
-        &input.part.local_ids
-    }
 
     fn init_state(&self, _task: usize, input: &JacobiInput) -> Vec<(NodeId, f64)> {
         input.part.nodes.iter().zip(&input.x).map(|(&v, &xv)| (v, xv)).collect()
@@ -45,39 +40,36 @@ impl LocalAlgorithm for JacobiLocalAlgorithm {
         &self,
         _task: usize,
         input: &JacobiInput,
-        item: &u32,
         state: &[f64],
         ctx: &mut LocalMapContext<Self>,
     ) {
-        let li = *item;
         let part = &input.part;
-        let xv = state[li as usize];
-        // The state's entry `li` is local vertex `li`: its group. This
+        // Per vertex and internal edge, the sends and as many again for
+        // the sums that take them in; a vertex's keep-alive is one more.
+        ctx.add_ops(3 * part.len() as u64 + 2 * part.internal.num_edges() as u64);
+        // The state's entry `li` is local vertex `li`: its group. The
         // keep-alive stays: its +0.0 turns a -0.0 sum into +0.0.
-        ctx.emit_to(li as usize, 0.0);
-        // The sends, and as many again for the sums that take them in.
-        ctx.add_ops(2 * (1 + part.internal.degree(li) as u64));
-        ctx.emit_along(&part.internal, li, |_| xv);
+        let send = |li: usize, sums: &mut [f64]| {
+            Self::fold(&mut sums[li], 0.0);
+            Some(state[li])
+        };
+        ctx.scatter(&part.internal, send, |xv, _| xv);
     }
 
     /// `lreduce` as a fold: the frozen remote sum, plus each neighbour
     /// value in emission order, through the point update. Group `li`
     /// is local vertex `li`.
-    fn init(&self, input: &JacobiInput, li: usize, key: &NodeId) -> f64 {
-        assert_eq!(input.part.nodes[li], *key, "group {li} is local vertex {li}");
-        input.remote_in[li]
+    fn init(&self, input: &JacobiInput, sums: &mut Vec<f64>) {
+        sums.extend_from_slice(&input.remote_in);
     }
 
     fn fold(sum: &mut f64, neighbour: f64) {
         *sum += neighbour;
     }
 
-    fn finish(&self, input: &JacobiInput, li: usize, _key: &NodeId, _old: &f64, sum: &mut f64) {
+    fn finish(&self, input: &JacobiInput, li: usize, old: &f64, sum: &mut f64) -> bool {
         *sum = update(input.b[li], *sum, input.diag[li]);
-    }
-
-    fn locally_converged(&self, old: &[f64], new: &[f64]) -> bool {
-        old.iter().zip(new).all(|(a, b)| (a - b).abs() < self.local_tolerance)
+        (old - *sum).abs() < self.local_tolerance
     }
 
     fn finalize(

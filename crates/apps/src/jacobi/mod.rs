@@ -30,6 +30,8 @@ pub use general::run_general;
 
 use asyncmr_graph::CsrGraph;
 
+use crate::common::gap;
+
 /// Configuration shared by the solver variants; each entry point
 /// refuses one that fails [`JacobiConfig::validate`].
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +75,8 @@ pub fn diagonal(undirected: &CsrGraph) -> Vec<f64> {
     (0..undirected.num_nodes() as u32).map(|v| undirected.out_degree(v) as f64 + 1.0).collect()
 }
 
-/// Residual ∞-norm `‖b − A·x‖∞` for the graph-induced system.
+/// Residual ∞-norm `‖b − A·x‖∞` for the graph-induced system; +∞ if a
+/// row's residual is NaN.
 pub fn residual_inf(undirected: &CsrGraph, x: &[f64], b: &[f64]) -> f64 {
     let diag = diagonal(undirected);
     let mut worst = 0.0f64;
@@ -82,7 +85,7 @@ pub fn residual_inf(undirected: &CsrGraph, x: &[f64], b: &[f64]) -> f64 {
         for &w in undirected.out_neighbors(v as u32) {
             ax -= x[w as usize];
         }
-        worst = worst.max((b[v] - ax).abs());
+        worst = worst.max(gap(b[v], ax));
     }
     worst
 }
@@ -103,6 +106,30 @@ mod tests {
         // Single vertex: A = [1], b = [5] => x = 5.
         let g = CsrGraph::from_edges(1, &[]);
         assert_eq!(residual_inf(&g, &[5.0], &[5.0]), 0.0);
+    }
+
+    #[test]
+    fn a_nan_residual_is_infinite_not_converged() {
+        // A NaN iterate or right-hand side, in the first row or the last:
+        // the largest residual is +∞, not whatever the other rows read.
+        let g = generators::cycle(4).to_undirected();
+        let (x, b) = ([1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 1.5, 2.0]);
+        for v in [0, 3] {
+            let (mut x_nan, mut b_nan) = (x, b);
+            x_nan[v] = f64::NAN;
+            b_nan[v] = f64::NAN;
+            assert_eq!(residual_inf(&g, &x_nan, &b), f64::INFINITY, "x[{v}] NaN");
+            assert_eq!(residual_inf(&g, &x, &b_nan), f64::INFINITY, "b[{v}] NaN");
+        }
+        // Finite: the plain largest |b − A·x|, bit for bit.
+        let diag = diagonal(&g);
+        let row = |v: usize| {
+            let ax =
+                g.out_neighbors(v as u32).iter().fold(diag[v] * x[v], |ax, &w| ax - x[w as usize]);
+            (b[v] - ax).abs()
+        };
+        let plain = (0..4).map(row).fold(0.0, f64::max);
+        assert_eq!(residual_inf(&g, &x, &b).to_bits(), plain.to_bits());
     }
 
     #[test]

@@ -47,14 +47,9 @@ pub struct KmLocalAlgorithm {
 
 impl LocalAlgorithm for KmLocalAlgorithm {
     type Input = KmGeneralInput;
-    type Item = u32; // point index
     type Key = u32; // input-centroid id
     type Value = ClusterUpdate;
     type Intermediate = ClusterUpdate;
-
-    fn items<'a>(&self, input: &'a KmGeneralInput) -> &'a [u32] {
-        &input.indices
-    }
 
     fn init_state(&self, _task: usize, input: &KmGeneralInput) -> Vec<(u32, ClusterUpdate)> {
         input.centroids.iter().enumerate().map(|(cid, c)| (cid as u32, (c.clone(), 0))).collect()
@@ -64,30 +59,33 @@ impl LocalAlgorithm for KmLocalAlgorithm {
         &self,
         _task: usize,
         input: &KmGeneralInput,
-        item: &u32,
         state: &[ClusterUpdate],
         ctx: &mut LocalMapContext<Self>,
     ) {
-        let point = &input.points[*item as usize];
-        // Nearest over the *local* evolving centroids, in cid order.
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for (g, (centroid, _)) in state.iter().enumerate() {
-            let d = super::dist2(point, centroid);
-            if d < best_d {
-                best = g;
-                best_d = d;
+        let mut ops = 0;
+        for &i in input.indices.iter() {
+            let point = &input.points[i as usize];
+            // Nearest over the *local* evolving centroids, in cid order.
+            let mut best = 0;
+            let mut best_d = f64::INFINITY;
+            for (g, (centroid, _)) in state.iter().enumerate() {
+                let d = super::dist2(point, centroid);
+                if d < best_d {
+                    best = g;
+                    best_d = d;
+                }
             }
+            // The distances, and the point's share of its centroid's sum.
+            ops += ((state.len() + 1) * point.len()) as u64;
+            ctx.emit_to(best, (point.clone(), 1));
         }
-        // The distances, and the point's share of its centroid's sum.
-        ctx.add_ops(((state.len() + 1) * point.len()) as u64);
-        ctx.emit_to(best, (point.clone(), 1));
+        ctx.add_ops(ops);
     }
 
     /// `lreduce` as a fold: the sum and count of the members, from
     /// zeros — General's in-mapper fold, a point at a time.
-    fn init(&self, input: &KmGeneralInput, g: usize, _cid: &u32) -> ClusterUpdate {
-        (vec![0.0; input.centroids[g].len()], 0)
+    fn init(&self, input: &KmGeneralInput, sums: &mut Vec<ClusterUpdate>) {
+        sums.extend(input.centroids.iter().map(|c| (vec![0.0; c.len()], 0)));
     }
 
     fn fold(acc: &mut ClusterUpdate, update: ClusterUpdate) {
@@ -96,26 +94,21 @@ impl LocalAlgorithm for KmLocalAlgorithm {
 
     /// The members' mean, divided as the mean reducer divides; a
     /// centroid with no member keeps its `old` position, with count 0
-    /// so `finalize` won't weight it into the global mean.
+    /// so `finalize` won't weight it into the global mean. It settled
+    /// if it moved less than the threshold.
     fn finish(
         &self,
         _input: &KmGeneralInput,
         _g: usize,
-        _cid: &u32,
         old: &ClusterUpdate,
         acc: &mut ClusterUpdate,
-    ) {
+    ) -> bool {
         if acc.1 == 0 {
             acc.0.clone_from(&old.0);
         } else {
             *acc = divide(std::mem::take(acc));
         }
-    }
-
-    fn locally_converged(&self, old: &[ClusterUpdate], new: &[ClusterUpdate]) -> bool {
-        old.iter()
-            .zip(new)
-            .all(|((c_old, _), (c_new, _))| super::dist2(c_old, c_new).sqrt() < self.threshold)
+        super::dist2(&old.0, &acc.0).sqrt() < self.threshold
     }
 
     /// Emit `(input-centroid id, count-weighted updated centroid)` so

@@ -40,6 +40,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::common::gap;
+
 /// A data point / centroid: a dense vector.
 pub type Point = Vec<f64>;
 
@@ -106,10 +108,11 @@ pub fn nearest(point: &[f64], centroids: &[Point]) -> usize {
     best
 }
 
-/// Maximum Euclidean movement between two centroid sets.
+/// Maximum Euclidean movement between two centroid sets; +∞ if a
+/// centroid's movement is NaN (the gap between it and no movement).
 pub fn max_movement(old: &[Point], new: &[Point]) -> f64 {
     debug_assert_eq!(old.len(), new.len());
-    old.iter().zip(new).map(|(a, b)| dist2(a, b).sqrt()).fold(0.0, f64::max)
+    old.iter().zip(new).map(|(a, b)| gap(dist2(a, b).sqrt(), 0.0)).fold(0.0, f64::max)
 }
 
 /// Sum of squared errors of `points` under `centroids`.
@@ -219,6 +222,22 @@ mod tests {
         let old = vec![vec![0.0], vec![0.0]];
         let new = vec![vec![1.0], vec![3.0]];
         assert_eq!(max_movement(&old, &new), 3.0);
+    }
+
+    #[test]
+    fn a_nan_movement_is_infinite_not_settled() {
+        // A NaN coordinate, in either set and in any centroid: never
+        // below a threshold, whatever the other centroids moved.
+        let (old, new) = (vec![vec![0.0], vec![0.0]], vec![vec![1.0], vec![f64::NAN]]);
+        assert_eq!(max_movement(&old, &new), f64::INFINITY);
+        assert_eq!(max_movement(&new, &old), f64::INFINITY);
+        let (old, new) = (vec![vec![f64::NAN, 0.0], vec![2.0, 0.0]], vec![vec![0.0; 2]; 2]);
+        assert_eq!(max_movement(&old, &new), f64::INFINITY);
+        // Finite sets: the plain largest distance, bit for bit.
+        let (old, new) =
+            (vec![vec![0.1, 0.2], vec![3.0, 1.0]], vec![vec![0.4, 0.6], vec![2.5, 1.5]]);
+        let plain = old.iter().zip(&new).map(|(a, b)| dist2(a, b).sqrt()).fold(0.0, f64::max);
+        assert_eq!(max_movement(&old, &new).to_bits(), plain.to_bits());
     }
 
     #[test]

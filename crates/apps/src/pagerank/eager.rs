@@ -30,24 +30,24 @@ use asyncmr_graph::{CsrGraph, NodeId};
 use asyncmr_partition::Partitioning;
 
 use super::{PageRankConfig, PageRankOutcome, PageRankRule, PrMsg};
-use crate::common::{cross_edge_sums, step_status, GraphPartition};
+use crate::common::{cross_edge_sums, gap, local_indices, step_status, GraphPartition};
 
-/// `gmap` input: the partition view plus this global iteration's state.
+/// `gmap` input: the partition view plus this global iteration's state
+/// of its vertices, aligned with `part.nodes`.
 ///
-/// The state vectors are *global* (indexed by vertex id) and shared
-/// across all partition inputs via `Arc`, so building one iteration's
-/// inputs is O(k) pointer bumps rather than O(n) copies; each task
-/// reads only its owned slots.
+/// Built once per solve, and every global iteration's greduce output is
+/// written into the two slices in place, so a pass's `init` copies its
+/// frozen sums contiguously instead of gathering them by global id.
 #[derive(Debug, Clone)]
 pub struct PrEagerInput {
     /// The partition.
     pub part: Arc<GraphPartition>,
-    /// Current ranks, indexed by global vertex id, shared read-only.
-    pub ranks: Arc<Vec<f64>>,
-    /// Frozen remote contribution sum, indexed by global vertex id:
-    /// `Σ_{(s,d)∈E, s ∉ part(d)} PR(s)/outdeg(s)` as of the last
-    /// global sync. Shared read-only.
-    pub remote_in: Arc<Vec<f64>>,
+    /// Current ranks of `part.nodes`, same order.
+    pub ranks: Vec<f64>,
+    /// Frozen remote contribution sums of `part.nodes`, same order:
+    /// `Σ_{(s,d)∈E, s ∉ part(d)} PR(s)/outdeg(s)` as of the last global
+    /// sync.
+    pub remote_in: Vec<f64>,
 }
 
 /// The paper's `lmap`/`lreduce` pair for PageRank.
@@ -59,18 +59,13 @@ pub struct PrLocalAlgorithm {
 
 impl LocalAlgorithm for PrLocalAlgorithm {
     type Input = PrEagerInput;
-    type Item = u32; // local vertex index
     type Key = NodeId;
     /// A vertex's rank between passes; its contribution sum within one.
     type Value = f64;
     type Intermediate = PrMsg;
 
-    fn items<'a>(&self, input: &'a PrEagerInput) -> &'a [u32] {
-        &input.part.local_ids
-    }
-
     fn init_state(&self, _task: usize, input: &PrEagerInput) -> Vec<(NodeId, f64)> {
-        input.part.nodes.iter().map(|&v| (v, input.ranks[v as usize])).collect()
+        input.part.nodes.iter().copied().zip(input.ranks.iter().copied()).collect()
     }
 
     #[inline]
@@ -78,53 +73,38 @@ impl LocalAlgorithm for PrLocalAlgorithm {
         &self,
         _task: usize,
         input: &PrEagerInput,
-        item: &u32,
         state: &[f64],
         ctx: &mut LocalMapContext<Self>,
     ) {
-        let li = *item;
         let part = &input.part;
-        // The state's entry `li` is local vertex `li`.
-        let rank = state[li as usize];
-        let deg = part.out_degree[li as usize];
-        // The sends, and as many again for the sums that take them in,
-        // plus the op of the keep-alive the keyed pass emitted: a 0.0 to
-        // every vertex, which no fold needs now that every group
-        // finishes from its `init` (adding +0.0 to a sum of values
-        // ≥ +0.0 is a bitwise no-op).
-        ctx.add_ops(2 * (1 + part.internal.degree(li) as u64) + 1);
-        if deg == 0 {
-            return;
-        }
+        // Per vertex and internal edge, the sends and as many again for
+        // the sums that take them in, plus a vertex's op for the
+        // keep-alive the keyed pass emitted: a 0.0 to every vertex, which
+        // no fold needs now that every group finishes from its `init`
+        // (adding +0.0 to a sum of values ≥ +0.0 is a bitwise no-op).
+        ctx.add_ops(3 * part.len() as u64 + 2 * part.internal.num_edges() as u64);
         // One contribution along every internal out-edge: the state's
         // entry `lt` is local vertex `lt`, so that is its group.
-        let contribution = rank / deg as f64;
-        ctx.emit_along(&part.internal, li, |_| contribution);
+        let send = |li: usize, _: &mut [f64]| match part.out_degree[li] {
+            0 => None,
+            deg => Some(state[li] / deg as f64),
+        };
+        ctx.scatter(&part.internal, send, |contribution, _| contribution);
     }
 
-    /// `lreduce` as a fold: the frozen remote sum, plus each
+    /// `lreduce` as a fold: each vertex's frozen remote sum, plus each
     /// contribution in emission order, through Eq. 1.
-    fn init(&self, input: &PrEagerInput, _group: usize, key: &NodeId) -> f64 {
-        input.remote_in[*key as usize]
+    fn init(&self, input: &PrEagerInput, sums: &mut Vec<f64>) {
+        sums.extend_from_slice(&input.remote_in);
     }
 
     fn fold(sum: &mut f64, contribution: f64) {
         *sum += contribution;
     }
 
-    fn finish(
-        &self,
-        _input: &PrEagerInput,
-        _group: usize,
-        _key: &NodeId,
-        _old: &f64,
-        sum: &mut f64,
-    ) {
+    fn finish(&self, _input: &PrEagerInput, _li: usize, old: &f64, sum: &mut f64) -> bool {
         *sum = self.rule.rank(*sum);
-    }
-
-    fn locally_converged(&self, old: &[f64], new: &[f64]) -> bool {
-        old.iter().zip(new).all(|(&a, &b)| self.rule.locally_settled(a, b))
+        self.rule.locally_settled(*old, *sum)
     }
 
     fn finalize(
@@ -140,7 +120,7 @@ impl LocalAlgorithm for PrLocalAlgorithm {
             let v = part.nodes[li as usize];
             let rank = state[li as usize];
             // Converged local contribution sum, recovered from Eq. 1.
-            let s_local = self.rule.local_sum(rank, input.remote_in[v as usize]);
+            let s_local = self.rule.local_sum(rank, input.remote_in[li as usize]);
             ctx.emit_intermediate(v, PrMsg::LocalSum(s_local));
             let deg = part.out_degree[li as usize];
             ctx.add_ops(1 + (deg - part.internal.degree(li)) as u64);
@@ -198,41 +178,49 @@ pub fn run_eager(
     let rule = cfg.rule();
     let partitions = GraphPartition::build_on(engine.pool(), graph, parts);
     let n = graph.num_nodes();
-    // Frozen remote contributions under the initial all-ones ranks.
-    let mut remote_in = Arc::new(cross_edge_sums(&partitions, n, |part, li| {
-        1.0 / part.out_degree[li as usize] as f64
-    }));
-    let mut ranks = Arc::new(vec![1.0f64; n]);
+    // Each vertex's entry in its partition's slices.
+    let local = local_indices(n, partitions.iter().map(|part| &part.nodes[..]));
+    // Built once, from the all-ones ranks and their frozen remote
+    // contributions; every iteration's greduce writes them in place.
+    let mut inputs: Vec<PrEagerInput> = {
+        let remote_in =
+            cross_edge_sums(&partitions, n, |part, li| 1.0 / part.out_degree[li as usize] as f64);
+        let input = |part: Arc<GraphPartition>| PrEagerInput {
+            ranks: vec![1.0; part.len()],
+            remote_in: part.nodes.iter().map(|&v| remote_in[v as usize]).collect(),
+            part,
+        };
+        partitions.into_iter().map(input).collect()
+    };
     let gmap = EagerMapper::new(PrLocalAlgorithm { rule });
     let greduce = PrEagerReducer { rule };
     let opts = JobOptions::with_reducers(cfg.num_reducers).with_grouping(cfg.grouping);
 
     let driver = FixedPointDriver::new(cfg.max_iterations);
     let report = driver.run(engine, |engine, iter| {
-        let inputs: Vec<PrEagerInput> = partitions
-            .iter()
-            .map(|part| PrEagerInput {
-                part: Arc::clone(part),
-                ranks: Arc::clone(&ranks),
-                remote_in: Arc::clone(&remote_in),
-            })
-            .collect();
         let out =
             engine.run(&format!("pagerank-eager-iter{iter}"), &inputs, &gmap, &greduce, &opts);
-        // Dropping the inputs makes the state vectors unique again, so
-        // the refresh below mutates in place instead of copying.
-        drop(inputs);
-        let cur_ranks = Arc::make_mut(&mut ranks);
-        let cur_remote = Arc::make_mut(&mut remote_in);
         let mut diff = 0.0f64;
         for (v, (rank, remote)) in out.pairs {
-            diff = diff.max((rank - cur_ranks[v as usize]).abs());
-            cur_ranks[v as usize] = rank;
-            cur_remote[v as usize] = remote;
+            let input = &mut inputs[parts.part_of(v) as usize];
+            let li = local[v as usize] as usize;
+            diff = diff.max(gap(rank, input.ranks[li]));
+            (input.ranks[li], input.remote_in[li]) = (rank, remote);
         }
         step_status(rule.converged(diff))
     });
-    PageRankOutcome { ranks: Arc::try_unwrap(ranks).unwrap_or_else(|a| (*a).clone()), report }
+    // The index and the frozen sums go before the global ranks are made,
+    // so the solve never holds more than a rank and a sum per vertex
+    // beside the index.
+    drop(local);
+    inputs.iter_mut().for_each(|input| input.remote_in = Vec::new());
+    let mut ranks = vec![0.0f64; n];
+    for input in &inputs {
+        for (&v, &rank) in input.part.nodes.iter().zip(&input.ranks) {
+            ranks[v as usize] = rank;
+        }
+    }
+    PageRankOutcome { ranks, report }
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //!
 //! Every formulation calls this module instead of spelling the math:
 //! General's reducer over bare contributions
-//! ([`super::general::PrGeneralReducer`]), Eager's `finish`,
-//! `locally_converged`, `finalize` and greduce
+//! ([`super::general::PrGeneralReducer`]), Eager's `finish` (its
+//! update and its settled test), `finalize` and greduce
 //! ([`super::eager`]), the flat session kernel's `gmap`, `absorb` and
 //! `converged` ([`super::session::PrAsync`]) and the sequential
 //! reference ([`super::reference::pagerank_sequential`]). Each site keeps

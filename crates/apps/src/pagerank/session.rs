@@ -30,7 +30,7 @@ use asyncmr_partition::Partitioning;
 use asyncmr_runtime::ThreadPool;
 
 use super::{Contribution, PageRankConfig, PageRankRule};
-use crate::common::{CutPlan, GraphPartition, MAX_LOCAL_PASSES};
+use crate::common::{gap, CutPlan, GraphPartition, MAX_LOCAL_PASSES};
 
 /// Per-partition session state: owned ranks plus the frozen remote
 /// contribution sum per owned vertex (what the barrier formulation
@@ -260,7 +260,7 @@ impl AsyncIterative for PrAsync {
         let mut delta = 0.0f64;
         for li in 0..n {
             let rank = self.rule.rank(update[li] + remote[li]);
-            delta = delta.max((rank - state.ranks[li]).abs());
+            delta = delta.max(gap(rank, state.ranks[li]));
             ranks.push(rank);
         }
         Absorbed {

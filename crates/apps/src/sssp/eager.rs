@@ -27,14 +27,9 @@ pub struct SpLocalAlgorithm;
 
 impl LocalAlgorithm for SpLocalAlgorithm {
     type Input = SpGeneralInput;
-    type Item = u32; // local vertex index
     type Key = NodeId;
     type Value = f64;
     type Intermediate = f64;
-
-    fn items<'a>(&self, input: &'a SpGeneralInput) -> &'a [u32] {
-        &input.part.local_ids
-    }
 
     fn init_state(&self, _task: usize, input: &SpGeneralInput) -> Vec<(NodeId, f64)> {
         input.part.nodes.iter().zip(&input.dists).map(|(&v, &d)| (v, d)).collect()
@@ -45,38 +40,36 @@ impl LocalAlgorithm for SpLocalAlgorithm {
         &self,
         _task: usize,
         input: &SpGeneralInput,
-        item: &u32,
         state: &[f64],
         ctx: &mut LocalMapContext<Self>,
     ) {
-        let li = *item;
         let part = &input.part;
-        let d = state[li as usize];
         // Self-proposal / keep-alive; the state's entry `li` is local
-        // vertex `li`, so that is its group. Two ops: the send, and the
-        // minimum that takes it in.
-        ctx.emit_to(li as usize, d);
-        ctx.add_ops(2);
-        if !d.is_finite() {
-            return;
-        }
-        ctx.add_ops(2 * part.internal.degree(li) as u64);
-        ctx.emit_along(&part.internal, li, |w| d + w);
+        // vertex `li`, so that is its group. An unreached vertex proposes
+        // nothing else.
+        let send = |li: usize, dists: &mut [f64]| {
+            let d = state[li];
+            Self::fold(&mut dists[li], d);
+            d.is_finite().then_some(d)
+        };
+        let relaxed = ctx.scatter(&part.internal, send, |d, w| d + w);
+        // Three ops a proposal: its send, the minimum that takes it in
+        // and a record's op — the scatter metered that one for an edge.
+        ctx.add_ops(3 * part.len() as u64 + 2 * relaxed);
     }
 
     /// `lreduce` as a fold: the shortest proposal, from ∞ — what the
-    /// min reducer computes over the group's values — stored by the
-    /// default `finish`.
-    fn init(&self, _input: &SpGeneralInput, _group: usize, _key: &NodeId) -> f64 {
-        f64::INFINITY
+    /// min reducer computes over the group's values.
+    fn init(&self, input: &SpGeneralInput, dists: &mut Vec<f64>) {
+        dists.resize(input.part.len(), f64::INFINITY);
     }
 
     fn fold(acc: &mut f64, proposal: f64) {
         *acc = acc.min(proposal);
     }
 
-    fn locally_converged(&self, old: &[f64], new: &[f64]) -> bool {
-        old.iter().zip(new).all(|(&a, &b)| settled(a, b))
+    fn finish(&self, _input: &SpGeneralInput, _li: usize, old: &f64, d: &mut f64) -> bool {
+        settled(*old, *d)
     }
 
     fn finalize(

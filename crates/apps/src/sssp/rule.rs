@@ -3,8 +3,8 @@
 //!
 //! General's reducer ([`super::general::SpMinReducer`]) takes
 //! [`shortest`], and Eager's `lreduce` ([`super::eager::SpLocalAlgorithm`])
-//! is the same fold taken a proposal at a time; Eager's
-//! `locally_converged`, both barrier drivers ([`settle_pairs`]) and the
+//! is the same fold taken a proposal at a time; Eager's `finish`, both
+//! barrier drivers ([`settle_pairs`]) and the
 //! flat session kernel's `gmap` and `absorb` ([`super::session::SpAsync`])
 //! test [`settled`]. The barrier drivers start from
 //! `SsspConfig::initial_distances`, which validates, and the session

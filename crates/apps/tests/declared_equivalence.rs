@@ -10,11 +10,13 @@
 //! `BTreeMap` state, each pass's emitted pairs grouped by
 //! `shuffle::group`, and the keyed `lmap` and `lreduce` each app ran
 //! before it folded, kept here as plain functions that emit through a
-//! closure. Only the app's `init_state`, convergence test and
-//! `finalize` are the app's own. PageRank's and Jacobi's keyed passes
-//! keep their state as the `PrMsg`/`JMsg` they carried, tag and all,
-//! and hand the app's convergence test and `finalize` the `f64`s inside
-//! ([`Keyed`]), where the folds' state is the plain `f64`. K-Means's
+//! closure, over the items each ran on and followed by the whole-state
+//! convergence test each ran after a pass ([`KeyedApp`]). Only the
+//! app's `init_state` and `finalize` are the app's own. PageRank's and
+//! Jacobi's keyed passes keep their state as the `PrMsg`/`JMsg` they
+//! carried, tag and all, and hand the convergence test and `finalize`
+//! the `f64`s inside ([`Keyed`]), where the folds' state is the plain
+//! `f64`. K-Means's
 //! reference also keeps the carry its after-reduce hook made, before
 //! the framework dropped that hook: a centroid no point chose keeps its
 //! place. Folding and keyed runs must agree bitwise (`f64`s are
@@ -64,6 +66,64 @@ type Emit<'a, V> = &'a mut dyn FnMut(NodeId, V);
 type KeyedLmap<A, S> =
     fn(&<A as LocalAlgorithm>::Input, u32, &BTreeMap<NodeId, S>, Emit<'_, S>) -> u64;
 
+/// What an app's keyed passes read beside its `LocalAlgorithm`, from
+/// before a pass was one `lmap` call that settles group by group.
+trait KeyedApp: LocalAlgorithm<Key = NodeId> {
+    /// The items its keyed `lmap` ran over, once each a pass.
+    fn items(input: &Self::Input) -> &[u32];
+    /// Its local-convergence test over the values a pass read and the
+    /// ones it wrote, entry by entry.
+    fn converged(&self, old: &[Self::Value], new: &[Self::Value]) -> bool;
+}
+
+impl KeyedApp for PrLocalAlgorithm {
+    fn items(input: &PrEagerInput) -> &[u32] {
+        &input.part.local_ids
+    }
+    fn converged(&self, old: &[f64], new: &[f64]) -> bool {
+        old.iter().zip(new).all(|(&a, &b)| self.rule.locally_settled(a, b))
+    }
+}
+
+impl KeyedApp for JacobiLocalAlgorithm {
+    fn items(input: &JacobiInput) -> &[u32] {
+        &input.part.local_ids
+    }
+    fn converged(&self, old: &[f64], new: &[f64]) -> bool {
+        old.iter().zip(new).all(|(a, b)| (a - b).abs() < self.local_tolerance)
+    }
+}
+
+impl KeyedApp for CcLocalAlgorithm {
+    fn items(input: &CcGeneralInput) -> &[u32] {
+        &input.part.local_ids
+    }
+    fn converged(&self, old: &[NodeId], new: &[NodeId]) -> bool {
+        old == new
+    }
+}
+
+impl KeyedApp for SpLocalAlgorithm {
+    fn items(input: &SpGeneralInput) -> &[u32] {
+        &input.part.local_ids
+    }
+    /// Every distance stayed put, ∞ to ∞ included.
+    fn converged(&self, old: &[f64], new: &[f64]) -> bool {
+        old.iter().zip(new).all(|(&a, &b)| a == b || (a.is_infinite() && b.is_infinite()))
+    }
+}
+
+impl KeyedApp for KmLocalAlgorithm {
+    fn items(input: &KmGeneralInput) -> &[u32] {
+        &input.indices
+    }
+    fn converged(&self, old: &[ClusterUpdate], new: &[ClusterUpdate]) -> bool {
+        old.iter()
+            .zip(new)
+            .all(|((c_old, _), (c_new, _))| dist2(c_old, c_new).sqrt() < self.threshold)
+    }
+}
+
 /// The keyed `lreduce` it ran: one key group into the next state;
 /// returns the ops it meters.
 type KeyedReduce<A, S> = fn(&A, &<A as LocalAlgorithm>::Input, &NodeId, &[S], Emit<'_, S>) -> u64;
@@ -110,10 +170,10 @@ impl Keyed<f64> for JMsg {
     }
 }
 
-/// `A`'s keyed local passes as a global map: `A`'s `init_state`,
-/// convergence test, cap and `finalize` around its old `lmap` and
-/// `lreduce` over a state of `S`s.
-struct KeyedPass<A: LocalAlgorithm<Item = u32, Key = NodeId>, S> {
+/// `A`'s keyed local passes as a global map: `A`'s `init_state`, cap
+/// and `finalize` around its old items, `lmap`, `lreduce` and
+/// convergence test over a state of `S`s.
+struct KeyedPass<A: KeyedApp, S> {
     algo: A,
     lmap: KeyedLmap<A, S>,
     reduce: KeyedReduce<A, S>,
@@ -122,7 +182,7 @@ struct KeyedPass<A: LocalAlgorithm<Item = u32, Key = NodeId>, S> {
     carry: Option<Carry<S>>,
 }
 
-impl<A: LocalAlgorithm<Item = u32, Key = NodeId>, S> KeyedPass<A, S> {
+impl<A: KeyedApp, S> KeyedPass<A, S> {
     fn new(algo: A, lmap: KeyedLmap<A, S>, reduce: KeyedReduce<A, S>) -> Self {
         KeyedPass { algo, lmap, reduce, carry: None }
     }
@@ -130,7 +190,7 @@ impl<A: LocalAlgorithm<Item = u32, Key = NodeId>, S> KeyedPass<A, S> {
 
 impl<A, S> Mapper for KeyedPass<A, S>
 where
-    A: LocalAlgorithm<Item = u32, Key = NodeId>,
+    A: KeyedApp,
     S: Keyed<A::Value>,
 {
     type Input = A::Input;
@@ -146,14 +206,14 @@ where
         ctx.meter.set_input_bytes(bytes);
         let mut state: BTreeMap<NodeId, S> =
             init.into_iter().map(|(k, v)| (k, S::wrap(v))).collect();
-        // The app's convergence test and `finalize` read the state's
-        // values, and `finalize` its keys, as key-ascending slices.
+        // The convergence test and `finalize` read the state's values,
+        // and `finalize` its keys, as key-ascending slices.
         let values = |state: &BTreeMap<NodeId, S>| -> Vec<A::Value> {
             state.values().map(S::payload).collect()
         };
         for _ in 0..algo.max_local_iterations() {
             let (mut pairs, mut ops) = (Vec::new(), 0);
-            for &item in algo.items(input) {
+            for &item in A::items(input) {
                 ops += (self.lmap)(input, item, &state, &mut |k, v| pairs.push((k, v)));
             }
             ops += pairs.len() as u64; // the framework's op a record
@@ -173,7 +233,7 @@ where
             // Every pass reaches every entry (or carries it), so the two
             // states' slices pair entry with entry.
             assert!(next.keys().eq(state.keys()), "a keyed pass keeps its state's keys");
-            let done = algo.locally_converged(&values(&state), &values(&next));
+            let done = algo.converged(&values(&state), &values(&next));
             state = next;
             if done {
                 break;
@@ -217,7 +277,8 @@ fn pr_reduce(
     values: &[PrMsg],
     emit: Emit<'_, PrMsg>,
 ) -> u64 {
-    let mut sum = input.remote_in[*v as usize];
+    let li = input.part.nodes.binary_search(v).expect("lmap emits owned vertices only");
+    let mut sum = input.remote_in[li];
     for value in values {
         let PrMsg::Contrib(c) = value else { unreachable!("lmap sends contributions") };
         sum += c;
@@ -529,11 +590,10 @@ fn job_sequence<P: Clone, I>(
 }
 
 fn pr_inputs(partitions: &[Arc<GraphPartition>], n: usize, job: usize) -> Vec<PrEagerInput> {
-    let (ranks, remote_in) = (Arc::new(field(n, job)), Arc::new(field(n, job + 5)));
-    let input = |part: &Arc<GraphPartition>| PrEagerInput {
-        part: Arc::clone(part),
-        ranks: Arc::clone(&ranks),
-        remote_in: Arc::clone(&remote_in),
+    let (ranks, remote_in) = (field(n, job), field(n, job + 5));
+    let input = |part: &Arc<GraphPartition>| {
+        let slice = |values: &[f64]| part.nodes.iter().map(|&v| values[v as usize]).collect();
+        PrEagerInput { part: Arc::clone(part), ranks: slice(&ranks), remote_in: slice(&remote_in) }
     };
     partitions.iter().map(input).collect()
 }

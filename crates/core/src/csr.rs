@@ -8,8 +8,9 @@
 //! constructor checks every fact the row walk's unchecked indexing
 //! rests on, and the fields are private, so no later write can break
 //! them. That row walk is this module's one `unsafe` site; a local
-//! pass reaches it through [`LocalCsr::scatter`] (the flat session
-//! kernels) or [`crate::LocalMapContext::emit_along`] (an Eager `lmap`).
+//! pass reaches it through [`LocalCsr::scatter`], which the flat
+//! session kernels, General PageRank's mapper and an Eager `lmap`
+//! (through [`crate::LocalMapContext::scatter`]) all call.
 
 /// A CSR adjacency over sources `0..sources` whose targets lie below
 /// [`LocalCsr::bound`].
@@ -116,12 +117,7 @@ impl LocalCsr {
     /// If `s` is not a source, or `dst` is shorter than
     /// [`LocalCsr::bound`].
     #[inline]
-    pub(crate) fn fold_row<T>(
-        &self,
-        s: usize,
-        dst: &mut [T],
-        mut fold: impl FnMut(&mut T, f64),
-    ) -> u64 {
+    fn fold_row<T>(&self, s: usize, dst: &mut [T], mut fold: impl FnMut(&mut T, f64)) -> u64 {
         let (sources, n) = (self.sources(), dst.len());
         assert!(s < sources, "row {s} of a CSR over {sources} sources");
         assert!(n >= self.bound, "a row walk over {n} slots of a CSR bound by {}", self.bound);
@@ -159,11 +155,11 @@ impl LocalCsr {
     /// If `dst.len()` is not [`LocalCsr::sources`], or a target may lie
     /// past it.
     #[inline]
-    pub fn scatter(
+    pub fn scatter<T, S: Copy>(
         &self,
-        dst: &mut [f64],
-        mut push: impl FnMut(usize, &mut [f64]) -> Option<f64>,
-        mut fold: impl FnMut(&mut f64, f64, f64),
+        dst: &mut [T],
+        mut push: impl FnMut(usize, &mut [T]) -> Option<S>,
+        mut fold: impl FnMut(&mut T, S, f64),
     ) -> u64 {
         let n = self.sources();
         assert_eq!(dst.len(), n, "scatter over {n} local vertices");

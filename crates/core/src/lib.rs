@@ -13,10 +13,11 @@
 //! | `map` / `reduce` (global) | [`Mapper::map`] / [`Reducer::reduce`] |
 //! | `EmitIntermediate(k, v)` | [`MapContext::emit_intermediate`]; in a `gmap`, [`LocalAlgorithm::finalize`]'s, of type [`LocalAlgorithm::Intermediate`] (a local pass folds [`LocalAlgorithm::Value`]s) |
 //! | `Emit(k, v)` | [`ReduceContext::emit`] |
-//! | `lmap` (local) | [`LocalAlgorithm::lmap`] |
-//! | `lreduce` (local), a fold over each group | [`LocalAlgorithm::init`] / [`LocalAlgorithm::fold`] / [`LocalAlgorithm::finish`] |
-//! | `EmitLocalIntermediate(k, v)` | [`LocalMapContext::emit_to`], to the group of `k`, or [`LocalMapContext::emit_along`] along a [`csr::LocalCsr`] row |
+//! | `for each element x in xs { lmap(x); }` (Fig. 1) | one [`LocalAlgorithm::lmap`] call a pass, over the whole partition |
+//! | `lreduce` (local), a fold over each group | [`LocalAlgorithm::init`] (every group's accumulator at once) / [`LocalAlgorithm::fold`] / [`LocalAlgorithm::finish`] |
+//! | `EmitLocalIntermediate(k, v)` | [`LocalMapContext::emit_to`], to the group of `k`, or [`LocalMapContext::scatter`], a value from every group along a [`csr::LocalCsr`] over the groups |
 //! | `EmitLocal(k, v)` | [`LocalAlgorithm::finish`]'s in-place write of `k`'s next value |
+//! | no-local-convergence-intimated | every group's [`LocalAlgorithm::finish`] said it settled |
 //! | the local hashtable (§V-A) | the map call's value array, keys fixed once from [`LocalAlgorithm::init_state`] (strictly ascending): group `g` is entry `g` |
 //! | `gmap` built from `lmap`+`lreduce` (Fig. 1) | [`EagerMapper`] |
 //! | combiner | in-mapper combining: a [`Mapper`] folds before it emits (K-Means General) |

@@ -16,21 +16,25 @@
 //! `xs` is the partition handed to the `gmap` task; "a hashtable is
 //! used to store the intermediate and final results of the local
 //! MapReduce" (paper §V-A). Here that hashtable is the map call's value
-//! array: [`LocalAlgorithm::lmap`] runs over the partition's
-//! [items](LocalAlgorithm::items) with *read* access to the current
-//! values, and the pass's `lreduce` writes the next ones.
+//! array, and a pass is three calls: [`LocalAlgorithm::init`] fills
+//! every group's accumulator, [`LocalAlgorithm::lmap`] runs Fig. 1's
+//! `for each x` loop over the whole partition with *read* access to the
+//! current values, and the pass's `lreduce` ends in
+//! [`LocalAlgorithm::finish`], which writes each group's next value and
+//! says whether it settled.
 //!
-//! An application supplies `lmap`, its `lreduce` as a fold, a
-//! local-convergence test, and the input/state conversion functions
-//! (paper: "the user must provide functions for termination of global
-//! and local MapReduce iterations, and functions to convert data into
-//! the formats required by the local map and local reduce functions").
-//! [`EagerMapper`] then *is* the `gmap`: a [`crate::Mapper`] whose every
-//! task iterates its partition to local convergence with only partial
-//! (in-task) synchronizations — no cross-partition barrier — before the
-//! global reduce. That absence of a barrier is the paper's eager
-//! scheduling; each pass's `lreduce` is one *partial synchronization*,
-//! counted in [`crate::TaskMeter::local_syncs`].
+//! An application supplies `lmap`, its `lreduce` as a fold whose
+//! `finish` is the local-convergence test, and the input/state
+//! conversion functions (paper: "the user must provide functions for
+//! termination of global and local MapReduce iterations, and functions
+//! to convert data into the formats required by the local map and local
+//! reduce functions"). [`EagerMapper`] then *is* the `gmap`: a
+//! [`crate::Mapper`] whose every task iterates its partition to local
+//! convergence with only partial (in-task) synchronizations — no
+//! cross-partition barrier — before the global reduce. That absence of
+//! a barrier is the paper's eager scheduling; each pass's `lreduce` is
+//! one *partial synchronization*, counted in
+//! [`crate::TaskMeter::local_syncs`].
 //!
 //! An algorithm's groups are its state's keys — a graph app's owned
 //! vertices, K-Means's centroid ids — listed by
@@ -40,17 +44,17 @@
 //! its values and keeps two value arrays, the one the pass reads and
 //! the one it writes, swapped between passes. `lmap` reads its groups
 //! by index and names the group of each value it emits
-//! ([`LocalMapContext::emit_to`], or [`LocalMapContext::emit_along`]
-//! for one value along a row of an adjacency whose targets are
-//! groups), which is folded into that group's slot of the written
-//! array where it is emitted ([`LocalAlgorithm::init`],
-//! [`LocalAlgorithm::fold`]). No key is built, no value buffered or
-//! grouped: the fold sees a group's values
-//! in emission order — what a stable grouping of the pass's emissions
-//! would hand a keyed `lreduce` — so it computes what that `lreduce`
-//! over the group would. Every group finishes in place, keys ascending,
-//! at the end of the pass ([`LocalAlgorithm::finish`]); one that no
-//! value reached finishes from its `init` and its old value.
+//! ([`LocalMapContext::emit_to`], or [`LocalMapContext::scatter`] for
+//! a value from every group along an adjacency whose sources and
+//! targets are groups), which is folded into that group's slot of the
+//! written array where it is emitted ([`LocalAlgorithm::fold`]). No key
+//! is built, no value buffered or grouped: the fold sees a group's
+//! values in emission order — what a stable grouping of the pass's
+//! emissions would hand a keyed `lreduce` — so it computes what that
+//! `lreduce` over the group would. Every group finishes in place, keys
+//! ascending, at the end of the pass; one that no value reached
+//! finishes from its `init` and its old value. The pass settles when
+//! every group did.
 //!
 //! A local pass and the global reduce speak different types. A group's
 //! value ([`LocalAlgorithm::Value`]) is only what the pass folds — a
@@ -76,12 +80,13 @@ pub const DEFAULT_MAX_LOCAL_ITERATIONS: usize = 10_000;
 /// whose [fold](LocalAlgorithm::fold) it calls where each value is
 /// emitted.
 ///
-/// It holds the values the pass writes, one per group, each overwritten
-/// with the group's [`init`](LocalAlgorithm::init). `lmap` names the
-/// group of each value ([`emit_to`](LocalMapContext::emit_to),
-/// [`emit_along`](LocalMapContext::emit_along)), the value is folded
-/// straight into that group's slot, and the end of the pass finishes
-/// every slot in place. A group past the last, or an adjacency whose
+/// It holds the values the pass writes, one per group, as
+/// [`init`](LocalAlgorithm::init) filled them. `lmap` names the group
+/// of each value ([`emit_to`](LocalMapContext::emit_to),
+/// [`scatter`](LocalMapContext::scatter)), the value is folded straight
+/// into that group's slot, and the end of the pass finishes every slot
+/// in place. An `init` that fills another count of accumulators than
+/// there are groups, a group past the last, or an adjacency whose
 /// targets may be, panics, naming the task and the pass.
 #[derive(Debug)]
 pub struct LocalMapContext<L: LocalAlgorithm> {
@@ -100,13 +105,16 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
         LocalMapContext { next: Vec::new(), task, pass: 0, ops: 0 }
     }
 
-    /// Starts pass `pass` by overwriting each group's slot with its
-    /// `init`.
-    fn begin(&mut self, algo: &L, input: &L::Input, keys: &[L::Key], pass: usize) {
+    /// Starts pass `pass` by having `init` fill the accumulators of the
+    /// `groups` groups.
+    fn begin(&mut self, algo: &L, input: &L::Input, groups: usize, pass: usize) {
         (self.pass, self.ops) = (pass, 0);
-        let init = |(group, key): (usize, &L::Key)| algo.init(input, group, key);
         self.next.clear();
-        self.next.extend(keys.iter().enumerate().map(init));
+        algo.init(input, &mut self.next);
+        let filled = self.next.len();
+        if filled != groups {
+            self.refuse(format_args!("init filled {filled} accumulators for its {groups} groups"));
+        }
     }
 
     /// The paper's `EmitLocalIntermediate`: folds `value` into the
@@ -120,54 +128,61 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
     pub fn emit_to(&mut self, group: usize, value: L::Value) {
         match self.next.get_mut(group) {
             Some(acc) => L::fold(acc, value),
-            None => self.refuse(format_args!("a value for group {group}")),
+            None => {
+                let groups = self.next.len();
+                self.refuse(format_args!("a value for group {group}, past its {groups} groups"))
+            }
         }
         self.ops += 1;
     }
 
-    /// One value along every edge of row `source` of `csr`, whose
-    /// targets are groups: folds `value(w)` into the accumulator of
-    /// each target, `w` being the edge's weight, in CSR order — what an
-    /// [`emit_to`](Self::emit_to) per edge of `csr.edges(source)` folds.
-    /// The row's degree in ops.
+    /// One pass's sends along `csr`, whose sources and targets are the
+    /// groups: source by source, ascending, `push(s, acc)` says what
+    /// group `s` sends (`None`: nothing; it may first fold into the
+    /// accumulators `acc` itself, as a keep-alive does), then
+    /// `value(sent, w)` is folded into the accumulator of each target of
+    /// `s`'s row, `w` being the edge's weight, in CSR order — what an
+    /// [`emit_to`](Self::emit_to) per edge, sources ascending, folds.
+    /// Returns the edges walked, which it meters as ops.
     ///
     /// # Panics
     ///
     /// Before folding anything, if `csr`'s targets may lie past the last
-    /// group ([`LocalCsr::bound`] above the group count), or `source`
-    /// is not one of its sources.
+    /// group ([`LocalCsr::bound`] above the group count), or its sources
+    /// are not the groups.
     #[inline]
-    pub fn emit_along(&mut self, csr: &LocalCsr, source: u32, value: impl Fn(f64) -> L::Value) {
-        let bound = csr.bound();
-        if bound > self.next.len() {
-            self.refuse(format_args!("an adjacency over {bound} targets"));
+    pub fn scatter<S: Copy>(
+        &mut self,
+        csr: &LocalCsr,
+        push: impl FnMut(usize, &mut [L::Value]) -> Option<S>,
+        value: impl Fn(S, f64) -> L::Value,
+    ) -> u64 {
+        let (bound, sources, groups) = (csr.bound(), csr.sources(), self.next.len());
+        if bound > groups {
+            self.refuse(format_args!(
+                "an adjacency over {bound} targets, past its {groups} groups"
+            ));
         }
-        self.ops += csr.fold_row(source as usize, &mut self.next, |acc, w| L::fold(acc, value(w)));
+        if sources != groups {
+            self.refuse(format_args!("an adjacency from {sources} sources over {groups} groups"));
+        }
+        let walked = csr.scatter(&mut self.next, push, |acc, sent, w| L::fold(acc, value(sent, w)));
+        self.ops += walked;
+        walked
     }
 
-    /// Refuses `what` — a value for a group past the last, or an
-    /// adjacency whose targets may be — naming the task and the pass.
-    /// Every value the pass made is dropped once, on the unwind.
+    /// Refuses `what`, naming the task and the pass. Every value the
+    /// pass made is dropped once, on the unwind.
     #[cold]
     #[inline(never)]
     fn refuse(&self, what: std::fmt::Arguments<'_>) -> ! {
-        let (task, pass, groups) = (self.task, self.pass, self.next.len());
-        panic!("local sync of task {task}, pass {pass}: {what}, past its {groups} groups")
+        panic!("local sync of task {}, pass {}: {what}", self.task, self.pass)
     }
 
     /// Meters `n` abstract operations.
     #[inline]
     pub fn add_ops(&mut self, n: u64) {
         self.ops += n;
-    }
-
-    /// Ends the pass that read `cur`: finishes each group in place, keys
-    /// ascending, leaving the values the pass wrote in `self.next`.
-    fn finish(&mut self, algo: &L, input: &L::Input, keys: &[L::Key], cur: &[L::Value]) {
-        let groups = keys.iter().zip(cur).zip(&mut self.next);
-        for (group, ((key, old), acc)) in groups.enumerate() {
-            algo.finish(input, group, key, old, acc);
-        }
     }
 }
 
@@ -176,20 +191,21 @@ impl<L: LocalAlgorithm> LocalMapContext<L> {
 ///
 /// The keys of [`init_state`](Self::init_state), strictly ascending,
 /// are every pass's groups, and a state is its value array: entry `g`
-/// is group `g`. `lmap` reads the current values by index and emits
-/// each value to the index of its group ([`LocalMapContext::emit_to`],
-/// [`LocalMapContext::emit_along`]), and the paper's `lreduce` is a
-/// fold ([`init`](Self::init), [`fold`](Self::fold),
-/// [`finish`](Self::finish)), which sees a group's values in emission
-/// order and leaves the group's next value in its accumulator. After
-/// the last pass, [`finalize`](Self::finalize) turns the final state
-/// into the map call's [`Intermediate`](Self::Intermediate) pairs.
+/// is group `g`. A pass is three calls. [`init`](Self::init) fills
+/// every group's accumulator; [`lmap`](Self::lmap) runs over the whole
+/// partition, reads the current values by index and emits each value
+/// to the index of its group ([`LocalMapContext::emit_to`],
+/// [`LocalMapContext::scatter`]), where it is [folded](Self::fold) in
+/// emission order; and [`finish`](Self::finish), once per group, leaves
+/// the group's next value in its accumulator and says whether the
+/// group settled — the paper's `lreduce` and its local-convergence
+/// test. After the last pass, [`finalize`](Self::finalize) turns the
+/// final state into the map call's [`Intermediate`](Self::Intermediate)
+/// pairs.
 pub trait LocalAlgorithm: Send + Sync + Sized {
     /// The partition handed to each `gmap` task (the paper's `xs`,
     /// plus any read-only structure such as adjacency).
     type Input: Send + Sync;
-    /// One element of `xs` (a node, a point, …).
-    type Item: Sync;
     /// Local (and global-intermediate) key.
     type Key: Key;
     /// A group's value: the state's entries, what `init`, `fold` and
@@ -200,9 +216,6 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
     /// group's value — a tag telling the global reduce what it is.
     type Intermediate: Value;
 
-    /// The `xs` list inside the partition.
-    fn items<'a>(&self, input: &'a Self::Input) -> &'a [Self::Item];
-
     /// Builds the initial local state from the partition ("functions to
     /// convert data into the formats required by the local map and
     /// local reduce", §IV): one entry per group, keys strictly
@@ -210,48 +223,44 @@ pub trait LocalAlgorithm: Send + Sync + Sized {
     /// the first key that does not ascend.
     fn init_state(&self, task: usize, input: &Self::Input) -> Vec<(Self::Key, Self::Value)>;
 
-    /// The paper's `lmap`: processes one element of `xs`, reading the
-    /// current values — `state[g]` is group `g`'s — and sending each
-    /// value to its group via [`LocalMapContext::emit_to`] and
-    /// [`LocalMapContext::emit_along`].
+    /// The pass's first step: pushes onto the empty `acc` every group's
+    /// accumulator before any value, group `g` — the state's entry `g`,
+    /// keys ascending — at index `g`. A pass panics, naming the task and
+    /// the pass, if `acc` does not then hold one per group.
+    fn init(&self, input: &Self::Input, acc: &mut Vec<Self::Value>);
+
+    /// The paper's `lmap`, once per pass over every element of `xs`
+    /// (Fig. 1's `for each` loop is inside it): reads the current
+    /// values — `state[g]` is group `g`'s — and sends each value to its
+    /// group via [`LocalMapContext::emit_to`] and
+    /// [`LocalMapContext::scatter`].
     fn lmap(
         &self,
         task: usize,
         input: &Self::Input,
-        item: &Self::Item,
         state: &[Self::Value],
         ctx: &mut LocalMapContext<Self>,
     );
-
-    /// The pass's first step: the accumulator of group `group` — the
-    /// state's entry `group`, keys ascending — whose key is `key`,
-    /// before any value.
-    fn init(&self, input: &Self::Input, group: usize, key: &Self::Key) -> Self::Value;
 
     /// Folds `value`, the group's next value in emission order, into
     /// its accumulator, where `lmap` emits it (dispatched statically:
     /// the context is typed with its algorithm).
     fn fold(acc: &mut Self::Value, value: Self::Value);
 
-    /// The pass's last step — the paper's `EmitLocal` — once per group,
-    /// keys ascending, the groups no value reached included: turns the
-    /// group's accumulator `acc` into its entry's next value, in place,
-    /// given `old`, its value in the state the pass read. The default
-    /// does nothing: the accumulator is the next value.
+    /// The pass's last step — the paper's `EmitLocal` and its part of
+    /// "no-local-convergence-intimated" — once per group, keys
+    /// ascending, the groups no value reached included: turns group
+    /// `group`'s accumulator `acc` into its entry's next value, in
+    /// place, given `old`, its value in the state the pass read, and
+    /// returns whether the group settled. The pass settles, and the map
+    /// call stops, when every group did.
     fn finish(
         &self,
         input: &Self::Input,
         group: usize,
-        key: &Self::Key,
         old: &Self::Value,
         acc: &mut Self::Value,
-    ) {
-        let _ = (input, group, key, old, acc);
-    }
-
-    /// Local termination test ("no-local-convergence-intimated") over
-    /// the values a pass read and the ones it wrote, entry by entry.
-    fn locally_converged(&self, old: &[Self::Value], new: &[Self::Value]) -> bool;
+    ) -> bool;
 
     /// Safety valve on local iterations (default
     /// [`DEFAULT_MAX_LOCAL_ITERATIONS`]); at least 1 — a `gmap` whose
@@ -315,7 +324,8 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
     ///
     /// If the algorithm's [`LocalAlgorithm::max_local_iterations`] is
     /// 0, its [`LocalAlgorithm::init_state`]'s keys do not strictly
-    /// ascend, or a pass sends a value past its last group (see
+    /// ascend, its `init` fills another count of accumulators than there
+    /// are groups, or a pass sends a value past its last group (see
     /// [`LocalMapContext`]).
     fn map(&self, task: usize, input: &Self::Input, ctx: &mut MapContext<Self::Key, Self::Value>) {
         let max_passes = self.algo.max_local_iterations();
@@ -330,27 +340,27 @@ impl<L: LocalAlgorithm> Mapper for EagerMapper<L> {
             keys.iter().zip(&cur).map(|(k, v)| k.approx_bytes() + v.approx_bytes()).sum()
         });
         ctx.meter.set_input_bytes(input_bytes);
-        let items = self.algo.items(input);
 
         let mut lctx = LocalMapContext::new(task);
         for pass in 0..max_passes {
             // Local map phase over every element of xs.
-            lctx.begin(&self.algo, input, &keys, pass);
-            for item in items {
-                self.algo.lmap(task, input, item, &cur, &mut lctx);
+            lctx.begin(&self.algo, input, keys.len(), pass);
+            self.algo.lmap(task, input, &cur, &mut lctx);
+            // Partial synchronization: finish every group in place, keys
+            // ascending — each one, whatever the groups before it said —
+            // and settle if all did. This barrier is *within* the task:
+            // other partitions are already running their next local
+            // iteration (eager scheduling).
+            let mut settled = true;
+            for (group, (old, acc)) in cur.iter().zip(&mut lctx.next).enumerate() {
+                settled &= self.algo.finish(input, group, old, acc);
             }
-            // Partial synchronization: locally reduce. This barrier is
-            // *within* the task — other partitions are already running
-            // their next local iteration (eager scheduling).
-            lctx.finish(&self.algo, input, &keys, &cur);
             ctx.meter.add_ops(lctx.ops);
             ctx.meter.add_local_sync();
-
-            let done = self.algo.locally_converged(&cur, &lctx.next);
             // The written values are read next; the read ones are
             // written.
             std::mem::swap(&mut cur, &mut lctx.next);
-            if done {
+            if settled {
                 break;
             }
         }
@@ -379,50 +389,45 @@ pub(crate) mod tests {
 
     /// Toy fixpoint: every key's value decays toward a per-key target;
     /// lmap sends the next value to the key's group, whose fold keeps
-    /// it. Converges when the max delta is below 1e-9. Its input lists
+    /// it. A group settles when its delta is below 1e-9. Its input lists
     /// its keys ascending.
     pub(crate) struct Decay;
 
     impl LocalAlgorithm for Decay {
         type Input = Vec<(u32, f64)>; // (key, target) — xs is the pairs
-        type Item = (u32, f64);
         type Key = u32;
         type Value = f64;
         type Intermediate = f64;
 
-        fn items<'a>(&self, input: &'a Self::Input) -> &'a [(u32, f64)] {
-            input
-        }
-
         fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(u32, f64)> {
             input.iter().map(|&(k, _)| (k, 0.0)).collect()
+        }
+
+        fn init(&self, input: &Self::Input, acc: &mut Vec<f64>) {
+            acc.resize(input.len(), 0.0);
         }
 
         fn lmap(
             &self,
             _t: usize,
             input: &Self::Input,
-            item: &(u32, f64),
             state: &[f64],
             ctx: &mut LocalMapContext<Self>,
         ) {
-            let (key, target) = *item;
-            let group = entry_of(input.iter().map(|&(k, _)| k), key);
-            let current = state[group];
-            ctx.emit_to(group, current + 0.5 * (target - current));
-            ctx.add_ops(1);
-        }
-
-        fn init(&self, _input: &Self::Input, _group: usize, _key: &u32) -> f64 {
-            0.0
+            for &(key, target) in input {
+                let group = entry_of(input.iter().map(|&(k, _)| k), key);
+                let current = state[group];
+                ctx.emit_to(group, current + 0.5 * (target - current));
+            }
+            ctx.add_ops(input.len() as u64);
         }
 
         fn fold(acc: &mut f64, value: f64) {
             *acc = value;
         }
 
-        fn locally_converged(&self, old: &[f64], new: &[f64]) -> bool {
-            old.iter().zip(new).all(|(a, b)| (b - a).abs() < 1e-9)
+        fn finish(&self, _i: &Self::Input, _group: usize, old: &f64, acc: &mut f64) -> bool {
+            (*acc - old).abs() < 1e-9
         }
 
         fn finalize(
@@ -455,39 +460,44 @@ pub(crate) mod tests {
     }
 
     /// State that converges instantly: each item sends its own value
-    /// back to its group. Its `init_state` lists the input as given.
+    /// back to its group. Its `init_state` lists the input as given, and
+    /// its `init` fills one accumulator fewer than that when its input
+    /// starts with [`Instant::MISCOUNT`].
     struct Instant;
+
+    impl Instant {
+        const MISCOUNT: u32 = 99;
+    }
+
     impl LocalAlgorithm for Instant {
         type Input = Vec<u32>;
-        type Item = u32;
         type Key = u32;
         type Value = u64;
         type Intermediate = u64;
-        fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
-            input
-        }
         fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(u32, u64)> {
             input.iter().map(|&k| (k, k as u64)).collect()
+        }
+        fn init(&self, input: &Self::Input, acc: &mut Vec<u64>) {
+            let miscounted = input.first() == Some(&Self::MISCOUNT);
+            acc.resize(input.len() - usize::from(miscounted), 0);
         }
         fn lmap(
             &self,
             _t: usize,
             input: &Self::Input,
-            item: &u32,
             state: &[u64],
             ctx: &mut LocalMapContext<Self>,
         ) {
-            let group = entry_of(input.iter().copied(), *item);
-            ctx.emit_to(group, state[group]);
-        }
-        fn init(&self, _i: &Self::Input, _group: usize, _key: &u32) -> u64 {
-            0
+            for &item in input {
+                let group = entry_of(input.iter().copied(), item);
+                ctx.emit_to(group, state[group]);
+            }
         }
         fn fold(acc: &mut u64, value: u64) {
             *acc = value;
         }
-        fn locally_converged(&self, old: &[u64], new: &[u64]) -> bool {
-            old == new
+        fn finish(&self, _i: &Self::Input, _group: usize, old: &u64, acc: &mut u64) -> bool {
+            old == acc
         }
         fn finalize(
             &self,
@@ -509,6 +519,16 @@ pub(crate) mod tests {
         let (pairs, meter, _, _) = ctx.finish();
         assert_eq!(meter.local_syncs(), 1);
         assert_eq!(pairs, vec![(5, 5), (6, 6)]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "local sync of task 3, pass 0: init filled 2 accumulators for its 3 groups"
+    )]
+    fn an_init_of_another_length_is_refused() {
+        // Checked once a pass, before `lmap` reads or folds anything.
+        let input = vec![Instant::MISCOUNT, 100, 101];
+        EagerMapper::new(Instant).map(3, &input, &mut MapContext::default());
     }
 
     #[test]
@@ -535,33 +555,30 @@ pub(crate) mod tests {
     struct Runaway(usize);
     impl LocalAlgorithm for Runaway {
         type Input = Vec<u32>;
-        type Item = u32;
         type Key = u32;
         type Value = u64;
         type Intermediate = u64;
-        fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
-            input
-        }
         fn init_state(&self, _t: usize, _i: &Self::Input) -> Vec<(u32, u64)> {
             vec![(0, 0)]
+        }
+        fn init(&self, _i: &Self::Input, acc: &mut Vec<u64>) {
+            acc.push(0);
         }
         fn lmap(
             &self,
             _t: usize,
-            _i: &Self::Input,
-            _item: &u32,
+            input: &Self::Input,
             state: &[u64],
             ctx: &mut LocalMapContext<Self>,
         ) {
-            ctx.emit_to(0, state[0] + 1);
-        }
-        fn init(&self, _i: &Self::Input, _group: usize, _key: &u32) -> u64 {
-            0
+            for _ in input {
+                ctx.emit_to(0, state[0] + 1);
+            }
         }
         fn fold(acc: &mut u64, value: u64) {
             *acc = value;
         }
-        fn locally_converged(&self, _old: &[u64], _new: &[u64]) -> bool {
+        fn finish(&self, _i: &Self::Input, _group: usize, _old: &u64, _acc: &mut u64) -> bool {
             false
         }
         fn finalize(
@@ -602,37 +619,38 @@ pub(crate) mod tests {
     /// never converged.
     struct Echo;
 
+    /// The distinct numbers of `input`, ascending.
+    fn distinct(input: &[u32]) -> BTreeSet<u32> {
+        input.iter().copied().collect()
+    }
+
     impl LocalAlgorithm for Echo {
         type Input = Vec<u32>;
-        type Item = u32;
         type Key = u32;
         type Value = u64;
         type Intermediate = u64;
-        fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
-            input
-        }
         fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(u32, u64)> {
-            let keys: BTreeSet<u32> = input.iter().copied().collect();
-            keys.into_iter().map(|k| (k, u64::from(k))).collect()
+            distinct(input).into_iter().map(|k| (k, u64::from(k))).collect()
+        }
+        fn init(&self, input: &Self::Input, acc: &mut Vec<u64>) {
+            acc.resize(distinct(input).len(), 0);
         }
         fn lmap(
             &self,
             _t: usize,
             input: &Self::Input,
-            item: &u32,
             state: &[u64],
             ctx: &mut LocalMapContext<Self>,
         ) {
-            let group = entry_of(input.iter().copied(), *item);
-            ctx.emit_to(group, state[group] + 1);
-        }
-        fn init(&self, _i: &Self::Input, _group: usize, _key: &u32) -> u64 {
-            0
+            for &item in input {
+                let group = entry_of(input.iter().copied(), item);
+                ctx.emit_to(group, state[group] + 1);
+            }
         }
         fn fold(acc: &mut u64, value: u64) {
             *acc += value;
         }
-        fn locally_converged(&self, _old: &[u64], _new: &[u64]) -> bool {
+        fn finish(&self, _i: &Self::Input, _group: usize, _old: &u64, _acc: &mut u64) -> bool {
             false
         }
         fn finalize(
@@ -653,14 +671,15 @@ pub(crate) mod tests {
     #[test]
     fn a_folding_task_sums_a_groups_values_and_every_call_starts_afresh() {
         // Key 3 is two items, so its group hears two values a pass; an
-        // empty input has no group. Every call starts from its own
+        // empty input has no group, so its one pass settles: no group
+        // is left unsettled. Every call starts from its own
         // `init_state`, whatever the call before it folded.
         let inputs: [&[u32]; 4] = [&[3, 1, 3, 2], &[3, 1, 3, 2], &[], &[1, 2]];
         let call = |input: &&[u32]| {
             let mut ctx = MapContext::default();
             EagerMapper::new(Echo).map(0, &input.to_vec(), &mut ctx);
             let (pairs, meter, _, _) = ctx.finish();
-            assert_eq!(meter.local_syncs(), 3);
+            assert_eq!(meter.local_syncs(), if input.is_empty() { 1 } else { 3 });
             pairs
         };
         let calls: Vec<Vec<(u32, u64)>> = inputs.iter().map(call).collect();
@@ -675,6 +694,71 @@ pub(crate) mod tests {
         mapper.map(0, &vec![1, 2, 3], &mut ctx);
         let (_, meter, _, _) = ctx.finish();
         assert_eq!(meter.input_bytes(), 3 * (4 + 8));
+    }
+
+    /// Its state counts, per group, the passes that finished it: `lmap`
+    /// sends nothing and `finish` adds one to the old count. Every group
+    /// settles at once but group [`Straggler::lagging`], which settles
+    /// on the third pass.
+    struct Straggler {
+        lagging: usize,
+    }
+
+    impl LocalAlgorithm for Straggler {
+        type Input = Vec<u32>;
+        type Key = u32;
+        type Value = u64;
+        type Intermediate = u64;
+        fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(u32, u64)> {
+            input.iter().map(|&k| (k, 0)).collect()
+        }
+        fn init(&self, input: &Self::Input, acc: &mut Vec<u64>) {
+            acc.resize(input.len(), 0);
+        }
+        fn lmap(
+            &self,
+            _t: usize,
+            input: &Self::Input,
+            _s: &[u64],
+            ctx: &mut LocalMapContext<Self>,
+        ) {
+            ctx.add_ops(input.len() as u64);
+        }
+        fn fold(acc: &mut u64, value: u64) {
+            *acc = value;
+        }
+        fn finish(&self, _i: &Self::Input, group: usize, old: &u64, acc: &mut u64) -> bool {
+            *acc = old + 1;
+            group != self.lagging || *acc == 3
+        }
+        fn finalize(
+            &self,
+            _t: usize,
+            _i: &Self::Input,
+            keys: &[u32],
+            state: &[u64],
+            ctx: &mut MapContext<u32, u64>,
+        ) {
+            dump(keys, state, ctx);
+        }
+    }
+
+    #[test]
+    fn one_unsettled_group_finishes_every_group_and_runs_another_pass() {
+        // Group 0 unsettled: a settled test that stopped at the first
+        // unsettled group would leave groups 1.. at their `init`. The
+        // last group unsettled: a test that stopped at the first settled
+        // one, or read only group 0, would end the map call a pass early.
+        let input: Vec<u32> = (10..16).collect();
+        for lagging in [0, input.len() - 1] {
+            let mut ctx = MapContext::default();
+            EagerMapper::new(Straggler { lagging }).map(0, &input, &mut ctx);
+            let (pairs, meter, _, _) = ctx.finish();
+            let finished: Vec<(u32, u64)> = input.iter().map(|&k| (k, 3)).collect();
+            assert_eq!(pairs, finished, "group {lagging} lagging");
+            assert_eq!(meter.local_syncs(), 3, "group {lagging} lagging");
+            assert_eq!(meter.ops(), 3 * input.len() as u64, "group {lagging} lagging");
+        }
     }
 
     /// What [`Tally`] emits: one count per key, and the total under key
@@ -702,35 +786,31 @@ pub(crate) mod tests {
 
     impl LocalAlgorithm for Tally {
         type Input = Vec<u32>;
-        type Item = u32;
         type Key = u32;
         type Value = u64;
         type Intermediate = Tallied;
-        fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
-            input
-        }
         fn init_state(&self, _t: usize, input: &Self::Input) -> Vec<(u32, u64)> {
-            let keys: BTreeSet<u32> = input.iter().copied().collect();
-            keys.into_iter().map(|k| (k, 0)).collect()
+            distinct(input).into_iter().map(|k| (k, 0)).collect()
+        }
+        fn init(&self, input: &Self::Input, acc: &mut Vec<u64>) {
+            acc.resize(distinct(input).len(), 0);
         }
         fn lmap(
             &self,
             _t: usize,
             input: &Self::Input,
-            item: &u32,
-            _state: &[u64],
+            _s: &[u64],
             ctx: &mut LocalMapContext<Self>,
         ) {
-            ctx.emit_to(entry_of(input.iter().copied(), *item), 1);
-        }
-        fn init(&self, _i: &Self::Input, _group: usize, _key: &u32) -> u64 {
-            0
+            for &item in input {
+                ctx.emit_to(entry_of(input.iter().copied(), item), 1);
+            }
         }
         fn fold(acc: &mut u64, value: u64) {
             *acc += value;
         }
-        fn locally_converged(&self, old: &[u64], new: &[u64]) -> bool {
-            old == new
+        fn finish(&self, _i: &Self::Input, _group: usize, old: &u64, acc: &mut u64) -> bool {
+            old == acc
         }
         fn finalize(
             &self,

@@ -9,10 +9,11 @@
 //!   on groups that churn from pass to pass, on graph-shaped passes
 //!   with repeated and `String` keys and with values that count their
 //!   drops, and job by job on one engine;
-//! * one value sent along a CSR row (`emit_along`) equals an `emit_to`
-//!   per edge of the row, and a value sent past the last group, or
-//!   along a CSR whose targets may lie past it, panics naming its task
-//!   and pass, dropping every value the pass made exactly once.
+//! * a pass's sends along a CSR over its groups (`scatter`) equal an
+//!   `emit_to` per edge, sources ascending, keep-alives folded between
+//!   rows included, and a value sent past the last group, or along a
+//!   CSR whose targets may lie past it, panics naming its task and
+//!   pass, dropping every value the pass made exactly once.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -31,8 +32,9 @@ use proptest::prelude::*;
 /// through its keyed `lmap` and [`Spec::reduce_group`], the framework
 /// through the same `lmap`, each emission sent to the group of its key,
 /// and the fold ([`Spec::start`], [`Spec::fold`], [`Spec::finish`]).
-/// States are passed to `converged` as their values, key-ascending,
-/// and only when the two states have the same keys.
+/// The oracle compares two whole states, entry by entry, with
+/// [`Spec::settled`] — only when they have the same keys — and the
+/// framework each group as it finishes.
 trait Spec: Send + Sync {
     type Item: Send + Sync;
     type Key: Key + Debug;
@@ -57,7 +59,8 @@ trait Spec: Send + Sync {
         values: &[Self::Value],
         emit: &mut dyn FnMut(Self::Key, Self::Value),
     ) -> u64;
-    fn converged(&self, old: &[Self::Value], new: &[Self::Value]) -> bool;
+    /// Whether an entry went from `old` to `new` and settled.
+    fn settled(&self, old: &Self::Value, new: &Self::Value) -> bool;
     fn max_passes(&self) -> usize;
     /// `reduce_group` as a fold: a group's start, each value folded in,
     /// and its entry's next value made in place from the result and its
@@ -112,7 +115,7 @@ fn oracle_gmap<S: Spec>(spec: &S, xs: &[S::Item]) -> Outcome<S::Key, S::Value> {
         }
         local_syncs += 1;
         let done = state.keys().eq(new_state.keys())
-            && spec.converged(&values(&state), &values(&new_state));
+            && values(&state).iter().zip(&values(&new_state)).all(|(a, b)| spec.settled(a, b));
         state = new_state;
         if done {
             break;
@@ -138,57 +141,46 @@ impl<S: Spec> Split<S> {
 
 /// A [`Spec`] as a [`LocalAlgorithm`]: its initial state normalised
 /// through a `BTreeMap` (a later write to a key replaces an earlier
-/// one, as in `oracle_gmap`), each emission sent to the group of its
-/// key, found by its position among the split's keys (past the last
-/// group when there is no such key), and reduced with the spec's fold.
+/// one, as in `oracle_gmap`), `lmap` run over every item, each emission
+/// sent to the group of its key, found by its position among the
+/// split's keys (past the last group when there is no such key), and
+/// reduced with the spec's fold.
 struct Framework<S>(S);
 
 impl<S: Spec> LocalAlgorithm for Framework<S> {
     type Input = Split<S>;
-    type Item = S::Item;
     type Key = S::Key;
     type Value = S::Value;
     type Intermediate = S::Value;
 
-    fn items<'a>(&self, input: &'a Split<S>) -> &'a [S::Item] {
-        &input.xs
-    }
     fn init_state(&self, _t: usize, input: &Split<S>) -> Vec<(S::Key, S::Value)> {
         let state: BTreeMap<S::Key, S::Value> = self.0.init(&input.xs).into_iter().collect();
         state.into_iter().collect()
+    }
+    fn init(&self, input: &Split<S>, acc: &mut Vec<S::Value>) {
+        acc.extend(input.keys.iter().map(|k| self.0.start(k)));
     }
     fn lmap(
         &self,
         _t: usize,
         input: &Split<S>,
-        item: &S::Item,
         state: &[S::Value],
         ctx: &mut LocalMapContext<Self>,
     ) {
         let group = |k: &S::Key| input.keys.binary_search(k).ok();
         let get = |k: &S::Key| group(k).map(|g| state[g].clone());
-        let ops =
-            self.0.lmap(item, &get, &mut |k, v| ctx.emit_to(group(&k).unwrap_or(state.len()), v));
-        ctx.add_ops(ops);
-    }
-    fn init(&self, _input: &Split<S>, _group: usize, key: &S::Key) -> S::Value {
-        self.0.start(key)
+        for item in &input.xs {
+            let mut emit = |k, v| ctx.emit_to(group(&k).unwrap_or(state.len()), v);
+            let ops = self.0.lmap(item, &get, &mut emit);
+            ctx.add_ops(ops);
+        }
     }
     fn fold(acc: &mut S::Value, value: S::Value) {
         S::fold(acc, value);
     }
-    fn finish(
-        &self,
-        _input: &Split<S>,
-        _group: usize,
-        key: &S::Key,
-        old: &S::Value,
-        acc: &mut S::Value,
-    ) {
-        self.0.finish(key, old, acc);
-    }
-    fn locally_converged(&self, old: &[S::Value], new: &[S::Value]) -> bool {
-        self.0.converged(old, new)
+    fn finish(&self, input: &Split<S>, group: usize, old: &S::Value, acc: &mut S::Value) -> bool {
+        self.0.finish(&input.keys[group], old, acc);
+        self.0.settled(old, acc)
     }
     fn max_local_iterations(&self) -> usize {
         self.0.max_passes()
@@ -276,8 +268,8 @@ impl Spec for Decay {
         emit(*key, values[0]);
         0
     }
-    fn converged(&self, old: &[f64], new: &[f64]) -> bool {
-        old.iter().zip(new).all(|(a, b)| (a - b).abs() < 1e-9)
+    fn settled(&self, old: &f64, new: &f64) -> bool {
+        (old - new).abs() < 1e-9
     }
     fn max_passes(&self) -> usize {
         asyncmr_core::local::DEFAULT_MAX_LOCAL_ITERATIONS
@@ -317,7 +309,7 @@ impl Spec for CarryForward {
         emit(*key, *values.iter().max().expect("groups are non-empty"));
         0
     }
-    fn converged(&self, old: &[u64], new: &[u64]) -> bool {
+    fn settled(&self, old: &u64, new: &u64) -> bool {
         old == new
     }
     fn max_passes(&self) -> usize {
@@ -378,7 +370,7 @@ impl Spec for Churn {
         emit(*key, if *key == Self::CLOCK { max.min(self.churn) } else { max });
         0
     }
-    fn converged(&self, old: &[u64], new: &[u64]) -> bool {
+    fn settled(&self, old: &u64, new: &u64) -> bool {
         old == new
     }
     fn max_passes(&self) -> usize {
@@ -588,7 +580,7 @@ impl<F: Flavor> Spec for Flow<F> {
         emit(key.clone(), F::value(fold % 1_000));
         0
     }
-    fn converged(&self, old: &[F::V], new: &[F::V]) -> bool {
+    fn settled(&self, old: &F::V, new: &F::V) -> bool {
         old == new
     }
     fn max_passes(&self) -> usize {
@@ -702,7 +694,7 @@ enum Lie {
     /// A value for the group after the last.
     PastTheLast,
     /// One value along a CSR row into group 0 and the group after the
-    /// last, through `emit_along`: a CSR wider than the groups.
+    /// last, through `scatter`: a CSR wider than the groups.
     EachPastTheLast,
     /// No value for group 0 — no breach: it finishes from its `init`.
     Missing,
@@ -724,47 +716,47 @@ impl Liar {
 
 impl LocalAlgorithm for Liar {
     type Input = Vec<u32>;
-    type Item = u32;
     type Key = u32;
     type Value = Tracked;
     type Intermediate = Tracked;
 
-    fn items<'a>(&self, input: &'a Vec<u32>) -> &'a [u32] {
-        input
-    }
     fn init_state(&self, _t: usize, input: &Vec<u32>) -> Vec<(u32, Tracked)> {
         let key = |j: u32| if j == self.records { Self::CLOCK } else { j };
         input.iter().map(|&j| (key(j), Tracked::new(0))).collect()
     }
+    fn init(&self, input: &Vec<u32>, acc: &mut Vec<Tracked>) {
+        acc.extend(input.iter().map(|_| Tracked::new(0)));
+    }
     fn lmap(
         &self,
         _t: usize,
-        _input: &Vec<u32>,
-        &j: &u32,
+        input: &Vec<u32>,
         state: &[Tracked],
         ctx: &mut LocalMapContext<Self>,
     ) {
         let pass = state[state.len() - 1].x;
-        let value = if j == self.records { pass + 1 } else { 7 };
-        // Key `j`'s group is entry `j`; the clock's is the last.
-        let past = j as usize + state.len();
-        match (self.lie, pass == self.at && j == 0) {
-            (Lie::PastTheLast, true) => ctx.emit_to(past, Tracked::new(value)),
-            (Lie::EachPastTheLast, true) => {
-                let wide = LocalCsr::new(1, past + 1, vec![0, 2], vec![j, past as u32], vec![]);
-                ctx.emit_along(&wide, 0, |_| Tracked::new(value))
+        for &j in input {
+            let value = if j == self.records { pass + 1 } else { 7 };
+            // Key `j`'s group is entry `j`; the clock's is the last.
+            let (groups, past) = (state.len(), j as usize + state.len());
+            match (self.lie, pass == self.at && j == 0) {
+                (Lie::PastTheLast, true) => ctx.emit_to(past, Tracked::new(value)),
+                (Lie::EachPastTheLast, true) => {
+                    let (mut offsets, targets) = (vec![0; groups + 1], vec![j, past as u32]);
+                    offsets[1..].fill(2);
+                    let wide = LocalCsr::new(groups, past + 1, offsets, targets, vec![]);
+                    let send = |s: usize, _: &mut [Tracked]| (s == 0).then_some(value);
+                    ctx.scatter(&wide, send, |v, _| Tracked::new(v));
+                }
+                (Lie::Missing, true) => {}
+                _ => ctx.emit_to(j as usize, Tracked::new(value)),
             }
-            (Lie::Missing, true) => {}
-            _ => ctx.emit_to(j as usize, Tracked::new(value)),
         }
-    }
-    fn init(&self, _input: &Vec<u32>, _group: usize, _key: &u32) -> Tracked {
-        Tracked::new(0)
     }
     fn fold(acc: &mut Tracked, value: Tracked) {
         *acc = value;
     }
-    fn locally_converged(&self, _old: &[Tracked], _new: &[Tracked]) -> bool {
+    fn finish(&self, _input: &Vec<u32>, _group: usize, _old: &Tracked, _acc: &mut Tracked) -> bool {
         false
     }
     fn max_local_iterations(&self) -> usize {
@@ -835,68 +827,75 @@ proptest! {
     }
 }
 
-/// Item `(x, s)` sends one value — `x` mixed with the state's entry
-/// `x mod n` and each edge's weight — along row `s` of its CSR, whose
-/// targets are groups: through one `emit_along` (`Spray<true>`) or an
-/// `emit_to` per edge of `csr.edges(s)`. The fold hashes a group's
-/// values in order, so the order counts as well as the values. Three
-/// passes, never converged.
-struct Spray<const ALONG: bool>;
+/// Every group `s` sends one value — its state entry mixed with `s` and
+/// each edge's weight — along row `s` of a CSR whose sources and
+/// targets are the groups: through one pass-level `scatter`
+/// (`Spray<true>`) or, sources ascending, an `emit_to` per edge of
+/// `csr.edges(s)`. An odd group first folds its entry into its own
+/// accumulator (a keep-alive), and every third group, from group 2,
+/// sends nothing. The fold hashes a group's values in order, so the
+/// order counts as well as the values. Three passes, never settled.
+struct Spray<const SCATTER: bool>;
 
-/// `n` groups, a CSR whose targets are groups, and the items.
-type SprayInput = (u32, LocalCsr, Vec<(u32, u32)>);
-
-impl<const A: bool> Spray<A> {
+impl<const S: bool> Spray<S> {
     /// One map call: its pairs and its meter.
-    fn run(input: &SprayInput) -> (Vec<(u32, u64)>, TaskMeter) {
+    fn run(csr: &LocalCsr) -> (Vec<(u32, u64)>, TaskMeter) {
         let mut ctx = MapContext::default();
-        EagerMapper::new(Spray::<A>).map(0, input, &mut ctx);
+        EagerMapper::new(Spray::<S>).map(0, csr, &mut ctx);
         let (pairs, meter, _, _) = ctx.finish();
         (pairs, meter)
     }
+
+    fn keeps_alive(s: usize) -> bool {
+        s % 2 == 1
+    }
+
+    /// What group `s`, whose entry is `entry`, sends, if anything.
+    fn sent(s: usize, entry: u64) -> Option<u64> {
+        (s % 3 != 2).then_some(entry * 7 + s as u64)
+    }
 }
 
-impl<const A: bool> LocalAlgorithm for Spray<A> {
-    type Input = SprayInput;
-    type Item = (u32, u32);
+impl<const S: bool> LocalAlgorithm for Spray<S> {
+    type Input = LocalCsr;
     type Key = u32;
     type Value = u64;
     type Intermediate = u64;
 
-    fn items<'a>(&self, input: &'a SprayInput) -> &'a [(u32, u32)] {
-        &input.2
+    fn init_state(&self, _t: usize, csr: &LocalCsr) -> Vec<(u32, u64)> {
+        (0..csr.sources() as u32).map(|k| (k, u64::from(k) * 3 + 1)).collect()
     }
-    fn init_state(&self, _t: usize, input: &SprayInput) -> Vec<(u32, u64)> {
-        (0..input.0).map(|k| (k, u64::from(k) * 3 + 1)).collect()
+    fn init(&self, csr: &LocalCsr, acc: &mut Vec<u64>) {
+        acc.extend((0..csr.sources() as u64).map(|g| 11 + g));
     }
-    fn lmap(
-        &self,
-        _t: usize,
-        (n, csr, _): &SprayInput,
-        &(x, s): &(u32, u32),
-        state: &[u64],
-        ctx: &mut LocalMapContext<Self>,
-    ) {
-        let value = state[(x % n) as usize] * 7 + u64::from(x);
-        let mix = |w: f64| value ^ w.to_bits();
-        if A {
-            ctx.emit_along(csr, s, mix);
+    fn lmap(&self, _t: usize, csr: &LocalCsr, state: &[u64], ctx: &mut LocalMapContext<Self>) {
+        let mix = |value: u64, w: f64| value ^ w.to_bits();
+        if S {
+            let send = |s: usize, acc: &mut [u64]| {
+                if Self::keeps_alive(s) {
+                    Self::fold(&mut acc[s], state[s]);
+                }
+                Self::sent(s, state[s])
+            };
+            ctx.add_ops((0..state.len()).filter(|&s| Self::keeps_alive(s)).count() as u64);
+            ctx.scatter(csr, send, mix);
         } else {
-            for (t, w) in csr.edges(s) {
-                ctx.emit_to(t as usize, mix(w));
+            for (s, &entry) in state.iter().enumerate() {
+                if Self::keeps_alive(s) {
+                    ctx.emit_to(s, entry);
+                }
+                let Some(value) = Self::sent(s, entry) else { continue };
+                for (t, w) in csr.edges(s as u32) {
+                    ctx.emit_to(t as usize, mix(value, w));
+                }
             }
         }
-    }
-    fn init(&self, _input: &SprayInput, group: usize, _key: &u32) -> u64 {
-        11 + group as u64
     }
     fn fold(acc: &mut u64, value: u64) {
         *acc = acc.wrapping_mul(31).wrapping_add(value);
     }
-    fn finish(&self, _input: &SprayInput, _group: usize, _key: &u32, _old: &u64, acc: &mut u64) {
+    fn finish(&self, _csr: &LocalCsr, _group: usize, _old: &u64, acc: &mut u64) -> bool {
         *acc %= 1_000_003;
-    }
-    fn locally_converged(&self, _old: &[u64], _new: &[u64]) -> bool {
         false
     }
     fn max_local_iterations(&self) -> usize {
@@ -905,7 +904,7 @@ impl<const A: bool> LocalAlgorithm for Spray<A> {
     fn finalize(
         &self,
         _t: usize,
-        _input: &SprayInput,
+        _csr: &LocalCsr,
         keys: &[u32],
         state: &[u64],
         ctx: &mut MapContext<u32, u64>,
@@ -914,16 +913,10 @@ impl<const A: bool> LocalAlgorithm for Spray<A> {
     }
 }
 
-/// The CSR over `n` groups whose rows are `rows` of `(target, weight
-/// step)` after a first row holding a self-loop twice and before a last
-/// row that is a sink, weighted or not; each item names its row modulo
-/// the row count.
-fn spray_input(
-    n: u32,
-    rows: Vec<Vec<(u32, u32)>>,
-    weighted: bool,
-    items: &[(u32, u32)],
-) -> SprayInput {
+/// The CSR over `rows.len() + 2` groups whose rows are `rows` of
+/// `(target, weight step)` after a first row holding a self-loop twice
+/// and before a last row that is a sink, weighted or not.
+fn spray_input(rows: Vec<Vec<(u32, u32)>>, weighted: bool) -> LocalCsr {
     let rows: Vec<_> = [vec![(0, 3), (0, 5)]].into_iter().chain(rows).chain([vec![]]).collect();
     let (mut offsets, mut targets, mut weights) = (vec![0], Vec::new(), Vec::new());
     for row in &rows {
@@ -935,40 +928,38 @@ fn spray_input(
         }
         offsets.push(targets.len() as u32);
     }
-    let csr = LocalCsr::new(rows.len(), n as usize, offsets, targets, weights);
-    let items = items.iter().map(|&(x, s)| (x, s % rows.len() as u32)).collect();
-    (n, csr, items)
+    LocalCsr::new(rows.len(), rows.len(), offsets, targets, weights)
 }
 
-/// `n` groups, a random CSR over them — repeated targets, rows of any
-/// length, weighted or not — and the items, often none.
-fn spray_inputs() -> impl Strategy<Value = SprayInput> {
-    (1u32..12)
+/// A random CSR over 2 to 11 groups — repeated targets, rows of any
+/// length, weighted or not.
+fn spray_inputs() -> impl Strategy<Value = LocalCsr> {
+    (2u32..12)
         .prop_flat_map(|n| {
             let row = proptest::collection::vec((0..n, 0u32..1000), 0..6);
-            let items = proptest::collection::vec((any::<u32>(), any::<u32>()), 0..10);
-            (Just(n), proptest::collection::vec(row, 0..5), any::<bool>(), items)
+            (proptest::collection::vec(row, n as usize - 2), any::<bool>())
         })
-        .prop_map(|(n, rows, weighted, items)| spray_input(n, rows, weighted, &items))
+        .prop_map(|(rows, weighted)| spray_input(rows, weighted))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One value along a CSR row is an `emit_to` per edge of the row:
-    /// the same accumulators — so the same states and pairs — and the
-    /// same ops, a sink included.
+    /// A pass's sends along a CSR over its groups are an `emit_to` per
+    /// edge, sources ascending, with each keep-alive folded before its
+    /// group's row: the same accumulators — so the same states and
+    /// pairs — and the same ops, silent groups and a sink included.
     #[test]
-    fn emit_along_equals_an_emit_to_per_edge(input in spray_inputs()) {
-        prop_assert_eq!(Spray::<true>::run(&input), Spray::<false>::run(&input));
+    fn scatter_equals_an_emit_to_per_edge_sources_ascending(csr in spray_inputs()) {
+        prop_assert_eq!(Spray::<true>::run(&csr), Spray::<false>::run(&csr));
     }
 }
 
 #[test]
-fn emit_along_a_sink_folds_nothing_and_meters_nothing() {
-    // Row 0: a self-loop twice; row 1: a sink. Two groups.
-    let input = spray_input(2, vec![], false, &[(0, 1), (1, 0), (5, 1)]);
-    let (along, one_by_one) = (Spray::<true>::run(&input), Spray::<false>::run(&input));
-    assert_eq!(along, one_by_one);
-    assert_eq!(along.1.ops(), 3 * 2, "two sends a pass, three passes");
+fn scatter_from_a_sink_folds_nothing_and_meters_nothing() {
+    // Group 0: a self-loop twice; group 1: a sink, kept alive.
+    let csr = spray_input(vec![], false);
+    let (scattered, one_by_one) = (Spray::<true>::run(&csr), Spray::<false>::run(&csr));
+    assert_eq!(scattered, one_by_one);
+    assert_eq!(scattered.1.ops(), 3 * 3, "two sends and a keep-alive a pass, three passes");
 }

@@ -168,41 +168,30 @@ struct RingMax {
 
 impl LocalAlgorithm for RingMax {
     type Input = Vec<u32>;
-    type Item = u32;
     type Key = u32;
     type Value = u64;
     type Intermediate = u64;
 
-    fn items<'a>(&self, split: &'a Vec<u32>) -> &'a [u32] {
-        split
-    }
     fn init_state(&self, _t: usize, _split: &Vec<u32>) -> Vec<(u32, u64)> {
         (0..self.key_space).map(|k| (k, 0)).collect()
     }
-    fn lmap(
-        &self,
-        _t: usize,
-        _split: &Vec<u32>,
-        &x: &u32,
-        state: &[u64],
-        ctx: &mut LocalMapContext<Self>,
-    ) {
-        let key = x % self.key_space;
-        ctx.emit_to(key as usize, u64::from(x));
-        ctx.emit_to(((key + 1) % self.key_space) as usize, state[key as usize]);
-        ctx.add_ops(2);
+    fn init(&self, _split: &Vec<u32>, acc: &mut Vec<u64>) {
+        acc.resize(self.key_space as usize, 0);
     }
-    fn init(&self, _split: &Vec<u32>, _group: usize, _key: &u32) -> u64 {
-        0
+    fn lmap(&self, _t: usize, split: &Vec<u32>, state: &[u64], ctx: &mut LocalMapContext<Self>) {
+        for &x in split {
+            let key = x % self.key_space;
+            ctx.emit_to(key as usize, u64::from(x));
+            ctx.emit_to(((key + 1) % self.key_space) as usize, state[key as usize]);
+        }
+        ctx.add_ops(2 * split.len() as u64);
     }
     fn fold(acc: &mut u64, value: u64) {
         *acc = (*acc).max(value);
     }
-    fn finish(&self, _split: &Vec<u32>, _group: usize, _key: &u32, old: &u64, acc: &mut u64) {
+    fn finish(&self, _split: &Vec<u32>, _group: usize, old: &u64, acc: &mut u64) -> bool {
         *acc = (*acc).max(*old);
-    }
-    fn locally_converged(&self, old: &[u64], new: &[u64]) -> bool {
-        old == new
+        old == acc
     }
     /// Each key's running maximum, for the global sum.
     fn finalize(

@@ -229,13 +229,11 @@ mod eager_jobs {
             .collect()
     }
 
-    pub fn pr_inputs(partitions: &[Arc<GraphPartition>], n: usize, job: u32) -> Vec<PrEagerInput> {
-        let ranks = Arc::new((0..n).map(|v| 1.0 + f64::from(job) / (v + 1) as f64).collect());
-        let remote_in = Arc::new(vec![0.25; n]);
+    pub fn pr_inputs(partitions: &[Arc<GraphPartition>], job: u32) -> Vec<PrEagerInput> {
         let input = |part: &Arc<GraphPartition>| PrEagerInput {
+            ranks: part.nodes.iter().map(|&v| 1.0 + f64::from(job) / f64::from(v + 1)).collect(),
+            remote_in: vec![0.25; part.len()],
             part: Arc::clone(part),
-            ranks: Arc::clone(&ranks),
-            remote_in: Arc::clone(&remote_in),
         };
         partitions.iter().map(input).collect()
     }
@@ -315,7 +313,6 @@ fn two_eager_mappers_sharing_a_key_type_evict_each_other_and_stay_correct() {
     let parts = MultilevelKWay::default().partition(&undirected, 3);
     let cc_parts = GraphPartition::build(&undirected, &parts);
     let pr_parts = GraphPartition::build(&directed, &parts);
-    let n = directed.num_nodes();
     let pool = ThreadPool::new(3);
     let mut engine = Engine::in_process(&pool);
     let mut oracle = Engine::with_reference_shuffle(&pool);
@@ -325,7 +322,7 @@ fn two_eager_mappers_sharing_a_key_type_evict_each_other_and_stay_correct() {
         let fresh = cc_job(&mut Engine::in_process(&pool), &inputs);
         assert_same_job(&kept, &fresh, &cc_job(&mut oracle, &inputs));
 
-        let inputs = pr_inputs(&pr_parts, n, job);
+        let inputs = pr_inputs(&pr_parts, job);
         let kept = pr_job(&mut engine, &inputs);
         let fresh = pr_job(&mut Engine::in_process(&pool), &inputs);
         assert_same_job(&kept, &fresh, &pr_job(&mut oracle, &inputs));
